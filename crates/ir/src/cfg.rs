@@ -1,38 +1,99 @@
 //! Control-flow-graph queries: predecessors, successors, orderings.
 
 use crate::function::{BlockId, Function};
-use std::collections::HashMap;
+
+/// Adjacency lists in compressed-sparse-row form, indexed by
+/// [`BlockId::index`]: block `i`'s neighbours are
+/// `edges[offsets[i]..offsets[i + 1]]`. Two allocations regardless of the
+/// block count, and every lookup is O(1).
+#[derive(Debug, Clone)]
+pub(crate) struct Adjacency {
+    offsets: Vec<u32>,
+    edges: Vec<BlockId>,
+}
+
+impl Adjacency {
+    /// Build from `(block index, neighbour)` pairs produced by `edges`
+    /// (called twice: once to count, once to fill). Pairs keep their
+    /// production order within each block's list.
+    pub(crate) fn build(
+        blocks: usize,
+        mut edges: impl FnMut(&mut dyn FnMut(usize, BlockId)),
+    ) -> Adjacency {
+        let mut offsets = vec![0u32; blocks + 1];
+        edges(&mut |at, _| offsets[at + 1] += 1);
+        for i in 0..blocks {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut flat = vec![BlockId::from_index(0); offsets[blocks] as usize];
+        edges(&mut |at, to| {
+            flat[cursor[at] as usize] = to;
+            cursor[at] += 1;
+        });
+        Adjacency {
+            offsets,
+            edges: flat,
+        }
+    }
+
+    /// Neighbours of `bb` (empty for ids outside the arena).
+    pub(crate) fn of(&self, bb: BlockId) -> &[BlockId] {
+        match self.offsets.get(bb.index()..bb.index() + 2) {
+            Some(&[lo, hi]) => &self.edges[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// Marks a block that is not reachable from the entry in a dense
+/// per-block index table.
+pub(crate) const UNREACHABLE: u32 = u32::MAX;
 
 /// Immutable CFG snapshot of a function.
 ///
-/// Built once per analysis/transform; cheap at this IR's scale. Holds
+/// Built once per analysis/transform in O(blocks + edges). Holds dense
 /// predecessor and successor lists plus a reverse post-order.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    preds: HashMap<BlockId, Vec<BlockId>>,
-    succs: HashMap<BlockId, Vec<BlockId>>,
+    preds: Adjacency,
+    succs: Adjacency,
     rpo: Vec<BlockId>,
+    /// Position of each block in `rpo`, [`UNREACHABLE`] if it has none.
+    rpo_index: Vec<u32>,
     entry: BlockId,
 }
 
 impl Cfg {
     /// Compute the CFG of `f`.
     pub fn new(f: &Function) -> Cfg {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        let mut succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for bb in f.block_ids() {
-            let s = f.successors(bb);
-            for &t in &s {
-                preds.entry(t).or_default().push(bb);
+        let blocks = f.block_capacity();
+        let succs = Adjacency::build(blocks, |edge| {
+            for bb in f.block_ids() {
+                f.for_each_successor(bb, |t| edge(bb.index(), t));
             }
-            succs.insert(bb, s);
-            preds.entry(bb).or_default();
+        });
+        // An edge into a block id beyond the arena has no list to land in;
+        // the verifier reports such a branch before anything asks.
+        let preds = Adjacency::build(blocks, |edge| {
+            for bb in f.block_ids() {
+                for &t in succs.of(bb) {
+                    if t.index() < blocks {
+                        edge(t.index(), bb);
+                    }
+                }
+            }
+        });
+        let rpo = reverse_post_order_of(f, &succs);
+        let mut rpo_index = vec![UNREACHABLE; blocks];
+        for (i, bb) in rpo.iter().enumerate() {
+            rpo_index[bb.index()] = i as u32;
         }
-        let rpo = reverse_post_order(f);
         Cfg {
             preds,
             succs,
             rpo,
+            rpo_index,
             entry: f.entry,
         }
     }
@@ -40,12 +101,12 @@ impl Cfg {
     /// Predecessors of `bb` (blocks with an edge into it). A block that
     /// branches to `bb` twice (both arms of a cond-br) appears twice.
     pub fn preds(&self, bb: BlockId) -> &[BlockId] {
-        self.preds.get(&bb).map(Vec::as_slice).unwrap_or(&[])
+        self.preds.of(bb)
     }
 
     /// Successors of `bb`.
     pub fn succs(&self, bb: BlockId) -> &[BlockId] {
-        self.succs.get(&bb).map(Vec::as_slice).unwrap_or(&[])
+        self.succs.of(bb)
     }
 
     /// Unique predecessors (deduplicated).
@@ -69,26 +130,41 @@ impl Cfg {
         &self.rpo
     }
 
+    /// Position of `bb` in [`Cfg::rpo`], `None` if it is unreachable.
+    pub fn rpo_index(&self, bb: BlockId) -> Option<usize> {
+        match self.rpo_index.get(bb.index()) {
+            Some(&i) if i != UNREACHABLE => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// [`Cfg::rpo_index`] as a dense table ([`UNREACHABLE`] for no index).
+    pub(crate) fn rpo_index_table(&self) -> &[u32] {
+        &self.rpo_index
+    }
+
     /// The function entry block.
     pub fn entry(&self) -> BlockId {
         self.entry
     }
 
-    /// True if `bb` is reachable from the entry block.
+    /// True if `bb` is reachable from the entry block. O(1).
     pub fn is_reachable(&self, bb: BlockId) -> bool {
-        self.rpo.contains(&bb)
+        self.rpo_index(bb).is_some()
     }
 
     /// Total number of CFG edges (counting duplicates).
     pub fn num_edges(&self) -> usize {
-        self.succs.values().map(Vec::len).sum()
+        self.succs.edges.len()
     }
 
     /// Edges `(src, dst)` that are critical: the source has more than one
     /// successor and the destination has more than one predecessor.
+    /// Sorted, without duplicates.
     pub fn critical_edges(&self) -> Vec<(BlockId, BlockId)> {
         let mut out = Vec::new();
-        for (&src, succs) in &self.succs {
+        for src in (0..self.rpo_index.len()).map(BlockId::from_index) {
+            let succs = self.succs(src);
             if succs.len() <= 1 {
                 continue;
             }
@@ -104,43 +180,44 @@ impl Cfg {
     }
 }
 
-/// Reachable blocks in reverse post-order (entry first).
-pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
-    let mut visited = vec![false; f.block_capacity()];
+/// Depth-first post-order over `succs` from the entry, reversed.
+fn reverse_post_order_of(f: &Function, succs: &Adjacency) -> Vec<BlockId> {
     let mut post = Vec::new();
-    // Iterative DFS with an explicit stack of (block, next-successor-index).
-    let mut stack: Vec<(BlockId, usize)> = Vec::new();
     if !f.block_exists(f.entry) {
         return post;
     }
+    let mut visited = vec![false; f.block_capacity()];
+    // Iterative DFS with an explicit stack of (block, next-successor-index).
+    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
     visited[f.entry.index()] = true;
-    stack.push((f.entry, 0));
     while let Some(&mut (bb, ref mut idx)) = stack.last_mut() {
-        let succs = f.successors(bb);
-        if *idx < succs.len() {
-            let next = succs[*idx];
-            *idx += 1;
-            if f.block_exists(next) && !visited[next.index()] {
-                visited[next.index()] = true;
-                stack.push((next, 0));
+        match succs.of(bb).get(*idx) {
+            Some(&next) => {
+                *idx += 1;
+                if f.block_exists(next) && !visited[next.index()] {
+                    visited[next.index()] = true;
+                    stack.push((next, 0));
+                }
             }
-        } else {
-            post.push(bb);
-            stack.pop();
+            None => {
+                post.push(bb);
+                stack.pop();
+            }
         }
     }
     post.reverse();
     post
 }
 
+/// Reachable blocks in reverse post-order (entry first).
+pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
+    Cfg::new(f).rpo
+}
+
 /// Blocks not reachable from entry.
 pub fn unreachable_blocks(f: &Function) -> Vec<BlockId> {
-    let reach = reverse_post_order(f);
-    let mut reachable = vec![false; f.block_capacity()];
-    for bb in &reach {
-        reachable[bb.index()] = true;
-    }
-    f.block_ids().filter(|bb| !reachable[bb.index()]).collect()
+    let cfg = Cfg::new(f);
+    f.block_ids().filter(|&bb| !cfg.is_reachable(bb)).collect()
 }
 
 #[cfg(test)]

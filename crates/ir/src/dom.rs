@@ -1,52 +1,99 @@
 //! Dominator tree (Cooper–Harvey–Kennedy iterative algorithm).
 
-use crate::cfg::Cfg;
+use crate::cfg::{Adjacency, Cfg, UNREACHABLE};
 use crate::function::{BlockId, Function};
-use std::collections::HashMap;
 
 /// Dominator tree over the reachable blocks of a function.
+///
+/// Every table is a dense `Vec` indexed by [`BlockId::index`]. Besides the
+/// immediate dominators it holds the tree's child lists and a depth-first
+/// interval numbering, so [`DomTree::children`] and [`DomTree::dominates`]
+/// are O(1).
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each reachable block (entry maps to itself).
-    idom: HashMap<BlockId, BlockId>,
+    /// Immediate dominator of each reachable block (the entry maps to
+    /// itself), [`UNREACHABLE`] for the rest.
+    idom: Vec<u32>,
     /// RPO index of each reachable block.
-    rpo_index: HashMap<BlockId, usize>,
+    rpo_index: Vec<u32>,
+    /// Dominator-tree children, ascending by block id.
+    children: Adjacency,
+    /// Depth-first entry/exit times in the dominator tree: `a` dominates
+    /// `b` iff `a`'s interval encloses `b`'s.
+    interval: Vec<(u32, u32)>,
     entry: BlockId,
 }
 
 impl DomTree {
     /// Compute dominators for `f` given its CFG.
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
-        let rpo = cfg.rpo().to_vec();
-        let mut rpo_index = HashMap::new();
-        for (i, &bb) in rpo.iter().enumerate() {
-            rpo_index.insert(bb, i);
-        }
-        let entry = f.entry;
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
+        let rpo = cfg.rpo();
+        let blocks = f.block_capacity();
+        let rpo_index = cfg.rpo_index_table().to_vec();
 
+        // The fixpoint runs on RPO positions: `doms[i]` is the position of
+        // the immediate dominator of `rpo[i]`.
+        let mut doms = vec![UNREACHABLE; rpo.len()];
+        if !rpo.is_empty() {
+            doms[0] = 0;
+        }
         let mut changed = true;
         while changed {
             changed = false;
-            for &bb in rpo.iter().skip(1) {
-                // First processed predecessor.
-                let mut new_idom: Option<BlockId> = None;
+            for (i, &bb) in rpo.iter().enumerate().skip(1) {
+                let mut new_idom = UNREACHABLE;
                 for &p in cfg.preds(bb) {
-                    if !rpo_index.contains_key(&p) {
-                        continue; // unreachable predecessor
+                    let pi = rpo_index[p.index()];
+                    // Skip unreachable and not-yet-processed predecessors.
+                    if pi == UNREACHABLE || doms[pi as usize] == UNREACHABLE {
+                        continue;
                     }
-                    if idom.contains_key(&p) {
-                        new_idom = Some(match new_idom {
-                            None => p,
-                            Some(cur) => intersect(&idom, &rpo_index, cur, p),
-                        });
-                    }
+                    new_idom = if new_idom == UNREACHABLE {
+                        pi
+                    } else {
+                        intersect(&doms, new_idom, pi)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&bb) != Some(&ni) {
-                        idom.insert(bb, ni);
-                        changed = true;
+                if new_idom != UNREACHABLE && doms[i] != new_idom {
+                    doms[i] = new_idom;
+                    changed = true;
+                }
+            }
+        }
+
+        let mut idom = vec![UNREACHABLE; blocks];
+        for (i, &bb) in rpo.iter().enumerate() {
+            if doms[i] != UNREACHABLE {
+                idom[bb.index()] = rpo[doms[i] as usize].index() as u32;
+            }
+        }
+        let entry = f.entry;
+        let children = Adjacency::build(blocks, |edge| {
+            for (b, &d) in idom.iter().enumerate() {
+                if d != UNREACHABLE && b != entry.index() {
+                    edge(d as usize, BlockId::from_index(b));
+                }
+            }
+        });
+
+        let mut interval = vec![(0u32, 0u32); blocks];
+        if idom.get(entry.index()).is_some_and(|&d| d != UNREACHABLE) {
+            let mut clock = 0u32;
+            let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
+            while let Some(&mut (bb, ref mut next)) = stack.last_mut() {
+                if *next == 0 {
+                    clock += 1;
+                    interval[bb.index()].0 = clock;
+                }
+                match children.of(bb).get(*next) {
+                    Some(&child) => {
+                        *next += 1;
+                        stack.push((child, 0));
+                    }
+                    None => {
+                        clock += 1;
+                        interval[bb.index()].1 = clock;
+                        stack.pop();
                     }
                 }
             }
@@ -55,6 +102,8 @@ impl DomTree {
         DomTree {
             idom,
             rpo_index,
+            children,
+            interval,
             entry,
         }
     }
@@ -65,26 +114,22 @@ impl DomTree {
         if bb == self.entry {
             return None;
         }
-        self.idom.get(&bb).copied()
+        match self.idom.get(bb.index()) {
+            Some(&d) if d != UNREACHABLE => Some(BlockId::from_index(d as usize)),
+            _ => None,
+        }
     }
 
     /// True if `a` dominates `b` (reflexive: every block dominates itself).
     ///
     /// Unreachable blocks dominate nothing and are dominated by nothing.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.idom.contains_key(&a) || !self.idom.contains_key(&b) {
+        if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            cur = self.idom[&cur];
-        }
+        let (a_in, a_out) = self.interval[a.index()];
+        let (b_in, b_out) = self.interval[b.index()];
+        a_in <= b_in && b_out <= a_out
     }
 
     /// True if `a` strictly dominates `b`.
@@ -94,46 +139,37 @@ impl DomTree {
 
     /// True if the block is reachable (has a dominator entry).
     pub fn is_reachable(&self, bb: BlockId) -> bool {
-        self.idom.contains_key(&bb)
+        self.idom.get(bb.index()).is_some_and(|&d| d != UNREACHABLE)
     }
 
-    /// Children of `bb` in the dominator tree.
-    pub fn children(&self, bb: BlockId) -> Vec<BlockId> {
-        let mut out: Vec<BlockId> = self
-            .idom
-            .iter()
-            .filter(|&(&b, &d)| d == bb && b != self.entry)
-            .map(|(&b, _)| b)
-            .collect();
-        out.sort();
-        out
+    /// Children of `bb` in the dominator tree, ascending by block id.
+    pub fn children(&self, bb: BlockId) -> &[BlockId] {
+        self.children.of(bb)
     }
 
-    /// Dominance frontier of every reachable block (for SSA construction).
-    pub fn dominance_frontiers(&self, cfg: &Cfg) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut df: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    /// Dominance frontier of every block, indexed by [`BlockId::index`]
+    /// (for SSA construction). Unreachable blocks have empty frontiers.
+    pub fn dominance_frontiers(&self, cfg: &Cfg) -> Vec<Vec<BlockId>> {
+        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); self.idom.len()];
         for &bb in cfg.rpo() {
-            let preds: Vec<BlockId> = cfg
-                .preds(bb)
-                .iter()
-                .copied()
-                .filter(|p| self.is_reachable(*p))
-                .collect();
-            if preds.len() < 2 {
+            let reachable_preds = || cfg.preds(bb).iter().filter(|p| self.is_reachable(**p));
+            if reachable_preds().count() < 2 {
                 continue;
             }
-            let idom_bb = self.idom[&bb];
-            for p in preds {
+            let idom_bb = self.idom[bb.index()];
+            for &p in reachable_preds() {
                 let mut runner = p;
-                while runner != idom_bb {
-                    let entry = df.entry(runner).or_default();
-                    if !entry.contains(&bb) {
-                        entry.push(bb);
+                while runner.index() as u32 != idom_bb {
+                    // `bb` is only ever appended while it is the current
+                    // block, so a duplicate can only be the last entry.
+                    let frontier = &mut df[runner.index()];
+                    if frontier.last() != Some(&bb) {
+                        frontier.push(bb);
                     }
                     if runner == self.entry {
                         break;
                     }
-                    runner = self.idom[&runner];
+                    runner = BlockId::from_index(self.idom[runner.index()] as usize);
                 }
             }
         }
@@ -142,22 +178,22 @@ impl DomTree {
 
     /// RPO index of a reachable block.
     pub fn rpo_index(&self, bb: BlockId) -> Option<usize> {
-        self.rpo_index.get(&bb).copied()
+        match self.rpo_index.get(bb.index()) {
+            Some(&i) if i != UNREACHABLE => Some(i as usize),
+            _ => None,
+        }
     }
 }
 
-fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
+/// Nearest common ancestor of RPO positions `a` and `b` in the (partial)
+/// dominator forest `doms`.
+fn intersect(doms: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
+        while a > b {
+            a = doms[a as usize];
         }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
+        while b > a {
+            b = doms[b as usize];
         }
     }
     a
@@ -209,9 +245,9 @@ mod tests {
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&f, &cfg);
         let df = dt.dominance_frontiers(&cfg);
-        assert_eq!(df.get(&a), Some(&vec![j]));
-        assert_eq!(df.get(&b), Some(&vec![j]));
-        assert_eq!(df.get(&f.entry), None);
+        assert_eq!(df[a.index()], vec![j]);
+        assert_eq!(df[b.index()], vec![j]);
+        assert!(df[f.entry.index()].is_empty());
     }
 
     #[test]

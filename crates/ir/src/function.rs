@@ -61,6 +61,100 @@ pub struct FuncAttrs {
     pub outlined: bool,
 }
 
+/// A batch of pending edits to one function: a forwarding table
+/// `InstId → Value` ("every use of this result now reads that value") and a
+/// set of instructions to remove.
+///
+/// Transform passes record each decision here instead of calling
+/// [`Function::replace_all_uses`] (a sweep of the whole arena per call) and
+/// [`Function::remove_inst`] (a scan of the block per call), read operands
+/// through [`Rewrites::resolve`] while the batch is pending, and commit it
+/// with a single [`Function::apply_rewrites`].
+///
+/// Forwards may chain (`a → b`, later `b → c`): resolution follows the chain
+/// to its end, exactly as the sequential `replace_all_uses` calls would have
+/// rewritten the operand twice.
+#[derive(Debug, Clone, Default)]
+pub struct Rewrites {
+    /// Forward target per instruction index; grown on demand.
+    forward: Vec<Option<Value>>,
+    forwards: usize,
+    /// Removal flag per instruction index; grown on demand.
+    removed_flag: Vec<bool>,
+    removed: Vec<InstId>,
+}
+
+impl Rewrites {
+    /// An empty batch.
+    pub fn new() -> Rewrites {
+        Rewrites::default()
+    }
+
+    /// Make every use of `from`'s result read `to` instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` resolves back to `from` (a forward onto itself could
+    /// never be applied), or if `from` is already forwarded.
+    pub fn forward(&mut self, from: InstId, to: Value) {
+        let to = self.resolve(to);
+        assert_ne!(to, Value::Inst(from), "forwarding an instruction to itself");
+        if self.forward.len() <= from.index() {
+            self.forward.resize(from.index() + 1, None);
+        }
+        let slot = &mut self.forward[from.index()];
+        assert!(slot.is_none(), "instruction forwarded twice");
+        *slot = Some(to);
+        self.forwards += 1;
+    }
+
+    /// Remove `id` from its block and the arena when the batch is applied.
+    /// The caller guarantees its result has no uses left by then.
+    pub fn remove(&mut self, id: InstId) {
+        if self.removed_flag.len() <= id.index() {
+            self.removed_flag.resize(id.index() + 1, false);
+        }
+        if !self.removed_flag[id.index()] {
+            self.removed_flag[id.index()] = true;
+            self.removed.push(id);
+        }
+    }
+
+    /// Forward `from` to `to` and remove `from`: the batched form of
+    /// `replace_all_uses` followed by `remove_inst`.
+    pub fn replace(&mut self, from: InstId, to: Value) {
+        self.forward(from, to);
+        self.remove(from);
+    }
+
+    /// What `v` reads as once the batch is applied: follows forwards to the
+    /// end of the chain; anything not forwarded resolves to itself.
+    pub fn resolve(&self, mut v: Value) -> Value {
+        while let Value::Inst(id) = v {
+            match self.forward.get(id.index()) {
+                Some(Some(to)) => v = *to,
+                _ => break,
+            }
+        }
+        v
+    }
+
+    /// True if `id` is scheduled for removal.
+    pub fn is_removed(&self, id: InstId) -> bool {
+        self.removed_flag.get(id.index()).is_some_and(|&r| r)
+    }
+
+    /// True if the batch holds at least one forward.
+    pub fn has_forwards(&self) -> bool {
+        self.forwards > 0
+    }
+
+    /// True if applying the batch would change nothing.
+    pub fn is_empty(&self) -> bool {
+        self.forwards == 0 && self.removed.is_empty()
+    }
+}
+
 /// A function: parameter types, return type, blocks, and an instruction arena.
 ///
 /// Instructions live in a slot arena (`Vec<Option<Inst>>`); removing an
@@ -250,7 +344,51 @@ impl Function {
         }
     }
 
+    /// Visit the successor blocks of `bb` in order, without allocating
+    /// (nothing is visited if the block has no terminator).
+    pub fn for_each_successor(&self, bb: BlockId, f: impl FnMut(BlockId)) {
+        if let Some(t) = self.terminator(bb) {
+            self.inst(t).for_each_successor(f);
+        }
+    }
+
     // ---- whole-function edits ----
+
+    /// Apply a batch of use-rewrites and removals: **one** sweep over every
+    /// live instruction's operands (each forwarded operand is replaced by
+    /// its fully resolved target), then **one** `retain` per block dropping
+    /// the removed instructions, which also leave the arena. O(instructions)
+    /// however many rewrites the batch holds. Returns the number of operands
+    /// rewritten.
+    ///
+    /// Equivalent to calling [`Function::replace_all_uses`] for every
+    /// forward in recording order and [`Function::remove_inst`] for every
+    /// removal, provided no forward targets an instruction an *earlier*
+    /// forward already retired (the sequential calls would leave that use
+    /// dangling; the batch follows the chain).
+    pub fn apply_rewrites(&mut self, rw: &Rewrites) -> usize {
+        let mut rewritten = 0;
+        if rw.has_forwards() {
+            for inst in self.insts.iter_mut().flatten() {
+                inst.for_each_operand_mut(|v| {
+                    let to = rw.resolve(*v);
+                    if to != *v {
+                        *v = to;
+                        rewritten += 1;
+                    }
+                });
+            }
+        }
+        if !rw.removed.is_empty() {
+            for block in self.blocks.iter_mut().flatten() {
+                block.insts.retain(|&i| !rw.is_removed(i));
+            }
+            for &id in &rw.removed {
+                self.insts[id.index()] = None;
+            }
+        }
+        rewritten
+    }
 
     /// Replace every use of `from` with `to` across all instructions.
     /// Returns the number of operands replaced.

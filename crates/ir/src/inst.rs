@@ -444,17 +444,28 @@ impl Inst {
 
     /// Successor blocks if this is a terminator (empty otherwise).
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut out = Vec::new();
+        self.for_each_successor(|b| out.push(b));
+        out
+    }
+
+    /// Visit each successor block id in order, without allocating.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match &self.op {
-            Opcode::Br { target } => vec![*target],
+            Opcode::Br { target } => f(*target),
             Opcode::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Opcode::Switch { default, cases, .. } => {
-                let mut out = vec![*default];
-                out.extend(cases.iter().map(|(_, b)| *b));
-                out
+            } => {
+                f(*then_bb);
+                f(*else_bb);
             }
-            _ => Vec::new(),
+            Opcode::Switch { default, cases, .. } => {
+                f(*default);
+                for (_, b) in cases {
+                    f(*b);
+                }
+            }
+            _ => {}
         }
     }
 

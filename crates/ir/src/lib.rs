@@ -62,7 +62,7 @@ pub mod types;
 pub mod value;
 pub mod verify;
 
-pub use function::{Block, BlockId, Function, InstId};
+pub use function::{Block, BlockId, Function, InstId, Rewrites};
 pub use inst::{BinOp, CastOp, CmpPred, Inst, Opcode};
 pub use module::{FuncId, Global, GlobalId, Module};
 pub use types::Type;

@@ -3,7 +3,6 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::{BlockId, Function};
-use std::collections::HashSet;
 
 /// A natural loop: a back edge `latch -> header` where `header` dominates
 /// `latch`, plus every block that can reach the latch without going through
@@ -79,11 +78,11 @@ impl Loop {
 ///
 /// Loops sharing a header are merged (as LLVM does). Nested loops appear
 /// as separate entries whose block sets overlap.
-pub fn find_loops(_f: &Function, cfg: &Cfg, dt: &DomTree) -> Vec<Loop> {
+pub fn find_loops(f: &Function, cfg: &Cfg, dt: &DomTree) -> Vec<Loop> {
     let mut by_header: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
     for &bb in cfg.rpo() {
         for &succ in cfg.succs(bb) {
-            if dt.is_reachable(succ) && dt.dominates(succ, bb) {
+            if dt.dominates(succ, bb) {
                 // back edge bb -> succ
                 match by_header.iter_mut().find(|(h, _)| *h == succ) {
                     Some((_, latches)) => {
@@ -98,18 +97,20 @@ pub fn find_loops(_f: &Function, cfg: &Cfg, dt: &DomTree) -> Vec<Loop> {
     }
 
     let mut loops = Vec::new();
+    // Membership of the loop being built, reset after each one.
+    let mut seen = vec![false; f.block_capacity()];
     for (header, latches) in by_header {
         let mut blocks: Vec<BlockId> = vec![header];
-        let mut seen: HashSet<BlockId> = HashSet::from([header]);
+        seen[header.index()] = true;
         let mut stack: Vec<BlockId> = latches.clone();
         while let Some(bb) = stack.pop() {
-            if seen.insert(bb) {
-                blocks.push(bb);
-            } else {
+            if seen[bb.index()] {
                 continue;
             }
+            seen[bb.index()] = true;
+            blocks.push(bb);
             for &p in cfg.preds(bb) {
-                if !seen.contains(&p) && dt.is_reachable(p) {
+                if !seen[p.index()] && dt.is_reachable(p) {
                     stack.push(p);
                 }
             }
@@ -117,10 +118,13 @@ pub fn find_loops(_f: &Function, cfg: &Cfg, dt: &DomTree) -> Vec<Loop> {
         let mut exits = Vec::new();
         for &bb in &blocks {
             for &s in cfg.succs(bb) {
-                if !seen.contains(&s) && !exits.contains(&s) {
+                if !seen.get(s.index()).is_some_and(|&m| m) && !exits.contains(&s) {
                     exits.push(s);
                 }
             }
+        }
+        for &bb in &blocks {
+            seen[bb.index()] = false;
         }
         loops.push(Loop {
             header,

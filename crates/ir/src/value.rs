@@ -7,7 +7,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An operand of an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The derived ordering carries no meaning; it exists so commutative
+/// operand pairs can be put in a canonical order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Value {
     /// Result of an instruction in the same function.
     Inst(InstId),

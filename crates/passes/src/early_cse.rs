@@ -7,7 +7,9 @@
 //! store to the same address is replaced by the stored value.
 
 use crate::util;
-use autophase_ir::{FuncId, InstId, Module, Opcode, Value};
+use autophase_ir::{
+    BinOp, CastOp, CmpPred, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Type, Value,
+};
 use std::collections::HashMap;
 
 /// Run the pass. Returns true if anything changed.
@@ -21,101 +23,131 @@ pub fn run(m: &mut Module) -> bool {
     })
 }
 
-/// Hashable key for a pure computation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct ExprKey {
-    pub mnemonic: &'static str,
-    pub detail: String,
-    pub operands: Vec<Value>,
+/// Hashable key for a pure computation: two instructions compute the same
+/// value iff their keys are equal. `Copy`, so building one allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum ExprKey {
+    Binary(BinOp, Type, Value, Value),
+    ICmp(CmpPred, Value, Value),
+    Select(Value, Value, Value),
+    Cast(CastOp, Type, Value),
+    Gep(Value, Value),
 }
 
-pub(crate) fn expr_key(inst: &autophase_ir::Inst) -> Option<ExprKey> {
-    let detail = match &inst.op {
+/// The key of `inst` with every operand read through `rw`.
+fn expr_key(inst: &Inst, rw: &Rewrites) -> Option<ExprKey> {
+    let r = |v: &Value| rw.resolve(*v);
+    Some(match &inst.op {
         Opcode::Binary(op, a, b) => {
-            // Canonicalize commutative operand order for better hits.
-            let (a, b) = if op.is_commutative() {
-                let mut pair = [*a, *b];
-                pair.sort_by_key(|v| format!("{v:?}"));
-                (pair[0], pair[1])
+            let (a, b) = (r(a), r(b));
+            // Commutative operands go in a canonical order so `a+b` meets
+            // `b+a`; which order is irrelevant as long as it is total.
+            let (a, b) = if op.is_commutative() && b < a {
+                (b, a)
             } else {
-                (*a, *b)
+                (a, b)
             };
-            return Some(ExprKey {
-                mnemonic: "bin",
-                detail: format!("{}:{}", op.name(), inst.ty),
-                operands: vec![a, b],
-            });
+            ExprKey::Binary(*op, inst.ty, a, b)
         }
-        Opcode::ICmp(p, ..) => p.name().to_string(),
-        Opcode::Select { .. } => String::new(),
-        Opcode::Cast(c, _) => format!("{}:{}", c.name(), inst.ty),
-        Opcode::Gep { .. } => String::new(),
+        Opcode::ICmp(p, a, b) => ExprKey::ICmp(*p, r(a), r(b)),
+        Opcode::Select { cond, tval, fval } => ExprKey::Select(r(cond), r(tval), r(fval)),
+        Opcode::Cast(c, v) => ExprKey::Cast(*c, inst.ty, r(v)),
+        Opcode::Gep { ptr, index } => ExprKey::Gep(r(ptr), r(index)),
         _ => return None,
-    };
-    Some(ExprKey {
-        mnemonic: inst.mnemonic(),
-        detail,
-        operands: inst.operands(),
     })
 }
 
-fn cse_function(m: &mut Module, fid: FuncId) -> bool {
-    let mut changed = false;
-    let blocks: Vec<_> = m.func(fid).block_ids().collect();
-    for bb in blocks {
-        // available pure expressions → defining instruction
-        let mut avail: HashMap<ExprKey, InstId> = HashMap::new();
-        // address → last known stored/loaded value
-        let mut mem: HashMap<Value, Value> = HashMap::new();
-        let insts: Vec<InstId> = m.func(fid).block(bb).insts.clone();
-        for iid in insts {
-            if !m.func(fid).inst_exists(iid) {
-                continue;
+/// What is known about memory at one program point: address → the value a
+/// load from it would produce, with the address's pointer root (see
+/// [`util::pointer_root`]) computed once when the entry is made.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KnownMemory {
+    at: HashMap<Value, (Option<Value>, Value)>,
+}
+
+impl KnownMemory {
+    pub(crate) fn clear(&mut self) {
+        self.at.clear();
+    }
+
+    /// A store to `ptr` (rooted at `root`) kills every entry it may alias —
+    /// all but those with a different *known* root — then defines `ptr`.
+    fn store(&mut self, ptr: Value, root: Option<Value>, value: Value) {
+        self.at
+            .retain(|_, (r, _)| matches!((*r, root), (Some(a), Some(b)) if a != b));
+        self.at.insert(ptr, (root, value));
+    }
+}
+
+/// Available expressions: key → the instruction that first computed it.
+pub(crate) type Available = HashMap<ExprKey, InstId>;
+
+/// The CSE step shared with `-gvn`: look `iid` up in (and add it to) the
+/// available expressions and known memory, recording a replacement in `rw`
+/// on a hit. Operands are read through `rw`, so earlier hits are already
+/// visible. Returns the key if `iid` became newly available.
+pub(crate) fn visit(
+    m: &Module,
+    f: &Function,
+    iid: InstId,
+    avail: &mut Available,
+    mem: &mut KnownMemory,
+    rw: &mut Rewrites,
+) -> Option<ExprKey> {
+    let inst = f.inst(iid);
+    match &inst.op {
+        Opcode::Load { ptr } => {
+            let ptr = rw.resolve(*ptr);
+            match mem.at.get(&ptr) {
+                Some(&(_, known)) => rw.replace(iid, known),
+                None => {
+                    let root = util::pointer_root_through(f, rw, ptr);
+                    mem.at.insert(ptr, (root, Value::Inst(iid)));
+                }
             }
-            let inst = m.func(fid).inst(iid).clone();
-            match &inst.op {
-                Opcode::Load { ptr } => {
-                    if let Some(&known) = mem.get(ptr) {
-                        let f = m.func_mut(fid);
-                        f.replace_all_uses(Value::Inst(iid), known);
-                        f.remove_inst(bb, iid);
-                        changed = true;
-                    } else {
-                        mem.insert(*ptr, Value::Inst(iid));
-                    }
-                }
-                Opcode::Store { ptr, value } => {
-                    // Invalidate may-alias entries, then record.
-                    let f = m.func(fid);
-                    let keys: Vec<Value> = mem.keys().copied().collect();
-                    for k in keys {
-                        if util::may_alias(f, k, *ptr) {
-                            mem.remove(&k);
-                        }
-                    }
-                    mem.insert(*ptr, *value);
-                }
-                Opcode::Call { .. } => {
-                    if !util::is_pure(m, &inst) {
-                        mem.clear();
-                    }
-                }
-                _ => {
-                    if util::is_pure_no_read(m, &inst) && !inst.ty.is_void() {
-                        if let Some(key) = expr_key(&inst) {
-                            if let Some(&prev) = avail.get(&key) {
-                                let f = m.func_mut(fid);
-                                f.replace_all_uses(Value::Inst(iid), Value::Inst(prev));
-                                f.remove_inst(bb, iid);
-                                changed = true;
-                            } else {
-                                avail.insert(key, iid);
-                            }
-                        }
+        }
+        Opcode::Store { ptr, value } => {
+            let ptr = rw.resolve(*ptr);
+            let root = util::pointer_root_through(f, rw, ptr);
+            mem.store(ptr, root, rw.resolve(*value));
+        }
+        Opcode::Call { .. } => {
+            if !util::is_pure(m, inst) {
+                mem.clear();
+            }
+        }
+        _ => {
+            if util::is_pure_no_read(m, inst) && !inst.ty.is_void() {
+                let key = expr_key(inst, rw)?;
+                match avail.get(&key) {
+                    Some(&prev) => rw.replace(iid, Value::Inst(prev)),
+                    None => {
+                        avail.insert(key, iid);
+                        return Some(key);
                     }
                 }
             }
         }
+    }
+    None
+}
+
+fn cse_function(m: &mut Module, fid: FuncId) -> bool {
+    let f = m.func(fid);
+    let mut rw = Rewrites::new();
+    let mut avail = Available::new();
+    let mut mem = KnownMemory::default();
+    for bb in f.block_ids() {
+        avail.clear();
+        mem.clear();
+        for &iid in &f.block(bb).insts {
+            visit(m, f, iid, &mut avail, &mut mem, &mut rw);
+        }
+    }
+    let changed = !rw.is_empty();
+    if changed {
+        m.func_mut(fid).apply_rewrites(&rw);
     }
     changed
 }

@@ -7,12 +7,11 @@
 //! a block containing any store/call clears load availability for its
 //! subtree successors computed after it).
 
-use crate::early_cse::expr_key;
+use crate::early_cse::{self, Available, ExprKey, KnownMemory};
 use crate::util;
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
-use autophase_ir::{BlockId, FuncId, InstId, Module, Opcode, Value};
-use std::collections::HashMap;
+use autophase_ir::{BlockId, FuncId, Module, Rewrites};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -25,84 +24,69 @@ pub fn run(m: &mut Module) -> bool {
     })
 }
 
-type Scope = HashMap<crate::early_cse::ExprKey, InstId>;
-type LoadScope = HashMap<Value, Value>;
+/// One block on the dominator-tree walk.
+struct Frame {
+    bb: BlockId,
+    /// Children still to visit (taken from the back).
+    pending: usize,
+    /// Expressions this block made available, withdrawn when it is left.
+    added: Vec<ExprKey>,
+    /// Memory state at the end of the block.
+    mem: KnownMemory,
+}
 
 fn gvn_function(m: &mut Module, fid: FuncId) -> bool {
     let f = m.func(fid);
     let cfg = Cfg::new(f);
     let dt = DomTree::new(f, &cfg);
-    let mut changed = false;
+    let mut rw = Rewrites::new();
 
-    // DFS over the dominator tree carrying scoped maps (persistent via
-    // cloning; functions are small enough for this to be cheap).
-    let mut stack: Vec<(BlockId, Scope, LoadScope)> =
-        vec![(f.entry, Scope::new(), LoadScope::new())];
-    while let Some((bb, mut scope, mut loads)) = stack.pop() {
-        let insts: Vec<InstId> = m.func(fid).block(bb).insts.clone();
-        for iid in insts {
-            if !m.func(fid).inst_exists(iid) {
-                continue;
-            }
-            let inst = m.func(fid).inst(iid).clone();
-            match &inst.op {
-                Opcode::Load { ptr } => {
-                    if let Some(&known) = loads.get(ptr) {
-                        let fm = m.func_mut(fid);
-                        fm.replace_all_uses(Value::Inst(iid), known);
-                        fm.remove_inst(bb, iid);
-                        changed = true;
-                    } else {
-                        loads.insert(*ptr, Value::Inst(iid));
-                    }
-                }
-                Opcode::Store { ptr, value } => {
-                    let fr = m.func(fid);
-                    let keys: Vec<Value> = loads.keys().copied().collect();
-                    for k in keys {
-                        if util::may_alias(fr, k, *ptr) {
-                            loads.remove(&k);
-                        }
-                    }
-                    loads.insert(*ptr, *value);
-                }
-                Opcode::Call { .. } => {
-                    if !util::is_pure(m, &inst) {
-                        loads.clear();
-                    }
-                }
-                _ => {
-                    if util::is_pure_no_read(m, &inst) && !inst.ty.is_void() {
-                        if let Some(key) = expr_key(&inst) {
-                            if let Some(&prev) = scope.get(&key) {
-                                let fm = m.func_mut(fid);
-                                fm.replace_all_uses(Value::Inst(iid), Value::Inst(prev));
-                                fm.remove_inst(bb, iid);
-                                changed = true;
-                            } else {
-                                scope.insert(key, iid);
-                            }
-                        }
-                    }
-                }
-            }
+    // Depth-first over the dominator tree. Pure expressions are scoped: a
+    // block sees what its dominators computed, and its own additions are
+    // withdrawn when the walk leaves its subtree.
+    let mut avail = Available::new();
+    let enter = |bb: BlockId, mut mem: KnownMemory, avail: &mut Available, rw: &mut Rewrites| {
+        let mut added = Vec::new();
+        for &iid in &f.block(bb).insts {
+            added.extend(early_cse::visit(m, f, iid, avail, &mut mem, rw));
         }
-        let children = dt.children(bb);
+        Frame {
+            bb,
+            pending: dt.children(bb).len(),
+            added,
+            mem,
+        }
+    };
+    let mut stack = vec![enter(f.entry, KnownMemory::default(), &mut avail, &mut rw)];
+    while let Some(top) = stack.last_mut() {
+        if top.pending == 0 {
+            for key in &top.added {
+                avail.remove(key);
+            }
+            stack.pop();
+            continue;
+        }
+        top.pending -= 1;
+        let child = dt.children(top.bb)[top.pending];
         // A dominated block may be reached along paths containing stores
         // this walk has not seen (join points, loop back edges). Load
         // availability is only propagated to children whose unique CFG
         // predecessor is the current block — there the memory state at
         // entry provably equals the state at the end of `bb`. Pure
         // expression availability is path-independent and always flows.
-        for child in children {
-            let preds = cfg.unique_preds(child);
-            let load_env = if preds == vec![bb] {
-                loads.clone()
-            } else {
-                LoadScope::new()
-            };
-            stack.push((child, scope.clone(), load_env));
-        }
+        let preds = cfg.preds(child);
+        let mem = if !preds.is_empty() && preds.iter().all(|&p| p == top.bb) {
+            top.mem.clone()
+        } else {
+            KnownMemory::default()
+        };
+        let frame = enter(child, mem, &mut avail, &mut rw);
+        stack.push(frame);
+    }
+
+    let changed = !rw.is_empty();
+    if changed {
+        m.func_mut(fid).apply_rewrites(&rw);
     }
     changed
 }
@@ -113,7 +97,7 @@ mod tests {
     use autophase_ir::builder::FunctionBuilder;
     use autophase_ir::interp::run_main;
     use autophase_ir::verify::assert_verified;
-    use autophase_ir::{BinOp, CmpPred, Type};
+    use autophase_ir::{BinOp, CmpPred, Opcode, Type, Value};
 
     fn module_with(f: autophase_ir::Function) -> Module {
         let mut m = Module::new("t");

@@ -7,43 +7,50 @@
 
 use crate::util;
 use autophase_ir::fold;
-use autophase_ir::{BinOp, CastOp, CmpPred, InstId, Module, Opcode, Type, Value};
+use autophase_ir::{
+    BinOp, CastOp, CmpPred, Function, InstId, Module, Opcode, Rewrites, Type, Value,
+};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
         let mut changed = false;
-        // Fixpoint over local rules; each rewrite is applied immediately so
-        // later simplifications always see the current IR.
+        // Fixpoint over local rules. In-place rewrites are applied
+        // immediately; replacements go to the forwarding table, through
+        // which every operand is read, so later simplifications always see
+        // the current IR. The table is committed once, after the fixpoint.
+        // The function is only written to (copied, if shared) once a rule
+        // fires.
+        let mut rw = Rewrites::new();
+        let blocks: Vec<_> = m.func(fid).block_ids().collect();
         loop {
             let mut local = false;
-            let blocks: Vec<_> = m.func(fid).block_ids().collect();
-            for bb in blocks {
-                let insts: Vec<InstId> = m.func(fid).block(bb).insts.clone();
-                for iid in insts {
-                    let f = m.func(fid);
-                    if !f.inst_exists(iid) {
+            for &bb in &blocks {
+                for pos in 0..m.func(fid).block(bb).insts.len() {
+                    let iid = m.func(fid).block(bb).insts[pos];
+                    if rw.is_removed(iid) {
                         continue;
                     }
-                    let Some(rw) = simplify(f, iid) else { continue };
-                    let f = m.func_mut(fid);
-                    match rw {
-                        Rewrite::ReplaceWith(v) => {
+                    if rw.has_forwards() {
+                        m.func_mut(fid)
+                            .inst_mut(iid)
+                            .for_each_operand_mut(|v| *v = rw.resolve(*v));
+                    }
+                    match simplify(m.func(fid), &rw, iid) {
+                        Some(Rewrite::ReplaceWith(v)) => {
                             if v == Value::Inst(iid) {
                                 continue;
                             }
-                            f.replace_all_uses(Value::Inst(iid), v);
                             // Every ReplaceWith source is a pure instruction;
-                            // removing it immediately keeps the fixpoint finite.
-                            if let Some(b) = f.block_of(iid) {
-                                f.remove_inst(b, iid);
-                            }
+                            // retiring it immediately keeps the fixpoint finite.
+                            rw.replace(iid, v);
                             local = true;
                         }
-                        Rewrite::NewOp(op) => {
-                            f.inst_mut(iid).op = op;
+                        Some(Rewrite::NewOp(op)) => {
+                            m.func_mut(fid).inst_mut(iid).op = op;
                             local = true;
                         }
+                        None => {}
                     }
                 }
             }
@@ -51,6 +58,9 @@ pub fn run(m: &mut Module) -> bool {
             if !local {
                 break;
             }
+        }
+        if !rw.is_empty() {
+            m.func_mut(fid).apply_rewrites(&rw);
         }
         changed |= util::delete_dead(m, fid) > 0;
         changed
@@ -64,12 +74,29 @@ enum Rewrite {
     NewOp(Opcode),
 }
 
-fn simplify(f: &autophase_ir::Function, iid: InstId) -> Option<Rewrite> {
+/// The opcode of the instruction defining `v`, with its operands read
+/// through the pending rewrites (`v` itself is already resolved: it is an
+/// operand of the instruction being simplified).
+fn def_op(f: &Function, rw: &Rewrites, v: Value) -> Option<Opcode> {
+    let Value::Inst(id) = v else { return None };
+    let r = |v: &Value| rw.resolve(*v);
+    match &f.inst(id).op {
+        Opcode::Binary(op, a, b) => Some(Opcode::Binary(*op, r(a), r(b))),
+        Opcode::Cast(op, a) => Some(Opcode::Cast(*op, r(a))),
+        Opcode::Gep { ptr, index } => Some(Opcode::Gep {
+            ptr: r(ptr),
+            index: r(index),
+        }),
+        _ => None,
+    }
+}
+
+fn simplify(f: &Function, rw: &Rewrites, iid: InstId) -> Option<Rewrite> {
     let inst = f.inst(iid);
     let ty = inst.ty;
     match &inst.op {
-        Opcode::Binary(op, a, b) => simplify_binary(f, ty, *op, *a, *b),
-        Opcode::ICmp(pred, a, b) => simplify_icmp(f, *pred, *a, *b),
+        Opcode::Binary(op, a, b) => simplify_binary(f, rw, ty, *op, *a, *b),
+        Opcode::ICmp(pred, a, b) => simplify_icmp(f, rw, *pred, *a, *b),
         Opcode::Select { cond, tval, fval } => {
             if let Value::ConstInt(_, c) = cond {
                 return Some(Rewrite::ReplaceWith(if *c != 0 { *tval } else { *fval }));
@@ -97,21 +124,19 @@ fn simplify(f: &autophase_ir::Function, iid: InstId) -> Option<Rewrite> {
             }
             // sext(sext(x)) → sext(x); zext(zext(x)) → zext(x);
             // trunc(zext/sext(x)) with matching widths → x.
-            if let Value::Inst(inner) = v {
-                if let Opcode::Cast(iop, iv) = &f.inst(*inner).op {
-                    let orig_ty = util::type_of(f, *iv);
-                    match (iop, op) {
-                        (CastOp::SExt, CastOp::SExt) => {
-                            return Some(Rewrite::NewOp(Opcode::Cast(CastOp::SExt, *iv)))
-                        }
-                        (CastOp::ZExt, CastOp::ZExt) => {
-                            return Some(Rewrite::NewOp(Opcode::Cast(CastOp::ZExt, *iv)))
-                        }
-                        (CastOp::SExt | CastOp::ZExt, CastOp::Trunc) if orig_ty == ty => {
-                            return Some(Rewrite::ReplaceWith(*iv))
-                        }
-                        _ => {}
+            if let Some(Opcode::Cast(iop, iv)) = def_op(f, rw, *v) {
+                let orig_ty = util::type_of(f, iv);
+                match (iop, op) {
+                    (CastOp::SExt, CastOp::SExt) => {
+                        return Some(Rewrite::NewOp(Opcode::Cast(CastOp::SExt, iv)))
                     }
+                    (CastOp::ZExt, CastOp::ZExt) => {
+                        return Some(Rewrite::NewOp(Opcode::Cast(CastOp::ZExt, iv)))
+                    }
+                    (CastOp::SExt | CastOp::ZExt, CastOp::Trunc) if orig_ty == ty => {
+                        return Some(Rewrite::ReplaceWith(iv))
+                    }
+                    _ => {}
                 }
             }
             None
@@ -122,14 +147,14 @@ fn simplify(f: &autophase_ir::Function, iid: InstId) -> Option<Rewrite> {
                 return Some(Rewrite::ReplaceWith(*ptr));
             }
             // gep(gep(p, c1), c2) → gep(p, c1+c2) for constants
-            if let (Value::Inst(inner), Value::ConstInt(ity, c2)) = (ptr, index) {
-                if let Opcode::Gep {
+            if let Value::ConstInt(ity, c2) = index {
+                if let Some(Opcode::Gep {
                     ptr: base,
                     index: Value::ConstInt(_, c1),
-                } = &f.inst(*inner).op
+                }) = def_op(f, rw, *ptr)
                 {
                     return Some(Rewrite::NewOp(Opcode::Gep {
-                        ptr: *base,
+                        ptr: base,
                         index: Value::ConstInt(*ity, c1 + c2),
                     }));
                 }
@@ -141,7 +166,8 @@ fn simplify(f: &autophase_ir::Function, iid: InstId) -> Option<Rewrite> {
 }
 
 fn simplify_binary(
-    f: &autophase_ir::Function,
+    f: &Function,
+    rw: &Rewrites,
     ty: Type,
     op: BinOp,
     a: Value,
@@ -162,8 +188,10 @@ fn simplify_binary(
                 return Some(Rewrite::ReplaceWith(a));
             }
             // (x + c1) + c2 → x + (c1+c2)
-            if let (Value::Inst(ia), Some(c2)) = (a, b_const) {
-                if let Opcode::Binary(BinOp::Add, x, Value::ConstInt(_, c1)) = f.inst(ia).op {
+            if let Some(c2) = b_const {
+                if let Some(Opcode::Binary(BinOp::Add, x, Value::ConstInt(_, c1))) =
+                    def_op(f, rw, a)
+                {
                     return Some(Rewrite::NewOp(Opcode::Binary(
                         BinOp::Add,
                         x,
@@ -294,7 +322,13 @@ fn simplify_binary(
     None
 }
 
-fn simplify_icmp(f: &autophase_ir::Function, pred: CmpPred, a: Value, b: Value) -> Option<Rewrite> {
+fn simplify_icmp(
+    f: &Function,
+    rw: &Rewrites,
+    pred: CmpPred,
+    a: Value,
+    b: Value,
+) -> Option<Rewrite> {
     if let Some(c) = fold::fold_icmp(pred, a, b) {
         return Some(Rewrite::ReplaceWith(c));
     }
@@ -310,9 +344,9 @@ fn simplify_icmp(f: &autophase_ir::Function, pred: CmpPred, a: Value, b: Value) 
         return Some(Rewrite::ReplaceWith(Value::bool(r)));
     }
     // icmp (x + c1), c2 → icmp x, (c2 - c1) for eq/ne (wrap-safe).
-    if let (Value::Inst(ia), Value::ConstInt(cty, c2)) = (a, b) {
+    if let Value::ConstInt(cty, c2) = b {
         if matches!(pred, CmpPred::Eq | CmpPred::Ne) {
-            if let Opcode::Binary(BinOp::Add, x, Value::ConstInt(_, c1)) = f.inst(ia).op {
+            if let Some(Opcode::Binary(BinOp::Add, x, Value::ConstInt(_, c1))) = def_op(f, rw, a) {
                 return Some(Rewrite::NewOp(Opcode::ICmp(
                     pred,
                     x,

@@ -139,7 +139,16 @@ fn rotate_once(m: &mut Module, fid: FuncId) -> bool {
             continue;
         }
 
-        do_rotate(m.func_mut(fid), l, preheader, latch, body_entry, exit, term);
+        do_rotate(
+            m.func_mut(fid),
+            l,
+            &index,
+            preheader,
+            latch,
+            body_entry,
+            exit,
+            term,
+        );
         return true;
     }
     false
@@ -149,6 +158,7 @@ fn rotate_once(m: &mut Module, fid: FuncId) -> bool {
 fn do_rotate(
     f: &mut autophase_ir::Function,
     l: &Loop,
+    index: &util::UserIndex,
     preheader: BlockId,
     latch: BlockId,
     body_entry: BlockId,
@@ -290,10 +300,13 @@ fn do_rotate(
             continue;
         }
         let dv = Value::Inst(d);
-        let ext_users: Vec<(InstId, BlockId)> = f
-            .users(dv)
-            .into_iter()
-            .filter(|&(u, ubb)| ubb == exit && !f.inst(u).is_phi())
+        // `index` predates the rotation, but nothing above added or moved
+        // a non-φ use of a header value in the exit block.
+        let ext_users: Vec<InstId> = index
+            .users(d)
+            .iter()
+            .filter(|&&(u, ubb)| ubb == exit && !f.inst(u).is_phi())
+            .map(|&(u, _)| u)
             .collect();
         if ext_users.is_empty() {
             continue;
@@ -310,7 +323,7 @@ fn do_rotate(
                 },
             ),
         );
-        for (u, _) in ext_users {
+        for u in ext_users {
             f.inst_mut(u).replace_uses(dv, Value::Inst(phi));
         }
     }

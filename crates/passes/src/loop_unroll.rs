@@ -13,8 +13,9 @@ use crate::util;
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
 use autophase_ir::loops::{find_loops, Loop};
-use autophase_ir::{BinOp, BlockId, FuncId, Inst, InstId, Module, Opcode, Type, Value};
-use std::collections::HashMap;
+use autophase_ir::{
+    BinOp, BlockId, FuncId, Inst, InstId, Module, Opcode, Rewrites, Type, Value,
+};
 
 /// Maximum trip count fully unrolled.
 pub const UNROLL_TRIP_LIMIT: i64 = 32;
@@ -59,8 +60,6 @@ pub fn run_with_limits_filtered(
 struct CountedLoop {
     /// The loop's single block (header == latch).
     block: BlockId,
-    /// Induction φ.
-    iv: InstId,
     /// Number of iterations the body executes.
     trip: i64,
 }
@@ -140,7 +139,7 @@ fn recognize(f: &autophase_ir::Function, cfg: &Cfg, l: &Loop) -> Option<CountedL
         }
         i = next;
     }
-    Some(CountedLoop { block, iv, trip })
+    Some(CountedLoop { block, trip })
 }
 
 /// Unroll a single loop anywhere in the module with default limits
@@ -182,15 +181,54 @@ fn unroll_once(
         let preheader = l
             .entering_block(&cfg)
             .expect("recognized loop has an entering block");
-        do_full_unroll(m.func_mut(fid), l, &cl, preheader);
+        do_full_unroll(m.func_mut(fid), &cl, preheader);
         return true;
     }
     false
 }
 
+/// Substitution for the values one loop block defines (its φs and body
+/// instructions): a few slots, so cloning it per iteration is a short
+/// `memcpy` and a lookup is two indexed loads.
+#[derive(Clone)]
+struct LoopValues<'a> {
+    /// Slot of each loop-defined instruction, by instruction index.
+    slot_of: &'a [Option<u32>],
+    /// Current substitute of each slot (`None`: not mapped).
+    at: Vec<Option<Value>>,
+}
+
+impl LoopValues<'_> {
+    fn slot(&self, v: Value) -> Option<usize> {
+        match v {
+            Value::Inst(id) => self.slot_of.get(id.index()).copied().flatten(),
+            _ => None,
+        }
+        .map(|s| s as usize)
+    }
+
+    /// The substitute of `v`, if it is a mapped loop value.
+    fn get(&self, v: Value) -> Option<Value> {
+        self.slot(v).and_then(|s| self.at[s])
+    }
+
+    fn set(&mut self, id: InstId, to: Value) {
+        let s = self.slot(Value::Inst(id)).expect("a loop-defined value");
+        self.at[s] = Some(to);
+    }
+
+    fn remap(&self, inst: &mut Inst) {
+        inst.for_each_operand_mut(|v| {
+            if let Some(nv) = self.get(*v) {
+                *v = nv;
+            }
+        });
+    }
+}
+
 /// Replace the single-block loop with `trip` copies of its body chained
 /// straight-line, then a jump to the exit.
-fn do_full_unroll(f: &mut autophase_ir::Function, l: &Loop, cl: &CountedLoop, preheader: BlockId) {
+fn do_full_unroll(f: &mut autophase_ir::Function, cl: &CountedLoop, preheader: BlockId) {
     let block = cl.block;
     let term = f.terminator(block).expect("loop block has terminator");
     let exit = f
@@ -200,64 +238,64 @@ fn do_full_unroll(f: &mut autophase_ir::Function, l: &Loop, cl: &CountedLoop, pr
         .find(|&s| s != block)
         .expect("bottom-tested loop exits somewhere");
 
-    // Current value of each φ (starts at init from preheader).
-    let phis: Vec<InstId> = f
+    let (phis, body): (Vec<InstId>, Vec<InstId>) = f
         .block(block)
         .insts
         .iter()
         .copied()
-        .filter(|&i| f.inst(i).is_phi())
-        .collect();
-    let mut cur: HashMap<Value, Value> = HashMap::new();
-    let mut next_of: HashMap<InstId, Value> = HashMap::new();
-    for &phi in &phis {
+        .filter(|&i| i != term)
+        .partition(|&i| f.inst(i).is_phi());
+    let mut slot_of: Vec<Option<u32>> = vec![None; f.inst_capacity()];
+    for (slot, id) in phis.iter().chain(&body).enumerate() {
+        slot_of[id.index()] = Some(slot as u32);
+    }
+
+    // Current value of each φ (starts at init from preheader).
+    let mut cur = LoopValues {
+        slot_of: &slot_of,
+        at: vec![None; phis.len() + body.len()],
+    };
+    let mut next_of: Vec<Option<Value>> = vec![None; phis.len()];
+    for (k, &phi) in phis.iter().enumerate() {
         let Opcode::Phi { incoming } = &f.inst(phi).op else {
             unreachable!()
         };
         for (p, v) in incoming {
             if *p == preheader {
-                cur.insert(Value::Inst(phi), *v);
+                cur.set(phi, *v);
             } else {
-                next_of.insert(phi, *v);
+                next_of[k] = Some(*v);
             }
         }
     }
-    let body: Vec<InstId> = f
-        .block(block)
-        .insts
-        .iter()
-        .copied()
-        .filter(|&i| !f.inst(i).is_phi() && i != term)
-        .collect();
 
     // Emit trip copies into a fresh straight-line block. `at_latch_map`
     // holds each value as of the *end of the final iteration* (φs still at
     // their final-iteration values — what a latch→exit edge observes);
     // `carry_map` holds the φs advanced to the next iteration's values.
     let flat = f.add_block();
-    let mut carry_map: HashMap<Value, Value> = cur.clone();
-    let mut at_latch_map: HashMap<Value, Value> = cur.clone();
+    let mut carry_map = cur.clone();
+    let mut at_latch_map = cur;
     for _iter in 0..cl.trip {
-        let mut iter_map = carry_map.clone();
+        let mut iter_map = carry_map;
         for &src in &body {
             let mut inst = f.inst(src).clone();
-            util::remap_operands(&mut inst, &iter_map);
+            iter_map.remap(&mut inst);
             let id = f.append_inst(flat, inst);
-            iter_map.insert(Value::Inst(src), Value::Inst(id));
+            iter_map.set(src, Value::Inst(id));
         }
         at_latch_map = iter_map.clone();
         // Advance φs (simultaneously: all reads use the pre-advance map).
-        let mut advanced: HashMap<Value, Value> = HashMap::new();
-        for &phi in &phis {
-            let next = next_of
-                .get(&phi)
-                .copied()
-                .unwrap_or(Value::Undef(f.inst(phi).ty));
-            let next_now = *iter_map.get(&next).unwrap_or(&next);
-            advanced.insert(Value::Inst(phi), next_now);
-        }
-        for (k, v) in advanced {
-            iter_map.insert(k, v);
+        let advanced: Vec<Value> = phis
+            .iter()
+            .zip(&next_of)
+            .map(|(&phi, next)| {
+                let next = next.unwrap_or(Value::Undef(f.inst(phi).ty));
+                iter_map.get(next).unwrap_or(next)
+            })
+            .collect();
+        for (&phi, next_now) in phis.iter().zip(advanced) {
+            iter_map.set(phi, next_now);
         }
         carry_map = iter_map;
     }
@@ -287,38 +325,30 @@ fn do_full_unroll(f: &mut autophase_ir::Function, l: &Loop, cl: &CountedLoop, pr
             for (p, v) in incoming.iter_mut() {
                 if *p == block {
                     *p = flat;
-                    if let Some(nv) = last_map.get(v) {
-                        *v = *nv;
+                    if let Some(nv) = last_map.get(*v) {
+                        *v = nv;
                     }
                 }
             }
         }
     }
-    // External (non-exit-φ) uses of loop values: substitute final values.
-    let mut final_subst: Vec<(Value, Value)> = Vec::new();
+    // External (non-exit-φ) uses of loop values: substitute final values,
+    // all in one sweep.
+    let mut final_subst = Rewrites::new();
     for &phi in &phis {
-        final_subst.push((
-            Value::Inst(phi),
-            *last_map
-                .get(&Value::Inst(phi))
-                .unwrap_or(&Value::Undef(f.inst(phi).ty)),
-        ));
+        let last = last_map.get(Value::Inst(phi));
+        final_subst.forward(phi, last.unwrap_or(Value::Undef(f.inst(phi).ty)));
     }
     for &src in &body {
         if !f.inst(src).ty.is_void() {
-            if let Some(v) = last_map.get(&Value::Inst(src)) {
-                final_subst.push((Value::Inst(src), *v));
+            if let Some(v) = last_map.get(Value::Inst(src)) {
+                final_subst.forward(src, v);
             }
         }
     }
     // Remove the loop block first so in-loop uses don't get clobbered.
     f.remove_block(block);
-    for (from, to) in final_subst {
-        f.replace_all_uses(from, to);
-    }
-
-    let _ = l;
-    let _ = cl.iv;
+    f.apply_rewrites(&final_subst);
 }
 
 #[cfg(test)]

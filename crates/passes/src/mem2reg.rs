@@ -5,11 +5,10 @@
 //! φ-nodes placed on iterated dominance frontiers, then renamed along the
 //! dominator tree — the classic Cytron et al. construction.
 
-use crate::util;
+use crate::util::{self, UserIndex};
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
-use autophase_ir::{BlockId, FuncId, Inst, InstId, Module, Opcode, Value};
-use std::collections::{HashMap, HashSet};
+use autophase_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Value};
 
 /// Run the pass. Returns true if any alloca was promoted.
 pub fn run(m: &mut Module) -> bool {
@@ -18,13 +17,19 @@ pub fn run(m: &mut Module) -> bool {
 
 /// Find promotable allocas in one function and promote them all.
 fn promote_function(m: &mut Module, fid: FuncId) -> bool {
-    let candidates = promotable_allocas(m.func(fid));
+    let f = m.func(fid);
+    let has_alloca = f
+        .block_ids()
+        .any(|bb| f.insts_in(bb).any(|(_, i)| matches!(i.op, Opcode::Alloca { .. })));
+    if !has_alloca {
+        return false;
+    }
+    let index = UserIndex::build(f);
+    let candidates = promotable_with(f, &index);
     if candidates.is_empty() {
         return false;
     }
-    for alloca in candidates {
-        promote_one(m.func_mut(fid), alloca);
-    }
+    promote_all(m.func_mut(fid), &candidates, &index);
     util::delete_dead(m, fid);
     true
 }
@@ -33,7 +38,11 @@ fn promote_function(m: &mut Module, fid: FuncId) -> bool {
 /// `load`/`store` of a matching integer type with the alloca as the
 /// *address* (never as the stored value, a `gep` base, a cast input, or a
 /// call argument).
-pub fn promotable_allocas(f: &autophase_ir::Function) -> Vec<InstId> {
+pub fn promotable_allocas(f: &Function) -> Vec<InstId> {
+    promotable_with(f, &UserIndex::build(f))
+}
+
+fn promotable_with(f: &Function, index: &UserIndex) -> Vec<InstId> {
     let mut out = Vec::new();
     for bb in f.block_ids() {
         'cand: for &iid in &f.block(bb).insts {
@@ -44,7 +53,7 @@ pub fn promotable_allocas(f: &autophase_ir::Function) -> Vec<InstId> {
                 continue;
             }
             let addr = Value::Inst(iid);
-            for (user, _) in f.users(addr) {
+            for &(user, _) in index.users(iid) {
                 match &f.inst(user).op {
                     Opcode::Load { ptr } if *ptr == addr => {
                         if f.inst(user).ty != elem_ty {
@@ -65,113 +74,137 @@ pub fn promotable_allocas(f: &autophase_ir::Function) -> Vec<InstId> {
     out
 }
 
-/// Promote one alloca to SSA.
-fn promote_one(f: &mut autophase_ir::Function, alloca: InstId) {
-    let elem_ty = match f.inst(alloca).op {
-        Opcode::Alloca { elem_ty, .. } => elem_ty,
-        _ => unreachable!("promote_one on non-alloca"),
-    };
-    let addr = Value::Inst(alloca);
+/// Promote every alloca of `allocas` to SSA in one walk: φ-nodes on the
+/// iterated dominance frontier of each alloca's stores, one renaming pass
+/// over the dominator tree carrying the current value of all of them, and
+/// one batched rewrite. The CFG is not touched, so one `Cfg`/`DomTree`
+/// serves all allocas.
+fn promote_all(f: &mut Function, allocas: &[InstId], index: &UserIndex) {
     let cfg = Cfg::new(f);
     let dt = DomTree::new(f, &cfg);
-
-    // Blocks containing a store (definitions).
-    let mut def_blocks: Vec<BlockId> = Vec::new();
-    for bb in f.block_ids() {
-        let defines = f
-            .block(bb)
-            .insts
-            .iter()
-            .any(|&i| matches!(&f.inst(i).op, Opcode::Store { ptr, .. } if *ptr == addr));
-        if defines && !def_blocks.contains(&bb) {
-            def_blocks.push(bb);
-        }
-    }
-
-    // Place φ-nodes on the iterated dominance frontier of the defs.
     let df = dt.dominance_frontiers(&cfg);
-    let mut phi_blocks: HashSet<BlockId> = HashSet::new();
-    let mut work = def_blocks.clone();
-    while let Some(bb) = work.pop() {
-        for &fr in df.get(&bb).map(Vec::as_slice).unwrap_or(&[]) {
-            if phi_blocks.insert(fr) {
-                work.push(fr);
+    let blocks = f.block_capacity();
+    let elem_ty = |f: &Function, alloca: InstId| match f.inst(alloca).op {
+        Opcode::Alloca { elem_ty, .. } => elem_ty,
+        _ => unreachable!("promoting a non-alloca"),
+    };
+
+    // Slot number of each promoted alloca, by instruction index.
+    let mut slot_of: Vec<Option<usize>> = vec![None; f.inst_capacity()];
+    for (slot, &alloca) in allocas.iter().enumerate() {
+        slot_of[alloca.index()] = Some(slot);
+    }
+    let promoted = |v: Value| match v {
+        Value::Inst(id) => slot_of.get(id.index()).copied().flatten(),
+        _ => None,
+    };
+
+    // φ of each (slot, block), placed alloca by alloca and, within one, in
+    // block order: φ InstIds must be assigned deterministically or
+    // repeated runs of the pass print differently, which breaks
+    // fingerprint-keyed caching.
+    let mut phi_at: Vec<Vec<Option<InstId>>> = Vec::with_capacity(allocas.len());
+    let mut has_phi = vec![false; blocks];
+    for &alloca in allocas {
+        // Blocks containing a store (definitions), then their iterated
+        // dominance frontier.
+        let mut work: Vec<BlockId> = Vec::new();
+        for &(user, ubb) in index.users(alloca) {
+            if matches!(f.inst(user).op, Opcode::Store { .. }) && !work.contains(&ubb) {
+                work.push(ubb);
             }
         }
-    }
-    let mut phi_of_block: HashMap<BlockId, InstId> = HashMap::new();
-    // Place φs in function block order, not HashSet order: φ InstIds must
-    // be assigned deterministically or repeated runs of the pass print
-    // differently, which breaks fingerprint-keyed caching.
-    let ordered: Vec<BlockId> = f.block_ids().filter(|bb| phi_blocks.contains(bb)).collect();
-    for bb in ordered {
-        if !cfg.is_reachable(bb) {
-            continue;
+        has_phi.fill(false);
+        while let Some(bb) = work.pop() {
+            for &fr in &df[bb.index()] {
+                if !has_phi[fr.index()] {
+                    has_phi[fr.index()] = true;
+                    work.push(fr);
+                }
+            }
         }
-        let phi = f.insert_inst(bb, 0, Inst::new(elem_ty, Opcode::Phi { incoming: vec![] }));
-        phi_of_block.insert(bb, phi);
+        let ty = elem_ty(f, alloca);
+        let mut phis = vec![None; blocks];
+        for bb in (0..blocks).map(BlockId::from_index) {
+            if has_phi[bb.index()] && cfg.is_reachable(bb) {
+                let phi = f.insert_inst(bb, 0, Inst::new(ty, Opcode::Phi { incoming: vec![] }));
+                phis[bb.index()] = Some(phi);
+            }
+        }
+        phi_at.push(phis);
     }
 
     // Rename along the dominator tree.
-    let mut stack: Vec<(BlockId, Value)> = vec![(f.entry, Value::Undef(elem_ty))];
-    let mut visited: HashSet<BlockId> = HashSet::new();
+    let mut rw = Rewrites::new();
+    let undef: Vec<Value> = allocas
+        .iter()
+        .map(|&a| Value::Undef(elem_ty(f, a)))
+        .collect();
+    let mut stack: Vec<(BlockId, Vec<Value>)> = vec![(f.entry, undef)];
     while let Some((bb, mut cur)) = stack.pop() {
-        if !visited.insert(bb) {
-            continue;
+        for (slot, phis) in phi_at.iter().enumerate() {
+            if let Some(phi) = phis[bb.index()] {
+                cur[slot] = Value::Inst(phi);
+            }
         }
-        if let Some(&phi) = phi_of_block.get(&bb) {
-            cur = Value::Inst(phi);
-        }
-        let insts: Vec<InstId> = f.block(bb).insts.clone();
-        for iid in insts {
-            match f.inst(iid).op.clone() {
-                Opcode::Load { ptr } if ptr == addr => {
-                    f.replace_all_uses(Value::Inst(iid), cur);
-                    f.remove_inst(bb, iid);
+        for &iid in &f.block(bb).insts {
+            match f.inst(iid).op {
+                Opcode::Load { ptr } => {
+                    if let Some(slot) = promoted(ptr) {
+                        rw.replace(iid, cur[slot]);
+                    }
                 }
-                Opcode::Store { ptr, value } if ptr == addr => {
-                    cur = value;
-                    f.remove_inst(bb, iid);
+                Opcode::Store { ptr, value } => {
+                    if let Some(slot) = promoted(ptr) {
+                        cur[slot] = rw.resolve(value);
+                        rw.remove(iid);
+                    }
                 }
                 _ => {}
             }
         }
         // Feed successors' φ-nodes.
-        for succ in f.successors(bb) {
-            if let Some(&phi) = phi_of_block.get(&succ) {
-                if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-                    if !incoming.iter().any(|(p, _)| *p == bb) {
-                        incoming.push((bb, cur));
+        for &succ in cfg.succs(bb) {
+            for (slot, phis) in phi_at.iter().enumerate() {
+                if let Some(phi) = phis[succ.index()] {
+                    if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
+                        if !incoming.iter().any(|(p, _)| *p == bb) {
+                            incoming.push((bb, cur[slot]));
+                        }
                     }
                 }
             }
         }
-        // Recurse into dominator-tree children with the current value.
-        for child in dt.children(bb) {
-            stack.push((child, cur));
+        // Recurse into dominator-tree children with the current values.
+        let children = dt.children(bb);
+        if let Some((&last, rest)) = children.split_last() {
+            for &child in rest {
+                stack.push((child, cur.clone()));
+            }
+            stack.push((last, cur));
         }
     }
 
-    // Some placed φs may sit in blocks with predecessors never visited
-    // (unreachable); those entries simply stay absent, matching the
-    // verifier's reachable-only φ rule. Remove φs that ended up with no
-    // incoming entries (in unreachable code).
-    let mut placed: Vec<(BlockId, InstId)> = phi_of_block.iter().map(|(&b, &p)| (b, p)).collect();
-    placed.sort_unstable();
-    for (bb, phi) in placed {
-        let empty = matches!(&f.inst(phi).op, Opcode::Phi { incoming } if incoming.is_empty());
-        if empty {
-            f.replace_all_uses(Value::Inst(phi), Value::Undef(elem_ty));
-            f.remove_inst(bb, phi);
+    for (slot, &alloca) in allocas.iter().enumerate() {
+        // φs are only placed in reachable blocks, whose reachable
+        // predecessors the walk above all visited; one that still ended up
+        // with no incoming entry reads as undef.
+        for phi in phi_at[slot].iter().flatten() {
+            if matches!(&f.inst(*phi).op, Opcode::Phi { incoming } if incoming.is_empty()) {
+                rw.replace(*phi, Value::Undef(elem_ty(f, alloca)));
+            }
+        }
+        // The alloca is unused once its loads and stores are gone; those
+        // in unreachable blocks were not visited and keep it alive.
+        if index
+            .users(alloca)
+            .iter()
+            .all(|&(_, ubb)| cfg.is_reachable(ubb))
+        {
+            rw.remove(alloca);
         }
     }
-
-    // The alloca itself is now unused.
-    if f.count_uses(addr) == 0 {
-        if let Some(bb) = f.block_of(alloca) {
-            f.remove_inst(bb, alloca);
-        }
-    }
+    f.apply_rewrites(&rw);
 }
 
 /// Number of promotable allocas in a module (used by tests and features).

@@ -7,10 +7,10 @@
 //! proven-constant results are substituted and branches on proven constants
 //! are folded.
 
-use crate::util;
+use crate::util::{self, UserIndex};
 use autophase_ir::fold;
-use autophase_ir::{BlockId, FuncId, InstId, Module, Opcode, Type, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use autophase_ir::{BlockId, FuncId, Function, InstId, Module, Opcode, Rewrites, Type, Value};
+use std::collections::{HashMap, VecDeque};
 
 /// Lattice value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,17 +44,19 @@ pub(crate) fn sccp_function(m: &mut Module, fid: FuncId) -> bool {
 }
 
 pub(crate) struct Solution {
-    pub consts: HashMap<InstId, (Type, i64)>,
-    pub executable: HashSet<BlockId>,
+    /// Proven-constant instruction results.
+    consts: Vec<(InstId, Type, i64)>,
+    /// Executability of each block, by [`BlockId::index`].
+    executable: Vec<bool>,
 }
 
 impl Solution {
     /// Blocks of `f` the solver proved unreachable (folded away when the
     /// solution is applied).
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn unreachable_blocks(&self, f: &autophase_ir::Function) -> usize {
+    pub fn unreachable_blocks(&self, f: &Function) -> usize {
         f.block_ids()
-            .filter(|bb| !self.executable.contains(bb))
+            .filter(|bb| !self.executable[bb.index()])
             .count()
     }
 }
@@ -63,13 +65,23 @@ impl Solution {
 /// argument lattice values (used by `-ipsccp`).
 pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> Solution {
     let f = m.func(fid);
-    let mut lat: HashMap<InstId, Lat> = HashMap::new();
-    let mut exec_blocks: HashSet<BlockId> = HashSet::new();
-    let mut exec_edges: HashSet<(BlockId, BlockId)> = HashSet::new();
+    // Dense state, indexed by instruction / block index; the reverse-use
+    // index and the placement table make every worklist step O(1).
+    let index = UserIndex::build(f);
+    let mut placement: Vec<Option<BlockId>> = vec![None; f.inst_capacity()];
+    for bb in f.block_ids() {
+        for &iid in &f.block(bb).insts {
+            placement[iid.index()] = Some(bb);
+        }
+    }
+    let mut lat: Vec<Lat> = vec![Lat::Unknown; f.inst_capacity()];
+    let mut exec_blocks = vec![false; f.block_capacity()];
+    // Executable in-edges of each block, as predecessor lists.
+    let mut exec_preds: Vec<Vec<BlockId>> = vec![Vec::new(); f.block_capacity()];
     let mut block_q: VecDeque<BlockId> = VecDeque::new();
     let mut inst_q: VecDeque<InstId> = VecDeque::new();
 
-    let value_lat = |lat: &HashMap<InstId, Lat>, v: Value| -> Lat {
+    let value_lat = |lat: &[Lat], v: Value| -> Lat {
         match v {
             Value::ConstInt(t, c) => Lat::Const(t, c),
             Value::Undef(t) => Lat::Const(t, 0),
@@ -78,18 +90,14 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
                 Some(&c) => Lat::Const(f.params.get(i as usize).copied().unwrap_or(Type::I64), c),
                 None => Lat::Varying,
             },
-            Value::Inst(id) => lat.get(&id).copied().unwrap_or(Lat::Unknown),
+            Value::Inst(id) => lat[id.index()],
         }
     };
 
     block_q.push_back(f.entry);
-    exec_blocks.insert(f.entry);
+    exec_blocks[f.entry.index()] = true;
 
-    let eval_inst = |lat: &HashMap<InstId, Lat>,
-                     exec_edges: &HashSet<(BlockId, BlockId)>,
-                     bb: BlockId,
-                     iid: InstId|
-     -> Lat {
+    let eval_inst = |lat: &[Lat], exec_preds: &[Vec<BlockId>], bb: BlockId, iid: InstId| -> Lat {
         let inst = f.inst(iid);
         match &inst.op {
             Opcode::Binary(op, a, b) => match (value_lat(lat, *a), value_lat(lat, *b)) {
@@ -127,7 +135,7 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
             Opcode::Phi { incoming } => {
                 let mut acc = Lat::Unknown;
                 for (pred, v) in incoming {
-                    if exec_edges.contains(&(*pred, bb)) {
+                    if exec_preds[bb.index()].contains(pred) {
                         acc = acc.meet(value_lat(lat, *v));
                     }
                 }
@@ -138,22 +146,17 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
     };
 
     // Fixpoint.
-    loop {
-        let mut progressed = false;
+    while !block_q.is_empty() || !inst_q.is_empty() {
         while let Some(bb) = block_q.pop_front() {
-            progressed = true;
-            for &iid in &f.block(bb).insts {
-                inst_q.push_back(iid);
-            }
+            inst_q.extend(f.block(bb).insts.iter().copied());
         }
         while let Some(iid) = inst_q.pop_front() {
-            let Some(bb) = placement(f, iid) else {
+            let Some(bb) = placement[iid.index()] else {
                 continue;
             };
-            if !exec_blocks.contains(&bb) {
+            if !exec_blocks[bb.index()] {
                 continue;
             }
-            progressed = true;
             let inst = f.inst(iid);
             if inst.is_terminator() {
                 // Determine executable out-edges.
@@ -188,8 +191,12 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
                     _ => vec![],
                 };
                 for s in succs {
-                    let new_edge = exec_edges.insert((bb, s));
-                    if exec_blocks.insert(s) {
+                    let new_edge = !exec_preds[s.index()].contains(&bb);
+                    if new_edge {
+                        exec_preds[s.index()].push(bb);
+                    }
+                    if !exec_blocks[s.index()] {
+                        exec_blocks[s.index()] = true;
                         block_q.push_back(s);
                     } else if new_edge {
                         // φs in s must re-merge over the new edge.
@@ -205,31 +212,23 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
             if inst.ty.is_void() {
                 continue;
             }
-            let new = eval_inst(&lat, &exec_edges, bb, iid);
-            let old = lat.get(&iid).copied().unwrap_or(Lat::Unknown);
-            let merged = old.meet(new);
+            let new = eval_inst(&lat, &exec_preds, bb, iid);
+            let old = lat[iid.index()];
             // Monotonic update only.
-            let went_down = merged != old;
-            if went_down {
-                lat.insert(iid, merged);
+            let merged = old.meet(new);
+            if merged != old {
+                lat[iid.index()] = merged;
                 // Re-evaluate users (and terminators that branch on it).
-                for (user, _) in f.users(Value::Inst(iid)) {
-                    inst_q.push_back(user);
-                }
+                inst_q.extend(index.users(iid).iter().map(|&(user, _)| user));
             }
-        }
-        if !progressed && block_q.is_empty() && inst_q.is_empty() {
-            break;
-        }
-        if block_q.is_empty() && inst_q.is_empty() {
-            break;
         }
     }
 
     let consts = lat
-        .into_iter()
-        .filter_map(|(id, l)| match l {
-            Lat::Const(t, c) => Some((id, (t, c))),
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| match *l {
+            Lat::Const(t, c) => Some((InstId::from_index(i), t, c)),
             _ => None,
         })
         .collect();
@@ -239,25 +238,15 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
     }
 }
 
-fn placement(f: &autophase_ir::Function, iid: InstId) -> Option<BlockId> {
-    if !f.inst_exists(iid) {
-        return None;
-    }
-    f.block_of(iid)
-}
-
 pub(crate) fn apply_solution(m: &mut Module, fid: FuncId, sol: &Solution) -> bool {
-    let mut changed = false;
-    let f = m.func_mut(fid);
-    // Substitute proven constants.
-    for (&iid, &(ty, c)) in &sol.consts {
-        if !f.inst_exists(iid) {
-            continue;
-        }
-        if f.replace_all_uses(Value::Inst(iid), Value::ConstInt(ty, c)) > 0 {
-            changed = true;
-        }
+    // Substitute proven constants. The instructions stay in place (their
+    // presence still shapes what simplifycfg does next); once unused they
+    // fall to delete_dead.
+    let mut rw = Rewrites::new();
+    for &(iid, ty, c) in &sol.consts {
+        rw.forward(iid, Value::ConstInt(ty, c));
     }
+    let mut changed = rw.has_forwards() && m.func_mut(fid).apply_rewrites(&rw) > 0;
     // Fold branches whose condition is now a constant, so unreachable
     // regions actually disappear (simplifycfg finishes the cleanup).
     changed |= crate::simplifycfg::run_on_function(m, fid);

@@ -10,7 +10,7 @@
 
 use crate::util;
 use autophase_ir::cfg::Cfg;
-use autophase_ir::{BlockId, FuncId, Module, Opcode, Value};
+use autophase_ir::{BlockId, FuncId, Function, InstId, Module, Opcode, Rewrites, Value};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -21,14 +21,24 @@ pub fn run(m: &mut Module) -> bool {
 /// folds branches through this after substituting constants).
 pub fn run_on_function(m: &mut Module, fid: FuncId) -> bool {
     let mut changed = false;
-    // Iterate until no local rule fires (each rule is cheap).
+    // Iterate until no local rule fires. Every rule first looks for work on
+    // the shared function and takes the copy-on-write handle only to carry
+    // it out. The rules that look at the graph share one CFG snapshot per
+    // round, rebuilt only after a rule edited it — a round in which nothing
+    // fires builds exactly one and copies nothing.
     loop {
-        let mut local = false;
-        local |= fold_constant_branches(m, fid);
-        local |= remove_unreachable(m, fid);
+        let mut local = fold_constant_branches(m, fid);
+        let mut cfg = Cfg::new(m.func(fid));
+        if remove_unreachable_in(m, fid, &cfg) {
+            local = true;
+            cfg = Cfg::new(m.func(fid));
+        }
         local |= simplify_single_incoming_phis(m, fid);
-        local |= merge_straightline(m, fid);
-        local |= remove_forwarding_blocks(m, fid);
+        if merge_straightline(m, fid, &cfg) {
+            local = true;
+            cfg = Cfg::new(m.func(fid));
+        }
+        local |= remove_forwarding_blocks(m, fid, &cfg);
         if !local {
             break;
         }
@@ -40,13 +50,14 @@ pub fn run_on_function(m: &mut Module, fid: FuncId) -> bool {
 
 /// `br true, a, b` → `br a`; `br c, a, a` → `br a`; constant switches.
 fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
-    let f = m.func_mut(fid);
-    let mut changed = false;
-    for bb in f.block_ids().collect::<Vec<_>>() {
+    let f = m.func(fid);
+    // (terminator, surviving target, φ edges `(dst, pred)` that disappear)
+    let mut folds: Vec<(InstId, BlockId, Vec<(BlockId, BlockId)>)> = Vec::new();
+    for bb in f.block_ids() {
         let Some(term) = f.terminator(bb) else {
             continue;
         };
-        let new_op = match &f.inst(term).op {
+        match &f.inst(term).op {
             Opcode::CondBr {
                 cond,
                 then_bb,
@@ -58,250 +69,239 @@ fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
                     } else {
                         (*else_bb, *then_bb)
                     };
-                    Some((keep, vec![(drop, bb)]))
+                    folds.push((term, keep, vec![(drop, bb)]));
                 } else if then_bb == else_bb {
-                    Some((*then_bb, vec![]))
-                } else {
-                    None
+                    folds.push((term, *then_bb, vec![]));
                 }
             }
             Opcode::Switch {
-                value,
+                value: Value::ConstInt(_, c),
                 default,
                 cases,
             } => {
-                if let Value::ConstInt(_, c) = value {
-                    let target = cases
-                        .iter()
-                        .find(|(k, _)| k == c)
-                        .map(|(_, b)| *b)
-                        .unwrap_or(*default);
-                    let dropped: Vec<(BlockId, BlockId)> = cases
-                        .iter()
-                        .map(|(_, b)| *b)
-                        .chain(std::iter::once(*default))
-                        .filter(|b| *b != target)
-                        .map(|b| (b, bb))
-                        .collect();
-                    Some((target, dropped))
-                } else {
-                    None
-                }
+                let target = cases
+                    .iter()
+                    .find(|(k, _)| k == c)
+                    .map(|(_, b)| *b)
+                    .unwrap_or(*default);
+                let mut dropped: Vec<(BlockId, BlockId)> = cases
+                    .iter()
+                    .map(|(_, b)| *b)
+                    .chain(std::iter::once(*default))
+                    .filter(|b| *b != target)
+                    .map(|b| (b, bb))
+                    .collect();
+                dropped.sort();
+                dropped.dedup();
+                folds.push((term, target, dropped));
             }
-            _ => None,
-        };
-        if let Some((target, dropped_edges)) = new_op {
-            f.inst_mut(term).op = Opcode::Br { target };
-            let mut dropped = dropped_edges;
-            dropped.sort();
-            dropped.dedup();
-            for (dst, pred) in dropped {
-                if dst != target {
-                    f.remove_phi_edge(dst, pred);
-                }
-            }
-            changed = true;
+            _ => {}
         }
     }
-    changed
+    if folds.is_empty() {
+        return false;
+    }
+    let f = m.func_mut(fid);
+    for (term, target, dropped) in folds {
+        f.inst_mut(term).op = Opcode::Br { target };
+        for (dst, pred) in dropped {
+            if dst != target {
+                f.remove_phi_edge(dst, pred);
+            }
+        }
+    }
+    true
 }
 
 /// Delete blocks unreachable from the entry, fixing φ-nodes.
 pub(crate) fn remove_unreachable(m: &mut Module, fid: FuncId) -> bool {
-    let f = m.func_mut(fid);
-    let dead = autophase_ir::cfg::unreachable_blocks(f);
+    let cfg = Cfg::new(m.func(fid));
+    remove_unreachable_in(m, fid, &cfg)
+}
+
+fn remove_unreachable_in(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
+    let f = m.func(fid);
+    let dead: Vec<BlockId> = f.block_ids().filter(|&bb| !cfg.is_reachable(bb)).collect();
     if dead.is_empty() {
         return false;
     }
+    let f = m.func_mut(fid);
     // Remove φ entries flowing from dead blocks into live ones.
     for &d in &dead {
-        let succs = f.successors(d);
-        for s in succs {
-            if !dead.contains(&s) {
+        for &s in cfg.succs(d) {
+            if cfg.is_reachable(s) {
                 f.remove_phi_edge(s, d);
             }
         }
     }
     // Replace any remaining uses of results defined in dead blocks with
     // undef (they can only occur in other dead blocks or be verifier-dead).
-    let mut dead_results = Vec::new();
+    let mut rw = Rewrites::new();
     for &d in &dead {
-        for &iid in &f.block(d).insts {
-            if !f.inst(iid).ty.is_void() {
-                dead_results.push((iid, f.inst(iid).ty));
+        for (iid, inst) in f.insts_in(d) {
+            if !inst.ty.is_void() {
+                rw.forward(iid, Value::Undef(inst.ty));
             }
         }
     }
     for &d in &dead {
         f.remove_block(d);
     }
-    for (iid, ty) in dead_results {
-        f.replace_all_uses(Value::Inst(iid), Value::Undef(ty));
-    }
+    f.apply_rewrites(&rw);
     true
 }
 
 /// `phi [(p, v)]` → `v` (single predecessor after CFG cleanup).
 fn simplify_single_incoming_phis(m: &mut Module, fid: FuncId) -> bool {
-    let f = m.func_mut(fid);
-    let mut changed = false;
-    for bb in f.block_ids().collect::<Vec<_>>() {
-        let phis: Vec<_> = f
-            .block(bb)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| f.inst(i).is_phi())
-            .collect();
-        for p in phis {
-            let replacement = match &f.inst(p).op {
-                Opcode::Phi { incoming } if incoming.len() == 1 => Some(incoming[0].1),
-                Opcode::Phi { incoming }
-                    if !incoming.is_empty()
-                        && incoming.iter().all(|(_, v)| *v == incoming[0].1)
-                        && incoming.iter().all(|(_, v)| *v != Value::Inst(p)) =>
-                {
-                    Some(incoming[0].1)
-                }
-                _ => None,
+    let f = m.func(fid);
+    let mut rw = Rewrites::new();
+    for bb in f.block_ids() {
+        for (p, inst) in f.insts_in(bb) {
+            let Opcode::Phi { incoming } = &inst.op else {
+                continue;
             };
-            if let Some(v) = replacement {
-                if v == Value::Inst(p) {
-                    continue;
-                }
-                f.replace_all_uses(Value::Inst(p), v);
-                f.remove_inst(bb, p);
-                changed = true;
+            // Earlier replacements of this sweep are read through `rw`.
+            let Some(&(_, first)) = incoming.first() else {
+                continue;
+            };
+            let v = rw.resolve(first);
+            let same = incoming.iter().all(|&(_, x)| rw.resolve(x) == v);
+            if same && v != Value::Inst(p) {
+                rw.replace(p, v);
             }
         }
     }
-    changed
+    if rw.is_empty() {
+        return false;
+    }
+    m.func_mut(fid).apply_rewrites(&rw);
+    true
+}
+
+/// The block `a` can absorb: its only successor, when `a` is that block's
+/// only predecessor and no φ-nodes are left in it.
+fn mergeable_successor(f: &Function, cfg: &Cfg, a: BlockId) -> Option<BlockId> {
+    let mut succs = f.inst(f.terminator(a)?).successors();
+    succs.dedup();
+    let &[b] = succs.as_slice() else {
+        return None;
+    };
+    // Single-pred φs are handled by simplify_single_incoming_phis on the
+    // next outer iteration.
+    let absorbable = b != a
+        && b != f.entry
+        && cfg.preds(b).len() == 1
+        && !f.block(b).insts.iter().any(|&i| f.inst(i).is_phi());
+    absorbable.then_some(b)
 }
 
 /// Merge `b` into `a` when `a`'s only successor is `b` and `b`'s only
 /// predecessor is `a` (and `b` has no φ-nodes left).
-fn merge_straightline(m: &mut Module, fid: FuncId) -> bool {
+///
+/// A merge changes nobody else's eligibility — `b`'s out-edges become
+/// `a`'s, so every other block keeps its successors and its in-edge count
+/// (which is why the pre-merge `cfg` stays good for `preds(b).len()`) —
+/// so one pass in block order, letting each block absorb its whole chain,
+/// finds the same merges as rescanning from the top after every one.
+fn merge_straightline(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
+    let f = m.func(fid);
+    let blocks: Vec<BlockId> = f.block_ids().collect();
+    if !blocks
+        .iter()
+        .any(|&a| mergeable_successor(f, cfg, a).is_some())
+    {
+        return false;
+    }
     let f = m.func_mut(fid);
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let mut merged = false;
-        for a in f.block_ids().collect::<Vec<_>>() {
-            if !f.block_exists(a) {
-                continue;
-            }
-            let succs = cfg.unique_succs(a);
-            if succs.len() != 1 {
-                continue;
-            }
-            let b = succs[0];
-            if b == a || b == f.entry {
-                continue;
-            }
-            if cfg.preds(b).len() != 1 {
-                continue;
-            }
-            if f.block(b).insts.iter().any(|&i| f.inst(i).is_phi()) {
-                // Single-pred φs are handled by simplify_single_incoming_phis
-                // on the next outer iteration.
-                continue;
-            }
+    for a in blocks {
+        if !f.block_exists(a) {
+            continue; // absorbed by an earlier block
+        }
+        while let Some(b) = mergeable_successor(f, cfg, a) {
             // Drop a's terminator, splice b's instructions, fix φs of b's
             // successors, delete b.
-            let term = f
-                .terminator(a)
-                .expect("block with successor has terminator");
-            f.remove_inst(a, term);
-            let b_insts = f.block(b).insts.clone();
+            let term = f.block_mut(a).insts.pop().expect("a has a terminator");
+            f.erase_inst(term);
+            let b_insts = std::mem::take(&mut f.block_mut(b).insts);
             f.block_mut(a).insts.extend(b_insts);
-            f.block_mut(b).insts.clear();
-            let new_succs = f.successors(a);
-            for s in new_succs {
+            for s in f.successors(a) {
                 f.retarget_phis(s, b, a);
             }
             f.remove_block(b);
-            merged = true;
-            changed = true;
-            break; // CFG changed; recompute
-        }
-        if !merged {
-            return changed;
         }
     }
+    true
 }
 
 /// Remove blocks containing only `br target`, making predecessors jump
 /// straight to the target, when the target's φ-nodes stay consistent.
-fn remove_forwarding_blocks(m: &mut Module, fid: FuncId) -> bool {
-    let f = m.func_mut(fid);
-    let mut changed = false;
-    let cfg = Cfg::new(f);
-    for bb in f.block_ids().collect::<Vec<_>>() {
-        if bb == f.entry || !f.block_exists(bb) {
-            continue;
+/// Removes at most one: the snapshot is stale after an edit, and the
+/// caller re-runs every rule anyway.
+fn remove_forwarding_blocks(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
+    let f = m.func(fid);
+    let is_phi = |f: &Function, i: &InstId| f.inst(*i).is_phi();
+    let found = f.block_ids().find_map(|bb| {
+        if bb == f.entry {
+            return None;
         }
-        let insts = &f.block(bb).insts;
-        if insts.len() != 1 {
-            continue;
-        }
-        let target = match f.inst(insts[0]).op {
-            Opcode::Br { target } => target,
-            _ => continue,
+        let &[only] = f.block(bb).insts.as_slice() else {
+            return None;
         };
-        if target == bb {
-            continue;
-        }
+        let target = match f.inst(only).op {
+            Opcode::Br { target } if target != bb => target,
+            _ => return None,
+        };
         let preds = cfg.unique_preds(bb);
         if preds.is_empty() {
-            continue;
+            return None;
         }
         // φ-safety: if the target has φ-nodes, every pred must not already
         // be a predecessor of target (no duplicate incoming with possibly
         // different values), and the value flowing through bb must work for
-        // each pred (it does: the φ entry for bb applies to all).
-        let target_has_phis = f.block(target).insts.iter().any(|&i| f.inst(i).is_phi());
-        if target_has_phis {
-            let target_preds = cfg.unique_preds(target);
-            if preds.iter().any(|p| target_preds.contains(p)) {
-                continue;
-            }
-            // A predecessor branching to bb on several edges is fine; φ
-            // entries are per-block.
+        // each pred (it does: the φ entry for bb applies to all). A
+        // predecessor branching to bb on several edges is fine; φ entries
+        // are per-block.
+        if f.block(target).insts.iter().any(|i| is_phi(f, i))
+            && preds.iter().any(|p| cfg.preds(target).contains(p))
+        {
+            return None;
         }
-        // Retarget each predecessor's terminator from bb to target.
-        for &p in &preds {
-            if let Some(t) = f.terminator(p) {
-                f.inst_mut(t).for_each_successor_mut(|s| {
-                    if *s == bb {
-                        *s = target;
-                    }
-                });
-            }
+        Some((bb, target, preds))
+    });
+    let Some((bb, target, preds)) = found else {
+        return false;
+    };
+    let f = m.func_mut(fid);
+    // Retarget each predecessor's terminator from bb to target.
+    for &p in &preds {
+        if let Some(t) = f.terminator(p) {
+            f.inst_mut(t).for_each_successor_mut(|s| {
+                if *s == bb {
+                    *s = target;
+                }
+            });
         }
-        // Update target φs: duplicate bb's entry for each pred.
-        let phi_ids: Vec<_> = f
-            .block(target)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| f.inst(i).is_phi())
-            .collect();
-        for phi in phi_ids {
-            if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-                if let Some(pos) = incoming.iter().position(|(p, _)| *p == bb) {
-                    let (_, v) = incoming.remove(pos);
-                    for &p in &preds {
-                        incoming.push((p, v));
-                    }
+    }
+    // Update target φs: duplicate bb's entry for each pred.
+    let phi_ids: Vec<InstId> = f
+        .block(target)
+        .insts
+        .iter()
+        .copied()
+        .filter(|i| is_phi(f, i))
+        .collect();
+    for phi in phi_ids {
+        if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
+            if let Some(pos) = incoming.iter().position(|(p, _)| *p == bb) {
+                let (_, v) = incoming.remove(pos);
+                for &p in &preds {
+                    incoming.push((p, v));
                 }
             }
         }
-        f.remove_block(bb);
-        changed = true;
-        // The CFG snapshot is stale after an edit; let the caller re-run.
-        break;
     }
-    changed
+    f.remove_block(bb);
+    true
 }
 
 #[cfg(test)]

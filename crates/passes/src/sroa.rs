@@ -6,9 +6,8 @@
 //! pieces then become `-mem2reg` candidates; `-scalarrepl-ssa` runs the
 //! promotion immediately, matching LLVM's SSAUpdater-based variant.
 
-use crate::util;
-use autophase_ir::{FuncId, Inst, InstId, Module, Opcode, Type, Value};
-use std::collections::HashMap;
+use crate::util::{self, UserIndex};
+use autophase_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Type, Value};
 
 /// Maximum number of elements split.
 pub const SROA_ELEM_LIMIT: u32 = 64;
@@ -35,57 +34,57 @@ fn split_function(m: &mut Module, fid: FuncId) -> bool {
 }
 
 fn split_function_limit(m: &mut Module, fid: FuncId, limit: u32) -> bool {
-    let mut changed = false;
-    loop {
-        let Some(split) = find_splittable(m.func(fid), limit) else {
-            return changed;
-        };
-        let Splittable {
-            alloca,
-            elem_ty,
-            gep_accesses,
-            indices,
-        } = split;
-        let f = m.func_mut(fid);
+    // Splitting one aggregate touches only its own geps and accesses, so
+    // one scan finds every splittable alloca and one batch rewrites them.
+    let splits = find_splittable(m.func(fid), limit);
+    if splits.is_empty() {
+        return false;
+    }
+    let f = m.func_mut(fid);
+    let mut rw = Rewrites::new();
+    for split in &splits {
         // One scalar alloca per accessed index, created right after the
         // original alloca.
-        let bb = f.block_of(alloca).expect("alloca is placed");
         let pos = f
-            .block(bb)
+            .block(split.block)
             .insts
             .iter()
-            .position(|&i| i == alloca)
+            .position(|&i| i == split.alloca)
             .expect("alloca in its block");
-        let mut index_slot: HashMap<i64, InstId> = HashMap::new();
-        for (k, idx) in indices.iter().enumerate() {
-            let slot = f.insert_inst(
-                bb,
-                pos + 1 + k,
-                Inst::new(Type::Ptr, Opcode::Alloca { elem_ty, count: 1 }),
-            );
-            index_slot.insert(*idx, slot);
-        }
+        let slots: Vec<InstId> = (0..split.indices.len())
+            .map(|k| {
+                let elem_ty = split.elem_ty;
+                f.insert_inst(
+                    split.block,
+                    pos + 1 + k,
+                    Inst::new(Type::Ptr, Opcode::Alloca { elem_ty, count: 1 }),
+                )
+            })
+            .collect();
+        let slot_of = |idx: i64| {
+            let k = split
+                .indices
+                .binary_search(&idx)
+                .expect("every access index has a slot");
+            Value::Inst(slots[k])
+        };
         // Redirect each gep's users to the scalar slot and drop the gep.
-        for (gep, idx) in gep_accesses {
-            let slot = index_slot[&idx];
-            f.replace_all_uses(Value::Inst(gep), Value::Inst(slot));
-            if let Some(gbb) = f.block_of(gep) {
-                f.remove_inst(gbb, gep);
-            }
+        for &(gep, idx) in &split.gep_accesses {
+            rw.replace(gep, slot_of(idx));
         }
         // Direct (index-0) uses of the alloca itself.
-        if let Some(&slot0) = index_slot.get(&0) {
-            f.replace_all_uses(Value::Inst(alloca), Value::Inst(slot0));
+        if split.indices.first() == Some(&0) {
+            rw.forward(split.alloca, slot_of(0));
         }
-        if f.count_uses(Value::Inst(alloca)) == 0 {
-            f.remove_inst(bb, alloca);
-        }
-        changed = true;
+        rw.remove(split.alloca);
     }
+    f.apply_rewrites(&rw);
+    true
 }
 
 struct Splittable {
     alloca: InstId,
+    block: BlockId,
     elem_ty: Type,
     /// Constant-index geps to rewrite.
     gep_accesses: Vec<(InstId, i64)>,
@@ -93,10 +92,14 @@ struct Splittable {
     indices: Vec<i64>,
 }
 
-/// Find an alloca where every use is either a `load`/`store` of matching
+/// Find every alloca where each use is either a `load`/`store` of matching
 /// type directly on it (index 0) or a constant-index `gep` whose own uses
 /// are all matching loads/stores.
-fn find_splittable(f: &autophase_ir::Function, limit: u32) -> Option<Splittable> {
+fn find_splittable(f: &Function, limit: u32) -> Vec<Splittable> {
+    let mut out = Vec::new();
+    // Built at the first aggregate of a splittable shape; most functions
+    // have none.
+    let mut index: Option<UserIndex> = None;
     for bb in f.block_ids() {
         'cand: for &iid in &f.block(bb).insts {
             let Opcode::Alloca { elem_ty, count } = f.inst(iid).op else {
@@ -105,10 +108,11 @@ fn find_splittable(f: &autophase_ir::Function, limit: u32) -> Option<Splittable>
             if count < 2 || count > limit || !elem_ty.is_int() {
                 continue;
             }
+            let index = index.get_or_insert_with(|| UserIndex::build(f));
             let addr = Value::Inst(iid);
             let mut accesses: Vec<(InstId, i64)> = Vec::new();
             let mut direct_mem = false;
-            for (user, _) in f.users(addr) {
+            for &(user, _) in index.users(iid) {
                 match &f.inst(user).op {
                     Opcode::Gep {
                         ptr,
@@ -119,7 +123,7 @@ fn find_splittable(f: &autophase_ir::Function, limit: u32) -> Option<Splittable>
                         }
                         // All gep users must be typed loads/stores.
                         let gv = Value::Inst(user);
-                        for (gu, _) in f.users(gv) {
+                        for &(gu, _) in index.users(user) {
                             match &f.inst(gu).op {
                                 Opcode::Load { ptr } if *ptr == gv => {
                                     if f.inst(gu).ty != elem_ty {
@@ -160,15 +164,16 @@ fn find_splittable(f: &autophase_ir::Function, limit: u32) -> Option<Splittable>
             }
             indices.sort_unstable();
             indices.dedup();
-            return Some(Splittable {
+            out.push(Splittable {
                 alloca: iid,
+                block: bb,
                 elem_ty,
                 gep_accesses: accesses,
                 indices,
             });
         }
     }
-    None
+    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Shared machinery: purity queries, value substitution, region cloning.
 
-use autophase_ir::{BinOp, Block, BlockId, Function, Inst, InstId, Module, Opcode, Value};
+use autophase_ir::{
+    BinOp, Block, BlockId, Function, Inst, InstId, Module, Opcode, Rewrites, Value,
+};
 use std::collections::HashMap;
 
 /// True if executing `inst` has no observable effect beyond producing its
@@ -30,17 +32,17 @@ pub fn is_trivially_dead(m: &Module, f: &Function, id: InstId) -> bool {
 /// Delete trivially dead instructions until a fixpoint. Returns the number
 /// removed. This is the cleanup step most transform passes finish with.
 ///
-/// Implemented as a use-count worklist (one scan to build counts, then
-/// O(1) per removal) so repeated cleanup on large functions stays linear.
+/// Implemented as a use-count worklist (one scan to build counts, O(1) per
+/// death) whose removals are committed as one batch, so cleanup stays
+/// linear however many instructions die.
 pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
-    // Build use counts and placements in one scan.
     let f = m.func(fid);
     let cap = f.inst_capacity();
     let mut use_count = vec![0u32; cap];
-    let mut placement: Vec<Option<BlockId>> = vec![None; cap];
+    let mut placed = vec![false; cap];
     for bb in f.block_ids() {
         for &iid in &f.block(bb).insts {
-            placement[iid.index()] = Some(bb);
+            placed[iid.index()] = true;
             f.inst(iid).for_each_operand(|v| {
                 if let Value::Inst(dep) = v {
                     if dep.index() < cap {
@@ -50,47 +52,35 @@ pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
             });
         }
     }
-    // Purity snapshot (depends only on opcode + callee attrs, which this
-    // function does not change while deleting).
-    let dead_candidate = |m: &Module, iid: InstId| -> bool {
-        let f = m.func(fid);
-        f.inst_exists(iid) && is_pure(m, f.inst(iid))
-    };
+    // Purity depends only on opcode + callee attrs, which deleting
+    // instructions does not change.
+    let dead_candidate =
+        |iid: InstId| placed[iid.index()] && f.inst_exists(iid) && is_pure(m, f.inst(iid));
     let mut work: Vec<InstId> = (0..cap)
         .map(InstId::from_index)
-        .filter(|&iid| {
-            placement[iid.index()].is_some()
-                && use_count[iid.index()] == 0
-                && dead_candidate(m, iid)
-        })
+        .filter(|&iid| use_count[iid.index()] == 0 && dead_candidate(iid))
         .collect();
+    let mut dead = Rewrites::new();
     let mut removed = 0;
     while let Some(iid) = work.pop() {
-        let Some(bb) = placement[iid.index()] else {
-            continue;
-        };
-        if !m.func(fid).inst_exists(iid) || use_count[iid.index()] != 0 {
+        if dead.is_removed(iid) || use_count[iid.index()] != 0 {
             continue;
         }
-        // Decrement operand counts before removal.
-        let mut freed: Vec<InstId> = Vec::new();
-        m.func(fid).inst(iid).for_each_operand(|v| {
+        dead.remove(iid);
+        removed += 1;
+        f.inst(iid).for_each_operand(|v| {
             if let Value::Inst(dep) = v {
                 if dep.index() < cap && use_count[dep.index()] > 0 {
                     use_count[dep.index()] -= 1;
-                    if use_count[dep.index()] == 0 {
-                        freed.push(dep);
+                    if use_count[dep.index()] == 0 && dead_candidate(dep) {
+                        work.push(dep);
                     }
                 }
             }
         });
-        m.func_mut(fid).remove_inst(bb, iid);
-        removed += 1;
-        for dep in freed {
-            if placement[dep.index()].is_some() && dead_candidate(m, dep) {
-                work.push(dep);
-            }
-        }
+    }
+    if removed > 0 {
+        m.func_mut(fid).apply_rewrites(&dead);
     }
     removed
 }
@@ -102,31 +92,51 @@ pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
 /// mutating the function. Turns the per-candidate `Function::users` scans
 /// (O(n) each, O(n²) per pass) into O(1) lookups.
 pub struct UserIndex {
-    users: Vec<Vec<(InstId, BlockId)>>,
+    /// Users of instruction `i` are `users[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    users: Vec<(InstId, BlockId)>,
 }
 
 impl UserIndex {
-    /// Scan `f` once and build the index.
+    /// Scan `f` once and build the index (a counting sort of the uses by
+    /// the instruction they read).
     pub fn build(f: &Function) -> UserIndex {
-        let mut users: Vec<Vec<(InstId, BlockId)>> = vec![Vec::new(); f.inst_capacity()];
+        let cap = f.inst_capacity();
+        let mut uses: Vec<(u32, InstId, BlockId)> = Vec::with_capacity(2 * cap);
+        let mut offsets = vec![0u32; cap + 1];
         for bb in f.block_ids() {
             for &iid in &f.block(bb).insts {
                 f.inst(iid).for_each_operand(|v| {
                     if let Value::Inst(dep) = v {
-                        if dep.index() < users.len() {
-                            users[dep.index()].push((iid, bb));
+                        if dep.index() < cap {
+                            uses.push((dep.index() as u32, iid, bb));
+                            offsets[dep.index() + 1] += 1;
                         }
                     }
                 });
             }
         }
-        UserIndex { users }
+        for i in 0..cap {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let placeholder = (InstId::from_index(0), BlockId::from_index(0));
+        let mut users = vec![placeholder; uses.len()];
+        for (dep, iid, bb) in uses {
+            let at = &mut cursor[dep as usize];
+            users[*at as usize] = (iid, bb);
+            *at += 1;
+        }
+        UserIndex { offsets, users }
     }
 
     /// Users of instruction `id`'s result (an instruction using it twice
     /// appears twice).
     pub fn users(&self, id: InstId) -> &[(InstId, BlockId)] {
-        self.users.get(id.index()).map(Vec::as_slice).unwrap_or(&[])
+        match self.offsets.get(id.index()..id.index() + 2) {
+            Some(&[lo, hi]) => &self.users[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// Number of uses of instruction `id`'s result.
@@ -269,14 +279,21 @@ pub fn power_of_two(v: i64) -> Option<u32> {
 /// Collect the root pointer of an address value: follows `Gep` chains to an
 /// `Alloca` instruction or `Global`. Returns `None` for anything else
 /// (arguments, loads, arithmetic), i.e. "unknown object".
-pub fn pointer_root(f: &Function, mut v: Value) -> Option<Value> {
+pub fn pointer_root(f: &Function, v: Value) -> Option<Value> {
+    pointer_root_through(f, &Rewrites::new(), v)
+}
+
+/// [`pointer_root`] as it will read once the pending `rw` is applied: every
+/// link of the chain is resolved through the forwarding table first.
+pub fn pointer_root_through(f: &Function, rw: &Rewrites, v: Value) -> Option<Value> {
+    let mut v = rw.resolve(v);
     loop {
         match v {
             Value::Global(_) => return Some(v),
             Value::Inst(id) => match &f.inst(id).op {
                 Opcode::Alloca { .. } => return Some(v),
-                Opcode::Gep { ptr, .. } => v = *ptr,
-                Opcode::Cast(autophase_ir::CastOp::BitCast, inner) => v = *inner,
+                Opcode::Gep { ptr, .. } => v = rw.resolve(*ptr),
+                Opcode::Cast(autophase_ir::CastOp::BitCast, inner) => v = rw.resolve(*inner),
                 _ => return None,
             },
             _ => return None,
