@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy fmt fmt-fix bench telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
+.PHONY: ci build test clippy fmt fmt-fix bench telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
 
-ci: build test telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
+ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
 
 build:
 	$(CARGO) build --release
@@ -85,14 +85,26 @@ online-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test online
 	$(CARGO) run --release -p autophase-bench --bin online_bench -- --smoke
 
+# Pass-kernel output gate (DESIGN.md §4m): the printed IR of every pass,
+# of -O3 and of 32 seeded orderings on CHStone + 64 corpus programs must
+# hash to the committed golden file (generated before the kernels were
+# rewritten), and the batched rewrite primitive and the dense
+# CFG/dominator/loop analyses must agree with their straightforward
+# references on random inputs.
+pass-golden:
+	$(CARGO) test -q --release -p autophase-passes --test golden_outputs
+	$(CARGO) test -q --release -p autophase-ir --test kernels
+
 # Incremental-evaluation perf gate (DESIGN.md §4f): the differential
 # suite proves the per-function caches are bit-invisible across every
 # Table-1 pass, then rollout_bench enforces the single-worker speedup
 # floor and refreshes BENCH_incremental.json. gemm_bench re-checks the
 # SIMD kernels bitwise and enforces the single-op GEMM floor
-# (DESIGN.md §4k, ROADMAP item 2) while refreshing BENCH_gemm.json.
+# (DESIGN.md §4k, ROADMAP item 2) while refreshing BENCH_gemm.json. The
+# scaling guard keeps the pass kernels linear in block size (§4m).
 perf-smoke:
 	$(CARGO) test -q --release -p autophase-features --test incremental_diff
+	$(CARGO) test -q --release -p autophase-passes --test scaling
 	$(CARGO) run --release -p autophase-bench --bin rollout_bench -- --scale medium --telemetry jsonl --min-speedup 1.5
 	$(CARGO) run --release -p autophase-bench --bin gemm_bench -- --min-speedup 4
 

@@ -1,50 +1,7 @@
 //! Control-flow-graph queries: predecessors, successors, orderings.
 
+use crate::csr::Csr;
 use crate::function::{BlockId, Function};
-
-/// Adjacency lists in compressed-sparse-row form, indexed by
-/// [`BlockId::index`]: block `i`'s neighbours are
-/// `edges[offsets[i]..offsets[i + 1]]`. Two allocations regardless of the
-/// block count, and every lookup is O(1).
-#[derive(Debug, Clone)]
-pub(crate) struct Adjacency {
-    offsets: Vec<u32>,
-    edges: Vec<BlockId>,
-}
-
-impl Adjacency {
-    /// Build from `(block index, neighbour)` pairs produced by `edges`
-    /// (called twice: once to count, once to fill). Pairs keep their
-    /// production order within each block's list.
-    pub(crate) fn build(
-        blocks: usize,
-        mut edges: impl FnMut(&mut dyn FnMut(usize, BlockId)),
-    ) -> Adjacency {
-        let mut offsets = vec![0u32; blocks + 1];
-        edges(&mut |at, _| offsets[at + 1] += 1);
-        for i in 0..blocks {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut flat = vec![BlockId::from_index(0); offsets[blocks] as usize];
-        edges(&mut |at, to| {
-            flat[cursor[at] as usize] = to;
-            cursor[at] += 1;
-        });
-        Adjacency {
-            offsets,
-            edges: flat,
-        }
-    }
-
-    /// Neighbours of `bb` (empty for ids outside the arena).
-    pub(crate) fn of(&self, bb: BlockId) -> &[BlockId] {
-        match self.offsets.get(bb.index()..bb.index() + 2) {
-            Some(&[lo, hi]) => &self.edges[lo as usize..hi as usize],
-            _ => &[],
-        }
-    }
-}
 
 /// Marks a block that is not reachable from the entry in a dense
 /// per-block index table.
@@ -56,8 +13,8 @@ pub(crate) const UNREACHABLE: u32 = u32::MAX;
 /// predecessor and successor lists plus a reverse post-order.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    preds: Adjacency,
-    succs: Adjacency,
+    preds: Csr<BlockId>,
+    succs: Csr<BlockId>,
     rpo: Vec<BlockId>,
     /// Position of each block in `rpo`, [`UNREACHABLE`] if it has none.
     rpo_index: Vec<u32>,
@@ -68,22 +25,20 @@ impl Cfg {
     /// Compute the CFG of `f`.
     pub fn new(f: &Function) -> Cfg {
         let blocks = f.block_capacity();
-        let succs = Adjacency::build(blocks, |edge| {
-            for bb in f.block_ids() {
-                f.for_each_successor(bb, |t| edge(bb.index(), t));
-            }
-        });
+        let mut edges: Vec<(usize, BlockId)> = Vec::with_capacity(2 * blocks);
+        for bb in f.block_ids() {
+            f.for_each_successor(bb, |t| edges.push((bb.index(), t)));
+        }
+        let succs = Csr::build(blocks, edges.iter().copied());
         // An edge into a block id beyond the arena has no list to land in;
         // the verifier reports such a branch before anything asks.
-        let preds = Adjacency::build(blocks, |edge| {
-            for bb in f.block_ids() {
-                for &t in succs.of(bb) {
-                    if t.index() < blocks {
-                        edge(t.index(), bb);
-                    }
-                }
-            }
-        });
+        let preds = Csr::build(
+            blocks,
+            edges
+                .iter()
+                .filter(|(_, t)| t.index() < blocks)
+                .map(|&(bb, t)| (t.index(), BlockId::from_index(bb))),
+        );
         let rpo = reverse_post_order_of(f, &succs);
         let mut rpo_index = vec![UNREACHABLE; blocks];
         for (i, bb) in rpo.iter().enumerate() {
@@ -101,12 +56,12 @@ impl Cfg {
     /// Predecessors of `bb` (blocks with an edge into it). A block that
     /// branches to `bb` twice (both arms of a cond-br) appears twice.
     pub fn preds(&self, bb: BlockId) -> &[BlockId] {
-        self.preds.of(bb)
+        self.preds.get(bb.index())
     }
 
     /// Successors of `bb`.
     pub fn succs(&self, bb: BlockId) -> &[BlockId] {
-        self.succs.of(bb)
+        self.succs.get(bb.index())
     }
 
     /// Unique predecessors (deduplicated).
@@ -155,7 +110,7 @@ impl Cfg {
 
     /// Total number of CFG edges (counting duplicates).
     pub fn num_edges(&self) -> usize {
-        self.succs.edges.len()
+        self.succs.len()
     }
 
     /// Edges `(src, dst)` that are critical: the source has more than one
@@ -181,7 +136,7 @@ impl Cfg {
 }
 
 /// Depth-first post-order over `succs` from the entry, reversed.
-fn reverse_post_order_of(f: &Function, succs: &Adjacency) -> Vec<BlockId> {
+fn reverse_post_order_of(f: &Function, succs: &Csr<BlockId>) -> Vec<BlockId> {
     let mut post = Vec::new();
     if !f.block_exists(f.entry) {
         return post;
@@ -191,7 +146,7 @@ fn reverse_post_order_of(f: &Function, succs: &Adjacency) -> Vec<BlockId> {
     let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
     visited[f.entry.index()] = true;
     while let Some(&mut (bb, ref mut idx)) = stack.last_mut() {
-        match succs.of(bb).get(*idx) {
+        match succs.get(bb.index()).get(*idx) {
             Some(&next) => {
                 *idx += 1;
                 if f.block_exists(next) && !visited[next.index()] {
@@ -207,17 +162,6 @@ fn reverse_post_order_of(f: &Function, succs: &Adjacency) -> Vec<BlockId> {
     }
     post.reverse();
     post
-}
-
-/// Reachable blocks in reverse post-order (entry first).
-pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
-    Cfg::new(f).rpo
-}
-
-/// Blocks not reachable from entry.
-pub fn unreachable_blocks(f: &Function) -> Vec<BlockId> {
-    let cfg = Cfg::new(f);
-    f.block_ids().filter(|&bb| !cfg.is_reachable(bb)).collect()
 }
 
 #[cfg(test)]
@@ -271,7 +215,6 @@ mod tests {
         b.switch_to(dead);
         b.ret(None);
         let f = b.finish();
-        assert_eq!(unreachable_blocks(&f), vec![dead]);
         assert!(!Cfg::new(&f).is_reachable(dead));
     }
 

@@ -1,6 +1,7 @@
 //! Dominator tree (Cooper–Harvey–Kennedy iterative algorithm).
 
-use crate::cfg::{Adjacency, Cfg, UNREACHABLE};
+use crate::cfg::{Cfg, UNREACHABLE};
+use crate::csr::Csr;
 use crate::function::{BlockId, Function};
 
 /// Dominator tree over the reachable blocks of a function.
@@ -14,10 +15,8 @@ pub struct DomTree {
     /// Immediate dominator of each reachable block (the entry maps to
     /// itself), [`UNREACHABLE`] for the rest.
     idom: Vec<u32>,
-    /// RPO index of each reachable block.
-    rpo_index: Vec<u32>,
     /// Dominator-tree children, ascending by block id.
-    children: Adjacency,
+    children: Csr<BlockId>,
     /// Depth-first entry/exit times in the dominator tree: `a` dominates
     /// `b` iff `a`'s interval encloses `b`'s.
     interval: Vec<(u32, u32)>,
@@ -29,7 +28,7 @@ impl DomTree {
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
         let rpo = cfg.rpo();
         let blocks = f.block_capacity();
-        let rpo_index = cfg.rpo_index_table().to_vec();
+        let rpo_index = cfg.rpo_index_table();
 
         // The fixpoint runs on RPO positions: `doms[i]` is the position of
         // the immediate dominator of `rpo[i]`.
@@ -68,13 +67,13 @@ impl DomTree {
             }
         }
         let entry = f.entry;
-        let children = Adjacency::build(blocks, |edge| {
-            for (b, &d) in idom.iter().enumerate() {
-                if d != UNREACHABLE && b != entry.index() {
-                    edge(d as usize, BlockId::from_index(b));
-                }
-            }
-        });
+        let children = Csr::build(
+            blocks,
+            idom.iter()
+                .enumerate()
+                .filter(|&(b, &d)| d != UNREACHABLE && b != entry.index())
+                .map(|(b, &d)| (d as usize, BlockId::from_index(b))),
+        );
 
         let mut interval = vec![(0u32, 0u32); blocks];
         if idom.get(entry.index()).is_some_and(|&d| d != UNREACHABLE) {
@@ -85,7 +84,7 @@ impl DomTree {
                     clock += 1;
                     interval[bb.index()].0 = clock;
                 }
-                match children.of(bb).get(*next) {
+                match children.get(bb.index()).get(*next) {
                     Some(&child) => {
                         *next += 1;
                         stack.push((child, 0));
@@ -101,7 +100,6 @@ impl DomTree {
 
         DomTree {
             idom,
-            rpo_index,
             children,
             interval,
             entry,
@@ -144,7 +142,7 @@ impl DomTree {
 
     /// Children of `bb` in the dominator tree, ascending by block id.
     pub fn children(&self, bb: BlockId) -> &[BlockId] {
-        self.children.of(bb)
+        self.children.get(bb.index())
     }
 
     /// Dominance frontier of every block, indexed by [`BlockId::index`]
@@ -174,14 +172,6 @@ impl DomTree {
             }
         }
         df
-    }
-
-    /// RPO index of a reachable block.
-    pub fn rpo_index(&self, bb: BlockId) -> Option<usize> {
-        match self.rpo_index.get(bb.index()) {
-            Some(&i) if i != UNREACHABLE => Some(i as usize),
-            _ => None,
-        }
     }
 }
 

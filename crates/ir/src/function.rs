@@ -437,24 +437,30 @@ impl Function {
     /// Update every φ-node in `bb` that has an incoming entry from
     /// `old_pred` to come from `new_pred` instead.
     pub fn retarget_phis(&mut self, bb: BlockId, old_pred: BlockId, new_pred: BlockId) {
-        let ids: Vec<InstId> = self.block(bb).insts.clone();
-        for id in ids {
-            if let Opcode::Phi { incoming } = &mut self.inst_mut(id).op {
-                for (pred, _) in incoming.iter_mut() {
-                    if *pred == old_pred {
-                        *pred = new_pred;
-                    }
+        self.for_each_phi_incoming(bb, |incoming| {
+            for (pred, _) in incoming.iter_mut() {
+                if *pred == old_pred {
+                    *pred = new_pred;
                 }
             }
-        }
+        });
     }
 
     /// Remove φ-node incoming entries from `pred` in `bb`.
     pub fn remove_phi_edge(&mut self, bb: BlockId, pred: BlockId) {
-        let ids: Vec<InstId> = self.block(bb).insts.clone();
-        for id in ids {
-            if let Opcode::Phi { incoming } = &mut self.inst_mut(id).op {
-                incoming.retain(|(p, _)| *p != pred);
+        self.for_each_phi_incoming(bb, |incoming| incoming.retain(|(p, _)| *p != pred));
+    }
+
+    fn for_each_phi_incoming(
+        &mut self,
+        bb: BlockId,
+        mut edit: impl FnMut(&mut Vec<(BlockId, Value)>),
+    ) {
+        let block = self.blocks[bb.index()].as_ref().expect("removed block");
+        for id in &block.insts {
+            let inst = self.insts[id.index()].as_mut().expect("removed inst");
+            if let Opcode::Phi { incoming } = &mut inst.op {
+                edit(incoming);
             }
         }
     }
@@ -526,6 +532,79 @@ mod tests {
         assert_eq!(f.num_insts(), 1);
         // Arena capacity unchanged: ids remain stable.
         assert_eq!(f.inst_capacity(), 2);
+    }
+
+    /// `%0 = add a0, a1; %1 = add %0, %0; %2 = phi [%1]; ret %2`
+    fn chain_fn() -> (Function, [InstId; 4]) {
+        let mut f = Function::new("c", vec![Type::I32, Type::I32], Type::I32);
+        let e = f.entry;
+        let add = |a, b| Inst::new(Type::I32, Opcode::Binary(BinOp::Add, a, b));
+        let i0 = f.append_inst(e, add(Value::Arg(0), Value::Arg(1)));
+        let i1 = f.append_inst(e, add(Value::Inst(i0), Value::Inst(i0)));
+        let incoming = vec![(e, Value::Inst(i1))];
+        let i2 = f.append_inst(e, Inst::new(Type::I32, Opcode::Phi { incoming }));
+        let value = Some(Value::Inst(i2));
+        let i3 = f.append_inst(e, Inst::new(Type::Void, Opcode::Ret { value }));
+        (f, [i0, i1, i2, i3])
+    }
+
+    #[test]
+    fn rewrites_follow_chains_in_one_sweep() {
+        let (mut f, [i0, i1, i2, i3]) = chain_fn();
+        let mut rw = Rewrites::new();
+        assert!(rw.is_empty());
+        // %2 → %1 recorded before %1 → 7: the chain resolves to the end.
+        rw.replace(i2, Value::Inst(i1));
+        rw.replace(i1, Value::i32(7));
+        assert_eq!(rw.resolve(Value::Inst(i2)), Value::i32(7));
+        assert_eq!(rw.resolve(Value::Inst(i0)), Value::Inst(i0));
+        assert_eq!(rw.resolve(Value::Arg(0)), Value::Arg(0));
+        assert!(rw.is_removed(i1) && !rw.is_removed(i0));
+        // Only the `ret` operand is live and forwarded (%1's and %2's own
+        // operands are rewritten too but leave with them).
+        f.apply_rewrites(&rw);
+        assert_eq!(f.block(f.entry).insts, vec![i0, i3]);
+        assert!(!f.inst_exists(i1) && !f.inst_exists(i2));
+        assert_eq!(f.inst(i3).operands(), vec![Value::i32(7)]);
+    }
+
+    #[test]
+    fn forward_without_removal_and_removal_without_forward() {
+        let (mut f, [i0, i1, i2, _]) = chain_fn();
+        let mut rw = Rewrites::new();
+        rw.forward(i0, Value::Arg(1));
+        assert!(rw.has_forwards());
+        assert_eq!(f.apply_rewrites(&rw), 2);
+        // φ operands are operands like any other; %0 itself stays.
+        assert_eq!(f.inst(i1).operands(), vec![Value::Arg(1), Value::Arg(1)]);
+        assert!(f.inst_exists(i0));
+
+        let mut rw = Rewrites::new();
+        rw.remove(i0);
+        rw.remove(i0);
+        assert!(!rw.has_forwards() && !rw.is_empty());
+        assert_eq!(f.apply_rewrites(&rw), 0);
+        assert!(!f.inst_exists(i0));
+        assert_eq!(f.block(f.entry).insts.len(), 3);
+        assert_eq!(f.inst(i2).operands(), vec![Value::Inst(i1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "forwarding an instruction to itself")]
+    fn rewrites_reject_a_cycle() {
+        let (_, [i0, i1, ..]) = chain_fn();
+        let mut rw = Rewrites::new();
+        rw.forward(i0, Value::Inst(i1));
+        rw.forward(i1, Value::Inst(i0));
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction forwarded twice")]
+    fn rewrites_reject_a_second_forward() {
+        let (_, [i0, ..]) = chain_fn();
+        let mut rw = Rewrites::new();
+        rw.forward(i0, Value::Arg(0));
+        rw.forward(i0, Value::Arg(1));
     }
 
     #[test]

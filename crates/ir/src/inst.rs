@@ -1,6 +1,6 @@
 //! Instructions: opcodes, operands, and terminator queries.
 
-use crate::function::{BlockId, InstId};
+use crate::function::BlockId;
 use crate::module::FuncId;
 use crate::types::Type;
 use crate::value::Value;
@@ -522,15 +522,6 @@ impl Inst {
             Opcode::Unreachable => "unreachable",
         }
     }
-}
-
-/// Referenced instruction with its id, convenient for iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct InstRef<'a> {
-    /// The instruction's id within its function.
-    pub id: InstId,
-    /// The instruction itself.
-    pub inst: &'a Inst,
 }
 
 impl fmt::Display for Inst {

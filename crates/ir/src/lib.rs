@@ -48,6 +48,7 @@
 
 pub mod builder;
 pub mod cfg;
+pub mod csr;
 pub mod dom;
 pub mod fingerprint;
 pub mod fold;

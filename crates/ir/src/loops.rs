@@ -134,7 +134,7 @@ pub fn find_loops(f: &Function, cfg: &Cfg, dt: &DomTree) -> Vec<Loop> {
         });
     }
     // Sort by header RPO index so outer loops (earlier headers) come first.
-    loops.sort_by_key(|l| dt.rpo_index(l.header).unwrap_or(usize::MAX));
+    loops.sort_by_key(|l| cfg.rpo_index(l.header).unwrap_or(usize::MAX));
     loops
 }
 

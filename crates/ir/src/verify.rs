@@ -186,14 +186,18 @@ pub fn verify_function(f: &Function) -> Result<(), String> {
                 seen_non_phi = true;
             }
             // Branch targets must exist.
-            for succ in inst.successors() {
-                if !f.block_exists(succ) {
-                    return Err(format!(
+            let mut err: Option<String> = None;
+            inst.for_each_successor(|succ| {
+                if err.is_none() && !f.block_exists(succ) {
+                    err = Some(format!(
                         "b{} branches to removed block b{}",
                         bb.index(),
                         succ.index()
                     ));
                 }
+            });
+            if let Some(e) = err {
+                return Err(e);
             }
             // Operand references must be live.
             let mut err: Option<String> = None;
@@ -222,6 +226,11 @@ pub fn verify_function(f: &Function) -> Result<(), String> {
     // always an error.
     let cfg = Cfg::new(f);
     for &bb in cfg.rpo() {
+        // φs lead their block (checked above), so a block that does not
+        // start with one has none and needs no predecessor lists.
+        if !f.insts_in(bb).next().is_some_and(|(_, i)| i.is_phi()) {
+            continue;
+        }
         let all_preds = cfg.unique_preds(bb);
         let preds: Vec<BlockId> = all_preds
             .iter()

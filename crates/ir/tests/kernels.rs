@@ -1,0 +1,330 @@
+//! Differential tests of the linear-time kernels against straightforward
+//! references: the batched [`Rewrites`] sweep against the sequence of
+//! `replace_all_uses` + `remove_inst` calls it replaces, and the dense
+//! `Cfg` / `DomTree` / `find_loops` against textbook set-based versions on
+//! random control-flow graphs (unreachable blocks and duplicate edges
+//! included).
+
+use autophase_ir::cfg::Cfg;
+use autophase_ir::dom::DomTree;
+use autophase_ir::loops::find_loops;
+use autophase_ir::{BlockId, Function, Inst, InstId, Opcode, Rewrites, Type, Value};
+use autophase_progen::{generate_valid, GenConfig};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// SplitMix64: every case is a pure function of its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+// ------------------------------------------------------------ rewrites
+
+/// A random batch over `f`: distinct value-producing instructions, each
+/// forwarded to a constant, an argument, or another instruction. A target
+/// is never an instruction an *earlier* entry retired (the sequential
+/// reference would leave that use dangling) but may be retired *later*,
+/// which makes chains `a → b`, `b → c`.
+fn random_forwards(f: &Function, rng: &mut Rng) -> Vec<(InstId, Value)> {
+    let mut candidates: Vec<InstId> = f
+        .block_ids()
+        .flat_map(|bb| f.block(bb).insts.clone())
+        .filter(|&i| !f.inst(i).ty.is_void())
+        .collect();
+    let mut forwards: Vec<(InstId, Value)> = Vec::new();
+    for _ in 0..rng.below(candidates.len().min(24) + 1) {
+        let from = candidates.swap_remove(rng.below(candidates.len()));
+        let to = match rng.below(4) {
+            0 => Value::const_int(Type::I32, rng.next() as i64),
+            1 => Value::Arg(rng.below(4) as u32),
+            // Still a candidate: not retired so far, maybe later.
+            _ if !candidates.is_empty() => Value::Inst(candidates[rng.below(candidates.len())]),
+            _ => Value::Undef(Type::I32),
+        };
+        forwards.push((from, to));
+    }
+    forwards
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// One operand sweep plus one `retain` per block equals the calls it
+    /// replaces, φ operands and chains included.
+    #[test]
+    fn batched_rewrites_equal_sequential_calls(seed in 0u64..100_000) {
+        let m = generate_valid(&GenConfig::default(), seed);
+        let mut rng = Rng(seed);
+        for fid in m.func_ids() {
+            let forwards = random_forwards(m.func(fid), &mut rng);
+
+            let mut sequential = m.func(fid).clone();
+            for &(from, to) in &forwards {
+                sequential.replace_all_uses(Value::Inst(from), to);
+                let bb = sequential.block_of(from).expect("placed");
+                sequential.remove_inst(bb, from);
+            }
+
+            let mut batched = m.func(fid).clone();
+            let mut rw = Rewrites::new();
+            for &(from, to) in &forwards {
+                rw.replace(from, to);
+            }
+            prop_assert_eq!(rw.is_empty(), forwards.is_empty());
+            batched.apply_rewrites(&rw);
+            prop_assert!(batched == sequential, "seed {} diverged", seed);
+            for &(from, _) in &forwards {
+                prop_assert!(!batched.inst_exists(from));
+                prop_assert_eq!(batched.count_uses(Value::Inst(from)), 0);
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------ analyses
+
+/// A random function that is nothing but control flow: `n` blocks, each
+/// ending in `ret`, `br`, `condbr` (both arms may name the same block) or
+/// `switch`. Nothing guarantees a block is reachable. As in any function
+/// the builder or a pass produces, nothing branches to the entry block
+/// (it cannot hold φs, so it is never a join).
+fn random_cfg(rng: &mut Rng) -> Function {
+    let n = 1 + rng.below(12);
+    let mut f = Function::new("g", vec![Type::I32], Type::Void);
+    for _ in 1..n {
+        f.add_block();
+    }
+    let pick = |rng: &mut Rng| BlockId::from_index(1 + rng.below(n - 1));
+    for i in 0..n {
+        let op = match rng.below(if n == 1 { 1 } else { 8 }) {
+            0 => Opcode::Ret { value: None },
+            1..=2 => Opcode::Br { target: pick(rng) },
+            3..=5 => Opcode::CondBr {
+                cond: Value::Arg(0),
+                then_bb: pick(rng),
+                else_bb: pick(rng),
+            },
+            6 => {
+                let twice = pick(rng);
+                Opcode::CondBr {
+                    cond: Value::Arg(0),
+                    then_bb: twice,
+                    else_bb: twice,
+                }
+            }
+            _ => Opcode::Switch {
+                value: Value::Arg(0),
+                default: pick(rng),
+                cases: (0..rng.below(4)).map(|k| (k as i64, pick(rng))).collect(),
+            },
+        };
+        f.append_inst(BlockId::from_index(i), Inst::new(Type::Void, op));
+    }
+    f
+}
+
+/// Textbook analyses over ordered sets, quadratic and obviously right.
+struct Reference {
+    preds: BTreeMap<BlockId, Vec<BlockId>>,
+    rpo: Vec<BlockId>,
+    /// Dominator sets of the reachable blocks.
+    dom: BTreeMap<BlockId, BTreeSet<BlockId>>,
+}
+
+impl Reference {
+    fn new(f: &Function) -> Reference {
+        let mut preds: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
+        for bb in f.block_ids() {
+            preds.entry(bb).or_default();
+            for s in f.successors(bb) {
+                preds.entry(s).or_default().push(bb);
+            }
+        }
+        // Recursive depth-first post-order, reversed.
+        fn visit(f: &Function, bb: BlockId, seen: &mut BTreeSet<BlockId>, post: &mut Vec<BlockId>) {
+            for s in f.successors(bb) {
+                if seen.insert(s) {
+                    visit(f, s, seen, post);
+                }
+            }
+            post.push(bb);
+        }
+        let mut rpo = Vec::new();
+        visit(f, f.entry, &mut BTreeSet::from([f.entry]), &mut rpo);
+        rpo.reverse();
+
+        // dom(entry) = {entry}; dom(b) = {b} ∪ ⋂ dom(reachable preds).
+        let all: BTreeSet<BlockId> = rpo.iter().copied().collect();
+        let mut dom: BTreeMap<BlockId, BTreeSet<BlockId>> =
+            rpo.iter().map(|&b| (b, all.clone())).collect();
+        dom.insert(f.entry, BTreeSet::from([f.entry]));
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in rpo.iter().skip(1) {
+                let mut meet: Option<BTreeSet<BlockId>> = None;
+                for p in preds[&b].iter().filter(|p| all.contains(p)) {
+                    meet = Some(match meet {
+                        None => dom[p].clone(),
+                        Some(acc) => acc.intersection(&dom[p]).copied().collect(),
+                    });
+                }
+                let mut new = meet.unwrap_or_default();
+                new.insert(b);
+                if new != dom[&b] {
+                    dom.insert(b, new);
+                    changed = true;
+                }
+            }
+        }
+        Reference { preds, rpo, dom }
+    }
+
+    fn reachable(&self, b: BlockId) -> bool {
+        self.dom.contains_key(&b)
+    }
+
+    fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+        self.reachable(a) && self.dom.get(&b).is_some_and(|d| d.contains(&a))
+    }
+
+    /// The strict dominator every other strict dominator dominates.
+    fn idom(&self, b: BlockId) -> Option<BlockId> {
+        let strict: Vec<BlockId> = self
+            .dom
+            .get(&b)?
+            .iter()
+            .copied()
+            .filter(|&d| d != b)
+            .collect();
+        strict
+            .iter()
+            .copied()
+            .find(|&c| strict.iter().all(|&d| self.dominates(d, c)))
+    }
+
+    /// DF(a) = blocks with a reachable predecessor `a` dominates that `a`
+    /// does not strictly dominate.
+    fn frontier(&self, a: BlockId) -> BTreeSet<BlockId> {
+        self.rpo
+            .iter()
+            .copied()
+            .filter(|&b| {
+                self.preds[&b]
+                    .iter()
+                    .any(|&p| self.reachable(p) && self.dominates(a, p))
+                    && !(a != b && self.dominates(a, b))
+            })
+            .collect()
+    }
+
+    /// Natural loops merged by header: header → (latches, body).
+    fn loops(&self, f: &Function) -> BTreeMap<BlockId, (BTreeSet<BlockId>, BTreeSet<BlockId>)> {
+        let mut out: BTreeMap<BlockId, (BTreeSet<BlockId>, BTreeSet<BlockId>)> = BTreeMap::new();
+        for &u in &self.rpo {
+            for h in f.successors(u) {
+                if self.dominates(h, u) {
+                    out.entry(h).or_default().0.insert(u);
+                }
+            }
+        }
+        for (&h, (latches, body)) in out.iter_mut() {
+            body.insert(h);
+            let mut work: Vec<BlockId> = latches.iter().copied().collect();
+            while let Some(b) = work.pop() {
+                if body.insert(b) {
+                    work.extend(
+                        self.preds[&b]
+                            .iter()
+                            .copied()
+                            .filter(|&p| self.reachable(p)),
+                    );
+                }
+            }
+        }
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn dense_analyses_agree_with_reference(seed in 0u64..1_000_000) {
+        let f = random_cfg(&mut Rng(seed));
+        let cfg = Cfg::new(&f);
+        let dt = DomTree::new(&f, &cfg);
+        let reference = Reference::new(&f);
+
+        prop_assert_eq!(cfg.rpo(), reference.rpo.as_slice());
+        let mut edges = 0;
+        for bb in f.block_ids() {
+            // Lists keep duplicates and production order: a double edge
+            // shows twice in `preds`.
+            prop_assert_eq!(cfg.succs(bb), f.successors(bb).as_slice());
+            prop_assert_eq!(cfg.preds(bb), reference.preds[&bb].as_slice());
+            edges += cfg.succs(bb).len();
+            prop_assert_eq!(cfg.is_reachable(bb), reference.reachable(bb));
+            prop_assert_eq!(dt.is_reachable(bb), reference.reachable(bb));
+            prop_assert_eq!(
+                cfg.rpo_index(bb),
+                reference.rpo.iter().position(|&b| b == bb)
+            );
+            let idom = if bb == f.entry { None } else { reference.idom(bb) };
+            prop_assert_eq!(dt.idom(bb), idom, "idom of b{}", bb.index());
+            let children: Vec<BlockId> = f
+                .block_ids()
+                .filter(|&c| c != f.entry && reference.idom(c) == Some(bb))
+                .collect();
+            prop_assert_eq!(dt.children(bb), children.as_slice());
+            for other in f.block_ids() {
+                prop_assert_eq!(
+                    dt.dominates(bb, other),
+                    reference.dominates(bb, other),
+                    "b{} dom b{}", bb.index(), other.index()
+                );
+            }
+        }
+        prop_assert_eq!(cfg.num_edges(), edges);
+
+        let df = dt.dominance_frontiers(&cfg);
+        for bb in f.block_ids() {
+            let got: BTreeSet<BlockId> = df[bb.index()].iter().copied().collect();
+            prop_assert_eq!(got.len(), df[bb.index()].len(), "duplicate frontier entry");
+            let want = if reference.reachable(bb) { reference.frontier(bb) } else { BTreeSet::new() };
+            prop_assert_eq!(got, want, "frontier of b{}", bb.index());
+        }
+
+        let loops = find_loops(&f, &cfg, &dt);
+        let want = reference.loops(&f);
+        prop_assert_eq!(loops.len(), want.len());
+        for l in &loops {
+            let (latches, body) = &want[&l.header];
+            prop_assert_eq!(l.blocks[0], l.header);
+            prop_assert_eq!(&l.latches.iter().copied().collect::<BTreeSet<_>>(), latches);
+            prop_assert_eq!(&l.blocks.iter().copied().collect::<BTreeSet<_>>(), body);
+            prop_assert_eq!(l.blocks.len(), body.len(), "duplicate loop block");
+            let exits: BTreeSet<BlockId> = body
+                .iter()
+                .flat_map(|&b| f.successors(b))
+                .filter(|s| !body.contains(s))
+                .collect();
+            prop_assert_eq!(&l.exits.iter().copied().collect::<BTreeSet<_>>(), &exits);
+        }
+        // Outer loops (earlier headers in RPO) first.
+        let order: Vec<_> = loops.iter().map(|l| cfg.rpo_index(l.header)).collect();
+        prop_assert!(order.windows(2).all(|w| w[0] <= w[1]));
+    }
+}

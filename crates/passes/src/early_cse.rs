@@ -10,7 +10,7 @@ use crate::util;
 use autophase_ir::{
     BinOp, CastOp, CmpPred, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Type, Value,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -99,11 +99,11 @@ pub(crate) fn visit(
     match &inst.op {
         Opcode::Load { ptr } => {
             let ptr = rw.resolve(*ptr);
-            match mem.at.get(&ptr) {
-                Some(&(_, known)) => rw.replace(iid, known),
-                None => {
+            match mem.at.entry(ptr) {
+                Entry::Occupied(known) => rw.replace(iid, known.get().1),
+                Entry::Vacant(slot) => {
                     let root = util::pointer_root_through(f, rw, ptr);
-                    mem.at.insert(ptr, (root, Value::Inst(iid)));
+                    slot.insert((root, Value::Inst(iid)));
                 }
             }
         }
@@ -120,10 +120,10 @@ pub(crate) fn visit(
         _ => {
             if util::is_pure_no_read(m, inst) && !inst.ty.is_void() {
                 let key = expr_key(inst, rw)?;
-                match avail.get(&key) {
-                    Some(&prev) => rw.replace(iid, Value::Inst(prev)),
-                    None => {
-                        avail.insert(key, iid);
+                match avail.entry(key) {
+                    Entry::Occupied(prev) => rw.replace(iid, Value::Inst(*prev.get())),
+                    Entry::Vacant(slot) => {
+                        slot.insert(iid);
                         return Some(key);
                     }
                 }

@@ -14,57 +14,57 @@ use autophase_ir::{
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
-        let mut changed = false;
-        // Fixpoint over local rules. In-place rewrites are applied
-        // immediately; replacements go to the forwarding table, through
-        // which every operand is read, so later simplifications always see
-        // the current IR. The table is committed once, after the fixpoint.
-        // The function is only written to (copied, if shared) once a rule
-        // fires.
-        let mut rw = Rewrites::new();
-        let blocks: Vec<_> = m.func(fid).block_ids().collect();
-        loop {
-            let mut local = false;
-            for &bb in &blocks {
-                for pos in 0..m.func(fid).block(bb).insts.len() {
-                    let iid = m.func(fid).block(bb).insts[pos];
-                    if rw.is_removed(iid) {
-                        continue;
-                    }
-                    if rw.has_forwards() {
-                        m.func_mut(fid)
-                            .inst_mut(iid)
-                            .for_each_operand_mut(|v| *v = rw.resolve(*v));
-                    }
-                    match simplify(m.func(fid), &rw, iid) {
-                        Some(Rewrite::ReplaceWith(v)) => {
-                            if v == Value::Inst(iid) {
-                                continue;
-                            }
-                            // Every ReplaceWith source is a pure instruction;
-                            // retiring it immediately keeps the fixpoint finite.
-                            rw.replace(iid, v);
-                            local = true;
-                        }
-                        Some(Rewrite::NewOp(op)) => {
-                            m.func_mut(fid).inst_mut(iid).op = op;
-                            local = true;
-                        }
-                        None => {}
-                    }
-                }
-            }
-            changed |= local;
-            if !local {
-                break;
-            }
-        }
-        if !rw.is_empty() {
-            m.func_mut(fid).apply_rewrites(&rw);
-        }
+        // Look before writing: a function no rule fires on is not touched
+        // (nor copied, if a snapshot shares it).
+        let f = m.func(fid);
+        let untouched = Rewrites::new();
+        let fires = f
+            .block_ids()
+            .flat_map(|bb| f.block(bb).insts.iter())
+            .any(|&iid| simplify(f, &untouched, iid).is_some());
+        let mut changed = fires && combine(m.func_mut(fid));
         changed |= util::delete_dead(m, fid) > 0;
         changed
     })
+}
+
+/// Fixpoint over the local rules. In-place rewrites are applied
+/// immediately; replacements go to a forwarding table, through which every
+/// operand is read, so later simplifications always see the current IR.
+/// The table is committed once, after the fixpoint.
+fn combine(f: &mut Function) -> bool {
+    let mut changed = false;
+    let mut rw = Rewrites::new();
+    let blocks: Vec<_> = f.block_ids().collect();
+    loop {
+        let mut local = false;
+        for &bb in &blocks {
+            for pos in 0..f.block(bb).insts.len() {
+                let iid = f.block(bb).insts[pos];
+                if rw.is_removed(iid) {
+                    continue;
+                }
+                if rw.has_forwards() {
+                    f.inst_mut(iid)
+                        .for_each_operand_mut(|v| *v = rw.resolve(*v));
+                }
+                match simplify(f, &rw, iid) {
+                    // Every ReplaceWith source is a pure instruction;
+                    // retiring it immediately keeps the fixpoint finite.
+                    Some(Rewrite::ReplaceWith(v)) => rw.replace(iid, v),
+                    Some(Rewrite::NewOp(op)) => f.inst_mut(iid).op = op,
+                    None => continue,
+                }
+                local = true;
+            }
+        }
+        changed |= local;
+        if !local {
+            break;
+        }
+    }
+    f.apply_rewrites(&rw);
+    changed
 }
 
 enum Rewrite {
@@ -91,7 +91,16 @@ fn def_op(f: &Function, rw: &Rewrites, v: Value) -> Option<Opcode> {
     }
 }
 
+/// The rewrite that applies to `iid`, if any. A replacement of an
+/// instruction by itself (possible only in unreachable cycles) is none.
 fn simplify(f: &Function, rw: &Rewrites, iid: InstId) -> Option<Rewrite> {
+    match simplify_inst(f, rw, iid) {
+        Some(Rewrite::ReplaceWith(v)) if v == Value::Inst(iid) => None,
+        rewrite => rewrite,
+    }
+}
+
+fn simplify_inst(f: &Function, rw: &Rewrites, iid: InstId) -> Option<Rewrite> {
     let inst = f.inst(iid);
     let ty = inst.ty;
     match &inst.op {

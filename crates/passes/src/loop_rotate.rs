@@ -45,23 +45,14 @@ pub fn is_rotated(l: &Loop, f: &autophase_ir::Function) -> bool {
         .unwrap_or(false)
 }
 
-/// Rotate a single loop anywhere in the module (debug/ablation hook).
-pub fn rotate_once_public(m: &mut Module) -> bool {
-    let fids: Vec<FuncId> = m.func_ids().collect();
-    for fid in fids {
-        if rotate_once(m, fid) {
-            return true;
-        }
-    }
-    false
-}
-
 fn rotate_once(m: &mut Module, fid: FuncId) -> bool {
     let f = m.func(fid);
     let cfg = Cfg::new(f);
     let dt = DomTree::new(f, &cfg);
     let loops = find_loops(f, &cfg, &dt);
-    let index = util::UserIndex::build(f);
+    // Only a loop that passes every cheaper test needs the reverse-use
+    // index; an already rotated function never builds it.
+    let mut index: Option<util::UserIndex> = None;
 
     for l in &loops {
         let Some(preheader) = l.preheader(&cfg) else {
@@ -128,8 +119,8 @@ fn rotate_once(m: &mut Module, fid: FuncId) -> bool {
         // external uses sit in the (dedicated) exit block as φs or plain
         // uses we can rewire. For simplicity require no external non-exit
         // uses.
-        let all_header_defs: Vec<InstId> = header_insts.clone();
-        let external_ok = all_header_defs.iter().all(|&d| {
+        let index = index.get_or_insert_with(|| util::UserIndex::build(f));
+        let external_ok = header_insts.iter().all(|&d| {
             index
                 .users(d)
                 .iter()
@@ -142,7 +133,7 @@ fn rotate_once(m: &mut Module, fid: FuncId) -> bool {
         do_rotate(
             m.func_mut(fid),
             l,
-            &index,
+            index,
             preheader,
             latch,
             body_entry,

@@ -13,9 +13,7 @@ use crate::util;
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
 use autophase_ir::loops::{find_loops, Loop};
-use autophase_ir::{
-    BinOp, BlockId, FuncId, Inst, InstId, Module, Opcode, Rewrites, Type, Value,
-};
+use autophase_ir::{BinOp, BlockId, FuncId, Inst, InstId, Module, Opcode, Rewrites, Type, Value};
 
 /// Maximum trip count fully unrolled.
 pub const UNROLL_TRIP_LIMIT: i64 = 32;
@@ -140,18 +138,6 @@ fn recognize(f: &autophase_ir::Function, cfg: &Cfg, l: &Loop) -> Option<CountedL
         i = next;
     }
     Some(CountedLoop { block, trip })
-}
-
-/// Unroll a single loop anywhere in the module with default limits
-/// (debug/ablation hook). No cleanup afterwards.
-pub fn unroll_once_public(m: &mut Module) -> bool {
-    let fids: Vec<FuncId> = m.func_ids().collect();
-    for fid in fids {
-        if unroll_once(m, fid, UNROLL_TRIP_LIMIT, UNROLL_SIZE_LIMIT, &|_, _| true) {
-            return true;
-        }
-    }
-    false
 }
 
 fn unroll_once(

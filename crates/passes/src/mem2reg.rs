@@ -18,9 +18,10 @@ pub fn run(m: &mut Module) -> bool {
 /// Find promotable allocas in one function and promote them all.
 fn promote_function(m: &mut Module, fid: FuncId) -> bool {
     let f = m.func(fid);
-    let has_alloca = f
-        .block_ids()
-        .any(|bb| f.insts_in(bb).any(|(_, i)| matches!(i.op, Opcode::Alloca { .. })));
+    let has_alloca = f.block_ids().any(|bb| {
+        f.insts_in(bb)
+            .any(|(_, i)| matches!(i.op, Opcode::Alloca { .. }))
+    });
     if !has_alloca {
         return false;
     }
@@ -45,7 +46,7 @@ pub fn promotable_allocas(f: &Function) -> Vec<InstId> {
 fn promotable_with(f: &Function, index: &UserIndex) -> Vec<InstId> {
     let mut out = Vec::new();
     for bb in f.block_ids() {
-        'cand: for &iid in &f.block(bb).insts {
+        for &iid in &f.block(bb).insts {
             let Opcode::Alloca { elem_ty, count } = f.inst(iid).op else {
                 continue;
             };
@@ -53,20 +54,10 @@ fn promotable_with(f: &Function, index: &UserIndex) -> Vec<InstId> {
                 continue;
             }
             let addr = Value::Inst(iid);
-            for &(user, _) in index.users(iid) {
-                match &f.inst(user).op {
-                    Opcode::Load { ptr } if *ptr == addr => {
-                        if f.inst(user).ty != elem_ty {
-                            continue 'cand;
-                        }
-                    }
-                    Opcode::Store { ptr, value } if *ptr == addr && *value != addr => {
-                        if util::type_of(f, *value) != elem_ty {
-                            continue 'cand;
-                        }
-                    }
-                    _ => continue 'cand,
-                }
+            let direct =
+                |&(user, _): &(InstId, BlockId)| util::is_typed_access(f, user, addr, elem_ty);
+            if !index.users(iid).iter().all(direct) {
+                continue;
             }
             out.push(iid);
         }
@@ -205,13 +196,6 @@ fn promote_all(f: &mut Function, allocas: &[InstId], index: &UserIndex) {
         }
     }
     f.apply_rewrites(&rw);
-}
-
-/// Number of promotable allocas in a module (used by tests and features).
-pub fn count_promotable(m: &Module) -> usize {
-    m.func_ids()
-        .map(|fid| promotable_allocas(m.func(fid)).len())
-        .sum()
 }
 
 #[cfg(test)]

@@ -65,21 +65,16 @@ impl Solution {
 /// argument lattice values (used by `-ipsccp`).
 pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> Solution {
     let f = m.func(fid);
-    // Dense state, indexed by instruction / block index; the reverse-use
-    // index and the placement table make every worklist step O(1).
+    // Dense state, indexed by instruction / block index. Work items carry
+    // their block, and the reverse-use index hands out users with theirs,
+    // so every worklist step is O(1).
     let index = UserIndex::build(f);
-    let mut placement: Vec<Option<BlockId>> = vec![None; f.inst_capacity()];
-    for bb in f.block_ids() {
-        for &iid in &f.block(bb).insts {
-            placement[iid.index()] = Some(bb);
-        }
-    }
     let mut lat: Vec<Lat> = vec![Lat::Unknown; f.inst_capacity()];
     let mut exec_blocks = vec![false; f.block_capacity()];
     // Executable in-edges of each block, as predecessor lists.
     let mut exec_preds: Vec<Vec<BlockId>> = vec![Vec::new(); f.block_capacity()];
     let mut block_q: VecDeque<BlockId> = VecDeque::new();
-    let mut inst_q: VecDeque<InstId> = VecDeque::new();
+    let mut inst_q: VecDeque<(InstId, BlockId)> = VecDeque::new();
 
     let value_lat = |lat: &[Lat], v: Value| -> Lat {
         match v {
@@ -148,12 +143,9 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
     // Fixpoint.
     while !block_q.is_empty() || !inst_q.is_empty() {
         while let Some(bb) = block_q.pop_front() {
-            inst_q.extend(f.block(bb).insts.iter().copied());
+            inst_q.extend(f.block(bb).insts.iter().map(|&iid| (iid, bb)));
         }
-        while let Some(iid) = inst_q.pop_front() {
-            let Some(bb) = placement[iid.index()] else {
-                continue;
-            };
+        while let Some((iid, bb)) = inst_q.pop_front() {
             if !exec_blocks[bb.index()] {
                 continue;
             }
@@ -202,7 +194,7 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
                         // φs in s must re-merge over the new edge.
                         for &pid in &f.block(s).insts {
                             if f.inst(pid).is_phi() {
-                                inst_q.push_back(pid);
+                                inst_q.push_back((pid, s));
                             }
                         }
                     }
@@ -219,7 +211,7 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
             if merged != old {
                 lat[iid.index()] = merged;
                 // Re-evaluate users (and terminators that branch on it).
-                inst_q.extend(index.users(iid).iter().map(|&(user, _)| user));
+                inst_q.extend(index.users(iid));
             }
         }
     }

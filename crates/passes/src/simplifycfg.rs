@@ -51,8 +51,10 @@ pub fn run_on_function(m: &mut Module, fid: FuncId) -> bool {
 /// `br true, a, b` → `br a`; `br c, a, a` → `br a`; constant switches.
 fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
     let f = m.func(fid);
-    // (terminator, surviving target, φ edges `(dst, pred)` that disappear)
-    let mut folds: Vec<(InstId, BlockId, Vec<(BlockId, BlockId)>)> = Vec::new();
+    /// A terminator that becomes `br target`, and the φ edges
+    /// `(dst, pred)` that disappear with its other arms.
+    struct Fold(InstId, BlockId, Vec<(BlockId, BlockId)>);
+    let mut folds: Vec<Fold> = Vec::new();
     for bb in f.block_ids() {
         let Some(term) = f.terminator(bb) else {
             continue;
@@ -69,9 +71,9 @@ fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
                     } else {
                         (*else_bb, *then_bb)
                     };
-                    folds.push((term, keep, vec![(drop, bb)]));
+                    folds.push(Fold(term, keep, vec![(drop, bb)]));
                 } else if then_bb == else_bb {
-                    folds.push((term, *then_bb, vec![]));
+                    folds.push(Fold(term, *then_bb, vec![]));
                 }
             }
             Opcode::Switch {
@@ -93,7 +95,7 @@ fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
                     .collect();
                 dropped.sort();
                 dropped.dedup();
-                folds.push((term, target, dropped));
+                folds.push(Fold(term, target, dropped));
             }
             _ => {}
         }
@@ -102,7 +104,7 @@ fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
         return false;
     }
     let f = m.func_mut(fid);
-    for (term, target, dropped) in folds {
+    for Fold(term, target, dropped) in folds {
         f.inst_mut(term).op = Opcode::Br { target };
         for (dst, pred) in dropped {
             if dst != target {

@@ -7,7 +7,9 @@
 //! promotion immediately, matching LLVM's SSAUpdater-based variant.
 
 use crate::util::{self, UserIndex};
-use autophase_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Type, Value};
+use autophase_ir::{
+    BlockId, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Type, Value,
+};
 
 /// Maximum number of elements split.
 pub const SROA_ELEM_LIMIT: u32 = 64;
@@ -123,35 +125,15 @@ fn find_splittable(f: &Function, limit: u32) -> Vec<Splittable> {
                         }
                         // All gep users must be typed loads/stores.
                         let gv = Value::Inst(user);
-                        for &(gu, _) in index.users(user) {
-                            match &f.inst(gu).op {
-                                Opcode::Load { ptr } if *ptr == gv => {
-                                    if f.inst(gu).ty != elem_ty {
-                                        continue 'cand;
-                                    }
-                                }
-                                Opcode::Store { ptr, value } if *ptr == gv && *value != gv => {
-                                    if util::type_of(f, *value) != elem_ty {
-                                        continue 'cand;
-                                    }
-                                }
-                                _ => continue 'cand,
-                            }
+                        let typed = |&(gu, _): &(InstId, BlockId)| {
+                            util::is_typed_access(f, gu, gv, elem_ty)
+                        };
+                        if !index.users(user).iter().all(typed) {
+                            continue 'cand;
                         }
                         accesses.push((user, *idx));
                     }
-                    Opcode::Load { ptr } if *ptr == addr => {
-                        if f.inst(user).ty != elem_ty {
-                            continue 'cand;
-                        }
-                        direct_mem = true;
-                    }
-                    Opcode::Store { ptr, value } if *ptr == addr && *value != addr => {
-                        if util::type_of(f, *value) != elem_ty {
-                            continue 'cand;
-                        }
-                        direct_mem = true;
-                    }
+                    _ if util::is_typed_access(f, user, addr, elem_ty) => direct_mem = true,
                     _ => continue 'cand,
                 }
             }

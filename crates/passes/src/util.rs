@@ -1,8 +1,7 @@
 //! Shared machinery: purity queries, value substitution, region cloning.
 
-use autophase_ir::{
-    BinOp, Block, BlockId, Function, Inst, InstId, Module, Opcode, Rewrites, Value,
-};
+use autophase_ir::csr::Csr;
+use autophase_ir::{BlockId, Function, Inst, InstId, Module, Opcode, Rewrites, Value};
 use std::collections::HashMap;
 
 /// True if executing `inst` has no observable effect beyond producing its
@@ -20,13 +19,6 @@ pub fn is_pure(m: &Module, inst: &Inst) -> bool {
 /// reordered and deduplicated.
 pub fn is_pure_no_read(m: &Module, inst: &Inst) -> bool {
     is_pure(m, inst) && !matches!(inst.op, Opcode::Load { .. })
-}
-
-/// True if the instruction is trivially dead: its result is unused and it
-/// is pure.
-pub fn is_trivially_dead(m: &Module, f: &Function, id: InstId) -> bool {
-    let inst = f.inst(id);
-    is_pure(m, inst) && f.count_uses(Value::Inst(id)) == 0
 }
 
 /// Delete trivially dead instructions until a fixpoint. Returns the number
@@ -92,51 +84,34 @@ pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
 /// mutating the function. Turns the per-candidate `Function::users` scans
 /// (O(n) each, O(n²) per pass) into O(1) lookups.
 pub struct UserIndex {
-    /// Users of instruction `i` are `users[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
-    users: Vec<(InstId, BlockId)>,
+    users: Csr<(InstId, BlockId)>,
 }
 
 impl UserIndex {
-    /// Scan `f` once and build the index (a counting sort of the uses by
-    /// the instruction they read).
+    /// Scan `f` once and build the index.
     pub fn build(f: &Function) -> UserIndex {
         let cap = f.inst_capacity();
-        let mut uses: Vec<(u32, InstId, BlockId)> = Vec::with_capacity(2 * cap);
-        let mut offsets = vec![0u32; cap + 1];
+        let mut uses: Vec<(usize, (InstId, BlockId))> = Vec::with_capacity(2 * cap);
         for bb in f.block_ids() {
             for &iid in &f.block(bb).insts {
                 f.inst(iid).for_each_operand(|v| {
                     if let Value::Inst(dep) = v {
                         if dep.index() < cap {
-                            uses.push((dep.index() as u32, iid, bb));
-                            offsets[dep.index() + 1] += 1;
+                            uses.push((dep.index(), (iid, bb)));
                         }
                     }
                 });
             }
         }
-        for i in 0..cap {
-            offsets[i + 1] += offsets[i];
+        UserIndex {
+            users: Csr::build(cap, uses.iter().copied()),
         }
-        let mut cursor = offsets.clone();
-        let placeholder = (InstId::from_index(0), BlockId::from_index(0));
-        let mut users = vec![placeholder; uses.len()];
-        for (dep, iid, bb) in uses {
-            let at = &mut cursor[dep as usize];
-            users[*at as usize] = (iid, bb);
-            *at += 1;
-        }
-        UserIndex { offsets, users }
     }
 
     /// Users of instruction `id`'s result (an instruction using it twice
     /// appears twice).
     pub fn users(&self, id: InstId) -> &[(InstId, BlockId)] {
-        match self.offsets.get(id.index()..id.index() + 2) {
-            Some(&[lo, hi]) => &self.users[lo as usize..hi as usize],
-            _ => &[],
-        }
+        self.users.get(id.index())
     }
 
     /// Number of uses of instruction `id`'s result.
@@ -252,6 +227,24 @@ pub fn type_of(f: &Function, v: Value) -> autophase_ir::Type {
     }
 }
 
+/// True if `user` is a load or store of an `elem_ty` value that uses
+/// `addr` as its address and nothing else — the only kind of access
+/// `-mem2reg` and `-sroa` can rewrite.
+pub fn is_typed_access(
+    f: &Function,
+    user: InstId,
+    addr: Value,
+    elem_ty: autophase_ir::Type,
+) -> bool {
+    match &f.inst(user).op {
+        Opcode::Load { ptr } => *ptr == addr && f.inst(user).ty == elem_ty,
+        Opcode::Store { ptr, value } => {
+            *ptr == addr && *value != addr && type_of(f, *value) == elem_ty
+        }
+        _ => false,
+    }
+}
+
 /// Run `body` once per live function id.
 pub fn for_each_function(
     m: &mut Module,
@@ -315,27 +308,11 @@ fn alias_same_root(_f: &Function, _a: Value, _b: Value, ra: Value, rb: Value) ->
     ra == rb
 }
 
-/// Build a `Block` from instruction ids (helper for tests).
-pub fn block_of(insts: Vec<InstId>) -> Block {
-    Block { insts }
-}
-
-/// Negate a value by emitting `0 - v` (helper for transforms).
-pub fn emit_neg(f: &mut Function, bb: BlockId, pos: usize, v: Value) -> Value {
-    let ty = type_of(f, v);
-    let id = f.insert_inst(
-        bb,
-        pos,
-        Inst::new(ty, Opcode::Binary(BinOp::Sub, Value::const_int(ty, 0), v)),
-    );
-    Value::Inst(id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use autophase_ir::builder::FunctionBuilder;
-    use autophase_ir::{verify, Type};
+    use autophase_ir::{verify, BinOp, Type};
 
     #[test]
     fn purity_respects_function_attrs() {

@@ -18,11 +18,11 @@ use autophase_passes::o3::o3_checked;
 use autophase_passes::registry::{self, NUM_PASSES};
 use std::fmt::Write;
 
-const CORPUS_SEED: u64 = 0x601D_E2;
+const CORPUS_SEED: u64 = 0x0060_1DE2;
 const CORPUS_PROGRAMS: usize = 64;
 const ORDERINGS: usize = 32;
 const ORDERING_LEN: usize = 12;
-const ORDERING_SEED: u64 = 0x0DDE_25;
+const ORDERING_SEED: u64 = 0x000D_DE25;
 
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/pass_outputs.txt")
@@ -67,7 +67,9 @@ fn orderings() -> Vec<Vec<usize>> {
     (0..ORDERINGS)
         .map(|_| {
             (0..ORDERING_LEN)
-                .map(|_| FILTERED_PASSES[(splitmix(&mut state) % FILTERED_PASSES.len() as u64) as usize])
+                .map(|_| {
+                    FILTERED_PASSES[(splitmix(&mut state) % FILTERED_PASSES.len() as u64) as usize]
+                })
                 .collect()
         })
         .collect()

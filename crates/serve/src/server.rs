@@ -477,6 +477,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 continue;
             }
         };
+        // A reply larger than the writer's buffer leaves in two writes;
+        // with Nagle on, the second waits out the peer's delayed ACK
+        // (~40 ms on Linux). Best effort: a socket that refuses the
+        // option still works.
+        let _ = stream.set_nodelay(true);
         if shared.shutting_down.load(Ordering::SeqCst) {
             // The wake-up connection (or a late client): refuse politely.
             let mut w = BufWriter::new(stream);
@@ -621,7 +626,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
             }
         }
     }
-    shared.conns.lock().unwrap().remove(&conn_id);
+    lock_recover(&shared.conns).remove(&conn_id);
 }
 
 struct PermitGuard<'a>(&'a Gate);
@@ -1170,5 +1175,53 @@ fn compile(
         baseline_cycles,
         passes,
         ir: want_ir.then(|| print_module(&optimized)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    /// A panic under the connection table's mutex (PR 8: every daemon
+    /// lock recovers from poisoning) must not make later connections'
+    /// teardown panic: the handler would die before giving its slot back,
+    /// and `max_conns` such connections would wedge the daemon.
+    #[test]
+    fn connection_teardown_survives_a_poisoned_connection_table() {
+        let store = std::env::temp_dir().join(format!(
+            "autophase_serve_poisoned_conns_{}.log",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&store);
+        let server = Server::start_baseline_only(ServerConfig {
+            store_path: store.clone(),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+
+        let poisoner = Arc::clone(&server.shared);
+        let poisoned = std::thread::spawn(move || {
+            let _guard = poisoner.conns.lock().unwrap();
+            panic!("poison the connection table");
+        })
+        .join();
+        assert!(poisoned.is_err() && server.shared.conns.is_poisoned());
+
+        let mut client = Client::connect(server.addr()).expect("connect");
+        client.ping().expect("ping on a poisoned table");
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.shared.active_conns.load(Ordering::SeqCst) > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the handler died in teardown without releasing its connection slot"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(lock_recover(&server.shared.conns).is_empty());
+
+        server.shutdown();
+        let _ = std::fs::remove_file(&store);
     }
 }

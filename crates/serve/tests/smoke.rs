@@ -403,3 +403,65 @@ fn expired_deadline_is_typed() {
     server.shutdown();
     let _ = std::fs::remove_file(&store);
 }
+
+/// A reply bigger than the server's 8 KiB write buffer leaves in two
+/// writes. Without `TCP_NODELAY` on the accepted socket the second one
+/// waits for the client's delayed ACK of the first — about 40 ms on Linux,
+/// every time. The program is trivial (all of its 32+ KiB are one constant
+/// table), so a store hit is nothing but parse, lookup, print and the wire.
+#[test]
+fn large_ir_reply_does_not_wait_out_a_delayed_ack() {
+    use autophase_ir::builder::FunctionBuilder;
+    use autophase_ir::{Global, Module, Type, Value};
+
+    let mut m = Module::new("wide");
+    let table: Vec<i64> = (0..6_000).map(|i| 1_000_000 + i).collect();
+    let g = m.add_global(Global::constant("table", Type::I32, table));
+    let mut b = FunctionBuilder::new("main", vec![], Type::I32);
+    let p = b.gep(Value::Global(g), Value::i32(17));
+    let v = b.load(Type::I32, p);
+    b.ret(Some(v));
+    m.add_function(b.finish());
+    let ir = autophase_ir::printer::print_module(&m);
+
+    let store = tmp_store("nodelay");
+    let server = start_server(&store, false);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let cold = client.compile(&ir, Some(60_000), true).expect("cold");
+    assert!(
+        cold.ir.as_ref().is_some_and(|out| out.len() >= 32 * 1024),
+        "the reply must dwarf the write buffer"
+    );
+    // A young connection ACKs at once (Linux "quickack" covers its first
+    // segments); the stall belongs to a connection in steady request/reply
+    // rhythm, which is what a compiler client's is. Once there, every
+    // large reply stalls, so the best of five is as damning as the worst.
+    for _ in 0..32 {
+        client.ping().expect("ping");
+    }
+    let mut round_trip = || {
+        let t = std::time::Instant::now();
+        let warm = client.compile(&ir, Some(60_000), true).expect("warm");
+        assert_eq!(warm.source, Source::Store);
+        assert_eq!(warm.ir, cold.ir);
+        t.elapsed()
+    };
+    for _ in 0..8 {
+        round_trip();
+    }
+    let best = (0..5)
+        .map(|_| round_trip())
+        .min()
+        .expect("five round trips");
+    assert!(
+        best < Duration::from_millis(20),
+        "a {} KiB reply took {best:?} at best: stalled on a delayed ACK",
+        ir.len() / 1024
+    );
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_file(&store);
+}
