@@ -1,0 +1,140 @@
+//! Training-trajectory golden (tier 1): the weights a few
+//! `PpoAgent::update`s and one `A2cAgent::update` leave behind, pinned as
+//! FNV-1a hashes of their `f64` bits in `golden/train_update.txt`.
+//!
+//! The file was generated by the code *before* the update's kernels were
+//! batched (layer-major backward through `gemm_kt`, lane-kernel Adam,
+//! tiled `refresh`); the batched kernels must reproduce it to the last
+//! bit. That is what allowed the per-sample `backward_batch` body and the
+//! scalar Adam loop to be deleted instead of kept as a second path.
+//! Regenerate only for an intended trajectory change:
+//! `cargo test --release --test train_update_golden -- --ignored`.
+
+use autophase::rl::a2c::{A2cAgent, A2cConfig};
+use autophase::rl::ppo::{PpoAgent, PpoConfig};
+use autophase::rl::rollout::{Batch, Transition};
+use std::fmt::Write;
+
+/// The serving layout: 42 observation features, 18 passes.
+const OBS_DIM: usize = 42;
+const N_ACTIONS: usize = 18;
+const EPISODE_LEN: usize = 12;
+
+fn golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/train_update.txt")
+}
+
+fn fnv1a_bits(params: &[f64]) -> u64 {
+    params
+        .iter()
+        .flat_map(|p| p.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Uniform in `[-1, 1)`.
+fn unit(state: &mut u64) -> f64 {
+    (splitmix(state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// A synthetic on-policy batch in the serving layout: sign-mixed
+/// observations with exact zeros, 12-step episodes.
+fn batch(transitions: usize, seed: u64) -> Batch {
+    let mut state = seed;
+    let mut out = Batch::default();
+    let mut episode = 0.0;
+    for i in 0..transitions {
+        let obs = (0..OBS_DIM)
+            .map(|_| {
+                let v = unit(&mut state);
+                if v.abs() < 0.1 {
+                    0.0
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let reward = unit(&mut state) * 0.5;
+        episode += reward;
+        let done = (i + 1) % EPISODE_LEN == 0;
+        out.transitions.push(Transition {
+            obs,
+            action: (splitmix(&mut state) % N_ACTIONS as u64) as usize,
+            reward,
+            logp: (1.0 / N_ACTIONS as f64).ln() + unit(&mut state) * 0.2,
+            value: unit(&mut state) * 0.3,
+            done,
+        });
+        if done {
+            out.episode_returns.push(episode);
+            episode = 0.0;
+        }
+    }
+    out
+}
+
+/// One line per case: the policy and value weights' hashes.
+fn render() -> String {
+    let mut out = String::new();
+    // Default 256x256 PPO; minibatch 64, so 12 and 48 transitions are one
+    // minibatch per epoch (the benchmark's two update sizes) and 100
+    // splits 64 + 36.
+    for (name, sizes) in [
+        ("ppo12", &[12usize, 12, 12][..]),
+        ("ppo48", &[48, 48][..]),
+        ("ppo-mixed", &[12, 48, 100][..]),
+    ] {
+        let mut agent = PpoAgent::new(OBS_DIM, N_ACTIONS, &PpoConfig::default(), 12);
+        for (i, &n) in sizes.iter().enumerate() {
+            agent.update(&batch(n, 0xB47C ^ ((i as u64) << 8) ^ n as u64));
+        }
+        writeln!(
+            out,
+            "{name} policy {:016x} value {:016x}",
+            fnv1a_bits(&agent.policy.parameters()),
+            fnv1a_bits(&agent.value.parameters())
+        )
+        .unwrap();
+    }
+    // A2C chunks a batch by 64: 100 transitions are two `backward_batch`
+    // calls (64 + 36) before the single `step`.
+    let mut agent = A2cAgent::new(OBS_DIM, N_ACTIONS, &A2cConfig::default(), 21);
+    for seed in [0xA2C0, 0xA2C1] {
+        agent.update(&batch(100, seed));
+    }
+    writeln!(
+        out,
+        "a2c100 policy {:016x} value {:016x}",
+        fnv1a_bits(&agent.policy.parameters()),
+        fnv1a_bits(&agent.value.parameters())
+    )
+    .unwrap();
+    out
+}
+
+#[test]
+fn update_trajectories_match_golden_file() {
+    let golden = std::fs::read_to_string(golden_path()).expect("tests/golden/train_update.txt");
+    let got = render();
+    for (g, w) in got.lines().zip(golden.lines()) {
+        assert_eq!(g, w, "trained weights diverged from the golden trajectory");
+    }
+    assert_eq!(got.lines().count(), golden.lines().count());
+}
+
+#[test]
+#[ignore = "overwrites the committed golden file; run only for an intended trajectory change"]
+fn regenerate_golden_file() {
+    let path = golden_path();
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(&path, render()).unwrap();
+}
