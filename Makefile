@@ -101,10 +101,13 @@ pass-golden:
 # floor and refreshes BENCH_incremental.json. gemm_bench re-checks the
 # SIMD kernels bitwise and enforces the single-op GEMM floor
 # (DESIGN.md §4k, ROADMAP item 2) while refreshing BENCH_gemm.json. The
-# scaling guard keeps the pass kernels linear in block size (§4m).
+# scaling guard keeps the pass kernels linear in block size (§4m). The
+# trajectory golden holds the batched training kernels to the weights
+# the per-sample backward and scalar Adam produced (§4k).
 perf-smoke:
 	$(CARGO) test -q --release -p autophase-features --test incremental_diff
 	$(CARGO) test -q --release -p autophase-passes --test scaling
+	$(CARGO) test -q --release --test train_update_golden
 	$(CARGO) run --release -p autophase-bench --bin rollout_bench -- --scale medium --telemetry jsonl --min-speedup 1.5
 	$(CARGO) run --release -p autophase-bench --bin gemm_bench -- --min-speedup 4
 

@@ -7,6 +7,7 @@ use autophase_benchmarks::suite;
 use autophase_core::env::{sequence_cycles, EnvConfig, PhaseOrderEnv};
 use autophase_features::extract;
 use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsConfig};
+use autophase_nn::{Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
 use autophase_rl::env::Environment;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -127,8 +128,67 @@ fn bench_progen(c: &mut Criterion) {
     });
 }
 
+/// The stages of one PPO minibatch update on one network, at the
+/// benchmark's two update sizes and the serving layout's two shapes
+/// (DESIGN.md §4k "training kernels"). `step` is a no-op without pending
+/// gradients, so it is timed together with the `backward_batch` that
+/// feeds it; subtract the line above.
+fn bench_nn_update(c: &mut Criterion) {
+    for (net, sizes) in [
+        ("policy", [42usize, 256, 256, 18]),
+        ("value", [42, 256, 256, 1]),
+    ] {
+        for batch in [12usize, 48] {
+            let mut mlp = Mlp::new(&sizes, Activation::Tanh, 12);
+            let mut soa = SoaMlp::from_mlp(&mlp);
+            let mut ws = BatchWorkspace::new();
+            let mut scratch = GradScratch::new();
+            let obs: Vec<Vec<f64>> = (0..batch)
+                .map(|b| {
+                    (0..sizes[0])
+                        .map(|i| ((b * sizes[0] + i) as f64 * 0.37).sin())
+                        .collect()
+                })
+                .collect();
+            let grads: Vec<f64> = (0..batch * sizes[3])
+                .map(|i| (i as f64 * 0.11).cos() * 0.1)
+                .collect();
+            let stage = |soa: &SoaMlp, ws: &mut BatchWorkspace| {
+                ws.begin(soa);
+                for o in &obs {
+                    ws.push_input(o);
+                }
+                soa.forward_batch(ws);
+            };
+            let name = |what: &str| format!("nn_update/{what} {net} b{batch}");
+            c.bench_function(&name("forward_batch"), |b| {
+                b.iter(|| {
+                    stage(&soa, &mut ws);
+                    black_box(ws.logits(0)[0])
+                })
+            });
+            c.bench_function(&name("backward_batch"), |b| {
+                b.iter(|| mlp.backward_batch(&ws, &grads, &mut scratch))
+            });
+            c.bench_function(&name("backward_batch+step"), |b| {
+                b.iter(|| {
+                    mlp.backward_batch(&ws, &grads, &mut scratch);
+                    mlp.step(3e-4);
+                })
+            });
+            c.bench_function(&name("refresh"), |b| {
+                b.iter(|| {
+                    soa.refresh(&mlp);
+                    black_box(soa.output_dim())
+                })
+            });
+        }
+    }
+}
+
 criterion_group!(
     benches,
+    bench_nn_update,
     bench_passes,
     bench_hls,
     bench_features,

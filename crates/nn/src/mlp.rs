@@ -1,7 +1,8 @@
 //! Multi-layer perceptron with backprop and Adam.
 
 use crate::matrix::Matrix;
-use crate::soa::BatchWorkspace;
+use crate::simd::{self, AdamStep, KernelWidth};
+use crate::soa::{transpose_into, BatchWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -120,6 +121,11 @@ impl Mlp {
         self.activation
     }
 
+    /// `[input_dim, hidden..., output_dim]`.
+    fn dims(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.input_dim()).chain(self.layers.iter().map(|l| l.w.rows()))
+    }
+
     /// Weights and bias of layer `li` (for the SoA mirror).
     pub(crate) fn layer_weights(&self, li: usize) -> (&Matrix, &[f64]) {
         let layer = &self.layers[li];
@@ -224,10 +230,14 @@ impl Mlp {
     /// Accumulate gradients for a whole batch using the activations a
     /// [`crate::SoaMlp::forward_batch`] already cached in `ws`.
     ///
-    /// Semantically identical to calling [`Mlp::backward`] once per
-    /// staged sample in order (bit-identical gradients), but skips the
-    /// redundant per-sample forward pass `backward` performs and reuses
-    /// `scratch` instead of allocating delta vectors.
+    /// Bit-identical to calling [`Mlp::backward`] once per staged sample
+    /// in order, but layer-major over the whole batch: per layer the
+    /// weight gradient is one `gw += Δᵀ·X` ([`simd::gemm_kt_acc`], the
+    /// staged activations as the k-major slab, so each `gw` element sees
+    /// its samples in ascending order) and the hand-off to the layer
+    /// below one `Δ·W` ([`simd::gemm_kt`] — row-major `W` *is* the
+    /// k-major slab for a reduction over outputs). `gw` and `W` are
+    /// passed over once per batch, not once per sample.
     ///
     /// `dl_dy` is row-major `[batch × output_dim]`.
     ///
@@ -241,41 +251,65 @@ impl Mlp {
         dl_dy: &[f64],
         scratch: &mut GradScratch,
     ) {
-        let out = self.output_dim();
+        let batch = ws.batch();
         let last = self.layers.len() - 1;
-        assert_eq!(dl_dy.len(), ws.batch() * out, "batch grad mismatch");
-        for b in 0..ws.batch() {
-            scratch.delta.clear();
-            scratch
-                .delta
-                .extend_from_slice(&dl_dy[b * out..(b + 1) * out]);
-            for li in (0..self.layers.len()).rev() {
-                let input: &[f64] = if li == 0 {
-                    ws.input(b)
-                } else {
-                    ws.activation(li - 1, b)
-                };
-                if li < last {
-                    let outs = ws.activation(li, b);
-                    for (d, &o) in scratch.delta.iter_mut().zip(outs) {
-                        *d *= self.activation.derivative_from_output(o);
-                    }
-                }
-                self.layers[li].gw.add_outer(&scratch.delta, input);
-                for (g, d) in self.layers[li].gb.iter_mut().zip(&scratch.delta) {
-                    *g += d;
-                }
-                if li > 0 {
-                    scratch.next.clear();
-                    scratch.next.resize(self.layers[li].w.cols(), 0.0);
-                    self.layers[li]
-                        .w
-                        .matvec_t_into(&scratch.delta, &mut scratch.next);
-                    std::mem::swap(&mut scratch.delta, &mut scratch.next);
+        assert!(
+            ws.dims().iter().copied().eq(self.dims()),
+            "workspace staged for a different network shape"
+        );
+        assert_eq!(
+            dl_dy.len(),
+            batch * self.output_dim(),
+            "batch grad mismatch"
+        );
+        if batch == 0 {
+            return;
+        }
+        let width = scratch.width;
+        let GradScratch {
+            delta,
+            next,
+            delta_t,
+            ..
+        } = scratch;
+        // `delta` and `next` trade places at every hand-off, so which one
+        // ends a call holding the wide buffer depends on the layer count:
+        // size all three for the widest layer up front, or the narrow one
+        // re-allocates on a later call.
+        let widest = batch * self.dims().max().expect("nonempty");
+        for buf in [&mut *delta, &mut *next, &mut *delta_t] {
+            buf.clear();
+            buf.reserve(widest);
+        }
+        delta.extend_from_slice(dl_dy);
+        for li in (0..=last).rev() {
+            let layer = &mut self.layers[li];
+            let (rows, cols) = (layer.w.rows(), layer.w.cols());
+            if li < last {
+                for (d, &o) in delta.iter_mut().zip(ws.layer_input(li + 1)) {
+                    *d *= self.activation.derivative_from_output(o);
                 }
             }
-            self.pending += 1;
+            for row in delta.chunks_exact(rows) {
+                simd::add_assign(&mut layer.gb, row, width);
+            }
+            delta_t.resize(batch * rows, 0.0);
+            transpose_into(delta, batch, rows, delta_t);
+            simd::gemm_kt_acc(
+                ws.layer_input(li),
+                delta_t,
+                layer.gw.data_mut(),
+                rows,
+                width,
+            );
+            if li > 0 {
+                next.clear();
+                next.resize(batch * cols, 0.0);
+                simd::gemm_kt(layer.w.data(), delta, next, batch, width);
+                std::mem::swap(delta, next);
+            }
         }
+        self.pending += batch;
     }
 
     /// Apply one Adam update from the accumulated (mean) gradients, then
@@ -284,32 +318,26 @@ impl Mlp {
         if self.pending == 0 {
             return;
         }
-        let scale = 1.0 / self.pending as f64;
         self.t += 1;
-        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-        let bc1 = 1.0 - b1.powi(self.t as i32);
-        let bc2 = 1.0 - b2.powi(self.t as i32);
+        let coeffs = AdamStep::new(lr, self.pending, self.t);
+        let width = simd::picked();
         for layer in &mut self.layers {
-            for i in 0..layer.w.data().len() {
-                let g = layer.gw.data()[i] * scale;
-                let m = b1 * layer.mw.data()[i] + (1.0 - b1) * g;
-                let v = b2 * layer.vw.data()[i] + (1.0 - b2) * g * g;
-                layer.mw.data_mut()[i] = m;
-                layer.vw.data_mut()[i] = v;
-                let mhat = m / bc1;
-                let vhat = v / bc2;
-                layer.w.data_mut()[i] -= lr * mhat / (vhat.sqrt() + eps);
-            }
-            for i in 0..layer.b.len() {
-                let g = layer.gb[i] * scale;
-                let m = b1 * layer.mb[i] + (1.0 - b1) * g;
-                let v = b2 * layer.vb[i] + (1.0 - b2) * g * g;
-                layer.mb[i] = m;
-                layer.vb[i] = v;
-                layer.b[i] -= lr * (m / bc1) / ((v / bc2).sqrt() + eps);
-            }
-            layer.gw.clear();
-            layer.gb.iter_mut().for_each(|g| *g = 0.0);
+            simd::adam_step(
+                layer.w.data_mut(),
+                layer.gw.data_mut(),
+                layer.mw.data_mut(),
+                layer.vw.data_mut(),
+                &coeffs,
+                width,
+            );
+            simd::adam_step(
+                &mut layer.b,
+                &mut layer.gb,
+                &mut layer.mb,
+                &mut layer.vb,
+                &coeffs,
+                width,
+            );
         }
         self.pending = 0;
     }
@@ -502,17 +530,38 @@ impl Workspace {
     }
 }
 
-/// Caller-owned scratch for [`Mlp::backward_batch`] delta vectors.
-#[derive(Debug, Default, Clone)]
+/// Caller-owned scratch for [`Mlp::backward_batch`]: the batch's deltas
+/// `Δ[batch × out]` for the current layer, the buffer the layer below's
+/// are written to, and `Δᵀ`; plus the kernel width the products run at.
+#[derive(Debug, Clone)]
 pub struct GradScratch {
     delta: Vec<f64>,
     next: Vec<f64>,
+    delta_t: Vec<f64>,
+    width: KernelWidth,
 }
 
 impl GradScratch {
-    /// An empty scratch; buffers grow on first use.
+    /// An empty scratch at the auto-selected kernel width
+    /// ([`simd::picked`]); buffers grow on first use.
     pub fn new() -> GradScratch {
-        GradScratch::default()
+        GradScratch::with_width(simd::picked())
+    }
+
+    /// An empty scratch with an explicit kernel width (tests and benches).
+    pub fn with_width(width: KernelWidth) -> GradScratch {
+        GradScratch {
+            delta: Vec::new(),
+            next: Vec::new(),
+            delta_t: Vec::new(),
+            width,
+        }
+    }
+}
+
+impl Default for GradScratch {
+    fn default() -> GradScratch {
+        GradScratch::new()
     }
 }
 
@@ -584,10 +633,21 @@ impl<'a> Reader<'a> {
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
+    let mut probs = Vec::with_capacity(logits.len());
+    softmax_into(logits, &mut probs);
+    probs
+}
+
+/// [`softmax`] into a caller-owned buffer (no allocation once `probs`
+/// has the capacity).
+pub fn softmax_into(logits: &[f64], probs: &mut Vec<f64>) {
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&l| (l - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    probs.clear();
+    probs.extend(logits.iter().map(|&l| (l - max).exp()));
+    let sum: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
 }
 
 #[cfg(test)]

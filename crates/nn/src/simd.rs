@@ -1,7 +1,8 @@
 //! Explicit-width f64 SIMD kernels with runtime width selection.
 //!
 //! The kernels here power the structure-of-arrays batched forward in
-//! [`crate::soa`] and the gradient accumulation in [`crate::Matrix`].
+//! [`crate::soa`], the batched backward and Adam step in [`crate::mlp`]
+//! and the per-sample gradient accumulation in [`crate::Matrix`].
 //! They follow one **order-of-operations contract** that makes every
 //! width produce bit-identical results to the scalar reference:
 //!
@@ -152,6 +153,92 @@ fn add_lanes<const L: usize>(y: &mut [f64], x: &[f64]) {
     }
 }
 
+/// Coefficients of one Adam step, fixed across a parameter sweep
+/// ([`adam_step`]).
+#[derive(Debug, Clone, Copy)]
+pub struct AdamStep {
+    lr: f64,
+    /// Gradient scale (`1 / samples accumulated`).
+    scale: f64,
+    b1: f64,
+    b2: f64,
+    /// Bias corrections `1 - βᵗ`.
+    bc1: f64,
+    bc2: f64,
+    eps: f64,
+}
+
+impl AdamStep {
+    /// Step `t` (1-based) at learning rate `lr` over gradients summed
+    /// from `samples` samples, with the usual β₁ = 0.9, β₂ = 0.999,
+    /// ε = 1e-8.
+    pub fn new(lr: f64, samples: usize, t: u64) -> AdamStep {
+        let (b1, b2): (f64, f64) = (0.9, 0.999);
+        AdamStep {
+            lr,
+            scale: 1.0 / samples as f64,
+            b1,
+            b2,
+            bc1: 1.0 - b1.powi(t as i32),
+            bc2: 1.0 - b2.powi(t as i32),
+            eps: 1e-8,
+        }
+    }
+}
+
+/// One parameter's Adam update. Every width evaluates exactly this
+/// expression tree per element; IEEE `div` and `sqrt` are correctly
+/// rounded at any vector width, so lanes are exact.
+#[inline(always)]
+fn adam_element(
+    w: &mut f64,
+    g: &mut f64,
+    m: &mut f64,
+    v: &mut f64,
+    nb1: f64,
+    nb2: f64,
+    c: &AdamStep,
+) {
+    let grad = *g * c.scale;
+    let mn = c.b1 * *m + nb1 * grad;
+    let vn = c.b2 * *v + nb2 * grad * grad;
+    *m = mn;
+    *v = vn;
+    let mhat = mn / c.bc1;
+    let vhat = vn / c.bc2;
+    *w -= c.lr * mhat / (vhat.sqrt() + c.eps);
+    *g = 0.0;
+}
+
+#[inline(always)]
+fn adam_lanes<const L: usize>(
+    w: &mut [f64],
+    g: &mut [f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    c: &AdamStep,
+) {
+    let (nb1, nb2) = (1.0 - c.b1, 1.0 - c.b2);
+    let main = w.len() - w.len() % L;
+    let (wv, wt) = w.split_at_mut(main);
+    let (gv, gt) = g.split_at_mut(main);
+    let (mv, mt) = m.split_at_mut(main);
+    let (vv, vt) = v.split_at_mut(main);
+    for (((wc, gc), mc), vc) in wv
+        .chunks_exact_mut(L)
+        .zip(gv.chunks_exact_mut(L))
+        .zip(mv.chunks_exact_mut(L))
+        .zip(vv.chunks_exact_mut(L))
+    {
+        for l in 0..L {
+            adam_element(&mut wc[l], &mut gc[l], &mut mc[l], &mut vc[l], nb1, nb2, c);
+        }
+    }
+    for (((wi, gi), mi), vi) in wt.iter_mut().zip(gt).zip(mt).zip(vt) {
+        adam_element(wi, gi, mi, vi, nb1, nb2, c);
+    }
+}
+
 /// `y[n] = Σ_k x[k] · wt[k·out + n]` for a k-major (transposed) weight
 /// slab, register-blocked: outputs advance in blocks of `4·L` whose four
 /// accumulator vectors stay in registers while `k` streams, so the
@@ -160,8 +247,12 @@ fn add_lanes<const L: usize>(y: &mut [f64], x: &[f64]) {
 /// independent accumulation chains hide FP-add latency. Each output
 /// element still accumulates in ascending-`k` order with separate
 /// mul-then-add — bit-identical to the scalar matvec.
+///
+/// With `ACC` the accumulators start from `y` instead of zero (see
+/// [`gemm_kt_acc`]); the `ACC = false` instantiation is the forward
+/// kernel and compiles as if the parameter did not exist.
 #[inline(always)]
-fn gemv_kt_lanes<const L: usize>(wt: &[f64], x: &[f64], y: &mut [f64]) {
+fn gemv_kt_lanes<const L: usize, const ACC: bool>(wt: &[f64], x: &[f64], y: &mut [f64]) {
     let out = y.len();
     if out == 0 {
         return;
@@ -170,6 +261,11 @@ fn gemv_kt_lanes<const L: usize>(wt: &[f64], x: &[f64], y: &mut [f64]) {
     let mut n = 0;
     while n + block <= out {
         let mut acc = [[0.0f64; L]; 4];
+        if ACC {
+            for (u, a) in acc.iter_mut().enumerate() {
+                a.copy_from_slice(&y[n + u * L..n + (u + 1) * L]);
+            }
+        }
         for (k, &xk) in x.iter().enumerate() {
             let row = &wt[k * out + n..k * out + n + block];
             for (u, a) in acc.iter_mut().enumerate() {
@@ -189,7 +285,7 @@ fn gemv_kt_lanes<const L: usize>(wt: &[f64], x: &[f64], y: &mut [f64]) {
     }
     // Output tail: plain dot products in the same ascending-k order.
     for nn in n..out {
-        let mut a = 0.0;
+        let mut a = if ACC { y[nn] } else { 0.0 };
         for (k, &xk) in x.iter().enumerate() {
             a += wt[k * out + nn] * xk;
         }
@@ -202,9 +298,9 @@ fn gemv_kt_lanes<const L: usize>(wt: &[f64], x: &[f64], y: &mut [f64]) {
 /// slab is reused across [`GEMM_ROW_BLOCK`] batch rows before moving on —
 /// the weight-traffic amortization a gathered serving batch exists for.
 /// The per-element reduction order is exactly [`gemv_kt_lanes`]'s, so
-/// batching is bit-invisible.
+/// batching is bit-invisible. `ACC` as in [`gemv_kt_lanes`].
 #[inline(always)]
-fn gemm_kt_lanes<const L: usize>(
+fn gemm_kt_lanes<const L: usize, const ACC: bool>(
     wt: &[f64],
     xs: &[f64],
     ys: &mut [f64],
@@ -226,6 +322,15 @@ fn gemm_kt_lanes<const L: usize>(
             // chains in registers at L = 4, with each `row` load shared
             // by all RB batch rows.
             let mut acc = [[[0.0f64; L]; 2]; RB];
+            if ACC {
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    for (u, a) in accr.iter_mut().enumerate() {
+                        a.copy_from_slice(
+                            &ys[(b + r) * out + n + u * L..(b + r) * out + n + (u + 1) * L],
+                        );
+                    }
+                }
+            }
             for k in 0..kdim {
                 let row = &wt[k * out + n..k * out + n + nb];
                 for (r, accr) in acc.iter_mut().enumerate() {
@@ -251,7 +356,7 @@ fn gemm_kt_lanes<const L: usize>(
         }
         for nn in n..out {
             for (r, xr) in xrow.iter().enumerate() {
-                let mut a = 0.0;
+                let mut a = if ACC { ys[(b + r) * out + nn] } else { 0.0 };
                 for (k, &xk) in xr.iter().enumerate() {
                     a += wt[k * out + nn] * xk;
                 }
@@ -262,7 +367,7 @@ fn gemm_kt_lanes<const L: usize>(
     }
     // Batch tail: plain per-row GEMV.
     while b < batch {
-        gemv_kt_lanes::<L>(
+        gemv_kt_lanes::<L, ACC>(
             wt,
             &xs[b * kdim..(b + 1) * kdim],
             &mut ys[b * out..(b + 1) * out],
@@ -295,7 +400,7 @@ mod v4 {
 
     #[target_feature(enable = "avx")]
     pub unsafe fn gemv_kt(wt: &[f64], x: &[f64], y: &mut [f64]) {
-        super::gemv_kt_lanes::<4>(wt, x, y);
+        super::gemv_kt_lanes::<4, false>(wt, x, y);
     }
 
     #[target_feature(enable = "avx")]
@@ -307,7 +412,30 @@ mod v4 {
         kdim: usize,
         out: usize,
     ) {
-        super::gemm_kt_lanes::<4>(wt, xs, ys, batch, kdim, out);
+        super::gemm_kt_lanes::<4, false>(wt, xs, ys, batch, kdim, out);
+    }
+
+    #[target_feature(enable = "avx")]
+    pub unsafe fn gemm_kt_acc(
+        wt: &[f64],
+        xs: &[f64],
+        ys: &mut [f64],
+        batch: usize,
+        kdim: usize,
+        out: usize,
+    ) {
+        super::gemm_kt_lanes::<4, true>(wt, xs, ys, batch, kdim, out);
+    }
+
+    #[target_feature(enable = "avx")]
+    pub unsafe fn adam(
+        w: &mut [f64],
+        g: &mut [f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        c: &super::AdamStep,
+    ) {
+        super::adam_lanes::<4>(w, g, m, v, c);
     }
 
     pub fn avx_available() -> bool {
@@ -474,7 +602,7 @@ fn gemv_kt_v4(wt: &[f64], x: &[f64], y: &mut [f64]) {
         return;
     }
     #[allow(unreachable_code)]
-    gemv_kt_lanes::<4>(wt, x, y)
+    gemv_kt_lanes::<4, false>(wt, x, y)
 }
 
 fn gemm_kt_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
@@ -490,7 +618,30 @@ fn gemm_kt_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize,
         return;
     }
     #[allow(unreachable_code)]
-    gemm_kt_lanes::<4>(wt, xs, ys, batch, kdim, out)
+    gemm_kt_lanes::<4, false>(wt, xs, ys, batch, kdim, out)
+}
+
+// The training kernels have no `std::simd` twin: under `nightly-simd`
+// (and off x86_64) they run the generic 4-lane body.
+
+fn gemm_kt_acc_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
+    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    if v4::avx_available() {
+        // SAFETY: guarded by runtime AVX detection.
+        unsafe { v4::gemm_kt_acc(wt, xs, ys, batch, kdim, out) };
+        return;
+    }
+    gemm_kt_lanes::<4, true>(wt, xs, ys, batch, kdim, out)
+}
+
+fn adam_v4(w: &mut [f64], g: &mut [f64], m: &mut [f64], v: &mut [f64], c: &AdamStep) {
+    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    if v4::avx_available() {
+        // SAFETY: guarded by runtime AVX detection.
+        unsafe { v4::adam(w, g, m, v, c) };
+        return;
+    }
+    adam_lanes::<4>(w, g, m, v, c)
 }
 
 // ---- public dispatch ----
@@ -537,8 +688,8 @@ pub fn gemv_kt(wt: &[f64], x: &[f64], y: &mut [f64], width: KernelWidth) {
     assert_eq!(wt.len(), x.len() * y.len(), "gemv_kt shape mismatch");
     match width {
         KernelWidth::V4 => gemv_kt_v4(wt, x, y),
-        KernelWidth::V2 => gemv_kt_lanes::<2>(wt, x, y),
-        KernelWidth::Scalar => gemv_kt_lanes::<1>(wt, x, y),
+        KernelWidth::V2 => gemv_kt_lanes::<2, false>(wt, x, y),
+        KernelWidth::Scalar => gemv_kt_lanes::<1, false>(wt, x, y),
     }
 }
 
@@ -553,19 +704,76 @@ pub fn gemv_kt(wt: &[f64], x: &[f64], y: &mut [f64], width: KernelWidth) {
 /// Panics if `xs`/`ys` are not whole multiples of `batch`, or the slab
 /// size does not match the per-row dimensions.
 pub fn gemm_kt(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: KernelWidth) {
+    let Some((kdim, out)) = gemm_kt_dims(wt, xs, ys, batch) else {
+        return;
+    };
+    match width {
+        KernelWidth::V4 => gemm_kt_v4(wt, xs, ys, batch, kdim, out),
+        KernelWidth::V2 => gemm_kt_lanes::<2, false>(wt, xs, ys, batch, kdim, out),
+        KernelWidth::Scalar => gemm_kt_lanes::<1, false>(wt, xs, ys, batch, kdim, out),
+    }
+}
+
+/// [`gemm_kt`] accumulating into `ys`: every output element continues
+/// from its current value, `((ys + x₀·w₀) + x₁·w₁) + …` in ascending `k`
+/// — the sequence `k` successive [`axpy`] calls would produce. This is
+/// the weight-gradient product `gw += Δᵀ·X`: the staged activations
+/// `X[B×in]` are the k-major slab (reduction over the batch), the
+/// transposed deltas `Δᵀ[out×B]` are the rows, `gw[out×in]` is `ys`.
+///
+/// # Panics
+///
+/// As [`gemm_kt`].
+pub fn gemm_kt_acc(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: KernelWidth) {
+    let Some((kdim, out)) = gemm_kt_dims(wt, xs, ys, batch) else {
+        return;
+    };
+    match width {
+        KernelWidth::V4 => gemm_kt_acc_v4(wt, xs, ys, batch, kdim, out),
+        KernelWidth::V2 => gemm_kt_lanes::<2, true>(wt, xs, ys, batch, kdim, out),
+        KernelWidth::Scalar => gemm_kt_lanes::<1, true>(wt, xs, ys, batch, kdim, out),
+    }
+}
+
+/// Shape check shared by the GEMM entry points: `(kdim, out)`, or `None`
+/// for an empty batch.
+fn gemm_kt_dims(wt: &[f64], xs: &[f64], ys: &[f64], batch: usize) -> Option<(usize, usize)> {
     if batch == 0 {
         assert!(xs.is_empty() && ys.is_empty(), "gemm_kt shape mismatch");
-        return;
+        return None;
     }
     assert_eq!(xs.len() % batch, 0, "gemm_kt input shape mismatch");
     assert_eq!(ys.len() % batch, 0, "gemm_kt output shape mismatch");
     let kdim = xs.len() / batch;
     let out = ys.len() / batch;
     assert_eq!(wt.len(), kdim * out, "gemm_kt weight shape mismatch");
+    Some((kdim, out))
+}
+
+/// One Adam update over a parameter array: moments `m`/`v` advance, `w`
+/// steps, and the consumed gradients `g` are zeroed in the same sweep.
+/// Vectorized over the (independent) parameters.
+///
+/// # Panics
+///
+/// Panics if lengths differ.
+pub fn adam_step(
+    w: &mut [f64],
+    g: &mut [f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    c: &AdamStep,
+    width: KernelWidth,
+) {
+    let n = w.len();
+    assert!(
+        g.len() == n && m.len() == n && v.len() == n,
+        "adam_step length mismatch"
+    );
     match width {
-        KernelWidth::V4 => gemm_kt_v4(wt, xs, ys, batch, kdim, out),
-        KernelWidth::V2 => gemm_kt_lanes::<2>(wt, xs, ys, batch, kdim, out),
-        KernelWidth::Scalar => gemm_kt_lanes::<1>(wt, xs, ys, batch, kdim, out),
+        KernelWidth::V4 => adam_v4(w, g, m, v, c),
+        KernelWidth::V2 => adam_lanes::<2>(w, g, m, v, c),
+        KernelWidth::Scalar => adam_lanes::<1>(w, g, m, v, c),
     }
 }
 
@@ -672,6 +880,49 @@ mod tests {
                     ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "gemm width {width:?} batch {batch} k {k} n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_kt_acc_matches_successive_axpy() {
+        // The weight-gradient product: per row `o`, `k` rank-1 updates
+        // `gw[o] += Δᵀ[o][k] · X[k]` in ascending `k`, from non-zero `gw`.
+        for (batch, k, n) in [
+            (1usize, 5usize, 7usize),
+            (3, 12, 46),
+            (4, 1, 16),
+            (5, 3, 9),
+            (8, 48, 42),
+            (18, 65, 33),
+            (2, 0, 5),
+        ] {
+            let slab: Vec<f64> = (0..k * n)
+                .map(|i| ((i * 29 % 13) as f64 - 6.0) * 0.21)
+                .collect();
+            let xs: Vec<f64> = (0..batch * k)
+                .map(|i| ((i * 7 % 19) as f64 - 9.0) * 0.4)
+                .collect();
+            let base: Vec<f64> = (0..batch * n).map(|i| (i as f64 * 0.13).sin()).collect();
+            let mut want = base.clone();
+            for b in 0..batch {
+                for kk in 0..k {
+                    axpy(
+                        &mut want[b * n..(b + 1) * n],
+                        xs[b * k + kk],
+                        &slab[kk * n..(kk + 1) * n],
+                        KernelWidth::Scalar,
+                    );
+                }
+            }
+            for width in KernelWidth::all() {
+                let mut ys = base.clone();
+                gemm_kt_acc(&slab, &xs, &mut ys, batch, width);
+                assert_eq!(
+                    ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "gemm_kt_acc width {width:?} batch {batch} k {k} n {n}"
                 );
             }
         }

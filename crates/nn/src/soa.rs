@@ -167,12 +167,24 @@ impl SoaMlp {
     }
 }
 
-fn transpose_into(w: &[f64], rows: usize, cols: usize, wt: &mut [f64]) {
-    debug_assert_eq!(w.len(), rows * cols);
-    debug_assert_eq!(wt.len(), rows * cols);
-    for (n, row) in w.chunks_exact(cols).enumerate() {
-        for (k, &v) in row.iter().enumerate() {
-            wt[k * rows + n] = v;
+/// `wt[k·rows + n] = w[n·cols + k]`, walked in square tiles: a tile's
+/// reads and writes each stay within `TILE` cache lines, where a plain
+/// row sweep writes every element of a 256-wide layer to another line
+/// (2 KiB apart, a handful of L1 sets).
+pub(crate) fn transpose_into(w: &[f64], rows: usize, cols: usize, wt: &mut [f64]) {
+    const TILE: usize = 8;
+    assert_eq!(w.len(), rows * cols);
+    assert_eq!(wt.len(), rows * cols);
+    for n0 in (0..rows).step_by(TILE) {
+        let n1 = (n0 + TILE).min(rows);
+        for k0 in (0..cols).step_by(TILE) {
+            let k1 = (k0 + TILE).min(cols);
+            for k in k0..k1 {
+                let dst = &mut wt[k * rows + n0..k * rows + n1];
+                for (d, n) in dst.iter_mut().zip(n0..n1) {
+                    *d = w[n * cols + k];
+                }
+            }
         }
     }
 }
@@ -224,6 +236,17 @@ impl BatchWorkspace {
     /// Number of staged observations.
     pub fn batch(&self) -> usize {
         self.batch
+    }
+
+    /// `[input_dim, hidden..., output_dim]` of the staged network.
+    pub(crate) fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// All rows entering layer `li`, row-major `[batch × dims[li]]`: the
+    /// staged inputs for layer 0, else layer `li - 1`'s activations.
+    pub(crate) fn layer_input(&self, li: usize) -> &[f64] {
+        &self.acts[li]
     }
 
     /// Staged input row `b`.

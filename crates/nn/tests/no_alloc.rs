@@ -1,9 +1,9 @@
 //! Steady-state allocation check for the scratch-buffer APIs.
 //!
 //! A counting global allocator wraps `System`; after one warm-up batch,
-//! `forward_into`, `forward_batch`, and `backward_batch` must not touch
-//! the heap at all. This file holds exactly one `#[test]` so no sibling
-//! test thread can allocate inside the measurement window.
+//! `forward_into`, `forward_batch`, `backward_batch`, `step` and `refresh`
+//! must not touch the heap at all. This file holds exactly one `#[test]`
+//! so no sibling test thread can allocate inside the measurement window.
 
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -34,48 +34,57 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_inference_and_training_do_not_allocate() {
-    let mut mlp = Mlp::new(&[56, 64, 46], Activation::Tanh, 5);
-    let soa = SoaMlp::from_mlp(&mlp);
-    let inputs: Vec<Vec<f64>> = (0..8)
-        .map(|b| {
-            (0..56)
-                .map(|i| ((b * 56 + i) as f64 * 0.05).sin())
-                .collect()
-        })
-        .collect();
-    let grads = vec![0.25f64; 8 * 46];
+    // `backward_batch` swaps its two delta buffers at every hand-off
+    // between layers, so an odd and an even number of hand-offs leave the
+    // wide buffer on different sides: both must be steady after one call.
+    for shape in [&[56usize, 64, 46][..], &[56, 64, 64, 46]] {
+        let mut mlp = Mlp::new(shape, Activation::Tanh, 5);
+        let mut soa = SoaMlp::from_mlp(&mlp);
+        let inputs: Vec<Vec<f64>> = (0..8)
+            .map(|b| {
+                (0..56)
+                    .map(|i| ((b * 56 + i) as f64 * 0.05).sin())
+                    .collect()
+            })
+            .collect();
+        let grads = vec![0.25f64; 8 * 46];
 
-    let mut ws = Workspace::new();
-    let mut bws = BatchWorkspace::new();
-    let mut scratch = GradScratch::new();
+        let mut ws = Workspace::new();
+        let mut bws = BatchWorkspace::new();
+        let mut scratch = GradScratch::new();
 
-    let run =
-        |mlp: &mut Mlp, ws: &mut Workspace, bws: &mut BatchWorkspace, scratch: &mut GradScratch| {
+        let mut run = |backward_calls: usize| {
             let mut sum = 0.0;
             for x in &inputs {
-                sum += mlp.forward_into(x, ws)[0];
+                sum += mlp.forward_into(x, &mut ws)[0];
             }
             bws.begin(&soa);
             for x in &inputs {
                 bws.push_input(x);
             }
-            soa.forward_batch(bws);
-            mlp.backward_batch(bws, &grads, scratch);
-            mlp.zero_grad();
+            soa.forward_batch(&mut bws);
+            for _ in 0..backward_calls {
+                mlp.backward_batch(&bws, &grads, &mut scratch);
+            }
+            mlp.step(1e-3);
+            soa.refresh(&mlp);
             sum
         };
 
-    // Warm-up grows every scratch buffer to its steady-state capacity.
-    let warm = run(&mut mlp, &mut ws, &mut bws, &mut scratch);
+        // Warm-up grows every scratch buffer to its steady-state capacity:
+        // one `backward_batch` must be enough. The measured run makes two
+        // per step, as A2C's chunking does.
+        let warm = run(1);
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let steady = run(&mut mlp, &mut ws, &mut bws, &mut scratch);
-    let after = ALLOCS.load(Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let steady = run(2);
+        let after = ALLOCS.load(Ordering::SeqCst);
 
-    assert_eq!(warm, steady, "runs must be deterministic");
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state forward/backward must not allocate"
-    );
+        assert_ne!(warm, steady, "the step must have moved the weights");
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state forward/backward/step/refresh must not allocate ({shape:?})"
+        );
+    }
 }

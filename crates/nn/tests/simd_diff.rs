@@ -5,6 +5,7 @@
 //! ascending-k order, no FMA contraction. So the pinned tolerance here is
 //! zero: every assertion compares `f64::to_bits`.
 
+use autophase_nn::simd::{adam_step, AdamStep};
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp, SoaMlp, Workspace};
 use proptest::prelude::*;
 
@@ -86,42 +87,215 @@ fn forward_into_matches_forward() {
     }
 }
 
+/// Stage `inputs` into `ws` and run the batched forward.
+fn stage(soa: &SoaMlp, ws: &mut BatchWorkspace, inputs: &[Vec<f64>]) {
+    ws.begin(soa);
+    for x in inputs {
+        ws.push_input(x);
+    }
+    soa.forward_batch(ws);
+}
+
+/// Two chunks of `(inputs, output gradients)`, one row per sample.
+type Chunks<'a> = [(&'a [Vec<f64>], &'a [Vec<f64>]); 2];
+
+/// Reference: per-sample [`Mlp::backward`] over both chunks in order,
+/// then one step. Returns the serialized net — weights *and* Adam moments:
+/// a gradient that differed in one bit shows in the moments even where
+/// the weight's rounding would hide it.
+fn sequential_update(net: &Mlp, chunks: Chunks) -> Vec<u8> {
+    let mut seq = net.clone();
+    for (inputs, grads) in chunks {
+        for (x, g) in inputs.iter().zip(grads) {
+            seq.backward(x, g);
+        }
+    }
+    seq.step(1e-3);
+    seq.to_bytes()
+}
+
+/// Two `backward_batch` calls (the second enters with non-zero `gw`, as
+/// A2C's 64-transition chunks do), then one step, at `width`.
+fn batched_update(net: &Mlp, chunks: Chunks, width: KernelWidth) -> Vec<u8> {
+    let mut bat = net.clone();
+    let soa = SoaMlp::with_width(&bat, width);
+    let mut ws = BatchWorkspace::new();
+    let mut scratch = GradScratch::with_width(width);
+    for (inputs, grads) in chunks {
+        stage(&soa, &mut ws, inputs);
+        bat.backward_batch(&ws, &grads.concat(), &mut scratch);
+    }
+    bat.step(1e-3);
+    bat.to_bytes()
+}
+
+fn samples(dim: usize, n: usize, salt: u64) -> Vec<Vec<f64>> {
+    (0..n).map(|b| obs(dim, salt + b as u64)).collect()
+}
+
 #[test]
 fn backward_batch_bit_identical_to_sequential_backward() {
-    for &shape in &[&[56usize, 32, 46] as &[usize], &[7, 11, 5, 3], &[70, 9, 2]] {
+    // Remainder lanes in every dimension (inputs, hidden, outputs) for
+    // 2- and 4-wide kernels, a single-output (value) head, one to three
+    // hand-offs, and the serving layout itself.
+    const SHAPES: &[&[usize]] = &[
+        &[56, 32, 46],
+        &[7, 11, 5, 3],
+        &[70, 9, 2],
+        &[42, 37, 1],
+        &[3, 6, 5, 7, 2],
+        &[42, 256, 256, 18],
+    ];
+    // Around the GEMM row block (4) on both products, the benchmark's
+    // update sizes (12, 48) and A2C's chunk (64) with its remainder.
+    const BATCHES: &[usize] = &[0, 1, 3, 4, 5, 12, 48, 64, 65];
+    for &shape in SHAPES {
+        let (inp, out) = (shape[0], *shape.last().unwrap());
+        let wide = shape.contains(&256);
         for act in [Activation::Tanh, Activation::Relu] {
-            for width in KernelWidth::all() {
-                let mut seq = Mlp::new(shape, act, 99);
-                let mut bat = seq.clone();
-                let inputs: Vec<Vec<f64>> = (0..5).map(|b| obs(shape[0], 40 + b as u64)).collect();
-                let grads: Vec<Vec<f64>> = (0..5)
-                    .map(|b| obs(*shape.last().unwrap(), 80 + b as u64))
-                    .collect();
-
-                // Reference: per-sample backward (re-runs forward), one step.
-                for (x, g) in inputs.iter().zip(&grads) {
-                    seq.backward(x, g);
+            let net = Mlp::new(shape, act, 99);
+            for &batch in BATCHES {
+                // The 256-wide reference is slow in debug builds: keep
+                // its sweep to the sizes the benchmark trains at.
+                if wide && !(act == Activation::Tanh && [0, 12, 48].contains(&batch)) {
+                    continue;
                 }
-                seq.step(1e-3);
-
-                // Batched: SoA forward caches activations, backward_batch
-                // reuses them.
-                let soa = SoaMlp::with_width(&bat, width);
-                let mut ws = BatchWorkspace::new();
-                ws.begin(&soa);
-                for x in &inputs {
-                    ws.push_input(x);
+                let (x1, g1) = (samples(inp, batch, 40), samples(out, batch, 80));
+                let (x2, g2) = (samples(inp, 5, 140), samples(out, 5, 180));
+                let chunks = [(&x1[..], &g1[..]), (&x2[..], &g2[..])];
+                let want = sequential_update(&net, chunks);
+                for width in KernelWidth::all() {
+                    assert!(
+                        batched_update(&net, chunks, width) == want,
+                        "shape {shape:?} act {act:?} width {width:?} batch {batch}"
+                    );
                 }
-                soa.forward_batch(&mut ws);
-                let flat: Vec<f64> = grads.concat();
-                let mut scratch = GradScratch::new();
-                bat.backward_batch(&ws, &flat, &mut scratch);
-                bat.step(1e-3);
+            }
+        }
+    }
+}
 
-                assert_eq!(
-                    bits(&bat.parameters()),
-                    bits(&seq.parameters()),
-                    "shape {shape:?} act {act:?} width {width:?}"
+/// The scalar Adam loop `Mlp::step` ran before it became a lane kernel,
+/// verbatim, over one parameter array (`t` already advanced).
+#[allow(clippy::needless_range_loop)]
+fn reference_adam(
+    w: &mut [f64],
+    gw: &mut [f64],
+    mw: &mut [f64],
+    vw: &mut [f64],
+    pending: usize,
+    t: u64,
+    lr: f64,
+) {
+    let scale = 1.0 / pending as f64;
+    let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
+    let bc1 = 1.0 - b1.powi(t as i32);
+    let bc2 = 1.0 - b2.powi(t as i32);
+    for i in 0..w.len() {
+        let g = gw[i] * scale;
+        let m = b1 * mw[i] + (1.0 - b1) * g;
+        let v = b2 * vw[i] + (1.0 - b2) * g * g;
+        mw[i] = m;
+        vw[i] = v;
+        let mhat = m / bc1;
+        let vhat = v / bc2;
+        w[i] -= lr * mhat / (vhat.sqrt() + eps);
+    }
+    gw.iter_mut().for_each(|g| *g = 0.0);
+}
+
+/// Lengths straddling every remainder case for 2 and 4 lanes.
+const ADAM_LENGTHS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 257];
+const ADAM_CHECKPOINTS: &[u64] = &[1, 2, 50];
+
+#[test]
+fn adam_kernel_bit_identical_to_scalar_reference() {
+    for &n in ADAM_LENGTHS {
+        for width in KernelWidth::all() {
+            let w0 = obs(n, 1);
+            let mut want = [w0.clone(), vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            let mut got = want.clone();
+            for t in 1..=50u64 {
+                let (pending, lr) = (1 + (t as usize % 3), 1e-3);
+                let grad = obs(n, 100 + t);
+                want[1].copy_from_slice(&grad);
+                got[1].copy_from_slice(&grad);
+                let [w, g, m, v] = &mut want;
+                reference_adam(w, g, m, v, pending, t, lr);
+                let [w, g, m, v] = &mut got;
+                adam_step(w, g, m, v, &AdamStep::new(lr, pending, t), width);
+                if ADAM_CHECKPOINTS.contains(&t) {
+                    for (what, (a, b)) in ["w", "g", "m", "v"].iter().zip(got.iter().zip(&want)) {
+                        assert_eq!(bits(a), bits(b), "{what} n {n} width {width:?} step {t}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `[w, b, mw, vw, mb, vb]` of a single-layer net, read back from its
+/// serialized form (the moments have no other accessor).
+fn single_layer_state(net: &Mlp, inp: usize, out: usize) -> [Vec<u64>; 6] {
+    let bytes = net.to_bytes();
+    // magic, version, activation, adam_t, n_sizes, two sizes.
+    let mut pos = 4 + 4 + 1 + 8 + 4 + 2 * 4;
+    [inp * out, out, inp * out, inp * out, out, out].map(|n| {
+        let field = bytes[pos..pos + 8 * n]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        pos += 8 * n;
+        field
+    })
+}
+
+/// `Mlp::step` end to end (bias correction, gradient scale, clearing)
+/// against the scalar reference, on single linear layers whose gradients
+/// have a closed form: `gw = Σ_s g_s·x_sᵀ`, `gb = Σ_s g_s`.
+#[test]
+fn mlp_step_bit_identical_to_scalar_reference() {
+    // (inputs, outputs): weight and bias lengths cover ADAM_LENGTHS.
+    for (inp, out) in [
+        (1usize, 1usize),
+        (2, 1),
+        (3, 1),
+        (1, 4),
+        (5, 1),
+        (7, 1),
+        (4, 2),
+        (257, 1),
+        (1, 257),
+    ] {
+        let mut net = Mlp::new(&[inp, out], Activation::Tanh, 31);
+        let mut wref = net.parameters();
+        let mut bref = wref.split_off(inp * out);
+        let (mut gw, mut mw, mut vw) = (
+            vec![0.0; inp * out],
+            vec![0.0; inp * out],
+            vec![0.0; inp * out],
+        );
+        let (mut gb, mut mb, mut vb) = (vec![0.0; out], vec![0.0; out], vec![0.0; out]);
+        for t in 1..=50u64 {
+            let pending = 1 + (t as usize % 3);
+            for s in 0..pending as u64 {
+                let (x, g) = (obs(inp, 7 * t + s), obs(out, 1000 + 7 * t + s));
+                net.backward(&x, &g);
+                for o in 0..out {
+                    for i in 0..inp {
+                        gw[o * inp + i] += g[o] * x[i];
+                    }
+                    gb[o] += g[o];
+                }
+            }
+            net.step(2e-3);
+            reference_adam(&mut wref, &mut gw, &mut mw, &mut vw, pending, t, 2e-3);
+            reference_adam(&mut bref, &mut gb, &mut mb, &mut vb, pending, t, 2e-3);
+            if ADAM_CHECKPOINTS.contains(&t) {
+                let want = [&wref, &bref, &mw, &vw, &mb, &vb].map(|v| bits(v));
+                assert!(
+                    single_layer_state(&net, inp, out) == want,
+                    "shape {inp}x{out} step {t}"
                 );
             }
         }
@@ -154,6 +328,32 @@ proptest! {
             for (b, x) in inputs.iter().enumerate() {
                 prop_assert_eq!(bits(ws.logits(b)), bits(&mlp.forward(x)));
             }
+        }
+    }
+
+    /// Random shapes (one or two hidden layers), batch sizes and seeds:
+    /// `backward_batch` leaves the same weights and moments as per-sample
+    /// `backward` at every width, with non-zero gradients on entry.
+    #[test]
+    fn prop_backward_batch_bit_identical(
+        inp in 1usize..40,
+        hidden in proptest::collection::vec(1usize..24, 1..3),
+        out in 1usize..20,
+        batch in 0usize..70,
+        relu in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let mut shape = vec![inp];
+        shape.extend(&hidden);
+        shape.push(out);
+        let act = if relu { Activation::Relu } else { Activation::Tanh };
+        let net = Mlp::new(&shape, act, seed);
+        let (x1, g1) = (samples(inp, 3, seed), samples(out, 3, seed + 50));
+        let (x2, g2) = (samples(inp, batch, seed + 100), samples(out, batch, seed + 150));
+        let chunks = [(&x1[..], &g1[..]), (&x2[..], &g2[..])];
+        let want = sequential_update(&net, chunks);
+        for width in KernelWidth::all() {
+            prop_assert!(batched_update(&net, chunks, width) == want, "width {:?}", width);
         }
     }
 }

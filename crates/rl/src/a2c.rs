@@ -3,7 +3,7 @@
 
 use crate::env::Environment;
 use crate::rollout::{self, record_steps_per_sec, Batch};
-use autophase_nn::{softmax, Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
+use autophase_nn::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
 use autophase_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,6 +184,7 @@ impl A2cAgent {
         let n_actions = self.policy.output_dim();
         let mut pgrad: Vec<f64> = Vec::new();
         let mut vgrad: Vec<f64> = Vec::new();
+        let mut probs: Vec<f64> = Vec::new();
 
         let order: Vec<usize> = (0..batch.transitions.len()).collect();
         for chunk in order.chunks(64) {
@@ -203,7 +204,7 @@ impl A2cAgent {
             vgrad.resize(chunk.len(), 0.0);
             for (bi, &i) in chunk.iter().enumerate() {
                 let t = &batch.transitions[i];
-                let probs = softmax(pws.logits(bi));
+                softmax_into(pws.logits(bi), &mut probs);
                 let a = adv[i];
                 let grad = &mut pgrad[bi * n_actions..(bi + 1) * n_actions];
                 for (j, g) in grad.iter_mut().enumerate() {

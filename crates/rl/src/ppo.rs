@@ -3,7 +3,7 @@
 
 use crate::env::Environment;
 use crate::rollout::{self, record_steps_per_sec, Batch};
-use autophase_nn::{softmax, Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
+use autophase_nn::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
 use autophase_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -208,6 +208,7 @@ impl PpoAgent {
         let n_actions = self.policy.output_dim();
         let mut pgrad: Vec<f64> = Vec::new();
         let mut vgrad: Vec<f64> = Vec::new();
+        let mut probs: Vec<f64> = Vec::new();
 
         for _ in 0..self.cfg.epochs {
             order.shuffle(&mut self.rng);
@@ -228,7 +229,7 @@ impl PpoAgent {
                 vgrad.resize(chunk.len(), 0.0);
                 for (bi, &i) in chunk.iter().enumerate() {
                     let t = &batch.transitions[i];
-                    let probs = softmax(pws.logits(bi));
+                    softmax_into(pws.logits(bi), &mut probs);
                     let logp_new = probs[t.action].max(1e-12).ln();
                     let ratio = (logp_new - t.logp).exp();
                     let a = adv[i];
