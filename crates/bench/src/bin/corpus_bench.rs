@@ -15,7 +15,7 @@
 //!    where the served ordering matches or beats `-O3` — the Fig. 9
 //!    protocol), p50/p99 latency, zero drops.
 //! 3. **Warm replay** — the same corpus again: every answer must come
-//!    from the store (this is the first APSTORE1 run at ~10k distinct
+//!    from the store (this is the first store run at ~10k distinct
 //!    fingerprints), reported as req/s plus store growth (entries,
 //!    log bytes, reopen time).
 //! 4. **Feature ablation** — train one policy on Table-2 features and

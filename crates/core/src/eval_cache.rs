@@ -41,19 +41,10 @@ use autophase_hls::area::AreaReport;
 use autophase_hls::profile::HlsReport;
 use autophase_ir::fingerprint::mix64 as mix;
 use autophase_ir::Module;
-use autophase_telemetry as telemetry;
+use autophase_telemetry::{self as telemetry, lock_recover};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Lock a shard, recovering from poisoning. A thread that panics while
-/// holding a shard lock (e.g. an injected fault inside a compute callback)
-/// leaves the map intact — every mutation below is a single HashMap
-/// operation that either completes or doesn't — so the poison flag carries
-/// no information and the shard must stay usable.
-fn lock_shard<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Fingerprint of a module's current state: an order-sensitive combine of
 /// its name, per-slot global fingerprints, and per-slot function
@@ -266,6 +257,9 @@ impl CacheStats {
 }
 
 struct Shard {
+    /// Taken with `lock_recover`: a thread that panics holding it (e.g.
+    /// an injected fault inside a compute callback) leaves the map
+    /// intact, since every mutation is a single `HashMap` operation.
     map: Mutex<HashMap<CacheKey, (u64, CacheEntry)>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -287,7 +281,7 @@ impl Shard {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            len: lock_shard(&self.map).len(),
+            len: lock_recover(&self.map).len(),
         }
     }
 }
@@ -380,7 +374,7 @@ impl EvalCache {
     pub fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
         let shard = self.shard(key);
         let found = {
-            let mut map = lock_shard(&shard.map);
+            let mut map = lock_recover(&shard.map);
             map.get_mut(key).map(|slot| {
                 slot.0 = self.stamp.fetch_add(1, Ordering::Relaxed);
                 slot.1.clone()
@@ -406,7 +400,7 @@ impl EvalCache {
     /// just produced — so the counters keep meaning "profiler-query
     /// outcomes" and the bench's hit rate stays interpretable.
     pub fn peek(&self, key: &CacheKey) -> Option<CacheEntry> {
-        let mut map = lock_shard(&self.shard(key).map);
+        let mut map = lock_recover(&self.shard(key).map);
         map.get_mut(key).map(|slot| {
             slot.0 = self.stamp.fetch_add(1, Ordering::Relaxed);
             slot.1.clone()
@@ -418,7 +412,7 @@ impl EvalCache {
     pub fn insert(&self, key: CacheKey, entry: CacheEntry) {
         let stamp = self.next_stamp();
         let shard = self.shard(&key);
-        let mut map = lock_shard(&shard.map);
+        let mut map = lock_recover(&shard.map);
         if map.len() >= self.per_shard_cap && !map.contains_key(&key) {
             if let Some(oldest) = map.iter().min_by_key(|(_, (s, _))| *s).map(|(k, _)| *k) {
                 map.remove(&oldest);
@@ -459,7 +453,7 @@ impl EvalCache {
     /// counters.
     pub fn transition(&self, key: &CacheKey, pass: usize) -> Option<bool> {
         let tkey = (*key, pass as u16);
-        let mut map = lock_shard(&self.trans_shard(key).map);
+        let mut map = lock_recover(&self.trans_shard(key).map);
         map.get_mut(&tkey).map(|slot| {
             slot.0 = self.stamp.fetch_add(1, Ordering::Relaxed);
             slot.1
@@ -470,7 +464,7 @@ impl EvalCache {
     pub fn record_transition(&self, key: CacheKey, pass: usize, changed: bool) {
         let stamp = self.next_stamp();
         let shard = self.trans_shard(&key);
-        let mut map = lock_shard(&shard.map);
+        let mut map = lock_recover(&shard.map);
         // The memo rides on the entry map's per-shard budget scaled by 8:
         // its entries are ~50x smaller, and evicting one only costs a
         // future pass re-run, never correctness.
@@ -486,7 +480,7 @@ impl EvalCache {
 
     /// Resident entry count across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(&s.map).len()).sum()
+        self.shards.iter().map(|s| lock_recover(&s.map).len()).sum()
     }
 
     /// True when no entries are resident.
@@ -561,10 +555,10 @@ impl EvalCache {
     /// Drop every entry and transition memo (counters are kept).
     pub fn clear(&self) {
         for s in &self.shards {
-            lock_shard(&s.map).clear();
+            lock_recover(&s.map).clear();
         }
         for s in &self.trans_shards {
-            lock_shard(&s.map).clear();
+            lock_recover(&s.map).clear();
         }
     }
 }
@@ -710,7 +704,7 @@ mod tests {
         c.insert(k, entry(11));
         let c2 = std::sync::Arc::clone(&c);
         let t = std::thread::spawn(move || {
-            let _guard = lock_shard(&c2.shards[0].map);
+            let _guard = lock_recover(&c2.shards[0].map);
             panic!("poison the shard on purpose");
         });
         assert!(t.join().is_err());

@@ -15,9 +15,9 @@
 //! across worker counts (the determinism suite) simply run without a
 //! shared quarantine attached.
 
-use autophase_telemetry as telemetry;
+use autophase_telemetry::{self as telemetry, lock_recover};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 /// How many recorded faults of one `(program, pass)` pair quarantine it.
 pub const DEFAULT_QUARANTINE_THRESHOLD: u32 = 2;
@@ -26,14 +26,10 @@ pub const DEFAULT_QUARANTINE_THRESHOLD: u32 = 2;
 #[derive(Debug)]
 pub struct Quarantine {
     threshold: u32,
-    /// `(program fingerprint, pass id)` → fault count.
+    /// `(program fingerprint, pass id)` → fault count. Taken with
+    /// `lock_recover`: recording threads may die mid-episode, and every
+    /// update is a single map operation.
     faults: Mutex<HashMap<(u64, usize), u32>>,
-}
-
-fn lock_table(m: &Mutex<HashMap<(u64, usize), u32>>) -> MutexGuard<'_, HashMap<(u64, usize), u32>> {
-    // Fault recording happens on worker threads that may die mid-episode;
-    // the map is always valid (single-operation updates), so recover.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for Quarantine {
@@ -56,7 +52,7 @@ impl Quarantine {
     /// record crossed the threshold (the pair is *newly* quarantined).
     pub fn record_fault(&self, program: u64, pass: usize) -> bool {
         let newly = {
-            let mut map = lock_table(&self.faults);
+            let mut map = lock_recover(&self.faults);
             let count = map.entry((program, pass)).or_insert(0);
             *count += 1;
             *count == self.threshold
@@ -69,14 +65,14 @@ impl Quarantine {
 
     /// Is `pass` masked from `program`'s action space?
     pub fn is_quarantined(&self, program: u64, pass: usize) -> bool {
-        lock_table(&self.faults)
+        lock_recover(&self.faults)
             .get(&(program, pass))
             .is_some_and(|&c| c >= self.threshold)
     }
 
     /// Recorded fault count for a pair (0 when never seen).
     pub fn fault_count(&self, program: u64, pass: usize) -> u32 {
-        lock_table(&self.faults)
+        lock_recover(&self.faults)
             .get(&(program, pass))
             .copied()
             .unwrap_or(0)
@@ -84,7 +80,7 @@ impl Quarantine {
 
     /// Number of quarantined (masked) pairs.
     pub fn len(&self) -> usize {
-        lock_table(&self.faults)
+        lock_recover(&self.faults)
             .values()
             .filter(|&&c| c >= self.threshold)
             .count()
@@ -97,7 +93,7 @@ impl Quarantine {
 
     /// The masked pass ids for `program`, sorted.
     pub fn masked_passes(&self, program: u64) -> Vec<usize> {
-        let mut out: Vec<usize> = lock_table(&self.faults)
+        let mut out: Vec<usize> = lock_recover(&self.faults)
             .iter()
             .filter(|(&(p, _), &c)| p == program && c >= self.threshold)
             .map(|(&(_, pass), _)| pass)
@@ -140,7 +136,7 @@ mod tests {
         let q = std::sync::Arc::new(Quarantine::new(1));
         let q2 = std::sync::Arc::clone(&q);
         let t = std::thread::spawn(move || {
-            let _guard = lock_table(&q2.faults);
+            let _guard = lock_recover(&q2.faults);
             panic!("poison on purpose");
         });
         assert!(t.join().is_err());

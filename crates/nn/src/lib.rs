@@ -26,7 +26,6 @@
 //! assert!((y[0] - 0.5).abs() < 0.1);
 //! ```
 #![warn(missing_docs)]
-#![cfg_attr(feature = "nightly-simd", feature(portable_simd))]
 
 pub mod matrix;
 pub mod mlp;

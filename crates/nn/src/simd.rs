@@ -28,12 +28,12 @@ use std::sync::OnceLock;
 /// Vector width for the f64 kernels, à la ratchet's `KernelElement`.
 ///
 /// `V4` maps to AVX `f64x4` on `x86_64` (runtime-detected; falls back to
-/// the generic 4-lane kernel elsewhere) or to `std::simd::f64x4` under
-/// the `nightly-simd` feature. `V2` is the SSE2-baseline 2-lane kernel.
+/// the generic 4-lane kernel elsewhere). `V2` is the SSE2-baseline
+/// 2-lane kernel.
 /// `Scalar` is a plain loop, used when the `simd` feature is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelWidth {
-    /// Four f64 lanes (AVX ymm / `std::simd::f64x4`).
+    /// Four f64 lanes (AVX ymm).
     V4,
     /// Two f64 lanes (SSE2 xmm baseline).
     V2,
@@ -77,9 +77,8 @@ impl KernelWidth {
 
     /// Select the widest kernel this build + CPU supports.
     ///
-    /// With the `simd` feature disabled this is always `Scalar`. With
-    /// `nightly-simd` it is `V4` (portable lanes work everywhere).
-    /// Otherwise `V4` when the CPU reports AVX, else `V2`.
+    /// With the `simd` feature disabled this is always `Scalar`;
+    /// otherwise `V4` when the CPU reports AVX, else `V2`.
     pub fn pick() -> KernelWidth {
         pick_impl()
     }
@@ -90,12 +89,7 @@ fn pick_impl() -> KernelWidth {
     KernelWidth::Scalar
 }
 
-#[cfg(all(feature = "simd", feature = "nightly-simd"))]
-fn pick_impl() -> KernelWidth {
-    KernelWidth::V4
-}
-
-#[cfg(all(feature = "simd", not(feature = "nightly-simd")))]
+#[cfg(feature = "simd")]
 fn pick_impl() -> KernelWidth {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
@@ -383,10 +377,8 @@ const GEMM_ROW_BLOCK: usize = 4;
 //
 // `#[target_feature(enable = "avx")]` recompiles the generic 4-lane body
 // with ymm registers ("avx" only — never "fma", see the module contract).
-// The nightly path uses `std::simd` portable vectors instead; both are
-// lane-exact IEEE ops.
 
-#[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod v4 {
     #[target_feature(enable = "avx")]
     pub unsafe fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
@@ -445,187 +437,48 @@ mod v4 {
     }
 }
 
-#[cfg(feature = "nightly-simd")]
-mod v4 {
-    use std::simd::f64x4;
-
-    pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-        let n = y.len();
-        let main = n - n % 4;
-        let av = f64x4::splat(a);
-        for (yc, xc) in y[..main].chunks_exact_mut(4).zip(x[..main].chunks_exact(4)) {
-            let r = f64x4::from_slice(yc) + av * f64x4::from_slice(xc);
-            r.copy_to_slice(yc);
-        }
-        for (yi, xi) in y[main..].iter_mut().zip(&x[main..]) {
-            *yi += a * *xi;
-        }
-    }
-
-    pub fn add(y: &mut [f64], x: &[f64]) {
-        let n = y.len();
-        let main = n - n % 4;
-        for (yc, xc) in y[..main].chunks_exact_mut(4).zip(x[..main].chunks_exact(4)) {
-            let r = f64x4::from_slice(yc) + f64x4::from_slice(xc);
-            r.copy_to_slice(yc);
-        }
-        for (yi, xi) in y[main..].iter_mut().zip(&x[main..]) {
-            *yi += *xi;
-        }
-    }
-
-    pub fn gemv_kt(wt: &[f64], x: &[f64], y: &mut [f64]) {
-        let out = y.len();
-        if out == 0 {
-            return;
-        }
-        let block = 16;
-        let mut n = 0;
-        while n + block <= out {
-            let mut acc = [f64x4::splat(0.0); 4];
-            for (k, &xk) in x.iter().enumerate() {
-                let row = &wt[k * out + n..k * out + n + block];
-                let xv = f64x4::splat(xk);
-                for (u, a) in acc.iter_mut().enumerate() {
-                    // Separate mul then add: portable-simd ops are strict
-                    // IEEE, never contracted to fma.
-                    *a += f64x4::from_slice(&row[u * 4..(u + 1) * 4]) * xv;
-                }
-            }
-            for (u, a) in acc.iter().enumerate() {
-                a.copy_to_slice(&mut y[n + u * 4..n + (u + 1) * 4]);
-            }
-            n += block;
-        }
-        for nn in n..out {
-            let mut a = 0.0;
-            for (k, &xk) in x.iter().enumerate() {
-                a += wt[k * out + nn] * xk;
-            }
-            y[nn] = a;
-        }
-    }
-
-    pub fn gemm_kt(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
-        const RB: usize = super::GEMM_ROW_BLOCK;
-        if out == 0 {
-            return;
-        }
-        let nb = 8;
-        let mut b = 0;
-        while b + RB <= batch {
-            let xrow: [&[f64]; RB] =
-                std::array::from_fn(|r| &xs[(b + r) * kdim..(b + r + 1) * kdim]);
-            let mut n = 0;
-            while n + nb <= out {
-                let mut acc = [[f64x4::splat(0.0); 2]; RB];
-                for k in 0..kdim {
-                    let row = &wt[k * out + n..k * out + n + nb];
-                    let r0 = f64x4::from_slice(&row[0..4]);
-                    let r1 = f64x4::from_slice(&row[4..8]);
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        let xv = f64x4::splat(xrow[r][k]);
-                        a[0] += r0 * xv;
-                        a[1] += r1 * xv;
-                    }
-                }
-                for (r, a) in acc.iter().enumerate() {
-                    a[0].copy_to_slice(&mut ys[(b + r) * out + n..(b + r) * out + n + 4]);
-                    a[1].copy_to_slice(&mut ys[(b + r) * out + n + 4..(b + r) * out + n + 8]);
-                }
-                n += nb;
-            }
-            for nn in n..out {
-                for (r, xr) in xrow.iter().enumerate() {
-                    let mut a = 0.0;
-                    for (k, &xk) in xr.iter().enumerate() {
-                        a += wt[k * out + nn] * xk;
-                    }
-                    ys[(b + r) * out + nn] = a;
-                }
-            }
-            b += RB;
-        }
-        while b < batch {
-            gemv_kt(
-                wt,
-                &xs[b * kdim..(b + 1) * kdim],
-                &mut ys[b * out..(b + 1) * out],
-            );
-            b += 1;
-        }
-    }
-}
-
 fn axpy_v4(y: &mut [f64], a: f64, x: &[f64]) {
-    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if v4::avx_available() {
         // SAFETY: guarded by runtime AVX detection.
         unsafe { v4::axpy(y, a, x) };
         return;
     }
-    #[cfg(feature = "nightly-simd")]
-    {
-        v4::axpy(y, a, x);
-        return;
-    }
-    #[allow(unreachable_code)]
     axpy_lanes::<4>(y, a, x)
 }
 
 fn add_v4(y: &mut [f64], x: &[f64]) {
-    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if v4::avx_available() {
         // SAFETY: guarded by runtime AVX detection.
         unsafe { v4::add(y, x) };
         return;
     }
-    #[cfg(feature = "nightly-simd")]
-    {
-        v4::add(y, x);
-        return;
-    }
-    #[allow(unreachable_code)]
     add_lanes::<4>(y, x)
 }
 
 fn gemv_kt_v4(wt: &[f64], x: &[f64], y: &mut [f64]) {
-    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if v4::avx_available() {
         // SAFETY: guarded by runtime AVX detection.
         unsafe { v4::gemv_kt(wt, x, y) };
         return;
     }
-    #[cfg(feature = "nightly-simd")]
-    {
-        v4::gemv_kt(wt, x, y);
-        return;
-    }
-    #[allow(unreachable_code)]
     gemv_kt_lanes::<4, false>(wt, x, y)
 }
 
 fn gemm_kt_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
-    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if v4::avx_available() {
         // SAFETY: guarded by runtime AVX detection.
         unsafe { v4::gemm_kt(wt, xs, ys, batch, kdim, out) };
         return;
     }
-    #[cfg(feature = "nightly-simd")]
-    {
-        v4::gemm_kt(wt, xs, ys, batch, kdim, out);
-        return;
-    }
-    #[allow(unreachable_code)]
     gemm_kt_lanes::<4, false>(wt, xs, ys, batch, kdim, out)
 }
 
-// The training kernels have no `std::simd` twin: under `nightly-simd`
-// (and off x86_64) they run the generic 4-lane body.
-
 fn gemm_kt_acc_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
-    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if v4::avx_available() {
         // SAFETY: guarded by runtime AVX detection.
         unsafe { v4::gemm_kt_acc(wt, xs, ys, batch, kdim, out) };
@@ -635,7 +488,7 @@ fn gemm_kt_acc_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: us
 }
 
 fn adam_v4(w: &mut [f64], g: &mut [f64], m: &mut [f64], v: &mut [f64], c: &AdamStep) {
-    #[cfg(all(not(feature = "nightly-simd"), target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if v4::avx_available() {
         // SAFETY: guarded by runtime AVX detection.
         unsafe { v4::adam(w, g, m, v, c) };

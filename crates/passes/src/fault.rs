@@ -30,10 +30,11 @@
 
 use crate::checked::{FaultKind, INJECTED_PANIC_MSG};
 use crate::registry::PassId;
+use autophase_telemetry::lock_recover;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, Once};
 
 /// One planned fault: the `nth` (1-based) checked application of `pass`
 /// within a matching context faults with `kind`.
@@ -129,17 +130,11 @@ fn plan_slot() -> &'static Mutex<Option<Arc<FaultPlan>>> {
     &SLOT
 }
 
-fn lock_slot() -> MutexGuard<'static, Option<Arc<FaultPlan>>> {
-    // A panic while holding this lock (tests inject panics on purpose)
-    // must not wedge the harness: the Option is always in a valid state.
-    plan_slot().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Arm `plan` process-wide. Returns the shared handle so the caller can
 /// later assert on [`FaultPlan::fired`]. Replaces any previous plan.
 pub fn install_plan(plan: FaultPlan) -> Arc<FaultPlan> {
     let plan = Arc::new(plan);
-    *lock_slot() = Some(Arc::clone(&plan));
+    *lock_recover(plan_slot()) = Some(Arc::clone(&plan));
     ACTIVE.store(true, Ordering::Release);
     plan
 }
@@ -147,7 +142,7 @@ pub fn install_plan(plan: FaultPlan) -> Arc<FaultPlan> {
 /// Disarm the harness (subsequent [`poll`]s return `None`).
 pub fn clear_plan() {
     ACTIVE.store(false, Ordering::Release);
-    *lock_slot() = None;
+    *lock_recover(plan_slot()) = None;
 }
 
 struct Ctx {
@@ -180,7 +175,7 @@ pub fn poll(pass: PassId) -> Option<FaultKind> {
     if !ACTIVE.load(Ordering::Acquire) {
         return None;
     }
-    let plan = lock_slot().clone()?;
+    let plan = lock_recover(plan_slot()).clone()?;
     let (episode, count) = CTX.with(|c| {
         let mut c = c.borrow_mut();
         let count = c.counts.entry(pass).or_insert(0);
@@ -220,7 +215,7 @@ pub fn quiet_panic_hook() {
 /// Hold the returned guard for the duration of the test.
 pub fn test_guard() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+    lock_recover(&GUARD)
 }
 
 #[cfg(test)]

@@ -200,19 +200,15 @@ impl PolicyCheckpoint {
         })
     }
 
-    /// Write the checkpoint to `path` atomically (temp file + rename).
+    /// Write the checkpoint to `path` atomically and durably
+    /// ([`faultfs::atomic_write`]): a failed save leaves the previous
+    /// checkpoint in place and no `<path>.tmp` behind.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            faultfs::write_all(&mut f, &self.to_bytes(), "ckpt.write")?;
-            faultfs::sync_all(&f, "ckpt.sync")?;
-        }
-        faultfs::rename(&tmp, path, "ckpt.rename")?;
+        faultfs::atomic_write(path, &self.to_bytes(), "ckpt.write")?;
         Ok(())
     }
 

@@ -5,7 +5,7 @@
 use crate::env::Environment;
 use crate::rollout::argmax;
 use autophase_nn::{Activation, Mlp};
-use autophase_telemetry as telemetry;
+use autophase_telemetry::{self as telemetry, lock_recover};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -217,9 +217,7 @@ impl EsAgent {
                         let mut k = w;
                         while k < pop {
                             let out = eval_pair(env.as_mut(), &mut probe, k);
-                            *per_pair[k]
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
+                            *lock_recover(&per_pair[k]) = Some(out);
                             k += workers;
                         }
                     }));
@@ -241,10 +239,7 @@ impl EsAgent {
             let mut grad = vec![0.0; dim];
             let mut fitness_sum = 0.0;
             for (k, slot) in per_pair.iter().enumerate() {
-                let mut got = slot
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take();
+                let mut got = lock_recover(slot).take();
                 if got.is_none() {
                     let env = &mut envs[0];
                     got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -35,7 +35,6 @@ use crate::checkpoint::{ArmoredLoad, PolicyCheckpoint};
 use autophase_telemetry as telemetry;
 use autophase_telemetry::faultfs;
 use std::fmt;
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -95,22 +94,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Best-effort fsync of `path`'s parent directory (same contract as the
-/// store's snapshot publish: rename is already atomic, some filesystems
-/// refuse directory fsync, so errors are ignored).
-fn sync_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
 }
 
 /// Serialize a version history (plus optional active version) into the
@@ -444,20 +427,7 @@ impl ModelRegistry {
 
     fn write_manifest(&self) -> Result<(), RegistryError> {
         let body = encode_manifest(&self.versions, self.active);
-        let target = self.dir.join(MANIFEST);
-        let tmp = self.dir.join(format!("{MANIFEST}.tmp"));
-        let publish = (|| {
-            let mut f = File::create(&tmp)?;
-            faultfs::write_all(&mut f, &body, "registry.manifest")?;
-            faultfs::sync_all(&f, "registry.manifest")?;
-            drop(f);
-            faultfs::rename(&tmp, &target, "registry.manifest")
-        })();
-        if let Err(e) = publish {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        sync_dir(&target);
+        faultfs::atomic_write(&self.dir.join(MANIFEST), &body, "registry.manifest")?;
         Ok(())
     }
 }

@@ -14,20 +14,12 @@
 
 use crate::env::Environment;
 use autophase_nn::{softmax, BatchWorkspace, Mlp, SoaMlp};
-use autophase_telemetry as telemetry;
+use autophase_telemetry::{self as telemetry, lock_recover};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Lock a mutex, recovering from poisoning. A panicked worker leaves its
-/// locks poisoned; every value guarded here (queues, result slots, worker
-/// environments) is either re-initialized on reuse or episode-scoped, so
-/// the stale state is harmless and the guard is safe to hand out.
-fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::Mutex;
 
 /// One collected episode: its transitions and total reward.
 type EpisodeResult = (Vec<Transition>, f64);
@@ -270,7 +262,10 @@ pub struct SupervisedBatch {
 /// One supervised worker: drain the shared episode queue on slot `w`'s
 /// environment, publishing each result as soon as it completes. A panic
 /// anywhere in here kills only this thread; the supervisor reads
-/// `in_flight[w]` to learn which episode died.
+/// `in_flight[w]` to learn which episode died. The locks it leaves
+/// poisoned are taken with `lock_recover`: every value they guard (the
+/// queue, result slots, worker environments) is re-initialized on reuse
+/// or episode-scoped, so the stale state is harmless.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     w: usize,

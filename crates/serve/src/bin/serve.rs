@@ -447,17 +447,12 @@ fn render_dashboard(snap: &StatsSnapshot, rates: Option<(&StatsSnapshot, f64)>) 
             );
         }
     }
-    if let Some(h) = snap.hist("serve.batch_size", "") {
-        let mean = if h.count > 0 {
-            h.sum as f64 / h.count as f64
-        } else {
-            0.0
-        };
+    if let Some(h) = snap.hist("serve.engine_ns", "forward") {
         let _ = writeln!(
             out,
-            "\n  inference  batches {}   mean batch {mean:.1}   forward p95 {}",
+            "\n  inference  forwards {}   forward p95 {}",
             h.count,
-            ns(snap.hist("serve.engine_ns", "forward").map_or(0, |f| f.p95))
+            ns(h.p95)
         );
     }
     out

@@ -315,9 +315,10 @@ impl Client {
         self.chaos_full(faults, 0, 0)
     }
 
-    /// Arm `n` injected engine crashes: each one panics the engine
-    /// thread at an upcoming batch (the daemon's supervisor respawns
-    /// it). Server must run with chaos on.
+    /// Arm `n` injected engine crashes: each one raises a real panic
+    /// inside an upcoming policy forward. The daemon catches it, that
+    /// request degrades to the baseline ordering, and the next one is
+    /// policy-served. Server must run with chaos on.
     ///
     /// # Errors
     ///

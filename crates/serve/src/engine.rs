@@ -1,27 +1,30 @@
-//! Batched policy inference and the greedy serving rollout.
+//! Policy inference and the greedy serving rollout.
 //!
-//! One dedicated thread owns the policy network. Request workers submit
-//! observations and block on a result slot; the engine thread collects
-//! everything that arrives within a small batching window (default
-//! 100 µs, capped at [`EngineConfig::max_batch`]) and runs the gathered
-//! batch through **one** SoA forward ([`SoaMlp::forward_batch`]) — one
-//! wake-up, one queue-lock round, and one batched GEMM per batch instead
-//! of per observation, which is where the throughput under concurrent
-//! load comes from. The SoA kernels are bit-identical to
-//! [`Mlp::forward`] (pinned by the nn crate's differential suite), so
-//! batching never changes a served decision. Batch sizes land in the
-//! `serve.batch_size` histogram, per-batch forward time in
-//! `serve.engine_ns{forward}` (kept out of the `serve.stage_ns` family,
-//! whose stages tile each request's timeline — a batch serves many
-//! requests at once, so its time is not any single request's segment).
+//! [`InferenceEngine`] is a shared handle, not a thread. It holds the
+//! installed policy set — the active policy A and, under A/B mode, a
+//! challenger B — each as an immutable [`SoaMlp`] mirror built once by
+//! whoever installs it ([`InferenceEngine::swap_policy`] /
+//! [`InferenceEngine::swap_ab`]). A rollout takes one `Arc` snapshot of
+//! that set and runs every step's forward ([`SoaMlp::forward_one`]) on
+//! the calling request worker with its own [`BatchWorkspace`] — the way
+//! the trainer's rollout workers forward (`autophase_rl::rollout`):
+//! shared read-only mirrors, per-worker scratch. A rollout is therefore
+//! served end to end by the policy set it started with, a swap never
+//! waits for or drops a request, and the only shared write on the
+//! request path is one `Arc` clone per rollout. The SoA kernels are
+//! bit-identical to [`Mlp::forward`] (pinned by the nn crate's
+//! differential suite). Forward time lands in `serve.engine_ns{forward}`
+//! (kept out of the `serve.stage_ns` family: a request's forwards are
+//! part of its `rollout` stage, not a segment of their own).
 //!
-//! The policy path is fault-isolated end to end: forward passes run
+//! The policy path is fault-isolated end to end: every forward runs
 //! under `catch_unwind` (a poisoned network answers with a typed
-//! [`PolicyFault`], not a dead daemon), and the rollout applies every
-//! chosen pass through `apply_checked`, recording offenders in the
+//! [`PolicyFault`], not a dead handler thread), and the rollout applies
+//! every chosen pass through `apply_checked`, recording offenders in the
 //! shared quarantine table so a pass that keeps faulting on a program
 //! drops out of that program's action space. Injected faults
-//! ([`InferenceEngine::inject_faults`]) hit the same surface the real
+//! ([`InferenceEngine::inject_faults`]) and injected panics
+//! ([`InferenceEngine::inject_crashes`]) hit the same surface the real
 //! ones do, so chaos tests exercise the production degradation path.
 
 use autophase_core::env::{
@@ -35,21 +38,19 @@ use autophase_nn::{softmax, BatchWorkspace, SoaMlp};
 use autophase_passes::checked::{apply_checked_changeset, FuelBudget};
 use autophase_rl::online::ExperienceStep;
 use autophase_rl::serving::ObsLayout;
-use autophase_telemetry as telemetry;
+use autophase_telemetry::{self as telemetry, lock_recover};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
-/// Panic payload of an injected engine crash
+/// Panic payload of an injected forward panic
 /// ([`InferenceEngine::inject_crashes`]) — lets test panic hooks
 /// silence on-purpose crashes without hiding real ones.
 pub const INJECTED_CRASH_MSG: &str = "injected engine crash (chaos)";
 
 /// Install (once) a panic hook that swallows *injected* engine crashes —
 /// payloads equal to [`INJECTED_CRASH_MSG`] — and delegates everything
-/// else to the previous hook. Chaos tests crash the engine on purpose;
+/// else to the previous hook. Chaos tests crash the forward on purpose;
 /// this keeps their stderr readable without hiding real failures.
 pub fn quiet_crash_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -65,14 +66,6 @@ pub fn quiet_crash_hook() {
             }
         }));
     });
-}
-
-/// Lock a mutex, recovering from poisoning: the engine supervisor
-/// respawns after panics, and a panic mid-batch must not turn every
-/// later `infer` into a second panic. All data under these locks stays
-/// valid across unwinds (the batch guard answers in-flight slots).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Episode length of the serving rollout (and of the training
@@ -145,24 +138,11 @@ impl std::fmt::Display for PolicyFault {
 
 impl std::error::Error for PolicyFault {}
 
-/// Batching knobs.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// How long the engine thread lingers for more arrivals after the
-    /// first observation of a batch.
-    pub batch_window: Duration,
-    /// Hard cap on observations per batch.
-    pub max_batch: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            batch_window: Duration::from_micros(100),
-            max_batch: 64,
-        }
-    }
-}
+/// Engine options: there are none. The type and its place in
+/// [`InferenceEngine::start`] remain because the frozen `benchmark/`
+/// package compiles against both.
+#[derive(Debug, Clone, Default)]
+pub struct EngineConfig {}
 
 /// What a traced rollout did, beyond the chosen ordering — the
 /// per-request aggregates the flight recorder attaches as trace notes
@@ -172,14 +152,12 @@ impl Default for EngineConfig {
 pub struct RolloutReport {
     /// The effective ordering (the passes that changed the module).
     pub applied: Vec<usize>,
-    /// Forward passes submitted to the batching queue.
+    /// Policy forwards this rollout ran.
     pub infer_calls: u32,
-    /// Total nanoseconds this request spent blocked on inference
-    /// (enqueue → result, including batch linger).
+    /// Total nanoseconds this request spent inside those forwards.
     pub infer_wait_ns: u64,
-    /// Largest engine batch any of this request's inferences was served
-    /// in — 1 means every forward ran alone, larger values mean the
-    /// batched GEMM actually amortized work across concurrent requests.
+    /// Always 1: every forward runs alone on its request's thread. Kept
+    /// because the frozen `benchmark/` package reads it.
     pub infer_batch_max: u32,
     /// Pass applications that faulted (rolled back and quarantined).
     pub pass_faults: u32,
@@ -192,15 +170,8 @@ pub struct RolloutReport {
     pub steps: Vec<ExperienceStep>,
 }
 
-/// A successful inference: the logits, the size of the engine batch
-/// that served it (for [`RolloutReport::infer_batch_max`]), and the
-/// version of the policy that answered.
-type Inference = (Vec<f64>, u32, u64);
-
-type Slot = Arc<(Mutex<Option<Result<Inference, PolicyFault>>>, Condvar)>;
-
-/// Which serving policy a job is routed to: the active policy (A) or,
-/// under A/B mode, the challenger (B). Routing is decided once per
+/// Which serving policy a rollout is routed to: the active policy (A)
+/// or, under A/B mode, the challenger (B). Routing is decided once per
 /// rollout from the program fingerprint, so a request's whole episode
 /// is served by one policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,63 +180,58 @@ enum Route {
     B,
 }
 
-/// A policy with its registry version, immutable once installed: swaps
-/// replace the `Arc`, never the weights behind it, so a batch that
-/// cloned the `Arc` keeps its exact network to the end.
+/// A policy's serving mirror with its registry version, immutable once
+/// installed: swaps replace the `Arc`, never the weights behind it.
 struct PolicyEntry {
     version: u64,
-    mlp: Mlp,
+    soa: SoaMlp,
 }
 
-/// The currently installed serving policies.
-#[derive(Clone)]
+/// The installed serving policies. Immutable: a swap publishes a new
+/// set, so a rollout holding an `Arc` of this one keeps its exact
+/// networks to the end.
 struct ActiveSet {
     a: Arc<PolicyEntry>,
     /// A/B challenger, absent outside A/B mode.
     b: Option<Arc<PolicyEntry>>,
 }
 
-/// Lock-free-on-the-hot-path policy slot. The engine thread caches the
-/// `ActiveSet` (and its SoA mirrors) and checks one relaxed-cost atomic
-/// `seq` load per *batch*; only when a swap bumped `seq` does it take
-/// the lock and rebuild the mirrors. A swap therefore never lands
-/// mid-batch, and steady-state serving never contends on the mutex.
-struct PolicySlot {
-    seq: AtomicU64,
-    set: Mutex<ActiveSet>,
+impl ActiveSet {
+    /// Which slot requests for `fp` route to. Stable per fingerprint (a
+    /// program's episodes all land on one policy); everything routes to
+    /// A outside A/B mode.
+    fn route_for(&self, fp: u64) -> Route {
+        if self.b.is_some() && splitmix(fp) & 1 == 1 {
+            Route::B
+        } else {
+            Route::A
+        }
+    }
+
+    /// The policy behind `route`; B with no challenger installed is A.
+    fn entry(&self, route: Route) -> &PolicyEntry {
+        match (&self.b, route) {
+            (Some(b), Route::B) => b,
+            _ => &self.a,
+        }
+    }
 }
 
-struct Job {
-    obs: Vec<f64>,
-    route: Route,
-    slot: Slot,
-}
-
-struct Queue {
-    jobs: Vec<Job>,
-    shutdown: bool,
-}
-
-/// Handle to the inference thread (see module docs).
+/// Shared handle to the serving policies (see module docs).
 pub struct InferenceEngine {
-    queue: Arc<(Mutex<Queue>, Condvar)>,
-    /// Hot-swappable serving policies; `None` in baseline-only mode.
-    slot: Option<Arc<PolicySlot>>,
+    /// The installed set; `None` in baseline-only mode. The lock is held
+    /// only to clone or replace the `Arc`, never across a forward.
+    policies: Option<Mutex<Arc<ActiveSet>>>,
     /// Armed chaos faults: each pending fault makes one upcoming
     /// inference answer [`PolicyFault::Inference`].
-    chaos: Arc<AtomicU32>,
-    /// Armed chaos crashes: each one panics the engine thread at the
-    /// start of an upcoming batch (the supervisor respawns it).
-    crash: Arc<AtomicU32>,
-    /// Times the supervisor respawned the engine loop after a panic.
-    respawns: Arc<AtomicU64>,
+    chaos: AtomicU32,
+    /// Armed chaos crashes: each one panics one upcoming forward.
+    crash: AtomicU32,
     /// Policy swaps installed over this engine's lifetime.
-    swaps: Arc<AtomicU64>,
-    episode_len: usize,
-    /// Baseline-only mode: no thread, every inference answers
-    /// [`PolicyFault::Inference`] so callers take the baseline rung.
-    disabled: bool,
-    thread: Option<JoinHandle<()>>,
+    swaps: AtomicU64,
+    /// Set by [`InferenceEngine::shutdown`]: every later inference
+    /// answers [`PolicyFault::Shutdown`].
+    shutdown: bool,
 }
 
 /// Checkpoint/engine shape mismatch at startup.
@@ -280,124 +246,61 @@ impl std::fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
+/// Shape-check `policy` against the serving layout and build its
+/// serving mirror.
+fn policy_entry(policy: &Mlp, version: u64) -> Result<Arc<PolicyEntry>, ShapeError> {
+    serve_layout()
+        .check_policy(policy)
+        .map_err(|e| ShapeError(e.to_string()))?;
+    Ok(Arc::new(PolicyEntry {
+        version,
+        soa: SoaMlp::from_mlp(policy),
+    }))
+}
+
+/// Take one armed injection from `armed`, if any is pending.
+fn take_armed(armed: &AtomicU32) -> bool {
+    armed
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+        .is_ok()
+}
+
 impl InferenceEngine {
-    /// Spawn the engine thread around a trained policy network.
+    /// Serve `policy` as version 0 (the boot checkpoint; published
+    /// versions count from 1).
     ///
     /// # Errors
     ///
     /// Rejects a policy whose input/output dimensions do not match the
     /// serving observation layout — a checkpoint from a different
     /// training configuration would silently misread every observation.
-    pub fn start(policy: Mlp, cfg: EngineConfig) -> Result<InferenceEngine, ShapeError> {
-        InferenceEngine::start_versioned(policy, 0, cfg)
-    }
-
-    /// [`start`](InferenceEngine::start) with an explicit registry
-    /// version for the boot policy (0 means "the boot checkpoint",
-    /// published versions count from 1). The version travels with every
-    /// inference so experience and A/B stats attribute to the policy
-    /// that actually answered.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`start`](InferenceEngine::start).
-    pub fn start_versioned(
-        policy: Mlp,
-        version: u64,
-        cfg: EngineConfig,
-    ) -> Result<InferenceEngine, ShapeError> {
-        serve_layout()
-            .check_policy(&policy)
-            .map_err(|e| ShapeError(format!("{e} (train with serve_env_config())")))?;
-        let queue = Arc::new((
-            Mutex::new(Queue {
-                jobs: Vec::new(),
-                shutdown: false,
-            }),
-            Condvar::new(),
-        ));
-        let slot = Arc::new(PolicySlot {
-            seq: AtomicU64::new(0),
-            set: Mutex::new(ActiveSet {
-                a: Arc::new(PolicyEntry {
-                    version,
-                    mlp: policy,
-                }),
-                b: None,
-            }),
-        });
-        let chaos = Arc::new(AtomicU32::new(0));
-        let crash = Arc::new(AtomicU32::new(0));
-        let respawns = Arc::new(AtomicU64::new(0));
-        let thread = {
-            let queue = Arc::clone(&queue);
-            let slot = Arc::clone(&slot);
-            let chaos = Arc::clone(&chaos);
-            let crash = Arc::clone(&crash);
-            let respawns = Arc::clone(&respawns);
-            std::thread::Builder::new()
-                .name("serve-infer".into())
-                .spawn(move || {
-                    // Supervisor: a panicking engine loop (injected crash
-                    // or a bug past the per-forward catch_unwind) is
-                    // respawned, not fatal. In-flight batch slots were
-                    // already answered by the batch guard's Drop, so no
-                    // request ever hangs across a respawn. Clean return
-                    // means shutdown.
-                    loop {
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            engine_loop(&queue, &chaos, &crash, &slot, &cfg)
-                        }));
-                        if run.is_ok() {
-                            return;
-                        }
-                        respawns.fetch_add(1, Ordering::Relaxed);
-                        telemetry::incr("serve.engine", "respawn", 1);
-                    }
-                })
-                .expect("spawn inference thread")
-        };
+    pub fn start(policy: Mlp, _cfg: EngineConfig) -> Result<InferenceEngine, ShapeError> {
+        let a = policy_entry(&policy, 0)
+            .map_err(|e| ShapeError(format!("{} (train with serve_env_config())", e.0)))?;
         Ok(InferenceEngine {
-            queue,
-            slot: Some(slot),
-            chaos,
-            crash,
-            respawns,
-            swaps: Arc::new(AtomicU64::new(0)),
-            episode_len: SERVE_EPISODE_LEN,
-            disabled: false,
-            thread: Some(thread),
+            policies: Some(Mutex::new(Arc::new(ActiveSet { a, b: None }))),
+            ..InferenceEngine::start_baseline_only()
         })
     }
 
-    /// An engine with no policy and no thread: every inference answers
+    /// An engine with no policy: every inference answers
     /// [`PolicyFault::Inference`] immediately, so every request degrades
     /// to the baseline ordering. This is how the daemon keeps serving
     /// when its checkpoint is quarantined at startup.
     pub fn start_baseline_only() -> InferenceEngine {
         InferenceEngine {
-            queue: Arc::new((
-                Mutex::new(Queue {
-                    jobs: Vec::new(),
-                    shutdown: false,
-                }),
-                Condvar::new(),
-            )),
-            slot: None,
-            chaos: Arc::new(AtomicU32::new(0)),
-            crash: Arc::new(AtomicU32::new(0)),
-            respawns: Arc::new(AtomicU64::new(0)),
-            swaps: Arc::new(AtomicU64::new(0)),
-            episode_len: SERVE_EPISODE_LEN,
-            disabled: true,
-            thread: None,
+            policies: None,
+            chaos: AtomicU32::new(0),
+            crash: AtomicU32::new(0),
+            swaps: AtomicU64::new(0),
+            shutdown: false,
         }
     }
 
     /// Whether this engine was started without a policy
     /// ([`start_baseline_only`](InferenceEngine::start_baseline_only)).
     pub fn is_baseline_only(&self) -> bool {
-        self.disabled
+        self.policies.is_none()
     }
 
     /// Arm `n` injected faults: the next `n` inferences answer
@@ -407,30 +310,24 @@ impl InferenceEngine {
         self.chaos.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Arm `n` injected crashes: each one panics the engine thread at
-    /// the start of an upcoming batch. The batch degrades (its requests
-    /// get [`PolicyFault::Inference`]) and the supervisor respawns the
-    /// loop — exercising the full whole-thread-death recovery path.
+    /// Arm `n` injected crashes: each one raises a real panic inside an
+    /// upcoming forward, under the same `catch_unwind` that contains a
+    /// genuine one. That inference answers [`PolicyFault::Inference`]
+    /// and the next one is served normally.
     pub fn inject_crashes(&self, n: u32) {
         self.crash.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// How many times the supervisor has respawned the engine loop after
-    /// a panic.
-    pub fn respawn_count(&self) -> u64 {
-        self.respawns.load(Ordering::Relaxed)
-    }
-
     /// Hot-swap the active policy to `policy` (registry `version`),
-    /// clearing any A/B challenger. The swap is installed between
-    /// batches — in-flight batches finish on the policy they started
-    /// with, and no request is dropped.
+    /// clearing any A/B challenger. Rollouts in flight finish on the
+    /// set they started with; every later rollout sees the new one. No
+    /// request waits on the swap or is dropped by it.
     ///
     /// # Errors
     ///
     /// Rejects a policy that fails the serving-layout shape check, and
-    /// any swap on a baseline-only engine (it has no serving thread to
-    /// swap under).
+    /// any swap on a baseline-only engine (it has no policy set to swap
+    /// into).
     pub fn swap_policy(&self, policy: Mlp, version: u64) -> Result<(), ShapeError> {
         self.install(policy, version, false)
     }
@@ -448,30 +345,25 @@ impl InferenceEngine {
     }
 
     fn install(&self, policy: Mlp, version: u64, as_challenger: bool) -> Result<(), ShapeError> {
-        let Some(slot) = &self.slot else {
+        let Some(policies) = &self.policies else {
             return Err(ShapeError(
                 "baseline-only engine has no policy slot to swap".into(),
             ));
         };
-        serve_layout()
-            .check_policy(&policy)
-            .map_err(|e| ShapeError(e.to_string()))?;
-        let entry = Arc::new(PolicyEntry {
-            version,
-            mlp: policy,
-        });
+        // The transpose into the serving mirror happens here, on the
+        // swapper's thread and outside the lock.
+        let entry = policy_entry(&policy, version)?;
         {
-            let mut set = lock_recover(&slot.set);
-            if as_challenger {
-                set.b = Some(entry);
+            let mut set = lock_recover(policies);
+            *set = Arc::new(if as_challenger {
+                ActiveSet {
+                    a: Arc::clone(&set.a),
+                    b: Some(entry),
+                }
             } else {
-                set.a = entry;
-                set.b = None;
-            }
+                ActiveSet { a: entry, b: None }
+            });
         }
-        // Publish after the set is consistent; the engine thread picks
-        // the new set up at its next batch boundary.
-        slot.seq.fetch_add(1, Ordering::Release);
         self.swaps.fetch_add(1, Ordering::Relaxed);
         telemetry::incr(
             "serve.engine",
@@ -484,21 +376,22 @@ impl InferenceEngine {
     /// Drop the A/B challenger (if any); all traffic routes to the
     /// active policy again.
     pub fn clear_ab(&self) {
-        let Some(slot) = &self.slot else { return };
-        let had_b = {
-            let mut set = lock_recover(&slot.set);
-            set.b.take().is_some()
+        let Some(policies) = &self.policies else {
+            return;
         };
-        if had_b {
-            slot.seq.fetch_add(1, Ordering::Release);
+        let mut set = lock_recover(policies);
+        if set.b.is_some() {
+            *set = Arc::new(ActiveSet {
+                a: Arc::clone(&set.a),
+                b: None,
+            });
         }
     }
 
     /// The versions currently serving: `(active, challenger)`. `None`
     /// on a baseline-only engine.
     pub fn active_versions(&self) -> Option<(u64, Option<u64>)> {
-        let slot = self.slot.as_ref()?;
-        let set = lock_recover(&slot.set);
+        let set = self.serving().ok()?;
         Some((set.a.version, set.b.as_ref().map(|e| e.version)))
     }
 
@@ -508,77 +401,78 @@ impl InferenceEngine {
         self.swaps.load(Ordering::Relaxed)
     }
 
-    /// Which slot requests for `fp` route to under the current A/B
-    /// split. Stable per fingerprint (a program's episodes all land on
-    /// one policy); everything routes to A outside A/B mode.
-    fn route_for(&self, fp: u64) -> Route {
-        let Some(slot) = &self.slot else {
-            return Route::A;
-        };
-        if lock_recover(&slot.set).b.is_none() {
-            return Route::A;
+    /// Snapshot the installed policy set.
+    fn serving(&self) -> Result<Arc<ActiveSet>, PolicyFault> {
+        let policies = self.policies.as_ref().ok_or(PolicyFault::Inference)?;
+        Ok(Arc::clone(&lock_recover(policies)))
+    }
+
+    /// One forward of `policy` over `obs` on the calling thread: logits
+    /// over the serving action space, left in `ws`.
+    fn forward<'w>(
+        &self,
+        policy: &PolicyEntry,
+        obs: &[f64],
+        ws: &'w mut BatchWorkspace,
+    ) -> Result<&'w [f64], PolicyFault> {
+        if self.shutdown {
+            return Err(PolicyFault::Shutdown);
         }
-        if splitmix(fp) & 1 == 0 {
-            Route::A
+        let t = telemetry::maybe_now();
+        let fault = if take_armed(&self.chaos) {
+            Some("injected")
+        } else if obs.len() != policy.soa.input_dim() {
+            // Answered here rather than by the kernel's length assert:
+            // a malformed observation is its caller's fault, not a panic.
+            Some("shape")
         } else {
-            Route::B
+            // A panic faults this inference only: `forward_one` restages
+            // the workspace, so a torn state cannot leak into the next.
+            catch_unwind(AssertUnwindSafe(|| {
+                if take_armed(&self.crash) {
+                    std::panic::panic_any(INJECTED_CRASH_MSG);
+                }
+                policy.soa.forward_one(obs, ws);
+            }))
+            .err()
+            .map(|_| "panic")
+        };
+        telemetry::observe_since("serve.engine_ns", "forward", t);
+        match fault {
+            Some(kind) => {
+                telemetry::incr("serve.policy_fault", kind, 1);
+                Err(PolicyFault::Inference)
+            }
+            None => Ok(ws.logits(0)),
         }
     }
 
-    /// One blocking forward pass through the batching queue: logits over
-    /// the serving action space.
+    /// One forward through the active policy: logits over the serving
+    /// action space.
     ///
     /// # Errors
     ///
     /// [`PolicyFault`] when the forward pass faulted (or was injected to)
-    /// or the engine is shutting down.
+    /// or the engine was shut down.
     pub fn infer(&self, obs: Vec<f64>) -> Result<Vec<f64>, PolicyFault> {
-        self.infer_sized(obs).map(|(logits, _, _)| logits)
+        self.infer_routed(obs, Route::A).map(|(logits, _)| logits)
     }
 
-    /// [`infer`](InferenceEngine::infer), also reporting the size of the
-    /// engine batch the forward ran in (≥ 1) and the version of the
-    /// policy that answered. Always routes to the active policy; the
-    /// A/B split applies per rollout, not per raw inference.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`infer`](InferenceEngine::infer).
-    pub fn infer_sized(&self, obs: Vec<f64>) -> Result<Inference, PolicyFault> {
-        self.infer_routed(obs, Route::A)
+    /// [`infer`](InferenceEngine::infer) through the policy behind
+    /// `route`, also reporting the version that answered.
+    fn infer_routed(&self, obs: Vec<f64>, route: Route) -> Result<(Vec<f64>, u64), PolicyFault> {
+        let set = self.serving()?;
+        let policy = set.entry(route);
+        let mut ws = BatchWorkspace::new();
+        let logits = self.forward(policy, &obs, &mut ws)?.to_vec();
+        Ok((logits, policy.version))
     }
 
-    fn infer_routed(&self, obs: Vec<f64>, route: Route) -> Result<Inference, PolicyFault> {
-        if self.disabled {
-            return Err(PolicyFault::Inference);
-        }
-        let slot: Slot = Arc::new((Mutex::new(None), Condvar::new()));
-        {
-            let (lock, cv) = &*self.queue;
-            let mut q = lock_recover(lock);
-            if q.shutdown {
-                return Err(PolicyFault::Shutdown);
-            }
-            q.jobs.push(Job {
-                obs,
-                route,
-                slot: Arc::clone(&slot),
-            });
-            cv.notify_all();
-        }
-        let (lock, cv) = &*slot;
-        let mut state = lock_recover(lock);
-        while state.is_none() {
-            state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        state.take().expect("slot filled")
-    }
-
-    /// Greedy policy rollout on `m` in place: `episode_len` steps of
-    /// argmax actions, each chosen pass applied transactionally. Faulted
-    /// applies are recorded in `quarantine` and skipped; quarantined
-    /// passes are masked out of the argmax. Returns the effective
-    /// ordering (the changing passes).
+    /// Greedy policy rollout on `m` in place: [`SERVE_EPISODE_LEN`] steps
+    /// of argmax actions, each chosen pass applied transactionally.
+    /// Faulted applies are recorded in `quarantine` and skipped;
+    /// quarantined passes are masked out of the argmax. Returns the
+    /// effective ordering (the changing passes).
     ///
     /// # Errors
     ///
@@ -596,7 +490,9 @@ impl InferenceEngine {
     }
 
     /// [`choose_sequence`](InferenceEngine::choose_sequence), plus the
-    /// per-request aggregates ([`RolloutReport`]) a trace records.
+    /// per-request aggregates ([`RolloutReport`]) a trace records. The
+    /// whole episode is served by one policy: the set is snapshotted and
+    /// the A/B route chosen once, before the first step.
     ///
     /// # Errors
     ///
@@ -609,22 +505,26 @@ impl InferenceEngine {
         fuel: &FuelBudget,
     ) -> Result<RolloutReport, PolicyFault> {
         let layout = serve_layout();
-        let route = self.route_for(fp);
+        let set = self.serving()?;
+        let policy = set.entry(set.route_for(fp));
+        let mut ws = BatchWorkspace::new();
         let mut histogram = vec![0.0f64; layout.num_actions()];
         // Incremental feature state: seeded with one full extraction,
         // then resynced from each successful apply's ChangeSet — a
         // changing pass usually dirties a few functions, not the module.
         let mut inc = IncrementalFeatures::new(m);
         let mut feats = inst_count_filtered(&inc.total());
-        let mut report = RolloutReport::default();
-        for _ in 0..self.episode_len {
+        let mut report = RolloutReport {
+            infer_batch_max: 1,
+            policy_version: policy.version,
+            ..RolloutReport::default()
+        };
+        for _ in 0..SERVE_EPISODE_LEN {
             let obs = layout.compose(&feats, &histogram);
             let infer_start = std::time::Instant::now();
             report.infer_calls += 1;
-            let (logits, batch, version) = self.infer_routed(obs.clone(), route)?;
-            report.policy_version = version;
+            let logits = self.forward(policy, &obs, &mut ws)?;
             report.infer_wait_ns += infer_start.elapsed().as_nanos() as u64;
-            report.infer_batch_max = report.infer_batch_max.max(batch);
             let mut best: Option<(usize, f64)> = None;
             for (a, &score) in logits.iter().enumerate() {
                 if quarantine.is_quarantined(fp, FILTERED_PASSES[a]) {
@@ -639,7 +539,7 @@ impl InferenceEngine {
             // Record the step for the online learner: the behavior
             // log-probability is the softmax mass the serving policy
             // put on the action it (greedily) took.
-            let probs = softmax(&logits);
+            let probs = softmax(logits);
             report.steps.push(ExperienceStep {
                 obs,
                 action,
@@ -670,48 +570,10 @@ impl InferenceEngine {
         Ok(report)
     }
 
-    /// Stop the engine thread. Queued jobs are answered with
+    /// Stop serving: every later inference answers
     /// [`PolicyFault::Shutdown`]. Idempotent.
     pub fn shutdown(&mut self) {
-        {
-            let (lock, cv) = &*self.queue;
-            let mut q = lock_recover(lock);
-            q.shutdown = true;
-            cv.notify_all();
-        }
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for InferenceEngine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn fill(slot: &Slot, result: Result<Inference, PolicyFault>) {
-    let (lock, cv) = &**slot;
-    *lock_recover(lock) = Some(result);
-    cv.notify_all();
-}
-
-/// A drained batch with panic insurance: if the engine thread unwinds
-/// mid-batch (injected crash, or a panic outside the per-forward
-/// `catch_unwind`), Drop answers every not-yet-filled slot with
-/// [`PolicyFault::Inference`] so those requests degrade instead of
-/// hanging forever on a dead thread.
-struct BatchGuard {
-    jobs: Vec<Job>,
-    filled: usize,
-}
-
-impl Drop for BatchGuard {
-    fn drop(&mut self) {
-        for job in &self.jobs[self.filled..] {
-            fill(&job.slot, Err(PolicyFault::Inference));
-        }
+        self.shutdown = true;
     }
 }
 
@@ -723,185 +585,11 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The engine thread's cached view of the policy slot: the `Arc`s it
-/// cloned plus their SoA mirrors, rebuilt only when the slot's `seq`
-/// says a swap landed. The transpose cost is paid per swap, never per
-/// batch.
-struct Serving {
-    seq: u64,
-    a: Arc<PolicyEntry>,
-    a_soa: SoaMlp,
-    b: Option<(Arc<PolicyEntry>, SoaMlp)>,
-}
-
-fn refresh_serving(slot: &PolicySlot) -> Serving {
-    // Read `seq` before the set: a swap bumps `seq` *after* installing,
-    // so a stale `seq` paired with a newer set only causes one harmless
-    // extra refresh — never a missed swap.
-    let seq = slot.seq.load(Ordering::Acquire);
-    let set = lock_recover(&slot.set).clone();
-    let a_soa = SoaMlp::from_mlp(&set.a.mlp);
-    let b = set.b.map(|e| {
-        let soa = SoaMlp::from_mlp(&e.mlp);
-        (e, soa)
-    });
-    Serving {
-        seq,
-        a: set.a,
-        a_soa,
-        b,
-    }
-}
-
-/// Where a triaged job's answer comes from.
-enum Verdict {
-    Fault(PolicyFault),
-    Row(Route, usize),
-}
-
-fn engine_loop(
-    queue: &Arc<(Mutex<Queue>, Condvar)>,
-    chaos: &Arc<AtomicU32>,
-    crash: &Arc<AtomicU32>,
-    slot: &Arc<PolicySlot>,
-    cfg: &EngineConfig,
-) {
-    // The engine thread caches the serving policies between swaps, so
-    // the SoA transpose happens once per (re)spawn or swap and every
-    // batch reuses the workspaces — a gathered batch is one
-    // `forward_batch` per serving policy, not max_batch separate
-    // matvec chains.
-    let mut serving = refresh_serving(slot);
-    let mut wsa = BatchWorkspace::new();
-    let mut wsb = BatchWorkspace::new();
-    let (lock, cv) = &**queue;
-    let mut q = lock_recover(lock);
-    loop {
-        while q.jobs.is_empty() && !q.shutdown {
-            q = cv.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-        if q.shutdown {
-            for job in q.jobs.drain(..) {
-                fill(&job.slot, Err(PolicyFault::Shutdown));
-            }
-            return;
-        }
-        // Linger one batching window for more arrivals, then drain.
-        if q.jobs.len() < cfg.max_batch && !cfg.batch_window.is_zero() {
-            let (guard, _) = cv
-                .wait_timeout(q, cfg.batch_window)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
-        }
-        let take = q.jobs.len().min(cfg.max_batch);
-        let mut batch = BatchGuard {
-            jobs: q.jobs.drain(..take).collect(),
-            filled: 0,
-        };
-        drop(q);
-
-        // One armed chaos crash kills this whole batch: panic with the
-        // queue lock released (never poisoned by an injected crash) and
-        // the batch in the guard, whose Drop degrades its requests.
-        if crash
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            telemetry::incr("serve.policy_fault", "injected_crash", 1);
-            std::panic::panic_any(INJECTED_CRASH_MSG);
-        }
-
-        // Hot-swap pickup: one atomic load per batch; only a bumped
-        // `seq` pays for the lock and the SoA rebuild. The swap lands
-        // here — at a batch boundary — never mid-batch.
-        if slot.seq.load(Ordering::Acquire) != serving.seq {
-            serving = refresh_serving(slot);
-            telemetry::incr("serve.engine", "swap_applied", 1);
-        }
-
-        telemetry::observe("serve.batch_size", "", batch.jobs.len() as u64);
-        let t = telemetry::maybe_now();
-        let batch_size = batch.jobs.len() as u32;
-
-        // Triage in arrival order before touching the networks: armed
-        // chaos faults consume exactly one inference each (same drain
-        // semantics as the per-job forward had), and a wrong-width
-        // observation faults its own job instead of panicking the GEMM
-        // under the whole batch. Live jobs split into the A and (under
-        // A/B mode) B sub-batches; a B-routed job with no challenger
-        // installed falls back to A.
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch.jobs.len());
-        let (mut row_a, mut row_b) = (0usize, 0usize);
-        wsa.begin(&serving.a_soa);
-        if let Some((_, b_soa)) = &serving.b {
-            wsb.begin(b_soa);
-        }
-        for job in &batch.jobs {
-            let injected = chaos
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok();
-            if injected {
-                telemetry::incr("serve.policy_fault", "injected", 1);
-                verdicts.push(Verdict::Fault(PolicyFault::Inference));
-            } else if job.obs.len() != serving.a_soa.input_dim() {
-                telemetry::incr("serve.policy_fault", "shape", 1);
-                verdicts.push(Verdict::Fault(PolicyFault::Inference));
-            } else if job.route == Route::B && serving.b.is_some() {
-                wsb.push_input(&job.obs);
-                verdicts.push(Verdict::Row(Route::B, row_b));
-                row_b += 1;
-            } else {
-                wsa.push_input(&job.obs);
-                verdicts.push(Verdict::Row(Route::A, row_a));
-                row_a += 1;
-            }
-        }
-
-        // One batched forward per serving policy. A panic faults that
-        // policy's jobs only (the armed/invalid ones keep their own
-        // verdicts); the workspaces are rebuilt by `begin` next batch,
-        // so a torn state cannot leak forward.
-        let ok_a = wsa.batch() == 0
-            || catch_unwind(AssertUnwindSafe(|| serving.a_soa.forward_batch(&mut wsa)))
-                .map_err(|_| {
-                    telemetry::incr("serve.policy_fault", "panic", wsa.batch() as u64);
-                })
-                .is_ok();
-        let ok_b = match &serving.b {
-            Some((_, b_soa)) if wsb.batch() > 0 => {
-                catch_unwind(AssertUnwindSafe(|| b_soa.forward_batch(&mut wsb)))
-                    .map_err(|_| {
-                        telemetry::incr("serve.policy_fault", "panic", wsb.batch() as u64);
-                    })
-                    .is_ok()
-            }
-            _ => true,
-        };
-
-        for (i, verdict) in verdicts.into_iter().enumerate() {
-            let result = match verdict {
-                Verdict::Fault(fault) => Err(fault),
-                Verdict::Row(Route::A, r) if ok_a => {
-                    Ok((wsa.logits(r).to_vec(), batch_size, serving.a.version))
-                }
-                Verdict::Row(Route::B, r) if ok_b => {
-                    let (entry, _) = serving.b.as_ref().expect("B row implies challenger");
-                    Ok((wsb.logits(r).to_vec(), batch_size, entry.version))
-                }
-                Verdict::Row(..) => Err(PolicyFault::Inference),
-            };
-            fill(&batch.jobs[i].slot, result);
-            batch.filled = i + 1;
-        }
-        telemetry::observe_since("serve.engine_ns", "forward", t);
-        q = lock_recover(lock);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use autophase_passes::checked::apply_checked;
+    use std::time::Duration;
 
     fn test_policy(seed: u64) -> Mlp {
         Mlp::new(
@@ -948,15 +636,6 @@ mod tests {
         assert_eq!(engine.infer(vec![0.0; 3]), Err(PolicyFault::Inference));
         // The engine keeps serving well-formed observations afterwards.
         assert!(engine.infer(vec![0.0; serve_obs_dim()]).is_ok());
-    }
-
-    #[test]
-    fn infer_sized_reports_the_serving_batch() {
-        let engine = InferenceEngine::start(test_policy(6), EngineConfig::default()).unwrap();
-        let (logits, batch, version) = engine.infer_sized(vec![0.0; serve_obs_dim()]).unwrap();
-        assert_eq!(logits.len(), serve_num_actions());
-        assert_eq!(batch, 1, "a lone request is a batch of one");
-        assert_eq!(version, 0, "boot policy serves as version 0");
     }
 
     #[test]
@@ -1034,22 +713,22 @@ mod tests {
         // answers carry that side's version.
         let (mut saw_a, mut saw_b) = (false, false);
         for fp in 0..32u64 {
-            match engine.route_for(fp) {
+            match engine.serving().unwrap().route_for(fp) {
                 Route::A => saw_a = true,
                 Route::B => saw_b = true,
             }
         }
         assert!(saw_a && saw_b, "hash split uses both slots");
         let obs: Vec<f64> = (0..serve_obs_dim()).map(|j| (j % 3) as f64).collect();
-        let (logits_a, _, va) = engine.infer_routed(obs.clone(), Route::A).unwrap();
-        let (logits_b, _, vb) = engine.infer_routed(obs.clone(), Route::B).unwrap();
+        let (logits_a, va) = engine.infer_routed(obs.clone(), Route::A).unwrap();
+        let (logits_b, vb) = engine.infer_routed(obs.clone(), Route::B).unwrap();
         assert_eq!((va, vb), (0, 7));
         assert_eq!(logits_a, a.forward(&obs));
         assert_eq!(logits_b, b.forward(&obs));
         // Clearing the challenger routes everything (even B) back to A.
         engine.clear_ab();
         assert_eq!(engine.active_versions(), Some((0, None)));
-        let (logits, _, v) = engine.infer_routed(obs.clone(), Route::B).unwrap();
+        let (logits, v) = engine.infer_routed(obs.clone(), Route::B).unwrap();
         assert_eq!((logits, v), (a.forward(&obs), 0));
     }
 
@@ -1085,22 +764,87 @@ mod tests {
     }
 
     #[test]
-    fn injected_crash_degrades_batch_and_respawns() {
+    fn injected_panic_on_the_forward_is_caught_and_the_next_succeeds() {
         quiet_crash_hook();
-        let engine = InferenceEngine::start(test_policy(21), EngineConfig::default()).unwrap();
+        let policy = test_policy(21);
+        let engine = InferenceEngine::start(policy.clone(), EngineConfig::default()).unwrap();
         engine.inject_crashes(1);
         let obs = vec![0.0; serve_obs_dim()];
-        // The crashed batch answers with a fault (never hangs) ...
+        // The panic is raised inside the forward and contained there:
+        // this inference faults (the calling thread survives) ...
         assert_eq!(engine.infer(obs.clone()), Err(PolicyFault::Inference));
-        // ... and the supervisor respawns the loop, so the engine keeps
-        // serving without a new handle.
-        assert!(engine.infer(obs).is_ok(), "engine must survive the crash");
-        assert_eq!(engine.respawn_count(), 1);
+        // ... and the very next one is served by the same handle.
+        assert_eq!(engine.infer(obs.clone()).unwrap(), policy.forward(&obs));
+    }
+
+    /// A rollout is served end to end by the policy set it started with:
+    /// whatever version the report names, every step's recorded
+    /// log-probability is that one policy's — with swaps landing between
+    /// the steps of every episode.
+    #[test]
+    fn rollout_racing_a_swap_storm_is_served_by_one_policy() {
+        use std::sync::atomic::AtomicBool;
+        let program = autophase_benchmarks::suite()
+            .into_iter()
+            .find(|b| b.name == "gsm")
+            .expect("gsm present")
+            .module;
+        let fp = autophase_core::eval_cache::fingerprint_module(&program);
+        // Version v is served by `pool[v % pool.len()]`; 0 is the boot policy.
+        let pool: Vec<Mlp> = (0..5).map(|i| test_policy(60 + i)).collect();
+        let engine = InferenceEngine::start(pool[0].clone(), EngineConfig::default()).unwrap();
+        let rollouts = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let worker = || {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        let report = engine
+                            .choose_sequence_report(
+                                &mut program.clone(),
+                                fp,
+                                &Quarantine::default(),
+                                &FuelBudget::default(),
+                            )
+                            .expect("swap dropped a request");
+                        let policy = &pool[report.policy_version as usize % pool.len()];
+                        assert_eq!(report.steps.len(), SERVE_EPISODE_LEN);
+                        for step in &report.steps {
+                            let want = softmax(&policy.forward(&step.obs))[step.action]
+                                .max(1e-12)
+                                .ln();
+                            assert_eq!(
+                                step.logp.to_bits(),
+                                want.to_bits(),
+                                "a step of a v{} rollout was served by another policy",
+                                report.policy_version
+                            );
+                        }
+                        rollouts.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            };
+            let workers = [worker(), worker(), worker()];
+            // Swap without pause until the workers have finished several
+            // rollouts under the storm: every one of those episodes had
+            // swaps land between its steps. A worker only finishes before
+            // `stop` by failing an assertion; the scope re-raises it.
+            let mut version = 0u64;
+            while (version < 20 || rollouts.load(Ordering::SeqCst) < 9)
+                && !workers.iter().any(|w| w.is_finished())
+            {
+                version += 1;
+                let policy = pool[version as usize % pool.len()].clone();
+                engine.swap_policy(policy, version).unwrap();
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
     }
 
     #[test]
     fn baseline_only_engine_faults_every_inference() {
-        let mut engine = InferenceEngine::start_baseline_only();
+        let engine = InferenceEngine::start_baseline_only();
         assert!(engine.is_baseline_only());
         assert_eq!(
             engine.infer(vec![0.0; serve_obs_dim()]),
@@ -1117,7 +861,6 @@ mod tests {
         let got =
             engine.choose_sequence(&mut m, fp, &Quarantine::default(), &FuelBudget::default());
         assert_eq!(got, Err(PolicyFault::Inference));
-        engine.shutdown(); // no thread: must be a no-op, not a hang
     }
 
     #[test]

@@ -14,27 +14,23 @@
 //! `PROMOTE` verb applies, so a poisoned update can never reach
 //! serving even from inside the daemon.
 //!
-//! The thread runs under the same supervisor idiom as the inference
-//! engine: a panic anywhere in the loop is caught and the loop
-//! respawned with a fresh trainer re-seeded from the registry's active
-//! version (`serve.learn{respawn}`), so one pathological batch cannot
-//! end online learning for the daemon's lifetime.
+//! The thread runs under a supervisor: a panic anywhere in the loop is
+//! caught and the loop respawned with a fresh trainer re-seeded from
+//! the registry's active version (`serve.learn{respawn}`), so one
+//! pathological batch cannot end online learning for the daemon's
+//! lifetime.
 
 use crate::engine::{serve_layout, InferenceEngine};
 use autophase_rl::checkpoint::ArmoredLoad;
 use autophase_rl::online::{Experience, OnlineConfig, OnlineTrainer};
 use autophase_rl::ppo::PpoConfig;
 use autophase_rl::registry::ModelRegistry;
-use autophase_telemetry as telemetry;
+use autophase_telemetry::{self as telemetry, lock_recover};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Knobs for the in-daemon learner.
 #[derive(Debug, Clone)]

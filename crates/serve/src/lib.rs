@@ -10,9 +10,9 @@
 //! The daemon composes four pieces, each its own module:
 //!
 //! * [`protocol`] — the framed text wire format and its typed errors;
-//! * [`engine`] — a dedicated inference thread batching policy forward
-//!   passes across concurrent requests, plus the greedy fault-isolated
-//!   serving rollout;
+//! * [`engine`] — the shared handle to the installed policies (hot-swap,
+//!   A/B) and the greedy fault-isolated serving rollout, which runs each
+//!   policy forward on the request's own thread;
 //! * [`store`] — the crash-safe append-only log memoizing the best
 //!   known ordering per program fingerprint across restarts;
 //! * [`server`] — bounded admission, per-request deadlines, typed

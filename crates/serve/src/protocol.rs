@@ -46,8 +46,8 @@ pub enum Request {
     Chaos {
         /// How many upcoming policy inferences fault.
         faults: u32,
-        /// How many engine-thread crashes (panics mid-batch) to inject —
-        /// exercises the supervisor's respawn path.
+        /// How many policy forwards panic — exercises the engine's
+        /// catch-and-degrade path with a real unwind.
         crashes: u32,
         /// How many upcoming `PROMOTE` candidates get their checkpoint
         /// corrupted on disk first — proves the hot-swap armor

@@ -17,7 +17,7 @@
 //!    must carry IR replays the stored passes first; if one no longer
 //!    applies cleanly the entry is retired and the request recomputes
 //!    cold, so a reply's IR always matches its reported numbers.
-//! 2. **policy** — greedy batched-inference rollout
+//! 2. **policy** — greedy rollout on this handler thread
 //!    ([`crate::engine::InferenceEngine::choose_sequence`]), every pass
 //!    applied transactionally with quarantine bookkeeping.
 //! 3. **baseline** — if the policy path faults, fall back to the fixed
@@ -60,25 +60,17 @@ use autophase_passes::o3::o3_checked;
 use autophase_rl::checkpoint::ArmoredLoad;
 use autophase_rl::online::Experience;
 use autophase_rl::registry::{ModelRegistry, VersionInfo};
-use autophase_telemetry as telemetry;
-use autophase_telemetry::{FlightConfig, FlightRecorder, TraceBuilder};
+use autophase_telemetry::{
+    self as telemetry, lock_recover, FlightConfig, FlightRecorder, TraceBuilder,
+};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Lock a mutex, recovering from poisoning. Handler threads share the
-/// store, connection table, and record-backoff state; a panic in one
-/// handler must degrade that one request, not wedge every later one.
-/// The data under these locks stays consistent across unwinds (the
-/// store appends before it acks; maps are update-in-place).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -95,8 +87,6 @@ pub struct ServerConfig {
     pub max_conns: usize,
     /// Deadline applied when a request names none.
     pub default_deadline: Duration,
-    /// Inference batching knobs.
-    pub engine: EngineConfig,
     /// Fuel for transactional pass applications.
     pub fuel: FuelBudget,
     /// Interpreter budget per profile (untrusted designs must not spin).
@@ -141,7 +131,6 @@ impl Default for ServerConfig {
             queue_cap: 64,
             max_conns: 256,
             default_deadline: Duration::from_millis(1000),
-            engine: EngineConfig::default(),
             fuel: FuelBudget::default(),
             profile_fuel: 4_000_000,
             store_path: PathBuf::from("serve_store.log"),
@@ -242,6 +231,11 @@ struct ModelStats {
     improvement_sum: f64,
 }
 
+/// State shared by every handler thread. All of its mutexes are taken
+/// with `lock_recover`: a panic in one handler must degrade that one
+/// request, not wedge every later one, and the data stays consistent
+/// across unwinds (the store appends before it acks; the maps are
+/// updated in place).
 struct Shared {
     cfg: ServerConfig,
     engine: Arc<InferenceEngine>,
@@ -310,15 +304,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, open the store, spin up the inference engine, and start
-    /// accepting connections.
+    /// Bind, open the store, install the policy, and start accepting
+    /// connections.
     ///
     /// # Errors
     ///
     /// Bad bind address, unopenable store, or a policy whose shape does
     /// not match the serving observation layout.
     pub fn start(policy: Mlp, cfg: ServerConfig) -> Result<Server, StartError> {
-        let engine = InferenceEngine::start(policy, cfg.engine.clone())
+        let engine = InferenceEngine::start(policy, EngineConfig::default())
             .map_err(|e| StartError(e.to_string()))?;
         Server::start_with_engine(engine, cfg)
     }
@@ -1083,7 +1077,6 @@ fn compile(
         Ok(report) => {
             trace.note("infer_calls", report.infer_calls);
             trace.note("infer_wait_ns", report.infer_wait_ns);
-            trace.note("infer_batch_max", report.infer_batch_max);
             trace.note("policy_version", report.policy_version);
             if report.pass_faults > 0 {
                 // Quarantined and skipped inside the rollout: the answer

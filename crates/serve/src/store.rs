@@ -51,12 +51,6 @@
 //! snapshot that fails validation (bit rot — crashes cannot produce one
 //! past the atomic rename) is quarantined to `<path>.snap.corrupt` and
 //! the store continues from the tail alone.
-//!
-//! `APSTORE1` logs (the previous, append-only generation) migrate on
-//! first open: the log is replayed, its index written as snapshot
-//! generation 1, and the log atomically replaced by an empty `APSTORE2`
-//! tail. The v1 file is not touched until the snapshot is durable, so a
-//! crash mid-migration re-runs it idempotently.
 
 use autophase_telemetry::faultfs;
 use std::collections::{HashMap, HashSet};
@@ -65,7 +59,6 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 const TAIL_MAGIC: &[u8; 8] = b"APSTORE2";
-const V1_MAGIC: &[u8; 8] = b"APSTORE1";
 const SNAP_MAGIC: &[u8; 8] = b"APSNAPS2";
 /// Record-length sentinel opening the snapshot trailer. Unambiguous:
 /// a real record's length field is at most `26 + 2 * MAX_SEQ_LEN`.
@@ -153,8 +146,6 @@ pub struct StoreStats {
     pub dead_tail_records: u64,
     /// Compactions performed by this handle.
     pub compactions: u64,
-    /// Whether this open migrated an `APSTORE1` log.
-    pub migrated_v1: bool,
     /// Whether this open quarantined a corrupt snapshot.
     pub snapshot_quarantined: bool,
 }
@@ -175,7 +166,6 @@ pub struct BestStore {
     snapshot_bytes: u64,
     policy: CompactionPolicy,
     compactions: u64,
-    migrated_v1: bool,
     snapshot_quarantined: bool,
     /// Records dropped by the last open's torn-tail scan.
     dropped_on_open: usize,
@@ -314,8 +304,8 @@ fn parse_snapshot(bytes: &[u8]) -> Option<(u64, HashMap<u64, BestEntry>)> {
 }
 
 /// Serialize `index` as snapshot `generation` and publish it atomically
-/// at `<path>.snap` (tmp + fsync + rename + directory fsync). Returns
-/// the snapshot's size in bytes.
+/// at `<path>.snap` ([`faultfs::atomic_write`]). Returns the snapshot's
+/// size in bytes.
 fn write_snapshot(
     path: &Path,
     generation: u64,
@@ -334,37 +324,8 @@ fn write_snapshot(
     let sum = fnv1a(&body);
     body.extend_from_slice(&sum.to_le_bytes());
 
-    let tmp = snap_tmp_path(path);
-    let publish = (|| {
-        let mut f = File::create(&tmp)?;
-        faultfs::write_all(&mut f, &body, "store.snapshot")?;
-        faultfs::sync_all(&f, "store.snapshot")?;
-        drop(f);
-        faultfs::rename(&tmp, &snap_path(path), "store.snapshot")
-    })();
-    if let Err(e) = publish {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    sync_dir(path);
+    faultfs::atomic_write(&snap_path(path), &body, "store.snapshot")?;
     Ok(body.len() as u64)
-}
-
-/// Best-effort fsync of `path`'s parent directory, so a just-renamed
-/// file's directory entry is durable. Errors are ignored: some
-/// filesystems refuse directory fsync and the rename itself is already
-/// atomic.
-fn sync_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
 }
 
 impl BestStore {
@@ -376,8 +337,7 @@ impl BestStore {
 
     /// Open (creating if absent) the store at `path`: load the
     /// snapshot, replay the tail log over it, and truncate any torn
-    /// tail back to the last good record. `APSTORE1` logs are migrated
-    /// in place (see module docs).
+    /// tail back to the last good record.
     ///
     /// # Errors
     ///
@@ -397,10 +357,6 @@ impl BestStore {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        if bytes.starts_with(V1_MAGIC) {
-            drop(file);
-            return BestStore::migrate_v1(path, &bytes, policy);
-        }
         let torn_header = bytes.len() < TAIL_MAGIC.len() && TAIL_MAGIC.starts_with(&bytes);
         if bytes.is_empty() || torn_header {
             // Fresh store, or a creation torn mid-header (the only
@@ -464,47 +420,7 @@ impl BestStore {
             snapshot_bytes,
             policy,
             compactions: 0,
-            migrated_v1: false,
             snapshot_quarantined,
-            dropped_on_open: dropped as usize,
-        })
-    }
-
-    /// One-time migration: replay the v1 log, publish it as snapshot
-    /// generation 1, then atomically replace the log with an empty v2
-    /// tail. The v1 bytes stay untouched until the snapshot is durable,
-    /// so a crash anywhere in here just re-runs the migration.
-    fn migrate_v1(path: &Path, bytes: &[u8], policy: CompactionPolicy) -> io::Result<BestStore> {
-        let mut index: HashMap<u64, BestEntry> = HashMap::new();
-        let (_, _, dropped) = replay_records(&bytes[V1_MAGIC.len()..], &mut index);
-        let snapshot_bytes = write_snapshot(path, 1, &index)?;
-
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-        {
-            let mut f = File::create(&tmp)?;
-            faultfs::write_all(&mut f, TAIL_MAGIC, "store.log")?;
-            faultfs::sync_all(&f, "store.log")?;
-        }
-        faultfs::rename(&tmp, path, "store.log")?;
-        sync_dir(path);
-
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.seek(SeekFrom::End(0))?;
-        autophase_telemetry::incr("serve.store", "migrated_v1", 1);
-        Ok(BestStore {
-            file,
-            path: path.to_path_buf(),
-            index,
-            tail: TAIL_MAGIC.len() as u64,
-            tail_records: 0,
-            tail_fps: HashSet::new(),
-            dead_tail_records: 0,
-            generation: 1,
-            snapshot_bytes,
-            policy,
-            compactions: 0,
-            migrated_v1: true,
-            snapshot_quarantined: false,
             dropped_on_open: dropped as usize,
         })
     }
@@ -644,7 +560,6 @@ impl BestStore {
             tail_records: self.tail_records,
             dead_tail_records: self.dead_tail_records,
             compactions: self.compactions,
-            migrated_v1: self.migrated_v1,
             snapshot_quarantined: self.snapshot_quarantined,
         }
     }
@@ -808,13 +723,18 @@ mod tests {
     fn refuses_to_clobber_foreign_files() {
         let path = tmp("foreign");
         wipe(&path);
-        std::fs::write(&path, b"definitely not a store file").unwrap();
-        assert!(BestStore::open(&path).is_err());
-        // Untouched.
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            b"definitely not a store file"
-        );
+        // The second input is a log of the retired append-only
+        // generation: no reader for it remains, so it is foreign too.
+        let mut v1 = b"APSTORE1".to_vec();
+        v1.extend_from_slice(&encode_record(1, &entry(100, &[31])));
+        for foreign in [b"definitely not a store file".as_slice(), &v1] {
+            std::fs::write(&path, foreign).unwrap();
+            let err = BestStore::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("not an autophase store"));
+            assert_eq!(std::fs::read(&path).unwrap(), foreign, "untouched");
+            assert!(!snap_path(&path).exists());
+        }
         wipe(&path);
     }
 
@@ -979,59 +899,6 @@ mod tests {
         }
         let s = BestStore::open(&path).unwrap();
         assert_eq!(s.len(), 6, "pristine snapshot still loads");
-        wipe(&path);
-    }
-
-    #[test]
-    fn migrates_v1_logs_in_place() {
-        let path = tmp("migrate");
-        wipe(&path);
-        // Forge a v1 log byte-for-byte: magic + records (same framing).
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(V1_MAGIC);
-        v1.extend_from_slice(&encode_record(1, &entry(100, &[31])));
-        v1.extend_from_slice(&encode_record(2, &entry(200, &[38, 30])));
-        v1.extend_from_slice(&encode_record(1, &entry(90, &[31, 38]))); // supersedes
-        std::fs::write(&path, &v1).unwrap();
-
-        let mut s = BestStore::open(&path).unwrap();
-        let st = s.stats();
-        assert!(st.migrated_v1);
-        assert_eq!(st.generation, 1);
-        assert_eq!(st.tail_records, 0, "history folded into the snapshot");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.lookup(1).unwrap(), &entry(90, &[31, 38]));
-        assert_eq!(s.lookup(2).unwrap(), &entry(200, &[38, 30]));
-        assert_eq!(
-            &std::fs::read(&path).unwrap(),
-            TAIL_MAGIC,
-            "log rewritten as an empty v2 tail"
-        );
-        // Still writable, and the second open is a plain v2 open.
-        assert!(s.record(3, entry(300, &[23])).unwrap());
-        drop(s);
-        let s = BestStore::open(&path).unwrap();
-        assert!(!s.stats().migrated_v1);
-        assert_eq!(s.len(), 3);
-        wipe(&path);
-    }
-
-    #[test]
-    fn migration_crash_after_snapshot_rerolls_cleanly() {
-        // Crash window: snapshot published, v1 log not yet replaced.
-        // Reopen sees v1 magic and just migrates again.
-        let path = tmp("migrate_crash");
-        wipe(&path);
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(V1_MAGIC);
-        v1.extend_from_slice(&encode_record(5, &entry(550, &[31])));
-        std::fs::write(&path, &v1).unwrap();
-        let mut index = HashMap::new();
-        index.insert(5, entry(550, &[31]));
-        write_snapshot(&path, 1, &index).unwrap(); // the "crashed" migration got this far
-        let s = BestStore::open(&path).unwrap();
-        assert!(s.stats().migrated_v1);
-        assert_eq!(s.lookup(5).unwrap(), &entry(550, &[31]));
         wipe(&path);
     }
 

@@ -118,21 +118,33 @@ fn learner_trains_publishes_and_auto_promotes() {
     );
 
     // The promoted version now answers requests and its per-version
-    // counters move.
-    for (i, ir) in progs.iter().enumerate() {
-        let fresh = renamed(ir, &format!("post{i}"));
+    // counters move. The learner keeps promoting while we look, so the
+    // serving version can advance between a compile and the `MODEL`
+    // after it: compile and look again until the version serving at the
+    // instant of the `MODEL` call is one that has answered a request.
+    let mut post = 0usize;
+    let snap = loop {
+        assert!(
+            Instant::now() < deadline,
+            "no serving version was attributed a request in {post} compiles"
+        );
+        let fresh = renamed(&progs[post % progs.len()], &format!("post{post}"));
         client
             .compile(&fresh, Some(60_000), false)
             .expect("post-promotion compile");
-    }
-    let snap = client.models().expect("MODEL answers");
-    let serving = snap.serving.expect("still serving a policy");
-    assert!(serving > 0);
-    let line = snap.version(serving).expect("serving line present");
-    assert!(
-        line.requests > 0,
-        "promoted version must be attributed requests"
-    );
+        post += 1;
+        let snap = client.models().expect("MODEL answers");
+        let serving = snap.serving.expect("still serving a policy");
+        assert!(serving > 0);
+        if snap
+            .version(serving)
+            .expect("serving line present")
+            .requests
+            > 0
+        {
+            break snap;
+        }
+    };
     assert!(snap.swaps >= 1, "engine counted the hot-swap");
 
     // The registry survives the daemon: reopen it directly.

@@ -18,7 +18,9 @@
 //!
 //! Call sites name themselves with a static `tag` (`"store.append"`,
 //! `"store.snapshot"`, `"ckpt.write"`, ...) so a plan can target one
-//! logical stream of I/O without disturbing the others.
+//! logical stream of I/O without disturbing the others. Whole-file
+//! replacement (snapshots, the registry manifest, checkpoints) goes
+//! through one sequence, [`atomic_write`].
 
 use std::fs::File;
 use std::io::{self, Write as _};
@@ -118,6 +120,44 @@ pub fn rename(from: &Path, to: &Path, tag: &'static str) -> io::Result<()> {
     }
 }
 
+/// Replace the file at `path` with `bytes` atomically and durably: write
+/// `<path>.tmp` beside it, `sync_all`, rename over `path`, then fsync
+/// the parent directory — every step but the last through the fault
+/// layer under `tag`. A reader (or a crash at any byte) sees the old
+/// contents or the new, never a mixture. On any failure the tmp is
+/// removed and `path` is untouched.
+///
+/// The directory fsync makes the rename itself durable. It is best
+/// effort: some filesystems refuse to fsync a directory, and the rename
+/// is already atomic.
+///
+/// # Errors
+///
+/// The first failing create, write, sync or rename.
+pub fn atomic_write(path: &Path, bytes: &[u8], tag: &'static str) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let publish = File::create(tmp).and_then(|mut f| {
+        write_all(&mut f, bytes, tag)?;
+        sync_all(&f, tag)?;
+        drop(f);
+        rename(tmp, path, tag)
+    });
+    if let Err(e) = publish {
+        let _ = std::fs::remove_file(tmp);
+        return Err(e);
+    }
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
 /// True when `e` means the disk is full — the one I/O failure the
 /// server degrades through rather than merely counting.
 pub fn is_disk_full(e: &io::Error) -> bool {
@@ -138,8 +178,9 @@ use inject::poll;
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod inject {
     use super::{DiskFaultKind, DiskOp};
+    use crate::lock_recover;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+    use std::sync::{Arc, Mutex, MutexGuard};
 
     /// One planned disk fault: the `nth` (1-based; 0 = every) matching
     /// operation fails with `kind`.
@@ -232,15 +273,11 @@ pub mod inject {
         &SLOT
     }
 
-    fn lock_slot() -> MutexGuard<'static, Option<Arc<DiskFaultPlan>>> {
-        plan_slot().lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Arm `plan` process-wide; returns the shared handle for
     /// [`DiskFaultPlan::fired`] assertions. Replaces any previous plan.
     pub fn install_plan(plan: DiskFaultPlan) -> Arc<DiskFaultPlan> {
         let plan = Arc::new(plan);
-        *lock_slot() = Some(Arc::clone(&plan));
+        *lock_recover(plan_slot()) = Some(Arc::clone(&plan));
         ACTIVE.store(true, Ordering::Release);
         plan
     }
@@ -248,20 +285,20 @@ pub mod inject {
     /// Disarm the harness (subsequent polls see no faults).
     pub fn clear_plan() {
         ACTIVE.store(false, Ordering::Release);
-        *lock_slot() = None;
+        *lock_recover(plan_slot()) = None;
     }
 
     /// Serialize tests that install plans: the slot is process-global.
     pub fn test_guard() -> MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+        lock_recover(&GUARD)
     }
 
     pub(super) fn poll(op: DiskOp, tag: &str) -> Option<(DiskFaultKind, u64)> {
         if !ACTIVE.load(Ordering::Acquire) {
             return None;
         }
-        let plan = lock_slot().clone()?;
+        let plan = lock_recover(plan_slot()).clone()?;
         for (i, s) in plan.specs.iter().enumerate() {
             if s.op != op || s.tag.as_deref().is_some_and(|t| t != tag) {
                 continue;

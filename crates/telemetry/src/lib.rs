@@ -70,8 +70,22 @@ pub use sink::{
 pub use span::{span, span_events, SpanEvent, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Lock `m`, taking the guard even when a thread panicked while holding
+/// it. The workspace contains panics (`catch_unwind` around passes,
+/// forwards, rollout workers and handler threads) and keeps running, so
+/// a poisoned lock must not turn every later use into a second panic.
+///
+/// Sound only when every critical section leaves the data valid at
+/// every point where it can unwind: a single map or queue operation, a
+/// whole-value replacement, or state that the next user re-initializes
+/// before reading. A section that can panic between two updates that
+/// must agree needs `lock().expect(..)` instead.
+pub fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The global on/off switch. Relaxed is correct: readers only need *a*
 /// recent value, never ordering against other memory.
