@@ -203,12 +203,8 @@ impl Client {
         deadline_ms: Option<u64>,
         want_ir: bool,
     ) -> Result<CompileReply, ClientError> {
-        let reply = self.roundtrip(&Request::Compile {
-            ir: ir.to_string(),
-            deadline_ms,
-            want_ir,
-        })?;
-        match reply {
+        protocol::write_compile(&mut self.writer, ir, deadline_ms, want_ir)?;
+        match protocol::read_reply(&mut self.reader)? {
             Reply::Compiled {
                 source,
                 cycles,

@@ -7,7 +7,7 @@
 //! the chosen pass ordering, its predicted cycle count, and optionally
 //! the optimized IR.
 //!
-//! The daemon composes four pieces, each its own module:
+//! The daemon composes these pieces, each its own module:
 //!
 //! * [`protocol`] — the framed text wire format and its typed errors;
 //! * [`engine`] — the shared handle to the installed policies (hot-swap,
@@ -15,6 +15,8 @@
 //!   policy forward on the request's own thread;
 //! * [`store`] — the crash-safe append-only log memoizing the best
 //!   known ordering per program fingerprint across restarts;
+//! * `front` — the in-memory memo from request text to fingerprint that
+//!   lets a byte-identical repeat reach the store without being parsed;
 //! * [`server`] — bounded admission, per-request deadlines, typed
 //!   `overloaded` shedding, and the store → policy → baseline
 //!   degradation ladder;
@@ -55,6 +57,7 @@
 
 pub mod client;
 pub mod engine;
+mod front;
 pub mod learner;
 pub mod protocol;
 pub mod server;

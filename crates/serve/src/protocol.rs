@@ -18,7 +18,7 @@
 //! is the effective ordering (Table-1 ids of the passes that changed the
 //! module), `-` when empty. `msg` is free text and always the last key.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Protocol tag every message starts with.
 pub const PROTOCOL: &str = "AUTOPHASE/1";
@@ -26,6 +26,14 @@ pub const PROTOCOL: &str = "AUTOPHASE/1";
 /// Hard cap on request IR size: a parse-side guard so one hostile
 /// request cannot make the daemon buffer arbitrary memory.
 pub const MAX_IR_LEN: usize = 4 << 20;
+
+/// Hard cap on a header line, newline included: a peer that never sends
+/// `\n` costs the reader this much memory, not whatever it cares to send.
+pub const MAX_HEADER_LEN: usize = 8 << 10;
+
+/// How much of a body's announced length is reserved before any of it
+/// arrives; a longer body grows as it is read.
+const BODY_PREALLOC: usize = 64 << 10;
 
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,9 +276,24 @@ fn get_u64(kvs: &[(&str, &str)], key: &str) -> Result<Option<u64>, ProtocolError
     }
 }
 
+/// Read one header line into `line`, at most [`MAX_HEADER_LEN`] bytes of
+/// it. Returns the byte count; 0 is EOF.
+fn read_header<R: BufRead>(r: &mut R, line: &mut String) -> io::Result<usize> {
+    let n = r.take(MAX_HEADER_LEN as u64).read_line(line)?;
+    if n == MAX_HEADER_LEN && !line.ends_with('\n') {
+        return Err(ProtocolError(format!("header line exceeds {MAX_HEADER_LEN} bytes")).into());
+    }
+    Ok(n)
+}
+
 fn read_body<R: BufRead>(r: &mut R, len: usize) -> io::Result<String> {
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::with_capacity(len.min(BODY_PREALLOC));
+    if r.take(len as u64).read_to_end(&mut buf)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "body shorter than its announced length",
+        ));
+    }
     String::from_utf8(buf)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))
 }
@@ -286,18 +309,7 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
             ir,
             deadline_ms,
             want_ir,
-        } => {
-            let mut line = format!("{PROTOCOL} COMPILE ir_len={}", ir.len());
-            if let Some(d) = deadline_ms {
-                line.push_str(&format!(" deadline_ms={d}"));
-            }
-            if *want_ir {
-                line.push_str(" want_ir=1");
-            }
-            line.push('\n');
-            w.write_all(line.as_bytes())?;
-            w.write_all(ir.as_bytes())?;
-        }
+        } => return write_compile(w, ir, *deadline_ms, *want_ir),
         Request::Ping => w.write_all(format!("{PROTOCOL} PING\n").as_bytes())?,
         Request::Chaos {
             faults,
@@ -330,16 +342,41 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
     w.flush()
 }
 
+/// Serialize a `COMPILE` request from borrowed IR — what
+/// [`write_request`] emits for [`Request::Compile`], without building one.
+///
+/// # Errors
+///
+/// Propagates write failures.
+pub fn write_compile<W: Write>(
+    w: &mut W,
+    ir: &str,
+    deadline_ms: Option<u64>,
+    want_ir: bool,
+) -> io::Result<()> {
+    let mut line = format!("{PROTOCOL} COMPILE ir_len={}", ir.len());
+    if let Some(d) = deadline_ms {
+        line.push_str(&format!(" deadline_ms={d}"));
+    }
+    if want_ir {
+        line.push_str(" want_ir=1");
+    }
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.write_all(ir.as_bytes())?;
+    w.flush()
+}
+
 /// Read one request from `r`. `Ok(None)` on clean EOF before any bytes
 /// of a message (the client hung up between requests).
 ///
 /// # Errors
 ///
 /// I/O failures, or [`ProtocolError`] (as `InvalidData`) on malformed
-/// headers, oversized `ir_len`, or a body that is not UTF-8.
+/// or over-long headers, oversized `ir_len`, or a body that is not UTF-8.
 pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    if read_header(r, &mut line)? == 0 {
         return Ok(None);
     }
     let (verb, kvs) = header_fields(&line)?;
@@ -445,8 +482,11 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
             msg,
         } => {
             // `msg` is always last and the only value allowed spaces; keep
-            // it line-shaped so the header stays one line.
-            let msg = msg.replace(['\n', '\r'], " ");
+            // it line-shaped so the header stays one line, and short
+            // enough (it may quote a hostile request) that the line fits
+            // the peer's bounded header read.
+            let mut msg = msg.replace(['\n', '\r'], " ");
+            msg.truncate(msg.floor_char_boundary(MAX_HEADER_LEN - 128));
             let mut line = format!("{PROTOCOL} ERR kind={}", kind.as_str());
             if let Some(ms) = retry_ms {
                 line.push_str(&format!(" retry_ms={ms}"));
@@ -466,7 +506,7 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
 /// headers, unexpected EOF, or a body that is not UTF-8.
 pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    if read_header(r, &mut line)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before reply",
@@ -734,6 +774,78 @@ mod tests {
         buf.extend_from_slice(b"AUTOPHASE/1 COMPILE ir_len=100\nshort");
         let mut r = BufReader::new(buf.as_slice());
         assert!(read_request(&mut r).is_err());
+    }
+
+    /// A reader that never runs dry and counts what was taken from it.
+    struct Endless {
+        served: usize,
+    }
+
+    impl io::Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            buf.fill(b'A');
+            self.served += buf.len();
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn a_header_without_a_newline_is_refused_at_the_cap() {
+        for reply in [false, true] {
+            let mut r = BufReader::new(Endless { served: 0 });
+            let err = if reply {
+                read_reply(&mut r).map(|_| ()).unwrap_err()
+            } else {
+                read_request(&mut r).map(|_| ()).unwrap_err()
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("header line exceeds"), "{err}");
+            // One BufReader fill past the cap at most — not the 4 MiB a
+            // body may have, let alone unbounded.
+            assert!(r.get_ref().served <= MAX_HEADER_LEN + 8 * 1024);
+        }
+        // The longest legal line still reads.
+        let mut line = format!("{PROTOCOL} PING x=");
+        line.push_str(&"a".repeat(MAX_HEADER_LEN - line.len() - 1));
+        line.push('\n');
+        assert_eq!(line.len(), MAX_HEADER_LEN);
+        let mut r = BufReader::new(line.as_bytes());
+        assert_eq!(read_request(&mut r).unwrap(), Some(Request::Ping));
+    }
+
+    #[test]
+    fn an_err_quoting_a_long_request_still_fits_a_header() {
+        let mut buf = Vec::new();
+        write_reply(
+            &mut buf,
+            &Reply::Err {
+                kind: ErrKind::BadRequest,
+                retry_ms: Some(u64::MAX),
+                msg: "é".repeat(MAX_HEADER_LEN),
+            },
+        )
+        .unwrap();
+        assert!(buf.len() <= MAX_HEADER_LEN);
+        let mut r = BufReader::new(buf.as_slice());
+        assert!(matches!(
+            read_reply(&mut r).unwrap(),
+            Reply::Err {
+                kind: ErrKind::BadRequest,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn a_body_past_the_preallocation_roundtrips() {
+        let ir = "x".repeat(BODY_PREALLOC * 2 + 17);
+        let mut buf = Vec::new();
+        write_compile(&mut buf, &ir, None, false).unwrap();
+        let mut r = BufReader::new(buf.as_slice());
+        match read_request(&mut r).unwrap() {
+            Some(Request::Compile { ir: got, .. }) => assert_eq!(got, ir),
+            other => panic!("expected COMPILE, got {other:?}"),
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!    best-known ordering: no inference, no profiling, O(1). A hit that
 //!    must carry IR replays the stored passes first; if one no longer
 //!    applies cleanly the entry is retired and the request recomputes
-//!    cold, so a reply's IR always matches its reported numbers.
+//!    cold, so a reply's IR always matches its reported numbers. A text
+//!    this process has already accepted byte for byte skips the front end
+//!    too: the `front` memo remembers its fingerprint, and it is parsed
+//!    again only if its module is needed.
 //! 2. **policy** — greedy rollout on this handler thread
 //!    ([`crate::engine::InferenceEngine::choose_sequence`]), every pass
 //!    applied transactionally with quarantine bookkeeping.
@@ -42,6 +45,7 @@
 //! gauge.
 
 use crate::engine::{serve_layout, EngineConfig, InferenceEngine};
+use crate::front::{FrontMemo, FRONT_BUDGET_BYTES};
 use crate::learner::{Learner, LearnerConfig};
 use crate::protocol::{self, ErrKind, Reply, Request, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
@@ -68,7 +72,7 @@ use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -231,14 +235,18 @@ struct ModelStats {
     improvement_sum: f64,
 }
 
-/// State shared by every handler thread. All of its mutexes are taken
-/// with `lock_recover`: a panic in one handler must degrade that one
-/// request, not wedge every later one, and the data stays consistent
-/// across unwinds (the store appends before it acks; the maps are
-/// updated in place).
+/// State shared by every handler thread. All of its locks recover from
+/// poisoning (`lock_recover` for the mutexes): a panic in one handler
+/// must degrade that one request, not wedge every later one, and the
+/// data stays consistent across unwinds (the store appends before it
+/// acks; the maps are updated in place).
 struct Shared {
     cfg: ServerConfig,
     engine: Arc<InferenceEngine>,
+    /// Request text → fingerprint, probed before the parser runs. A
+    /// read-write lock: probes hash the whole text and 95 % of warm
+    /// traffic is probes, so they must not serialize.
+    front: RwLock<FrontMemo>,
     store: Mutex<BestStore>,
     /// While `Some(t)` and `now < t`, recording is down (the disk
     /// filled): compiles keep answering but skip persistence until the
@@ -372,6 +380,7 @@ impl Server {
             flight: FlightRecorder::new(cfg.flight.clone()),
             cfg,
             engine,
+            front: RwLock::new(FrontMemo::new(FRONT_BUDGET_BYTES)),
             store: Mutex::new(store),
             registry,
             learner,
@@ -596,7 +605,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                     want_ir,
                 } => {
                     let mut tr = shared.flight.begin();
-                    let reply = compile(shared, &mut tr, &ir, deadline_ms, want_ir);
+                    let reply = compile(shared, &mut tr, ir, deadline_ms, want_ir);
                     trace = Some(tr);
                     (reply, false)
                 }
@@ -937,10 +946,23 @@ fn refuse(kind: ErrKind, retry_ms: Option<u64>, msg: String) -> Reply {
     }
 }
 
+/// Parse request text, and verify it unless these exact bytes are already
+/// known to verify. The parser is total on untrusted text with a
+/// module-wide arena budget, and the verifier total on parser output, so
+/// hostile input costs a bounded amount of work and an error reply —
+/// never a crash or a runaway allocation.
+fn parse_text(ir: &str, verify: bool) -> Result<Module, String> {
+    let module = parse_module(ir).map_err(|e| e.to_string())?;
+    if verify {
+        verify_module(&module).map_err(|e| format!("verify: {e}"))?;
+    }
+    Ok(module)
+}
+
 fn compile(
     shared: &Shared,
     trace: &mut TraceBuilder,
-    ir: &str,
+    mut ir: String,
     deadline_ms: Option<u64>,
     want_ir: bool,
 ) -> Reply {
@@ -981,25 +1003,40 @@ fn compile(
         );
     }
 
-    // Parse + verify. The parser is total on untrusted text with a
-    // module-wide arena budget, and the verifier total on parser output,
-    // so hostile input costs a bounded amount of work and an error
-    // reply — never a crash or a runaway allocation.
-    let module = match parse_module(ir) {
-        Ok(m) => m,
-        Err(e) => {
-            trace.mark("parse");
-            return refuse(ErrKind::Parse, None, e.to_string());
-        }
+    // Front memo: bytes this process has already parsed, verified and
+    // fingerprinted need their module again only to carry IR or to
+    // recompute cold. First sight runs the whole front end.
+    let known_fp = shared
+        .front
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&ir);
+    let front = if known_fp.is_some() { "hit" } else { "miss" };
+    telemetry::incr("serve.front", front, 1);
+    trace.note("front", front);
+    let parsed = match known_fp {
+        Some(_) if !want_ir => Ok(None),
+        _ => parse_text(&ir, known_fp.is_none()).map(Some),
     };
-    if let Err(e) = verify_module(&module) {
-        trace.mark("parse");
-        return refuse(ErrKind::Parse, None, format!("verify: {e}"));
-    }
     trace.mark("parse");
+    let module = match parsed {
+        Ok(m) => m,
+        Err(msg) => return refuse(ErrKind::Parse, None, msg),
+    };
 
     // Store rung: a known program answers from the index.
-    let fp = fingerprint_module(&module);
+    let fp = known_fp.unwrap_or_else(|| {
+        let fp = fingerprint_module(module.as_ref().expect("a first sight is always parsed"));
+        // The memo takes the request's own buffer: a first sight has its
+        // module, so nothing below reads its text again.
+        let (evicted, bytes) = {
+            let mut front = shared.front.write().unwrap_or_else(PoisonError::into_inner);
+            (front.insert(std::mem::take(&mut ir), fp), front.bytes())
+        };
+        telemetry::incr("serve.front", "evicted", evicted as u64);
+        telemetry::set_gauge("serve.front_bytes", "", bytes as f64);
+        fp
+    });
     let hit = lock_recover(&shared.store).lookup(fp).cloned();
     trace.mark("store");
     if let Some(entry) = hit {
@@ -1010,17 +1047,18 @@ fn compile(
         // config drift since it was recorded), the entry can no longer
         // back its numbers. Retire it and recompute cold instead of
         // serving IR that disagrees with the reported cycles.
-        let replayed = if want_ir {
-            let mut m = module.clone();
-            let out = passes
-                .iter()
-                .try_for_each(|&p| apply_checked(&mut m, p, &shared.cfg.fuel).map(|_| ()))
-                .ok()
-                .map(|()| Some(print_module(&m)));
-            trace.mark("replay");
-            out
-        } else {
-            Some(None)
+        let replayed = match &module {
+            Some(module) if want_ir => {
+                let mut m = module.clone();
+                let out = passes
+                    .iter()
+                    .try_for_each(|&p| apply_checked(&mut m, p, &shared.cfg.fuel).map(|_| ()))
+                    .ok()
+                    .map(|()| Some(print_module(&m)));
+                trace.mark("replay");
+                out
+            }
+            _ => Some(None),
         };
         match replayed {
             Some(ir_out) => {
@@ -1053,6 +1091,17 @@ fn compile(
             "deadline expired before rollout".into(),
         );
     }
+
+    // A memoized text that asked for numbers only and found no store
+    // entry (never recorded, or retired since) goes cold like any miss,
+    // so it is parsed after all — on the `baseline_profile` segment.
+    let module = match module {
+        Some(m) => m,
+        None => match parse_text(&ir, false) {
+            Ok(m) => m,
+            Err(msg) => return refuse(ErrKind::Parse, None, msg),
+        },
+    };
 
     // Cold: profile the input once (the baseline number and the store
     // record need it), then walk policy → baseline.
@@ -1213,6 +1262,46 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(lock_recover(&server.shared.conns).is_empty());
+
+        server.shutdown();
+        let _ = std::fs::remove_file(&store);
+    }
+
+    /// The memo holds a fingerprint, never an answer: a memoized text
+    /// that asks for numbers only and finds its store entry gone is parsed
+    /// after all, recomputes cold, and lands on the answer it got before.
+    #[test]
+    fn a_memoized_text_with_no_store_entry_recomputes_cold() {
+        let store = std::env::temp_dir().join(format!(
+            "autophase_serve_front_no_entry_{}.log",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&store);
+        let server = Server::start_baseline_only(ServerConfig {
+            store_path: store.clone(),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let ir = "; module m\n\n; f0\ndefine i32 @main() {\nb0:\n  ret i32 0\n}\n";
+        let fp = fingerprint_module(&parse_module(ir).unwrap());
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let front_of_last = || {
+            let last = server.shared.flight.recent(1);
+            last[0].note("front").map(str::to_string)
+        };
+
+        let first = client.compile(ir, Some(60_000), false).expect("cold");
+        assert_eq!(first.source, Source::Baseline);
+        client.ping().expect("the first trace is sealed");
+        assert_eq!(front_of_last().as_deref(), Some("miss"));
+
+        lock_recover(&server.shared.store).remove(fp);
+        assert_eq!(server.store_len(), 0);
+        let again = client.compile(ir, Some(60_000), false).expect("recompute");
+        client.ping().expect("the second trace is sealed");
+        assert_eq!(front_of_last().as_deref(), Some("hit"));
+        assert_eq!(again, first);
+        assert_eq!(server.store_len(), 1, "the recompute records again");
 
         server.shutdown();
         let _ = std::fs::remove_file(&store);

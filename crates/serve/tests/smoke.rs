@@ -317,10 +317,14 @@ fn stale_store_entry_is_retired_not_served_inconsistently() {
         .expect("numbers-only hit");
     assert_eq!(reply.source, Source::Store);
     assert_eq!(reply.cycles, 1);
+    assert_eq!(last_front(&mut client), "miss");
 
     // Asking for IR forces the replay, which faults on fuel: the reply
     // must come from a recompute, never pair fresh IR with cycles=1.
+    // The text is memoized by now: a memo hit whose store entry is
+    // retired under it must recompute just the same.
     let reply = client.compile(&ir, Some(60_000), true).expect("recompute");
+    assert_eq!(last_front(&mut client), "hit");
     assert_ne!(reply.source, Source::Store, "stale entry was served");
     let ir_back = reply.ir.expect("asked for IR");
     autophase_ir::parser::parse_module(&ir_back).expect("served IR parses");
@@ -462,6 +466,223 @@ fn large_ir_reply_does_not_wait_out_a_delayed_ack() {
         ir.len() / 1024
     );
     drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_file(&store);
+}
+
+/// Whether the connection's last compile hit the front memo, read from the
+/// `front` note of its trace. The handler seals a request's trace before
+/// it reads the connection's next request, so `TRACE n=1` on the same
+/// connection names that request. (The `serve.front` counters are
+/// process-wide and this binary's tests share them.)
+fn last_front(client: &mut Client) -> &'static str {
+    let body = client.traces(1).expect("traces");
+    if body.contains("[\"front\",\"hit\"]") {
+        "hit"
+    } else if body.contains("[\"front\",\"miss\"]") {
+        "miss"
+    } else {
+        panic!("no front note in {body}")
+    }
+}
+
+/// The warm path: a byte-identical repeat is answered from the front memo
+/// and the store with the first answer; a re-formatted text of the same
+/// module misses the memo and still hits the store; IR served for a
+/// memoized text is the IR of the reported numbers.
+#[test]
+fn a_byte_identical_repeat_skips_the_front_end_and_answers_the_same() {
+    use autophase_core::eval_cache::fingerprint_module;
+    use autophase_hls::profile::profile_module;
+    use autophase_hls::HlsConfig;
+    use autophase_ir::parser::parse_module;
+
+    let store = tmp_store("front");
+    let server = start_server(&store, false);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let ir = autophase_ir::printer::print_module(&autophase_benchmarks::kernels::gsm());
+
+    let first = client.compile(&ir, Some(60_000), false).expect("cold");
+    assert_eq!(first.source, Source::Policy);
+    assert_eq!(last_front(&mut client), "miss");
+
+    let again = client.compile(&ir, Some(60_000), false).expect("repeat");
+    assert_eq!(again.source, Source::Store);
+    assert_eq!(last_front(&mut client), "hit");
+    assert_eq!(
+        (&again.passes, again.cycles, again.baseline_cycles),
+        (&first.passes, first.cycles, first.baseline_cycles)
+    );
+
+    // Same module, other bytes: only the fingerprint can find it.
+    let reformatted = format!("\n{}\n\n", ir.replace("\n  ", "\n      "));
+    assert_ne!(reformatted, ir);
+    assert_eq!(
+        fingerprint_module(&parse_module(&reformatted).unwrap()),
+        fingerprint_module(&parse_module(&ir).unwrap())
+    );
+    let other = client
+        .compile(&reformatted, Some(60_000), false)
+        .expect("reformatted");
+    assert_eq!(last_front(&mut client), "miss");
+    assert_eq!(other.source, Source::Store);
+    assert_eq!((&other.passes, other.cycles), (&first.passes, first.cycles));
+
+    // IR for a memoized text: parsed again (never trusted from the memo),
+    // replayed, and it is the module the reported cycles belong to.
+    let with_ir = client.compile(&ir, Some(60_000), true).expect("with IR");
+    assert_eq!(last_front(&mut client), "hit");
+    assert_eq!(with_ir.source, Source::Store);
+    assert_eq!(
+        (&with_ir.passes, with_ir.cycles),
+        (&first.passes, first.cycles)
+    );
+    let served = parse_module(with_ir.ir.as_deref().expect("asked for IR")).expect("parses");
+    autophase_ir::verify::verify_module(&served).expect("served IR verifies");
+    let hls = HlsConfig::default().with_profile_fuel(ServerConfig::default().profile_fuel);
+    assert_eq!(
+        profile_module(&served, &hls).unwrap().cycles,
+        with_ir.cycles
+    );
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&store);
+}
+
+/// Only a text that parsed, verified and fingerprinted is memoized: one
+/// that fails the parser or the verifier runs the front end every time and
+/// gets the same typed refusal every time. A text that passes both but
+/// cannot be profiled *is* memoized — and, with no store entry to find,
+/// recomputes to the same refusal.
+#[test]
+fn a_refused_text_is_never_memoized_and_is_refused_the_same_each_time() {
+    use autophase_serve::client::ClientError;
+
+    let store = tmp_store("front_refused");
+    let cfg = ServerConfig {
+        store_path: store.clone(),
+        profile_fuel: 10_000,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(test_policy(), cfg).expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let unparseable = "this is not IR";
+    let unverifiable = "; module m\n\n; f0\ndefine i32 @main() {\nb0:\n  br b7\n}\n";
+    let spins = "; module m\n\n; f0\ndefine i32 @main() {\nb0:\n  br b1\nb1:\n  br b1\n}\n";
+    for (text, fronts) in [
+        (unparseable, ["miss", "miss", "miss"]),
+        (unverifiable, ["miss", "miss", "miss"]),
+        (spins, ["miss", "hit", "hit"]),
+    ] {
+        let mut msgs = Vec::new();
+        for front in fronts {
+            match client.compile(text, Some(60_000), false) {
+                Err(ClientError::Server { kind, msg, .. }) => {
+                    assert_eq!(kind, ErrKind::Parse, "{text:?}: {msg}");
+                    msgs.push(msg);
+                }
+                other => panic!("{text:?}: expected a parse refusal, got {other:?}"),
+            }
+            assert_eq!(last_front(&mut client), front, "{text:?}");
+        }
+        assert!(msgs.windows(2).all(|w| w[0] == w[1]), "{msgs:?}");
+    }
+    assert_eq!(server.store_len(), 0);
+    server.shutdown();
+    let _ = std::fs::remove_file(&store);
+}
+
+/// Eight connections racing on one text nobody has seen: whoever parses
+/// it, whoever computes it, every reply is the same answer — and the next
+/// round is all memo hits and store hits.
+#[test]
+fn eight_threads_on_one_text_agree() {
+    let store = tmp_store("front_race");
+    let server = start_server(&store, false);
+    let addr = server.addr();
+    let ir = autophase_ir::printer::print_module(&autophase_benchmarks::kernels::matmul());
+    let barrier = std::sync::Barrier::new(8);
+    let answers: Vec<_> = std::thread::scope(|scope| {
+        let lanes: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr).expect("connect");
+                    client
+                        .set_read_timeout(Some(Duration::from_secs(60)))
+                        .unwrap();
+                    barrier.wait();
+                    let raced = client.compile(&ir, Some(120_000), false).expect("raced");
+                    barrier.wait();
+                    let warm = client.compile(&ir, Some(120_000), true).expect("warm");
+                    assert_eq!(warm.source, Source::Store);
+                    assert_eq!(last_front(&mut client), "hit");
+                    (raced, warm)
+                })
+            })
+            .collect();
+        lanes
+            .into_iter()
+            .map(|l| l.join().expect("lane panicked"))
+            .collect()
+    });
+    let (first, first_warm) = &answers[0];
+    for (raced, warm) in &answers {
+        assert_eq!(
+            (&raced.passes, raced.cycles, raced.baseline_cycles),
+            (&first.passes, first.cycles, first.baseline_cycles)
+        );
+        assert_eq!(
+            (&warm.passes, warm.cycles, &warm.ir),
+            (&first.passes, first.cycles, &first_warm.ir)
+        );
+    }
+    assert_eq!(server.store_len(), 1);
+    server.shutdown();
+    let _ = std::fs::remove_file(&store);
+}
+
+/// A peer that never sends a newline gets a typed refusal after one
+/// bounded header's worth of bytes and is hung up on; the daemon neither
+/// buffers the megabyte nor stops serving others.
+#[test]
+fn a_header_without_a_newline_is_refused_and_hung_up_on() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let store = tmp_store("longheader");
+    let server = start_server(&store, false);
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut flood = stream.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        // The daemon hangs up mid-flood, so the write may fail: that is
+        // the point, not an error.
+        let _ = flood.write_all(&vec![b'A'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a refusal, not a reset");
+    assert!(
+        line.starts_with("AUTOPHASE/1 ERR kind=bad_request")
+            && line.contains("header line exceeds"),
+        "{line:?}"
+    );
+    // Hung up: nothing more ever arrives on this connection.
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "{} more bytes", rest.len());
+    writer.join().expect("writer thread");
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ping().expect("the daemon still serves");
     server.shutdown();
     let _ = std::fs::remove_file(&store);
 }
