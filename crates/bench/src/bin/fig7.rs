@@ -18,8 +18,7 @@ fn main() {
             random_budget: 400,
             multi_iterations: 4,
         },
-        // No corpus-scale knob here: `large` runs the medium budget.
-        Scale::Medium | Scale::Large => Budget::default(),
+        Scale::Medium => Budget::default(),
         Scale::Paper => Budget {
             rl_iterations: 30,
             rl_horizon: 88,

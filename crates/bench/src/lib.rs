@@ -1,4 +1,4 @@
-//! Shared helpers for the benchmark/experiment binaries.
+//! Shared helpers for the experiment binaries.
 //!
 //! Each paper table/figure has a binary target:
 //!
@@ -13,20 +13,44 @@
 //! | `fig8` | Figure 8 (learning curves) |
 //! | `fig9` | Figure 9 (generalization) |
 //! | `generalize_random` | §6.2's random-program generalization number |
-//! | `rollout_bench` | rollout throughput: serial/uncached vs. parallel/cached |
 //!
 //! Run with `--scale small|medium|paper` (default `small`); `paper`
 //! approaches the paper's sample counts and takes correspondingly long.
 //!
-//! Every binary also takes `--telemetry off|summary|jsonl|prom`
-//! (default `off`, except `rollout_bench` which defaults to `summary`).
-//! Any enabled mode records spans/counters/histograms across the whole
-//! stack and writes a machine-readable event log to
+//! Every binary also takes `--telemetry off|summary|jsonl` (default
+//! `off`). Either enabled mode records spans/counters/histograms across
+//! the whole stack and writes a machine-readable event log to
 //! `results/<bin>_telemetry.jsonl` at exit; `summary` additionally
-//! prints the human table, `prom` a Prometheus text dump to
-//! `results/<bin>_telemetry.prom`.
+//! prints the human table. An unknown value for either flag exits 2.
+//!
+//! Performance is not measured here: the stack-wide benchmark is the
+//! standalone `benchmark/` package (`BENCHMARK.json`), and the criterion
+//! micro-benches are `benches/pipeline.rs`.
 
 use autophase_telemetry as telemetry;
+
+/// The value following `flag` in `args`, `Ok(None)` when the flag is
+/// absent, an error when it is the last argument.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{flag} needs a value")),
+        },
+    }
+}
+
+/// Run `parse` over the process's argv. A command-line mistake says what
+/// was accepted and exits 2, so a typo never runs a different experiment
+/// than the one asked for.
+fn from_argv<T>(parse: fn(&[String]) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().collect();
+    parse(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
+}
 
 /// Experiment scale from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,52 +59,41 @@ pub enum Scale {
     Small,
     /// Minutes-scale run with meaningful statistics.
     Medium,
-    /// Corpus-scale run (≥10k programs) that stays short of the paper's
-    /// full sample counts; the corpus bench's acceptance scale.
-    Large,
     /// Hours-scale run approaching the paper's sample counts.
     Paper,
 }
 
 impl Scale {
-    /// Parse `--scale <s>` from argv (defaults to `Small`).
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--scale" {
-                return match w[1].as_str() {
-                    "paper" => Scale::Paper,
-                    "large" => Scale::Large,
-                    "medium" => Scale::Medium,
-                    _ => Scale::Small,
-                };
-            }
+    /// Parse `--scale <s>` out of `args` (defaults to `Small` when the
+    /// flag is absent); an unknown value is an error naming the accepted
+    /// ones.
+    pub fn parse(args: &[String]) -> Result<Scale, String> {
+        match flag_value(args, "--scale")? {
+            None | Some("small") => Ok(Scale::Small),
+            Some("medium") => Ok(Scale::Medium),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!(
+                "--scale {other}: unknown scale (accepted: small, medium, paper)"
+            )),
         }
-        Scale::Small
     }
 
-    /// Scale-dependent pick. Binaries predating the `large` tier treat
-    /// it as `medium` (their workloads have no corpus-scale knob).
+    /// [`Scale::parse`] over the process's argv; exits 2 on a bad value.
+    pub fn from_args() -> Scale {
+        from_argv(Scale::parse)
+    }
+
+    /// Scale-dependent pick.
     pub fn pick<T>(self, small: T, medium: T, paper: T) -> T {
         match self {
             Scale::Small => small,
-            Scale::Medium | Scale::Large => medium,
-            Scale::Paper => paper,
-        }
-    }
-
-    /// Four-tier pick for binaries with a distinct corpus-scale setting.
-    pub fn pick4<T>(self, small: T, medium: T, large: T, paper: T) -> T {
-        match self {
-            Scale::Small => small,
             Scale::Medium => medium,
-            Scale::Large => large,
             Scale::Paper => paper,
         }
     }
 }
 
-/// How a benchmark binary reports telemetry, from `--telemetry <mode>`.
+/// How an experiment binary reports telemetry, from `--telemetry <mode>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TelemetryMode {
     /// Telemetry disabled: the instrumented call sites pay one relaxed
@@ -90,80 +103,25 @@ pub enum TelemetryMode {
     Summary,
     /// Record and write only the JSONL event log.
     Jsonl,
-    /// Record and additionally write a Prometheus text dump.
-    Prom,
 }
 
 impl TelemetryMode {
-    /// Parse `--telemetry <mode>` from argv, with a per-binary default.
-    pub fn from_args_or(default: TelemetryMode) -> TelemetryMode {
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--telemetry" {
-                return match w[1].as_str() {
-                    "summary" => TelemetryMode::Summary,
-                    "jsonl" => TelemetryMode::Jsonl,
-                    "prom" => TelemetryMode::Prom,
-                    _ => TelemetryMode::Off,
-                };
-            }
+    /// Parse `--telemetry <mode>` out of `args` (defaults to `Off` when
+    /// the flag is absent); an unknown value is an error naming the
+    /// accepted ones.
+    pub fn parse(args: &[String]) -> Result<TelemetryMode, String> {
+        match flag_value(args, "--telemetry")? {
+            None | Some("off") => Ok(TelemetryMode::Off),
+            Some("summary") => Ok(TelemetryMode::Summary),
+            Some("jsonl") => Ok(TelemetryMode::Jsonl),
+            Some(other) => Err(format!(
+                "--telemetry {other}: unknown mode (accepted: off, summary, jsonl)"
+            )),
         }
-        default
-    }
-
-    /// Parse `--telemetry <mode>` from argv (defaults to `Off`).
-    pub fn from_args() -> TelemetryMode {
-        TelemetryMode::from_args_or(TelemetryMode::Off)
-    }
-
-    /// True unless the mode is [`TelemetryMode::Off`].
-    pub fn is_on(self) -> bool {
-        self != TelemetryMode::Off
     }
 }
 
-/// Turn telemetry on (or leave it off) according to `mode`. Call at the
-/// top of a benchmark binary's `main`.
-pub fn telemetry_init(mode: TelemetryMode) {
-    if mode.is_on() {
-        telemetry::enable();
-    }
-}
-
-/// Flush telemetry at the end of a benchmark binary: always writes the
-/// machine-readable event log `results/<bin>_telemetry.jsonl` (so every
-/// binary that prints partial results also leaves structured data
-/// behind), plus the mode's extra output — the human summary table on
-/// stdout for [`TelemetryMode::Summary`], a Prometheus text dump at
-/// `results/<bin>_telemetry.prom` for [`TelemetryMode::Prom`]. A no-op
-/// for [`TelemetryMode::Off`].
-pub fn telemetry_finish(bin: &str, mode: TelemetryMode) {
-    if !mode.is_on() {
-        return;
-    }
-    if let Some(p) = telemetry::write_artifact(
-        "results",
-        &format!("{bin}_telemetry.jsonl"),
-        &telemetry::render_jsonl(),
-    ) {
-        eprintln!("telemetry: wrote {}", p.display());
-    }
-    match mode {
-        TelemetryMode::Summary => print!("{}", telemetry::render_summary()),
-        TelemetryMode::Prom => {
-            if let Some(p) = telemetry::write_artifact(
-                "results",
-                &format!("{bin}_telemetry.prom"),
-                &telemetry::render_prometheus(),
-            ) {
-                eprintln!("telemetry: wrote {}", p.display());
-            }
-        }
-        TelemetryMode::Jsonl | TelemetryMode::Off => {}
-    }
-}
-
-/// RAII wrapper for the `--telemetry` lifecycle every benchmark binary
+/// RAII wrapper for the `--telemetry` lifecycle every experiment binary
 /// shares: parse the flag, enable recording, and flush the artifacts when
 /// the session ends (explicitly via [`TelemetrySession::finish`] or on
 /// drop, so early returns still leave the event log behind).
@@ -181,15 +139,13 @@ pub struct TelemetrySession {
 }
 
 impl TelemetrySession {
-    /// Parse `--telemetry` (default `off`) and start recording.
+    /// Parse `--telemetry` (default `off`; exits 2 on a bad value) and
+    /// start recording.
     pub fn start(bin: &'static str) -> TelemetrySession {
-        TelemetrySession::start_with_default(bin, TelemetryMode::Off)
-    }
-
-    /// Parse `--telemetry` with a per-binary default and start recording.
-    pub fn start_with_default(bin: &'static str, default: TelemetryMode) -> TelemetrySession {
-        let mode = TelemetryMode::from_args_or(default);
-        telemetry_init(mode);
+        let mode = from_argv(TelemetryMode::parse);
+        if mode != TelemetryMode::Off {
+            telemetry::enable();
+        }
         TelemetrySession {
             bin,
             mode,
@@ -197,20 +153,29 @@ impl TelemetrySession {
         }
     }
 
-    /// The parsed mode, for binaries that branch on it.
-    pub fn mode(&self) -> TelemetryMode {
-        self.mode
-    }
-
     /// Flush artifacts now (idempotent; drop would do the same).
     pub fn finish(mut self) {
         self.flush();
     }
 
+    /// Write `results/<bin>_telemetry.jsonl` (so every binary that prints
+    /// partial results also leaves structured data behind) and, for
+    /// [`TelemetryMode::Summary`], print the human table. A no-op for
+    /// [`TelemetryMode::Off`].
     fn flush(&mut self) {
-        if !self.finished {
-            self.finished = true;
-            telemetry_finish(self.bin, self.mode);
+        if self.finished || self.mode == TelemetryMode::Off {
+            return;
+        }
+        self.finished = true;
+        if let Some(p) = telemetry::write_artifact(
+            "results",
+            &format!("{}_telemetry.jsonl", self.bin),
+            &telemetry::render_jsonl(),
+        ) {
+            eprintln!("telemetry: wrote {}", p.display());
+        }
+        if self.mode == TelemetryMode::Summary {
+            print!("{}", telemetry::render_summary());
         }
     }
 }
@@ -229,23 +194,53 @@ pub fn named_suite() -> Vec<(String, autophase_ir::Module)> {
         .collect()
 }
 
-/// Render a live daemon's per-stage latency breakdown (the
-/// `serve.stage_ns` histogram family from a parsed `STATS` reply) as a
-/// JSON object body — one key per stage with count, p50/p95/p99, and
-/// mean in nanoseconds. Serve-facing benches embed this in their
-/// `BENCH_*.json` so latency regressions can be attributed to a stage
-/// (queue wait vs inference vs profiling), not just observed end to end.
-pub fn stage_breakdown_json(stats: &autophase_serve::StatsSnapshot) -> String {
-    let stages = stats.hist_family("serve.stage_ns");
-    let entries: Vec<String> = stages
-        .iter()
-        .map(|(label, h)| {
-            let mean = h.sum.checked_div(h.count).unwrap_or(0);
-            format!(
-                "\"{label}\": {{ \"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {mean} }}",
-                h.count, h.p50, h.p95, h.p99
-            )
-        })
-        .collect();
-    format!("{{ {} }}", entries.join(", "))
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn scale_accepts_its_three_tiers_and_defaults_to_small() {
+        assert_eq!(Scale::parse(&args(&["fig7"])), Ok(Scale::Small));
+        for (word, want) in [
+            ("small", Scale::Small),
+            ("medium", Scale::Medium),
+            ("paper", Scale::Paper),
+        ] {
+            assert_eq!(Scale::parse(&args(&["fig7", "--scale", word])), Ok(want));
+        }
+    }
+
+    #[test]
+    fn a_scale_typo_is_an_error_naming_the_accepted_values() {
+        for bad in ["meduim", "large", ""] {
+            let err = Scale::parse(&args(&["fig7", "--scale", bad])).unwrap_err();
+            assert!(err.contains("small, medium, paper"), "{err}");
+        }
+        assert!(Scale::parse(&args(&["fig7", "--scale"])).is_err());
+    }
+
+    #[test]
+    fn telemetry_mode_rejects_what_it_does_not_know() {
+        assert_eq!(
+            TelemetryMode::parse(&args(&["fig5"])),
+            Ok(TelemetryMode::Off)
+        );
+        for (word, want) in [
+            ("off", TelemetryMode::Off),
+            ("summary", TelemetryMode::Summary),
+            ("jsonl", TelemetryMode::Jsonl),
+        ] {
+            let parsed = TelemetryMode::parse(&args(&["fig5", "--telemetry", word]));
+            assert_eq!(parsed, Ok(want));
+        }
+        for bad in ["prom", "sumary"] {
+            let err = TelemetryMode::parse(&args(&["fig5", "--telemetry", bad])).unwrap_err();
+            assert!(err.contains("off, summary, jsonl"), "{err}");
+        }
+        assert!(TelemetryMode::parse(&args(&["fig5", "--telemetry"])).is_err());
+    }
 }

@@ -106,13 +106,11 @@ pub struct EnvConfig {
     pub objective: Objective,
     /// HLS settings (200 MHz by default).
     pub hls: HlsConfig,
-    /// Apply passes transactionally ([`autophase_passes::apply_checked`]):
-    /// a pass that panics, breaks the verifier, or blows the fuel budget
-    /// is rolled back and scored as a no-op (zero reward) instead of
-    /// crashing the training run. On by default; turn off only to
-    /// reproduce the unchecked seed behavior exactly.
-    pub fault_isolation: bool,
-    /// Resource budget for checked pass applications.
+    /// Resource budget for checked pass applications. Passes are always
+    /// applied transactionally ([`autophase_passes::apply_checked`]): one
+    /// that panics, breaks the verifier, or blows this budget is rolled
+    /// back and scored as a no-op (zero reward) instead of crashing the
+    /// training run.
     pub fuel: FuelBudget,
     /// Function-granular incremental evaluation: maintain per-function
     /// fingerprints and feature decompositions under each pass's change
@@ -137,7 +135,6 @@ impl Default for EnvConfig {
             include_terminate: false,
             objective: Objective::Cycles,
             hls: HlsConfig::default(),
-            fault_isolation: true,
             fuel: FuelBudget::default(),
             incremental: true,
         }
@@ -547,7 +544,7 @@ impl PhaseOrderEnv {
     /// faulted applies are rolled back by the checked layer and never
     /// recorded.
     fn apply_and_record(&mut self, pass_id: usize) -> (bool, bool) {
-        let (changed, faulted) = if self.cfg.fault_isolation {
+        let (changed, faulted) =
             match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, None) {
                 Ok((c, cs)) => {
                     if c {
@@ -556,10 +553,7 @@ impl PhaseOrderEnv {
                     (c, false)
                 }
                 Err(_) => (false, true),
-            }
-        } else {
-            (self.apply_unchecked(pass_id), false)
-        };
+            };
         if !faulted && self.snap_keys_valid && self.inc.is_some() {
             let entry = if changed {
                 SnapEntry::change(
@@ -595,21 +589,6 @@ impl PhaseOrderEnv {
     fn note_change(&mut self, cs: &ChangeSet) {
         if let Some(inc) = &mut self.inc {
             inc.apply(&self.current, cs);
-        }
-    }
-
-    /// Unchecked apply (fault isolation off) — traced only when the
-    /// incremental state needs the change set, so the legacy configuration
-    /// stays byte-for-byte the seed path.
-    fn apply_unchecked(&mut self, pass_id: usize) -> bool {
-        if self.inc.is_some() {
-            let (changed, cs) = apply_traced(&mut self.current, pass_id);
-            if changed {
-                self.note_change(&cs);
-            }
-            changed
-        } else {
-            registry::apply(&mut self.current, pass_id)
         }
     }
 
@@ -1437,28 +1416,6 @@ mod tests {
         assert_eq!(env.step(38).reward, 0.0);
         assert_eq!(q.fault_count(fp, 38), 2);
         assert!(q.is_quarantined(fp, 38));
-    }
-
-    #[test]
-    fn fault_isolation_off_reproduces_the_unchecked_path() {
-        use autophase_passes::fault;
-        let _g = fault::test_guard();
-        fault::clear_plan();
-        let unchecked_cfg = EnvConfig {
-            fault_isolation: false,
-            ..EnvConfig::default()
-        };
-        let mut checked = PhaseOrderEnv::single(small_program(), EnvConfig::default());
-        let mut unchecked = PhaseOrderEnv::single(small_program(), unchecked_cfg);
-        let o1 = checked.reset();
-        let o2 = unchecked.reset();
-        assert_eq!(o1, o2);
-        for &a in &[38usize, 23, 31, 30, 7, 28] {
-            let r1 = checked.step(a);
-            let r2 = unchecked.step(a);
-            assert_eq!(r1.reward, r2.reward, "pass {a}");
-            assert_eq!(r1.observation, r2.observation, "pass {a}");
-        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Daemon mode loads the policy from an
-//! `autophase_rl::checkpoint::PolicyCheckpoint` (train one with
-//! `serve_bench` or any experiment that saves checkpoints), binds,
+//! `autophase_rl::checkpoint::PolicyCheckpoint` (train one under
+//! `serve_env` and save it with `PolicyCheckpoint::from_ppo`), binds,
 //! prints the address, and serves until a client sends `SHUTDOWN`.
 //! Without `--checkpoint` a freshly initialized (untrained) policy is
 //! used — handy for smoke tests, useless for quality.

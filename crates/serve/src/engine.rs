@@ -113,7 +113,7 @@ pub fn serve_num_actions() -> usize {
 }
 
 /// A sanity environment over `program` in the serving configuration —
-/// what `serve_bench` trains on.
+/// what a policy meant for the daemon trains on.
 pub fn serve_env(programs: Vec<Module>) -> PhaseOrderEnv {
     PhaseOrderEnv::new(programs, serve_env_config())
 }

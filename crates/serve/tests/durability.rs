@@ -8,7 +8,7 @@
 //! log, reopening must succeed, serve every acknowledged record that
 //! survived intact, and invent nothing. `make durability-smoke` runs
 //! this file (plus the fault-injection suite and the kill -9 drill in
-//! `durability_bench`).
+//! `kill_drill.rs`).
 
 use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};

@@ -1,8 +1,9 @@
 //! End-to-end drills of the online-learning subsystem on a live daemon:
 //! the background learner publishing and auto-promoting versions, the
-//! admin-gated `PROMOTE`/`MODEL` verbs with A/B serving, and — the
-//! chaos leg — corrupt and NaN candidates being quarantined while the
-//! old policy keeps answering every request.
+//! admin-gated `PROMOTE`/`MODEL` verbs with A/B serving, the chaos leg —
+//! corrupt and NaN candidates being quarantined while the old policy
+//! keeps answering every request — and the swap drill: 20 promotions
+//! under live cold load with no request dropped.
 //!
 //! This is the test `make online-smoke` runs.
 
@@ -16,6 +17,8 @@ use autophase_serve::learner::LearnerConfig;
 use autophase_serve::protocol::{ErrKind, Source};
 use autophase_serve::server::{Server, ServerConfig};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> PathBuf {
@@ -327,6 +330,105 @@ fn corrupt_and_nan_candidates_never_degrade_serving() {
     assert_eq!(snap.serving, Some(3));
     assert_eq!(snap.swaps, 1);
     assert_serving(&mut client, "after_promote");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&registry_dir);
+    let _ = std::fs::remove_file(&store);
+}
+
+/// The swap drill: four clients compile cold (fresh names every
+/// iteration, so every request crosses the engine) while the admin does
+/// 20 `PROMOTE` round-trips alternating two healthy versions, then
+/// `CHAOS swap=1` destroys the next candidate mid-promotion. No
+/// background request may fail across any of it, the corrupt candidate
+/// must refuse and quarantine, and the version serving before it must
+/// still be the one serving after.
+#[test]
+fn twenty_promotions_under_load_drop_nothing_and_a_corrupt_candidate_is_refused() {
+    const SWAPS: usize = 20;
+    const WORKERS: usize = 4;
+
+    let store = tmp("swap.log");
+    let registry_dir = tmp("swap_registry");
+    {
+        let mut reg = ModelRegistry::open(&registry_dir).expect("registry opens");
+        reg.publish(&test_ckpt(1), 100, 1).expect("publish v1");
+        reg.publish(&test_ckpt(2), 200, 2).expect("publish v2");
+        reg.publish(&test_ckpt(3), 300, 3).expect("publish v3");
+    }
+    let cfg = ServerConfig {
+        store_path: store.clone(),
+        registry_dir: Some(registry_dir.clone()),
+        admin: true,
+        chaos: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(test_policy(0x0B11_BEEF), cfg).expect("swap daemon starts");
+    let addr = server.addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicU64::new(0));
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|w| {
+            let stop = Arc::clone(&stop);
+            let answered = Arc::clone(&answered);
+            std::thread::spawn(move || {
+                let progs = programs();
+                let mut client = connect(addr);
+                let mut it = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for (i, ir) in progs.iter().enumerate() {
+                        let fresh = renamed(ir, &format!("w{w}i{it}p{i}"));
+                        client
+                            .compile(&fresh, Some(60_000), false)
+                            .unwrap_or_else(|e| {
+                                panic!("worker {w} iter {it} p{i}: request dropped: {e}")
+                            });
+                        answered.fetch_add(1, Ordering::Relaxed);
+                    }
+                    it += 1;
+                }
+            })
+        })
+        .collect();
+
+    let mut admin = connect(addr);
+    for s in 0..SWAPS {
+        let v = 1 + (s as u64 & 1); // alternate v1 / v2
+        admin
+            .promote(v)
+            .unwrap_or_else(|e| panic!("swap {s} to v{v} failed: {e}"));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    admin.chaos_swap(1).expect("arm swap corruption");
+    assert!(
+        admin.promote(3).is_err(),
+        "corrupt candidate must refuse promotion"
+    );
+    assert!(
+        registry_dir.join("v3.ckpt.quarantined").exists(),
+        "corrupt candidate must quarantine for forensics"
+    );
+    let snap = admin.models().expect("MODEL answers");
+    assert_eq!(
+        snap.serving,
+        Some(2),
+        "corruption must not change the serving version"
+    );
+    assert_eq!(snap.swaps, SWAPS as u64, "every healthy promotion swapped");
+
+    // Let the load run a beat past the failed promotion, then stop. A
+    // failed background request panicked its worker: the join reports it.
+    std::thread::sleep(Duration::from_millis(50));
+    stop.store(true, Ordering::Relaxed);
+    for w in workers {
+        w.join().expect("worker thread survives the drill");
+    }
+    assert!(
+        answered.load(Ordering::Relaxed) > 0,
+        "background load must have run"
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&registry_dir);

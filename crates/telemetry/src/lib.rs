@@ -64,9 +64,7 @@ pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, Registry,
     Snapshot,
 };
-pub use sink::{
-    render_jsonl, render_metrics_jsonl_from, render_prometheus, render_summary, write_artifact,
-};
+pub use sink::{render_jsonl, render_metrics_jsonl_from, render_summary, write_artifact};
 pub use span::{span, span_events, SpanEvent, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,4 +1,4 @@
-//! Text sinks: JSONL event log, Prometheus text format, human summary.
+//! Text sinks: JSONL event log, human summary.
 //!
 //! Sinks are pure renderers over a registry [`crate::Snapshot`] plus the
 //! span-event log — they read instruments, never mutate them, and can be
@@ -6,7 +6,7 @@
 //! dependency-free); instrument names and labels are short identifier-like
 //! strings, but escaping is complete anyway.
 
-use crate::metrics::{Snapshot, DEFAULT_BOUNDS};
+use crate::metrics::Snapshot;
 use crate::span;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -85,7 +85,7 @@ pub fn render_summary() -> String {
 /// Instruments that never fired (zero-valued counters, zero-count
 /// histograms) are omitted — e.g. the pass registry eagerly registers all
 /// 46 passes, but a run that only touched a dozen should print a dozen
-/// rows. The Prometheus and JSONL sinks keep everything.
+/// rows. The JSONL sink keeps everything.
 pub fn render_summary_from(snap: &Snapshot) -> String {
     let mut out = String::from("== telemetry summary ==\n");
     let counters: Vec<_> = snap.counters.iter().filter(|c| c.value > 0).collect();
@@ -134,98 +134,6 @@ pub fn render_summary_from(snap: &Snapshot) -> String {
     }
     if counters.is_empty() && snap.gauges.is_empty() && histograms.is_empty() {
         out.push_str("(no instruments recorded)\n");
-    }
-    out
-}
-
-/// Sanitize an instrument name or label for Prometheus (`[a-zA-Z0-9_]`,
-/// non-conforming characters become `_`, leading digits get a prefix).
-fn prom_name(s: &str) -> String {
-    let mut out: String = s
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if out.starts_with(|c: char| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-/// Escape a label *value* per the Prometheus text exposition format:
-/// exactly backslash, double-quote, and line-feed are escaped (`\\`,
-/// `\"`, `\n`) — nothing else. JSON escaping is close but wrong here
-/// (`\uXXXX` and `\t` are not exposition-format escapes, and an
-/// unescaped newline would split the sample line in two).
-fn prom_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn prom_label(label: &str) -> String {
-    if label.is_empty() {
-        String::new()
-    } else {
-        format!("{{label=\"{}\"}}", prom_escape(label))
-    }
-}
-
-/// Render every instrument in the Prometheus text exposition format.
-pub fn render_prometheus() -> String {
-    render_prometheus_from(&crate::snapshot())
-}
-
-/// Prometheus text format from an explicit snapshot.
-pub fn render_prometheus_from(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    let mut last_type_line = String::new();
-    let mut type_line = |out: &mut String, name: &str, kind: &str| {
-        let line = format!("# TYPE {name} {kind}\n");
-        if line != last_type_line {
-            out.push_str(&line);
-            last_type_line = line;
-        }
-    };
-    for c in &snap.counters {
-        let name = prom_name(c.name);
-        type_line(&mut out, &name, "counter");
-        let _ = writeln!(out, "{name}{} {}", prom_label(&c.label), c.value);
-    }
-    for g in &snap.gauges {
-        let name = prom_name(g.name);
-        type_line(&mut out, &name, "gauge");
-        let _ = writeln!(out, "{name}{} {}", prom_label(&g.label), g.value);
-    }
-    for h in &snap.histograms {
-        let name = prom_name(h.name);
-        type_line(&mut out, &name, "histogram");
-        let inner = if h.label.is_empty() {
-            String::new()
-        } else {
-            format!("label=\"{}\",", prom_escape(&h.label))
-        };
-        let mut cum = 0u64;
-        let counts: std::collections::HashMap<u64, u64> = h.buckets.iter().copied().collect();
-        for &bound in DEFAULT_BOUNDS.iter() {
-            cum += counts.get(&bound).copied().unwrap_or(0);
-            let _ = writeln!(out, "{name}_bucket{{{inner}le=\"{bound}\"}} {cum}");
-        }
-        let _ = writeln!(out, "{name}_bucket{{{inner}le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "{name}_sum{} {}", prom_label(&h.label), h.sum);
-        let _ = writeln!(out, "{name}_count{} {}", prom_label(&h.label), h.count);
-        // Interpolated quantile estimates as an auxiliary gauge family
-        // (`_q` suffix, summary-style `quantile` label): scrapers that
-        // want percentiles without re-aggregating buckets read these.
-        for (q, v) in [(0.5, h.p50), (0.9, h.p90), (0.95, h.p95), (0.99, h.p99)] {
-            let _ = writeln!(out, "{name}_q{{{inner}quantile=\"{q}\"}} {v}");
-        }
     }
     out
 }
@@ -399,23 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_is_well_formed() {
-        let p = render_prometheus_from(&sample_snapshot());
-        assert!(p.contains("# TYPE pass_invocations counter"), "{p}");
-        assert!(p.contains("pass_invocations{label=\"-gvn\"} 3"), "{p}");
-        assert!(p.contains("# TYPE evalcache_hit_rate gauge"), "{p}");
-        assert!(
-            p.contains("pass_apply_ns_bucket{label=\"-gvn\",le=\"1000\"} 1"),
-            "{p}"
-        );
-        assert!(
-            p.contains("pass_apply_ns_bucket{label=\"-gvn\",le=\"+Inf\"} 2"),
-            "{p}"
-        );
-        assert!(p.contains("pass_apply_ns_sum{label=\"-gvn\"} 3000"), "{p}");
-    }
-
-    #[test]
     fn jsonl_lines_parse_shapewise() {
         let j = render_jsonl_from(&sample_snapshot());
         for line in j.lines() {
@@ -431,90 +322,6 @@ mod tests {
     fn json_escaping_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn prom_names_sanitized() {
-        assert_eq!(prom_name("pass.apply_ns"), "pass_apply_ns");
-        assert_eq!(prom_name("-gvn"), "_gvn");
-        assert_eq!(prom_name("9lives"), "_9lives");
-    }
-
-    /// Inverse of the exposition-format label-value escaping: exactly
-    /// `\\`, `\"`, and `\n` are escape sequences; everything else is
-    /// literal. This is what a conforming Prometheus scraper applies.
-    fn prom_unescape(s: &str) -> String {
-        let mut out = String::new();
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            if c == '\\' {
-                match chars.next() {
-                    Some('\\') => out.push('\\'),
-                    Some('"') => out.push('"'),
-                    Some('n') => out.push('\n'),
-                    Some(other) => {
-                        out.push('\\');
-                        out.push(other);
-                    }
-                    None => out.push('\\'),
-                }
-            } else {
-                out.push(c);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn prom_label_values_roundtrip_hostile_strings() {
-        for hostile in [
-            "back\\slash",
-            "quo\"te",
-            "new\nline",
-            "\\\"\n",
-            "tab\tand\rcr stay literal",
-            "unicode λ→∞ survives",
-            "trailing backslash\\",
-            "\\n is two chars, not a newline",
-        ] {
-            let escaped = prom_escape(hostile);
-            // The escaped value must be line- and quote-safe…
-            assert!(!escaped.contains('\n'), "{hostile:?} -> {escaped:?}");
-            let mut prev = ' ';
-            for c in escaped.chars() {
-                assert!(
-                    c != '"' || prev == '\\',
-                    "unescaped quote in {escaped:?} (from {hostile:?})"
-                );
-                // Two backslashes in a row consume each other.
-                prev = if prev == '\\' && c == '\\' { ' ' } else { c };
-            }
-            // …and a conforming scraper must recover the original.
-            assert_eq!(prom_unescape(&escaped), hostile, "via {escaped:?}");
-        }
-    }
-
-    #[test]
-    fn prom_sink_emits_escaped_labels_and_quantiles() {
-        let mut snap = sample_snapshot();
-        snap.counters[0].label = "evil\"quote\nand\\slash".to_string();
-        let p = render_prometheus_from(&snap);
-        for line in p.lines() {
-            assert!(!line.is_empty());
-        }
-        assert!(
-            p.contains("pass_invocations{label=\"evil\\\"quote\\nand\\\\slash\"} 3"),
-            "{p}"
-        );
-        // Interpolated quantile estimates ride along as a _q family.
-        assert!(
-            p.contains("pass_apply_ns_q{label=\"-gvn\",quantile=\"0.5\"} 1000"),
-            "{p}"
-        );
-        assert!(
-            p.contains("pass_apply_ns_q{label=\"-gvn\",quantile=\"0.95\"} 2000"),
-            "{p}"
-        );
     }
 
     #[test]

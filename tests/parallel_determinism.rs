@@ -113,7 +113,8 @@ fn cached_rollout_matches_uncached() {
     // Full-recompute configuration on both sides: the incremental layer
     // (DESIGN.md §4f) skips profiler runs on its own, which would blur
     // the books this test keeps on the *shared* cache. Its equivalence
-    // gates live in `incremental_diff.rs` and `rollout_bench`.
+    // gates live in `incremental_diff.rs` and `core/src/env.rs`'s
+    // `incremental_env_bit_identical_to_full_recompute`.
     let cfg = EnvConfig {
         incremental: false,
         ..env_config()
