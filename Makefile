@@ -27,7 +27,8 @@ fmt-fix:
 	$(CARGO) fmt
 
 # The telemetry layer's own gates: instrument property/concurrency
-# tests, span-nesting across the worker pool, the observational-only
+# tests and the bounded memo map's suite (the crate is the map's home),
+# span-nesting across the worker pool, the observational-only
 # determinism suite, and the release-mode overhead guard (enabled
 # apply_sequence must stay within a generous bound of disabled).
 telemetry:
@@ -112,14 +113,17 @@ pass-golden:
 # What keeps the fast paths honest (DESIGN.md §4f, §4k, §4m): the
 # differential suite proves the per-function caches are bit-invisible
 # across every Table-1 pass, the scaling guard keeps the pass kernels
-# linear in block size, and the trajectory golden holds the batched
+# linear in block size, the trajectory golden holds the batched
 # training kernels to the weights the per-sample backward and scalar
-# Adam produced. No wall-clock ratio gates here: what the fast paths
-# cost is read from the benchmark's layer metrics (`make bench`).
+# Adam produced, and cached ≡ uncached ≡ parallel rollouts keep the
+# env's memos and the shared EvalCache invisible in optimized code too.
+# No wall-clock ratio gates here: what the fast paths cost is read from
+# the benchmark's layer metrics (`make bench`).
 perf-smoke:
 	$(CARGO) test -q --release -p autophase-features --test incremental_diff
 	$(CARGO) test -q --release -p autophase-passes --test scaling
 	$(CARGO) test -q --release --test train_update_golden
+	$(CARGO) test -q --release --test parallel_determinism
 
 # SIMD feature matrix (DESIGN.md §4k): the nn crate must build, test,
 # and lint clean with and without its kernels — default (`simd`) and

@@ -1,7 +1,10 @@
 //! The phase-ordering RL environment (§5.1).
 
 use crate::eval_cache::{fingerprint_module, CacheEntry, CacheKey, EvalCache, SeqHash};
-use crate::incremental::{IncrementalEval, ProfileMemo, SnapEntry, SnapshotMemo};
+use crate::incremental::{
+    profile_memo, snapshot_memo, IncrementalEval, ProfileMemo, SnapEntry, SnapKey, SnapshotMemo,
+    DEFAULT_PROFILE_MEMO_CAPACITY, DEFAULT_SNAPSHOT_MEMO_CAPACITY,
+};
 use crate::quarantine::Quarantine;
 use autophase_features::{
     extract, extract_structural, filter_features, log_normalize, normalize_to_inst_count,
@@ -12,8 +15,8 @@ use autophase_hls::{
     HlsConfig, ScheduleCache,
 };
 use autophase_ir::Module;
-use autophase_passes::changeset::{apply_traced, ChangeSet};
-use autophase_passes::checked::apply_checked_traced;
+use autophase_passes::changeset::ChangeSet;
+use autophase_passes::checked::{apply_checked_traced, FaultKind};
 use autophase_passes::registry::{self, NUM_PASSES};
 use autophase_passes::FuelBudget;
 use autophase_rl::env::{Environment, StepResult};
@@ -175,6 +178,8 @@ pub const FILTERED_PASSES: [usize; 18] = [
 pub struct PhaseOrderEnv {
     programs: Vec<Module>,
     cfg: EnvConfig,
+    /// Table-1 pass id of each action index (`action_passes`).
+    actions: Vec<usize>,
     current: Module,
     program_cursor: usize,
     steps_taken: usize,
@@ -194,15 +199,12 @@ pub struct PhaseOrderEnv {
     /// Rolling hash of the passes applied this episode that reported a
     /// change (the cache key's sequence component).
     seq_hash: SeqHash,
-    /// Changing passes applied this episode (cached mode). `current`
-    /// reflects only the first `materialized` of them; the rest are known
-    /// from the transition memo and replayed lazily on demand.
-    applied: Vec<usize>,
-    /// How many entries of `applied` are reflected in `current`.
-    materialized: usize,
+    /// Changing passes applied this episode, all reflected in `current`:
+    /// the snapshot memo's key prefix.
+    applied: Vec<u16>,
     /// Incremental fingerprint/feature state, always synced with
-    /// `current`'s materialized prefix. `None` until the first reset of an
-    /// incremental episode (or always, with `cfg.incremental` off).
+    /// `current`. `None` until the first reset of an incremental episode
+    /// (or always, with `cfg.incremental` off).
     inc: Option<IncrementalEval>,
     /// Lazily built pristine [`IncrementalEval`] per program, cloned into
     /// `inc` at reset so episode starts cost O(#functions) copies instead
@@ -236,13 +238,23 @@ impl PhaseOrderEnv {
     pub fn new(programs: Vec<Module>, cfg: EnvConfig) -> PhaseOrderEnv {
         assert!(!programs.is_empty(), "need at least one program");
         let current = programs[0].clone();
-        let mut env = PhaseOrderEnv {
+        let mut actions = if cfg.filtered_passes {
+            FILTERED_PASSES.to_vec()
+        } else {
+            (0..NUM_PASSES).collect::<Vec<_>>()
+        };
+        if cfg.include_terminate {
+            actions.push(registry::TERMINATE);
+        }
+        PhaseOrderEnv {
+            inc_templates: vec![None; programs.len()],
+            action_histogram: vec![0.0; actions.len()],
             programs,
             cfg,
+            actions,
             current,
             program_cursor: 0,
             steps_taken: 0,
-            action_histogram: Vec::new(),
             prev_cycles: 0,
             samples: 0,
             episode_done: false,
@@ -252,18 +264,13 @@ impl PhaseOrderEnv {
             current_fp: 0,
             seq_hash: SeqHash::new(),
             applied: Vec::new(),
-            materialized: 0,
             inc: None,
-            inc_templates: Vec::new(),
             sched: ScheduleCache::default(),
-            memo: ProfileMemo::default(),
-            snap: SnapshotMemo::default(),
+            memo: profile_memo(DEFAULT_PROFILE_MEMO_CAPACITY),
+            snap: snapshot_memo(DEFAULT_SNAPSHOT_MEMO_CAPACITY),
             episode_program: 0,
             snap_keys_valid: false,
-        };
-        env.inc_templates = (0..env.programs.len()).map(|_| None).collect();
-        env.action_histogram = vec![0.0; env.num_actions()];
-        env
+        }
     }
 
     /// Single-program convenience constructor.
@@ -290,11 +297,6 @@ impl PhaseOrderEnv {
     pub fn set_cache(&mut self, cache: Arc<EvalCache>) {
         self.init_fingerprints();
         self.cache = Some(cache);
-    }
-
-    /// The shared cache, if one is attached.
-    pub fn cache(&self) -> Option<&Arc<EvalCache>> {
-        self.cache.as_ref()
     }
 
     /// Attach a shared [`Quarantine`] table. Faulted pass applications are
@@ -334,7 +336,6 @@ impl PhaseOrderEnv {
             self.current_fp = fingerprint_module(&self.current);
             self.seq_hash = SeqHash::new();
             self.applied.clear();
-            self.materialized = 0;
             self.snap_keys_valid = false;
         }
     }
@@ -342,15 +343,7 @@ impl PhaseOrderEnv {
     /// The action index list (Table-1 ids) this environment exposes.
     /// When `include_terminate` is set the last action is index 45.
     pub fn action_passes(&self) -> Vec<usize> {
-        let mut passes = if self.cfg.filtered_passes {
-            FILTERED_PASSES.to_vec()
-        } else {
-            (0..NUM_PASSES).collect::<Vec<_>>()
-        };
-        if self.cfg.include_terminate {
-            passes.push(registry::TERMINATE);
-        }
-        passes
+        self.actions.clone()
     }
 
     /// Objective value (cycles / area / weighted) of the current module
@@ -360,23 +353,17 @@ impl PhaseOrderEnv {
     /// (and without charging a sample); only misses profile. Failed
     /// profiles are never cached.
     pub fn cycles(&mut self) -> u64 {
-        // Narrow re-borrows of `self.cache` throughout: cloning the `Arc`
-        // here (the old code) was an atomic refcount bump on *every* step
-        // of every worker — pure overhead, since the cache is never
-        // detached mid-call.
-        if self.cache.is_some() {
-            let key = CacheKey {
-                program: self.current_fp,
-                seq: self.seq_hash.value(),
-            };
-            if let Some(entry) = self.cache.as_deref().and_then(|c| c.get(&key)) {
-                return self.objective_of(&entry);
-            }
-            self.materialize();
-            let report = match self.profile_current() {
-                Some(r) => r,
-                None => return u64::MAX / 4,
-            };
+        let key = CacheKey {
+            program: self.current_fp,
+            seq: self.seq_hash.value(),
+        };
+        if let Some(e) = self.cache.as_deref().and_then(|c| c.get(&key)) {
+            return self.objective_of(e.cycles, e.area.total(), e.insts_executed);
+        }
+        let Some(report) = self.profile_current() else {
+            return u64::MAX / 4;
+        };
+        if let Some(cache) = self.cache.as_deref() {
             // With incremental state the entry is assembled from the
             // already-maintained fingerprint and feature total — no module
             // re-walk; otherwise fall back to the full extraction.
@@ -384,29 +371,22 @@ impl PhaseOrderEnv {
                 Some(inc) => CacheEntry::from_parts(inc.module_fp(), inc.features(), &report),
                 None => CacheEntry::from_report(&self.current, &report),
             };
-            let value = self.objective_of(&entry);
-            if let Some(cache) = self.cache.as_deref() {
-                cache.insert(key, entry);
-            }
-            return value;
+            cache.insert(key, entry);
         }
-        match self.profile_current() {
-            Some(report) => self.objective_of_report(&report),
-            None => u64::MAX / 4,
-        }
+        self.objective_of(report.cycles, report.area.total(), report.insts_executed)
     }
 
-    /// Profile `current` (which must be fully materialized), through the
-    /// incremental machinery when enabled: a content-fingerprint memo hit
-    /// returns a past report without running the profiler (and without
-    /// charging a sample — the memo has [`EvalCache`] sampling semantics);
-    /// a miss profiles with per-function schedule reuse. `None` when
-    /// execution failed (never memoized).
+    /// Profile `current`, through the incremental machinery when enabled:
+    /// a content-fingerprint memo hit returns a past report without
+    /// running the profiler (and without charging a sample — the memo has
+    /// [`EvalCache`] sampling semantics); a miss profiles with
+    /// per-function schedule reuse. `None` when execution failed (never
+    /// memoized).
     fn profile_current(&mut self) -> Option<Arc<HlsReport>> {
         if let Some(inc) = &self.inc {
             let fp = inc.module_fp();
-            if let Some(report) = self.memo.get(fp) {
-                return Some(report);
+            if let Some(report) = self.memo.lookup(&fp) {
+                return Some(Arc::clone(report));
             }
             self.samples += 1;
             let report =
@@ -424,31 +404,16 @@ impl PhaseOrderEnv {
             .map(Arc::new)
     }
 
-    /// The configured objective read off a profile report.
-    fn objective_of_report(&self, report: &HlsReport) -> u64 {
+    /// The configured objective of one profiled state.
+    fn objective_of(&self, cycles: u64, area_total: u64, insts_executed: u64) -> u64 {
         match self.cfg.objective {
-            Objective::Cycles => report.cycles,
-            Objective::Area => report.area.total(),
+            Objective::Cycles => cycles,
+            Objective::Area => area_total,
             Objective::Weighted {
                 cycle_weight,
                 area_weight,
-            } => (cycle_weight * report.cycles as f64 + area_weight * report.area.total() as f64)
-                .max(0.0) as u64,
-            Objective::DynamicInsts => report.insts_executed,
-        }
-    }
-
-    /// The configured objective read off a cache entry.
-    fn objective_of(&self, entry: &CacheEntry) -> u64 {
-        match self.cfg.objective {
-            Objective::Cycles => entry.cycles,
-            Objective::Area => entry.area.total(),
-            Objective::Weighted {
-                cycle_weight,
-                area_weight,
-            } => (cycle_weight * entry.cycles as f64 + area_weight * entry.area.total() as f64)
-                .max(0.0) as u64,
-            Objective::DynamicInsts => entry.insts_executed,
+            } => (cycle_weight * cycles as f64 + area_weight * area_total as f64).max(0.0) as u64,
+            Objective::DynamicInsts => insts_executed,
         }
     }
 
@@ -464,74 +429,29 @@ impl PhaseOrderEnv {
     }
 
     /// The module in its current (partially optimized) state.
-    ///
-    /// In cached mode the module is materialized lazily, so this may have
-    /// to replay memoized passes first — hence `&mut self`.
-    pub fn module(&mut self) -> &Module {
-        self.materialize();
+    pub fn module(&self) -> &Module {
         &self.current
     }
 
-    /// Replay any passes known (from the transition memo) to be part of
-    /// the current state but not yet applied to `current`. Replaying only
-    /// the *changing* passes reproduces the exact module: a pass that
-    /// reported no change left the module untouched, so dropping it
-    /// cannot alter what later passes see.
-    fn materialize(&mut self) {
-        for i in self.materialized..self.applied.len() {
-            if self.inc.is_some() {
-                // A replayed prefix is a previously walked sequence by
-                // definition, so the snapshot memo usually turns the whole
-                // replay into copy-on-write restores.
-                if self.snap_keys_valid {
-                    let key: Vec<u16> = self.applied[..=i].iter().map(|&p| p as u16).collect();
-                    if let Some(entry) = self.snap.get(self.episode_program, key) {
-                        debug_assert!(entry.changed(), "memoized changing pass recorded as no-op");
-                        if let Some((module, eval)) = entry.state_clone() {
-                            self.current = module;
-                            self.inc = Some(eval);
-                        }
-                        continue;
-                    }
-                }
-                let pass = self.applied[i];
-                let (changed, cs) = apply_traced(&mut self.current, pass);
-                debug_assert!(changed, "memoized changing pass replayed as no-op");
-                self.note_change(&cs);
-                if self.snap_keys_valid {
-                    let key: Vec<u16> = self.applied[..=i].iter().map(|&p| p as u16).collect();
-                    let entry = SnapEntry::change(
-                        self.current.clone(),
-                        self.inc.clone().expect("incremental mode"),
-                    );
-                    self.snap.insert(self.episode_program, key, entry);
-                }
-            } else {
-                let changed = registry::apply(&mut self.current, self.applied[i]);
-                debug_assert!(changed, "memoized changing pass replayed as no-op");
-            }
+    /// The snapshot-memo key for applying `pass_id` to the current state —
+    /// the episode's changing-pass sequence so far, plus the new pass — or
+    /// `None` where transitions are not memoized: full-recompute mode, and
+    /// between a mid-episode attach and the next reset.
+    fn snap_key(&self, pass_id: usize) -> Option<SnapKey> {
+        if !self.snap_keys_valid || self.inc.is_none() {
+            return None;
         }
-        self.materialized = self.applied.len();
-    }
-
-    /// The snapshot-memo key for applying `pass_id` to the current state:
-    /// the episode's changing-pass sequence so far, plus the new pass.
-    fn snap_key(&self, pass_id: usize) -> Vec<u16> {
-        let mut key: Vec<u16> = self.applied.iter().map(|&p| p as u16).collect();
-        key.push(pass_id as u16);
-        key
+        let mut seq = self.applied.clone();
+        seq.push(pass_id as u16);
+        Some((self.episode_program, seq))
     }
 
     /// Serve a step's apply from the snapshot memo if this exact
     /// `(program, sequence, pass)` transition was walked before: restore
     /// the recorded post-pass module and incremental state (COW clones)
     /// and report its change flag, skipping pass execution entirely.
-    fn snapshot_lookup(&mut self, pass_id: usize) -> Option<bool> {
-        if !self.snap_keys_valid || self.inc.is_none() {
-            return None;
-        }
-        let key = self.snap_key(pass_id);
-        let entry = self.snap.get(self.episode_program, key)?;
+    fn snapshot_lookup(&mut self, key: &SnapKey) -> Option<bool> {
+        let entry = Arc::clone(self.snap.lookup(key)?);
         if let Some((module, eval)) = entry.state_clone() {
             self.current = module;
             self.inc = Some(eval);
@@ -539,39 +459,40 @@ impl PhaseOrderEnv {
         Some(entry.changed())
     }
 
-    /// Apply `pass_id` to the (materialized) current state and record the
-    /// transition in the snapshot memo. Returns `(changed, faulted)`;
-    /// faulted applies are rolled back by the checked layer and never
-    /// recorded.
-    fn apply_and_record(&mut self, pass_id: usize) -> (bool, bool) {
-        let (changed, faulted) =
-            match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, None) {
-                Ok((c, cs)) => {
-                    if c {
-                        self.note_change(&cs);
-                    }
-                    (c, false)
+    /// Apply `pass_id` to the current state and record the transition
+    /// under `key`. Returns `(changed, faulted)`; faulted applies are
+    /// rolled back by the checked layer and never recorded — quarantine
+    /// counts *repeat* offenses, and a memo hit would silently absorb every
+    /// later one.
+    fn apply_and_record(
+        &mut self,
+        pass_id: usize,
+        injected: Option<FaultKind>,
+        key: Option<SnapKey>,
+    ) -> (bool, bool) {
+        match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, injected) {
+            Ok((changed, cs)) => {
+                if changed {
+                    self.note_change(&cs);
                 }
-                Err(_) => (false, true),
-            };
-        if !faulted && self.snap_keys_valid && self.inc.is_some() {
-            let entry = if changed {
-                SnapEntry::change(
-                    self.current.clone(),
-                    self.inc.clone().expect("incremental mode"),
-                )
-            } else {
-                SnapEntry::noop()
-            };
-            self.snap
-                .insert(self.episode_program, self.snap_key(pass_id), entry);
+                if let (Some(key), Some(inc)) = (key, &self.inc) {
+                    let entry = if changed {
+                        SnapEntry::change(self.current.clone(), inc.clone())
+                    } else {
+                        SnapEntry::noop()
+                    };
+                    self.snap.insert(key, Arc::new(entry));
+                }
+                (changed, false)
+            }
+            Err(_) => (false, true),
         }
-        (changed, faulted)
     }
 
     /// (hits, misses) of the step-transition snapshot memo.
     pub fn snapshot_stats(&self) -> (u64, u64) {
-        self.snap.stats()
+        let s = self.snap.stats();
+        (s.hits, s.misses)
     }
 
     /// The per-function incremental state (fingerprints + feature
@@ -592,31 +513,6 @@ impl PhaseOrderEnv {
         }
     }
 
-    /// Materialize `current` if the next observation will need it (i.e.
-    /// the cache cannot serve the state's feature vector).
-    fn ensure_observable(&mut self) {
-        if self.materialized == self.applied.len() {
-            return;
-        }
-        let served = match (&self.cache, &self.cfg.observation) {
-            (_, ObservationKind::ActionHistory) => true,
-            // Structural features are extracted from the module itself —
-            // no cache stores them, so the state must be materialized.
-            _ if self.cfg.feature_set == FeatureSet::Structural => false,
-            (Some(cache), _) => {
-                let key = CacheKey {
-                    program: self.current_fp,
-                    seq: self.seq_hash.value(),
-                };
-                cache.peek(&key).is_some()
-            }
-            (None, _) => false,
-        };
-        if !served {
-            self.materialize();
-        }
-    }
-
     /// Number of feature slots in the observation: the (possibly
     /// filtered) Table-2 prefix, plus the structural block when the
     /// config selects the `Structural` feature set.
@@ -633,29 +529,14 @@ impl PhaseOrderEnv {
         base + extension
     }
 
-    /// Raw Table-2 features of the current state. With a cache attached,
-    /// the `(program fingerprint, applied-pass hash)` key uniquely
-    /// determines the module state (see [`crate::eval_cache`]), so an
-    /// existing entry's stored features *are* `extract(&self.current)` —
-    /// serving them skips the extraction walk. States the profiler never
-    /// visited (zero-reward inference) fall through to a real extraction.
+    /// Raw Table-2 features of the current state. The incremental total
+    /// is maintained to equal `extract(&self.current)` at all times, so
+    /// serving it replaces a full module walk with a copy.
     fn raw_features(&self) -> FeatureVector {
-        if let Some(cache) = &self.cache {
-            let key = CacheKey {
-                program: self.current_fp,
-                seq: self.seq_hash.value(),
-            };
-            if let Some(entry) = cache.peek(&key) {
-                return entry.features;
-            }
+        match &self.inc {
+            Some(inc) => inc.features(),
+            None => extract(&self.current),
         }
-        // The incremental total is maintained to equal `extract` of the
-        // materialized module at all times, so serving it here replaces a
-        // full module walk with a copy.
-        if let Some(inc) = &self.inc {
-            return inc.features();
-        }
-        extract(&self.current)
     }
 
     fn features(&self) -> Vec<f64> {
@@ -671,12 +552,10 @@ impl PhaseOrderEnv {
             normed
         };
         if self.cfg.feature_set == FeatureSet::Structural {
-            // The caches and the incremental state only carry the 56-wide
-            // Table-2 vector; the structural block always walks the
-            // materialized module (`ensure_observable` guarantees
-            // `current` is up to date before any observation). The same
-            // normalization applies, with InstCount dividing by the raw
-            // total instruction count (feature 51), and the §4 filter
+            // The incremental state only carries the 56-wide Table-2
+            // vector; the structural block always walks the module. The
+            // same normalization applies, with InstCount dividing by the
+            // raw total instruction count (feature 51), and the §4 filter
             // never applies — the block is already importance-selected.
             let s = extract_structural(&self.current);
             match self.cfg.feature_norm {
@@ -693,8 +572,7 @@ impl PhaseOrderEnv {
         out
     }
 
-    fn observe(&mut self) -> Vec<f64> {
-        self.ensure_observable();
+    fn observe(&self) -> Vec<f64> {
         match self.cfg.observation {
             ObservationKind::ProgramFeatures => self.features(),
             ObservationKind::ActionHistory => self.action_histogram.clone(),
@@ -728,12 +606,7 @@ impl Environment for PhaseOrderEnv {
     }
 
     fn num_actions(&self) -> usize {
-        let base = if self.cfg.filtered_passes {
-            FILTERED_PASSES.len()
-        } else {
-            NUM_PASSES
-        };
-        base + usize::from(self.cfg.include_terminate)
+        self.actions.len()
     }
 
     fn reset(&mut self) -> Vec<f64> {
@@ -760,7 +633,6 @@ impl Environment for PhaseOrderEnv {
         }
         self.seq_hash = SeqHash::new();
         self.applied.clear();
-        self.materialized = 0;
         self.program_cursor = (self.program_cursor + 1) % self.programs.len();
         self.steps_taken = 0;
         self.action_histogram = vec![0.0; self.num_actions()];
@@ -785,7 +657,7 @@ impl Environment for PhaseOrderEnv {
 
     fn step(&mut self, action: usize) -> StepResult {
         assert!(!self.episode_done, "step() after episode end; call reset()");
-        let pass_id = self.action_passes()[action];
+        let pass_id = self.actions[action];
         if pass_id == registry::TERMINATE {
             self.episode_done = true;
             return StepResult {
@@ -811,81 +683,28 @@ impl Environment for PhaseOrderEnv {
             autophase_passes::fault::poll(pass_id)
         };
         #[cfg(not(any(test, feature = "fault-injection")))]
-        let injected: Option<autophase_passes::checked::FaultKind> = None;
+        let injected: Option<FaultKind> = None;
 
-        // With a cache, the transition memo may already know whether this
-        // pass changes the current state — then the (deterministic) pass
-        // need not run at all, and `current` stays lazily stale until a
-        // miss forces materialization.
-        let mut faulted = false;
-        let changed = if quarantined {
+        let (changed, faulted) = if quarantined {
             // Masked: a known repeat offender on this program. Scored
             // like a faulted apply — no-op, zero reward — without even
             // attempting the pass.
-            false
-        } else if injected.is_some() {
-            // Injected faults are keyed to per-episode apply counters, not
-            // to module state, so the transition memo is bypassed in both
-            // directions: a hit would skip the planned fault, a write
-            // would poison fault-free runs.
-            self.materialize();
-            match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, injected) {
-                Ok((c, cs)) => {
-                    if c {
-                        self.note_change(&cs);
-                        if self.cache.is_some() {
-                            self.materialized += 1;
-                        }
-                    }
-                    c
-                }
-                Err(_) => {
-                    faulted = true;
-                    false
-                }
-            }
-        } else if self.cache.is_some() {
-            let key = CacheKey {
-                program: self.current_fp,
-                seq: self.seq_hash.value(),
-            };
-            // `transition` returns an owned answer, so this narrow borrow
-            // replaces the old per-step `Arc` clone (an atomic refcount
-            // bump on every step of every worker).
-            match self
-                .cache
-                .as_deref()
-                .and_then(|c| c.transition(&key, pass_id))
-            {
-                Some(c) => c,
-                None => {
-                    self.materialize();
-                    let (c, f) = self.apply_and_record(pass_id);
-                    faulted = f;
-                    // Faulted transitions are never memoized: quarantine
-                    // counts *repeat* offenses, and a memo hit would
-                    // silently absorb every later one.
-                    if !faulted {
-                        if let Some(cache) = self.cache.as_deref() {
-                            cache.record_transition(key, pass_id, c);
-                        }
-                    }
-                    if c {
-                        // `applied` gains this pass below; `current`
-                        // already reflects it.
-                        self.materialized += 1;
-                    }
-                    c
-                }
-            }
-        } else if let Some(c) = self.snapshot_lookup(pass_id) {
-            // Incremental mode, previously walked transition: the pass
-            // did not run — the recorded result was restored instead.
-            c
+            (false, false)
         } else {
-            let (c, f) = self.apply_and_record(pass_id);
-            faulted = f;
-            c
+            // Injected faults are keyed to per-episode apply counters, not
+            // to module state, so the snapshot memo is bypassed in both
+            // directions (no key): a hit would skip the planned fault, a
+            // write would poison fault-free runs.
+            let key = match injected {
+                None => self.snap_key(pass_id),
+                Some(_) => None,
+            };
+            match key.as_ref().and_then(|k| self.snapshot_lookup(k)) {
+                // Previously walked transition: the pass did not run — the
+                // recorded result was restored instead.
+                Some(c) => (c, false),
+                None => self.apply_and_record(pass_id, injected, key),
+            }
         };
         if faulted {
             // The module was rolled back to its verified pre-pass state by
@@ -899,14 +718,7 @@ impl Environment for PhaseOrderEnv {
             // Only changing passes enter the key: every no-op-padded
             // variant of one effective sequence shares a cache entry.
             self.seq_hash.push(pass_id);
-            if self.cache.is_some() || self.inc.is_some() {
-                self.applied.push(pass_id);
-                if self.cache.is_none() {
-                    // Without a cache there is no lazy materialization:
-                    // `current` always reflects the whole sequence.
-                    self.materialized = self.applied.len();
-                }
-            }
+            self.applied.push(pass_id as u16);
         }
         self.action_histogram[action] += 1.0;
         self.steps_taken += 1;
@@ -1453,6 +1265,45 @@ mod tests {
                 a.1,
                 b.1
             );
+        }
+    }
+
+    #[test]
+    fn shared_cache_is_invisible_to_structural_combined_observations() {
+        // The structural block is read off the module itself and no cache
+        // stores it, so a cached env must keep `current` exact on hits.
+        let programs: Vec<Module> = suite().into_iter().take(2).map(|b| b.module).collect();
+        let actions = [38usize, 23, 33, 30, 44, 31, 25, 7];
+        for incremental in [true, false] {
+            let cfg = EnvConfig {
+                observation: ObservationKind::Combined,
+                feature_set: FeatureSet::Structural,
+                episode_len: actions.len(),
+                incremental,
+                ..EnvConfig::default()
+            };
+            let cache = Arc::new(EvalCache::default());
+            let mut plain = PhaseOrderEnv::new(programs.clone(), cfg.clone());
+            let mut cached = PhaseOrderEnv::with_cache(programs.clone(), cfg, Arc::clone(&cache));
+            // Three epochs over both programs: cold, then twice warm.
+            for episode in 0..6 {
+                assert_eq!(plain.reset(), cached.reset(), "episode {episode}");
+                for &a in &actions {
+                    let (p, c) = (plain.step(a), cached.step(a));
+                    assert_eq!(p.observation, c.observation, "episode {episode} pass {a}");
+                    assert_eq!(p.reward, c.reward, "episode {episode} pass {a}");
+                    assert_eq!(plain.last_cycles(), cached.last_cycles());
+                }
+            }
+            let lookups = cache.stats();
+            if incremental {
+                // The profile memo absorbs the warm epochs on the plain
+                // side, the shared cache on the other.
+                assert_eq!(cached.samples(), plain.samples());
+                assert_eq!(lookups.hits, 2 * lookups.misses);
+            } else {
+                assert_eq!(cached.samples() + lookups.hits, plain.samples());
+            }
         }
     }
 

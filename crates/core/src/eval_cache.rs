@@ -11,9 +11,9 @@
 //!
 //! A cache key is `(program fingerprint, sequence hash)`:
 //!
-//! * the **program fingerprint** is an FNV-1a hash of the pristine
-//!   module's printed IR (stable across clones, order-independent of how
-//!   the module was built);
+//! * the **program fingerprint** is [`fingerprint_module`] of the pristine
+//!   module (an order-sensitive combine of per-slot function and global
+//!   hashes, stable across clones);
 //! * the **sequence hash** is an order-sensitive rolling hash over the
 //!   Table-1 pass ids applied so far. [`PhaseOrderEnv`](crate::env::
 //!   PhaseOrderEnv) pushes a pass id only when the pass reported a
@@ -27,24 +27,21 @@
 //! # Sharding and eviction
 //!
 //! Entries live in `2^k` independently locked shards selected by the
-//! mixed key, so concurrent workers rarely contend. Each shard holds at
-//! most `capacity / shards` entries; inserting into a full shard evicts
-//! its least-recently-used entry (a monotone stamp updated on every hit).
-//! Hits, misses, and evictions are tracked with per-shard atomic counters
-//! — [`EvalCache::stats`] aggregates them, [`EvalCache::shard_stats`]
-//! exposes the per-shard breakdown (how evenly keys spread), and when
-//! telemetry is enabled every lookup also feeds the global
-//! `evalcache.lookups{hit|miss}` / `evalcache.evictions` counters.
+//! mixed key, so concurrent workers rarely contend. Each shard is one
+//! [`BoundedMap`] of `capacity / shards` entries (two generations, O(1)
+//! eviction; DESIGN.md §4f), which also counts the shard's hits, misses
+//! and evictions — [`EvalCache::stats`] sums them — and, when telemetry is
+//! enabled, feeds the global `evalcache.lookups{hit|miss}` /
+//! `evalcache.evictions` counters.
 
 use autophase_features::FeatureVector;
 use autophase_hls::area::AreaReport;
 use autophase_hls::profile::HlsReport;
 use autophase_ir::fingerprint::mix64 as mix;
 use autophase_ir::Module;
-use autophase_telemetry::{self as telemetry, lock_recover};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+pub use autophase_telemetry::CacheStats;
+use autophase_telemetry::{lock_recover, BoundedMap, MapCounters};
+use std::sync::Mutex;
 
 /// Fingerprint of a module's current state: an order-sensitive combine of
 /// its name, per-slot global fingerprints, and per-slot function
@@ -203,15 +200,11 @@ pub struct CacheEntry {
 impl CacheEntry {
     /// Build an entry from a profiled module and its report.
     pub fn from_report(m: &Module, report: &HlsReport) -> CacheEntry {
-        CacheEntry {
-            module_fingerprint: fingerprint_module(m),
-            features: autophase_features::extract(m),
-            cycles: report.cycles,
-            area: report.area.clone(),
-            total_states: report.total_states,
-            insts_executed: report.insts_executed,
-            return_value: report.return_value,
-        }
+        CacheEntry::from_parts(
+            fingerprint_module(m),
+            autophase_features::extract(m),
+            report,
+        )
     }
 
     /// Build an entry from incrementally maintained state — no module
@@ -231,92 +224,19 @@ impl CacheEntry {
     }
 }
 
-/// Counter snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub len: usize,
-}
-
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct Shard {
-    /// Taken with `lock_recover`: a thread that panics holding it (e.g.
-    /// an injected fault inside a compute callback) leaves the map
-    /// intact, since every mutation is a single `HashMap` operation.
-    map: Mutex<HashMap<CacheKey, (u64, CacheEntry)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: lock_recover(&self.map).len(),
-        }
-    }
-}
-
-/// Process-wide telemetry handles for cache traffic, cached so the lookup
-/// path never takes the registry lock.
-struct CacheInstruments {
-    hits: Arc<telemetry::Counter>,
-    misses: Arc<telemetry::Counter>,
-    evictions: Arc<telemetry::Counter>,
-}
-
-fn cache_instruments() -> &'static CacheInstruments {
-    static CELL: OnceLock<CacheInstruments> = OnceLock::new();
-    CELL.get_or_init(|| CacheInstruments {
-        hits: telemetry::counter("evalcache.lookups", "hit"),
-        misses: telemetry::counter("evalcache.lookups", "miss"),
-        evictions: telemetry::counter("evalcache.evictions", ""),
-    })
-}
-
-/// A shard of the transition memo: `(state key, pass id)` → did the pass
-/// report a change? Entries are a couple of words each, so the memo gets
-/// a larger per-shard budget than the entry map.
-struct TransShard {
-    map: Mutex<HashMap<(CacheKey, u16), (u64, bool)>>,
-}
+const COUNTERS: MapCounters = MapCounters {
+    hit: ("evalcache.lookups", "hit"),
+    miss: ("evalcache.lookups", "miss"),
+    evict: ("evalcache.evictions", ""),
+};
 
 /// Sharded, thread-safe memoization cache for profiler results.
 pub struct EvalCache {
-    shards: Vec<Shard>,
-    trans_shards: Vec<TransShard>,
+    /// Taken with `lock_recover`: every critical section is one map
+    /// operation, which keeps the map valid at each point it could
+    /// unwind, so a thread that panics holding a shard does not wedge it.
+    shards: Vec<Mutex<BoundedMap<CacheKey, CacheEntry>>>,
     shard_mask: usize,
-    per_shard_cap: usize,
-    stamp: AtomicU64,
 }
 
 /// Default total capacity (entries).
@@ -342,145 +262,34 @@ impl EvalCache {
     /// two).
     pub fn with_shards(capacity: usize, shards: usize) -> EvalCache {
         let shards = shards.max(1).next_power_of_two();
-        let per_shard_cap = (capacity / shards).max(1);
+        let per_shard = (capacity / shards).max(1);
         EvalCache {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            trans_shards: (0..shards)
-                .map(|_| TransShard {
-                    map: Mutex::new(HashMap::new()),
-                })
+            shards: (0..shards)
+                .map(|_| Mutex::new(BoundedMap::new(per_shard, COUNTERS)))
                 .collect(),
             shard_mask: shards - 1,
-            per_shard_cap,
-            stamp: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Shard {
+    fn shard(&self, key: &CacheKey) -> &Mutex<BoundedMap<CacheKey, CacheEntry>> {
         let i = mix(key.program ^ mix(key.seq)) as usize & self.shard_mask;
         &self.shards[i]
     }
 
-    fn trans_shard(&self, key: &CacheKey) -> &TransShard {
-        let i = mix(key.program ^ mix(key.seq)) as usize & self.shard_mask;
-        &self.trans_shards[i]
-    }
-
-    fn next_stamp(&self) -> u64 {
-        self.stamp.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Look up a key, counting a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
-        let shard = self.shard(key);
-        let found = {
-            let mut map = lock_recover(&shard.map);
-            map.get_mut(key).map(|slot| {
-                slot.0 = self.stamp.fetch_add(1, Ordering::Relaxed);
-                slot.1.clone()
-            })
-        };
-        if found.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            if telemetry::enabled() {
-                cache_instruments().hits.add(1);
-            }
-        } else {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-            if telemetry::enabled() {
-                cache_instruments().misses.add(1);
-            }
-        }
-        found
+        lock_recover(self.shard(key)).lookup(key).cloned()
     }
 
-    /// Look up a key *without* touching the hit/miss counters (the LRU
-    /// stamp is still refreshed). For secondary consumers — e.g. serving
-    /// an observation's feature vector off an entry the profiler query
-    /// just produced — so the counters keep meaning "profiler-query
-    /// outcomes" and the bench's hit rate stays interpretable.
-    pub fn peek(&self, key: &CacheKey) -> Option<CacheEntry> {
-        let mut map = lock_recover(&self.shard(key).map);
-        map.get_mut(key).map(|slot| {
-            slot.0 = self.stamp.fetch_add(1, Ordering::Relaxed);
-            slot.1.clone()
-        })
-    }
-
-    /// Insert (or refresh) an entry, evicting the shard's LRU entry when
-    /// the shard is full.
+    /// Insert (or replace) an entry; a full shard drops its older
+    /// generation.
     pub fn insert(&self, key: CacheKey, entry: CacheEntry) {
-        let stamp = self.next_stamp();
-        let shard = self.shard(&key);
-        let mut map = lock_recover(&shard.map);
-        if map.len() >= self.per_shard_cap && !map.contains_key(&key) {
-            if let Some(oldest) = map.iter().min_by_key(|(_, (s, _))| *s).map(|(k, _)| *k) {
-                map.remove(&oldest);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-                if telemetry::enabled() {
-                    cache_instruments().evictions.add(1);
-                }
-            }
-        }
-        map.insert(key, (stamp, entry));
-    }
-
-    /// Fetch `key`, computing and inserting the entry on a miss. The
-    /// computation runs *outside* the shard lock, so a slow profile never
-    /// blocks other shard traffic; two racing threads may both compute,
-    /// in which case both results are (by determinism of the profiler)
-    /// identical and the second insert is a no-op refresh.
-    pub fn get_or_insert_with(
-        &self,
-        key: CacheKey,
-        compute: impl FnOnce() -> CacheEntry,
-    ) -> CacheEntry {
-        if let Some(e) = self.get(&key) {
-            return e;
-        }
-        let entry = compute();
-        self.insert(key, entry.clone());
-        entry
-    }
-
-    /// Look up the transition memo: did applying `pass` in the state
-    /// named by `key` report a change? `None` means the transition has
-    /// never been observed. Passes are deterministic, so a recorded
-    /// answer is exact — the environment uses it to skip re-running the
-    /// pass on cache-warm steps (lazy module materialization).
-    ///
-    /// Like [`EvalCache::peek`], this does not touch the hit/miss
-    /// counters.
-    pub fn transition(&self, key: &CacheKey, pass: usize) -> Option<bool> {
-        let tkey = (*key, pass as u16);
-        let mut map = lock_recover(&self.trans_shard(key).map);
-        map.get_mut(&tkey).map(|slot| {
-            slot.0 = self.stamp.fetch_add(1, Ordering::Relaxed);
-            slot.1
-        })
-    }
-
-    /// Record a transition observation (see [`EvalCache::transition`]).
-    pub fn record_transition(&self, key: CacheKey, pass: usize, changed: bool) {
-        let stamp = self.next_stamp();
-        let shard = self.trans_shard(&key);
-        let mut map = lock_recover(&shard.map);
-        // The memo rides on the entry map's per-shard budget scaled by 8:
-        // its entries are ~50x smaller, and evicting one only costs a
-        // future pass re-run, never correctness.
-        let cap = self.per_shard_cap.saturating_mul(8);
-        let tkey = (key, pass as u16);
-        if map.len() >= cap && !map.contains_key(&tkey) {
-            if let Some(oldest) = map.iter().min_by_key(|(_, (s, _))| *s).map(|(k, _)| *k) {
-                map.remove(&oldest);
-            }
-        }
-        map.insert(tkey, (stamp, changed));
+        lock_recover(self.shard(&key)).insert(key, entry);
     }
 
     /// Resident entry count across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(&s.map).len()).sum()
+        self.stats().len
     }
 
     /// True when no entries are resident.
@@ -490,76 +299,25 @@ impl EvalCache {
 
     /// Lookups that found an entry.
     pub fn hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.misses.load(Ordering::Relaxed))
-            .sum()
+        self.stats().hits
     }
 
     /// Entries displaced by capacity pressure.
     pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
+        self.stats().evictions
     }
 
-    /// Snapshot all counters, aggregated across shards.
+    /// Snapshot all counters, summed across shards.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            len: 0,
-        };
-        for s in self.shard_stats() {
+        let mut total = CacheStats::default();
+        for shard in &self.shards {
+            let s = lock_recover(shard).stats();
             total.hits += s.hits;
             total.misses += s.misses;
             total.evictions += s.evictions;
             total.len += s.len;
         }
         total
-    }
-
-    /// Per-shard counter snapshots, in shard-index order. Shows how evenly
-    /// the key mix spreads load (a hot shard means lock contention).
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(Shard::stats).collect()
-    }
-
-    /// Export the aggregate counters as telemetry gauges
-    /// (`evalcache.hits` / `misses` / `evictions` / `len` /
-    /// `hit_rate`). No-op when telemetry is disabled. Call at a run
-    /// boundary (end of a bench round, end of training) — the live
-    /// `evalcache.lookups{hit|miss}` counters cover the streaming view.
-    pub fn publish_telemetry(&self) {
-        if !telemetry::enabled() {
-            return;
-        }
-        let s = self.stats();
-        telemetry::set_gauge("evalcache.hits", "", s.hits as f64);
-        telemetry::set_gauge("evalcache.misses", "", s.misses as f64);
-        telemetry::set_gauge("evalcache.evictions", "", s.evictions as f64);
-        telemetry::set_gauge("evalcache.len", "", s.len as f64);
-        telemetry::set_gauge("evalcache.hit_rate", "", s.hit_rate());
-    }
-
-    /// Drop every entry and transition memo (counters are kept).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            lock_recover(&s.map).clear();
-        }
-        for s in &self.trans_shards {
-            lock_recover(&s.map).clear();
-        }
     }
 }
 
@@ -623,24 +381,8 @@ mod tests {
         c.insert(k, entry(7));
         assert_eq!(c.get(&k).unwrap().cycles, 7);
         assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.stats().misses, 1);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn get_or_insert_computes_once() {
-        let c = EvalCache::new(64);
-        let k = CacheKey { program: 9, seq: 9 };
-        let mut calls = 0;
-        for _ in 0..3 {
-            let e = c.get_or_insert_with(k, || {
-                calls += 1;
-                entry(5)
-            });
-            assert_eq!(e.cycles, 5);
-        }
-        assert_eq!(calls, 1);
-        assert_eq!(c.hits(), 2);
     }
 
     #[test]
@@ -669,32 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_sum_to_aggregate() {
-        let c = EvalCache::with_shards(64, 4);
-        for i in 0..40u64 {
-            let k = CacheKey {
-                program: i,
-                seq: i * 3,
-            };
-            c.get(&k); // miss
-            c.insert(k, entry(i));
-            c.get(&k); // hit
-        }
-        let per_shard = c.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        let agg = c.stats();
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), agg.hits);
-        assert_eq!(per_shard.iter().map(|s| s.misses).sum::<u64>(), agg.misses);
-        assert_eq!(
-            per_shard.iter().map(|s| s.evictions).sum::<u64>(),
-            agg.evictions
-        );
-        assert_eq!(per_shard.iter().map(|s| s.len).sum::<usize>(), agg.len);
-        assert_eq!(agg.hits, 40);
-        assert_eq!(agg.misses, 40);
-    }
-
-    #[test]
     fn panic_mid_insert_does_not_wedge_the_shard() {
         // Single shard so the poisoned lock is the one every later call
         // takes. Panic while holding the shard's map lock — the worst
@@ -704,7 +420,7 @@ mod tests {
         c.insert(k, entry(11));
         let c2 = std::sync::Arc::clone(&c);
         let t = std::thread::spawn(move || {
-            let _guard = lock_recover(&c2.shards[0].map);
+            let _guard = lock_recover(&c2.shards[0]);
             panic!("poison the shard on purpose");
         });
         assert!(t.join().is_err());
@@ -712,26 +428,21 @@ mod tests {
         assert_eq!(c.get(&k).unwrap().cycles, 11);
         let k2 = CacheKey { program: 5, seq: 6 };
         c.insert(k2, entry(12));
-        assert_eq!(c.peek(&k2).unwrap().cycles, 12);
-        assert_eq!(c.len(), 2);
-        c.record_transition(k, 7, true);
-        assert_eq!(c.transition(&k, 7), Some(true));
-        let s = c.stats();
-        assert_eq!(s.len, 2);
-        c.clear();
-        assert!(c.is_empty());
+        assert_eq!(c.get(&k2).unwrap().cycles, 12);
+        assert_eq!(c.stats().len, 2);
     }
 
     #[test]
-    fn lru_keeps_recently_used() {
+    fn a_full_shard_drops_its_older_generation() {
         let c = EvalCache::with_shards(2, 1);
-        let a = CacheKey { program: 1, seq: 0 };
-        let b = CacheKey { program: 2, seq: 0 };
-        c.insert(a, entry(1));
-        c.insert(b, entry(2));
-        c.get(&a); // a is now most recent
-        c.insert(CacheKey { program: 3, seq: 0 }, entry(3)); // evicts b
-        assert!(c.get(&a).is_some());
-        assert!(c.get(&b).is_none());
+        let keys: Vec<CacheKey> = (1..=3).map(|p| CacheKey { program: p, seq: 0 }).collect();
+        c.insert(keys[0], entry(1));
+        c.insert(keys[1], entry(2));
+        c.get(&keys[0]); // a hit does not promote
+        c.insert(keys[2], entry(3));
+        assert!(c.get(&keys[0]).is_none(), "the oldest insert went");
+        assert_eq!(c.get(&keys[1]).unwrap().cycles, 2);
+        assert_eq!(c.get(&keys[2]).unwrap().cycles, 3);
+        assert_eq!((c.len(), c.evictions()), (2, 1));
     }
 }

@@ -26,17 +26,17 @@
 //!   recorded copy-on-write snapshot instead of re-running analyses and
 //!   rewrites.
 //!
-//! Both stores only ever change *when* work happens, never *what* the
-//! results are: the differential suites assert bit-identical features and
-//! cycle counts against the from-scratch paths.
+//! Both memos are the workspace's one [`BoundedMap`] (two generations, no
+//! promotion on a hit) and only ever change *when* work happens, never
+//! *what* the results are: the differential suites assert bit-identical
+//! features and cycle counts against the from-scratch paths.
 
 use crate::eval_cache::ModuleFingerprints;
 use autophase_features::IncrementalFeatures;
 use autophase_hls::profile::HlsReport;
 use autophase_ir::{FuncId, Module};
 use autophase_passes::changeset::ChangeSet;
-use autophase_telemetry as telemetry;
-use std::collections::HashMap;
+use autophase_telemetry::{BoundedMap, MapCounters};
 use std::sync::Arc;
 
 /// Fingerprints + feature decomposition synced to one module state.
@@ -105,9 +105,8 @@ impl IncrementalEval {
     }
 }
 
-/// One memoized step transition: whether the pass changed the module,
-/// and — for changing passes — the post-pass module and incremental
-/// state.
+/// One memoized step transition: for a changing pass, the post-pass
+/// module and incremental state; nothing for a pass that changed nothing.
 ///
 /// The module snapshot is a copy-on-write clone: it shares every
 /// function body `Arc` with the state it was taken from, so an entry
@@ -115,31 +114,26 @@ impl IncrementalEval {
 /// just as cheap.
 #[derive(Debug)]
 pub struct SnapEntry {
-    changed: bool,
     state: Option<(Module, IncrementalEval)>,
 }
 
 impl SnapEntry {
     /// Entry for a pass that left the module untouched.
     pub fn noop() -> SnapEntry {
-        SnapEntry {
-            changed: false,
-            state: None,
-        }
+        SnapEntry { state: None }
     }
 
     /// Entry for a changing pass: the post-pass module (COW clone) and
     /// the incremental state synced to it.
     pub fn change(module: Module, eval: IncrementalEval) -> SnapEntry {
         SnapEntry {
-            changed: true,
             state: Some((module, eval)),
         }
     }
 
     /// Whether the memoized application changed the module.
     pub fn changed(&self) -> bool {
-        self.changed
+        self.state.is_some()
     }
 
     /// COW clones of the post-pass module and incremental state
@@ -149,9 +143,9 @@ impl SnapEntry {
     }
 }
 
-/// LRU memo of step transitions keyed by the *exact* identity of a state
-/// and the pass applied to it: `(program index, changing-pass sequence
-/// so far, pass)`.
+/// Memo of step transitions keyed by the *exact* identity of a state and
+/// the pass applied to it: `(program index, changing-pass sequence so
+/// far + the pass)`.
 ///
 /// Passes are deterministic, and a state is fully determined by its
 /// pristine program and the ordered changing passes applied to it — so a
@@ -160,204 +154,41 @@ impl SnapEntry {
 /// bit-identical by construction. Keys are compared exactly (no
 /// hashing-to-u64), so a hit can never be a collision. Faulted applies
 /// are never recorded.
-#[derive(Debug)]
-pub struct SnapshotMemo {
-    map: HashMap<(usize, Vec<u16>), (u64, Arc<SnapEntry>)>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
+pub type SnapshotMemo = BoundedMap<SnapKey, Arc<SnapEntry>>;
+
+/// A [`SnapshotMemo`] key: the program's index, and the changing passes
+/// applied to it so far followed by the pass being applied.
+pub type SnapKey = (usize, Vec<u16>);
 
 /// Default capacity. Entries share function-body `Arc`s with each other
 /// and with the live module, so memory scales with *distinct* function
 /// versions, not entries.
 pub const DEFAULT_SNAPSHOT_MEMO_CAPACITY: usize = 32_768;
 
-impl SnapshotMemo {
-    /// An empty memo holding at most `capacity` transitions.
-    pub fn new(capacity: usize) -> SnapshotMemo {
-        SnapshotMemo {
-            map: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Look up the transition for applying the last element of `seq`
-    /// after its prefix, on `program`.
-    pub fn get(&mut self, program: usize, seq: Vec<u16>) -> Option<Arc<SnapEntry>> {
-        self.tick += 1;
-        match self.map.get_mut(&(program, seq)) {
-            Some((stamp, entry)) => {
-                *stamp = self.tick;
-                self.hits += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.snap_memo", "hit", 1);
-                }
-                Some(Arc::clone(entry))
-            }
-            None => {
-                self.misses += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.snap_memo", "miss", 1);
-                }
-                None
-            }
-        }
-    }
-
-    /// Record a (non-faulted) transition, evicting the least-recently-
-    /// used entry at capacity.
-    pub fn insert(&mut self, program: usize, seq: Vec<u16>, entry: SnapEntry) {
-        self.tick += 1;
-        let key = (program, seq);
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(old) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&old);
-                self.evictions += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.snap_memo", "evict", 1);
-                }
-            }
-        }
-        self.map.insert(key, (self.tick, Arc::new(entry)));
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Entries evicted under capacity pressure since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Number of memoized transitions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
+/// An empty [`SnapshotMemo`] of `capacity` transitions, reporting as
+/// `core.snap_memo{hit|miss|evict}`.
+pub fn snapshot_memo(capacity: usize) -> SnapshotMemo {
+    BoundedMap::new(capacity, MapCounters::family("core.snap_memo"))
 }
 
-impl Default for SnapshotMemo {
-    fn default() -> SnapshotMemo {
-        SnapshotMemo::new(DEFAULT_SNAPSHOT_MEMO_CAPACITY)
-    }
-}
-
-/// LRU memo of whole-module profile results keyed by module *content*
+/// Memo of whole-module profile results keyed by module *content*
 /// fingerprint.
 ///
 /// Unlike the shared [`EvalCache`](crate::eval_cache::EvalCache) — keyed
-/// by `(pristine program, pass-sequence hash)` so workers can share
-/// entries without ever materializing modules — this memo is env-local and
-/// content-addressed: two different pass sequences that produce the same
-/// module share one entry, and every episode's reset state hits after the
-/// first episode. Failed profiles are never memoized.
-#[derive(Debug)]
-pub struct ProfileMemo {
-    map: HashMap<u64, (u64, Arc<HlsReport>)>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
+/// by `(pristine program, pass-sequence hash)` so workers and the
+/// whole-sequence evaluators can share results — this memo is env-local
+/// and content-addressed: two different pass sequences that produce the
+/// same module share one entry, and every episode's reset state hits after
+/// the first episode. Failed profiles are never memoized.
+pub type ProfileMemo = BoundedMap<u64, Arc<HlsReport>>;
 
 /// Default capacity. A report is ~100 bytes, so even full this is small.
 pub const DEFAULT_PROFILE_MEMO_CAPACITY: usize = 65_536;
 
-impl ProfileMemo {
-    /// An empty memo holding at most `capacity` reports.
-    pub fn new(capacity: usize) -> ProfileMemo {
-        ProfileMemo {
-            map: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Look up the report for module fingerprint `fp`.
-    pub fn get(&mut self, fp: u64) -> Option<Arc<HlsReport>> {
-        self.tick += 1;
-        match self.map.get_mut(&fp) {
-            Some((stamp, report)) => {
-                *stamp = self.tick;
-                self.hits += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.profile_memo", "hit", 1);
-                }
-                Some(Arc::clone(report))
-            }
-            None => {
-                self.misses += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.profile_memo", "miss", 1);
-                }
-                None
-            }
-        }
-    }
-
-    /// Memoize a (successful) profile of the module with fingerprint `fp`,
-    /// evicting the least-recently-used entry at capacity.
-    pub fn insert(&mut self, fp: u64, report: Arc<HlsReport>) {
-        self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&fp) {
-            if let Some((&old, _)) = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp) {
-                self.map.remove(&old);
-                self.evictions += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.profile_memo", "evict", 1);
-                }
-            }
-        }
-        self.map.insert(fp, (self.tick, report));
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Entries evicted under capacity pressure since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Number of memoized reports.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl Default for ProfileMemo {
-    fn default() -> ProfileMemo {
-        ProfileMemo::new(DEFAULT_PROFILE_MEMO_CAPACITY)
-    }
+/// An empty [`ProfileMemo`] of `capacity` reports, reporting as
+/// `core.profile_memo{hit|miss|evict}`.
+pub fn profile_memo(capacity: usize) -> ProfileMemo {
+    BoundedMap::new(capacity, MapCounters::family("core.profile_memo"))
 }
 
 #[cfg(test)]
@@ -392,17 +223,17 @@ mod tests {
     #[test]
     fn snapshot_memo_restores_exact_state() {
         let m0 = program();
-        let mut memo = SnapshotMemo::new(16);
+        let mut memo = snapshot_memo(16);
         // Record the transition for pass 38 on the pristine state.
         let mut m = m0.clone();
         let (changed, cs) = apply_traced(&mut m, 38);
         assert!(changed);
         let mut eval = IncrementalEval::new(&m0);
         eval.apply(&m, &cs);
-        memo.insert(0, vec![38], SnapEntry::change(m.clone(), eval));
-        memo.insert(0, vec![38, 24], SnapEntry::noop());
+        memo.insert((0, vec![38]), Arc::new(SnapEntry::change(m.clone(), eval)));
+        memo.insert((0, vec![38, 24]), Arc::new(SnapEntry::noop()));
         // A hit restores a bit-identical module and synced eval.
-        let entry = memo.get(0, vec![38]).expect("recorded");
+        let entry = memo.lookup(&(0, vec![38])).expect("recorded");
         assert!(entry.changed());
         let (rm, re) = entry.state_clone().expect("changing entry has state");
         assert_eq!(
@@ -412,18 +243,21 @@ mod tests {
         assert_eq!(re.module_fp(), fingerprint_module(&m));
         assert_eq!(re.features(), extract(&m));
         // No-op entries carry no state.
-        let noop = memo.get(0, vec![38, 24]).expect("recorded");
+        let noop = memo.lookup(&(0, vec![38, 24])).expect("recorded");
         assert!(!noop.changed());
         assert!(noop.state_clone().is_none());
         // Different program index or sequence: miss.
-        assert!(memo.get(1, vec![38]).is_none());
-        assert!(memo.get(0, vec![38, 23]).is_none());
-        assert_eq!(memo.stats(), (2, 2));
+        assert!(memo.lookup(&(1, vec![38])).is_none());
+        assert!(memo.lookup(&(0, vec![38, 23])).is_none());
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
     }
 
+    /// The name predates the two-generation map: a round trip inside the
+    /// bound, and the oldest insert is the one that goes (hit or no hit).
     #[test]
     fn memo_roundtrip_and_lru() {
-        let mut memo = ProfileMemo::new(2);
+        let mut memo = profile_memo(2);
         let r = |cycles| {
             Arc::new(HlsReport {
                 cycles,
@@ -433,14 +267,16 @@ mod tests {
                 return_value: None,
             })
         };
-        assert!(memo.get(1).is_none());
+        assert!(memo.lookup(&1).is_none());
         memo.insert(1, r(10));
         memo.insert(2, r(20));
-        assert_eq!(memo.get(1).unwrap().cycles, 10); // refresh 1
-        memo.insert(3, r(30)); // evicts 2
-        assert_eq!(memo.len(), 2);
-        assert!(memo.get(2).is_none());
-        assert_eq!(memo.get(3).unwrap().cycles, 30);
-        assert_eq!(memo.stats(), (2, 2));
+        assert_eq!(memo.lookup(&1).unwrap().cycles, 10);
+        memo.insert(3, r(30)); // the older generation (key 1) goes
+        assert!(memo.lookup(&1).is_none());
+        assert_eq!(memo.lookup(&2).unwrap().cycles, 20);
+        assert_eq!(memo.lookup(&3).unwrap().cycles, 30);
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 2));
+        assert_eq!((stats.len, stats.evictions), (2, 1));
     }
 }

@@ -1,12 +1,15 @@
-//! LRU eviction behaviour of the incremental-evaluation memos under
-//! capacity pressure.
+//! Eviction behaviour of the incremental-evaluation memos under capacity
+//! pressure. Both are the workspace's two-generation `BoundedMap`: a full
+//! memo drops the older half of its inserts, and a hit does not promote
+//! (two test names below still say "lru"; they predate the map and are
+//! kept so their ids stay stable).
 //!
 //! Eviction must be invisible to correctness: an evicted entry costs a
 //! recompute, and the recomputed result must be bit-identical to what the
 //! memo would have returned. The telemetry eviction counters must advance
 //! so capacity pressure is observable in production.
 
-use autophase_core::incremental::{IncrementalEval, ProfileMemo, SnapEntry, SnapshotMemo};
+use autophase_core::incremental::{profile_memo, snapshot_memo, IncrementalEval, SnapEntry};
 use autophase_hls::profile::profile_module;
 use autophase_hls::HlsConfig;
 use autophase_ir::printer::print_module;
@@ -38,44 +41,44 @@ fn profile_memo_evicts_lru_and_recompute_is_bit_identical() {
         .map(autophase_core::eval_cache::fingerprint_module)
         .collect();
 
-    let mut memo = ProfileMemo::new(2);
+    let mut memo = profile_memo(2);
     memo.insert(fps[0], Arc::new(reports[0].clone()));
     memo.insert(fps[1], Arc::new(reports[1].clone()));
-    assert_eq!(memo.evictions(), 0);
+    assert_eq!(memo.stats().evictions, 0);
 
-    // Refresh entry 0 so entry 1 is the LRU victim.
-    assert!(memo.get(fps[0]).is_some());
+    // A hit does not promote: entry 0 is still the older generation.
+    assert!(memo.lookup(&fps[0]).is_some());
     memo.insert(fps[2], Arc::new(reports[2].clone()));
-    assert_eq!(memo.evictions(), 1);
-    assert_eq!(memo.len(), 2);
-    assert!(memo.get(fps[1]).is_none(), "LRU entry evicted");
-    assert!(memo.get(fps[0]).is_some(), "recently used entry kept");
+    let stats = memo.stats();
+    assert_eq!((stats.evictions, stats.len), (1, 2));
+    assert!(memo.lookup(&fps[0]).is_none(), "oldest insert evicted");
+    assert!(memo.lookup(&fps[1]).is_some(), "younger insert kept");
 
     // Recomputing the evicted entry gives a bit-identical report.
-    let recomputed = profile_module(&programs[1], &cfg).expect("profiles again");
-    assert_eq!(recomputed.cycles, reports[1].cycles);
-    assert_eq!(recomputed.total_states, reports[1].total_states);
-    assert_eq!(recomputed.insts_executed, reports[1].insts_executed);
-    assert_eq!(recomputed.return_value, reports[1].return_value);
+    let recomputed = profile_module(&programs[0], &cfg).expect("profiles again");
+    assert_eq!(recomputed.cycles, reports[0].cycles);
+    assert_eq!(recomputed.total_states, reports[0].total_states);
+    assert_eq!(recomputed.insts_executed, reports[0].insts_executed);
+    assert_eq!(recomputed.return_value, reports[0].return_value);
 
     // Re-inserting restores hit service.
-    memo.insert(fps[1], Arc::new(recomputed));
-    assert_eq!(memo.get(fps[1]).unwrap().cycles, reports[1].cycles);
+    memo.insert(fps[0], Arc::new(recomputed));
+    assert_eq!(memo.lookup(&fps[0]).unwrap().cycles, reports[0].cycles);
 }
 
 #[test]
 fn profile_memo_churn_under_sustained_pressure() {
     let programs = programs();
     let cfg = HlsConfig::default();
-    let mut memo = ProfileMemo::new(2);
+    let mut memo = profile_memo(2);
     // Stream all programs through a 2-entry memo several times: every
     // round evicts, and every served value stays correct.
     for round in 0..3 {
         for (i, m) in programs.iter().enumerate() {
             let fp = autophase_core::eval_cache::fingerprint_module(m);
             let expected = profile_module(m, &cfg).expect("profiles");
-            let served = match memo.get(fp) {
-                Some(hit) => hit,
+            let served = match memo.lookup(&fp) {
+                Some(hit) => Arc::clone(hit),
                 None => {
                     let fresh = Arc::new(expected.clone());
                     memo.insert(fp, Arc::clone(&fresh));
@@ -83,13 +86,13 @@ fn profile_memo_churn_under_sustained_pressure() {
                 }
             };
             assert_eq!(served.cycles, expected.cycles, "round {round} prog {i}");
-            assert!(memo.len() <= 2);
+            assert!(memo.stats().len <= 2);
         }
     }
     assert!(
-        memo.evictions() >= programs.len() as u64,
+        memo.stats().evictions >= programs.len() as u64,
         "sustained pressure must evict (saw {})",
-        memo.evictions()
+        memo.stats().evictions
     );
 }
 
@@ -99,7 +102,7 @@ fn snapshot_memo_evicts_lru_and_recompute_is_bit_identical() {
     // Record transitions for several single-pass sequences.
     let passes: [u16; 3] = [38, 23, 33];
     let mut results: Vec<(u16, String)> = Vec::new();
-    let mut memo = SnapshotMemo::new(2);
+    let mut memo = snapshot_memo(2);
     for &pass in &passes {
         let mut m = program.clone();
         let (changed, cs) = apply_traced(&mut m, pass as usize);
@@ -111,12 +114,12 @@ fn snapshot_memo_evicts_lru_and_recompute_is_bit_identical() {
             SnapEntry::noop()
         };
         results.push((pass, print_module(&m)));
-        memo.insert(0, vec![pass], entry);
+        memo.insert((0, vec![pass]), Arc::new(entry));
     }
-    // Capacity 2, three inserts with no refreshes: the first key is gone.
-    assert_eq!(memo.evictions(), 1);
-    assert_eq!(memo.len(), 2);
-    assert!(memo.get(0, vec![passes[0]]).is_none());
+    // Capacity 2, three inserts: the first key is gone.
+    let stats = memo.stats();
+    assert_eq!((stats.evictions, stats.len), (1, 2));
+    assert!(memo.lookup(&(0, vec![passes[0]])).is_none());
 
     // Recompute the evicted transition: bit-identical to the recording.
     let mut m = program.clone();
@@ -129,8 +132,8 @@ fn snapshot_memo_evicts_lru_and_recompute_is_bit_identical() {
     } else {
         SnapEntry::noop()
     };
-    memo.insert(0, vec![passes[0]], entry);
-    let restored = memo.get(0, vec![passes[0]]).expect("reinserted");
+    memo.insert((0, vec![passes[0]]), Arc::new(entry));
+    let restored = memo.lookup(&(0, vec![passes[0]])).expect("reinserted");
     if let Some((rm, re)) = restored.state_clone() {
         assert_eq!(print_module(&rm), results[0].1);
         assert_eq!(
@@ -145,7 +148,7 @@ fn eviction_telemetry_counters_advance() {
     telemetry::reset();
     telemetry::enable();
 
-    let mut pm = ProfileMemo::new(1);
+    let mut pm = profile_memo(1);
     let report = Arc::new(autophase_hls::profile::HlsReport {
         cycles: 1,
         total_states: 0,
@@ -156,12 +159,12 @@ fn eviction_telemetry_counters_advance() {
     pm.insert(1, Arc::clone(&report));
     pm.insert(2, Arc::clone(&report)); // evicts fp 1
     pm.insert(3, Arc::clone(&report)); // evicts fp 2
-    assert_eq!(pm.evictions(), 2);
+    assert_eq!(pm.stats().evictions, 2);
 
-    let mut sm = SnapshotMemo::new(1);
-    sm.insert(0, vec![1], SnapEntry::noop());
-    sm.insert(0, vec![2], SnapEntry::noop()); // evicts seq [1]
-    assert_eq!(sm.evictions(), 1);
+    let mut sm = snapshot_memo(1);
+    sm.insert((0, vec![1]), Arc::new(SnapEntry::noop()));
+    sm.insert((0, vec![2]), Arc::new(SnapEntry::noop())); // evicts seq [1]
+    assert_eq!(sm.stats().evictions, 1);
 
     telemetry::disable();
     let snap = telemetry::snapshot();

@@ -8,7 +8,7 @@
 //! it changed. Content addressing is also what makes the cache immune to
 //! faults: a rolled-back pass leaves the module at a fingerprint that was
 //! already cached, and entries for the discarded state are simply never
-//! looked up again (and eventually age out of the LRU).
+//! looked up again (and eventually age out).
 //!
 //! One cache instance is valid for exactly one [`HlsConfig`]; callers
 //! that profile under several configs must keep one cache per config
@@ -18,8 +18,7 @@ use crate::area::{estimate_function_area, AreaReport};
 use crate::schedule::{schedule_function, FunctionSchedule};
 use crate::HlsConfig;
 use autophase_ir::Function;
-use autophase_telemetry as telemetry;
-use std::collections::HashMap;
+use autophase_telemetry::{self as telemetry, BoundedMap, MapCounters};
 use std::sync::Arc;
 
 /// Cached result of scheduling + binding one function.
@@ -31,14 +30,10 @@ pub struct FuncEval {
     pub area: AreaReport,
 }
 
-/// LRU cache of [`FuncEval`]s keyed by function content fingerprint.
+/// Bounded cache of [`FuncEval`]s keyed by function content fingerprint.
 #[derive(Debug)]
 pub struct ScheduleCache {
-    map: HashMap<u64, (u64, Arc<FuncEval>)>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    map: BoundedMap<u64, Arc<FuncEval>>,
 }
 
 /// Default capacity: comfortably above the distinct function bodies a
@@ -50,11 +45,7 @@ impl ScheduleCache {
     /// An empty cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> ScheduleCache {
         ScheduleCache {
-            map: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
+            map: BoundedMap::new(capacity, MapCounters::family("hls.sched_cache")),
         }
     }
 
@@ -62,55 +53,21 @@ impl ScheduleCache {
     /// `cfg` on a miss. A miss increments `functions_rescheduled_total`;
     /// hit/miss counts also feed `hls.sched_cache{hit|miss}`.
     pub fn get_or_eval(&mut self, fp: u64, f: &Function, cfg: &HlsConfig) -> Arc<FuncEval> {
-        self.tick += 1;
-        if let Some((stamp, ev)) = self.map.get_mut(&fp) {
-            *stamp = self.tick;
-            self.hits += 1;
-            if telemetry::enabled() {
-                telemetry::incr("hls.sched_cache", "hit", 1);
-            }
+        if let Some(ev) = self.map.lookup(&fp) {
             return Arc::clone(ev);
         }
-        self.misses += 1;
-        if telemetry::enabled() {
-            telemetry::incr("hls.sched_cache", "miss", 1);
-            telemetry::incr("functions_rescheduled_total", "", 1);
-        }
+        telemetry::incr("functions_rescheduled_total", "", 1);
         let schedule = schedule_function(f, cfg);
         let area = estimate_function_area(f, &schedule);
         let ev = Arc::new(FuncEval { schedule, area });
-        if self.map.len() >= self.capacity {
-            // Evict the least-recently-used entry. O(n) scan, but only on
-            // a miss into a full cache — rare at steady state.
-            if let Some((&old, _)) = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp) {
-                self.map.remove(&old);
-                if telemetry::enabled() {
-                    telemetry::incr("hls.sched_cache", "eviction", 1);
-                }
-            }
-        }
-        self.map.insert(fp, (self.tick, Arc::clone(&ev)));
+        self.map.insert(fp, Arc::clone(&ev));
         ev
     }
 
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of cached functions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drop all entries (stats are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
+        let s = self.map.stats();
+        (s.hits, s.misses)
     }
 }
 
@@ -157,18 +114,22 @@ mod tests {
         assert_eq!(ev.area, estimate_function_area(&f, &fresh_sched));
     }
 
+    /// The name predates the two-generation map: the oldest *insert* goes
+    /// (a hit does not refresh), and rescheduling it gives the same result.
     #[test]
     fn lru_evicts_oldest() {
         let cfg = HlsConfig::default();
         let mut c = ScheduleCache::new(2);
         let fs: Vec<Function> = (0..3).map(func).collect();
         let fps: Vec<u64> = fs.iter().map(fingerprint_function).collect();
-        c.get_or_eval(fps[0], &fs[0], &cfg);
+        let first = c.get_or_eval(fps[0], &fs[0], &cfg);
         c.get_or_eval(fps[1], &fs[1], &cfg);
-        c.get_or_eval(fps[0], &fs[0], &cfg); // refresh 0
-        c.get_or_eval(fps[2], &fs[2], &cfg); // evicts 1
-        assert_eq!(c.len(), 2);
-        c.get_or_eval(fps[1], &fs[1], &cfg);
-        assert_eq!(c.stats().1, 4, "entry 1 was evicted and re-evaluated");
+        c.get_or_eval(fps[2], &fs[2], &cfg); // the older generation (0) goes
+        assert_eq!(c.map.stats().len, 2);
+        let again = c.get_or_eval(fps[0], &fs[0], &cfg);
+        assert_eq!(c.stats(), (0, 4), "entry 0 was evicted and re-evaluated");
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(again.schedule.total_states, first.schedule.total_states);
+        assert_eq!(again.area, first.area);
     }
 }

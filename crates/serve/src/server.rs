@@ -45,7 +45,7 @@
 //! gauge.
 
 use crate::engine::{serve_layout, EngineConfig, InferenceEngine};
-use crate::front::{FrontMemo, FRONT_BUDGET_BYTES};
+use crate::front::{front_memo, FrontMemo};
 use crate::learner::{Learner, LearnerConfig};
 use crate::protocol::{self, ErrKind, Reply, Request, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
@@ -65,7 +65,8 @@ use autophase_rl::checkpoint::ArmoredLoad;
 use autophase_rl::online::Experience;
 use autophase_rl::registry::{ModelRegistry, VersionInfo};
 use autophase_telemetry::{
-    self as telemetry, lock_recover, FlightConfig, FlightRecorder, TraceBuilder,
+    self as telemetry, lock_recover, BoundedMap, FlightConfig, FlightRecorder, MapCounters,
+    TraceBuilder,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, BufReader, BufWriter};
@@ -224,6 +225,10 @@ impl Gate {
     }
 }
 
+/// Entries `Shared::o3_cycles` keeps: 64 KiB of fingerprints, and an
+/// evicted program costs one more `-O3` run if it ever compiles cold again.
+const O3_CYCLES_BUDGET: usize = 4_096;
+
 /// Per-policy-version outcome counters behind the `MODEL` verb: the
 /// win rate (improvement over -O3) and store-insert rate are the A/B
 /// signals a promotion decision reads.
@@ -270,7 +275,7 @@ struct Shared {
     models: Mutex<HashMap<u64, ModelStats>>,
     /// `-O3` cycles by fingerprint, so the per-version win rate costs
     /// one extra apply+profile per *unique* program, not per request.
-    o3_cycles: Mutex<HashMap<u64, u64>>,
+    o3_cycles: Mutex<BoundedMap<u64, u64>>,
     /// Armed `CHAOS swap=` injections: each pending count corrupts the
     /// next `PROMOTE` candidate on disk before its armored load.
     chaos_swaps: AtomicU32,
@@ -380,12 +385,15 @@ impl Server {
             flight: FlightRecorder::new(cfg.flight.clone()),
             cfg,
             engine,
-            front: RwLock::new(FrontMemo::new(FRONT_BUDGET_BYTES)),
+            front: RwLock::new(front_memo()),
             store: Mutex::new(store),
             registry,
             learner,
             models: Mutex::new(HashMap::new()),
-            o3_cycles: Mutex::new(HashMap::new()),
+            o3_cycles: Mutex::new(BoundedMap::new(
+                O3_CYCLES_BUDGET,
+                MapCounters::family("serve.o3_cycles"),
+            )),
             chaos_swaps: AtomicU32::new(0),
             record_down_until: Mutex::new(None),
             quarantine: Quarantine::default(),
@@ -883,28 +891,18 @@ fn note_model_outcome(
     cycles: u64,
     inserted: bool,
 ) {
-    // NB: the cache probe is a standalone statement — `if let` on the
-    // guard would keep `o3_cycles` locked through the else branch,
-    // deadlocking against the insert below.
-    let cached = match &shared.registry {
-        Some(_) => lock_recover(&shared.o3_cycles).get(&fp).copied(),
-        None => None,
-    };
-    let o3c = if shared.registry.is_none() {
-        None
-    } else if cached.is_some() {
-        cached
-    } else {
-        let mut m = module.clone();
-        let _ = o3_checked(&mut m, &shared.cfg.fuel);
-        match profile_module(&m, &shared.hls) {
-            Ok(r) => {
-                lock_recover(&shared.o3_cycles).insert(fp, r.cycles);
-                Some(r.cycles)
-            }
-            Err(_) => None,
-        }
-    };
+    let o3c = shared.registry.as_ref().and_then(|_| {
+        // The probe is its own statement: its guard must be gone before
+        // the `-O3` run and the insert below.
+        let cached = lock_recover(&shared.o3_cycles).lookup(&fp).copied();
+        cached.or_else(|| {
+            let mut m = module.clone();
+            let _ = o3_checked(&mut m, &shared.cfg.fuel);
+            let cycles = profile_module(&m, &shared.hls).ok()?.cycles;
+            lock_recover(&shared.o3_cycles).insert(fp, cycles);
+            Some(cycles)
+        })
+    });
     let mut won = false;
     {
         let mut models = lock_recover(&shared.models);
@@ -1010,10 +1008,9 @@ fn compile(
         .front
         .read()
         .unwrap_or_else(PoisonError::into_inner)
-        .get(&ir);
-    let front = if known_fp.is_some() { "hit" } else { "miss" };
-    telemetry::incr("serve.front", front, 1);
-    trace.note("front", front);
+        .get(ir.as_str())
+        .copied();
+    trace.note("front", if known_fp.is_some() { "hit" } else { "miss" });
     let parsed = match known_fp {
         Some(_) if !want_ir => Ok(None),
         _ => parse_text(&ir, known_fp.is_none()).map(Some),
@@ -1029,11 +1026,12 @@ fn compile(
         let fp = fingerprint_module(module.as_ref().expect("a first sight is always parsed"));
         // The memo takes the request's own buffer: a first sight has its
         // module, so nothing below reads its text again.
-        let (evicted, bytes) = {
+        ir.shrink_to_fit();
+        let bytes = {
             let mut front = shared.front.write().unwrap_or_else(PoisonError::into_inner);
-            (front.insert(std::mem::take(&mut ir), fp), front.bytes())
+            front.insert(std::mem::take(&mut ir), fp);
+            front.weight()
         };
-        telemetry::incr("serve.front", "evicted", evicted as u64);
         telemetry::set_gauge("serve.front_bytes", "", bytes as f64);
         fp
     });
@@ -1265,6 +1263,51 @@ mod tests {
 
         server.shutdown();
         let _ = std::fs::remove_file(&store);
+    }
+
+    /// `o3_cycles` memoizes a pure function in a bounded map: a daemon
+    /// that sees more distinct programs than its budget forgets the oldest
+    /// and recomputes them on demand, and the per-version accounting the
+    /// `MODEL` verb reads cannot tell.
+    #[test]
+    fn o3_cycles_stays_inside_its_budget_and_the_win_rate_cannot_tell() {
+        let tag = format!("autophase_serve_o3_budget_{}", std::process::id());
+        let store = std::env::temp_dir().join(format!("{tag}.log"));
+        let registry = std::env::temp_dir().join(format!("{tag}_registry"));
+        let _ = std::fs::remove_file(&store);
+        let server = Server::start_baseline_only(ServerConfig {
+            store_path: store.clone(),
+            registry_dir: Some(registry.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let shared = &server.shared;
+        let module =
+            parse_module("; module m\n\n; f0\ndefine i32 @main() {\nb0:\n  ret i32 0\n}\n")
+                .expect("parses");
+        let mut optimized = module.clone();
+        let _ = o3_checked(&mut optimized, &shared.cfg.fuel);
+        let o3 = profile_module(&optimized, &shared.hls).unwrap().cycles;
+
+        // Every other request loses to `-O3` by one cycle.
+        let n = O3_CYCLES_BUDGET as u64 + 100;
+        for fp in 0..n {
+            note_model_outcome(shared, 7, fp, &module, o3 + fp % 2, false);
+        }
+        // Fingerprint 0 went with the first rotation; asked again, it is
+        // recomputed to the same cycles and still wins.
+        note_model_outcome(shared, 7, 0, &module, o3, false);
+
+        let memo = lock_recover(&shared.o3_cycles).stats();
+        assert!(memo.len <= O3_CYCLES_BUDGET, "{memo:?}");
+        assert!(memo.evictions > 0, "{memo:?}");
+        assert_eq!((memo.hits, memo.misses), (0, n + 1));
+        let stat = lock_recover(&shared.models)[&7];
+        assert_eq!((stat.requests, stat.wins), (n + 1, n / 2 + 1));
+
+        server.shutdown();
+        let _ = std::fs::remove_file(&store);
+        let _ = std::fs::remove_dir_all(&registry);
     }
 
     /// The memo holds a fingerprint, never an answer: a memoized text

@@ -20,6 +20,12 @@
 //!    crates only, so this crate uses nothing beyond `std` atomics and
 //!    `std::time`.
 //!
+//! Being the one crate below `hls`, `core` and `serve`, it is also where
+//! the std-only pieces they share live: [`lock_recover`],
+//! [`faultfs::atomic_write`] and [`BoundedMap`], the bounded memo map
+//! behind every cache in the workspace (which reports its own
+//! hit/miss/evict counters here).
+//!
 //! # Naming conventions
 //!
 //! Instrument names are static `layer.metric[_unit]` strings — e.g.
@@ -53,12 +59,14 @@
 //! ```
 #![warn(missing_docs)]
 
+pub mod bounded;
 pub mod faultfs;
 pub mod flight;
 pub mod metrics;
 pub mod sink;
 pub mod span;
 
+pub use bounded::{BoundedMap, CacheStats, MapCounters};
 pub use flight::{DumpTrigger, FlightConfig, FlightRecorder, RequestTrace, TraceBuilder};
 pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, Registry,
