@@ -115,8 +115,11 @@ pass-golden:
 # across every Table-1 pass, the scaling guard keeps the pass kernels
 # linear in block size, the trajectory golden holds the batched
 # training kernels to the weights the per-sample backward and scalar
-# Adam produced, and cached ≡ uncached ≡ parallel rollouts keep the
-# env's memos and the shared EvalCache invisible in optimized code too.
+# Adam produced, cached ≡ uncached ≡ parallel rollouts keep the
+# env's memos and the shared EvalCache invisible in optimized code too,
+# and the three walkers of the one step (SIMD/incremental engine, scalar
+# from-scratch reference, the trainer's env) agree at zero tolerance —
+# a codegen property, so it is checked where the codegen differs.
 # No wall-clock ratio gates here: what the fast paths cost is read from
 # the benchmark's layer metrics (`make bench`).
 perf-smoke:
@@ -124,6 +127,7 @@ perf-smoke:
 	$(CARGO) test -q --release -p autophase-passes --test scaling
 	$(CARGO) test -q --release --test train_update_golden
 	$(CARGO) test -q --release --test parallel_determinism
+	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
 
 # SIMD feature matrix (DESIGN.md §4k): the nn crate must build, test,
 # and lint clean with and without its kernels — default (`simd`) and

@@ -6,21 +6,22 @@ use crate::incremental::{
     DEFAULT_PROFILE_MEMO_CAPACITY, DEFAULT_SNAPSHOT_MEMO_CAPACITY,
 };
 use crate::quarantine::Quarantine;
-use autophase_features::{
-    extract, extract_structural, filter_features, log_normalize, normalize_to_inst_count,
-    FeatureSet, FeatureVector, FILTERED_FEATURES, NUM_FEATURES, NUM_STRUCTURAL_FEATURES,
-};
+use crate::step::Step;
+use autophase_features::{extract, FeatureSet, FeatureVector};
 use autophase_hls::{
     profile::{profile_module, profile_module_cached, HlsReport},
     HlsConfig, ScheduleCache,
 };
 use autophase_ir::Module;
-use autophase_passes::changeset::ChangeSet;
-use autophase_passes::checked::{apply_checked_traced, FaultKind};
-use autophase_passes::registry::{self, NUM_PASSES};
+use autophase_passes::checked::FaultKind;
+use autophase_passes::registry;
 use autophase_passes::FuelBudget;
 use autophase_rl::env::{Environment, StepResult};
 use std::sync::Arc;
+
+/// The §4.2 pass subset, at the path it has always had; its home is the
+/// action table in [`crate::step`].
+pub use crate::step::FILTERED_PASSES;
 
 /// What the agent observes (§5.1's two input-feature types and their
 /// combination; Table 3's "Observation Space" row).
@@ -144,32 +145,6 @@ impl Default for EnvConfig {
     }
 }
 
-/// The pass subset §4.2 finds impactful ("-scalarrepl, -gvn,
-/// -scalarrepl-ssa, -loop-reduce, -loop-deletion, -reassociate,
-/// -loop-rotate, -partial-inliner, -early-cse, -adce, -instcombine,
-/// -simplifycfg, -dse, -loop-unroll, -mem2reg, -sroa"), plus the loop
-/// canonicalizers they depend on.
-pub const FILTERED_PASSES: [usize; 18] = [
-    1,  // -scalarrepl
-    7,  // -gvn
-    11, // -scalarrepl-ssa
-    12, // -loop-reduce
-    14, // -loop-deletion
-    15, // -reassociate
-    23, // -loop-rotate
-    24, // -partial-inliner
-    25, // -inline
-    26, // -early-cse
-    28, // -adce
-    29, // -loop-simplify
-    30, // -instcombine
-    31, // -simplifycfg
-    32, // -dse
-    33, // -loop-unroll
-    38, // -mem2reg
-    43, // -sroa
-];
-
 /// The phase-ordering environment over one or more programs.
 ///
 /// Each episode picks the next program (round-robin), resets it to its
@@ -178,8 +153,9 @@ pub const FILTERED_PASSES: [usize; 18] = [
 pub struct PhaseOrderEnv {
     programs: Vec<Module>,
     cfg: EnvConfig,
-    /// Table-1 pass id of each action index (`action_passes`).
-    actions: Vec<usize>,
+    /// The action table, observation recipe and transition `cfg` selects
+    /// — shared with the daemon's rollout.
+    step: Step,
     current: Module,
     program_cursor: usize,
     steps_taken: usize,
@@ -238,20 +214,13 @@ impl PhaseOrderEnv {
     pub fn new(programs: Vec<Module>, cfg: EnvConfig) -> PhaseOrderEnv {
         assert!(!programs.is_empty(), "need at least one program");
         let current = programs[0].clone();
-        let mut actions = if cfg.filtered_passes {
-            FILTERED_PASSES.to_vec()
-        } else {
-            (0..NUM_PASSES).collect::<Vec<_>>()
-        };
-        if cfg.include_terminate {
-            actions.push(registry::TERMINATE);
-        }
+        let step = Step::new(&cfg);
         PhaseOrderEnv {
             inc_templates: vec![None; programs.len()],
-            action_histogram: vec![0.0; actions.len()],
+            action_histogram: vec![0.0; step.num_actions()],
             programs,
             cfg,
-            actions,
+            step,
             current,
             program_cursor: 0,
             steps_taken: 0,
@@ -312,11 +281,6 @@ impl PhaseOrderEnv {
         self.quarantine = Some(quarantine);
     }
 
-    /// The shared quarantine table, if one is attached.
-    pub fn quarantine(&self) -> Option<&Arc<Quarantine>> {
-        self.quarantine.as_ref()
-    }
-
     /// Pass ids currently masked (quarantined) for the episode's program.
     pub fn masked_passes(&self) -> Vec<usize> {
         match &self.quarantine {
@@ -343,7 +307,7 @@ impl PhaseOrderEnv {
     /// The action index list (Table-1 ids) this environment exposes.
     /// When `include_terminate` is set the last action is index 45.
     pub fn action_passes(&self) -> Vec<usize> {
-        self.actions.clone()
+        self.step.actions().to_vec()
     }
 
     /// Objective value (cycles / area / weighted) of the current module
@@ -459,21 +423,28 @@ impl PhaseOrderEnv {
         Some(entry.changed())
     }
 
-    /// Apply `pass_id` to the current state and record the transition
-    /// under `key`. Returns `(changed, faulted)`; faulted applies are
-    /// rolled back by the checked layer and never recorded — quarantine
-    /// counts *repeat* offenses, and a memo hit would silently absorb every
-    /// later one.
+    /// Apply `action` to the current state through the shared step and
+    /// record the transition under `key`. Returns `(changed, faulted)`;
+    /// faulted applies are rolled back by the checked layer and never
+    /// recorded — quarantine counts *repeat* offenses, and a memo hit would
+    /// silently absorb every later one.
     fn apply_and_record(
         &mut self,
-        pass_id: usize,
+        action: usize,
         injected: Option<FaultKind>,
         key: Option<SnapKey>,
     ) -> (bool, bool) {
-        match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, injected) {
+        match self
+            .step
+            .apply(&mut self.current, action, &self.cfg.fuel, injected)
+        {
             Ok((changed, cs)) => {
-                if changed {
-                    self.note_change(&cs);
+                // Fold a changing apply into the incremental state (none
+                // in full-recompute mode). Never reached for a faulted
+                // one: the rollback restores the exact pre-pass module,
+                // which `inc` already describes.
+                if let (true, Some(inc)) = (changed, &mut self.inc) {
+                    inc.apply(&self.current, &cs);
                 }
                 if let (Some(key), Some(inc)) = (key, &self.inc) {
                     let entry = if changed {
@@ -503,85 +474,13 @@ impl PhaseOrderEnv {
         self.inc.as_ref()
     }
 
-    /// Fold one successful, changing pass application's change set into
-    /// the incremental state (no-op when incremental evaluation is off).
-    /// Never called for faulted applies: the transactional rollback
-    /// restores the exact pre-pass module, which `inc` already describes.
-    fn note_change(&mut self, cs: &ChangeSet) {
-        if let Some(inc) = &mut self.inc {
-            inc.apply(&self.current, cs);
-        }
-    }
-
-    /// Number of feature slots in the observation: the (possibly
-    /// filtered) Table-2 prefix, plus the structural block when the
-    /// config selects the `Structural` feature set.
-    fn feature_len(&self) -> usize {
-        let base = if self.cfg.filtered_features {
-            FILTERED_FEATURES.len()
-        } else {
-            NUM_FEATURES
-        };
-        let extension = match self.cfg.feature_set {
-            FeatureSet::Table2 => 0,
-            FeatureSet::Structural => NUM_STRUCTURAL_FEATURES,
-        };
-        base + extension
-    }
-
-    /// Raw Table-2 features of the current state. The incremental total
-    /// is maintained to equal `extract(&self.current)` at all times, so
-    /// serving it replaces a full module walk with a copy.
-    fn raw_features(&self) -> FeatureVector {
-        match &self.inc {
-            Some(inc) => inc.features(),
-            None => extract(&self.current),
-        }
-    }
-
-    fn features(&self) -> Vec<f64> {
-        let raw = self.raw_features();
-        let normed: Vec<f64> = match self.cfg.feature_norm {
-            FeatureNorm::Raw => raw.iter().map(|&x| x as f64).collect(),
-            FeatureNorm::Log => log_normalize(&raw),
-            FeatureNorm::InstCount => normalize_to_inst_count(&raw),
-        };
-        let mut out = if self.cfg.filtered_features {
-            filter_features(&normed)
-        } else {
-            normed
-        };
-        if self.cfg.feature_set == FeatureSet::Structural {
-            // The incremental state only carries the 56-wide Table-2
-            // vector; the structural block always walks the module. The
-            // same normalization applies, with InstCount dividing by the
-            // raw total instruction count (feature 51), and the §4 filter
-            // never applies — the block is already importance-selected.
-            let s = extract_structural(&self.current);
-            match self.cfg.feature_norm {
-                FeatureNorm::Raw => out.extend(s.iter().map(|&x| x as f64)),
-                FeatureNorm::Log => {
-                    out.extend(s.iter().map(|&x| (1.0 + x.max(0) as f64).ln()));
-                }
-                FeatureNorm::InstCount => {
-                    let total = raw[51].max(1) as f64;
-                    out.extend(s.iter().map(|&x| x as f64 / total));
-                }
-            }
-        }
-        out
-    }
-
+    /// The observation of the current state, by the shared recipe. The
+    /// incremental total is maintained to equal `extract(&self.current)`
+    /// at all times, so serving it replaces a full module walk with a copy.
     fn observe(&self) -> Vec<f64> {
-        match self.cfg.observation {
-            ObservationKind::ProgramFeatures => self.features(),
-            ObservationKind::ActionHistory => self.action_histogram.clone(),
-            ObservationKind::Combined => {
-                let mut o = self.features();
-                o.extend(&self.action_histogram);
-                o
-            }
-        }
+        let synced = self.inc.as_ref().map(IncrementalEval::features);
+        self.step
+            .observe(&self.current, synced, &self.action_histogram)
     }
 
     fn reward(&self, prev: u64, cur: u64) -> f64 {
@@ -598,15 +497,11 @@ impl PhaseOrderEnv {
 
 impl Environment for PhaseOrderEnv {
     fn observation_dim(&self) -> usize {
-        match self.cfg.observation {
-            ObservationKind::ProgramFeatures => self.feature_len(),
-            ObservationKind::ActionHistory => self.num_actions(),
-            ObservationKind::Combined => self.feature_len() + self.num_actions(),
-        }
+        self.step.obs_dim()
     }
 
     fn num_actions(&self) -> usize {
-        self.actions.len()
+        self.step.num_actions()
     }
 
     fn reset(&mut self) -> Vec<f64> {
@@ -657,7 +552,7 @@ impl Environment for PhaseOrderEnv {
 
     fn step(&mut self, action: usize) -> StepResult {
         assert!(!self.episode_done, "step() after episode end; call reset()");
-        let pass_id = self.actions[action];
+        let pass_id = self.step.actions()[action];
         if pass_id == registry::TERMINATE {
             self.episode_done = true;
             return StepResult {
@@ -703,13 +598,13 @@ impl Environment for PhaseOrderEnv {
                 // Previously walked transition: the pass did not run — the
                 // recorded result was restored instead.
                 Some(c) => (c, false),
-                None => self.apply_and_record(pass_id, injected, key),
+                None => self.apply_and_record(action, injected, key),
             }
         };
         if faulted {
-            // The module was rolled back to its verified pre-pass state by
-            // `apply_checked_with` (telemetry counted there); here only
-            // the offender ledger is updated.
+            // The shared step rolled the module back to its verified
+            // pre-pass state (telemetry counted by the checked layer);
+            // here only the offender ledger is updated.
             if let Some(q) = &self.quarantine {
                 q.record_fault(self.current_fp, pass_id);
             }
@@ -856,6 +751,7 @@ pub fn o3_cycles(program: &Module, hls: &HlsConfig) -> u64 {
 mod tests {
     use super::*;
     use autophase_benchmarks::suite;
+    use autophase_features::NUM_STRUCTURAL_FEATURES;
     use autophase_rl::env::Environment;
 
     fn small_program() -> Module {

@@ -63,29 +63,19 @@ impl IncrementalEval {
         }
     }
 
-    /// Re-sync everything from scratch.
-    pub fn rebuild(&mut self, m: &Module) {
-        self.fps.rebuild(m);
-        self.feats.rebuild(m);
-    }
-
     /// Absorb one applied pass's change set. Dirty-only updates when the
     /// change was non-structural; full rebuilds otherwise. `m` must be the
     /// post-pass module.
     pub fn apply(&mut self, m: &Module, cs: &ChangeSet) {
-        if cs.needs_full_rebuild() {
-            self.fps.rebuild(m);
-            self.feats.rebuild(m);
-            return;
-        }
-        if cs.globals_changed() {
-            // Function slots are intact but the globals fingerprint moved;
-            // features don't read globals, so only the hash side rebuilds.
+        // With function slots intact the globals fingerprint may still
+        // have moved; features don't read globals, so only the hash side
+        // has this second reason to rebuild.
+        if cs.needs_full_rebuild() || cs.globals_changed() {
             self.fps.rebuild(m);
         } else {
             self.fps.update(m, &cs.dirty_funcs);
         }
-        self.feats.update(m, &cs.dirty_funcs);
+        resync_features(&mut self.feats, m, cs);
     }
 
     /// The combined module fingerprint (equals
@@ -102,6 +92,21 @@ impl IncrementalEval {
     /// The module feature vector (equals `extract` of the synced module).
     pub fn features(&self) -> autophase_features::FeatureVector {
         self.feats.total()
+    }
+}
+
+/// The resync rule for a feature decomposition after a changing pass:
+/// re-extract the dirty functions, or everything when function slots or
+/// signatures moved (feature 16 reads callee return types, so even clean
+/// callers may shift). `m` must be the post-pass module and `feats` synced
+/// with the pre-pass one. The one statement of the rule — both
+/// [`IncrementalEval::apply`] and the fingerprint-free serving walk
+/// ([`crate::step::Walk`]) resync through here.
+pub fn resync_features(feats: &mut IncrementalFeatures, m: &Module, cs: &ChangeSet) {
+    if cs.needs_full_rebuild() {
+        feats.rebuild(m);
+    } else {
+        feats.update(m, &cs.dirty_funcs);
     }
 }
 

@@ -6,6 +6,9 @@
 //! * [`env`](mod@env) — the gym-like [`PhaseOrderEnv`]: actions are Table-1 passes,
 //!   observations are Table-2 features and/or the applied-pass histogram,
 //!   the reward is the drop in LegUp-estimated cycle count (§5.1);
+//! * [`step`](mod@step) — the one statement of that step (action table,
+//!   observation recipe, checked transition) the environment and the
+//!   compile daemon's rollout both run;
 //! * [`multi`] — the §5.2 multiple-passes-per-action formulation
 //!   (RL-PPO3) and its factored-PPO trainer;
 //! * [`eval_cache`] — the sharded, thread-safe memoization cache that
@@ -34,6 +37,7 @@ pub mod incremental;
 pub mod multi;
 pub mod quarantine;
 pub mod report;
+pub mod step;
 pub mod tune;
 
 pub use env::{Objective, ObservationKind, PhaseOrderEnv, RewardKind};

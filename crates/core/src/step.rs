@@ -1,0 +1,231 @@
+//! The one step of the phase-ordering environment (§5.1).
+//!
+//! Training ([`PhaseOrderEnv`](crate::env::PhaseOrderEnv)) and serving
+//! (the daemon's greedy rollout) must agree on three decisions, or a
+//! policy trained on one does not transfer to the other (§6.2, Fig. 9):
+//!
+//! * the **action table** — which Table-1 pass an action index means;
+//! * the **observation recipe** — program features (normalised, filtered,
+//!   optionally extended by the structural block) ⊕ the action histogram;
+//! * the **transition** — look the pass up, apply it transactionally
+//!   under a fuel budget, hand back what changed.
+//!
+//! [`Step`] is the only statement of all three, built from an
+//! [`EnvConfig`]. The environment wraps it in what a trainer needs
+//! (program rotation, memos, fingerprints, reward); [`Walk`] is the thin
+//! driver for callers that need none of that — it keeps the feature total
+//! in sync through each change set and counts the histogram, nothing
+//! else. An action-space change is an edit to [`Step::new`]'s table.
+
+use crate::env::{EnvConfig, FeatureNorm, ObservationKind};
+use crate::incremental::resync_features;
+use autophase_features::{
+    extract, extract_structural, FeatureSet, FeatureVector, IncrementalFeatures, FILTERED_FEATURES,
+    NUM_FEATURES, NUM_STRUCTURAL_FEATURES,
+};
+use autophase_ir::Module;
+use autophase_passes::changeset::ChangeSet;
+use autophase_passes::checked::{apply_checked_traced, FaultKind, FuelBudget, PassFault};
+use autophase_passes::registry::{self, NUM_PASSES};
+
+/// The pass subset §4.2 finds impactful ("-scalarrepl, -gvn,
+/// -scalarrepl-ssa, -loop-reduce, -loop-deletion, -reassociate,
+/// -loop-rotate, -partial-inliner, -early-cse, -adce, -instcombine,
+/// -simplifycfg, -dse, -loop-unroll, -mem2reg, -sroa"), plus the loop
+/// canonicalizers they depend on.
+pub const FILTERED_PASSES: [usize; 18] = [
+    1,  // -scalarrepl
+    7,  // -gvn
+    11, // -scalarrepl-ssa
+    12, // -loop-reduce
+    14, // -loop-deletion
+    15, // -reassociate
+    23, // -loop-rotate
+    24, // -partial-inliner
+    25, // -inline
+    26, // -early-cse
+    28, // -adce
+    29, // -loop-simplify
+    30, // -instcombine
+    31, // -simplifycfg
+    32, // -dse
+    33, // -loop-unroll
+    38, // -mem2reg
+    43, // -sroa
+];
+
+/// Action table, observation recipe and transition of one configuration.
+#[derive(Debug, Clone)]
+pub struct Step {
+    /// Table-1 pass id of each action index.
+    actions: Vec<usize>,
+    /// Table-2 feature index of each slot of the feature block's Table-2
+    /// part: all 56, or the §4 subset.
+    columns: Vec<usize>,
+    observation: ObservationKind,
+    feature_norm: FeatureNorm,
+    feature_set: FeatureSet,
+    episode_len: usize,
+}
+
+impl Step {
+    /// The step `cfg` describes.
+    pub fn new(cfg: &EnvConfig) -> Step {
+        let mut actions = if cfg.filtered_passes {
+            FILTERED_PASSES.to_vec()
+        } else {
+            (0..NUM_PASSES).collect()
+        };
+        if cfg.include_terminate {
+            actions.push(registry::TERMINATE);
+        }
+        let columns = if cfg.filtered_features {
+            FILTERED_FEATURES.to_vec()
+        } else {
+            (0..NUM_FEATURES).collect()
+        };
+        Step {
+            actions,
+            columns,
+            observation: cfg.observation,
+            feature_norm: cfg.feature_norm,
+            feature_set: cfg.feature_set,
+            episode_len: cfg.episode_len,
+        }
+    }
+
+    /// Table-1 pass id of every action, by action index. With
+    /// `include_terminate` the last one is `registry::TERMINATE`.
+    pub fn actions(&self) -> &[usize] {
+        &self.actions
+    }
+
+    /// Size of the action space (and of the histogram).
+    pub fn num_actions(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// Steps per episode.
+    pub fn episode_len(&self) -> usize {
+        self.episode_len
+    }
+
+    /// Width of the feature block: the (possibly filtered) Table-2
+    /// prefix, plus the structural block when the set has one.
+    pub fn feature_dim(&self) -> usize {
+        match self.feature_set {
+            FeatureSet::Table2 => self.columns.len(),
+            FeatureSet::Structural => self.columns.len() + NUM_STRUCTURAL_FEATURES,
+        }
+    }
+
+    /// Width of an observation.
+    pub fn obs_dim(&self) -> usize {
+        match self.observation {
+            ObservationKind::ProgramFeatures => self.feature_dim(),
+            ObservationKind::ActionHistory => self.num_actions(),
+            ObservationKind::Combined => self.feature_dim() + self.num_actions(),
+        }
+    }
+
+    /// The observation of `m` after `histogram`, in one allocation.
+    ///
+    /// `synced` is `extract(m)` when the caller maintains it
+    /// incrementally; `None` extracts from `m` — the full-recompute
+    /// reference path. The structural block is not maintained by anyone
+    /// and always walks `m`. Both blocks take the same normalisation,
+    /// technique ② dividing by the Table-2 instruction count (feature
+    /// 51); the §4 filter applies to the Table-2 block only — the
+    /// structural one is already importance-selected.
+    pub fn observe(
+        &self,
+        m: &Module,
+        synced: Option<FeatureVector>,
+        histogram: &[f64],
+    ) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.obs_dim());
+        if self.observation != ObservationKind::ActionHistory {
+            let raw = synced.unwrap_or_else(|| extract(m));
+            let total = raw[51].max(1) as f64;
+            let norm = |x: i64| match self.feature_norm {
+                FeatureNorm::Raw => x as f64,
+                FeatureNorm::Log => (1.0 + x.max(0) as f64).ln(),
+                FeatureNorm::InstCount => x as f64 / total,
+            };
+            out.extend(self.columns.iter().map(|&i| norm(raw[i])));
+            if self.feature_set == FeatureSet::Structural {
+                out.extend(extract_structural(m).iter().map(|&x| norm(x)));
+            }
+        }
+        if self.observation != ObservationKind::ProgramFeatures {
+            out.extend_from_slice(histogram);
+        }
+        out
+    }
+
+    /// Apply `action`'s pass to `m` transactionally: `(changed, what
+    /// changed)`, or the fault with `m` rolled back to its verified
+    /// pre-pass state (telemetry counted by the checked layer).
+    /// `injected` forces a fault the caller polled from an injection
+    /// plan; `None` is the plain checked path. `-terminate` is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// The [`PassFault`] that was isolated.
+    pub fn apply(
+        &self,
+        m: &mut Module,
+        action: usize,
+        fuel: &FuelBudget,
+        injected: Option<FaultKind>,
+    ) -> Result<(bool, ChangeSet), PassFault> {
+        apply_checked_traced(m, self.actions[action], fuel, injected)
+    }
+}
+
+/// One rollout over a module by a driver that keeps no fingerprints,
+/// memos or reward: only what an observation reads. The daemon serves
+/// through this; driving a whole `PhaseOrderEnv` per request would pay
+/// for a reset profile, fingerprints and snapshot clones it never reads
+/// (measured at 2× the rollout, DESIGN.md §4g).
+pub struct Walk<'a> {
+    step: &'a Step,
+    module: &'a mut Module,
+    /// `extract(module)`, resynced from each change set.
+    feats: IncrementalFeatures,
+    histogram: Vec<f64>,
+}
+
+impl<'a> Walk<'a> {
+    /// Start at `module` as it is (one full extraction).
+    pub fn start(step: &'a Step, module: &'a mut Module) -> Walk<'a> {
+        Walk {
+            feats: IncrementalFeatures::new(module),
+            histogram: vec![0.0; step.num_actions()],
+            step,
+            module,
+        }
+    }
+
+    /// The observation of the current state.
+    pub fn observe(&self) -> Vec<f64> {
+        self.step
+            .observe(self.module, Some(self.feats.total()), &self.histogram)
+    }
+
+    /// Take `action`: whether its pass changed the module. A faulted
+    /// apply leaves the module where it was; either way the action
+    /// counts in the histogram.
+    ///
+    /// # Errors
+    ///
+    /// The [`PassFault`] that was isolated.
+    pub fn step(&mut self, action: usize, fuel: &FuelBudget) -> Result<bool, PassFault> {
+        self.histogram[action] += 1.0;
+        let (changed, cs) = self.step.apply(self.module, action, fuel, None)?;
+        if changed {
+            resync_features(&mut self.feats, self.module, &cs);
+        }
+        Ok(changed)
+    }
+}

@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// importance ratio).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperienceStep {
-    /// The composed observation ([`ObsLayout::compose`] order).
+    /// The observation the policy saw (feature block, then histogram).
     pub obs: Vec<f64>,
     /// Index of the chosen action.
     pub action: usize,
@@ -50,9 +50,11 @@ pub struct Experience {
 }
 
 impl Experience {
-    /// Terminal reward of the episode: the log cycle-count improvement
-    /// over the unoptimized module (`RewardKind::Log` in the serving
-    /// configuration — positive when the ordering helped).
+    /// Terminal reward of the episode: `ln(baseline / cycles)`, the log
+    /// of the whole ordering's cycle-count ratio over the unoptimized
+    /// module, paid once — positive when the ordering helped. Not the
+    /// environment's `RewardKind::Log`, which pays `sign(Δ)·ln(1+|Δ|)` of
+    /// the cycle *difference* at every step.
     pub fn terminal_reward(&self) -> f64 {
         (self.baseline_cycles.max(1) as f64 / self.cycles.max(1) as f64).ln()
     }
@@ -146,12 +148,11 @@ impl OnlineTrainer {
     }
 
     /// Feed one serving outcome. The episode becomes PPO transitions:
-    /// zero reward on intermediate steps, the log cycle improvement on
-    /// the terminal step (matching `RewardKind::Log`), with state values
-    /// from the *current* value network. Episodes with no steps or
-    /// wrong-width observations are counted and dropped — a layout
-    /// mismatch here means a buggy producer, and one bad episode must
-    /// not abort the learner.
+    /// zero reward on intermediate steps, [`Experience::terminal_reward`]
+    /// on the terminal step, with state values from the *current* value
+    /// network. Episodes with no steps or wrong-width observations are
+    /// counted and dropped — a layout mismatch here means a buggy
+    /// producer, and one bad episode must not abort the learner.
     pub fn ingest(&mut self, exp: &Experience) {
         let ok = !exp.steps.is_empty()
             && exp.steps.iter().all(|s| {

@@ -11,6 +11,9 @@
 //!   depends on which worker runs it or in what order, the serial and
 //!   parallel collectors produce bit-identical batches for any worker
 //!   count — the property the determinism tests pin down.
+//!
+//! They differ only in how an episode starts and whose RNG samples; the
+//! episode itself is one loop, `Actor::run_episode`.
 
 use crate::env::Environment;
 use autophase_nn::{softmax, BatchWorkspace, Mlp, SoaMlp};
@@ -77,14 +80,30 @@ pub fn sample_action(logits: &[f64], rng: &mut StdRng) -> (usize, f64) {
     (last, probs[last].max(1e-12).ln())
 }
 
-/// Greedy action.
+/// Greedy action: the first strict maximum, so a tie goes to the lowest
+/// index, and a NaN logit (every comparison with it is false) cannot
+/// panic. The one greedy rule — evaluation
+/// ([`crate::ppo::PpoAgent::act_greedy`] and friends) and the serving
+/// daemon must break ties alike, or a policy is scored on an ordering it
+/// would not serve.
+///
+/// # Panics
+///
+/// Panics on empty logits.
 pub fn argmax(logits: &[f64]) -> usize {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-        .map(|(i, _)| i)
-        .expect("nonempty logits")
+    argmax_masked(logits, |_| true).expect("nonempty logits")
+}
+
+/// [`argmax`] over the actions `allowed` accepts; `None` when it accepts
+/// none (every action masked).
+pub fn argmax_masked(logits: &[f64], allowed: impl Fn(usize) -> bool) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (a, &score) in logits.iter().enumerate() {
+        if allowed(a) && best.is_none_or(|(_, s)| score > s) {
+            best = Some((a, score));
+        }
+    }
+    best.map(|(a, _)| a)
 }
 
 /// Collect at least `horizon` transitions (finishing the final episode).
@@ -97,42 +116,15 @@ pub fn collect(
     rng: &mut StdRng,
 ) -> Batch {
     let _span = telemetry::span("rollout.batch");
-    // Weights are fixed for the whole collection, so transpose once into
-    // SoA mirrors and reuse two workspaces — per-step forwards then run
-    // allocation-free and bit-identical to `Mlp::forward`.
-    let psoa = SoaMlp::from_mlp(policy);
-    let vsoa = SoaMlp::from_mlp(value);
-    let mut pws = BatchWorkspace::new();
-    let mut vws = BatchWorkspace::new();
+    let (psoa, vsoa) = (SoaMlp::from_mlp(policy), SoaMlp::from_mlp(value));
+    let mut actor = Actor::new(&psoa, &vsoa);
     let mut batch = Batch::default();
     while batch.transitions.len() < horizon {
-        let mut obs = env.reset();
-        let mut ep_return = 0.0;
-        for t in 0..max_episode_len {
-            let logits = psoa.forward_one(&obs, &mut pws);
-            let (action, logp) = sample_action(logits, rng);
-            let v = vsoa.forward_one(&obs, &mut vws)[0];
-            let step = env.step(action);
-            ep_return += step.reward;
-            let done = step.done || t + 1 == max_episode_len;
-            batch.transitions.push(Transition {
-                // Hand the pre-step observation to the transition and slide
-                // the new one into `obs` — no per-step Vec clone.
-                obs: std::mem::replace(&mut obs, step.observation),
-                action,
-                reward: step.reward,
-                logp,
-                value: v,
-                done,
-            });
-            if done {
-                break;
-            }
-        }
+        let obs = env.reset();
+        let (transitions, ep_return) = actor.run_episode(env, obs, rng, max_episode_len);
+        batch.transitions.extend(transitions);
         batch.episode_returns.push(ep_return);
     }
-    telemetry::incr("rollout.steps", "", batch.transitions.len() as u64);
-    telemetry::incr("rollout.episodes", "", batch.episode_returns.len() as u64);
     batch
 }
 
@@ -147,51 +139,66 @@ pub fn episode_seed(seed: u64, episode: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run one indexed episode and return its transitions and total reward.
-///
-/// Takes pre-transposed SoA mirrors (shared, read-only) plus caller-owned
-/// workspaces, so episode loops never re-transpose weights or allocate
-/// activations per step.
-#[allow(clippy::too_many_arguments)]
-fn run_episode(
-    env: &mut dyn Environment,
-    psoa: &SoaMlp,
-    vsoa: &SoaMlp,
-    pws: &mut BatchWorkspace,
-    vws: &mut BatchWorkspace,
-    episode: u64,
-    max_episode_len: usize,
-    seed: u64,
-) -> (Vec<Transition>, f64) {
-    let _span = telemetry::span("rollout.episode");
-    let mut rng = StdRng::seed_from_u64(episode_seed(seed, episode));
-    let mut obs = env.reset_to(episode);
-    let mut transitions = Vec::new();
-    let mut ep_return = 0.0;
-    for t in 0..max_episode_len {
-        let logits = psoa.forward_one(&obs, pws);
-        let (action, logp) = sample_action(logits, &mut rng);
-        let v = vsoa.forward_one(&obs, vws)[0];
-        let step = env.step(action);
-        ep_return += step.reward;
-        let done = step.done || t + 1 == max_episode_len;
-        transitions.push(Transition {
-            // Hand the pre-step observation to the transition and slide
-            // the new one into `obs` — no per-step Vec clone.
-            obs: std::mem::replace(&mut obs, step.observation),
-            action,
-            reward: step.reward,
-            logp,
-            value: v,
-            done,
-        });
-        if done {
-            break;
+/// The two networks as one collecting thread sees them. Weights are
+/// fixed for a whole collection, so they are transposed once into SoA
+/// mirrors every thread shares read-only; the activation workspaces are
+/// this thread's own — per-step forwards then run allocation-free and
+/// bit-identical to `Mlp::forward`.
+struct Actor<'a> {
+    policy: &'a SoaMlp,
+    value: &'a SoaMlp,
+    pws: BatchWorkspace,
+    vws: BatchWorkspace,
+}
+
+impl<'a> Actor<'a> {
+    fn new(policy: &'a SoaMlp, value: &'a SoaMlp) -> Actor<'a> {
+        Actor {
+            policy,
+            value,
+            pws: BatchWorkspace::new(),
+            vws: BatchWorkspace::new(),
         }
     }
-    telemetry::incr("rollout.steps", "", transitions.len() as u64);
-    telemetry::incr("rollout.episodes", "", 1);
-    (transitions, ep_return)
+
+    /// Run one episode from `obs` — what the caller's `reset` / `reset_to`
+    /// returned — sampling from `rng`: its transitions and total reward.
+    /// The one episode loop; collectors differ only in how they start it.
+    fn run_episode(
+        &mut self,
+        env: &mut dyn Environment,
+        mut obs: Vec<f64>,
+        rng: &mut StdRng,
+        max_episode_len: usize,
+    ) -> EpisodeResult {
+        let _span = telemetry::span("rollout.episode");
+        let mut transitions = Vec::new();
+        let mut ep_return = 0.0;
+        for t in 0..max_episode_len {
+            let logits = self.policy.forward_one(&obs, &mut self.pws);
+            let (action, logp) = sample_action(logits, rng);
+            let v = self.value.forward_one(&obs, &mut self.vws)[0];
+            let step = env.step(action);
+            ep_return += step.reward;
+            let done = step.done || t + 1 == max_episode_len;
+            transitions.push(Transition {
+                // Hand the pre-step observation to the transition and
+                // slide the new one into `obs` — no per-step Vec clone.
+                obs: std::mem::replace(&mut obs, step.observation),
+                action,
+                reward: step.reward,
+                logp,
+                value: v,
+                done,
+            });
+            if done {
+                break;
+            }
+        }
+        telemetry::incr("rollout.steps", "", transitions.len() as u64);
+        telemetry::incr("rollout.episodes", "", 1);
+        (transitions, ep_return)
+    }
 }
 
 /// Collect episodes `base_episode .. base_episode + n_episodes` serially.
@@ -208,22 +215,13 @@ pub fn collect_episodes(
     seed: u64,
 ) -> Batch {
     let _span = telemetry::span("rollout.batch");
-    let psoa = SoaMlp::from_mlp(policy);
-    let vsoa = SoaMlp::from_mlp(value);
-    let mut pws = BatchWorkspace::new();
-    let mut vws = BatchWorkspace::new();
+    let (psoa, vsoa) = (SoaMlp::from_mlp(policy), SoaMlp::from_mlp(value));
+    let mut actor = Actor::new(&psoa, &vsoa);
     let mut batch = Batch::default();
-    for e in 0..n_episodes as u64 {
-        let (transitions, ep_return) = run_episode(
-            env,
-            &psoa,
-            &vsoa,
-            &mut pws,
-            &mut vws,
-            base_episode + e,
-            max_episode_len,
-            seed,
-        );
+    for episode in base_episode..base_episode + n_episodes as u64 {
+        let mut rng = StdRng::seed_from_u64(episode_seed(seed, episode));
+        let obs = env.reset_to(episode);
+        let (transitions, ep_return) = actor.run_episode(env, obs, &mut rng, max_episode_len);
         batch.transitions.extend(transitions);
         batch.episode_returns.push(ep_return);
     }
@@ -257,67 +255,6 @@ pub struct SupervisedBatch {
     pub failed_episodes: Vec<u64>,
     /// Worker threads respawned after a panic.
     pub worker_respawns: u64,
-}
-
-/// One supervised worker: drain the shared episode queue on slot `w`'s
-/// environment, publishing each result as soon as it completes. A panic
-/// anywhere in here kills only this thread; the supervisor reads
-/// `in_flight[w]` to learn which episode died. The locks it leaves
-/// poisoned are taken with `lock_recover`: every value they guard (the
-/// queue, result slots, worker environments) is re-initialized on reuse
-/// or episode-scoped, so the stale state is harmless.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    w: usize,
-    queue: &Mutex<VecDeque<usize>>,
-    results: &[Mutex<Option<EpisodeResult>>],
-    in_flight: &[AtomicU64],
-    busy_ns: &[AtomicU64],
-    env_slots: &[Mutex<&mut Box<dyn Environment + Send>>],
-    psoa: &SoaMlp,
-    vsoa: &SoaMlp,
-    base_episode: u64,
-    max_episode_len: usize,
-    seed: u64,
-) {
-    let _wspan = telemetry::span("rollout.worker");
-    let wstart = telemetry::maybe_now();
-    // SoA mirrors are shared read-only across workers; activations are
-    // thread-local, so each worker owns its workspaces.
-    let mut pws = BatchWorkspace::new();
-    let mut vws = BatchWorkspace::new();
-    loop {
-        // Claim an episode and mark it in-flight under the queue lock, so
-        // a panic can never lose an episode between the two updates
-        // (in_flight stores index+1; 0 means idle).
-        let e = {
-            let mut q = lock_recover(queue);
-            match q.pop_front() {
-                Some(e) => {
-                    in_flight[w].store(e as u64 + 1, Ordering::SeqCst);
-                    e
-                }
-                None => break,
-            }
-        };
-        let mut env = lock_recover(&env_slots[w]);
-        let out = run_episode(
-            env.as_mut(),
-            psoa,
-            vsoa,
-            &mut pws,
-            &mut vws,
-            base_episode + e as u64,
-            max_episode_len,
-            seed,
-        );
-        drop(env);
-        *lock_recover(&results[e]) = Some(out);
-        in_flight[w].store(0, Ordering::SeqCst);
-    }
-    if let Some(t) = wstart {
-        busy_ns[w].fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
 }
 
 /// Collect episodes `base_episode .. base_episode + n_episodes` on a
@@ -357,8 +294,7 @@ pub fn collect_episodes_supervised(
     let batch_start = telemetry::maybe_now();
     let workers = envs.len();
     // One SoA transpose for the whole batch, shared by every worker.
-    let psoa = SoaMlp::from_mlp(policy);
-    let vsoa = SoaMlp::from_mlp(value);
+    let (psoa, vsoa) = (SoaMlp::from_mlp(policy), SoaMlp::from_mlp(value));
 
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n_episodes).collect());
     let results: Vec<Mutex<Option<EpisodeResult>>> =
@@ -373,26 +309,46 @@ pub fn collect_episodes_supervised(
     let mut failed: Vec<u64> = Vec::new();
 
     std::thread::scope(|scope| {
-        let spawn = |w: usize| {
-            let (queue, results, in_flight, busy_ns, env_slots) =
-                (&queue, &results, &in_flight, &busy_ns, &env_slots);
-            let (psoa, vsoa) = (&psoa, &vsoa);
-            scope.spawn(move || {
-                worker_loop(
-                    w,
-                    queue,
-                    results,
-                    in_flight,
-                    busy_ns,
-                    env_slots,
-                    psoa,
-                    vsoa,
-                    base_episode,
-                    max_episode_len,
-                    seed,
-                )
-            })
+        // One supervised worker: drain the shared episode queue on slot
+        // `w`'s environment, publishing each result as soon as it
+        // completes. A panic anywhere in here kills only this thread; the
+        // supervisor reads `in_flight[w]` to learn which episode died. The
+        // locks it leaves poisoned are taken with `lock_recover`: every
+        // value they guard (the queue, result slots, worker environments)
+        // is re-initialized on reuse or episode-scoped, so the stale state
+        // is harmless.
+        let worker = |w: usize| {
+            let _wspan = telemetry::span("rollout.worker");
+            let wstart = telemetry::maybe_now();
+            let mut actor = Actor::new(&psoa, &vsoa);
+            loop {
+                // Claim an episode and mark it in-flight under the queue
+                // lock, so a panic can never lose an episode between the
+                // two updates (in_flight stores index+1; 0 means idle).
+                let e = {
+                    let mut q = lock_recover(&queue);
+                    match q.pop_front() {
+                        Some(e) => {
+                            in_flight[w].store(e as u64 + 1, Ordering::SeqCst);
+                            e
+                        }
+                        None => break,
+                    }
+                };
+                let mut env = lock_recover(&env_slots[w]);
+                let episode = base_episode + e as u64;
+                let mut rng = StdRng::seed_from_u64(episode_seed(seed, episode));
+                let obs = env.reset_to(episode);
+                let out = actor.run_episode(env.as_mut(), obs, &mut rng, max_episode_len);
+                drop(env);
+                *lock_recover(&results[e]) = Some(out);
+                in_flight[w].store(0, Ordering::SeqCst);
+            }
+            if let Some(t) = wstart {
+                busy_ns[w].fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
         };
+        let spawn = |w: usize| scope.spawn(move || worker(w));
         let mut handles: Vec<_> = (0..workers).map(|w| (w, spawn(w))).collect();
         // Round-based supervision: join everything, respawn what panicked,
         // repeat until a round ends with no casualties.
@@ -815,6 +771,17 @@ mod tests {
         let wrapped = collect_episodes_parallel(&mut envs, &policy, &value, 7, 2, 50, 99);
         assert_eq!(sup.batch.episode_returns, wrapped.episode_returns);
         assert_eq!(sup.batch.transitions.len(), wrapped.transitions.len());
+    }
+
+    #[test]
+    fn argmax_is_the_first_strict_maximum() {
+        let tied = [1.0, 3.0, 3.0, 2.0];
+        assert_eq!(argmax(&tied), 1); // a tie goes to the lowest index
+        assert_eq!(argmax(&[0.5, f64::NAN, 2.0, f64::NAN]), 2);
+        assert_eq!(argmax(&[f64::NAN, f64::NAN]), 0); // a NaN cannot panic
+        assert_eq!(argmax_masked(&tied, |a| a != 1), Some(2));
+        assert_eq!(argmax_masked(&tied, |a| a == 0), Some(0));
+        assert_eq!(argmax_masked(&tied, |_| false), None); // all masked
     }
 
     #[test]

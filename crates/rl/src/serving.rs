@@ -1,16 +1,13 @@
-//! The serving observation layout, shared by the inference engine and
-//! the online learner.
+//! The serving shape, shared by the inference engine and the online
+//! learner.
 //!
 //! The serve daemon and the background learner must agree *exactly* on
-//! how an observation is laid out — filtered feature vector first, then
-//! the action histogram — and on the network shapes that layout implies.
-//! Before this module each side re-derived those widths from its own
-//! constants; a future feature-set change could desync them silently
-//! (the engine composing a 74-wide observation while the learner trains
-//! on 56-wide ones, say). [`ObsLayout`] is the single source of truth:
-//! the serve crate builds one from its feature/pass tables and both the
-//! engine's rollout and the learner's trainer go through
-//! [`ObsLayout::compose`] and the shape checks here.
+//! how wide an observation is — feature block first, then the action
+//! histogram — and on the network shapes that implies. [`ObsLayout`]
+//! carries those dimensions: the serve crate reads them off the one step
+//! built from its environment configuration (`autophase_core::step`,
+//! which also owns how an observation is *filled*), and the engine, the
+//! learner and the promotion armor all shape-check through it.
 //!
 //! The layout is dimension-parameterized rather than importing the
 //! feature tables directly because the rl crate sits *below* the crates
@@ -62,11 +59,6 @@ impl ObsLayout {
         }
     }
 
-    /// Width of the static feature slice.
-    pub fn feature_dim(&self) -> usize {
-        self.feature_dim
-    }
-
     /// Size of the action space (and of the histogram slice).
     pub fn num_actions(&self) -> usize {
         self.num_actions
@@ -83,8 +75,8 @@ impl ObsLayout {
     }
 
     /// Compose one observation from its two slices, in the canonical
-    /// order. Both the engine rollout and the learner's replay go
-    /// through here, so the concatenation order can never diverge.
+    /// order. The product composes through `autophase_core::step`; this
+    /// stays for the frozen `benchmark/` package's hand-written rollout.
     ///
     /// # Panics
     ///

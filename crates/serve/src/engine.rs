@@ -17,26 +17,32 @@
 //! (kept out of the `serve.stage_ns` family: a request's forwards are
 //! part of its `rollout` stage, not a segment of their own).
 //!
+//! The rollout itself is the environment's step, not a copy of it: what
+//! an action means, what an observation is and how a pass is applied
+//! and resynced are [`autophase_core::step`]'s, built from
+//! [`serve_env_config`] — the same value a served policy trains under.
+//! This file adds what only a daemon needs: which policy answers, the
+//! forward, the masked greedy choice, and the experience record.
+//!
 //! The policy path is fault-isolated end to end: every forward runs
 //! under `catch_unwind` (a poisoned network answers with a typed
-//! [`PolicyFault`], not a dead handler thread), and the rollout applies
-//! every chosen pass through `apply_checked`, recording offenders in the
-//! shared quarantine table so a pass that keeps faulting on a program
+//! [`PolicyFault`], not a dead handler thread), and the step applies
+//! every chosen pass transactionally, the rollout recording offenders in
+//! the shared quarantine table so a pass that keeps faulting on a program
 //! drops out of that program's action space. Injected faults
 //! ([`InferenceEngine::inject_faults`]) and injected panics
 //! ([`InferenceEngine::inject_crashes`]) hit the same surface the real
 //! ones do, so chaos tests exercise the production degradation path.
 
-use autophase_core::env::{
-    EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind, FILTERED_PASSES,
-};
+use autophase_core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
+use autophase_core::step::{Step, Walk};
 use autophase_core::Quarantine;
-use autophase_features::{inst_count_filtered, IncrementalFeatures, FILTERED_FEATURES};
 use autophase_ir::Module;
 use autophase_nn::mlp::Mlp;
 use autophase_nn::{softmax, BatchWorkspace, SoaMlp};
-use autophase_passes::checked::{apply_checked_changeset, FuelBudget};
+use autophase_passes::checked::FuelBudget;
 use autophase_rl::online::ExperienceStep;
+use autophase_rl::rollout::argmax_masked;
 use autophase_rl::serving::ObsLayout;
 use autophase_telemetry::{self as telemetry, lock_recover};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,10 +78,11 @@ pub fn quiet_crash_hook() {
 /// configuration a served checkpoint must come from).
 pub const SERVE_EPISODE_LEN: usize = 12;
 
-/// The environment configuration a served policy is trained under. The
-/// engine reproduces this observation layout exactly at inference time;
-/// a checkpoint trained under any other configuration is rejected at
-/// startup by the shape check.
+/// The environment configuration a served policy is trained under, and
+/// the single source of the serving configuration: the rollout's step
+/// and [`serve_layout`] are both built from it, so the engine reproduces
+/// the training-time action table and observation exactly. A checkpoint
+/// trained under any other shape is rejected at startup.
 pub fn serve_env_config() -> EnvConfig {
     EnvConfig {
         observation: ObservationKind::Combined,
@@ -88,17 +95,13 @@ pub fn serve_env_config() -> EnvConfig {
     }
 }
 
-/// The serving observation layout as an [`ObsLayout`] — the single
-/// source of truth the engine's rollout *and* the online learner share.
-/// Both sides compose observations through [`ObsLayout::compose`] and
-/// shape-check networks through it, so a feature-set change that
-/// widens one side without the other is caught, not silently misread.
+/// The dimensions of the serving step as an [`ObsLayout`] — what the
+/// engine and the online learner shape-check networks against, so a
+/// configuration change that widens one side without the other is
+/// caught, not silently misread.
 pub fn serve_layout() -> ObsLayout {
-    ObsLayout::new(
-        FILTERED_FEATURES.len(),
-        FILTERED_PASSES.len(),
-        SERVE_EPISODE_LEN,
-    )
+    let step = Step::new(&serve_env_config());
+    ObsLayout::new(step.feature_dim(), step.num_actions(), step.episode_len())
 }
 
 /// Observation width of [`serve_env_config`]: filtered features plus the
@@ -504,38 +507,27 @@ impl InferenceEngine {
         quarantine: &Quarantine,
         fuel: &FuelBudget,
     ) -> Result<RolloutReport, PolicyFault> {
-        let layout = serve_layout();
+        let step = &Step::new(&serve_env_config());
         let set = self.serving()?;
         let policy = set.entry(set.route_for(fp));
         let mut ws = BatchWorkspace::new();
-        let mut histogram = vec![0.0f64; layout.num_actions()];
-        // Incremental feature state: seeded with one full extraction,
-        // then resynced from each successful apply's ChangeSet — a
-        // changing pass usually dirties a few functions, not the module.
-        let mut inc = IncrementalFeatures::new(m);
-        let mut feats = inst_count_filtered(&inc.total());
+        let mut walk = Walk::start(step, m);
         let mut report = RolloutReport {
             infer_batch_max: 1,
             policy_version: policy.version,
             ..RolloutReport::default()
         };
-        for _ in 0..SERVE_EPISODE_LEN {
-            let obs = layout.compose(&feats, &histogram);
+        for _ in 0..step.episode_len() {
+            let obs = walk.observe();
             let infer_start = std::time::Instant::now();
             report.infer_calls += 1;
             let logits = self.forward(policy, &obs, &mut ws)?;
             report.infer_wait_ns += infer_start.elapsed().as_nanos() as u64;
-            let mut best: Option<(usize, f64)> = None;
-            for (a, &score) in logits.iter().enumerate() {
-                if quarantine.is_quarantined(fp, FILTERED_PASSES[a]) {
-                    continue;
-                }
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((a, score));
-                }
-            }
+            let open = |a| !quarantine.is_quarantined(fp, step.actions()[a]);
             // Everything quarantined for this program: nothing left to try.
-            let Some((action, _)) = best else { break };
+            let Some(action) = argmax_masked(logits, open) else {
+                break;
+            };
             // Record the step for the online learner: the behavior
             // log-probability is the softmax mass the serving policy
             // put on the action it (greedily) took.
@@ -545,27 +537,18 @@ impl InferenceEngine {
                 action,
                 logp: probs[action].max(1e-12).ln(),
             });
-            let pass = FILTERED_PASSES[action];
-            match apply_checked_changeset(m, pass, fuel) {
-                Ok((true, cs)) => {
-                    report.applied.push(pass);
-                    if cs.needs_full_rebuild() {
-                        inc.rebuild(m);
-                    } else {
-                        inc.update(m, &cs.dirty_funcs);
-                    }
-                    feats = inst_count_filtered(&inc.total());
-                }
-                Ok((false, _)) => {}
+            let pass = step.actions()[action];
+            match walk.step(action, fuel) {
+                Ok(true) => report.applied.push(pass),
+                Ok(false) => {}
                 Err(_fault) => {
-                    // Rolled back by apply_checked; remember the offender
-                    // so repeat faults stop costing attempts.
+                    // Rolled back by the step; remember the offender so
+                    // repeat faults stop costing attempts.
                     quarantine.record_fault(fp, pass);
                     report.pass_faults += 1;
                     telemetry::incr("serve.rollout", "pass_fault", 1);
                 }
             }
-            histogram[action] += 1.0;
         }
         Ok(report)
     }
@@ -597,6 +580,16 @@ mod tests {
             autophase_nn::mlp::Activation::Tanh,
             seed,
         )
+    }
+
+    #[test]
+    fn serve_layout_is_the_training_environments_shape() {
+        use autophase_rl::env::Environment;
+        let env = serve_env(vec![autophase_benchmarks::suite().remove(0).module]);
+        let layout = serve_layout();
+        assert_eq!(layout.obs_dim(), env.observation_dim());
+        assert_eq!(layout.num_actions(), env.num_actions());
+        assert_eq!(layout.episode_len(), serve_env_config().episode_len);
     }
 
     #[test]
