@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy fmt fmt-fix bench bench-smoke loc telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix
+.PHONY: ci build test clippy fmt fmt-fix bench bench-smoke loc dead-pub telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix
 
-ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix bench-smoke clippy fmt
+ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix bench-smoke clippy dead-pub fmt
 
 build:
 	$(CARGO) build --release
@@ -62,6 +62,21 @@ bench-smoke:
 # `benchmark/` are not).
 loc:
 	@find crates/*/src src -name '*.rs' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
+
+# Public surface = what something calls: print every `pub fn` under the
+# crates' and the facade's `src` whose name appears in no other `.rs`
+# file of the workspace, its tests and examples, or the frozen benchmark
+# package, and fail if there is one. A name match, not a resolver — it
+# can miss a dead function that shares its name, never flag a live one.
+# Make the function private (clippy's dead_code then says whether it
+# goes) or delete it.
+dead-pub:
+	@mkdir -p target
+	@grep -rHoE --include='*.rs' '[A-Za-z_][A-Za-z0-9_]*' crates src tests examples benchmark/src benchmark/tests \
+		| sort -u | cut -d: -f2 | sort | uniq -u > target/dead-pub.once
+	@grep -rHoE --include='*.rs' '^\s*pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src src \
+		| sed -E 's/:\s*pub fn /:/' | sort -u \
+		| awk -F: 'NR==FNR { once[$$1]; next } $$2 in once { print; dead = 1 } END { exit dead }' target/dead-pub.once -
 
 # Compile-service smoke (DESIGN.md §4g): a real daemon on a real socket
 # under mixed warm/cold load — zero failed requests, store hits

@@ -460,12 +460,6 @@ impl PhaseOrderEnv {
         }
     }
 
-    /// (hits, misses) of the step-transition snapshot memo.
-    pub fn snapshot_stats(&self) -> (u64, u64) {
-        let s = self.snap.stats();
-        (s.hits, s.misses)
-    }
-
     /// The per-function incremental state (fingerprints + feature
     /// decomposition), if incremental evaluation is active. Exposed so
     /// invariant suites (chaos, differential) can assert it stays in
@@ -1247,12 +1241,16 @@ mod tests {
             }
             log
         };
+        let stats = |env: &PhaseOrderEnv| {
+            let s = env.snap.stats();
+            (s.hits, s.misses)
+        };
         let first = run(&mut env);
-        let (h0, m0) = env.snapshot_stats();
+        let (h0, m0) = stats(&env);
         assert_eq!(h0, 0, "first walk has nothing to hit");
         assert_eq!(m0, actions.len() as u64);
         let second = run(&mut env);
-        let (h1, m1) = env.snapshot_stats();
+        let (h1, m1) = stats(&env);
         assert_eq!(h1, actions.len() as u64, "second walk is all hits");
         assert_eq!(m1, m0, "second walk misses nothing");
         assert_eq!(first, second);
@@ -1262,7 +1260,7 @@ mod tests {
             env.step(a);
         }
         env.step(7);
-        let (h2, m2) = env.snapshot_stats();
+        let (h2, m2) = stats(&env);
         assert_eq!(h2, h1 + (actions.len() - 1) as u64);
         assert_eq!(m2, m1 + 1);
     }

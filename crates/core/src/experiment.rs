@@ -165,13 +165,16 @@ fn fig8_configs() -> Vec<(&'static str, EnvConfig)> {
 
 /// Figure 8: episode-reward-mean curves for the three normalization /
 /// filtering configurations, trained on `n_programs` random programs.
+///
+/// The three environments share one [`EvalCache`], so a `(program,
+/// pass-sequence)` state profiled while training one curve is a hit for
+/// the others. Cache entries are configuration-independent — keys are
+/// absolute pass ids and values are raw profiler outputs, while
+/// normalization/filtering happen downstream in the environment — so
+/// sharing changes no curve.
 pub fn fig8(n_programs: usize, iterations: usize, seed: u64) -> Vec<LearningCurve> {
     let programs = program_batch(&GenConfig::default(), seed, n_programs);
-    fig8_on(&programs, iterations, seed)
-}
-
-/// Figure 8 on a caller-provided training set.
-pub fn fig8_on(programs: &[Module], iterations: usize, seed: u64) -> Vec<LearningCurve> {
+    let cache = Arc::new(EvalCache::default());
     let ppo = PpoConfig {
         hidden: vec![256, 256],
         horizon: 96,
@@ -182,44 +185,7 @@ pub fn fig8_on(programs: &[Module], iterations: usize, seed: u64) -> Vec<Learnin
     fig8_configs()
         .into_iter()
         .map(|(label, env_cfg)| {
-            let mut env = PhaseOrderEnv::new(programs.to_vec(), env_cfg);
-            let mut agent = PpoAgent::new(env.observation_dim(), env.num_actions(), &ppo, seed);
-            let rewards = agent.train(&mut env, iterations);
-            let steps: Vec<u64> = (1..=rewards.len() as u64)
-                .map(|i| i * ppo.horizon as u64)
-                .collect();
-            LearningCurve {
-                label,
-                steps,
-                reward_mean: rewards,
-            }
-        })
-        .collect()
-}
-
-/// Like [`fig8_on`], but every curve's environment shares `cache`, so a
-/// `(program, pass-sequence)` state profiled while training one curve is
-/// a cache hit for the others. Cache entries are configuration-independent
-/// — keys are absolute pass ids and values are raw profiler outputs, while
-/// normalization/filtering happen downstream in the environment — so the
-/// curves are bit-identical to the uncached [`fig8_on`].
-pub fn fig8_on_cached(
-    programs: &[Module],
-    iterations: usize,
-    seed: u64,
-    cache: &Arc<EvalCache>,
-) -> Vec<LearningCurve> {
-    let ppo = PpoConfig {
-        hidden: vec![256, 256],
-        horizon: 96,
-        minibatch: 32,
-        max_episode_len: 12,
-        ..PpoConfig::default()
-    };
-    fig8_configs()
-        .into_iter()
-        .map(|(label, env_cfg)| {
-            let mut env = PhaseOrderEnv::with_cache(programs.to_vec(), env_cfg, Arc::clone(cache));
+            let mut env = PhaseOrderEnv::with_cache(programs.clone(), env_cfg, Arc::clone(&cache));
             let mut agent = PpoAgent::new(env.observation_dim(), env.num_actions(), &ppo, seed);
             let rewards = agent.train(&mut env, iterations);
             let steps: Vec<u64> = (1..=rewards.len() as u64)
@@ -283,58 +249,6 @@ pub fn train_generalist(
     let mut env = PhaseOrderEnv::new(programs.to_vec(), env_cfg.clone());
     let mut agent = PpoAgent::new(env.observation_dim(), env.num_actions(), &ppo, seed);
     agent.train(&mut env, iterations);
-    (agent, env_cfg)
-}
-
-/// [`train_generalist`] on the parallel rollout engine: `workers`
-/// environments collect episodes concurrently, all sharing `cache` so a
-/// state profiled by one worker is a hit for every other.
-///
-/// Collection is episode-indexed (see
-/// [`autophase_rl::rollout::collect_episodes_parallel`]), so the trained
-/// agent is bit-identical for any `workers >= 1`. The RNG stream differs
-/// from the serial [`train_generalist`] (episode-indexed vs
-/// horizon-driven collection), so the two functions produce different —
-/// equally valid — agents.
-pub fn train_generalist_parallel(
-    programs: &[Module],
-    norm: FeatureNorm,
-    filtered: bool,
-    iterations: usize,
-    seed: u64,
-    workers: usize,
-    cache: &Arc<EvalCache>,
-) -> (PpoAgent, EnvConfig) {
-    let env_cfg = EnvConfig {
-        observation: ObservationKind::Combined,
-        feature_norm: norm,
-        reward: RewardKind::Log,
-        episode_len: GENERALIZATION_EPISODE_LEN,
-        filtered_features: filtered,
-        filtered_passes: filtered,
-        ..EnvConfig::default()
-    };
-    let ppo = PpoConfig {
-        hidden: vec![256, 256],
-        horizon: 96,
-        minibatch: 32,
-        max_episode_len: GENERALIZATION_EPISODE_LEN,
-        entropy_coef: 0.02,
-        ..PpoConfig::default()
-    };
-    // Same transition budget per iteration as the serial path's horizon.
-    let episodes_per_iter = (ppo.horizon / GENERALIZATION_EPISODE_LEN).max(1);
-    let mut envs: Vec<Box<dyn Environment + Send>> = (0..workers.max(1))
-        .map(|_| {
-            Box::new(PhaseOrderEnv::with_cache(
-                programs.to_vec(),
-                env_cfg.clone(),
-                Arc::clone(cache),
-            )) as Box<dyn Environment + Send>
-        })
-        .collect();
-    let mut agent = PpoAgent::new(envs[0].observation_dim(), envs[0].num_actions(), &ppo, seed);
-    agent.train_parallel(&mut envs, episodes_per_iter, iterations);
     (agent, env_cfg)
 }
 
@@ -546,40 +460,6 @@ mod tests {
             labels,
             vec!["filtered-norm1", "filtered-norm2", "original-norm2"]
         );
-    }
-
-    #[test]
-    fn fig8_cached_matches_uncached() {
-        let programs = program_batch(&GenConfig::default(), 7, 2);
-        let plain = fig8_on(&programs, 2, 7);
-        let cache = Arc::new(EvalCache::default());
-        let cached = fig8_on_cached(&programs, 2, 7, &cache);
-        for (a, b) in plain.iter().zip(&cached) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.steps, b.steps);
-            assert_eq!(a.reward_mean, b.reward_mean);
-        }
-        // Later curves re-visit states the first curve profiled.
-        assert!(cache.hits() > 0, "shared cache saw no hits");
-    }
-
-    #[test]
-    fn train_generalist_parallel_is_worker_count_invariant() {
-        let train = program_batch(&GenConfig::default(), 13, 2);
-        let run = |workers: usize| {
-            let cache = Arc::new(EvalCache::default());
-            let (agent, _) = train_generalist_parallel(
-                &train,
-                FeatureNorm::InstCount,
-                true,
-                1,
-                9,
-                workers,
-                &cache,
-            );
-            agent.policy.parameters()
-        };
-        assert_eq!(run(1), run(2));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Plain-text rendering of tables, bars, curves, and heat maps.
 
 use crate::algorithms::Algorithm;
-use crate::dataset::ImportanceAnalysis;
 use crate::experiment::{Fig7Result, GeneralizationResult, LearningCurve};
 
 /// Render Table 1 (the pass list).
@@ -136,20 +135,6 @@ pub fn heatmap(matrix: &[Vec<f64>], row_label: &str, col_label: &str) -> String 
         }
         out.push('\n');
     }
-    out
-}
-
-/// Render the full §4 analysis.
-pub fn importance_report(a: &ImportanceAnalysis) -> String {
-    let mut out = String::from("Figure 5. Feature importance per pass\n");
-    out.push_str(&heatmap(&a.feature_importance, "pass", "feature"));
-    out.push_str("\nFigure 6. Previously-applied-pass importance per pass\n");
-    out.push_str(&heatmap(&a.history_importance, "pass", "previous pass"));
-    out.push_str("\nMost impactful passes: ");
-    for p in a.impactful_passes(16) {
-        out.push_str(&format!("{} ", autophase_passes::registry::pass_name(p)));
-    }
-    out.push('\n');
     out
 }
 

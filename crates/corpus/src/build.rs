@@ -1,7 +1,6 @@
 //! Parallel deduped corpus construction.
 
-use autophase_ir::fingerprint::{fingerprint_module, fnv1a};
-use autophase_ir::printer::print_module;
+use autophase_ir::fingerprint::fingerprint_module;
 use autophase_ir::Module;
 use autophase_progen::{generate_valid, GenConfig};
 use std::collections::HashSet;
@@ -16,7 +15,7 @@ pub const SEED_STRIDE: u64 = 7919;
 /// Corpus pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct CorpusConfig {
-    /// Generator knobs (pinned in the manifest).
+    /// Generator knobs.
     pub gen: GenConfig,
     /// Base seed; candidate `i` uses `base_seed + i·SEED_STRIDE`.
     pub base_seed: u64,
@@ -38,7 +37,7 @@ impl Default for CorpusConfig {
     }
 }
 
-/// One materialized corpus program plus its manifest identity.
+/// One materialized corpus program plus what regenerates it.
 #[derive(Debug, Clone)]
 pub struct CorpusProgram {
     /// Candidate index (position in the serial generation order).
@@ -49,13 +48,6 @@ pub struct CorpusProgram {
     pub module: Module,
     /// Structural fingerprint ([`fingerprint_module`]) — the dedup key.
     pub fingerprint: u64,
-    /// Total instruction count.
-    pub insts: u64,
-    /// Function count.
-    pub funcs: u64,
-    /// `fnv1a` of the printed module text — catches printer/regeneration
-    /// drift that a structural fingerprint collision could mask.
-    pub checksum: u64,
 }
 
 /// A built corpus: `programs` holds the first [`CorpusConfig::target`]
@@ -68,25 +60,6 @@ pub struct Corpus {
     pub programs: Vec<CorpusProgram>,
     /// Candidates generated before dedup (for the dedup-rate report).
     pub generated: u64,
-}
-
-fn describe(index: u64, seed: u64, module: Module) -> CorpusProgram {
-    let fingerprint = fingerprint_module(&module);
-    let insts: u64 = module
-        .func_ids()
-        .map(|f| module.func(f).num_insts() as u64)
-        .sum();
-    let funcs = module.func_ids().count() as u64;
-    let checksum = fnv1a(print_module(&module).as_bytes());
-    CorpusProgram {
-        index,
-        seed,
-        module,
-        fingerprint,
-        insts,
-        funcs,
-        checksum,
-    }
 }
 
 /// Build a deduped corpus of `cfg.target` distinct verified programs.
@@ -118,7 +91,12 @@ pub fn build_corpus(cfg: &CorpusConfig) -> Corpus {
                     }
                     let seed = cfg.base_seed.wrapping_add(idx.wrapping_mul(SEED_STRIDE));
                     let module = generate_valid(&cfg.gen, seed);
-                    let program = describe(idx, seed, module);
+                    let program = CorpusProgram {
+                        index: idx,
+                        seed,
+                        fingerprint: fingerprint_module(&module),
+                        module,
+                    };
                     sink.lock().unwrap().push(program);
                 });
             }
@@ -164,6 +142,7 @@ pub fn build_corpus(cfg: &CorpusConfig) -> Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autophase_ir::printer::print_module;
 
     fn small_cfg(workers: usize) -> CorpusConfig {
         CorpusConfig {
@@ -190,8 +169,6 @@ mod tests {
                     .base_seed
                     .wrapping_add(p.index.wrapping_mul(SEED_STRIDE))
             );
-            assert!(p.insts > 0);
-            assert!(p.funcs >= 1);
             autophase_ir::verify::verify_module(&p.module).unwrap();
         }
     }
@@ -205,23 +182,11 @@ mod tests {
             assert_eq!(a.index, b.index);
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.fingerprint, b.fingerprint);
-            assert_eq!(a.checksum, b.checksum);
             assert_eq!(
                 print_module(&a.module),
                 print_module(&b.module),
                 "bit-identical programs regardless of worker count"
             );
-        }
-    }
-
-    #[test]
-    fn checksum_is_printed_text_fnv1a() {
-        let corpus = build_corpus(&CorpusConfig {
-            target: 3,
-            ..CorpusConfig::default()
-        });
-        for p in &corpus.programs {
-            assert_eq!(p.checksum, fnv1a(print_module(&p.module).as_bytes()));
         }
     }
 }

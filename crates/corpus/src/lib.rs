@@ -9,14 +9,11 @@
 //! dedup keeps the lowest candidate index per fingerprint, both of which
 //! are worker-schedule-independent.
 //!
-//! The corpus is committed as a **manifest, not IR blobs**: the
-//! [`manifest`] module defines the versioned `CORPUS1` text format
-//! (base seed, generator parameters, and per-program
-//! seed/fingerprint/size/checksum records). Because `progen` is
-//! deterministic in the seed (a property pinned by
-//! `crates/progen/tests/seed_stability.rs`), the manifest alone
-//! regenerates every program bit-identically; the fingerprint and
-//! checksum fields make any drift loud instead of silent.
+//! Nothing is stored: `progen` is deterministic in the seed (a property
+//! pinned by `crates/progen/tests/seed_stability.rs`), so a
+//! [`CorpusConfig`] alone regenerates every program bit-identically,
+//! and each [`CorpusProgram`] carries the seed and candidate index that
+//! rebuild it.
 //!
 //! Telemetry: the pipeline counts `corpus.gen.generated`,
 //! `corpus.gen.duplicate`, and `corpus.gen.kept` so a `--telemetry` bench
@@ -24,9 +21,5 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod manifest;
 
 pub use build::{build_corpus, Corpus, CorpusConfig, CorpusProgram};
-pub use manifest::{
-    parse_manifest, regenerate_entry, write_manifest, Manifest, ManifestEntry, MANIFEST_MAGIC,
-};

@@ -81,11 +81,6 @@ impl Dataset {
     pub fn label(&self, i: usize) -> bool {
         self.ys[i]
     }
-
-    /// Fraction of positive labels.
-    pub fn positive_rate(&self) -> f64 {
-        self.ys.iter().filter(|&&y| y).count() as f64 / self.ys.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +110,6 @@ mod tests {
         assert_eq!(d.num_features(), 2);
         assert_eq!(d.row(1), &[3.0, 4.0]);
         assert!(d.label(0));
-        assert_eq!(d.positive_rate(), 0.5);
         assert!(!d.is_empty());
     }
 }

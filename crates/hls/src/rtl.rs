@@ -39,7 +39,7 @@ pub fn emit_module(m: &Module, cfg: &HlsConfig) -> String {
 }
 
 /// Emit one function as a Verilog module.
-pub fn emit_function(m: &Module, fid: autophase_ir::FuncId, cfg: &HlsConfig) -> String {
+fn emit_function(m: &Module, fid: autophase_ir::FuncId, cfg: &HlsConfig) -> String {
     let f = m.func(fid);
     let sched = schedule_function(f, cfg);
     let mut out = String::new();

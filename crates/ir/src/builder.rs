@@ -53,11 +53,6 @@ impl FunctionBuilder {
         self.current = bb;
     }
 
-    /// The block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Finish and return the function.
     pub fn finish(self) -> Function {
         self.func

@@ -326,15 +326,6 @@ impl Inst {
         matches!(self.op, Opcode::Phi { .. })
     }
 
-    /// True if removing this instruction (when its result is unused) changes
-    /// program behaviour: stores, calls, and terminators have side effects.
-    ///
-    /// Calls are conservatively side-effecting here; interprocedural passes
-    /// refine this with function attributes.
-    pub fn has_side_effects(&self) -> bool {
-        matches!(self.op, Opcode::Store { .. } | Opcode::Call { .. }) || self.is_terminator()
-    }
-
     /// True if the instruction reads memory.
     pub fn reads_memory(&self) -> bool {
         matches!(self.op, Opcode::Load { .. } | Opcode::Call { .. })
@@ -558,7 +549,6 @@ mod tests {
     fn terminator_queries() {
         let ret = Inst::new(Type::Void, Opcode::Ret { value: None });
         assert!(ret.is_terminator());
-        assert!(ret.has_side_effects());
         assert!(ret.successors().is_empty());
 
         let br = Inst::new(
@@ -590,7 +580,6 @@ mod tests {
         let load = Inst::new(Type::I32, Opcode::Load { ptr: Value::Arg(0) });
         assert!(load.reads_memory());
         assert!(!load.writes_memory());
-        assert!(!load.has_side_effects());
 
         let store = Inst::new(
             Type::Void,
@@ -600,7 +589,6 @@ mod tests {
             },
         );
         assert!(store.writes_memory());
-        assert!(store.has_side_effects());
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl Module {
         self.func_by_name("main")
     }
 
-    /// Number of live functions.
-    pub fn num_functions(&self) -> usize {
-        self.functions.iter().filter(|f| f.is_some()).count()
-    }
-
     /// Total live instructions across all functions.
     pub fn num_insts(&self) -> usize {
         self.func_ids().map(|id| self.func(id).num_insts()).sum()
@@ -301,7 +296,6 @@ mod tests {
         let g = m.add_function(Function::new("helper", vec![Type::I32], Type::I32));
         assert_eq!(m.main(), Some(f));
         assert_eq!(m.func_by_name("helper"), Some(g));
-        assert_eq!(m.num_functions(), 2);
     }
 
     #[test]

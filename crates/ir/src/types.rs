@@ -52,11 +52,6 @@ impl Type {
         )
     }
 
-    /// True for `Ptr`.
-    pub fn is_ptr(self) -> bool {
-        matches!(self, Type::Ptr)
-    }
-
     /// True for `Void`.
     pub fn is_void(self) -> bool {
         matches!(self, Type::Void)
@@ -148,7 +143,6 @@ mod tests {
         assert_eq!(Type::I32.bits(), 32);
         assert!(Type::I1.is_int());
         assert!(!Type::Ptr.is_int());
-        assert!(Type::Ptr.is_ptr());
         assert!(Type::Void.is_void());
     }
 

@@ -88,14 +88,6 @@ impl Value {
             _ => false,
         }
     }
-
-    /// The instruction id, if this is an instruction result.
-    pub fn as_inst(self) -> Option<InstId> {
-        match self {
-            Value::Inst(id) => Some(id),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {

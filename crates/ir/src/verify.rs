@@ -5,7 +5,7 @@
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::function::{BlockId, Function, InstId};
+use crate::function::{BlockId, Function};
 use crate::inst::Opcode;
 use crate::module::{FuncId, Module};
 use crate::value::Value;
@@ -35,7 +35,7 @@ impl std::error::Error for VerifyError {}
 ///
 /// Returns the first violation found: dangling function/global references,
 /// call-arity mismatches, or any per-function violation from
-/// [`verify_function`].
+/// `verify_function`.
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     verify_functions(m, m.func_ids())
 }
@@ -130,7 +130,7 @@ pub fn verify_functions(
 /// # Errors
 ///
 /// Returns a human-readable message describing the first violation.
-pub fn verify_function(f: &Function) -> Result<(), String> {
+fn verify_function(f: &Function) -> Result<(), String> {
     // Block-local structure.
     let mut placement: Vec<Option<BlockId>> = vec![None; f.inst_capacity()];
     for bb in f.block_ids() {
@@ -368,24 +368,11 @@ pub fn assert_verified(m: &Module) {
     }
 }
 
-/// Identify the function id a name refers to, for diagnostics.
-pub fn func_named(m: &Module, name: &str) -> Option<FuncId> {
-    m.func_by_name(name)
-}
-
-/// Check a single instruction id is placed exactly once (debug helper).
-pub fn is_placed_once(f: &Function, id: InstId) -> bool {
-    let mut n = 0;
-    for bb in f.block_ids() {
-        n += f.block(bb).insts.iter().filter(|&&i| i == id).count();
-    }
-    n == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::function::InstId;
     use crate::inst::{BinOp, CmpPred, Inst};
     use crate::types::Type;
 

@@ -106,7 +106,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != rows` or `y.len() != cols`.
-    pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
+    fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
         let width = simd::picked();
@@ -128,13 +128,6 @@ impl Matrix {
         let width = simd::picked();
         for (row, &ar) in self.data.chunks_exact_mut(self.cols).zip(a) {
             simd::axpy(row, ar, b, width);
-        }
-    }
-
-    /// Elementwise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 
@@ -207,7 +200,7 @@ mod tests {
     #[test]
     fn map_and_clear() {
         let mut m = Matrix::zeros(2, 2);
-        m.map_inplace(|_| 1.5);
+        m.add_outer(&[1.0, 1.0], &[1.5, 1.5]);
         assert_eq!(m.data(), &[1.5; 4]);
         m.clear();
         assert_eq!(m.norm(), 0.0);

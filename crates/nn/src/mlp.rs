@@ -342,15 +342,6 @@ impl Mlp {
         self.pending = 0;
     }
 
-    /// Discard accumulated gradients without stepping.
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.gw.clear();
-            layer.gb.iter_mut().for_each(|g| *g = 0.0);
-        }
-        self.pending = 0;
-    }
-
     /// Flatten all parameters (used by the evolution-strategies agent).
     pub fn parameters(&self) -> Vec<f64> {
         let mut out = Vec::new();
@@ -738,16 +729,6 @@ mod tests {
     fn step_without_backward_is_noop() {
         let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, 11);
         let before = net.parameters();
-        net.step(1e-2);
-        assert_eq!(before, net.parameters());
-    }
-
-    #[test]
-    fn zero_grad_discards() {
-        let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, 13);
-        let before = net.parameters();
-        net.backward(&[1.0, 1.0], &[1.0]);
-        net.zero_grad();
         net.step(1e-2);
         assert_eq!(before, net.parameters());
     }

@@ -391,11 +391,6 @@ mod v4 {
     }
 
     #[target_feature(enable = "avx")]
-    pub unsafe fn gemv_kt(wt: &[f64], x: &[f64], y: &mut [f64]) {
-        super::gemv_kt_lanes::<4, false>(wt, x, y);
-    }
-
-    #[target_feature(enable = "avx")]
     pub unsafe fn gemm_kt(
         wt: &[f64],
         xs: &[f64],
@@ -430,7 +425,7 @@ mod v4 {
         super::adam_lanes::<4>(w, g, m, v, c);
     }
 
-    pub fn avx_available() -> bool {
+    pub(super) fn avx_available() -> bool {
         use std::sync::OnceLock;
         static AVX: OnceLock<bool> = OnceLock::new();
         *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
@@ -455,16 +450,6 @@ fn add_v4(y: &mut [f64], x: &[f64]) {
         return;
     }
     add_lanes::<4>(y, x)
-}
-
-fn gemv_kt_v4(wt: &[f64], x: &[f64], y: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if v4::avx_available() {
-        // SAFETY: guarded by runtime AVX detection.
-        unsafe { v4::gemv_kt(wt, x, y) };
-        return;
-    }
-    gemv_kt_lanes::<4, false>(wt, x, y)
 }
 
 fn gemm_kt_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
@@ -527,30 +512,17 @@ pub fn add_assign(y: &mut [f64], x: &[f64], width: KernelWidth) {
     }
 }
 
-/// Dense GEMV over a **k-major** (input-major, i.e. transposed) weight
-/// slab: `y[n] = Σ_k x[k] · wt[k·y.len() + n]`.
+/// Dense GEMM over a **k-major** (input-major, i.e. transposed) weight
+/// slab: `batch` rows of `xs` (each `kdim` long) against one slab,
+/// producing `batch` rows of `ys` (each `out` long),
+/// `ys[b][n] = Σ_k xs[b][k] · wt[k·out + n]`.
 ///
 /// Every output element accumulates over `k` in ascending order, making
-/// the result bit-identical to the row-major scalar
-/// [`crate::Matrix::matvec`] for the same weights.
-///
-/// # Panics
-///
-/// Panics if `wt.len() != x.len() * y.len()`.
-pub fn gemv_kt(wt: &[f64], x: &[f64], y: &mut [f64], width: KernelWidth) {
-    assert_eq!(wt.len(), x.len() * y.len(), "gemv_kt shape mismatch");
-    match width {
-        KernelWidth::V4 => gemv_kt_v4(wt, x, y),
-        KernelWidth::V2 => gemv_kt_lanes::<2, false>(wt, x, y),
-        KernelWidth::Scalar => gemv_kt_lanes::<1, false>(wt, x, y),
-    }
-}
-
-/// Batched [`gemv_kt`]: `batch` rows of `xs` (each `kdim` long) against
-/// one k-major slab, producing `batch` rows of `ys` (each `out` long).
-/// Row-blocked so each weight load is shared across batch rows; every
-/// output element's reduction order is exactly [`gemv_kt`]'s, so the
-/// results are bit-identical to `batch` independent GEMV calls.
+/// each row bit-identical to the row-major scalar
+/// [`crate::Matrix::matvec`] for the same weights. Row-blocked so each
+/// weight load is shared across batch rows; batching changes no
+/// element's reduction order, so the results are bit-identical to
+/// `batch` independent single-row calls.
 ///
 /// # Panics
 ///
@@ -688,7 +660,7 @@ mod tests {
             }
             for width in KernelWidth::all() {
                 let mut y = vec![f64::NAN; n];
-                gemv_kt(&wt, &x, &mut y, width);
+                gemm_kt(&wt, &x, &mut y, 1, width);
                 assert_eq!(
                     y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -717,13 +689,15 @@ mod tests {
                 .map(|i| ((i * 7 % 19) as f64 - 9.0) * 0.4)
                 .collect();
             for width in KernelWidth::all() {
-                // Reference: batch independent GEMVs at the same width.
+                // Reference: batch independent single-row calls at the
+                // same width.
                 let mut want = vec![0.0; batch * n];
                 for b in 0..batch {
-                    gemv_kt(
+                    gemm_kt(
                         &wt,
                         &xs[b * k..(b + 1) * k],
                         &mut want[b * n..(b + 1) * n],
+                        1,
                         width,
                     );
                 }

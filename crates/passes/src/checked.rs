@@ -17,11 +17,6 @@
 //!    crashing. The caller observes an unchanged module; the environment
 //!    maps that to "no-op, zero reward".
 //!
-//! [`apply_fixpoint_checked`] additionally bounds iteration count,
-//! reporting [`PassFault::NonConvergence`] for passes that keep claiming
-//! progress past the budget (the failure mode the PR 1 differential suite
-//! caught in `-reassociate` and `-partial-inliner`).
-//!
 //! Every fault increments the `pass_fault_total{<pass>}` and
 //! `rollback_total{<pass>}` telemetry counters.
 //!
@@ -48,9 +43,9 @@ pub struct FuelBudget {
     /// [`registry::GROWTH_LIMIT`] soft limit cannot give (a single apply
     /// can still overshoot it).
     pub max_insts: usize,
-    /// Iteration bound for [`apply_fixpoint_checked`]: a pass still
-    /// reporting changes after this many applications is declared
-    /// non-convergent and rolled back to the pre-fixpoint module.
+    /// Unread: there is no checked fixpoint driver for it to bound. It
+    /// and [`PassFault::NonConvergence`] stay only because tests spell
+    /// the budget as a struct literal (ROADMAP item 1 lists both).
     pub max_fixpoint_iters: u32,
 }
 
@@ -132,7 +127,7 @@ impl fmt::Display for PassFault {
 impl std::error::Error for PassFault {}
 
 /// The kind of fault an injection harness may force into a checked apply.
-/// Only [`apply_checked_with`] consumes these; production code paths
+/// Only [`apply_checked_traced`] consumes these; production code paths
 /// never construct them (the seeded harness in [`crate::fault`] does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -191,15 +186,8 @@ pub fn apply_checked_changeset(
 }
 
 /// [`apply_checked`] with an explicit injected fault (or `None` for the
-/// plain checked path). Callers that poll the injection plan themselves —
-/// the phase-ordering environment does, so injection stays deterministic
-/// even when a memoized transition skips the apply — feed the polled
-/// fault through here.
-///
-/// # Errors
-///
-/// Returns the [`PassFault`] that was isolated (module already restored).
-pub fn apply_checked_with(
+/// plain checked path).
+fn apply_checked_with(
     m: &mut Module,
     id: PassId,
     budget: &FuelBudget,
@@ -208,8 +196,12 @@ pub fn apply_checked_with(
     apply_checked_traced(m, id, budget, injected).map(|(changed, _)| changed)
 }
 
-/// [`apply_checked_with`] that additionally derives the exact
-/// [`ChangeSet`] of the successful apply (empty on `Ok(false)`).
+/// [`apply_checked`] with an explicit injected fault (or `None` for the
+/// plain checked path), additionally deriving the exact [`ChangeSet`] of
+/// the successful apply (empty on `Ok(false)`). Callers that poll the
+/// injection plan themselves — the phase-ordering environment does, so
+/// injection stays deterministic even when a memoized transition skips
+/// the apply — feed the polled fault through here.
 ///
 /// The transaction snapshot doubles as the change tracker's baseline:
 /// because the snapshot shares every function `Arc`, the pass's
@@ -297,43 +289,6 @@ pub fn apply_checked_traced(
             Ok((outcome.unwrap_or(false), changeset))
         }
     }
-}
-
-/// Apply pass `id` to fixpoint (until it reports no change), checked, and
-/// bounded by `budget.max_fixpoint_iters`. Returns whether any iteration
-/// changed the module. On *any* fault — including non-convergence — the
-/// module is rolled back to the state before the **first** iteration.
-///
-/// # Errors
-///
-/// Returns the [`PassFault`] that was isolated (module already restored).
-pub fn apply_fixpoint_checked(
-    m: &mut Module,
-    id: PassId,
-    budget: &FuelBudget,
-) -> Result<bool, PassFault> {
-    let snapshot = m.clone();
-    let mut changed_any = false;
-    for _ in 0..budget.max_fixpoint_iters {
-        match apply_checked(m, id, budget) {
-            Ok(true) => changed_any = true,
-            Ok(false) => return Ok(changed_any),
-            Err(fault) => {
-                // The inner apply rolled back one step; undo the earlier
-                // (successful) iterations too so the caller sees a clean
-                // transaction.
-                *m = snapshot;
-                return Err(fault);
-            }
-        }
-    }
-    let fault = PassFault::NonConvergence {
-        pass: id,
-        iters: budget.max_fixpoint_iters,
-    };
-    *m = snapshot;
-    record_fault(&fault);
-    Err(fault)
 }
 
 /// Count a fault in telemetry. Every fault implies a rollback (the module
@@ -479,31 +434,6 @@ mod tests {
             other => panic!("expected fuel fault, got {other:?}"),
         }
         assert_eq!(print_module(&m), before);
-    }
-
-    #[test]
-    fn fixpoint_bound_reports_non_convergence_and_restores() {
-        let mut m = sample_module();
-        let before = print_module(&m);
-        let budget = FuelBudget {
-            // One iteration cannot *prove* convergence of a changing pass,
-            // so the fixpoint driver must fault and restore.
-            max_fixpoint_iters: 1,
-            ..FuelBudget::default()
-        };
-        let r = apply_fixpoint_checked(&mut m, 38, &budget);
-        assert_eq!(r, Err(PassFault::NonConvergence { pass: 38, iters: 1 }));
-        assert_eq!(print_module(&m), before);
-    }
-
-    #[test]
-    fn fixpoint_converges_on_idempotent_pass() {
-        let mut m = sample_module();
-        let changed = apply_fixpoint_checked(&mut m, 38, &FuelBudget::default()).unwrap();
-        assert!(changed);
-        verify_module(&m).unwrap();
-        // A second fixpoint run finds nothing left to do.
-        assert!(!apply_fixpoint_checked(&mut m, 38, &FuelBudget::default()).unwrap());
     }
 
     #[test]

@@ -106,40 +106,6 @@ fn form_lcssa(m: &mut Module, fid: FuncId) -> bool {
     }
 }
 
-/// True if every loop-defined value used outside its loop flows through an
-/// exit φ (query for tests).
-pub fn is_lcssa(m: &Module, fid: FuncId) -> bool {
-    let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    let index = UserIndex::build(f);
-    for l in &loops {
-        for &bb in &l.blocks {
-            for &iid in &f.block(bb).insts {
-                for &(user, ubb) in index.users(iid) {
-                    if l.contains(ubb) {
-                        continue;
-                    }
-                    let ok = match &f.inst(user).op {
-                        Opcode::Phi { incoming } => {
-                            l.exits.contains(&ubb)
-                                && incoming
-                                    .iter()
-                                    .all(|(p, v)| *v != Value::Inst(iid) || l.contains(*p))
-                        }
-                        _ => false,
-                    };
-                    if !ok {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +113,40 @@ mod tests {
     use autophase_ir::interp::run_function;
     use autophase_ir::verify::assert_verified;
     use autophase_ir::{BinOp, Type};
+
+    /// True if every loop-defined value used outside its loop flows through an
+    /// exit φ.
+    fn is_lcssa(m: &Module, fid: FuncId) -> bool {
+        let f = m.func(fid);
+        let cfg = Cfg::new(f);
+        let dt = DomTree::new(f, &cfg);
+        let loops = find_loops(f, &cfg, &dt);
+        let index = UserIndex::build(f);
+        for l in &loops {
+            for &bb in &l.blocks {
+                for &iid in &f.block(bb).insts {
+                    for &(user, ubb) in index.users(iid) {
+                        if l.contains(ubb) {
+                            continue;
+                        }
+                        let ok = match &f.inst(user).op {
+                            Opcode::Phi { incoming } => {
+                                l.exits.contains(&ubb)
+                                    && incoming
+                                        .iter()
+                                        .all(|(p, v)| *v != Value::Inst(iid) || l.contains(*p))
+                            }
+                            _ => false,
+                        };
+                        if !ok {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        true
+    }
 
     #[test]
     fn external_use_gets_exit_phi() {

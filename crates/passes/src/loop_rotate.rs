@@ -39,7 +39,7 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 /// True if the loop is already bottom-tested (latch exits the loop).
-pub fn is_rotated(l: &Loop, f: &autophase_ir::Function) -> bool {
+fn is_rotated(l: &Loop, f: &autophase_ir::Function) -> bool {
     l.single_latch()
         .map(|latch| f.successors(latch).iter().any(|s| !l.contains(*s)))
         .unwrap_or(false)

@@ -9,7 +9,7 @@
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
 use autophase_ir::loops::{find_loops, Loop};
-use autophase_ir::{BlockId, FuncId, Inst, InstId, Module, Opcode, Type};
+use autophase_ir::{BlockId, Inst, InstId, Module, Opcode, Type};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -153,20 +153,6 @@ fn reroute_through_new_block(
     mid
 }
 
-/// Query used by tests and by `-licm`: true if every loop in the function
-/// is in simplified form.
-pub fn is_simplified(m: &Module, fid: FuncId) -> bool {
-    let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    loops.iter().all(|l| {
-        l.preheader(&cfg).is_some()
-            && l.single_latch().is_some()
-            && non_dedicated_exit(f, &cfg, l).is_none()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +161,20 @@ mod tests {
     use autophase_ir::loops::analyze_loops;
     use autophase_ir::verify::assert_verified;
     use autophase_ir::Opcode;
-    use autophase_ir::{BinOp, CmpPred, Value};
+    use autophase_ir::{BinOp, CmpPred, FuncId, Value};
+
+    /// True if every loop in the function is in simplified form.
+    fn is_simplified(m: &Module, fid: FuncId) -> bool {
+        let f = m.func(fid);
+        let cfg = Cfg::new(f);
+        let dt = DomTree::new(f, &cfg);
+        let loops = find_loops(f, &cfg, &dt);
+        loops.iter().all(|l| {
+            l.preheader(&cfg).is_some()
+                && l.single_latch().is_some()
+                && non_dedicated_exit(f, &cfg, l).is_none()
+        })
+    }
 
     /// A loop whose header is branched to directly from two outside blocks
     /// (no preheader) and with two latches.

@@ -25,8 +25,7 @@ pub fn run(m: &mut Module) -> bool {
     run_with_limits(m, UNROLL_TRIP_LIMIT, UNROLL_SIZE_LIMIT)
 }
 
-/// Run with explicit limits (`-loop-idiom` reuses this for init loops).
-pub fn run_with_limits(m: &mut Module, trip_limit: i64, size_limit: usize) -> bool {
+fn run_with_limits(m: &mut Module, trip_limit: i64, size_limit: usize) -> bool {
     util::for_each_function(m, |m, fid| {
         run_with_limits_filtered(m, fid, trip_limit, size_limit, |_, _| true)
     })

@@ -142,7 +142,7 @@ pub fn run_break_crit_edges(m: &mut Module) -> bool {
 /// Insert a block on the edge `src → dst`, updating φ-nodes in `dst`.
 /// Splits *all* parallel edges from src to dst at once (they carry the same
 /// φ values). Returns the new block.
-pub fn split_edge(f: &mut autophase_ir::Function, src: BlockId, dst: BlockId) -> BlockId {
+fn split_edge(f: &mut autophase_ir::Function, src: BlockId, dst: BlockId) -> BlockId {
     let mid = f.add_block();
     f.append_inst(mid, Inst::new(Type::Void, Opcode::Br { target: dst }));
     if let Some(term) = f.terminator(src) {

@@ -39,10 +39,6 @@ fn promote_function(m: &mut Module, fid: FuncId) -> bool {
 /// `load`/`store` of a matching integer type with the alloca as the
 /// *address* (never as the stored value, a `gep` base, a cast input, or a
 /// call argument).
-pub fn promotable_allocas(f: &Function) -> Vec<InstId> {
-    promotable_with(f, &UserIndex::build(f))
-}
-
 fn promotable_with(f: &Function, index: &UserIndex) -> Vec<InstId> {
     let mut out = Vec::new();
     for bb in f.block_ids() {

@@ -6,7 +6,7 @@
 //! memcpyopt similarly turns copies from constants into direct values.)
 
 use crate::util;
-use autophase_ir::{FuncId, InstId, Module, Opcode, Type, Value};
+use autophase_ir::{FuncId, InstId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -71,38 +71,6 @@ pub(crate) fn fold_const_loads(m: &mut Module, fid: FuncId) -> bool {
     true
 }
 
-/// Loads folded in a module if every function were processed (query used
-/// by tests).
-pub fn foldable_loads(m: &Module) -> usize {
-    let mut n = 0;
-    for fid in m.func_ids() {
-        let f = m.func(fid);
-        for bb in f.block_ids() {
-            for (_, inst) in f.insts_in(bb) {
-                if let Opcode::Load { ptr } = inst.op {
-                    let gid = match ptr {
-                        Value::Global(g) => Some(g),
-                        Value::Inst(p) => match f.inst(p).op {
-                            Opcode::Gep {
-                                ptr: Value::Global(g),
-                                index: Value::ConstInt(..),
-                            } => Some(g),
-                            _ => None,
-                        },
-                        _ => None,
-                    };
-                    if let Some(g) = gid {
-                        if m.global(g).is_const && inst.ty != Type::Ptr {
-                            n += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,7 +78,7 @@ mod tests {
     use autophase_ir::interp::run_main;
     use autophase_ir::module::Global;
     use autophase_ir::verify::assert_verified;
-    use autophase_ir::BinOp;
+    use autophase_ir::{BinOp, Type};
 
     #[test]
     fn const_table_load_folded() {

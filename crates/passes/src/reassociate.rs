@@ -187,17 +187,6 @@ fn rebuild_chain(
     true
 }
 
-/// Helper shared with tests: depth of the expression tree rooted at `v`.
-pub fn expr_depth(f: &autophase_ir::Function, v: Value) -> usize {
-    match v {
-        Value::Inst(id) if f.inst_exists(id) => match f.inst(id).op {
-            Opcode::Binary(_, a, b) => 1 + expr_depth(f, a).max(expr_depth(f, b)),
-            _ => 1,
-        },
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +194,17 @@ mod tests {
     use autophase_ir::interp::run_function;
     use autophase_ir::verify::assert_verified;
     use autophase_ir::Type;
+
+    /// Depth of the expression tree rooted at `v`.
+    fn expr_depth(f: &autophase_ir::Function, v: Value) -> usize {
+        match v {
+            Value::Inst(id) if f.inst_exists(id) => match f.inst(id).op {
+                Opcode::Binary(_, a, b) => 1 + expr_depth(f, a).max(expr_depth(f, b)),
+                _ => 1,
+            },
+            _ => 0,
+        }
+    }
 
     fn module_with(f: autophase_ir::Function) -> Module {
         let mut m = Module::new("t");

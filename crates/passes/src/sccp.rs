@@ -54,7 +54,7 @@ impl Solution {
     /// Blocks of `f` the solver proved unreachable (folded away when the
     /// solution is applied).
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn unreachable_blocks(&self, f: &Function) -> usize {
+    pub(crate) fn unreachable_blocks(&self, f: &Function) -> usize {
         f.block_ids()
             .filter(|bb| !self.executable[bb.index()])
             .count()

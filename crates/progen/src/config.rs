@@ -57,92 +57,6 @@ impl GenConfig {
             filter_fuel: 8_000_000,
         }
     }
-
-    /// Serialize as space-separated `key=value` pairs (the corpus
-    /// manifest's generator-parameters line). Every field participates:
-    /// a manifest pins the full generator configuration, so regeneration
-    /// cannot silently drift when a knob changes.
-    pub fn to_kv(&self) -> String {
-        format!(
-            "max_helpers={} max_stmts={} max_loop_depth={} max_trip={} \
-             max_expr_depth={} num_locals={} max_array={} filter_fuel={}",
-            self.max_helpers,
-            self.max_stmts,
-            self.max_loop_depth,
-            self.max_trip,
-            self.max_expr_depth,
-            self.num_locals,
-            self.max_array,
-            self.filter_fuel,
-        )
-    }
-
-    /// Parse the [`to_kv`](GenConfig::to_kv) form. Unknown keys are
-    /// rejected (a newer manifest must not be silently reinterpreted by
-    /// an older generator) and every field must be present.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the malformed pair, unknown key, or missing field.
-    pub fn from_kv(s: &str) -> Result<GenConfig, String> {
-        let mut cfg = GenConfig::default();
-        let mut seen = [false; 8];
-        for pair in s.split_whitespace() {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("malformed pair {pair:?}"))?;
-            let idx = match key {
-                "max_helpers" => {
-                    cfg.max_helpers = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    0
-                }
-                "max_stmts" => {
-                    cfg.max_stmts = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    1
-                }
-                "max_loop_depth" => {
-                    cfg.max_loop_depth = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    2
-                }
-                "max_trip" => {
-                    cfg.max_trip = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    3
-                }
-                "max_expr_depth" => {
-                    cfg.max_expr_depth = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    4
-                }
-                "num_locals" => {
-                    cfg.num_locals = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    5
-                }
-                "max_array" => {
-                    cfg.max_array = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    6
-                }
-                "filter_fuel" => {
-                    cfg.filter_fuel = value.parse().map_err(|e| format!("{key}: {e}"))?;
-                    7
-                }
-                _ => return Err(format!("unknown generator parameter {key:?}")),
-            };
-            seen[idx] = true;
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            const NAMES: [&str; 8] = [
-                "max_helpers",
-                "max_stmts",
-                "max_loop_depth",
-                "max_trip",
-                "max_expr_depth",
-                "num_locals",
-                "max_array",
-                "filter_fuel",
-            ];
-            return Err(format!("missing generator parameter {}", NAMES[missing]));
-        }
-        Ok(cfg)
-    }
 }
 
 #[cfg(test)]
@@ -155,28 +69,5 @@ mod tests {
         assert!(c.max_trip >= 4);
         assert!(c.max_loop_depth >= 1);
         assert!(GenConfig::large().max_stmts > c.max_stmts);
-    }
-
-    #[test]
-    fn kv_round_trips() {
-        for cfg in [GenConfig::default(), GenConfig::large()] {
-            let kv = cfg.to_kv();
-            assert_eq!(GenConfig::from_kv(&kv).unwrap(), cfg);
-        }
-    }
-
-    #[test]
-    fn kv_rejects_unknown_missing_and_malformed() {
-        let ok = GenConfig::default().to_kv();
-        assert!(GenConfig::from_kv(&format!("{ok} bogus=1"))
-            .unwrap_err()
-            .contains("unknown"));
-        assert!(GenConfig::from_kv("max_helpers=2")
-            .unwrap_err()
-            .contains("missing"));
-        assert!(GenConfig::from_kv("max_helpers")
-            .unwrap_err()
-            .contains("malformed"));
-        assert!(GenConfig::from_kv(&ok.replace("max_trip=24", "max_trip=x")).is_err());
     }
 }

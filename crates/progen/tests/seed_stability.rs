@@ -1,6 +1,6 @@
-//! Seed stability: the corpus manifest's load-bearing property.
+//! Seed stability: the corpus pipeline's load-bearing property.
 //!
-//! A `CORPUS1` manifest stores only `(generator params, seed)` per
+//! A corpus is never stored, only its `(generator params, seed)` per
 //! program — regeneration is sound iff `generate` is a pure function of
 //! those inputs. These tests pin that: same seed + params ⇒ bit-identical
 //! program (printed text), fingerprint, and validity-filter outcome,

@@ -1,7 +1,8 @@
 //! Versioned binary checkpoints for trained agents.
 //!
-//! The serving daemon starts from a checkpoint written here; experiments
-//! use the same format to resume training. The vendored serde is a
+//! The serving daemon starts from a checkpoint written here, and the
+//! online learner warm-starts from one
+//! (`OnlineTrainer::from_checkpoint`). The vendored serde is a
 //! marker-trait stub, so the format is hand-rolled:
 //!
 //! ```text
@@ -15,7 +16,6 @@
 //! Saves go through a temp-file-plus-rename so a crash mid-write never
 //! leaves a half-written checkpoint at the target path.
 
-use crate::a2c::A2cAgent;
 use crate::ppo::PpoAgent;
 use autophase_nn::mlp::Mlp;
 use autophase_telemetry::faultfs;
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8] = b"APCK";
 const VERSION: u32 = 1;
 
-/// Which algorithm produced the checkpoint (restores must match).
+/// Which algorithm produced the checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
     /// Proximal Policy Optimization.
@@ -94,64 +94,6 @@ impl PolicyCheckpoint {
             policy: agent.policy.clone(),
             value: agent.value.clone(),
         }
-    }
-
-    /// Snapshot an A2C agent's networks.
-    pub fn from_a2c(agent: &A2cAgent) -> PolicyCheckpoint {
-        PolicyCheckpoint {
-            algo: Algo::A2c,
-            policy: agent.policy.clone(),
-            value: agent.value.clone(),
-        }
-    }
-
-    /// Restore the networks into a PPO agent.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the checkpoint is not a PPO checkpoint or the network
-    /// shapes do not match the agent's.
-    pub fn restore_ppo(&self, agent: &mut PpoAgent) -> Result<(), CheckpointError> {
-        if self.algo != Algo::Ppo {
-            return Err(CheckpointError("not a PPO checkpoint".into()));
-        }
-        check_shape("policy", &self.policy, &agent.policy)?;
-        check_shape("value", &self.value, &agent.value)?;
-        agent.policy = self.policy.clone();
-        agent.value = self.value.clone();
-        Ok(())
-    }
-
-    /// Restore the networks into an A2C agent.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the checkpoint is not an A2C checkpoint or the network
-    /// shapes do not match the agent's.
-    pub fn restore_a2c(&self, agent: &mut A2cAgent) -> Result<(), CheckpointError> {
-        if self.algo != Algo::A2c {
-            return Err(CheckpointError("not an A2C checkpoint".into()));
-        }
-        check_shape("policy", &self.policy, &agent.policy)?;
-        check_shape("value", &self.value, &agent.value)?;
-        agent.policy = self.policy.clone();
-        agent.value = self.value.clone();
-        Ok(())
-    }
-
-    /// Transpose the policy network into the structure-of-arrays layout
-    /// the batched SIMD kernels consume (see `autophase_nn::SoaMlp`).
-    /// Serving loads a checkpoint once and runs every forward through
-    /// this mirror; the transpose is lossless, so decisions stay
-    /// bit-identical to [`Mlp::forward`] on the checkpointed weights.
-    pub fn soa_policy(&self) -> autophase_nn::SoaMlp {
-        autophase_nn::SoaMlp::from_mlp(&self.policy)
-    }
-
-    /// Transpose the value network into the SoA kernel layout
-    /// (see [`PolicyCheckpoint::soa_policy`]).
-    pub fn soa_value(&self) -> autophase_nn::SoaMlp {
-        autophase_nn::SoaMlp::from_mlp(&self.value)
     }
 
     /// Serialize to the versioned binary format.
@@ -268,19 +210,6 @@ pub enum ArmoredLoad {
     Unreadable(CheckpointError),
 }
 
-fn check_shape(which: &str, from: &Mlp, to: &Mlp) -> Result<(), CheckpointError> {
-    if from.input_dim() != to.input_dim() || from.output_dim() != to.output_dim() {
-        return Err(CheckpointError(format!(
-            "{which} shape mismatch: checkpoint {}x{}, agent {}x{}",
-            from.input_dim(),
-            from.output_dim(),
-            to.input_dim(),
-            to.output_dim()
-        )));
-    }
-    Ok(())
-}
-
 fn split_u32(bytes: &[u8]) -> Result<(u32, &[u8]), CheckpointError> {
     if bytes.len() < 4 {
         return Err(CheckpointError("truncated".into()));
@@ -303,7 +232,7 @@ fn split_blob(bytes: &[u8]) -> Result<(&[u8], &[u8]), CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::a2c::A2cConfig;
+    use crate::a2c::{A2cAgent, A2cConfig};
     use crate::env::{Environment, StepResult};
     use crate::ppo::PpoConfig;
 
@@ -345,15 +274,6 @@ mod tests {
         assert_eq!(back.algo, Algo::Ppo);
         assert_eq!(bits(&back.policy), bits(&agent.policy));
         assert_eq!(bits(&back.value), bits(&agent.value));
-
-        let mut fresh = PpoAgent::new(1, 2, &cfg, 999);
-        back.restore_ppo(&mut fresh).unwrap();
-        assert_eq!(bits(&fresh.policy), bits(&agent.policy));
-        let obs = vec![0.0];
-        assert_eq!(
-            fresh.action_probabilities(&obs),
-            agent.action_probabilities(&obs)
-        );
     }
 
     #[test]
@@ -364,27 +284,15 @@ mod tests {
         };
         let mut agent = A2cAgent::new(1, 2, &cfg, 3);
         agent.train(&mut Bandit, 5);
-        let ckpt = PolicyCheckpoint::from_a2c(&agent);
+        let ckpt = PolicyCheckpoint {
+            algo: Algo::A2c,
+            policy: agent.policy.clone(),
+            value: agent.value.clone(),
+        };
         let back = PolicyCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
         assert_eq!(back.algo, Algo::A2c);
         assert_eq!(bits(&back.policy), bits(&agent.policy));
         assert_eq!(bits(&back.value), bits(&agent.value));
-    }
-
-    #[test]
-    fn algo_mismatch_rejected() {
-        let ppo = PpoAgent::new(1, 2, &PpoConfig::default(), 1);
-        let ckpt = PolicyCheckpoint::from_ppo(&ppo);
-        let mut a2c = A2cAgent::new(1, 2, &A2cConfig::default(), 1);
-        assert!(ckpt.restore_a2c(&mut a2c).is_err());
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let small = PpoAgent::new(1, 2, &PpoConfig::default(), 1);
-        let ckpt = PolicyCheckpoint::from_ppo(&small);
-        let mut big = PpoAgent::new(3, 5, &PpoConfig::default(), 1);
-        assert!(ckpt.restore_ppo(&mut big).is_err());
     }
 
     #[test]
@@ -435,38 +343,6 @@ mod tests {
         assert!(!path.exists(), "corrupt file moved out of the boot path");
         assert!(quarantined.exists(), "corrupt file preserved for forensics");
         let _ = std::fs::remove_file(&quarantined);
-    }
-
-    #[test]
-    fn soa_mirrors_match_checkpointed_networks_bitwise() {
-        let mut agent = PpoAgent::new(1, 2, &PpoConfig::default(), 17);
-        agent.train(&mut Bandit, 2);
-        let ckpt = PolicyCheckpoint::from_ppo(&agent);
-        let back = PolicyCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        let psoa = back.soa_policy();
-        let vsoa = back.soa_value();
-        let mut pws = autophase_nn::BatchWorkspace::new();
-        let mut vws = autophase_nn::BatchWorkspace::new();
-        for salt in 0..4u64 {
-            let obs = vec![(salt as f64) * 0.37 - 1.0];
-            let want: Vec<u64> = agent
-                .policy
-                .forward(&obs)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let got: Vec<u64> = psoa
-                .forward_one(&obs, &mut pws)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(got, want, "policy SoA mirror diverged");
-            assert_eq!(
-                vsoa.forward_one(&obs, &mut vws)[0].to_bits(),
-                agent.value.forward(&obs)[0].to_bits(),
-                "value SoA mirror diverged"
-            );
-        }
     }
 
     #[test]

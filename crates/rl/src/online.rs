@@ -55,7 +55,7 @@ impl Experience {
     /// module, paid once — positive when the ordering helped. Not the
     /// environment's `RewardKind::Log`, which pays `sign(Δ)·ln(1+|Δ|)` of
     /// the cycle *difference* at every step.
-    pub fn terminal_reward(&self) -> f64 {
+    fn terminal_reward(&self) -> f64 {
         (self.baseline_cycles.max(1) as f64 / self.cycles.max(1) as f64).ln()
     }
 }
@@ -184,11 +184,6 @@ impl OnlineTrainer {
         self.pending.len() >= self.min_batch
     }
 
-    /// Transitions accumulated but not yet consumed by an update.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Run one armored incremental update if [`ready`](Self::ready);
     /// returns what happened. See the module docs for the
     /// snapshot/rollback contract.
@@ -312,7 +307,7 @@ mod tests {
         assert!(!report.rejected);
         assert_eq!(report.transitions, 3 * l.episode_len());
         assert_eq!(t.updates(), 1);
-        assert_eq!(t.pending_len(), 0);
+        assert_eq!(t.pending.len(), 0);
         assert!(t
             .checkpoint()
             .policy
@@ -340,7 +335,7 @@ mod tests {
             baseline_cycles: 1,
         });
         assert_eq!(t.skipped(), 2);
-        assert_eq!(t.pending_len(), 0);
+        assert_eq!(t.pending.len(), 0);
     }
 
     #[test]

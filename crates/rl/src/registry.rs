@@ -87,15 +87,6 @@ pub struct ModelRegistry {
     recovered: bool,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Serialize a version history (plus optional active version) into the
 /// `APREGISTRY1` manifest bytes, checksum line included. Public so the
 /// property tests can round-trip arbitrary histories without a
@@ -113,7 +104,7 @@ pub fn encode_manifest(versions: &[VersionInfo], active: Option<u64>) -> Vec<u8>
     if let Some(a) = active {
         body.push_str(&format!("active={a}\n"));
     }
-    let sum = fnv1a(body.as_bytes());
+    let sum = faultfs::fnv1a(body.as_bytes());
     body.push_str(&format!("checksum={sum:016x}\n"));
     body.into_bytes()
 }
@@ -155,7 +146,7 @@ pub fn parse_manifest(bytes: &[u8]) -> Result<(Vec<VersionInfo>, Option<u64>), R
     )
     .map_err(|_| RegistryError("manifest checksum malformed".into()))?;
     let body = &text[..body_end];
-    if fnv1a(body.as_bytes()) != want {
+    if faultfs::fnv1a(body.as_bytes()) != want {
         return Err(RegistryError("manifest checksum mismatch".into()));
     }
 
@@ -224,7 +215,7 @@ impl ModelRegistry {
     pub fn open(dir: &Path) -> Result<ModelRegistry, RegistryError> {
         std::fs::create_dir_all(dir)?;
         let manifest = dir.join(MANIFEST);
-        let bytes = match std::fs::read(&manifest) {
+        let bytes = match faultfs::read(&manifest, "registry.manifest") {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Ok(ModelRegistry {
@@ -318,16 +309,14 @@ impl ModelRegistry {
         let version = self.latest().map_or(1, |v| v + 1);
         let file = format!("v{version}.ckpt");
         ckpt.save(&self.dir.join(&file))?;
-        self.versions.push(VersionInfo {
-            version,
-            file,
-            samples,
-            updates,
-        });
-        if let Err(e) = self.write_manifest() {
-            self.versions.pop();
-            return Err(e);
-        }
+        self.commit(|reg| {
+            reg.versions.push(VersionInfo {
+                version,
+                file,
+                samples,
+                updates,
+            })
+        })?;
         telemetry::incr("rl.registry", "publish", 1);
         Ok(version)
     }
@@ -342,11 +331,7 @@ impl ModelRegistry {
         if !self.versions.iter().any(|v| v.version == version) {
             return Err(RegistryError(format!("unknown version {version}")));
         }
-        let prev = self.active.replace(version);
-        if let Err(e) = self.write_manifest() {
-            self.active = prev;
-            return Err(e);
-        }
+        self.commit(|reg| reg.active = Some(version))?;
         telemetry::incr("rl.registry", "activate", 1);
         Ok(())
     }
@@ -401,14 +386,7 @@ impl ModelRegistry {
             .cloned()
             .enumerate()
             .partition(|(i, v)| *i < cut && Some(v.version) != self.active);
-        let prev = std::mem::replace(
-            &mut self.versions,
-            kept.into_iter().map(|(_, v)| v).collect(),
-        );
-        if let Err(e) = self.write_manifest() {
-            self.versions = prev;
-            return Err(e);
-        }
+        self.commit(|reg| reg.versions = kept.into_iter().map(|(_, v)| v).collect())?;
         for (_, v) in pruned {
             let _ = std::fs::remove_file(self.dir.join(&v.file));
         }
@@ -423,6 +401,15 @@ impl ModelRegistry {
         // Best-effort: the in-memory drop is the authoritative state and
         // a failed rewrite will be retried by the next mutation.
         let _ = self.write_manifest();
+    }
+
+    /// Apply `mutate` and write the manifest; a failed write puts the
+    /// previous history and active version back.
+    fn commit(&mut self, mutate: impl FnOnce(&mut ModelRegistry)) -> Result<(), RegistryError> {
+        let before = (self.versions.clone(), self.active);
+        mutate(self);
+        self.write_manifest()
+            .inspect_err(|_| (self.versions, self.active) = before)
     }
 
     fn write_manifest(&self) -> Result<(), RegistryError> {

@@ -279,7 +279,7 @@ pub struct SupervisedBatch {
 /// (busy / batch wall) in `rollout.worker_util{w<i>}` gauges, and each
 /// respawn increments the `worker_respawn_total` counter.
 #[allow(clippy::too_many_arguments)]
-pub fn collect_episodes_supervised(
+fn collect_episodes_supervised(
     envs: &mut [Box<dyn Environment + Send>],
     policy: &Mlp,
     value: &Mlp,

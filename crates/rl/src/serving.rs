@@ -123,7 +123,7 @@ impl ObsLayout {
     /// # Errors
     ///
     /// [`LayoutError`] naming both shapes when they disagree.
-    pub fn check_value(&self, net: &Mlp) -> Result<(), LayoutError> {
+    fn check_value(&self, net: &Mlp) -> Result<(), LayoutError> {
         if net.input_dim() != self.obs_dim() || net.output_dim() != 1 {
             return Err(LayoutError(format!(
                 "value net is {}x{}, serving layout needs {}x1",

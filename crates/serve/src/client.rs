@@ -62,7 +62,7 @@ impl ClientError {
     /// daemon may be restarting) and load-shedding refusals
     /// (`overloaded`, `deadline`). Semantic refusals (`parse`,
     /// `bad_request`) never become retryable by waiting.
-    pub fn is_retryable(&self) -> bool {
+    fn is_retryable(&self) -> bool {
         match self {
             ClientError::Io(_) => true,
             ClientError::Server { kind, .. } => {
@@ -265,7 +265,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport failures or a typed refusal.
-    pub fn stats_raw(&mut self) -> Result<String, ClientError> {
+    fn stats_raw(&mut self) -> Result<String, ClientError> {
         match self.roundtrip(&Request::Stats)? {
             Reply::Stats { body } => Ok(body),
             Reply::Err {
@@ -370,7 +370,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport failures or a typed refusal.
-    pub fn models_raw(&mut self) -> Result<String, ClientError> {
+    fn models_raw(&mut self) -> Result<String, ClientError> {
         match self.roundtrip(&Request::Model)? {
             Reply::Models { body } => Ok(body),
             Reply::Err {
@@ -419,26 +419,6 @@ impl Client {
             _ => Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "unexpected reply to promote",
-            ))),
-        }
-    }
-
-    /// Ask the daemon to shut down cleanly.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or a typed refusal.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Shutdown)? {
-            Reply::Ack => Ok(()),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unexpected reply to shutdown",
             ))),
         }
     }

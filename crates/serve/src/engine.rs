@@ -336,8 +336,7 @@ impl InferenceEngine {
     }
 
     /// Install `policy` as the A/B challenger (slot B): requests
-    /// hash-split between it and the active policy until
-    /// [`clear_ab`](InferenceEngine::clear_ab) or a full
+    /// hash-split between it and the active policy until a full
     /// [`swap_policy`](InferenceEngine::swap_policy).
     ///
     /// # Errors
@@ -374,21 +373,6 @@ impl InferenceEngine {
             1,
         );
         Ok(())
-    }
-
-    /// Drop the A/B challenger (if any); all traffic routes to the
-    /// active policy again.
-    pub fn clear_ab(&self) {
-        let Some(policies) = &self.policies else {
-            return;
-        };
-        let mut set = lock_recover(policies);
-        if set.b.is_some() {
-            *set = Arc::new(ActiveSet {
-                a: Arc::clone(&set.a),
-                b: None,
-            });
-        }
     }
 
     /// The versions currently serving: `(active, challenger)`. `None`
@@ -718,11 +702,12 @@ mod tests {
         assert_eq!((va, vb), (0, 7));
         assert_eq!(logits_a, a.forward(&obs));
         assert_eq!(logits_b, b.forward(&obs));
-        // Clearing the challenger routes everything (even B) back to A.
-        engine.clear_ab();
-        assert_eq!(engine.active_versions(), Some((0, None)));
+        // A full swap drops the challenger: everything (even B) routes
+        // to the one active policy.
+        engine.swap_policy(a.clone(), 9).unwrap();
+        assert_eq!(engine.active_versions(), Some((9, None)));
         let (logits, v) = engine.infer_routed(obs.clone(), Route::B).unwrap();
-        assert_eq!((logits, v), (a.forward(&obs), 0));
+        assert_eq!((logits, v), (a.forward(&obs), 9));
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl Learner {
         self.channel.cv.notify_one();
     }
 
-    /// Experiences waiting in the queue.
-    pub fn queue_len(&self) -> usize {
-        lock_recover(&self.channel.queue).len()
-    }
-
     /// Stop the learner thread: it finishes draining what is already
     /// queued, then exits. Idempotent.
     pub fn stop(&self) {

@@ -29,6 +29,10 @@
 //! count u64 LE | fnv1a-64(all preceding bytes) u64 LE
 //! ```
 //!
+//! The record frame is [`faultfs::push_frame`]'s, written and checked
+//! there; this module owns the payload and what a bad frame means for
+//! each file.
+//!
 //! Reopen loads the snapshot, replays the tail over it, and is O(live
 //! entries + tail records) — compaction keeps the tail bounded, so
 //! restart cost no longer grows with the store's full history.
@@ -65,15 +69,6 @@ const SNAP_MAGIC: &[u8; 8] = b"APSNAPS2";
 const SNAP_SENTINEL: u32 = u32::MAX;
 /// Cap on passes per record — same plausibility guard the codecs use.
 const MAX_SEQ_LEN: usize = 4096;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Best-known answer for one program fingerprint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,8 +113,8 @@ impl Default for CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// A policy that never compacts automatically (benchmarks use this
-    /// to measure what unbounded history costs).
+    /// A policy that never compacts automatically (tests use this to
+    /// pin what unbounded history costs).
     pub fn never() -> CompactionPolicy {
         CompactionPolicy {
             min_tail_bytes: u64::MAX,
@@ -180,10 +175,8 @@ fn encode_record(fp: u64, entry: &BestEntry) -> Vec<u8> {
     for &p in &entry.seq {
         payload.extend_from_slice(&p.to_le_bytes());
     }
-    let mut rec = Vec::with_capacity(12 + payload.len());
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    rec.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    let mut rec = Vec::new();
+    faultfs::push_frame(&mut rec, &payload);
     rec
 }
 
@@ -217,42 +210,20 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, BestEntry)> {
 /// was hit (everything from there on is dropped).
 fn replay_records(bytes: &[u8], index: &mut HashMap<u64, BestEntry>) -> (Vec<u64>, usize, bool) {
     let mut fps = Vec::new();
-    let mut offset = 0;
-    let mut dropped = false;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.is_empty() {
+    let mut rest = bytes;
+    // A bad frame or payload ends the scan: we cannot reframe past a
+    // bad length, so everything from there on is one dropped tail.
+    while let Some((payload, after)) = faultfs::split_frame(rest) {
+        let Some((fp, entry)) = decode_payload(payload) else {
             break;
+        };
+        if index.get(&fp).is_none_or(|cur| entry.cycles < cur.cycles) {
+            index.insert(fp, entry);
         }
-        let parsed = rest
-            .get(0..4)
-            .map(|l| u32::from_le_bytes(l.try_into().unwrap()) as usize)
-            .and_then(|len| {
-                let payload = rest.get(4..4 + len)?;
-                let sum = rest.get(4 + len..12 + len)?;
-                if fnv1a(payload) != u64::from_le_bytes(sum.try_into().unwrap()) {
-                    return None;
-                }
-                decode_payload(payload).map(|d| (d, 12 + len))
-            });
-        match parsed {
-            Some(((fp, entry), consumed)) => {
-                let better = index.get(&fp).is_none_or(|cur| entry.cycles < cur.cycles);
-                if better {
-                    index.insert(fp, entry);
-                }
-                fps.push(fp);
-                offset += consumed;
-            }
-            None => {
-                // Torn or corrupt from here on — we cannot reframe past
-                // a bad length, so it is all one dropped tail.
-                dropped = true;
-                break;
-            }
-        }
+        fps.push(fp);
+        rest = after;
     }
-    (fps, offset, dropped)
+    (fps, bytes.len() - rest.len(), !rest.is_empty())
 }
 
 fn snap_path(path: &Path) -> PathBuf {
@@ -270,36 +241,27 @@ fn snap_quarantine_path(path: &Path) -> PathBuf {
 /// Parse a complete snapshot file; `None` on any framing, checksum,
 /// count, or trailing-bytes violation.
 fn parse_snapshot(bytes: &[u8]) -> Option<(u64, HashMap<u64, BestEntry>)> {
-    let body = bytes.strip_prefix(SNAP_MAGIC)?;
-    let generation = u64::from_le_bytes(body.get(0..8)?.try_into().ok()?);
+    let (generation, mut rest) = bytes.strip_prefix(SNAP_MAGIC)?.split_first_chunk::<8>()?;
     let mut entries = HashMap::new();
-    let mut off = 8;
     loop {
-        let rest = body.get(off..)?;
-        let len_raw = u32::from_le_bytes(rest.get(0..4)?.try_into().ok()?);
-        if len_raw == SNAP_SENTINEL {
-            let count = u64::from_le_bytes(rest.get(4..12)?.try_into().ok()?);
-            let sum = u64::from_le_bytes(rest.get(12..20)?.try_into().ok()?);
-            if rest.len() != 20 || count != entries.len() as u64 {
+        if let Some(trailer) = rest.strip_prefix(&SNAP_SENTINEL.to_le_bytes()) {
+            // Exactly `count | checksum`, nothing after; the checksum
+            // covers every byte before itself.
+            let (count, sum) = trailer.split_first_chunk::<8>()?;
+            let sum = <[u8; 8]>::try_from(sum).ok()?;
+            if u64::from_le_bytes(*count) != entries.len() as u64
+                || u64::from_le_bytes(sum) != faultfs::fnv1a(&bytes[..bytes.len() - 8])
+            {
                 return None;
             }
-            // The trailer checksum covers every byte before itself.
-            if fnv1a(&bytes[..bytes.len() - 8]) != sum {
-                return None;
-            }
-            return Some((generation, entries));
+            return Some((u64::from_le_bytes(*generation), entries));
         }
-        let len = len_raw as usize;
-        let payload = rest.get(4..4 + len)?;
-        let sum = rest.get(4 + len..12 + len)?;
-        if fnv1a(payload) != u64::from_le_bytes(sum.try_into().ok()?) {
-            return None;
-        }
+        let (payload, after) = faultfs::split_frame(rest)?;
         let (fp, entry) = decode_payload(payload)?;
         if entries.insert(fp, entry).is_some() {
             return None; // duplicate fingerprint: not a writer artifact
         }
-        off += 12 + len;
+        rest = after;
     }
 }
 
@@ -321,7 +283,7 @@ fn write_snapshot(
     }
     body.extend_from_slice(&SNAP_SENTINEL.to_le_bytes());
     body.extend_from_slice(&(index.len() as u64).to_le_bytes());
-    let sum = fnv1a(&body);
+    let sum = faultfs::fnv1a(&body);
     body.extend_from_slice(&sum.to_le_bytes());
 
     faultfs::atomic_write(&snap_path(path), &body, "store.snapshot")?;
@@ -392,7 +354,7 @@ impl BestStore {
                     // is atomic, so no crash leaves a half snapshot at
                     // the published path. Quarantine it and serve from
                     // the tail alone.
-                    let _ = std::fs::rename(&sp, snap_quarantine_path(path));
+                    let _ = faultfs::rename(&sp, &snap_quarantine_path(path), "store.snapshot");
                     snapshot_quarantined = true;
                     autophase_telemetry::incr("serve.store", "snapshot_quarantined", 1);
                 }

@@ -204,6 +204,54 @@ fn snapshot_sync_failure_never_fails_an_acknowledged_append() {
     wipe(&path);
 }
 
+/// Quarantining a bit-flipped snapshot is itself a disk operation and
+/// can fail. The open must still succeed and serve the tail; the
+/// corrupt file stays where it is, and the next clean open moves it
+/// aside.
+#[test]
+fn failed_snapshot_quarantine_still_opens_and_the_next_open_quarantines() {
+    let _guard = test_guard();
+    clear_plan();
+    let path = tmp("quarantine_rename");
+    wipe(&path);
+    let snap = PathBuf::from(format!("{}.snap", path.display()));
+    let corrupt = PathBuf::from(format!("{}.snap.corrupt", path.display()));
+    {
+        let mut s = BestStore::open_with(&path, CompactionPolicy::never()).unwrap();
+        s.record(1, entry(100, 3)).unwrap();
+        s.record(2, entry(200, 5)).unwrap();
+        s.compact().unwrap();
+        s.record(3, entry(300, 2)).unwrap();
+    }
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&snap, &bytes).unwrap();
+
+    let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+        op: DiskOp::Rename,
+        tag: Some("store.snapshot".to_string()),
+        nth: 1,
+        kind: DiskFaultKind::SyncFail,
+        salt: 0,
+    }]));
+    let s = BestStore::open_with(&path, CompactionPolicy::never())
+        .expect("a failed quarantine must not fail the open");
+    assert_eq!(plan.fired(), 1, "the quarantine rename is reachable");
+    clear_plan();
+    assert!(s.stats().snapshot_quarantined);
+    assert_eq!(s.len(), 1, "the snapshot's entries are not trusted");
+    assert_eq!(s.lookup(3), Some(&entry(300, 2)), "the tail still serves");
+    assert!(snap.exists() && !corrupt.exists(), "nothing moved");
+    drop(s);
+
+    let s = BestStore::open_with(&path, CompactionPolicy::never()).unwrap();
+    assert!(s.stats().snapshot_quarantined);
+    assert!(!snap.exists() && corrupt.exists(), "moved aside, kept");
+    assert_eq!(s.lookup(3), Some(&entry(300, 2)));
+    wipe(&path);
+}
+
 /// Seeded fault storms across every store call site: whatever mix of
 /// torn writes, ENOSPC, sync failures, and short reads a seed deals,
 /// the store never panics and a post-storm reopen serves exactly the

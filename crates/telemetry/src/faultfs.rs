@@ -21,6 +21,12 @@
 //! logical stream of I/O without disturbing the others. Whole-file
 //! replacement (snapshots, the registry manifest, checkpoints) goes
 //! through one sequence, [`atomic_write`].
+//!
+//! The durable files' bytes are stated here too, once: their checksum
+//! ([`fnv1a`]) and the record frame ([`push_frame`] / [`split_frame`])
+//! the store's tail log and snapshot are made of. What a bad frame
+//! *means* — truncate the tail, fail the snapshot closed — stays with
+//! the file that owns the policy.
 
 use std::fs::File;
 use std::io::{self, Write as _};
@@ -31,7 +37,8 @@ use std::path::Path;
 pub enum DiskOp {
     /// A buffered or direct write of bytes ([`write_all`]).
     Write,
-    /// A durability barrier ([`sync_data`] / [`sync_all`]).
+    /// A durability barrier ([`sync_data`], and the `sync_all` inside
+    /// [`atomic_write`]).
     Sync,
     /// A whole-file read ([`read`]).
     Read,
@@ -82,7 +89,7 @@ pub fn sync_data(file: &File, tag: &'static str) -> io::Result<()> {
 }
 
 /// `File::sync_all` through the fault layer.
-pub fn sync_all(file: &File, tag: &'static str) -> io::Result<()> {
+fn sync_all(file: &File, tag: &'static str) -> io::Result<()> {
     match poll(DiskOp::Sync, tag) {
         None => file.sync_all(),
         Some((DiskFaultKind::Enospc, _)) => Err(io::Error::from_raw_os_error(28)),
@@ -162,6 +169,39 @@ pub fn atomic_write(path: &Path, bytes: &[u8], tag: &'static str) -> io::Result<
 /// server degrades through rather than merely counting.
 pub fn is_disk_full(e: &io::Error) -> bool {
     e.raw_os_error() == Some(28) || matches!(e.kind(), io::ErrorKind::StorageFull)
+}
+
+/// FNV-1a 64, the checksum of the durable files: store records, the
+/// snapshot trailer, the registry manifest's `checksum=` line.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Append one record frame to `out`:
+/// `len u32 LE | payload | fnv1a(payload) u64 LE`.
+///
+/// # Panics
+///
+/// If `payload` is longer than a `u32` can say.
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let len = u32::try_from(payload.len()).expect("frame payload fits a u32 length");
+    out.reserve(12 + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+}
+
+/// Split the frame at the front of `bytes` into its payload and the
+/// bytes after it. `None` when there is no whole, intact frame there: a
+/// short header, a length reaching past the buffer, or a checksum that
+/// does not match — a torn and a bit-flipped frame look the same.
+pub fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let (payload, rest) = rest.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+    let (sum, rest) = rest.split_first_chunk::<8>()?;
+    (fnv1a(payload) == u64::from_le_bytes(*sum)).then_some((payload, rest))
 }
 
 #[cfg(not(any(test, feature = "fault-injection")))]
@@ -407,6 +447,62 @@ mod tests {
         assert_eq!(read(&path, "t.read").unwrap(), b"0123456789");
         clear_plan();
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every frame `split_frame` yields from the front of `bytes`, and
+    /// how many bytes they took.
+    fn walk(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
+        let (mut payloads, mut rest) = (Vec::new(), bytes);
+        while let Some((payload, after)) = split_frame(rest) {
+            payloads.push(payload);
+            rest = after;
+        }
+        (payloads, bytes.len() - rest.len())
+    }
+
+    /// The frame's damage matrix, once for every file built of frames:
+    /// cut the buffer at every byte and flip every bit (inside the
+    /// 64 KiB payload, every bit of every 251st byte — each of those
+    /// flips costs a 64 KiB hash). Only written payloads come back, in
+    /// order, and the walk always stops on a frame boundary.
+    #[test]
+    fn damaged_frames_yield_only_the_intact_prefix() {
+        let big: Vec<u8> = (0..64 * 1024u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        let written: [&[u8]; 4] = [b"", b"\x7f", &big, b"end"];
+        let mut buf = Vec::new();
+        let mut ends = vec![0];
+        for payload in written {
+            push_frame(&mut buf, payload);
+            ends.push(buf.len());
+        }
+        assert_eq!(walk(&buf), (written.to_vec(), buf.len()));
+        // Frames wholly before `at`: what damage at `at` must leave.
+        let intact = |at: usize| ends[1..].iter().filter(|&&e| e <= at).count();
+
+        for cut in 0..buf.len() {
+            let n = intact(cut);
+            assert_eq!(walk(&buf[..cut]), (written[..n].to_vec(), ends[n]), "{cut}");
+        }
+
+        let big_payload = ends[2] + 4..ends[3] - 8;
+        let mut flipped = buf.clone();
+        for at in (0..buf.len()).filter(|at| !big_payload.contains(at) || at % 251 == 0) {
+            let n = intact(at);
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                assert_eq!(walk(&flipped), (written[..n].to_vec(), ends[n]), "{at}");
+                flipped[at] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn absurd_frame_length_is_none_not_an_allocation() {
+        let mut bytes = u32::MAX.to_le_bytes().to_vec();
+        assert_eq!(split_frame(&bytes), None);
+        bytes.extend_from_slice(&[0; 64]);
+        assert_eq!(split_frame(&bytes), None);
+        assert_eq!(split_frame(&[]), None);
     }
 
     #[test]

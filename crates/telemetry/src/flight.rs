@@ -165,7 +165,7 @@ impl RequestTrace {
 
     /// One JSON object, no trailing newline:
     /// `{"type":"trace","id":…,"stages":[["parse",1234],…],…}`.
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(128);
         let _ = write!(
             out,
@@ -297,11 +297,6 @@ impl FlightRecorder {
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.cfg.capacity
-    }
-
-    /// Dump artifacts written so far.
-    pub fn dumps_written(&self) -> usize {
-        self.dumps_written.load(Ordering::Relaxed)
     }
 
     /// Record a completed trace into the ring and fire any dump trigger
@@ -579,7 +574,7 @@ mod tests {
         t.set_outcome("ok:policy");
         let (_, p3) = rec.complete(t.finish());
         assert!(p3.is_none(), "max_dumps not enforced");
-        assert_eq!(rec.dumps_written(), 2);
+        assert_eq!(rec.dumps_written.load(Ordering::Relaxed), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -630,6 +625,6 @@ mod tests {
         t.set_outcome("ok:policy");
         let (_, path) = rec.complete(t.finish());
         assert!(path.is_none());
-        assert_eq!(rec.dumps_written(), 0);
+        assert_eq!(rec.dumps_written.load(Ordering::Relaxed), 0);
     }
 }

@@ -237,7 +237,7 @@ impl Histogram {
     /// The answer is clamped to the observed `[min, max]`, so it is
     /// always a value that was actually reachable; an empty histogram
     /// answers 0.
-    pub fn quantile_interp(&self, q: f64) -> f64 {
+    fn quantile_interp(&self, q: f64) -> f64 {
         let total = self.count();
         if total == 0 {
             return 0.0;

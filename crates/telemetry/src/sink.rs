@@ -86,7 +86,7 @@ pub fn render_summary() -> String {
 /// histograms) are omitted — e.g. the pass registry eagerly registers all
 /// 46 passes, but a run that only touched a dozen should print a dozen
 /// rows. The JSONL sink keeps everything.
-pub fn render_summary_from(snap: &Snapshot) -> String {
+fn render_summary_from(snap: &Snapshot) -> String {
     let mut out = String::from("== telemetry summary ==\n");
     let counters: Vec<_> = snap.counters.iter().filter(|c| c.value > 0).collect();
     let histograms: Vec<_> = snap.histograms.iter().filter(|h| h.count > 0).collect();
@@ -147,7 +147,7 @@ pub fn render_jsonl() -> String {
 
 /// JSONL from an explicit snapshot (span events still come from the
 /// global log).
-pub fn render_jsonl_from(snap: &Snapshot) -> String {
+fn render_jsonl_from(snap: &Snapshot) -> String {
     let mut out = String::new();
     for e in span::span_events() {
         let _ = writeln!(
