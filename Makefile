@@ -132,6 +132,8 @@ pass-golden:
 # training kernels to the weights the per-sample backward and scalar
 # Adam produced, cached ≡ uncached ≡ parallel rollouts keep the
 # env's memos and the shared EvalCache invisible in optimized code too,
+# the env's trajectory golden holds every observation, reward, cycle
+# count and sample count to the file the two-memo env wrote,
 # and the three walkers of the one step (SIMD/incremental engine, scalar
 # from-scratch reference, the trainer's env) agree at zero tolerance —
 # a codegen property, so it is checked where the codegen differs.
@@ -142,6 +144,7 @@ perf-smoke:
 	$(CARGO) test -q --release -p autophase-passes --test scaling
 	$(CARGO) test -q --release --test train_update_golden
 	$(CARGO) test -q --release --test parallel_determinism
+	$(CARGO) test -q --release -p autophase-core --test env_trajectory_golden
 	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
 
 # SIMD feature matrix (DESIGN.md §4k): the nn crate must build, test,
