@@ -130,10 +130,10 @@ pass-golden:
 # across every Table-1 pass, the scaling guard keeps the pass kernels
 # linear in block size, the trajectory golden holds the batched
 # training kernels to the weights the per-sample backward and scalar
-# Adam produced, cached ≡ uncached ≡ parallel rollouts keep the
-# env's memos and the shared EvalCache invisible in optimized code too,
-# the env's trajectory golden holds every observation, reward, cycle
-# count and sample count to the file the two-memo env wrote,
+# Adam produced, private ≡ shared ≡ parallel rollouts keep the env's
+# memos and the EvalCache invisible in optimized code too, the env's
+# trajectory golden holds every observation, reward, cycle count and
+# sample count to the file the two-memo env wrote,
 # and the three walkers of the one step (SIMD/incremental engine, scalar
 # from-scratch reference, the trainer's env) agree at zero tolerance —
 # a codegen property, so it is checked where the codegen differs.

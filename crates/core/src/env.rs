@@ -1,15 +1,21 @@
 //! The phase-ordering RL environment (§5.1).
+//!
+//! The reward is the profiler's cycle delta, so every step that changed
+//! the module asks one question — what did the profiler say about this
+//! module? — in one place, [`PhaseOrderEnv::cycles`]: one lookup in the
+//! environment's [`EvalCache`] by the module's content fingerprint, one
+//! profile on a miss, one sample charged.
 
-use crate::eval_cache::{fingerprint_module, CacheEntry, CacheKey, EvalCache, SeqHash};
+use crate::eval_cache::{EvalCache, DEFAULT_CAPACITY};
 use crate::incremental::{
-    profile_memo, snapshot_memo, IncrementalEval, ProfileMemo, SnapEntry, SnapKey, SnapshotMemo,
-    DEFAULT_PROFILE_MEMO_CAPACITY, DEFAULT_SNAPSHOT_MEMO_CAPACITY,
+    snapshot_memo, IncrementalEval, SnapEntry, SnapKey, SnapshotMemo,
+    DEFAULT_SNAPSHOT_MEMO_CAPACITY,
 };
 use crate::quarantine::Quarantine;
 use crate::step::Step;
-use autophase_features::{extract, FeatureSet, FeatureVector};
+use autophase_features::FeatureSet;
 use autophase_hls::{
-    profile::{profile_module, profile_module_cached, HlsReport},
+    profile::{profile_module, profile_module_cached},
     HlsConfig, ScheduleCache,
 };
 use autophase_ir::Module;
@@ -116,14 +122,6 @@ pub struct EnvConfig {
     /// back and scored as a no-op (zero reward) instead of crashing the
     /// training run.
     pub fuel: FuelBudget,
-    /// Function-granular incremental evaluation: maintain per-function
-    /// fingerprints and feature decompositions under each pass's change
-    /// set, reuse FSM schedules for untouched functions, and memoize
-    /// whole-module profiles by content fingerprint. Results are
-    /// bit-identical to the from-scratch path (the differential suites
-    /// enforce this); only the amount of work per step changes. On by
-    /// default; turn off to reproduce the full-recompute baseline.
-    pub incremental: bool,
 }
 
 impl Default for EnvConfig {
@@ -140,10 +138,14 @@ impl Default for EnvConfig {
             objective: Objective::Cycles,
             hls: HlsConfig::default(),
             fuel: FuelBudget::default(),
-            incremental: true,
         }
     }
 }
+
+/// Objective value reported for a state the profiler could not execute:
+/// above any real cycle count, and a quarter of `u64::MAX` so a caller
+/// can add a few without overflow.
+pub const UNPROFILEABLE_CYCLES: u64 = u64::MAX / 4;
 
 /// The phase-ordering environment over one or more programs.
 ///
@@ -164,24 +166,20 @@ pub struct PhaseOrderEnv {
     /// Number of cycle-profiler invocations ("samples" in Figure 7).
     samples: u64,
     episode_done: bool,
-    /// Shared memoization cache; `None` keeps the uncached seed path.
-    cache: Option<Arc<EvalCache>>,
+    /// The profile memo: private until [`PhaseOrderEnv::set_cache`] swaps
+    /// in a shared one.
+    cache: Arc<EvalCache>,
     /// Shared repeat-offender table; `None` disables masking.
     quarantine: Option<Arc<Quarantine>>,
-    /// Fingerprints of the pristine programs (filled when a cache is set).
-    program_fps: Vec<u64>,
-    /// Fingerprint of the episode's pristine program.
+    /// Fingerprint of the episode's pristine program (the quarantine's
+    /// key).
     current_fp: u64,
-    /// Rolling hash of the passes applied this episode that reported a
-    /// change (the cache key's sequence component).
-    seq_hash: SeqHash,
     /// Changing passes applied this episode, all reflected in `current`:
     /// the snapshot memo's key prefix.
     applied: Vec<u16>,
     /// Incremental fingerprint/feature state, always synced with
-    /// `current`. `None` until the first reset of an incremental episode
-    /// (or always, with `cfg.incremental` off).
-    inc: Option<IncrementalEval>,
+    /// `current`.
+    inc: IncrementalEval,
     /// Lazily built pristine [`IncrementalEval`] per program, cloned into
     /// `inc` at reset so episode starts cost O(#functions) copies instead
     /// of a full re-extraction.
@@ -189,8 +187,6 @@ pub struct PhaseOrderEnv {
     /// Per-function schedule/area cache, keyed by content fingerprint.
     /// Persistent across episodes and programs (one env = one HlsConfig).
     sched: ScheduleCache,
-    /// Whole-module profile memo keyed by module content fingerprint.
-    memo: ProfileMemo,
     /// Step-transition snapshots keyed by `(program index, exact
     /// changing-pass sequence)`. A hit replaces pass execution with a
     /// copy-on-write restore of the recorded result.
@@ -198,15 +194,11 @@ pub struct PhaseOrderEnv {
     /// Index in `programs` of the episode's program (unlike
     /// `program_cursor`, which already points at the *next* episode's).
     episode_program: usize,
-    /// Whether `applied` is an exact changing-pass sequence from the
-    /// episode's pristine program — false until the first reset, and
-    /// after a mid-episode cache attach rebases the sequence bookkeeping
-    /// onto a non-pristine state. Snapshot keys are only sound when true.
-    snap_keys_valid: bool,
 }
 
 impl PhaseOrderEnv {
-    /// Create an environment over a set of programs.
+    /// Create an environment over a set of programs, standing at the
+    /// first one's pristine state.
     ///
     /// # Panics
     ///
@@ -215,8 +207,11 @@ impl PhaseOrderEnv {
         assert!(!programs.is_empty(), "need at least one program");
         let current = programs[0].clone();
         let step = Step::new(&cfg);
+        let inc = IncrementalEval::new(&current);
+        let mut inc_templates = vec![None; programs.len()];
+        inc_templates[0] = Some(inc.clone());
         PhaseOrderEnv {
-            inc_templates: vec![None; programs.len()],
+            inc_templates,
             action_histogram: vec![0.0; step.num_actions()],
             programs,
             cfg,
@@ -227,18 +222,15 @@ impl PhaseOrderEnv {
             prev_cycles: 0,
             samples: 0,
             episode_done: false,
-            cache: None,
+            // One owner, so one shard: nothing contends for it.
+            cache: Arc::new(EvalCache::with_shards(DEFAULT_CAPACITY, 1)),
             quarantine: None,
-            program_fps: Vec::new(),
-            current_fp: 0,
-            seq_hash: SeqHash::new(),
+            current_fp: inc.module_fp(),
             applied: Vec::new(),
-            inc: None,
+            inc,
             sched: ScheduleCache::default(),
-            memo: profile_memo(DEFAULT_PROFILE_MEMO_CAPACITY),
             snap: snapshot_memo(DEFAULT_SNAPSHOT_MEMO_CAPACITY),
             episode_program: 0,
-            snap_keys_valid: false,
         }
     }
 
@@ -258,14 +250,15 @@ impl PhaseOrderEnv {
         env
     }
 
-    /// Attach a shared evaluation cache. Every profiler query from now on
-    /// is keyed by `(program fingerprint, applied-pass hash)` and answered
-    /// from the cache when possible; only real profiler runs count toward
-    /// [`PhaseOrderEnv::samples`]. Results are bit-identical to the
-    /// uncached path — the cache only changes how often the profiler runs.
+    /// Ask `cache` instead of the private profile memo from now on. A
+    /// module any sharer has profiled — by whatever pass sequence, on
+    /// whatever worker — is a hit for all of them, so for a sharer
+    /// [`PhaseOrderEnv::samples`] counts the profiler runs *it* made, not
+    /// the distinct states it visited. Results are bit-identical with any
+    /// cache: it only changes how often the profiler runs. All sharers
+    /// must profile under one `HlsConfig`.
     pub fn set_cache(&mut self, cache: Arc<EvalCache>) {
-        self.init_fingerprints();
-        self.cache = Some(cache);
+        self.cache = cache;
     }
 
     /// Attach a shared [`Quarantine`] table. Faulted pass applications are
@@ -277,7 +270,6 @@ impl PhaseOrderEnv {
     /// *more* over time — runs that must be bit-identical across worker
     /// counts should not attach one.
     pub fn set_quarantine(&mut self, quarantine: Arc<Quarantine>) {
-        self.init_fingerprints();
         self.quarantine = Some(quarantine);
     }
 
@@ -286,21 +278,6 @@ impl PhaseOrderEnv {
         match &self.quarantine {
             Some(q) => q.masked_passes(self.current_fp),
             None => Vec::new(),
-        }
-    }
-
-    /// Fill the program fingerprints on the first cache/quarantine attach.
-    fn init_fingerprints(&mut self) {
-        if self.program_fps.is_empty() {
-            self.program_fps = self.programs.iter().map(fingerprint_module).collect();
-            // The episode may already be underway (mid-episode attach):
-            // fingerprint the live module state so keys stay exact. The
-            // rebased `applied` no longer starts at a pristine program,
-            // so snapshot keys are invalid until the next reset.
-            self.current_fp = fingerprint_module(&self.current);
-            self.seq_hash = SeqHash::new();
-            self.applied.clear();
-            self.snap_keys_valid = false;
         }
     }
 
@@ -313,71 +290,38 @@ impl PhaseOrderEnv {
     /// Objective value (cycles / area / weighted) of the current module
     /// state. For the default configuration this is the cycle count.
     ///
-    /// With a cache attached, a hit answers without running the profiler
-    /// (and without charging a sample); only misses profile. Failed
-    /// profiles are never cached.
+    /// A module the cache has seen answers without running the profiler
+    /// (and without charging a sample); a miss profiles, reusing the
+    /// schedules of untouched functions. A failed profile reads
+    /// [`UNPROFILEABLE_CYCLES`] and is never cached.
     pub fn cycles(&mut self) -> u64 {
-        let key = CacheKey {
-            program: self.current_fp,
-            seq: self.seq_hash.value(),
-        };
-        if let Some(e) = self.cache.as_deref().and_then(|c| c.get(&key)) {
-            return self.objective_of(e.cycles, e.area.total(), e.insts_executed);
-        }
-        let Some(report) = self.profile_current() else {
-            return u64::MAX / 4;
-        };
-        if let Some(cache) = self.cache.as_deref() {
-            // With incremental state the entry is assembled from the
-            // already-maintained fingerprint and feature total — no module
-            // re-walk; otherwise fall back to the full extraction.
-            let entry = match &self.inc {
-                Some(inc) => CacheEntry::from_parts(inc.module_fp(), inc.features(), &report),
-                None => CacheEntry::from_report(&self.current, &report),
-            };
-            cache.insert(key, entry);
-        }
-        self.objective_of(report.cycles, report.area.total(), report.insts_executed)
-    }
-
-    /// Profile `current`, through the incremental machinery when enabled:
-    /// a content-fingerprint memo hit returns a past report without
-    /// running the profiler (and without charging a sample — the memo has
-    /// [`EvalCache`] sampling semantics); a miss profiles with
-    /// per-function schedule reuse. `None` when execution failed (never
-    /// memoized).
-    fn profile_current(&mut self) -> Option<Arc<HlsReport>> {
-        if let Some(inc) = &self.inc {
-            let fp = inc.module_fp();
-            if let Some(report) = self.memo.lookup(&fp) {
-                return Some(Arc::clone(report));
+        let fp = self.inc.module_fp();
+        let report = match self.cache.get(fp) {
+            Some(report) => report,
+            None => {
+                self.samples += 1;
+                let inc = &self.inc;
+                let Ok(report) =
+                    profile_module_cached(&self.current, &self.cfg.hls, &mut self.sched, |f| {
+                        inc.func_fp(f).expect("live function has a fingerprint")
+                    })
+                else {
+                    return UNPROFILEABLE_CYCLES;
+                };
+                let report = Arc::new(report);
+                self.cache.insert(fp, Arc::clone(&report));
+                report
             }
-            self.samples += 1;
-            let report =
-                profile_module_cached(&self.current, &self.cfg.hls, &mut self.sched, |f| {
-                    inc.func_fp(f).expect("live function has a fingerprint")
-                })
-                .ok()?;
-            let report = Arc::new(report);
-            self.memo.insert(fp, Arc::clone(&report));
-            return Some(report);
-        }
-        self.samples += 1;
-        profile_module(&self.current, &self.cfg.hls)
-            .ok()
-            .map(Arc::new)
-    }
-
-    /// The configured objective of one profiled state.
-    fn objective_of(&self, cycles: u64, area_total: u64, insts_executed: u64) -> u64 {
+        };
         match self.cfg.objective {
-            Objective::Cycles => cycles,
-            Objective::Area => area_total,
+            Objective::Cycles => report.cycles,
+            Objective::Area => report.area.total(),
             Objective::Weighted {
                 cycle_weight,
                 area_weight,
-            } => (cycle_weight * cycles as f64 + area_weight * area_total as f64).max(0.0) as u64,
-            Objective::DynamicInsts => insts_executed,
+            } => (cycle_weight * report.cycles as f64 + area_weight * report.area.total() as f64)
+                .max(0.0) as u64,
+            Objective::DynamicInsts => report.insts_executed,
         }
     }
 
@@ -397,17 +341,12 @@ impl PhaseOrderEnv {
         &self.current
     }
 
-    /// The snapshot-memo key for applying `pass_id` to the current state —
-    /// the episode's changing-pass sequence so far, plus the new pass — or
-    /// `None` where transitions are not memoized: full-recompute mode, and
-    /// between a mid-episode attach and the next reset.
-    fn snap_key(&self, pass_id: usize) -> Option<SnapKey> {
-        if !self.snap_keys_valid || self.inc.is_none() {
-            return None;
-        }
+    /// The snapshot-memo key for applying `pass_id` to the current state:
+    /// the episode's changing-pass sequence so far, plus the new pass.
+    fn snap_key(&self, pass_id: usize) -> SnapKey {
         let mut seq = self.applied.clone();
         seq.push(pass_id as u16);
-        Some((self.episode_program, seq))
+        (self.episode_program, seq)
     }
 
     /// Serve a step's apply from the snapshot memo if this exact
@@ -418,7 +357,7 @@ impl PhaseOrderEnv {
         let entry = Arc::clone(self.snap.lookup(key)?);
         if let Some((module, eval)) = entry.state_clone() {
             self.current = module;
-            self.inc = Some(eval);
+            self.inc = eval;
         }
         Some(entry.changed())
     }
@@ -439,16 +378,15 @@ impl PhaseOrderEnv {
             .apply(&mut self.current, action, &self.cfg.fuel, injected)
         {
             Ok((changed, cs)) => {
-                // Fold a changing apply into the incremental state (none
-                // in full-recompute mode). Never reached for a faulted
-                // one: the rollback restores the exact pre-pass module,
-                // which `inc` already describes.
-                if let (true, Some(inc)) = (changed, &mut self.inc) {
-                    inc.apply(&self.current, &cs);
+                // Fold a changing apply into the incremental state. Never
+                // reached for a faulted one: the rollback restores the
+                // exact pre-pass module, which `inc` already describes.
+                if changed {
+                    self.inc.apply(&self.current, &cs);
                 }
-                if let (Some(key), Some(inc)) = (key, &self.inc) {
+                if let Some(key) = key {
                     let entry = if changed {
-                        SnapEntry::change(self.current.clone(), inc.clone())
+                        SnapEntry::change(self.current.clone(), self.inc.clone())
                     } else {
                         SnapEntry::noop()
                     };
@@ -461,20 +399,19 @@ impl PhaseOrderEnv {
     }
 
     /// The per-function incremental state (fingerprints + feature
-    /// decomposition), if incremental evaluation is active. Exposed so
-    /// invariant suites (chaos, differential) can assert it stays in
-    /// lock-step with the module through faults and rollbacks.
+    /// decomposition) — always `Some`. Exposed so invariant suites (chaos,
+    /// differential) can assert it stays in lock-step with the module
+    /// through faults and rollbacks.
     pub fn incremental_state(&self) -> Option<&IncrementalEval> {
-        self.inc.as_ref()
+        Some(&self.inc)
     }
 
     /// The observation of the current state, by the shared recipe. The
     /// incremental total is maintained to equal `extract(&self.current)`
     /// at all times, so serving it replaces a full module walk with a copy.
     fn observe(&self) -> Vec<f64> {
-        let synced = self.inc.as_ref().map(IncrementalEval::features);
         self.step
-            .observe(&self.current, synced, &self.action_histogram)
+            .observe(&self.current, self.inc.features(), &self.action_histogram)
     }
 
     fn reward(&self, prev: u64, cur: u64) -> f64 {
@@ -502,25 +439,16 @@ impl Environment for PhaseOrderEnv {
         // Leave any per-episode fault-injection context behind.
         #[cfg(any(test, feature = "fault-injection"))]
         autophase_passes::fault::set_episode(None);
+        let idx = self.program_cursor;
         // A COW clone: O(#functions) refcount bumps, not a deep copy.
-        self.current = self.programs[self.program_cursor].clone();
-        self.episode_program = self.program_cursor;
-        if self.cfg.incremental {
-            let idx = self.program_cursor;
-            if self.inc_templates[idx].is_none() {
-                // First episode on this program: pay one full extraction,
-                // then every later reset clones the finished decomposition.
-                self.inc_templates[idx] = Some(IncrementalEval::new(&self.programs[idx]));
-            }
-            self.inc = self.inc_templates[idx].clone();
-        }
-        // The episode starts pristine, so `applied` (cleared below) is an
-        // exact changing-pass sequence again.
-        self.snap_keys_valid = true;
-        if !self.program_fps.is_empty() {
-            self.current_fp = self.program_fps[self.program_cursor];
-        }
-        self.seq_hash = SeqHash::new();
+        self.current = self.programs[idx].clone();
+        self.episode_program = idx;
+        // First episode on this program: pay one full extraction, then
+        // every later reset clones the finished decomposition.
+        self.inc = self.inc_templates[idx]
+            .get_or_insert_with(|| IncrementalEval::new(&self.programs[idx]))
+            .clone();
+        self.current_fp = self.inc.module_fp();
         self.applied.clear();
         self.program_cursor = (self.program_cursor + 1) % self.programs.len();
         self.steps_taken = 0;
@@ -584,10 +512,7 @@ impl Environment for PhaseOrderEnv {
             // to module state, so the snapshot memo is bypassed in both
             // directions (no key): a hit would skip the planned fault, a
             // write would poison fault-free runs.
-            let key = match injected {
-                None => self.snap_key(pass_id),
-                Some(_) => None,
-            };
+            let key = injected.is_none().then(|| self.snap_key(pass_id));
             match key.as_ref().and_then(|k| self.snapshot_lookup(k)) {
                 // Previously walked transition: the pass did not run — the
                 // recorded result was restored instead.
@@ -605,8 +530,7 @@ impl Environment for PhaseOrderEnv {
         }
         if changed {
             // Only changing passes enter the key: every no-op-padded
-            // variant of one effective sequence shares a cache entry.
-            self.seq_hash.push(pass_id);
+            // variant of one effective sequence shares a snapshot.
             self.applied.push(pass_id as u16);
         }
         self.action_histogram[action] += 1.0;
@@ -652,84 +576,15 @@ pub fn apply_and_profile(program: &Module, seq: &[usize], hls: &HlsConfig) -> (M
     registry::apply_sequence(&mut m, seq);
     let cycles = profile_module(&m, hls)
         .map(|r| r.cycles)
-        .unwrap_or(u64::MAX / 4);
+        .unwrap_or(UNPROFILEABLE_CYCLES);
     (m, cycles)
-}
-
-/// One full-sequence evaluation: the features and cycle count the caller
-/// needs whether or not the module itself was materialized.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeqEval {
-    /// Table-2 features of the optimized module.
-    pub features: FeatureVector,
-    /// Cycle count of the optimized module (`u64::MAX / 4` when the
-    /// profile failed).
-    pub cycles: u64,
-    /// Whether the evaluation was answered from the cache (no compile,
-    /// no profile).
-    pub cache_hit: bool,
-}
-
-/// [`apply_and_profile`] with memoization: keyed on the *raw* pass
-/// sequence, so a hit skips pass application, profiling, and feature
-/// extraction entirely. `program_fp` is the pristine program's
-/// [`fingerprint_module`] (compute it once per program, not per call).
-/// Failed profiles are evaluated but never cached.
-pub fn evaluate_sequence_cached(
-    program: &Module,
-    program_fp: u64,
-    seq: &[usize],
-    hls: &HlsConfig,
-    cache: &EvalCache,
-) -> SeqEval {
-    let key = CacheKey {
-        program: program_fp,
-        seq: SeqHash::of(seq),
-    };
-    if let Some(entry) = cache.get(&key) {
-        return SeqEval {
-            features: entry.features,
-            cycles: entry.cycles,
-            cache_hit: true,
-        };
-    }
-    let mut m = program.clone();
-    registry::apply_sequence(&mut m, seq);
-    match profile_module(&m, hls) {
-        Ok(report) => {
-            let entry = CacheEntry::from_report(&m, &report);
-            let eval = SeqEval {
-                features: entry.features,
-                cycles: entry.cycles,
-                cache_hit: false,
-            };
-            cache.insert(key, entry);
-            eval
-        }
-        Err(_) => SeqEval {
-            features: extract(&m),
-            cycles: u64::MAX / 4,
-            cache_hit: false,
-        },
-    }
-}
-
-/// [`sequence_cycles`] with memoization (see [`evaluate_sequence_cached`]).
-pub fn sequence_cycles_cached(
-    program: &Module,
-    program_fp: u64,
-    seq: &[usize],
-    hls: &HlsConfig,
-    cache: &EvalCache,
-) -> u64 {
-    evaluate_sequence_cached(program, program_fp, seq, hls, cache).cycles
 }
 
 /// Cycle count of the unoptimized (`-O0`) program.
 pub fn o0_cycles(program: &Module, hls: &HlsConfig) -> u64 {
     profile_module(program, hls)
         .map(|r| r.cycles)
-        .unwrap_or(u64::MAX / 4)
+        .unwrap_or(UNPROFILEABLE_CYCLES)
 }
 
 /// Cycle count after the reference `-O3` pipeline.
@@ -738,14 +593,14 @@ pub fn o3_cycles(program: &Module, hls: &HlsConfig) -> u64 {
     autophase_passes::o3::o3(&mut m);
     profile_module(&m, hls)
         .map(|r| r.cycles)
-        .unwrap_or(u64::MAX / 4)
+        .unwrap_or(UNPROFILEABLE_CYCLES)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use autophase_benchmarks::suite;
-    use autophase_features::NUM_STRUCTURAL_FEATURES;
+    use autophase_features::{extract, NUM_STRUCTURAL_FEATURES};
     use autophase_rl::env::Environment;
 
     fn small_program() -> Module {
@@ -899,31 +754,6 @@ mod tests {
         let r = env.step(mem2reg);
         assert_eq!(r.observation.len(), expected);
         assert!(r.observation.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn structural_observation_identical_with_and_without_incremental() {
-        for norm in [FeatureNorm::Raw, FeatureNorm::Log, FeatureNorm::InstCount] {
-            let mk = |incremental| EnvConfig {
-                observation: ObservationKind::ProgramFeatures,
-                feature_norm: norm,
-                feature_set: FeatureSet::Structural,
-                incremental,
-                ..EnvConfig::default()
-            };
-            let mut a = PhaseOrderEnv::single(small_program(), mk(true));
-            let mut b = PhaseOrderEnv::single(small_program(), mk(false));
-            let (oa, ob) = (a.reset(), b.reset());
-            assert_eq!(oa, ob, "reset observation diverged under {norm:?}");
-            for pass in [38, 31, 7] {
-                let ra = a.step(pass);
-                let rb = b.step(pass);
-                assert_eq!(
-                    ra.observation, rb.observation,
-                    "pass {pass} observation diverged under {norm:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1122,39 +952,35 @@ mod tests {
 
     #[test]
     fn incremental_env_bit_identical_to_full_recompute() {
-        // Same actions, same program: the incremental env must produce
-        // exactly the observations/rewards of the full-recompute baseline,
-        // across episode boundaries (templates, memo reuse).
-        let for_cfg = |incremental: bool| {
-            let cfg = EnvConfig {
-                episode_len: 8,
-                incremental,
-                ..EnvConfig::default()
-            };
-            let mut env = PhaseOrderEnv::single(small_program(), cfg);
-            let mut log: Vec<(Vec<f64>, f64)> = Vec::new();
-            for _ in 0..2 {
-                let obs = env.reset();
-                log.push((obs, f64::NAN));
-                for &a in &[38usize, 23, 33, 30, 31, 25, 44, 28] {
-                    let r = env.step(a);
-                    log.push((r.observation, r.reward));
-                }
-                log.push((Vec::new(), env.cycles() as f64));
-            }
-            log
+        // The reference is no env code at all: a plain `Module` walked
+        // with `registry::apply`, every observation a fresh `extract`,
+        // every cycle count a fresh `profile_module` — across two
+        // episodes, the second served from the template and the memos.
+        let cfg = EnvConfig {
+            episode_len: 8,
+            ..EnvConfig::default()
         };
-        let inc = for_cfg(true);
-        let full = for_cfg(false);
-        assert_eq!(inc.len(), full.len());
-        for (i, (a, b)) in inc.iter().zip(&full).enumerate() {
-            assert_eq!(a.0, b.0, "observation diverged at entry {i}");
-            assert!(
-                a.1 == b.1 || (a.1.is_nan() && b.1.is_nan()),
-                "reward diverged at entry {i}: {} vs {}",
-                a.1,
-                b.1
-            );
+        let observe = |m: &Module| extract(m).iter().map(|&x| x as f64).collect::<Vec<f64>>();
+        let profile = |m: &Module| profile_module(m, &cfg.hls).unwrap().cycles;
+        let mut env = PhaseOrderEnv::single(small_program(), cfg.clone());
+        for episode in 0..2 {
+            let mut m = small_program();
+            assert_eq!(env.reset(), observe(&m), "episode {episode} reset");
+            let mut prev = profile(&m);
+            assert_eq!(env.last_cycles(), prev, "episode {episode} reset");
+            for a in [38usize, 23, 33, 30, 31, 25, 44, 28] {
+                let r = env.step(a);
+                registry::apply(&mut m, a);
+                let cur = profile(&m);
+                assert_eq!(r.observation, observe(&m), "episode {episode} pass {a}");
+                assert_eq!(
+                    r.reward,
+                    prev as f64 - cur as f64,
+                    "episode {episode} pass {a}"
+                );
+                prev = cur;
+            }
+            assert_eq!(env.cycles(), prev, "episode {episode} end");
         }
     }
 
@@ -1164,37 +990,47 @@ mod tests {
         // stores it, so a cached env must keep `current` exact on hits.
         let programs: Vec<Module> = suite().into_iter().take(2).map(|b| b.module).collect();
         let actions = [38usize, 23, 33, 30, 44, 31, 25, 7];
-        for incremental in [true, false] {
-            let cfg = EnvConfig {
-                observation: ObservationKind::Combined,
-                feature_set: FeatureSet::Structural,
-                episode_len: actions.len(),
-                incremental,
-                ..EnvConfig::default()
-            };
-            let cache = Arc::new(EvalCache::default());
-            let mut plain = PhaseOrderEnv::new(programs.clone(), cfg.clone());
-            let mut cached = PhaseOrderEnv::with_cache(programs.clone(), cfg, Arc::clone(&cache));
-            // Three epochs over both programs: cold, then twice warm.
-            for episode in 0..6 {
-                assert_eq!(plain.reset(), cached.reset(), "episode {episode}");
-                for &a in &actions {
-                    let (p, c) = (plain.step(a), cached.step(a));
-                    assert_eq!(p.observation, c.observation, "episode {episode} pass {a}");
-                    assert_eq!(p.reward, c.reward, "episode {episode} pass {a}");
-                    assert_eq!(plain.last_cycles(), cached.last_cycles());
-                }
-            }
-            let lookups = cache.stats();
-            if incremental {
-                // The profile memo absorbs the warm epochs on the plain
-                // side, the shared cache on the other.
-                assert_eq!(cached.samples(), plain.samples());
-                assert_eq!(lookups.hits, 2 * lookups.misses);
-            } else {
-                assert_eq!(cached.samples() + lookups.hits, plain.samples());
+        let cfg = EnvConfig {
+            observation: ObservationKind::Combined,
+            feature_set: FeatureSet::Structural,
+            episode_len: actions.len(),
+            ..EnvConfig::default()
+        };
+        let cache = Arc::new(EvalCache::default());
+        let mut plain = PhaseOrderEnv::new(programs.clone(), cfg.clone());
+        let mut cached =
+            PhaseOrderEnv::with_cache(programs.clone(), cfg.clone(), Arc::clone(&cache));
+        // Three epochs over both programs: cold, then twice warm.
+        let mut log = Vec::new();
+        for episode in 0..6 {
+            let obs = plain.reset();
+            assert_eq!(obs, cached.reset(), "episode {episode}");
+            log.push((obs, 0.0));
+            for &a in &actions {
+                let (p, c) = (plain.step(a), cached.step(a));
+                assert_eq!(p.observation, c.observation, "episode {episode} pass {a}");
+                assert_eq!(p.reward, c.reward, "episode {episode} pass {a}");
+                assert_eq!(plain.last_cycles(), cached.last_cycles());
+                log.push((p.observation, p.reward));
             }
         }
+        // One ledger: being the first on a shared cache costs what owning
+        // a private one does, and every miss was a profiler run.
+        assert_eq!(cached.samples(), plain.samples());
+        assert_eq!(cache.stats().misses, cached.samples());
+        // A second env on the warm cache replays all six episodes without
+        // running the profiler once.
+        let mut second = PhaseOrderEnv::with_cache(programs, cfg, cache);
+        let mut replay = Vec::new();
+        for _ in 0..6 {
+            replay.push((second.reset(), 0.0));
+            for &a in &actions {
+                let r = second.step(a);
+                replay.push((r.observation, r.reward));
+            }
+        }
+        assert_eq!(replay, log);
+        assert_eq!(second.samples(), 0);
     }
 
     #[test]
@@ -1283,7 +1119,7 @@ mod tests {
             registry::apply_sequence(&mut deep, &seq);
             let deep_cycles = profile_module(&deep, &hls)
                 .map(|r| r.cycles)
-                .unwrap_or(u64::MAX / 4);
+                .unwrap_or(UNPROFILEABLE_CYCLES);
             assert_eq!(cow_cycles, deep_cycles, "seq {seq:?}");
             assert_eq!(
                 autophase_ir::printer::print_module(&cow_m),

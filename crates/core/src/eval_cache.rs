@@ -1,28 +1,25 @@
-//! Memoized evaluation cache for the HLS profiler.
+//! The profile memo: what the HLS profiler said about a module.
 //!
 //! Profiling a module (interpret + schedule + area) dominates the cost of
-//! every environment step, and RL training revisits the same
-//! `(program, pass prefix)` states constantly — every episode re-profiles
-//! the pristine program, and a sharpening policy replays near-identical
-//! pass sequences. This cache memoizes one full evaluation per reached
-//! module state so each state is profiled at most once per process.
+//! every environment step, and RL training revisits the same module
+//! states constantly — every episode re-profiles the pristine program, a
+//! sharpening policy replays near-identical pass sequences, two orders
+//! that commute meet in one module. [`EvalCache`] memoizes one
+//! [`HlsReport`] per reached module so each is profiled at most once per
+//! cache, however it was reached.
 //!
-//! # Key derivation
+//! # Key
 //!
-//! A cache key is `(program fingerprint, sequence hash)`:
-//!
-//! * the **program fingerprint** is [`fingerprint_module`] of the pristine
-//!   module (an order-sensitive combine of per-slot function and global
-//!   hashes, stable across clones);
-//! * the **sequence hash** is an order-sensitive rolling hash over the
-//!   Table-1 pass ids applied so far. [`PhaseOrderEnv`](crate::env::
-//!   PhaseOrderEnv) pushes a pass id only when the pass reported a
-//!   change, so all no-op-padded variants of one effective sequence share
-//!   one key — and since no-op passes don't alter the module, every key
-//!   still maps to exactly one module state. Full-sequence evaluators
-//!   (e.g. the §5.2 multi-action agent) hash the raw sequence instead;
-//!   the two key families agree because inserting no-ops anywhere in a
-//!   stream never changes the resulting module.
+//! The key is the module's **content fingerprint**
+//! ([`fingerprint_module`], which the environment maintains incrementally
+//! as [`ModuleFingerprints`]). Content addressing makes the memo blind to
+//! everything but the module: which pass sequence produced it, which
+//! worker, which action table, and whether a faulted pass was rolled back
+//! on the way (a rolled-back module is bit-identical to its pre-pass
+//! state). The value is the profiler's raw report; objectives, rewards
+//! and observations are derived downstream, so environments of different
+//! configurations share one cache — as long as they profile under one
+//! `HlsConfig`, which the key does not carry.
 //!
 //! # Sharding and eviction
 //!
@@ -34,14 +31,12 @@
 //! enabled, feeds the global `evalcache.lookups{hit|miss}` /
 //! `evalcache.evictions` counters.
 
-use autophase_features::FeatureVector;
-use autophase_hls::area::AreaReport;
 use autophase_hls::profile::HlsReport;
 use autophase_ir::fingerprint::mix64 as mix;
 use autophase_ir::Module;
 pub use autophase_telemetry::CacheStats;
 use autophase_telemetry::{lock_recover, BoundedMap, MapCounters};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Fingerprint of a module's current state: an order-sensitive combine of
 /// its name, per-slot global fingerprints, and per-slot function
@@ -125,117 +120,19 @@ impl ModuleFingerprints {
     }
 }
 
-/// Order-sensitive rolling hash over an applied pass-id stream.
-///
-/// `push(a); push(b)` and `push(b); push(a)` yield different values (the
-/// state is passed through a non-commutative mix at every step), so
-/// `[a, b]` and `[b, a]` never share a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqHash {
-    state: u64,
-}
-
-impl SeqHash {
-    /// The hash of the empty sequence.
-    pub fn new() -> SeqHash {
-        SeqHash {
-            state: 0x5151_5151_5151_5151,
-        }
-    }
-
-    /// Absorb one applied pass id.
-    pub fn push(&mut self, pass_id: usize) {
-        self.state = mix(self.state ^ (pass_id as u64).wrapping_add(1));
-    }
-
-    /// The current hash value.
-    pub fn value(&self) -> u64 {
-        self.state
-    }
-
-    /// Hash a whole sequence in one call.
-    pub fn of(seq: &[usize]) -> u64 {
-        let mut h = SeqHash::new();
-        for &p in seq {
-            h.push(p);
-        }
-        h.value()
-    }
-}
-
-impl Default for SeqHash {
-    fn default() -> SeqHash {
-        SeqHash::new()
-    }
-}
-
-/// A cache key: which program, and which (effective) pass prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// [`fingerprint_module`] of the pristine program.
-    pub program: u64,
-    /// [`SeqHash`] value of the applied pass stream.
-    pub seq: u64,
-}
-
-/// Everything one profiler run learns about a module state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheEntry {
-    /// [`fingerprint_module`] of the post-pass module.
-    pub module_fingerprint: u64,
-    /// Table-2 features of the post-pass module.
-    pub features: FeatureVector,
-    /// Estimated clock cycles.
-    pub cycles: u64,
-    /// Resource estimate.
-    pub area: AreaReport,
-    /// Total FSM states.
-    pub total_states: u64,
-    /// Dynamic instructions executed while profiling.
-    pub insts_executed: u64,
-    /// Observable result of the profiled run.
-    pub return_value: Option<i64>,
-}
-
-impl CacheEntry {
-    /// Build an entry from a profiled module and its report.
-    pub fn from_report(m: &Module, report: &HlsReport) -> CacheEntry {
-        CacheEntry::from_parts(
-            fingerprint_module(m),
-            autophase_features::extract(m),
-            report,
-        )
-    }
-
-    /// Build an entry from incrementally maintained state — no module
-    /// walk at all. `fingerprint` and `features` must be synced with the
-    /// module the report was produced from (the incremental evaluator's
-    /// invariant, enforced by the differential suite).
-    pub fn from_parts(fingerprint: u64, features: FeatureVector, report: &HlsReport) -> CacheEntry {
-        CacheEntry {
-            module_fingerprint: fingerprint,
-            features,
-            cycles: report.cycles,
-            area: report.area.clone(),
-            total_states: report.total_states,
-            insts_executed: report.insts_executed,
-            return_value: report.return_value,
-        }
-    }
-}
-
 const COUNTERS: MapCounters = MapCounters {
     hit: ("evalcache.lookups", "hit"),
     miss: ("evalcache.lookups", "miss"),
     evict: ("evalcache.evictions", ""),
 };
 
-/// Sharded, thread-safe memoization cache for profiler results.
+/// Sharded, thread-safe memo of profiler reports by module content
+/// fingerprint. Failed profiles are never inserted.
 pub struct EvalCache {
     /// Taken with `lock_recover`: every critical section is one map
     /// operation, which keeps the map valid at each point it could
     /// unwind, so a thread that panics holding a shard does not wedge it.
-    shards: Vec<Mutex<BoundedMap<CacheKey, CacheEntry>>>,
+    shards: Vec<Mutex<BoundedMap<u64, Arc<HlsReport>>>>,
     shard_mask: usize,
 }
 
@@ -258,11 +155,14 @@ impl EvalCache {
         EvalCache::with_shards(capacity, DEFAULT_SHARDS)
     }
 
-    /// A cache with an explicit shard count (rounded up to a power of
-    /// two).
+    /// A cache holding at most `capacity` entries (at least one) across
+    /// `shards` shards, rounded up to a power of two and then down to
+    /// one the capacity can fill with an entry each.
     pub fn with_shards(capacity: usize, shards: usize) -> EvalCache {
-        let shards = shards.max(1).next_power_of_two();
-        let per_shard = (capacity / shards).max(1);
+        let capacity = capacity.max(1);
+        let fillable = 1 << capacity.ilog2();
+        let shards = shards.max(1).next_power_of_two().min(fillable);
+        let per_shard = capacity / shards;
         EvalCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(BoundedMap::new(per_shard, COUNTERS)))
@@ -271,20 +171,20 @@ impl EvalCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<BoundedMap<CacheKey, CacheEntry>> {
-        let i = mix(key.program ^ mix(key.seq)) as usize & self.shard_mask;
-        &self.shards[i]
+    fn shard(&self, fp: u64) -> &Mutex<BoundedMap<u64, Arc<HlsReport>>> {
+        &self.shards[mix(fp) as usize & self.shard_mask]
     }
 
-    /// Look up a key, counting a hit or a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
-        lock_recover(self.shard(key)).lookup(key).cloned()
+    /// The report memoized for the module with content fingerprint `fp`,
+    /// counting a hit or a miss.
+    pub fn get(&self, fp: u64) -> Option<Arc<HlsReport>> {
+        lock_recover(self.shard(fp)).lookup(&fp).cloned()
     }
 
-    /// Insert (or replace) an entry; a full shard drops its older
-    /// generation.
-    pub fn insert(&self, key: CacheKey, entry: CacheEntry) {
-        lock_recover(self.shard(&key)).insert(key, entry);
+    /// Insert (or replace) a module's report; a full shard drops its
+    /// older generation.
+    pub fn insert(&self, fp: u64, report: Arc<HlsReport>) {
+        lock_recover(self.shard(fp)).insert(fp, report);
     }
 
     /// Resident entry count across all shards.
@@ -325,16 +225,14 @@ impl EvalCache {
 mod tests {
     use super::*;
 
-    fn entry(v: u64) -> CacheEntry {
-        CacheEntry {
-            module_fingerprint: v,
-            features: [0; autophase_features::NUM_FEATURES],
+    fn entry(v: u64) -> Arc<HlsReport> {
+        Arc::new(HlsReport {
             cycles: v,
-            area: AreaReport::default(),
             total_states: 0,
+            area: autophase_hls::area::AreaReport::default(),
             insts_executed: 0,
             return_value: None,
-        }
+        })
     }
 
     #[test]
@@ -366,20 +264,12 @@ mod tests {
     }
 
     #[test]
-    fn seq_hash_is_order_sensitive() {
-        assert_ne!(SeqHash::of(&[1, 2]), SeqHash::of(&[2, 1]));
-        assert_ne!(SeqHash::of(&[1]), SeqHash::of(&[1, 1]));
-        assert_ne!(SeqHash::of(&[]), SeqHash::of(&[0]));
-        assert_eq!(SeqHash::of(&[3, 4, 5]), SeqHash::of(&[3, 4, 5]));
-    }
-
-    #[test]
     fn get_insert_roundtrip_and_counters() {
         let c = EvalCache::new(64);
-        let k = CacheKey { program: 1, seq: 2 };
-        assert!(c.get(&k).is_none());
+        let k = 0x0102;
+        assert!(c.get(k).is_none());
         c.insert(k, entry(7));
-        assert_eq!(c.get(&k).unwrap().cycles, 7);
+        assert_eq!(c.get(k).unwrap().cycles, 7);
         assert_eq!(c.hits(), 1);
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.len(), 1);
@@ -387,16 +277,22 @@ mod tests {
 
     #[test]
     fn eviction_bounds_size_and_counts() {
-        let c = EvalCache::with_shards(8, 1);
-        for i in 0..50u64 {
-            c.insert(CacheKey { program: i, seq: i }, entry(i));
-        }
-        assert!(c.len() <= 8);
-        assert_eq!(c.evictions(), 50 - c.len() as u64);
-        // Whatever survives must still map key → its own value.
-        for i in 0..50u64 {
-            if let Some(e) = c.get(&CacheKey { program: i, seq: i }) {
-                assert_eq!(e.cycles, i);
+        // The second cache asks for more shards than it has entries for:
+        // the capacity is the bound, not the shard count.
+        for (c, inserts) in [
+            (EvalCache::with_shards(8, 1), 50u64),
+            (EvalCache::new(8), 100),
+        ] {
+            for i in 0..inserts {
+                c.insert(i, entry(i));
+            }
+            assert!(c.len() <= 8, "{} resident of {inserts}", c.len());
+            assert_eq!(c.evictions(), inserts - c.len() as u64);
+            // Whatever survives must still map key → its own value.
+            for i in 0..inserts {
+                if let Some(e) = c.get(i) {
+                    assert_eq!(e.cycles, i);
+                }
             }
         }
     }
@@ -416,7 +312,7 @@ mod tests {
         // takes. Panic while holding the shard's map lock — the worst
         // possible interleaving a panicking compute/worker can produce.
         let c = std::sync::Arc::new(EvalCache::with_shards(64, 1));
-        let k = CacheKey { program: 3, seq: 4 };
+        let k = 0x0304;
         c.insert(k, entry(11));
         let c2 = std::sync::Arc::clone(&c);
         let t = std::thread::spawn(move || {
@@ -425,24 +321,23 @@ mod tests {
         });
         assert!(t.join().is_err());
         // Every operation must still go through, with the data intact.
-        assert_eq!(c.get(&k).unwrap().cycles, 11);
-        let k2 = CacheKey { program: 5, seq: 6 };
+        assert_eq!(c.get(k).unwrap().cycles, 11);
+        let k2 = 0x0506;
         c.insert(k2, entry(12));
-        assert_eq!(c.get(&k2).unwrap().cycles, 12);
+        assert_eq!(c.get(k2).unwrap().cycles, 12);
         assert_eq!(c.stats().len, 2);
     }
 
     #[test]
     fn a_full_shard_drops_its_older_generation() {
         let c = EvalCache::with_shards(2, 1);
-        let keys: Vec<CacheKey> = (1..=3).map(|p| CacheKey { program: p, seq: 0 }).collect();
-        c.insert(keys[0], entry(1));
-        c.insert(keys[1], entry(2));
-        c.get(&keys[0]); // a hit does not promote
-        c.insert(keys[2], entry(3));
-        assert!(c.get(&keys[0]).is_none(), "the oldest insert went");
-        assert_eq!(c.get(&keys[1]).unwrap().cycles, 2);
-        assert_eq!(c.get(&keys[2]).unwrap().cycles, 3);
+        c.insert(1, entry(1));
+        c.insert(2, entry(2));
+        c.get(1); // a hit does not promote
+        c.insert(3, entry(3));
+        assert!(c.get(1).is_none(), "the oldest insert went");
+        assert_eq!(c.get(2).unwrap().cycles, 2);
+        assert_eq!(c.get(3).unwrap().cycles, 3);
         assert_eq!((c.len(), c.evictions()), (2, 1));
     }
 }

@@ -166,11 +166,11 @@ fn fig8_configs() -> Vec<(&'static str, EnvConfig)> {
 /// Figure 8: episode-reward-mean curves for the three normalization /
 /// filtering configurations, trained on `n_programs` random programs.
 ///
-/// The three environments share one [`EvalCache`], so a `(program,
-/// pass-sequence)` state profiled while training one curve is a hit for
-/// the others. Cache entries are configuration-independent — keys are
-/// absolute pass ids and values are raw profiler outputs, while
-/// normalization/filtering happen downstream in the environment — so
+/// The three environments share one [`EvalCache`], so a module profiled
+/// while training one curve is a hit for the others. Cache entries are
+/// configuration-independent — the key is the module's content
+/// fingerprint and the value the raw profiler report, while the action
+/// table, normalization and filtering live in the environment — so
 /// sharing changes no curve.
 pub fn fig8(n_programs: usize, iterations: usize, seed: u64) -> Vec<LearningCurve> {
     let programs = program_batch(&GenConfig::default(), seed, n_programs);

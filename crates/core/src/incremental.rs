@@ -2,23 +2,16 @@
 //!
 //! The environment applies one pass per step, and a pass typically touches
 //! one function out of many. This module keeps every derived quantity the
-//! reward loop needs — per-function content fingerprints, the per-function
-//! feature decomposition, and whole-module profile results — keyed or
-//! maintained so that a step's cost is proportional to what the pass
-//! actually changed:
+//! step needs short of the profile itself — per-function content
+//! fingerprints, the per-function feature decomposition, and the module a
+//! transition produces — keyed or maintained so that a step's cost is
+//! proportional to what the pass actually changed:
 //!
 //! * [`IncrementalEval`] pairs the fingerprint memo
 //!   ([`ModuleFingerprints`]) with the feature decomposition
 //!   ([`IncrementalFeatures`]) and routes a pass's `ChangeSet` to both,
 //!   re-hashing/re-extracting only dirty functions (falling back to a
 //!   full rebuild on structural or signature changes);
-//! * [`ProfileMemo`] memoizes whole-module [`HlsReport`]s by the
-//!   *content* fingerprint of the module, so any pass sequence that
-//!   reaches an already-profiled module state — every episode reset, a
-//!   no-op-heavy tail, two orders that commute — skips the interpreter
-//!   and scheduler entirely. Content addressing also makes it immune to
-//!   transaction rollbacks: a rolled-back module is bit-identical to its
-//!   pre-pass state, whose fingerprint was already memoized;
 //! * [`SnapshotMemo`] memoizes whole *step transitions* — `(program,
 //!   changing-pass sequence, pass) → post-pass module snapshot` — so
 //!   re-walking a previously explored sequence (the steady state of a
@@ -26,14 +19,15 @@
 //!   recorded copy-on-write snapshot instead of re-running analyses and
 //!   rewrites.
 //!
-//! Both memos are the workspace's one [`BoundedMap`] (two generations, no
-//! promotion on a hit) and only ever change *when* work happens, never
-//! *what* the results are: the differential suites assert bit-identical
-//! features and cycle counts against the from-scratch paths.
+//! What the profiler said about a module is a different question, asked
+//! of [`EvalCache`](crate::eval_cache::EvalCache) by the fingerprint
+//! maintained here. The memo is the workspace's one [`BoundedMap`] (two
+//! generations, no promotion on a hit) and only ever changes *when* work
+//! happens, never *what* the results are: the differential suites assert
+//! bit-identical features and cycle counts against the from-scratch paths.
 
 use crate::eval_cache::ModuleFingerprints;
 use autophase_features::IncrementalFeatures;
-use autophase_hls::profile::HlsReport;
 use autophase_ir::{FuncId, Module};
 use autophase_passes::changeset::ChangeSet;
 use autophase_telemetry::{BoundedMap, MapCounters};
@@ -176,26 +170,6 @@ pub fn snapshot_memo(capacity: usize) -> SnapshotMemo {
     BoundedMap::new(capacity, MapCounters::family("core.snap_memo"))
 }
 
-/// Memo of whole-module profile results keyed by module *content*
-/// fingerprint.
-///
-/// Unlike the shared [`EvalCache`](crate::eval_cache::EvalCache) — keyed
-/// by `(pristine program, pass-sequence hash)` so workers and the
-/// whole-sequence evaluators can share results — this memo is env-local
-/// and content-addressed: two different pass sequences that produce the
-/// same module share one entry, and every episode's reset state hits after
-/// the first episode. Failed profiles are never memoized.
-pub type ProfileMemo = BoundedMap<u64, Arc<HlsReport>>;
-
-/// Default capacity. A report is ~100 bytes, so even full this is small.
-pub const DEFAULT_PROFILE_MEMO_CAPACITY: usize = 65_536;
-
-/// An empty [`ProfileMemo`] of `capacity` reports, reporting as
-/// `core.profile_memo{hit|miss|evict}`.
-pub fn profile_memo(capacity: usize) -> ProfileMemo {
-    BoundedMap::new(capacity, MapCounters::family("core.profile_memo"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,32 +230,5 @@ mod tests {
         assert!(memo.lookup(&(0, vec![38, 23])).is_none());
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses), (2, 2));
-    }
-
-    /// The name predates the two-generation map: a round trip inside the
-    /// bound, and the oldest insert is the one that goes (hit or no hit).
-    #[test]
-    fn memo_roundtrip_and_lru() {
-        let mut memo = profile_memo(2);
-        let r = |cycles| {
-            Arc::new(HlsReport {
-                cycles,
-                total_states: 0,
-                area: autophase_hls::area::AreaReport::default(),
-                insts_executed: 0,
-                return_value: None,
-            })
-        };
-        assert!(memo.lookup(&1).is_none());
-        memo.insert(1, r(10));
-        memo.insert(2, r(20));
-        assert_eq!(memo.lookup(&1).unwrap().cycles, 10);
-        memo.insert(3, r(30)); // the older generation (key 1) goes
-        assert!(memo.lookup(&1).is_none());
-        assert_eq!(memo.lookup(&2).unwrap().cycles, 20);
-        assert_eq!(memo.lookup(&3).unwrap().cycles, 30);
-        let stats = memo.stats();
-        assert_eq!((stats.hits, stats.misses), (3, 2));
-        assert_eq!((stats.len, stats.evictions), (2, 1));
     }
 }

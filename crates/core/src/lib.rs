@@ -11,10 +11,11 @@
 //!   compile daemon's rollout both run;
 //! * [`multi`] — the §5.2 multiple-passes-per-action formulation
 //!   (RL-PPO3) and its factored-PPO trainer;
-//! * [`eval_cache`] — the sharded, thread-safe memoization cache that
-//!   deduplicates profiler runs across episodes and workers;
+//! * [`eval_cache`] — the profile memo every environment asks: module
+//!   content fingerprint → profiler report, sharded and thread-safe so
+//!   workers can share one;
 //! * [`incremental`](mod@incremental) — per-function fingerprint and
-//!   feature memos plus a content-addressed profile memo, making each
+//!   feature memos plus the step-transition snapshot memo, making each
 //!   step's evaluation cost proportional to what the pass changed;
 //! * [`quarantine`] — the shared repeat-offender table that masks
 //!   `(program, pass)` pairs which keep faulting;
@@ -41,7 +42,7 @@ pub mod step;
 pub mod tune;
 
 pub use env::{Objective, ObservationKind, PhaseOrderEnv, RewardKind};
-pub use eval_cache::{CacheEntry, CacheKey, CacheStats, EvalCache, ModuleFingerprints, SeqHash};
-pub use incremental::{IncrementalEval, ProfileMemo, SnapEntry, SnapshotMemo};
+pub use eval_cache::{CacheStats, EvalCache, ModuleFingerprints};
+pub use incremental::{IncrementalEval, SnapEntry, SnapshotMemo};
 pub use quarantine::Quarantine;
 pub use tune::{tune, Effort, TuneResult};

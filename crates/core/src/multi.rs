@@ -8,9 +8,8 @@
 //! shared trunk) trains the policy; the joint log-probability is the sum
 //! of the per-slot log-probabilities.
 
-use crate::env::{apply_and_profile, evaluate_sequence_cached};
-use crate::eval_cache::{fingerprint_module, EvalCache};
-use autophase_features::{normalize_to_inst_count, FeatureVector, NUM_FEATURES};
+use crate::env::apply_and_profile;
+use autophase_features::{extract, normalize_to_inst_count, NUM_FEATURES};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
 use autophase_nn::{softmax, Activation, Mlp};
@@ -97,15 +96,11 @@ impl MultiActionAgent {
     }
 
     fn observe(seq: &[usize], compiled: &Module) -> Vec<f64> {
-        Self::observe_features(seq, &autophase_features::extract(compiled))
-    }
-
-    fn observe_features(seq: &[usize], features: &FeatureVector) -> Vec<f64> {
         let mut obs: Vec<f64> = seq
             .iter()
             .map(|&p| p as f64 / NUM_PASSES as f64 - 0.5)
             .collect();
-        obs.extend(normalize_to_inst_count(features));
+        obs.extend(normalize_to_inst_count(&extract(compiled)));
         obs
     }
 
@@ -184,65 +179,6 @@ impl MultiActionAgent {
                     seq = next;
                     compiled = next_compiled;
                     prev = cycles;
-                }
-            }
-            self.update(&batch);
-        }
-        (best_seq, best_cycles)
-    }
-
-    /// [`MultiActionAgent::train`] with a memoized compiler: every
-    /// candidate sequence is compiled and profiled at most once per cache
-    /// lifetime, and [`MultiActionAgent::samples`] counts only real
-    /// compilations. Training is bit-identical to the uncached path (same
-    /// RNG stream, same rewards, same result) — the determinism tests
-    /// assert exact equality.
-    pub fn train_cached(
-        &mut self,
-        program: &Module,
-        hls: &HlsConfig,
-        iterations: usize,
-        cache: &EvalCache,
-    ) -> (Vec<usize>, u64) {
-        let fp = fingerprint_module(program);
-        let eval = |samples: &mut u64, seq: &[usize]| {
-            let e = evaluate_sequence_cached(program, fp, seq, hls, cache);
-            if !e.cache_hit {
-                *samples += 1;
-            }
-            e
-        };
-        let mut best_seq: Vec<usize> = vec![NUM_PASSES / 2; self.cfg.seq_len];
-        let mut best_cycles = eval(&mut self.samples, &best_seq).cycles;
-        for _ in 0..iterations {
-            let mut batch: Vec<MultiTransition> = Vec::new();
-            for _ in 0..self.cfg.episodes_per_iter {
-                let mut seq: Vec<usize> = vec![NUM_PASSES / 2; self.cfg.seq_len];
-                let start = eval(&mut self.samples, &seq);
-                let mut features = start.features;
-                let mut prev = start.cycles;
-                for _ in 0..self.cfg.episode_len {
-                    let obs = Self::observe_features(&seq, &features);
-                    let logits = self.policy.forward(&obs);
-                    let (sub, logp) = self.sample_subactions(&logits);
-                    let v = self.value.forward(&obs)[0];
-                    let next = Self::apply_subactions(&seq, &sub);
-                    let next_eval = eval(&mut self.samples, &next);
-                    let reward = prev as f64 - next_eval.cycles as f64;
-                    if next_eval.cycles < best_cycles {
-                        best_cycles = next_eval.cycles;
-                        best_seq = next.clone();
-                    }
-                    batch.push(MultiTransition {
-                        obs,
-                        subactions: sub,
-                        logp,
-                        reward,
-                        value: v,
-                    });
-                    seq = next;
-                    features = next_eval.features;
-                    prev = next_eval.cycles;
                 }
             }
             self.update(&batch);
@@ -352,38 +288,6 @@ mod tests {
         let a = MultiActionAgent::new(&cfg, 9).train(&program, &hls, 2);
         let b = MultiActionAgent::new(&cfg, 9).train(&program, &hls, 2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cached_training_matches_uncached_and_saves_compiles() {
-        let program = suite()
-            .into_iter()
-            .find(|b| b.name == "gsm")
-            .unwrap()
-            .module;
-        let hls = HlsConfig::default();
-        let cfg = MultiConfig {
-            seq_len: 6,
-            episode_len: 3,
-            episodes_per_iter: 2,
-            ..MultiConfig::default()
-        };
-        let mut plain = MultiActionAgent::new(&cfg, 9);
-        let uncached = plain.train(&program, &hls, 2);
-
-        let cache = EvalCache::default();
-        let mut memo = MultiActionAgent::new(&cfg, 9);
-        let cached = memo.train_cached(&program, &hls, 2, &cache);
-
-        assert_eq!(uncached, cached);
-        // Every episode recompiles the canonical start sequence — those
-        // are hits after the first, so the cached agent compiles less.
-        assert!(memo.samples() < plain.samples());
-        assert_eq!(
-            memo.samples() + cache.hits(),
-            plain.samples(),
-            "every skipped compile must be a cache hit"
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::env::{EnvConfig, FeatureNorm, ObservationKind};
 use crate::incremental::resync_features;
 use autophase_features::{
-    extract, extract_structural, FeatureSet, FeatureVector, IncrementalFeatures, FILTERED_FEATURES,
+    extract_structural, FeatureSet, FeatureVector, IncrementalFeatures, FILTERED_FEATURES,
     NUM_FEATURES, NUM_STRUCTURAL_FEATURES,
 };
 use autophase_ir::Module;
@@ -130,29 +130,22 @@ impl Step {
 
     /// The observation of `m` after `histogram`, in one allocation.
     ///
-    /// `synced` is `extract(m)` when the caller maintains it
-    /// incrementally; `None` extracts from `m` — the full-recompute
-    /// reference path. The structural block is not maintained by anyone
+    /// `synced` is `extract(m)`, which both drivers maintain
+    /// incrementally. The structural block is not maintained by anyone
     /// and always walks `m`. Both blocks take the same normalisation,
     /// technique ② dividing by the Table-2 instruction count (feature
     /// 51); the §4 filter applies to the Table-2 block only — the
     /// structural one is already importance-selected.
-    pub fn observe(
-        &self,
-        m: &Module,
-        synced: Option<FeatureVector>,
-        histogram: &[f64],
-    ) -> Vec<f64> {
+    pub fn observe(&self, m: &Module, synced: FeatureVector, histogram: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.obs_dim());
         if self.observation != ObservationKind::ActionHistory {
-            let raw = synced.unwrap_or_else(|| extract(m));
-            let total = raw[51].max(1) as f64;
+            let total = synced[51].max(1) as f64;
             let norm = |x: i64| match self.feature_norm {
                 FeatureNorm::Raw => x as f64,
                 FeatureNorm::Log => (1.0 + x.max(0) as f64).ln(),
                 FeatureNorm::InstCount => x as f64 / total,
             };
-            out.extend(self.columns.iter().map(|&i| norm(raw[i])));
+            out.extend(self.columns.iter().map(|&i| norm(synced[i])));
             if self.feature_set == FeatureSet::Structural {
                 out.extend(extract_structural(m).iter().map(|&x| norm(x)));
             }
@@ -210,7 +203,7 @@ impl<'a> Walk<'a> {
     /// The observation of the current state.
     pub fn observe(&self) -> Vec<f64> {
         self.step
-            .observe(self.module, Some(self.feats.total()), &self.histogram)
+            .observe(self.module, self.feats.total(), &self.histogram)
     }
 
     /// Take `action`: whether its pass changed the module. A faulted

@@ -46,6 +46,7 @@ use autophase_ir::Module;
 use autophase_passes::FuelBudget;
 use autophase_progen::{program_batch, GenConfig};
 use autophase_rl::env::Environment;
+use autophase_telemetry::faultfs::fnv1a;
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -68,18 +69,13 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over the little-endian bytes of each word fed to it.
-struct Hash(u64);
+/// What one episode's line hashes: the little-endian bytes of each word
+/// fed to it.
+struct Trace(Vec<u8>);
 
-impl Hash {
-    fn new() -> Hash {
-        Hash(0xcbf2_9ce4_8422_2325)
-    }
-
+impl Trace {
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.extend_from_slice(&w.to_le_bytes());
     }
 
     /// What the environment shows after a reset or a step.
@@ -162,7 +158,7 @@ fn episode_line(
     program: (usize, &str),
     episode: usize,
 ) -> String {
-    let mut h = Hash::new();
+    let mut h = Trace(Vec::new());
     let obs = env.reset();
     h.state(env, &obs);
     let steps = cfg.episode_len.min(MAX_STEPS);
@@ -183,7 +179,7 @@ fn episode_line(
     format!(
         "{label} {} ep{episode} {:016x} cycles={} samples={}\n",
         program.1,
-        h.0,
+        fnv1a(&h.0),
         env.last_cycles(),
         env.samples()
     )

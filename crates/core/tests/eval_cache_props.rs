@@ -1,85 +1,46 @@
 //! Property tests for the evaluation cache.
 //!
-//! The cache's correctness story has three legs, each pinned by a
-//! property here:
+//! The cache's correctness story has two legs, each pinned by a
+//! property here (that its key — the content fingerprint — tracks the
+//! module is `eval_cache.rs::incremental_fingerprints_match_full` and
+//! `incremental.rs::eval_tracks_pass_stream`):
 //!
-//! * **key soundness** — the sequence hash separates different pass
-//!   orderings (an order-insensitive hash would alias `[a, b]` with
-//!   `[b, a]`, which generally produce different modules);
 //! * **freshness** — a `get` never returns anything but the exact value
 //!   last inserted for that key, across any interleaving of inserts and
 //!   evictions;
 //! * **bounded growth** — capacity is enforced per shard, and evictions
 //!   remove whole entries (no partial state).
 
-use autophase_core::eval_cache::{CacheEntry, CacheKey, EvalCache, SeqHash};
-use autophase_features::NUM_FEATURES;
+use autophase_core::eval_cache::EvalCache;
+use autophase_hls::profile::HlsReport;
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn entry(tag: u64) -> CacheEntry {
-    CacheEntry {
-        module_fingerprint: tag,
-        features: [tag as i64; NUM_FEATURES],
+fn entry(tag: u64) -> Arc<HlsReport> {
+    Arc::new(HlsReport {
         cycles: tag.wrapping_mul(31) ^ 7,
-        area: Default::default(),
         total_states: tag,
+        area: Default::default(),
         insts_executed: tag,
         return_value: Some(tag as i64),
-    }
+    })
 }
 
 /// The payload invariant `entry(tag)` establishes; every value read back
 /// from a cache in these tests must satisfy it.
-fn check_payload(e: &CacheEntry) {
-    let tag = e.module_fingerprint;
+fn check_payload(e: &HlsReport) {
+    let tag = e.total_states;
     assert_eq!(e.cycles, tag.wrapping_mul(31) ^ 7);
-    assert_eq!(e.features[0], tag as i64);
+    assert_eq!(e.insts_executed, tag);
     assert_eq!(e.return_value, Some(tag as i64));
 }
 
+/// A key per `(a, b)` pair, distinct for distinct pairs below 2^32.
+fn key(a: u64, b: u64) -> u64 {
+    (a << 32) | b
+}
+
 proptest! {
-    /// Distinct pass sequences get distinct keys — in particular the
-    /// hash is order-sensitive ([a,b] vs [b,a]) and length-sensitive.
-    #[test]
-    fn seq_hash_separates_sequences(
-        a in proptest::collection::vec(0usize..46, 0..12),
-        b in proptest::collection::vec(0usize..46, 0..12),
-    ) {
-        if a == b {
-            prop_assert_eq!(SeqHash::of(&a), SeqHash::of(&b));
-        } else {
-            prop_assert_ne!(SeqHash::of(&a), SeqHash::of(&b));
-        }
-    }
-
-    /// Swapping any two unequal adjacent passes changes the key.
-    #[test]
-    fn seq_hash_is_order_sensitive(
-        seq in proptest::collection::vec(0usize..46, 2..10),
-        at in 0usize..8,
-    ) {
-        let i = at % (seq.len() - 1);
-        if seq[i] != seq[i + 1] {
-            let mut swapped = seq.clone();
-            swapped.swap(i, i + 1);
-            prop_assert_ne!(SeqHash::of(&seq), SeqHash::of(&swapped));
-        }
-    }
-
-    /// The incremental `push` form agrees with the one-shot `of` form —
-    /// the environment builds keys incrementally while the multi-action
-    /// trainer hashes whole sequences; both must land on the same key.
-    #[test]
-    fn seq_hash_incremental_matches_oneshot(
-        seq in proptest::collection::vec(0usize..46, 0..16),
-    ) {
-        let mut h = SeqHash::new();
-        for &p in &seq {
-            h.push(p);
-        }
-        prop_assert_eq!(h.value(), SeqHash::of(&seq));
-    }
-
     /// After an arbitrary series of inserts (with key collisions and
     /// evictions), every surviving key returns exactly the last value
     /// inserted for it — eviction never resurrects stale data.
@@ -90,13 +51,13 @@ proptest! {
     ) {
         let cache = EvalCache::with_shards(capacity, 4);
         let mut model = std::collections::HashMap::new();
-        for (program, seq, tag) in ops {
-            let key = CacheKey { program, seq };
+        for (a, b, tag) in ops {
+            let key = key(a, b);
             cache.insert(key, entry(tag));
             model.insert(key, tag);
-            if let Some(e) = cache.get(&key) {
+            if let Some(e) = cache.get(key) {
                 // The entry we just inserted must be readable and fresh.
-                prop_assert_eq!(e.module_fingerprint, tag);
+                prop_assert_eq!(e.total_states, tag);
                 check_payload(&e);
             } else {
                 // Only possible if the insert itself was immediately
@@ -107,8 +68,8 @@ proptest! {
         }
         // Whatever survived matches the model exactly.
         for (key, tag) in &model {
-            if let Some(e) = cache.get(key) {
-                prop_assert_eq!(e.module_fingerprint, *tag);
+            if let Some(e) = cache.get(*key) {
+                prop_assert_eq!(e.total_states, *tag);
                 check_payload(&e);
             }
         }
@@ -123,11 +84,11 @@ proptest! {
     ) {
         let cache = EvalCache::new(64);
         let mut lookups = 0u64;
-        for &(p, s) in &keys {
-            let key = CacheKey { program: p, seq: s };
+        for &(a, b) in &keys {
+            let key = key(a, b);
             lookups += 1;
-            if cache.get(&key).is_none() {
-                cache.insert(key, entry(p ^ s));
+            if cache.get(key).is_none() {
+                cache.insert(key, entry(a ^ b));
             }
         }
         let stats = cache.stats();
@@ -147,13 +108,10 @@ fn eviction_churn_never_cross_serves() {
     let cache = EvalCache::with_shards(4, 4);
     for round in 0u64..50 {
         for k in 0u64..16 {
-            let key = CacheKey {
-                program: k,
-                seq: round,
-            };
+            let key = key(k, round);
             cache.insert(key, entry(k.wrapping_mul(1000) + round));
-            let e = cache.get(&key).expect("just inserted");
-            assert_eq!(e.module_fingerprint, k.wrapping_mul(1000) + round);
+            let e = cache.get(key).expect("just inserted");
+            assert_eq!(e.total_states, k.wrapping_mul(1000) + round);
             check_payload(&e);
         }
     }

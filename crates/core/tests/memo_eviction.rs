@@ -1,15 +1,17 @@
-//! Eviction behaviour of the incremental-evaluation memos under capacity
-//! pressure. Both are the workspace's two-generation `BoundedMap`: a full
-//! memo drops the older half of its inserts, and a hit does not promote
-//! (two test names below still say "lru"; they predate the map and are
-//! kept so their ids stay stable).
+//! Eviction behaviour of the environment's two memos — the profile memo
+//! (`EvalCache`, here one shard of two entries) and the snapshot memo —
+//! under capacity pressure. Both sit on the workspace's two-generation
+//! `BoundedMap`: a full memo drops the older half of its inserts, and a
+//! hit does not promote (the test names below predate the map and the
+//! one cache, and are kept so their ids stay stable).
 //!
 //! Eviction must be invisible to correctness: an evicted entry costs a
 //! recompute, and the recomputed result must be bit-identical to what the
 //! memo would have returned. The telemetry eviction counters must advance
 //! so capacity pressure is observable in production.
 
-use autophase_core::incremental::{profile_memo, snapshot_memo, IncrementalEval, SnapEntry};
+use autophase_core::incremental::{snapshot_memo, IncrementalEval, SnapEntry};
+use autophase_core::EvalCache;
 use autophase_hls::profile::profile_module;
 use autophase_hls::HlsConfig;
 use autophase_ir::printer::print_module;
@@ -41,18 +43,18 @@ fn profile_memo_evicts_lru_and_recompute_is_bit_identical() {
         .map(autophase_core::eval_cache::fingerprint_module)
         .collect();
 
-    let mut memo = profile_memo(2);
+    let memo = EvalCache::with_shards(2, 1);
     memo.insert(fps[0], Arc::new(reports[0].clone()));
     memo.insert(fps[1], Arc::new(reports[1].clone()));
     assert_eq!(memo.stats().evictions, 0);
 
     // A hit does not promote: entry 0 is still the older generation.
-    assert!(memo.lookup(&fps[0]).is_some());
+    assert!(memo.get(fps[0]).is_some());
     memo.insert(fps[2], Arc::new(reports[2].clone()));
     let stats = memo.stats();
     assert_eq!((stats.evictions, stats.len), (1, 2));
-    assert!(memo.lookup(&fps[0]).is_none(), "oldest insert evicted");
-    assert!(memo.lookup(&fps[1]).is_some(), "younger insert kept");
+    assert!(memo.get(fps[0]).is_none(), "oldest insert evicted");
+    assert!(memo.get(fps[1]).is_some(), "younger insert kept");
 
     // Recomputing the evicted entry gives a bit-identical report.
     let recomputed = profile_module(&programs[0], &cfg).expect("profiles again");
@@ -63,22 +65,22 @@ fn profile_memo_evicts_lru_and_recompute_is_bit_identical() {
 
     // Re-inserting restores hit service.
     memo.insert(fps[0], Arc::new(recomputed));
-    assert_eq!(memo.lookup(&fps[0]).unwrap().cycles, reports[0].cycles);
+    assert_eq!(memo.get(fps[0]).unwrap().cycles, reports[0].cycles);
 }
 
 #[test]
 fn profile_memo_churn_under_sustained_pressure() {
     let programs = programs();
     let cfg = HlsConfig::default();
-    let mut memo = profile_memo(2);
+    let memo = EvalCache::with_shards(2, 1);
     // Stream all programs through a 2-entry memo several times: every
     // round evicts, and every served value stays correct.
     for round in 0..3 {
         for (i, m) in programs.iter().enumerate() {
             let fp = autophase_core::eval_cache::fingerprint_module(m);
             let expected = profile_module(m, &cfg).expect("profiles");
-            let served = match memo.lookup(&fp) {
-                Some(hit) => Arc::clone(hit),
+            let served = match memo.get(fp) {
+                Some(hit) => hit,
                 None => {
                     let fresh = Arc::new(expected.clone());
                     memo.insert(fp, Arc::clone(&fresh));
@@ -148,7 +150,7 @@ fn eviction_telemetry_counters_advance() {
     telemetry::reset();
     telemetry::enable();
 
-    let mut pm = profile_memo(1);
+    let pm = EvalCache::with_shards(1, 1);
     let report = Arc::new(autophase_hls::profile::HlsReport {
         cycles: 1,
         total_states: 0,
@@ -176,7 +178,7 @@ fn eviction_telemetry_counters_advance() {
             .unwrap_or(0)
     };
     assert!(
-        counter("core.profile_memo", "evict") >= 2,
+        counter("evalcache.evictions", "") >= 2,
         "profile memo eviction counter must advance"
     );
     assert!(

@@ -11,9 +11,9 @@
 //!
 //! Each configuration runs on a two-program environment, twice per
 //! program (the second pass over a program is served from the snapshot
-//! memo, so restored states are checked too), with incremental
-//! evaluation on and off. Nothing here reads how the environment builds
-//! its observation; it only reads what §5.1 and §5.3 say it is.
+//! memo, so restored states are checked too). Nothing here reads how
+//! the environment builds its observation; it only reads what §5.1 and
+//! §5.3 say it is.
 
 use autophase_core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use autophase_features::{
@@ -95,19 +95,16 @@ fn every_configuration_observes_the_from_scratch_recipe() {
             for filtered_features in [false, true] {
                 for feature_set in [FeatureSet::Table2, FeatureSet::Structural] {
                     configurations += 1;
-                    for incremental in [true, false] {
-                        let cfg = EnvConfig {
-                            observation,
-                            feature_norm,
-                            filtered_features,
-                            feature_set,
-                            incremental,
-                            // The reward never enters an observation.
-                            reward: RewardKind::Zero,
-                            ..EnvConfig::default()
-                        };
-                        walk(&programs, &cfg);
-                    }
+                    let cfg = EnvConfig {
+                        observation,
+                        feature_norm,
+                        filtered_features,
+                        feature_set,
+                        // The reward never enters an observation.
+                        reward: RewardKind::Zero,
+                        ..EnvConfig::default()
+                    };
+                    walk(&programs, &cfg);
                 }
             }
         }
