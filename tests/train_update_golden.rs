@@ -1,16 +1,25 @@
 //! Training-trajectory golden (tier 1): the weights a few
-//! `PpoAgent::update`s and one `A2cAgent::update` leave behind, pinned as
+//! `PpoAgent::update`s and one `A2cAgent::update` leave behind, and the
+//! curve and weights of every trainer's whole `train` loop (PPO serial
+//! and parallel, A2C, ES on `ChainEnv`; RL-PPO3 on `matmul`), pinned as
 //! FNV-1a hashes of their `f64` bits in `golden/train_update.txt`.
 //!
 //! The file was generated by the code *before* the update's kernels were
 //! batched (layer-major backward through `gemm_kt`, lane-kernel Adam,
 //! tiled `refresh`); the batched kernels must reproduce it to the last
 //! bit. That is what allowed the per-sample `backward_batch` body and the
-//! scalar Adam loop to be deleted instead of kept as a second path.
+//! scalar Adam loop to be deleted instead of kept as a second path. The
+//! `*-train` lines were written by the four hand-rolled training loops
+//! and two update bodies; the one loop and one update kernel that
+//! replaced them must reproduce those too.
 //! Regenerate only for an intended trajectory change:
 //! `cargo test --release --test train_update_golden -- --ignored`.
 
+use autophase::core::multi::{MultiActionAgent, MultiConfig};
+use autophase::hls::HlsConfig;
 use autophase::rl::a2c::{A2cAgent, A2cConfig};
+use autophase::rl::env::{ChainEnv, Environment};
+use autophase::rl::es::{EsAgent, EsConfig};
 use autophase::rl::ppo::{PpoAgent, PpoConfig};
 use autophase::rl::rollout::{Batch, Transition};
 use std::fmt::Write;
@@ -82,6 +91,75 @@ fn batch(transitions: usize, seed: u64) -> Batch {
     out
 }
 
+/// PPO's parallel trainer on `workers` chain environments: the curve's
+/// and the two networks' hashes.
+fn ppo_parallel(workers: usize) -> String {
+    let mut envs: Vec<Box<dyn Environment + Send>> = (0..workers)
+        .map(|_| Box::new(ChainEnv::new(vec![2, 0], 3)) as Box<dyn Environment + Send>)
+        .collect();
+    let mut agent = PpoAgent::new(3, 3, &PpoConfig::small(), 11);
+    let curve = agent.train_parallel(&mut envs, 12, 6);
+    format!(
+        "curve {:016x} policy {:016x} value {:016x}",
+        fnv1a_bits(&curve),
+        fnv1a_bits(&agent.policy.parameters()),
+        fnv1a_bits(&agent.value.parameters())
+    )
+}
+
+/// The whole training loops (collect → update, sampling included).
+fn render_train(out: &mut String) {
+    let mut agent = PpoAgent::new(3, 3, &PpoConfig::small(), 11);
+    let curve = agent.train(&mut ChainEnv::new(vec![2, 0], 3), 6);
+    writeln!(
+        out,
+        "ppo-train curve {:016x} policy {:016x} value {:016x}",
+        fnv1a_bits(&curve),
+        fnv1a_bits(&agent.policy.parameters()),
+        fnv1a_bits(&agent.value.parameters())
+    )
+    .unwrap();
+    let mut agent = A2cAgent::new(3, 3, &A2cConfig::small(), 21);
+    let curve = agent.train(&mut ChainEnv::new(vec![1, 2], 3), 8);
+    writeln!(
+        out,
+        "a2c-train curve {:016x} policy {:016x} value {:016x}",
+        fnv1a_bits(&curve),
+        fnv1a_bits(&agent.policy.parameters()),
+        fnv1a_bits(&agent.value.parameters())
+    )
+    .unwrap();
+    let mut agent = EsAgent::new(3, 2, &EsConfig::small(), 17);
+    let curve = agent.train(&mut ChainEnv::new(vec![1, 0], 2), 5);
+    writeln!(
+        out,
+        "es-train curve {:016x} policy {:016x}",
+        fnv1a_bits(&curve),
+        fnv1a_bits(&agent.policy.parameters())
+    )
+    .unwrap();
+    // Episode-indexed collection: one line for any worker count.
+    let one = ppo_parallel(1);
+    assert_eq!(one, ppo_parallel(3), "worker count changed the run");
+    writeln!(out, "ppo-train-parallel {one}").unwrap();
+    // RL-PPO3: its own factored update, the shared categorical sampler.
+    let program = autophase::benchmarks::suite::by_name("matmul").expect("known benchmark");
+    let cfg = MultiConfig {
+        seq_len: 6,
+        episode_len: 3,
+        episodes_per_iter: 2,
+        ..MultiConfig::default()
+    };
+    let mut agent = MultiActionAgent::new(&cfg, 9);
+    let (seq, cycles) = agent.train(&program, &HlsConfig::default(), 2);
+    writeln!(
+        out,
+        "multi-matmul seq {seq:?} cycles {cycles} samples {}",
+        agent.samples()
+    )
+    .unwrap();
+}
+
 /// One line per case: the policy and value weights' hashes.
 fn render() -> String {
     let mut out = String::new();
@@ -118,6 +196,7 @@ fn render() -> String {
         fnv1a_bits(&agent.value.parameters())
     )
     .unwrap();
+    render_train(&mut out);
     out
 }
 
