@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy fmt fmt-fix bench bench-smoke loc dead-pub telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix
+.PHONY: ci build test clippy doc fmt fmt-fix bench bench-smoke loc dead-pub telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix
 
-ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix bench-smoke clippy dead-pub fmt
+ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix bench-smoke clippy doc dead-pub fmt
 
 build:
 	$(CARGO) build --release
@@ -19,6 +19,11 @@ clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 	$(CARGO) clippy --features fault-injection --all-targets -- -D warnings
 	$(CARGO) clippy -p autophase-serve --features fault-injection --all-targets -- -D warnings
+
+# Rustdoc is part of the surface: a link to a deleted or private name,
+# or to an item compiled out of the default features, fails here.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
 
 fmt:
 	$(CARGO) fmt --check

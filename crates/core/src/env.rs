@@ -927,10 +927,7 @@ mod tests {
         let cfg = EnvConfig {
             // Any changing pass now overflows the budget: an *organic*
             // fault through the normal (non-injected) checked path.
-            fuel: autophase_passes::FuelBudget {
-                max_insts: 1,
-                ..autophase_passes::FuelBudget::default()
-            },
+            fuel: autophase_passes::FuelBudget { max_insts: 1 },
             ..EnvConfig::default()
         };
         let cache = Arc::new(EvalCache::new(64));

@@ -14,8 +14,9 @@ use autophase_hls::HlsConfig;
 use autophase_ir::Module;
 use autophase_nn::{softmax, Activation, Mlp};
 use autophase_passes::registry::NUM_PASSES;
+use autophase_rl::rollout::sample_action;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for the multi-action agent.
 #[derive(Debug, Clone)]
@@ -105,25 +106,15 @@ impl MultiActionAgent {
     }
 
     fn sample_subactions(&mut self, logits: &[f64]) -> (Vec<usize>, f64) {
-        let n = self.cfg.seq_len;
-        let mut actions = Vec::with_capacity(n);
         let mut logp = 0.0;
-        for slot in 0..n {
-            let sl = &logits[slot * 3..slot * 3 + 3];
-            let probs = softmax(sl);
-            let r: f64 = self.rng.gen();
-            let mut cum = 0.0;
-            let mut chosen = 2;
-            for (i, &p) in probs.iter().enumerate() {
-                cum += p;
-                if r <= cum {
-                    chosen = i;
-                    break;
-                }
-            }
-            logp += probs[chosen].max(1e-12).ln();
-            actions.push(chosen);
-        }
+        let actions = logits
+            .chunks(3)
+            .map(|slot| {
+                let (chosen, slot_logp) = sample_action(slot, &mut self.rng);
+                logp += slot_logp;
+                chosen
+            })
+            .collect();
         (actions, logp)
     }
 

@@ -223,7 +223,6 @@ fn render() -> String {
             let capped = EnvConfig {
                 fuel: FuelBudget {
                     max_insts: module.num_insts(),
-                    ..FuelBudget::default()
                 },
                 ..cfg.clone()
             };

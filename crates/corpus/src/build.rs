@@ -3,6 +3,7 @@
 use autophase_ir::fingerprint::fingerprint_module;
 use autophase_ir::Module;
 use autophase_progen::{generate_valid, GenConfig};
+use autophase_telemetry::lock_recover;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -97,7 +98,7 @@ pub fn build_corpus(cfg: &CorpusConfig) -> Corpus {
                         fingerprint: fingerprint_module(&module),
                         module,
                     };
-                    sink.lock().unwrap().push(program);
+                    lock_recover(&sink).push(program);
                 });
             }
         });

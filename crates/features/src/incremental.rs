@@ -1,7 +1,7 @@
 //! Incremental feature extraction: re-extract only dirty functions.
 //!
 //! [`extract`](crate::extract::extract) is the element-wise sum of
-//! [`extract_function`](crate::extract::extract_function) over all live
+//! [`extract_function`] over all live
 //! functions, so a per-function decomposition can be maintained under
 //! pass application: subtract the old vector of each dirty function, re-
 //! extract it, add the new vector back. Clean functions cost nothing —

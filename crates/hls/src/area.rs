@@ -7,8 +7,7 @@
 //! needed in any one FSM state* (concurrent ops can't share a unit).
 
 use crate::delay::area_units;
-use crate::schedule::{schedule_function, FunctionSchedule};
-use crate::HlsConfig;
+use crate::schedule::FunctionSchedule;
 use autophase_ir::{Function, Module, Opcode};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -42,19 +41,6 @@ impl AreaReport {
         self.memory_bits += other.memory_bits;
         self.fsm_states += other.fsm_states;
     }
-}
-
-/// Estimate module area under `cfg`: the sum of every function's
-/// [`estimate_function_area`] plus the module globals' memory bits.
-pub fn estimate_area(m: &Module, cfg: &HlsConfig) -> AreaReport {
-    let mut report = AreaReport::default();
-    for fid in m.func_ids() {
-        let f = m.func(fid);
-        let sched = schedule_function(f, cfg);
-        report.merge(&estimate_function_area(f, &sched));
-    }
-    report.memory_bits += globals_memory_bits(m);
-    report
 }
 
 /// Memory bits contributed by module globals (the only non-per-function
@@ -111,8 +97,23 @@ pub fn estimate_function_area(f: &Function, sched: &FunctionSchedule) -> AreaRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::schedule_function;
+    use crate::HlsConfig;
     use autophase_ir::builder::FunctionBuilder;
     use autophase_ir::{BinOp, Type};
+
+    /// Module area under `cfg`, as the profiler sums it: every function's
+    /// [`estimate_function_area`] plus the module globals' memory bits.
+    fn estimate_area(m: &Module, cfg: &HlsConfig) -> AreaReport {
+        let mut report = AreaReport::default();
+        for fid in m.func_ids() {
+            let f = m.func(fid);
+            let sched = schedule_function(f, cfg);
+            report.merge(&estimate_function_area(f, &sched));
+        }
+        report.memory_bits += globals_memory_bits(m);
+        report
+    }
 
     #[test]
     fn more_multipliers_more_area() {

@@ -30,6 +30,15 @@ pub struct FuncEval {
     pub area: AreaReport,
 }
 
+impl FuncEval {
+    /// Schedule and bind `f` under `cfg`.
+    pub(crate) fn of(f: &Function, cfg: &HlsConfig) -> FuncEval {
+        let schedule = schedule_function(f, cfg);
+        let area = estimate_function_area(f, &schedule);
+        FuncEval { schedule, area }
+    }
+}
+
 /// Bounded cache of [`FuncEval`]s keyed by function content fingerprint.
 #[derive(Debug)]
 pub struct ScheduleCache {
@@ -57,9 +66,7 @@ impl ScheduleCache {
             return Arc::clone(ev);
         }
         telemetry::incr("functions_rescheduled_total", "", 1);
-        let schedule = schedule_function(f, cfg);
-        let area = estimate_function_area(f, &schedule);
-        let ev = Arc::new(FuncEval { schedule, area });
+        let ev = Arc::new(FuncEval::of(f, cfg));
         self.map.insert(fp, Arc::clone(&ev));
         ev
     }

@@ -6,14 +6,14 @@
 //! This is ~20× faster than RTL simulation in LegUp's setting and is what
 //! the RL reward is computed from at every step.
 
-use crate::area::{estimate_area, globals_memory_bits, AreaReport};
-use crate::func_cache::ScheduleCache;
-use crate::schedule::schedule_function;
+use crate::area::{globals_memory_bits, AreaReport};
+use crate::func_cache::{FuncEval, ScheduleCache};
 use crate::{HlsConfig, HlsError};
 use autophase_ir::interp::{run_main, ExecTrace};
-use autophase_ir::{FuncId, Module};
+use autophase_ir::{FuncId, Function, Module};
 use autophase_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// The result of HLS compilation + profiling.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -52,91 +52,24 @@ pub fn profile_module(m: &Module, cfg: &HlsConfig) -> Result<HlsReport, HlsError
 }
 
 /// Profile with an existing trace (lets callers share one interpreter run).
+pub fn profile_with_trace(m: &Module, cfg: &HlsConfig, trace: &ExecTrace) -> HlsReport {
+    report_from(m, cfg, trace, |_, f| FuncEval::of(f, cfg))
+}
+
+/// The one statement of the cycle formula, over a supplier of each
+/// function's schedule and area:
+/// `Σ_blocks count × states + Σ_calls call_overhead − main's own call`.
+/// Cycles and area are per-function sums (plus the globals' memory bits),
+/// which is what makes a per-function cache exact.
 ///
 /// Telemetry: records schedule+accumulate wall time (`hls.schedule_ns`),
 /// a profile count (`hls.profiles`), and the resulting cycle count and
 /// FSM-state distributions (`hls.cycles`, `hls.fsm_states`).
-pub fn profile_with_trace(m: &Module, cfg: &HlsConfig, trace: &ExecTrace) -> HlsReport {
-    let start = telemetry::maybe_now();
-    let mut cycles: u64 = 0;
-    let mut total_states: u64 = 0;
-    for fid in m.func_ids() {
-        let f = m.func(fid);
-        let sched = schedule_function(f, cfg);
-        total_states += sched.total_states as u64;
-        for bb in f.block_ids() {
-            let count = trace.count(fid, bb);
-            if count > 0 {
-                cycles += count * sched.states(bb) as u64;
-            }
-        }
-        // Per-call FSM handshake.
-        cycles += trace.calls(fid) * cfg.call_overhead as u64;
-    }
-    // `main` itself is "called" once by the harness; do not charge it.
-    if let Some(main) = m.main() {
-        cycles = cycles.saturating_sub(trace.calls(main).min(1) * cfg.call_overhead as u64);
-    }
-    telemetry::observe_since("hls.schedule_ns", "", start);
-    if start.is_some() {
-        telemetry::incr("hls.profiles", "", 1);
-        telemetry::observe("hls.cycles", "", cycles);
-        telemetry::observe("hls.fsm_states", "", total_states);
-    }
-    HlsReport {
-        cycles,
-        total_states,
-        area: estimate_area(m, cfg),
-        insts_executed: trace.insts_executed,
-        return_value: trace.return_value,
-    }
-}
-
-/// Convenience: just the cycle count.
-///
-/// # Errors
-///
-/// Same as [`profile_module`].
-pub fn cycle_count(m: &Module, cfg: &HlsConfig) -> Result<u64, HlsError> {
-    Ok(profile_module(m, cfg)?.cycles)
-}
-
-/// [`profile_module`] with a per-function schedule cache: clean functions
-/// (same content fingerprint) reuse their cached FSM schedule and area,
-/// so only dirty functions pay the list scheduler and binder. `fp_of`
-/// supplies the content fingerprint per function — callers that maintain
-/// incremental fingerprints (the phase-ordering environment) pass a memo
-/// lookup; others can pass
-/// `|fid| fingerprint_function(m.func(fid))`.
-///
-/// Bit-identical to [`profile_module`] by construction: the cached values
-/// are exactly what `schedule_function` / `estimate_function_area`
-/// produce, and both cycle and area accumulation are per-function sums.
-///
-/// # Errors
-///
-/// Returns [`HlsError::Exec`] when the program cannot be executed within
-/// the configured fuel.
-pub fn profile_module_cached(
-    m: &Module,
-    cfg: &HlsConfig,
-    cache: &mut ScheduleCache,
-    fp_of: impl FnMut(FuncId) -> u64,
-) -> Result<HlsReport, HlsError> {
-    let start = telemetry::maybe_now();
-    let trace = run_main(m, cfg.profile_fuel)?;
-    telemetry::observe_since("hls.trace_ns", "", start);
-    Ok(profile_with_trace_cached(m, cfg, &trace, cache, fp_of))
-}
-
-/// [`profile_with_trace`] through the per-function schedule cache (see
-/// [`profile_module_cached`]).
-pub fn profile_with_trace_cached(
+fn report_from<E: Borrow<FuncEval>>(
     m: &Module,
     cfg: &HlsConfig,
     trace: &ExecTrace,
-    cache: &mut ScheduleCache,
-    mut fp_of: impl FnMut(FuncId) -> u64,
+    mut eval: impl FnMut(FuncId, &Function) -> E,
 ) -> HlsReport {
     let start = telemetry::maybe_now();
     let mut cycles: u64 = 0;
@@ -144,7 +77,8 @@ pub fn profile_with_trace_cached(
     let mut area = AreaReport::default();
     for fid in m.func_ids() {
         let f = m.func(fid);
-        let ev = cache.get_or_eval(fp_of(fid), f, cfg);
+        let ev = eval(fid, f);
+        let ev: &FuncEval = ev.borrow();
         total_states += ev.schedule.total_states as u64;
         for bb in f.block_ids() {
             let count = trace.count(fid, bb);
@@ -174,6 +108,57 @@ pub fn profile_with_trace_cached(
         insts_executed: trace.insts_executed,
         return_value: trace.return_value,
     }
+}
+
+/// Convenience: just the cycle count.
+///
+/// # Errors
+///
+/// Same as [`profile_module`].
+pub fn cycle_count(m: &Module, cfg: &HlsConfig) -> Result<u64, HlsError> {
+    Ok(profile_module(m, cfg)?.cycles)
+}
+
+/// [`profile_module`] with a per-function schedule cache: clean functions
+/// (same content fingerprint) reuse their cached FSM schedule and area,
+/// so only dirty functions pay the list scheduler and binder. `fp_of`
+/// supplies the content fingerprint per function — callers that maintain
+/// incremental fingerprints (the phase-ordering environment) pass a memo
+/// lookup; others can pass
+/// `|fid| fingerprint_function(m.func(fid))`.
+///
+/// Bit-identical to [`profile_module`] by construction: the cached values
+/// are exactly what `schedule_function` / `estimate_function_area`
+/// produce, and one body accumulates both.
+///
+/// # Errors
+///
+/// Returns [`HlsError::Exec`] when the program cannot be executed within
+/// the configured fuel.
+pub fn profile_module_cached(
+    m: &Module,
+    cfg: &HlsConfig,
+    cache: &mut ScheduleCache,
+    fp_of: impl FnMut(FuncId) -> u64,
+) -> Result<HlsReport, HlsError> {
+    let start = telemetry::maybe_now();
+    let trace = run_main(m, cfg.profile_fuel)?;
+    telemetry::observe_since("hls.trace_ns", "", start);
+    Ok(profile_with_trace_cached(m, cfg, &trace, cache, fp_of))
+}
+
+/// [`profile_with_trace`] through the per-function schedule cache (see
+/// [`profile_module_cached`]).
+pub fn profile_with_trace_cached(
+    m: &Module,
+    cfg: &HlsConfig,
+    trace: &ExecTrace,
+    cache: &mut ScheduleCache,
+    mut fp_of: impl FnMut(FuncId) -> u64,
+) -> HlsReport {
+    report_from(m, cfg, trace, |fid, f| {
+        cache.get_or_eval(fp_of(fid), f, cfg)
+    })
 }
 
 #[cfg(test)]

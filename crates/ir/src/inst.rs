@@ -294,7 +294,7 @@ pub enum Opcode {
     Unreachable,
 }
 
-/// A single instruction. Its identity is its [`InstId`] inside a function.
+/// A single instruction. Its identity is its [`crate::InstId`] inside a function.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Inst {
     /// Result type (`Void` for stores and terminators).

@@ -20,7 +20,7 @@
 //! Every fault increments the `pass_fault_total{<pass>}` and
 //! `rollback_total{<pass>}` telemetry counters.
 //!
-//! Fault *injection* (the chaos-testing harness) lives in [`crate::fault`]
+//! Fault *injection* (the chaos-testing harness) lives in `crate::fault`
 //! and is compiled only under `cfg(any(test, feature = "fault-injection"))`;
 //! this module is always available and pays nothing for the harness in
 //! production builds.
@@ -43,10 +43,6 @@ pub struct FuelBudget {
     /// [`registry::GROWTH_LIMIT`] soft limit cannot give (a single apply
     /// can still overshoot it).
     pub max_insts: usize,
-    /// Unread: there is no checked fixpoint driver for it to bound. It
-    /// and [`PassFault::NonConvergence`] stay only because tests spell
-    /// the budget as a struct literal (ROADMAP item 1 lists both).
-    pub max_fixpoint_iters: u32,
 }
 
 impl Default for FuelBudget {
@@ -55,7 +51,6 @@ impl Default for FuelBudget {
             // ~7x the registry's GROWTH_LIMIT: generous for legitimate
             // single-apply growth, tiny next to an actual blowup.
             max_insts: 20_000,
-            max_fixpoint_iters: 32,
         }
     }
 }
@@ -85,13 +80,6 @@ pub enum PassFault {
         /// The budget it violated.
         limit: usize,
     },
-    /// The pass kept reporting changes past the fixpoint iteration bound.
-    NonConvergence {
-        /// The offending pass.
-        pass: PassId,
-        /// How many iterations were attempted.
-        iters: u32,
-    },
 }
 
 impl PassFault {
@@ -100,8 +88,7 @@ impl PassFault {
         match *self {
             PassFault::Panic { pass }
             | PassFault::Verifier { pass, .. }
-            | PassFault::FuelExhausted { pass, .. }
-            | PassFault::NonConvergence { pass, .. } => pass,
+            | PassFault::FuelExhausted { pass, .. } => pass,
         }
     }
 }
@@ -117,9 +104,6 @@ impl fmt::Display for PassFault {
             PassFault::FuelExhausted { insts, limit, .. } => {
                 write!(f, "{name} exhausted fuel: {insts} insts > limit {limit}")
             }
-            PassFault::NonConvergence { iters, .. } => {
-                write!(f, "{name} failed to converge within {iters} iterations")
-            }
         }
     }
 }
@@ -128,7 +112,7 @@ impl std::error::Error for PassFault {}
 
 /// The kind of fault an injection harness may force into a checked apply.
 /// Only [`apply_checked_traced`] consumes these; production code paths
-/// never construct them (the seeded harness in [`crate::fault`] does).
+/// never construct them (the seeded harness in `crate::fault` does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Panic inside the pass body (exercises the `catch_unwind` path).
@@ -151,7 +135,7 @@ pub const INJECTED_PANIC_MSG: &str = "injected fault: pass panic";
 /// fault.
 ///
 /// With the fault-injection harness compiled in and a plan installed,
-/// each call polls [`crate::fault::poll`] for an injected fault first.
+/// each call polls `crate::fault::poll` for an injected fault first.
 ///
 /// # Errors
 ///
@@ -417,10 +401,7 @@ mod tests {
     fn real_growth_past_budget_faults_and_restores() {
         let mut m = sample_module();
         let before = print_module(&m);
-        let budget = FuelBudget {
-            max_insts: 1,
-            ..FuelBudget::default()
-        };
+        let budget = FuelBudget { max_insts: 1 };
         // -mem2reg changes the module, whose size then exceeds the budget.
         let r = apply_checked(&mut m, 38, &budget);
         match r {

@@ -1,4 +1,4 @@
-//! Reference optimization levels `-O0` and `-O3`.
+//! The reference optimization level `-O3` (`-O0` is the untouched module).
 //!
 //! `-O3` is a fixed, hand-ordered pipeline modeled on LLVM's: early
 //! cleanup, mem2reg, scalar simplification, interprocedural passes, the
@@ -8,9 +8,6 @@
 
 use crate::registry::{self, PassId};
 use autophase_ir::Module;
-
-/// `-O0`: no optimization at all.
-pub fn o0(_m: &mut Module) {}
 
 /// The `-O3` pass sequence, as Table-1 indices.
 pub const O3_SEQUENCE: &[PassId] = &[
@@ -143,13 +140,5 @@ mod tests {
         o3(&mut m);
         assert_verified(&m);
         assert_eq!(run_main(&m, 1_000_000).unwrap().observable(), first);
-    }
-
-    #[test]
-    fn o0_does_nothing() {
-        let mut m = workload();
-        let before = m.num_insts();
-        o0(&mut m);
-        assert_eq!(m.num_insts(), before);
     }
 }

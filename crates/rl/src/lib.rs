@@ -9,6 +9,12 @@
 //! * [`es`] — OpenAI-style evolution strategies over policy weights
 //!   (RL-ES).
 //!
+//! PPO and A2C are one trainer, [`actor_critic`], that differs only in
+//! the loss: each module holds its hyperparameters, how it collects a
+//! batch ([`rollout`]), and the weight its loss gives a transition; the
+//! training loop, its telemetry and the batched gradient pass are stated
+//! once.
+//!
 //! All agents operate over the gym-like [`env::Environment`] trait; the
 //! AutoPhase phase-ordering environment in `autophase-core` implements it.
 //!
@@ -36,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod a2c;
+pub mod actor_critic;
 pub mod checkpoint;
 pub mod env;
 pub mod es;

@@ -148,7 +148,7 @@ impl OnlineTrainer {
     }
 
     /// Feed one serving outcome. The episode becomes PPO transitions:
-    /// zero reward on intermediate steps, [`Experience::terminal_reward`]
+    /// zero reward on intermediate steps, `Experience::terminal_reward`
     /// on the terminal step, with state values from the *current* value
     /// network. Episodes with no steps or wrong-width observations are
     /// counted and dropped — a layout mismatch here means a buggy

@@ -1,13 +1,11 @@
 //! Proximal Policy Optimization (Schulman et al., 2017) with the clipped
 //! surrogate objective of the paper's Equation 4.
 
+use crate::actor_critic::{ActorCritic, Update};
 use crate::env::Environment;
-use crate::rollout::{self, record_steps_per_sec, Batch};
-use autophase_nn::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
-use autophase_telemetry as telemetry;
-use rand::rngs::StdRng;
+use crate::rollout::{self, Batch};
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// PPO hyperparameters.
 #[derive(Debug, Clone)]
@@ -68,41 +66,13 @@ impl PpoConfig {
 }
 
 /// The PPO agent: a policy network and a value network.
-#[derive(Debug, Clone)]
-pub struct PpoAgent {
-    /// Policy network producing action logits.
-    pub policy: Mlp,
-    /// Value network producing state-value estimates.
-    pub value: Mlp,
-    cfg: PpoConfig,
-    rng: StdRng,
-}
+pub type PpoAgent = ActorCritic<PpoConfig>;
 
-impl PpoAgent {
+impl ActorCritic<PpoConfig> {
     /// Create an agent for the given observation/action dimensions.
     pub fn new(obs_dim: usize, n_actions: usize, cfg: &PpoConfig, seed: u64) -> PpoAgent {
-        let mut psizes = vec![obs_dim];
-        psizes.extend(&cfg.hidden);
-        psizes.push(n_actions);
-        let mut vsizes = vec![obs_dim];
-        vsizes.extend(&cfg.hidden);
-        vsizes.push(1);
-        PpoAgent {
-            policy: Mlp::new(&psizes, Activation::Tanh, seed),
-            value: Mlp::new(&vsizes, Activation::Tanh, seed ^ 0xABCD),
-            cfg: cfg.clone(),
-            rng: StdRng::seed_from_u64(seed ^ 0x5EED),
-        }
-    }
-
-    /// Action probabilities for an observation.
-    pub fn action_probabilities(&self, obs: &[f64]) -> Vec<f64> {
-        softmax(&self.policy.forward(obs))
-    }
-
-    /// Greedy action.
-    pub fn act_greedy(&self, obs: &[f64]) -> usize {
-        rollout::argmax(&self.policy.forward(obs))
+        let seeds = [seed, seed ^ 0xABCD, seed ^ 0x5EED];
+        Self::build(obs_dim, n_actions, &cfg.hidden, cfg.clone(), seeds)
     }
 
     /// Sampled action (exploration).
@@ -114,31 +84,11 @@ impl PpoAgent {
     /// Run `iterations` of collect-then-optimize. Returns the episode
     /// reward mean of each iteration's batch (the curve of Figure 8).
     pub fn train(&mut self, env: &mut dyn Environment, iterations: usize) -> Vec<f64> {
-        let train_start = telemetry::maybe_now();
-        let mut total_steps = 0u64;
-        let mut curve = Vec::with_capacity(iterations);
-        for _ in 0..iterations {
-            let t = telemetry::maybe_now();
-            let batch = rollout::collect(
-                env,
-                &self.policy,
-                &self.value,
-                self.cfg.horizon,
-                self.cfg.max_episode_len,
-                &mut self.rng,
-            );
-            telemetry::observe_since("rl.collect_ns", "ppo", t);
-            total_steps += batch.transitions.len() as u64;
-            curve.push(batch.episode_reward_mean());
-            telemetry::set_gauge("rl.episode_reward_mean", "ppo", batch.episode_reward_mean());
-            let t = telemetry::maybe_now();
-            self.update(&batch);
-            telemetry::observe_since("rl.update_ns", "ppo", t);
-            telemetry::incr("rl.iterations", "ppo", 1);
-            telemetry::incr("rl.steps", "ppo", batch.transitions.len() as u64);
-        }
-        record_steps_per_sec("ppo", total_steps, train_start);
-        curve
+        let collect = |a: &mut Self, _| {
+            let (horizon, len) = (a.cfg.horizon, a.cfg.max_episode_len);
+            rollout::collect(env, &a.policy, &a.value, horizon, len, &mut a.rng)
+        };
+        self.train_loop("ppo", iterations, collect, Self::update)
     }
 
     /// Like [`PpoAgent::train`], but each iteration collects
@@ -157,124 +107,46 @@ impl PpoAgent {
         episodes_per_iter: usize,
         iterations: usize,
     ) -> Vec<f64> {
-        let train_start = telemetry::maybe_now();
-        let mut total_steps = 0u64;
-        let mut curve = Vec::with_capacity(iterations);
-        for i in 0..iterations {
-            let seed: u64 = self.rng.gen();
-            let t = telemetry::maybe_now();
-            let batch = rollout::collect_episodes_parallel(
+        let collect = |a: &mut Self, i: usize| {
+            let seed: u64 = a.rng.gen();
+            rollout::collect_episodes_parallel(
                 envs,
-                &self.policy,
-                &self.value,
+                &a.policy,
+                &a.value,
                 episodes_per_iter,
                 (i * episodes_per_iter) as u64,
-                self.cfg.max_episode_len,
+                a.cfg.max_episode_len,
                 seed,
-            );
-            telemetry::observe_since("rl.collect_ns", "ppo", t);
-            total_steps += batch.transitions.len() as u64;
-            curve.push(batch.episode_reward_mean());
-            telemetry::set_gauge("rl.episode_reward_mean", "ppo", batch.episode_reward_mean());
-            let t = telemetry::maybe_now();
-            self.update(&batch);
-            telemetry::observe_since("rl.update_ns", "ppo", t);
-            telemetry::incr("rl.iterations", "ppo", 1);
-            telemetry::incr("rl.steps", "ppo", batch.transitions.len() as u64);
-        }
-        record_steps_per_sec("ppo", total_steps, train_start);
-        curve
+            )
+        };
+        self.train_loop("ppo", iterations, collect, Self::update)
     }
 
-    /// One PPO optimization phase on a collected batch.
-    ///
-    /// Each minibatch runs one batched SoA forward per network; the
-    /// cached activations feed [`Mlp::backward_batch`], so the per-sample
-    /// path's *two* scalar forwards (one for the loss, one hidden inside
-    /// `backward`) collapse into one batched GEMM — with bit-identical
-    /// gradients and Adam trajectories (pinned by `simd_diff` tests).
+    /// One PPO optimization phase on a collected batch: `epochs` shuffled
+    /// passes, one Adam step per minibatch.
     pub fn update(&mut self, batch: &Batch) {
-        let (mut adv, ret) = rollout::gae(batch, self.cfg.gamma, self.cfg.lam);
-        rollout::normalize(&mut adv);
-        let n = batch.transitions.len();
-        let mut order: Vec<usize> = (0..n).collect();
-
-        let mut psoa = SoaMlp::from_mlp(&self.policy);
-        let mut vsoa = SoaMlp::from_mlp(&self.value);
-        let mut pws = BatchWorkspace::new();
-        let mut vws = BatchWorkspace::new();
-        let mut pscratch = GradScratch::new();
-        let mut vscratch = GradScratch::new();
-        let n_actions = self.policy.output_dim();
-        let mut pgrad: Vec<f64> = Vec::new();
-        let mut vgrad: Vec<f64> = Vec::new();
-        let mut probs: Vec<f64> = Vec::new();
-
-        for _ in 0..self.cfg.epochs {
+        let cfg = &self.cfg;
+        let (policy, value) = (&mut self.policy, &mut self.value);
+        let mut order: Vec<usize> = (0..batch.transitions.len()).collect();
+        let mut pass = Update::new(policy, value, batch, cfg.gamma, cfg.lam, cfg.entropy_coef);
+        for _ in 0..cfg.epochs {
             order.shuffle(&mut self.rng);
-            for chunk in order.chunks(self.cfg.minibatch.max(1)) {
-                pws.begin(&psoa);
-                vws.begin(&vsoa);
-                for &i in chunk {
-                    let obs = &batch.transitions[i].obs;
-                    pws.push_input(obs);
-                    vws.push_input(obs);
-                }
-                psoa.forward_batch(&mut pws);
-                vsoa.forward_batch(&mut vws);
-
-                pgrad.clear();
-                pgrad.resize(chunk.len() * n_actions, 0.0);
-                vgrad.clear();
-                vgrad.resize(chunk.len(), 0.0);
-                for (bi, &i) in chunk.iter().enumerate() {
-                    let t = &batch.transitions[i];
-                    softmax_into(pws.logits(bi), &mut probs);
+            for chunk in order.chunks(cfg.minibatch.max(1)) {
+                // Clipped surrogate: gradient flows only through the
+                // unclipped branch when it is the active minimum, where
+                // L = -ratio * A.
+                pass.accumulate(policy, value, chunk, |t, probs, a| {
                     let logp_new = probs[t.action].max(1e-12).ln();
                     let ratio = (logp_new - t.logp).exp();
-                    let a = adv[i];
-                    // Clipped surrogate: gradient flows only through the
-                    // unclipped branch when it is the active minimum.
                     let unclipped = ratio * a;
-                    let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip) * a;
-                    let use_unclipped = unclipped <= clipped + 1e-12;
-                    // dL/dlogits.
-                    let grad = &mut pgrad[bi * n_actions..(bi + 1) * n_actions];
-                    if use_unclipped {
-                        // L = -ratio * A; dlogp/dlogit_j = 1{j=a} - p_j;
-                        // dL/dlogit_j = -A * ratio * (1{j=a} - p_j)
-                        for (j, g) in grad.iter_mut().enumerate() {
-                            let ind = if j == t.action { 1.0 } else { 0.0 };
-                            *g = -a * ratio * (ind - probs[j]);
-                        }
-                    }
-                    // Entropy bonus: L -= β H; dH/dlogit_j = -p_j (log p_j + H)
-                    if self.cfg.entropy_coef > 0.0 {
-                        let h: f64 = -probs
-                            .iter()
-                            .map(|&p| p.max(1e-12) * p.max(1e-12).ln())
-                            .sum::<f64>();
-                        for (j, g) in grad.iter_mut().enumerate() {
-                            let dh = -probs[j] * (probs[j].max(1e-12).ln() + h);
-                            *g -= self.cfg.entropy_coef * dh;
-                        }
-                    }
-                    // Value regression: L = 0.5 (v - ret)^2.
-                    vgrad[bi] = vws.logits(bi)[0] - ret[i];
-                }
-                self.policy.backward_batch(&pws, &pgrad, &mut pscratch);
-                self.value.backward_batch(&vws, &vgrad, &mut vscratch);
-                self.policy.step(self.cfg.lr);
-                self.value.step(self.cfg.vf_lr);
-                psoa.refresh(&self.policy);
-                vsoa.refresh(&self.value);
+                    let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip) * a;
+                    (unclipped <= clipped + 1e-12).then_some(a * ratio)
+                });
+                policy.step(cfg.lr);
+                value.step(cfg.vf_lr);
+                pass.refresh(policy, value);
             }
         }
-    }
-
-    /// Access the configuration.
-    pub fn config(&self) -> &PpoConfig {
-        &self.cfg
     }
 }
 

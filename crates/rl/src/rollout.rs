@@ -1,19 +1,20 @@
 //! Trajectory collection and generalized advantage estimation.
 //!
-//! Two collection schemes coexist:
+//! An episode is one loop, `Actor::run_episode`, and one categorical
+//! sampler, [`sample_action`] (ES's fitness rollouts and RL-PPO3's
+//! per-slot heads draw from it too). What starts an episode and whose RNG
+//! samples it is the collector's choice:
 //!
-//! * [`collect`] — the original serial scheme: one environment, one RNG
-//!   stream, "at least `horizon` transitions".
-//! * [`collect_episodes`] / [`collect_episodes_parallel`] — the
-//!   episode-indexed scheme: exactly `n_episodes` episodes, where episode
-//!   `i` always starts from [`Environment::reset_to`]`(i)` and uses an RNG
-//!   stream derived from `(seed, i)`. Because nothing about an episode
-//!   depends on which worker runs it or in what order, the serial and
-//!   parallel collectors produce bit-identical batches for any worker
-//!   count — the property the determinism tests pin down.
-//!
-//! They differ only in how an episode starts and whose RNG samples; the
-//! episode itself is one loop, `Actor::run_episode`.
+//! * [`collect`] — what `train` calls: one environment, the agent's own
+//!   RNG stream, "at least `horizon` transitions".
+//! * [`collect_episodes_parallel`] — what `PpoAgent::train_parallel` and
+//!   the benchmark's lanes call: exactly `n_episodes` episodes on a
+//!   supervised worker pool, where episode `i` always starts from
+//!   [`Environment::reset_to`]`(i)` and samples from an RNG derived from
+//!   `(seed, i)`. Nothing about an episode depends on which worker runs
+//!   it or in what order, so the batch is bit-identical for any worker
+//!   count. [`collect_episodes`] is the same scheme on one thread — the
+//!   reference the determinism and chaos suites hold the pool to.
 
 use crate::env::Environment;
 use autophase_nn::{softmax, BatchWorkspace, Mlp, SoaMlp};
@@ -228,21 +229,9 @@ pub fn collect_episodes(
     batch
 }
 
-/// Bounded-retry policy for [`collect_episodes_supervised`].
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// How many times a panicked episode is re-queued before being marked
-    /// failed-and-skipped (total attempts = retries + 1).
-    pub max_episode_retries: u32,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            max_episode_retries: 2,
-        }
-    }
-}
+/// How many times a panicked episode is re-queued before being marked
+/// failed-and-skipped (total attempts = retries + 1).
+const MAX_EPISODE_RETRIES: u32 = 2;
 
 /// The outcome of a supervised collection: the batch plus fault metadata.
 #[derive(Debug, Clone, Default)]
@@ -266,8 +255,8 @@ pub struct SupervisedBatch {
 /// [`collect_episodes`] for *any* worker count (episodes are relocatable
 /// across workers by construction). A worker that panics is **respawned**
 /// on the same environment slot (recovering the slot's poisoned lock) and
-/// its in-flight episode is retried up to
-/// [`SupervisorConfig::max_episode_retries`] times, then marked
+/// its in-flight episode is retried up to `MAX_EPISODE_RETRIES` (2)
+/// times, then marked
 /// failed-and-skipped — one pathological episode can no longer abort a
 /// training run, and episodes it didn't touch are unaffected.
 ///
@@ -278,7 +267,6 @@ pub struct SupervisedBatch {
 /// time lands in `rollout.worker_busy_ns{w<i>}` counters, utilization
 /// (busy / batch wall) in `rollout.worker_util{w<i>}` gauges, and each
 /// respawn increments the `worker_respawn_total` counter.
-#[allow(clippy::too_many_arguments)]
 fn collect_episodes_supervised(
     envs: &mut [Box<dyn Environment + Send>],
     policy: &Mlp,
@@ -287,7 +275,6 @@ fn collect_episodes_supervised(
     base_episode: u64,
     max_episode_len: usize,
     seed: u64,
-    cfg: &SupervisorConfig,
 ) -> SupervisedBatch {
     assert!(!envs.is_empty(), "need at least one worker environment");
     let _span = telemetry::span("rollout.batch");
@@ -364,7 +351,7 @@ fn collect_episodes_supervised(
                 if dying != 0 {
                     let e = (dying - 1) as usize;
                     let tries = attempts[e].fetch_add(1, Ordering::SeqCst) + 1;
-                    if tries > cfg.max_episode_retries {
+                    if tries > MAX_EPISODE_RETRIES {
                         failed.push(base_episode + e as u64);
                     } else {
                         lock_recover(&queue).push_front(e);
@@ -414,8 +401,8 @@ fn collect_episodes_supervised(
 /// Collect episodes `base_episode .. base_episode + n_episodes` on a pool
 /// of worker threads — one per environment in `envs`.
 ///
-/// A thin wrapper over [`collect_episodes_supervised`] with the default
-/// retry policy, keeping only the batch: with no faults it is
+/// The supervised pool (`collect_episodes_supervised`), keeping only the
+/// batch: with no faults it is
 /// bit-identical to [`collect_episodes`] for any worker count, and under
 /// faults it degrades gracefully (panicking episodes are retried, then
 /// skipped) instead of aborting the run.
@@ -436,22 +423,8 @@ pub fn collect_episodes_parallel(
         base_episode,
         max_episode_len,
         seed,
-        &SupervisorConfig::default(),
     )
     .batch
-}
-
-/// Record a `rl.steps_per_sec{<algo>}` gauge from a training run's total
-/// environment-step count and its start time (from
-/// [`telemetry::maybe_now`]). No-op when `start` is `None` (telemetry was
-/// disabled when the run began) — purely observational either way.
-pub fn record_steps_per_sec(algo: &str, total_steps: u64, start: Option<std::time::Instant>) {
-    if let Some(t) = start {
-        let secs = t.elapsed().as_secs_f64();
-        if secs > 0.0 && telemetry::enabled() {
-            telemetry::gauge("rl.steps_per_sec", algo).set(total_steps as f64 / secs);
-        }
-    }
 }
 
 /// Compute GAE(λ) advantages and discounted returns for a batch.
@@ -685,16 +658,7 @@ mod tests {
         for workers in [1usize, 2, 3] {
             // Episodes 2 and 6 each panic once, then succeed on retry.
             let (mut envs, _) = FlakyEnv::pool(workers, &[(2, 1), (6, 1)]);
-            let sup = collect_episodes_supervised(
-                &mut envs,
-                &policy,
-                &value,
-                9,
-                0,
-                50,
-                41,
-                &SupervisorConfig::default(),
-            );
+            let sup = collect_episodes_supervised(&mut envs, &policy, &value, 9, 0, 50, 41);
             assert!(
                 sup.worker_respawns >= 2,
                 "expected ≥2 respawns with {workers} workers, got {}",
@@ -723,18 +687,7 @@ mod tests {
         let reference = collect_episodes(&mut env, &policy, &value, 6, 0, 50, 13);
         // Episode 3 panics on every attempt (budget far above retry cap).
         let (mut envs, _) = FlakyEnv::pool(2, &[(3, u32::MAX)]);
-        let sup = collect_episodes_supervised(
-            &mut envs,
-            &policy,
-            &value,
-            6,
-            0,
-            50,
-            13,
-            &SupervisorConfig {
-                max_episode_retries: 2,
-            },
-        );
+        let sup = collect_episodes_supervised(&mut envs, &policy, &value, 6, 0, 50, 13);
         assert_eq!(sup.failed_episodes, vec![3]);
         assert_eq!(sup.worker_respawns, 3); // initial attempt + 2 retries
                                             // The other five episodes match the reference exactly.
@@ -756,16 +709,7 @@ mod tests {
         let mut envs: Vec<Box<dyn Environment + Send>> = (0..3)
             .map(|_| Box::new(ChainEnv::new(vec![0, 1], 2)) as Box<dyn Environment + Send>)
             .collect();
-        let sup = collect_episodes_supervised(
-            &mut envs,
-            &policy,
-            &value,
-            7,
-            2,
-            50,
-            99,
-            &SupervisorConfig::default(),
-        );
+        let sup = collect_episodes_supervised(&mut envs, &policy, &value, 7, 2, 50, 99);
         assert_eq!(sup.worker_respawns, 0);
         assert!(sup.failed_episodes.is_empty());
         let wrapped = collect_episodes_parallel(&mut envs, &policy, &value, 7, 2, 50, 99);

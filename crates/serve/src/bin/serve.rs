@@ -46,6 +46,26 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == key).map(|w| w[1].clone())
 }
 
+/// The parsed value of numeric flag `key`, `Ok(None)` when it is absent.
+fn parse_flag<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, String> {
+    arg_value(args, key)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{key} got '{v}': expected a non-negative integer"))
+        })
+        .transpose()
+}
+
+/// [`parse_flag`] for `main`: a malformed number names the flag and the
+/// rejected value and exits 2, so a typo never starts a daemon (or a
+/// poll) with a default the operator did not ask for.
+fn number<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
+    parse_flag(args, key).unwrap_or_else(|msg| {
+        eprintln!("serve: {msg}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -80,29 +100,29 @@ fn daemon_cfg(args: &[String]) -> ServerConfig {
     if let Some(store) = arg_value(args, "--store") {
         cfg.store_path = PathBuf::from(store);
     }
-    if let Some(w) = arg_value(args, "--workers").and_then(|v| v.parse().ok()) {
+    if let Some(w) = number(args, "--workers") {
         cfg.workers = w;
     }
-    if let Some(q) = arg_value(args, "--queue-cap").and_then(|v| v.parse().ok()) {
+    if let Some(q) = number(args, "--queue-cap") {
         cfg.queue_cap = q;
     }
-    if let Some(d) = arg_value(args, "--deadline-ms").and_then(|v| v.parse().ok()) {
+    if let Some(d) = number(args, "--deadline-ms") {
         cfg.default_deadline = Duration::from_millis(d);
     }
-    if let Some(ms) = arg_value(args, "--retry-hint-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = number(args, "--retry-hint-ms") {
         cfg.retry_hint_ms = ms;
     }
     cfg.chaos = args.iter().any(|a| a == "--chaos");
     if let Some(dir) = arg_value(args, "--flight-dir") {
         cfg.flight.dump_dir = Some(PathBuf::from(dir));
     }
-    if let Some(ms) = arg_value(args, "--slow-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = number(args, "--slow-ms") {
         cfg.flight.slow_threshold = Some(Duration::from_millis(ms));
     }
-    if let Some(n) = arg_value(args, "--flight-capacity").and_then(|v| v.parse().ok()) {
+    if let Some(n) = number(args, "--flight-capacity") {
         cfg.flight.capacity = n;
     }
-    if let Some(n) = arg_value(args, "--max-dump-files").and_then(|v| v.parse().ok()) {
+    if let Some(n) = number(args, "--max-dump-files") {
         cfg.flight.max_dump_files = n;
     }
     cfg.admin = args.iter().any(|a| a == "--admin");
@@ -224,12 +244,8 @@ fn run_stats(args: &[String]) {
 
 fn run_top(args: &[String]) {
     let addr = require_addr(args);
-    let interval = Duration::from_millis(
-        arg_value(args, "--interval-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1000),
-    );
-    let count: Option<u64> = arg_value(args, "--count").and_then(|v| v.parse().ok());
+    let interval = Duration::from_millis(number(args, "--interval-ms").unwrap_or(1000));
+    let count: Option<u64> = number(args, "--count");
     let mut prev: Option<(StatsSnapshot, Instant)> = None;
     let mut iterations = 0u64;
     loop {
@@ -302,7 +318,7 @@ fn run_models(args: &[String]) {
 
 fn run_promote(args: &[String]) {
     let addr = require_addr(args);
-    let version: u64 = match arg_value(args, "--version").and_then(|v| v.parse().ok()) {
+    let version: u64 = match number(args, "--version") {
         Some(v) => v,
         None => {
             eprintln!("serve: promote needs --version <n>");
@@ -332,9 +348,7 @@ fn run_promote(args: &[String]) {
 
 fn run_trace(args: &[String]) {
     let addr = require_addr(args);
-    let n = arg_value(args, "--n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+    let n = number(args, "--n").unwrap_or(16);
     let result = Client::connect(&addr).and_then(|mut c| {
         c.set_read_timeout(Some(Duration::from_secs(5)))?;
         c.traces(n)
@@ -468,6 +482,27 @@ mod tests {
         assert_eq!(ns(42_000), "42.0us");
         assert_eq!(ns(7_300_000), "7.3ms");
         assert_eq!(ns(12_000_000_000), "12.00s");
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected_by_name() {
+        let args = |flag: &str, v: &str| ["serve", flag, v].map(String::from);
+        assert_eq!(
+            parse_flag(&args("--workers", "8"), "--workers"),
+            Ok(Some(8usize))
+        );
+        assert_eq!(
+            parse_flag::<usize>(&args("--chaos", "8"), "--workers"),
+            Ok(None)
+        );
+        for (flag, bad) in [
+            ("--workers", "abc"),
+            ("--deadline-ms", "1s"),
+            ("--queue-cap", "-1"),
+        ] {
+            let err = parse_flag::<usize>(&args(flag, bad), flag).unwrap_err();
+            assert!(err.contains(flag) && err.contains(bad), "{err}");
+        }
     }
 
     #[test]

@@ -119,6 +119,11 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
 }
 
+/// The reply to a verb that only acknowledges.
+fn ack(reply: Reply) -> Option<()> {
+    matches!(reply, Reply::Ack).then_some(())
+}
+
 impl Client {
     /// Connect to a daemon with the default [`ClientConfig`] timeouts.
     ///
@@ -186,9 +191,38 @@ impl Client {
         Ok(())
     }
 
-    fn roundtrip(&mut self, req: &Request) -> Result<Reply, ClientError> {
+    /// Read the reply to `verb` and take from it what `expected` accepts.
+    /// A typed refusal becomes [`ClientError::Server`]; any other variant
+    /// is a protocol violation.
+    fn expect<T>(
+        &mut self,
+        verb: &str,
+        expected: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        match protocol::read_reply(&mut self.reader)? {
+            Reply::Err {
+                kind,
+                retry_ms,
+                msg,
+            } => Err(ClientError::server(kind, retry_ms, msg)),
+            reply => expected(reply).ok_or_else(|| {
+                ClientError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("unexpected reply to {verb}"),
+                ))
+            }),
+        }
+    }
+
+    /// Send `req` and [`expect`](Client::expect) its reply.
+    fn roundtrip<T>(
+        &mut self,
+        verb: &str,
+        req: &Request,
+        expected: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, ClientError> {
         protocol::write_request(&mut self.writer, req)?;
-        Ok(protocol::read_reply(&mut self.reader)?)
+        self.expect(verb, expected)
     }
 
     /// Compile one module (textual IR).
@@ -204,30 +238,22 @@ impl Client {
         want_ir: bool,
     ) -> Result<CompileReply, ClientError> {
         protocol::write_compile(&mut self.writer, ir, deadline_ms, want_ir)?;
-        match protocol::read_reply(&mut self.reader)? {
+        self.expect("compile", |reply| match reply {
             Reply::Compiled {
                 source,
                 cycles,
                 baseline_cycles,
                 passes,
                 ir,
-            } => Ok(CompileReply {
+            } => Some(CompileReply {
                 source,
                 cycles,
                 baseline_cycles,
                 passes,
                 ir,
             }),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "non-compile reply to a compile",
-            ))),
-        }
+            _ => None,
+        })
     }
 
     /// Liveness probe.
@@ -236,18 +262,7 @@ impl Client {
     ///
     /// Transport failures or a typed refusal.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Ping)? {
-            Reply::Ack => Ok(()),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unexpected reply to a ping",
-            ))),
-        }
+        self.roundtrip("ping", &Request::Ping, ack)
     }
 
     /// Fetch a parsed telemetry snapshot (`STATS`). Answers even when
@@ -266,18 +281,10 @@ impl Client {
     ///
     /// Transport failures or a typed refusal.
     fn stats_raw(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Stats)? {
-            Reply::Stats { body } => Ok(body),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unexpected reply to stats",
-            ))),
-        }
+        self.roundtrip("stats", &Request::Stats, |reply| match reply {
+            Reply::Stats { body } => Some(body),
+            _ => None,
+        })
     }
 
     /// Fetch the last `n` completed request traces as trace JSONL,
@@ -288,18 +295,10 @@ impl Client {
     ///
     /// Transport failures or a typed refusal.
     pub fn traces(&mut self, n: usize) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Trace { n })? {
-            Reply::Traces { body } => Ok(body),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unexpected reply to trace",
-            ))),
-        }
+        self.roundtrip("trace", &Request::Trace { n }, |reply| match reply {
+            Reply::Traces { body } => Some(body),
+            _ => None,
+        })
     }
 
     /// Arm `n` injected policy faults (server must run with chaos on).
@@ -336,22 +335,12 @@ impl Client {
     }
 
     fn chaos_full(&mut self, faults: u32, crashes: u32, swaps: u32) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Chaos {
+        let req = Request::Chaos {
             faults,
             crashes,
             swaps,
-        })? {
-            Reply::Ack => Ok(()),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unexpected reply to chaos",
-            ))),
-        }
+        };
+        self.roundtrip("chaos", &req, ack)
     }
 
     /// Fetch the parsed model snapshot (`MODEL`): registry versions,
@@ -371,18 +360,10 @@ impl Client {
     ///
     /// Transport failures or a typed refusal.
     fn models_raw(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Model)? {
-            Reply::Models { body } => Ok(body),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unexpected reply to model",
-            ))),
-        }
+        self.roundtrip("model", &Request::Model, |reply| match reply {
+            Reply::Models { body } => Some(body),
+            _ => None,
+        })
     }
 
     /// Promote registry version `v` to the active serving policy
@@ -409,18 +390,7 @@ impl Client {
     }
 
     fn promote_inner(&mut self, version: u64, ab: bool) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Promote { version, ab })? {
-            Reply::Ack => Ok(()),
-            Reply::Err {
-                kind,
-                retry_ms,
-                msg,
-            } => Err(ClientError::server(kind, retry_ms, msg)),
-            _ => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unexpected reply to promote",
-            ))),
-        }
+        self.roundtrip("promote", &Request::Promote { version, ab }, ack)
     }
 }
 
@@ -466,7 +436,7 @@ impl RetryPolicy {
 }
 
 /// A self-healing client: connects lazily, reconnects after transport
-/// errors, and retries retryable failures ([`ClientError::is_retryable`])
+/// errors, and retries retryable failures (`ClientError::is_retryable`)
 /// with jittered exponential backoff. When the server's refusal carries
 /// a `retry_ms=` hint, the hint (clamped to
 /// [`RetryPolicy::max_backoff`]) replaces the exponential delay.

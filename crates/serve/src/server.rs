@@ -190,7 +190,7 @@ impl Gate {
     }
 
     fn acquire(&self, deadline: Instant) -> Admission {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock_recover(&self.state);
         if s.permits > 0 {
             s.permits -= 1;
             return Admission::Granted;
@@ -213,13 +213,13 @@ impl Gate {
                 telemetry::add_gauge("serve.queue_depth", "", -1.0);
                 return Admission::DeadlineExpired;
             }
-            let (guard, _) = self.cv.wait_timeout(s, deadline - now).unwrap();
-            s = guard;
+            let wait = self.cv.wait_timeout(s, deadline - now);
+            s = wait.unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 
     fn release(&self) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock_recover(&self.state);
         s.permits += 1;
         self.cv.notify_one();
     }
@@ -1223,14 +1223,18 @@ mod tests {
     use super::*;
     use crate::client::Client;
 
-    /// A panic under the connection table's mutex (PR 8: every daemon
-    /// lock recovers from poisoning) must not make later connections'
-    /// teardown panic: the handler would die before giving its slot back,
-    /// and `max_conns` such connections would wedge the daemon.
-    #[test]
-    fn connection_teardown_survives_a_poisoned_connection_table() {
+    /// Poison one of the daemon's mutexes (PR 8: every daemon lock
+    /// recovers from poisoning), make one request, and wait for the
+    /// handler to give its connection slot back: a handler that died on
+    /// the poisoned lock would keep it, and `max_conns` such connections
+    /// would wedge the daemon.
+    fn survives_poisoning(
+        tag: &str,
+        poison: fn(&Shared),
+        request: fn(&mut Client),
+    ) -> (Server, std::path::PathBuf) {
         let store = std::env::temp_dir().join(format!(
-            "autophase_serve_poisoned_conns_{}.log",
+            "autophase_serve_poisoned_{tag}_{}.log",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&store);
@@ -1241,26 +1245,56 @@ mod tests {
         .expect("server starts");
 
         let poisoner = Arc::clone(&server.shared);
-        let poisoned = std::thread::spawn(move || {
-            let _guard = poisoner.conns.lock().unwrap();
-            panic!("poison the connection table");
-        })
-        .join();
-        assert!(poisoned.is_err() && server.shared.conns.is_poisoned());
+        let poisoned = std::thread::spawn(move || poison(&poisoner)).join();
+        assert!(poisoned.is_err());
 
         let mut client = Client::connect(server.addr()).expect("connect");
-        client.ping().expect("ping on a poisoned table");
+        request(&mut client);
         drop(client);
         let deadline = Instant::now() + Duration::from_secs(10);
         while server.shared.active_conns.load(Ordering::SeqCst) > 0 {
             assert!(
                 Instant::now() < deadline,
-                "the handler died in teardown without releasing its connection slot"
+                "the handler died without releasing its connection slot"
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(lock_recover(&server.shared.conns).is_empty());
+        (server, store)
+    }
 
+    #[test]
+    fn connection_teardown_survives_a_poisoned_connection_table() {
+        let (server, store) = survives_poisoning(
+            "conns",
+            |shared| {
+                let _guard = shared.conns.lock().unwrap();
+                panic!("poison the connection table");
+            },
+            |client| client.ping().expect("ping on a poisoned table"),
+        );
+        assert!(server.shared.conns.is_poisoned());
+        assert!(lock_recover(&server.shared.conns).is_empty());
+        server.shutdown();
+        let _ = std::fs::remove_file(&store);
+    }
+
+    /// The admission gate is the one lock every `COMPILE` takes twice.
+    #[test]
+    fn compile_survives_a_poisoned_admission_gate() {
+        let (server, store) = survives_poisoning(
+            "gate",
+            |shared| {
+                let _guard = shared.gate.state.lock().unwrap();
+                panic!("poison the admission gate");
+            },
+            |client| {
+                let ir = "; module m\n\n; f0\ndefine i32 @main() {\nb0:\n  ret i32 0\n}\n";
+                client
+                    .compile(ir, None, false)
+                    .expect("compile through a poisoned gate");
+            },
+        );
+        assert!(server.shared.gate.state.is_poisoned());
         server.shutdown();
         let _ = std::fs::remove_file(&store);
     }

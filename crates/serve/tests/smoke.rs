@@ -298,10 +298,7 @@ fn stale_store_entry_is_retired_not_served_inconsistently() {
     }
     let cfg = ServerConfig {
         store_path: store.clone(),
-        fuel: FuelBudget {
-            max_insts: 1,
-            max_fixpoint_iters: 1,
-        },
+        fuel: FuelBudget { max_insts: 1 },
         ..ServerConfig::default()
     };
     let server = Server::start(test_policy(), cfg).expect("server starts");

@@ -5,16 +5,16 @@
 //! routed through the thin wrappers in this module instead of calling
 //! `std::fs`/`std::io` directly. In production builds the wrappers are
 //! zero-cost passthroughs. Under `cfg(any(test, feature =
-//! "fault-injection"))` an armed [`DiskFaultPlan`] can make any tagged
+//! "fault-injection"))` an armed `DiskFaultPlan` can make any tagged
 //! operation fail deterministically: torn writes (a prefix lands, then
 //! an error), `ENOSPC`, fsync failure, and short reads — the four
 //! failure shapes the durability suite drills.
 //!
 //! The plan machinery mirrors `autophase_passes::fault`: a process-wide
-//! slot armed by [`install_plan`], a relaxed-atomic fast path when idle,
+//! slot armed by `install_plan`, a relaxed-atomic fast path when idle,
 //! per-spec match counters so "the Nth append" is well defined, and a
-//! [`test_guard`] mutex because the slot is process-global. Plans are
-//! reproducible from a single `u64` via [`DiskFaultPlan::seeded`].
+//! `test_guard` mutex because the slot is process-global. Plans are
+//! reproducible from a single `u64` via `DiskFaultPlan::seeded`.
 //!
 //! Call sites name themselves with a static `tag` (`"store.append"`,
 //! `"store.snapshot"`, `"ckpt.write"`, ...) so a plan can target one

@@ -25,6 +25,7 @@
 //! the evidence is already on disk. Dumps are rate-limited by
 //! [`FlightConfig::max_dumps`] so a failure flood cannot fill the disk.
 
+use crate::lock_recover;
 use crate::sink::json_escape;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -318,7 +319,7 @@ impl FlightRecorder {
         };
         let trace = Arc::new(trace);
         let idx = (self.head.fetch_add(1, Ordering::AcqRel) as usize) % self.cfg.capacity;
-        *self.slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&trace));
+        *lock_recover(&self.slots[idx]) = Some(Arc::clone(&trace));
         crate::incr("flight.completed", "", 1);
         let path = trigger.and_then(|t| self.dump(t, &trace));
         (trace, path)
@@ -332,7 +333,7 @@ impl FlightRecorder {
         let mut out = Vec::with_capacity(want);
         for back in 1..=want as u64 {
             let idx = ((head - back) as usize) % self.cfg.capacity;
-            let slot = self.slots[idx].lock().unwrap_or_else(|e| e.into_inner());
+            let slot = lock_recover(&self.slots[idx]);
             if let Some(t) = slot.as_ref() {
                 out.push(Arc::clone(t));
             }

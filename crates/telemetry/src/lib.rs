@@ -209,7 +209,7 @@ mod tests {
     // serialize the ones that toggle the enable flag.
     pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
+        lock_recover(&GATE)
     }
 
     #[test]

@@ -326,7 +326,7 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest recorded value.
     pub max: u64,
-    /// Median estimate, interpolated (see [`Histogram::quantile_interp`]).
+    /// Median estimate, interpolated (see `Histogram::quantile_interp`).
     pub p50: u64,
     /// 90th-percentile estimate, interpolated.
     pub p90: u64,

@@ -173,7 +173,7 @@ fn render_jsonl_from(snap: &Snapshot) -> String {
 /// JSONL of the registry instruments only — one `counter`/`gauge`/
 /// `histogram` object per line, no span events and no trailer. This is
 /// the wire body a live service answers stats queries with: pure
-/// snapshot, same line shapes as [`render_jsonl_from`].
+/// snapshot, same line shapes as `render_jsonl_from`.
 pub fn render_metrics_jsonl_from(snap: &Snapshot) -> String {
     let mut out = String::new();
     for c in &snap.counters {

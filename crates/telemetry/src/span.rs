@@ -12,7 +12,7 @@
 //! Spans are for episode-granularity regions and coarser; per-pass timing
 //! uses plain histograms to stay lock-free.
 
-use crate::metrics;
+use crate::{lock_recover, metrics};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -116,7 +116,7 @@ impl Drop for SpanGuard {
             start_ns,
             dur_ns,
         };
-        let mut events = EVENTS.lock().expect("span event log poisoned");
+        let mut events = lock_recover(&EVENTS);
         if events.len() < EVENT_CAP {
             events.push(event);
         } else {
@@ -127,7 +127,7 @@ impl Drop for SpanGuard {
 
 /// All retained span events, in close order.
 pub fn span_events() -> Vec<SpanEvent> {
-    EVENTS.lock().expect("span event log poisoned").clone()
+    lock_recover(&EVENTS).clone()
 }
 
 /// How many span closes were discarded after [`EVENT_CAP`] filled up.
@@ -137,7 +137,7 @@ pub fn dropped_events() -> u64 {
 
 /// Drop all retained events (used by [`crate::reset`]).
 pub(crate) fn clear_events() {
-    EVENTS.lock().expect("span event log poisoned").clear();
+    lock_recover(&EVENTS).clear();
     DROPPED.store(0, Ordering::Relaxed);
 }
 
