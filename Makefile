@@ -114,11 +114,14 @@ durability-smoke:
 # Online-learning smoke (DESIGN.md §4l): the end-to-end learner loop on
 # a live daemon (train -> publish -> auto-promote), admin-gated
 # PROMOTE with A/B serving, the registry's manifest property tests, the
-# corrupt/NaN candidate armor, and the swap drill (20 promotions under
-# four cold-compiling clients, no request dropped). Seconds end to end.
+# corrupt/NaN candidate armor, the swap drill (20 promotions under
+# four cold-compiling clients, no request dropped), and the promotion
+# gate's unit tests: a NaN weight refused at boot, at either swap and
+# at auto-promotion (quarantined). Seconds end to end.
 online-smoke:
 	$(CARGO) test -q --release -p autophase-rl --test registry_props
 	$(CARGO) test -q --release -p autophase-serve --test online
+	$(CARGO) test -q --release -p autophase-serve --lib non_finite
 
 # Pass-kernel output gate (DESIGN.md §4m): the printed IR of every pass,
 # of -O3 and of 32 seeded orderings on CHStone + 64 corpus programs must

@@ -99,62 +99,48 @@ impl ObsLayout {
         obs
     }
 
-    /// Check that `net` can serve as the policy under this layout.
+    /// Check that `net` can serve as the policy under this layout: its
+    /// shape matches and every parameter is finite. A NaN-poisoned
+    /// policy decodes cleanly (a checkpoint checksum only proves the
+    /// bytes survived disk) yet emits NaN logits on every request, so
+    /// finiteness is part of what "can serve" means — at boot as much as
+    /// at a swap.
     ///
     /// # Errors
     ///
-    /// [`LayoutError`] naming both shapes when they disagree.
+    /// [`LayoutError`] naming both shapes when they disagree, or the
+    /// non-finite parameters.
     pub fn check_policy(&self, net: &Mlp) -> Result<(), LayoutError> {
-        if net.input_dim() != self.obs_dim() || net.output_dim() != self.num_actions {
+        self.check_net("policy", net, self.num_actions)
+    }
+
+    /// `net` in `role` must read this layout's observation, have
+    /// `outputs` outputs (the value network has one) and finite weights.
+    fn check_net(&self, role: &str, net: &Mlp, outputs: usize) -> Result<(), LayoutError> {
+        if net.input_dim() != self.obs_dim() || net.output_dim() != outputs {
             return Err(LayoutError(format!(
-                "policy is {}x{}, serving layout needs {}x{}",
+                "{role} is {}x{}, serving layout needs {}x{outputs}",
                 net.input_dim(),
                 net.output_dim(),
                 self.obs_dim(),
-                self.num_actions
             )));
         }
-        Ok(())
-    }
-
-    /// Check that `net` can serve as the value network under this
-    /// layout (same observation width, scalar output).
-    ///
-    /// # Errors
-    ///
-    /// [`LayoutError`] naming both shapes when they disagree.
-    fn check_value(&self, net: &Mlp) -> Result<(), LayoutError> {
-        if net.input_dim() != self.obs_dim() || net.output_dim() != 1 {
-            return Err(LayoutError(format!(
-                "value net is {}x{}, serving layout needs {}x1",
-                net.input_dim(),
-                net.output_dim(),
-                self.obs_dim()
-            )));
+        if !all_finite(net) {
+            return Err(LayoutError(format!("{role} has non-finite parameters")));
         }
         Ok(())
     }
 
     /// Full promotion armor for a candidate checkpoint: both networks
-    /// must match this layout *and* every parameter must be finite. A
-    /// NaN-poisoned policy would decode cleanly (the checkpoint checksum
-    /// only proves the bytes survived disk) yet emit NaN logits on every
-    /// request, so finiteness is part of the promotion gate, not just
-    /// the shape.
+    /// must pass [`check_policy`](ObsLayout::check_policy)'s shape and
+    /// finiteness checks.
     ///
     /// # Errors
     ///
     /// [`LayoutError`] describing the first violation found.
     pub fn validate_checkpoint(&self, ckpt: &PolicyCheckpoint) -> Result<(), LayoutError> {
         self.check_policy(&ckpt.policy)?;
-        self.check_value(&ckpt.value)?;
-        if !all_finite(&ckpt.policy) {
-            return Err(LayoutError("policy has non-finite parameters".into()));
-        }
-        if !all_finite(&ckpt.value) {
-            return Err(LayoutError("value net has non-finite parameters".into()));
-        }
-        Ok(())
+        self.check_net("value net", &ckpt.value, 1)
     }
 }
 
@@ -193,9 +179,9 @@ mod tests {
         let policy = Mlp::new(&[8, 4, 3], Activation::Tanh, 1);
         let value = Mlp::new(&[8, 4, 1], Activation::Tanh, 2);
         assert!(l.check_policy(&policy).is_ok());
-        assert!(l.check_value(&value).is_ok());
+        assert!(l.check_net("value net", &value, 1).is_ok());
         assert!(l.check_policy(&value).is_err());
-        assert!(l.check_value(&policy).is_err());
+        assert!(l.check_net("value net", &policy, 1).is_err());
     }
 
     #[test]

@@ -186,8 +186,9 @@ fn run_daemon(args: &[String]) {
 
     let started = match policy {
         Some(policy) => Server::start(policy, cfg).or_else(|e| {
-            // A checkpoint of the wrong shape is as unusable as a corrupt
-            // one: say why, then keep the service up without it.
+            // A checkpoint of the wrong shape or with a non-finite weight
+            // is as unusable as a corrupt one: say why, then keep the
+            // service up without it.
             eprintln!("serve: {e}");
             eprintln!("serve: continuing BASELINE-ONLY (no policy)");
             Server::start_baseline_only(daemon_cfg(args))

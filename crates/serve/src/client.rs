@@ -272,17 +272,8 @@ impl Client {
     ///
     /// Transport failures or a typed refusal.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        Ok(StatsSnapshot::parse(&self.stats_raw()?))
-    }
-
-    /// Fetch the raw metrics-JSONL body of a `STATS` reply.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or a typed refusal.
-    fn stats_raw(&mut self) -> Result<String, ClientError> {
         self.roundtrip("stats", &Request::Stats, |reply| match reply {
-            Reply::Stats { body } => Some(body),
+            Reply::Stats { body } => Some(StatsSnapshot::parse(&body)),
             _ => None,
         })
     }
@@ -351,17 +342,8 @@ impl Client {
     ///
     /// Transport failures or a typed refusal.
     pub fn models(&mut self) -> Result<ModelsSnapshot, ClientError> {
-        Ok(ModelsSnapshot::parse(&self.models_raw()?))
-    }
-
-    /// Fetch the raw JSONL body of a `MODEL` reply.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or a typed refusal.
-    fn models_raw(&mut self) -> Result<String, ClientError> {
         self.roundtrip("model", &Request::Model, |reply| match reply {
-            Reply::Models { body } => Some(body),
+            Reply::Models { body } => Some(ModelsSnapshot::parse(&body)),
             _ => None,
         })
     }
@@ -376,7 +358,7 @@ impl Client {
     /// candidate was quarantined or failed validation (the old policy
     /// keeps serving).
     pub fn promote(&mut self, version: u64) -> Result<(), ClientError> {
-        self.promote_inner(version, false)
+        self.roundtrip("promote", &Request::Promote { version, ab: false }, ack)
     }
 
     /// Install registry version `v` as the B-side challenger for A/B
@@ -386,11 +368,7 @@ impl Client {
     ///
     /// Same contract as [`promote`](Client::promote).
     pub fn promote_ab(&mut self, version: u64) -> Result<(), ClientError> {
-        self.promote_inner(version, true)
-    }
-
-    fn promote_inner(&mut self, version: u64, ab: bool) -> Result<(), ClientError> {
-        self.roundtrip("promote", &Request::Promote { version, ab }, ack)
+        self.roundtrip("promote", &Request::Promote { version, ab: true }, ack)
     }
 }
 

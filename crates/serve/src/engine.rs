@@ -237,7 +237,7 @@ pub struct InferenceEngine {
     shutdown: bool,
 }
 
-/// Checkpoint/engine shape mismatch at startup.
+/// A policy the serving layout refuses: wrong shape or non-finite weights.
 #[derive(Debug)]
 pub struct ShapeError(pub String);
 
@@ -249,8 +249,8 @@ impl std::fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
-/// Shape-check `policy` against the serving layout and build its
-/// serving mirror.
+/// Check `policy` against the serving layout (shape and finite weights)
+/// and build its serving mirror: boot and both swaps come through here.
 fn policy_entry(policy: &Mlp, version: u64) -> Result<Arc<PolicyEntry>, ShapeError> {
     serve_layout()
         .check_policy(policy)
@@ -261,8 +261,9 @@ fn policy_entry(policy: &Mlp, version: u64) -> Result<Arc<PolicyEntry>, ShapeErr
     }))
 }
 
-/// Take one armed injection from `armed`, if any is pending.
-fn take_armed(armed: &AtomicU32) -> bool {
+/// Take one armed injection from `armed`, if any is pending. `Relaxed`:
+/// a chaos count guards no other data.
+pub(crate) fn take_armed(armed: &AtomicU32) -> bool {
     armed
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
         .is_ok()
@@ -276,7 +277,8 @@ impl InferenceEngine {
     ///
     /// Rejects a policy whose input/output dimensions do not match the
     /// serving observation layout — a checkpoint from a different
-    /// training configuration would silently misread every observation.
+    /// training configuration would silently misread every observation —
+    /// and one with a non-finite weight, which would serve NaN logits.
     pub fn start(policy: Mlp, _cfg: EngineConfig) -> Result<InferenceEngine, ShapeError> {
         let a = policy_entry(&policy, 0)
             .map_err(|e| ShapeError(format!("{} (train with serve_env_config())", e.0)))?;
@@ -328,9 +330,9 @@ impl InferenceEngine {
     ///
     /// # Errors
     ///
-    /// Rejects a policy that fails the serving-layout shape check, and
-    /// any swap on a baseline-only engine (it has no policy set to swap
-    /// into).
+    /// Rejects a policy that fails the serving-layout check (shape and
+    /// finite weights), and any swap on a baseline-only engine (it has
+    /// no policy set to swap into).
     pub fn swap_policy(&self, policy: Mlp, version: u64) -> Result<(), ShapeError> {
         self.install(policy, version, false)
     }
@@ -677,6 +679,23 @@ mod tests {
         let baseline = InferenceEngine::start_baseline_only();
         assert!(baseline.swap_policy(test_policy(34), 1).is_err());
         assert!(baseline.active_versions().is_none());
+    }
+
+    /// Boot, swap and A/B swap are every way a network becomes a serving
+    /// mirror; each refuses one NaN weight, and a refused swap is a no-op.
+    #[test]
+    fn start_swap_and_ab_refuse_a_non_finite_policy() {
+        let mut poisoned = test_policy(35);
+        let mut params = poisoned.parameters();
+        params[0] = f64::NAN;
+        poisoned.set_parameters(&params);
+        let err = InferenceEngine::start(poisoned.clone(), EngineConfig::default()).err();
+        assert!(err.is_some_and(|e| e.0.contains("non-finite")));
+        let engine = InferenceEngine::start(test_policy(36), EngineConfig::default()).unwrap();
+        assert!(engine.swap_policy(poisoned.clone(), 1).is_err());
+        assert!(engine.swap_ab(poisoned, 2).is_err());
+        assert_eq!(engine.active_versions(), Some((0, None)));
+        assert_eq!(engine.swap_count(), 0);
     }
 
     #[test]

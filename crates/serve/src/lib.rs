@@ -23,10 +23,12 @@
 //! * [`stats`] — the client-side parser for `STATS` replies (metrics
 //!   JSONL → lookup tables), feeding the `serve top` dashboard and the
 //!   benches;
-//! * [`learner`] — the online-learning subsystem: a background thread
-//!   training on cold-path outcomes, publishing versioned checkpoints
-//!   into a model registry, and (behind the admin-gated `PROMOTE`
-//!   verb or auto-promotion) hot-swapping them into the live engine.
+//! * [`learner`] — the online-learning half of the daemon, behind one
+//!   type: the model registry, a background thread training on
+//!   cold-path outcomes and publishing versioned checkpoints into it,
+//!   the per-version ledger `MODEL` reads, and the one promotion gate
+//!   that both the admin-gated `PROMOTE` verb and auto-promotion pass to
+//!   hot-swap a version into the live engine.
 //!
 //! Every compile request carries a trace through the pipeline; the
 //! daemon's flight recorder keeps the recent ones and dumps
@@ -68,7 +70,7 @@ pub use client::{Client, ClientConfig, CompileReply, RetryPolicy, RetryingClient
 pub use engine::{
     serve_env_config, serve_layout, InferenceEngine, RolloutReport, SERVE_EPISODE_LEN,
 };
-pub use learner::{Learner, LearnerConfig};
+pub use learner::LearnerConfig;
 pub use protocol::{ErrKind, Source};
 pub use server::{Server, ServerConfig};
 pub use stats::{HistStat, ModelVersionStat, ModelsSnapshot, StatsSnapshot};

@@ -206,6 +206,15 @@ pub enum Reply {
     },
 }
 
+/// A typed refusal.
+pub(crate) fn refuse(kind: ErrKind, retry_ms: Option<u64>, msg: impl Into<String>) -> Reply {
+    Reply::Err {
+        kind,
+        retry_ms,
+        msg: msg.into(),
+    }
+}
+
 /// Wire-format violation while reading a message.
 #[derive(Debug)]
 pub struct ProtocolError(pub String);
@@ -296,6 +305,39 @@ fn read_body<R: BufRead>(r: &mut R, len: usize) -> io::Result<String> {
     }
     String::from_utf8(buf)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))
+}
+
+/// Write a JSONL-body reply (`STATS`, `TRACE`, `MODEL`): `OK <key>=N\n`,
+/// then the N body bytes — at most [`MAX_IR_LEN`] of them, the body cut
+/// at a line boundary so it stays whole JSONL lines the reader accepts.
+fn write_jsonl<W: Write>(w: &mut W, key: &str, body: &str) -> io::Result<()> {
+    let body = body.as_bytes();
+    let mut len = body.len();
+    if len > MAX_IR_LEN {
+        len = body[..MAX_IR_LEN]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+    }
+    w.write_all(format!("{PROTOCOL} OK {key}={len}\n").as_bytes())?;
+    w.write_all(&body[..len])
+}
+
+/// Read the body [`write_jsonl`] framed under `key`; `None` when the
+/// header does not carry `key`.
+fn read_jsonl<R: BufRead>(
+    r: &mut R,
+    kvs: &[(&str, &str)],
+    key: &str,
+) -> io::Result<Option<String>> {
+    let Some(len) = get_u64(kvs, key)? else {
+        return Ok(None);
+    };
+    let len = len as usize;
+    if len > MAX_IR_LEN {
+        return Err(ProtocolError(format!("{key} {len} over cap")).into());
+    }
+    read_body(r, len).map(Some)
 }
 
 /// Serialize a request onto `w` (header line + body).
@@ -464,18 +506,9 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
             w.write_all(body.as_bytes())?;
         }
         Reply::Ack => w.write_all(format!("{PROTOCOL} OK ack=1\n").as_bytes())?,
-        Reply::Stats { body } => {
-            w.write_all(format!("{PROTOCOL} OK stats_len={}\n", body.len()).as_bytes())?;
-            w.write_all(body.as_bytes())?;
-        }
-        Reply::Traces { body } => {
-            w.write_all(format!("{PROTOCOL} OK traces_len={}\n", body.len()).as_bytes())?;
-            w.write_all(body.as_bytes())?;
-        }
-        Reply::Models { body } => {
-            w.write_all(format!("{PROTOCOL} OK models_len={}\n", body.len()).as_bytes())?;
-            w.write_all(body.as_bytes())?;
-        }
+        Reply::Stats { body } => write_jsonl(w, "stats_len", body)?,
+        Reply::Traces { body } => write_jsonl(w, "traces_len", body)?,
+        Reply::Models { body } => write_jsonl(w, "models_len", body)?,
         Reply::Err {
             kind,
             retry_ms,
@@ -551,30 +584,12 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
                     passes,
                     ir,
                 })
-            } else if let Some(len) = get_u64(&kvs, "stats_len")? {
-                let len = len as usize;
-                if len > MAX_IR_LEN {
-                    return Err(ProtocolError(format!("stats_len {len} over cap")).into());
-                }
-                Ok(Reply::Stats {
-                    body: read_body(r, len)?,
-                })
-            } else if let Some(len) = get_u64(&kvs, "traces_len")? {
-                let len = len as usize;
-                if len > MAX_IR_LEN {
-                    return Err(ProtocolError(format!("traces_len {len} over cap")).into());
-                }
-                Ok(Reply::Traces {
-                    body: read_body(r, len)?,
-                })
-            } else if let Some(len) = get_u64(&kvs, "models_len")? {
-                let len = len as usize;
-                if len > MAX_IR_LEN {
-                    return Err(ProtocolError(format!("models_len {len} over cap")).into());
-                }
-                Ok(Reply::Models {
-                    body: read_body(r, len)?,
-                })
+            } else if let Some(body) = read_jsonl(r, &kvs, "stats_len")? {
+                Ok(Reply::Stats { body })
+            } else if let Some(body) = read_jsonl(r, &kvs, "traces_len")? {
+                Ok(Reply::Traces { body })
+            } else if let Some(body) = read_jsonl(r, &kvs, "models_len")? {
+                Ok(Reply::Models { body })
             } else {
                 Ok(Reply::Ack)
             }

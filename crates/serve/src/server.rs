@@ -40,14 +40,18 @@
 //! dump them (with ring context) to JSONL artifacts. `STATS` answers
 //! with the registry snapshot as metrics JSONL. Both introspection verbs
 //! bypass the admission gate — they must answer precisely when the
-//! daemon is drowning. Requests are counted per outcome in
-//! `serve.req{...}`; the waiting count lives in the `serve.queue_depth`
-//! gauge.
+//! daemon is drowning. Every reply a handler writes is counted in
+//! `serve.req{ok_<source>|err_<kind>}` by the one reply → outcome mapping
+//! that also names its trace's outcome; the waiting count lives in the
+//! `serve.queue_depth` gauge.
+//!
+//! The online-learning half — registry, learner, per-version ledger and
+//! the one promotion gate — is [`crate::learner`]'s.
 
-use crate::engine::{serve_layout, EngineConfig, InferenceEngine};
+use crate::engine::{EngineConfig, InferenceEngine};
 use crate::front::{front_memo, FrontMemo};
-use crate::learner::{Learner, LearnerConfig};
-use crate::protocol::{self, ErrKind, Reply, Request, Source};
+use crate::learner::{LearnerConfig, Online};
+use crate::protocol::{self, refuse, ErrKind, Reply, Request, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
 use autophase_core::eval_cache::fingerprint_module;
 use autophase_core::Quarantine;
@@ -61,18 +65,15 @@ use autophase_ir::Module;
 use autophase_nn::mlp::Mlp;
 use autophase_passes::checked::{apply_checked, FuelBudget};
 use autophase_passes::o3::o3_checked;
-use autophase_rl::checkpoint::ArmoredLoad;
 use autophase_rl::online::Experience;
-use autophase_rl::registry::{ModelRegistry, VersionInfo};
 use autophase_telemetry::{
-    self as telemetry, lock_recover, BoundedMap, FlightConfig, FlightRecorder, MapCounters,
-    TraceBuilder,
+    self as telemetry, lock_recover, FlightConfig, FlightRecorder, TraceBuilder,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -158,13 +159,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Outcome of asking the admission gate for a slot.
-enum Admission {
-    Granted,
-    Overloaded,
-    DeadlineExpired,
-}
-
 /// Counting gate: `permits` run, at most `queue_cap` wait, the rest shed.
 struct Gate {
     state: Mutex<GateState>,
@@ -189,33 +183,34 @@ impl Gate {
         }
     }
 
-    fn acquire(&self, deadline: Instant) -> Admission {
+    /// Take a slot, waiting until `deadline` at most: `Overloaded` when
+    /// the queue is full, `Deadline` when the wait runs out.
+    fn acquire(&self, deadline: Instant) -> Result<PermitGuard<'_>, ErrKind> {
         let mut s = lock_recover(&self.state);
         if s.permits > 0 {
             s.permits -= 1;
-            return Admission::Granted;
+            return Ok(PermitGuard(self));
         }
         if s.waiting >= self.queue_cap {
-            return Admission::Overloaded;
+            return Err(ErrKind::Overloaded);
         }
         s.waiting += 1;
         telemetry::add_gauge("serve.queue_depth", "", 1.0);
-        loop {
+        let admitted = loop {
             let now = Instant::now();
             if s.permits > 0 {
                 s.permits -= 1;
-                s.waiting -= 1;
-                telemetry::add_gauge("serve.queue_depth", "", -1.0);
-                return Admission::Granted;
+                break Ok(PermitGuard(self));
             }
             if now >= deadline {
-                s.waiting -= 1;
-                telemetry::add_gauge("serve.queue_depth", "", -1.0);
-                return Admission::DeadlineExpired;
+                break Err(ErrKind::Deadline);
             }
             let wait = self.cv.wait_timeout(s, deadline - now);
             s = wait.unwrap_or_else(PoisonError::into_inner).0;
-        }
+        };
+        s.waiting -= 1;
+        telemetry::add_gauge("serve.queue_depth", "", -1.0);
+        admitted
     }
 
     fn release(&self) {
@@ -225,19 +220,13 @@ impl Gate {
     }
 }
 
-/// Entries `Shared::o3_cycles` keeps: 64 KiB of fingerprints, and an
-/// evicted program costs one more `-O3` run if it ever compiles cold again.
-const O3_CYCLES_BUDGET: usize = 4_096;
+/// A granted slot of the gate; dropping it gives the slot back.
+struct PermitGuard<'a>(&'a Gate);
 
-/// Per-policy-version outcome counters behind the `MODEL` verb: the
-/// win rate (improvement over -O3) and store-insert rate are the A/B
-/// signals a promotion decision reads.
-#[derive(Debug, Clone, Copy, Default)]
-struct ModelStats {
-    requests: u64,
-    wins: u64,
-    store_inserts: u64,
-    improvement_sum: f64,
+impl Drop for PermitGuard<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
 }
 
 /// State shared by every handler thread. All of its locks recover from
@@ -267,18 +256,8 @@ struct Shared {
     conn_seq: AtomicU64,
     active_conns: AtomicUsize,
     local_addr: SocketAddr,
-    /// Versioned checkpoint store; `None` when online learning is off.
-    registry: Option<Arc<Mutex<ModelRegistry>>>,
-    /// Background learner thread; `None` unless configured.
-    learner: Option<Learner>,
-    /// Per-version outcome counters (`MODEL` verb).
-    models: Mutex<HashMap<u64, ModelStats>>,
-    /// `-O3` cycles by fingerprint, so the per-version win rate costs
-    /// one extra apply+profile per *unique* program, not per request.
-    o3_cycles: Mutex<BoundedMap<u64, u64>>,
-    /// Armed `CHAOS swap=` injections: each pending count corrupts the
-    /// next `PROMOTE` candidate on disk before its armored load.
-    chaos_swaps: AtomicU32,
+    /// Registry, learner, per-version ledger and the promotion gate.
+    online: Online,
 }
 
 impl Shared {
@@ -322,8 +301,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Bad bind address, unopenable store, or a policy whose shape does
-    /// not match the serving observation layout.
+    /// Bad bind address, unopenable store, or a policy that cannot serve:
+    /// its shape does not match the serving observation layout, or a
+    /// weight is not finite.
     pub fn start(policy: Mlp, cfg: ServerConfig) -> Result<Server, StartError> {
         let engine = InferenceEngine::start(policy, EngineConfig::default())
             .map_err(|e| StartError(e.to_string()))?;
@@ -359,27 +339,7 @@ impl Server {
             telemetry::enable();
         }
         let engine = Arc::new(engine);
-        let registry = match &cfg.registry_dir {
-            Some(dir) => {
-                let reg = ModelRegistry::open(dir)
-                    .map_err(|e| StartError(format!("registry {}: {e}", dir.display())))?;
-                Some(Arc::new(Mutex::new(reg)))
-            }
-            None => None,
-        };
-        let learner = match (&cfg.learner, &registry) {
-            (Some(lc), Some(reg)) => Some(Learner::start(
-                lc.clone(),
-                Arc::clone(&engine),
-                Arc::clone(reg),
-            )),
-            (Some(_), None) => {
-                return Err(StartError(
-                    "learner requires a model registry (set registry_dir)".into(),
-                ))
-            }
-            (None, _) => None,
-        };
+        let online = Online::start(&cfg, &engine)?;
         let shared = Arc::new(Shared {
             gate: Gate::new(cfg.workers, cfg.queue_cap),
             flight: FlightRecorder::new(cfg.flight.clone()),
@@ -387,14 +347,7 @@ impl Server {
             engine,
             front: RwLock::new(front_memo()),
             store: Mutex::new(store),
-            registry,
-            learner,
-            models: Mutex::new(HashMap::new()),
-            o3_cycles: Mutex::new(BoundedMap::new(
-                O3_CYCLES_BUDGET,
-                MapCounters::family("serve.o3_cycles"),
-            )),
-            chaos_swaps: AtomicU32::new(0),
+            online,
             record_down_until: Mutex::new(None),
             quarantine: Quarantine::default(),
             hls,
@@ -461,9 +414,7 @@ impl Server {
         }
         // Stop the learner after the connections drain: late cold-path
         // experiences still land in the queue and get trained on.
-        if let Some(learner) = &self.shared.learner {
-            learner.stop();
-        }
+        self.shared.online.stop();
         // Graceful shutdown folds the tail into a snapshot, so the next
         // open replays O(live entries) instead of the whole history.
         // Best-effort: a failed compaction leaves a valid tail behind.
@@ -496,29 +447,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             // The wake-up connection (or a late client): refuse politely.
             let mut w = BufWriter::new(stream);
-            let _ = protocol::write_reply(
-                &mut w,
-                &Reply::Err {
-                    kind: ErrKind::Internal,
-                    retry_ms: None,
-                    msg: "shutting down".into(),
-                },
-            );
+            let _ =
+                protocol::write_reply(&mut w, &refuse(ErrKind::Internal, None, "shutting down"));
             return;
         }
         if shared.active_conns.load(Ordering::SeqCst) >= shared.cfg.max_conns {
             // Thread-per-connection must not be unbounded: past the cap,
             // answer `overloaded` once and hang up instead of spawning.
             telemetry::incr("serve.req", "conn_refused", 1);
-            let mut w = BufWriter::new(stream);
-            let _ = protocol::write_reply(
-                &mut w,
-                &Reply::Err {
-                    kind: ErrKind::Overloaded,
-                    retry_ms: Some(shared.cfg.retry_hint_ms),
-                    msg: format!("connection limit ({}) reached", shared.cfg.max_conns),
-                },
-            );
+            let msg = format!("connection limit ({}) reached", shared.cfg.max_conns);
+            let refusal = refuse(ErrKind::Overloaded, Some(shared.cfg.retry_hint_ms), msg);
+            let _ = protocol::write_reply(&mut BufWriter::new(stream), &refusal);
             continue;
         }
         shared.active_conns.fetch_add(1, Ordering::SeqCst);
@@ -541,98 +480,41 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     if let Ok(clone) = stream.try_clone() {
         lock_recover(&shared.conns).insert(conn_id, clone);
     }
-    let reader = stream.try_clone();
-    if let Ok(reader) = reader {
+    if let Ok(reader) = stream.try_clone() {
         let mut reader = BufReader::new(reader);
         let mut writer = BufWriter::new(stream);
         loop {
             let req = match protocol::read_request(&mut reader) {
-                Ok(Some(r)) => r,
+                Ok(Some(r)) => Ok(r),
                 Ok(None) => break,
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    // Framing is unrecoverable after a malformed header:
-                    // answer once, then hang up.
-                    let _ = protocol::write_reply(
-                        &mut writer,
-                        &Reply::Err {
-                            kind: ErrKind::BadRequest,
-                            retry_ms: None,
-                            msg: e.to_string(),
-                        },
-                    );
-                    break;
-                }
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(e),
                 Err(_) => break,
             };
-            let mut trace: Option<TraceBuilder> = None;
-            let (reply, hang_up) = match req {
-                Request::Ping => (Reply::Ack, false),
-                Request::Shutdown => (Reply::Ack, true),
-                Request::Chaos {
-                    faults,
-                    crashes,
-                    swaps,
-                } => {
-                    if shared.cfg.chaos {
-                        shared.engine.inject_faults(faults);
-                        shared.engine.inject_crashes(crashes);
-                        shared.chaos_swaps.fetch_add(swaps, Ordering::SeqCst);
-                        (Reply::Ack, false)
-                    } else {
-                        (
-                            Reply::Err {
-                                kind: ErrKind::BadRequest,
-                                retry_ms: None,
-                                msg: "chaos disabled".into(),
-                            },
-                            false,
-                        )
-                    }
-                }
-                // Introspection bypasses the admission gate: exactly when
-                // the daemon is drowning is when these must still answer.
-                Request::Stats => (
-                    Reply::Stats {
-                        body: capped_jsonl(telemetry::render_metrics_jsonl_from(
-                            &telemetry::snapshot(),
-                        )),
-                    },
-                    false,
-                ),
-                Request::Trace { n } => (
-                    Reply::Traces {
-                        body: capped_jsonl(shared.flight.render_recent(n)),
-                    },
-                    false,
-                ),
-                Request::Model => (model_reply(shared), false),
-                Request::Promote { version, ab } => (promote(shared, version, ab), false),
-                Request::Compile {
-                    ir,
-                    deadline_ms,
-                    want_ir,
-                } => {
-                    let mut tr = shared.flight.begin();
-                    let reply = compile(shared, &mut tr, ir, deadline_ms, want_ir);
-                    trace = Some(tr);
-                    (reply, false)
-                }
+            // Framing is unrecoverable after a malformed header: answer
+            // once, then hang up.
+            let hang_up = req.is_err();
+            let shutdown = matches!(req, Ok(Request::Shutdown));
+            let (reply, trace) = match req {
+                Ok(req) => answer(shared, req),
+                Err(e) => (refuse(ErrKind::BadRequest, None, e.to_string()), None),
             };
+            // Every reply a handler sends is written here, so here is where
+            // its outcome is counted and its trace sealed — both from the
+            // one mapping.
+            let outcome = outcome(&reply);
+            if let Some((label, _)) = outcome {
+                telemetry::incr("serve.req", label, 1);
+            }
             let write_ok = protocol::write_reply(&mut writer, &reply).is_ok();
-            if let Some(mut tr) = trace.take() {
+            if let Some(mut tr) = trace {
                 tr.mark("reply_write");
-                tr.set_outcome(match &reply {
-                    Reply::Compiled { source, .. } => format!("ok:{}", source.as_str()),
-                    Reply::Err { kind, .. } => format!("refused:{}", kind.as_str()),
-                    _ => "unknown".to_string(),
-                });
+                tr.set_outcome(outcome.map_or("unknown", |(_, traced)| traced));
                 complete_trace(shared, tr);
             }
-            if hang_up {
+            if shutdown {
                 shared.begin_shutdown();
-                break;
             }
-            if !write_ok || shared.shutting_down.load(Ordering::SeqCst) {
+            if hang_up || !write_ok || shared.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
         }
@@ -640,25 +522,71 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     lock_recover(&shared.conns).remove(&conn_id);
 }
 
-struct PermitGuard<'a>(&'a Gate);
-
-impl Drop for PermitGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
+/// Answer one request; only a compile carries a trace. Introspection
+/// bypasses the admission gate: exactly when the daemon is drowning is
+/// when it must still answer.
+fn answer(shared: &Shared, req: Request) -> (Reply, Option<TraceBuilder>) {
+    let reply = match req {
+        Request::Ping | Request::Shutdown => Reply::Ack,
+        Request::Chaos {
+            faults,
+            crashes,
+            swaps,
+        } if shared.cfg.chaos => {
+            shared.engine.inject_faults(faults);
+            shared.engine.inject_crashes(crashes);
+            shared.online.arm_chaos_swaps(swaps);
+            Reply::Ack
+        }
+        Request::Chaos { .. } => refuse(ErrKind::BadRequest, None, "chaos disabled"),
+        Request::Stats => Reply::Stats {
+            body: telemetry::render_metrics_jsonl_from(&telemetry::snapshot()),
+        },
+        Request::Trace { n } => Reply::Traces {
+            body: shared.flight.render_recent(n),
+        },
+        Request::Model => Reply::Models {
+            body: shared.online.listing(),
+        },
+        Request::Promote { .. } if !shared.cfg.admin => {
+            let msg = "promotion disabled (daemon not started with admin)";
+            refuse(ErrKind::BadRequest, None, msg)
+        }
+        Request::Promote { version, ab } => shared.online.promote(version, ab),
+        Request::Compile {
+            ir,
+            deadline_ms,
+            want_ir,
+        } => {
+            let mut trace = shared.flight.begin();
+            let reply = compile(shared, &mut trace, ir, deadline_ms, want_ir);
+            return (reply.unwrap_or_else(|refusal| refusal), Some(trace));
+        }
+    };
+    (reply, None)
 }
 
-/// Keep an introspection body inside the reply frame's length cap,
-/// truncating at a line boundary so the body stays parseable JSONL.
-fn capped_jsonl(mut body: String) -> String {
-    if body.len() > protocol::MAX_IR_LEN {
-        body.truncate(protocol::MAX_IR_LEN);
-        match body.rfind('\n') {
-            Some(i) => body.truncate(i + 1),
-            None => body.clear(),
+/// The one reply → outcome mapping: the `serve.req` label a reply is
+/// counted under and the outcome its trace is sealed with. Acks and
+/// introspection bodies count nowhere.
+fn outcome(reply: &Reply) -> Option<(&'static str, &'static str)> {
+    Some(match reply {
+        Reply::Compiled { source, .. } => match source {
+            Source::Store => ("ok_store", "ok:store"),
+            Source::Policy => ("ok_policy", "ok:policy"),
+            Source::Baseline => ("ok_baseline", "ok:baseline"),
+        },
+        Reply::Err { kind, .. } => match kind {
+            ErrKind::Overloaded => ("err_overloaded", "refused:overloaded"),
+            ErrKind::Deadline => ("err_deadline", "refused:deadline"),
+            ErrKind::Parse => ("err_parse", "refused:parse"),
+            ErrKind::BadRequest => ("err_bad_request", "refused:bad_request"),
+            ErrKind::Internal => ("err_internal", "refused:internal"),
+        },
+        Reply::Ack | Reply::Stats { .. } | Reply::Traces { .. } | Reply::Models { .. } => {
+            return None
         }
-    }
-    body
+    })
 }
 
 /// Seal a compile trace: feed its stage segments into the
@@ -716,234 +644,6 @@ fn record_best(shared: &Shared, fp: u64, entry: BestEntry) -> bool {
     }
 }
 
-/// One JSONL line of the `MODEL` reply body.
-fn model_line(
-    version: u64,
-    info: Option<&VersionInfo>,
-    serving: Option<u64>,
-    challenger: Option<u64>,
-    stat: Option<&ModelStats>,
-) -> String {
-    let st = stat.copied().unwrap_or_default();
-    let mean_improvement = if st.requests > 0 {
-        st.improvement_sum / st.requests as f64
-    } else {
-        0.0
-    };
-    format!(
-        "{{\"type\":\"model\",\"version\":{version},\"samples\":{},\"updates\":{},\
-         \"serving\":{},\"challenger\":{},\"requests\":{},\"wins\":{},\
-         \"store_inserts\":{},\"mean_improvement\":{mean_improvement:.6}}}\n",
-        info.map_or(0, |i| i.samples),
-        info.map_or(0, |i| i.updates),
-        u8::from(serving == Some(version)),
-        u8::from(challenger == Some(version)),
-        st.requests,
-        st.wins,
-        st.store_inserts,
-    )
-}
-
-/// Answer `MODEL`: one line per registry version (plus any live-serving
-/// version the registry does not know, e.g. the boot policy's v0), then
-/// a summary line with what the engine is serving right now.
-fn model_reply(shared: &Shared) -> Reply {
-    let (serving, challenger) = match shared.engine.active_versions() {
-        Some((a, b)) => (Some(a), b),
-        None => (None, None),
-    };
-    let stats = lock_recover(&shared.models).clone();
-    let mut body = String::new();
-    let mut listed = BTreeSet::new();
-    if let Some(registry) = &shared.registry {
-        let reg = lock_recover(registry);
-        for v in reg.versions() {
-            listed.insert(v.version);
-            body.push_str(&model_line(
-                v.version,
-                Some(v),
-                serving,
-                challenger,
-                stats.get(&v.version),
-            ));
-        }
-    }
-    for v in [serving, challenger].into_iter().flatten() {
-        if listed.insert(v) {
-            body.push_str(&model_line(v, None, serving, challenger, stats.get(&v)));
-        }
-    }
-    body.push_str(&format!(
-        "{{\"type\":\"model_summary\",\"serving\":{},\"challenger\":{},\"swaps\":{},\"registry\":{}}}\n",
-        serving.map_or(-1, |v| v as i64),
-        challenger.map_or(-1, |v| v as i64),
-        shared.engine.swap_count(),
-        u8::from(shared.registry.is_some()),
-    ));
-    telemetry::incr("serve.req", "models", 1);
-    Reply::Models {
-        body: capped_jsonl(body),
-    }
-}
-
-/// Chaos injection for `CHAOS swap=`: truncate the candidate on disk so
-/// the next armored load must fail to decode and quarantine it. Real
-/// bytes are destroyed — this exercises the promotion armor against
-/// genuine corruption, not a simulated flag.
-fn corrupt_checkpoint(path: &Path) {
-    if let Ok(mut bytes) = std::fs::read(path) {
-        bytes.truncate(bytes.len() / 2);
-        let _ = std::fs::write(path, &bytes);
-    }
-}
-
-/// Handle `PROMOTE v=<n> [ab=1]` — the promotion armor. The candidate
-/// is read back through the registry's armored load (corrupt bytes are
-/// quarantined on disk), then shape/finiteness-validated against the
-/// serving layout *before* the engine ever sees it. A bad candidate
-/// refuses the verb and the old policy keeps serving; nothing on the
-/// request path notices. `ab=1` installs the version as the B-side
-/// challenger instead of replacing the active policy.
-fn promote(shared: &Shared, version: u64, ab: bool) -> Reply {
-    if !shared.cfg.admin {
-        return refuse(
-            ErrKind::BadRequest,
-            None,
-            "promotion disabled (daemon not started with admin)".into(),
-        );
-    }
-    let Some(registry) = &shared.registry else {
-        return refuse(
-            ErrKind::BadRequest,
-            None,
-            "no model registry configured".into(),
-        );
-    };
-    let mut reg = lock_recover(registry);
-    // Armed chaos corrupts the candidate on disk *before* the armored
-    // load, so the armor is proven against real on-disk damage.
-    let chaos_armed = shared
-        .chaos_swaps
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok();
-    if chaos_armed {
-        if let Some(path) = reg.checkpoint_path(version) {
-            corrupt_checkpoint(&path);
-            telemetry::incr("serve.swap", "chaos_corrupted", 1);
-        }
-    }
-    let ckpt = match reg.load_armored(version) {
-        ArmoredLoad::Loaded(c) => c,
-        ArmoredLoad::Quarantined { error, .. } => {
-            telemetry::incr("serve.swap", "quarantined", 1);
-            return refuse(
-                ErrKind::Internal,
-                None,
-                format!("candidate v{version} quarantined: {error}"),
-            );
-        }
-        ArmoredLoad::Unreadable(e) => {
-            return refuse(
-                ErrKind::BadRequest,
-                None,
-                format!("no loadable version v{version}: {e}"),
-            );
-        }
-    };
-    if let Err(e) = serve_layout().validate_checkpoint(&ckpt) {
-        // Decodable but wrong-shaped or non-finite: quarantine it so a
-        // later PROMOTE cannot trip over it either.
-        let _ = reg.quarantine(version);
-        telemetry::incr("serve.swap", "rejected_invalid", 1);
-        return refuse(
-            ErrKind::Internal,
-            None,
-            format!("candidate v{version} invalid: {e}"),
-        );
-    }
-    let swapped = if ab {
-        shared.engine.swap_ab(ckpt.policy.clone(), version)
-    } else {
-        shared.engine.swap_policy(ckpt.policy.clone(), version)
-    };
-    match swapped {
-        Ok(()) => {
-            if !ab {
-                let _ = reg.set_active(version);
-            }
-            telemetry::incr("serve.swap", if ab { "promoted_ab" } else { "promoted" }, 1);
-            Reply::Ack
-        }
-        Err(e) => refuse(ErrKind::Internal, None, format!("swap failed: {e}")),
-    }
-}
-
-/// Per-version outcome accounting for a policy-served compile. Requests
-/// and store-inserts are always counted; the improvement-over-`-O3` win
-/// rate needs one extra `-O3` apply+profile per unique program, so it
-/// is computed (and cached by fingerprint) only when the online
-/// subsystem — the model registry — is enabled.
-fn note_model_outcome(
-    shared: &Shared,
-    version: u64,
-    fp: u64,
-    module: &Module,
-    cycles: u64,
-    inserted: bool,
-) {
-    let o3c = shared.registry.as_ref().and_then(|_| {
-        // The probe is its own statement: its guard must be gone before
-        // the `-O3` run and the insert below.
-        let cached = lock_recover(&shared.o3_cycles).lookup(&fp).copied();
-        cached.or_else(|| {
-            let mut m = module.clone();
-            let _ = o3_checked(&mut m, &shared.cfg.fuel);
-            let cycles = profile_module(&m, &shared.hls).ok()?.cycles;
-            lock_recover(&shared.o3_cycles).insert(fp, cycles);
-            Some(cycles)
-        })
-    });
-    let mut won = false;
-    {
-        let mut models = lock_recover(&shared.models);
-        let stat = models.entry(version).or_default();
-        stat.requests += 1;
-        if inserted {
-            stat.store_inserts += 1;
-        }
-        if let Some(o3c) = o3c {
-            stat.improvement_sum += (o3c as f64 - cycles as f64) / o3c.max(1) as f64;
-            if cycles <= o3c {
-                stat.wins += 1;
-                won = true;
-            }
-        }
-    }
-    telemetry::incr("serve.model", &format!("v{version}_req"), 1);
-    if inserted {
-        telemetry::incr("serve.model", &format!("v{version}_insert"), 1);
-    }
-    if won {
-        telemetry::incr("serve.model", &format!("v{version}_win"), 1);
-    }
-}
-
-fn refuse(kind: ErrKind, retry_ms: Option<u64>, msg: String) -> Reply {
-    let label = match kind {
-        ErrKind::Overloaded => "err_overloaded",
-        ErrKind::Deadline => "err_deadline",
-        ErrKind::Parse => "err_parse",
-        ErrKind::BadRequest => "err_bad_request",
-        ErrKind::Internal => "err_internal",
-    };
-    telemetry::incr("serve.req", label, 1);
-    Reply::Err {
-        kind,
-        retry_ms,
-        msg,
-    }
-}
-
 /// Parse request text, and verify it unless these exact bytes are already
 /// known to verify. The parser is total on untrusted text with a
 /// module-wide arena budget, and the verifier total on parser output, so
@@ -957,49 +657,47 @@ fn parse_text(ir: &str, verify: bool) -> Result<Module, String> {
     Ok(module)
 }
 
+/// The one deadline rule (the admission gate's too): at or past its
+/// deadline a request starts no more work and is refused `deadline`.
+fn within(shared: &Shared, deadline: Instant, stage: &str) -> Result<(), Reply> {
+    if Instant::now() < deadline {
+        return Ok(());
+    }
+    let msg = format!("deadline expired {stage}");
+    Err(refuse(
+        ErrKind::Deadline,
+        Some(shared.cfg.retry_hint_ms),
+        msg,
+    ))
+}
+
+/// Answer one `COMPILE` down the ladder; `Err` is the typed refusal.
 fn compile(
     shared: &Shared,
     trace: &mut TraceBuilder,
     mut ir: String,
     deadline_ms: Option<u64>,
     want_ir: bool,
-) -> Reply {
+) -> Result<Reply, Reply> {
     telemetry::incr("serve.req", "recv", 1);
     let deadline = trace.start()
         + deadline_ms
             .map(Duration::from_millis)
             .unwrap_or(shared.cfg.default_deadline);
 
-    let admission = shared.gate.acquire(deadline);
+    let permit = shared.gate.acquire(deadline);
     trace.mark("queue_wait");
-    match admission {
-        Admission::Granted => {}
-        Admission::Overloaded => {
-            return refuse(
-                ErrKind::Overloaded,
-                Some(shared.cfg.retry_hint_ms),
-                format!("queue full (cap {})", shared.cfg.queue_cap),
-            )
-        }
-        Admission::DeadlineExpired => {
-            return refuse(
-                ErrKind::Deadline,
-                Some(shared.cfg.retry_hint_ms),
-                "deadline expired while queued".into(),
-            )
-        }
-    }
-    let _permit = PermitGuard(&shared.gate);
+    let _permit = permit.map_err(|kind| {
+        let msg = match kind {
+            ErrKind::Overloaded => format!("queue full (cap {})", shared.cfg.queue_cap),
+            _ => "deadline expired while queued".to_string(),
+        };
+        refuse(kind, Some(shared.cfg.retry_hint_ms), msg)
+    })?;
 
     // A request that arrives (or is granted a permit) already past its
     // deadline gets the typed refusal before any pipeline work.
-    if Instant::now() >= deadline {
-        return refuse(
-            ErrKind::Deadline,
-            Some(shared.cfg.retry_hint_ms),
-            "deadline expired before parse".into(),
-        );
-    }
+    within(shared, deadline, "before parse")?;
 
     // Front memo: bytes this process has already parsed, verified and
     // fingerprinted need their module again only to carry IR or to
@@ -1016,10 +714,7 @@ fn compile(
         _ => parse_text(&ir, known_fp.is_none()).map(Some),
     };
     trace.mark("parse");
-    let module = match parsed {
-        Ok(m) => m,
-        Err(msg) => return refuse(ErrKind::Parse, None, msg),
-    };
+    let module = parsed.map_err(|msg| refuse(ErrKind::Parse, None, msg))?;
 
     // Store rung: a known program answers from the index.
     let fp = known_fp.unwrap_or_else(|| {
@@ -1060,15 +755,14 @@ fn compile(
         };
         match replayed {
             Some(ir_out) => {
-                telemetry::incr("serve.req", "ok_store", 1);
                 telemetry::incr("serve.store", "hit", 1);
-                return Reply::Compiled {
+                return Ok(Reply::Compiled {
                     source: Source::Store,
                     cycles: entry.cycles,
                     baseline_cycles: entry.baseline_cycles,
                     passes,
                     ir: ir_out,
-                };
+                });
             }
             None => {
                 trace.fault("replay");
@@ -1082,40 +776,26 @@ fn compile(
 
     // The cold pipeline is the expensive part; do not start it for a
     // request that can no longer make its deadline.
-    if Instant::now() >= deadline {
-        return refuse(
-            ErrKind::Deadline,
-            Some(shared.cfg.retry_hint_ms),
-            "deadline expired before rollout".into(),
-        );
-    }
+    within(shared, deadline, "before rollout")?;
 
     // A memoized text that asked for numbers only and found no store
     // entry (never recorded, or retired since) goes cold like any miss,
     // so it is parsed after all — on the `baseline_profile` segment.
     let module = match module {
         Some(m) => m,
-        None => match parse_text(&ir, false) {
-            Ok(m) => m,
-            Err(msg) => return refuse(ErrKind::Parse, None, msg),
-        },
+        None => parse_text(&ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?,
     };
 
     // Cold: profile the input once (the baseline number and the store
     // record need it), then walk policy → baseline.
-    let baseline_cycles = match profile_module(&module, &shared.hls) {
-        Ok(r) => r.cycles,
-        Err(e) => {
-            trace.mark("baseline_profile");
-            return refuse(ErrKind::Parse, None, format!("unprofileable input: {e}"));
-        }
-    };
+    let profiled = profile_module(&module, &shared.hls);
     trace.mark("baseline_profile");
+    let baseline_cycles = profiled
+        .map_err(|e| refuse(ErrKind::Parse, None, format!("unprofileable input: {e}")))?
+        .cycles;
 
     let mut optimized = module.clone();
-    let mut policy_version = None;
-    let mut steps = Vec::new();
-    let (source, passes) = match shared.engine.choose_sequence_report(
+    let (source, passes, episode) = match shared.engine.choose_sequence_report(
         &mut optimized,
         fp,
         &shared.quarantine,
@@ -1132,9 +812,8 @@ fn compile(
                 trace.note("pass_faults", report.pass_faults);
                 trace.fault("rollout");
             }
-            policy_version = Some(report.policy_version);
-            steps = report.steps;
-            (Source::Policy, report.applied)
+            let episode = Some((report.policy_version, report.steps));
+            (Source::Policy, report.applied, episode)
         }
         Err(_fault) => {
             // Degradation rung 3: fixed fault-isolated -O3. The trace
@@ -1144,23 +823,22 @@ fn compile(
             telemetry::incr("serve.req", "degraded_to_baseline", 1);
             optimized = module.clone();
             let seq = o3_checked(&mut optimized, &shared.cfg.fuel);
-            (Source::Baseline, seq)
+            (Source::Baseline, seq, None)
         }
     };
     trace.mark("rollout");
 
-    let cycles = match profile_module(&optimized, &shared.hls) {
-        Ok(r) => r.cycles,
-        Err(e) => {
-            trace.mark("profile");
-            return refuse(
+    let profiled = profile_module(&optimized, &shared.hls);
+    trace.mark("profile");
+    let cycles = profiled
+        .map_err(|e| {
+            refuse(
                 ErrKind::Internal,
                 None,
                 format!("optimized unprofileable: {e}"),
-            );
-        }
-    };
-    trace.mark("profile");
+            )
+        })?
+        .cycles;
 
     // Persist if this beats the best known answer (first answer always
     // does — there was no entry). Record *before* the deadline check:
@@ -1175,47 +853,29 @@ fn compile(
     let inserted = record_best(shared, fp, entry);
     trace.mark("record");
 
-    // Online-learning hooks, both strictly after the answer is computed:
-    // attribute the outcome to the policy version that produced it, and
-    // stream the rollout's episode to the learner (`offer` never blocks;
-    // a full queue sheds its oldest entry instead).
-    if let Some(version) = policy_version {
-        note_model_outcome(shared, version, fp, &module, cycles, inserted);
-        if let Some(learner) = &shared.learner {
-            if !steps.is_empty() {
-                learner.offer(Experience {
-                    steps: std::mem::take(&mut steps),
-                    cycles,
-                    baseline_cycles,
-                });
-            }
-        }
+    // Strictly after the answer is computed: credit the policy version
+    // that produced it and hand its episode to the learner.
+    if let Some((version, steps)) = episode {
+        let exp = Experience {
+            steps,
+            cycles,
+            baseline_cycles,
+        };
+        shared.online.record(version, fp, exp, inserted, || {
+            let mut m = module.clone();
+            let _ = o3_checked(&mut m, &shared.cfg.fuel);
+            profile_module(&m, &shared.hls).ok().map(|r| r.cycles)
+        });
     }
 
-    if Instant::now() > deadline {
-        return refuse(
-            ErrKind::Deadline,
-            Some(shared.cfg.retry_hint_ms),
-            "deadline expired mid-pipeline".into(),
-        );
-    }
-
-    telemetry::incr(
-        "serve.req",
-        match source {
-            Source::Policy => "ok_policy",
-            Source::Baseline => "ok_baseline",
-            Source::Store => unreachable!("store answered above"),
-        },
-        1,
-    );
-    Reply::Compiled {
+    within(shared, deadline, "mid-pipeline")?;
+    Ok(Reply::Compiled {
         source,
         cycles,
         baseline_cycles,
         passes,
         ir: want_ir.then(|| print_module(&optimized)),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1299,49 +959,69 @@ mod tests {
         let _ = std::fs::remove_file(&store);
     }
 
-    /// `o3_cycles` memoizes a pure function in a bounded map: a daemon
-    /// that sees more distinct programs than its budget forgets the oldest
-    /// and recomputes them on demand, and the per-version accounting the
-    /// `MODEL` verb reads cannot tell.
+    /// A policy with one NaN weight passes the shape check yet would
+    /// serve NaN logits: boot refuses it like a wrong-shaped one, and
+    /// `bin/serve.rs` then comes up baseline-only.
     #[test]
-    fn o3_cycles_stays_inside_its_budget_and_the_win_rate_cannot_tell() {
-        let tag = format!("autophase_serve_o3_budget_{}", std::process::id());
-        let store = std::env::temp_dir().join(format!("{tag}.log"));
-        let registry = std::env::temp_dir().join(format!("{tag}_registry"));
-        let _ = std::fs::remove_file(&store);
-        let server = Server::start_baseline_only(ServerConfig {
-            store_path: store.clone(),
-            registry_dir: Some(registry.clone()),
+    fn start_refuses_a_non_finite_policy() {
+        use crate::engine::{serve_num_actions, serve_obs_dim};
+        use autophase_nn::mlp::Activation;
+        let mut policy = Mlp::new(
+            &[serve_obs_dim(), 8, serve_num_actions()],
+            Activation::Tanh,
+            7,
+        );
+        let mut params = policy.parameters();
+        params[0] = f64::NAN;
+        policy.set_parameters(&params);
+        let cfg = ServerConfig {
+            store_path: std::env::temp_dir().join("autophase_serve_never_opened.log"),
             ..ServerConfig::default()
-        })
-        .expect("server starts");
-        let shared = &server.shared;
-        let module =
-            parse_module("; module m\n\n; f0\ndefine i32 @main() {\nb0:\n  ret i32 0\n}\n")
-                .expect("parses");
-        let mut optimized = module.clone();
-        let _ = o3_checked(&mut optimized, &shared.cfg.fuel);
-        let o3 = profile_module(&optimized, &shared.hls).unwrap().cycles;
-
-        // Every other request loses to `-O3` by one cycle.
-        let n = O3_CYCLES_BUDGET as u64 + 100;
-        for fp in 0..n {
-            note_model_outcome(shared, 7, fp, &module, o3 + fp % 2, false);
+        };
+        match Server::start(policy, cfg) {
+            Err(StartError(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+            Ok(_) => panic!("a NaN policy must not serve"),
         }
-        // Fingerprint 0 went with the first rotation; asked again, it is
-        // recomputed to the same cycles and still wins.
-        note_model_outcome(shared, 7, 0, &module, o3, false);
+    }
 
-        let memo = lock_recover(&shared.o3_cycles).stats();
-        assert!(memo.len <= O3_CYCLES_BUDGET, "{memo:?}");
-        assert!(memo.evictions > 0, "{memo:?}");
-        assert_eq!((memo.hits, memo.misses), (0, n + 1));
-        let stat = lock_recover(&shared.models)[&7];
-        assert_eq!((stat.requests, stat.wins), (n + 1, n / 2 + 1));
-
-        server.shutdown();
-        let _ = std::fs::remove_file(&store);
-        let _ = std::fs::remove_dir_all(&registry);
+    /// Every reply variant and every refusal kind maps to the wire name
+    /// its counter label and trace outcome are spelled from; acks and
+    /// introspection bodies map to nothing.
+    #[test]
+    fn every_reply_has_one_outcome() {
+        let compiled = |source| Reply::Compiled {
+            source,
+            cycles: 1,
+            baseline_cycles: 1,
+            passes: Vec::new(),
+            ir: None,
+        };
+        let sources = [Source::Store, Source::Policy, Source::Baseline];
+        let kinds = [
+            ErrKind::Overloaded,
+            ErrKind::Deadline,
+            ErrKind::Parse,
+            ErrKind::BadRequest,
+            ErrKind::Internal,
+        ];
+        let counted = (sources
+            .map(|s| (compiled(s), "ok_", "ok:", s.as_str()))
+            .into_iter())
+        .chain(kinds.map(|k| (refuse(k, None, ""), "err_", "refused:", k.as_str())));
+        for (reply, label, traced, wire) in counted {
+            let (got_label, got_traced) = outcome(&reply).expect("counted");
+            assert_eq!(got_label, format!("{label}{wire}"));
+            assert_eq!(got_traced, format!("{traced}{wire}"));
+        }
+        let body = String::new;
+        for reply in [
+            Reply::Ack,
+            Reply::Stats { body: body() },
+            Reply::Traces { body: body() },
+            Reply::Models { body: body() },
+        ] {
+            assert_eq!(outcome(&reply), None, "{reply:?}");
+        }
     }
 
     /// The memo holds a fingerprint, never an answer: a memoized text

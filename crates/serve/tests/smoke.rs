@@ -618,6 +618,12 @@ fn eight_threads_on_one_text_agree() {
                     barrier.wait();
                     let warm = client.compile(&ir, Some(120_000), true).expect("warm");
                     assert_eq!(warm.source, Source::Store);
+                    // A trace is pushed after its reply is written, so the
+                    // newest one could be another lane's late first-round
+                    // trace. A ping seals this lane's warm trace; once every
+                    // lane has, the newest trace is some lane's warm hit.
+                    client.ping().expect("the warm trace is sealed");
+                    barrier.wait();
                     assert_eq!(last_front(&mut client), "hit");
                     (raced, warm)
                 })
