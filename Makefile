@@ -128,15 +128,20 @@ online-smoke:
 # hash to the committed golden file (generated before the kernels were
 # rewritten), and the batched rewrite primitive and the dense
 # CFG/dominator/loop analyses must agree with their straightforward
-# references on random inputs.
+# references on random inputs. The front-end golden (DESIGN.md §4o) holds
+# the printer, parser, fingerprint and profiler to the file the
+# string-building printer and line-split parser wrote, accepted and
+# refused texts alike.
 pass-golden:
 	$(CARGO) test -q --release -p autophase-passes --test golden_outputs
+	$(CARGO) test -q --release -p autophase-passes --test front_end_golden
 	$(CARGO) test -q --release -p autophase-ir --test kernels
 
 # What keeps the fast paths honest (DESIGN.md §4f, §4k, §4m): the
 # differential suite proves the per-function caches are bit-invisible
-# across every Table-1 pass, the scaling guard keeps the pass kernels
-# linear in block size, the trajectory golden holds the batched
+# across every Table-1 pass, the scaling guards keep the pass kernels,
+# the block scheduler and parse + print linear in the size of their
+# input, the trajectory golden holds the batched
 # training kernels to the weights the per-sample backward and scalar
 # Adam produced, private ≡ shared ≡ parallel rollouts keep the env's
 # memos and the EvalCache invisible in optimized code too, the env's
@@ -145,11 +150,13 @@ pass-golden:
 # and the three walkers of the one step (SIMD/incremental engine, scalar
 # from-scratch reference, the trainer's env) agree at zero tolerance —
 # a codegen property, so it is checked where the codegen differs.
-# No wall-clock ratio gates here: what the fast paths cost is read from
-# the benchmark's layer metrics (`make bench`).
+# No wall-clock gates beyond the scaling ratios: what the fast paths
+# cost is read from the benchmark's layer metrics (`make bench`).
 perf-smoke:
 	$(CARGO) test -q --release -p autophase-features --test incremental_diff
 	$(CARGO) test -q --release -p autophase-passes --test scaling
+	$(CARGO) test -q --release -p autophase-hls --test scaling
+	$(CARGO) test -q --release -p autophase-ir --test scaling
 	$(CARGO) test -q --release --test train_update_golden
 	$(CARGO) test -q --release --test parallel_determinism
 	$(CARGO) test -q --release -p autophase-core --test env_trajectory_golden

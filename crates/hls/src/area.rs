@@ -10,7 +10,6 @@ use crate::delay::area_units;
 use crate::schedule::FunctionSchedule;
 use autophase_ir::{Function, Module, Opcode};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Estimated FPGA resources.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,12 +59,13 @@ pub fn globals_memory_bits(m: &Module) -> u64 {
 pub fn estimate_function_area(f: &Function, sched: &FunctionSchedule) -> AreaReport {
     let mut report = AreaReport::default();
     report.fsm_states += sched.total_states as u64;
+    // (op class, start state, units) of every unit-bearing instruction of
+    // one block; reused across blocks.
+    let mut busy: Vec<(&'static str, u32, u32)> = Vec::new();
     for bb in f.block_ids() {
-        // Group instructions per state and op class; the max concurrent
-        // count per class across states is the number of units bound.
-        let block_sched = &sched.blocks[&bb];
-        let mut per_state: HashMap<(u32, &'static str), (u32, u32)> = HashMap::new();
-        for (iid, inst) in f.insts_in(bb) {
+        let block_sched = sched.block(bb).expect("every live block is scheduled");
+        busy.clear();
+        for ((_, inst), &state) in f.insts_in(bb).zip(&block_sched.start_state) {
             if !inst.ty.is_void() {
                 report.registers += if inst.ty.is_int() { inst.ty.bits() } else { 32 } as u64;
             }
@@ -73,22 +73,16 @@ pub fn estimate_function_area(f: &Function, sched: &FunctionSchedule) -> AreaRep
                 report.memory_bits += elem_ty.bits() as u64 * count as u64;
             }
             let units = area_units(inst);
-            if units == 0 {
-                continue;
+            if units != 0 {
+                busy.push((inst.mnemonic(), state, units));
             }
-            let state = block_sched.start_state.get(&iid).copied().unwrap_or(0);
-            let entry = per_state
-                .entry((state, inst.mnemonic()))
-                .or_insert((0, units));
-            entry.0 += 1;
         }
-        let mut class_max: HashMap<&'static str, (u32, u32)> = HashMap::new();
-        for ((_, class), (n, units)) in per_state {
-            let e = class_max.entry(class).or_insert((0, units));
-            e.0 = e.0.max(n);
-        }
-        for (_, (n, units)) in class_max {
-            report.logic_units += n as u64 * units as u64;
+        // Per op class, the most instances that start in one state is the
+        // number of units bound (a class's units per instance are fixed).
+        busy.sort_unstable();
+        for class in busy.chunk_by(|a, b| a.0 == b.0) {
+            let most = class.chunk_by(|a, b| a.1 == b.1).map(<[_]>::len).max();
+            report.logic_units += most.unwrap_or(0) as u64 * class[0].2 as u64;
         }
     }
     report

@@ -98,11 +98,11 @@ fn emit_function(m: &Module, fid: autophase_ir::FuncId, cfg: &HlsConfig) -> Stri
         f.entry.index()
     );
     for bb in f.block_ids() {
-        let bs = &sched.blocks[&bb];
+        let bs = sched.block(bb).expect("every live block is scheduled");
         for s in 0..bs.states {
             let _ = writeln!(out, "      S_B{}_{}: begin", bb.index(), s);
-            for (iid, inst) in f.insts_in(bb) {
-                if bs.start_state.get(&iid) != Some(&s) {
+            for ((iid, inst), &start) in f.insts_in(bb).zip(&bs.start_state) {
+                if start != s {
                     continue;
                 }
                 match &inst.op {

@@ -14,15 +14,14 @@
 use crate::delay::{timing, uses_memory_port, Timing};
 use crate::HlsConfig;
 use autophase_ir::{BlockId, Function, InstId, Value};
-use std::collections::HashMap;
 
 /// The schedule of one basic block.
 #[derive(Debug, Clone)]
 pub struct BlockSchedule {
     /// Number of FSM states the block occupies (≥ 1).
     pub states: u32,
-    /// Start state of each scheduled instruction.
-    pub start_state: HashMap<InstId, u32>,
+    /// Start state of each of the block's instructions, in block order.
+    pub start_state: Vec<u32>,
     /// Critical-path slack: combinational nanoseconds used in the final
     /// state (diagnostic; used by the area/fmax reports).
     pub last_state_ns: f64,
@@ -31,27 +30,60 @@ pub struct BlockSchedule {
 /// The schedule of a whole function.
 #[derive(Debug, Clone)]
 pub struct FunctionSchedule {
-    /// Per-block schedules.
-    pub blocks: HashMap<BlockId, BlockSchedule>,
+    /// Per-block schedules, indexed by block id (`None` for removed blocks).
+    blocks: Vec<Option<BlockSchedule>>,
     /// Total states across the function's FSM.
     pub total_states: u32,
 }
 
 impl FunctionSchedule {
+    /// The schedule of block `bb`, if it is a live block of the function.
+    pub fn block(&self, bb: BlockId) -> Option<&BlockSchedule> {
+        self.blocks.get(bb.index()).and_then(Option::as_ref)
+    }
+
     /// States of one block (1 for removed/unknown blocks, the minimum).
     pub fn states(&self, bb: BlockId) -> u32 {
-        self.blocks.get(&bb).map(|b| b.states).unwrap_or(1)
+        self.block(bb).map_or(1, |b| b.states)
+    }
+}
+
+/// Per-instruction tables for scheduling one function's blocks, indexed
+/// by `InstId`. An entry counts only when its stamp is the current
+/// block's, so the tables are filled once per function, not per block.
+struct Scratch {
+    /// (stamp, state, ns): when the result of an instruction the current
+    /// block already scheduled is ready.
+    ready: Vec<(u32, u32, f64)>,
+    /// The stamp of the last block that used the instruction's result.
+    used: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(f: &Function) -> Scratch {
+        Scratch {
+            ready: vec![(0, 0, 0.0); f.inst_capacity()],
+            used: vec![0; f.inst_capacity()],
+        }
+    }
+
+    fn ready(&self, id: InstId, stamp: u32) -> Option<(u32, f64)> {
+        match self.ready.get(id.index()) {
+            Some(&(s, state, ns)) if s == stamp => Some((state, ns)),
+            _ => None,
+        }
     }
 }
 
 /// Schedule every block of a function.
 pub fn schedule_function(f: &Function, cfg: &HlsConfig) -> FunctionSchedule {
-    let mut blocks = HashMap::new();
+    let mut scratch = Scratch::new(f);
+    let mut blocks = vec![None; f.block_capacity()];
     let mut total = 0;
-    for bb in f.block_ids() {
-        let s = schedule_block(f, bb, cfg);
+    for (stamp, bb) in (1..).zip(f.block_ids()) {
+        let s = schedule_in(f, bb, cfg, &mut scratch, stamp);
         total += s.states;
-        blocks.insert(bb, s);
+        blocks[bb.index()] = Some(s);
     }
     FunctionSchedule {
         blocks,
@@ -61,20 +93,30 @@ pub fn schedule_function(f: &Function, cfg: &HlsConfig) -> FunctionSchedule {
 
 /// Schedule one block.
 pub fn schedule_block(f: &Function, bb: BlockId, cfg: &HlsConfig) -> BlockSchedule {
+    schedule_in(f, bb, cfg, &mut Scratch::new(f), 1)
+}
+
+/// Schedule block `bb`, whose entries in `scratch` carry `stamp`.
+fn schedule_in(
+    f: &Function,
+    bb: BlockId,
+    cfg: &HlsConfig,
+    scratch: &mut Scratch,
+    stamp: u32,
+) -> BlockSchedule {
     let period = cfg.clock_period_ns;
-    // Ready time of a value: (state, ns within that state).
-    let mut ready: HashMap<InstId, (u32, f64)> = HashMap::new();
-    let mut start_state: HashMap<InstId, u32> = HashMap::new();
+    let insts = &f.block(bb).insts;
+    let mut start_state = Vec::with_capacity(insts.len());
     let mut cur_state: u32 = 0;
     let mut mem_ops_in_state: usize = 0;
 
-    for &iid in &f.block(bb).insts {
+    for &iid in insts {
         let inst = f.inst(iid);
-        // Earliest start: all operands ready.
+        // Earliest start: all operands scheduled earlier in this block ready.
         let mut earliest: (u32, f64) = (0, 0.0);
         inst.for_each_operand(|v| {
             if let Value::Inst(dep) = v {
-                if let Some(&r) = ready.get(&dep) {
+                if let Some(r) = scratch.ready(dep, stamp) {
                     if r.0 > earliest.0 || (r.0 == earliest.0 && r.1 > earliest.1) {
                         earliest = r;
                     }
@@ -89,11 +131,8 @@ pub fn schedule_block(f: &Function, bb: BlockId, cfg: &HlsConfig) -> BlockSchedu
             (cur_state, 0.0)
         };
 
-        match timing(inst, cfg) {
-            Timing::Free => {
-                start_state.insert(iid, s);
-                ready.insert(iid, (s, t));
-            }
+        let ready = match timing(inst, cfg) {
+            Timing::Free => (s, t),
             Timing::Chain { ns } => {
                 // Memory port check for stores (chained memory writes).
                 if uses_memory_port(inst) && s == cur_state && mem_ops_in_state >= cfg.memory_ports
@@ -112,8 +151,7 @@ pub fn schedule_block(f: &Function, bb: BlockId, cfg: &HlsConfig) -> BlockSchedu
                 if uses_memory_port(inst) {
                     mem_ops_in_state += 1;
                 }
-                start_state.insert(iid, s);
-                ready.insert(iid, (s, t + ns));
+                (s, t + ns)
             }
             Timing::Multi { states } => {
                 // Multi-cycle ops start at a state boundary conceptually;
@@ -130,50 +168,46 @@ pub fn schedule_block(f: &Function, bb: BlockId, cfg: &HlsConfig) -> BlockSchedu
                 if uses_memory_port(inst) {
                     mem_ops_in_state += 1;
                 }
-                start_state.insert(iid, s);
-                ready.insert(iid, (s + states, 0.0));
                 // The block must stay in control until the op finishes
-                // (no overlap across the terminator).
+                // (no overlap across the terminator); result consumers land
+                // in s + states, and the state counter advances lazily when
+                // they are scheduled.
                 cur_state = cur_state.max(s + states - 1).max(s);
-                if states > 0 {
-                    // Result consumers land in s + states; the state counter
-                    // advances lazily when they are scheduled.
-                }
+                (s + states, 0.0)
             }
-        }
+        };
+        start_state.push(s);
+        scratch.ready[iid.index()] = (stamp, ready.0, ready.1);
     }
 
-    // The block occupies states 0..=max over everything scheduled,
-    // including completion of multi-cycle results consumed here.
-    let mut max_state = cur_state;
-    for &(s, _) in ready.values() {
-        // A value ready at (s, 0) required state s-1 to complete; only
-        // count it if something consumed it (cur_state already tracks
-        // issue states). Keep the simple bound:
-        let _ = s;
+    // One sweep marks every result this block uses.
+    for &u in insts {
+        f.inst(u).for_each_operand(|v| {
+            if let Value::Inst(dep) = v {
+                if let Some(mark) = scratch.used.get_mut(dep.index()) {
+                    *mark = stamp;
+                }
+            }
+        });
     }
-    for (&iid, &s) in &start_state {
-        let inst = f.inst(iid);
-        if let Timing::Multi { states } = timing(inst, cfg) {
-            // Ops whose results are *used* in this block force the block to
-            // wait; ops at the end (e.g. a trailing store) still occupy
-            // their issue state only.
-            let used_here = f.block(bb).insts.iter().any(|&u| {
-                let mut uses = false;
-                f.inst(u)
-                    .for_each_operand(|v| uses |= v == Value::Inst(iid));
-                uses
-            });
-            if used_here {
+    // The block occupies states 0..=max over everything scheduled. A
+    // multi-cycle op whose result is *used* in this block forces the block
+    // to wait for it; one at the end (e.g. a trailing load nobody reads)
+    // still occupies its issue state only.
+    let mut max_state = cur_state;
+    for (&iid, &s) in insts.iter().zip(&start_state) {
+        if let Timing::Multi { states } = timing(f.inst(iid), cfg) {
+            if scratch.used[iid.index()] == stamp {
                 max_state = max_state.max(s + states);
             }
         }
     }
 
-    let last_state_ns = ready
-        .values()
-        .filter(|(s, _)| *s == max_state)
-        .map(|(_, t)| *t)
+    let last_state_ns = insts
+        .iter()
+        .filter_map(|&iid| scratch.ready(iid, stamp))
+        .filter(|&(s, _)| s == max_state)
+        .map(|(_, t)| t)
         .fold(0.0, f64::max);
 
     BlockSchedule {
@@ -272,8 +306,9 @@ mod tests {
             .block(f.entry)
             .insts
             .iter()
-            .filter(|&&i| matches!(f.inst(i).op, autophase_ir::Opcode::Load { .. }))
-            .map(|&i| sched.start_state[&i])
+            .zip(&sched.start_state)
+            .filter(|&(&i, _)| matches!(f.inst(i).op, autophase_ir::Opcode::Load { .. }))
+            .map(|(_, &s)| s)
             .collect();
         assert_eq!(load_states.len(), 3);
         assert!(

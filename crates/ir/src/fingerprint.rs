@@ -16,16 +16,34 @@
 
 use crate::function::Function;
 use crate::module::{Global, Module};
-use crate::printer::print_function;
+use crate::printer::write_function;
+use std::fmt;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    h.feed(bytes);
+    h.0
+}
+
+/// FNV-1a state as a text sink: the printer streams a function's bytes
+/// into it, so hashing a function allocates nothing.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
     }
-    h
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.feed(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// SplitMix64 finalizer — a strong 64-bit mix.
@@ -36,10 +54,14 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fingerprint of one function's full content (printed form, which
-/// includes signature, attributes, and body).
+/// Fingerprint of one function's full content: the FNV-1a of its printed
+/// form (signature, attributes and body), streamed from the printer
+/// without building the text.
 pub fn fingerprint_function(f: &Function) -> u64 {
-    fnv1a(print_function(f).as_bytes())
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    // The hash sink never fails.
+    let _ = write_function(&mut h, f);
+    h.0
 }
 
 /// Fingerprint of one global's content. Hashes the structural fields
@@ -139,6 +161,14 @@ mod tests {
         b.remove_function(bi);
         // Both hold just "main", but in different slots.
         assert_ne!(fingerprint_module(&a), fingerprint_module(&b));
+    }
+
+    #[test]
+    fn function_fingerprint_hashes_the_printed_text() {
+        let m = sample();
+        let f = m.func(m.main().unwrap());
+        let text = crate::printer::print_function(f);
+        assert_eq!(fingerprint_function(f), fnv1a(text.as_bytes()));
     }
 
     #[test]

@@ -191,6 +191,28 @@ impl Function {
         }
     }
 
+    /// A function whose arenas are exactly `blocks` and `insts`, tombstones
+    /// included: how the parser rebuilds printed slots in one allocation
+    /// per arena.
+    pub(crate) fn from_arenas(
+        name: String,
+        params: Vec<Type>,
+        ret_ty: Type,
+        blocks: Vec<Option<Block>>,
+        insts: Vec<Option<Inst>>,
+        entry: BlockId,
+    ) -> Function {
+        Function {
+            name,
+            params,
+            ret_ty,
+            blocks,
+            insts,
+            entry,
+            attrs: FuncAttrs::default(),
+        }
+    }
+
     // ---- blocks ----
 
     /// Append a new empty block, returning its id.

@@ -19,7 +19,6 @@ use crate::module::{FuncId, Module};
 use crate::types::Type;
 use crate::value::Value;
 use crate::{fold, Function};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why execution trapped (stopped early) instead of returning.
@@ -64,10 +63,13 @@ impl std::error::Error for Trap {}
 /// Execution record of one program run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecTrace {
-    /// Times each `(function, block)` was entered.
-    pub block_counts: HashMap<(FuncId, BlockId), u64>,
-    /// Times each function was called (main counts once).
-    pub call_counts: HashMap<FuncId, u64>,
+    /// Times each block was entered, all functions' blocks in one table:
+    /// function `f`'s block `bb` is entry `block_base[f] + bb`.
+    block_counts: Vec<u64>,
+    /// Where each function slot's blocks start in `block_counts`.
+    block_base: Vec<usize>,
+    /// Times each function slot was called (main counts once).
+    call_counts: Vec<u64>,
     /// `main`'s return value (`None` for `void`).
     pub return_value: Option<i64>,
     /// FNV-style checksum of all global memory after execution.
@@ -77,14 +79,41 @@ pub struct ExecTrace {
 }
 
 impl ExecTrace {
+    /// A trace with every count of `module`'s blocks and functions zero.
+    fn empty(module: &Module) -> ExecTrace {
+        let mut block_base = Vec::with_capacity(module.func_capacity());
+        let mut blocks = 0;
+        for i in 0..module.func_capacity() {
+            block_base.push(blocks);
+            blocks += module
+                .func_arc(FuncId::from_index(i))
+                .map_or(0, |f| f.block_capacity());
+        }
+        ExecTrace {
+            block_counts: vec![0; blocks],
+            block_base,
+            call_counts: vec![0; module.func_capacity()],
+            ..ExecTrace::default()
+        }
+    }
+
     /// How often block `bb` of function `f` executed.
     pub fn count(&self, f: FuncId, bb: BlockId) -> u64 {
-        self.block_counts.get(&(f, bb)).copied().unwrap_or(0)
+        self.block_base
+            .get(f.index())
+            .and_then(|base| self.block_counts.get(base + bb.index()))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// How often function `f` was called.
     pub fn calls(&self, f: FuncId) -> u64 {
-        self.call_counts.get(&f).copied().unwrap_or(0)
+        self.call_counts.get(f.index()).copied().unwrap_or(0)
+    }
+
+    /// Block entries over the whole run, every function's blocks summed.
+    pub fn blocks_entered(&self) -> u64 {
+        self.block_counts.iter().sum()
     }
 
     /// The observable behaviour of the run: the return value.
@@ -144,7 +173,7 @@ impl<'m> Machine<'m> {
             memory,
             global_base,
             fuel,
-            trace: ExecTrace::default(),
+            trace: ExecTrace::empty(module),
         }
     }
 
@@ -178,8 +207,9 @@ impl<'m> Machine<'m> {
         if depth > MAX_DEPTH {
             return Err(ExecError::StackOverflow);
         }
-        *self.trace.call_counts.entry(fid).or_insert(0) += 1;
+        self.trace.call_counts[fid.index()] += 1;
         let f: &Function = self.module.func(fid);
+        let block_base = self.trace.block_base[fid.index()];
         let frame_base = self.memory.len();
         let mut frame = Frame {
             regs: vec![0; f.inst_capacity()],
@@ -190,7 +220,7 @@ impl<'m> Machine<'m> {
         let mut prev_bb: Option<BlockId> = None;
         let mut bb = f.entry;
         'blocks: loop {
-            *self.trace.block_counts.entry((fid, bb)).or_insert(0) += 1;
+            self.trace.block_counts[block_base + bb.index()] += 1;
             // φ-nodes read their operands simultaneously on entry.
             let inst_ids: &[InstId] = &f.block(bb).insts;
             let mut phi_updates: Vec<(InstId, i64)> = Vec::new();

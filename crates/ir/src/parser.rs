@@ -21,11 +21,21 @@
 //! fresh arena slots above the highest printed id; nothing observes those
 //! slots — the printer never shows them and fingerprints hash text.
 //!
+//! # One pass
+//!
+//! The text is read once, line by line as `str::lines` splits it (so a
+//! CRLF text parses as its LF form), with no line vector. Separators are
+//! found by a byte scan ([`split`]) rather than a substring searcher set
+//! up per call, mnemonics dispatch through one `match`, and a function's
+//! parsed instructions are moved into its arena, which is allocated once
+//! at its final size. Numbers parse as `usize::from_str` / `i64::from_str`
+//! parse them, so a leading `+` is accepted as it always was.
+//!
 //! Parsing is purely syntactic: semantic well-formedness (terminators,
 //! SSA dominance, call arity) is the job of [`crate::verify::verify_module`],
 //! which is total on any module this parser produces.
 
-use crate::function::{BlockId, Function, InstId};
+use crate::function::{Block, BlockId, FuncAttrs, Function, InstId};
 use crate::inst::{BinOp, CastOp, CmpPred, Inst, Opcode};
 use crate::module::{FuncId, Global, GlobalId, Module};
 use crate::types::Type;
@@ -66,22 +76,129 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
+/// What the parser's steps return: the error is boxed so a step's result
+/// stays small enough to come back in registers.
+type Parsed<T> = Result<T, Box<ParseError>>;
+
+#[cold]
+fn err<T>(line: usize, msg: impl Into<String>) -> Parsed<T> {
+    Err(Box::new(ParseError {
         line,
         msg: msg.into(),
+    }))
+}
+
+/// `s` around the first occurrence of `pat`, as `str::split_once(pat)`
+/// splits it. Every pattern is ASCII, so both halves end on char
+/// boundaries; a byte scan for the pattern's first byte replaces the
+/// searcher `str` would set up per call.
+#[inline]
+fn split<'a>(s: &'a str, pat: &str) -> Option<(&'a str, &'a str)> {
+    let (b, p) = (s.as_bytes(), pat.as_bytes());
+    if p.len() == 1 {
+        let at = find_byte(b, p[0])?;
+        return Some((&s[..at], &s[at + 1..]));
+    }
+    let mut from = 0;
+    while let Some(i) = find_byte(&b[from..], p[0]) {
+        let at = from + i;
+        if b[at..].starts_with(p) {
+            return Some((&s[..at], &s[at + p.len()..]));
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// Index of the first `x` in `hay`, eight bytes per step.
+#[inline]
+fn find_byte(hay: &[u8], x: u8) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let (words, tail) = hay.as_chunks::<8>();
+    for (k, word) in words.iter().enumerate() {
+        let w = u64::from_le_bytes(*word) ^ (ONES * u64::from(x));
+        // The lowest flagged byte is the first zero byte of `w`.
+        let zero = w.wrapping_sub(ONES) & !w & HIGH;
+        if zero != 0 {
+            return Some(8 * k + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = 8 * words.len();
+    tail.iter().position(|&c| c == x).map(|i| at + i)
+}
+
+/// The pieces of `s` between occurrences of `sep`, as `str::split(sep)`
+/// yields them.
+fn pieces<'a>(s: &'a str, sep: &'static str) -> impl Iterator<Item = &'a str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        Some(match split(s, sep) {
+            Some((piece, tail)) => {
+                rest = Some(tail);
+                piece
+            }
+            None => {
+                rest = None;
+                s
+            }
+        })
     })
 }
 
-fn parse_index(line: usize, s: &str, what: &str) -> Result<usize, ParseError> {
-    match s.parse::<usize>() {
-        Ok(n) if n <= MAX_INDEX => Ok(n),
-        Ok(_) => err(line, format!("{what} index {s} exceeds limit")),
-        Err(_) => err(line, format!("invalid {what} index `{s}`")),
+/// The value of `b` if it is one to eighteen ASCII digits, which fits
+/// every integer type the text uses; anything else goes to `str::parse`.
+#[inline]
+fn plain_digits(b: &[u8]) -> Option<u64> {
+    if b.is_empty() || b.len() > 18 {
+        return None;
+    }
+    let mut n = 0u64;
+    for &d in b {
+        let digit = d.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        n = n * 10 + u64::from(digit);
+    }
+    Some(n)
+}
+
+/// `s.parse::<usize>().ok()`.
+#[inline]
+fn parse_usize(s: &str) -> Option<usize> {
+    match plain_digits(s.as_bytes()) {
+        Some(n) => usize::try_from(n).ok(),
+        None => s.parse().ok(),
     }
 }
 
-fn parse_ty(line: usize, s: &str) -> Result<Type, ParseError> {
+/// `s.parse::<i64>().ok()`.
+#[inline]
+fn parse_i64(s: &str) -> Option<i64> {
+    let (neg, digits) = match s.strip_prefix('-') {
+        Some(d) => (true, d),
+        None => (false, s),
+    };
+    match plain_digits(digits.as_bytes()) {
+        Some(n) if neg => Some(-(n as i64)),
+        Some(n) => Some(n as i64),
+        None => s.parse().ok(),
+    }
+}
+
+#[inline]
+fn parse_index(line: usize, s: &str, what: &str) -> Parsed<usize> {
+    match parse_usize(s) {
+        Some(n) if n <= MAX_INDEX => Ok(n),
+        Some(_) => err(line, format!("{what} index {s} exceeds limit")),
+        None => err(line, format!("invalid {what} index `{s}`")),
+    }
+}
+
+#[inline]
+fn parse_ty(line: usize, s: &str) -> Parsed<Type> {
     match s {
         "void" => Ok(Type::Void),
         "i1" => Ok(Type::I1),
@@ -94,20 +211,26 @@ fn parse_ty(line: usize, s: &str) -> Result<Type, ParseError> {
     }
 }
 
-fn parse_value(line: usize, s: &str) -> Result<Value, ParseError> {
-    if let Some(rest) = s.strip_prefix("%arg") {
-        let i = parse_index(line, rest, "argument")?;
-        return Ok(Value::Arg(i as u32));
+#[inline]
+fn parse_value(line: usize, s: &str) -> Parsed<Value> {
+    match s.as_bytes().first() {
+        Some(b'%') => {
+            if let Some(rest) = s.strip_prefix("%arg") {
+                let i = parse_index(line, rest, "argument")?;
+                return Ok(Value::Arg(i as u32));
+            }
+            let i = parse_index(line, &s[1..], "instruction")?;
+            return Ok(Value::Inst(InstId::from_index(i)));
+        }
+        Some(b'@') => {
+            if let Some(rest) = s.strip_prefix("@g") {
+                let i = parse_index(line, rest, "global")?;
+                return Ok(Value::Global(GlobalId::from_index(i)));
+            }
+        }
+        _ => {}
     }
-    if let Some(rest) = s.strip_prefix('%') {
-        let i = parse_index(line, rest, "instruction")?;
-        return Ok(Value::Inst(InstId::from_index(i)));
-    }
-    if let Some(rest) = s.strip_prefix("@g") {
-        let i = parse_index(line, rest, "global")?;
-        return Ok(Value::Global(GlobalId::from_index(i)));
-    }
-    let (ty_s, payload) = match s.split_once(' ') {
+    let (ty_s, payload) = match split(s, " ") {
         Some(p) => p,
         None => return err(line, format!("malformed value `{s}`")),
     };
@@ -115,58 +238,77 @@ fn parse_value(line: usize, s: &str) -> Result<Value, ParseError> {
     if payload == "undef" {
         return Ok(Value::Undef(ty));
     }
-    match payload.parse::<i64>() {
-        Ok(v) => Ok(Value::ConstInt(ty, v)),
-        Err(_) => err(line, format!("malformed constant `{s}`")),
+    match parse_i64(payload) {
+        Some(v) => Ok(Value::ConstInt(ty, v)),
+        None => err(line, format!("malformed constant `{s}`")),
     }
 }
 
-fn parse_block_ref(line: usize, s: &str) -> Result<BlockId, ParseError> {
+#[inline]
+fn parse_block_ref(line: usize, s: &str) -> Parsed<BlockId> {
     match s.strip_prefix('b') {
         Some(rest) => Ok(BlockId::from_index(parse_index(line, rest, "block")?)),
         None => err(line, format!("expected block reference, got `{s}`")),
     }
 }
 
-fn split2<'a>(line: usize, s: &'a str, ctx: &str) -> Result<(&'a str, &'a str), ParseError> {
-    match s.split_once(", ") {
+#[inline]
+fn split2<'a>(line: usize, s: &'a str, ctx: &str) -> Parsed<(&'a str, &'a str)> {
+    match split(s, ", ") {
         Some(p) => Ok(p),
         None => err(line, format!("expected two operands in `{ctx}`")),
     }
 }
 
-fn bin_op(mn: &str) -> Option<BinOp> {
-    BinOp::ALL.into_iter().find(|b| b.name() == mn)
-}
-
-fn cmp_pred(mn: &str) -> Option<CmpPred> {
-    CmpPred::ALL.into_iter().find(|p| p.name() == mn)
-}
-
-fn cast_op(mn: &str) -> Option<CastOp> {
-    [CastOp::Trunc, CastOp::ZExt, CastOp::SExt, CastOp::BitCast]
-        .into_iter()
-        .find(|c| c.name() == mn)
+fn cmp_pred(s: &str) -> Option<CmpPred> {
+    Some(match s {
+        "eq" => CmpPred::Eq,
+        "ne" => CmpPred::Ne,
+        "slt" => CmpPred::Slt,
+        "sle" => CmpPred::Sle,
+        "sgt" => CmpPred::Sgt,
+        "sge" => CmpPred::Sge,
+        "ult" => CmpPred::Ult,
+        "ule" => CmpPred::Ule,
+        "ugt" => CmpPred::Ugt,
+        "uge" => CmpPred::Uge,
+        _ => return None,
+    })
 }
 
 /// Parse an opcode body (everything after `%id = <ty> ` or the line itself
 /// for void instructions).
-fn parse_opcode(line: usize, body: &str) -> Result<Opcode, ParseError> {
-    let (mn, rest) = body.split_once(' ').unwrap_or((body, ""));
-    if let Some(op) = bin_op(mn) {
+fn parse_opcode(line: usize, body: &str) -> Parsed<Opcode> {
+    let (mn, rest) = split(body, " ").unwrap_or((body, ""));
+    let binary = |op| {
         let (a, b) = split2(line, rest, body)?;
-        return Ok(Opcode::Binary(
+        Ok(Opcode::Binary(
             op,
             parse_value(line, a)?,
             parse_value(line, b)?,
-        ));
-    }
-    if let Some(op) = cast_op(mn) {
-        return Ok(Opcode::Cast(op, parse_value(line, rest)?));
-    }
+        ))
+    };
+    let cast = |op| Ok(Opcode::Cast(op, parse_value(line, rest)?));
     match mn {
+        "add" => binary(BinOp::Add),
+        "sub" => binary(BinOp::Sub),
+        "mul" => binary(BinOp::Mul),
+        "sdiv" => binary(BinOp::SDiv),
+        "udiv" => binary(BinOp::UDiv),
+        "srem" => binary(BinOp::SRem),
+        "urem" => binary(BinOp::URem),
+        "and" => binary(BinOp::And),
+        "or" => binary(BinOp::Or),
+        "xor" => binary(BinOp::Xor),
+        "shl" => binary(BinOp::Shl),
+        "lshr" => binary(BinOp::LShr),
+        "ashr" => binary(BinOp::AShr),
+        "trunc" => cast(CastOp::Trunc),
+        "zext" => cast(CastOp::ZExt),
+        "sext" => cast(CastOp::SExt),
+        "bitcast" => cast(CastOp::BitCast),
         "icmp" => {
-            let (pred_s, ops) = match rest.split_once(' ') {
+            let (pred_s, ops) = match split(rest, " ") {
                 Some(p) => p,
                 None => return err(line, "icmp needs a predicate and operands"),
             };
@@ -198,7 +340,7 @@ fn parse_opcode(line: usize, body: &str) -> Result<Opcode, ParseError> {
                     Some(o) => o,
                     None => return err(line, format!("malformed phi incoming near `{s}`")),
                 };
-                let (group, tail) = match open.split_once(']') {
+                let (group, tail) = match split(open, "]") {
                     Some(p) => p,
                     None => return err(line, "unterminated phi incoming group"),
                 };
@@ -209,7 +351,7 @@ fn parse_opcode(line: usize, body: &str) -> Result<Opcode, ParseError> {
             Ok(Opcode::Phi { incoming })
         }
         "alloca" => {
-            let (count_s, ty_s) = match rest.split_once(" x ") {
+            let (count_s, ty_s) = match split(rest, " x ") {
                 Some(p) => p,
                 None => return err(line, "malformed alloca"),
             };
@@ -241,7 +383,7 @@ fn parse_opcode(line: usize, body: &str) -> Result<Opcode, ParseError> {
                 Some(r) => r,
                 None => return err(line, "call must target @f<slot>"),
             };
-            let (id_s, args_s) = match callee_args.split_once('(') {
+            let (id_s, args_s) = match split(callee_args, "(") {
                 Some(p) => p,
                 None => return err(line, "malformed call"),
             };
@@ -252,14 +394,14 @@ fn parse_opcode(line: usize, body: &str) -> Result<Opcode, ParseError> {
             let callee = FuncId::from_index(parse_index(line, id_s, "function")?);
             let mut args = Vec::new();
             if !args_s.is_empty() {
-                for a in args_s.split(", ") {
+                for a in pieces(args_s, ", ") {
                     args.push(parse_value(line, a)?);
                 }
             }
             Ok(Opcode::Call { callee, args })
         }
         "br" => {
-            if let Some((c, rest)) = rest.split_once(", ") {
+            if let Some((c, rest)) = split(rest, ", ") {
                 let (t, e) = split2(line, rest, body)?;
                 Ok(Opcode::CondBr {
                     cond: parse_value(line, c)?,
@@ -273,11 +415,11 @@ fn parse_opcode(line: usize, body: &str) -> Result<Opcode, ParseError> {
             }
         }
         "switch" => {
-            let (v, rest) = match rest.split_once(", default ") {
+            let (v, rest) = match split(rest, ", default ") {
                 Some(p) => p,
                 None => return err(line, "malformed switch"),
             };
-            let (def, cases_s) = match rest.split_once(" [") {
+            let (def, cases_s) = match split(rest, " [") {
                 Some(p) => p,
                 None => return err(line, "switch missing case list"),
             };
@@ -287,14 +429,14 @@ fn parse_opcode(line: usize, body: &str) -> Result<Opcode, ParseError> {
             };
             let mut cases = Vec::new();
             if !cases_s.is_empty() {
-                for c in cases_s.split(", ") {
-                    let (val, bb) = match c.split_once(" -> ") {
+                for c in pieces(cases_s, ", ") {
+                    let (val, bb) = match split(c, " -> ") {
                         Some(p) => p,
                         None => return err(line, format!("malformed switch case `{c}`")),
                     };
-                    let val = match val.parse::<i64>() {
-                        Ok(v) => v,
-                        Err(_) => return err(line, format!("malformed case value `{val}`")),
+                    let val = match parse_i64(val) {
+                        Some(v) => v,
+                        None => return err(line, format!("malformed case value `{val}`")),
                     };
                     cases.push((val, parse_block_ref(line, bb)?));
                 }
@@ -326,10 +468,11 @@ struct ParsedInst {
     inst: Inst,
 }
 
-fn parse_inst_line(line: usize, text: &str) -> Result<ParsedInst, ParseError> {
-    let t = text.trim_start();
-    if t.starts_with('%') {
-        let (lhs, rest) = match t.split_once(" = ") {
+/// Parse one instruction line onto the end of `insts`.
+fn parse_inst_line(line: usize, text: &str, insts: &mut Vec<ParsedInst>) -> Parsed<()> {
+    let t = trim_start(text);
+    let parsed = if t.starts_with('%') {
+        let (lhs, rest) = match split(t, " = ") {
             Some(p) => p,
             None => return err(line, "instruction result without `=`"),
         };
@@ -337,7 +480,7 @@ fn parse_inst_line(line: usize, text: &str) -> Result<ParsedInst, ParseError> {
             Some(s) => parse_index(line, s, "instruction")?,
             None => return err(line, "malformed result name"),
         };
-        let (ty_s, body) = match rest.split_once(' ') {
+        let (ty_s, body) = match split(rest, " ") {
             Some(p) => p,
             None => return err(line, "instruction missing a type"),
         };
@@ -345,23 +488,40 @@ fn parse_inst_line(line: usize, text: &str) -> Result<ParsedInst, ParseError> {
         if ty.is_void() {
             return err(line, "void instruction cannot have a result");
         }
-        Ok(ParsedInst {
+        ParsedInst {
             slot: Some(slot),
             inst: Inst::new(ty, parse_opcode(line, body)?),
-        })
+        }
     } else {
-        Ok(ParsedInst {
+        ParsedInst {
             slot: None,
             inst: Inst::new(Type::Void, parse_opcode(line, t)?),
-        })
+        }
+    };
+    insts.push(parsed);
+    Ok(())
+}
+
+/// `s.trim_start()`, without decoding chars through the usual run of
+/// ASCII spaces.
+fn trim_start(s: &str) -> &str {
+    let rest = &s[s.bytes().take_while(|&b| b == b' ').count()..];
+    match rest.as_bytes().first() {
+        Some(&b) if !b.is_ascii() || char::from(b).is_whitespace() => rest.trim_start(),
+        _ => rest,
     }
 }
 
+/// A parsed `define` line; `attrs` is the text after the parameter list.
+struct Header<'a> {
+    name: String,
+    params: Vec<Type>,
+    ret_ty: Type,
+    attrs: &'a str,
+}
+
 /// Parse a `define` header: `define <ret> @<name>(<params>)<attrs> {`.
-fn parse_header(
-    line: usize,
-    text: &str,
-) -> Result<(String, Vec<Type>, Type, Vec<String>), ParseError> {
+fn parse_header(line: usize, text: &str) -> Parsed<Header<'_>> {
     let rest = match text.strip_prefix("define ") {
         Some(r) => r,
         None => return err(line, "expected `define`"),
@@ -370,7 +530,7 @@ fn parse_header(
         Some(r) => r,
         None => return err(line, "function header must end in ` {`"),
     };
-    let (ret_s, rest) = match rest.split_once(" @") {
+    let (ret_s, rest) = match split(rest, " @") {
         Some(p) => p,
         None => return err(line, "function header missing `@name`"),
     };
@@ -390,8 +550,8 @@ fn parse_header(
     let params_s = &rest[open + 1..close];
     let mut params = Vec::new();
     if !params_s.is_empty() {
-        for (i, p) in params_s.split(", ").enumerate() {
-            let (ty_s, arg) = match p.split_once(' ') {
+        for (i, p) in pieces(params_s, ", ").enumerate() {
+            let (ty_s, arg) = match split(p, " ") {
                 Some(x) => x,
                 None => return err(line, format!("malformed parameter `{p}`")),
             };
@@ -401,35 +561,46 @@ fn parse_header(
             params.push(parse_ty(line, ty_s)?);
         }
     }
-    let attrs: Vec<String> = rest[close + 1..]
-        .split_whitespace()
-        .map(str::to_string)
-        .collect();
-    Ok((name, params, ret_ty, attrs))
+    Ok(Header {
+        name,
+        params,
+        ret_ty,
+        attrs: &rest[close + 1..],
+    })
 }
 
-/// Assemble a [`Function`] from its parsed header and block contents,
-/// reconstructing the exact arena slots of printed entities.
+/// One function body as read: each block's label with the index of its
+/// first instruction in `insts`. The module's functions share one.
+struct Body {
+    blocks: Vec<(usize, usize)>,
+    insts: Vec<ParsedInst>,
+}
+
+/// Assemble a [`Function`] from its parsed header and body, reconstructing
+/// the exact arena slots of printed entities. The body is drained.
 fn build_function(
     line: usize,
-    name: String,
-    params: Vec<Type>,
-    ret_ty: Type,
-    attrs: &[String],
-    blocks: Vec<(usize, Vec<ParsedInst>)>,
+    header: Header<'_>,
+    body: &mut Body,
     slot_budget: &mut usize,
-) -> Result<Function, ParseError> {
-    if blocks.is_empty() {
+) -> Parsed<Function> {
+    let Header {
+        name,
+        params,
+        ret_ty,
+        attrs,
+    } = header;
+    if body.blocks.is_empty() {
         return err(line, format!("function @{name} has no blocks"));
     }
-    let mut f = Function::new(name.clone(), params, ret_ty);
-    for a in attrs {
-        match a.as_str() {
-            "readnone" => f.attrs.readnone = true,
-            "readonly" => f.attrs.readonly = true,
-            "internal" => f.attrs.internal = true,
-            "alwaysinline" => f.attrs.always_inline = true,
-            "outlined" => f.attrs.outlined = true,
+    let mut fattrs = FuncAttrs::default();
+    for a in attrs.split_whitespace() {
+        match a {
+            "readnone" => fattrs.readnone = true,
+            "readonly" => fattrs.readonly = true,
+            "internal" => fattrs.internal = true,
+            "alwaysinline" => fattrs.always_inline = true,
+            "outlined" => fattrs.outlined = true,
             _ => return err(line, format!("unknown attribute `{a}`")),
         }
     }
@@ -438,11 +609,8 @@ fn build_function(
     // alike) against the module-wide budget *before* allocating anything,
     // so hostile input cannot amplify per-function: the whole module gets
     // [`MAX_MODULE_SLOTS`], not each function.
-    let max_block = blocks.iter().map(|(id, _)| *id).max().unwrap_or(0);
-    let max_slot = blocks
-        .iter()
-        .flat_map(|(_, insts)| insts.iter().filter_map(|p| p.slot))
-        .max();
+    let max_block = body.blocks.iter().map(|&(id, _)| id).max().unwrap_or(0);
+    let max_slot = body.insts.iter().filter_map(|p| p.slot).max();
     let slots = (max_block + 1) + max_slot.map_or(0, |m| m + 1);
     if slots > *slot_budget {
         return err(
@@ -452,78 +620,67 @@ fn build_function(
     }
     *slot_budget -= slots;
 
-    // Recreate the block arena: live slots are exactly the printed labels;
-    // slots between them are tombstones. `Function::new` made slot 0.
-    let mut live = vec![false; max_block + 1];
-    for (id, _) in &blocks {
-        if live[*id] {
+    // The block arena: live slots are exactly the printed labels; slots
+    // between them are tombstones.
+    let mut blocks: Vec<Option<Block>> = vec![None; max_block + 1];
+    for &(id, _) in &body.blocks {
+        if blocks[id].is_some() {
             return err(line, format!("duplicate block label b{id} in @{name}"));
         }
-        live[*id] = true;
+        blocks[id] = Some(Block::default());
     }
-    for _ in 0..max_block {
-        f.add_block();
-    }
-    for (i, &alive) in live.iter().enumerate() {
-        if !alive {
-            f.remove_block(BlockId::from_index(i));
-        }
-    }
-    f.entry = BlockId::from_index(blocks[0].0);
 
-    // Recreate the instruction arena: printed `%id`s take their exact
-    // slots (tombstones fill the gaps); void instructions are appended
-    // above the highest printed id.
-    let mut arena: Vec<Option<Inst>> = vec![None; max_slot.map_or(0, |m| m + 1)];
-    for (_, insts) in &blocks {
-        for p in insts {
-            if let Some(slot) = p.slot {
-                if arena[slot].is_some() {
+    // The instruction arena: printed `%id`s take their exact slots
+    // (tombstones fill the gaps); void instructions are appended above the
+    // highest printed id, in text order.
+    let printed = max_slot.map_or(0, |m| m + 1);
+    let voids = body.insts.iter().filter(|p| p.slot.is_none()).count();
+    let mut insts: Vec<Option<Inst>> = Vec::with_capacity(printed + voids);
+    insts.resize_with(printed, || None);
+    let ends = body.blocks.iter().skip(1).map(|&(_, start)| start);
+    let ends = ends.chain(std::iter::once(body.insts.len()));
+    let mut parsed = body.insts.drain(..);
+    for (&(id, start), end) in body.blocks.iter().zip(ends) {
+        let mut list = Vec::with_capacity(end - start);
+        for p in parsed.by_ref().take(end - start) {
+            let slot = match p.slot {
+                Some(slot) if insts[slot].is_some() => {
                     return err(line, format!("duplicate instruction id %{slot} in @{name}"));
                 }
-                arena[slot] = Some(p.inst.clone());
-            }
+                Some(slot) => {
+                    insts[slot].get_or_insert(p.inst);
+                    slot
+                }
+                None => {
+                    insts.push(Some(p.inst));
+                    insts.len() - 1
+                }
+            };
+            list.push(InstId::from_index(slot));
         }
+        blocks[id] = Some(Block { insts: list });
     }
-    for inst in arena {
-        match inst {
-            Some(inst) => {
-                f.add_inst(inst);
-            }
-            None => {
-                let id = f.add_inst(Inst::new(Type::Void, Opcode::Unreachable));
-                f.erase_inst(id);
-            }
-        }
-    }
-    for (bid, insts) in blocks {
-        let mut list = Vec::with_capacity(insts.len());
-        for p in insts {
-            match p.slot {
-                Some(slot) => list.push(InstId::from_index(slot)),
-                None => list.push(f.add_inst(p.inst)),
-            }
-        }
-        f.block_mut(BlockId::from_index(bid)).insts = list;
-    }
+    let entry = BlockId::from_index(body.blocks[0].0);
+    let mut f = Function::from_arenas(name, params, ret_ty, blocks, insts, entry);
+    f.attrs = fattrs;
     Ok(f)
 }
 
-fn parse_global_line(line: usize, text: &str) -> Result<(usize, Global), ParseError> {
+fn parse_global_line(line: usize, text: &str) -> Parsed<(usize, Global)> {
     let rest = match text.strip_prefix("@g") {
         Some(r) => r,
         None => return err(line, "expected global definition"),
     };
-    let (id_s, rest) = match rest.split_once(" = ") {
+    let (id_s, rest) = match split(rest, " = ") {
         Some(p) => p,
         None => return err(line, "global definition missing `=`"),
     };
     let slot = parse_index(line, id_s, "global")?;
-    let (spec, name) = match rest.split_once(" ; ") {
+    let (spec, name) = match split(rest, " ; ") {
         Some(p) => p,
         None => return err(line, "global definition missing `; <name>`"),
     };
-    let (kind, spec) = match spec.split_once(' ') {
+    let (kind, spec) = match split(spec, " ") {
         Some(p) => p,
         None => return err(line, "malformed global"),
     };
@@ -532,12 +689,12 @@ fn parse_global_line(line: usize, text: &str) -> Result<(usize, Global), ParseEr
         "global" => false,
         _ => return err(line, format!("unknown global kind `{kind}`")),
     };
-    let (count_s, spec) = match spec.split_once(" x ") {
+    let (count_s, spec) = match split(spec, " x ") {
         Some(p) => p,
         None => return err(line, "malformed global element count"),
     };
     let count = parse_index(line, count_s, "global count")? as u32;
-    let (ty_s, init_s) = match spec.split_once(' ') {
+    let (ty_s, init_s) = match split(spec, " ") {
         Some(p) => p,
         None => return err(line, "global missing initializer"),
     };
@@ -551,10 +708,10 @@ fn parse_global_line(line: usize, text: &str) -> Result<(usize, Global), ParseEr
         };
         let mut vals = Vec::new();
         if !inner.is_empty() {
-            for v in inner.split(", ") {
-                match v.parse::<i64>() {
-                    Ok(x) => vals.push(x),
-                    Err(_) => return err(line, format!("malformed initializer value `{v}`")),
+            for v in pieces(inner, ", ") {
+                match parse_i64(v) {
+                    Some(x) => vals.push(x),
+                    None => return err(line, format!("malformed initializer value `{v}`")),
                 }
             }
         }
@@ -575,6 +732,34 @@ fn parse_global_line(line: usize, text: &str) -> Result<(usize, Global), ParseEr
     ))
 }
 
+/// The text's lines as `str::lines` splits them, with 1-based numbers;
+/// `read` is the number of the last line handed out.
+struct Lines<'a> {
+    rest: &'a str,
+    read: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        let b = self.rest.as_bytes();
+        if b.is_empty() {
+            return None;
+        }
+        let line = match find_byte(b, b'\n') {
+            Some(i) => {
+                let line = &self.rest[..i];
+                self.rest = &self.rest[i + 1..];
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None => std::mem::take(&mut self.rest),
+        };
+        self.read += 1;
+        Some((self.read, line))
+    }
+}
+
 /// Parse the textual form produced by [`crate::printer::print_module`].
 ///
 /// Purely syntactic — run [`crate::verify::verify_module`] on the result
@@ -584,26 +769,38 @@ fn parse_global_line(line: usize, text: &str) -> Result<(usize, Global), ParseEr
 ///
 /// Returns the first syntax problem found, with its 1-based line number.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut i = 0usize;
-    while i < lines.len() && lines[i].trim().is_empty() {
-        i += 1;
-    }
-    let name = match lines.get(i).and_then(|l| l.strip_prefix("; module ")) {
-        Some(n) => n.to_string(),
-        None => return err(i + 1, "expected `; module <name>` header"),
+    parse(text).map_err(|e| *e)
+}
+
+fn parse(text: &str) -> Parsed<Module> {
+    const HEADER: &str = "expected `; module <name>` header";
+    let mut lines = Lines {
+        rest: text,
+        read: 0,
     };
-    i += 1;
+    let name = loop {
+        match lines.next() {
+            Some((_, line)) if line.trim().is_empty() => {}
+            Some((ln, line)) => match line.strip_prefix("; module ") {
+                Some(n) => break n.to_string(),
+                None => return err(ln, HEADER),
+            },
+            None => return err(lines.read + 1, HEADER),
+        }
+    };
     let mut m = Module::new(name);
     // Shared across all functions — see [`MAX_MODULE_SLOTS`].
     let mut slot_budget = MAX_MODULE_SLOTS;
     // Pending `; f<slot>` annotation for the next `define`.
     let mut pending_slot: Option<usize> = None;
-    while i < lines.len() {
-        let line = lines[i];
-        let ln = i + 1;
+    // Sized once from the text (an instruction line is longer than 16
+    // bytes), so a function's instructions never regrow the buffer.
+    let mut body = Body {
+        blocks: Vec::new(),
+        insts: Vec::with_capacity((text.len() / 16).min(MAX_MODULE_SLOTS)),
+    };
+    while let Some((ln, line)) = lines.next() {
         if line.trim().is_empty() {
-            i += 1;
             continue;
         }
         if line.starts_with("@g") {
@@ -619,7 +816,6 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 m.remove_global(id);
             }
             m.add_global(g);
-            i += 1;
             continue;
         }
         if let Some(slot_s) = line.strip_prefix("; f") {
@@ -627,21 +823,15 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 return err(ln, "consecutive `; f<slot>` annotations");
             }
             pending_slot = Some(parse_index(ln, slot_s, "function")?);
-            i += 1;
             continue;
         }
         if line.starts_with("define ") {
-            let (fname, params, ret_ty, attrs) = parse_header(ln, line)?;
-            i += 1;
+            let header = parse_header(ln, line)?;
             // Collect block sections until the closing `}`.
-            let mut blocks: Vec<(usize, Vec<ParsedInst>)> = Vec::new();
             let mut closed = false;
-            while i < lines.len() {
-                let bl = lines[i];
-                let bln = i + 1;
+            for (bln, bl) in lines.by_ref() {
                 if bl == "}" {
                     closed = true;
-                    i += 1;
                     break;
                 }
                 if let Some(label) = bl.strip_suffix(':') {
@@ -649,21 +839,24 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                         Some(s) => parse_index(bln, s, "block")?,
                         None => return err(bln, format!("malformed block label `{bl}`")),
                     };
-                    blocks.push((bb, Vec::new()));
+                    body.blocks.push((bb, body.insts.len()));
                 } else if bl.starts_with("  ") {
-                    match blocks.last_mut() {
-                        Some((_, insts)) => insts.push(parse_inst_line(bln, bl)?),
-                        None => return err(bln, "instruction before first block label"),
+                    if body.blocks.is_empty() {
+                        return err(bln, "instruction before first block label");
                     }
+                    parse_inst_line(bln, bl, &mut body.insts)?;
                 } else {
                     return err(bln, format!("unexpected line in function body: `{bl}`"));
                 }
-                i += 1;
             }
             if !closed {
-                return err(i, format!("unterminated function @{fname}"));
+                return err(
+                    lines.read,
+                    format!("unterminated function @{}", header.name),
+                );
             }
-            let f = build_function(ln, fname, params, ret_ty, &attrs, blocks, &mut slot_budget)?;
+            let f = build_function(ln, header, &mut body, &mut slot_budget)?;
+            body.blocks.clear();
             let slot = pending_slot.take().unwrap_or(m.func_capacity());
             if slot < m.func_capacity() {
                 return err(ln, format!("function slot f{slot} already used"));
@@ -678,7 +871,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         return err(ln, format!("unexpected line `{line}`"));
     }
     if pending_slot.is_some() {
-        return err(lines.len(), "`; f<slot>` annotation without a function");
+        return err(lines.read, "`; f<slot>` annotation without a function");
     }
     Ok(m)
 }
@@ -866,5 +1059,93 @@ mod tests {
             m.add_function(f);
         }
         roundtrip(&m);
+    }
+
+    #[test]
+    fn every_mnemonic_parses_to_its_opcode() {
+        let text =
+            |body: &str| format!("; module m\ndefine i32 @f(i32 %arg0) {{\nb0:\n  {body}\n}}");
+        let only_inst = |m: &Module| {
+            m.func(FuncId::from_index(0))
+                .inst(InstId::from_index(1))
+                .op
+                .clone()
+        };
+        for op in BinOp::ALL {
+            let m = parse_module(&text(&format!("%1 = i32 {} %arg0, i32 2", op.name()))).unwrap();
+            assert_eq!(
+                only_inst(&m),
+                Opcode::Binary(op, Value::Arg(0), Value::i32(2))
+            );
+        }
+        for pred in CmpPred::ALL {
+            let m =
+                parse_module(&text(&format!("%1 = i1 icmp {} %arg0, %arg0", pred.name()))).unwrap();
+            assert_eq!(
+                only_inst(&m),
+                Opcode::ICmp(pred, Value::Arg(0), Value::Arg(0))
+            );
+        }
+        for op in [CastOp::Trunc, CastOp::ZExt, CastOp::SExt, CastOp::BitCast] {
+            let m = parse_module(&text(&format!("%1 = i64 {} %arg0", op.name()))).unwrap();
+            assert_eq!(only_inst(&m), Opcode::Cast(op, Value::Arg(0)));
+        }
+    }
+
+    #[test]
+    fn byte_splits_agree_with_str() {
+        let mut state = 0x5EEDu64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let alphabet = [
+            " ", ",", ", ", " = ", "x", " x ", "%1", "é", "\n", "\r", "]", "[", " ->",
+        ];
+        for _ in 0..5_000 {
+            let s: String = (0..next() % 24)
+                .map(|_| alphabet[next() % alphabet.len()])
+                .collect();
+            for pat in [" ", ", ", " = ", " x ", " -> ", ", default ", "]"] {
+                assert_eq!(split(&s, pat), s.split_once(pat), "{s:?} at {pat:?}");
+                assert!(pieces(&s, pat).eq(s.split(pat)), "{s:?} by {pat:?}");
+            }
+            for byte in [b'\n', b',', b' '] {
+                assert_eq!(
+                    find_byte(s.as_bytes(), byte),
+                    s.bytes().position(|c| c == byte)
+                );
+            }
+            assert_eq!(trim_start(&s), s.trim_start());
+        }
+    }
+
+    #[test]
+    fn integers_parse_as_std_parses_them() {
+        let cases = "|0|7|007|+7|-7|-0|+|-|--1| 1|1 |1_000|0x10|١|123456789012345678|\
+                     999999999999999999|9999999999999999999|18446744073709551615|\
+                     18446744073709551616|9223372036854775807|9223372036854775808|\
+                     -9223372036854775808|-9223372036854775809";
+        for s in cases.split('|') {
+            assert_eq!(parse_usize(s), s.parse::<usize>().ok(), "{s:?}");
+            assert_eq!(parse_i64(s), s.parse::<i64>().ok(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn crlf_and_signed_indices_keep_their_old_meaning() {
+        let m = rich_module();
+        let text = print_module(&m);
+        let crlf = parse_module(&text.replace('\n', "\r\n")).unwrap();
+        assert_eq!(print_module(&crlf), text);
+        // `usize::from_str` takes a leading `+`, so the parser always has.
+        let signed = "; module m\ndefine i32 @f(i32 %arg0) {\nb+0:\n  %+1 = i32 add %arg+0, i32 +2\n  ret %1\n}";
+        let m = parse_module(signed).unwrap();
+        assert!(print_module(&m).contains("%1 = i32 add %arg0, i32 2"));
+        // A lone `\r` is no line end, as `str::lines` decides.
+        let lone_cr = parse_module("; module m\r\r\n@g0 = const 1 x i32 [1] ; a").unwrap();
+        assert_eq!(lone_cr.name, "m\r");
     }
 }

@@ -1,9 +1,86 @@
-//! Textual form of modules and functions (LLVM-flavoured, for debugging).
+//! Textual form of modules and functions (LLVM-flavoured): the one
+//! statement of the text syntax that [`crate::parser::parse_module`]
+//! inverts.
+//!
+//! Everything here writes through [`fmt::Write`] straight into the caller's
+//! sink: [`print_module`] and [`print_function`] into one `String`,
+//! [`crate::fingerprint::fingerprint_function`] into an FNV-1a state, and
+//! `Display for Value` / `Display for Type` into a `Formatter`. There is no
+//! `format!` and no intermediate string: [`put!`] writes a sequence of
+//! pieces, and integers go through one small digit writer.
 
 use crate::function::{BlockId, Function};
 use crate::inst::Opcode;
 use crate::module::Module;
-use std::fmt::Write;
+use crate::types::Type;
+use crate::value::Value;
+use std::fmt::{self, Write};
+
+/// Write each piece into `w` in turn, as a format string would:
+/// `put!(w, "icmp ", pred.name(), ' ', x, ", ", y)`.
+macro_rules! put {
+    ($w:expr $(, $piece:expr)* $(,)?) => {{
+        $( Piece::write_to($piece, $w)?; )*
+        Ok::<(), fmt::Error>(())
+    }};
+}
+
+/// Something the text syntax writes in one step.
+trait Piece {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result;
+}
+
+impl Piece for &str {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        w.write_str(self)
+    }
+}
+
+impl Piece for char {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        w.write_char(self)
+    }
+}
+
+impl Piece for usize {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        write_u64(w, self as u64)
+    }
+}
+
+impl Piece for u32 {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        write_u64(w, u64::from(self))
+    }
+}
+
+impl Piece for i64 {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        if self < 0 {
+            w.write_char('-')?;
+        }
+        write_u64(w, self.unsigned_abs())
+    }
+}
+
+/// `b<index>`.
+impl Piece for BlockId {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        put!(w, 'b', self.index())
+    }
+}
+
+impl Piece for Type {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        write_type(w, self)
+    }
+}
+
+impl Piece for Value {
+    fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
+        write_value(w, self)
+    }
+}
 
 /// Render a whole module.
 ///
@@ -14,136 +91,171 @@ use std::fmt::Write;
 /// operands reference functions by slot index).
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "; module {}", m.name);
-    for gid in m.global_ids() {
-        let g = m.global(gid);
-        let init = if g.init.is_empty() {
-            "zeroinit".to_string()
-        } else {
-            let parts: Vec<String> = g.init.iter().map(|v| v.to_string()).collect();
-            format!("[{}]", parts.join(", "))
-        };
-        let _ = writeln!(
-            out,
-            "@g{} = {} {} x {} {} ; {}",
-            gid.index(),
-            if g.is_const { "const" } else { "global" },
-            g.count,
-            g.elem_ty,
-            init,
-            g.name,
-        );
-    }
-    for fid in m.func_ids() {
-        out.push('\n');
-        let _ = writeln!(out, "; f{}", fid.index());
-        out.push_str(&print_function(m.func(fid)));
-    }
+    // Writing into a `String` cannot fail.
+    let _ = write_module(&mut out, m);
     out
 }
 
 /// Render one function.
 pub fn print_function(f: &Function) -> String {
     let mut out = String::new();
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("{t} %arg{i}"))
-        .collect();
+    let _ = write_function(&mut out, f);
+    out
+}
+
+fn write_module<W: Write>(w: &mut W, m: &Module) -> fmt::Result {
+    put!(w, "; module ", m.name.as_str(), '\n')?;
+    for gid in m.global_ids() {
+        let g = m.global(gid);
+        let kind = if g.is_const {
+            " = const "
+        } else {
+            " = global "
+        };
+        put!(w, "@g", gid.index(), kind, g.count, " x ", g.elem_ty)?;
+        if g.init.is_empty() {
+            put!(w, " zeroinit")?;
+        } else {
+            for (i, &v) in g.init.iter().enumerate() {
+                put!(w, if i > 0 { ", " } else { " [" }, v)?;
+            }
+            put!(w, ']')?;
+        }
+        put!(w, " ; ", g.name.as_str(), '\n')?;
+    }
+    for fid in m.func_ids() {
+        put!(w, "\n; f", fid.index(), '\n')?;
+        write_function(w, m.func(fid))?;
+    }
+    Ok(())
+}
+
+/// Write one function's text into `w`: what [`print_function`] returns and
+/// what a function fingerprint hashes.
+pub(crate) fn write_function<W: Write>(w: &mut W, f: &Function) -> fmt::Result {
+    put!(w, "define ", f.ret_ty, " @", f.name.as_str(), '(')?;
+    for (i, &t) in f.params.iter().enumerate() {
+        put!(w, if i > 0 { ", " } else { "" }, t, " %arg", i)?;
+    }
+    put!(w, ')')?;
     // Attributes are semantic state (passes consult them), so they must
     // be visible in the printed form: the evaluation cache fingerprints
     // modules by their text, and an attribute-only change that printed
     // identically would alias two genuinely different modules.
-    let mut attrs = String::new();
     for (set, name) in [
-        (f.attrs.readnone, "readnone"),
-        (f.attrs.readonly, "readonly"),
-        (f.attrs.internal, "internal"),
-        (f.attrs.always_inline, "alwaysinline"),
-        (f.attrs.outlined, "outlined"),
+        (f.attrs.readnone, " readnone"),
+        (f.attrs.readonly, " readonly"),
+        (f.attrs.internal, " internal"),
+        (f.attrs.always_inline, " alwaysinline"),
+        (f.attrs.outlined, " outlined"),
     ] {
         if set {
-            attrs.push(' ');
-            attrs.push_str(name);
+            put!(w, name)?;
         }
     }
-    let _ = writeln!(
-        out,
-        "define {} @{}({}){} {{",
-        f.ret_ty,
-        f.name,
-        params.join(", "),
-        attrs
-    );
+    put!(w, " {\n")?;
     for bb in f.block_ids() {
-        let _ = writeln!(out, "b{}:", bb.index());
+        put!(w, bb, ":\n")?;
         for (id, inst) in f.insts_in(bb) {
-            let body = format_opcode(f, &inst.op);
             if inst.ty.is_void() {
-                let _ = writeln!(out, "  {body}");
+                put!(w, "  ")?;
             } else {
-                let _ = writeln!(out, "  %{} = {} {}", id.index(), inst.ty, body);
+                put!(w, "  %", id.index(), " = ", inst.ty, ' ')?;
             }
+            write_opcode(w, &inst.op)?;
+            put!(w, '\n')?;
         }
     }
-    out.push_str("}\n");
-    out
+    put!(w, "}\n")
 }
 
-fn bb_name(bb: BlockId) -> String {
-    format!("b{}", bb.index())
-}
-
-fn format_opcode(f: &Function, op: &Opcode) -> String {
-    let _ = f;
-    match op {
-        Opcode::Binary(b, x, y) => format!("{} {x}, {y}", b.name()),
-        Opcode::ICmp(p, x, y) => format!("icmp {} {x}, {y}", p.name()),
-        Opcode::Select { cond, tval, fval } => format!("select {cond}, {tval}, {fval}"),
-        Opcode::Phi { incoming } => {
-            let parts: Vec<String> = incoming
-                .iter()
-                .map(|(bb, v)| format!("[{v}, {}]", bb_name(*bb)))
-                .collect();
-            format!("phi {}", parts.join(", "))
+fn write_opcode<W: Write>(w: &mut W, op: &Opcode) -> fmt::Result {
+    match *op {
+        Opcode::Binary(b, x, y) => put!(w, b.name(), ' ', x, ", ", y),
+        Opcode::ICmp(p, x, y) => put!(w, "icmp ", p.name(), ' ', x, ", ", y),
+        Opcode::Select { cond, tval, fval } => {
+            put!(w, "select ", cond, ", ", tval, ", ", fval)
         }
-        Opcode::Alloca { elem_ty, count } => format!("alloca {count} x {elem_ty}"),
-        Opcode::Load { ptr } => format!("load {ptr}"),
-        Opcode::Store { ptr, value } => format!("store {value}, {ptr}"),
-        Opcode::Gep { ptr, index } => format!("getelementptr {ptr}, {index}"),
-        Opcode::Cast(c, v) => format!("{} {v}", c.name()),
-        Opcode::Call { callee, args } => {
-            let parts: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            format!("call @f{}({})", callee.index(), parts.join(", "))
+        Opcode::Phi { ref incoming } => {
+            put!(w, "phi ")?;
+            for (i, &(bb, v)) in incoming.iter().enumerate() {
+                put!(w, if i > 0 { ", [" } else { "[" }, v, ", ", bb, ']')?;
+            }
+            Ok(())
         }
-        Opcode::Br { target } => format!("br {}", bb_name(*target)),
+        Opcode::Alloca { elem_ty, count } => put!(w, "alloca ", count, " x ", elem_ty),
+        Opcode::Load { ptr } => put!(w, "load ", ptr),
+        Opcode::Store { ptr, value } => put!(w, "store ", value, ", ", ptr),
+        Opcode::Gep { ptr, index } => put!(w, "getelementptr ", ptr, ", ", index),
+        Opcode::Cast(c, v) => put!(w, c.name(), ' ', v),
+        Opcode::Call { callee, ref args } => {
+            put!(w, "call @f", callee.index(), '(')?;
+            for (i, &a) in args.iter().enumerate() {
+                put!(w, if i > 0 { ", " } else { "" }, a)?;
+            }
+            put!(w, ')')
+        }
+        Opcode::Br { target } => put!(w, "br ", target),
         Opcode::CondBr {
             cond,
             then_bb,
             else_bb,
-        } => format!("br {cond}, {}, {}", bb_name(*then_bb), bb_name(*else_bb)),
+        } => put!(w, "br ", cond, ", ", then_bb, ", ", else_bb),
         Opcode::Switch {
             value,
             default,
-            cases,
+            ref cases,
         } => {
-            let parts: Vec<String> = cases
-                .iter()
-                .map(|(c, bb)| format!("{c} -> {}", bb_name(*bb)))
-                .collect();
-            format!(
-                "switch {value}, default {} [{}]",
-                bb_name(*default),
-                parts.join(", ")
-            )
+            put!(w, "switch ", value, ", default ", default, " [")?;
+            for (i, &(c, bb)) in cases.iter().enumerate() {
+                put!(w, if i > 0 { ", " } else { "" }, c, " -> ", bb)?;
+            }
+            put!(w, ']')
         }
-        Opcode::Ret { value } => match value {
-            Some(v) => format!("ret {v}"),
-            None => "ret void".to_string(),
-        },
-        Opcode::Unreachable => "unreachable".to_string(),
+        Opcode::Ret { value: Some(v) } => put!(w, "ret ", v),
+        Opcode::Ret { value: None } => put!(w, "ret void"),
+        Opcode::Unreachable => put!(w, "unreachable"),
     }
+}
+
+/// An operand: `%<id>`, `%arg<i>`, `<ty> <int>`, `@g<slot>` or
+/// `<ty> undef`. `Display for Value` is this function.
+pub(crate) fn write_value<W: Write>(w: &mut W, v: Value) -> fmt::Result {
+    match v {
+        Value::Inst(id) => put!(w, '%', id.index()),
+        Value::Arg(i) => put!(w, "%arg", i),
+        Value::ConstInt(ty, c) => put!(w, ty, ' ', c),
+        Value::Global(g) => put!(w, "@g", g.index()),
+        Value::Undef(ty) => put!(w, ty, " undef"),
+    }
+}
+
+/// A type's name. `Display for Type` is this function.
+pub(crate) fn write_type<W: Write>(w: &mut W, ty: Type) -> fmt::Result {
+    w.write_str(match ty {
+        Type::Void => "void",
+        Type::I1 => "i1",
+        Type::I8 => "i8",
+        Type::I16 => "i16",
+        Type::I32 => "i32",
+        Type::I64 => "i64",
+        Type::Ptr => "ptr",
+    })
+}
+
+/// Decimal digits of `n`, as `Display for u64` writes them.
+fn write_u64<W: Write>(w: &mut W, mut n: u64) -> fmt::Result {
+    if n < 10 {
+        return w.write_char(char::from(b'0' + n as u8));
+    }
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n > 0 {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    w.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
 }
 
 #[cfg(test)]
@@ -152,8 +264,6 @@ mod tests {
     use crate::builder::FunctionBuilder;
     use crate::inst::{BinOp, CmpPred};
     use crate::module::Global;
-    use crate::types::Type;
-    use crate::value::Value;
 
     #[test]
     fn prints_function_with_all_shapes() {
@@ -200,5 +310,19 @@ mod tests {
         assert!(text.contains("store i32 1"));
         assert!(text.contains("ret void"));
         assert!(!text.contains("= void"));
+    }
+
+    #[test]
+    fn digit_writer_matches_display() {
+        let mut cases: Vec<i64> = vec![0, 1, 9, 10, 99, 100, -1, -10, i64::MIN, i64::MAX];
+        cases.extend((0..64).map(|k| 1i64 << k));
+        for n in cases {
+            let mut s = String::new();
+            n.write_to(&mut s).unwrap();
+            assert_eq!(s, n.to_string());
+        }
+        let mut s = String::new();
+        write_u64(&mut s, u64::MAX).unwrap();
+        assert_eq!(s, u64::MAX.to_string());
     }
 }

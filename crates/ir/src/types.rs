@@ -99,18 +99,10 @@ impl Type {
     }
 }
 
+/// The type's name, as the printer writes it.
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Type::Void => "void",
-            Type::I1 => "i1",
-            Type::I8 => "i8",
-            Type::I16 => "i16",
-            Type::I32 => "i32",
-            Type::I64 => "i64",
-            Type::Ptr => "ptr",
-        };
-        f.write_str(s)
+        crate::printer::write_type(f, *self)
     }
 }
 

@@ -90,15 +90,10 @@ impl Value {
     }
 }
 
+/// The operand's text syntax, as the printer writes it.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Inst(id) => write!(f, "%{}", id.index()),
-            Value::Arg(i) => write!(f, "%arg{i}"),
-            Value::ConstInt(ty, v) => write!(f, "{ty} {v}"),
-            Value::Global(g) => write!(f, "@g{}", g.index()),
-            Value::Undef(ty) => write!(f, "{ty} undef"),
-        }
+        crate::printer::write_value(f, *self)
     }
 }
 

@@ -372,10 +372,10 @@ mod tests {
         let mut m = sum_loop();
         let fid = m.main().unwrap();
         let before = run_function(&m, fid, &[100], 1_000_000).unwrap();
-        let blocks_before: u64 = before.block_counts.values().sum();
+        let blocks_before = before.blocks_entered();
         assert!(run(&mut m));
         let after = run_function(&m, fid, &[100], 1_000_000).unwrap();
-        let blocks_after: u64 = after.block_counts.values().sum();
+        let blocks_after = after.blocks_entered();
         assert!(
             blocks_after < blocks_before,
             "rotated loop should enter fewer blocks: {blocks_after} vs {blocks_before}"

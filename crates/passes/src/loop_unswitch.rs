@@ -252,8 +252,8 @@ mod tests {
         let t = run_function(&m, fid, &[4, 1], 100_000).unwrap();
         let f = m.func(fid);
         let mut sub_executed = false;
-        for ((_, bb), count) in t.block_counts.iter().map(|((fi, bb), c)| ((*fi, *bb), *c)) {
-            if count > 0 && f.block_exists(bb) {
+        for bb in f.block_ids() {
+            if t.count(fid, bb) > 0 {
                 for &i in &f.block(bb).insts {
                     if matches!(f.inst(i).op, Opcode::Binary(BinOp::Sub, ..)) {
                         sub_executed = true;
