@@ -66,7 +66,8 @@ pub struct ExecTrace {
     /// Times each block was entered, all functions' blocks in one table:
     /// function `f`'s block `bb` is entry `block_base[f] + bb`.
     block_counts: Vec<u64>,
-    /// Where each function slot's blocks start in `block_counts`.
+    /// Where each function slot's blocks start in `block_counts`, and
+    /// where the last one's end.
     block_base: Vec<usize>,
     /// Times each function slot was called (main counts once).
     call_counts: Vec<u64>,
@@ -81,7 +82,7 @@ pub struct ExecTrace {
 impl ExecTrace {
     /// A trace with every count of `module`'s blocks and functions zero.
     fn empty(module: &Module) -> ExecTrace {
-        let mut block_base = Vec::with_capacity(module.func_capacity());
+        let mut block_base = Vec::with_capacity(module.func_capacity() + 1);
         let mut blocks = 0;
         for i in 0..module.func_capacity() {
             block_base.push(blocks);
@@ -89,6 +90,7 @@ impl ExecTrace {
                 .func_arc(FuncId::from_index(i))
                 .map_or(0, |f| f.block_capacity());
         }
+        block_base.push(blocks);
         ExecTrace {
             block_counts: vec![0; blocks],
             block_base,
@@ -99,11 +101,12 @@ impl ExecTrace {
 
     /// How often block `bb` of function `f` executed.
     pub fn count(&self, f: FuncId, bb: BlockId) -> u64 {
-        self.block_base
-            .get(f.index())
-            .and_then(|base| self.block_counts.get(base + bb.index()))
-            .copied()
-            .unwrap_or(0)
+        match self.block_base.get(f.index()..=f.index() + 1) {
+            Some(&[start, end]) if start + bb.index() < end => {
+                self.block_counts[start + bb.index()]
+            }
+            _ => 0,
+        }
     }
 
     /// How often function `f` was called.
@@ -463,6 +466,10 @@ mod tests {
         let main = m.main().unwrap();
         assert_eq!(t.count(main, header), 6); // 5 iterations + exit test
         assert_eq!(t.calls(main), 1);
+        // Blocks and functions the module does not have never ran.
+        assert_eq!(t.count(main, BlockId::from_index(99)), 0);
+        assert_eq!(t.count(FuncId::from_index(1), header), 0);
+        assert_eq!(t.calls(FuncId::from_index(1)), 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! The text is read once, line by line as `str::lines` splits it (so a
 //! CRLF text parses as its LF form), with no line vector. Separators are
-//! found by a byte scan ([`split`]) rather than a substring searcher set
+//! found by a byte scan (`split`) rather than a substring searcher set
 //! up per call, mnemonics dispatch through one `match`, and a function's
 //! parsed instructions are moved into its arena, which is allocated once
 //! at its final size. Numbers parse as `usize::from_str` / `i64::from_str`
@@ -95,10 +95,6 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Parsed<T> {
 #[inline]
 fn split<'a>(s: &'a str, pat: &str) -> Option<(&'a str, &'a str)> {
     let (b, p) = (s.as_bytes(), pat.as_bytes());
-    if p.len() == 1 {
-        let at = find_byte(b, p[0])?;
-        return Some((&s[..at], &s[at + 1..]));
-    }
     let mut from = 0;
     while let Some(i) = find_byte(&b[from..], p[0]) {
         let at = from + i;

@@ -6,7 +6,7 @@
 //! sink: [`print_module`] and [`print_function`] into one `String`,
 //! [`crate::fingerprint::fingerprint_function`] into an FNV-1a state, and
 //! `Display for Value` / `Display for Type` into a `Formatter`. There is no
-//! `format!` and no intermediate string: [`put!`] writes a sequence of
+//! `format!` and no intermediate string: `put!` writes a sequence of
 //! pieces, and integers go through one small digit writer.
 
 use crate::function::{BlockId, Function};
@@ -26,7 +26,7 @@ macro_rules! put {
 }
 
 /// Something the text syntax writes in one step.
-trait Piece {
+pub(crate) trait Piece {
     fn write_to<W: Write>(self, w: &mut W) -> fmt::Result;
 }
 
@@ -70,15 +70,32 @@ impl Piece for BlockId {
     }
 }
 
+/// A type's name. `Display for Type` is this.
 impl Piece for Type {
     fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
-        write_type(w, self)
+        w.write_str(match self {
+            Type::Void => "void",
+            Type::I1 => "i1",
+            Type::I8 => "i8",
+            Type::I16 => "i16",
+            Type::I32 => "i32",
+            Type::I64 => "i64",
+            Type::Ptr => "ptr",
+        })
     }
 }
 
+/// An operand: `%<id>`, `%arg<i>`, `<ty> <int>`, `@g<slot>` or
+/// `<ty> undef`. `Display for Value` is this.
 impl Piece for Value {
     fn write_to<W: Write>(self, w: &mut W) -> fmt::Result {
-        write_value(w, self)
+        match self {
+            Value::Inst(id) => put!(w, '%', id.index()),
+            Value::Arg(i) => put!(w, "%arg", i),
+            Value::ConstInt(ty, c) => put!(w, ty, ' ', c),
+            Value::Global(g) => put!(w, "@g", g.index()),
+            Value::Undef(ty) => put!(w, ty, " undef"),
+        }
     }
 }
 
@@ -216,31 +233,6 @@ fn write_opcode<W: Write>(w: &mut W, op: &Opcode) -> fmt::Result {
         Opcode::Ret { value: None } => put!(w, "ret void"),
         Opcode::Unreachable => put!(w, "unreachable"),
     }
-}
-
-/// An operand: `%<id>`, `%arg<i>`, `<ty> <int>`, `@g<slot>` or
-/// `<ty> undef`. `Display for Value` is this function.
-pub(crate) fn write_value<W: Write>(w: &mut W, v: Value) -> fmt::Result {
-    match v {
-        Value::Inst(id) => put!(w, '%', id.index()),
-        Value::Arg(i) => put!(w, "%arg", i),
-        Value::ConstInt(ty, c) => put!(w, ty, ' ', c),
-        Value::Global(g) => put!(w, "@g", g.index()),
-        Value::Undef(ty) => put!(w, ty, " undef"),
-    }
-}
-
-/// A type's name. `Display for Type` is this function.
-pub(crate) fn write_type<W: Write>(w: &mut W, ty: Type) -> fmt::Result {
-    w.write_str(match ty {
-        Type::Void => "void",
-        Type::I1 => "i1",
-        Type::I8 => "i8",
-        Type::I16 => "i16",
-        Type::I32 => "i32",
-        Type::I64 => "i64",
-        Type::Ptr => "ptr",
-    })
 }
 
 /// Decimal digits of `n`, as `Display for u64` writes them.

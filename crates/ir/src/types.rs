@@ -102,7 +102,7 @@ impl Type {
 /// The type's name, as the printer writes it.
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::printer::write_type(f, *self)
+        crate::printer::Piece::write_to(*self, f)
     }
 }
 

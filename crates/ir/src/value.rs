@@ -93,7 +93,7 @@ impl Value {
 /// The operand's text syntax, as the printer writes it.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::printer::write_value(f, *self)
+        crate::printer::Piece::write_to(*self, f)
     }
 }
 
