@@ -95,6 +95,10 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Parsed<T> {
 #[inline]
 fn split<'a>(s: &'a str, pat: &str) -> Option<(&'a str, &'a str)> {
     let (b, p) = (s.as_bytes(), pat.as_bytes());
+    if let [only] = *p {
+        let at = find_byte(b, only)?;
+        return Some((&s[..at], &s[at + 1..]));
+    }
     let mut from = 0;
     while let Some(i) = find_byte(&b[from..], p[0]) {
         let at = from + i;
@@ -464,8 +468,8 @@ struct ParsedInst {
     inst: Inst,
 }
 
-/// Parse one instruction line onto the end of `insts`.
-fn parse_inst_line(line: usize, text: &str, insts: &mut Vec<ParsedInst>) -> Parsed<()> {
+/// Parse one instruction line onto the end of the body.
+fn parse_inst_line(line: usize, text: &str, body: &mut Body) -> Parsed<()> {
     let t = trim_start(text);
     let parsed = if t.starts_with('%') {
         let (lhs, rest) = match split(t, " = ") {
@@ -476,7 +480,7 @@ fn parse_inst_line(line: usize, text: &str, insts: &mut Vec<ParsedInst>) -> Pars
             Some(s) => parse_index(line, s, "instruction")?,
             None => return err(line, "malformed result name"),
         };
-        let (ty_s, body) = match split(rest, " ") {
+        let (ty_s, op) = match split(rest, " ") {
             Some(p) => p,
             None => return err(line, "instruction missing a type"),
         };
@@ -484,17 +488,19 @@ fn parse_inst_line(line: usize, text: &str, insts: &mut Vec<ParsedInst>) -> Pars
         if ty.is_void() {
             return err(line, "void instruction cannot have a result");
         }
+        body.max_slot = body.max_slot.max(Some(slot));
         ParsedInst {
             slot: Some(slot),
-            inst: Inst::new(ty, parse_opcode(line, body)?),
+            inst: Inst::new(ty, parse_opcode(line, op)?),
         }
     } else {
+        body.voids += 1;
         ParsedInst {
             slot: None,
             inst: Inst::new(Type::Void, parse_opcode(line, t)?),
         }
     };
-    insts.push(parsed);
+    body.insts.push(parsed);
     Ok(())
 }
 
@@ -566,14 +572,18 @@ fn parse_header(line: usize, text: &str) -> Parsed<Header<'_>> {
 }
 
 /// One function body as read: each block's label with the index of its
-/// first instruction in `insts`. The module's functions share one.
+/// first instruction in `insts`, the highest printed id and the number of
+/// void instructions. The module's functions share one.
 struct Body {
     blocks: Vec<(usize, usize)>,
     insts: Vec<ParsedInst>,
+    max_slot: Option<usize>,
+    voids: usize,
 }
 
 /// Assemble a [`Function`] from its parsed header and body, reconstructing
-/// the exact arena slots of printed entities. The body is drained.
+/// the exact arena slots of printed entities, and empty the body for the
+/// next function.
 fn build_function(
     line: usize,
     header: Header<'_>,
@@ -606,8 +616,8 @@ fn build_function(
     // so hostile input cannot amplify per-function: the whole module gets
     // [`MAX_MODULE_SLOTS`], not each function.
     let max_block = body.blocks.iter().map(|&(id, _)| id).max().unwrap_or(0);
-    let max_slot = body.insts.iter().filter_map(|p| p.slot).max();
-    let slots = (max_block + 1) + max_slot.map_or(0, |m| m + 1);
+    let printed = body.max_slot.map_or(0, |m| m + 1);
+    let slots = (max_block + 1) + printed;
     if slots > *slot_budget {
         return err(
             line,
@@ -629,9 +639,7 @@ fn build_function(
     // The instruction arena: printed `%id`s take their exact slots
     // (tombstones fill the gaps); void instructions are appended above the
     // highest printed id, in text order.
-    let printed = max_slot.map_or(0, |m| m + 1);
-    let voids = body.insts.iter().filter(|p| p.slot.is_none()).count();
-    let mut insts: Vec<Option<Inst>> = Vec::with_capacity(printed + voids);
+    let mut insts: Vec<Option<Inst>> = Vec::with_capacity(printed + body.voids);
     insts.resize_with(printed, || None);
     let ends = body.blocks.iter().skip(1).map(|&(_, start)| start);
     let ends = ends.chain(std::iter::once(body.insts.len()));
@@ -657,6 +665,9 @@ fn build_function(
         blocks[id] = Some(Block { insts: list });
     }
     let entry = BlockId::from_index(body.blocks[0].0);
+    body.blocks.clear();
+    body.max_slot = None;
+    body.voids = 0;
     let mut f = Function::from_arenas(name, params, ret_ty, blocks, insts, entry);
     f.attrs = fattrs;
     Ok(f)
@@ -794,6 +805,8 @@ fn parse(text: &str) -> Parsed<Module> {
     let mut body = Body {
         blocks: Vec::new(),
         insts: Vec::with_capacity((text.len() / 16).min(MAX_MODULE_SLOTS)),
+        max_slot: None,
+        voids: 0,
     };
     while let Some((ln, line)) = lines.next() {
         if line.trim().is_empty() {
@@ -840,7 +853,7 @@ fn parse(text: &str) -> Parsed<Module> {
                     if body.blocks.is_empty() {
                         return err(bln, "instruction before first block label");
                     }
-                    parse_inst_line(bln, bl, &mut body.insts)?;
+                    parse_inst_line(bln, bl, &mut body)?;
                 } else {
                     return err(bln, format!("unexpected line in function body: `{bl}`"));
                 }
@@ -852,7 +865,6 @@ fn parse(text: &str) -> Parsed<Module> {
                 );
             }
             let f = build_function(ln, header, &mut body, &mut slot_budget)?;
-            body.blocks.clear();
             let slot = pending_slot.take().unwrap_or(m.func_capacity());
             if slot < m.func_capacity() {
                 return err(ln, format!("function slot f{slot} already used"));
