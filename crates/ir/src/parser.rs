@@ -89,8 +89,8 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Parsed<T> {
 }
 
 /// `s` around the first occurrence of `pat`, as `str::split_once(pat)`
-/// splits it. Every pattern is ASCII, so both halves end on char
-/// boundaries; a byte scan for the pattern's first byte replaces the
+/// splits it. Every `pat` is a non-empty ASCII literal, so both halves end
+/// on char boundaries; a byte scan for its first byte replaces the
 /// searcher `str` would set up per call.
 #[inline]
 fn split<'a>(s: &'a str, pat: &str) -> Option<(&'a str, &'a str)> {
