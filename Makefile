@@ -86,9 +86,12 @@ dead-pub:
 # Compile-service smoke (DESIGN.md §4g): a real daemon on a real socket
 # under mixed warm/cold load — zero failed requests, store hits
 # observed, chaos-injected policy faults degraded to baseline, clean
-# shutdown, and the persistent store surviving a restart.
+# shutdown, and the persistent store surviving a restart. Then the wire
+# fuzz: arbitrary bytes, hostile headers and every cut of every request
+# end in a request, EOF or a typed error, never past MAX_IR_LEN.
 serve-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test smoke
+	$(CARGO) test -q --release -p autophase-serve --test wire_fuzz
 
 # Live-introspection smoke (DESIGN.md §4i): a chaos-armed daemon under
 # mixed traffic, then STATS parsed over the wire (per-stage p50/p95/p99
@@ -112,16 +115,20 @@ durability-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test store_scale
 
 # Online-learning smoke (DESIGN.md §4l): the end-to-end learner loop on
-# a live daemon (train -> publish -> auto-promote), admin-gated
-# PROMOTE with A/B serving, the registry's manifest property tests, the
+# a live daemon (train -> publish -> replay gate -> auto-promote), a
+# live daemon whose replay gate refuses the learner's worse versions,
+# admin-gated PROMOTE, the registry's manifest property tests, the
 # corrupt/NaN candidate armor, the swap drill (20 promotions under
 # four cold-compiling clients, no request dropped), and the promotion
-# gate's unit tests: a NaN weight refused at boot, at either swap and
-# at auto-promotion (quarantined). Seconds end to end.
+# gate's unit tests: a NaN weight refused at boot, at swap and at
+# auto-promotion (quarantined), and the replay gate over CHStone (a
+# worse or equal candidate refused and left listed, a better one
+# promoted). Seconds end to end.
 online-smoke:
 	$(CARGO) test -q --release -p autophase-rl --test registry_props
 	$(CARGO) test -q --release -p autophase-serve --test online
 	$(CARGO) test -q --release -p autophase-serve --lib non_finite
+	$(CARGO) test -q --release -p autophase-serve --lib replay
 
 # Pass-kernel output gate (DESIGN.md §4m): the printed IR of every pass,
 # of -O3 and of 32 seeded orderings on CHStone + 64 corpus programs must

@@ -9,7 +9,7 @@
 //! serve top --addr 127.0.0.1:7463 [--interval-ms 1000] [--count N]
 //! serve trace --addr 127.0.0.1:7463 [--n 16]   # recent traces, raw JSONL
 //! serve models --addr 127.0.0.1:7463           # registry + per-version win rates
-//! serve promote --addr 127.0.0.1:7463 --version 3 [--ab]
+//! serve promote --addr 127.0.0.1:7463 --version 3
 //! ```
 //!
 //! Daemon mode loads the policy from an
@@ -22,14 +22,16 @@
 //! `--registry <dir>` turns on the online-learning subsystem (versioned
 //! model registry + `PROMOTE` accounting); `--learn` additionally runs
 //! the in-daemon background learner, and `--auto-promote` lets it
-//! hot-swap each validated version it publishes. `--admin` accepts the
-//! `PROMOTE` verb from clients.
+//! hot-swap each version it publishes that beats the serving policy on
+//! the programs it recently served (the replay gate). `--admin` accepts
+//! the `PROMOTE` verb from clients.
 //!
 //! `stats` renders one dashboard from a live daemon's `STATS` reply;
 //! `top` polls it and refreshes in place (rates are deltas between
 //! polls); `trace` prints the flight recorder's recent request traces;
 //! `models` lists registry versions with per-version win rates;
-//! `promote` hot-swaps a registry version into the live engine.
+//! `promote` hot-swaps a registry version into the live engine, past the
+//! replay gate: the operator's override.
 
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_rl::checkpoint::{ArmoredLoad, PolicyCheckpoint};
@@ -78,7 +80,7 @@ fn main() {
              \x20      serve top --addr <host:port> [--interval-ms <ms>] [--count <n>]\n\
              \x20      serve trace --addr <host:port> [--n <k>]\n\
              \x20      serve models --addr <host:port>\n\
-             \x20      serve promote --addr <host:port> --version <n> [--ab]"
+             \x20      serve promote --addr <host:port> --version <n>"
         );
         return;
     }
@@ -285,40 +287,37 @@ fn run_models(args: &[String]) {
         println!("no model registry (daemon started without --registry)");
     }
     println!(
-        "serving v{}   challenger {}   swaps {}",
+        "serving v{}   swaps {}",
         snap.serving.map_or("-".into(), |v| v.to_string()),
-        snap.challenger.map_or("-".into(), |v| format!("v{v}")),
         snap.swaps
     );
     if snap.versions.is_empty() {
         return;
     }
-    println!(
-        "{:<8} {:>8} {:>8} {:>9} {:>7} {:>8} {:>10} {:>7}",
-        "version", "samples", "updates", "requests", "wins", "inserts", "mean_impr", "role"
-    );
+    // Wins and the mean improvement are over the `compared` requests:
+    // those with an -O3 reference.
+    println!("version   samples  updates  requests  compared    wins  inserts  mean_impr    role");
     for v in &snap.versions {
-        let role = match (v.serving, v.challenger) {
-            (true, _) => "serving",
-            (_, true) => "B-side",
-            _ => "",
-        };
         println!(
-            "v{:<7} {:>8} {:>8} {:>9} {:>7} {:>8} {:>9.2}% {:>7}",
+            "v{:<7} {:>8} {:>8} {:>9} {:>9} {:>7} {:>8} {:>9.2}% {:>7}",
             v.version,
             v.samples,
             v.updates,
             v.requests,
+            v.compared,
             v.wins,
             v.store_inserts,
             v.mean_improvement * 100.0,
-            role
+            if v.serving { "serving" } else { "" }
         );
     }
 }
 
 fn run_promote(args: &[String]) {
-    let addr = require_addr(args);
+    if args.iter().any(|a| a == "--ab") {
+        eprintln!("serve: promote --ab is not supported: the daemon serves one policy");
+        std::process::exit(2);
+    }
     let version: u64 = match number(args, "--version") {
         Some(v) => v,
         None => {
@@ -326,20 +325,13 @@ fn run_promote(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let ab = args.iter().any(|a| a == "--ab");
+    let addr = require_addr(args);
     let result = Client::connect(&addr).and_then(|mut c| {
         c.set_read_timeout(Some(Duration::from_secs(5)))?;
-        if ab {
-            c.promote_ab(version)
-        } else {
-            c.promote(version)
-        }
+        c.promote(version)
     });
     match result {
-        Ok(()) => println!(
-            "promoted v{version}{}",
-            if ab { " as B-side challenger" } else { "" }
-        ),
+        Ok(()) => println!("promoted v{version}"),
         Err(e) => {
             eprintln!("serve: {e}");
             std::process::exit(1);

@@ -348,8 +348,9 @@ impl Client {
         })
     }
 
-    /// Promote registry version `v` to the active serving policy
-    /// (`PROMOTE v=<n>`; daemon must run with admin on).
+    /// Promote registry version `v` to the serving policy
+    /// (`PROMOTE v=<n>`; daemon must run with admin on). The operator's
+    /// override: armored, not replay-gated.
     ///
     /// # Errors
     ///
@@ -358,17 +359,7 @@ impl Client {
     /// candidate was quarantined or failed validation (the old policy
     /// keeps serving).
     pub fn promote(&mut self, version: u64) -> Result<(), ClientError> {
-        self.roundtrip("promote", &Request::Promote { version, ab: false }, ack)
-    }
-
-    /// Install registry version `v` as the B-side challenger for A/B
-    /// serving (`PROMOTE v=<n> ab=1`; daemon must run with admin on).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`promote`](Client::promote).
-    pub fn promote_ab(&mut self, version: u64) -> Result<(), ClientError> {
-        self.roundtrip("promote", &Request::Promote { version, ab: true }, ack)
+        self.roundtrip("promote", &Request::Promote { version }, ack)
     }
 }
 

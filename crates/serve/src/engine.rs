@@ -1,17 +1,17 @@
 //! Policy inference and the greedy serving rollout.
 //!
-//! [`InferenceEngine`] is a shared handle, not a thread. It holds the
-//! installed policy set — the active policy A and, under A/B mode, a
-//! challenger B — each as an immutable [`SoaMlp`] mirror built once by
-//! whoever installs it ([`InferenceEngine::swap_policy`] /
-//! [`InferenceEngine::swap_ab`]). A rollout takes one `Arc` snapshot of
-//! that set and runs every step's forward ([`SoaMlp::forward_one`]) on
-//! the calling request worker with its own [`BatchWorkspace`] — the way
-//! the trainer's rollout workers forward (`autophase_rl::rollout`):
-//! shared read-only mirrors, per-worker scratch. A rollout is therefore
-//! served end to end by the policy set it started with, a swap never
-//! waits for or drops a request, and the only shared write on the
-//! request path is one `Arc` clone per rollout. The SoA kernels are
+//! [`InferenceEngine`] is a shared handle, not a thread. It holds the one
+//! serving policy as an immutable [`SoaMlp`] mirror built once by
+//! whoever installs it ([`InferenceEngine::swap_policy`]). A rollout
+//! takes one `Arc` snapshot of it and runs every step's forward
+//! ([`SoaMlp::forward_one`]) on the calling request worker with its own
+//! [`BatchWorkspace`] — the way the trainer's rollout workers forward
+//! (`autophase_rl::rollout`): shared read-only mirrors, per-worker
+//! scratch. A rollout is therefore served end to end by the policy it
+//! started with, a swap never waits for or drops a request, and the
+//! only shared write on the request path is one `Arc` clone per rollout.
+//! The same rollout, handed a policy that is not installed, is how the
+//! learner's replay gate scores a promotion candidate. The SoA kernels are
 //! bit-identical to [`Mlp::forward`] (pinned by the nn crate's
 //! differential suite). Forward time lands in `serve.engine_ns{forward}`
 //! (kept out of the `serve.stage_ns` family: a request's forwards are
@@ -173,58 +173,20 @@ pub struct RolloutReport {
     pub steps: Vec<ExperienceStep>,
 }
 
-/// Which serving policy a rollout is routed to: the active policy (A)
-/// or, under A/B mode, the challenger (B). Routing is decided once per
-/// rollout from the program fingerprint, so a request's whole episode
-/// is served by one policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    A,
-    B,
-}
-
 /// A policy's serving mirror with its registry version, immutable once
-/// installed: swaps replace the `Arc`, never the weights behind it.
-struct PolicyEntry {
-    version: u64,
+/// built: a swap replaces the `Arc`, never the weights behind it, so a
+/// rollout holding an `Arc` of this one keeps its exact network to the
+/// end.
+pub(crate) struct PolicyEntry {
+    pub(crate) version: u64,
     soa: SoaMlp,
 }
 
-/// The installed serving policies. Immutable: a swap publishes a new
-/// set, so a rollout holding an `Arc` of this one keeps its exact
-/// networks to the end.
-struct ActiveSet {
-    a: Arc<PolicyEntry>,
-    /// A/B challenger, absent outside A/B mode.
-    b: Option<Arc<PolicyEntry>>,
-}
-
-impl ActiveSet {
-    /// Which slot requests for `fp` route to. Stable per fingerprint (a
-    /// program's episodes all land on one policy); everything routes to
-    /// A outside A/B mode.
-    fn route_for(&self, fp: u64) -> Route {
-        if self.b.is_some() && splitmix(fp) & 1 == 1 {
-            Route::B
-        } else {
-            Route::A
-        }
-    }
-
-    /// The policy behind `route`; B with no challenger installed is A.
-    fn entry(&self, route: Route) -> &PolicyEntry {
-        match (&self.b, route) {
-            (Some(b), Route::B) => b,
-            _ => &self.a,
-        }
-    }
-}
-
-/// Shared handle to the serving policies (see module docs).
+/// Shared handle to the serving policy (see module docs).
 pub struct InferenceEngine {
-    /// The installed set; `None` in baseline-only mode. The lock is held
-    /// only to clone or replace the `Arc`, never across a forward.
-    policies: Option<Mutex<Arc<ActiveSet>>>,
+    /// The installed policy; `None` in baseline-only mode. The lock is
+    /// held only to clone or replace the `Arc`, never across a forward.
+    policy: Option<Mutex<Arc<PolicyEntry>>>,
     /// Armed chaos faults: each pending fault makes one upcoming
     /// inference answer [`PolicyFault::Inference`].
     chaos: AtomicU32,
@@ -250,8 +212,9 @@ impl std::fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// Check `policy` against the serving layout (shape and finite weights)
-/// and build its serving mirror: boot and both swaps come through here.
-fn policy_entry(policy: &Mlp, version: u64) -> Result<Arc<PolicyEntry>, ShapeError> {
+/// and build its serving mirror: boot, swaps and the replay gate's
+/// candidate all come through here.
+pub(crate) fn policy_entry(policy: &Mlp, version: u64) -> Result<Arc<PolicyEntry>, ShapeError> {
     serve_layout()
         .check_policy(policy)
         .map_err(|e| ShapeError(e.to_string()))?;
@@ -280,10 +243,10 @@ impl InferenceEngine {
     /// training configuration would silently misread every observation —
     /// and one with a non-finite weight, which would serve NaN logits.
     pub fn start(policy: Mlp, _cfg: EngineConfig) -> Result<InferenceEngine, ShapeError> {
-        let a = policy_entry(&policy, 0)
+        let entry = policy_entry(&policy, 0)
             .map_err(|e| ShapeError(format!("{} (train with serve_env_config())", e.0)))?;
         Ok(InferenceEngine {
-            policies: Some(Mutex::new(Arc::new(ActiveSet { a, b: None }))),
+            policy: Some(Mutex::new(entry)),
             ..InferenceEngine::start_baseline_only()
         })
     }
@@ -294,7 +257,7 @@ impl InferenceEngine {
     /// when its checkpoint is quarantined at startup.
     pub fn start_baseline_only() -> InferenceEngine {
         InferenceEngine {
-            policies: None,
+            policy: None,
             chaos: AtomicU32::new(0),
             crash: AtomicU32::new(0),
             swaps: AtomicU64::new(0),
@@ -305,7 +268,7 @@ impl InferenceEngine {
     /// Whether this engine was started without a policy
     /// ([`start_baseline_only`](InferenceEngine::start_baseline_only)).
     pub fn is_baseline_only(&self) -> bool {
-        self.policies.is_none()
+        self.policy.is_none()
     }
 
     /// Arm `n` injected faults: the next `n` inferences answer
@@ -323,33 +286,18 @@ impl InferenceEngine {
         self.crash.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Hot-swap the active policy to `policy` (registry `version`),
-    /// clearing any A/B challenger. Rollouts in flight finish on the
-    /// set they started with; every later rollout sees the new one. No
-    /// request waits on the swap or is dropped by it.
+    /// Hot-swap the serving policy to `policy` (registry `version`).
+    /// Rollouts in flight finish on the policy they started with; every
+    /// later rollout sees the new one. No request waits on the swap or is
+    /// dropped by it.
     ///
     /// # Errors
     ///
     /// Rejects a policy that fails the serving-layout check (shape and
     /// finite weights), and any swap on a baseline-only engine (it has
-    /// no policy set to swap into).
+    /// no policy slot to swap into).
     pub fn swap_policy(&self, policy: Mlp, version: u64) -> Result<(), ShapeError> {
-        self.install(policy, version, false)
-    }
-
-    /// Install `policy` as the A/B challenger (slot B): requests
-    /// hash-split between it and the active policy until a full
-    /// [`swap_policy`](InferenceEngine::swap_policy).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`swap_policy`](InferenceEngine::swap_policy).
-    pub fn swap_ab(&self, policy: Mlp, version: u64) -> Result<(), ShapeError> {
-        self.install(policy, version, true)
-    }
-
-    fn install(&self, policy: Mlp, version: u64, as_challenger: bool) -> Result<(), ShapeError> {
-        let Some(policies) = &self.policies else {
+        let Some(slot) = &self.policy else {
             return Err(ShapeError(
                 "baseline-only engine has no policy slot to swap".into(),
             ));
@@ -357,43 +305,26 @@ impl InferenceEngine {
         // The transpose into the serving mirror happens here, on the
         // swapper's thread and outside the lock.
         let entry = policy_entry(&policy, version)?;
-        {
-            let mut set = lock_recover(policies);
-            *set = Arc::new(if as_challenger {
-                ActiveSet {
-                    a: Arc::clone(&set.a),
-                    b: Some(entry),
-                }
-            } else {
-                ActiveSet { a: entry, b: None }
-            });
-        }
+        *lock_recover(slot) = entry;
         self.swaps.fetch_add(1, Ordering::Relaxed);
-        telemetry::incr(
-            "serve.engine",
-            if as_challenger { "swap_ab" } else { "swap" },
-            1,
-        );
+        telemetry::incr("serve.engine", "swap", 1);
         Ok(())
     }
 
-    /// The versions currently serving: `(active, challenger)`. `None`
-    /// on a baseline-only engine.
-    pub fn active_versions(&self) -> Option<(u64, Option<u64>)> {
-        let set = self.serving().ok()?;
-        Some((set.a.version, set.b.as_ref().map(|e| e.version)))
+    /// The version currently serving; `None` on a baseline-only engine.
+    pub fn active_version(&self) -> Option<u64> {
+        self.serving().ok().map(|policy| policy.version)
     }
 
-    /// Policy swaps installed over this engine's lifetime (full and
-    /// A/B).
+    /// Policy swaps installed over this engine's lifetime.
     pub fn swap_count(&self) -> u64 {
         self.swaps.load(Ordering::Relaxed)
     }
 
-    /// Snapshot the installed policy set.
-    fn serving(&self) -> Result<Arc<ActiveSet>, PolicyFault> {
-        let policies = self.policies.as_ref().ok_or(PolicyFault::Inference)?;
-        Ok(Arc::clone(&lock_recover(policies)))
+    /// Snapshot the installed policy.
+    pub(crate) fn serving(&self) -> Result<Arc<PolicyEntry>, PolicyFault> {
+        let slot = self.policy.as_ref().ok_or(PolicyFault::Inference)?;
+        Ok(Arc::clone(&lock_recover(slot)))
     }
 
     /// One forward of `policy` over `obs` on the calling thread: logits
@@ -444,48 +375,24 @@ impl InferenceEngine {
     /// [`PolicyFault`] when the forward pass faulted (or was injected to)
     /// or the engine was shut down.
     pub fn infer(&self, obs: Vec<f64>) -> Result<Vec<f64>, PolicyFault> {
-        self.infer_routed(obs, Route::A).map(|(logits, _)| logits)
-    }
-
-    /// [`infer`](InferenceEngine::infer) through the policy behind
-    /// `route`, also reporting the version that answered.
-    fn infer_routed(&self, obs: Vec<f64>, route: Route) -> Result<(Vec<f64>, u64), PolicyFault> {
-        let set = self.serving()?;
-        let policy = set.entry(route);
+        let policy = self.serving()?;
         let mut ws = BatchWorkspace::new();
-        let logits = self.forward(policy, &obs, &mut ws)?.to_vec();
-        Ok((logits, policy.version))
+        Ok(self.forward(&policy, &obs, &mut ws)?.to_vec())
     }
 
     /// Greedy policy rollout on `m` in place: [`SERVE_EPISODE_LEN`] steps
     /// of argmax actions, each chosen pass applied transactionally.
     /// Faulted applies are recorded in `quarantine` and skipped;
-    /// quarantined passes are masked out of the argmax. Returns the
-    /// effective ordering (the changing passes).
+    /// quarantined passes are masked out of the argmax. Reports the
+    /// effective ordering (the changing passes) and the per-request
+    /// aggregates a trace records ([`RolloutReport`]). The whole episode
+    /// is served by one policy: it is snapshotted once, before the first
+    /// step.
     ///
     /// # Errors
     ///
     /// [`PolicyFault`] if any forward pass faults — `m` is left at the
     /// last good state and the caller degrades to the baseline ordering.
-    pub fn choose_sequence(
-        &self,
-        m: &mut Module,
-        fp: u64,
-        quarantine: &Quarantine,
-        fuel: &FuelBudget,
-    ) -> Result<Vec<usize>, PolicyFault> {
-        self.choose_sequence_report(m, fp, quarantine, fuel)
-            .map(|r| r.applied)
-    }
-
-    /// [`choose_sequence`](InferenceEngine::choose_sequence), plus the
-    /// per-request aggregates ([`RolloutReport`]) a trace records. The
-    /// whole episode is served by one policy: the set is snapshotted and
-    /// the A/B route chosen once, before the first step.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`choose_sequence`](InferenceEngine::choose_sequence).
     pub fn choose_sequence_report(
         &self,
         m: &mut Module,
@@ -493,9 +400,23 @@ impl InferenceEngine {
         quarantine: &Quarantine,
         fuel: &FuelBudget,
     ) -> Result<RolloutReport, PolicyFault> {
+        let policy = self.serving()?;
+        self.rollout(&policy, m, fp, quarantine, fuel)
+    }
+
+    /// The one greedy rollout, run by `policy` — the serving snapshot on
+    /// the request path, a candidate or the serving policy in the replay
+    /// gate. Same contract as
+    /// [`choose_sequence_report`](InferenceEngine::choose_sequence_report).
+    pub(crate) fn rollout(
+        &self,
+        policy: &PolicyEntry,
+        m: &mut Module,
+        fp: u64,
+        quarantine: &Quarantine,
+        fuel: &FuelBudget,
+    ) -> Result<RolloutReport, PolicyFault> {
         let step = &Step::new(&serve_env_config());
-        let set = self.serving()?;
-        let policy = set.entry(set.route_for(fp));
         let mut ws = BatchWorkspace::new();
         let mut walk = Walk::start(step, m);
         let mut report = RolloutReport {
@@ -544,14 +465,6 @@ impl InferenceEngine {
     pub fn shutdown(&mut self) {
         self.shutdown = true;
     }
-}
-
-/// SplitMix64 finalizer — the A/B hash split over program fingerprints.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -660,7 +573,7 @@ mod tests {
         let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
         assert!(total > 0, "workers served during the swap storm");
         assert_eq!(engine.swap_count(), 20);
-        assert_eq!(engine.active_versions(), Some((20, None)));
+        assert_eq!(engine.active_version(), Some(20));
         // After the storm every answer comes from the last policy in.
         assert_eq!(engine.infer(obs.clone()).unwrap(), old.forward(&obs));
     }
@@ -670,19 +583,15 @@ mod tests {
         let engine = InferenceEngine::start(test_policy(33), EngineConfig::default()).unwrap();
         let bad = Mlp::new(&[3, 4, 2], autophase_nn::mlp::Activation::Tanh, 1);
         assert!(engine.swap_policy(bad, 1).is_err());
-        assert_eq!(
-            engine.active_versions(),
-            Some((0, None)),
-            "rejected swap is a no-op"
-        );
+        assert_eq!(engine.active_version(), Some(0), "rejected swap is a no-op");
 
         let baseline = InferenceEngine::start_baseline_only();
         assert!(baseline.swap_policy(test_policy(34), 1).is_err());
-        assert!(baseline.active_versions().is_none());
+        assert!(baseline.active_version().is_none());
     }
 
-    /// Boot, swap and A/B swap are every way a network becomes a serving
-    /// mirror; each refuses one NaN weight, and a refused swap is a no-op.
+    /// Boot and swap are every way a network becomes a serving mirror;
+    /// each refuses one NaN weight, and a refused swap is a no-op.
     #[test]
     fn start_swap_and_ab_refuse_a_non_finite_policy() {
         let mut poisoned = test_policy(35);
@@ -692,41 +601,9 @@ mod tests {
         let err = InferenceEngine::start(poisoned.clone(), EngineConfig::default()).err();
         assert!(err.is_some_and(|e| e.0.contains("non-finite")));
         let engine = InferenceEngine::start(test_policy(36), EngineConfig::default()).unwrap();
-        assert!(engine.swap_policy(poisoned.clone(), 1).is_err());
-        assert!(engine.swap_ab(poisoned, 2).is_err());
-        assert_eq!(engine.active_versions(), Some((0, None)));
+        assert!(engine.swap_policy(poisoned, 1).is_err());
+        assert_eq!(engine.active_version(), Some(0));
         assert_eq!(engine.swap_count(), 0);
-    }
-
-    #[test]
-    fn ab_mode_splits_and_reports_versions() {
-        let a = test_policy(41);
-        let b = test_policy(42);
-        let engine = InferenceEngine::start(a.clone(), EngineConfig::default()).unwrap();
-        engine.swap_ab(b.clone(), 7).unwrap();
-        assert_eq!(engine.active_versions(), Some((0, Some(7))));
-        // Fingerprints split across both routes; each side's rollout
-        // answers carry that side's version.
-        let (mut saw_a, mut saw_b) = (false, false);
-        for fp in 0..32u64 {
-            match engine.serving().unwrap().route_for(fp) {
-                Route::A => saw_a = true,
-                Route::B => saw_b = true,
-            }
-        }
-        assert!(saw_a && saw_b, "hash split uses both slots");
-        let obs: Vec<f64> = (0..serve_obs_dim()).map(|j| (j % 3) as f64).collect();
-        let (logits_a, va) = engine.infer_routed(obs.clone(), Route::A).unwrap();
-        let (logits_b, vb) = engine.infer_routed(obs.clone(), Route::B).unwrap();
-        assert_eq!((va, vb), (0, 7));
-        assert_eq!(logits_a, a.forward(&obs));
-        assert_eq!(logits_b, b.forward(&obs));
-        // A full swap drops the challenger: everything (even B) routes
-        // to the one active policy.
-        engine.swap_policy(a.clone(), 9).unwrap();
-        assert_eq!(engine.active_versions(), Some((9, None)));
-        let (logits, v) = engine.infer_routed(obs.clone(), Route::B).unwrap();
-        assert_eq!((logits, v), (a.forward(&obs), 9));
     }
 
     #[test]
@@ -774,7 +651,7 @@ mod tests {
         assert_eq!(engine.infer(obs.clone()).unwrap(), policy.forward(&obs));
     }
 
-    /// A rollout is served end to end by the policy set it started with:
+    /// A rollout is served end to end by the policy it started with:
     /// whatever version the report names, every step's recorded
     /// log-probability is that one policy's — with swaps landing between
     /// the steps of every episode.
@@ -855,8 +732,12 @@ mod tests {
             .expect("gsm present")
             .module;
         let fp = autophase_core::eval_cache::fingerprint_module(&m);
-        let got =
-            engine.choose_sequence(&mut m, fp, &Quarantine::default(), &FuelBudget::default());
+        let got = engine.choose_sequence_report(
+            &mut m,
+            fp,
+            &Quarantine::default(),
+            &FuelBudget::default(),
+        );
         assert_eq!(got, Err(PolicyFault::Inference));
     }
 
@@ -883,8 +764,9 @@ mod tests {
         let fp = autophase_core::eval_cache::fingerprint_module(&program);
         let mut m = program.clone();
         let seq = engine
-            .choose_sequence(&mut m, fp, &quarantine, &fuel)
-            .unwrap();
+            .choose_sequence_report(&mut m, fp, &quarantine, &fuel)
+            .unwrap()
+            .applied;
         // Replaying the returned effective ordering on a fresh copy gives
         // exactly the module the rollout produced.
         let mut replay = program.clone();

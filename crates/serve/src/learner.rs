@@ -3,40 +3,57 @@
 //! outcome ledger the `MODEL` verb reads, and the armed `CHAOS swap=`
 //! count — and it owns the one promotion gate.
 //!
-//! **The learner.** Every cold compile already produced exactly one
-//! training episode — the rollout's observations/actions and the
-//! profiled cycle counts. The request path hands that [`Experience`] to
-//! `Online::record`, which pushes it onto a *bounded* queue: when the
-//! queue is full the oldest experience is shed (`serve.learn{shed}`) so
-//! a slow learner can never apply back-pressure to serving. The learner
-//! thread drains the queue, feeds an [`OnlineTrainer`] (incremental PPO
-//! on the SoA batched backward), and every `publish_every` successful
-//! updates publishes a versioned checkpoint into the [`ModelRegistry`].
-//! The thread runs under a supervisor: a panic anywhere in the loop is
-//! caught and the loop respawned with a fresh trainer re-seeded from the
-//! registry's active version (`serve.learn{respawn}`), so one
-//! pathological batch cannot end online learning for the daemon's
-//! lifetime.
+//! **The learner.** Every policy-served cold compile already produced
+//! exactly one training episode — the rollout's observations/actions and
+//! the profiled cycle counts. The request path hands that [`Experience`]
+//! and the program it ran on to `Online::record`, which pushes them onto
+//! a *bounded* queue: when the queue is full the oldest episode is shed
+//! (`serve.learn{shed}`) so a slow learner can never apply back-pressure
+//! to serving. The learner thread drains the queue, feeds an
+//! [`OnlineTrainer`] (incremental PPO on the SoA batched backward),
+//! remembers the last `REPLAY_PROGRAMS` (16) distinct programs, and every
+//! `publish_every` successful updates publishes a versioned checkpoint
+//! into the [`ModelRegistry`]. The thread runs under a supervisor: a
+//! panic anywhere in the loop is caught and the loop respawned with a
+//! fresh trainer re-seeded from the registry's active version
+//! (`serve.learn{respawn}`), so one pathological batch cannot end online
+//! learning for the daemon's lifetime.
 //!
 //! **The promotion gate** (`admit`). `PROMOTE` (once the server has
 //! checked `admin`) and the learner's `auto_promote` both call it: the
-//! armored load (corrupt bytes are
-//! quarantined on disk), validation against the serving layout (shape
-//! and finite weights; a failure quarantines the version too), then the
-//! swap, the registry's active pointer and the `serve.swap{...}` count.
-//! A refused candidate leaves the old policy serving. The boot policy
-//! gets the same shape and finiteness check from
-//! [`InferenceEngine::start`], so no network becomes a serving mirror
-//! unchecked.
+//! armored load (corrupt bytes are quarantined on disk), validation
+//! against the serving layout (shape and finite weights; a failure
+//! quarantines the version too), then — for auto-promotion only — the
+//! replay, then the swap, the registry's active pointer and the
+//! `serve.swap{...}` count. The replay greedy-rolls the candidate and the
+//! serving policy over the remembered programs and passes the candidate
+//! only if its Σ ln cycles is strictly lower: its geomean speedup over
+//! serving is above 1, which is "beats serving's geomean vs -O3" with the
+//! -O3 term cancelled. A candidate that does not beat serving stays
+//! listed (it is valid, just not better) and counts
+//! `serve.swap{rejected_replay}`. `PROMOTE` is the operator's override
+//! and replays nothing. A refused candidate leaves the old policy
+//! serving. The boot policy gets the same shape and finiteness check
+//! from [`InferenceEngine::start`], so no network becomes a serving
+//! mirror unchecked.
 
-use crate::engine::{serve_layout, take_armed, InferenceEngine};
+use crate::engine::{
+    policy_entry, serve_layout, take_armed, InferenceEngine, PolicyEntry, PolicyFault,
+};
 use crate::protocol::{refuse, ErrKind, Reply};
 use crate::server::{ServerConfig, StartError};
+use autophase_core::env::UNPROFILEABLE_CYCLES;
+use autophase_core::Quarantine;
+use autophase_hls::profile::profile_module;
+use autophase_hls::HlsConfig;
+use autophase_ir::Module;
+use autophase_nn::mlp::Mlp;
+use autophase_passes::checked::FuelBudget;
 use autophase_rl::checkpoint::ArmoredLoad;
 use autophase_rl::online::{Experience, OnlineConfig, OnlineTrainer};
 use autophase_rl::ppo::PpoConfig;
 use autophase_rl::registry::{ModelRegistry, VersionInfo};
-use autophase_telemetry::{self as telemetry, lock_recover, BoundedMap, MapCounters};
+use autophase_telemetry::{self as telemetry, lock_recover};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -77,19 +94,29 @@ const KEEP_VERSIONS: usize = 8;
 /// registry's active version ignores it).
 const SEED: u64 = 0x0911_11E5;
 
-/// Entries `Online::o3_cycles` keeps: 64 KiB of fingerprints, and an
-/// evicted program costs one more `-O3` run if it ever compiles cold again.
-const O3_CYCLES_BUDGET: usize = 4_096;
+/// Distinct programs the replay gate runs a candidate over: the last
+/// this many fingerprints the policy served.
+const REPLAY_PROGRAMS: usize = 16;
 
-/// Per-policy-version outcome counters behind the `MODEL` verb: the
-/// win rate (improvement over -O3) and store-insert rate are the A/B
-/// signals a promotion decision reads.
+/// Per-policy-version outcome counters behind the `MODEL` verb: the win
+/// rate and mean improvement over -O3, and the store-insert rate — what
+/// an operator reads before a manual `PROMOTE`. Wins and the improvement
+/// sum only grow for `compared` requests, the ones with an -O3 reference.
 #[derive(Debug, Clone, Copy, Default)]
 struct ModelStats {
     requests: u64,
+    compared: u64,
     wins: u64,
     store_inserts: u64,
     improvement_sum: f64,
+}
+
+/// One policy-served cold compile as the learner receives it: the
+/// episode to train on and the program, for the replay ring.
+struct Episode {
+    fp: u64,
+    module: Module,
+    exp: Experience,
 }
 
 /// The online-learning half of the daemon (see module docs).
@@ -101,16 +128,14 @@ pub(crate) struct Online {
     learner: Option<Learner>,
     /// Per-version outcome counters (`MODEL` verb).
     ledger: Mutex<HashMap<u64, ModelStats>>,
-    /// `-O3` cycles by fingerprint, so the per-version win rate costs
-    /// one extra apply+profile per *unique* program, not per request.
-    o3_cycles: Mutex<BoundedMap<u64, u64>>,
     /// Armed `CHAOS swap=` injections: each pending count corrupts the
     /// next `PROMOTE` candidate on disk before its armored load.
     chaos_swaps: AtomicU32,
 }
 
 impl Online {
-    /// Open the registry and start the learner `cfg` asks for.
+    /// Open the registry and start the learner `cfg` asks for; its replay
+    /// gate profiles under `hls`, the daemon's profiler configuration.
     ///
     /// # Errors
     ///
@@ -118,6 +143,7 @@ impl Online {
     pub(crate) fn start(
         cfg: &ServerConfig,
         engine: &Arc<InferenceEngine>,
+        hls: &HlsConfig,
     ) -> Result<Online, StartError> {
         let registry = match &cfg.registry_dir {
             Some(dir) => Some(Arc::new(Mutex::new(
@@ -130,17 +156,19 @@ impl Online {
             let msg = "learner requires a model registry (set registry_dir)";
             return Err(StartError(msg.into()));
         }
-        let learner = cfg.learner.clone().zip(registry.clone());
-        let learner = learner.map(|(lc, reg)| Learner::start(lc, Arc::clone(engine), reg));
+        let learner = cfg.learner.clone().zip(registry.clone()).map(|(lc, reg)| {
+            let replay = Replay {
+                fuel: cfg.fuel.clone(),
+                hls: hls.clone(),
+                ..Replay::default()
+            };
+            Learner::start(lc, Arc::clone(engine), reg, replay)
+        });
         Ok(Online {
             engine: Arc::clone(engine),
             registry,
             learner,
             ledger: Mutex::new(HashMap::new()),
-            o3_cycles: Mutex::new(BoundedMap::new(
-                O3_CYCLES_BUDGET,
-                MapCounters::family("serve.o3_cycles"),
-            )),
             chaos_swaps: AtomicU32::new(0),
         })
     }
@@ -150,10 +178,10 @@ impl Online {
         self.chaos_swaps.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Handle an admitted `PROMOTE v=<n> [ab=1]`: the registry check, any
-    /// armed chaos, then the gate. `ab=1` installs the version as the
-    /// B-side challenger instead of replacing the active policy.
-    pub(crate) fn promote(&self, version: u64, ab: bool) -> Reply {
+    /// Handle an admitted `PROMOTE v=<n>`: the registry check, any armed
+    /// chaos, then the gate — armor only, no replay: the operator's
+    /// explicit override.
+    pub(crate) fn promote(&self, version: u64) -> Reply {
         let Some(registry) = &self.registry else {
             return refuse(ErrKind::BadRequest, None, "no model registry configured");
         };
@@ -165,75 +193,67 @@ impl Online {
                 telemetry::incr("serve.swap", "chaos_corrupted", 1);
             }
         }
-        let label = if ab { "promoted_ab" } else { "promoted" };
-        admit(&self.engine, registry, version, ab, label)
+        admit(&self.engine, registry, version, None, "promoted")
     }
 
     /// The cold path's one hook, called after the answer is computed:
     /// attribute a policy-served compile to the `version` that produced
-    /// it, and queue its episode for the learner, if one runs (never
-    /// blocks: a full queue sheds its oldest entry). Requests and
-    /// store-inserts are always counted; the improvement-over-`-O3` win
-    /// rate needs the program's `-O3` cycles, which `o3` computes — once
-    /// per fingerprint, and only when the registry is enabled.
+    /// it, and queue its episode and program `module` for the learner, if
+    /// one runs (never blocks: a full queue sheds its oldest entry; the
+    /// module clone shares its functions). Requests and store-inserts are
+    /// always counted; the improvement-over-`-O3` win rate needs the
+    /// program's `-O3` cycles, which `o3` computes, only when the registry
+    /// is enabled. A request without them is not `compared`. (No memo: a
+    /// program compiles cold once, then the store answers it.)
     pub(crate) fn record(
         &self,
         version: u64,
         fp: u64,
+        module: &Module,
         exp: Experience,
         inserted: bool,
         o3: impl FnOnce() -> Option<u64>,
     ) {
         let cycles = exp.cycles;
         if let Some(learner) = self.learner.as_ref().filter(|_| !exp.steps.is_empty()) {
-            learner.offer(exp);
+            learner.offer(Episode {
+                fp,
+                module: module.clone(),
+                exp,
+            });
         }
-        let o3c = self.registry.as_ref().and_then(|_| {
-            // The probe is its own statement: its guard must be gone before
-            // the `-O3` run and the insert below.
-            let cached = lock_recover(&self.o3_cycles).lookup(&fp).copied();
-            cached.or_else(|| {
-                let cycles = o3()?;
-                lock_recover(&self.o3_cycles).insert(fp, cycles);
-                Some(cycles)
-            })
-        });
+        let o3c = self.registry.as_ref().and_then(|_| o3());
         let mut ledger = lock_recover(&self.ledger);
         let stat = ledger.entry(version).or_default();
         stat.requests += 1;
         stat.store_inserts += u64::from(inserted);
         if let Some(o3c) = o3c {
+            stat.compared += 1;
             stat.improvement_sum += (o3c as f64 - cycles as f64) / o3c.max(1) as f64;
             stat.wins += u64::from(cycles <= o3c);
         }
     }
 
-    /// The `MODEL` body: one JSONL line per registry version (plus any
-    /// live-serving version the registry does not know, e.g. the boot
-    /// policy's v0), then a summary line with what the engine is serving
-    /// right now.
+    /// The `MODEL` body: one JSONL line per registry version (plus the
+    /// live-serving version if the registry does not know it, e.g. the
+    /// boot policy's v0), then a summary line with what the engine is
+    /// serving right now.
     pub(crate) fn listing(&self) -> String {
-        let (serving, challenger) = match self.engine.active_versions() {
-            Some((a, b)) => (Some(a), b),
-            None => (None, None),
-        };
+        let serving = self.engine.active_version();
         let stats = lock_recover(&self.ledger).clone();
         let line = |version: u64, info: Option<&VersionInfo>| {
             let st = stats.get(&version).copied().unwrap_or_default();
-            let mean_improvement = if st.requests > 0 {
-                st.improvement_sum / st.requests as f64
-            } else {
-                0.0
-            };
+            // Over the compared requests only: the sum grows with nothing else.
+            let mean_improvement = st.improvement_sum / st.compared.max(1) as f64;
             format!(
                 "{{\"type\":\"model\",\"version\":{version},\"samples\":{},\"updates\":{},\
-                 \"serving\":{},\"challenger\":{},\"requests\":{},\"wins\":{},\
+                 \"serving\":{},\"requests\":{},\"compared\":{},\"wins\":{},\
                  \"store_inserts\":{},\"mean_improvement\":{mean_improvement:.6}}}\n",
                 info.map_or(0, |i| i.samples),
                 info.map_or(0, |i| i.updates),
                 u8::from(serving == Some(version)),
-                u8::from(challenger == Some(version)),
                 st.requests,
+                st.compared,
                 st.wins,
                 st.store_inserts,
             )
@@ -246,15 +266,12 @@ impl Online {
                 body.push_str(&line(v.version, Some(v)));
             }
         }
-        for v in [serving, challenger].into_iter().flatten() {
-            if listed.insert(v) {
-                body.push_str(&line(v, None));
-            }
+        if let Some(v) = serving.filter(|v| !listed.contains(v)) {
+            body.push_str(&line(v, None));
         }
         body.push_str(&format!(
-            "{{\"type\":\"model_summary\",\"serving\":{},\"challenger\":{},\"swaps\":{},\"registry\":{}}}\n",
+            "{{\"type\":\"model_summary\",\"serving\":{},\"swaps\":{},\"registry\":{}}}\n",
             serving.map_or(-1, |v| v as i64),
-            challenger.map_or(-1, |v| v as i64),
             self.engine.swap_count(),
             u8::from(self.registry.is_some()),
         ));
@@ -286,15 +303,15 @@ fn corrupt_checkpoint(path: &Path) {
 /// load (corrupt bytes are quarantined on disk), then shape- and
 /// finiteness-validated against the serving layout *before* the engine
 /// ever sees it; a decodable but invalid candidate is quarantined too,
-/// so no later promotion trips over it. `ab` installs it as the A/B
-/// challenger instead of the active policy; `label` is the
-/// `serve.swap{...}` counter a success bumps. Answers `Ack` or the
-/// typed refusal; on refusal the old policy keeps serving.
+/// so no later promotion trips over it. With a `replay` set the
+/// candidate must then beat the serving policy on it ([`Replay::gate`]).
+/// `label` is the `serve.swap{...}` counter a success bumps. Answers
+/// `Ack` or the typed refusal; on refusal the old policy keeps serving.
 fn admit(
     engine: &InferenceEngine,
     registry: &Mutex<ModelRegistry>,
     version: u64,
-    ab: bool,
+    replay: Option<&Replay>,
     label: &'static str,
 ) -> Reply {
     let mut reg = lock_recover(registry);
@@ -316,24 +333,88 @@ fn admit(
         let msg = format!("candidate v{version} invalid: {e}");
         return refuse(ErrKind::Internal, None, msg);
     }
-    let swapped = if ab {
-        engine.swap_ab(ckpt.policy, version)
-    } else {
-        engine.swap_policy(ckpt.policy, version)
-    };
-    if let Err(e) = swapped {
+    // The replay runs without the registry lock, so `MODEL` and `PROMOTE`
+    // are not held up by it.
+    drop(reg);
+    if let Some(Err(refusal)) = replay.map(|r| r.gate(engine, &ckpt.policy, version)) {
+        telemetry::incr("serve.swap", "rejected_replay", 1);
+        return refusal;
+    }
+    let mut reg = lock_recover(registry);
+    if let Err(e) = engine.swap_policy(ckpt.policy, version) {
         telemetry::incr("serve.swap", "swap_error", 1);
         return refuse(ErrKind::Internal, None, format!("swap failed: {e}"));
     }
-    if !ab {
-        let _ = reg.set_active(version);
-    }
+    let _ = reg.set_active(version);
     telemetry::incr("serve.swap", label, 1);
     Reply::Ack
 }
 
+/// The replay gate's program set — the last [`REPLAY_PROGRAMS`] distinct
+/// programs the policy served, oldest first, owned by the learner thread
+/// — and the daemon's pass fuel and profile budget they replay under.
+#[derive(Default)]
+struct Replay {
+    programs: VecDeque<(u64, Module)>,
+    fuel: FuelBudget,
+    hls: HlsConfig,
+}
+
+impl Replay {
+    /// Remember a served program as the newest, forgetting the oldest
+    /// past [`REPLAY_PROGRAMS`]; a fingerprint already held moves to the
+    /// back instead of taking a second slot.
+    fn remember(&mut self, fp: u64, module: Module) {
+        self.programs.retain(|(held, _)| *held != fp);
+        if self.programs.len() == REPLAY_PROGRAMS {
+            self.programs.pop_front();
+        }
+        self.programs.push_back((fp, module));
+    }
+
+    /// Σ ln cycles of `policy`'s greedy answers over the set: the engine's
+    /// one rollout under a fresh quarantine, each answer profiled (an
+    /// unprofileable one costs what it costs the env).
+    fn cost(&self, engine: &InferenceEngine, policy: &PolicyEntry) -> Result<f64, PolicyFault> {
+        let quarantine = Quarantine::default();
+        self.programs
+            .iter()
+            .map(|(fp, program)| {
+                let mut m = program.clone();
+                engine.rollout(policy, &mut m, *fp, &quarantine, &self.fuel)?;
+                let cycles =
+                    profile_module(&m, &self.hls).map_or(UNPROFILEABLE_CYCLES, |r| r.cycles);
+                Ok((cycles.max(1) as f64).ln())
+            })
+            .sum()
+    }
+
+    /// Pass `candidate` (registry version `v`) only if its Σ ln cycles
+    /// over the set is strictly below that of the policy serving now — a
+    /// tie, an empty set included, keeps what serves. Otherwise the typed
+    /// refusal: not better, or a fault in either replay.
+    fn gate(&self, engine: &InferenceEngine, candidate: &Mlp, v: u64) -> Result<(), Reply> {
+        let fault = |e| refuse(ErrKind::Internal, None, format!("v{v} replay: {e}"));
+        // Validated by `admit` already: the layout check cannot fail here.
+        let candidate = policy_entry(candidate, v).map_err(|_| fault(PolicyFault::Inference))?;
+        let serving = engine.serving().map_err(fault)?;
+        let ours = self.cost(engine, &candidate).map_err(fault)?;
+        let theirs = self.cost(engine, &serving).map_err(fault)?;
+        if ours < theirs {
+            return Ok(());
+        }
+        let msg = format!(
+            "candidate v{v} does not beat serving v{} on {} replayed programs \
+             (sum of ln cycles {ours:.4} vs {theirs:.4})",
+            serving.version,
+            self.programs.len()
+        );
+        Err(refuse(ErrKind::BadRequest, None, msg))
+    }
+}
+
 struct Channel {
-    queue: Mutex<VecDeque<Experience>>,
+    queue: Mutex<VecDeque<Episode>>,
     cv: Condvar,
     stop: AtomicBool,
 }
@@ -345,13 +426,14 @@ struct Learner {
 }
 
 impl Learner {
-    /// Spawn the learner thread. It warm-starts from the registry's
-    /// active version when one loads and validates, otherwise from a
-    /// fresh agent.
+    /// Spawn the learner thread, which owns `replay`. It warm-starts from
+    /// the registry's active version when one loads and validates,
+    /// otherwise from a fresh agent.
     fn start(
         cfg: LearnerConfig,
         engine: Arc<InferenceEngine>,
         registry: Arc<Mutex<ModelRegistry>>,
+        mut replay: Replay,
     ) -> Learner {
         let channel = Arc::new(Channel {
             queue: Mutex::new(VecDeque::new()),
@@ -366,7 +448,7 @@ impl Learner {
                 // fresh trainer, never fatal to the daemon.
                 loop {
                     let run = catch_unwind(AssertUnwindSafe(|| {
-                        learner_loop(&worker, &cfg, &engine, &registry)
+                        learner_loop(&worker, &cfg, &engine, &registry, &mut replay)
                     }));
                     if run.is_ok() {
                         return;
@@ -384,13 +466,13 @@ impl Learner {
     /// Queue one cold-path episode for training. Never blocks: a full
     /// queue sheds its *oldest* entry (fresh experience reflects the
     /// current policy better than stale experience does).
-    fn offer(&self, exp: Experience) {
+    fn offer(&self, episode: Episode) {
         let mut q = lock_recover(&self.channel.queue);
         if q.len() >= CHANNEL_CAP {
             q.pop_front();
             telemetry::incr("serve.learn", "shed", 1);
         }
-        q.push_back(exp);
+        q.push_back(episode);
         telemetry::incr("serve.learn", "offered", 1);
         drop(q);
         self.channel.cv.notify_one();
@@ -443,11 +525,12 @@ fn learner_loop(
     cfg: &LearnerConfig,
     engine: &InferenceEngine,
     registry: &Mutex<ModelRegistry>,
+    replay: &mut Replay,
 ) {
     let mut trainer = seed_trainer(cfg, registry);
     let mut updates_since_publish = 0u64;
     loop {
-        let drained: Vec<Experience> = {
+        let drained: Vec<Episode> = {
             let mut q = lock_recover(&channel.queue);
             while q.is_empty() && !channel.stop.load(Ordering::SeqCst) {
                 q = channel.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
@@ -457,10 +540,11 @@ fn learner_loop(
             }
             q.drain(..).collect()
         };
-        for exp in &drained {
-            trainer.ingest(exp);
-        }
         telemetry::incr("serve.learn", "ingested", drained.len() as u64);
+        for Episode { fp, module, exp } in drained {
+            trainer.ingest(&exp);
+            replay.remember(fp, module);
+        }
 
         while let Some(report) = trainer.try_update() {
             if report.rejected {
@@ -484,7 +568,7 @@ fn learner_loop(
             let _ = reg.retain_last(KEEP_VERSIONS);
             drop(reg);
             if cfg.auto_promote {
-                admit(engine, registry, version, false, "promoted_auto");
+                admit(engine, registry, version, Some(replay), "promoted_auto");
             }
         }
     }
@@ -494,7 +578,9 @@ fn learner_loop(
 mod tests {
     use super::*;
     use crate::engine::{serve_num_actions, serve_obs_dim, EngineConfig};
-    use autophase_nn::mlp::{Activation, Mlp};
+    use crate::stats::ModelsSnapshot;
+    use autophase_core::eval_cache::fingerprint_module;
+    use autophase_nn::mlp::Activation;
     use autophase_rl::checkpoint::{Algo, PolicyCheckpoint};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -506,42 +592,19 @@ mod tests {
         dir
     }
 
-    /// `o3_cycles` memoizes a pure function in a bounded map: a daemon
-    /// that sees more distinct programs than its budget forgets the oldest
-    /// and recomputes them on demand, and the per-version accounting the
-    /// `MODEL` verb reads cannot tell.
-    #[test]
-    fn o3_cycles_stays_inside_its_budget_and_the_win_rate_cannot_tell() {
-        let registry = tmp_dir("o3_budget");
-        let cfg = ServerConfig {
-            registry_dir: Some(registry.clone()),
-            ..ServerConfig::default()
-        };
-        let engine = Arc::new(InferenceEngine::start_baseline_only());
-        let online = Online::start(&cfg, &engine).expect("online starts");
-        let o3 = 1_000;
+    /// The serving shape `tests/online.rs` boots: one hidden layer of 32.
+    fn policy(seed: u64) -> Mlp {
+        let shape = [serve_obs_dim(), 32, serve_num_actions()];
+        Mlp::new(&shape, Activation::Tanh, seed)
+    }
 
-        // Every other request loses to `-O3` by one cycle.
-        let n = O3_CYCLES_BUDGET as u64 + 100;
-        let exp = |cycles| Experience {
-            steps: Vec::new(),
-            cycles,
-            baseline_cycles: 0,
-        };
-        for fp in 0..n {
-            online.record(7, fp, exp(o3 + fp % 2), false, || Some(o3));
+    fn ckpt(policy: Mlp) -> PolicyCheckpoint {
+        let value = Mlp::new(&[serve_obs_dim(), 8, 1], Activation::Tanh, 1);
+        PolicyCheckpoint {
+            algo: Algo::Ppo,
+            policy,
+            value,
         }
-        // Fingerprint 0 went with the first rotation; asked again, it is
-        // recomputed to the same cycles and still wins.
-        online.record(7, 0, exp(o3), false, || Some(o3));
-
-        let memo = lock_recover(&online.o3_cycles).stats();
-        assert!(memo.len <= O3_CYCLES_BUDGET, "{memo:?}");
-        assert!(memo.evictions > 0, "{memo:?}");
-        assert_eq!((memo.hits, memo.misses), (0, n + 1));
-        let stat = lock_recover(&online.ledger)[&7];
-        assert_eq!((stat.requests, stat.wins), (n + 1, n / 2 + 1));
-        let _ = std::fs::remove_dir_all(&registry);
     }
 
     /// The learner's auto-promotion goes through the gate `PROMOTE` uses:
@@ -550,36 +613,116 @@ mod tests {
     #[test]
     fn the_gate_quarantines_a_non_finite_auto_promotion() {
         let dir = tmp_dir("gate");
-        let net = |outputs, seed| Mlp::new(&[serve_obs_dim(), 8, outputs], Activation::Tanh, seed);
-        let ckpt = |seed| PolicyCheckpoint {
-            algo: Algo::Ppo,
-            policy: net(serve_num_actions(), seed),
-            value: net(1, seed),
-        };
-        let mut poisoned = ckpt(1);
-        let mut params = poisoned.policy.parameters();
+        let mut poisoned = policy(1);
+        let mut params = poisoned.parameters();
         params[0] = f64::NAN;
-        poisoned.policy.set_parameters(&params);
+        poisoned.set_parameters(&params);
         let mut reg = ModelRegistry::open(&dir).expect("registry opens");
-        let bad = reg.publish(&poisoned, 1, 1).expect("publish");
-        let good = reg.publish(&ckpt(2), 2, 2).expect("publish");
+        let bad = reg.publish(&ckpt(poisoned), 1, 1).expect("publish");
+        let good = reg.publish(&ckpt(policy(2)), 2, 2).expect("publish");
         let registry = Mutex::new(reg);
-        let engine = InferenceEngine::start(ckpt(3).policy, EngineConfig::default()).unwrap();
+        let engine = InferenceEngine::start(policy(3), EngineConfig::default()).unwrap();
 
-        let Reply::Err { kind, .. } = admit(&engine, &registry, bad, false, "promoted_auto") else {
+        let Reply::Err { kind, .. } = admit(&engine, &registry, bad, None, "promoted_auto") else {
             panic!("a NaN candidate must be refused");
         };
         assert_eq!(kind, ErrKind::Internal);
         assert_eq!(lock_recover(&registry).checkpoint_path(bad), None);
         assert!(dir.join(format!("v{bad}.ckpt.quarantined")).exists());
-        assert_eq!(engine.active_versions(), Some((0, None)));
+        assert_eq!(engine.active_version(), Some(0));
 
         assert_eq!(
-            admit(&engine, &registry, good, false, "promoted_auto"),
+            admit(&engine, &registry, good, None, "promoted_auto"),
             Reply::Ack
         );
-        assert_eq!(engine.active_versions(), Some((good, None)));
+        assert_eq!(engine.active_version(), Some(good));
         assert_eq!(lock_recover(&registry).active(), Some(good));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The replay gate over the nine CHStone programs, through `admit`.
+    /// Σ ln cycles: zero weights 72.23 (the unoptimized programs), seed 7
+    /// 71.83, seed 22 68.94. A worse candidate and an equal one are
+    /// refused, counted, and stay listed while serving is unchanged; with
+    /// nothing to replay, nothing promotes; a better one promotes.
+    #[test]
+    fn the_replay_gate_admits_only_a_candidate_that_beats_serving() {
+        telemetry::enable();
+        let rejected = telemetry::counter("serve.swap", "rejected_replay");
+        let dir = tmp_dir("replay_gate");
+        let mut zero = policy(22);
+        zero.set_parameters(&vec![0.0; zero.parameters().len()]);
+        let mut reg = ModelRegistry::open(&dir).expect("registry opens");
+        let v_zero = reg.publish(&ckpt(zero), 1, 1).expect("publish");
+        let v22 = reg.publish(&ckpt(policy(22)), 2, 2).expect("publish");
+        let registry = Mutex::new(reg);
+        let mut chstone = Replay::default();
+        for b in autophase_benchmarks::suite() {
+            chstone.remember(fingerprint_module(&b.module), b.module);
+        }
+        let gate = |engine: &InferenceEngine, v, replay: &Replay| {
+            admit(engine, &registry, v, Some(replay), "promoted_auto")
+        };
+
+        let serving22 = InferenceEngine::start(policy(22), EngineConfig::default()).unwrap();
+        for (candidate, why) in [(v_zero, "worse"), (v22, "a tie")] {
+            let before = rejected.value();
+            let reply = gate(&serving22, candidate, &chstone);
+            assert!(matches!(reply, Reply::Err { .. }), "{why}: {reply:?}");
+            assert_eq!(rejected.value(), before + 1, "{why}");
+            assert!(lock_recover(&registry).checkpoint_path(candidate).is_some());
+            assert_eq!(serving22.active_version(), Some(0), "{why}");
+        }
+
+        let serving7 = InferenceEngine::start(policy(7), EngineConfig::default()).unwrap();
+        let reply = gate(&serving7, v22, &Replay::default());
+        assert!(matches!(reply, Reply::Err { .. }), "{reply:?}");
+        assert_eq!(gate(&serving7, v22, &chstone), Reply::Ack);
+        assert_eq!(serving7.active_version(), Some(v22));
+        assert_eq!(lock_recover(&registry).active(), Some(v22));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Twenty programs, then the fifth again: the ring holds the last
+    /// sixteen, and the repeat moved to the back instead of taking a slot.
+    #[test]
+    fn the_replay_ring_keeps_the_last_distinct_programs() {
+        let mut replay = Replay::default();
+        for fp in (0..REPLAY_PROGRAMS as u64 + 4).chain([4]) {
+            replay.remember(fp, Module::new(format!("p{fp}")));
+        }
+        let held: Vec<u64> = replay.programs.iter().map(|(fp, _)| *fp).collect();
+        let want: Vec<u64> = (5..REPLAY_PROGRAMS as u64 + 4).chain([4]).collect();
+        assert_eq!(held, want);
+    }
+
+    /// Wins and the mean improvement are over the requests that had an
+    /// -O3 reference, so a version whose references all failed reads
+    /// "0 of 0 compared", not "0 wins of N".
+    #[test]
+    fn the_ledger_compares_only_requests_with_an_o3_reference() {
+        let registry = tmp_dir("compared");
+        let cfg = ServerConfig {
+            registry_dir: Some(registry.clone()),
+            ..ServerConfig::default()
+        };
+        let engine = Arc::new(InferenceEngine::start(policy(3), EngineConfig::default()).unwrap());
+        let online = Online::start(&cfg, &engine, &HlsConfig::default()).expect("online starts");
+        let module = Module::new("m");
+        // Half the cycles of -O3 every time, but only one request has the
+        // -O3 reference: one compared win, a mean of 0.5 over that one.
+        for (fp, o3) in [(0, None), (1, None), (2, Some(1_000)), (3, None)] {
+            let exp = Experience {
+                steps: Vec::new(),
+                cycles: 500,
+                baseline_cycles: 0,
+            };
+            online.record(0, fp, &module, exp, false, || o3);
+        }
+        let snap = ModelsSnapshot::parse(&online.listing());
+        let v0 = snap.version(0).expect("the boot policy is listed");
+        assert_eq!((v0.requests, v0.compared, v0.wins), (4, 1, 1));
+        assert!((v0.mean_improvement - 0.5).abs() < 1e-9, "{v0:?}");
+        let _ = std::fs::remove_dir_all(&registry);
     }
 }

@@ -10,8 +10,8 @@
 //! The daemon composes these pieces, each its own module:
 //!
 //! * [`protocol`] — the framed text wire format and its typed errors;
-//! * [`engine`] — the shared handle to the installed policies (hot-swap,
-//!   A/B) and the greedy fault-isolated serving rollout, which runs each
+//! * [`engine`] — the shared handle to the one serving policy (hot-swap)
+//!   and the greedy fault-isolated serving rollout, which runs each
 //!   policy forward on the request's own thread;
 //! * [`store`] — the crash-safe append-only log memoizing the best
 //!   known ordering per program fingerprint across restarts;
@@ -28,7 +28,8 @@
 //!   cold-path outcomes and publishing versioned checkpoints into it,
 //!   the per-version ledger `MODEL` reads, and the one promotion gate
 //!   that both the admin-gated `PROMOTE` verb and auto-promotion pass to
-//!   hot-swap a version into the live engine.
+//!   hot-swap a version into the live engine — auto-promotion only once
+//!   the version beats the serving policy on recently served programs.
 //!
 //! Every compile request carries a trace through the pipeline; the
 //! daemon's flight recorder keeps the recent ones and dumps

@@ -17,6 +17,12 @@
 //! is lossless, so a module survives the wire bit-identically. `passes`
 //! is the effective ordering (Table-1 ids of the passes that changed the
 //! module), `-` when empty. `msg` is free text and always the last key.
+//!
+//! Every malformed header reads as an `InvalidData` error, which the
+//! daemon answers with a typed `bad_request` before hanging up. That
+//! includes `PROMOTE v=<n> ab=…`: the daemon serves one policy, and a
+//! request for a second, A/B-routed policy must not be mistaken for a
+//! full promotion.
 
 use std::io::{self, BufRead, Read, Write};
 
@@ -72,17 +78,15 @@ pub enum Request {
         /// capacity).
         n: usize,
     },
-    /// List registry versions, the serving/challenger versions, and the
-    /// per-policy A/B stats (models JSONL body).
+    /// List registry versions, the serving version, and the per-version
+    /// outcome ledger (models JSONL body).
     Model,
     /// Hot-swap the serving policy to registry version `version`
-    /// (admin-gated).
+    /// (admin-gated): the operator's override, armored but not
+    /// replay-gated.
     Promote {
         /// Registry version to promote.
         version: u64,
-        /// Install as the A/B challenger instead of replacing the
-        /// active policy.
-        ab: bool,
     },
 }
 
@@ -372,13 +376,8 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
         Request::Stats => w.write_all(format!("{PROTOCOL} STATS\n").as_bytes())?,
         Request::Trace { n } => w.write_all(format!("{PROTOCOL} TRACE n={n}\n").as_bytes())?,
         Request::Model => w.write_all(format!("{PROTOCOL} MODEL\n").as_bytes())?,
-        Request::Promote { version, ab } => {
-            let mut line = format!("{PROTOCOL} PROMOTE v={version}");
-            if *ab {
-                line.push_str(" ab=1");
-            }
-            line.push('\n');
-            w.write_all(line.as_bytes())?;
+        Request::Promote { version } => {
+            w.write_all(format!("{PROTOCOL} PROMOTE v={version}\n").as_bytes())?
         }
     }
     w.flush()
@@ -465,8 +464,13 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
         "PROMOTE" => {
             let version =
                 get_u64(&kvs, "v")?.ok_or_else(|| ProtocolError("PROMOTE without v".into()))?;
-            let ab = get(&kvs, "ab") == Some("1");
-            Ok(Some(Request::Promote { version, ab }))
+            // A request for an A/B-routed policy must not be taken as a
+            // full promotion of the same version.
+            if get(&kvs, "ab").is_some() {
+                let msg = "PROMOTE ab= is not supported: the daemon serves one policy";
+                return Err(ProtocolError(msg.into()).into());
+            }
+            Ok(Some(Request::Promote { version }))
         }
         other => Err(ProtocolError(format!("unknown verb {other:?}")).into()),
     }
@@ -663,16 +667,23 @@ mod tests {
             Request::Stats,
             Request::Trace { n: 32 },
             Request::Model,
-            Request::Promote {
-                version: 4,
-                ab: false,
-            },
-            Request::Promote {
-                version: 9,
-                ab: true,
-            },
+            Request::Promote { version: 4 },
         ] {
             assert_eq!(roundtrip_request(req.clone()), req);
+        }
+    }
+
+    /// `ab=` in any spelling is a malformed header (which the daemon
+    /// answers `bad_request`), never a promotion of the named version.
+    #[test]
+    fn promote_with_ab_is_refused_not_taken_as_a_full_promotion() {
+        for line in [
+            "AUTOPHASE/1 PROMOTE v=2 ab=1\n",
+            "AUTOPHASE/1 PROMOTE v=2 ab=0\n",
+        ] {
+            let err = read_request(&mut BufReader::new(line.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line:?}");
+            assert!(err.to_string().contains("ab="), "{err}");
         }
     }
 

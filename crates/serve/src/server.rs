@@ -21,7 +21,7 @@
 //!    too: the `front` memo remembers its fingerprint, and it is parsed
 //!    again only if its module is needed.
 //! 2. **policy** — greedy rollout on this handler thread
-//!    ([`crate::engine::InferenceEngine::choose_sequence`]), every pass
+//!    ([`crate::engine::InferenceEngine::choose_sequence_report`]), every pass
 //!    applied transactionally with quarantine bookkeeping.
 //! 3. **baseline** — if the policy path faults, fall back to the fixed
 //!    fault-isolated -O3 ordering (`autophase_passes::o3::o3_checked`)
@@ -339,7 +339,7 @@ impl Server {
             telemetry::enable();
         }
         let engine = Arc::new(engine);
-        let online = Online::start(&cfg, &engine)?;
+        let online = Online::start(&cfg, &engine, &hls)?;
         let shared = Arc::new(Shared {
             gate: Gate::new(cfg.workers, cfg.queue_cap),
             flight: FlightRecorder::new(cfg.flight.clone()),
@@ -552,7 +552,7 @@ fn answer(shared: &Shared, req: Request) -> (Reply, Option<TraceBuilder>) {
             let msg = "promotion disabled (daemon not started with admin)";
             refuse(ErrKind::BadRequest, None, msg)
         }
-        Request::Promote { version, ab } => shared.online.promote(version, ab),
+        Request::Promote { version } => shared.online.promote(version),
         Request::Compile {
             ir,
             deadline_ms,
@@ -854,18 +854,20 @@ fn compile(
     trace.mark("record");
 
     // Strictly after the answer is computed: credit the policy version
-    // that produced it and hand its episode to the learner.
+    // that produced it and hand its episode and program to the learner.
     if let Some((version, steps)) = episode {
         let exp = Experience {
             steps,
             cycles,
             baseline_cycles,
         };
-        shared.online.record(version, fp, exp, inserted, || {
-            let mut m = module.clone();
-            let _ = o3_checked(&mut m, &shared.cfg.fuel);
-            profile_module(&m, &shared.hls).ok().map(|r| r.cycles)
-        });
+        shared
+            .online
+            .record(version, fp, &module, exp, inserted, || {
+                let mut m = module.clone();
+                let _ = o3_checked(&mut m, &shared.cfg.fuel);
+                profile_module(&m, &shared.hls).ok().map(|r| r.cycles)
+            });
     }
 
     within(shared, deadline, "mid-pipeline")?;

@@ -144,18 +144,20 @@ pub struct ModelVersionStat {
     pub samples: u64,
     /// PPO updates behind this version.
     pub updates: u64,
-    /// Whether the engine is serving this version on the A side.
+    /// Whether the engine is serving this version.
     pub serving: bool,
-    /// Whether this version is the B-side (challenger) of an A/B split.
-    pub challenger: bool,
     /// Policy-sourced compiles this version answered.
     pub requests: u64,
-    /// Of those, how many matched or beat the `-O3` cycle count.
+    /// Of those, how many had an `-O3` reference to compare against
+    /// (none without a registry, or when `-O3` could not be profiled).
+    pub compared: u64,
+    /// Of the compared, how many matched or beat the `-O3` cycle count.
     pub wins: u64,
-    /// Of those, how many inserted/improved a persistent-store entry.
+    /// Of the requests, how many inserted/improved a persistent-store
+    /// entry.
     pub store_inserts: u64,
-    /// Mean relative improvement over `-O3` across this version's
-    /// requests (positive = fewer cycles than `-O3`).
+    /// Mean relative improvement over `-O3` across the compared requests
+    /// (positive = fewer cycles than `-O3`).
     pub mean_improvement: f64,
 }
 
@@ -165,10 +167,8 @@ pub struct ModelVersionStat {
 pub struct ModelsSnapshot {
     /// Every version line, in registry order.
     pub versions: Vec<ModelVersionStat>,
-    /// Version currently serving on the A side, if any policy is live.
+    /// Version currently serving, if any policy is live.
     pub serving: Option<u64>,
-    /// B-side challenger version during an A/B split.
-    pub challenger: Option<u64>,
     /// Lifetime hot-swaps the engine has applied.
     pub swaps: u64,
     /// Whether the daemon has a model registry at all.
@@ -191,8 +191,8 @@ impl ModelsSnapshot {
                         samples: get_u64(line, "samples").unwrap_or(0),
                         updates: get_u64(line, "updates").unwrap_or(0),
                         serving: get_u64(line, "serving") == Some(1),
-                        challenger: get_u64(line, "challenger") == Some(1),
                         requests: get_u64(line, "requests").unwrap_or(0),
+                        compared: get_u64(line, "compared").unwrap_or(0),
                         wins: get_u64(line, "wins").unwrap_or(0),
                         store_inserts: get_u64(line, "store_inserts").unwrap_or(0),
                         mean_improvement: get_f64(line, "mean_improvement").unwrap_or(0.0),
@@ -200,9 +200,6 @@ impl ModelsSnapshot {
                 }
                 Some("model_summary") => {
                     snap.serving = get_i64(line, "serving")
-                        .filter(|&v| v >= 0)
-                        .map(|v| v as u64);
-                    snap.challenger = get_i64(line, "challenger")
                         .filter(|&v| v >= 0)
                         .map(|v| v as u64);
                     snap.swaps = get_u64(line, "swaps").unwrap_or(0);
@@ -283,7 +280,8 @@ mod tests {
     fn parses_what_the_sink_renders() {
         // Build a snapshot through the real registry so the parser is
         // pinned against the actual wire shape, not a hand-written copy.
-        telemetry::reset();
+        // The instruments are this test's own, so it neither resets nor
+        // disables the registry other tests in the process count into.
         telemetry::enable();
         telemetry::incr("stats.test_req", "ok_store", 3);
         telemetry::incr("stats.test_req", "err_parse", 1);
@@ -292,8 +290,6 @@ mod tests {
             telemetry::observe("stats.test_ns", "parse", v);
         }
         let body = telemetry::render_metrics_jsonl_from(&telemetry::snapshot());
-        telemetry::disable();
-        telemetry::reset();
 
         let snap = StatsSnapshot::parse(&body);
         assert_eq!(snap.counter("stats.test_req", "ok_store"), 3);
@@ -315,29 +311,28 @@ mod tests {
     #[test]
     fn parses_model_bodies() {
         let body = "{\"type\":\"model\",\"version\":1,\"samples\":96,\"updates\":2,\"serving\":0,\
-                    \"challenger\":1,\"requests\":10,\"wins\":7,\"store_inserts\":4,\
+                    \"requests\":10,\"compared\":8,\"wins\":7,\"store_inserts\":4,\
                     \"mean_improvement\":0.125000}\n\
                     {\"type\":\"model\",\"version\":2,\"samples\":192,\"updates\":4,\"serving\":1,\
-                    \"challenger\":0,\"requests\":3,\"wins\":3,\"store_inserts\":1,\
+                    \"requests\":3,\"compared\":3,\"wins\":3,\"store_inserts\":1,\
                     \"mean_improvement\":0.200000}\n\
                     garbage line\n\
-                    {\"type\":\"model_summary\",\"serving\":2,\"challenger\":1,\"swaps\":5,\"registry\":1}\n";
+                    {\"type\":\"model_summary\",\"serving\":2,\"swaps\":5,\"registry\":1}\n";
         let snap = ModelsSnapshot::parse(body);
         assert_eq!(snap.versions.len(), 2);
         assert_eq!(snap.serving, Some(2));
-        assert_eq!(snap.challenger, Some(1));
         assert_eq!(snap.swaps, 5);
         assert!(snap.registry);
         let v1 = snap.version(1).expect("v1 present");
-        assert!(v1.challenger && !v1.serving);
-        assert_eq!(v1.wins, 7);
+        assert!(!v1.serving);
+        assert_eq!((v1.requests, v1.compared, v1.wins), (10, 8, 7));
         assert!((v1.mean_improvement - 0.125).abs() < 1e-9);
         assert!(snap.version(2).expect("v2 present").serving);
         assert!(snap.version(9).is_none());
 
         // A baseline-only daemon: no versions, serving=-1.
         let empty = ModelsSnapshot::parse(
-            "{\"type\":\"model_summary\",\"serving\":-1,\"challenger\":-1,\"swaps\":0,\"registry\":0}\n",
+            "{\"type\":\"model_summary\",\"serving\":-1,\"swaps\":0,\"registry\":0}\n",
         );
         assert!(empty.versions.is_empty());
         assert_eq!(empty.serving, None);

@@ -1,6 +1,7 @@
 //! End-to-end drills of the online-learning subsystem on a live daemon:
 //! the background learner publishing and auto-promoting versions, the
-//! admin-gated `PROMOTE`/`MODEL` verbs with A/B serving, the chaos leg —
+//! replay gate refusing versions that do not beat the serving policy,
+//! the admin-gated `PROMOTE`/`MODEL` verbs, the chaos leg —
 //! corrupt and NaN candidates being quarantined while the old policy
 //! keeps answering every request — and the swap drill: 20 promotions
 //! under live cold load with no request dropped.
@@ -159,55 +160,67 @@ fn learner_trains_publishes_and_auto_promotes() {
     let _ = std::fs::remove_file(&store);
 }
 
-/// `PROMOTE` + A/B: an admin daemon serves version 1, installs version
-/// 2 as the B-side challenger, and `MODEL` reports both roles while
-/// compiles keep answering.
+/// The replay gate on a live daemon: booted from a policy the fresh
+/// learner does not beat on the programs it serves (seed 22: Σ ln cycles
+/// 68.94 over CHStone against the fresh agent's 70.11), auto-promotion
+/// refuses the learner's versions. Every compile keeps answering from
+/// the boot policy, and a refused version stays listed — valid, just
+/// not better.
 #[test]
-fn promote_and_ab_split_report_roles() {
-    let registry_dir = tmp("ab_registry");
-    {
-        let mut reg = ModelRegistry::open(&registry_dir).unwrap();
-        reg.publish(&test_ckpt(11), 100, 1).unwrap();
-        reg.publish(&test_ckpt(22), 200, 2).unwrap();
-    }
-    let store = tmp("ab.log");
+fn auto_promotion_refuses_a_version_that_does_not_beat_serving() {
+    let store = tmp("replay.log");
+    let registry_dir = tmp("replay_registry");
     let cfg = ServerConfig {
         store_path: store.clone(),
         registry_dir: Some(registry_dir.clone()),
-        admin: true,
+        learner: Some(LearnerConfig {
+            // One version per round of the nine programs, so the first
+            // is replayed over all of them.
+            min_batch: 9 * autophase_serve::SERVE_EPISODE_LEN,
+            publish_every: 1,
+            auto_promote: true,
+        }),
         ..ServerConfig::default()
     };
-    let server = Server::start(test_policy(7), cfg).expect("server starts");
+    let server = Server::start(test_policy(22), cfg).expect("server starts");
     let mut client = connect(server.addr());
 
-    client.promote(1).expect("PROMOTE v=1");
-    client.promote_ab(2).expect("PROMOTE v=2 ab=1");
-    let snap = client.models().expect("MODEL answers");
-    assert_eq!(snap.serving, Some(1));
-    assert_eq!(snap.challenger, Some(2));
-    assert!(snap.version(1).unwrap().serving);
-    assert!(snap.version(2).unwrap().challenger);
-    assert_eq!(snap.swaps, 2);
-
-    // Compiles under the A/B split: every request answers, and the
-    // attributed versions are exactly the two live ones.
-    for (i, ir) in programs().iter().enumerate() {
-        let fresh = renamed(ir, &format!("ab{i}"));
-        let reply = client
-            .compile(&fresh, Some(60_000), false)
-            .expect("A/B compile");
-        assert_eq!(reply.source, Source::Policy);
-    }
-    let snap = client.models().expect("MODEL answers");
-    let attributed: u64 = snap.versions.iter().map(|v| v.requests).sum();
-    assert!(attributed > 0, "requests attributed under A/B");
-    for v in &snap.versions {
+    let progs = programs();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut round = 0u32;
+    let refused = loop {
         assert!(
-            v.requests == 0 || v.version == 1 || v.version == 2,
-            "v{} got requests while not serving",
-            v.version
+            Instant::now() < deadline,
+            "no refused version after {round} rounds"
         );
-    }
+        for (i, ir) in progs.iter().enumerate() {
+            let fresh = renamed(ir, &format!("replay_r{round}p{i}"));
+            let reply = client
+                .compile(&fresh, Some(60_000), false)
+                .expect("cold compile under the replay gate");
+            assert_eq!(reply.source, Source::Policy);
+        }
+        round += 1;
+        let snap = client.models().expect("MODEL answers");
+        assert_eq!(
+            snap.serving,
+            Some(0),
+            "a version that does not beat v0 swapped in"
+        );
+        // The learner judges each version before it publishes the next,
+        // so with two listed the older one was refused.
+        let rejected = client.stats().expect("STATS answers");
+        if snap.versions.len() >= 2 && rejected.counter("serve.swap", "rejected_replay") >= 1 {
+            break snap.versions[0];
+        }
+    };
+    assert!(!refused.serving);
+    assert!(registry_dir
+        .join(format!("v{}.ckpt", refused.version))
+        .exists());
+    assert!(!registry_dir
+        .join(format!("v{}.ckpt.quarantined", refused.version))
+        .exists());
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&registry_dir);

@@ -7,7 +7,7 @@
 //! disagree with it, so this file keeps one and walks every program
 //! three ways:
 //!
-//! 1. **the engine** — `InferenceEngine::choose_sequence`: the shared
+//! 1. **the engine** — `InferenceEngine::choose_sequence_report`: the shared
 //!    step under the daemon's driver, SoA SIMD forwards
 //!    (`SoaMlp::forward_one`), features resynced incrementally from each
 //!    apply's `ChangeSet`;
@@ -105,8 +105,9 @@ fn assert_rollouts_agree(engine: &InferenceEngine, policy: &Mlp, program: &Modul
 
     let mut simd_m = program.clone();
     let simd_seq = engine
-        .choose_sequence(&mut simd_m, fp, &Quarantine::default(), &fuel)
-        .expect("no faults injected");
+        .choose_sequence_report(&mut simd_m, fp, &Quarantine::default(), &fuel)
+        .expect("no faults injected")
+        .applied;
 
     let mut ref_m = program.clone();
     let ref_seq = reference_rollout(policy, &mut ref_m, fp, &Quarantine::default(), &fuel);

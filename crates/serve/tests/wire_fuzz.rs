@@ -1,0 +1,180 @@
+//! Wire fuzz, in memory: `read_request` over arbitrary bytes, over
+//! header-shaped lines with hostile values, and over every prefix of
+//! every encoded request. Read the way a connection handler reads —
+//! requests until the stream ends or a read fails — each input must end
+//! in a clean EOF or a typed error (`InvalidData` for a malformed header
+//! or body, `UnexpectedEof` for a cut one). Never a panic, and never an
+//! allocation past `MAX_IR_LEN`, whatever length a header announces: a
+//! peak-tracking global allocator holds the whole process to that.
+
+use autophase_serve::protocol::{read_request, write_request, Request, MAX_IR_LEN};
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{BufReader, ErrorKind};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Records the largest single allocation the process ever asked for.
+struct PeakAlloc;
+
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's pointer and
+// layout unchanged, so `System`'s guarantees are the caller's; the only
+// other effect is a `Relaxed` update of a statistic that guards no data.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        PEAK.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        PEAK.fetch_max(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// Read requests from `bytes` until EOF or the first error, and check
+/// how it ended: EOF, `InvalidData` or `UnexpectedEof` and no allocation
+/// past `MAX_IR_LEN`. Returns the requests read on the way.
+fn read_all(bytes: &[u8]) -> Vec<Request> {
+    let mut r = BufReader::new(bytes);
+    let mut got = Vec::new();
+    loop {
+        match read_request(&mut r) {
+            Ok(Some(req)) => got.push(req),
+            Ok(None) => break,
+            Err(e) => {
+                let kind = e.kind();
+                let typed = matches!(kind, ErrorKind::InvalidData | ErrorKind::UnexpectedEof);
+                prop_assert!(
+                    typed,
+                    "{kind:?}: {e} on {:?}",
+                    String::from_utf8_lossy(bytes)
+                );
+                break;
+            }
+        }
+    }
+    let peak = PEAK.load(Ordering::Relaxed);
+    prop_assert!(peak <= MAX_IR_LEN, "an allocation of {peak} bytes");
+    got
+}
+
+/// A token with no space or newline, spelled from `raw`'s bytes.
+fn token(raw: u64, len: usize) -> String {
+    raw.to_le_bytes()[..len.min(8)]
+        .iter()
+        .map(|&b| char::from(b'!' + b % 94))
+        .collect()
+}
+
+/// A header line that reaches the verb parsers: a real verb (or junk),
+/// keys they read (and some they do not), values from valid to hostile
+/// — lengths past the cap, overflow, signs, junk — then body bytes that
+/// may fall short of what the header announced.
+fn header_shaped(verb: usize, kvs: &[(usize, usize, u64)], body: &[u8]) -> Vec<u8> {
+    const VERBS: [&str; 8] = [
+        "COMPILE", "PING", "CHAOS", "SHUTDOWN", "STATS", "TRACE", "MODEL", "PROMOTE",
+    ];
+    const KEYS: [&str; 8] = [
+        "ir_len",
+        "deadline_ms",
+        "want_ir",
+        "n",
+        "crash",
+        "swap",
+        "v",
+        "ab",
+    ];
+    let mut line = format!(
+        "AUTOPHASE/1 {}",
+        VERBS
+            .get(verb)
+            .map_or_else(|| token(verb as u64, 4), |v| v.to_string())
+    );
+    for &(key, value, raw) in kvs {
+        let key = KEYS
+            .get(key)
+            .map_or_else(|| token(raw, 3), |k| k.to_string());
+        let value = match value {
+            0 => raw.to_string(),
+            1 => (raw % (MAX_IR_LEN as u64 + 2)).to_string(),
+            2 => MAX_IR_LEN.to_string(),
+            3 => u128::MAX.to_string(),
+            4 => "-1".to_string(),
+            _ => token(raw, (raw % 9) as usize),
+        };
+        line.push_str(&format!(" {key}={value}"));
+    }
+    line.push('\n');
+    let mut bytes = line.into_bytes();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// Request variant `kind` with its fields drawn from the raw parts.
+fn request(kind: usize, ir: &[u8], a: u64, b: u64, flag: bool) -> Request {
+    match kind {
+        0 => Request::Compile {
+            ir: String::from_utf8_lossy(ir).into_owned(),
+            deadline_ms: flag.then_some(a),
+            want_ir: b & 1 == 1,
+        },
+        1 => Request::Ping,
+        2 => Request::Chaos {
+            faults: a as u32,
+            crashes: (a >> 32) as u32,
+            swaps: b as u32,
+        },
+        3 => Request::Shutdown,
+        4 => Request::Stats,
+        5 => Request::Trace { n: a as usize },
+        6 => Request::Model,
+        _ => Request::Promote { version: a },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn arbitrary_bytes_end_cleanly(bytes in collection::vec(any::<u8>(), 0..2048)) {
+        read_all(&bytes);
+    }
+
+    #[test]
+    fn hostile_headers_end_cleanly(
+        verb in 0usize..10,
+        kvs in collection::vec((0usize..10, 0usize..6, any::<u64>()), 0..4),
+        body in collection::vec(any::<u8>(), 0..256),
+    ) {
+        read_all(&header_shaped(verb, &kvs, &body));
+    }
+
+    /// The whole encoding reads back as the request; every cut of it
+    /// ends cleanly and yields at most one request.
+    #[test]
+    fn every_prefix_of_an_encoded_request_ends_cleanly(
+        kind in 0usize..8,
+        ir in collection::vec(any::<u8>(), 0..96),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        flag in any::<bool>(),
+    ) {
+        let req = request(kind, &ir, a, b, flag);
+        let mut bytes = Vec::new();
+        write_request(&mut bytes, &req).expect("a Vec takes every write");
+        prop_assert_eq!(read_all(&bytes), vec![req]);
+        for cut in 0..bytes.len() {
+            let got = read_all(&bytes[..cut]);
+            prop_assert!(got.len() <= 1, "cut {cut}: {got:?}");
+        }
+    }
+}
