@@ -142,6 +142,9 @@ fn do_unswitch(
     f.inst_mut(clone_term).op = Opcode::Br {
         target: bmap[&else_bb],
     };
+    // Each fold removed one edge: the φs at its target forget it.
+    f.remove_phi_edge(else_bb, branch_bb);
+    f.remove_phi_edge(bmap[&then_bb], clone_branch_bb);
 
     // Preheader: test once, pick a copy. The preheader previously ended in
     // `br header`.
@@ -318,5 +321,32 @@ mod tests {
         let mut m = Module::new("t");
         m.add_function(b.finish());
         assert!(!run(&mut m));
+    }
+
+    /// Folding the unswitched branch removes one edge from each copy; the
+    /// φs at the removed edge's target must forget it, or the verifier
+    /// finds an incoming block that is no longer a predecessor.
+    #[test]
+    fn folding_drops_the_phi_entries_of_the_removed_edge() {
+        let cases: [(&str, &[usize]); 3] = [
+            ("matmul", &[23, 30, 11, 29]),
+            ("blowfish", &[23, 30, 11, 29]),
+            ("blowfish", &[38, 23, 29, 7]),
+        ];
+        for (name, prefix) in cases {
+            let mut m = autophase_benchmarks::suite()
+                .into_iter()
+                .find(|b| b.name == name)
+                .expect("CHStone program")
+                .module;
+            for &p in prefix {
+                crate::registry::apply(&mut m, p);
+            }
+            autophase_ir::verify::verify_module(&m).expect("the prefix verifies");
+            assert!(run(&mut m), "{name} after {prefix:?}: nothing unswitched");
+            if let Err(e) = autophase_ir::verify::verify_module(&m) {
+                panic!("{name} after {prefix:?} then -loop-unswitch: {e}");
+            }
+        }
     }
 }
