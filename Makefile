@@ -88,7 +88,10 @@ dead-pub:
 # observed, chaos-injected policy faults degraded to baseline, clean
 # shutdown, and the persistent store surviving a restart. Then the wire
 # fuzz: arbitrary bytes, hostile headers and every cut of every request
-# end in a request, EOF or a typed error, never past MAX_IR_LEN.
+# end in a request, EOF or a typed error, never past MAX_IR_LEN — in
+# memory, then on a live daemon's connections, which must each end in
+# well-formed replies and a close within a read timeout while the
+# daemon keeps answering PING and COMPILE.
 serve-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test smoke
 	$(CARGO) test -q --release -p autophase-serve --test wire_fuzz
@@ -153,7 +156,10 @@ pass-golden:
 # Adam produced, private ≡ shared ≡ parallel rollouts keep the env's
 # memos and the EvalCache invisible in optimized code too, the env's
 # trajectory golden holds every observation, reward, cycle count and
-# sample count to the file the two-memo env wrote,
+# sample count to the file the two-memo env wrote, the ordering golden
+# holds every checked (program, ordering) compilation, search and
+# one-compilation inference to the numbers the unchecked evaluators and
+# the env-driven inference printed (DESIGN.md §4e "One compilation"),
 # and the three walkers of the one step (SIMD/incremental engine, scalar
 # from-scratch reference, the trainer's env) agree at zero tolerance —
 # a codegen property, so it is checked where the codegen differs.
@@ -167,6 +173,7 @@ perf-smoke:
 	$(CARGO) test -q --release --test train_update_golden
 	$(CARGO) test -q --release --test parallel_determinism
 	$(CARGO) test -q --release -p autophase-core --test env_trajectory_golden
+	$(CARGO) test -q --release -p autophase-core --test ordering_golden
 	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
 
 # SIMD feature matrix (DESIGN.md §4k): the nn crate must build, test,

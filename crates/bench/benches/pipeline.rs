@@ -4,7 +4,8 @@
 //! in DESIGN.md (chaining on/off, filtered vs. full observations).
 
 use autophase_benchmarks::suite;
-use autophase_core::env::{sequence_cycles, EnvConfig, PhaseOrderEnv};
+use autophase_core::compile::sequence_cycles;
+use autophase_core::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::extract;
 use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsConfig};
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
@@ -27,7 +28,7 @@ fn bench_passes(c: &mut Criterion) {
     c.bench_function("pass/O3 pipeline on gsm", |b| {
         b.iter(|| {
             let mut m = gsm.clone();
-            autophase_passes::o3::o3(&mut m);
+            autophase_passes::o3::o3_checked(&mut m, &Default::default());
             black_box(m.num_insts())
         })
     });

@@ -139,7 +139,7 @@ mod tests {
         for b in suite() {
             let before = run_main(&b.module, 20_000_000).unwrap();
             let mut m = b.module.clone();
-            autophase_passes::o3::o3(&mut m);
+            autophase_passes::o3::o3_checked(&mut m, &Default::default());
             verify_module(&m).unwrap_or_else(|e| panic!("{}: {e}", b.name));
             let after = run_main(&m, 20_000_000).unwrap();
             assert_eq!(
@@ -167,7 +167,7 @@ mod tests {
         for b in suite() {
             let c0 = cycle_count(&b.module, &cfg).unwrap();
             let mut m = b.module.clone();
-            autophase_passes::o3::o3(&mut m);
+            autophase_passes::o3::o3_checked(&mut m, &Default::default());
             let c1 = cycle_count(&m, &cfg).unwrap();
             if c1 < c0 {
                 improved += 1;

@@ -6,18 +6,19 @@
 //! cargo run --release -p autophase-core --example headroom
 //! ```
 
-use autophase_core::env::{o3_cycles, sequence_cycles};
+use autophase_core::algorithms::{search, Algorithm};
+use autophase_core::compile::{o3_cycles, sequence_cycles};
 use autophase_hls::HlsConfig;
-use autophase_search::{genetic, greedy, Objective};
+use autophase_search::Objective;
 
 fn main() {
     let hls = HlsConfig::default();
     for b in autophase_benchmarks::suite() {
         let o3 = o3_cycles(&b.module, &hls);
         let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(&b.module, seq, &hls) as f64);
-        let g = greedy::search(&mut obj, 45, 45, 2484, None);
+        let g = search(Algorithm::Greedy, &mut obj, 45, 2484, 0);
         let mut obj2 = Objective::new(|seq: &[usize]| sequence_cycles(&b.module, seq, &hls) as f64);
-        let ga = genetic::search(&mut obj2, 45, 45, 6080, &genetic::GaConfig::default(), 3);
+        let ga = search(Algorithm::GeneticDeap, &mut obj2, 45, 6080, 3);
         println!(
             "{:<10} o3={:<6} greedy={:<6} ({:+.1}%, {} smp) ga={:<6} ({:+.1}%, {} smp)",
             b.name,

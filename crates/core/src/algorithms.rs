@@ -9,17 +9,17 @@
 //! | RL-ES        | ES              | Program features                   | Single-action |
 //! | Greedy / OpenTuner / Genetic-DEAP / random — black-box searches.    |
 
-use crate::env::{
-    o0_cycles, o3_cycles, sequence_cycles, EnvConfig, ObservationKind, PhaseOrderEnv, RewardKind,
-};
+use crate::compile::{o0_cycles, o3_cycles, sequence_cycles};
+use crate::env::{EnvConfig, ObservationKind, PhaseOrderEnv, RewardKind};
 use crate::multi::{MultiActionAgent, MultiConfig};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
+use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::a2c::{A2cAgent, A2cConfig};
 use autophase_rl::env::Environment;
 use autophase_rl::es::{EsAgent, EsConfig};
 use autophase_rl::ppo::{PpoAgent, PpoConfig};
-use autophase_search::{genetic, greedy, opentuner, random, Objective};
+use autophase_search::{genetic, greedy, opentuner, random, Objective, SearchResult};
 
 /// The algorithms of Figure 7, in the paper's bar order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,50 +202,15 @@ pub fn run_algorithm(
             let (_, best) = agent.train(program, hls, budget.multi_iterations);
             (best, agent.samples())
         }
-        Algorithm::Greedy => {
+        Algorithm::Greedy | Algorithm::OpenTuner | Algorithm::GeneticDeap | Algorithm::Random => {
+            let samples = match algorithm {
+                Algorithm::Greedy => budget.greedy_budget,
+                Algorithm::OpenTuner => budget.opentuner_budget,
+                Algorithm::GeneticDeap => budget.genetic_budget,
+                _ => budget.random_budget,
+            };
             let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, hls) as f64);
-            let r = greedy::search(
-                &mut obj,
-                autophase_passes::registry::NUM_PASSES,
-                budget.episode_len,
-                budget.greedy_budget,
-                None,
-            );
-            (r.best_cost as u64, r.samples)
-        }
-        Algorithm::OpenTuner => {
-            let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, hls) as f64);
-            let r = opentuner::search(
-                &mut obj,
-                autophase_passes::registry::NUM_PASSES,
-                budget.episode_len,
-                budget.opentuner_budget,
-                &opentuner::TunerConfig::default(),
-                seed,
-            );
-            (r.best_cost as u64, r.samples)
-        }
-        Algorithm::GeneticDeap => {
-            let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, hls) as f64);
-            let r = genetic::search(
-                &mut obj,
-                autophase_passes::registry::NUM_PASSES,
-                budget.episode_len,
-                budget.genetic_budget,
-                &genetic::GaConfig::default(),
-                seed,
-            );
-            (r.best_cost as u64, r.samples)
-        }
-        Algorithm::Random => {
-            let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, hls) as f64);
-            let r = random::search(
-                &mut obj,
-                autophase_passes::registry::NUM_PASSES,
-                budget.episode_len,
-                budget.random_budget,
-                seed,
-            );
+            let r = search(algorithm, &mut obj, budget.episode_len, samples, seed);
             (r.best_cost as u64, r.samples)
         }
     };
@@ -254,6 +219,30 @@ pub fn run_algorithm(
         cycles,
         improvement_over_o3: (o3 as f64 - cycles as f64) / o3 as f64,
         samples,
+    }
+}
+
+/// Run the black-box search `algorithm` names over `obj`: orderings of
+/// `seq_len` Table-1 passes, `budget` samples, seeded by `seed` (Greedy
+/// is deterministic and ignores it). Figure 7's runner, [`tune`](fn@crate::tune)
+/// and Figure 9 all choose their searches here.
+///
+/// # Panics
+///
+/// If `algorithm` is not Greedy, OpenTuner, Genetic-DEAP or random.
+pub fn search(
+    algorithm: Algorithm,
+    obj: &mut Objective<'_>,
+    seq_len: usize,
+    budget: u64,
+    seed: u64,
+) -> SearchResult {
+    match algorithm {
+        Algorithm::Greedy => greedy::search(obj, NUM_PASSES, seq_len, budget, None),
+        Algorithm::OpenTuner => opentuner::search(obj, NUM_PASSES, seq_len, budget, seed),
+        Algorithm::GeneticDeap => genetic::search(obj, NUM_PASSES, seq_len, budget, seed),
+        Algorithm::Random => random::search(obj, NUM_PASSES, seq_len, budget, seed),
+        other => panic!("{} is not a black-box search", other.name()),
     }
 }
 

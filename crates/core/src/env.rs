@@ -6,6 +6,7 @@
 //! environment's [`EvalCache`] by the module's content fingerprint, one
 //! profile on a miss, one sample charged.
 
+use crate::compile::UNPROFILEABLE_CYCLES;
 use crate::eval_cache::{EvalCache, DEFAULT_CAPACITY};
 use crate::incremental::{
     snapshot_memo, IncrementalEval, SnapEntry, SnapKey, SnapshotMemo,
@@ -14,10 +15,7 @@ use crate::incremental::{
 use crate::quarantine::Quarantine;
 use crate::step::Step;
 use autophase_features::FeatureSet;
-use autophase_hls::{
-    profile::{profile_module, profile_module_cached},
-    HlsConfig, ScheduleCache,
-};
+use autophase_hls::{profile::profile_module_cached, HlsConfig, ScheduleCache};
 use autophase_ir::Module;
 use autophase_passes::checked::FaultKind;
 use autophase_passes::registry;
@@ -28,6 +26,10 @@ use std::sync::Arc;
 /// The §4.2 pass subset, at the path it has always had; its home is the
 /// action table in [`crate::step`].
 pub use crate::step::FILTERED_PASSES;
+
+/// The `-O3` reference, at the path it has always had; its home is
+/// [`crate::compile`].
+pub use crate::compile::o3_cycles;
 
 /// What the agent observes (§5.1's two input-feature types and their
 /// combination; Table 3's "Observation Space" row).
@@ -141,11 +143,6 @@ impl Default for EnvConfig {
         }
     }
 }
-
-/// Objective value reported for a state the profiler could not execute:
-/// above any real cycle count, and a quarter of `u64::MAX` so a caller
-/// can add a few without overflow.
-pub const UNPROFILEABLE_CYCLES: u64 = u64::MAX / 4;
 
 /// The phase-ordering environment over one or more programs.
 ///
@@ -558,49 +555,13 @@ impl Environment for PhaseOrderEnv {
     }
 }
 
-/// Apply a full pass sequence to a fresh copy of `program` and return the
-/// resulting cycle count (the objective the black-box searchers optimize).
-pub fn sequence_cycles(program: &Module, seq: &[usize], hls: &HlsConfig) -> u64 {
-    apply_and_profile(program, seq, hls).1
-}
-
-/// Apply a pass sequence and return both the optimized module and its
-/// cycle count (one compilation — used where the caller also wants the
-/// program's features, e.g. the §5.2 multi-action observation).
-pub fn apply_and_profile(program: &Module, seq: &[usize], hls: &HlsConfig) -> (Module, u64) {
-    // COW clone: the arenas are shared `Arc`s, and the pass pipeline
-    // copy-on-writes only the functions it actually rewrites, so an
-    // all-no-op sequence never copies a body at all. Bit-identical to the
-    // old deep copy (see `apply_and_profile_matches_deep_clone_path`).
-    let mut m = program.clone();
-    registry::apply_sequence(&mut m, seq);
-    let cycles = profile_module(&m, hls)
-        .map(|r| r.cycles)
-        .unwrap_or(UNPROFILEABLE_CYCLES);
-    (m, cycles)
-}
-
-/// Cycle count of the unoptimized (`-O0`) program.
-pub fn o0_cycles(program: &Module, hls: &HlsConfig) -> u64 {
-    profile_module(program, hls)
-        .map(|r| r.cycles)
-        .unwrap_or(UNPROFILEABLE_CYCLES)
-}
-
-/// Cycle count after the reference `-O3` pipeline.
-pub fn o3_cycles(program: &Module, hls: &HlsConfig) -> u64 {
-    let mut m = program.clone();
-    autophase_passes::o3::o3(&mut m);
-    profile_module(&m, hls)
-        .map(|r| r.cycles)
-        .unwrap_or(UNPROFILEABLE_CYCLES)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{o0_cycles, sequence_cycles};
     use autophase_benchmarks::suite;
     use autophase_features::{extract, NUM_STRUCTURAL_FEATURES};
+    use autophase_hls::profile::profile_module;
     use autophase_rl::env::Environment;
 
     fn small_program() -> Module {
@@ -1096,39 +1057,6 @@ mod tests {
         let (h2, m2) = stats(&env);
         assert_eq!(h2, h1 + (actions.len() - 1) as u64);
         assert_eq!(m2, m1 + 1);
-    }
-
-    #[test]
-    fn apply_and_profile_matches_deep_clone_path() {
-        // Regression for the COW routing: the shared-arena clone inside
-        // `apply_and_profile` must be indistinguishable from the pre-COW
-        // deep copy, and must leave the input program untouched.
-        let p = small_program();
-        let pristine = autophase_ir::printer::print_module(&p);
-        let hls = HlsConfig::default();
-        for seq in [
-            vec![38usize, 23, 33, 30, 31],
-            vec![44usize, 44, 44],
-            vec![25usize, 31, 7, 28, 43, 38],
-        ] {
-            let (cow_m, cow_cycles) = apply_and_profile(&p, &seq, &hls);
-            let mut deep = p.deep_clone();
-            registry::apply_sequence(&mut deep, &seq);
-            let deep_cycles = profile_module(&deep, &hls)
-                .map(|r| r.cycles)
-                .unwrap_or(UNPROFILEABLE_CYCLES);
-            assert_eq!(cow_cycles, deep_cycles, "seq {seq:?}");
-            assert_eq!(
-                autophase_ir::printer::print_module(&cow_m),
-                autophase_ir::printer::print_module(&deep),
-                "seq {seq:?}"
-            );
-            assert_eq!(
-                autophase_ir::printer::print_module(&p),
-                pristine,
-                "input aliased by COW apply (seq {seq:?})"
-            );
-        }
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! Each runner is parameterized by a scale so unit tests can run miniature
 //! versions while the `autophase-bench` binaries run paper-scale ones.
 
-use crate::algorithms::{run_algorithm, AlgoResult, Algorithm, Budget};
+use crate::algorithms::{run_algorithm, search, AlgoResult, Algorithm, Budget};
+use crate::compile::{cycles_of, o3_cycles, sequence_cycles};
 use crate::dataset::{analyze, collect_tuples, CollectConfig, ImportanceAnalysis};
-use crate::env::{
-    o3_cycles, sequence_cycles, EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind,
-};
+use crate::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use crate::eval_cache::EvalCache;
+use crate::step::{Step, Walk};
 use autophase_forest::ForestConfig;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
+use autophase_passes::registry::TERMINATE;
 use autophase_progen::{program_batch, GenConfig};
 use autophase_rl::env::Environment;
 use autophase_rl::ppo::{PpoAgent, PpoConfig};
-use autophase_search::{genetic, greedy, opentuner, Objective};
+use autophase_search::Objective;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------- Fig 5/6
@@ -252,40 +253,31 @@ pub fn train_generalist(
     (agent, env_cfg)
 }
 
-/// One-shot inference: roll the trained policy greedily over a fresh copy
-/// of `program` and return the final cycle count. At most one "sample"
-/// (the final compilation) is charged, as in Figure 9.
+/// One-shot inference: roll the trained policy greedily over a copy of
+/// `program` and return the ordering it chose (a `-terminate` it chose
+/// included) and the final cycle count. The rollout is the daemon's:
+/// [`Walk`] over the [`Step`] `env_cfg` describes, each pass checked
+/// under `env_cfg.fuel`, no intermediate profile, so exactly one sample
+/// — the final compilation — is charged, as in Figure 9.
 pub fn infer_sequence(
     agent: &PpoAgent,
     env_cfg: &EnvConfig,
     program: &Module,
 ) -> (Vec<usize>, u64) {
-    // Inference needs no rewards, so the environment never profiles
-    // intermediate states; the single final profile is the one "sample".
-    let infer_cfg = EnvConfig {
-        reward: RewardKind::Zero,
-        ..env_cfg.clone()
-    };
-    let mut env = PhaseOrderEnv::single(program.clone(), infer_cfg);
-    let mut obs = env.reset();
-    let samples_at_start = env.samples();
+    let step = Step::new(env_cfg);
+    let mut m = program.clone();
+    let mut walk = Walk::start(&step, &mut m);
     let mut seq = Vec::new();
-    let passes = env.action_passes();
-    for _ in 0..env_cfg.episode_len {
-        let a = agent.act_greedy(&obs);
-        seq.push(passes[a]);
-        let r = env.step(a);
-        obs = r.observation;
-        if r.done {
+    for _ in 0..step.episode_len() {
+        let action = agent.act_greedy(&walk.observe());
+        seq.push(step.actions()[action]);
+        if step.actions()[action] == TERMINATE {
             break;
         }
+        // A faulted pass was rolled back: a no-op step, as in the env.
+        let _ = walk.step(action, &env_cfg.fuel);
     }
-    let cycles = env.cycles();
-    // At most one sample: the final compilation. The content-addressed
-    // profile memo can even serve it for free when the rolled sequence
-    // turns out to be all no-ops (final state == reset state).
-    debug_assert!(env.samples() <= samples_at_start + 1);
-    (seq, cycles)
+    (seq, cycles_of(&m, &env_cfg.hls))
 }
 
 /// Figure 9: train deep-RL generalists on random programs; search fixed
@@ -334,40 +326,19 @@ pub fn fig9(
     };
 
     // Black-box baselines: overfit a fixed sequence to the training set.
-    {
-        let mut obj = Objective::new(aggregate);
-        let r = genetic::search(
-            &mut obj,
-            autophase_passes::registry::NUM_PASSES,
+    for algorithm in [
+        Algorithm::GeneticDeap,
+        Algorithm::OpenTuner,
+        Algorithm::Greedy,
+    ] {
+        let r = search(
+            algorithm,
+            &mut Objective::new(aggregate),
             seq_len,
             search_budget,
-            &genetic::GaConfig::default(),
             seed,
         );
-        results.push(evaluate_fixed("Genetic-DEAP", &r.best_sequence));
-    }
-    {
-        let mut obj = Objective::new(aggregate);
-        let r = opentuner::search(
-            &mut obj,
-            autophase_passes::registry::NUM_PASSES,
-            seq_len,
-            search_budget,
-            &opentuner::TunerConfig::default(),
-            seed,
-        );
-        results.push(evaluate_fixed("OpenTuner", &r.best_sequence));
-    }
-    {
-        let mut obj = Objective::new(aggregate);
-        let r = greedy::search(
-            &mut obj,
-            autophase_passes::registry::NUM_PASSES,
-            seq_len,
-            search_budget,
-            None,
-        );
-        results.push(evaluate_fixed("Greedy", &r.best_sequence));
+        results.push(evaluate_fixed(algorithm.name(), &r.best_sequence));
     }
 
     // Deep RL: per-program adaptive inference.
@@ -460,17 +431,6 @@ mod tests {
             labels,
             vec!["filtered-norm1", "filtered-norm2", "original-norm2"]
         );
-    }
-
-    #[test]
-    fn fig9_miniature_runs() {
-        let train = program_batch(&GenConfig::default(), 42, 3);
-        let results = fig9(&train, &two_benchmarks(), 2, 40, 11);
-        assert_eq!(results.len(), 5);
-        for r in &results {
-            assert_eq!(r.samples_per_program, 1);
-            assert!(r.mean_improvement.is_finite());
-        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! * [`step`](mod@step) — the one statement of that step (action table,
 //!   observation recipe, checked transition) the environment and the
 //!   compile daemon's rollout both run;
+//! * [`compile`](mod@compile) — one compilation: an ordering applied to a
+//!   program through the checked pass layer, then one profile; every
+//!   search, figure and the daemon's `-O3` reference score orderings
+//!   through it;
 //! * [`multi`] — the §5.2 multiple-passes-per-action formulation
 //!   (RL-PPO3) and its factored-PPO trainer;
 //! * [`eval_cache`] — the profile memo every environment asks: module
@@ -30,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
+pub mod compile;
 pub mod dataset;
 pub mod env;
 pub mod eval_cache;

@@ -8,11 +8,12 @@
 //! shared trunk) trains the policy; the joint log-probability is the sum
 //! of the per-slot log-probabilities.
 
-use crate::env::apply_and_profile;
+use crate::compile::{compile, sequence_cycles};
 use autophase_features::{extract, normalize_to_inst_count, NUM_FEATURES};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
 use autophase_nn::{softmax, Activation, Mlp};
+use autophase_passes::checked::FuelBudget;
 use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::rollout::sample_action;
 use rand::rngs::StdRng;
@@ -136,17 +137,16 @@ impl MultiActionAgent {
         iterations: usize,
     ) -> (Vec<usize>, u64) {
         let mut best_seq: Vec<usize> = vec![NUM_PASSES / 2; self.cfg.seq_len];
-        let (_, mut best_cycles) = {
-            self.samples += 1;
-            apply_and_profile(program, &best_seq, hls)
-        };
+        self.samples += 1;
+        let mut best_cycles = sequence_cycles(program, &best_seq, hls);
+        let fuel = FuelBudget::default();
         for _ in 0..iterations {
             let mut batch: Vec<MultiTransition> = Vec::new();
             for _ in 0..self.cfg.episodes_per_iter {
                 // Episode: start from the canonical K/2 sequence (§5.2).
                 let mut seq: Vec<usize> = vec![NUM_PASSES / 2; self.cfg.seq_len];
                 self.samples += 1;
-                let (mut compiled, mut prev) = apply_and_profile(program, &seq, hls);
+                let (mut compiled, _, mut prev) = compile(program, &seq, &fuel, hls);
                 for _ in 0..self.cfg.episode_len {
                     let obs = Self::observe(&seq, &compiled);
                     let logits = self.policy.forward(&obs);
@@ -154,7 +154,7 @@ impl MultiActionAgent {
                     let v = self.value.forward(&obs)[0];
                     let next = Self::apply_subactions(&seq, &sub);
                     self.samples += 1;
-                    let (next_compiled, cycles) = apply_and_profile(program, &next, hls);
+                    let (next_compiled, _, cycles) = compile(program, &next, &fuel, hls);
                     let reward = prev as f64 - cycles as f64;
                     if cycles < best_cycles {
                         best_cycles = cycles;
@@ -219,7 +219,6 @@ impl MultiActionAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::sequence_cycles;
     use autophase_benchmarks::suite;
 
     #[test]

@@ -4,10 +4,11 @@
 //! give it a program, get back the best pass ordering found, with the
 //! baseline comparisons a user needs to judge it.
 
-use crate::env::{o0_cycles, o3_cycles, sequence_cycles};
+use crate::algorithms::{search, Algorithm};
+use crate::compile::{o0_cycles, o3_cycles, sequence_cycles};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
-use autophase_search::{genetic, greedy, opentuner, Objective};
+use autophase_search::Objective;
 
 /// How much compile time to spend tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +60,9 @@ impl TuneResult {
 /// of the budget on the OpenTuner-style ensemble seeded alongside a
 /// genetic refinement; returns whichever ordering was best, with the
 /// `-O0`/`-O3` reference points. The `-O3` pipeline itself is always a
-/// candidate, so the result is never worse than `-O3`.
+/// candidate, so the result is never worse than `-O3`. Every candidate is
+/// one checked [`compile`](crate::compile::compile): a pass that faults
+/// on some ordering is rolled back and skipped, never fatal.
 pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
     let hls = HlsConfig::default();
     let (budget, seq_len) = effort.budget();
@@ -70,47 +73,13 @@ pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
     let mut best_cycles = o3;
     let mut samples = 1u64;
 
-    {
+    for (algorithm, search_seed) in [
+        (Algorithm::Greedy, seed),
+        (Algorithm::OpenTuner, seed),
+        (Algorithm::GeneticDeap, seed ^ 0x6A),
+    ] {
         let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, &hls) as f64);
-        let r = greedy::search(
-            &mut obj,
-            autophase_passes::registry::NUM_PASSES,
-            seq_len,
-            budget / 3,
-            None,
-        );
-        samples += r.samples;
-        if (r.best_cost as u64) < best_cycles {
-            best_cycles = r.best_cost as u64;
-            best_seq = r.best_sequence;
-        }
-    }
-    {
-        let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, &hls) as f64);
-        let r = opentuner::search(
-            &mut obj,
-            autophase_passes::registry::NUM_PASSES,
-            seq_len,
-            budget / 3,
-            &opentuner::TunerConfig::default(),
-            seed,
-        );
-        samples += r.samples;
-        if (r.best_cost as u64) < best_cycles {
-            best_cycles = r.best_cost as u64;
-            best_seq = r.best_sequence;
-        }
-    }
-    {
-        let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, &hls) as f64);
-        let r = genetic::search(
-            &mut obj,
-            autophase_passes::registry::NUM_PASSES,
-            seq_len,
-            budget / 3,
-            &genetic::GaConfig::default(),
-            seed ^ 0x6A,
-        );
+        let r = search(algorithm, &mut obj, seq_len, budget / 3, search_seed);
         samples += r.samples;
         if (r.best_cost as u64) < best_cycles {
             best_cycles = r.best_cost as u64;

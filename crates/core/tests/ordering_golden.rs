@@ -27,9 +27,8 @@
 //!   `original-norm2`.
 
 use autophase_core::algorithms::{run_algorithm, Algorithm, Budget};
-use autophase_core::env::{
-    o0_cycles, o3_cycles, sequence_cycles, EnvConfig, FeatureNorm, ObservationKind, RewardKind,
-};
+use autophase_core::compile::{o0_cycles, o3_cycles, sequence_cycles};
+use autophase_core::env::{EnvConfig, FeatureNorm, ObservationKind, RewardKind};
 use autophase_core::experiment::{fig9, infer_sequence, GENERALIZATION_EPISODE_LEN};
 use autophase_core::{tune, Effort};
 use autophase_hls::HlsConfig;

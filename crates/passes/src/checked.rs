@@ -14,8 +14,9 @@
 //!    a change,
 //! 5. on *any* fault — panic, verifier rejection, fuel exhaustion —
 //!    restore the snapshot and report a typed [`PassFault`] instead of
-//!    crashing. The caller observes an unchanged module; the environment
-//!    maps that to "no-op, zero reward".
+//!    crashing. The caller observes an unchanged module; every evaluator
+//!    maps that to a no-op ([`apply_sequence_checked`] skips the pass,
+//!    the environment scores it zero reward).
 //!
 //! Every fault increments the `pass_fault_total{<pass>}` and
 //! `rollback_total{<pass>}` telemetry counters.
@@ -167,6 +168,16 @@ pub fn apply_checked_changeset(
     #[cfg(not(any(test, feature = "fault-injection")))]
     let injected: Option<FaultKind> = None;
     apply_checked_traced(m, id, budget, injected)
+}
+
+/// Apply `seq` pass by pass through [`apply_checked`]: a pass that faults
+/// is rolled back and skipped, and the pipeline goes on. Returns the
+/// changing passes that survived — the effective ordering applied.
+pub fn apply_sequence_checked(m: &mut Module, seq: &[PassId], budget: &FuelBudget) -> Vec<PassId> {
+    seq.iter()
+        .copied()
+        .filter(|&id| apply_checked(m, id, budget) == Ok(true))
+        .collect()
 }
 
 /// [`apply_checked`] with an explicit injected fault (or `None` for the

@@ -6,7 +6,8 @@
 //! and late cleanup. It is the baseline every experiment compares against,
 //! exactly as the paper compares against `clang -O3`.
 
-use crate::registry::{self, PassId};
+use crate::checked::{apply_sequence_checked, FuelBudget};
+use crate::registry::PassId;
 use autophase_ir::Module;
 
 /// The `-O3` pass sequence, as Table-1 indices.
@@ -58,29 +59,17 @@ pub const O3_SEQUENCE: &[PassId] = &[
     31, // -simplifycfg
 ];
 
-/// Apply `-O3` in place. Returns the number of passes that changed the
-/// module.
-pub fn o3(m: &mut Module) -> usize {
-    registry::apply_sequence(m, O3_SEQUENCE)
-}
-
-/// Fault-isolated `-O3`: every pass of [`O3_SEQUENCE`] is applied
-/// transactionally via [`crate::checked::apply_checked`], so a pass that
-/// panics, breaks the verifier, or blows the fuel budget is rolled back
-/// and skipped instead of aborting the pipeline. Returns the changing
-/// pass ids that survived — the effective ordering actually applied.
+/// Fault-isolated `-O3`: [`O3_SEQUENCE`] through
+/// [`crate::checked::apply_sequence_checked`], so a pass that panics,
+/// breaks the verifier, or blows the fuel budget is rolled back and
+/// skipped instead of aborting the pipeline. Returns the changing pass ids
+/// that survived — the effective ordering actually applied.
 ///
 /// This is the degradation baseline a serving layer falls back to when
 /// the learned policy path faults: it must make progress on *any*
 /// verified module, never crash.
-pub fn o3_checked(m: &mut Module, budget: &crate::checked::FuelBudget) -> Vec<PassId> {
-    let mut applied = Vec::new();
-    for &id in O3_SEQUENCE {
-        if let Ok(true) = crate::checked::apply_checked(m, id, budget) {
-            applied.push(id);
-        }
-    }
-    applied
+pub fn o3_checked(m: &mut Module, budget: &FuelBudget) -> Vec<PassId> {
+    apply_sequence_checked(m, O3_SEQUENCE, budget)
 }
 
 #[cfg(test)]
@@ -118,7 +107,7 @@ mod tests {
     fn o3_preserves_semantics_and_shrinks_work() {
         let mut m = workload();
         let before = run_main(&m, 1_000_000).unwrap();
-        let changed = o3(&mut m);
+        let changed = o3_checked(&mut m, &FuelBudget::default()).len();
         assert!(changed >= 4, "O3 should fire several passes, got {changed}");
         assert_verified(&m);
         let after = run_main(&m, 1_000_000).unwrap();
@@ -135,9 +124,9 @@ mod tests {
     #[test]
     fn o3_is_idempotent_enough_to_rerun() {
         let mut m = workload();
-        o3(&mut m);
+        o3_checked(&mut m, &FuelBudget::default());
         let first = run_main(&m, 1_000_000).unwrap().observable();
-        o3(&mut m);
+        o3_checked(&mut m, &FuelBudget::default());
         assert_verified(&m);
         assert_eq!(run_main(&m, 1_000_000).unwrap().observable(), first);
     }

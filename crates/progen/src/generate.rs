@@ -424,7 +424,7 @@ mod tests {
             let m0 = generate_valid(&cfg, seed);
             let expect = run_main(&m0, cfg.filter_fuel).unwrap().observable();
             let mut m = m0.clone();
-            autophase_passes::o3::o3(&mut m);
+            autophase_passes::o3::o3_checked(&mut m, &Default::default());
             verify_module(&m).unwrap_or_else(|e| {
                 panic!("seed {seed}: O3 broke verify: {e}");
             });
@@ -444,7 +444,7 @@ mod tests {
             let m0 = generate_valid(&cfg, seed);
             let c0 = cycle_count(&m0, &hls).unwrap();
             let mut m = m0.clone();
-            autophase_passes::o3::o3(&mut m);
+            autophase_passes::o3::o3_checked(&mut m, &Default::default());
             let c1 = cycle_count(&m, &hls).unwrap();
             if c1 < c0 {
                 better += 1;

@@ -16,32 +16,14 @@ pub enum Crossover {
     Uniform,
 }
 
-/// GA hyperparameters.
-#[derive(Debug, Clone)]
-pub struct GaConfig {
-    /// Population size.
-    pub population: usize,
-    /// Tournament size for selection.
-    pub tournament: usize,
-    /// Per-gene mutation probability.
-    pub mutation_prob: f64,
-    /// Crossover operator.
-    pub crossover: Crossover,
-    /// Fraction of elites copied unchanged.
-    pub elitism: f64,
-}
-
-impl Default for GaConfig {
-    fn default() -> GaConfig {
-        GaConfig {
-            population: 24,
-            tournament: 3,
-            mutation_prob: 0.08,
-            crossover: Crossover::TwoPoint,
-            elitism: 0.1,
-        }
-    }
-}
+/// Population size.
+const POPULATION: usize = 24;
+/// Tournament size for selection.
+const TOURNAMENT: usize = 3;
+/// Per-gene mutation probability.
+const MUTATION_PROB: f64 = 0.08;
+/// Fraction of elites copied unchanged.
+const ELITISM: f64 = 0.1;
 
 /// Run the GA until `budget` objective evaluations are spent.
 pub fn search(
@@ -49,11 +31,10 @@ pub fn search(
     num_actions: usize,
     seq_len: usize,
     budget: u64,
-    cfg: &GaConfig,
     seed: u64,
 ) -> SearchResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pop: Vec<(Vec<usize>, f64)> = (0..cfg.population)
+    let mut pop: Vec<(Vec<usize>, f64)> = (0..POPULATION)
         .map(|_| {
             let g: Vec<usize> = (0..seq_len)
                 .map(|_| rng.gen_range(0..num_actions))
@@ -74,17 +55,17 @@ pub fn search(
         .expect("nonempty population");
 
     while obj.samples() < budget {
-        let n_elite = ((cfg.population as f64 * cfg.elitism).ceil() as usize).max(1);
+        let n_elite = ((POPULATION as f64 * ELITISM).ceil() as usize).max(1);
         let mut sorted = pop.clone();
         sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
         let mut next: Vec<(Vec<usize>, f64)> = sorted[..n_elite].to_vec();
 
-        while next.len() < cfg.population && obj.samples() < budget {
-            let p1 = tournament(&pop, cfg.tournament, &mut rng);
-            let p2 = tournament(&pop, cfg.tournament, &mut rng);
-            let mut child = crossover(&pop[p1].0, &pop[p2].0, cfg.crossover, &mut rng);
+        while next.len() < POPULATION && obj.samples() < budget {
+            let p1 = tournament(&pop, TOURNAMENT, &mut rng);
+            let p2 = tournament(&pop, TOURNAMENT, &mut rng);
+            let mut child = crossover(&pop[p1].0, &pop[p2].0, Crossover::TwoPoint, &mut rng);
             for g in &mut child {
-                if rng.gen_bool(cfg.mutation_prob) {
+                if rng.gen_bool(MUTATION_PROB) {
                     *g = rng.gen_range(0..num_actions);
                 }
             }
@@ -154,7 +135,7 @@ mod tests {
     fn converges_to_target() {
         let target = vec![1, 3, 0, 2, 1, 0];
         let mut obj = Objective::new(target_obj(target.clone()));
-        let r = search(&mut obj, 4, 6, 3000, &GaConfig::default(), 5);
+        let r = search(&mut obj, 4, 6, 3000, 5);
         assert!(r.best_cost <= 1.0, "cost {}", r.best_cost);
     }
 
@@ -173,23 +154,9 @@ mod tests {
     #[test]
     fn budget_respected_and_deterministic() {
         let t = vec![2, 2, 2, 2];
-        let a = search(
-            &mut Objective::new(target_obj(t.clone())),
-            3,
-            4,
-            200,
-            &GaConfig::default(),
-            8,
-        );
-        let b = search(
-            &mut Objective::new(target_obj(t)),
-            3,
-            4,
-            200,
-            &GaConfig::default(),
-            8,
-        );
-        assert!(a.samples <= 200 + 24);
+        let a = search(&mut Objective::new(target_obj(t.clone())), 3, 4, 200, 8);
+        let b = search(&mut Objective::new(target_obj(t)), 3, 4, 200, 8);
+        assert!(a.samples <= 200 + POPULATION as u64);
         assert_eq!(a.best_sequence, b.best_sequence);
     }
 }

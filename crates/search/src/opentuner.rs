@@ -13,26 +13,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// Tuner parameters.
-#[derive(Debug, Clone)]
-pub struct TunerConfig {
-    /// Sliding-window length for the bandit's credit history.
-    pub window: usize,
-    /// Bandit exploration constant.
-    pub exploration: f64,
-    /// Shared population size per technique.
-    pub population: usize,
-}
-
-impl Default for TunerConfig {
-    fn default() -> TunerConfig {
-        TunerConfig {
-            window: 50,
-            exploration: 1.4,
-            population: 10,
-        }
-    }
-}
+/// Sliding-window length for the bandit's credit history.
+const WINDOW: usize = 50;
+/// Bandit exploration constant.
+const EXPLORATION: f64 = 1.4;
+/// Shared population size per technique.
+const POPULATION: usize = 10;
 
 /// Per-particle PSO state: (position, velocity, best position, best cost).
 type Particle = (Vec<f64>, Vec<f64>, Vec<f64>, f64);
@@ -58,7 +44,6 @@ pub fn search(
     num_actions: usize,
     seq_len: usize,
     budget: u64,
-    cfg: &TunerConfig,
     seed: u64,
 ) -> SearchResult {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -74,7 +59,7 @@ pub fn search(
     let xs = [Crossover::OnePoint, Crossover::TwoPoint, Crossover::Uniform];
     let mut techniques: Vec<Technique> = Vec::new();
     for &cx in &xs {
-        let particles = (0..cfg.population)
+        let particles = (0..POPULATION)
             .map(|_| {
                 let pos: Vec<f64> = (0..seq_len)
                     .map(|_| rng.gen_range(0.0..num_actions as f64))
@@ -91,7 +76,7 @@ pub fn search(
         });
     }
     for &cx in &xs {
-        let population = (0..cfg.population)
+        let population = (0..POPULATION)
             .map(|_| {
                 let g: Vec<usize> = (0..seq_len)
                     .map(|_| rng.gen_range(0..num_actions))
@@ -115,8 +100,8 @@ pub fn search(
         // Pick the technique with the best AUC + exploration bonus.
         let pick = (0..techniques.len())
             .max_by(|&a, &b| {
-                let sa = bandit_score(&history[a], uses[a], total_uses, cfg);
-                let sb = bandit_score(&history[b], uses[b], total_uses, cfg);
+                let sa = bandit_score(&history[a], uses[a], total_uses, EXPLORATION);
+                let sb = bandit_score(&history[b], uses[b], total_uses, EXPLORATION);
                 sa.partial_cmp(&sb).expect("finite scores")
             })
             .expect("nonempty ensemble");
@@ -138,7 +123,7 @@ pub fn search(
         }
         let h = &mut history[pick];
         h.push_back(improved);
-        if h.len() > cfg.window {
+        if h.len() > WINDOW {
             h.pop_front();
         }
     }
@@ -152,7 +137,7 @@ pub fn search(
 
 /// AUC score: recency-weighted success rate (newer successes weigh more —
 /// OpenTuner's "area under the curve" credit), plus a UCB exploration term.
-fn bandit_score(h: &VecDeque<bool>, uses: u64, total: u64, cfg: &TunerConfig) -> f64 {
+fn bandit_score(h: &VecDeque<bool>, uses: u64, total: u64, exploration: f64) -> f64 {
     let auc = if h.is_empty() {
         0.5
     } else {
@@ -167,7 +152,7 @@ fn bandit_score(h: &VecDeque<bool>, uses: u64, total: u64, cfg: &TunerConfig) ->
         }
         num / den
     };
-    auc + cfg.exploration * ((total as f64).ln() / (uses.max(1) as f64)).sqrt()
+    auc + exploration * ((total as f64).ln() / (uses.max(1) as f64)).sqrt()
 }
 
 fn propose(
@@ -267,7 +252,7 @@ mod tests {
     fn converges_on_simple_target() {
         let target = vec![2, 0, 1, 3, 2];
         let mut obj = Objective::new(target_obj(target));
-        let r = search(&mut obj, 4, 5, 4000, &TunerConfig::default(), 3);
+        let r = search(&mut obj, 4, 5, 4000, 3);
         assert!(r.best_cost <= 1.0, "cost {}", r.best_cost);
         assert_eq!(r.samples, 4000);
     }
@@ -275,37 +260,19 @@ mod tests {
     #[test]
     fn deterministic() {
         let t = vec![1, 1, 0];
-        let a = search(
-            &mut Objective::new(target_obj(t.clone())),
-            2,
-            3,
-            300,
-            &TunerConfig::default(),
-            12,
-        );
-        let b = search(
-            &mut Objective::new(target_obj(t)),
-            2,
-            3,
-            300,
-            &TunerConfig::default(),
-            12,
-        );
+        let a = search(&mut Objective::new(target_obj(t.clone())), 2, 3, 300, 12);
+        let b = search(&mut Objective::new(target_obj(t)), 2, 3, 300, 12);
         assert_eq!(a.best_sequence, b.best_sequence);
     }
 
     #[test]
     fn bandit_prefers_recent_success() {
-        let cfg = TunerConfig {
-            exploration: 0.0,
-            ..TunerConfig::default()
-        };
         let mut good = VecDeque::new();
         let mut bad = VecDeque::new();
         for i in 0..10 {
             good.push_back(i >= 5); // recent successes
             bad.push_back(i < 5); // old successes
         }
-        assert!(bandit_score(&good, 10, 20, &cfg) > bandit_score(&bad, 10, 20, &cfg));
+        assert!(bandit_score(&good, 10, 20, 0.0) > bandit_score(&bad, 10, 20, 0.0));
     }
 }

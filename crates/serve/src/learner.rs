@@ -42,9 +42,8 @@ use crate::engine::{
 };
 use crate::protocol::{refuse, ErrKind, Reply};
 use crate::server::{ServerConfig, StartError};
-use autophase_core::env::UNPROFILEABLE_CYCLES;
+use autophase_core::compile::cycles_of;
 use autophase_core::Quarantine;
-use autophase_hls::profile::profile_module;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
 use autophase_nn::mlp::Mlp;
@@ -382,8 +381,7 @@ impl Replay {
             .map(|(fp, program)| {
                 let mut m = program.clone();
                 engine.rollout(policy, &mut m, *fp, &quarantine, &self.fuel)?;
-                let cycles =
-                    profile_module(&m, &self.hls).map_or(UNPROFILEABLE_CYCLES, |r| r.cycles);
+                let cycles = cycles_of(&m, &self.hls);
                 Ok((cycles.max(1) as f64).ln())
             })
             .sum()

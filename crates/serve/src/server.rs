@@ -53,6 +53,7 @@ use crate::front::{front_memo, FrontMemo};
 use crate::learner::{LearnerConfig, Online};
 use crate::protocol::{self, refuse, ErrKind, Reply, Request, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
+use autophase_core::compile::UNPROFILEABLE_CYCLES;
 use autophase_core::eval_cache::fingerprint_module;
 use autophase_core::Quarantine;
 use autophase_hls::profile::profile_module;
@@ -64,7 +65,7 @@ use autophase_ir::Module;
 
 use autophase_nn::mlp::Mlp;
 use autophase_passes::checked::{apply_checked, FuelBudget};
-use autophase_passes::o3::o3_checked;
+use autophase_passes::o3::{o3_checked, O3_SEQUENCE};
 use autophase_rl::online::Experience;
 use autophase_telemetry::{
     self as telemetry, lock_recover, FlightConfig, FlightRecorder, TraceBuilder,
@@ -864,9 +865,10 @@ fn compile(
         shared
             .online
             .record(version, fp, &module, exp, inserted, || {
-                let mut m = module.clone();
-                let _ = o3_checked(&mut m, &shared.cfg.fuel);
-                profile_module(&m, &shared.hls).ok().map(|r| r.cycles)
+                let fuel = &shared.cfg.fuel;
+                let (_, _, o3) =
+                    autophase_core::compile::compile(&module, O3_SEQUENCE, fuel, &shared.hls);
+                (o3 != UNPROFILEABLE_CYCLES).then_some(o3)
             });
     }
 

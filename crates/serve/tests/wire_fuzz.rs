@@ -6,12 +6,26 @@
 //! or body, `UnexpectedEof` for a cut one). Never a panic, and never an
 //! allocation past `MAX_IR_LEN`, whatever length a header announces: a
 //! peak-tracking global allocator holds the whole process to that.
+//!
+//! Then live: one daemon on an ephemeral port takes arbitrary bytes and
+//! cut requests on real connections, each half-closed after the write.
+//! Every connection must end within a read timeout in well-formed
+//! replies — a typed `ERR` for a malformed header — and the daemon's
+//! close, and the daemon must still answer `PING` and `COMPILE` after.
 
-use autophase_serve::protocol::{read_request, write_request, Request, MAX_IR_LEN};
+use autophase_nn::mlp::{Activation, Mlp};
+use autophase_serve::client::Client;
+use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::protocol::{
+    read_reply, read_request, write_request, Reply, Request, Source, MAX_IR_LEN,
+};
+use autophase_serve::server::{Server, ServerConfig};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{BufReader, ErrorKind};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// Records the largest single allocation the process ever asked for.
 struct PeakAlloc;
@@ -177,4 +191,97 @@ proptest! {
             prop_assert!(got.len() <= 1, "cut {cut}: {got:?}");
         }
     }
+}
+
+/// Cases of the live fuzz: one connection each.
+const LIVE_CASES: u32 = 128;
+
+/// Write `bytes` to the daemon on a fresh connection, half-close it, and
+/// read what comes back until the daemon closes: well-formed replies,
+/// then EOF — or a reset, when it hung up after a typed `ERR` with bytes
+/// of ours still unread. A read that times out fails the case. Returns
+/// whether the daemon refused.
+fn drive(addr: SocketAddr, bytes: &[u8]) -> bool {
+    let what = || String::from_utf8_lossy(bytes).into_owned();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    // The daemon may have refused and hung up before taking every byte.
+    let _ = (&stream).write_all(bytes);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut r = BufReader::new(stream);
+    let mut refused = false;
+    loop {
+        let ended = match r.fill_buf() {
+            Ok(buf) => buf.is_empty(),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset && refused => true,
+            Err(e) => panic!("{:?}: {e} on {:?}", e.kind(), what()),
+        };
+        if ended {
+            return refused;
+        }
+        match read_reply(&mut r) {
+            Ok(Reply::Err { .. }) => refused = true,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset && refused => return refused,
+            Err(e) => panic!("{:?}: {e} on {:?}", e.kind(), what()),
+        }
+    }
+}
+
+/// What one live case writes: arbitrary bytes, or a strict prefix of an
+/// encoded request of any verb but `SHUTDOWN` (whose whole header, cut
+/// before its newline, still reads as a shutdown).
+fn live_input(rng: &mut TestRng) -> Vec<u8> {
+    if any::<bool>().generate(rng) {
+        return collection::vec(any::<u8>(), 0..2048).generate(rng);
+    }
+    let kind = [0, 1, 2, 4, 5, 6, 7][(0usize..7).generate(rng)];
+    let ir = collection::vec(any::<u8>(), 0..96).generate(rng);
+    let (a, b) = (any::<u64>().generate(rng), any::<u64>().generate(rng));
+    let req = request(kind, &ir, a, b, any::<bool>().generate(rng));
+    let mut bytes = Vec::new();
+    write_request(&mut bytes, &req).expect("a Vec takes every write");
+    bytes.truncate((0..bytes.len()).generate(rng));
+    bytes
+}
+
+#[test]
+fn a_live_daemon_ends_every_hostile_connection_and_keeps_serving() {
+    let store = std::env::temp_dir().join(format!(
+        "autophase_serve_wire_fuzz_{}.log",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
+    let cfg = ServerConfig {
+        store_path: store.clone(),
+        ..ServerConfig::default()
+    };
+    let policy = Mlp::new(
+        &[serve_obs_dim(), 32, serve_num_actions()],
+        Activation::Tanh,
+        7,
+    );
+    let server = Server::start(policy, cfg).expect("server starts");
+    let refused = (0..LIVE_CASES)
+        .filter(|&case| {
+            let mut rng = TestRng::for_case("wire_fuzz::live", case);
+            drive(server.addr(), &live_input(&mut rng))
+        })
+        .count();
+    // Both endings were exercised: refusals, and closes without one.
+    assert!(refused > 0 && refused < LIVE_CASES as usize, "{refused}");
+    let peak = PEAK.load(Ordering::Relaxed);
+    assert!(peak <= MAX_IR_LEN, "an allocation of {peak} bytes");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ping().expect("PING after the fuzz");
+    let gsm = autophase_benchmarks::suite::by_name("gsm").expect("gsm");
+    let ir = autophase_ir::printer::print_module(&gsm);
+    let reply = client
+        .compile(&ir, None, false)
+        .expect("COMPILE after the fuzz");
+    assert_eq!(reply.source, Source::Policy, "{reply:?}");
+    server.shutdown();
+    let _ = std::fs::remove_file(&store);
 }

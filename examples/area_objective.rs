@@ -6,7 +6,8 @@
 //! cargo run --release --example area_objective [benchmark-name]
 //! ```
 
-use autophase::core::env::{sequence_cycles, EnvConfig, Objective, PhaseOrderEnv};
+use autophase::core::compile::compile;
+use autophase::core::env::{EnvConfig, Objective, PhaseOrderEnv};
 use autophase::hls::{profile::profile_module, HlsConfig};
 use autophase::rl::env::Environment;
 use autophase::search::{greedy, Objective as SearchObjective};
@@ -50,8 +51,7 @@ fn main() {
         });
         let r = greedy::search(&mut obj, 45, 10, 400, None);
         // Report both metrics for the found ordering.
-        let mut m = program.clone();
-        autophase::passes::registry::apply_sequence(&mut m, &r.best_sequence);
+        let (m, _, _) = compile(&program, &r.best_sequence, &cfg.fuel, &hls);
         let (c, a) = stats(&m);
         let seq_names: Vec<&str> = r
             .best_sequence
@@ -65,5 +65,4 @@ fn main() {
         );
         println!("                 ordering: {}\n", seq_names.join(" "));
     }
-    let _ = sequence_cycles(&program, &[], &hls);
 }

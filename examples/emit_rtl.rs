@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut optimized = module.clone();
-    autophase::passes::o3::o3(&mut optimized);
+    autophase::passes::o3::o3_checked(&mut optimized, &Default::default());
     let report2 = profile_module(&optimized, &hls)?;
     let verilog2 = rtl::emit_module(&optimized, &hls);
     println!(

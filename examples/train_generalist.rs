@@ -6,7 +6,8 @@
 //! cargo run --release --example train_generalist
 //! ```
 
-use autophase::core::env::{o3_cycles, FeatureNorm};
+use autophase::core::compile::o3_cycles;
+use autophase::core::env::FeatureNorm;
 use autophase::core::experiment::{infer_sequence, train_generalist};
 use autophase::hls::HlsConfig;
 use autophase::progen::{program_batch, GenConfig};

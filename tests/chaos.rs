@@ -22,9 +22,8 @@
 //! [`fault::test_guard`] for its full duration.
 #![cfg(feature = "fault-injection")]
 
-use autophase::core::env::{
-    apply_and_profile, EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind,
-};
+use autophase::core::compile::o0_cycles;
+use autophase::core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use autophase::core::Quarantine;
 use autophase::features::extract;
 use autophase::hls::HlsConfig;
@@ -273,7 +272,7 @@ fn rollback_restores_incremental_state_and_caches() {
         // cache-free profile of the very same module.
         assert_eq!(
             env.cycles(),
-            apply_and_profile(&m, &[], &hls).1,
+            o0_cycles(&m, &hls),
             "{kind:?}: cached cycles of the rolled-back state"
         );
 

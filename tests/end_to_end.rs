@@ -2,7 +2,8 @@
 //! trained agent to measured circuit, in miniature.
 
 use autophase::core::algorithms::{run_algorithm, Algorithm, Budget};
-use autophase::core::env::{o0_cycles, o3_cycles, EnvConfig, ObservationKind, PhaseOrderEnv};
+use autophase::core::compile::{o0_cycles, o3_cycles};
+use autophase::core::env::{EnvConfig, ObservationKind, PhaseOrderEnv};
 use autophase::hls::{profile::profile_module, HlsConfig};
 use autophase::rl::env::Environment;
 use autophase::rl::ppo::{PpoAgent, PpoConfig};
@@ -80,7 +81,7 @@ fn trained_ppo_beats_random_policy_on_gsm() {
 fn greedy_matches_exhaustive_on_restricted_space() {
     // On a 3-pass candidate set with length-2 sequences, compare greedy
     // against brute force.
-    use autophase::core::env::sequence_cycles;
+    use autophase::core::compile::sequence_cycles;
     use autophase::search::{greedy, Objective};
     let program = autophase::benchmarks::suite::by_name("gsm").unwrap();
     let hls = HlsConfig::default();

@@ -1,7 +1,7 @@
 //! Shape-level checks of the paper's qualitative claims, on our simulated
 //! substrate (EXPERIMENTS.md records the quantitative side).
 
-use autophase::core::env::sequence_cycles;
+use autophase::core::compile::sequence_cycles;
 use autophase::hls::HlsConfig;
 use autophase::ir::Module;
 
@@ -152,7 +152,7 @@ fn action_and_feature_spaces_match_paper() {
 /// least be distinctly negative across the suite.
 #[test]
 fn o0_is_markedly_worse_than_o3() {
-    use autophase::core::env::{o0_cycles, o3_cycles};
+    use autophase::core::compile::{o0_cycles, o3_cycles};
     let hls = HlsConfig::default();
     let mut total = 0.0;
     let suite = autophase::benchmarks::suite();
