@@ -91,10 +91,14 @@ dead-pub:
 # end in a request, EOF or a typed error, never past MAX_IR_LEN — in
 # memory, then on a live daemon's connections, which must each end in
 # well-formed replies and a close within a read timeout while the
-# daemon keeps answering PING and COMPILE.
+# daemon keeps answering PING and COMPILE. Last, the IR sidecar: on
+# CHStone + 200 corpus programs every IR hit is served from it, byte for
+# byte a replay of its passes, and a restart, a lost sidecar and a
+# superseded entry each fall back to one replay that rebuilds it.
 serve-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test smoke
 	$(CARGO) test -q --release -p autophase-serve --test wire_fuzz
+	$(CARGO) test -q --release -p autophase-serve --test ir_artifacts
 
 # Live-introspection smoke (DESIGN.md §4i): a chaos-armed daemon under
 # mixed traffic, then STATS parsed over the wire (per-stage p50/p95/p99
@@ -107,9 +111,10 @@ trace-smoke:
 # Durability smoke (DESIGN.md §4j): the APSTORE2 crash-recovery
 # property matrix plus live-daemon self-healing tests (a forward panic
 # degrading one request, checkpoint armor, client retry), the disk-fault
-# chaos suite (store, then a failed checkpoint save), the kill -9 drill
-# (12 real SIGKILLs of a writer process, no acked record lost), and the
-# store's reopen/compaction size pins at 10k entries. Under a minute.
+# chaos suite (store, its IR sidecar, then a failed checkpoint save), the
+# kill -9 drill (12 real SIGKILLs of a writer process, no acked record
+# lost), and the store's reopen/compaction size pins at 10k entries.
+# Under a minute.
 durability-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test durability
 	$(CARGO) test -q --release -p autophase-serve --features fault-injection --test faultfs_chaos

@@ -414,7 +414,9 @@ fn render_dashboard(snap: &StatsSnapshot, rates: Option<(&StatsSnapshot, f64)>) 
     );
     let _ = writeln!(
         out,
-        "  store      {hit_rate:9.1}%   hit rate ({hits}/{lookups} lookups)"
+        "  store      {hit_rate:9.1}%   hit rate ({hits}/{lookups} lookups)   IR artifact/replayed {}/{}",
+        snap.counter("serve.store", "ir_artifact"),
+        snap.counter("serve.store", "ir_replayed")
     );
     let _ = writeln!(
         out,

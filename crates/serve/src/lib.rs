@@ -15,6 +15,8 @@
 //!   policy forward on the request's own thread;
 //! * [`store`] — the crash-safe append-only log memoizing the best
 //!   known ordering per program fingerprint across restarts;
+//! * `artifacts` — the unsynced sidecar beside the store holding each
+//!   answer's optimized IR, so a hit that carries IR replays nothing;
 //! * `front` — the in-memory memo from request text to fingerprint that
 //!   lets a byte-identical repeat reach the store without being parsed;
 //! * [`server`] — bounded admission, per-request deadlines, typed
@@ -58,6 +60,7 @@
 //! ```
 #![warn(missing_docs)]
 
+mod artifacts;
 pub mod client;
 pub mod engine;
 mod front;

@@ -14,12 +14,15 @@
 //!
 //! 1. **store** — fingerprint the parsed module and serve the persistent
 //!    best-known ordering: no inference, no profiling, O(1). A hit that
-//!    must carry IR replays the stored passes first; if one no longer
-//!    applies cleanly the entry is retired and the request recomputes
-//!    cold, so a reply's IR always matches its reported numbers. A text
-//!    this process has already accepted byte for byte skips the front end
-//!    too: the `front` memo remembers its fingerprint, and it is parsed
-//!    again only if its module is needed.
+//!    must carry IR serves the text kept beside the store for that very
+//!    entry (`artifacts`), printed once when the answer was computed. With
+//!    no such text it replays the stored passes, and its print becomes
+//!    the entry's artifact; if a pass no longer applies cleanly the entry
+//!    is retired and the request recomputes cold, so a reply's IR always
+//!    matches its reported numbers. A text this process has already
+//!    accepted byte for byte skips the front end too: the `front` memo
+//!    remembers its fingerprint, and it is parsed again only if a replay
+//!    or the cold path needs its module.
 //! 2. **policy** — greedy rollout on this handler thread
 //!    ([`crate::engine::InferenceEngine::choose_sequence_report`]), every pass
 //!    applied transactionally with quarantine bookkeeping.
@@ -48,6 +51,7 @@
 //! The online-learning half — registry, learner, per-version ledger and
 //! the one promotion gate — is [`crate::learner`]'s.
 
+use crate::artifacts::{sidecar_path, IrArtifacts};
 use crate::engine::{EngineConfig, InferenceEngine};
 use crate::front::{front_memo, FrontMemo};
 use crate::learner::{LearnerConfig, Online};
@@ -243,6 +247,9 @@ struct Shared {
     /// traffic is probes, so they must not serialize.
     front: RwLock<FrontMemo>,
     store: Mutex<BestStore>,
+    /// Each answer's optimized IR, beside the store. Its own lock: reads
+    /// and unsynced appends never wait on a record's fsync.
+    artifacts: IrArtifacts,
     /// While `Some(t)` and `now < t`, recording is down (the disk
     /// filled): compiles keep answering but skip persistence until the
     /// backoff elapses, then the next record retries the disk.
@@ -335,6 +342,9 @@ impl Server {
         if store.dropped_on_open() {
             telemetry::incr("serve.store", "torn_tail_dropped", 1);
         }
+        let ir_path = sidecar_path(&cfg.store_path);
+        let artifacts = IrArtifacts::open(&ir_path)
+            .map_err(|e| StartError(format!("store {}: {e}", ir_path.display())))?;
         let hls = HlsConfig::default().with_profile_fuel(cfg.profile_fuel);
         if cfg.telemetry {
             telemetry::enable();
@@ -348,6 +358,7 @@ impl Server {
             engine,
             front: RwLock::new(front_memo()),
             store: Mutex::new(store),
+            artifacts,
             online,
             record_down_until: Mutex::new(None),
             quarantine: Quarantine::default(),
@@ -645,6 +656,54 @@ fn record_best(shared: &Shared, fp: u64, entry: BestEntry) -> bool {
     }
 }
 
+/// Keep `text` beside the store as the IR of `entry`, the answer for `fp`.
+/// Unsynced and never part of an acknowledgment: a failed append is
+/// counted (`serve.store{ir_append_error}`) and costs a later hit one
+/// replay, never this request its record or its reply.
+fn keep_ir(shared: &Shared, fp: u64, entry: &BestEntry, text: &str) {
+    if shared.artifacts.put(fp, entry, text).is_err() {
+        telemetry::incr("serve.store", "ir_append_error", 1);
+    }
+}
+
+/// The optimized IR of a store hit. The text kept beside the store for
+/// this very entry is served as it is (`ir=artifact`): it is the IR whose
+/// cycles the entry reports, so nothing is parsed, replayed or checked
+/// against today's fuel and quarantine, exactly as for a numbers-only hit.
+/// With none kept (a store older than its sidecar, a lost sidecar, an
+/// entry recorded by hand) the stored passes are replayed (`ir=replay`)
+/// and the print is kept for the next hit. `None` when a replayed pass
+/// faults or runs out of fuel: the entry can no longer back its numbers.
+fn stored_ir(
+    shared: &Shared,
+    trace: &mut TraceBuilder,
+    fp: u64,
+    entry: &BestEntry,
+    text: &str,
+    module: Option<&Module>,
+) -> Option<String> {
+    let kept = shared.artifacts.get(fp, entry);
+    if kept.is_some() {
+        telemetry::incr("serve.store", "ir_artifact", 1);
+        trace.note("ir", "artifact");
+        return kept;
+    }
+    telemetry::incr("serve.store", "ir_replayed", 1);
+    trace.note("ir", "replay");
+    // A first sight's module stays intact for the cold path; a memoized
+    // text was never parsed.
+    let mut m = match module {
+        Some(m) => m.clone(),
+        None => parse_text(text, false).ok()?,
+    };
+    for &p in &entry.seq {
+        apply_checked(&mut m, p as usize, &shared.cfg.fuel).ok()?;
+    }
+    let out = print_module(&m);
+    keep_ir(shared, fp, entry, &out);
+    Some(out)
+}
+
 /// Parse request text, and verify it unless these exact bytes are already
 /// known to verify. The parser is total on untrusted text with a
 /// module-wide arena budget, and the verifier total on parser output, so
@@ -701,7 +760,7 @@ fn compile(
     within(shared, deadline, "before parse")?;
 
     // Front memo: bytes this process has already parsed, verified and
-    // fingerprinted need their module again only to carry IR or to
+    // fingerprinted need their module again only to replay or to
     // recompute cold. First sight runs the whole front end.
     let known_fp = shared
         .front
@@ -711,8 +770,8 @@ fn compile(
         .copied();
     trace.note("front", if known_fp.is_some() { "hit" } else { "miss" });
     let parsed = match known_fp {
-        Some(_) if !want_ir => Ok(None),
-        _ => parse_text(&ir, known_fp.is_none()).map(Some),
+        Some(_) => Ok(None),
+        None => parse_text(&ir, true).map(Some),
     };
     trace.mark("parse");
     let module = parsed.map_err(|msg| refuse(ErrKind::Parse, None, msg))?;
@@ -734,25 +793,12 @@ fn compile(
     let hit = lock_recover(&shared.store).lookup(fp).cloned();
     trace.mark("store");
     if let Some(entry) = hit {
-        let passes: Vec<usize> = entry.seq.iter().map(|&p| p as usize).collect();
-        // The stored cycles/passes were computed from the IR the stored
-        // ordering produces, so a reply carrying IR must replay cleanly:
-        // if a stored pass now faults or runs out of fuel (quarantine or
-        // config drift since it was recorded), the entry can no longer
-        // back its numbers. Retire it and recompute cold instead of
-        // serving IR that disagrees with the reported cycles.
-        let replayed = match &module {
-            Some(module) if want_ir => {
-                let mut m = module.clone();
-                let out = passes
-                    .iter()
-                    .try_for_each(|&p| apply_checked(&mut m, p, &shared.cfg.fuel).map(|_| ()))
-                    .ok()
-                    .map(|()| Some(print_module(&m)));
-                trace.mark("replay");
-                out
-            }
-            _ => Some(None),
+        let replayed = if want_ir {
+            let out = stored_ir(shared, trace, fp, &entry, &ir, module.as_ref());
+            trace.mark("replay");
+            out.map(Some)
+        } else {
+            Some(None)
         };
         match replayed {
             Some(ir_out) => {
@@ -761,7 +807,7 @@ fn compile(
                     source: Source::Store,
                     cycles: entry.cycles,
                     baseline_cycles: entry.baseline_cycles,
-                    passes,
+                    passes: entry.seq.iter().map(|&p| p as usize).collect(),
                     ir: ir_out,
                 });
             }
@@ -779,9 +825,9 @@ fn compile(
     // request that can no longer make its deadline.
     within(shared, deadline, "before rollout")?;
 
-    // A memoized text that asked for numbers only and found no store
-    // entry (never recorded, or retired since) goes cold like any miss,
-    // so it is parsed after all — on the `baseline_profile` segment.
+    // A memoized text that found no store entry (never recorded, or
+    // retired since) goes cold like any miss, so it is parsed after all —
+    // on the `baseline_profile` segment.
     let module = match module {
         Some(m) => m,
         None => parse_text(&ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?,
@@ -851,7 +897,14 @@ fn compile(
         baseline_cycles,
         seq: passes.iter().map(|&p| p as u16).collect(),
     };
-    let inserted = record_best(shared, fp, entry);
+    let inserted = record_best(shared, fp, entry.clone());
+    // A recorded answer's IR is printed once, here: kept beside the store
+    // for every later hit that wants it, and this reply's IR if it asked.
+    let ir_out = inserted.then(|| {
+        let text = print_module(&optimized);
+        keep_ir(shared, fp, &entry, &text);
+        text
+    });
     trace.mark("record");
 
     // Strictly after the answer is computed: credit the policy version
@@ -878,7 +931,7 @@ fn compile(
         cycles,
         baseline_cycles,
         passes,
-        ir: want_ir.then(|| print_module(&optimized)),
+        ir: want_ir.then(|| ir_out.unwrap_or_else(|| print_module(&optimized))),
     })
 }
 

@@ -29,7 +29,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn wipe(path: &Path) {
-    for suffix in ["", ".snap", ".snap.tmp", ".snap.corrupt", ".tmp"] {
+    for suffix in ["", ".snap", ".snap.tmp", ".snap.corrupt", ".tmp", ".ir"] {
         let _ = std::fs::remove_file(PathBuf::from(format!("{}{suffix}", path.display())));
     }
 }
@@ -107,6 +107,100 @@ fn enospc_degrades_to_serving_without_recording_then_recovers() {
     let r4 = client.compile(&ir, Some(60_000), false).expect("warm");
     assert_eq!(r4.source, Source::Store, "recording must have recovered");
 
+    server.shutdown();
+    wipe(&store);
+}
+
+/// The IR sidecar beside the store is a cache, not a record: while every
+/// append to it fails (`ENOSPC`, or torn mid-frame), cold answers are
+/// still acknowledged and stored, IR replies still carry the right text
+/// (replayed), and each failure is only counted. Once the disk recovers,
+/// the next IR hit rebuilds the artifact, which survives a restart over
+/// whatever torn bytes the failures left.
+#[test]
+fn a_failed_ir_append_never_fails_the_record_or_the_reply() {
+    let _guard = test_guard();
+    clear_plan();
+    let store = tmp("ir_append");
+    wipe(&store);
+    let start = || {
+        Server::start(
+            Mlp::new(
+                &[serve_obs_dim(), 32, serve_num_actions()],
+                Activation::Tanh,
+                7,
+            ),
+            ServerConfig {
+                store_path: store.clone(),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts")
+    };
+    let programs: Vec<String> = suite()[..2]
+        .iter()
+        .map(|b| autophase_ir::printer::print_module(&b.module))
+        .collect();
+    let server = start();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let append_errors =
+        |c: &mut Client| c.stats().unwrap().counter("serve.store", "ir_append_error");
+    let mut texts = Vec::new();
+    for (ir, kind) in programs
+        .iter()
+        .zip([DiskFaultKind::Enospc, DiskFaultKind::TornWrite])
+    {
+        let before = append_errors(&mut client);
+        let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+            op: DiskOp::Write,
+            tag: Some("store.ir".to_string()),
+            nth: 0,
+            kind,
+            salt: 0x5EED,
+        }]));
+        let cold = client.compile(ir, Some(60_000), true).expect("cold");
+        assert_eq!(cold.source, Source::Policy, "{kind:?}");
+        let text = cold.ir.expect("asked for IR");
+        let numbers = client.compile(ir, Some(60_000), false).expect("hit");
+        assert_eq!(
+            numbers.source,
+            Source::Store,
+            "{kind:?}: the record was acked"
+        );
+        let again = client.compile(ir, Some(60_000), true).expect("IR hit");
+        assert_eq!(again.source, Source::Store, "{kind:?}");
+        assert_eq!(again.ir.as_ref(), Some(&text), "{kind:?}: replayed");
+        assert_eq!(
+            plan.fired(),
+            2,
+            "{kind:?}: the cold append and the replay's"
+        );
+        clear_plan();
+        assert_eq!(append_errors(&mut client) - before, 2, "{kind:?}");
+        texts.push(text);
+    }
+    // The disk is back: one replay per program keeps its artifact.
+    for (ir, text) in programs.iter().zip(&texts) {
+        let hit = client.compile(ir, Some(60_000), true).expect("IR hit");
+        assert_eq!(hit.ir.as_ref(), Some(text));
+    }
+    drop(client);
+    server.shutdown();
+
+    let server = start();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let replayed = |c: &mut Client| c.stats().unwrap().counter("serve.store", "ir_replayed");
+    let before = replayed(&mut client);
+    for (ir, text) in programs.iter().zip(&texts) {
+        let hit = client.compile(ir, Some(60_000), true).expect("IR hit");
+        assert_eq!((hit.source, hit.ir.as_ref()), (Source::Store, Some(text)));
+    }
+    assert_eq!(
+        replayed(&mut client),
+        before,
+        "both served from the sidecar"
+    );
+    drop(client);
     server.shutdown();
     wipe(&store);
 }
