@@ -2,7 +2,11 @@
 //! `PpoAgent::update`s and one `A2cAgent::update` leave behind, and the
 //! curve and weights of every trainer's whole `train` loop (PPO serial
 //! and parallel, A2C, ES on `ChainEnv`; RL-PPO3 on `matmul`), pinned as
-//! FNV-1a hashes of their `f64` bits in `golden/train_update.txt`.
+//! FNV-1a hashes of their `f64` bits in `golden/train_update.txt`. Two
+//! more lines hash the whole serialized networks after `ppo48` and
+//! `a2c100` (`Mlp::to_bytes`: Adam moments and step counter included),
+//! so a change that kept the weights but moved the optimizer state fails
+//! too.
 //!
 //! The file was generated by the code *before* the update's kernels were
 //! batched (layer-major backward through `gemm_kt`, lane-kernel Adam,
@@ -17,6 +21,7 @@
 
 use autophase::core::multi::{MultiActionAgent, MultiConfig};
 use autophase::hls::HlsConfig;
+use autophase::nn::Mlp;
 use autophase::rl::a2c::{A2cAgent, A2cConfig};
 use autophase::rl::env::{ChainEnv, Environment};
 use autophase::rl::es::{EsAgent, EsConfig};
@@ -33,13 +38,24 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/train_update.txt")
 }
 
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn fnv1a_bits(params: &[f64]) -> u64 {
-    params
-        .iter()
-        .flat_map(|p| p.to_bits().to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv1a(params.iter().flat_map(|p| p.to_bits().to_le_bytes()))
+}
+
+/// The whole optimizer state of both networks — weights, biases, both
+/// Adam moments and the step counter, in the codec's on-disk order.
+fn state_line(name: &str, policy: &Mlp, value: &Mlp) -> String {
+    format!(
+        "{name}-state policy {:016x} value {:016x}\n",
+        fnv1a(policy.to_bytes()),
+        fnv1a(value.to_bytes())
+    )
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -160,9 +176,11 @@ fn render_train(out: &mut String) {
     .unwrap();
 }
 
-/// One line per case: the policy and value weights' hashes.
+/// One line per case: the policy and value weights' hashes; then the
+/// whole optimizer state after `ppo48` and `a2c100`.
 fn render() -> String {
     let mut out = String::new();
+    let mut states = String::new();
     // Default 256x256 PPO; minibatch 64, so 12 and 48 transitions are one
     // minibatch per epoch (the benchmark's two update sizes) and 100
     // splits 64 + 36.
@@ -182,6 +200,9 @@ fn render() -> String {
             fnv1a_bits(&agent.value.parameters())
         )
         .unwrap();
+        if name == "ppo48" {
+            states.push_str(&state_line(name, &agent.policy, &agent.value));
+        }
     }
     // A2C chunks a batch by 64: 100 transitions are two `backward_batch`
     // calls (64 + 36) before the single `step`.
@@ -196,7 +217,9 @@ fn render() -> String {
         fnv1a_bits(&agent.value.parameters())
     )
     .unwrap();
+    states.push_str(&state_line("a2c100", &agent.policy, &agent.value));
     render_train(&mut out);
+    out.push_str(&states);
     out
 }
 
