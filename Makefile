@@ -167,7 +167,9 @@ pass-golden:
 # the env-driven inference printed (DESIGN.md §4e "One compilation"),
 # and the three walkers of the one step (SIMD/incremental engine, scalar
 # from-scratch reference, the trainer's env) agree at zero tolerance —
-# a codegen property, so it is checked where the codegen differs.
+# a codegen property, so it is checked where the codegen differs. So do
+# the nn kernels against their scalar references (forward, backward
+# with its `gemm_rt` hand-off, Adam), in optimized code too.
 # No wall-clock gates beyond the scaling ratios: what the fast paths
 # cost is read from the benchmark's layer metrics (`make bench`).
 perf-smoke:
@@ -180,6 +182,7 @@ perf-smoke:
 	$(CARGO) test -q --release -p autophase-core --test env_trajectory_golden
 	$(CARGO) test -q --release -p autophase-core --test ordering_golden
 	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
+	$(CARGO) test -q --release -p autophase-nn --test simd_diff
 
 # SIMD feature matrix (DESIGN.md §4k): the nn crate must build, test,
 # and lint clean with and without its kernels — default (`simd`) and

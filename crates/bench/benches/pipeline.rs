@@ -8,7 +8,8 @@ use autophase_core::compile::sequence_cycles;
 use autophase_core::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::extract;
 use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsConfig};
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
+use autophase_nn::simd::{gemm_kt, gemm_rt};
+use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use autophase_rl::env::Environment;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -133,7 +134,9 @@ fn bench_progen(c: &mut Criterion) {
 /// benchmark's two update sizes and the serving layout's two shapes
 /// (DESIGN.md §4k "training kernels"). `step` is a no-op without pending
 /// gradients, so it is timed together with the `backward_batch` that
-/// feeds it; subtract the line above.
+/// feeds it; subtract the line above. Then the backward's two 256×256
+/// products side by side: the hand-off `gemm_rt` (row-major reads of the
+/// k-major `Wᵀ`) against the forward's `gemm_kt` over the same slab.
 fn bench_nn_update(c: &mut Criterion) {
     for (net, sizes) in [
         ("policy", [42usize, 256, 256, 18]),
@@ -141,7 +144,6 @@ fn bench_nn_update(c: &mut Criterion) {
     ] {
         for batch in [12usize, 48] {
             let mut mlp = Mlp::new(&sizes, Activation::Tanh, 12);
-            let mut soa = SoaMlp::from_mlp(&mlp);
             let mut ws = BatchWorkspace::new();
             let mut scratch = GradScratch::new();
             let obs: Vec<Vec<f64>> = (0..batch)
@@ -154,17 +156,17 @@ fn bench_nn_update(c: &mut Criterion) {
             let grads: Vec<f64> = (0..batch * sizes[3])
                 .map(|i| (i as f64 * 0.11).cos() * 0.1)
                 .collect();
-            let stage = |soa: &SoaMlp, ws: &mut BatchWorkspace| {
-                ws.begin(soa);
+            let stage = |mlp: &Mlp, ws: &mut BatchWorkspace| {
+                ws.begin(mlp);
                 for o in &obs {
                     ws.push_input(o);
                 }
-                soa.forward_batch(ws);
+                mlp.forward_batch(ws);
             };
             let name = |what: &str| format!("nn_update/{what} {net} b{batch}");
             c.bench_function(&name("forward_batch"), |b| {
                 b.iter(|| {
-                    stage(&soa, &mut ws);
+                    stage(&mlp, &mut ws);
                     black_box(ws.logits(0)[0])
                 })
             });
@@ -177,10 +179,24 @@ fn bench_nn_update(c: &mut Criterion) {
                     mlp.step(3e-4);
                 })
             });
-            c.bench_function(&name("refresh"), |b| {
+        }
+    }
+    let width = autophase_nn::simd::picked();
+    let slab: Vec<f64> = (0..256 * 256).map(|i| (i as f64 * 0.013).sin()).collect();
+    for batch in [12usize, 48] {
+        let xs: Vec<f64> = (0..batch * 256).map(|i| (i as f64 * 0.07).cos()).collect();
+        let mut ys = vec![0.0; batch * 256];
+        for (kernel, product) in [
+            (
+                "gemm_kt",
+                gemm_kt as fn(&[f64], &[f64], &mut [f64], usize, KernelWidth),
+            ),
+            ("gemm_rt", gemm_rt),
+        ] {
+            c.bench_function(&format!("nn_update/{kernel} 256x256 b{batch}"), |b| {
                 b.iter(|| {
-                    soa.refresh(&mlp);
-                    black_box(soa.output_dim())
+                    product(&slab, &xs, &mut ys, batch, width);
+                    black_box(ys[0])
                 })
             });
         }

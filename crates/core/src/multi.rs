@@ -12,7 +12,7 @@ use crate::compile::{compile, sequence_cycles};
 use autophase_features::{extract, normalize_to_inst_count, NUM_FEATURES};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
-use autophase_nn::{softmax, Activation, Mlp};
+use autophase_nn::{softmax, Activation, BatchWorkspace, Mlp};
 use autophase_passes::checked::FuelBudget;
 use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::rollout::sample_action;
@@ -140,6 +140,7 @@ impl MultiActionAgent {
         self.samples += 1;
         let mut best_cycles = sequence_cycles(program, &best_seq, hls);
         let fuel = FuelBudget::default();
+        let (mut pws, mut vws) = (BatchWorkspace::new(), BatchWorkspace::new());
         for _ in 0..iterations {
             let mut batch: Vec<MultiTransition> = Vec::new();
             for _ in 0..self.cfg.episodes_per_iter {
@@ -149,9 +150,9 @@ impl MultiActionAgent {
                 let (mut compiled, _, mut prev) = compile(program, &seq, &fuel, hls);
                 for _ in 0..self.cfg.episode_len {
                     let obs = Self::observe(&seq, &compiled);
-                    let logits = self.policy.forward(&obs);
-                    let (sub, logp) = self.sample_subactions(&logits);
-                    let v = self.value.forward(&obs)[0];
+                    let logits = self.policy.forward_one(&obs, &mut pws);
+                    let (sub, logp) = self.sample_subactions(logits);
+                    let v = self.value.forward_one(&obs, &mut vws)[0];
                     let next = Self::apply_subactions(&seq, &sub);
                     self.samples += 1;
                     let (next_compiled, _, cycles) = compile(program, &next, &fuel, hls);
@@ -181,9 +182,10 @@ impl MultiActionAgent {
         // Monte-Carlo advantage per step (episodes are short).
         let mut adv: Vec<f64> = batch.iter().map(|t| t.reward - t.value).collect();
         autophase_rl::rollout::normalize(&mut adv);
+        let mut ws = BatchWorkspace::new();
         for _ in 0..self.cfg.epochs {
             for (i, t) in batch.iter().enumerate() {
-                let logits = self.policy.forward(&t.obs);
+                let logits = self.policy.forward_one(&t.obs, &mut ws);
                 // Joint new log-prob.
                 let mut logp_new = 0.0;
                 let mut per_slot_probs: Vec<Vec<f64>> = Vec::with_capacity(self.cfg.seq_len);
@@ -207,7 +209,7 @@ impl MultiActionAgent {
                     }
                 }
                 self.policy.backward(&t.obs, &grad);
-                let v = self.value.forward(&t.obs)[0];
+                let v = self.value.forward_one(&t.obs, &mut ws)[0];
                 self.value.backward(&t.obs, &[v - t.reward]);
             }
             self.policy.step(self.cfg.lr);

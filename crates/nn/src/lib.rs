@@ -33,6 +33,6 @@ pub mod simd;
 pub mod soa;
 
 pub use matrix::Matrix;
-pub use mlp::{softmax, softmax_into, Activation, GradScratch, Mlp, Workspace};
+pub use mlp::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp, Workspace};
 pub use simd::KernelWidth;
-pub use soa::{BatchWorkspace, SoaMlp};
+pub use soa::SoaMlp;

@@ -56,34 +56,26 @@ impl Matrix {
 
     /// `y = W x` for a column vector `x` (length = cols).
     ///
-    /// This is the deliberately scalar row-major reference kernel (a
-    /// strict-order dot product per row); the SIMD path lives in the
-    /// k-major [`crate::SoaMlp`] layout and is bit-identical to this.
+    /// The deliberately scalar row-major reference kernel (a strict-order
+    /// dot product per row). A layer stores `Wᵀ`, so on a layer's weights
+    /// this is the per-sample backward's hand-off `δ·W`; the batched
+    /// hand-off [`crate::simd::gemm_rt`] is bit-identical to it.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// [`Matrix::matvec`] into a caller-owned buffer (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec output mismatch");
-        for (yr, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            let mut acc = 0.0;
-            for (w, xi) in row.iter().zip(x) {
-                acc += w * xi;
-            }
-            *yr = acc;
-        }
+        self.data
+            .chunks_exact(self.cols)
+            .map(|row| {
+                let mut acc = 0.0;
+                for (w, xi) in row.iter().zip(x) {
+                    acc += w * xi;
+                }
+                acc
+            })
+            .collect()
     }
 
     /// `y = Wᵀ x` for a column vector `x` (length = rows).
@@ -106,7 +98,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != rows` or `y.len() != cols`.
-    fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
         let width = simd::picked();
@@ -131,6 +123,17 @@ impl Matrix {
         }
     }
 
+    /// The `cols × rows` transpose.
+    pub(crate) fn transposed(&self) -> Matrix {
+        let mut data = vec![0.0; self.data.len()];
+        transpose_into(&self.data, self.rows, self.cols, &mut data);
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data,
+        }
+    }
+
     /// Raw data slice.
     pub fn data(&self) -> &[f64] {
         &self.data
@@ -149,6 +152,28 @@ impl Matrix {
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+    }
+}
+
+/// `wt[k·rows + n] = w[n·cols + k]`, walked in square tiles: a tile's
+/// reads and writes each stay within `TILE` cache lines, where a plain
+/// row sweep writes every element of a 256-wide layer to another line
+/// (2 KiB apart, a handful of L1 sets).
+pub(crate) fn transpose_into(w: &[f64], rows: usize, cols: usize, wt: &mut [f64]) {
+    const TILE: usize = 8;
+    assert_eq!(w.len(), rows * cols);
+    assert_eq!(wt.len(), rows * cols);
+    for n0 in (0..rows).step_by(TILE) {
+        let n1 = (n0 + TILE).min(rows);
+        for k0 in (0..cols).step_by(TILE) {
+            let k1 = (k0 + TILE).min(cols);
+            for k in k0..k1 {
+                let dst = &mut wt[k * rows + n0..k * rows + n1];
+                for (d, n) in dst.iter_mut().zip(n0..n1) {
+                    *d = w[n * cols + k];
+                }
+            }
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 //! Multi-layer perceptron with backprop and Adam.
 
-use crate::matrix::Matrix;
+use crate::matrix::{transpose_into, Matrix};
 use crate::simd::{self, AdamStep, KernelWidth};
-use crate::soa::{transpose_into, BatchWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -39,32 +38,56 @@ impl Activation {
     }
 }
 
+/// One dense layer. `W` and everything shaped like it — its gradient
+/// and both Adam moments — are stored **k-major**, `Wᵀ[in×out]`: row `k`
+/// holds every output's weight for input `k`, contiguously. That is the
+/// slab the batched forward ([`simd::gemm_kt`]) reads, so no mirror of
+/// the weights is ever built; Adam works element by element and does not
+/// care. Only construction, [`Mlp::parameters`] /
+/// [`Mlp::set_parameters`] and the codec see the row-major `W`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Dense {
-    w: Matrix,
+    wt: Matrix,
     b: Vec<f64>,
     // Accumulated gradients.
-    gw: Matrix,
+    gwt: Matrix,
     gb: Vec<f64>,
     // Adam moments.
-    mw: Matrix,
-    vw: Matrix,
+    mwt: Matrix,
+    vwt: Matrix,
     mb: Vec<f64>,
     vb: Vec<f64>,
 }
 
 impl Dense {
-    fn new(inputs: usize, outputs: usize, rng: &mut StdRng) -> Dense {
+    fn zeros(inputs: usize, outputs: usize) -> Dense {
         Dense {
-            w: Matrix::xavier(outputs, inputs, rng),
+            wt: Matrix::zeros(inputs, outputs),
             b: vec![0.0; outputs],
-            gw: Matrix::zeros(outputs, inputs),
+            gwt: Matrix::zeros(inputs, outputs),
             gb: vec![0.0; outputs],
-            mw: Matrix::zeros(outputs, inputs),
-            vw: Matrix::zeros(outputs, inputs),
+            mwt: Matrix::zeros(inputs, outputs),
+            vwt: Matrix::zeros(inputs, outputs),
             mb: vec![0.0; outputs],
             vb: vec![0.0; outputs],
         }
+    }
+
+    fn new(inputs: usize, outputs: usize, rng: &mut StdRng) -> Dense {
+        // Drawn row-major: a seed gives the weights it always gave.
+        let w = Matrix::xavier(outputs, inputs, rng);
+        Dense {
+            wt: w.transposed(),
+            ..Dense::zeros(inputs, outputs)
+        }
+    }
+
+    fn inputs(&self) -> usize {
+        self.wt.rows()
+    }
+
+    fn outputs(&self) -> usize {
+        self.wt.cols()
     }
 }
 
@@ -103,17 +126,12 @@ impl Mlp {
 
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
-        self.layers[0].w.cols()
+        self.layers[0].inputs()
     }
 
     /// Output dimension.
     pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("nonempty").w.rows()
-    }
-
-    /// Number of dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.layers.last().expect("nonempty").outputs()
     }
 
     /// Hidden activation function.
@@ -123,20 +141,15 @@ impl Mlp {
 
     /// `[input_dim, hidden..., output_dim]`.
     fn dims(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::once(self.input_dim()).chain(self.layers.iter().map(|l| l.w.rows()))
+        std::iter::once(self.input_dim()).chain(self.layers.iter().map(Dense::outputs))
     }
 
-    /// Weights and bias of layer `li` (for the SoA mirror).
-    pub(crate) fn layer_weights(&self, li: usize) -> (&Matrix, &[f64]) {
-        let layer = &self.layers[li];
-        (&layer.w, &layer.b)
-    }
-
-    /// Forward pass.
+    /// Forward pass: the scalar reference the batched kernels are held
+    /// to bit for bit.
     ///
     /// Allocates the output (and two transient buffers); hot paths
-    /// should hold a [`Workspace`] and call [`Mlp::forward_into`], or
-    /// batch through [`crate::SoaMlp`].
+    /// should hold a [`BatchWorkspace`] and call [`Mlp::forward_one`] or
+    /// [`Mlp::forward_batch`].
     ///
     /// # Panics
     ///
@@ -159,8 +172,9 @@ impl Mlp {
         ws.cur.extend_from_slice(x);
         for (li, layer) in self.layers.iter().enumerate() {
             ws.nxt.clear();
-            ws.nxt.resize(layer.w.rows(), 0.0);
-            layer.w.matvec_into(&ws.cur, &mut ws.nxt);
+            ws.nxt.resize(layer.outputs(), 0.0);
+            // `y = W x` is `(Wᵀ)ᵀ x`: an axpy of row `k` per input.
+            layer.wt.matvec_t_into(&ws.cur, &mut ws.nxt);
             for (yi, bi) in ws.nxt.iter_mut().zip(&layer.b) {
                 *yi += bi;
             }
@@ -183,7 +197,7 @@ impl Mlp {
             } else {
                 acts.last().expect("nonempty")
             };
-            let mut y = layer.w.matvec(input);
+            let mut y = layer.wt.matvec_t(input);
             for (yi, bi) in y.iter_mut().zip(&layer.b) {
                 *yi += bi;
             }
@@ -216,28 +230,86 @@ impl Mlp {
                     *d *= self.activation.derivative_from_output(o);
                 }
             }
-            self.layers[li].gw.add_outer(&delta, input);
+            // gwᵀ += x·δᵀ, and the hand-off δ·W is `Wᵀ δ`: the row-major
+            // dot product over `Wᵀ`'s rows.
+            self.layers[li].gwt.add_outer(input, &delta);
             for (g, d) in self.layers[li].gb.iter_mut().zip(&delta) {
                 *g += d;
             }
             if li > 0 {
-                delta = self.layers[li].w.matvec_t(&delta);
+                delta = self.layers[li].wt.matvec(&delta);
             }
         }
         self.pending += 1;
     }
 
+    /// Run one batched forward over every observation staged in `ws`
+    /// (via [`BatchWorkspace::begin`] + [`BatchWorkspace::push_input`]),
+    /// straight off the network's own k-major weights.
+    ///
+    /// Results land in the workspace: [`BatchWorkspace::logits`] for the
+    /// output layer, [`BatchWorkspace::activation`] for hidden layers
+    /// (consumed by [`Mlp::backward_batch`]). Every row is bit-identical
+    /// to [`Mlp::forward`] at every [`KernelWidth`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` was staged for a different network shape.
+    pub fn forward_batch(&self, ws: &mut BatchWorkspace) {
+        assert!(
+            ws.dims.iter().copied().eq(self.dims()),
+            "workspace staged for a different network shape"
+        );
+        let (batch, width) = (ws.batch, ws.width);
+        for (li, layer) in self.layers.iter().enumerate() {
+            let hidden = li + 1 < self.layers.len();
+            let out = layer.outputs();
+            let (prev, rest) = ws.acts.split_at_mut(li + 1);
+            let ys = &mut rest[0];
+            ys.clear();
+            ys.resize(batch * out, 0.0);
+            // One row-blocked GEMM for the whole batch: each weight load
+            // is shared across batch rows instead of re-streaming the
+            // slab per observation.
+            simd::gemm_kt(layer.wt.data(), &prev[li], ys, batch, width);
+            for b in 0..batch {
+                let y = &mut ys[b * out..(b + 1) * out];
+                simd::add_assign(y, &layer.b, width);
+                if hidden {
+                    // Per-lane libm tanh/relu keeps the zero-tolerance
+                    // contract (no polynomial approximation).
+                    for v in y.iter_mut() {
+                        *v = self.activation.apply(*v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Single-observation convenience over [`Mlp::forward_batch`]: no
+    /// allocation once `ws` has warmed up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != input_dim()`.
+    pub fn forward_one<'w>(&self, x: &[f64], ws: &'w mut BatchWorkspace) -> &'w [f64] {
+        ws.begin(self);
+        ws.push_input(x);
+        self.forward_batch(ws);
+        ws.logits(0)
+    }
+
     /// Accumulate gradients for a whole batch using the activations a
-    /// [`crate::SoaMlp::forward_batch`] already cached in `ws`.
+    /// [`Mlp::forward_batch`] already cached in `ws`.
     ///
     /// Bit-identical to calling [`Mlp::backward`] once per staged sample
     /// in order, but layer-major over the whole batch: per layer the
-    /// weight gradient is one `gw += Δᵀ·X` ([`simd::gemm_kt_acc`], the
-    /// staged activations as the k-major slab, so each `gw` element sees
-    /// its samples in ascending order) and the hand-off to the layer
-    /// below one `Δ·W` ([`simd::gemm_kt`] — row-major `W` *is* the
-    /// k-major slab for a reduction over outputs). `gw` and `W` are
-    /// passed over once per batch, not once per sample.
+    /// weight gradient is one `gwᵀ += Xᵀ·Δ` ([`simd::gemm_kt_acc`], the
+    /// deltas as the k-major slab, so each `gwᵀ` element sees its samples
+    /// in ascending order) and the hand-off to the layer below one `Δ·W`
+    /// ([`simd::gemm_rt`], reading `Wᵀ` row by row: its rows are the
+    /// product's outputs). `gwᵀ` and `Wᵀ` are passed over once per batch,
+    /// not once per sample.
     ///
     /// `dl_dy` is row-major `[batch × output_dim]`.
     ///
@@ -251,10 +323,10 @@ impl Mlp {
         dl_dy: &[f64],
         scratch: &mut GradScratch,
     ) {
-        let batch = ws.batch();
+        let batch = ws.batch;
         let last = self.layers.len() - 1;
         assert!(
-            ws.dims().iter().copied().eq(self.dims()),
+            ws.dims.iter().copied().eq(self.dims()),
             "workspace staged for a different network shape"
         );
         assert_eq!(
@@ -269,7 +341,7 @@ impl Mlp {
         let GradScratch {
             delta,
             next,
-            delta_t,
+            inputs_t,
             ..
         } = scratch;
         // `delta` and `next` trade places at every hand-off, so which one
@@ -277,35 +349,30 @@ impl Mlp {
         // size all three for the widest layer up front, or the narrow one
         // re-allocates on a later call.
         let widest = batch * self.dims().max().expect("nonempty");
-        for buf in [&mut *delta, &mut *next, &mut *delta_t] {
+        for buf in [&mut *delta, &mut *next, &mut *inputs_t] {
             buf.clear();
             buf.reserve(widest);
         }
         delta.extend_from_slice(dl_dy);
         for li in (0..=last).rev() {
             let layer = &mut self.layers[li];
-            let (rows, cols) = (layer.w.rows(), layer.w.cols());
+            let (inputs, outputs) = (layer.inputs(), layer.outputs());
             if li < last {
-                for (d, &o) in delta.iter_mut().zip(ws.layer_input(li + 1)) {
+                for (d, &o) in delta.iter_mut().zip(&ws.acts[li + 1]) {
                     *d *= self.activation.derivative_from_output(o);
                 }
             }
-            for row in delta.chunks_exact(rows) {
+            for row in delta.chunks_exact(outputs) {
                 simd::add_assign(&mut layer.gb, row, width);
             }
-            delta_t.resize(batch * rows, 0.0);
-            transpose_into(delta, batch, rows, delta_t);
-            simd::gemm_kt_acc(
-                ws.layer_input(li),
-                delta_t,
-                layer.gw.data_mut(),
-                rows,
-                width,
-            );
+            // Activations, not weights, are transposed: `Xᵀ[in×B]`.
+            inputs_t.resize(batch * inputs, 0.0);
+            transpose_into(&ws.acts[li], batch, inputs, inputs_t);
+            simd::gemm_kt_acc(delta, inputs_t, layer.gwt.data_mut(), inputs, width);
             if li > 0 {
                 next.clear();
-                next.resize(batch * cols, 0.0);
-                simd::gemm_kt(layer.w.data(), delta, next, batch, width);
+                next.resize(batch * inputs, 0.0);
+                simd::gemm_rt(layer.wt.data(), delta, next, batch, width);
                 std::mem::swap(delta, next);
             }
         }
@@ -323,10 +390,10 @@ impl Mlp {
         let width = simd::picked();
         for layer in &mut self.layers {
             simd::adam_step(
-                layer.w.data_mut(),
-                layer.gw.data_mut(),
-                layer.mw.data_mut(),
-                layer.vw.data_mut(),
+                layer.wt.data_mut(),
+                layer.gwt.data_mut(),
+                layer.mwt.data_mut(),
+                layer.vwt.data_mut(),
                 &coeffs,
                 width,
             );
@@ -342,11 +409,12 @@ impl Mlp {
         self.pending = 0;
     }
 
-    /// Flatten all parameters (used by the evolution-strategies agent).
+    /// Flatten all parameters (used by the evolution-strategies agent):
+    /// per layer the row-major `W[out×in]`, then the bias.
     pub fn parameters(&self) -> Vec<f64> {
         let mut out = Vec::new();
         for layer in &self.layers {
-            out.extend_from_slice(layer.w.data());
+            out.extend_from_slice(layer.wt.transposed().data());
             out.extend_from_slice(&layer.b);
         }
         out
@@ -360,8 +428,14 @@ impl Mlp {
     pub fn set_parameters(&mut self, params: &[f64]) {
         let mut off = 0;
         for layer in &mut self.layers {
-            let wlen = layer.w.data().len();
-            layer.w.data_mut().copy_from_slice(&params[off..off + wlen]);
+            let (inputs, outputs) = (layer.inputs(), layer.outputs());
+            let wlen = inputs * outputs;
+            transpose_into(
+                &params[off..off + wlen],
+                outputs,
+                inputs,
+                layer.wt.data_mut(),
+            );
             off += wlen;
             let blen = layer.b.len();
             layer.b.copy_from_slice(&params[off..off + blen]);
@@ -370,11 +444,18 @@ impl Mlp {
         assert_eq!(off, params.len(), "parameter vector length mismatch");
     }
 
+    /// Whether every weight and bias is finite (no NaN/Inf poisoning).
+    pub fn is_finite(&self) -> bool {
+        self.layers
+            .iter()
+            .all(|l| l.wt.data().iter().chain(&l.b).all(|p| p.is_finite()))
+    }
+
     /// Number of scalar parameters.
     pub fn num_parameters(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| l.w.data().len() + l.b.len())
+            .map(|l| l.wt.data().len() + l.b.len())
             .sum()
     }
 
@@ -388,7 +469,9 @@ impl Mlp {
     //   fnv1a-64 checksum of everything before it
     //
     // Weights and Adam moments are saved (so a reloaded net resumes training
-    // identically); accumulated gradients are transient and are not.
+    // identically); accumulated gradients are transient and are not. `w`,
+    // `mw` and `vw` are row-major `[out×in]` on disk, the layout the
+    // format was written in; the codec transposes at the boundary.
 
     /// Serialize the network (weights + Adam state) to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -401,29 +484,23 @@ impl Mlp {
         });
         out.extend_from_slice(&self.t.to_le_bytes());
         let mut sizes = vec![self.input_dim() as u32];
-        sizes.extend(self.layers.iter().map(|l| l.w.rows() as u32));
+        sizes.extend(self.layers.iter().map(|l| l.outputs() as u32));
         out.extend_from_slice(&(sizes.len() as u32).to_le_bytes());
         for s in &sizes {
             out.extend_from_slice(&s.to_le_bytes());
         }
         for layer in &self.layers {
-            for &v in layer.w.data() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for &v in &layer.b {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for &v in layer.mw.data() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for &v in layer.vw.data() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for &v in &layer.mb {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for &v in &layer.vb {
-                out.extend_from_slice(&v.to_le_bytes());
+            for field in [
+                layer.wt.transposed().data(),
+                &layer.b,
+                layer.mwt.transposed().data(),
+                layer.vwt.transposed().data(),
+                &layer.mb,
+                &layer.vb,
+            ] {
+                for &v in field {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
             }
         }
         let sum = fnv1a(&out);
@@ -476,20 +553,11 @@ impl Mlp {
         let mut layers = Vec::with_capacity(n_sizes - 1);
         for w in sizes.windows(2) {
             let (inputs, outputs) = (w[0], w[1]);
-            let mut layer = Dense {
-                w: Matrix::zeros(outputs, inputs),
-                b: vec![0.0; outputs],
-                gw: Matrix::zeros(outputs, inputs),
-                gb: vec![0.0; outputs],
-                mw: Matrix::zeros(outputs, inputs),
-                vw: Matrix::zeros(outputs, inputs),
-                mb: vec![0.0; outputs],
-                vb: vec![0.0; outputs],
-            };
-            r.f64_into(layer.w.data_mut())?;
+            let mut layer = Dense::zeros(inputs, outputs);
+            layer.wt = r.matrix_t(outputs, inputs)?;
             r.f64_into(&mut layer.b)?;
-            r.f64_into(layer.mw.data_mut())?;
-            r.f64_into(layer.vw.data_mut())?;
+            layer.mwt = r.matrix_t(outputs, inputs)?;
+            layer.vwt = r.matrix_t(outputs, inputs)?;
             r.f64_into(&mut layer.mb)?;
             r.f64_into(&mut layer.vb)?;
             layers.push(layer);
@@ -521,14 +589,97 @@ impl Workspace {
     }
 }
 
+/// Caller-owned scratch for [`Mlp::forward_batch`]: staged inputs,
+/// every layer's activations for the current batch, and the kernel width
+/// the forward runs at.
+///
+/// Buffers are reused across batches — after warm-up (capacity for the
+/// largest batch seen), staging and forwarding allocate nothing; the
+/// `no_alloc` integration test asserts this.
+#[derive(Debug, Clone)]
+pub struct BatchWorkspace {
+    /// `[input_dim, hidden..., output_dim]` of the staged network.
+    dims: Vec<usize>,
+    batch: usize,
+    /// `acts[0]` = staged inputs; `acts[l + 1]` = layer `l` output.
+    /// `acts[i].len() == batch * dims[i]`.
+    acts: Vec<Vec<f64>>,
+    width: KernelWidth,
+}
+
+impl BatchWorkspace {
+    /// An empty workspace at the auto-selected kernel width
+    /// ([`simd::picked`]); buffers grow on first use.
+    pub fn new() -> BatchWorkspace {
+        BatchWorkspace::with_width(simd::picked())
+    }
+
+    /// An empty workspace with an explicit kernel width (tests and
+    /// benches).
+    pub fn with_width(width: KernelWidth) -> BatchWorkspace {
+        BatchWorkspace {
+            dims: Vec::new(),
+            batch: 0,
+            acts: Vec::new(),
+            width,
+        }
+    }
+
+    /// Reset for a new batch against `net`, keeping buffer capacity.
+    pub fn begin(&mut self, net: &Mlp) {
+        self.dims.clear();
+        self.dims.extend(net.dims());
+        self.batch = 0;
+        self.acts.resize(self.dims.len(), Vec::new());
+        for a in &mut self.acts {
+            a.clear();
+        }
+    }
+
+    /// Stage one observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` does not match the staged input dimension.
+    pub fn push_input(&mut self, x: &[f64]) {
+        assert_eq!(x.len(), self.dims[0], "observation length mismatch");
+        self.acts[0].extend_from_slice(x);
+        self.batch += 1;
+    }
+
+    /// Number of staged observations.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Post-activation output of layer `li` for batch row `b` (the last
+    /// layer's rows are the logits).
+    pub fn activation(&self, li: usize, b: usize) -> &[f64] {
+        let d = self.dims[li + 1];
+        &self.acts[li + 1][b * d..(b + 1) * d]
+    }
+
+    /// Output-layer row `b` after [`Mlp::forward_batch`].
+    pub fn logits(&self, b: usize) -> &[f64] {
+        self.activation(self.dims.len() - 2, b)
+    }
+}
+
+impl Default for BatchWorkspace {
+    fn default() -> BatchWorkspace {
+        BatchWorkspace::new()
+    }
+}
+
 /// Caller-owned scratch for [`Mlp::backward_batch`]: the batch's deltas
 /// `Δ[batch × out]` for the current layer, the buffer the layer below's
-/// are written to, and `Δᵀ`; plus the kernel width the products run at.
+/// are written to, and the layer's transposed inputs `Xᵀ[in × batch]`;
+/// plus the kernel width the products run at.
 #[derive(Debug, Clone)]
 pub struct GradScratch {
     delta: Vec<f64>,
     next: Vec<f64>,
-    delta_t: Vec<f64>,
+    inputs_t: Vec<f64>,
     width: KernelWidth,
 }
 
@@ -544,7 +695,7 @@ impl GradScratch {
         GradScratch {
             delta: Vec::new(),
             next: Vec::new(),
-            delta_t: Vec::new(),
+            inputs_t: Vec::new(),
             width,
         }
     }
@@ -611,6 +762,13 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// A row-major `rows × cols` matrix, returned k-major (transposed).
+    fn matrix_t(&mut self, rows: usize, cols: usize) -> Result<Matrix, DecodeError> {
+        let mut m = Matrix::zeros(rows, cols);
+        self.f64_into(m.data_mut())?;
+        Ok(m.transposed())
+    }
+
     fn f64_into(&mut self, out: &mut [f64]) -> Result<(), DecodeError> {
         let raw = self.take(out.len() * 8)?;
         for (i, v) in out.iter_mut().enumerate() {
@@ -653,14 +811,15 @@ mod tests {
         let loss = |n: &Mlp| -> f64 { n.forward(&x).iter().sum() };
 
         net.backward(&x, &[1.0, 1.0]);
-        // Extract analytic gradient of first-layer weight (0,0) by probing.
-        let analytic = net.layers[0].gw.get(0, 0);
+        // Analytic gradient of first-layer weight W[1][2] (stored at
+        // Wᵀ[2][1]), checked by probing that same weight.
+        let analytic = net.layers[0].gwt.get(2, 1);
 
         let eps = 1e-6;
         let mut plus = net.clone();
-        *plus.layers[0].w.get_mut(0, 0) += eps;
+        *plus.layers[0].wt.get_mut(2, 1) += eps;
         let mut minus = net.clone();
-        *minus.layers[0].w.get_mut(0, 0) -= eps;
+        *minus.layers[0].wt.get_mut(2, 1) -= eps;
         let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
         assert!(
             (analytic - numeric).abs() < 1e-6,

@@ -1,8 +1,9 @@
 //! Explicit-width f64 SIMD kernels with runtime width selection.
 //!
-//! The kernels here power the structure-of-arrays batched forward in
-//! [`crate::soa`], the batched backward and Adam step in [`crate::mlp`]
-//! and the per-sample gradient accumulation in [`crate::Matrix`].
+//! The kernels here power the batched forward, backward and Adam step in
+//! [`crate::mlp`] — every layer stores its weights k-major, `Wᵀ[in×out]`,
+//! so the forward reads them as they lie — and the per-sample gradient
+//! accumulation in [`crate::Matrix`].
 //! They follow one **order-of-operations contract** that makes every
 //! width produce bit-identical results to the scalar reference:
 //!
@@ -370,8 +371,51 @@ fn gemm_kt_lanes<const L: usize, const ACC: bool>(
     }
 }
 
-/// Batch rows sharing one weight load in [`gemm_kt_lanes`].
+/// Batch rows sharing one weight load in [`gemm_kt_lanes`] and
+/// [`gemm_rt`]'s V4 body.
 const GEMM_ROW_BLOCK: usize = 4;
+
+/// `ys[b][o] = Σ_j xs[b][j] · w[o·kdim + j]` over a **row-major** slab
+/// (`out` rows of `kdim`): lanes span `L` consecutive rows, each lane
+/// walking its own row in ascending `j`, so a vector gathers one column
+/// per step. The portable body of [`gemm_rt`]; the AVX one transposes
+/// 4×4 tiles in registers instead of gathering.
+#[inline(always)]
+fn gemm_rt_lanes<const L: usize>(
+    w: &[f64],
+    xs: &[f64],
+    ys: &mut [f64],
+    batch: usize,
+    kdim: usize,
+    out: usize,
+) {
+    let main = out - out % L;
+    for b in 0..batch {
+        let x = &xs[b * kdim..(b + 1) * kdim];
+        let y = &mut ys[b * out..(b + 1) * out];
+        for o in (0..main).step_by(L) {
+            let rows: [&[f64]; L] = std::array::from_fn(|l| &w[(o + l) * kdim..(o + l + 1) * kdim]);
+            let mut acc = [0.0f64; L];
+            for (j, &xj) in x.iter().enumerate() {
+                let mut prod = [0.0f64; L];
+                for l in 0..L {
+                    prod[l] = rows[l][j] * xj;
+                }
+                for l in 0..L {
+                    acc[l] += prod[l];
+                }
+            }
+            y[o..o + L].copy_from_slice(&acc);
+        }
+        for (o, yo) in y.iter_mut().enumerate().skip(main) {
+            let mut a = 0.0;
+            for (wj, xj) in w[o * kdim..(o + 1) * kdim].iter().zip(x) {
+                a += wj * xj;
+            }
+            *yo = a;
+        }
+    }
+}
 
 // ---- V4 backends ----
 //
@@ -412,6 +456,95 @@ mod v4 {
         out: usize,
     ) {
         super::gemm_kt_lanes::<4, true>(wt, xs, ys, batch, kdim, out);
+    }
+
+    /// [`super::gemm_rt`] on AVX. Per block of [`super::GEMM_ROW_BLOCK`]
+    /// batch rows and 4 outputs, each 4×4 tile of the row-major slab
+    /// (4 outputs × 4 consecutive `j`) is loaded as four row vectors and
+    /// transposed in registers (`unpack` + `permute2f128`) into four
+    /// column vectors, lanes spanning outputs; every batch row of the
+    /// block then takes its four separate mul-then-adds from those, in
+    /// ascending `j`. The `kdim % 4` tail gathers its columns; the
+    /// `out % 4` outputs are plain dot products.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX, and the slices must have the shapes
+    /// [`super::gemm_dims`] checked.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn gemm_rt(
+        w: &[f64],
+        xs: &[f64],
+        ys: &mut [f64],
+        batch: usize,
+        kdim: usize,
+        out: usize,
+    ) {
+        use std::arch::x86_64::*;
+        const RB: usize = super::GEMM_ROW_BLOCK;
+        let (jmain, omain) = (kdim - kdim % 4, out - out % 4);
+        let wp = w.as_ptr();
+        let mut b = 0;
+        while b < batch {
+            // A full block of rows, else one row at a time.
+            let rows = if b + RB <= batch { RB } else { 1 };
+            let xp: [*const f64; RB] =
+                std::array::from_fn(|r| xs.as_ptr().add((b + r.min(rows - 1)) * kdim));
+            for o in (0..omain).step_by(4) {
+                let wo = wp.add(o * kdim);
+                let mut acc = [_mm256_setzero_pd(); RB];
+                let mut j = 0;
+                while j < jmain {
+                    let r0 = _mm256_loadu_pd(wo.add(j));
+                    let r1 = _mm256_loadu_pd(wo.add(kdim + j));
+                    let r2 = _mm256_loadu_pd(wo.add(2 * kdim + j));
+                    let r3 = _mm256_loadu_pd(wo.add(3 * kdim + j));
+                    let t0 = _mm256_unpacklo_pd(r0, r1);
+                    let t1 = _mm256_unpackhi_pd(r0, r1);
+                    let t2 = _mm256_unpacklo_pd(r2, r3);
+                    let t3 = _mm256_unpackhi_pd(r2, r3);
+                    let cols = [
+                        _mm256_permute2f128_pd(t0, t2, 0x20),
+                        _mm256_permute2f128_pd(t1, t3, 0x20),
+                        _mm256_permute2f128_pd(t0, t2, 0x31),
+                        _mm256_permute2f128_pd(t1, t3, 0x31),
+                    ];
+                    for (a, x) in acc.iter_mut().zip(xp).take(rows) {
+                        for (c, col) in cols.iter().enumerate() {
+                            let prod = _mm256_mul_pd(*col, _mm256_broadcast_sd(&*x.add(j + c)));
+                            *a = _mm256_add_pd(*a, prod);
+                        }
+                    }
+                    j += 4;
+                }
+                while j < kdim {
+                    let col = _mm256_set_pd(
+                        *wo.add(3 * kdim + j),
+                        *wo.add(2 * kdim + j),
+                        *wo.add(kdim + j),
+                        *wo.add(j),
+                    );
+                    for (a, x) in acc.iter_mut().zip(xp).take(rows) {
+                        let prod = _mm256_mul_pd(col, _mm256_broadcast_sd(&*x.add(j)));
+                        *a = _mm256_add_pd(*a, prod);
+                    }
+                    j += 1;
+                }
+                for (r, a) in acc.iter().enumerate().take(rows) {
+                    _mm256_storeu_pd(ys.as_mut_ptr().add((b + r) * out + o), *a);
+                }
+            }
+            for o in omain..out {
+                for (r, x) in xp.iter().enumerate().take(rows) {
+                    let mut a = 0.0;
+                    for j in 0..kdim {
+                        a += *wp.add(o * kdim + j) * *x.add(j);
+                    }
+                    ys[(b + r) * out + o] = a;
+                }
+            }
+            b += rows;
+        }
     }
 
     #[target_feature(enable = "avx")]
@@ -472,6 +605,17 @@ fn gemm_kt_acc_v4(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: us
     gemm_kt_lanes::<4, true>(wt, xs, ys, batch, kdim, out)
 }
 
+fn gemm_rt_v4(w: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if v4::avx_available() {
+        // SAFETY: guarded by runtime AVX detection; shapes checked by
+        // `gemm_dims`.
+        unsafe { v4::gemm_rt(w, xs, ys, batch, kdim, out) };
+        return;
+    }
+    gemm_rt_lanes::<4>(w, xs, ys, batch, kdim, out)
+}
+
 fn adam_v4(w: &mut [f64], g: &mut [f64], m: &mut [f64], v: &mut [f64], c: &AdamStep) {
     #[cfg(target_arch = "x86_64")]
     if v4::avx_available() {
@@ -529,7 +673,7 @@ pub fn add_assign(y: &mut [f64], x: &[f64], width: KernelWidth) {
 /// Panics if `xs`/`ys` are not whole multiples of `batch`, or the slab
 /// size does not match the per-row dimensions.
 pub fn gemm_kt(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: KernelWidth) {
-    let Some((kdim, out)) = gemm_kt_dims(wt, xs, ys, batch) else {
+    let Some((kdim, out)) = gemm_dims(wt, xs, ys, batch) else {
         return;
     };
     match width {
@@ -542,15 +686,15 @@ pub fn gemm_kt(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: Kern
 /// [`gemm_kt`] accumulating into `ys`: every output element continues
 /// from its current value, `((ys + x₀·w₀) + x₁·w₁) + …` in ascending `k`
 /// — the sequence `k` successive [`axpy`] calls would produce. This is
-/// the weight-gradient product `gw += Δᵀ·X`: the staged activations
-/// `X[B×in]` are the k-major slab (reduction over the batch), the
-/// transposed deltas `Δᵀ[out×B]` are the rows, `gw[out×in]` is `ys`.
+/// the weight-gradient product `gwᵀ += Xᵀ·Δ`: the deltas `Δ[B×out]` are
+/// the k-major slab (reduction over the batch), the transposed layer
+/// inputs `Xᵀ[in×B]` are the rows, `gwᵀ[in×out]` is `ys`.
 ///
 /// # Panics
 ///
 /// As [`gemm_kt`].
 pub fn gemm_kt_acc(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: KernelWidth) {
-    let Some((kdim, out)) = gemm_kt_dims(wt, xs, ys, batch) else {
+    let Some((kdim, out)) = gemm_dims(wt, xs, ys, batch) else {
         return;
     };
     match width {
@@ -560,9 +704,34 @@ pub fn gemm_kt_acc(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: 
     }
 }
 
+/// Dense GEMM over a **row-major** weight slab (`out` rows of `kdim`):
+/// `ys[b][o] = Σ_j xs[b][j] · w[o·kdim + j]`. This is the backward's
+/// hand-off `Δ·W` read off a layer's k-major `Wᵀ[in×out]`: its rows are
+/// the product's outputs (`in`), the reduction runs over `out`.
+///
+/// Lanes still span outputs and every output element accumulates over
+/// `j` in ascending order with separate mul-then-add, so each row is
+/// bit-identical to the scalar row-major [`crate::Matrix::matvec`], and
+/// batching is bit-invisible. The V4 body transposes 4×4 weight tiles in
+/// registers, sharing each across 4 batch rows.
+///
+/// # Panics
+///
+/// As [`gemm_kt`].
+pub fn gemm_rt(w: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: KernelWidth) {
+    let Some((kdim, out)) = gemm_dims(w, xs, ys, batch) else {
+        return;
+    };
+    match width {
+        KernelWidth::V4 => gemm_rt_v4(w, xs, ys, batch, kdim, out),
+        KernelWidth::V2 => gemm_rt_lanes::<2>(w, xs, ys, batch, kdim, out),
+        KernelWidth::Scalar => gemm_rt_lanes::<1>(w, xs, ys, batch, kdim, out),
+    }
+}
+
 /// Shape check shared by the GEMM entry points: `(kdim, out)`, or `None`
 /// for an empty batch.
-fn gemm_kt_dims(wt: &[f64], xs: &[f64], ys: &[f64], batch: usize) -> Option<(usize, usize)> {
+fn gemm_dims(wt: &[f64], xs: &[f64], ys: &[f64], batch: usize) -> Option<(usize, usize)> {
     if batch == 0 {
         assert!(xs.is_empty() && ys.is_empty(), "gemm_kt shape mismatch");
         return None;

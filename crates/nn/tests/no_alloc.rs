@@ -1,11 +1,13 @@
 //! Steady-state allocation check for the scratch-buffer APIs.
 //!
-//! A counting global allocator wraps `System`; after one warm-up batch,
-//! `forward_into`, `forward_batch`, `backward_batch`, `step` and `refresh`
-//! must not touch the heap at all. This file holds exactly one `#[test]`
-//! so no sibling test thread can allocate inside the measurement window.
+//! A counting global allocator wraps `System`; after one warm-up round,
+//! `forward_into` and a whole minibatch round trip on two networks (the
+//! policy and value pair an update trains) — `forward_batch`,
+//! `backward_batch`, `step` — must not touch the heap at all. This file
+//! holds exactly one `#[test]` so no sibling test thread can allocate
+//! inside the measurement window.
 
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp, Workspace};
+use autophase_nn::{Activation, BatchWorkspace, GradScratch, Mlp, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -37,9 +39,12 @@ fn steady_state_inference_and_training_do_not_allocate() {
     // `backward_batch` swaps its two delta buffers at every hand-off
     // between layers, so an odd and an even number of hand-offs leave the
     // wide buffer on different sides: both must be steady after one call.
-    for shape in [&[56usize, 64, 46][..], &[56, 64, 64, 46]] {
-        let mut mlp = Mlp::new(shape, Activation::Tanh, 5);
-        let mut soa = SoaMlp::from_mlp(&mlp);
+    for hidden in [&[64usize][..], &[64, 64]] {
+        let shape = |out: usize| [&[56][..], hidden, &[out]].concat();
+        let mut nets = [
+            Mlp::new(&shape(46), Activation::Tanh, 5),
+            Mlp::new(&shape(1), Activation::Tanh, 6),
+        ];
         let inputs: Vec<Vec<f64>> = (0..8)
             .map(|b| {
                 (0..56)
@@ -47,27 +52,31 @@ fn steady_state_inference_and_training_do_not_allocate() {
                     .collect()
             })
             .collect();
-        let grads = vec![0.25f64; 8 * 46];
+        let grads = [vec![0.25f64; 8 * 46], vec![-0.5f64; 8]];
 
         let mut ws = Workspace::new();
-        let mut bws = BatchWorkspace::new();
-        let mut scratch = GradScratch::new();
+        let mut bws = [BatchWorkspace::new(), BatchWorkspace::new()];
+        let mut scratch = [GradScratch::new(), GradScratch::new()];
 
         let mut run = |backward_calls: usize| {
             let mut sum = 0.0;
             for x in &inputs {
-                sum += mlp.forward_into(x, &mut ws)[0];
+                sum += nets[0].forward_into(x, &mut ws)[0];
             }
-            bws.begin(&soa);
-            for x in &inputs {
-                bws.push_input(x);
+            for (((net, bws), scratch), grads) in
+                nets.iter_mut().zip(&mut bws).zip(&mut scratch).zip(&grads)
+            {
+                bws.begin(net);
+                for x in &inputs {
+                    bws.push_input(x);
+                }
+                net.forward_batch(bws);
+                sum += bws.logits(7)[0];
+                for _ in 0..backward_calls {
+                    net.backward_batch(bws, grads, scratch);
+                }
+                net.step(1e-3);
             }
-            soa.forward_batch(&mut bws);
-            for _ in 0..backward_calls {
-                mlp.backward_batch(&bws, &grads, &mut scratch);
-            }
-            mlp.step(1e-3);
-            soa.refresh(&mlp);
             sum
         };
 
@@ -84,7 +93,7 @@ fn steady_state_inference_and_training_do_not_allocate() {
         assert_eq!(
             after - before,
             0,
-            "steady-state forward/backward/step/refresh must not allocate ({shape:?})"
+            "a steady-state minibatch round trip must not allocate ({hidden:?})"
         );
     }
 }

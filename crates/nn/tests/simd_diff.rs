@@ -5,8 +5,8 @@
 //! ascending-k order, no FMA contraction. So the pinned tolerance here is
 //! zero: every assertion compares `f64::to_bits`.
 
-use autophase_nn::simd::{adam_step, AdamStep};
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp, SoaMlp, Workspace};
+use autophase_nn::simd::{adam_step, gemm_rt, AdamStep};
+use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp, Workspace};
 use proptest::prelude::*;
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -52,16 +52,15 @@ fn batched_forward_bit_identical_across_widths_shapes_and_remainders() {
             let inputs: Vec<Vec<f64>> = (0..9).map(|b| obs(shape[0], b as u64)).collect();
             let want: Vec<Vec<u64>> = inputs.iter().map(|x| bits(&mlp.forward(x))).collect();
             for width in KernelWidth::all() {
-                let soa = SoaMlp::with_width(&mlp, width);
-                let mut ws = BatchWorkspace::new();
+                let mut ws = BatchWorkspace::with_width(width);
                 // Batch sizes 1..=9 cover batch % lanes != 0 for both
                 // 2- and 4-wide kernels.
                 for batch in 1..=inputs.len() {
-                    ws.begin(&soa);
+                    ws.begin(&mlp);
                     for x in &inputs[..batch] {
                         ws.push_input(x);
                     }
-                    soa.forward_batch(&mut ws);
+                    mlp.forward_batch(&mut ws);
                     for (b, w) in want[..batch].iter().enumerate() {
                         assert_eq!(
                             bits(ws.logits(b)),
@@ -88,12 +87,12 @@ fn forward_into_matches_forward() {
 }
 
 /// Stage `inputs` into `ws` and run the batched forward.
-fn stage(soa: &SoaMlp, ws: &mut BatchWorkspace, inputs: &[Vec<f64>]) {
-    ws.begin(soa);
+fn stage(net: &Mlp, ws: &mut BatchWorkspace, inputs: &[Vec<f64>]) {
+    ws.begin(net);
     for x in inputs {
         ws.push_input(x);
     }
-    soa.forward_batch(ws);
+    net.forward_batch(ws);
 }
 
 /// Two chunks of `(inputs, output gradients)`, one row per sample.
@@ -118,11 +117,10 @@ fn sequential_update(net: &Mlp, chunks: Chunks) -> Vec<u8> {
 /// A2C's 64-transition chunks do), then one step, at `width`.
 fn batched_update(net: &Mlp, chunks: Chunks, width: KernelWidth) -> Vec<u8> {
     let mut bat = net.clone();
-    let soa = SoaMlp::with_width(&bat, width);
-    let mut ws = BatchWorkspace::new();
+    let mut ws = BatchWorkspace::with_width(width);
     let mut scratch = GradScratch::with_width(width);
     for (inputs, grads) in chunks {
-        stage(&soa, &mut ws, inputs);
+        stage(&bat, &mut ws, inputs);
         bat.backward_batch(&ws, &grads.concat(), &mut scratch);
     }
     bat.step(1e-3);
@@ -168,6 +166,57 @@ fn backward_batch_bit_identical_to_sequential_backward() {
                     assert!(
                         batched_update(&net, chunks, width) == want,
                         "shape {shape:?} act {act:?} width {width:?} batch {batch}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `ys[b][o] = Σ_j w[o·kdim + j] · xs[b][j]`: the scalar row-major
+/// reference `gemm_rt` is held to, one strict ascending-`j` dot product
+/// per output with separate multiply and add.
+fn reference_rt(w: &[f64], xs: &[f64], batch: usize, kdim: usize, out: usize) -> Vec<f64> {
+    let mut ys = vec![0.0; batch * out];
+    for b in 0..batch {
+        for o in 0..out {
+            let mut acc = 0.0;
+            for j in 0..kdim {
+                acc += w[o * kdim + j] * xs[b * kdim + j];
+            }
+            ys[b * out + o] = acc;
+        }
+    }
+    ys
+}
+
+/// `gemm_rt` (the backward's hand-off `Δ·W` off a k-major `Wᵀ`) against
+/// the scalar reference at every width: reduction lengths and output
+/// counts straddling the 4×4 register tile and 2/4 lanes, batches around
+/// the 4-row block (the benchmark's 12 and 48, A2C's 64 + 1), and the
+/// nets' own hand-off shapes 256→256, 18→256 and 1→256.
+#[test]
+fn gemm_rt_bit_identical_to_scalar_reference() {
+    const KDIMS: &[usize] = &[1, 2, 3, 4, 5, 17, 18, 256];
+    const OUTS: &[usize] = &[1, 3, 4, 5, 18, 256];
+    const BATCHES: &[usize] = &[0, 1, 3, 4, 5, 12, 48, 65];
+    for &kdim in KDIMS {
+        for &out in OUTS {
+            // Sign-mixed weights with exact zeros and negative zeros.
+            let w: Vec<f64> = obs(kdim * out, (kdim * 1000 + out) as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| if i % 13 == 5 { -0.0 } else { v })
+                .collect();
+            for &batch in BATCHES {
+                let xs = obs(batch * kdim, 7 + batch as u64);
+                let want = bits(&reference_rt(&w, &xs, batch, kdim, out));
+                for width in KernelWidth::all() {
+                    let mut ys = vec![f64::NAN; batch * out];
+                    gemm_rt(&w, &xs, &mut ys, batch, width);
+                    assert!(
+                        bits(&ys) == want,
+                        "gemm_rt width {width:?} kdim {kdim} out {out} batch {batch}"
                     );
                 }
             }
@@ -305,7 +354,7 @@ fn mlp_step_bit_identical_to_scalar_reference() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random shapes, batch sizes, and seeds: batched SoA forward is
+    /// Random shapes, batch sizes, and seeds: the batched forward is
     /// bit-identical to the scalar forward at every width.
     #[test]
     fn prop_soa_forward_bit_identical(
@@ -318,13 +367,8 @@ proptest! {
         let mlp = Mlp::new(&[inp, hidden, out], Activation::Tanh, seed);
         let inputs: Vec<Vec<f64>> = (0..batch).map(|b| obs(inp, seed ^ b as u64)).collect();
         for width in KernelWidth::all() {
-            let soa = SoaMlp::with_width(&mlp, width);
-            let mut ws = BatchWorkspace::new();
-            ws.begin(&soa);
-            for x in &inputs {
-                ws.push_input(x);
-            }
-            soa.forward_batch(&mut ws);
+            let mut ws = BatchWorkspace::with_width(width);
+            stage(&mlp, &mut ws, &inputs);
             for (b, x) in inputs.iter().enumerate() {
                 prop_assert_eq!(bits(ws.logits(b)), bits(&mlp.forward(x)));
             }

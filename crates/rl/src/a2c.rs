@@ -82,7 +82,7 @@ impl ActorCritic<A2cConfig> {
     pub fn update(&mut self, batch: &Batch) {
         let cfg = &self.cfg;
         let (policy, value) = (&mut self.policy, &mut self.value);
-        let mut pass = Update::new(policy, value, batch, cfg.gamma, cfg.lam, cfg.entropy_coef);
+        let mut pass = Update::new(batch, cfg.gamma, cfg.lam, cfg.entropy_coef);
         let order: Vec<usize> = (0..batch.transitions.len()).collect();
         for chunk in order.chunks(64) {
             // L = -A log π(a|s)

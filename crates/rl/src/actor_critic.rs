@@ -4,10 +4,22 @@
 //! how they collect, and the weight their loss gives a transition.
 
 use crate::rollout::{self, Batch, Transition};
-use autophase_nn::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp, SoaMlp};
+use autophase_nn::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp};
 use autophase_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
+
+/// `f` of `net`'s output for one observation, through the batched
+/// single-row forward and a workspace this thread keeps, so a per-step
+/// caller (greedy inference, the online learner's value estimates)
+/// allocates nothing for the forward once warm.
+pub(crate) fn with_forward<R>(net: &Mlp, obs: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
+    thread_local! {
+        static WS: RefCell<BatchWorkspace> = RefCell::new(BatchWorkspace::new());
+    }
+    WS.with_borrow_mut(|ws| f(net.forward_one(obs, ws)))
+}
 
 /// An actor-critic agent with configuration `C`: a policy network, a
 /// value network, and the RNG that samples actions and shuffles batches.
@@ -43,12 +55,12 @@ impl<C> ActorCritic<C> {
 
     /// Action probabilities for an observation.
     pub fn action_probabilities(&self, obs: &[f64]) -> Vec<f64> {
-        softmax(&self.policy.forward(obs))
+        with_forward(&self.policy, obs, softmax)
     }
 
     /// Greedy action.
     pub fn act_greedy(&self, obs: &[f64]) -> usize {
-        rollout::argmax(&self.policy.forward(obs))
+        with_forward(&self.policy, obs, rollout::argmax)
     }
 
     /// Run `iterations` of `collect` (given the iteration's index) then
@@ -92,20 +104,19 @@ impl<C> ActorCritic<C> {
 /// advantages and returns, and the staging both networks' batched
 /// backward needs.
 ///
-/// Each chunk runs one batched SoA forward per network; the cached
-/// activations feed [`Mlp::backward_batch`], so the per-sample path's two
-/// scalar forwards (one for the loss, one hidden inside `backward`)
-/// collapse into one batched GEMM — with bit-identical gradients and Adam
-/// trajectories (`tests/train_update_golden.rs`). The caller decides when
-/// the accumulated gradients are applied (`Mlp::step`) and, if weights
-/// moved mid-update, calls [`Update::refresh`].
+/// Each chunk runs one batched forward per network, straight off the
+/// networks' own weights; the cached activations feed
+/// [`Mlp::backward_batch`], so the per-sample path's two scalar forwards
+/// (one for the loss, one hidden inside `backward`) collapse into one
+/// batched GEMM — with bit-identical gradients and Adam trajectories
+/// (`tests/train_update_golden.rs`). The caller decides when the
+/// accumulated gradients are applied (`Mlp::step`); the next chunk
+/// forwards through the stepped weights as they lie.
 pub(crate) struct Update<'a> {
     batch: &'a Batch,
     adv: Vec<f64>,
     ret: Vec<f64>,
     entropy_coef: f64,
-    psoa: SoaMlp,
-    vsoa: SoaMlp,
     pws: BatchWorkspace,
     vws: BatchWorkspace,
     pscratch: GradScratch,
@@ -116,14 +127,7 @@ pub(crate) struct Update<'a> {
 }
 
 impl<'a> Update<'a> {
-    pub(crate) fn new(
-        policy: &Mlp,
-        value: &Mlp,
-        batch: &'a Batch,
-        gamma: f64,
-        lam: f64,
-        entropy_coef: f64,
-    ) -> Update<'a> {
+    pub(crate) fn new(batch: &'a Batch, gamma: f64, lam: f64, entropy_coef: f64) -> Update<'a> {
         let (mut adv, ret) = rollout::gae(batch, gamma, lam);
         rollout::normalize(&mut adv);
         Update {
@@ -131,8 +135,6 @@ impl<'a> Update<'a> {
             adv,
             ret,
             entropy_coef,
-            psoa: SoaMlp::from_mlp(policy),
-            vsoa: SoaMlp::from_mlp(value),
             pws: BatchWorkspace::new(),
             vws: BatchWorkspace::new(),
             pscratch: GradScratch::new(),
@@ -154,15 +156,15 @@ impl<'a> Update<'a> {
         chunk: &[usize],
         weight: impl Fn(&Transition, &[f64], f64) -> Option<f64>,
     ) {
-        self.pws.begin(&self.psoa);
-        self.vws.begin(&self.vsoa);
+        self.pws.begin(policy);
+        self.vws.begin(value);
         for &i in chunk {
             let obs = &self.batch.transitions[i].obs;
             self.pws.push_input(obs);
             self.vws.push_input(obs);
         }
-        self.psoa.forward_batch(&mut self.pws);
-        self.vsoa.forward_batch(&mut self.vws);
+        policy.forward_batch(&mut self.pws);
+        value.forward_batch(&mut self.vws);
 
         let n_actions = policy.output_dim();
         self.pgrad.clear();
@@ -199,11 +201,5 @@ impl<'a> Update<'a> {
         }
         policy.backward_batch(&self.pws, &self.pgrad, &mut self.pscratch);
         value.backward_batch(&self.vws, &self.vgrad, &mut self.vscratch);
-    }
-
-    /// Re-mirror the networks after a `step` moved their weights.
-    pub(crate) fn refresh(&mut self, policy: &Mlp, value: &Mlp) {
-        self.psoa.refresh(policy);
-        self.vsoa.refresh(value);
     }
 }

@@ -17,10 +17,11 @@
 //! (absurd reward magnitude, say) can therefore never poison the
 //! weights that the learner will later publish for promotion.
 
+use crate::actor_critic::with_forward;
 use crate::checkpoint::PolicyCheckpoint;
 use crate::ppo::{PpoAgent, PpoConfig};
 use crate::rollout::{Batch, Transition};
-use crate::serving::{all_finite, LayoutError, ObsLayout};
+use crate::serving::{LayoutError, ObsLayout};
 use autophase_telemetry as telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -171,7 +172,7 @@ impl OnlineTrainer {
                 action: step.action,
                 reward: if i == last { reward } else { 0.0 },
                 logp: step.logp,
-                value: self.agent.value.forward(&step.obs)[0],
+                value: with_forward(&self.agent.value, &step.obs, |v| v[0]),
                 done: i == last,
             });
         }
@@ -201,7 +202,7 @@ impl OnlineTrainer {
         let snapshot = (self.agent.policy.clone(), self.agent.value.clone());
         let ran = catch_unwind(AssertUnwindSafe(|| self.agent.update(&batch)));
         let poisoned =
-            ran.is_err() || !all_finite(&self.agent.policy) || !all_finite(&self.agent.value);
+            ran.is_err() || !self.agent.policy.is_finite() || !self.agent.value.is_finite();
         if poisoned {
             self.agent.policy = snapshot.0;
             self.agent.value = snapshot.1;

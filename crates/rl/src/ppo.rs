@@ -1,7 +1,7 @@
 //! Proximal Policy Optimization (Schulman et al., 2017) with the clipped
 //! surrogate objective of the paper's Equation 4.
 
-use crate::actor_critic::{ActorCritic, Update};
+use crate::actor_critic::{with_forward, ActorCritic, Update};
 use crate::env::Environment;
 use crate::rollout::{self, Batch};
 use rand::seq::SliceRandom;
@@ -77,8 +77,10 @@ impl ActorCritic<PpoConfig> {
 
     /// Sampled action (exploration).
     pub fn act_sample(&mut self, obs: &[f64]) -> usize {
-        let logits = self.policy.forward(obs);
-        rollout::sample_action(&logits, &mut self.rng).0
+        let rng = &mut self.rng;
+        with_forward(&self.policy, obs, |logits| {
+            rollout::sample_action(logits, rng).0
+        })
     }
 
     /// Run `iterations` of collect-then-optimize. Returns the episode
@@ -128,7 +130,7 @@ impl ActorCritic<PpoConfig> {
         let cfg = &self.cfg;
         let (policy, value) = (&mut self.policy, &mut self.value);
         let mut order: Vec<usize> = (0..batch.transitions.len()).collect();
-        let mut pass = Update::new(policy, value, batch, cfg.gamma, cfg.lam, cfg.entropy_coef);
+        let mut pass = Update::new(batch, cfg.gamma, cfg.lam, cfg.entropy_coef);
         for _ in 0..cfg.epochs {
             order.shuffle(&mut self.rng);
             for chunk in order.chunks(cfg.minibatch.max(1)) {
@@ -144,7 +146,6 @@ impl ActorCritic<PpoConfig> {
                 });
                 policy.step(cfg.lr);
                 value.step(cfg.vf_lr);
-                pass.refresh(policy, value);
             }
         }
     }

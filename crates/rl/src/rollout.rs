@@ -17,7 +17,7 @@
 //!   reference the determinism and chaos suites hold the pool to.
 
 use crate::env::Environment;
-use autophase_nn::{softmax, BatchWorkspace, Mlp, SoaMlp};
+use autophase_nn::{softmax, BatchWorkspace, Mlp};
 use autophase_telemetry::{self as telemetry, lock_recover};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,8 +117,7 @@ pub fn collect(
     rng: &mut StdRng,
 ) -> Batch {
     let _span = telemetry::span("rollout.batch");
-    let (psoa, vsoa) = (SoaMlp::from_mlp(policy), SoaMlp::from_mlp(value));
-    let mut actor = Actor::new(&psoa, &vsoa);
+    let mut actor = Actor::new(policy, value);
     let mut batch = Batch::default();
     while batch.transitions.len() < horizon {
         let obs = env.reset();
@@ -141,19 +140,18 @@ pub fn episode_seed(seed: u64, episode: u64) -> u64 {
 }
 
 /// The two networks as one collecting thread sees them. Weights are
-/// fixed for a whole collection, so they are transposed once into SoA
-/// mirrors every thread shares read-only; the activation workspaces are
-/// this thread's own — per-step forwards then run allocation-free and
-/// bit-identical to `Mlp::forward`.
+/// fixed for a whole collection, so every thread shares the networks
+/// read-only; the activation workspaces are this thread's own — per-step
+/// forwards then run allocation-free and bit-identical to `Mlp::forward`.
 struct Actor<'a> {
-    policy: &'a SoaMlp,
-    value: &'a SoaMlp,
+    policy: &'a Mlp,
+    value: &'a Mlp,
     pws: BatchWorkspace,
     vws: BatchWorkspace,
 }
 
 impl<'a> Actor<'a> {
-    fn new(policy: &'a SoaMlp, value: &'a SoaMlp) -> Actor<'a> {
+    fn new(policy: &'a Mlp, value: &'a Mlp) -> Actor<'a> {
         Actor {
             policy,
             value,
@@ -216,8 +214,7 @@ pub fn collect_episodes(
     seed: u64,
 ) -> Batch {
     let _span = telemetry::span("rollout.batch");
-    let (psoa, vsoa) = (SoaMlp::from_mlp(policy), SoaMlp::from_mlp(value));
-    let mut actor = Actor::new(&psoa, &vsoa);
+    let mut actor = Actor::new(policy, value);
     let mut batch = Batch::default();
     for episode in base_episode..base_episode + n_episodes as u64 {
         let mut rng = StdRng::seed_from_u64(episode_seed(seed, episode));
@@ -280,8 +277,6 @@ fn collect_episodes_supervised(
     let _span = telemetry::span("rollout.batch");
     let batch_start = telemetry::maybe_now();
     let workers = envs.len();
-    // One SoA transpose for the whole batch, shared by every worker.
-    let (psoa, vsoa) = (SoaMlp::from_mlp(policy), SoaMlp::from_mlp(value));
 
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n_episodes).collect());
     let results: Vec<Mutex<Option<EpisodeResult>>> =
@@ -307,7 +302,7 @@ fn collect_episodes_supervised(
         let worker = |w: usize| {
             let _wspan = telemetry::span("rollout.worker");
             let wstart = telemetry::maybe_now();
-            let mut actor = Actor::new(&psoa, &vsoa);
+            let mut actor = Actor::new(policy, value);
             loop {
                 // Claim an episode and mark it in-flight under the queue
                 // lock, so a panic can never lose an episode between the

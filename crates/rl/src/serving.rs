@@ -125,7 +125,7 @@ impl ObsLayout {
                 self.obs_dim(),
             )));
         }
-        if !all_finite(net) {
+        if !net.is_finite() {
             return Err(LayoutError(format!("{role} has non-finite parameters")));
         }
         Ok(())
@@ -142,11 +142,6 @@ impl ObsLayout {
         self.check_policy(&ckpt.policy)?;
         self.check_net("value net", &ckpt.value, 1)
     }
-}
-
-/// Whether every parameter of `net` is finite (no NaN/Inf poisoning).
-pub fn all_finite(net: &Mlp) -> bool {
-    net.parameters().iter().all(|p| p.is_finite())
 }
 
 #[cfg(test)]

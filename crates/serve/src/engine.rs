@@ -1,19 +1,20 @@
 //! Policy inference and the greedy serving rollout.
 //!
 //! [`InferenceEngine`] is a shared handle, not a thread. It holds the one
-//! serving policy as an immutable [`SoaMlp`] mirror built once by
-//! whoever installs it ([`InferenceEngine::swap_policy`]). A rollout
-//! takes one `Arc` snapshot of it and runs every step's forward
-//! ([`SoaMlp::forward_one`]) on the calling request worker with its own
-//! [`BatchWorkspace`] — the way the trainer's rollout workers forward
-//! (`autophase_rl::rollout`): shared read-only mirrors, per-worker
-//! scratch. A rollout is therefore served end to end by the policy it
-//! started with, a swap never waits for or drops a request, and the
-//! only shared write on the request path is one `Arc` clone per rollout.
-//! The same rollout, handed a policy that is not installed, is how the
-//! learner's replay gate scores a promotion candidate. The SoA kernels are
-//! bit-identical to [`Mlp::forward`] (pinned by the nn crate's
-//! differential suite). Forward time lands in `serve.engine_ns{forward}`
+//! serving policy as an immutable [`Mlp`] handed over by whoever installs
+//! it ([`InferenceEngine::swap_policy`]) — its weights are already in the
+//! layout the batched forward reads, so installing one transposes
+//! nothing. A rollout takes one `Arc` snapshot of it and runs every
+//! step's forward ([`Mlp::forward_one`]) on the calling request worker
+//! with its own [`BatchWorkspace`] — the way the trainer's rollout
+//! workers forward (`autophase_rl::rollout`): shared read-only networks,
+//! per-worker scratch. A rollout is therefore served end to end by the
+//! policy it started with, a swap never waits for or drops a request, and
+//! the only shared write on the request path is one `Arc` clone per
+//! rollout. The same rollout, handed a policy that is not installed, is
+//! how the learner's replay gate scores a promotion candidate. The
+//! batched kernels are bit-identical to [`Mlp::forward`] (pinned by the
+//! nn crate's differential suite). Forward time lands in `serve.engine_ns{forward}`
 //! (kept out of the `serve.stage_ns` family: a request's forwards are
 //! part of its `rollout` stage, not a segment of their own).
 //!
@@ -39,7 +40,7 @@ use autophase_core::step::{Step, Walk};
 use autophase_core::Quarantine;
 use autophase_ir::Module;
 use autophase_nn::mlp::Mlp;
-use autophase_nn::{softmax, BatchWorkspace, SoaMlp};
+use autophase_nn::{softmax, BatchWorkspace};
 use autophase_passes::checked::FuelBudget;
 use autophase_rl::online::ExperienceStep;
 use autophase_rl::rollout::argmax_masked;
@@ -173,13 +174,12 @@ pub struct RolloutReport {
     pub steps: Vec<ExperienceStep>,
 }
 
-/// A policy's serving mirror with its registry version, immutable once
-/// built: a swap replaces the `Arc`, never the weights behind it, so a
-/// rollout holding an `Arc` of this one keeps its exact network to the
-/// end.
+/// A serving policy with its registry version, immutable once built: a
+/// swap replaces the `Arc`, never the weights behind it, so a rollout
+/// holding an `Arc` of this one keeps its exact network to the end.
 pub(crate) struct PolicyEntry {
     pub(crate) version: u64,
-    soa: SoaMlp,
+    policy: Mlp,
 }
 
 /// Shared handle to the serving policy (see module docs).
@@ -212,16 +212,13 @@ impl std::fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// Check `policy` against the serving layout (shape and finite weights)
-/// and build its serving mirror: boot, swaps and the replay gate's
-/// candidate all come through here.
-pub(crate) fn policy_entry(policy: &Mlp, version: u64) -> Result<Arc<PolicyEntry>, ShapeError> {
+/// and wrap it for serving: boot, swaps and the replay gate's candidate
+/// all come through here.
+pub(crate) fn policy_entry(policy: Mlp, version: u64) -> Result<Arc<PolicyEntry>, ShapeError> {
     serve_layout()
-        .check_policy(policy)
+        .check_policy(&policy)
         .map_err(|e| ShapeError(e.to_string()))?;
-    Ok(Arc::new(PolicyEntry {
-        version,
-        soa: SoaMlp::from_mlp(policy),
-    }))
+    Ok(Arc::new(PolicyEntry { version, policy }))
 }
 
 /// Take one armed injection from `armed`, if any is pending. `Relaxed`:
@@ -243,7 +240,7 @@ impl InferenceEngine {
     /// training configuration would silently misread every observation —
     /// and one with a non-finite weight, which would serve NaN logits.
     pub fn start(policy: Mlp, _cfg: EngineConfig) -> Result<InferenceEngine, ShapeError> {
-        let entry = policy_entry(&policy, 0)
+        let entry = policy_entry(policy, 0)
             .map_err(|e| ShapeError(format!("{} (train with serve_env_config())", e.0)))?;
         Ok(InferenceEngine {
             policy: Some(Mutex::new(entry)),
@@ -302,9 +299,9 @@ impl InferenceEngine {
                 "baseline-only engine has no policy slot to swap".into(),
             ));
         };
-        // The transpose into the serving mirror happens here, on the
-        // swapper's thread and outside the lock.
-        let entry = policy_entry(&policy, version)?;
+        // The layout check runs here, on the swapper's thread and
+        // outside the lock.
+        let entry = policy_entry(policy, version)?;
         *lock_recover(slot) = entry;
         self.swaps.fetch_add(1, Ordering::Relaxed);
         telemetry::incr("serve.engine", "swap", 1);
@@ -341,7 +338,7 @@ impl InferenceEngine {
         let t = telemetry::maybe_now();
         let fault = if take_armed(&self.chaos) {
             Some("injected")
-        } else if obs.len() != policy.soa.input_dim() {
+        } else if obs.len() != policy.policy.input_dim() {
             // Answered here rather than by the kernel's length assert:
             // a malformed observation is its caller's fault, not a panic.
             Some("shape")
@@ -352,7 +349,7 @@ impl InferenceEngine {
                 if take_armed(&self.crash) {
                     std::panic::panic_any(INJECTED_CRASH_MSG);
                 }
-                policy.soa.forward_one(obs, ws);
+                policy.policy.forward_one(obs, ws);
             }))
             .err()
             .map(|_| "panic")

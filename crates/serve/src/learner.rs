@@ -394,7 +394,8 @@ impl Replay {
     fn gate(&self, engine: &InferenceEngine, candidate: &Mlp, v: u64) -> Result<(), Reply> {
         let fault = |e| refuse(ErrKind::Internal, None, format!("v{v} replay: {e}"));
         // Validated by `admit` already: the layout check cannot fail here.
-        let candidate = policy_entry(candidate, v).map_err(|_| fault(PolicyFault::Inference))?;
+        let candidate =
+            policy_entry(candidate.clone(), v).map_err(|_| fault(PolicyFault::Inference))?;
         let serving = engine.serving().map_err(fault)?;
         let ours = self.cost(engine, &candidate).map_err(fault)?;
         let theirs = self.cost(engine, &serving).map_err(fault)?;
