@@ -41,10 +41,10 @@ impl Activation {
 /// One dense layer. `W` and everything shaped like it — its gradient
 /// and both Adam moments — are stored **k-major**, `Wᵀ[in×out]`: row `k`
 /// holds every output's weight for input `k`, contiguously. That is the
-/// slab the batched forward ([`simd::gemm_kt`]) reads, so no mirror of
-/// the weights is ever built; Adam works element by element and does not
-/// care. Only construction, [`Mlp::parameters`] /
-/// [`Mlp::set_parameters`] and the codec see the row-major `W`.
+/// slab the batched forward ([`simd::gemm_kt`]) reads as it lies; Adam
+/// works element by element and does not care. Only construction,
+/// [`Mlp::parameters`] / [`Mlp::set_parameters`] and the codec see the
+/// row-major `W`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Dense {
     wt: Matrix,
