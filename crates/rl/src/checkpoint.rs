@@ -1,9 +1,8 @@
 //! Versioned binary checkpoints for trained agents.
 //!
 //! The serving daemon starts from a checkpoint written here, and the
-//! online learner warm-starts from one
-//! (`OnlineTrainer::from_checkpoint`). The vendored serde is a
-//! marker-trait stub, so the format is hand-rolled:
+//! online learner publishes each of its versions as one. The vendored
+//! serde is a marker-trait stub, so the format is hand-rolled:
 //!
 //! ```text
 //! "APCK" | version u32 LE | algo u8 | policy_len u32 LE | policy blob |

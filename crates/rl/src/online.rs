@@ -7,7 +7,7 @@
 //! stream back into policy improvement: episodes arrive as
 //! [`Experience`] records, accumulate into a PPO batch, and each
 //! [`OnlineTrainer::try_update`] runs one incremental
-//! [`PpoAgent::update`] over the SoA batched backward — the same
+//! [`PpoAgent::update`] over the batched backward — the same
 //! optimizer path offline training uses.
 //!
 //! Updates are armored the way serving demands: the agent is
@@ -22,6 +22,7 @@ use crate::checkpoint::PolicyCheckpoint;
 use crate::ppo::{PpoAgent, PpoConfig};
 use crate::rollout::{Batch, Transition};
 use crate::serving::{LayoutError, ObsLayout};
+use autophase_nn::mlp::Mlp;
 use autophase_telemetry as telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -66,10 +67,9 @@ impl Experience {
 pub struct OnlineConfig {
     /// Transitions to accumulate before an update is worthwhile.
     pub min_batch: usize,
-    /// PPO hyperparameters for the incremental updates.
+    /// PPO hyperparameters for the incremental updates; `hidden` shapes
+    /// the fresh value network (the policy arrives already built).
     pub ppo: PpoConfig,
-    /// RNG seed for a freshly initialized agent.
-    pub seed: u64,
 }
 
 impl Default for OnlineConfig {
@@ -77,7 +77,6 @@ impl Default for OnlineConfig {
         OnlineConfig {
             min_batch: 96,
             ppo: PpoConfig::small(),
-            seed: 0xAD_0711,
         }
     }
 }
@@ -110,10 +109,25 @@ pub struct OnlineTrainer {
 }
 
 impl OnlineTrainer {
-    /// A trainer with a freshly initialized agent matching `layout`.
-    pub fn new(layout: ObsLayout, cfg: &OnlineConfig) -> OnlineTrainer {
-        let agent = PpoAgent::new(layout.obs_dim(), layout.num_actions(), &cfg.ppo, cfg.seed);
-        OnlineTrainer {
+    /// A trainer that continues from `policy` (in the daemon, the one
+    /// serving) with a fresh value network over `cfg.ppo.hidden`; `seed`
+    /// seeds that network and the updates' shuffles.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a policy that fails [`ObsLayout::check_policy`] (wrong
+    /// shape or non-finite weights) — a learner must never start from a
+    /// state it would itself refuse to publish.
+    pub fn new(
+        layout: ObsLayout,
+        policy: Mlp,
+        cfg: &OnlineConfig,
+        seed: u64,
+    ) -> Result<OnlineTrainer, LayoutError> {
+        layout.check_policy(&policy)?;
+        let mut agent = PpoAgent::new(layout.obs_dim(), layout.num_actions(), &cfg.ppo, seed);
+        agent.policy = policy;
+        Ok(OnlineTrainer {
             agent,
             layout,
             min_batch: cfg.min_batch.max(1),
@@ -124,28 +138,7 @@ impl OnlineTrainer {
             samples: 0,
             updates: 0,
             rejected: 0,
-        }
-    }
-
-    /// A trainer warm-started from a checkpoint (the registry's active
-    /// version, typically), so online learning continues from the
-    /// weights currently serving instead of from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a checkpoint that fails [`ObsLayout::validate_checkpoint`]
-    /// (wrong shapes or non-finite weights) — a learner must never
-    /// start from a state it would itself refuse to publish.
-    pub fn from_checkpoint(
-        layout: ObsLayout,
-        cfg: &OnlineConfig,
-        ckpt: &PolicyCheckpoint,
-    ) -> Result<OnlineTrainer, LayoutError> {
-        layout.validate_checkpoint(ckpt)?;
-        let mut trainer = OnlineTrainer::new(layout, cfg);
-        trainer.agent.policy = ckpt.policy.clone();
-        trainer.agent.value = ckpt.value.clone();
-        Ok(trainer)
+        })
     }
 
     /// Feed one serving outcome. The episode becomes PPO transitions:
@@ -254,13 +247,19 @@ impl OnlineTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autophase_nn::mlp::Activation;
 
     fn layout() -> ObsLayout {
         ObsLayout::new(3, 2, 4)
     }
 
-    fn cfg(min_batch: usize) -> OnlineConfig {
-        OnlineConfig {
+    fn policy(layout: &ObsLayout, seed: u64) -> Mlp {
+        let shape = [layout.obs_dim(), 4, layout.num_actions()];
+        Mlp::new(&shape, Activation::Tanh, seed)
+    }
+
+    fn trainer(min_batch: usize) -> OnlineTrainer {
+        let cfg = OnlineConfig {
             min_batch,
             ppo: PpoConfig {
                 hidden: vec![4],
@@ -268,8 +267,8 @@ mod tests {
                 epochs: 2,
                 ..PpoConfig::default()
             },
-            seed: 9,
-        }
+        };
+        OnlineTrainer::new(layout(), policy(&layout(), 9), &cfg, 9).expect("a valid policy")
     }
 
     fn episode(layout: &ObsLayout, trainer: &OnlineTrainer, salt: u64, cycles: u64) -> Experience {
@@ -297,7 +296,7 @@ mod tests {
     #[test]
     fn accumulates_and_updates() {
         let l = layout();
-        let mut t = OnlineTrainer::new(l, &cfg(8));
+        let mut t = trainer(8);
         assert!(t.try_update().is_none(), "no data: no update");
         for s in 0..3 {
             let e = episode(&l, &t, s, 700 + s * 50);
@@ -319,8 +318,7 @@ mod tests {
 
     #[test]
     fn malformed_episodes_are_skipped_not_fatal() {
-        let l = layout();
-        let mut t = OnlineTrainer::new(l, &cfg(4));
+        let mut t = trainer(4);
         t.ingest(&Experience {
             steps: vec![],
             cycles: 1,
@@ -342,7 +340,7 @@ mod tests {
     #[test]
     fn poisoned_update_rolls_back() {
         let l = layout();
-        let mut t = OnlineTrainer::new(l, &cfg(4));
+        let mut t = trainer(4);
         let before = t.agent.policy.parameters();
         // A NaN observation drives the forward/backward into NaN; the
         // armor must restore the snapshot instead of keeping the wreck.
@@ -361,16 +359,20 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_requires_valid_checkpoint() {
+    fn the_constructor_refuses_a_policy_the_layout_refuses() {
         let l = layout();
-        let t = OnlineTrainer::new(l, &cfg(4));
-        let good = t.checkpoint();
-        let warm = OnlineTrainer::from_checkpoint(l, &cfg(4), &good).unwrap();
-        assert_eq!(warm.agent.policy.parameters(), t.agent.policy.parameters());
-        let mut bad = good.clone();
-        let mut p = bad.policy.parameters();
-        p[0] = f64::INFINITY;
-        bad.policy.set_parameters(&p);
-        assert!(OnlineTrainer::from_checkpoint(l, &cfg(4), &bad).is_err());
+        let cfg = OnlineConfig::default();
+        let good = policy(&l, 3);
+        let t = OnlineTrainer::new(l, good.clone(), &cfg, 1).expect("a valid policy");
+        assert_eq!(t.checkpoint().policy.parameters(), good.parameters());
+
+        let wide = Mlp::new(&[l.obs_dim() + 1, 4, l.num_actions()], Activation::Tanh, 3);
+        assert!(OnlineTrainer::new(l, wide, &cfg, 1).is_err(), "wrong shape");
+        let mut poisoned = good;
+        let mut p = poisoned.parameters();
+        p[0] = f64::NAN;
+        poisoned.set_parameters(&p);
+        let err = OnlineTrainer::new(l, poisoned, &cfg, 1).unwrap_err();
+        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 }

@@ -21,10 +21,13 @@
 //!
 //! `--registry <dir>` turns on the online-learning subsystem (versioned
 //! model registry + `PROMOTE` accounting); `--learn` additionally runs
-//! the in-daemon background learner, and `--auto-promote` lets it
-//! hot-swap each version it publishes that beats the serving policy on
-//! the programs it recently served (the replay gate). `--admin` accepts
-//! the `PROMOTE` verb from clients.
+//! the in-daemon background learner, which keeps training the policy
+//! that is serving (the boot checkpoint, then whatever a promotion
+//! installs) on the episodes the daemon serves and publishes versions
+//! into the registry. `--auto-promote` lets it hot-swap each version it
+//! publishes that beats the serving policy on the programs it recently
+//! served (the replay gate). `--admin` accepts the `PROMOTE` verb from
+//! clients.
 //!
 //! `stats` renders one dashboard from a live daemon's `STATS` reply;
 //! `top` polls it and refreshes in place (rates are deltas between
@@ -134,7 +137,6 @@ fn daemon_cfg(args: &[String]) -> ServerConfig {
     if args.iter().any(|a| a == "--learn") {
         cfg.learner = Some(LearnerConfig {
             auto_promote: args.iter().any(|a| a == "--auto-promote"),
-            ..LearnerConfig::default()
         });
     }
     cfg

@@ -179,7 +179,8 @@ pub struct RolloutReport {
 /// holding an `Arc` of this one keeps its exact network to the end.
 pub(crate) struct PolicyEntry {
     pub(crate) version: u64,
-    policy: Mlp,
+    /// The network; the online learner starts its trainer from a clone.
+    pub(crate) policy: Mlp,
 }
 
 /// Shared handle to the serving policy (see module docs).

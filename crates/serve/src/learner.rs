@@ -10,14 +10,22 @@
 //! a *bounded* queue: when the queue is full the oldest episode is shed
 //! (`serve.learn{shed}`) so a slow learner can never apply back-pressure
 //! to serving. The learner thread drains the queue, feeds an
-//! [`OnlineTrainer`] (incremental PPO on the SoA batched backward),
+//! [`OnlineTrainer`] (incremental PPO on the batched backward),
 //! remembers the last `REPLAY_PROGRAMS` (16) distinct programs, and every
-//! `publish_every` successful updates publishes a versioned checkpoint
-//! into the [`ModelRegistry`]. The thread runs under a supervisor: a
-//! panic anywhere in the loop is caught and the loop respawned with a
-//! fresh trainer re-seeded from the registry's active version
-//! (`serve.learn{respawn}`), so one pathological batch cannot end online
-//! learning for the daemon's lifetime.
+//! `PUBLISH_EVERY` (2) successful updates publishes a versioned checkpoint
+//! into the [`ModelRegistry`].
+//!
+//! **One starting point: the policy serving.** The trainer descends from
+//! a serving version, its *base*. At every drain the learner compares
+//! the base with what the engine serves; when they differ — at start,
+//! after a supervisor respawn, after an operator `PROMOTE` — it rebuilds
+//! the trainer from the serving network and a fresh value network
+//! (`serve.learn{reseed}`). Its own acked auto-promotion just becomes
+//! the new base, so the lineage continues. The thread runs under a
+//! supervisor: a panic anywhere in the loop is caught and the loop
+//! respawned, reseeding from the serving policy (`serve.learn{respawn}`),
+//! so one pathological batch cannot end online learning for the daemon's
+//! lifetime.
 //!
 //! **The promotion gate** (`admit`). `PROMOTE` (once the server has
 //! checked `admin`) and the learner's `auto_promote` both call it: the
@@ -50,7 +58,6 @@ use autophase_nn::mlp::Mlp;
 use autophase_passes::checked::FuelBudget;
 use autophase_rl::checkpoint::ArmoredLoad;
 use autophase_rl::online::{Experience, OnlineConfig, OnlineTrainer};
-use autophase_rl::ppo::PpoConfig;
 use autophase_rl::registry::{ModelRegistry, VersionInfo};
 use autophase_telemetry::{self as telemetry, lock_recover};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -60,27 +67,19 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// Knobs for the in-daemon learner.
-#[derive(Debug, Clone)]
+/// The in-daemon learner's one knob.
+#[derive(Debug, Clone, Default)]
 pub struct LearnerConfig {
-    /// Transitions to accumulate before an incremental PPO update.
-    pub min_batch: usize,
-    /// Publish a registry version every this many successful updates.
-    pub publish_every: u64,
     /// Hot-swap each published version into the engine through the
     /// promotion gate `PROMOTE` uses.
     pub auto_promote: bool,
 }
 
-impl Default for LearnerConfig {
-    fn default() -> LearnerConfig {
-        LearnerConfig {
-            min_batch: 96,
-            publish_every: 2,
-            auto_promote: false,
-        }
-    }
-}
+/// Publish a registry version every this many successful updates. The
+/// trainer runs on `OnlineConfig::default()`: an update waits for 96
+/// transitions (eight serving episodes), and the fresh value network is
+/// `PpoConfig::small()`'s 32×32.
+const PUBLISH_EVERY: u64 = 2;
 
 /// Experience-queue capacity; beyond it the oldest episode is shed.
 const CHANNEL_CAP: usize = 256;
@@ -89,8 +88,8 @@ const CHANNEL_CAP: usize = 256;
 /// survives).
 const KEEP_VERSIONS: usize = 8;
 
-/// Seed of a freshly initialized agent (a warm start from the
-/// registry's active version ignores it).
+/// Seed of the fresh value network (and the updates' shuffles) each
+/// reseeded trainer starts with.
 const SEED: u64 = 0x0911_11E5;
 
 /// Distinct programs the replay gate runs a candidate over: the last
@@ -425,9 +424,8 @@ struct Learner {
 }
 
 impl Learner {
-    /// Spawn the learner thread, which owns `replay`. It warm-starts from
-    /// the registry's active version when one loads and validates,
-    /// otherwise from a fresh agent.
+    /// Spawn the learner thread, which owns `replay`. Its trainer starts
+    /// from the policy the engine serves.
     fn start(
         cfg: LearnerConfig,
         engine: Arc<InferenceEngine>,
@@ -443,8 +441,8 @@ impl Learner {
         let thread = std::thread::Builder::new()
             .name("serve-learn".into())
             .spawn(move || {
-                // Supervisor: a panicking learner loop is respawned with a
-                // fresh trainer, never fatal to the daemon.
+                // Supervisor: a panicking learner loop is respawned, and
+                // reseeds from the serving policy; never fatal to the daemon.
                 loop {
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         learner_loop(&worker, &cfg, &engine, &registry, &mut replay)
@@ -494,29 +492,14 @@ impl Drop for Learner {
     }
 }
 
-/// Build the trainer this loop incarnation starts from: the registry's
-/// active version when it loads and validates, else a fresh agent.
-fn seed_trainer(cfg: &LearnerConfig, registry: &Mutex<ModelRegistry>) -> OnlineTrainer {
-    let layout = serve_layout();
-    let online = OnlineConfig {
-        min_batch: cfg.min_batch,
-        ppo: PpoConfig::small(),
-        seed: SEED,
-    };
-    let active = {
-        let mut reg = lock_recover(registry);
-        reg.active().map(|v| reg.load_armored(v))
-    };
-    if let Some(ArmoredLoad::Loaded(ckpt)) = active {
-        match OnlineTrainer::from_checkpoint(layout, &online, &ckpt) {
-            Ok(t) => {
-                telemetry::incr("serve.learn", "warm_start", 1);
-                return t;
-            }
-            Err(_) => telemetry::incr("serve.learn", "warm_start_rejected", 1),
-        }
-    }
-    OnlineTrainer::new(layout, &online)
+/// A trainer descending from `serving` — its network and a fresh value
+/// net — paired with the version it descends from, its base.
+fn reseed(serving: &PolicyEntry) -> (u64, OnlineTrainer) {
+    telemetry::incr("serve.learn", "reseed", 1);
+    let policy = serving.policy.clone();
+    let trainer = OnlineTrainer::new(serve_layout(), policy, &OnlineConfig::default(), SEED)
+        .expect("the engine serves only policies the serving layout accepts");
+    (serving.version, trainer)
 }
 
 fn learner_loop(
@@ -526,7 +509,8 @@ fn learner_loop(
     registry: &Mutex<ModelRegistry>,
     replay: &mut Replay,
 ) {
-    let mut trainer = seed_trainer(cfg, registry);
+    // The trainer and the serving version it descends from (its base).
+    let mut lineage: Option<(u64, OnlineTrainer)> = None;
     let mut updates_since_publish = 0u64;
     loop {
         let drained: Vec<Episode> = {
@@ -540,6 +524,18 @@ fn learner_loop(
             q.drain(..).collect()
         };
         telemetry::incr("serve.learn", "ingested", drained.len() as u64);
+        // A baseline-only engine serves no policy to learn from.
+        let Ok(serving) = engine.serving() else {
+            continue;
+        };
+        if lineage
+            .as_ref()
+            .is_some_and(|(base, _)| *base != serving.version)
+        {
+            lineage = None;
+            updates_since_publish = 0;
+        }
+        let (base, trainer) = lineage.get_or_insert_with(|| reseed(&serving));
         for Episode { fp, module, exp } in drained {
             trainer.ingest(&exp);
             replay.remember(fp, module);
@@ -552,7 +548,7 @@ fn learner_loop(
             }
             telemetry::incr("serve.learn", "update", 1);
             updates_since_publish += 1;
-            if updates_since_publish < cfg.publish_every {
+            if updates_since_publish < PUBLISH_EVERY {
                 continue;
             }
             updates_since_publish = 0;
@@ -566,8 +562,10 @@ fn learner_loop(
             telemetry::incr("serve.learn", "publish", 1);
             let _ = reg.retain_last(KEEP_VERSIONS);
             drop(reg);
-            if cfg.auto_promote {
-                admit(engine, registry, version, Some(replay), "promoted_auto");
+            if cfg.auto_promote
+                && admit(engine, registry, version, Some(replay), "promoted_auto") == Reply::Ack
+            {
+                *base = version;
             }
         }
     }

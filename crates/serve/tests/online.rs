@@ -1,22 +1,37 @@
 //! End-to-end drills of the online-learning subsystem on a live daemon:
 //! the background learner publishing and auto-promoting versions, the
-//! replay gate refusing versions that do not beat the serving policy,
-//! the admin-gated `PROMOTE`/`MODEL` verbs, the chaos leg —
-//! corrupt and NaN candidates being quarantined while the old policy
-//! keeps answering every request — and the swap drill: 20 promotions
-//! under live cold load with no request dropped.
+//! replay gate as the only way serving changes, a `PROMOTE` moving the
+//! learner onto the promoted policy, the admin-gated `PROMOTE`/`MODEL`
+//! verbs, the chaos leg — corrupt and NaN candidates being quarantined
+//! while the old policy keeps answering every request — the swap drill:
+//! 20 promotions under live cold load with no request dropped — and, in
+//! release only, whether the learner earns promotions on 500 unseen
+//! programs served by a trained 256×256 policy.
 //!
 //! This is the test `make online-smoke` runs.
 
 use autophase_benchmarks::suite;
+use autophase_core::compile::{cycles_of, o3_cycles};
+use autophase_core::eval_cache::fingerprint_module;
+use autophase_core::{EvalCache, Quarantine};
+use autophase_corpus::{build_corpus, CorpusConfig};
+use autophase_hls::HlsConfig;
+use autophase_ir::printer::print_module;
+use autophase_ir::Module;
 use autophase_nn::mlp::{Activation, Mlp};
-use autophase_rl::checkpoint::{Algo, PolicyCheckpoint};
+use autophase_rl::checkpoint::{Algo, ArmoredLoad, PolicyCheckpoint};
+use autophase_rl::env::Environment;
+use autophase_rl::ppo::{PpoAgent, PpoConfig};
 use autophase_rl::registry::ModelRegistry;
+use autophase_rl::rollout::{collect_episodes_parallel, episode_seed};
 use autophase_serve::client::{Client, ClientError};
-use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::{
+    serve_env, serve_num_actions, serve_obs_dim, EngineConfig, InferenceEngine, SERVE_EPISODE_LEN,
+};
 use autophase_serve::learner::LearnerConfig;
 use autophase_serve::protocol::{ErrKind, Source};
 use autophase_serve::server::{Server, ServerConfig};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,6 +50,18 @@ fn test_policy(seed: u64) -> Mlp {
         Activation::Tanh,
         seed,
     )
+}
+
+/// Cold-compile one fresh copy of every CHStone program, tagged `tag`:
+/// each answer comes from the policy, so each is one learner episode.
+fn cold_round(client: &mut Client, progs: &[String], tag: &str) {
+    for (i, ir) in progs.iter().enumerate() {
+        let fresh = renamed(ir, &format!("{tag}p{i}"));
+        let reply = client
+            .compile(&fresh, Some(60_000), false)
+            .unwrap_or_else(|e| panic!("{tag} p{i}: cold compile failed: {e}"));
+        assert_eq!(reply.source, Source::Policy, "{tag} p{i} fell off policy");
+    }
 }
 
 fn test_ckpt(seed: u64) -> PolicyCheckpoint {
@@ -79,14 +106,7 @@ fn learner_trains_publishes_and_auto_promotes() {
     let cfg = ServerConfig {
         store_path: store.clone(),
         registry_dir: Some(registry_dir.clone()),
-        learner: Some(LearnerConfig {
-            // One episode (SERVE_EPISODE_LEN transitions) per update,
-            // publish every update: versions appear immediately.
-            min_batch: autophase_serve::SERVE_EPISODE_LEN,
-            publish_every: 1,
-            auto_promote: true,
-            ..LearnerConfig::default()
-        }),
+        learner: Some(LearnerConfig { auto_promote: true }),
         ..ServerConfig::default()
     };
     let server = Server::start(test_policy(7), cfg).expect("server starts");
@@ -117,8 +137,8 @@ fn learner_trains_publishes_and_auto_promotes() {
     };
     assert!(promoted.serving, "serving flag set on the promoted line");
     assert!(
-        promoted.samples >= autophase_serve::SERVE_EPISODE_LEN as u64,
-        "published version carries its sample count"
+        promoted.samples >= 2 * 96,
+        "published version carries its sample count (two updates of 96)"
     );
 
     // The promoted version now answers requests and its per-version
@@ -160,26 +180,19 @@ fn learner_trains_publishes_and_auto_promotes() {
     let _ = std::fs::remove_file(&store);
 }
 
-/// The replay gate on a live daemon: booted from a policy the fresh
-/// learner does not beat on the programs it serves (seed 22: Σ ln cycles
-/// 68.94 over CHStone against the fresh agent's 70.11), auto-promotion
-/// refuses the learner's versions. Every compile keeps answering from
-/// the boot policy, and a refused version stays listed — valid, just
-/// not better.
+/// The replay gate on a live daemon booted from the seed-22 policy:
+/// every version the learner publishes is either promoted through the
+/// gate or refused and left listed, none is quarantined, and serving only
+/// ever moves to a newer published version, one counted swap at a time —
+/// while every compile keeps answering from the policy.
 #[test]
-fn auto_promotion_refuses_a_version_that_does_not_beat_serving() {
+fn auto_promotion_changes_serving_only_through_the_replay_gate() {
     let store = tmp("replay.log");
     let registry_dir = tmp("replay_registry");
     let cfg = ServerConfig {
         store_path: store.clone(),
         registry_dir: Some(registry_dir.clone()),
-        learner: Some(LearnerConfig {
-            // One version per round of the nine programs, so the first
-            // is replayed over all of them.
-            min_batch: 9 * autophase_serve::SERVE_EPISODE_LEN,
-            publish_every: 1,
-            auto_promote: true,
-        }),
+        learner: Some(LearnerConfig { auto_promote: true }),
         ..ServerConfig::default()
     };
     let server = Server::start(test_policy(22), cfg).expect("server starts");
@@ -187,41 +200,133 @@ fn auto_promotion_refuses_a_version_that_does_not_beat_serving() {
 
     let progs = programs();
     let deadline = Instant::now() + Duration::from_secs(60);
+    let (mut serving, mut swaps) = (0u64, 0u64);
     let mut round = 0u32;
-    let refused = loop {
+    loop {
         assert!(
             Instant::now() < deadline,
-            "no refused version after {round} rounds"
+            "fewer than two versions after {round} rounds"
         );
-        for (i, ir) in progs.iter().enumerate() {
-            let fresh = renamed(ir, &format!("replay_r{round}p{i}"));
-            let reply = client
-                .compile(&fresh, Some(60_000), false)
-                .expect("cold compile under the replay gate");
-            assert_eq!(reply.source, Source::Policy);
-        }
+        cold_round(&mut client, &progs, &format!("replay_r{round}"));
         round += 1;
         let snap = client.models().expect("MODEL answers");
-        assert_eq!(
-            snap.serving,
-            Some(0),
-            "a version that does not beat v0 swapped in"
-        );
-        // The learner judges each version before it publishes the next,
-        // so with two listed the older one was refused.
-        let rejected = client.stats().expect("STATS answers");
-        if snap.versions.len() >= 2 && rejected.counter("serve.swap", "rejected_replay") >= 1 {
-            break snap.versions[0];
+        let now = snap.serving.expect("a policy serves");
+        let published = snap.versions.iter().map(|v| v.version).max().unwrap_or(0);
+        assert!(snap.swaps <= published, "more swaps than versions");
+        if now == serving {
+            assert_eq!(snap.swaps, swaps, "a swap left v{now} serving");
+        } else {
+            assert!(now > serving, "serving went back from v{serving} to v{now}");
+            assert!(snap.swaps > swaps, "v{now} serves without a swap");
+            assert!(snap.version(now).is_some_and(|v| v.serving));
         }
-    };
-    assert!(!refused.serving);
-    assert!(registry_dir
-        .join(format!("v{}.ckpt", refused.version))
-        .exists());
-    assert!(!registry_dir
-        .join(format!("v{}.ckpt.quarantined", refused.version))
-        .exists());
+        (serving, swaps) = (now, snap.swaps);
+        if published >= 2 {
+            break;
+        }
+    }
+    server.shutdown();
 
+    let reg = ModelRegistry::open(&registry_dir).expect("registry reopens");
+    let listed: Vec<u64> = reg.versions().iter().map(|v| v.version).collect();
+    let published = reg.latest().expect("versions published");
+    assert_eq!(
+        listed,
+        (1..=published).collect::<Vec<_>>(),
+        "all still listed"
+    );
+    for v in &listed {
+        assert!(registry_dir.join(format!("v{v}.ckpt")).exists());
+        assert!(!registry_dir.join(format!("v{v}.ckpt.quarantined")).exists());
+    }
+    // The active pointer moves only with a promotion (the drain at
+    // shutdown may have judged a few more versions).
+    if swaps > 0 {
+        assert!(
+            reg.active() >= Some(serving),
+            "v{serving} served unpromoted"
+        );
+    }
+    assert!(reg.active().is_none_or(|v| listed.contains(&v)));
+    let _ = std::fs::remove_dir_all(&registry_dir);
+    let _ = std::fs::remove_file(&store);
+}
+
+/// The newest version listed on `client`'s daemon; 0 when none is.
+fn newest(client: &mut Client) -> u64 {
+    let snap = client.models().expect("MODEL answers");
+    snap.versions.iter().map(|v| v.version).max().unwrap_or(0)
+}
+
+/// An operator `PROMOTE` of a version the learner did not publish moves
+/// the learner's base. Before it, the learner's versions have the boot
+/// policy's shape (32 hidden units); after it, its newest version
+/// descends from the promoted network — 17 hidden units, a width no
+/// other network here has — not from the lineage it was training.
+#[test]
+fn a_promote_moves_the_learners_base() {
+    let registry_dir = tmp("rebase_registry");
+    let net = |hidden: usize| {
+        let shape = [serve_obs_dim(), hidden, serve_num_actions()];
+        Mlp::new(&shape, Activation::Tanh, 17)
+    };
+    {
+        let mut reg = ModelRegistry::open(&registry_dir).unwrap();
+        let ckpt = PolicyCheckpoint {
+            policy: net(17),
+            ..test_ckpt(17)
+        };
+        assert_eq!(reg.publish(&ckpt, 10, 1).unwrap(), 1);
+    }
+    let store = tmp("rebase.log");
+    let cfg = ServerConfig {
+        store_path: store.clone(),
+        registry_dir: Some(registry_dir.clone()),
+        admin: true,
+        learner: Some(LearnerConfig {
+            auto_promote: false,
+        }),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(test_policy(7), cfg).expect("server starts");
+    let mut client = connect(server.addr());
+    let progs = programs();
+    let policy_size = |v: u64| {
+        let path = registry_dir.join(format!("v{v}.ckpt"));
+        PolicyCheckpoint::load(&path)
+            .map(|c| c.policy.num_parameters())
+            .ok()
+    };
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut round = 0u32;
+    while newest(&mut client) < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "nothing published in {round} rounds"
+        );
+        cold_round(&mut client, &progs, &format!("rebase_a{round}"));
+        round += 1;
+    }
+    assert_eq!(
+        policy_size(2),
+        Some(net(32).num_parameters()),
+        "v2 does not descend from the boot policy"
+    );
+
+    client.promote(1).expect("v1 promotes");
+    loop {
+        assert!(
+            Instant::now() < deadline,
+            "no version descends from v1 after {round} rounds"
+        );
+        cold_round(&mut client, &progs, &format!("rebase_b{round}"));
+        round += 1;
+        let v = newest(&mut client);
+        if v > 2 && policy_size(v) == Some(net(17).num_parameters()) {
+            break;
+        }
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&registry_dir);
     let _ = std::fs::remove_file(&store);
@@ -444,6 +549,151 @@ fn twenty_promotions_under_load_drop_nothing_and_a_corrupt_candidate_is_refused(
     );
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&registry_dir);
+    let _ = std::fs::remove_file(&store);
+}
+
+/// Seed of the benchmark's reference policy: its weights, its rollouts
+/// and its 16 corpus training programs.
+const POLICY_SEED: u64 = 12;
+
+/// `count` distinct corpus programs, drawn the way the benchmark draws
+/// them for `seed`: the corpus base seed is SplitMix64's first output
+/// from `seed ^ 0xC0_2B05`.
+fn corpus(seed: u64, count: usize) -> Vec<Module> {
+    let mut z = (seed ^ 0xC0_2B05).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    let corpus = build_corpus(&CorpusConfig {
+        base_seed: z ^ (z >> 31),
+        target: count,
+        workers: 2,
+        ..CorpusConfig::default()
+    });
+    assert_eq!(corpus.programs.len(), count, "corpus dedup fell short");
+    corpus.programs.into_iter().map(|p| p.module).collect()
+}
+
+/// The benchmark's reference policy: PPO with `PpoConfig::default()`
+/// (256×256) under `serve_env` on `train`, 45 iterations of 4 episodes
+/// collected by two workers sharing one `EvalCache`.
+fn reference_policy(train: &[Module]) -> Mlp {
+    let cache = Arc::new(EvalCache::default());
+    let mut envs: Vec<Box<dyn Environment + Send>> = (0..2)
+        .map(|_| {
+            let mut env = serve_env(train.to_vec());
+            env.set_cache(Arc::clone(&cache));
+            Box::new(env) as Box<dyn Environment + Send>
+        })
+        .collect();
+    let mut agent = PpoAgent::new(
+        serve_obs_dim(),
+        serve_num_actions(),
+        &PpoConfig::default(),
+        POLICY_SEED,
+    );
+    for i in 0..45 {
+        let batch = collect_episodes_parallel(
+            &mut envs,
+            &agent.policy,
+            &agent.value,
+            4,
+            i * 4,
+            SERVE_EPISODE_LEN,
+            episode_seed(POLICY_SEED, i),
+        );
+        agent.update(&batch);
+    }
+    agent.policy
+}
+
+/// Geomean speedup over -O3 (`o3`, cycles per program) of `policy`'s
+/// greedy answers on `programs`, profiled as the daemon profiles.
+fn geomean_vs_o3(policy: &Mlp, programs: &[Module], o3: &[u64]) -> f64 {
+    let engine = InferenceEngine::start(policy.clone(), EngineConfig::default()).unwrap();
+    let cfg = ServerConfig::default();
+    let hls = HlsConfig::default().with_profile_fuel(cfg.profile_fuel);
+    let ln_sum: f64 = programs
+        .iter()
+        .zip(o3)
+        .map(|(program, &o3)| {
+            let mut m = program.clone();
+            let fp = fingerprint_module(program);
+            engine
+                .choose_sequence_report(&mut m, fp, &Quarantine::default(), &cfg.fuel)
+                .expect("the policy answers");
+            (o3.max(1) as f64 / cycles_of(&m, &hls).max(1) as f64).ln()
+        })
+        .sum();
+    (ln_sum / programs.len() as f64).exp()
+}
+
+/// The learner earns promotions: a `--learn --auto-promote` daemon with
+/// an empty registry, booted from the benchmark's reference policy,
+/// serves 500 corpus programs that policy never trained on, one at a
+/// time. After the shutdown drains the learner, the registry must have
+/// an active version — only a promotion through the replay gate sets
+/// one. Prints the geomean speedup over -O3 of the boot policy and of
+/// that version on 100 further held-out programs.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release only: trains a 256x256 policy and serves 500 programs"
+)]
+fn the_learner_earns_a_promotion_on_500_unseen_programs() {
+    let mut train: Vec<Module> = suite().into_iter().map(|b| b.module).collect();
+    train.extend(corpus(POLICY_SEED, 16));
+    let seen: HashSet<u64> = train.iter().map(fingerprint_module).collect();
+    let mut served = corpus(1, 600 + 16);
+    served.retain(|m| !seen.contains(&fingerprint_module(m)));
+    served.truncate(600);
+    assert_eq!(
+        served.len(),
+        600,
+        "too many collisions with the training set"
+    );
+    let held_out = served.split_off(500);
+    let boot = reference_policy(&train);
+
+    // Process-wide: exact only when this test runs alone.
+    let [promoted, refused] = ["promoted_auto", "rejected_replay"]
+        .map(|label| autophase_telemetry::counter("serve.swap", label));
+    let before = [promoted.value(), refused.value()];
+    let store = tmp("earn.log");
+    let registry_dir = tmp("earn_registry");
+    let cfg = ServerConfig {
+        store_path: store.clone(),
+        registry_dir: Some(registry_dir.clone()),
+        learner: Some(LearnerConfig { auto_promote: true }),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(boot.clone(), cfg).expect("server starts");
+    let mut client = connect(server.addr());
+    for (i, program) in served.iter().enumerate() {
+        client
+            .compile(&print_module(program), Some(60_000), false)
+            .unwrap_or_else(|e| panic!("program {i}: {e}"));
+    }
+    server.shutdown();
+
+    let mut reg = ModelRegistry::open(&registry_dir).expect("registry reopens");
+    let published = reg.latest().unwrap_or(0);
+    let active = reg.active();
+    let Some(ArmoredLoad::Loaded(ckpt)) = active.map(|v| reg.load_armored(v)) else {
+        panic!("none of {published} published versions passed the replay gate");
+    };
+    let hls = HlsConfig::default().with_profile_fuel(ServerConfig::default().profile_fuel);
+    let o3: Vec<u64> = held_out.iter().map(|m| o3_cycles(m, &hls)).collect();
+    println!(
+        "online learner: {published} versions published, serve.swap{{promoted_auto}} +{} \
+         {{rejected_replay}} +{} (process-wide); held-out geomean vs -O3: boot {:.4}, \
+         active v{} {:.4}",
+        promoted.value() - before[0],
+        refused.value() - before[1],
+        geomean_vs_o3(&boot, &held_out, &o3),
+        active.unwrap_or(0),
+        geomean_vs_o3(&ckpt.policy, &held_out, &o3),
+    );
     let _ = std::fs::remove_dir_all(&registry_dir);
     let _ = std::fs::remove_file(&store);
 }
