@@ -5,7 +5,7 @@
 //! ascending-k order, no FMA contraction. So the pinned tolerance here is
 //! zero: every assertion compares `f64::to_bits`.
 
-use autophase_nn::simd::{adam_step, gemm_rt, AdamStep};
+use autophase_nn::simd::{adam_step, gemm_kt, gemm_kt_acc, gemm_rt, AdamStep};
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp, Workspace};
 use proptest::prelude::*;
 
@@ -143,6 +143,7 @@ fn backward_batch_bit_identical_to_sequential_backward() {
         &[42, 37, 1],
         &[3, 6, 5, 7, 2],
         &[42, 256, 256, 18],
+        &[42, 256, 256, 1],
     ];
     // Around the GEMM row block (4) on both products, the benchmark's
     // update sizes (12, 48) and A2C's chunk (64) with its remainder.
@@ -217,6 +218,106 @@ fn gemm_rt_bit_identical_to_scalar_reference() {
                     assert!(
                         bits(&ys) == want,
                         "gemm_rt width {width:?} kdim {kdim} out {out} batch {batch}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `ys[b][n] = init[b][n] + Σ_k wt[k·out + n] · xs[b][k]`, ascending `k`,
+/// separate multiply and add: the scalar reference `gemm_kt` (zero
+/// `init`) and `gemm_kt_acc` are held to.
+fn reference_kt(wt: &[f64], xs: &[f64], init: &[f64], kdim: usize, out: usize) -> Vec<f64> {
+    let mut ys = init.to_vec();
+    for (x, y) in xs.chunks_exact(kdim).zip(ys.chunks_exact_mut(out)) {
+        for (n, yn) in y.iter_mut().enumerate() {
+            for (k, xk) in x.iter().enumerate() {
+                *yn += wt[k * out + n] * xk;
+            }
+        }
+    }
+    ys
+}
+
+/// The three products against their scalar references at every width,
+/// on the edges a wider blocking creates: output counts around 8-lane
+/// tails (1–17, 18, 31–33, 256), batches around 4-row blocks plus tail
+/// rows (1–13, and the set-up's 48), and the nets' reduction lengths
+/// (the value head's 1, the update batch 12, 18 actions, 42 features,
+/// 256 hidden units). A shape here plays every role: `gemm_kt_acc` reads
+/// `kdim` as the update batch and `batch` as the layer's inputs,
+/// `gemm_rt` reads `kdim` as the layer's outputs, so `kdim` 1 with
+/// `out` 256 is the value net's hand-off.
+#[test]
+fn gemm_products_bit_identical_at_block_and_tail_edges() {
+    const OUTS: &[usize] = &[
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 31, 32, 33, 256,
+    ];
+    const BATCHES: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 48];
+    const KDIMS: &[usize] = &[1, 12, 18, 42, 256];
+    for &kdim in KDIMS {
+        for &out in OUTS {
+            let w: Vec<f64> = obs(kdim * out, (kdim * 1000 + out) as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| if i % 13 == 5 { -0.0 } else { v })
+                .collect();
+            for &batch in BATCHES {
+                // The 256-long reductions are slow to check in debug
+                // builds: keep them to the batches a block boundary
+                // separates.
+                if kdim == 256 && ![1, 4, 5, 12, 13, 48].contains(&batch) {
+                    continue;
+                }
+                let xs = obs(batch * kdim, 3 + batch as u64);
+                let init = obs(batch * out, 500 + batch as u64);
+                let want = [
+                    bits(&reference_kt(&w, &xs, &vec![0.0; batch * out], kdim, out)),
+                    bits(&reference_kt(&w, &xs, &init, kdim, out)),
+                    bits(&reference_rt(&w, &xs, batch, kdim, out)),
+                ];
+                for width in KernelWidth::all() {
+                    let mut got = [
+                        vec![f64::NAN; batch * out],
+                        init.clone(),
+                        vec![f64::NAN; batch * out],
+                    ];
+                    gemm_kt(&w, &xs, &mut got[0], batch, width);
+                    gemm_kt_acc(&w, &xs, &mut got[1], batch, width);
+                    gemm_rt(&w, &xs, &mut got[2], batch, width);
+                    for (name, (g, want)) in ["gemm_kt", "gemm_kt_acc", "gemm_rt"]
+                        .iter()
+                        .zip(got.iter().zip(&want))
+                    {
+                        assert!(
+                            bits(g) == *want,
+                            "{name} width {width:?} kdim {kdim} out {out} batch {batch}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The serving policy and its value net forwarded at every batch from 1
+/// to 13 and at 48, against the scalar forward row by row.
+#[test]
+fn policy_and_value_forward_bit_identical_at_every_batch_edge() {
+    for shape in [[42usize, 256, 256, 18], [42, 256, 256, 1]] {
+        let mlp = Mlp::new(&shape, Activation::Tanh, 17);
+        let inputs = samples(shape[0], 48, 900);
+        let want: Vec<Vec<u64>> = inputs.iter().map(|x| bits(&mlp.forward(x))).collect();
+        for width in KernelWidth::all() {
+            let mut ws = BatchWorkspace::with_width(width);
+            for batch in (1..=13).chain([48]) {
+                stage(&mlp, &mut ws, &inputs[..batch]);
+                for (b, w) in want[..batch].iter().enumerate() {
+                    assert_eq!(
+                        bits(ws.logits(b)),
+                        *w,
+                        "shape {shape:?} width {width:?} batch {batch} row {b}"
                     );
                 }
             }
