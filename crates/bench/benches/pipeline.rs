@@ -8,7 +8,7 @@ use autophase_core::compile::sequence_cycles;
 use autophase_core::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::extract;
 use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsConfig};
-use autophase_nn::simd::{gemm_kt, gemm_rt};
+use autophase_nn::simd::{gemm_kt, gemm_kt_acc, gemm_rt};
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use autophase_rl::env::Environment;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -186,17 +186,81 @@ fn bench_nn_update(c: &mut Criterion) {
     for batch in [12usize, 48] {
         let xs: Vec<f64> = (0..batch * 256).map(|i| (i as f64 * 0.07).cos()).collect();
         let mut ys = vec![0.0; batch * 256];
-        for (kernel, product) in [
-            (
-                "gemm_kt",
-                gemm_kt as fn(&[f64], &[f64], &mut [f64], usize, KernelWidth),
-            ),
-            ("gemm_rt", gemm_rt),
-        ] {
+        let mut stage = Vec::new();
+        for kernel in ["gemm_kt", "gemm_rt"] {
             c.bench_function(&format!("nn_update/{kernel} 256x256 b{batch}"), |b| {
                 b.iter(|| {
-                    product(&slab, &xs, &mut ys, batch, width);
+                    if kernel == "gemm_kt" {
+                        gemm_kt(&slab, &xs, &mut ys, batch, width);
+                    } else {
+                        gemm_rt(&slab, &xs, &mut ys, batch, &mut stage, width);
+                    }
                     black_box(ys[0])
+                })
+            });
+        }
+    }
+}
+
+/// The three GEMMs at `v4` and `v8` over the serving policy's layers
+/// (42→256→256→18, DESIGN.md §4k "V8"): each line is one product per
+/// layer it runs on — the forward chain at batch 1 (`forward_one`'s
+/// GEMV) and at the update's batch 12, the weight gradient
+/// `gwᵀ += Xᵀ·Δ` of all three layers, and the two hand-offs `Δ·W`.
+fn bench_nn_kernels(c: &mut Criterion) {
+    const SIZES: [usize; 4] = [42, 256, 256, 18];
+    const BATCH: usize = 12;
+    let fill = |n: usize, salt: f64| -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.013 + salt).sin()).collect()
+    };
+    let layers: Vec<(usize, usize)> = SIZES.windows(2).map(|p| (p[0], p[1])).collect();
+    let slabs: Vec<Vec<f64>> = layers.iter().map(|&(i, o)| fill(i * o, 0.5)).collect();
+    // Per layer: (slab, rows, result, batch) of each product.
+    type Product = (Vec<f64>, Vec<f64>, Vec<f64>, usize);
+    let forward = |batch: usize| -> Vec<Product> {
+        layers
+            .iter()
+            .zip(&slabs)
+            .map(|(&(i, o), w)| (w.clone(), fill(batch * i, 1.0), vec![0.0; batch * o], batch))
+            .collect()
+    };
+    // The gradient's slab is `Δ[B×out]`, its rows `Xᵀ[in×B]`.
+    let gradient: Vec<Product> = layers
+        .iter()
+        .map(|&(i, o)| {
+            (
+                fill(BATCH * o, 2.0),
+                fill(i * BATCH, 3.0),
+                fill(i * o, 4.0),
+                i,
+            )
+        })
+        .collect();
+    // Hand-offs below the first layer: `Δ[B×out]` into `Δ'[B×in]`.
+    let handoff: Vec<Product> = layers[1..]
+        .iter()
+        .zip(&slabs[1..])
+        .map(|(&(i, o), w)| (w.clone(), fill(BATCH * o, 5.0), vec![0.0; BATCH * i], BATCH))
+        .collect();
+    let mut stage = Vec::new();
+    for (kernel, mut products) in [
+        ("gemm_kt_b1", forward(1)),
+        ("gemm_kt_b12", forward(BATCH)),
+        ("gemm_kt_acc_b12", gradient),
+        ("gemm_rt_b12", handoff),
+    ] {
+        for width in [KernelWidth::V4, KernelWidth::V8] {
+            let name = format!("nn_kernels/{kernel}/{}", width.name());
+            c.bench_function(&name, |b| {
+                b.iter(|| {
+                    for (w, xs, ys, batch) in &mut products {
+                        match kernel {
+                            "gemm_kt_acc_b12" => gemm_kt_acc(w, xs, ys, *batch, width),
+                            "gemm_rt_b12" => gemm_rt(w, xs, ys, *batch, &mut stage, width),
+                            _ => gemm_kt(w, xs, ys, *batch, width),
+                        }
+                    }
+                    black_box(products[0].2[0])
                 })
             });
         }
@@ -205,6 +269,7 @@ fn bench_nn_update(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_nn_kernels,
     bench_nn_update,
     bench_passes,
     bench_hls,

@@ -342,6 +342,7 @@ impl Mlp {
             delta,
             next,
             inputs_t,
+            stage,
             ..
         } = scratch;
         // `delta` and `next` trade places at every hand-off, so which one
@@ -372,7 +373,7 @@ impl Mlp {
             if li > 0 {
                 next.clear();
                 next.resize(batch * inputs, 0.0);
-                simd::gemm_rt(layer.wt.data(), delta, next, batch, width);
+                simd::gemm_rt(layer.wt.data(), delta, next, batch, stage, width);
                 std::mem::swap(delta, next);
             }
         }
@@ -673,13 +674,15 @@ impl Default for BatchWorkspace {
 
 /// Caller-owned scratch for [`Mlp::backward_batch`]: the batch's deltas
 /// `Δ[batch × out]` for the current layer, the buffer the layer below's
-/// are written to, and the layer's transposed inputs `Xᵀ[in × batch]`;
-/// plus the kernel width the products run at.
+/// are written to, the layer's transposed inputs `Xᵀ[in × batch]`, and
+/// the hand-off's staging ([`simd::gemm_rt`]); plus the kernel width the
+/// products run at.
 #[derive(Debug, Clone)]
 pub struct GradScratch {
     delta: Vec<f64>,
     next: Vec<f64>,
     inputs_t: Vec<f64>,
+    stage: Vec<f64>,
     width: KernelWidth,
 }
 
@@ -696,6 +699,7 @@ impl GradScratch {
             delta: Vec::new(),
             next: Vec::new(),
             inputs_t: Vec::new(),
+            stage: Vec::new(),
             width,
         }
     }

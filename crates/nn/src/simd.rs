@@ -10,10 +10,11 @@
 //! * Reductions run over `k` in ascending order per output element.
 //!   Vector lanes span *outputs* (`n`), never the reduction axis, so no
 //!   partial-sum reassociation ever happens.
-//! * Multiplies and adds are written as separate operations and the
-//!   crate never enables `fma` codegen, so no fused multiply-add can
-//!   change rounding (LLVM only contracts under fast-math flags, which
-//!   Rust does not set).
+//! * Multiplies and adds are written as separate operations, and LLVM
+//!   only fuses them under fast-math flags, which Rust does not set, so
+//!   no fused multiply-add can change rounding. The V4 bodies do not even
+//!   enable `fma`; the V8 bodies' `avx512f` implies it, and they rely on
+//!   the separate operations alone.
 //! * Transcendentals (`tanh`) use the scalar libm call per lane rather
 //!   than a polynomial approximation.
 //!
@@ -22,18 +23,26 @@
 //!
 //! Width selection follows ratchet's `KernelElement` pattern: a small
 //! enum ([`KernelWidth`]) chosen once at startup (or forced by tests and
-//! benches), dispatching to monomorphized lane kernels.
+//! benches), dispatching to monomorphized lane kernels. The widths are
+//! `V8` (AVX-512F `f64x8`: hand-written bodies for the three GEMMs, the
+//! AVX bodies for the elementwise kernels), `V4` (AVX `f64x4`), `V2`
+//! (the SSE2 baseline) and `Scalar`; `V8` and `V4` fall back to their
+//! generic lane bodies on a CPU without their instructions.
 
 use std::sync::OnceLock;
 
 /// Vector width for the f64 kernels, à la ratchet's `KernelElement`.
 ///
-/// `V4` maps to AVX `f64x4` on `x86_64` (runtime-detected; falls back to
-/// the generic 4-lane kernel elsewhere). `V2` is the SSE2-baseline
-/// 2-lane kernel.
+/// `V8` maps to AVX-512F `f64x8` on `x86_64` for the GEMMs and to the
+/// AVX bodies for the elementwise kernels; `V4` maps to AVX `f64x4`.
+/// Both are runtime-detected and fall back to the generic 8- and 4-lane
+/// kernels on a CPU without those instructions. `V2` is the
+/// SSE2-baseline 2-lane kernel.
 /// `Scalar` is a plain loop, used when the `simd` feature is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelWidth {
+    /// Eight f64 lanes (AVX-512F zmm).
+    V8,
     /// Four f64 lanes (AVX ymm).
     V4,
     /// Two f64 lanes (SSE2 xmm baseline).
@@ -46,6 +55,7 @@ impl KernelWidth {
     /// Number of f64 lanes per vector.
     pub fn lanes(self) -> usize {
         match self {
+            KernelWidth::V8 => 8,
             KernelWidth::V4 => 4,
             KernelWidth::V2 => 2,
             KernelWidth::Scalar => 1,
@@ -55,15 +65,18 @@ impl KernelWidth {
     /// Stable name, accepted by [`KernelWidth::parse`].
     pub fn name(self) -> &'static str {
         match self {
+            KernelWidth::V8 => "v8",
             KernelWidth::V4 => "v4",
             KernelWidth::V2 => "v2",
             KernelWidth::Scalar => "scalar",
         }
     }
 
-    /// Parse a width name (`v4`/`v2`/`scalar`), e.g. from a bench flag.
+    /// Parse a width name (`v8`/`v4`/`v2`/`scalar`), e.g. from a bench
+    /// flag.
     pub fn parse(s: &str) -> Option<KernelWidth> {
         match s {
+            "v8" => Some(KernelWidth::V8),
             "v4" => Some(KernelWidth::V4),
             "v2" => Some(KernelWidth::V2),
             "scalar" => Some(KernelWidth::Scalar),
@@ -72,14 +85,20 @@ impl KernelWidth {
     }
 
     /// All widths, widest first (for differential sweeps).
-    pub fn all() -> [KernelWidth; 3] {
-        [KernelWidth::V4, KernelWidth::V2, KernelWidth::Scalar]
+    pub fn all() -> [KernelWidth; 4] {
+        [
+            KernelWidth::V8,
+            KernelWidth::V4,
+            KernelWidth::V2,
+            KernelWidth::Scalar,
+        ]
     }
 
     /// Select the widest kernel this build + CPU supports.
     ///
     /// With the `simd` feature disabled this is always `Scalar`;
-    /// otherwise `V4` when the CPU reports AVX, else `V2`.
+    /// otherwise `V8` when the CPU reports AVX-512F, `V4` when it reports
+    /// AVX, else `V2`.
     pub fn pick() -> KernelWidth {
         pick_impl()
     }
@@ -93,7 +112,9 @@ fn pick_impl() -> KernelWidth {
 #[cfg(feature = "simd")]
 fn pick_impl() -> KernelWidth {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
+    if v8::avx512_available() {
+        return KernelWidth::V8;
+    } else if v4::avx_available() {
         return KernelWidth::V4;
     }
     KernelWidth::V2
@@ -626,6 +647,241 @@ fn adam_v4(w: &mut [f64], g: &mut [f64], m: &mut [f64], v: &mut [f64], c: &AdamS
     adam_lanes::<4>(w, g, m, v, c)
 }
 
+// ---- V8 backends ----
+//
+// Hand-written AVX-512F bodies for the three GEMMs; the elementwise
+// kernels run their V4 bodies (Adam is bound by its divider, not its
+// width). Rust's `avx512f` implies `fma`, so these bodies do not rely on
+// the feature set to keep products and sums apart: each spells
+// `_mm512_mul_pd` then `_mm512_add_pd`, which LLVM does not fuse without
+// fast-math flags. Output tails are masked loads and stores, not scalar
+// loops.
+
+#[cfg(target_arch = "x86_64")]
+mod v8 {
+    use std::arch::x86_64::*;
+
+    /// Batch rows sharing one slab load in the batched GEMMs.
+    const ROWS: usize = 4;
+    /// Vectors of outputs per batched panel.
+    const VECS: usize = 4;
+
+    /// The first `n` of a vector's 8 lanes (`n ≤ 8`).
+    fn first(n: usize) -> __mmask8 {
+        (0xFFu16 >> (8 - n)) as __mmask8
+    }
+
+    /// `R` batch rows × `U` vectors of outputs, `y[r][0..8U] (+)= Σ_k
+    /// x[r][k] · wt[k·out + 0..8U]`, lanes outside `mask` computed and
+    /// dropped. The `R·U` accumulators stay in registers while `k`
+    /// streams in ascending order, and each slab load serves all `R`
+    /// rows.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F; `x[r]` readable for `kdim`, and `wt + k·out` and
+    /// `y[r]` readable (and `y[r]` writable) on every lane `mask` keeps.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn panel<const R: usize, const U: usize, const ACC: bool>(
+        wt: *const f64,
+        x: [*const f64; R],
+        y: [*mut f64; R],
+        kdim: usize,
+        out: usize,
+        mask: [__mmask8; U],
+    ) {
+        let mut acc = [[_mm512_setzero_pd(); U]; R];
+        if ACC {
+            for (a, yr) in acc.iter_mut().zip(y) {
+                for (u, au) in a.iter_mut().enumerate() {
+                    *au = _mm512_maskz_loadu_pd(mask[u], yr.add(8 * u));
+                }
+            }
+        }
+        for k in 0..kdim {
+            let row = wt.add(k * out);
+            let mut w = [_mm512_setzero_pd(); U];
+            for (u, wu) in w.iter_mut().enumerate() {
+                *wu = _mm512_maskz_loadu_pd(mask[u], row.add(8 * u));
+            }
+            for (a, xr) in acc.iter_mut().zip(x) {
+                let xk = _mm512_set1_pd(*xr.add(k));
+                for (au, wu) in a.iter_mut().zip(w) {
+                    *au = _mm512_add_pd(*au, _mm512_mul_pd(wu, xk));
+                }
+            }
+        }
+        for (a, yr) in acc.iter().zip(y) {
+            for (u, au) in a.iter().enumerate() {
+                _mm512_mask_storeu_pd(yr.add(8 * u), mask[u], *au);
+            }
+        }
+    }
+
+    /// `R` batch rows over every output: panels of `U` whole vectors,
+    /// then the `out % 8U` tail in pieces of at most two vectors, the
+    /// last one masked.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F; `kdim > 0`, `wt` a `kdim × out` slab, each `x[r]`
+    /// `kdim` long and each `y[r]` `out` long.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn rows<const R: usize, const U: usize, const ACC: bool>(
+        wt: *const f64,
+        x: [*const f64; R],
+        y: [*mut f64; R],
+        kdim: usize,
+        out: usize,
+    ) {
+        let at = |n: usize| y.map(|yr| yr.wrapping_add(n));
+        let mut n = 0;
+        while n + 8 * U <= out {
+            panel::<R, U, ACC>(wt.add(n), x, at(n), kdim, out, [0xFF; U]);
+            n += 8 * U;
+        }
+        while n < out {
+            let rest = out - n;
+            if rest > 8 {
+                let mask = [0xFF, first(rest.min(16) - 8)];
+                panel::<R, 2, ACC>(wt.add(n), x, at(n), kdim, out, mask);
+                n += 16;
+            } else {
+                panel::<R, 1, ACC>(wt.add(n), x, at(n), kdim, out, [first(rest)]);
+                n = out;
+            }
+        }
+    }
+
+    /// [`super::gemm_kt`] (`ACC = false`) and [`super::gemm_kt_acc`] on
+    /// AVX-512F: blocks of [`ROWS`] batch rows × [`VECS`] vectors (32
+    /// outputs), then each remaining row alone × 8 vectors (64 outputs)
+    /// — the batch-1 GEMV of `forward_one` is all remainder.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and the slices must have the
+    /// shapes [`super::gemm_dims`] checked.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_kt<const ACC: bool>(
+        wt: &[f64],
+        xs: &[f64],
+        ys: &mut [f64],
+        batch: usize,
+        kdim: usize,
+        out: usize,
+    ) {
+        if kdim == 0 {
+            if !ACC {
+                ys.fill(0.0);
+            }
+            return;
+        }
+        let (w, x, y) = (wt.as_ptr(), xs.as_ptr(), ys.as_mut_ptr());
+        let mut b = 0;
+        while b + ROWS <= batch {
+            let mut xr = [x; ROWS];
+            let mut yr = [y; ROWS];
+            for r in 0..ROWS {
+                xr[r] = x.add((b + r) * kdim);
+                yr[r] = y.add((b + r) * out);
+            }
+            rows::<ROWS, VECS, ACC>(w, xr, yr, kdim, out);
+            b += ROWS;
+        }
+        while b < batch {
+            rows::<1, 8, ACC>(w, [x.add(b * kdim)], [y.add(b * out)], kdim, out);
+            b += 1;
+        }
+    }
+
+    /// [`super::gemm_rt`] on AVX-512F, with lanes across batch rows: the
+    /// rows `xs` are transposed into `stage` (`Xᵀ[kdim×batch]`), which
+    /// then serves as the k-major slab of a [`gemm_kt`] whose rows are
+    /// the row-major weights, and the `[out×batch]` result is transposed
+    /// back into `ys`. Each output still reduces in ascending `j`, mul
+    /// then add; the weights are read as they lie, with no register
+    /// transposes.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_kt`].
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_rt(
+        w: &[f64],
+        xs: &[f64],
+        ys: &mut [f64],
+        batch: usize,
+        kdim: usize,
+        out: usize,
+        stage: &mut Vec<f64>,
+    ) {
+        let need = (kdim + out) * batch;
+        if stage.len() < need {
+            stage.resize(need, 0.0);
+        }
+        let (xt, yt) = stage[..need].split_at_mut(kdim * batch);
+        crate::matrix::transpose_into(xs, batch, kdim, xt);
+        gemm_kt::<false>(xt, w, yt, out, kdim, batch);
+        crate::matrix::transpose_into(yt, out, batch, ys);
+    }
+
+    pub(super) fn avx512_available() -> bool {
+        use std::sync::OnceLock;
+        static AVX512: OnceLock<bool> = OnceLock::new();
+        *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+    }
+}
+
+fn gemm_kt_v8(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if v8::avx512_available() {
+        // SAFETY: guarded by runtime AVX-512F detection; shapes checked
+        // by `gemm_dims`.
+        unsafe { v8::gemm_kt::<false>(wt, xs, ys, batch, kdim, out) };
+        return;
+    }
+    gemm_kt_lanes::<8, false>(wt, xs, ys, batch, kdim, out)
+}
+
+fn gemm_kt_acc_v8(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, kdim: usize, out: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if v8::avx512_available() {
+        // SAFETY: as `gemm_kt_v8`.
+        unsafe { v8::gemm_kt::<true>(wt, xs, ys, batch, kdim, out) };
+        return;
+    }
+    gemm_kt_lanes::<8, true>(wt, xs, ys, batch, kdim, out)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_rt_v8(
+    w: &[f64],
+    xs: &[f64],
+    ys: &mut [f64],
+    batch: usize,
+    kdim: usize,
+    out: usize,
+    stage: &mut Vec<f64>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if v8::avx512_available() {
+        // Lanes across batch rows cost a whole vector per weight however
+        // few rows fill it; up to one row block, the V4 body's tiles are
+        // cheaper.
+        if batch <= GEMM_ROW_BLOCK {
+            return gemm_rt_v4(w, xs, ys, batch, kdim, out);
+        }
+        // SAFETY: as `gemm_kt_v8`.
+        unsafe { v8::gemm_rt(w, xs, ys, batch, kdim, out, stage) };
+        return;
+    }
+    let _ = stage;
+    gemm_rt_lanes::<8>(w, xs, ys, batch, kdim, out)
+}
+
 // ---- public dispatch ----
 
 /// `y[i] += a · x[i]`, vectorized over `i`.
@@ -636,7 +892,7 @@ fn adam_v4(w: &mut [f64], g: &mut [f64], m: &mut [f64], v: &mut [f64], c: &AdamS
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64], width: KernelWidth) {
     assert_eq!(y.len(), x.len(), "axpy length mismatch");
     match width {
-        KernelWidth::V4 => axpy_v4(y, a, x),
+        KernelWidth::V8 | KernelWidth::V4 => axpy_v4(y, a, x),
         KernelWidth::V2 => axpy_lanes::<2>(y, a, x),
         KernelWidth::Scalar => axpy_lanes::<1>(y, a, x),
     }
@@ -650,7 +906,7 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64], width: KernelWidth) {
 pub fn add_assign(y: &mut [f64], x: &[f64], width: KernelWidth) {
     assert_eq!(y.len(), x.len(), "add_assign length mismatch");
     match width {
-        KernelWidth::V4 => add_v4(y, x),
+        KernelWidth::V8 | KernelWidth::V4 => add_v4(y, x),
         KernelWidth::V2 => add_lanes::<2>(y, x),
         KernelWidth::Scalar => add_lanes::<1>(y, x),
     }
@@ -677,6 +933,7 @@ pub fn gemm_kt(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: Kern
         return;
     };
     match width {
+        KernelWidth::V8 => gemm_kt_v8(wt, xs, ys, batch, kdim, out),
         KernelWidth::V4 => gemm_kt_v4(wt, xs, ys, batch, kdim, out),
         KernelWidth::V2 => gemm_kt_lanes::<2, false>(wt, xs, ys, batch, kdim, out),
         KernelWidth::Scalar => gemm_kt_lanes::<1, false>(wt, xs, ys, batch, kdim, out),
@@ -698,6 +955,7 @@ pub fn gemm_kt_acc(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: 
         return;
     };
     match width {
+        KernelWidth::V8 => gemm_kt_acc_v8(wt, xs, ys, batch, kdim, out),
         KernelWidth::V4 => gemm_kt_acc_v4(wt, xs, ys, batch, kdim, out),
         KernelWidth::V2 => gemm_kt_lanes::<2, true>(wt, xs, ys, batch, kdim, out),
         KernelWidth::Scalar => gemm_kt_lanes::<1, true>(wt, xs, ys, batch, kdim, out),
@@ -713,16 +971,27 @@ pub fn gemm_kt_acc(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: 
 /// `j` in ascending order with separate mul-then-add, so each row is
 /// bit-identical to the scalar row-major [`crate::Matrix::matvec`], and
 /// batching is bit-invisible. The V4 body transposes 4×4 weight tiles in
-/// registers, sharing each across 4 batch rows.
+/// registers, sharing each across 4 batch rows. The V8 body runs its
+/// lanes across batch rows instead, through a transposed copy of `xs`
+/// and of the result kept in `stage`, which grows to
+/// `(kdim + out) · batch` once and is left as it is by the other widths.
 ///
 /// # Panics
 ///
 /// As [`gemm_kt`].
-pub fn gemm_rt(w: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: KernelWidth) {
+pub fn gemm_rt(
+    w: &[f64],
+    xs: &[f64],
+    ys: &mut [f64],
+    batch: usize,
+    stage: &mut Vec<f64>,
+    width: KernelWidth,
+) {
     let Some((kdim, out)) = gemm_dims(w, xs, ys, batch) else {
         return;
     };
     match width {
+        KernelWidth::V8 => gemm_rt_v8(w, xs, ys, batch, kdim, out, stage),
         KernelWidth::V4 => gemm_rt_v4(w, xs, ys, batch, kdim, out),
         KernelWidth::V2 => gemm_rt_lanes::<2>(w, xs, ys, batch, kdim, out),
         KernelWidth::Scalar => gemm_rt_lanes::<1>(w, xs, ys, batch, kdim, out),
@@ -765,7 +1034,7 @@ pub fn adam_step(
         "adam_step length mismatch"
     );
     match width {
-        KernelWidth::V4 => adam_v4(w, g, m, v, c),
+        KernelWidth::V8 | KernelWidth::V4 => adam_v4(w, g, m, v, c),
         KernelWidth::V2 => adam_lanes::<2>(w, g, m, v, c),
         KernelWidth::Scalar => adam_lanes::<1>(w, g, m, v, c),
     }
@@ -781,25 +1050,40 @@ mod tests {
             assert_eq!(KernelWidth::parse(w.name()), Some(w));
             assert!(w.lanes().is_power_of_two());
         }
-        assert_eq!(KernelWidth::parse("v8"), None);
-        // pick() honors the feature matrix.
-        if cfg!(feature = "simd") {
-            assert_ne!(KernelWidth::pick(), KernelWidth::Scalar);
-        } else {
-            assert_eq!(KernelWidth::pick(), KernelWidth::Scalar);
-        }
+        assert_eq!(KernelWidth::parse("v16"), None);
         assert_eq!(picked(), KernelWidth::pick());
+    }
+
+    /// `pick()` is the widest width the build and the CPU both have:
+    /// `V8` exactly when the `simd` feature is on and AVX-512F is
+    /// detected, `V4` when only AVX is, `Scalar` without the feature.
+    #[test]
+    fn pick_follows_the_feature_and_the_cpu() {
+        #[cfg(target_arch = "x86_64")]
+        let (avx512, avx) = (
+            std::arch::is_x86_feature_detected!("avx512f"),
+            std::arch::is_x86_feature_detected!("avx"),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx512, avx) = (false, false);
+        let want = match (cfg!(feature = "simd"), avx512, avx) {
+            (false, _, _) => KernelWidth::Scalar,
+            (true, true, _) => KernelWidth::V8,
+            (true, false, true) => KernelWidth::V4,
+            (true, false, false) => KernelWidth::V2,
+        };
+        assert_eq!(KernelWidth::pick(), want);
     }
 
     #[test]
     fn axpy_bitwise_identical_across_widths() {
-        // Lengths straddling every remainder case for 2 and 4 lanes.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 56, 70, 257] {
+        // Lengths straddling every remainder case for 2, 4 and 8 lanes.
+        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 17, 56, 70, 257] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
             let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
             let mut want = base.clone();
             axpy(&mut want, 1.7, &x, KernelWidth::Scalar);
-            for w in [KernelWidth::V2, KernelWidth::V4] {
+            for w in KernelWidth::all() {
                 let mut got = base.clone();
                 axpy(&mut got, 1.7, &x, w);
                 assert_eq!(
@@ -929,7 +1213,7 @@ mod tests {
         let b: Vec<f64> = (0..23).map(|i| i as f64 * 0.25).collect();
         let mut want = vec![1.0; 23];
         add_assign(&mut want, &b, KernelWidth::Scalar);
-        for w in [KernelWidth::V2, KernelWidth::V4] {
+        for w in KernelWidth::all() {
             let mut got = vec![1.0; 23];
             add_assign(&mut got, &b, w);
             assert_eq!(got, want);

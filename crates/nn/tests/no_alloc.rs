@@ -1,13 +1,14 @@
 //! Steady-state allocation check for the scratch-buffer APIs.
 //!
 //! A counting global allocator wraps `System`; after one warm-up round,
-//! `forward_into` and a whole minibatch round trip on two networks (the
-//! policy and value pair an update trains) — `forward_batch`,
-//! `backward_batch`, `step` — must not touch the heap at all. This file
-//! holds exactly one `#[test]` so no sibling test thread can allocate
-//! inside the measurement window.
+//! `forward_into`, `forward_one` and a whole minibatch round trip on two
+//! networks (the policy and value pair an update trains) —
+//! `forward_batch`, `backward_batch`, `step` — must not touch the heap
+//! at all, at every kernel width (`V8`'s hand-off stages through the
+//! `GradScratch`). This file holds exactly one `#[test]` so no sibling
+//! test thread can allocate inside the measurement window.
 
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, Mlp, Workspace};
+use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,7 +40,11 @@ fn steady_state_inference_and_training_do_not_allocate() {
     // `backward_batch` swaps its two delta buffers at every hand-off
     // between layers, so an odd and an even number of hand-offs leave the
     // wide buffer on different sides: both must be steady after one call.
-    for hidden in [&[64usize][..], &[64, 64]] {
+    // The 256×256 pair is the serving policy's hidden shape.
+    let cases = KernelWidth::all()
+        .into_iter()
+        .flat_map(|width| [&[64usize][..], &[64, 64], &[256, 256]].map(|hidden| (width, hidden)));
+    for (width, hidden) in cases {
         let shape = |out: usize| [&[56][..], hidden, &[out]].concat();
         let mut nets = [
             Mlp::new(&shape(46), Activation::Tanh, 5),
@@ -55,13 +60,21 @@ fn steady_state_inference_and_training_do_not_allocate() {
         let grads = [vec![0.25f64; 8 * 46], vec![-0.5f64; 8]];
 
         let mut ws = Workspace::new();
-        let mut bws = [BatchWorkspace::new(), BatchWorkspace::new()];
-        let mut scratch = [GradScratch::new(), GradScratch::new()];
+        let mut one = BatchWorkspace::with_width(width);
+        let mut bws = [
+            BatchWorkspace::with_width(width),
+            BatchWorkspace::with_width(width),
+        ];
+        let mut scratch = [
+            GradScratch::with_width(width),
+            GradScratch::with_width(width),
+        ];
 
         let mut run = |backward_calls: usize| {
             let mut sum = 0.0;
             for x in &inputs {
                 sum += nets[0].forward_into(x, &mut ws)[0];
+                sum += nets[0].forward_one(x, &mut one)[0];
             }
             for (((net, bws), scratch), grads) in
                 nets.iter_mut().zip(&mut bws).zip(&mut scratch).zip(&grads)
@@ -93,7 +106,7 @@ fn steady_state_inference_and_training_do_not_allocate() {
         assert_eq!(
             after - before,
             0,
-            "a steady-state minibatch round trip must not allocate ({hidden:?})"
+            "a steady-state minibatch round trip must not allocate ({width:?}, {hidden:?})"
         );
     }
 }
