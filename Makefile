@@ -91,14 +91,21 @@ dead-pub:
 # end in a request, EOF or a typed error, never past MAX_IR_LEN — in
 # memory, then on a live daemon's connections, which must each end in
 # well-formed replies and a close within a read timeout while the
-# daemon keeps answering PING and COMPILE. Last, the IR sidecar: on
+# daemon keeps answering PING and COMPILE, and on one connection that
+# interleaves store hits with refused frames, whose replies must each be
+# the one its request earns alone. Then the IR sidecar: on
 # CHStone + 200 corpus programs every IR hit is served from it, byte for
 # byte a replay of its passes, and a restart, a lost sidecar and a
-# superseded entry each fall back to one replay that rebuilds it.
+# superseded entry each fall back to one replay that rebuilds it. Then
+# the wire golden (every message's bytes and every refusal's text) and
+# the allocation gate: after warm-up, a numbers-only store hit allocates
+# nothing anywhere in the process.
 serve-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test smoke
 	$(CARGO) test -q --release -p autophase-serve --test wire_fuzz
 	$(CARGO) test -q --release -p autophase-serve --test ir_artifacts
+	$(CARGO) test -q --release -p autophase-serve --test wire_golden
+	$(CARGO) test -q --release -p autophase-serve --test hit_no_alloc
 
 # Live-introspection smoke (DESIGN.md §4i): a chaos-armed daemon under
 # mixed traffic, then STATS parsed over the wire (per-stage p50/p95/p99

@@ -11,7 +11,13 @@ use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsCon
 use autophase_nn::simd::{gemm_kt, gemm_kt_acc, gemm_rt};
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use autophase_rl::env::Environment;
+use autophase_serve::front::keyed_digest;
+use autophase_serve::protocol::{
+    read_reply, read_request, write_compile, write_reply, Reply, Source,
+};
+use autophase_telemetry::{FlightConfig, FlightRecorder};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hash::{BuildHasher, RandomState};
 
 fn bench_passes(c: &mut Criterion) {
     let gsm = suite()
@@ -267,8 +273,70 @@ fn bench_nn_kernels(c: &mut Criterion) {
     }
 }
 
+/// A numbers-only store hit's CPU outside the store lookup (DESIGN.md
+/// §4n), piece by piece: the front memo's digest of a 6 KB request text
+/// beside SipHash over the same bytes (what the memo hashed with before,
+/// once per generation probed), the request's decode, the hit reply's
+/// encode and decode, and one trace into a ring that has gone round.
+fn bench_serve_hit(c: &mut Criterion) {
+    const TEXT_LEN: usize = 6 << 10;
+    let mut text = String::new();
+    for b in suite() {
+        text.push_str(&autophase_ir::printer::print_module(&b.module));
+    }
+    text.truncate(text.floor_char_boundary(TEXT_LEN));
+    let seed = RandomState::new().hash_one(0u64);
+    c.bench_function("serve_hit/digest 6 KB", |b| {
+        b.iter(|| keyed_digest(seed, black_box(text.as_bytes())))
+    });
+    let sip = RandomState::new();
+    c.bench_function("serve_hit/siphash 6 KB", |b| {
+        b.iter(|| sip.hash_one(black_box(text.as_str())))
+    });
+    let mut request = Vec::new();
+    write_compile(&mut request, &text, Some(60_000), false).expect("a Vec takes every write");
+    c.bench_function("serve_hit/read_request 6 KB", |b| {
+        b.iter(|| read_request(&mut black_box(&request[..])).expect("decodes"))
+    });
+    let reply = Reply::Compiled {
+        source: Source::Store,
+        cycles: 41_327,
+        baseline_cycles: 118_004,
+        passes: vec![31, 38, 30, 12, 7, 44, 2, 19, 31, 38, 5, 27],
+        ir: None,
+    };
+    let mut wire = Vec::with_capacity(256);
+    c.bench_function("serve_hit/write_reply", |b| {
+        b.iter(|| {
+            wire.clear();
+            write_reply(&mut wire, black_box(&reply)).expect("a Vec takes every write");
+            wire.len()
+        })
+    });
+    c.bench_function("serve_hit/read_reply", |b| {
+        b.iter(|| read_reply(&mut black_box(&wire[..])).expect("decodes"))
+    });
+    let rec = FlightRecorder::new(FlightConfig {
+        capacity: 16,
+        ..FlightConfig::default()
+    });
+    c.bench_function("serve_hit/trace", |b| {
+        b.iter(|| {
+            let mut t = rec.begin();
+            t.mark("queue_wait");
+            t.note("front", "hit");
+            t.mark("parse");
+            t.mark("store");
+            t.mark("reply_write");
+            t.set_outcome("ok:store");
+            rec.complete(t.finish()).0.total_ns
+        })
+    });
+}
+
 criterion_group!(
     benches,
+    bench_serve_hit,
     bench_nn_kernels,
     bench_nn_update,
     bench_passes,

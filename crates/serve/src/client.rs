@@ -117,6 +117,8 @@ impl Default for ClientConfig {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Each reply's header line, read into the same buffer.
+    line: String,
 }
 
 /// The reply to a verb that only acknowledges.
@@ -178,6 +180,7 @@ impl Client {
         Ok(Client {
             reader,
             writer: BufWriter::new(stream),
+            line: String::new(),
         })
     }
 
@@ -199,7 +202,7 @@ impl Client {
         verb: &str,
         expected: impl FnOnce(Reply) -> Option<T>,
     ) -> Result<T, ClientError> {
-        match protocol::read_reply(&mut self.reader)? {
+        match protocol::read_reply_with(&mut self.reader, &mut self.line)? {
             Reply::Err {
                 kind,
                 retry_ms,

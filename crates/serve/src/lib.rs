@@ -63,7 +63,7 @@
 mod artifacts;
 pub mod client;
 pub mod engine;
-mod front;
+pub mod front;
 pub mod learner;
 pub mod protocol;
 pub mod server;

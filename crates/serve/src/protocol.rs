@@ -24,6 +24,7 @@
 //! request for a second, A/B-routed policy must not be mistaken for a
 //! full promotion.
 
+use autophase_telemetry::Decimal;
 use std::io::{self, BufRead, Read, Write};
 
 /// Protocol tag every message starts with.
@@ -237,61 +238,102 @@ impl From<ProtocolError> for io::Error {
     }
 }
 
-/// A parsed header line: the verb and its `key=value` pairs.
-type Header<'a> = (&'a str, Vec<(&'a str, &'a str)>);
+/// A header line, read in place: its verb and the `key=value` pairs
+/// after it. [`Header::parse`] checks every pair and keeps the first
+/// [`HEADER_FIELDS`] of them, as many as any message has; a line with
+/// more is walked again for a key not among those.
+struct Header<'a> {
+    verb: &'a str,
+    tail: &'a str,
+    fields: [(&'a str, &'a str); HEADER_FIELDS],
+    /// How many of `fields` are filled; one more than their length when
+    /// the line holds more pairs than `fields` does.
+    len: usize,
+}
 
-fn header_fields(line: &str) -> Result<Header<'_>, ProtocolError> {
-    let line = line.trim_end_matches(['\r', '\n']);
-    let rest = line
-        .strip_prefix(PROTOCOL)
-        .ok_or_else(|| ProtocolError(format!("bad protocol tag in {line:?}")))?;
-    let rest = rest.trim_start();
-    let (verb, tail) = match rest.split_once(' ') {
-        Some((v, t)) => (v, t),
-        None => (rest, ""),
-    };
-    if verb.is_empty() {
-        return Err(ProtocolError("missing verb".into()));
-    }
-    let mut kvs = Vec::new();
-    let mut tail = tail;
-    while !tail.is_empty() {
-        let (k, after_k) = tail
-            .split_once('=')
-            .ok_or_else(|| ProtocolError(format!("bare token {tail:?}")))?;
-        // `msg` swallows the rest of the line (it may contain spaces);
-        // every other value ends at the next space.
-        if k == "msg" {
-            kvs.push((k, after_k));
-            break;
+/// Pairs a parsed header keeps in place.
+const HEADER_FIELDS: usize = 8;
+
+/// The `key=value` pairs of a header's tail, in order. `msg` swallows the
+/// rest of the line (it may contain spaces); every other value ends at
+/// the next space.
+struct Fields<'a>(&'a str);
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = Result<(&'a str, &'a str), ProtocolError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let tail = std::mem::take(&mut self.0);
+        if tail.is_empty() {
+            return None;
         }
-        let (v, next) = match after_k.split_once(' ') {
-            Some((v, n)) => (v, n),
-            None => (after_k, ""),
+        let Some((k, after_k)) = tail.split_once('=') else {
+            return Some(Err(ProtocolError(format!("bare token {tail:?}"))));
         };
-        kvs.push((k, v));
-        tail = next;
-    }
-    Ok((verb, kvs))
-}
-
-fn get<'a>(kvs: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
-    kvs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-}
-
-fn get_u64(kvs: &[(&str, &str)], key: &str) -> Result<Option<u64>, ProtocolError> {
-    match get(kvs, key) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| ProtocolError(format!("bad {key}={v:?}"))),
+        if k == "msg" {
+            return Some(Ok((k, after_k)));
+        }
+        let (v, next) = after_k.split_once(' ').unwrap_or((after_k, ""));
+        self.0 = next;
+        Some(Ok((k, v)))
     }
 }
 
-/// Read one header line into `line`, at most [`MAX_HEADER_LEN`] bytes of
-/// it. Returns the byte count; 0 is EOF.
+impl<'a> Header<'a> {
+    fn parse(line: &'a str) -> Result<Header<'a>, ProtocolError> {
+        let line = line.trim_end_matches(['\r', '\n']);
+        let rest = line
+            .strip_prefix(PROTOCOL)
+            .ok_or_else(|| ProtocolError(format!("bad protocol tag in {line:?}")))?;
+        let rest = rest.trim_start();
+        let (verb, tail) = rest.split_once(' ').unwrap_or((rest, ""));
+        if verb.is_empty() {
+            return Err(ProtocolError("missing verb".into()));
+        }
+        let mut header = Header {
+            verb,
+            tail,
+            fields: [("", ""); HEADER_FIELDS],
+            len: 0,
+        };
+        for field in Fields(tail) {
+            let field = field?;
+            if let Some(slot) = header.fields.get_mut(header.len) {
+                *slot = field;
+            }
+            header.len = (header.len + 1).min(HEADER_FIELDS + 1);
+        }
+        Ok(header)
+    }
+
+    /// The value of the first pair named `key`.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        let kept = &self.fields[..self.len.min(HEADER_FIELDS)];
+        let found = kept.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+        if found.is_some() || self.len <= HEADER_FIELDS {
+            return found;
+        }
+        Fields(self.tail)
+            .flatten()
+            .find(|&(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    fn get_u64(&self, key: &str) -> Result<Option<u64>, ProtocolError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| ProtocolError(format!("bad {key}={v:?}"))),
+        }
+    }
+}
+
+/// Read one header line into `line` (cleared first), at most
+/// [`MAX_HEADER_LEN`] bytes of it. Returns the byte count; 0 is EOF.
 fn read_header<R: BufRead>(r: &mut R, line: &mut String) -> io::Result<usize> {
+    line.clear();
     let n = r.take(MAX_HEADER_LEN as u64).read_line(line)?;
     if n == MAX_HEADER_LEN && !line.ends_with('\n') {
         return Err(ProtocolError(format!("header line exceeds {MAX_HEADER_LEN} bytes")).into());
@@ -299,16 +341,40 @@ fn read_header<R: BufRead>(r: &mut R, line: &mut String) -> io::Result<usize> {
     Ok(n)
 }
 
-fn read_body<R: BufRead>(r: &mut R, len: usize) -> io::Result<String> {
-    let mut buf = Vec::with_capacity(len.min(BODY_PREALLOC));
-    if r.take(len as u64).read_to_end(&mut buf)? < len {
+/// Read a `len`-byte body into `buf` (cleared first). At most
+/// [`BODY_PREALLOC`] bytes are reserved before any arrive.
+fn read_body_into<R: BufRead>(r: &mut R, len: usize, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
+    buf.reserve(len.min(BODY_PREALLOC));
+    if r.take(len as u64).read_to_end(buf)? < len {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "body shorter than its announced length",
         ));
     }
-    String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))
+    Ok(())
+}
+
+fn not_utf8() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8")
+}
+
+fn read_body<R: BufRead>(r: &mut R, len: usize) -> io::Result<String> {
+    let mut buf = Vec::new();
+    read_body_into(r, len, &mut buf)?;
+    String::from_utf8(buf).map_err(|_| not_utf8())
+}
+
+/// Write `n` in decimal, formatted on the stack.
+fn put<W: Write>(w: &mut W, n: u64) -> io::Result<()> {
+    w.write_all(Decimal::new(n).as_bytes())
+}
+
+/// Write `AUTOPHASE/1 <rest>`: the tag and a space, then `rest`.
+fn put_head<W: Write>(w: &mut W, rest: &str) -> io::Result<()> {
+    w.write_all(PROTOCOL.as_bytes())?;
+    w.write_all(b" ")?;
+    w.write_all(rest.as_bytes())
 }
 
 /// Write a JSONL-body reply (`STATS`, `TRACE`, `MODEL`): `OK <key>=N\n`,
@@ -323,18 +389,18 @@ fn write_jsonl<W: Write>(w: &mut W, key: &str, body: &str) -> io::Result<()> {
             .rposition(|&b| b == b'\n')
             .map_or(0, |i| i + 1);
     }
-    w.write_all(format!("{PROTOCOL} OK {key}={len}\n").as_bytes())?;
+    put_head(w, "OK ")?;
+    w.write_all(key.as_bytes())?;
+    w.write_all(b"=")?;
+    put(w, len as u64)?;
+    w.write_all(b"\n")?;
     w.write_all(&body[..len])
 }
 
 /// Read the body [`write_jsonl`] framed under `key`; `None` when the
 /// header does not carry `key`.
-fn read_jsonl<R: BufRead>(
-    r: &mut R,
-    kvs: &[(&str, &str)],
-    key: &str,
-) -> io::Result<Option<String>> {
-    let Some(len) = get_u64(kvs, key)? else {
+fn read_jsonl<R: BufRead>(r: &mut R, header: &Header<'_>, key: &str) -> io::Result<Option<String>> {
+    let Some(len) = header.get_u64(key)? else {
         return Ok(None);
     };
     let len = len as usize;
@@ -344,40 +410,49 @@ fn read_jsonl<R: BufRead>(
     read_body(r, len).map(Some)
 }
 
-/// Serialize a request onto `w` (header line + body).
+/// Serialize a request onto `w` (header line + body). The line leaves in
+/// pieces: give it a buffered writer.
 ///
 /// # Errors
 ///
 /// Propagates write failures.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
-    match req {
+    match *req {
         Request::Compile {
-            ir,
+            ref ir,
             deadline_ms,
             want_ir,
-        } => return write_compile(w, ir, *deadline_ms, *want_ir),
-        Request::Ping => w.write_all(format!("{PROTOCOL} PING\n").as_bytes())?,
+        } => return write_compile(w, ir, deadline_ms, want_ir),
+        Request::Ping => put_head(w, "PING\n")?,
         Request::Chaos {
             faults,
             crashes,
             swaps,
         } => {
-            let mut line = format!("{PROTOCOL} CHAOS n={faults}");
-            if *crashes > 0 {
-                line.push_str(&format!(" crash={crashes}"));
+            put_head(w, "CHAOS n=")?;
+            put(w, faults.into())?;
+            if crashes > 0 {
+                w.write_all(b" crash=")?;
+                put(w, crashes.into())?;
             }
-            if *swaps > 0 {
-                line.push_str(&format!(" swap={swaps}"));
+            if swaps > 0 {
+                w.write_all(b" swap=")?;
+                put(w, swaps.into())?;
             }
-            line.push('\n');
-            w.write_all(line.as_bytes())?;
+            w.write_all(b"\n")?;
         }
-        Request::Shutdown => w.write_all(format!("{PROTOCOL} SHUTDOWN\n").as_bytes())?,
-        Request::Stats => w.write_all(format!("{PROTOCOL} STATS\n").as_bytes())?,
-        Request::Trace { n } => w.write_all(format!("{PROTOCOL} TRACE n={n}\n").as_bytes())?,
-        Request::Model => w.write_all(format!("{PROTOCOL} MODEL\n").as_bytes())?,
+        Request::Shutdown => put_head(w, "SHUTDOWN\n")?,
+        Request::Stats => put_head(w, "STATS\n")?,
+        Request::Trace { n } => {
+            put_head(w, "TRACE n=")?;
+            put(w, n as u64)?;
+            w.write_all(b"\n")?;
+        }
+        Request::Model => put_head(w, "MODEL\n")?,
         Request::Promote { version } => {
-            w.write_all(format!("{PROTOCOL} PROMOTE v={version}\n").as_bytes())?
+            put_head(w, "PROMOTE v=")?;
+            put(w, version)?;
+            w.write_all(b"\n")?;
         }
     }
     w.flush()
@@ -395,17 +470,94 @@ pub fn write_compile<W: Write>(
     deadline_ms: Option<u64>,
     want_ir: bool,
 ) -> io::Result<()> {
-    let mut line = format!("{PROTOCOL} COMPILE ir_len={}", ir.len());
+    put_head(w, "COMPILE ir_len=")?;
+    put(w, ir.len() as u64)?;
     if let Some(d) = deadline_ms {
-        line.push_str(&format!(" deadline_ms={d}"));
+        w.write_all(b" deadline_ms=")?;
+        put(w, d)?;
     }
     if want_ir {
-        line.push_str(" want_ir=1");
+        w.write_all(b" want_ir=1")?;
     }
-    line.push('\n');
-    w.write_all(line.as_bytes())?;
+    w.write_all(b"\n")?;
     w.write_all(ir.as_bytes())?;
     w.flush()
+}
+
+/// A request as its header announced it: a `COMPILE`'s body is still
+/// unread.
+enum Frame {
+    Compile {
+        ir_len: usize,
+        deadline_ms: Option<u64>,
+        want_ir: bool,
+    },
+    Verb(Request),
+}
+
+/// Read one request header into `line` and decode it. `Ok(None)` on clean
+/// EOF before any bytes.
+fn read_frame<R: BufRead>(r: &mut R, line: &mut String) -> io::Result<Option<Frame>> {
+    if read_header(r, line)? == 0 {
+        return Ok(None);
+    }
+    let header = Header::parse(line)?;
+    let req = match header.verb {
+        "COMPILE" => {
+            let ir_len = header
+                .get_u64("ir_len")?
+                .ok_or_else(|| ProtocolError("COMPILE without ir_len".into()))?
+                as usize;
+            if ir_len > MAX_IR_LEN {
+                return Err(
+                    ProtocolError(format!("ir_len {ir_len} exceeds cap {MAX_IR_LEN}")).into(),
+                );
+            }
+            return Ok(Some(Frame::Compile {
+                ir_len,
+                deadline_ms: header.get_u64("deadline_ms")?,
+                want_ir: header.get("want_ir") == Some("1"),
+            }));
+        }
+        "PING" => Request::Ping,
+        "CHAOS" => {
+            let faults = header
+                .get_u64("n")?
+                .ok_or_else(|| ProtocolError("CHAOS without n".into()))?;
+            let crashes = header.get_u64("crash")?.unwrap_or(0);
+            let swaps = header.get_u64("swap")?.unwrap_or(0);
+            Request::Chaos {
+                faults: faults.min(u32::MAX as u64) as u32,
+                crashes: crashes.min(u32::MAX as u64) as u32,
+                swaps: swaps.min(u32::MAX as u64) as u32,
+            }
+        }
+        "SHUTDOWN" => Request::Shutdown,
+        "STATS" => Request::Stats,
+        "TRACE" => {
+            let n = header
+                .get_u64("n")?
+                .ok_or_else(|| ProtocolError("TRACE without n".into()))?;
+            Request::Trace {
+                n: n.min(usize::MAX as u64) as usize,
+            }
+        }
+        "MODEL" => Request::Model,
+        "PROMOTE" => {
+            let version = header
+                .get_u64("v")?
+                .ok_or_else(|| ProtocolError("PROMOTE without v".into()))?;
+            // A request for an A/B-routed policy must not be taken as a
+            // full promotion of the same version.
+            if header.get("ab").is_some() {
+                let msg = "PROMOTE ab= is not supported: the daemon serves one policy";
+                return Err(ProtocolError(msg.into()).into());
+            }
+            Request::Promote { version }
+        }
+        other => return Err(ProtocolError(format!("unknown verb {other:?}")).into()),
+    };
+    Ok(Some(Frame::Verb(req)))
 }
 
 /// Read one request from `r`. `Ok(None)` on clean EOF before any bytes
@@ -416,67 +568,112 @@ pub fn write_compile<W: Write>(
 /// I/O failures, or [`ProtocolError`] (as `InvalidData`) on malformed
 /// or over-long headers, oversized `ir_len`, or a body that is not UTF-8.
 pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if read_header(r, &mut line)? == 0 {
-        return Ok(None);
-    }
-    let (verb, kvs) = header_fields(&line)?;
-    match verb {
-        "COMPILE" => {
-            let ir_len = get_u64(&kvs, "ir_len")?
-                .ok_or_else(|| ProtocolError("COMPILE without ir_len".into()))?
-                as usize;
-            if ir_len > MAX_IR_LEN {
-                return Err(
-                    ProtocolError(format!("ir_len {ir_len} exceeds cap {MAX_IR_LEN}")).into(),
-                );
-            }
-            let deadline_ms = get_u64(&kvs, "deadline_ms")?;
-            let want_ir = get(&kvs, "want_ir") == Some("1");
-            let ir = read_body(r, ir_len)?;
-            Ok(Some(Request::Compile {
-                ir,
+    Ok(match read_frame(r, &mut String::new())? {
+        None => None,
+        Some(Frame::Verb(req)) => Some(req),
+        Some(Frame::Compile {
+            ir_len,
+            deadline_ms,
+            want_ir,
+        }) => Some(Request::Compile {
+            ir: read_body(r, ir_len)?,
+            deadline_ms,
+            want_ir,
+        }),
+    })
+}
+
+/// A request [`RequestBuffers::read`] decoded; a `COMPILE`'s IR is
+/// borrowed from the buffers.
+pub(crate) enum Incoming<'a> {
+    /// Compile `ir` (see [`Request::Compile`]).
+    Compile {
+        ir: &'a str,
+        deadline_ms: Option<u64>,
+        want_ir: bool,
+    },
+    /// Any other verb.
+    Verb(Request),
+}
+
+/// One connection's decode buffers, kept from request to request, so a
+/// `COMPILE` whose body fits the preallocation decodes without
+/// allocating once the connection is warm.
+#[derive(Default)]
+pub(crate) struct RequestBuffers {
+    line: String,
+    body: Vec<u8>,
+}
+
+impl RequestBuffers {
+    /// [`read_request`] into these buffers: the same requests, refusals
+    /// and EOFs, byte for byte.
+    pub(crate) fn read<R: BufRead>(&mut self, r: &mut R) -> io::Result<Option<Incoming<'_>>> {
+        // A body larger than the preallocation is not kept for the next
+        // request: an idle connection holds at most that much.
+        if self.body.capacity() > BODY_PREALLOC {
+            self.body = Vec::new();
+        }
+        Ok(match read_frame(r, &mut self.line)? {
+            None => None,
+            Some(Frame::Verb(req)) => Some(Incoming::Verb(req)),
+            Some(Frame::Compile {
+                ir_len,
                 deadline_ms,
                 want_ir,
-            }))
-        }
-        "PING" => Ok(Some(Request::Ping)),
-        "CHAOS" => {
-            let faults =
-                get_u64(&kvs, "n")?.ok_or_else(|| ProtocolError("CHAOS without n".into()))?;
-            let crashes = get_u64(&kvs, "crash")?.unwrap_or(0);
-            let swaps = get_u64(&kvs, "swap")?.unwrap_or(0);
-            Ok(Some(Request::Chaos {
-                faults: faults.min(u32::MAX as u64) as u32,
-                crashes: crashes.min(u32::MAX as u64) as u32,
-                swaps: swaps.min(u32::MAX as u64) as u32,
-            }))
-        }
-        "SHUTDOWN" => Ok(Some(Request::Shutdown)),
-        "STATS" => Ok(Some(Request::Stats)),
-        "TRACE" => {
-            let n = get_u64(&kvs, "n")?.ok_or_else(|| ProtocolError("TRACE without n".into()))?;
-            Ok(Some(Request::Trace {
-                n: n.min(usize::MAX as u64) as usize,
-            }))
-        }
-        "MODEL" => Ok(Some(Request::Model)),
-        "PROMOTE" => {
-            let version =
-                get_u64(&kvs, "v")?.ok_or_else(|| ProtocolError("PROMOTE without v".into()))?;
-            // A request for an A/B-routed policy must not be taken as a
-            // full promotion of the same version.
-            if get(&kvs, "ab").is_some() {
-                let msg = "PROMOTE ab= is not supported: the daemon serves one policy";
-                return Err(ProtocolError(msg.into()).into());
+            }) => {
+                read_body_into(r, ir_len, &mut self.body)?;
+                Some(Incoming::Compile {
+                    ir: std::str::from_utf8(&self.body).map_err(|_| not_utf8())?,
+                    deadline_ms,
+                    want_ir,
+                })
             }
-            Ok(Some(Request::Promote { version }))
-        }
-        other => Err(ProtocolError(format!("unknown verb {other:?}")).into()),
+        })
     }
 }
 
-/// Serialize a reply onto `w` (header line + optional body).
+/// Serialize a compile answer onto `w` — what [`write_reply`] emits for
+/// [`Reply::Compiled`], from borrowed parts: `passes` may come straight
+/// from a stored entry.
+///
+/// # Errors
+///
+/// Propagates write failures.
+pub(crate) fn write_compiled<W: Write>(
+    w: &mut W,
+    source: Source,
+    cycles: u64,
+    baseline_cycles: u64,
+    passes: impl IntoIterator<Item = usize>,
+    ir: Option<&str>,
+) -> io::Result<()> {
+    let body = ir.unwrap_or("");
+    put_head(w, "OK source=")?;
+    w.write_all(source.as_str().as_bytes())?;
+    w.write_all(b" cycles=")?;
+    put(w, cycles)?;
+    w.write_all(b" baseline_cycles=")?;
+    put(w, baseline_cycles)?;
+    w.write_all(b" passes=")?;
+    let mut sep: &[u8] = b"";
+    for p in passes {
+        w.write_all(sep)?;
+        put(w, p as u64)?;
+        sep = b",";
+    }
+    if sep.is_empty() {
+        w.write_all(b"-")?;
+    }
+    w.write_all(b" ir_len=")?;
+    put(w, body.len() as u64)?;
+    w.write_all(b"\n")?;
+    w.write_all(body.as_bytes())?;
+    w.flush()
+}
+
+/// Serialize a reply onto `w` (header line + optional body). The line
+/// leaves in pieces: give it a buffered writer.
 ///
 /// # Errors
 ///
@@ -490,26 +687,10 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
             passes,
             ir,
         } => {
-            let pass_list = if passes.is_empty() {
-                "-".to_string()
-            } else {
-                passes
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            let body = ir.as_deref().unwrap_or("");
-            let line = format!(
-                "{PROTOCOL} OK source={} cycles={cycles} baseline_cycles={baseline_cycles} \
-                 passes={pass_list} ir_len={}\n",
-                source.as_str(),
-                body.len()
-            );
-            w.write_all(line.as_bytes())?;
-            w.write_all(body.as_bytes())?;
+            let passes = passes.iter().copied();
+            return write_compiled(w, *source, *cycles, *baseline_cycles, passes, ir.as_deref());
         }
-        Reply::Ack => w.write_all(format!("{PROTOCOL} OK ack=1\n").as_bytes())?,
+        Reply::Ack => put_head(w, "OK ack=1\n")?,
         Reply::Stats { body } => write_jsonl(w, "stats_len", body)?,
         Reply::Traces { body } => write_jsonl(w, "traces_len", body)?,
         Reply::Models { body } => write_jsonl(w, "models_len", body)?,
@@ -521,15 +702,23 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
             // `msg` is always last and the only value allowed spaces; keep
             // it line-shaped so the header stays one line, and short
             // enough (it may quote a hostile request) that the line fits
-            // the peer's bounded header read.
-            let mut msg = msg.replace(['\n', '\r'], " ");
-            msg.truncate(msg.floor_char_boundary(MAX_HEADER_LEN - 128));
-            let mut line = format!("{PROTOCOL} ERR kind={}", kind.as_str());
+            // the peer's bounded header read. A newline becomes a space,
+            // byte for byte, so the cut lands where it would after.
+            let msg = &msg[..msg.floor_char_boundary(MAX_HEADER_LEN - 128)];
+            put_head(w, "ERR kind=")?;
+            w.write_all(kind.as_str().as_bytes())?;
             if let Some(ms) = retry_ms {
-                line.push_str(&format!(" retry_ms={ms}"));
+                w.write_all(b" retry_ms=")?;
+                put(w, *ms)?;
             }
-            line.push_str(&format!(" msg={msg}\n"));
-            w.write_all(line.as_bytes())?;
+            w.write_all(b" msg=")?;
+            for (i, part) in msg.split(['\n', '\r']).enumerate() {
+                if i > 0 {
+                    w.write_all(b" ")?;
+                }
+                w.write_all(part.as_bytes())?;
+            }
+            w.write_all(b"\n")?;
         }
     }
     w.flush()
@@ -542,37 +731,44 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
 /// I/O failures, or [`ProtocolError`] (as `InvalidData`) on malformed
 /// headers, unexpected EOF, or a body that is not UTF-8.
 pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
-    let mut line = String::new();
-    if read_header(r, &mut line)? == 0 {
+    read_reply_with(r, &mut String::new())
+}
+
+/// [`read_reply`] with the header read into `line`, a buffer the caller
+/// keeps from reply to reply.
+pub(crate) fn read_reply_with<R: BufRead>(r: &mut R, line: &mut String) -> io::Result<Reply> {
+    if read_header(r, line)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before reply",
         ));
     }
-    let (verb, kvs) = header_fields(&line)?;
-    match verb {
+    let header = Header::parse(line)?;
+    match header.verb {
         "OK" => {
-            if let Some(src) = get(&kvs, "source") {
+            if let Some(src) = header.get("source") {
                 let source = Source::parse(src)
                     .ok_or_else(|| ProtocolError(format!("bad source {src:?}")))?;
-                let cycles = get_u64(&kvs, "cycles")?
+                let cycles = header
+                    .get_u64("cycles")?
                     .ok_or_else(|| ProtocolError("OK without cycles".into()))?;
-                let baseline_cycles = get_u64(&kvs, "baseline_cycles")?
+                let baseline_cycles = header
+                    .get_u64("baseline_cycles")?
                     .ok_or_else(|| ProtocolError("OK without baseline_cycles".into()))?;
-                let passes_str =
-                    get(&kvs, "passes").ok_or_else(|| ProtocolError("OK without passes".into()))?;
-                let passes = if passes_str == "-" {
-                    Vec::new()
-                } else {
-                    passes_str
-                        .split(',')
-                        .map(|p| {
-                            p.parse()
-                                .map_err(|_| ProtocolError(format!("bad pass id {p:?}")))
-                        })
-                        .collect::<Result<Vec<usize>, _>>()?
-                };
-                let ir_len = get_u64(&kvs, "ir_len")?.unwrap_or(0) as usize;
+                let passes_str = header
+                    .get("passes")
+                    .ok_or_else(|| ProtocolError("OK without passes".into()))?;
+                let mut passes = Vec::new();
+                if passes_str != "-" {
+                    passes.reserve(passes_str.bytes().filter(|&b| b == b',').count() + 1);
+                    for p in passes_str.split(',') {
+                        let id = p
+                            .parse()
+                            .map_err(|_| ProtocolError(format!("bad pass id {p:?}")))?;
+                        passes.push(id);
+                    }
+                }
+                let ir_len = header.get_u64("ir_len")?.unwrap_or(0) as usize;
                 if ir_len > MAX_IR_LEN {
                     return Err(ProtocolError(format!("reply ir_len {ir_len} over cap")).into());
                 }
@@ -588,23 +784,24 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
                     passes,
                     ir,
                 })
-            } else if let Some(body) = read_jsonl(r, &kvs, "stats_len")? {
+            } else if let Some(body) = read_jsonl(r, &header, "stats_len")? {
                 Ok(Reply::Stats { body })
-            } else if let Some(body) = read_jsonl(r, &kvs, "traces_len")? {
+            } else if let Some(body) = read_jsonl(r, &header, "traces_len")? {
                 Ok(Reply::Traces { body })
-            } else if let Some(body) = read_jsonl(r, &kvs, "models_len")? {
+            } else if let Some(body) = read_jsonl(r, &header, "models_len")? {
                 Ok(Reply::Models { body })
             } else {
                 Ok(Reply::Ack)
             }
         }
         "ERR" => {
-            let kind_str =
-                get(&kvs, "kind").ok_or_else(|| ProtocolError("ERR without kind".into()))?;
+            let kind_str = header
+                .get("kind")
+                .ok_or_else(|| ProtocolError("ERR without kind".into()))?;
             let kind = ErrKind::parse(kind_str)
                 .ok_or_else(|| ProtocolError(format!("bad kind {kind_str:?}")))?;
-            let retry_ms = get_u64(&kvs, "retry_ms")?;
-            let msg = get(&kvs, "msg").unwrap_or("").to_string();
+            let retry_ms = header.get_u64("retry_ms")?;
+            let msg = header.get("msg").unwrap_or("").to_string();
             Ok(Reply::Err {
                 kind,
                 retry_ms,
@@ -792,6 +989,24 @@ mod tests {
             let mut r = BufReader::new(bad.as_bytes());
             assert!(read_request(&mut r).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// Pairs past the ones a header keeps in place are still read, first
+    /// match first, and still checked.
+    #[test]
+    fn a_key_past_the_kept_pairs_is_found() {
+        let junk: String = (0..HEADER_FIELDS + 3).map(|i| format!(" k{i}=v")).collect();
+        let line = format!("{PROTOCOL} COMPILE{junk} want_ir=1 ir_len=2 ir_len=7\nab");
+        let got = read_request(&mut BufReader::new(line.as_bytes())).unwrap();
+        let want = Request::Compile {
+            ir: "ab".into(),
+            deadline_ms: None,
+            want_ir: true,
+        };
+        assert_eq!(got, Some(want));
+        let line = format!("{PROTOCOL} PING{junk} bare\n");
+        let err = read_request(&mut BufReader::new(line.as_bytes())).unwrap_err();
+        assert!(err.to_string().contains("bare token \"bare\""), "{err}");
     }
 
     #[test]

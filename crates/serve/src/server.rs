@@ -53,9 +53,9 @@
 
 use crate::artifacts::{sidecar_path, IrArtifacts};
 use crate::engine::{EngineConfig, InferenceEngine};
-use crate::front::{front_memo, FrontMemo};
+use crate::front::FrontMemo;
 use crate::learner::{LearnerConfig, Online};
-use crate::protocol::{self, refuse, ErrKind, Reply, Request, Source};
+use crate::protocol::{self, refuse, ErrKind, Incoming, Reply, Request, RequestBuffers, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
 use autophase_core::compile::UNPROFILEABLE_CYCLES;
 use autophase_core::eval_cache::fingerprint_module;
@@ -75,11 +75,11 @@ use autophase_telemetry::{
     self as telemetry, lock_recover, FlightConfig, FlightRecorder, TraceBuilder,
 };
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -242,10 +242,10 @@ impl Drop for PermitGuard<'_> {
 struct Shared {
     cfg: ServerConfig,
     engine: Arc<InferenceEngine>,
-    /// Request text → fingerprint, probed before the parser runs. A
-    /// read-write lock: probes hash the whole text and 95 % of warm
-    /// traffic is probes, so they must not serialize.
-    front: RwLock<FrontMemo>,
+    /// Request text → fingerprint, probed before the parser runs. Probes
+    /// take its read lock: 95 % of warm traffic is probes, so they must
+    /// not serialize.
+    front: FrontMemo,
     store: Mutex<BestStore>,
     /// Each answer's optimized IR, beside the store. Its own lock: reads
     /// and unsynced appends never wait on a record's fsync.
@@ -356,7 +356,7 @@ impl Server {
             flight: FlightRecorder::new(cfg.flight.clone()),
             cfg,
             engine,
-            front: RwLock::new(front_memo()),
+            front: FrontMemo::new(),
             store: Mutex::new(store),
             artifacts,
             online,
@@ -495,8 +495,16 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     if let Ok(reader) = stream.try_clone() {
         let mut reader = BufReader::new(reader);
         let mut writer = BufWriter::new(stream);
+        // Kept from request to request: the decode buffers, and a store
+        // hit's copy of its entry.
+        let mut buffers = RequestBuffers::default();
+        let mut hit = BestEntry {
+            cycles: 0,
+            baseline_cycles: 0,
+            seq: Vec::new(),
+        };
         loop {
-            let req = match protocol::read_request(&mut reader) {
+            let req = match buffers.read(&mut reader) {
                 Ok(Some(r)) => Ok(r),
                 Ok(None) => break,
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(e),
@@ -505,19 +513,22 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
             // Framing is unrecoverable after a malformed header: answer
             // once, then hang up.
             let hang_up = req.is_err();
-            let shutdown = matches!(req, Ok(Request::Shutdown));
-            let (reply, trace) = match req {
-                Ok(req) => answer(shared, req),
-                Err(e) => (refuse(ErrKind::BadRequest, None, e.to_string()), None),
+            let shutdown = matches!(req, Ok(Incoming::Verb(Request::Shutdown)));
+            let (answer, trace) = match req {
+                Ok(req) => answer(shared, req, &mut hit),
+                Err(e) => {
+                    let refusal = refuse(ErrKind::BadRequest, None, e.to_string());
+                    (Answer::Reply(refusal), None)
+                }
             };
             // Every reply a handler sends is written here, so here is where
             // its outcome is counted and its trace sealed — both from the
             // one mapping.
-            let outcome = outcome(&reply);
+            let outcome = answer.outcome();
             if let Some((label, _)) = outcome {
                 telemetry::incr("serve.req", label, 1);
             }
-            let write_ok = protocol::write_reply(&mut writer, &reply).is_ok();
+            let write_ok = answer.write(&mut writer, &hit).is_ok();
             if let Some(mut tr) = trace {
                 tr.mark("reply_write");
                 tr.set_outcome(outcome.map_or("unknown", |(_, traced)| traced));
@@ -534,10 +545,53 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     lock_recover(&shared.conns).remove(&conn_id);
 }
 
+/// What a handler writes back: a reply, or a store hit, written from the
+/// connection's copy of its entry without building a [`Reply`].
+enum Answer {
+    Reply(Reply),
+    /// The entry copied into the handler's `hit`, with its IR when the
+    /// request asked for it.
+    Stored {
+        ir: Option<String>,
+    },
+}
+
+impl Answer {
+    fn outcome(&self) -> Option<(&'static str, &'static str)> {
+        match self {
+            Answer::Reply(reply) => outcome(reply),
+            Answer::Stored { .. } => Some(source_outcome(Source::Store)),
+        }
+    }
+
+    fn write<W: Write>(&self, w: &mut W, hit: &BestEntry) -> io::Result<()> {
+        match self {
+            Answer::Reply(reply) => protocol::write_reply(w, reply),
+            Answer::Stored { ir } => {
+                let passes = hit.seq.iter().map(|&p| usize::from(p));
+                let (cycles, baseline) = (hit.cycles, hit.baseline_cycles);
+                protocol::write_compiled(w, Source::Store, cycles, baseline, passes, ir.as_deref())
+            }
+        }
+    }
+}
+
 /// Answer one request; only a compile carries a trace. Introspection
 /// bypasses the admission gate: exactly when the daemon is drowning is
 /// when it must still answer.
-fn answer(shared: &Shared, req: Request) -> (Reply, Option<TraceBuilder>) {
+fn answer(
+    shared: &Shared,
+    req: Incoming<'_>,
+    hit: &mut BestEntry,
+) -> (Answer, Option<TraceBuilder>) {
+    let req = match req {
+        Incoming::Compile {
+            ir,
+            deadline_ms,
+            want_ir,
+        } => return compile_traced(shared, ir, deadline_ms, want_ir, hit),
+        Incoming::Verb(req) => req,
+    };
     let reply = match req {
         Request::Ping | Request::Shutdown => Reply::Ack,
         Request::Chaos {
@@ -569,13 +623,22 @@ fn answer(shared: &Shared, req: Request) -> (Reply, Option<TraceBuilder>) {
             ir,
             deadline_ms,
             want_ir,
-        } => {
-            let mut trace = shared.flight.begin();
-            let reply = compile(shared, &mut trace, ir, deadline_ms, want_ir);
-            return (reply.unwrap_or_else(|refusal| refusal), Some(trace));
-        }
+        } => return compile_traced(shared, &ir, deadline_ms, want_ir, hit),
     };
-    (reply, None)
+    (Answer::Reply(reply), None)
+}
+
+/// Answer one `COMPILE` under a fresh trace.
+fn compile_traced(
+    shared: &Shared,
+    ir: &str,
+    deadline_ms: Option<u64>,
+    want_ir: bool,
+    hit: &mut BestEntry,
+) -> (Answer, Option<TraceBuilder>) {
+    let mut trace = shared.flight.begin();
+    let answer = compile(shared, &mut trace, ir, deadline_ms, want_ir, hit);
+    (answer.unwrap_or_else(Answer::Reply), Some(trace))
 }
 
 /// The one reply → outcome mapping: the `serve.req` label a reply is
@@ -583,11 +646,7 @@ fn answer(shared: &Shared, req: Request) -> (Reply, Option<TraceBuilder>) {
 /// introspection bodies count nowhere.
 fn outcome(reply: &Reply) -> Option<(&'static str, &'static str)> {
     Some(match reply {
-        Reply::Compiled { source, .. } => match source {
-            Source::Store => ("ok_store", "ok:store"),
-            Source::Policy => ("ok_policy", "ok:policy"),
-            Source::Baseline => ("ok_baseline", "ok:baseline"),
-        },
+        Reply::Compiled { source, .. } => source_outcome(*source),
         Reply::Err { kind, .. } => match kind {
             ErrKind::Overloaded => ("err_overloaded", "refused:overloaded"),
             ErrKind::Deadline => ("err_deadline", "refused:deadline"),
@@ -599,6 +658,15 @@ fn outcome(reply: &Reply) -> Option<(&'static str, &'static str)> {
             return None
         }
     })
+}
+
+/// [`outcome`] of a compile answer from `source`.
+fn source_outcome(source: Source) -> (&'static str, &'static str) {
+    match source {
+        Source::Store => ("ok_store", "ok:store"),
+        Source::Policy => ("ok_policy", "ok:policy"),
+        Source::Baseline => ("ok_baseline", "ok:baseline"),
+    }
 }
 
 /// Seal a compile trace: feed its stage segments into the
@@ -731,14 +799,16 @@ fn within(shared: &Shared, deadline: Instant, stage: &str) -> Result<(), Reply> 
     ))
 }
 
-/// Answer one `COMPILE` down the ladder; `Err` is the typed refusal.
+/// Answer one `COMPILE` down the ladder; `Err` is the typed refusal. A
+/// store hit's entry is copied into `hit`, the connection's own.
 fn compile(
     shared: &Shared,
     trace: &mut TraceBuilder,
-    mut ir: String,
+    ir: &str,
     deadline_ms: Option<u64>,
     want_ir: bool,
-) -> Result<Reply, Reply> {
+    hit: &mut BestEntry,
+) -> Result<Answer, Reply> {
     telemetry::incr("serve.req", "recv", 1);
     let deadline = trace.start()
         + deadline_ms
@@ -761,17 +831,14 @@ fn compile(
 
     // Front memo: bytes this process has already parsed, verified and
     // fingerprinted need their module again only to replay or to
-    // recompute cold. First sight runs the whole front end.
-    let known_fp = shared
-        .front
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(ir.as_str())
-        .copied();
+    // recompute cold. First sight runs the whole front end. The text is
+    // hashed once, for the probe and the insert.
+    let digest = shared.front.digest(ir);
+    let known_fp = shared.front.get(digest, ir);
     trace.note("front", if known_fp.is_some() { "hit" } else { "miss" });
     let parsed = match known_fp {
         Some(_) => Ok(None),
-        None => parse_text(&ir, true).map(Some),
+        None => parse_text(ir, true).map(Some),
     };
     trace.mark("parse");
     let module = parsed.map_err(|msg| refuse(ErrKind::Parse, None, msg))?;
@@ -779,22 +846,28 @@ fn compile(
     // Store rung: a known program answers from the index.
     let fp = known_fp.unwrap_or_else(|| {
         let fp = fingerprint_module(module.as_ref().expect("a first sight is always parsed"));
-        // The memo takes the request's own buffer: a first sight has its
-        // module, so nothing below reads its text again.
-        ir.shrink_to_fit();
-        let bytes = {
-            let mut front = shared.front.write().unwrap_or_else(PoisonError::into_inner);
-            front.insert(std::mem::take(&mut ir), fp);
-            front.weight()
-        };
+        // An exact-size copy: the memo charges an entry its capacity.
+        let bytes = shared.front.insert(digest, ir.to_owned(), fp);
         telemetry::set_gauge("serve.front_bytes", "", bytes as f64);
         fp
     });
-    let hit = lock_recover(&shared.store).lookup(fp).cloned();
+    // The entry is copied into the connection's `hit` under the lock,
+    // into storage the connection keeps: a hit clones nothing.
+    let found = {
+        let store = lock_recover(&shared.store);
+        let entry = store.lookup(fp);
+        if let Some(entry) = entry {
+            hit.cycles = entry.cycles;
+            hit.baseline_cycles = entry.baseline_cycles;
+            hit.seq.clear();
+            hit.seq.extend_from_slice(&entry.seq);
+        }
+        entry.is_some()
+    };
     trace.mark("store");
-    if let Some(entry) = hit {
+    if found {
         let replayed = if want_ir {
-            let out = stored_ir(shared, trace, fp, &entry, &ir, module.as_ref());
+            let out = stored_ir(shared, trace, fp, hit, ir, module.as_ref());
             trace.mark("replay");
             out.map(Some)
         } else {
@@ -803,13 +876,7 @@ fn compile(
         match replayed {
             Some(ir_out) => {
                 telemetry::incr("serve.store", "hit", 1);
-                return Ok(Reply::Compiled {
-                    source: Source::Store,
-                    cycles: entry.cycles,
-                    baseline_cycles: entry.baseline_cycles,
-                    passes: entry.seq.iter().map(|&p| p as usize).collect(),
-                    ir: ir_out,
-                });
+                return Ok(Answer::Stored { ir: ir_out });
             }
             None => {
                 trace.fault("replay");
@@ -830,7 +897,7 @@ fn compile(
     // on the `baseline_profile` segment.
     let module = match module {
         Some(m) => m,
-        None => parse_text(&ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?,
+        None => parse_text(ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?,
     };
 
     // Cold: profile the input once (the baseline number and the store
@@ -926,13 +993,13 @@ fn compile(
     }
 
     within(shared, deadline, "mid-pipeline")?;
-    Ok(Reply::Compiled {
+    Ok(Answer::Reply(Reply::Compiled {
         source,
         cycles,
         baseline_cycles,
         passes,
         ir: want_ir.then(|| ir_out.unwrap_or_else(|| print_module(&optimized))),
-    })
+    }))
 }
 
 #[cfg(test)]

@@ -12,6 +12,11 @@
 //! Every connection must end within a read timeout in well-formed
 //! replies — a typed `ERR` for a malformed header — and the daemon's
 //! close, and the daemon must still answer `PING` and `COMPILE` after.
+//! Last, one connection interleaves store hits with refused frames of
+//! every length, so the buffers a connection reuses from request to
+//! request are seen to carry nothing from one request into the next:
+//! each reply there is byte for byte the reply its request earns on a
+//! connection of its own.
 
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_serve::client::Client;
@@ -22,7 +27,7 @@ use autophase_serve::protocol::{
 use autophase_serve::server::{Server, ServerConfig};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -284,4 +289,139 @@ fn a_live_daemon_ends_every_hostile_connection_and_keeps_serving() {
     assert_eq!(reply.source, Source::Policy, "{reply:?}");
     server.shutdown();
     let _ = std::fs::remove_file(&store);
+}
+
+/// Read one reply's raw bytes: its header line, then the IR body its
+/// `ir_len=` announces. `None` when the daemon has closed the connection.
+fn raw_reply(r: &mut BufReader<TcpStream>) -> Option<Vec<u8>> {
+    let mut bytes = Vec::new();
+    r.read_until(b'\n', &mut bytes).expect("read a reply");
+    if bytes.is_empty() {
+        return None;
+    }
+    assert!(
+        bytes.ends_with(b"\n"),
+        "{:?}",
+        String::from_utf8_lossy(&bytes)
+    );
+    let line = String::from_utf8_lossy(&bytes).into_owned();
+    if let Some(at) = line.find(" ir_len=") {
+        let digits = &line[at + 8..line.len() - 1];
+        let len: usize = digits.split(' ').next().unwrap().parse().unwrap();
+        let start = bytes.len();
+        bytes.resize(start + len, 0);
+        r.read_exact(&mut bytes[start..])
+            .expect("read a reply body");
+    }
+    Some(bytes)
+}
+
+fn raw_connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    (stream, reader)
+}
+
+/// The reply `request` earns on a connection of its own.
+fn alone(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
+    let (mut stream, mut r) = raw_connect(addr);
+    stream.write_all(request).expect("send");
+    raw_reply(&mut r).expect("a reply")
+}
+
+#[test]
+fn hits_and_refused_frames_on_one_connection_stay_apart() {
+    let store = std::env::temp_dir().join(format!(
+        "autophase_serve_wire_fuzz_interleaved_{}.log",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
+    let cfg = ServerConfig {
+        store_path: store.clone(),
+        ..ServerConfig::default()
+    };
+    let server = Server::start_baseline_only(cfg).expect("server starts");
+    let addr = server.addr();
+    let gsm = autophase_ir::printer::print_module(
+        &autophase_benchmarks::suite::by_name("gsm").expect("gsm"),
+    );
+    let tiny = "; module m\n\n; f0\ndefine i32 @main() {\nb0:\n  ret i32 0\n}\n";
+    let compile = |ir: &str, want_ir: bool| {
+        let mut bytes = Vec::new();
+        write_request(
+            &mut bytes,
+            &Request::Compile {
+                ir: ir.to_string(),
+                deadline_ms: Some(60_000),
+                want_ir,
+            },
+        )
+        .expect("a Vec takes every write");
+        bytes
+    };
+    let requests: Vec<Vec<u8>> = vec![
+        compile(&gsm, false),
+        compile(tiny, false),
+        compile(&gsm, true),
+        compile(tiny, true),
+        // Refused, and the connection kept: bodies shorter, longer and
+        // as long as a hit's, one of them a prefix of a hit's text.
+        compile("", false),
+        compile("define", false),
+        compile(&gsm[..gsm.len() / 2], false),
+        compile(&gsm.replacen("define", "defin3", 1), false),
+        compile(&format!("{tiny}{tiny}"), false),
+        b"AUTOPHASE/1 CHAOS n=1\n".to_vec(),
+        b"AUTOPHASE/1 PROMOTE v=1\n".to_vec(),
+        b"AUTOPHASE/1 PING\n".to_vec(),
+    ];
+    // The programs go into the store first, so every later reply is fixed.
+    for ir in [&gsm[..], tiny] {
+        let cold = alone(addr, &compile(ir, false));
+        assert!(cold.starts_with(b"AUTOPHASE/1 OK source=baseline "));
+    }
+    let expected: Vec<Vec<u8>> = requests.iter().map(|req| alone(addr, req)).collect();
+    for reply in &expected[..4] {
+        let shown = String::from_utf8_lossy(&reply[..40]);
+        assert!(
+            reply.starts_with(b"AUTOPHASE/1 OK source=store "),
+            "{shown}"
+        );
+    }
+    for reply in &expected[4..9] {
+        let shown = String::from_utf8_lossy(reply);
+        assert!(reply.starts_with(b"AUTOPHASE/1 ERR kind=parse "), "{shown}");
+    }
+
+    let (mut stream, mut r) = raw_connect(addr);
+    let mut rng = TestRng::for_case("wire_fuzz::interleaved", 0);
+    for step in 0..300 {
+        let pick = (0..requests.len()).generate(&mut rng);
+        stream.write_all(&requests[pick]).expect("send");
+        let got = raw_reply(&mut r).expect("the connection stays open");
+        assert!(
+            got == expected[pick],
+            "step {step}, request {pick}: got {:?}",
+            String::from_utf8_lossy(&got[..got.len().min(200)])
+        );
+    }
+    // A body that is not UTF-8 is refused as a malformed request, and the
+    // daemon hangs up.
+    stream
+        .write_all(b"AUTOPHASE/1 COMPILE ir_len=2\n\xff\xfe")
+        .expect("send");
+    let refusal = raw_reply(&mut r).expect("a refusal");
+    assert_eq!(
+        String::from_utf8_lossy(&refusal),
+        "AUTOPHASE/1 ERR kind=bad_request msg=body is not UTF-8\n"
+    );
+    assert_eq!(raw_reply(&mut r), None, "the daemon hangs up");
+
+    server.shutdown();
+    for suffix in ["", ".snap", ".ir"] {
+        let _ = std::fs::remove_file(format!("{}{suffix}", store.display()));
+    }
 }

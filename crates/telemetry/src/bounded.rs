@@ -131,7 +131,22 @@ impl<K: Hash + Eq, V> BoundedMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let found = self.young.get(key).or_else(|| self.old.get(key));
+        self.get_if(key, |_| true)
+    }
+
+    /// [`BoundedMap::get`] for a value `accept` must also vouch for: a
+    /// resident value it refuses reads, and is reported, as a miss. A map
+    /// keyed by a digest of its real key checks that key here.
+    pub fn get_if<Q>(&self, key: &Q, accept: impl FnOnce(&V) -> bool) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let found = self
+            .young
+            .get(key)
+            .or_else(|| self.old.get(key))
+            .filter(|v| accept(v));
         self.emit(if found.is_some() { HIT } else { MISS }, 1);
         found
     }
@@ -162,8 +177,7 @@ impl<K: Hash + Eq, V> BoundedMap<K, V> {
     /// not kept; any other is readable once this returns, and stays so at
     /// least until `young` next fills.
     pub fn insert(&mut self, key: K, value: V) {
-        // One resident copy per key. `remove` hashes its key even on an
-        // empty table, and a front-memo key is kilobytes long.
+        // One resident copy per key.
         if let Some(v) = self.young.remove(&key) {
             self.young_weight -= (self.weigh)(&key, &v);
         } else if !self.old.is_empty() {
@@ -299,6 +313,26 @@ mod tests {
         assert_eq!((map.weight(), map.stats().len), (0, 0));
         map.insert(2, (9, 100));
         assert_eq!(map.get(&2), Some(&(9, 100)));
+    }
+
+    #[test]
+    fn a_refused_value_reads_and_reports_as_a_miss() {
+        let _g = crate::tests::lock();
+        crate::reset();
+        crate::enable();
+        let mut map: BoundedMap<u8, &str> = BoundedMap::new(4, MapCounters::family("test.get_if"));
+        map.insert(1, "one");
+        assert_eq!(map.get_if(&1, |v| *v == "one"), Some(&"one"));
+        assert_eq!(map.get_if(&1, |v| *v == "uno"), None);
+        assert_eq!(map.get_if(&2, |_| true), None);
+        crate::disable();
+        let snap = crate::snapshot();
+        let counter = |label: &str| {
+            let mut family = snap.counters.iter().filter(|c| c.name == "test.get_if");
+            family.find(|c| c.label == label).map(|c| c.value)
+        };
+        assert_eq!((counter("hit"), counter("miss")), (Some(1), Some(2)));
+        crate::reset();
     }
 
     #[test]

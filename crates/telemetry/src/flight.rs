@@ -13,9 +13,14 @@
 //! whose memory bound is `capacity × (one Arc + one trace)` — the ring
 //! holds `Arc`s, so readers never copy a trace and writers never block
 //! on readers. Slot claiming is a single `fetch_add` (wait-free); each
-//! slot is guarded by its own micro-mutex held only for a pointer swap
-//! or clone, so there is no global lock and no tearing: a reader sees
-//! either the old trace or the new one, always whole.
+//! slot is guarded by its own micro-mutex held only for a pointer swap,
+//! a clone or an in-place overwrite, so there is no global lock and no
+//! tearing: a reader sees either the old trace or the new one, always
+//! whole. A trace keeps its stages, notes and outcome inline, and a
+//! completed trace overwrites the one a lap older in that trace's own
+//! allocation when no reader holds it: a request whose notes are static
+//! strings and integers costs the recorder no allocation once the ring
+//! has gone round once.
 //!
 //! When a completed trace looks like trouble — it recorded a fault, its
 //! outcome is on the configured dump list (deadline refusals, sheds), or
@@ -27,14 +32,198 @@
 
 use crate::lock_recover;
 use crate::sink::json_escape;
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+/// An unsigned integer's decimal digits, formatted on the stack.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Decimal {
+    digits: [u8; 20],
+    start: u8,
+}
+
+impl Decimal {
+    /// The digits of `n`, most significant first, no sign or padding.
+    pub fn new(mut n: u64) -> Decimal {
+        let mut digits = [0; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        Decimal {
+            digits,
+            start: start as u8,
+        }
+    }
+
+    /// The digits as ASCII bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.digits[self.start as usize..]
+    }
+
+    /// The digits as text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("decimal digits are ASCII")
+    }
+}
+
+impl std::fmt::Debug for Decimal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// A trace note's value: a static string, an integer kept as its digits,
+/// or an owned string for a caller that already holds one. Only the last
+/// allocates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NoteValue {
+    /// A string that lives for the whole program (`"hit"`, `"replay"`).
+    Static(&'static str),
+    /// An integer (a count, a version).
+    Int(Decimal),
+    /// Any other text.
+    Owned(String),
+}
+
+impl NoteValue {
+    /// The value as the trace's JSON line spells it.
+    pub fn as_str(&self) -> &str {
+        match self {
+            NoteValue::Static(s) => s,
+            NoteValue::Int(d) => d.as_str(),
+            NoteValue::Owned(s) => s,
+        }
+    }
+}
+
+impl Default for NoteValue {
+    fn default() -> NoteValue {
+        NoteValue::Static("")
+    }
+}
+
+impl From<&'static str> for NoteValue {
+    fn from(s: &'static str) -> NoteValue {
+        NoteValue::Static(s)
+    }
+}
+
+impl From<String> for NoteValue {
+    fn from(s: String) -> NoteValue {
+        NoteValue::Owned(s)
+    }
+}
+
+impl From<u64> for NoteValue {
+    fn from(n: u64) -> NoteValue {
+        NoteValue::Int(Decimal::new(n))
+    }
+}
+
+impl From<u32> for NoteValue {
+    fn from(n: u32) -> NoteValue {
+        NoteValue::Int(Decimal::new(n.into()))
+    }
+}
+
+impl From<usize> for NoteValue {
+    fn from(n: usize) -> NoteValue {
+        NoteValue::Int(Decimal::new(n as u64))
+    }
+}
+
+/// A list that keeps its first `N` entries inline and moves to the heap,
+/// whole, only when a push finds it full. It reads as a slice.
+#[derive(Clone)]
+pub struct Inline<T, const N: usize>(Items<T, N>);
+
+#[derive(Clone)]
+enum Items<T, const N: usize> {
+    Inline { len: usize, items: [T; N] },
+    Heap(Vec<T>),
+}
+
+impl<T: Default, const N: usize> Inline<T, N> {
+    fn new() -> Inline<T, N> {
+        Inline(Items::Inline {
+            len: 0,
+            items: std::array::from_fn(|_| T::default()),
+        })
+    }
+
+    fn push(&mut self, item: T) {
+        match &mut self.0 {
+            Items::Inline { len, items } if *len < N => {
+                items[*len] = item;
+                *len += 1;
+            }
+            Items::Inline { items, .. } => {
+                let mut heap = Vec::with_capacity(2 * N + 1);
+                heap.extend(items.iter_mut().map(std::mem::take));
+                heap.push(item);
+                self.0 = Items::Heap(heap);
+            }
+            Items::Heap(heap) => heap.push(item),
+        }
+    }
+}
+
+impl<T, const N: usize> Deref for Inline<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Items::Inline { len, items } => &items[..*len],
+            Items::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a Inline<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> std::slice::Iter<'a, T> {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for Inline<T, N> {
+    fn eq(&self, other: &Inline<T, N>) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, const N: usize> Eq for Inline<T, N> {}
+
+impl<T: std::fmt::Debug, const N: usize> std::fmt::Debug for Inline<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A trace's `(stage, duration_ns)` segments. A compile request marks at
+/// most nine stages.
+pub type Stages = Inline<(&'static str, u64), 10>;
+
+/// A trace's `(key, value)` notes. A compile request writes at most six.
+pub type Notes = Inline<(&'static str, NoteValue), 8>;
+
 /// A request trace under construction. Created by
 /// [`FlightRecorder::begin`]; finished with [`TraceBuilder::finish`].
+/// Its stages, notes and outcome live inline, so a trace that keeps to
+/// static strings and integers allocates nothing.
 #[derive(Debug)]
 pub struct TraceBuilder {
     id: u64,
@@ -43,10 +232,10 @@ pub struct TraceBuilder {
     /// Nanoseconds from `start` to the last mark (the next segment's
     /// starting offset).
     last_ns: u64,
-    stages: Vec<(&'static str, u64)>,
-    notes: Vec<(&'static str, String)>,
+    stages: Stages,
+    notes: Notes,
     fault_stage: Option<&'static str>,
-    outcome: Option<String>,
+    outcome: Option<Cow<'static, str>>,
 }
 
 impl TraceBuilder {
@@ -59,8 +248,8 @@ impl TraceBuilder {
                 .map(|d| d.as_millis() as u64)
                 .unwrap_or(0),
             last_ns: 0,
-            stages: Vec::with_capacity(8),
-            notes: Vec::new(),
+            stages: Inline::new(),
+            notes: Inline::new(),
             fault_stage: None,
             outcome: None,
         }
@@ -88,8 +277,8 @@ impl TraceBuilder {
     }
 
     /// Attach a key/value annotation (batch size, pass id, source, …).
-    pub fn note(&mut self, key: &'static str, value: impl std::fmt::Display) {
-        self.notes.push((key, value.to_string()));
+    pub fn note(&mut self, key: &'static str, value: impl Into<NoteValue>) {
+        self.notes.push((key, value.into()));
     }
 
     /// Record that a fault surfaced while `stage` was running. The first
@@ -106,7 +295,7 @@ impl TraceBuilder {
 
     /// Set the request outcome (`ok:store`, `refused:deadline`, …). Last
     /// write wins; unset finishes as `"unknown"`.
-    pub fn set_outcome(&mut self, outcome: impl Into<String>) {
+    pub fn set_outcome(&mut self, outcome: impl Into<Cow<'static, str>>) {
         self.outcome = Some(outcome.into());
     }
 
@@ -118,7 +307,7 @@ impl TraceBuilder {
             id: self.id,
             start_unix_ms: self.start_unix_ms,
             total_ns: self.last_ns,
-            outcome: self.outcome.unwrap_or_else(|| "unknown".to_string()),
+            outcome: self.outcome.unwrap_or(Cow::Borrowed("unknown")),
             stages: self.stages,
             notes: self.notes,
             fault_stage: self.fault_stage,
@@ -138,11 +327,11 @@ pub struct RequestTrace {
     pub total_ns: u64,
     /// What became of the request (`ok:store`, `ok:policy`,
     /// `ok:baseline`, `refused:<kind>`, …).
-    pub outcome: String,
+    pub outcome: Cow<'static, str>,
     /// Consecutive `(stage, duration_ns)` segments, in timeline order.
-    pub stages: Vec<(&'static str, u64)>,
+    pub stages: Stages,
     /// Free-form `(key, value)` annotations.
-    pub notes: Vec<(&'static str, String)>,
+    pub notes: Notes,
     /// The stage a fault surfaced in, if any.
     pub fault_stage: Option<&'static str>,
 }
@@ -194,7 +383,12 @@ impl RequestTrace {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "[\"{}\",\"{}\"]", json_escape(k), json_escape(v));
+            let _ = write!(
+                out,
+                "[\"{}\",\"{}\"]",
+                json_escape(k),
+                json_escape(v.as_str())
+            );
         }
         out.push_str("]}");
         out
@@ -205,7 +399,7 @@ impl RequestTrace {
 #[derive(Debug, Clone)]
 pub struct FlightConfig {
     /// Ring capacity: how many recent traces are kept (the memory bound
-    /// is `capacity` traces, each a few hundred bytes).
+    /// is `capacity` traces, each under a kilobyte).
     pub capacity: usize,
     /// A completed trace slower than this triggers a dump (`None`
     /// disables the slow trigger).
@@ -306,7 +500,7 @@ impl FlightRecorder {
     pub fn complete(&self, trace: RequestTrace) -> (Arc<RequestTrace>, Option<PathBuf>) {
         let trigger = if trace.fault_stage.is_some() {
             Some(DumpTrigger::Fault)
-        } else if self.cfg.dump_outcomes.contains(&trace.outcome) {
+        } else if self.cfg.dump_outcomes.iter().any(|o| *o == trace.outcome) {
             Some(DumpTrigger::Outcome)
         } else if self
             .cfg
@@ -317,9 +511,18 @@ impl FlightRecorder {
         } else {
             None
         };
-        let trace = Arc::new(trace);
         let idx = (self.head.fetch_add(1, Ordering::AcqRel) as usize) % self.cfg.capacity;
-        *lock_recover(&self.slots[idx]) = Some(Arc::clone(&trace));
+        let trace = {
+            let mut slot = lock_recover(&self.slots[idx]);
+            // The lap-old trace's allocation takes the new one unless a
+            // reader still holds it.
+            if let Some(resident) = slot.as_mut().and_then(Arc::get_mut) {
+                *resident = trace;
+            } else {
+                *slot = Some(Arc::new(trace));
+            }
+            Arc::clone(slot.as_ref().expect("the slot was just filled"))
+        };
         crate::incr("flight.completed", "", 1);
         let path = trigger.and_then(|t| self.dump(t, &trace));
         (trace, path)
@@ -448,7 +651,7 @@ mod tests {
 
     fn finished(
         rec: &FlightRecorder,
-        outcome: &str,
+        outcome: impl Into<Cow<'static, str>>,
         stages: &[(&'static str, u64)],
     ) -> RequestTrace {
         let mut t = rec.begin();
@@ -477,13 +680,69 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_past_its_inline_room_keeps_every_stage_and_note() {
+        let rec = FlightRecorder::new(FlightConfig::default());
+        let mut t = rec.begin();
+        let names = [
+            "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
+        ];
+        for (i, &name) in names.iter().enumerate() {
+            t.mark(name);
+            t.note(name, i);
+        }
+        let done = t.finish();
+        let marked: Vec<&str> = done.stages.iter().map(|&(s, _)| s).collect();
+        assert_eq!(marked, names);
+        assert_eq!(
+            done.stages.iter().map(|&(_, d)| d).sum::<u64>(),
+            done.total_ns
+        );
+        assert_eq!(done.notes.len(), names.len());
+        assert_eq!(done.note("s11"), Some("11"));
+        assert_eq!(done.clone(), done);
+    }
+
+    #[test]
+    fn decimals_spell_every_width() {
+        for n in [0, 7, 10, 99, 1_000, 4_294_967_295, u64::MAX] {
+            assert_eq!(Decimal::new(n).as_str(), n.to_string());
+        }
+        assert_eq!(NoteValue::from(12u32).as_str(), "12");
+        assert_eq!(NoteValue::from(String::from("x y")).as_str(), "x y");
+    }
+
+    /// A completed trace lands in the allocation of the one a lap older,
+    /// unless a reader still holds that one: the reader's copy stays as
+    /// it was.
+    #[test]
+    fn a_ring_slot_is_reused_unless_a_reader_holds_it() {
+        let rec = FlightRecorder::new(FlightConfig {
+            capacity: 1,
+            ..FlightConfig::default()
+        });
+        let first = Arc::as_ptr(&rec.complete(finished(&rec, "ok:store", &[("a", 0)])).0);
+        let (second, _) = rec.complete(finished(&rec, "ok:policy", &[("a", 0)]));
+        assert_eq!(
+            Arc::as_ptr(&second),
+            first,
+            "the slot's allocation was reused"
+        );
+        assert_eq!((second.id, &*second.outcome), (1, "ok:policy"));
+        let held = second;
+        let (third, _) = rec.complete(finished(&rec, "ok:baseline", &[("a", 0)]));
+        assert_ne!(Arc::as_ptr(&third), Arc::as_ptr(&held));
+        assert_eq!((held.id, &*held.outcome), (1, "ok:policy"));
+        assert_eq!(rec.recent(1)[0].id, 2);
+    }
+
+    #[test]
     fn ring_keeps_the_newest_capacity_traces() {
         let rec = FlightRecorder::new(FlightConfig {
             capacity: 4,
             ..FlightConfig::default()
         });
         for i in 0..10 {
-            let done = finished(&rec, &format!("ok:{i}"), &[("a", 0)]);
+            let done = finished(&rec, format!("ok:{i}"), &[("a", 0)]);
             rec.complete(done);
         }
         let recent = rec.recent(100);

@@ -67,7 +67,10 @@ pub mod sink;
 pub mod span;
 
 pub use bounded::{BoundedMap, CacheStats, MapCounters};
-pub use flight::{DumpTrigger, FlightConfig, FlightRecorder, RequestTrace, TraceBuilder};
+pub use flight::{
+    Decimal, DumpTrigger, FlightConfig, FlightRecorder, Inline, NoteValue, Notes, RequestTrace,
+    Stages, TraceBuilder,
+};
 pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, Registry,
     Snapshot,
