@@ -90,8 +90,7 @@ impl FrontMemo {
 #[cfg(test)]
 const COLLIDE: u64 = 0xc0_111d;
 
-/// Digest-round constants (hex digits of π): each lane starts from its
-/// own, and the tail is folded with them.
+/// Hex digits of π: xored with the seed, one secret per lane.
 const K: [u64; 4] = [
     0x243f_6a88_85a3_08d3,
     0x1319_8a2e_0370_7344,
@@ -112,28 +111,29 @@ fn word(bytes: &[u8]) -> u64 {
 /// The memo's digest: 64 bits of `bytes` keyed by `seed`. Four
 /// independent lanes each fold 16 bytes per step through one
 /// 64×64→128-bit multiply (64 bytes a round), then the tail and the
-/// length are folded in. An index for a map that compares its keys in
-/// full, not a MAC.
+/// length are folded in. Both factors of every product are xored with a
+/// secret, so no input block zeroes a lane without knowing the seed. An
+/// index for a map that compares its keys in full, not a MAC.
 pub fn keyed_digest(seed: u64, bytes: &[u8]) -> u64 {
-    let mut lanes = K.map(|k| seed ^ k);
+    let secret = K.map(|k| seed ^ k);
+    let mut lanes = secret;
     let mut rounds = bytes.chunks_exact(64);
     for round in &mut rounds {
         for (i, lane) in lanes.iter_mut().enumerate() {
             let at = 16 * i;
             *lane = fold(
                 word(&round[at..at + 8]) ^ *lane,
-                word(&round[at + 8..at + 16]) ^ K[i],
+                word(&round[at + 8..at + 16]) ^ secret[i],
             );
         }
     }
-    let mut tail = rounds.remainder().chunks(16);
     let mut h = fold(lanes[0] ^ lanes[2], lanes[1] ^ lanes[3]);
-    for part in &mut tail {
+    for part in rounds.remainder().chunks(16) {
         let mut block = [0u8; 16];
         block[..part.len()].copy_from_slice(part);
-        h = fold(word(&block[..8]) ^ h, word(&block[8..]) ^ K[1]);
+        h = fold(word(&block[..8]) ^ h, word(&block[8..]) ^ secret[1]);
     }
-    fold(h ^ bytes.len() as u64, seed ^ K[2])
+    fold(h ^ bytes.len() as u64, secret[2])
 }
 
 #[cfg(test)]
@@ -228,6 +228,18 @@ mod tests {
             );
         }
         assert_ne!(keyed_digest(seed + 1, &base), d, "the seed keys it");
+        // A round whose words are the public constants erases nothing
+        // that came before it.
+        let mut magic = Vec::new();
+        for k in K {
+            magic.extend_from_slice(&0u64.to_le_bytes());
+            magic.extend_from_slice(&k.to_le_bytes());
+        }
+        let (x, y) = ([1u8; 64], [2u8; 64]);
+        assert_ne!(
+            keyed_digest(seed, &[&x[..], &magic].concat()),
+            keyed_digest(seed, &[&y[..], &magic].concat())
+        );
         assert_eq!(keyed_digest(seed, &base), d, "and nothing else does");
     }
 }
