@@ -177,7 +177,8 @@ impl<K: Hash + Eq, V> BoundedMap<K, V> {
     /// not kept; any other is readable once this returns, and stays so at
     /// least until `young` next fills.
     pub fn insert(&mut self, key: K, value: V) {
-        // One resident copy per key.
+        // One resident copy per key. `remove` hashes its key even on an
+        // empty table.
         if let Some(v) = self.young.remove(&key) {
             self.young_weight -= (self.weigh)(&key, &v);
         } else if !self.old.is_empty() {

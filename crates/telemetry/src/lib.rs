@@ -68,8 +68,7 @@ pub mod span;
 
 pub use bounded::{BoundedMap, CacheStats, MapCounters};
 pub use flight::{
-    Decimal, DumpTrigger, FlightConfig, FlightRecorder, Inline, NoteValue, Notes, RequestTrace,
-    Stages, TraceBuilder,
+    Decimal, DumpTrigger, FlightConfig, FlightRecorder, NoteValue, RequestTrace, TraceBuilder,
 };
 pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, Registry,
