@@ -112,11 +112,14 @@ fn word(bytes: &[u8]) -> u64 {
 /// independent lanes each fold 16 bytes per step through one
 /// 64×64→128-bit multiply (64 bytes a round), then the tail and the
 /// length are folded in. Both factors of every product are xored with a
-/// secret, so no input block zeroes a lane without knowing the seed. An
-/// index for a map that compares its keys in full, not a MAC.
+/// secret, so no input block zeroes a lane without knowing the seed. The
+/// lanes start from their secrets rotated by an odd count, never the
+/// secrets themselves: the first round's two factors then differ by a
+/// seed-dependent mask, so swapping a block's two words moves the digest.
+/// An index for a map that compares its keys in full, not a MAC.
 pub fn keyed_digest(seed: u64, bytes: &[u8]) -> u64 {
     let secret = K.map(|k| seed ^ k);
-    let mut lanes = secret;
+    let mut lanes = secret.map(|s| s.rotate_left(31));
     let mut rounds = bytes.chunks_exact(64);
     for round in &mut rounds {
         for (i, lane) in lanes.iter_mut().enumerate() {
@@ -240,6 +243,20 @@ mod tests {
             keyed_digest(seed, &[&x[..], &magic].concat()),
             keyed_digest(seed, &[&y[..], &magic].concat())
         );
+        // Swapping the two words of any block moves the digest, in the
+        // first round (where the lanes are still seed-derived) and after.
+        for at in [0, 16, 32, 48, 64, 112, 256] {
+            let mut swapped = base.clone();
+            let (lo, hi) = swapped[at..at + 16].split_at_mut(8);
+            lo.swap_with_slice(hi);
+            for seed in [seed, 0, 0x5eed, u64::MAX] {
+                assert_ne!(
+                    keyed_digest(seed, &swapped),
+                    keyed_digest(seed, &base),
+                    "words swapped at {at}, seed {seed:#x}"
+                );
+            }
+        }
         assert_eq!(keyed_digest(seed, &base), d, "and nothing else does");
     }
 }

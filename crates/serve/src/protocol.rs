@@ -239,20 +239,12 @@ impl From<ProtocolError> for io::Error {
 }
 
 /// A header line, read in place: its verb and the `key=value` pairs
-/// after it. [`Header::parse`] checks every pair and keeps the first
-/// [`HEADER_FIELDS`] of them, as many as any message has; a line with
-/// more is walked again for a key not among those.
+/// after it. [`Header::parse`] checks every pair once; [`Header::get`]
+/// walks them again for the key it wants.
 struct Header<'a> {
     verb: &'a str,
     tail: &'a str,
-    fields: [(&'a str, &'a str); HEADER_FIELDS],
-    /// How many of `fields` are filled; one more than their length when
-    /// the line holds more pairs than `fields` does.
-    len: usize,
 }
-
-/// Pairs a parsed header keeps in place.
-const HEADER_FIELDS: usize = 8;
 
 /// The `key=value` pairs of a header's tail, in order. `msg` swallows the
 /// rest of the line (it may contain spaces); every other value ends at
@@ -290,29 +282,14 @@ impl<'a> Header<'a> {
         if verb.is_empty() {
             return Err(ProtocolError("missing verb".into()));
         }
-        let mut header = Header {
-            verb,
-            tail,
-            fields: [("", ""); HEADER_FIELDS],
-            len: 0,
-        };
         for field in Fields(tail) {
-            let field = field?;
-            if let Some(slot) = header.fields.get_mut(header.len) {
-                *slot = field;
-            }
-            header.len = (header.len + 1).min(HEADER_FIELDS + 1);
+            field?;
         }
-        Ok(header)
+        Ok(Header { verb, tail })
     }
 
     /// The value of the first pair named `key`.
     fn get(&self, key: &str) -> Option<&'a str> {
-        let kept = &self.fields[..self.len.min(HEADER_FIELDS)];
-        let found = kept.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-        if found.is_some() || self.len <= HEADER_FIELDS {
-            return found;
-        }
         Fields(self.tail)
             .flatten()
             .find(|&(k, _)| k == key)
@@ -991,11 +968,11 @@ mod tests {
         }
     }
 
-    /// Pairs past the ones a header keeps in place are still read, first
-    /// match first, and still checked.
+    /// A key is found however far along the line it is, its first pair
+    /// wins, and every pair is checked.
     #[test]
     fn a_key_past_the_kept_pairs_is_found() {
-        let junk: String = (0..HEADER_FIELDS + 3).map(|i| format!(" k{i}=v")).collect();
+        let junk: String = (0..11).map(|i| format!(" k{i}=v")).collect();
         let line = format!("{PROTOCOL} COMPILE{junk} want_ir=1 ir_len=2 ir_len=7\nab");
         let got = read_request(&mut BufReader::new(line.as_bytes())).unwrap();
         let want = Request::Compile {
