@@ -176,7 +176,8 @@ pass-golden:
 # from-scratch reference, the trainer's env) agree at zero tolerance —
 # a codegen property, so it is checked where the codegen differs. So do
 # the nn kernels against their scalar references (forward, backward
-# with its `gemm_rt` hand-off, Adam), in optimized code too.
+# with its `gemm_rt` hand-off, Adam), in optimized code too, and the
+# `tanh` port, its eight-lane body and libm on 10^8 seeded inputs.
 # No wall-clock gates beyond the scaling ratios: what the fast paths
 # cost is read from the benchmark's layer metrics (`make bench`).
 perf-smoke:
@@ -193,7 +194,8 @@ perf-smoke:
 
 # SIMD feature matrix (DESIGN.md §4k): the nn crate must build, test,
 # and lint clean with and without its kernels — default (`simd`) and
-# forced-scalar (`--no-default-features`).
+# forced-scalar (`--no-default-features`, where the `tanh` port's
+# multiply-adds are libm `fma` calls rather than instructions).
 simd-matrix:
 	$(CARGO) test -q -p autophase-nn
 	$(CARGO) test -q -p autophase-nn --no-default-features

@@ -8,7 +8,7 @@ use autophase_core::compile::sequence_cycles;
 use autophase_core::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::extract;
 use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsConfig};
-use autophase_nn::simd::{gemm_kt, gemm_kt_acc, gemm_rt};
+use autophase_nn::simd::{gemm_kt, gemm_kt_acc, gemm_rt, tanh_in_place};
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use autophase_rl::env::Environment;
 use autophase_serve::front::keyed_digest;
@@ -213,6 +213,7 @@ fn bench_nn_update(c: &mut Criterion) {
 /// layer it runs on — the forward chain at batch 1 (`forward_one`'s
 /// GEMV) and at the update's batch 12, the weight gradient
 /// `gwᵀ += Xᵀ·Δ` of all three layers, and the two hand-offs `Δ·W`.
+/// Then the hidden layers' `tanh` three ways.
 fn bench_nn_kernels(c: &mut Criterion) {
     const SIZES: [usize; 4] = [42, 256, 256, 18];
     const BATCH: usize = 12;
@@ -267,6 +268,27 @@ fn bench_nn_kernels(c: &mut Criterion) {
                         }
                     }
                     black_box(products[0].2[0])
+                })
+            });
+        }
+    }
+    // The hidden activation over one 256-wide row (`forward_one`) and a
+    // 12×256 block (the update's batch): libm per element, the scalar
+    // port per element (`v4`, `v2`, `scalar`), the eight-lane body.
+    for n in [256, BATCH * 256] {
+        let pre: Vec<f64> = fill(n, 6.0).iter().map(|v| 3.0 * v).collect();
+        let mut ys = pre.clone();
+        let rows = if n == 256 { "256" } else { "12x256" };
+        for kernel in ["tanh_libm", "tanh_scalar", "tanh_v8"] {
+            c.bench_function(&format!("nn_kernels/{kernel}/{rows}"), |b| {
+                b.iter(|| {
+                    ys.copy_from_slice(&pre);
+                    match kernel {
+                        "tanh_libm" => ys.iter_mut().for_each(|v| *v = v.tanh()),
+                        "tanh_scalar" => tanh_in_place(&mut ys, KernelWidth::Scalar),
+                        _ => tanh_in_place(&mut ys, KernelWidth::V8),
+                    }
+                    black_box(ys[0])
                 })
             });
         }

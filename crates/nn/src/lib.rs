@@ -4,8 +4,9 @@
 //! trained with stochastic gradient methods; RLlib supplies them there,
 //! this crate supplies them here: [`matrix`] holds the (tiny) linear
 //! algebra, [`mlp`] the multi-layer perceptron with tanh/ReLU activations,
-//! backpropagation, and an Adam optimizer. Everything is deterministic in
-//! the construction seed.
+//! backpropagation, and an Adam optimizer, [`simd`] its kernels, and
+//! [`tanh`] a bit-exact port of glibc's `tanh`. Everything is
+//! deterministic in the construction seed.
 //!
 //! # Example
 //!
@@ -31,6 +32,7 @@ pub mod matrix;
 pub mod mlp;
 pub mod simd;
 pub mod soa;
+pub mod tanh;
 
 pub use matrix::Matrix;
 pub use mlp::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp, Workspace};

@@ -18,8 +18,16 @@ pub enum Activation {
 impl Activation {
     pub(crate) fn apply(self, x: f64) -> f64 {
         match self {
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => crate::tanh::tanh(x),
             Activation::Relu => x.max(0.0),
+        }
+    }
+
+    /// [`Activation::apply`] on every element of `y`, at `width`.
+    fn apply_in_place(self, y: &mut [f64], width: KernelWidth) {
+        match self {
+            Activation::Tanh => simd::tanh_in_place(y, width),
+            Activation::Relu => y.iter_mut().for_each(|v| *v = v.max(0.0)),
         }
     }
 
@@ -273,15 +281,10 @@ impl Mlp {
             // slab per observation.
             simd::gemm_kt(layer.wt.data(), &prev[li], ys, batch, width);
             for b in 0..batch {
-                let y = &mut ys[b * out..(b + 1) * out];
-                simd::add_assign(y, &layer.b, width);
-                if hidden {
-                    // Per-lane libm tanh/relu keeps the zero-tolerance
-                    // contract (no polynomial approximation).
-                    for v in y.iter_mut() {
-                        *v = self.activation.apply(*v);
-                    }
-                }
+                simd::add_assign(&mut ys[b * out..(b + 1) * out], &layer.b, width);
+            }
+            if hidden {
+                self.activation.apply_in_place(ys, width);
             }
         }
     }

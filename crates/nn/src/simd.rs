@@ -14,9 +14,14 @@
 //!   only fuses them under fast-math flags, which Rust does not set, so
 //!   no fused multiply-add can change rounding. The V4 bodies do not even
 //!   enable `fma`; the V8 bodies' `avx512f` implies it, and they rely on
-//!   the separate operations alone.
-//! * Transcendentals (`tanh`) use the scalar libm call per lane rather
-//!   than a polynomial approximation.
+//!   the separate operations alone. The one exception is `tanh`
+//!   ([`crate::tanh`]): its fused operations are explicit
+//!   (`f64::mul_add`, `_mm512_fmadd_pd`) and mirror, site for site, the
+//!   reference it ports.
+//! * Transcendentals are ports, not approximations: `tanh` is glibc
+//!   2.36's, bit for bit, at every width ([`tanh_in_place`]), so its bits
+//!   no longer depend on the host's libm. `softmax`'s `exp` and the
+//!   trainers' `ln`/`exp` stay libm calls.
 //!
 //! Consequently the differential suite pins a tolerance of **zero**:
 //! `assert_eq!` on `f64::to_bits`.
@@ -24,17 +29,18 @@
 //! Width selection follows ratchet's `KernelElement` pattern: a small
 //! enum ([`KernelWidth`]) chosen once at startup (or forced by tests and
 //! benches), dispatching to monomorphized lane kernels. The widths are
-//! `V8` (AVX-512F `f64x8`: hand-written bodies for the three GEMMs, the
-//! AVX bodies for the elementwise kernels), `V4` (AVX `f64x4`), `V2`
-//! (the SSE2 baseline) and `Scalar`; `V8` and `V4` fall back to their
+//! `V8` (AVX-512F `f64x8`: hand-written bodies for the three GEMMs and
+//! `tanh`, the AVX bodies for the other elementwise kernels), `V4` (AVX
+//! `f64x4`), `V2` (the SSE2 baseline) and `Scalar`; `V8` and `V4` fall back to their
 //! generic lane bodies on a CPU without their instructions.
 
 use std::sync::OnceLock;
 
 /// Vector width for the f64 kernels, à la ratchet's `KernelElement`.
 ///
-/// `V8` maps to AVX-512F `f64x8` on `x86_64` for the GEMMs and to the
-/// AVX bodies for the elementwise kernels; `V4` maps to AVX `f64x4`.
+/// `V8` maps to AVX-512F `f64x8` on `x86_64` for the GEMMs and `tanh`,
+/// and to the AVX bodies for the other elementwise kernels; `V4` maps to
+/// AVX `f64x4`.
 /// Both are runtime-detected and fall back to the generic 8- and 4-lane
 /// kernels on a CPU without those instructions. `V2` is the
 /// SSE2-baseline 2-lane kernel.
@@ -649,9 +655,10 @@ fn adam_v4(w: &mut [f64], g: &mut [f64], m: &mut [f64], v: &mut [f64], c: &AdamS
 
 // ---- V8 backends ----
 //
-// Hand-written AVX-512F bodies for the three GEMMs; the elementwise
-// kernels run their V4 bodies (Adam is bound by its divider, not its
-// width). Rust's `avx512f` implies `fma`, so these bodies do not rely on
+// Hand-written AVX-512F bodies for the three GEMMs (and, in
+// `crate::tanh`, for `tanh`); the other elementwise kernels run their V4
+// bodies (Adam is bound by its divider, not its width). Rust's `avx512f`
+// implies `fma`, so these bodies do not rely on
 // the feature set to keep products and sums apart: each spells
 // `_mm512_mul_pd` then `_mm512_add_pd`, which LLVM does not fuse without
 // fast-math flags. Output tails are masked loads and stores, not scalar
@@ -882,6 +889,16 @@ fn gemm_rt_v8(
     gemm_rt_lanes::<8>(w, xs, ys, batch, kdim, out)
 }
 
+fn tanh_v8(y: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if v8::avx512_available() {
+        // SAFETY: guarded by runtime AVX-512F detection.
+        unsafe { crate::tanh::v8::tanh(y) };
+        return;
+    }
+    crate::tanh::tanh_slice(y)
+}
+
 // ---- public dispatch ----
 
 /// `y[i] += a · x[i]`, vectorized over `i`.
@@ -1011,6 +1028,16 @@ fn gemm_dims(wt: &[f64], xs: &[f64], ys: &[f64], batch: usize) -> Option<(usize,
     let out = ys.len() / batch;
     assert_eq!(wt.len(), kdim * out, "gemm_kt weight shape mismatch");
     Some((kdim, out))
+}
+
+/// `y[i] = tanh(y[i])`, bit for bit [`crate::tanh::tanh`] at every
+/// width: `V8` runs the eight-lane AVX-512F body, the other widths the
+/// scalar port per element.
+pub fn tanh_in_place(y: &mut [f64], width: KernelWidth) {
+    match width {
+        KernelWidth::V8 => tanh_v8(y),
+        KernelWidth::V4 | KernelWidth::V2 | KernelWidth::Scalar => crate::tanh::tanh_slice(y),
+    }
 }
 
 /// One Adam update over a parameter array: moments `m`/`v` advance, `w`

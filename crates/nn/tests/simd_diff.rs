@@ -2,12 +2,16 @@
 //!
 //! The kernel contract (crates/nn/src/simd.rs) promises **bit-identical**
 //! results at every width — lanes span outputs, reductions stay in
-//! ascending-k order, no FMA contraction. So the pinned tolerance here is
-//! zero: every assertion compares `f64::to_bits`.
+//! ascending-k order, no FMA contraction outside `tanh`, whose fused
+//! operations are explicit and the same at every width. So the pinned
+//! tolerance here is zero: every assertion compares `f64::to_bits`.
 
-use autophase_nn::simd::{adam_step, gemm_kt, gemm_kt_acc, gemm_rt, AdamStep};
+use autophase_nn::simd::{adam_step, gemm_kt, gemm_kt_acc, gemm_rt, tanh_in_place, AdamStep};
+use autophase_nn::tanh::tanh;
 use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp, Workspace};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -49,11 +53,18 @@ fn batched_forward_bit_identical_across_widths_shapes_and_remainders() {
     for &shape in SHAPES {
         for act in [Activation::Tanh, Activation::Relu] {
             let mlp = Mlp::new(shape, act, 0xC0FFEE ^ shape.len() as u64);
-            let inputs: Vec<Vec<f64>> = (0..13).map(|b| obs(shape[0], b as u64)).collect();
+            // Sign-mixed observations, then three that drive the first
+            // hidden layer's pre-activations past ±22, below 2⁻⁵⁵ (both
+            // run the V8 `tanh`'s scalar-fallback blocks) and to 0. A
+            // layer sum starts from +0, so it never reaches −0.
+            let mut inputs: Vec<Vec<f64>> = (0..13).map(|b| obs(shape[0], b as u64)).collect();
+            for scale in [100.0, 1e-18, 0.0] {
+                inputs.push(obs(shape[0], 5).iter().map(|v| v * scale).collect());
+            }
             let want: Vec<Vec<u64>> = inputs.iter().map(|x| bits(&mlp.forward(x))).collect();
             for width in KernelWidth::all() {
                 let mut ws = BatchWorkspace::with_width(width);
-                // Batch sizes 1..=13 cover batch % lanes != 0 for 2-, 4-
+                // Batch sizes 1..=16 cover batch % lanes != 0 for 2-, 4-
                 // and 8-wide kernels and every tail after 4-row blocks.
                 for batch in 1..=inputs.len() {
                     ws.begin(&mlp);
@@ -423,6 +434,132 @@ fn mlp_step_bit_identical_to_scalar_reference() {
                     single_layer_state(&net, inp, out) == want,
                     "shape {inp}x{out} step {t}"
                 );
+            }
+        }
+    }
+}
+
+/// The `tanh` golden's `(input, libm's output bits, kind)` lines: every
+/// branch boundary of `tanh` and its `expm1`, the specials (±0,
+/// subnormals, ±inf, NaNs), the `fma-only` inputs and seeded values.
+fn tanh_golden() -> Vec<(f64, u64, String)> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tanh.txt");
+    let text = std::fs::read_to_string(path).expect("tests/golden/tanh.txt");
+    let hex = |s: &str| u64::from_str_radix(s, 16).unwrap();
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            (
+                f64::from_bits(hex(&l[..16])),
+                hex(&l[17..33]),
+                l[34..].to_string(),
+            )
+        })
+        .collect()
+}
+
+/// Inputs whose `tanh` changes when one of the port's multiply-adds is
+/// split into a multiply and an add: `R1`, `r1`'s inner sum, `t`, the
+/// denominator, and the k = 0 and k ≠ 0 reconstructions, in that order.
+/// Splitting the other five changes no result seen: two of their
+/// products are exact, and the other three moved none of 6·10⁸ seeded
+/// inputs.
+const FMA_SITE_INPUTS: [u64; 6] = [
+    0x3fc5_cd18_6ae1_0ce0,
+    0xbfc7_74f0_e599_8675,
+    0x3fc8_d466_cb7b_e5b5,
+    0xbfc5_cd6d_af87_1c62,
+    0xbfc3_6cb5_6164_d02c,
+    0x4000_0bbd_6030_7834,
+];
+
+/// `tanh_in_place` against the scalar port, element by element, at every
+/// width: slice lengths 0–33 and 256 (every tail of an 8-block), filled
+/// with vector-range values only, with one scalar-fallback lane (tiny,
+/// ≥ 22, infinite or NaN) per 8-block, and from the golden's inputs in
+/// order, where boundaries and specials sit next to each other; last,
+/// two whole vector blocks of [`FMA_SITE_INPUTS`].
+#[test]
+fn tanh_kernel_bit_identical_to_the_scalar_port() {
+    let pool: Vec<f64> = tanh_golden().into_iter().map(|c| c.0).collect();
+    let inside = |x: &&f64| (2f64.powi(-55)..22.0).contains(&x.abs());
+    let vector: Vec<f64> = pool.iter().filter(inside).copied().collect();
+    let fallback: Vec<f64> = pool.iter().filter(|x| !inside(x)).copied().collect();
+    assert!(fallback.len() > 8 && fallback.iter().any(|x| x.is_nan()));
+    let mut fills: Vec<Vec<f64>> = Vec::new();
+    for len in (0..=33).chain([256]) {
+        let at = |v: &[f64], i: usize| v[(len * 37 + i * 11) % v.len()];
+        fills.push((0..len).map(|i| at(&vector, i)).collect());
+        let odd = |i: usize| i % 8 == len % 8;
+        fills.push(
+            (0..len)
+                .map(|i| {
+                    if odd(i) {
+                        at(&fallback, i)
+                    } else {
+                        at(&vector, i)
+                    }
+                })
+                .collect(),
+        );
+    }
+    fills.extend(pool.chunks(256).map(<[f64]>::to_vec));
+    fills.push(
+        (0..16)
+            .map(|i| f64::from_bits(FMA_SITE_INPUTS[i % 6]))
+            .collect(),
+    );
+    for xs in &fills {
+        let want: Vec<u64> = xs.iter().map(|&x| tanh(x).to_bits()).collect();
+        for width in KernelWidth::all() {
+            let mut ys = xs.clone();
+            tanh_in_place(&mut ys, width);
+            for ((x, y), w) in xs.iter().zip(&ys).zip(&want) {
+                assert_eq!(y.to_bits(), *w, "{width:?}: tanh({:016x})", x.to_bits());
+            }
+        }
+    }
+}
+
+/// The release sweep: 10⁸ seeded inputs through the scalar port, the V8
+/// kernel and `f64::tanh`, bit for bit. libm only joins when it agrees
+/// with the golden on the inputs where glibc's SSE2 and FMA `expm1`
+/// bodies differ; otherwise the host resolved another body, and the
+/// golden alone binds the port.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "10⁸ inputs: run in release (`make perf-smoke`)"
+)]
+fn tanh_sweep_matches_libm() {
+    let libm = tanh_golden()
+        .iter()
+        .filter(|c| c.2 == "fma-only")
+        .all(|&(x, y, _)| x.tanh().to_bits() == y);
+    if !libm {
+        eprintln!("host libm's tanh is not glibc's FMA expm1 build: sweeping port against V8 only");
+    }
+    let mut rng = StdRng::seed_from_u64(0x7a4e_5eed);
+    let mut xs = vec![0.0f64; 4096];
+    for _ in 0..100_000_000 / xs.len() + 1 {
+        // One kind per 8-block: the first three stay in the vector
+        // range, the last two mostly fall back to the scalar body.
+        for (i, x) in xs.iter_mut().enumerate() {
+            *x = match i / 8 % 5 {
+                0 => rng.gen_range(-22.0..22.0),
+                1 => rng.gen_range(-2.0..2.0),
+                2 => rng.gen_range(-1e-3..1e-3),
+                3 => rng.gen_range(-30.0..30.0),
+                _ => f64::from_bits(rng.gen()),
+            };
+        }
+        let mut ys = xs.clone();
+        tanh_in_place(&mut ys, KernelWidth::V8);
+        for (&x, y) in xs.iter().zip(&ys) {
+            let port = tanh(x).to_bits();
+            assert_eq!(y.to_bits(), port, "V8 tanh({:016x})", x.to_bits());
+            if libm {
+                assert_eq!(x.tanh().to_bits(), port, "libm tanh({:016x})", x.to_bits());
             }
         }
     }
