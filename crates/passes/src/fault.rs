@@ -293,4 +293,36 @@ mod tests {
         }
         assert!(FaultPlan::seeded(9, &[1], 0).specs()[0].episode.is_none());
     }
+
+    /// The seeded stream, pinned spec for spec: a chaos run named by its
+    /// seed must keep sabotaging the same applications.
+    #[test]
+    fn seeded_plans_are_pinned() {
+        let spec = |pass, nth, episode, kind| FaultSpec {
+            pass,
+            nth,
+            episode,
+            kind,
+        };
+        use FaultKind::{CorruptIr, ExhaustFuel, Panic};
+        assert_eq!(
+            FaultPlan::seeded(0xC0FFEE, &[38, 25, 31, 15, 24], 8).specs(),
+            [
+                spec(38, 2, Some(1), Panic),
+                spec(25, 1, Some(4), CorruptIr),
+                spec(31, 2, Some(3), ExhaustFuel),
+                spec(15, 1, Some(7), Panic),
+                spec(24, 1, Some(2), CorruptIr),
+            ]
+        );
+        assert_eq!(
+            FaultPlan::seeded(0x5EED, &[2, 40, 33, 11], 0).specs(),
+            [
+                spec(2, 2, None, Panic),
+                spec(40, 3, None, CorruptIr),
+                spec(33, 3, None, ExhaustFuel),
+                spec(11, 2, None, Panic),
+            ]
+        );
+    }
 }

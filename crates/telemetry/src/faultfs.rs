@@ -525,4 +525,55 @@ mod tests {
         clear_plan();
         let _ = std::fs::remove_file(&path);
     }
+
+    /// The seeded stream, pinned spec for spec: a storm named by its
+    /// seed must keep failing the same operations the same way.
+    #[test]
+    fn seeded_plans_are_pinned() {
+        use DiskFaultKind::{Enospc, ShortRead, SyncFail, TornWrite};
+        use DiskOp::{Read, Rename, Sync, Write};
+        let targets = [
+            (Write, "store.append"),
+            (Write, "store.snapshot"),
+            (Sync, "store.append"),
+            (Read, "ckpt.read"),
+            (Rename, "store.snapshot"),
+            (Write, "ckpt.write"),
+        ];
+        let pinned = |rows: [(u64, DiskFaultKind, u64); 6]| -> Vec<DiskFaultSpec> {
+            targets
+                .iter()
+                .zip(rows)
+                .map(|(&(op, tag), (nth, kind, salt))| DiskFaultSpec {
+                    op,
+                    tag: Some(tag.to_string()),
+                    nth,
+                    kind,
+                    salt,
+                })
+                .collect()
+        };
+        assert_eq!(
+            DiskFaultPlan::seeded(5, &targets).specs(),
+            pinned([
+                (3, TornWrite, 4_292_726_422_858_613_063),
+                (3, Enospc, 7_020_995_479_949_754_436),
+                (1, SyncFail, 9_428_158_358_266_441_515),
+                (2, ShortRead, 11_131_513_475_650_148_195),
+                (1, Enospc, 2_521_712_920_250_132_284),
+                (1, Enospc, 17_610_715_268_997_278_231),
+            ])
+        );
+        assert_eq!(
+            DiskFaultPlan::seeded(0xFEED_F00D, &targets).specs(),
+            pinned([
+                (1, TornWrite, 4_049_349_361_917_054_250),
+                (3, TornWrite, 10_260_445_023_040_449_528),
+                (3, SyncFail, 7_527_603_519_976_084_636),
+                (1, ShortRead, 14_762_535_777_812_666_237),
+                (1, Enospc, 6_974_121_268_967_521_471),
+                (1, Enospc, 12_985_877_718_643_588_545),
+            ])
+        );
+    }
 }
