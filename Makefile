@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy doc fmt fmt-fix bench bench-smoke loc dead-pub telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix
+.PHONY: ci build test clippy doc fmt fmt-fix bench bench-smoke loc dead-pub telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke
 
-ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke simd-matrix bench-smoke clippy doc dead-pub fmt
+ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke bench-smoke clippy doc dead-pub fmt
 
 build:
 	$(CARGO) build --release
@@ -17,11 +17,9 @@ test:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
-	$(CARGO) clippy --features fault-injection --all-targets -- -D warnings
-	$(CARGO) clippy -p autophase-serve --features fault-injection --all-targets -- -D warnings
 
-# Rustdoc is part of the surface: a link to a deleted or private name,
-# or to an item compiled out of the default features, fails here.
+# Rustdoc is part of the surface: a link to a deleted or private name
+# fails here.
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
 
@@ -44,9 +42,10 @@ telemetry:
 
 # Chaos suite (DESIGN.md §4e): full PPO runs driven through seeded
 # fault-injection plans — rollback, survival, episode containment, and
-# quarantine. Release mode: the suite trains real agents.
+# quarantine. Release mode: the suite trains real agents (tier 1 runs
+# it too, in debug).
 chaos:
-	$(CARGO) test -q --release --features fault-injection --test chaos
+	$(CARGO) test -q --release --test chaos
 
 # The one benchmark (BENCHMARK.json, benchmark/README.md): two
 # interleaved sets of runs per workload, medians and spreads against the
@@ -124,8 +123,8 @@ trace-smoke:
 # Under a minute.
 durability-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test durability
-	$(CARGO) test -q --release -p autophase-serve --features fault-injection --test faultfs_chaos
-	$(CARGO) test -q --release -p autophase-rl --features fault-injection --test checkpoint_faults
+	$(CARGO) test -q --release -p autophase-serve --test faultfs_chaos
+	$(CARGO) test -q --release -p autophase-rl --test checkpoint_faults
 	$(CARGO) test -q --release -p autophase-serve --test kill_drill
 	$(CARGO) test -q --release -p autophase-serve --test store_scale
 
@@ -191,13 +190,3 @@ perf-smoke:
 	$(CARGO) test -q --release -p autophase-core --test ordering_golden
 	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
 	$(CARGO) test -q --release -p autophase-nn --test simd_diff
-
-# SIMD feature matrix (DESIGN.md §4k): the nn crate must build, test,
-# and lint clean with and without its kernels — default (`simd`) and
-# forced-scalar (`--no-default-features`, where the `tanh` port's
-# multiply-adds are libm `fma` calls rather than instructions).
-simd-matrix:
-	$(CARGO) test -q -p autophase-nn
-	$(CARGO) test -q -p autophase-nn --no-default-features
-	$(CARGO) clippy -p autophase-nn --all-targets -- -D warnings
-	$(CARGO) clippy -p autophase-nn --no-default-features --all-targets -- -D warnings

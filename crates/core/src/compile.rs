@@ -76,12 +76,12 @@ mod tests {
     /// program it was compiled from is untouched.
     #[test]
     fn a_faulting_pass_is_skipped_not_scored() {
-        let _g = fault::test_guard();
-        fault::quiet_panic_hook();
+        let _g = autophase_telemetry::test_guard();
+        autophase_telemetry::quiet_panic_hook();
         let (p, hls) = (gsm(), HlsConfig::default());
         let pristine = autophase_ir::printer::print_module(&p);
         let (seq, without) = ([38usize, 23, 31, 30], [23usize, 31, 30]);
-        let plan = fault::install_plan(FaultPlan::new(vec![FaultSpec {
+        let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
             pass: 38,
             nth: 1,
             // This thread's context only: concurrent tests never match it.
@@ -91,7 +91,7 @@ mod tests {
         fault::set_episode(Some(9301));
         let faulted = sequence_cycles(&p, &seq, &hls);
         fault::set_episode(None);
-        fault::clear_plan();
+        fault::PLAN.clear();
         assert_eq!(plan.fired(), 1, "the injection reached the evaluator");
         assert_eq!(faulted, sequence_cycles(&p, &without, &hls));
         assert_ne!(faulted, sequence_cycles(&p, &seq, &hls), "-mem2reg matters");

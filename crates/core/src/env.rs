@@ -434,7 +434,6 @@ impl Environment for PhaseOrderEnv {
 
     fn reset(&mut self) -> Vec<f64> {
         // Leave any per-episode fault-injection context behind.
-        #[cfg(any(test, feature = "fault-injection"))]
         autophase_passes::fault::set_episode(None);
         let idx = self.program_cursor;
         // A COW clone: O(#functions) refcount bumps, not a deep copy.
@@ -464,7 +463,6 @@ impl Environment for PhaseOrderEnv {
         // (which clears it): an episode runs on one thread, so per-pass
         // apply counts scoped to this context make "the Nth apply of pass
         // P in episode E" independent of worker count and scheduling.
-        #[cfg(any(test, feature = "fault-injection"))]
         autophase_passes::fault::set_episode(Some(episode));
         obs
     }
@@ -490,14 +488,11 @@ impl Environment for PhaseOrderEnv {
         // warmth, or chaos runs would diverge between cold and warm runs.
         // Masked actions never attempt an apply, so they don't poll (and
         // don't advance the per-episode apply counters).
-        #[cfg(any(test, feature = "fault-injection"))]
         let injected = if quarantined {
             None
         } else {
             autophase_passes::fault::poll(pass_id)
         };
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        let injected: Option<FaultKind> = None;
 
         let (changed, faulted) = if quarantined {
             // Masked: a known repeat offender on this program. Scored
@@ -773,11 +768,11 @@ mod tests {
     #[test]
     fn injected_fault_is_a_zero_reward_noop_and_rolls_back() {
         use autophase_passes::fault::{self, FaultPlan, FaultSpec};
-        let _g = fault::test_guard();
-        fault::quiet_panic_hook();
+        let _g = autophase_telemetry::test_guard();
+        autophase_telemetry::quiet_panic_hook();
         // Episode-scoped spec: concurrent tests using plain reset() run in
         // the `None` episode context and can never match it.
-        let plan = fault::install_plan(FaultPlan::new(vec![FaultSpec {
+        let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
             pass: 38,
             nth: 1,
             episode: Some(9001),
@@ -800,14 +795,14 @@ mod tests {
         // `nth` and goes through cleanly.
         let r = env.step(38);
         assert!(r.reward > 0.0, "post-fault apply works: {}", r.reward);
-        fault::clear_plan();
+        fault::PLAN.clear();
     }
 
     #[test]
     fn injected_fault_bypasses_the_transition_memo() {
         use autophase_passes::fault::{self, FaultPlan, FaultSpec};
-        let _g = fault::test_guard();
-        fault::quiet_panic_hook();
+        let _g = autophase_telemetry::test_guard();
+        autophase_telemetry::quiet_panic_hook();
         let cache = Arc::new(EvalCache::new(64));
         let mut env = PhaseOrderEnv::with_cache(
             vec![small_program()],
@@ -819,7 +814,7 @@ mod tests {
         let clean = env.step(38);
         assert!(clean.reward > 0.0);
         // Same state, warm memo — the planned fault must still fire.
-        let plan = fault::install_plan(FaultPlan::new(vec![FaultSpec {
+        let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
             pass: 38,
             nth: 1,
             episode: Some(9011),
@@ -829,7 +824,7 @@ mod tests {
         let r = env.step(38);
         assert_eq!(r.reward, 0.0, "memo hit must not absorb a planned fault");
         assert_eq!(plan.fired(), 1);
-        fault::clear_plan();
+        fault::PLAN.clear();
         // The fault wrote nothing into the memo: a fresh episode replays
         // the clean transition bit-identically.
         env.reset_to(9012);
@@ -842,8 +837,8 @@ mod tests {
     fn quarantine_masks_repeat_offenders() {
         use crate::quarantine::Quarantine;
         use autophase_passes::fault::{self, FaultPlan, FaultSpec};
-        let _g = fault::test_guard();
-        fault::quiet_panic_hook();
+        let _g = autophase_telemetry::test_guard();
+        autophase_telemetry::quiet_panic_hook();
         let specs = [9021u64, 9022]
             .iter()
             .map(|&ep| FaultSpec {
@@ -853,7 +848,7 @@ mod tests {
                 kind: autophase_passes::checked::FaultKind::Panic,
             })
             .collect();
-        let plan = fault::install_plan(FaultPlan::new(specs));
+        let plan = fault::PLAN.install(FaultPlan::new(specs));
         let q = Arc::new(Quarantine::new(2));
         let mut env = PhaseOrderEnv::single(small_program(), EnvConfig::default());
         env.set_quarantine(Arc::clone(&q));
@@ -876,15 +871,15 @@ mod tests {
         assert_eq!(r.reward, 0.0);
         assert_eq!(q.fault_count(fp, 38), 2, "masked steps record no fault");
         assert_eq!(plan.fired(), 2);
-        fault::clear_plan();
+        fault::PLAN.clear();
     }
 
     #[test]
     fn organic_fuel_fault_feeds_quarantine_and_skips_the_memo() {
         use crate::quarantine::Quarantine;
         use autophase_passes::fault;
-        let _g = fault::test_guard();
-        fault::clear_plan();
+        let _g = autophase_telemetry::test_guard();
+        fault::PLAN.clear();
         let cfg = EnvConfig {
             // Any changing pass now overflows the budget: an *organic*
             // fault through the normal (non-injected) checked path.

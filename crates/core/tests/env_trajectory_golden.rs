@@ -30,10 +30,7 @@
 //!   [`Quarantine`], under a fuel ceiling at the program's pristine
 //!   instruction count: every apply that grows the module faults, rolls
 //!   back, is recorded against the program's fingerprint, and masks the
-//!   pass once it repeats. The faults are organic, not injected, because
-//!   an integration test sees `env.rs` compiled without the injection
-//!   harness (`cfg(any(test, feature = "fault-injection"))`) and this
-//!   file must run in tier 1.
+//!   pass once it repeats. The faults are organic, not injected.
 //!
 //! One line per episode: the hash of every observation's bits, every
 //! reward's bits, `done`, `last_cycles()`, `samples()` and the masked-pass

@@ -2,6 +2,7 @@
 
 use crate::matrix::{transpose_into, Matrix};
 use crate::simd::{self, AdamStep, KernelWidth};
+use autophase_telemetry::faultfs::fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -728,15 +729,6 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Reader<'a> {
     buf: &'a [u8],

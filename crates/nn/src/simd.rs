@@ -31,8 +31,10 @@
 //! benches), dispatching to monomorphized lane kernels. The widths are
 //! `V8` (AVX-512F `f64x8`: hand-written bodies for the three GEMMs and
 //! `tanh`, the AVX bodies for the other elementwise kernels), `V4` (AVX
-//! `f64x4`), `V2` (the SSE2 baseline) and `Scalar`; `V8` and `V4` fall back to their
-//! generic lane bodies on a CPU without their instructions.
+//! `f64x4`) and `V2` (the SSE2 baseline, and the portable fallback on
+//! any other architecture); `V8` and `V4` fall back to their generic
+//! lane bodies on a CPU without their instructions. The reference every
+//! width is held to is the scalar [`crate::Mlp::forward`].
 
 use std::sync::OnceLock;
 
@@ -43,8 +45,8 @@ use std::sync::OnceLock;
 /// AVX `f64x4`.
 /// Both are runtime-detected and fall back to the generic 8- and 4-lane
 /// kernels on a CPU without those instructions. `V2` is the
-/// SSE2-baseline 2-lane kernel.
-/// `Scalar` is a plain loop, used when the `simd` feature is disabled.
+/// SSE2-baseline 2-lane kernel, and the generic body every other
+/// architecture runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelWidth {
     /// Eight f64 lanes (AVX-512F zmm).
@@ -53,8 +55,6 @@ pub enum KernelWidth {
     V4,
     /// Two f64 lanes (SSE2 xmm baseline).
     V2,
-    /// One element at a time.
-    Scalar,
 }
 
 impl KernelWidth {
@@ -64,7 +64,6 @@ impl KernelWidth {
             KernelWidth::V8 => 8,
             KernelWidth::V4 => 4,
             KernelWidth::V2 => 2,
-            KernelWidth::Scalar => 1,
         }
     }
 
@@ -74,56 +73,35 @@ impl KernelWidth {
             KernelWidth::V8 => "v8",
             KernelWidth::V4 => "v4",
             KernelWidth::V2 => "v2",
-            KernelWidth::Scalar => "scalar",
         }
     }
 
-    /// Parse a width name (`v8`/`v4`/`v2`/`scalar`), e.g. from a bench
-    /// flag.
+    /// Parse a width name (`v8`/`v4`/`v2`), e.g. from a bench flag.
     pub fn parse(s: &str) -> Option<KernelWidth> {
         match s {
             "v8" => Some(KernelWidth::V8),
             "v4" => Some(KernelWidth::V4),
             "v2" => Some(KernelWidth::V2),
-            "scalar" => Some(KernelWidth::Scalar),
             _ => None,
         }
     }
 
     /// All widths, widest first (for differential sweeps).
-    pub fn all() -> [KernelWidth; 4] {
-        [
-            KernelWidth::V8,
-            KernelWidth::V4,
-            KernelWidth::V2,
-            KernelWidth::Scalar,
-        ]
+    pub fn all() -> [KernelWidth; 3] {
+        [KernelWidth::V8, KernelWidth::V4, KernelWidth::V2]
     }
 
-    /// Select the widest kernel this build + CPU supports.
-    ///
-    /// With the `simd` feature disabled this is always `Scalar`;
-    /// otherwise `V8` when the CPU reports AVX-512F, `V4` when it reports
-    /// AVX, else `V2`.
+    /// Select the widest kernel the CPU supports: `V8` when it reports
+    /// AVX-512F, `V4` when it reports AVX, else `V2`.
     pub fn pick() -> KernelWidth {
-        pick_impl()
+        #[cfg(target_arch = "x86_64")]
+        if v8::avx512_available() {
+            return KernelWidth::V8;
+        } else if v4::avx_available() {
+            return KernelWidth::V4;
+        }
+        KernelWidth::V2
     }
-}
-
-#[cfg(not(feature = "simd"))]
-fn pick_impl() -> KernelWidth {
-    KernelWidth::Scalar
-}
-
-#[cfg(feature = "simd")]
-fn pick_impl() -> KernelWidth {
-    #[cfg(target_arch = "x86_64")]
-    if v8::avx512_available() {
-        return KernelWidth::V8;
-    } else if v4::avx_available() {
-        return KernelWidth::V4;
-    }
-    KernelWidth::V2
 }
 
 /// [`KernelWidth::pick`], computed once and cached.
@@ -911,7 +889,6 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64], width: KernelWidth) {
     match width {
         KernelWidth::V8 | KernelWidth::V4 => axpy_v4(y, a, x),
         KernelWidth::V2 => axpy_lanes::<2>(y, a, x),
-        KernelWidth::Scalar => axpy_lanes::<1>(y, a, x),
     }
 }
 
@@ -925,7 +902,6 @@ pub fn add_assign(y: &mut [f64], x: &[f64], width: KernelWidth) {
     match width {
         KernelWidth::V8 | KernelWidth::V4 => add_v4(y, x),
         KernelWidth::V2 => add_lanes::<2>(y, x),
-        KernelWidth::Scalar => add_lanes::<1>(y, x),
     }
 }
 
@@ -953,7 +929,6 @@ pub fn gemm_kt(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: Kern
         KernelWidth::V8 => gemm_kt_v8(wt, xs, ys, batch, kdim, out),
         KernelWidth::V4 => gemm_kt_v4(wt, xs, ys, batch, kdim, out),
         KernelWidth::V2 => gemm_kt_lanes::<2, false>(wt, xs, ys, batch, kdim, out),
-        KernelWidth::Scalar => gemm_kt_lanes::<1, false>(wt, xs, ys, batch, kdim, out),
     }
 }
 
@@ -975,7 +950,6 @@ pub fn gemm_kt_acc(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: 
         KernelWidth::V8 => gemm_kt_acc_v8(wt, xs, ys, batch, kdim, out),
         KernelWidth::V4 => gemm_kt_acc_v4(wt, xs, ys, batch, kdim, out),
         KernelWidth::V2 => gemm_kt_lanes::<2, true>(wt, xs, ys, batch, kdim, out),
-        KernelWidth::Scalar => gemm_kt_lanes::<1, true>(wt, xs, ys, batch, kdim, out),
     }
 }
 
@@ -1011,7 +985,6 @@ pub fn gemm_rt(
         KernelWidth::V8 => gemm_rt_v8(w, xs, ys, batch, kdim, out, stage),
         KernelWidth::V4 => gemm_rt_v4(w, xs, ys, batch, kdim, out),
         KernelWidth::V2 => gemm_rt_lanes::<2>(w, xs, ys, batch, kdim, out),
-        KernelWidth::Scalar => gemm_rt_lanes::<1>(w, xs, ys, batch, kdim, out),
     }
 }
 
@@ -1036,7 +1009,7 @@ fn gemm_dims(wt: &[f64], xs: &[f64], ys: &[f64], batch: usize) -> Option<(usize,
 pub fn tanh_in_place(y: &mut [f64], width: KernelWidth) {
     match width {
         KernelWidth::V8 => tanh_v8(y),
-        KernelWidth::V4 | KernelWidth::V2 | KernelWidth::Scalar => crate::tanh::tanh_slice(y),
+        KernelWidth::V4 | KernelWidth::V2 => crate::tanh::tanh_slice(y),
     }
 }
 
@@ -1063,7 +1036,6 @@ pub fn adam_step(
     match width {
         KernelWidth::V8 | KernelWidth::V4 => adam_v4(w, g, m, v, c),
         KernelWidth::V2 => adam_lanes::<2>(w, g, m, v, c),
-        KernelWidth::Scalar => adam_lanes::<1>(w, g, m, v, c),
     }
 }
 
@@ -1081,11 +1053,10 @@ mod tests {
         assert_eq!(picked(), KernelWidth::pick());
     }
 
-    /// `pick()` is the widest width the build and the CPU both have:
-    /// `V8` exactly when the `simd` feature is on and AVX-512F is
-    /// detected, `V4` when only AVX is, `Scalar` without the feature.
+    /// `pick()` is the widest width the CPU has: `V8` exactly when
+    /// AVX-512F is detected, `V4` when only AVX is, else `V2`.
     #[test]
-    fn pick_follows_the_feature_and_the_cpu() {
+    fn pick_follows_the_cpu() {
         #[cfg(target_arch = "x86_64")]
         let (avx512, avx) = (
             std::arch::is_x86_feature_detected!("avx512f"),
@@ -1093,11 +1064,10 @@ mod tests {
         );
         #[cfg(not(target_arch = "x86_64"))]
         let (avx512, avx) = (false, false);
-        let want = match (cfg!(feature = "simd"), avx512, avx) {
-            (false, _, _) => KernelWidth::Scalar,
-            (true, true, _) => KernelWidth::V8,
-            (true, false, true) => KernelWidth::V4,
-            (true, false, false) => KernelWidth::V2,
+        let want = match (avx512, avx) {
+            (true, _) => KernelWidth::V8,
+            (false, true) => KernelWidth::V4,
+            (false, false) => KernelWidth::V2,
         };
         assert_eq!(KernelWidth::pick(), want);
     }
@@ -1108,8 +1078,7 @@ mod tests {
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 17, 56, 70, 257] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
             let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-            let mut want = base.clone();
-            axpy(&mut want, 1.7, &x, KernelWidth::Scalar);
+            let want: Vec<f64> = base.iter().zip(&x).map(|(b, x)| b + 1.7 * x).collect();
             for w in KernelWidth::all() {
                 let mut got = base.clone();
                 axpy(&mut got, 1.7, &x, w);
@@ -1215,12 +1184,9 @@ mod tests {
             let mut want = base.clone();
             for b in 0..batch {
                 for kk in 0..k {
-                    axpy(
-                        &mut want[b * n..(b + 1) * n],
-                        xs[b * k + kk],
-                        &slab[kk * n..(kk + 1) * n],
-                        KernelWidth::Scalar,
-                    );
+                    for j in 0..n {
+                        want[b * n + j] += xs[b * k + kk] * slab[kk * n + j];
+                    }
                 }
             }
             for width in KernelWidth::all() {
@@ -1238,8 +1204,7 @@ mod tests {
     #[test]
     fn add_assign_all_widths() {
         let b: Vec<f64> = (0..23).map(|i| i as f64 * 0.25).collect();
-        let mut want = vec![1.0; 23];
-        add_assign(&mut want, &b, KernelWidth::Scalar);
+        let want: Vec<f64> = b.iter().map(|b| 1.0 + b).collect();
         for w in KernelWidth::all() {
             let mut got = vec![1.0; 23];
             add_assign(&mut got, &b, w);

@@ -30,9 +30,9 @@
 //! and reconstructs in five: k = 0, k = −1, 2 ≤ k ≤ 19, 20 ≤ k ≤ 56,
 //! and k ≤ −2 or k > 56.
 //!
-//! On a CPU with FMA the scalar body is compiled with the `fma` target
-//! feature (detected once, with the `simd` feature); elsewhere
-//! `f64::mul_add` is libm's correctly rounded `fma`, with the same bits.
+//! On an `x86_64` CPU with FMA the scalar body is compiled with the
+//! `fma` target feature (detected once); elsewhere `f64::mul_add` is
+//! libm's correctly rounded `fma`, with the same bits.
 
 // Constants, by bits, from `s_expm1.c`.
 const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
@@ -57,7 +57,7 @@ const SATURATE_FROM: f64 = 22.0;
 /// `tanh(x)`, bit for bit glibc 2.36's with its FMA `expm1`, on every
 /// `f64` (±0, subnormals, ±inf and NaN payloads included).
 pub fn tanh(x: f64) -> f64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: guarded by runtime FMA detection.
         return unsafe { fma::tanh(x) };
@@ -67,7 +67,7 @@ pub fn tanh(x: f64) -> f64 {
 
 /// [`tanh`] on every element of `y`, with one dispatch for the slice.
 pub(crate) fn tanh_slice(y: &mut [f64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: guarded by runtime FMA detection.
         return unsafe { fma::tanh_slice(y) };
@@ -77,7 +77,7 @@ pub(crate) fn tanh_slice(y: &mut [f64]) {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn fma_available() -> bool {
     use std::sync::OnceLock;
     static FMA: OnceLock<bool> = OnceLock::new();
@@ -85,7 +85,7 @@ fn fma_available() -> bool {
 }
 
 /// The scalar body recompiled with hardware multiply-adds.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod fma {
     /// # Safety
     ///
@@ -338,18 +338,34 @@ pub(crate) mod v8 {
 mod tests {
     use super::*;
 
+    /// `(line, input, output bits)` per case of the golden file.
+    fn golden() -> impl Iterator<Item = (&'static str, f64, u64)> {
+        let text = include_str!("../tests/golden/tanh.txt");
+        text.lines().filter(|l| !l.starts_with('#')).map(|line| {
+            let mut f = line.split(' ');
+            let mut hex = || u64::from_str_radix(f.next().unwrap(), 16).unwrap();
+            (line, f64::from_bits(hex()), hex())
+        })
+    }
+
     /// Every golden case, −0 included, through the port itself.
     #[test]
     fn the_port_matches_the_golden_file() {
-        let text = include_str!("../tests/golden/tanh.txt");
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let mut f = line.split(' ');
-            let mut hex = || u64::from_str_radix(f.next().unwrap(), 16).unwrap();
-            let (x, want) = (f64::from_bits(hex()), hex());
+        for (line, x, want) in golden() {
             assert_eq!(tanh(x).to_bits(), want, "tanh({line})");
             let mut y = [x];
             tanh_slice(&mut y);
             assert_eq!(y[0].to_bits(), want, "tanh_slice({line})");
+        }
+    }
+
+    /// The plain body, compiled without the `fma` target feature, so
+    /// every `mul_add` is a call to libm's `fma`: the path a CPU without
+    /// FMA runs.
+    #[test]
+    fn the_body_without_hardware_fma_matches_the_golden_file() {
+        for (line, x, want) in golden() {
+            assert_eq!(body(x).to_bits(), want, "body({line})");
         }
     }
 }

@@ -21,10 +21,8 @@
 //! Every fault increments the `pass_fault_total{<pass>}` and
 //! `rollback_total{<pass>}` telemetry counters.
 //!
-//! Fault *injection* (the chaos-testing harness) lives in `crate::fault`
-//! and is compiled only under `cfg(any(test, feature = "fault-injection"))`;
-//! this module is always available and pays nothing for the harness in
-//! production builds.
+//! Fault *injection* (the chaos-testing harness) lives in [`crate::fault`];
+//! with no plan armed, polling it costs every apply one acquire load.
 
 use crate::changeset::{ChangeSet, ChangeTracker};
 use crate::registry::{self, PassId};
@@ -125,28 +123,19 @@ pub enum FaultKind {
     ExhaustFuel,
 }
 
-/// Panic payload used by injected panics, so a quiet panic hook can tell
-/// them apart from real failures.
-pub const INJECTED_PANIC_MSG: &str = "injected fault: pass panic";
-
 /// Apply pass `id` transactionally (see the module docs). Returns
 /// `Ok(changed)` exactly like [`registry::apply`] on success; on any
 /// fault the module is rolled back to its pre-pass state and the fault is
 /// returned. `-terminate` and out-of-range ids are no-ops and cannot
 /// fault.
 ///
-/// With the fault-injection harness compiled in and a plan installed,
-/// each call polls `crate::fault::poll` for an injected fault first.
+/// Each call polls [`crate::fault::poll`] for an injected fault first.
 ///
 /// # Errors
 ///
 /// Returns the [`PassFault`] that was isolated (module already restored).
 pub fn apply_checked(m: &mut Module, id: PassId, budget: &FuelBudget) -> Result<bool, PassFault> {
-    #[cfg(any(test, feature = "fault-injection"))]
-    let injected = crate::fault::poll(id);
-    #[cfg(not(any(test, feature = "fault-injection")))]
-    let injected: Option<FaultKind> = None;
-    apply_checked_with(m, id, budget, injected)
+    apply_checked_changeset(m, id, budget).map(|(changed, _)| changed)
 }
 
 /// [`apply_checked`], but also returning the exact [`ChangeSet`] of a
@@ -163,11 +152,7 @@ pub fn apply_checked_changeset(
     id: PassId,
     budget: &FuelBudget,
 ) -> Result<(bool, ChangeSet), PassFault> {
-    #[cfg(any(test, feature = "fault-injection"))]
-    let injected = crate::fault::poll(id);
-    #[cfg(not(any(test, feature = "fault-injection")))]
-    let injected: Option<FaultKind> = None;
-    apply_checked_traced(m, id, budget, injected)
+    apply_checked_traced(m, id, budget, crate::fault::poll(id))
 }
 
 /// Apply `seq` pass by pass through [`apply_checked`]: a pass that faults
@@ -178,17 +163,6 @@ pub fn apply_sequence_checked(m: &mut Module, seq: &[PassId], budget: &FuelBudge
         .copied()
         .filter(|&id| apply_checked(m, id, budget) == Ok(true))
         .collect()
-}
-
-/// [`apply_checked`] with an explicit injected fault (or `None` for the
-/// plain checked path).
-fn apply_checked_with(
-    m: &mut Module,
-    id: PassId,
-    budget: &FuelBudget,
-    injected: Option<FaultKind>,
-) -> Result<bool, PassFault> {
-    apply_checked_traced(m, id, budget, injected).map(|(changed, _)| changed)
 }
 
 /// [`apply_checked`] with an explicit injected fault (or `None` for the
@@ -234,7 +208,7 @@ pub fn apply_checked_traced(
     let tracker = ChangeTracker::before(&snapshot);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Some(FaultKind::Panic) = injected {
-            std::panic::panic_any(INJECTED_PANIC_MSG);
+            std::panic::panic_any(telemetry::INJECTED_PANIC_MSG);
         }
         let mut changed = registry::apply(m, id);
         if let Some(FaultKind::CorruptIr) = injected {
@@ -364,11 +338,11 @@ mod tests {
 
     #[test]
     fn injected_panic_rolls_back() {
-        crate::fault::quiet_panic_hook();
+        telemetry::quiet_panic_hook();
         let mut m = sample_module();
         let before = print_module(&m);
-        let r = apply_checked_with(&mut m, 38, &FuelBudget::default(), Some(FaultKind::Panic));
-        assert_eq!(r, Err(PassFault::Panic { pass: 38 }));
+        let r = apply_checked_traced(&mut m, 38, &FuelBudget::default(), Some(FaultKind::Panic));
+        assert_eq!(r.err(), Some(PassFault::Panic { pass: 38 }));
         assert_eq!(print_module(&m), before, "module must be restored");
         verify_module(&m).unwrap();
     }
@@ -377,7 +351,7 @@ mod tests {
     fn injected_corruption_rolls_back_via_verifier() {
         let mut m = sample_module();
         let before = print_module(&m);
-        let r = apply_checked_with(
+        let r = apply_checked_traced(
             &mut m,
             31,
             &FuelBudget::default(),
@@ -395,7 +369,7 @@ mod tests {
     fn injected_fuel_exhaustion_is_a_fault_without_mutation() {
         let mut m = sample_module();
         let before = print_module(&m);
-        let r = apply_checked_with(
+        let r = apply_checked_traced(
             &mut m,
             33,
             &FuelBudget::default(),

@@ -1,13 +1,12 @@
 //! Deterministic, seeded fault injection for chaos testing.
 //!
-//! Compiled only under `cfg(any(test, feature = "fault-injection"))` —
-//! production builds contain none of this. The harness answers one
-//! question for the rest of the workspace: *does the evaluation stack
-//! survive a misbehaving pass?* A [`FaultPlan`] describes exactly which
-//! checked applications fault and how ([`FaultKind`]: panic, IR
-//! corruption, fuel exhaustion); [`install_plan`] arms it process-wide;
-//! [`crate::checked::apply_checked`] and the phase-ordering environment
-//! poll it on every application.
+//! The harness answers one question for the rest of the workspace:
+//! *does the evaluation stack survive a misbehaving pass?* A
+//! [`FaultPlan`] describes exactly which checked applications fault and
+//! how ([`FaultKind`]: panic, IR corruption, fuel exhaustion); [`PLAN`]
+//! arms it process-wide; [`crate::checked::apply_checked`] and the
+//! phase-ordering environment poll it on every application, which costs
+//! one acquire load while nothing is armed.
 //!
 //! # Determinism
 //!
@@ -28,13 +27,12 @@
 //! seed ([`FaultPlan::seeded`]) with a SplitMix64 stream, so a chaos run
 //! is reproducible from one `u64`.
 
-use crate::checked::{FaultKind, INJECTED_PANIC_MSG};
+use crate::checked::FaultKind;
 use crate::registry::PassId;
-use autophase_telemetry::lock_recover;
+use autophase_telemetry::{splitmix64, Armed};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One planned fault: the `nth` (1-based) checked application of `pass`
 /// within a matching context faults with `kind`.
@@ -77,13 +75,7 @@ impl FaultPlan {
             FaultKind::ExhaustFuel,
         ];
         let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut state);
         let specs = passes
             .iter()
             .enumerate()
@@ -110,40 +102,11 @@ impl FaultPlan {
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::Relaxed)
     }
-
-    /// Episode indices this plan targets (specs with `episode: None`
-    /// contribute nothing — they match any context).
-    pub fn target_episodes(&self) -> Vec<u64> {
-        let mut eps: Vec<u64> = self.specs.iter().filter_map(|s| s.episode).collect();
-        eps.sort_unstable();
-        eps.dedup();
-        eps
-    }
 }
 
-/// Fast "is any plan armed?" flag so [`poll`] is one relaxed load when
-/// the harness is idle.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn plan_slot() -> &'static Mutex<Option<Arc<FaultPlan>>> {
-    static SLOT: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-    &SLOT
-}
-
-/// Arm `plan` process-wide. Returns the shared handle so the caller can
-/// later assert on [`FaultPlan::fired`]. Replaces any previous plan.
-pub fn install_plan(plan: FaultPlan) -> Arc<FaultPlan> {
-    let plan = Arc::new(plan);
-    *lock_recover(plan_slot()) = Some(Arc::clone(&plan));
-    ACTIVE.store(true, Ordering::Release);
-    plan
-}
-
-/// Disarm the harness (subsequent [`poll`]s return `None`).
-pub fn clear_plan() {
-    ACTIVE.store(false, Ordering::Release);
-    *lock_recover(plan_slot()) = None;
-}
+/// The armed pass-fault plan, polled by every checked apply and env
+/// step.
+pub static PLAN: Armed<FaultPlan> = Armed::new();
 
 struct Ctx {
     episode: Option<u64>,
@@ -172,10 +135,7 @@ pub fn set_episode(episode: Option<u64>) {
 /// Count one attempted application of `pass` in the current context and
 /// return the fault planned for it, if any. Cheap when no plan is armed.
 pub fn poll(pass: PassId) -> Option<FaultKind> {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    let plan = lock_recover(plan_slot()).clone()?;
+    let plan = PLAN.current()?;
     let (episode, count) = CTX.with(|c| {
         let mut c = c.borrow_mut();
         let count = c.counts.entry(pass).or_insert(0);
@@ -190,43 +150,16 @@ pub fn poll(pass: PassId) -> Option<FaultKind> {
     Some(hit.kind)
 }
 
-/// Install (once) a panic hook that swallows *injected* panics — payloads
-/// equal to [`INJECTED_PANIC_MSG`] — and delegates everything else to the
-/// previous hook. Chaos tests inject thousands of panics on purpose; this
-/// keeps their stderr readable without hiding real failures.
-pub fn quiet_panic_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| *s == INJECTED_PANIC_MSG);
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Serialize tests that install a plan: the plan is process-global, so
-/// concurrently running `#[test]`s that arm different plans would race.
-/// Hold the returned guard for the duration of the test.
-pub fn test_guard() -> MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    lock_recover(&GUARD)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autophase_telemetry::test_guard;
 
     #[test]
     fn poll_counts_per_pass_and_fires_on_nth() {
         let _g = test_guard();
         set_episode(None);
-        let plan = install_plan(FaultPlan::new(vec![FaultSpec {
+        let plan = PLAN.install(FaultPlan::new(vec![FaultSpec {
             pass: 15,
             nth: 2,
             episode: None,
@@ -237,13 +170,13 @@ mod tests {
         assert_eq!(poll(15), Some(FaultKind::Panic)); // 2nd apply
         assert_eq!(poll(15), None); // 3rd
         assert_eq!(plan.fired(), 1);
-        clear_plan();
+        PLAN.clear();
     }
 
     #[test]
     fn episode_filter_and_context_reset() {
         let _g = test_guard();
-        let plan = install_plan(FaultPlan::new(vec![FaultSpec {
+        let plan = PLAN.install(FaultPlan::new(vec![FaultSpec {
             pass: 33,
             nth: 1,
             episode: Some(4),
@@ -257,14 +190,14 @@ mod tests {
         set_episode(Some(4));
         assert_eq!(poll(33), Some(FaultKind::ExhaustFuel));
         assert_eq!(plan.fired(), 2);
-        clear_plan();
+        PLAN.clear();
         set_episode(None);
     }
 
     #[test]
     fn no_plan_means_no_faults() {
         let _g = test_guard();
-        clear_plan();
+        PLAN.clear();
         set_episode(None);
         for pass in 0..46 {
             assert_eq!(poll(pass), None);

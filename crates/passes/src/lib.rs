@@ -39,7 +39,6 @@ pub mod checked;
 pub mod correlated;
 pub mod dse;
 pub mod early_cse;
-#[cfg(any(test, feature = "fault-injection"))]
 pub mod fault;
 pub mod globals;
 pub mod gvn;

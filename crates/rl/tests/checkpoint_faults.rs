@@ -2,19 +2,16 @@
 //! `MANIFEST`, through the injectable fault layer in
 //! `autophase_telemetry::faultfs`.
 //!
-//! Only built with `--features fault-injection` (`make durability-smoke`
-//! runs it). The fault plan is process-global, so this lives in its own
-//! test binary, away from the unit tests that save checkpoints.
-#![cfg(feature = "fault-injection")]
+//! The fault plan is process-global, so this lives in its own test
+//! binary, away from the unit tests that save checkpoints.
+//! `make durability-smoke` runs it in release.
 
 use autophase_nn::Mlp;
 use autophase_rl::checkpoint::PolicyCheckpoint;
 use autophase_rl::ppo::{PpoAgent, PpoConfig};
 use autophase_rl::registry::ModelRegistry;
-use autophase_telemetry::faultfs::inject::{
-    clear_plan, install_plan, test_guard, DiskFaultPlan, DiskFaultSpec,
-};
-use autophase_telemetry::faultfs::{DiskFaultKind, DiskOp};
+use autophase_telemetry::faultfs::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, DiskOp, PLAN};
+use autophase_telemetry::test_guard;
 use std::path::PathBuf;
 
 fn bits(net: &Mlp) -> Vec<u64> {
@@ -27,7 +24,7 @@ fn bits(net: &Mlp) -> Vec<u64> {
 #[test]
 fn failed_save_keeps_the_previous_checkpoint_and_no_tmp() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let old = PolicyCheckpoint::from_ppo(&PpoAgent::new(2, 3, &PpoConfig::default(), 11));
     let new = PolicyCheckpoint::from_ppo(&PpoAgent::new(2, 3, &PpoConfig::default(), 12));
     let path =
@@ -40,7 +37,7 @@ fn failed_save_keeps_the_previous_checkpoint_and_no_tmp() {
         (DiskOp::Sync, DiskFaultKind::SyncFail),
         (DiskOp::Rename, DiskFaultKind::SyncFail),
     ] {
-        let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+        let plan = PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
             op,
             tag: Some("ckpt.write".to_string()),
             nth: 1,
@@ -49,7 +46,7 @@ fn failed_save_keeps_the_previous_checkpoint_and_no_tmp() {
         }]));
         assert!(new.save(&path).is_err(), "{op:?} fault must fail the save");
         assert_eq!(plan.fired(), 1);
-        clear_plan();
+        PLAN.clear();
         assert!(!tmp.exists(), "{op:?}: tmp left behind");
         let back = PolicyCheckpoint::load(&path).expect("previous checkpoint loads");
         assert_eq!(bits(&back.policy), bits(&old.policy), "{op:?}");
@@ -79,11 +76,11 @@ fn registry_with_three_versions(name: &str) -> (PathBuf, ModelRegistry) {
 #[test]
 fn short_manifest_read_recovers_every_version_from_the_checkpoints() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let (dir, reg) = registry_with_three_versions("shortread");
     drop(reg);
 
-    let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+    let plan = PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
         op: DiskOp::Read,
         tag: Some("registry.manifest".to_string()),
         nth: 1,
@@ -92,7 +89,7 @@ fn short_manifest_read_recovers_every_version_from_the_checkpoints() {
     }]));
     let reg = ModelRegistry::open(&dir).expect("a short read must not fail the open");
     assert_eq!(plan.fired(), 1);
-    clear_plan();
+    PLAN.clear();
     assert!(reg.recovered_from_corrupt_manifest());
     let versions: Vec<u64> = reg.versions().iter().map(|v| v.version).collect();
     assert_eq!(versions, vec![1, 2, 3]);
@@ -111,11 +108,11 @@ fn short_manifest_read_recovers_every_version_from_the_checkpoints() {
 #[test]
 fn failed_manifest_write_rolls_the_mutation_back() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let (dir, mut reg) = registry_with_three_versions("rollback");
     let before = (reg.versions().to_vec(), reg.active());
 
-    install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+    PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
         op: DiskOp::Rename,
         tag: Some("registry.manifest".to_string()),
         nth: 0,
@@ -137,7 +134,7 @@ fn failed_manifest_write_rolls_the_mutation_back() {
         dir.join("v1.ckpt").exists(),
         "a failed prune deletes nothing"
     );
-    clear_plan();
+    PLAN.clear();
 
     let disk = ModelRegistry::open(&dir).unwrap();
     assert!(!disk.recovered_from_corrupt_manifest());

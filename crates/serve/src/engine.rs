@@ -50,31 +50,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Panic payload of an injected forward panic
-/// ([`InferenceEngine::inject_crashes`]) — lets test panic hooks
-/// silence on-purpose crashes without hiding real ones.
-pub const INJECTED_CRASH_MSG: &str = "injected engine crash (chaos)";
-
-/// Install (once) a panic hook that swallows *injected* engine crashes —
-/// payloads equal to [`INJECTED_CRASH_MSG`] — and delegates everything
-/// else to the previous hook. Chaos tests crash the forward on purpose;
-/// this keeps their stderr readable without hiding real failures.
-pub fn quiet_crash_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| *s == INJECTED_CRASH_MSG);
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// Episode length of the serving rollout (and of the training
 /// configuration a served checkpoint must come from).
 pub const SERVE_EPISODE_LEN: usize = 12;
@@ -348,7 +323,7 @@ impl InferenceEngine {
             // the workspace, so a torn state cannot leak into the next.
             catch_unwind(AssertUnwindSafe(|| {
                 if take_armed(&self.crash) {
-                    std::panic::panic_any(INJECTED_CRASH_MSG);
+                    std::panic::panic_any(telemetry::INJECTED_PANIC_MSG);
                 }
                 policy.policy.forward_one(obs, ws);
             }))
@@ -637,7 +612,7 @@ mod tests {
 
     #[test]
     fn injected_panic_on_the_forward_is_caught_and_the_next_succeeds() {
-        quiet_crash_hook();
+        telemetry::quiet_panic_hook();
         let policy = test_policy(21);
         let engine = InferenceEngine::start(policy.clone(), EngineConfig::default()).unwrap();
         engine.inject_crashes(1);

@@ -7,14 +7,14 @@
 //! and without compaction) and a crash at *any byte offset* of the tail
 //! log, reopening must succeed, serve every acknowledged record that
 //! survived intact, and invent nothing. `make durability-smoke` runs
-//! this file (plus the fault-injection suite and the kill -9 drill in
-//! `kill_drill.rs`).
+//! this file (plus the disk-fault suite `faultfs_chaos.rs` and the
+//! kill -9 drill in `kill_drill.rs`).
 
 use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_rl::checkpoint::{Algo, ArmoredLoad, PolicyCheckpoint};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{quiet_crash_hook, serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 use autophase_serve::protocol::Source;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::store::{BestEntry, BestStore, CompactionPolicy};
@@ -170,7 +170,7 @@ fn test_policy() -> Mlp {
 /// again — all over one TCP connection.
 #[test]
 fn engine_crash_degrades_then_respawns_on_a_live_daemon() {
-    quiet_crash_hook();
+    autophase_telemetry::quiet_panic_hook();
     let store = tmp("crash_daemon");
     wipe(&store);
     let server = Server::start(

@@ -1,10 +1,9 @@
 //! Disk-fault chaos: drive the serve store (and a live daemon) through
 //! the injectable fault layer in `autophase_telemetry::faultfs`.
 //!
-//! Only built with `--features fault-injection` (`make durability-smoke`
-//! runs it). Every test arms a process-global fault plan, so they all
-//! serialize on `inject::test_guard()` and disarm before exiting.
-#![cfg(feature = "fault-injection")]
+//! Every test arms the process-global plan, so they all serialize on
+//! `autophase_telemetry::test_guard()` and disarm before exiting.
+//! `make durability-smoke` runs it in release.
 
 use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};
@@ -13,10 +12,8 @@ use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 use autophase_serve::protocol::Source;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::store::{BestEntry, BestStore, CompactionPolicy};
-use autophase_telemetry::faultfs::inject::{
-    clear_plan, install_plan, test_guard, DiskFaultPlan, DiskFaultSpec,
-};
-use autophase_telemetry::faultfs::{DiskFaultKind, DiskOp};
+use autophase_telemetry::faultfs::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, DiskOp, PLAN};
+use autophase_telemetry::test_guard;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -49,7 +46,7 @@ fn entry(cycles: u64, seq_len: usize) -> BestEntry {
 #[test]
 fn enospc_degrades_to_serving_without_recording_then_recovers() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let store = tmp("enospc_daemon");
     wipe(&store);
     let server = Server::start(
@@ -70,7 +67,7 @@ fn enospc_degrades_to_serving_without_recording_then_recovers() {
     let mut client = Client::connect(server.addr()).expect("connect");
 
     // Disk full: every tail append reports ENOSPC.
-    let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+    let plan = PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
         op: DiskOp::Write,
         tag: Some("store.append".to_string()),
         nth: 0,
@@ -100,7 +97,7 @@ fn enospc_degrades_to_serving_without_recording_then_recovers() {
     );
 
     // Space comes back; after the retry window recording resumes.
-    clear_plan();
+    PLAN.clear();
     std::thread::sleep(Duration::from_millis(500));
     let r3 = client.compile(&ir, Some(60_000), false).expect("recovered");
     assert_eq!(r3.source, Source::Policy, "store is still empty on arrival");
@@ -120,7 +117,7 @@ fn enospc_degrades_to_serving_without_recording_then_recovers() {
 #[test]
 fn a_failed_ir_append_never_fails_the_record_or_the_reply() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let store = tmp("ir_append");
     wipe(&store);
     let start = || {
@@ -151,7 +148,7 @@ fn a_failed_ir_append_never_fails_the_record_or_the_reply() {
         .zip([DiskFaultKind::Enospc, DiskFaultKind::TornWrite])
     {
         let before = append_errors(&mut client);
-        let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+        let plan = PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
             op: DiskOp::Write,
             tag: Some("store.ir".to_string()),
             nth: 0,
@@ -175,7 +172,7 @@ fn a_failed_ir_append_never_fails_the_record_or_the_reply() {
             2,
             "{kind:?}: the cold append and the replay's"
         );
-        clear_plan();
+        PLAN.clear();
         assert_eq!(append_errors(&mut client) - before, 2, "{kind:?}");
         texts.push(text);
     }
@@ -211,7 +208,7 @@ fn a_failed_ir_append_never_fails_the_record_or_the_reply() {
 #[test]
 fn torn_append_loses_only_the_unacknowledged_record() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let path = tmp("torn");
     wipe(&path);
 
@@ -220,7 +217,7 @@ fn torn_append_loses_only_the_unacknowledged_record() {
         assert!(s.record(fp, entry(1_000 + fp, 4)).unwrap());
     }
 
-    install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+    PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
         op: DiskOp::Write,
         tag: Some("store.append".to_string()),
         nth: 1,
@@ -229,7 +226,7 @@ fn torn_append_loses_only_the_unacknowledged_record() {
     }]));
     s.record(99, entry(50, 6))
         .expect_err("torn write must surface as an error");
-    clear_plan();
+    PLAN.clear();
 
     // The next append goes to the same offset, burying the torn bytes.
     assert!(s.record(4, entry(2_000, 2)).unwrap());
@@ -251,7 +248,7 @@ fn torn_append_loses_only_the_unacknowledged_record() {
 #[test]
 fn snapshot_sync_failure_never_fails_an_acknowledged_append() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let path = tmp("snapfail");
     wipe(&path);
     let eager = CompactionPolicy {
@@ -260,7 +257,7 @@ fn snapshot_sync_failure_never_fails_an_acknowledged_append() {
         dead_ratio: 0.3,
     };
 
-    install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+    PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
         op: DiskOp::Sync,
         tag: Some("store.snapshot".to_string()),
         nth: 0,
@@ -279,7 +276,7 @@ fn snapshot_sync_failure_never_fails_an_acknowledged_append() {
         }
     }
     assert_eq!(s.stats().compactions, 0, "no compaction can finish");
-    clear_plan();
+    PLAN.clear();
 
     // Fault gone: the next winning append retries compaction inline.
     assert!(s.record(0, entry(1, 4)).unwrap());
@@ -305,7 +302,7 @@ fn snapshot_sync_failure_never_fails_an_acknowledged_append() {
 #[test]
 fn failed_snapshot_quarantine_still_opens_and_the_next_open_quarantines() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let path = tmp("quarantine_rename");
     wipe(&path);
     let snap = PathBuf::from(format!("{}.snap", path.display()));
@@ -322,7 +319,7 @@ fn failed_snapshot_quarantine_still_opens_and_the_next_open_quarantines() {
     bytes[mid] ^= 0x10;
     std::fs::write(&snap, &bytes).unwrap();
 
-    let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+    let plan = PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
         op: DiskOp::Rename,
         tag: Some("store.snapshot".to_string()),
         nth: 1,
@@ -332,7 +329,7 @@ fn failed_snapshot_quarantine_still_opens_and_the_next_open_quarantines() {
     let s = BestStore::open_with(&path, CompactionPolicy::never())
         .expect("a failed quarantine must not fail the open");
     assert_eq!(plan.fired(), 1, "the quarantine rename is reachable");
-    clear_plan();
+    PLAN.clear();
     assert!(s.stats().snapshot_quarantined);
     assert_eq!(s.len(), 1, "the snapshot's entries are not trusted");
     assert_eq!(s.lookup(3), Some(&entry(300, 2)), "the tail still serves");
@@ -353,7 +350,7 @@ fn failed_snapshot_quarantine_still_opens_and_the_next_open_quarantines() {
 #[test]
 fn seeded_fault_storms_never_corrupt_acknowledged_state() {
     let _guard = test_guard();
-    clear_plan();
+    PLAN.clear();
     let targets: &[(DiskOp, &str)] = &[
         (DiskOp::Write, "store.append"),
         (DiskOp::Write, "store.snapshot"),
@@ -377,7 +374,7 @@ fn seeded_fault_storms_never_corrupt_acknowledged_state() {
             // Open clean, then let the storm hit a running store — the
             // bootstrap write of a brand-new log is not the scenario.
             let mut s = BestStore::open_with(&path, eager).unwrap();
-            install_plan(DiskFaultPlan::seeded(seed, targets));
+            PLAN.install(DiskFaultPlan::seeded(seed, targets));
             let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             for _ in 0..40 {
                 x ^= x << 13;
@@ -391,7 +388,7 @@ fn seeded_fault_storms_never_corrupt_acknowledged_state() {
                 }
             }
         }
-        clear_plan();
+        PLAN.clear();
 
         let s = BestStore::open_with(&path, eager)
             .unwrap_or_else(|e| panic!("seed {seed}: post-storm reopen failed: {e}"));

@@ -3,18 +3,14 @@
 //! Every write the serving stack must survive losing — best-ordering
 //! store appends, snapshot compactions, policy checkpoint saves — is
 //! routed through the thin wrappers in this module instead of calling
-//! `std::fs`/`std::io` directly. In production builds the wrappers are
-//! zero-cost passthroughs. Under `cfg(any(test, feature =
-//! "fault-injection"))` an armed `DiskFaultPlan` can make any tagged
-//! operation fail deterministically: torn writes (a prefix lands, then
-//! an error), `ENOSPC`, fsync failure, and short reads — the four
-//! failure shapes the durability suite drills.
-//!
-//! The plan machinery mirrors `autophase_passes::fault`: a process-wide
-//! slot armed by `install_plan`, a relaxed-atomic fast path when idle,
-//! per-spec match counters so "the Nth append" is well defined, and a
-//! `test_guard` mutex because the slot is process-global. Plans are
-//! reproducible from a single `u64` via `DiskFaultPlan::seeded`.
+//! `std::fs`/`std::io` directly. With no plan armed a wrapper is its
+//! `std` call behind one acquire load. A [`DiskFaultPlan`] armed in
+//! [`PLAN`] can make any tagged operation fail deterministically: torn
+//! writes (a prefix lands, then an error), `ENOSPC`, fsync failure, and
+//! short reads — the four failure shapes the durability suite drills.
+//! Per-spec match counters make "the Nth append" well defined, and
+//! plans are reproducible from a single `u64` via
+//! [`DiskFaultPlan::seeded`].
 //!
 //! Call sites name themselves with a static `tag` (`"store.append"`,
 //! `"store.snapshot"`, `"ckpt.write"`, ...) so a plan can target one
@@ -28,9 +24,11 @@
 //! *means* — truncate the tail, fail the snapshot closed — stays with
 //! the file that owns the policy.
 
+use crate::{splitmix64, Armed};
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The disk operations the layer can intercept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,159 +202,106 @@ pub fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     (fnv1a(payload) == u64::from_le_bytes(*sum)).then_some((payload, rest))
 }
 
-#[cfg(not(any(test, feature = "fault-injection")))]
-#[inline(always)]
-fn poll(_op: DiskOp, _tag: &str) -> Option<(DiskFaultKind, u64)> {
-    None
+/// One planned disk fault: the `nth` (1-based; 0 = every) matching
+/// operation fails with `kind`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DiskFaultSpec {
+    /// Which operation class to sabotage.
+    pub op: DiskOp,
+    /// Restrict to one call-site tag (`None` matches any tag).
+    pub tag: Option<String>,
+    /// Which matching operation fails, 1-based. `0` means *every*
+    /// matching operation fails — the "disk stays full" mode.
+    pub nth: u64,
+    /// What goes wrong.
+    pub kind: DiskFaultKind,
+    /// Deterministic entropy for the fault shape (how many bytes a
+    /// torn write keeps, where a short read cuts).
+    pub salt: u64,
 }
 
-#[cfg(any(test, feature = "fault-injection"))]
-use inject::poll;
+/// A set of planned disk faults plus a fired-count for assertions.
+#[derive(Debug)]
+pub struct DiskFaultPlan {
+    specs: Vec<DiskFaultSpec>,
+    seen: Vec<AtomicU64>,
+    fired: AtomicU64,
+}
 
-/// The plan machinery: compiled only for tests and the
-/// `fault-injection` feature, exactly like `autophase_passes::fault`.
-#[cfg(any(test, feature = "fault-injection"))]
-pub mod inject {
-    use super::{DiskFaultKind, DiskOp};
-    use crate::lock_recover;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard};
-
-    /// One planned disk fault: the `nth` (1-based; 0 = every) matching
-    /// operation fails with `kind`.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct DiskFaultSpec {
-        /// Which operation class to sabotage.
-        pub op: DiskOp,
-        /// Restrict to one call-site tag (`None` matches any tag).
-        pub tag: Option<String>,
-        /// Which matching operation fails, 1-based. `0` means *every*
-        /// matching operation fails — the "disk stays full" mode.
-        pub nth: u64,
-        /// What goes wrong.
-        pub kind: DiskFaultKind,
-        /// Deterministic entropy for the fault shape (how many bytes a
-        /// torn write keeps, where a short read cuts).
-        pub salt: u64,
-    }
-
-    /// A set of planned disk faults plus a fired-count for assertions.
-    #[derive(Debug)]
-    pub struct DiskFaultPlan {
-        specs: Vec<DiskFaultSpec>,
-        seen: Vec<AtomicU64>,
-        fired: AtomicU64,
-    }
-
-    impl DiskFaultPlan {
-        /// A plan from explicit specs.
-        pub fn new(specs: Vec<DiskFaultSpec>) -> DiskFaultPlan {
-            let seen = specs.iter().map(|_| AtomicU64::new(0)).collect();
-            DiskFaultPlan {
-                specs,
-                seen,
-                fired: AtomicU64::new(0),
-            }
+impl DiskFaultPlan {
+    /// A plan from explicit specs.
+    pub fn new(specs: Vec<DiskFaultSpec>) -> DiskFaultPlan {
+        let seen = specs.iter().map(|_| AtomicU64::new(0)).collect();
+        DiskFaultPlan {
+            specs,
+            seen,
+            fired: AtomicU64::new(0),
         }
+    }
 
-        /// A reproducible plan derived from `seed`: one fault per
-        /// `(op, tag)` target, with an op-appropriate kind, a
-        /// pseudo-random `nth` in `1..=3`, and pseudo-random salt.
-        pub fn seeded(seed: u64, targets: &[(DiskOp, &str)]) -> DiskFaultPlan {
-            let mut state = seed;
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            let specs = targets
-                .iter()
-                .map(|&(op, tag)| DiskFaultSpec {
-                    op,
-                    tag: Some(tag.to_string()),
-                    nth: next() % 3 + 1,
-                    kind: match op {
-                        DiskOp::Write => {
-                            if next() % 2 == 0 {
-                                DiskFaultKind::TornWrite
-                            } else {
-                                DiskFaultKind::Enospc
-                            }
+    /// A reproducible plan derived from `seed`: one fault per
+    /// `(op, tag)` target, with an op-appropriate kind, a
+    /// pseudo-random `nth` in `1..=3`, and pseudo-random salt.
+    pub fn seeded(seed: u64, targets: &[(DiskOp, &str)]) -> DiskFaultPlan {
+        let mut state = seed;
+        let mut next = || splitmix64(&mut state);
+        let specs = targets
+            .iter()
+            .map(|&(op, tag)| DiskFaultSpec {
+                op,
+                tag: Some(tag.to_string()),
+                nth: next() % 3 + 1,
+                kind: match op {
+                    DiskOp::Write => {
+                        if next() % 2 == 0 {
+                            DiskFaultKind::TornWrite
+                        } else {
+                            DiskFaultKind::Enospc
                         }
-                        DiskOp::Sync => DiskFaultKind::SyncFail,
-                        DiskOp::Read => DiskFaultKind::ShortRead,
-                        DiskOp::Rename => DiskFaultKind::Enospc,
-                    },
-                    salt: next(),
-                })
-                .collect();
-            DiskFaultPlan::new(specs)
+                    }
+                    DiskOp::Sync => DiskFaultKind::SyncFail,
+                    DiskOp::Read => DiskFaultKind::ShortRead,
+                    DiskOp::Rename => DiskFaultKind::Enospc,
+                },
+                salt: next(),
+            })
+            .collect();
+        DiskFaultPlan::new(specs)
+    }
+
+    /// The planned faults.
+    pub fn specs(&self) -> &[DiskFaultSpec] {
+        &self.specs
+    }
+
+    /// How many planned faults have fired so far.
+    pub fn fired(&self) -> u64 {
+        self.fired.load(Ordering::Relaxed)
+    }
+}
+
+/// The armed disk-fault plan, polled by every tagged operation.
+pub static PLAN: Armed<DiskFaultPlan> = Armed::new();
+
+fn poll(op: DiskOp, tag: &str) -> Option<(DiskFaultKind, u64)> {
+    let plan = PLAN.current()?;
+    for (i, s) in plan.specs.iter().enumerate() {
+        if s.op != op || s.tag.as_deref().is_some_and(|t| t != tag) {
+            continue;
         }
-
-        /// The planned faults.
-        pub fn specs(&self) -> &[DiskFaultSpec] {
-            &self.specs
-        }
-
-        /// How many planned faults have fired so far.
-        pub fn fired(&self) -> u64 {
-            self.fired.load(Ordering::Relaxed)
+        let seen = plan.seen[i].fetch_add(1, Ordering::Relaxed) + 1;
+        if s.nth == 0 || s.nth == seen {
+            plan.fired.fetch_add(1, Ordering::Relaxed);
+            return Some((s.kind, s.salt));
         }
     }
-
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-    fn plan_slot() -> &'static Mutex<Option<Arc<DiskFaultPlan>>> {
-        static SLOT: Mutex<Option<Arc<DiskFaultPlan>>> = Mutex::new(None);
-        &SLOT
-    }
-
-    /// Arm `plan` process-wide; returns the shared handle for
-    /// [`DiskFaultPlan::fired`] assertions. Replaces any previous plan.
-    pub fn install_plan(plan: DiskFaultPlan) -> Arc<DiskFaultPlan> {
-        let plan = Arc::new(plan);
-        *lock_recover(plan_slot()) = Some(Arc::clone(&plan));
-        ACTIVE.store(true, Ordering::Release);
-        plan
-    }
-
-    /// Disarm the harness (subsequent polls see no faults).
-    pub fn clear_plan() {
-        ACTIVE.store(false, Ordering::Release);
-        *lock_recover(plan_slot()) = None;
-    }
-
-    /// Serialize tests that install plans: the slot is process-global.
-    pub fn test_guard() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        lock_recover(&GUARD)
-    }
-
-    pub(super) fn poll(op: DiskOp, tag: &str) -> Option<(DiskFaultKind, u64)> {
-        if !ACTIVE.load(Ordering::Acquire) {
-            return None;
-        }
-        let plan = lock_recover(plan_slot()).clone()?;
-        for (i, s) in plan.specs.iter().enumerate() {
-            if s.op != op || s.tag.as_deref().is_some_and(|t| t != tag) {
-                continue;
-            }
-            let seen = plan.seen[i].fetch_add(1, Ordering::Relaxed) + 1;
-            if s.nth == 0 || s.nth == seen {
-                plan.fired.fetch_add(1, Ordering::Relaxed);
-                return Some((s.kind, s.salt));
-            }
-        }
-        None
-    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
-    use super::inject::{clear_plan, install_plan, test_guard, DiskFaultPlan, DiskFaultSpec};
     use super::*;
+    use crate::test_guard;
     use std::io::Read as _;
     use std::path::PathBuf;
 
@@ -367,7 +312,7 @@ mod tests {
     #[test]
     fn passthrough_when_idle() {
         let _g = test_guard();
-        clear_plan();
+        PLAN.clear();
         let path = tmp("idle");
         let mut f = File::create(&path).unwrap();
         write_all(&mut f, b"hello", "t.write").unwrap();
@@ -384,7 +329,7 @@ mod tests {
     #[test]
     fn torn_write_keeps_a_strict_prefix() {
         let _g = test_guard();
-        let plan = install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+        let plan = PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
             op: DiskOp::Write,
             tag: Some("t.torn".into()),
             nth: 2,
@@ -400,14 +345,14 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes, b"aaaabbb", "salt=3 tears after 3 of 4 bytes");
         assert_eq!(plan.fired(), 1);
-        clear_plan();
+        PLAN.clear();
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn enospc_every_matching_write_until_cleared() {
         let _g = test_guard();
-        install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+        PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
             op: DiskOp::Write,
             tag: Some("t.full".into()),
             nth: 0,
@@ -422,7 +367,7 @@ mod tests {
         }
         // Other tags are untouched.
         write_all(&mut f, b"y", "t.other").unwrap();
-        clear_plan();
+        PLAN.clear();
         write_all(&mut f, b"z", "t.full").unwrap();
         drop(f);
         let mut s = String::new();
@@ -436,7 +381,7 @@ mod tests {
         let _g = test_guard();
         let path = tmp("short");
         std::fs::write(&path, b"0123456789").unwrap();
-        install_plan(DiskFaultPlan::new(vec![DiskFaultSpec {
+        PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
             op: DiskOp::Read,
             tag: None,
             nth: 1,
@@ -445,7 +390,7 @@ mod tests {
         }]));
         assert_eq!(read(&path, "t.read").unwrap(), b"0123");
         assert_eq!(read(&path, "t.read").unwrap(), b"0123456789");
-        clear_plan();
+        PLAN.clear();
         let _ = std::fs::remove_file(&path);
     }
 
@@ -508,7 +453,7 @@ mod tests {
     #[test]
     fn sync_and_rename_faults_fire_deterministically() {
         let _g = test_guard();
-        let plan = install_plan(DiskFaultPlan::seeded(
+        let plan = PLAN.install(DiskFaultPlan::seeded(
             42,
             &[(DiskOp::Sync, "t.s"), (DiskOp::Rename, "t.r")],
         ));
@@ -522,7 +467,7 @@ mod tests {
             assert_eq!(r.is_err(), i == nth, "sync {i}/{nth}");
         }
         assert_eq!(plan.fired(), 1);
-        clear_plan();
+        PLAN.clear();
         let _ = std::fs::remove_file(&path);
     }
 

@@ -22,9 +22,10 @@
 //!
 //! Being the one crate below `hls`, `core` and `serve`, it is also where
 //! the std-only pieces they share live: [`lock_recover`],
-//! [`faultfs::atomic_write`] and [`BoundedMap`], the bounded memo map
+//! [`faultfs::atomic_write`], [`BoundedMap`], the bounded memo map
 //! behind every cache in the workspace (which reports its own
-//! hit/miss/evict counters here).
+//! hit/miss/evict counters here), and the chaos harnesses' one plan
+//! slot, [`Armed`].
 //!
 //! # Naming conventions
 //!
@@ -78,7 +79,7 @@ pub use sink::{render_jsonl, render_metrics_jsonl_from, render_summary, write_ar
 pub use span::{span, span_events, SpanEvent, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
 use std::time::Instant;
 
 /// Lock `m`, taking the guard even when a thread panicked while holding
@@ -93,6 +94,95 @@ use std::time::Instant;
 /// must agree needs `lock().expect(..)` instead.
 pub fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A process-wide slot for one armed fault plan: the one arming
+/// mechanism of the chaos harnesses (`autophase_passes::fault::PLAN`
+/// for pass faults, [`faultfs::PLAN`] for disk faults). While nothing is
+/// armed, [`Armed::current`] is one acquire load.
+pub struct Armed<P> {
+    active: AtomicBool,
+    plan: Mutex<Option<Arc<P>>>,
+}
+
+impl<P> Armed<P> {
+    /// A disarmed slot.
+    #[allow(clippy::new_without_default)]
+    pub const fn new() -> Armed<P> {
+        Armed {
+            active: AtomicBool::new(false),
+            plan: Mutex::new(None),
+        }
+    }
+
+    /// Arm `plan`, replacing any previous one. Returns the shared handle
+    /// so the caller can assert on what fired.
+    pub fn install(&self, plan: P) -> Arc<P> {
+        let plan = Arc::new(plan);
+        *lock_recover(&self.plan) = Some(Arc::clone(&plan));
+        self.active.store(true, Ordering::Release);
+        plan
+    }
+
+    /// Disarm: later [`Armed::current`] calls see no plan.
+    pub fn clear(&self) {
+        self.active.store(false, Ordering::Release);
+        *lock_recover(&self.plan) = None;
+    }
+
+    /// The armed plan, if any.
+    #[inline]
+    pub fn current(&self) -> Option<Arc<P>> {
+        if !self.active.load(Ordering::Acquire) {
+            return None;
+        }
+        lock_recover(&self.plan).clone()
+    }
+}
+
+/// Serialize tests that arm an [`Armed`] slot: the slots are
+/// process-global, so concurrently running tests that arm different
+/// plans would race. Hold the guard for the whole test.
+pub fn test_guard() -> MutexGuard<'static, ()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    lock_recover(&GUARD)
+}
+
+/// One SplitMix64 step: advance `state` and return the next output. The
+/// stream seeded fault plans are drawn from, so a chaos run is
+/// reproducible from one `u64`.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Payload of every on-purpose panic (an injected pass panic, an
+/// injected engine crash), so [`quiet_panic_hook`] can tell them from
+/// real failures. It never reaches a reply or a trace: a contained panic
+/// is reported by kind, not by payload.
+pub const INJECTED_PANIC_MSG: &str = "injected fault (chaos)";
+
+/// Install (once) a panic hook that swallows panics whose payload is
+/// [`INJECTED_PANIC_MSG`] and hands every other one to the previous
+/// hook. Chaos tests panic thousands of times on purpose; this keeps
+/// their stderr readable without hiding real failures.
+pub fn quiet_panic_hook() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|s| *s == INJECTED_PANIC_MSG);
+            if !injected {
+                prev(info);
+            }
+        }));
+    });
 }
 
 /// The global on/off switch. Relaxed is correct: readers only need *a*

@@ -1,5 +1,5 @@
 //! Chaos suite: full evaluations driven through deterministic injected
-//! faults (`--features fault-injection`; run via `make chaos`).
+//! faults (`make chaos` runs it in release).
 //!
 //! The fault-isolation contract this suite pins down end to end:
 //!
@@ -19,8 +19,7 @@
 //!    program, after which it can no longer fault.
 //!
 //! The fault plan is process-global, so every test here holds
-//! [`fault::test_guard`] for its full duration.
-#![cfg(feature = "fault-injection")]
+//! [`telemetry::test_guard`] for its full duration.
 
 use autophase::core::compile::o0_cycles;
 use autophase::core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
@@ -75,11 +74,11 @@ fn assert_batches_identical(a: &Batch, b: &Batch, what: &str) {
 /// every faulted apply must restore the exact verified pre-pass module.
 #[test]
 fn seeded_faults_roll_back_to_verified_prepass_modules() {
-    let _g = fault::test_guard();
-    fault::quiet_panic_hook();
+    let _g = telemetry::test_guard();
+    telemetry::quiet_panic_hook();
     // Any-context specs (episodes = 0): nth ∈ 1..=3 per pass, kinds
     // cycling Panic / CorruptIr / ExhaustFuel — all from one seed.
-    let plan = fault::install_plan(FaultPlan::seeded(0xC0FFEE, &[38, 25, 31], 0));
+    let plan = fault::PLAN.install(FaultPlan::seeded(0xC0FFEE, &[38, 25, 31], 0));
     assert_eq!(plan.specs().len(), 3);
     let program = programs().remove(0);
 
@@ -112,7 +111,7 @@ fn seeded_faults_roll_back_to_verified_prepass_modules() {
         verify_module(env.module()).unwrap();
     }
     assert_eq!(plan.fired(), 3, "every planned fault must have fired");
-    fault::clear_plan();
+    fault::PLAN.clear();
 }
 
 /// A full parallel PPO run completes through always-armed faults on three
@@ -120,8 +119,8 @@ fn seeded_faults_roll_back_to_verified_prepass_modules() {
 /// quarantine masks offenders mid-run.
 #[test]
 fn ppo_training_survives_injected_faults_and_quarantines_offenders() {
-    let _g = fault::test_guard();
-    fault::quiet_panic_hook();
+    let _g = telemetry::test_guard();
+    telemetry::quiet_panic_hook();
     // nth=1, any episode: the first apply of each target pass faults in
     // *every* episode (until quarantined).
     const KINDS: [FaultKind; 3] = [
@@ -139,7 +138,7 @@ fn ppo_training_survives_injected_faults_and_quarantines_offenders() {
             kind,
         })
         .collect();
-    let plan = fault::install_plan(FaultPlan::new(specs));
+    let plan = fault::PLAN.install(FaultPlan::new(specs));
 
     telemetry::enable();
     telemetry::reset();
@@ -199,7 +198,7 @@ fn ppo_training_survives_injected_faults_and_quarantines_offenders() {
     );
     telemetry::disable();
     telemetry::reset();
-    fault::clear_plan();
+    fault::PLAN.clear();
 }
 
 /// Rollback restores more than the module: the per-function incremental
@@ -209,8 +208,8 @@ fn ppo_training_survives_injected_faults_and_quarantines_offenders() {
 /// against stale caches.
 #[test]
 fn rollback_restores_incremental_state_and_caches() {
-    let _g = fault::test_guard();
-    fault::quiet_panic_hook();
+    let _g = telemetry::test_guard();
+    telemetry::quiet_panic_hook();
     let program = programs().remove(0);
     let hls = HlsConfig::default();
     // PREFIX + fault + SUFFIX fills one default-length episode head.
@@ -246,7 +245,7 @@ fn rollback_restores_incremental_state_and_caches() {
         FaultKind::CorruptIr,
         FaultKind::ExhaustFuel,
     ] {
-        let plan = fault::install_plan(FaultPlan::new(vec![FaultSpec {
+        let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
             pass: TARGET,
             nth: 1,
             episode: None,
@@ -278,7 +277,7 @@ fn rollback_restores_incremental_state_and_caches() {
 
         // The episode continues against the restored state exactly as if
         // the faulted apply had never been attempted.
-        fault::clear_plan();
+        fault::PLAN.clear();
         for &p in &SUFFIX {
             env.step(p);
         }
@@ -301,9 +300,9 @@ fn rollback_restores_incremental_state_and_caches() {
 /// are bit-identical across worker counts.
 #[test]
 fn non_faulted_episodes_are_bit_identical_at_any_worker_count() {
-    let _g = fault::test_guard();
-    fault::quiet_panic_hook();
-    fault::clear_plan();
+    let _g = telemetry::test_guard();
+    telemetry::quiet_panic_hook();
+    fault::PLAN.clear();
     let ps = programs();
     let n_episodes = 6usize;
     let make_env = || PhaseOrderEnv::new(ps.clone(), EnvConfig::default());
@@ -349,7 +348,7 @@ fn non_faulted_episodes_are_bit_identical_at_any_worker_count() {
             }
         })
         .collect();
-    let plan = fault::install_plan(FaultPlan::new(specs));
+    let plan = fault::PLAN.install(FaultPlan::new(specs));
 
     let mut batches = Vec::new();
     for workers in [1usize, 2, 3] {
@@ -367,7 +366,7 @@ fn non_faulted_episodes_are_bit_identical_at_any_worker_count() {
         ));
     }
     assert_eq!(plan.fired(), 2 * 3, "both faults fired in each of 3 runs");
-    fault::clear_plan();
+    fault::PLAN.clear();
 
     for (b, workers) in batches.iter().zip([1usize, 2, 3]).skip(1) {
         assert_batches_identical(&batches[0], b, &format!("{workers} workers vs 1"));
