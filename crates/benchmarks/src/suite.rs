@@ -160,15 +160,15 @@ mod tests {
 
     #[test]
     fn hls_cycles_improve_under_o3() {
-        use autophase_hls::{profile::cycle_count, HlsConfig};
+        use autophase_hls::{profile::profile_module, HlsConfig};
         let cfg = HlsConfig::default();
         let mut improved = 0;
         let total = suite().len();
         for b in suite() {
-            let c0 = cycle_count(&b.module, &cfg).unwrap();
+            let c0 = profile_module(&b.module, &cfg).unwrap().cycles;
             let mut m = b.module.clone();
             autophase_passes::o3::o3_checked(&mut m, &Default::default());
-            let c1 = cycle_count(&m, &cfg).unwrap();
+            let c1 = profile_module(&m, &cfg).unwrap().cycles;
             if c1 < c0 {
                 improved += 1;
             }

@@ -7,17 +7,19 @@
 //! ```
 
 use autophase_core::algorithms::{search, Algorithm};
-use autophase_core::compile::{o3_cycles, sequence_cycles};
+use autophase_core::compile::Input;
 use autophase_hls::HlsConfig;
+use autophase_passes::o3::O3_SEQUENCE;
 use autophase_search::Objective;
 
 fn main() {
     let hls = HlsConfig::default();
     for b in autophase_benchmarks::suite() {
-        let o3 = o3_cycles(&b.module, &hls);
-        let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(&b.module, seq, &hls) as f64);
+        let input = Input::new(&b.module, &hls);
+        let o3 = input.cycles(O3_SEQUENCE);
+        let mut obj = Objective::new(|seq: &[usize]| input.cycles(seq) as f64);
         let g = search(Algorithm::Greedy, &mut obj, 45, 2484, 0);
-        let mut obj2 = Objective::new(|seq: &[usize]| sequence_cycles(&b.module, seq, &hls) as f64);
+        let mut obj2 = Objective::new(|seq: &[usize]| input.cycles(seq) as f64);
         let ga = search(Algorithm::GeneticDeap, &mut obj2, 45, 6080, 3);
         println!(
             "{:<10} o3={:<6} greedy={:<6} ({:+.1}%, {} smp) ga={:<6} ({:+.1}%, {} smp)",

@@ -9,11 +9,12 @@
 //! | RL-ES        | ES              | Program features                   | Single-action |
 //! | Greedy / OpenTuner / Genetic-DEAP / random — black-box searches.    |
 
-use crate::compile::{o0_cycles, o3_cycles, sequence_cycles};
+use crate::compile::Input;
 use crate::env::{EnvConfig, ObservationKind, PhaseOrderEnv, RewardKind};
 use crate::multi::{MultiActionAgent, MultiConfig};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
+use autophase_passes::o3::O3_SEQUENCE;
 use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::a2c::{A2cAgent, A2cConfig};
 use autophase_rl::env::Environment;
@@ -162,9 +163,10 @@ pub fn run_algorithm(
     hls: &HlsConfig,
     seed: u64,
 ) -> AlgoResult {
-    let o3 = o3_cycles(program, hls);
+    let input = Input::new(program, hls);
+    let o3 = input.cycles(O3_SEQUENCE);
     let (cycles, samples) = match algorithm {
-        Algorithm::O0 => (o0_cycles(program, hls), 1),
+        Algorithm::O0 => (input.o0_cycles(), 1),
         Algorithm::O3 => (o3, 1),
         Algorithm::RlPpo1 => run_single_action_rl(
             program,
@@ -209,7 +211,7 @@ pub fn run_algorithm(
                 Algorithm::GeneticDeap => budget.genetic_budget,
                 _ => budget.random_budget,
             };
-            let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, hls) as f64);
+            let mut obj = Objective::new(|seq: &[usize]| input.cycles(seq) as f64);
             let r = search(algorithm, &mut obj, budget.episode_len, samples, seed);
             (r.best_cost as u64, r.samples)
         }
@@ -335,7 +337,6 @@ fn run_single_action_rl(
 struct BestTracking {
     inner: PhaseOrderEnv,
     best_cycles: u64,
-    cur_cycles: u64,
     zero_rewards: bool,
 }
 
@@ -344,7 +345,6 @@ impl BestTracking {
         BestTracking {
             inner,
             best_cycles: u64::MAX,
-            cur_cycles: u64::MAX,
             zero_rewards,
         }
     }
@@ -359,14 +359,12 @@ impl Environment for BestTracking {
     }
     fn reset(&mut self) -> Vec<f64> {
         let o = self.inner.reset();
-        self.cur_cycles = self.inner.last_cycles();
-        self.best_cycles = self.best_cycles.min(self.cur_cycles);
+        self.best_cycles = self.best_cycles.min(self.inner.last_cycles());
         o
     }
     fn step(&mut self, action: usize) -> autophase_rl::env::StepResult {
         let mut r = self.inner.step(action);
-        self.cur_cycles = self.inner.last_cycles();
-        self.best_cycles = self.best_cycles.min(self.cur_cycles);
+        self.best_cycles = self.best_cycles.min(self.inner.last_cycles());
         if self.zero_rewards {
             r.reward = 0.0;
         }
@@ -377,6 +375,7 @@ impl Environment for BestTracking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::o0_cycles;
     use autophase_benchmarks::suite;
 
     fn program() -> Module {

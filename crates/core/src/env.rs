@@ -4,9 +4,13 @@
 //! the module asks one question — what did the profiler say about this
 //! module? — in one place, [`PhaseOrderEnv::cycles`]: one lookup in the
 //! environment's [`EvalCache`] by the module's content fingerprint, one
-//! profile on a miss, one sample charged.
+//! profile on a miss, one sample charged. The answer is then scored by
+//! [`crate::compile::score`] against the reset's profile: a step whose
+//! module no longer returns the program's result — another result, or
+//! none within the profiler's fuel — is rolled back and paid nothing,
+//! like a faulted pass.
 
-use crate::compile::UNPROFILEABLE_CYCLES;
+use crate::compile::{score, UNPROFILEABLE_CYCLES};
 use crate::eval_cache::{EvalCache, DEFAULT_CAPACITY};
 use crate::incremental::{
     snapshot_memo, IncrementalEval, SnapEntry, SnapKey, SnapshotMemo,
@@ -15,7 +19,7 @@ use crate::incremental::{
 use crate::quarantine::Quarantine;
 use crate::step::Step;
 use autophase_features::FeatureSet;
-use autophase_hls::{profile::profile_module_cached, HlsConfig, ScheduleCache};
+use autophase_hls::{profile::profile_module_cached, HlsConfig, HlsReport, ScheduleCache};
 use autophase_ir::Module;
 use autophase_passes::checked::FaultKind;
 use autophase_passes::registry;
@@ -66,28 +70,6 @@ pub enum RewardKind {
     Zero,
 }
 
-/// What the agent optimizes (§5.1: "the reward could be defined as the
-/// negative of the area and thus the RL agent will optimize for the area.
-/// It is also possible to co-optimize multiple objectives").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Objective {
-    /// Circuit execution time in cycles (the paper's main experiments).
-    Cycles,
-    /// Resource usage (the area model's scalar total).
-    Area,
-    /// `cycle_weight·cycles + area_weight·area` (multi-objective).
-    Weighted {
-        /// Weight on the cycle count.
-        cycle_weight: f64,
-        /// Weight on the area total.
-        area_weight: f64,
-    },
-    /// Dynamic instruction count — the software-compilation objective the
-    /// paper's conclusion proposes extending to ("we believe that the same
-    /// approach can be successfully applied to software compilation").
-    DynamicInsts,
-}
-
 /// Environment configuration.
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
@@ -114,8 +96,6 @@ pub struct EnvConfig {
     /// ends the episode immediately. Off by default (the §6.1 runs use
     /// fixed-length episodes).
     pub include_terminate: bool,
-    /// What the reward measures.
-    pub objective: Objective,
     /// HLS settings (200 MHz by default).
     pub hls: HlsConfig,
     /// Resource budget for checked pass applications. Passes are always
@@ -137,7 +117,6 @@ impl Default for EnvConfig {
             feature_set: FeatureSet::Table2,
             filtered_passes: false,
             include_terminate: false,
-            objective: Objective::Cycles,
             hls: HlsConfig::default(),
             fuel: FuelBudget::default(),
         }
@@ -160,6 +139,9 @@ pub struct PhaseOrderEnv {
     steps_taken: usize,
     action_histogram: Vec<f64>,
     prev_cycles: u64,
+    /// The episode's pristine program's profile (`None` when it cannot be
+    /// profiled): every later state must return its result to score.
+    input: Option<Arc<HlsReport>>,
     /// Number of cycle-profiler invocations ("samples" in Figure 7).
     samples: u64,
     episode_done: bool,
@@ -217,6 +199,7 @@ impl PhaseOrderEnv {
             program_cursor: 0,
             steps_taken: 0,
             prev_cycles: 0,
+            input: None,
             samples: 0,
             episode_done: false,
             // One owner, so one shard: nothing contends for it.
@@ -284,41 +267,35 @@ impl PhaseOrderEnv {
         self.step.actions().to_vec()
     }
 
-    /// Objective value (cycles / area / weighted) of the current module
-    /// state. For the default configuration this is the cycle count.
-    ///
-    /// A module the cache has seen answers without running the profiler
-    /// (and without charging a sample); a miss profiles, reusing the
-    /// schedules of untouched functions. A failed profile reads
-    /// [`UNPROFILEABLE_CYCLES`] and is never cached.
-    pub fn cycles(&mut self) -> u64 {
+    /// The profiler's report on the current module state. A module the
+    /// cache has seen answers without running the profiler (and without
+    /// charging a sample); a miss profiles, reusing the schedules of
+    /// untouched functions. A failed profile is `None` and never cached.
+    fn profile(&mut self) -> Option<Arc<HlsReport>> {
         let fp = self.inc.module_fp();
-        let report = match self.cache.get(fp) {
-            Some(report) => report,
-            None => {
-                self.samples += 1;
-                let inc = &self.inc;
-                let Ok(report) =
-                    profile_module_cached(&self.current, &self.cfg.hls, &mut self.sched, |f| {
-                        inc.func_fp(f).expect("live function has a fingerprint")
-                    })
-                else {
-                    return UNPROFILEABLE_CYCLES;
-                };
-                let report = Arc::new(report);
-                self.cache.insert(fp, Arc::clone(&report));
-                report
-            }
-        };
-        match self.cfg.objective {
-            Objective::Cycles => report.cycles,
-            Objective::Area => report.area.total(),
-            Objective::Weighted {
-                cycle_weight,
-                area_weight,
-            } => (cycle_weight * report.cycles as f64 + area_weight * report.area.total() as f64)
-                .max(0.0) as u64,
-            Objective::DynamicInsts => report.insts_executed,
+        if let Some(report) = self.cache.get(fp) {
+            return Some(report);
+        }
+        self.samples += 1;
+        let inc = &self.inc;
+        let report = profile_module_cached(&self.current, &self.cfg.hls, &mut self.sched, |f| {
+            inc.func_fp(f).expect("live function has a fingerprint")
+        })
+        .ok()?;
+        let report = Arc::new(report);
+        self.cache.insert(fp, Arc::clone(&report));
+        Some(report)
+    }
+
+    /// The cycle count of the current module state by the one scoring
+    /// rule ([`crate::compile::score`]): a state the profiler cannot run,
+    /// or that returns another result than the episode's program, reads
+    /// [`UNPROFILEABLE_CYCLES`]. The compare is made after the memo
+    /// lookup, so the cache holds raw reports only.
+    pub fn cycles(&mut self) -> u64 {
+        match (self.profile(), &self.input) {
+            (Some(report), Some(input)) => score(&report, input),
+            _ => UNPROFILEABLE_CYCLES,
         }
     }
 
@@ -450,7 +427,11 @@ impl Environment for PhaseOrderEnv {
         self.steps_taken = 0;
         self.action_histogram = vec![0.0; self.num_actions()];
         self.episode_done = false;
-        self.prev_cycles = self.cycles();
+        self.input = self.profile();
+        self.prev_cycles = self
+            .input
+            .as_ref()
+            .map_or(UNPROFILEABLE_CYCLES, |r| r.cycles);
         self.observe()
     }
 
@@ -494,7 +475,11 @@ impl Environment for PhaseOrderEnv {
             autophase_passes::fault::poll(pass_id)
         };
 
-        let (changed, faulted) = if quarantined {
+        // A step the reward profiles can still be undone: its module may
+        // turn out to compute another result than the program.
+        let profiled = !quarantined && self.cfg.reward != RewardKind::Zero;
+        let before = profiled.then(|| (self.current.clone(), self.inc.clone()));
+        let (mut changed, mut faulted) = if quarantined {
             // Masked: a known repeat offender on this program. Scored
             // like a faulted apply — no-op, zero reward — without even
             // attempting the pass.
@@ -512,10 +497,29 @@ impl Environment for PhaseOrderEnv {
                 None => self.apply_and_record(action, injected, key),
             }
         };
+
+        // A pass that reports "no change" cannot move the cycle count;
+        // skip the (expensive) re-profiling, exactly like caching the
+        // simulator result. Zero-reward configurations (RL-PPO1, and
+        // one-shot inference) never need intermediate profiles at all —
+        // that is what makes Figure 9's "one sample per program" honest.
+        let mut cur = self.prev_cycles;
+        if changed && profiled {
+            cur = self.cycles();
+            if cur == UNPROFILEABLE_CYCLES {
+                // The module no longer computes the program's answer: a
+                // fault like any other. Back to the pre-step state; a
+                // snapshot-memo hit on this transition lands here again,
+                // so every repeat counts.
+                (self.current, self.inc) = before.expect("a profiled step keeps its state");
+                (changed, faulted, cur) = (false, true, self.prev_cycles);
+            }
+        }
         if faulted {
-            // The shared step rolled the module back to its verified
-            // pre-pass state (telemetry counted by the checked layer);
-            // here only the offender ledger is updated.
+            // The module is back at its verified pre-pass state (a pass
+            // fault's telemetry is counted by the checked layer, a wrong
+            // result's by the scoring rule); here only the offender
+            // ledger is updated.
             if let Some(q) = &self.quarantine {
                 q.record_fault(self.current_fp, pass_id);
             }
@@ -527,17 +531,6 @@ impl Environment for PhaseOrderEnv {
         }
         self.action_histogram[action] += 1.0;
         self.steps_taken += 1;
-
-        // A pass that reports "no change" cannot move the cycle count;
-        // skip the (expensive) re-profiling, exactly like caching the
-        // simulator result. Zero-reward configurations (RL-PPO1, and
-        // one-shot inference) never need intermediate profiles at all —
-        // that is what makes Figure 9's "one sample per program" honest.
-        let cur = if changed && self.cfg.reward != RewardKind::Zero {
-            self.cycles()
-        } else {
-            self.prev_cycles
-        };
         let reward = self.reward(self.prev_cycles, cur);
         self.prev_cycles = cur;
         let done = self.steps_taken >= self.cfg.episode_len;
@@ -723,39 +716,6 @@ mod tests {
         let second = env.module().name.clone();
         assert_ne!(first, second);
         assert!(names.contains(&first) && names.contains(&second));
-    }
-
-    #[test]
-    fn area_objective_rewards_shrinking_circuits() {
-        let cfg = EnvConfig {
-            objective: Objective::Area,
-            ..EnvConfig::default()
-        };
-        let mut env = PhaseOrderEnv::single(small_program(), cfg);
-        env.reset();
-        // Deleting dead loops / promoting memory shrinks the FSM and RAMs.
-        let r1 = env.step(38); // -mem2reg
-        let r2 = env.step(31); // -simplifycfg
-        assert!(
-            r1.reward + r2.reward > 0.0,
-            "area should shrink: {} + {}",
-            r1.reward,
-            r2.reward
-        );
-    }
-
-    #[test]
-    fn software_objective_counts_dynamic_insts() {
-        let cfg = EnvConfig {
-            objective: Objective::DynamicInsts,
-            ..EnvConfig::default()
-        };
-        let mut env = PhaseOrderEnv::single(small_program(), cfg);
-        env.reset();
-        let before = env.last_cycles();
-        let r = env.step(38); // -mem2reg removes loads/stores → fewer insts
-        assert!(r.reward > 0.0, "reward {}", r.reward);
-        assert!(env.last_cycles() < before);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! everything but the module: which pass sequence produced it, which
 //! worker, which action table, and whether a faulted pass was rolled back
 //! on the way (a rolled-back module is bit-identical to its pre-pass
-//! state). The value is the profiler's raw report; objectives, rewards
+//! state). The value is the profiler's raw report; scores (the one rule
+//! of [`crate::compile::score`] is applied after the lookup), rewards
 //! and observations are derived downstream, so environments of different
 //! configurations share one cache — as long as they profile under one
 //! `HlsConfig`, which the key does not carry.

@@ -4,7 +4,7 @@
 //! versions while the `autophase-bench` binaries run paper-scale ones.
 
 use crate::algorithms::{run_algorithm, search, AlgoResult, Algorithm, Budget};
-use crate::compile::{cycles_of, o3_cycles, sequence_cycles};
+use crate::compile::Input;
 use crate::dataset::{analyze, collect_tuples, CollectConfig, ImportanceAnalysis};
 use crate::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use crate::eval_cache::EvalCache;
@@ -12,6 +12,7 @@ use crate::step::{Step, Walk};
 use autophase_forest::ForestConfig;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
+use autophase_passes::o3::O3_SEQUENCE;
 use autophase_passes::registry::TERMINATE;
 use autophase_progen::{program_batch, GenConfig};
 use autophase_rl::env::Environment;
@@ -41,35 +42,27 @@ pub struct Fig7Result {
 impl Fig7Result {
     /// Mean improvement over `-O3` per algorithm (the bar heights).
     pub fn mean_improvement(&self) -> Vec<(Algorithm, f64)> {
-        Algorithm::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &alg)| {
-                let mean = self
-                    .per_benchmark
-                    .iter()
-                    .map(|(_, rs)| rs[i].improvement_over_o3)
-                    .sum::<f64>()
-                    / self.per_benchmark.len() as f64;
-                (alg, mean)
-            })
-            .collect()
+        self.mean_per_algorithm(|r| r.improvement_over_o3)
     }
 
     /// Mean samples per program per algorithm (the blue line).
     pub fn mean_samples(&self) -> Vec<(Algorithm, f64)> {
+        self.mean_per_algorithm(|r| r.samples as f64)
+    }
+
+    fn mean_per_algorithm(&self, value: impl Fn(&AlgoResult) -> f64) -> Vec<(Algorithm, f64)> {
+        let n = self.per_benchmark.len() as f64;
+        let mean = |i: usize| {
+            self.per_benchmark
+                .iter()
+                .map(|(_, rs)| value(&rs[i]))
+                .sum::<f64>()
+                / n
+        };
         Algorithm::ALL
             .iter()
             .enumerate()
-            .map(|(i, &alg)| {
-                let mean = self
-                    .per_benchmark
-                    .iter()
-                    .map(|(_, rs)| rs[i].samples as f64)
-                    .sum::<f64>()
-                    / self.per_benchmark.len() as f64;
-                (alg, mean)
-            })
+            .map(|(i, &alg)| (alg, mean(i)))
             .collect()
     }
 }
@@ -258,7 +251,8 @@ pub fn train_generalist(
 /// included) and the final cycle count. The rollout is the daemon's:
 /// [`Walk`] over the [`Step`] `env_cfg` describes, each pass checked
 /// under `env_cfg.fuel`, no intermediate profile, so exactly one sample
-/// — the final compilation — is charged, as in Figure 9.
+/// — the final compilation — is charged, as in Figure 9. The final module
+/// is scored against `program`'s own run ([`crate::compile::score`]).
 pub fn infer_sequence(
     agent: &PpoAgent,
     env_cfg: &EnvConfig,
@@ -277,7 +271,7 @@ pub fn infer_sequence(
         // A faulted pass was rolled back: a no-op step, as in the env.
         let _ = walk.step(action, &env_cfg.fuel);
     }
-    (seq, cycles_of(&m, &env_cfg.hls))
+    (seq, Input::new(program, &env_cfg.hls).score(&m))
 }
 
 /// Figure 9: train deep-RL generalists on random programs; search fixed
@@ -295,34 +289,27 @@ pub fn fig9(
 
     // Aggregate objective on the training set: total cycles normalized per
     // program (so no single program dominates).
-    let baselines: Vec<f64> = train
+    let inputs: Vec<Input> = train.iter().map(|p| Input::new(p, &hls)).collect();
+    let baselines: Vec<f64> = inputs
         .iter()
-        .map(|p| o3_cycles(p, &hls).max(1) as f64)
+        .map(|input| input.cycles(O3_SEQUENCE).max(1) as f64)
         .collect();
     let aggregate = |seq: &[usize]| -> f64 {
-        train
+        inputs
             .iter()
             .zip(&baselines)
-            .map(|(p, b)| sequence_cycles(p, seq, &hls) as f64 / b)
+            .map(|(input, b)| input.cycles(seq) as f64 / b)
             .sum()
     };
 
     let mut results = Vec::new();
-    let evaluate_fixed = |label: &str, seq: &[usize]| -> GeneralizationResult {
-        let mean = test
-            .iter()
-            .map(|(_, p)| {
-                let o3 = o3_cycles(p, &hls);
-                let c = sequence_cycles(p, seq, &hls);
-                (o3 as f64 - c as f64) / o3 as f64
-            })
-            .sum::<f64>()
-            / test.len() as f64;
-        GeneralizationResult {
+    let test: Vec<&Module> = test.iter().map(|(_, p)| p).collect();
+    let mut evaluate = |label: &str, cycles: &dyn Fn(&Module, &Input) -> u64| {
+        results.push(GeneralizationResult {
             label: label.to_string(),
-            mean_improvement: mean,
+            mean_improvement: mean_improvement_over_o3(&test, &hls, cycles),
             samples_per_program: 1,
-        }
+        });
     };
 
     // Black-box baselines: overfit a fixed sequence to the training set.
@@ -338,7 +325,7 @@ pub fn fig9(
             search_budget,
             seed,
         );
-        results.push(evaluate_fixed(algorithm.name(), &r.best_sequence));
+        evaluate(algorithm.name(), &|_, input| input.cycles(&r.best_sequence));
     }
 
     // Deep RL: per-program adaptive inference.
@@ -347,22 +334,28 @@ pub fn fig9(
         ("RL-filtered-norm2", FeatureNorm::InstCount),
     ] {
         let (agent, env_cfg) = train_generalist(train, norm, true, train_iterations, seed);
-        let mean = test
-            .iter()
-            .map(|(_, p)| {
-                let o3 = o3_cycles(p, &hls);
-                let (_, c) = infer_sequence(&agent, &env_cfg, p);
-                (o3 as f64 - c as f64) / o3 as f64
-            })
-            .sum::<f64>()
-            / test.len() as f64;
-        results.push(GeneralizationResult {
-            label: label.to_string(),
-            mean_improvement: mean,
-            samples_per_program: 1,
-        });
+        evaluate(label, &|p, _| infer_sequence(&agent, &env_cfg, p).1);
     }
     results
+}
+
+/// The mean over `programs` of `(o3 − c)/o3`, where `c` is what `cycles`
+/// scores a program at (given it and its [`Input`]) and `o3` what `-O3`
+/// does.
+fn mean_improvement_over_o3(
+    programs: &[&Module],
+    hls: &HlsConfig,
+    cycles: impl Fn(&Module, &Input) -> u64,
+) -> f64 {
+    let sum: f64 = programs
+        .iter()
+        .map(|p| {
+            let input = Input::new(p, hls);
+            let (o3, c) = (input.cycles(O3_SEQUENCE), cycles(p, &input));
+            (o3 as f64 - c as f64) / o3 as f64
+        })
+        .sum();
+    sum / programs.len() as f64
 }
 
 /// §6.2's closing experiment: the trained `filtered-norm2` generalist
@@ -378,14 +371,8 @@ pub fn generalize_random(
     let (agent, env_cfg) =
         train_generalist(train, FeatureNorm::InstCount, true, train_iterations, seed);
     let test = program_batch(&GenConfig::default(), seed ^ 0xBEEF, n_test);
-    test.iter()
-        .map(|p| {
-            let o3 = o3_cycles(p, &hls);
-            let (_, c) = infer_sequence(&agent, &env_cfg, p);
-            (o3 as f64 - c as f64) / o3 as f64
-        })
-        .sum::<f64>()
-        / n_test as f64
+    let test: Vec<&Module> = test.iter().collect();
+    mean_improvement_over_o3(&test, &hls, |p, _| infer_sequence(&agent, &env_cfg, p).1)
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //! * [`compile`](mod@compile) — one compilation: an ordering applied to a
 //!   program through the checked pass layer, then one profile; every
 //!   search, figure and the daemon's `-O3` reference score orderings
-//!   through it;
+//!   through it, and its [`score`](compile::score) is the one rule — a
+//!   module scores its cycles only if it returns its input's result —
+//!   that the environment's reward and the daemon apply too;
 //! * [`multi`] — the §5.2 multiple-passes-per-action formulation
 //!   (RL-PPO3) and its factored-PPO trainer;
 //! * [`eval_cache`] — the profile memo every environment asks: module
@@ -46,7 +48,7 @@ pub mod report;
 pub mod step;
 pub mod tune;
 
-pub use env::{Objective, ObservationKind, PhaseOrderEnv, RewardKind};
+pub use env::{ObservationKind, PhaseOrderEnv, RewardKind};
 pub use eval_cache::{CacheStats, EvalCache, ModuleFingerprints};
 pub use incremental::{IncrementalEval, SnapEntry, SnapshotMemo};
 pub use quarantine::Quarantine;

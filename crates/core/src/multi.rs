@@ -8,7 +8,7 @@
 //! shared trunk) trains the policy; the joint log-probability is the sum
 //! of the per-slot log-probabilities.
 
-use crate::compile::{compile, sequence_cycles};
+use crate::compile::Input;
 use autophase_features::{extract, normalize_to_inst_count, NUM_FEATURES};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
@@ -136,9 +136,10 @@ impl MultiActionAgent {
         hls: &HlsConfig,
         iterations: usize,
     ) -> (Vec<usize>, u64) {
+        let input = Input::new(program, hls);
         let mut best_seq: Vec<usize> = vec![NUM_PASSES / 2; self.cfg.seq_len];
         self.samples += 1;
-        let mut best_cycles = sequence_cycles(program, &best_seq, hls);
+        let mut best_cycles = input.cycles(&best_seq);
         let fuel = FuelBudget::default();
         let (mut pws, mut vws) = (BatchWorkspace::new(), BatchWorkspace::new());
         for _ in 0..iterations {
@@ -147,7 +148,7 @@ impl MultiActionAgent {
                 // Episode: start from the canonical K/2 sequence (§5.2).
                 let mut seq: Vec<usize> = vec![NUM_PASSES / 2; self.cfg.seq_len];
                 self.samples += 1;
-                let (mut compiled, _, mut prev) = compile(program, &seq, &fuel, hls);
+                let (mut compiled, _, mut prev) = input.compile(&seq, &fuel);
                 for _ in 0..self.cfg.episode_len {
                     let obs = Self::observe(&seq, &compiled);
                     let logits = self.policy.forward_one(&obs, &mut pws);
@@ -155,7 +156,7 @@ impl MultiActionAgent {
                     let v = self.value.forward_one(&obs, &mut vws)[0];
                     let next = Self::apply_subactions(&seq, &sub);
                     self.samples += 1;
-                    let (next_compiled, _, cycles) = compile(program, &next, &fuel, hls);
+                    let (next_compiled, _, cycles) = input.compile(&next, &fuel);
                     let reward = prev as f64 - cycles as f64;
                     if cycles < best_cycles {
                         best_cycles = cycles;
@@ -221,6 +222,7 @@ impl MultiActionAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::sequence_cycles;
     use autophase_benchmarks::suite;
 
     #[test]

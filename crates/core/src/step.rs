@@ -26,6 +26,7 @@ use autophase_features::{
 use autophase_ir::Module;
 use autophase_passes::changeset::ChangeSet;
 use autophase_passes::checked::{apply_checked_traced, FaultKind, FuelBudget, PassFault};
+use autophase_passes::fault;
 use autophase_passes::registry::{self, NUM_PASSES};
 
 /// The pass subset §4.2 finds impactful ("-scalarrepl, -gvn,
@@ -208,14 +209,16 @@ impl<'a> Walk<'a> {
 
     /// Take `action`: whether its pass changed the module. A faulted
     /// apply leaves the module where it was; either way the action
-    /// counts in the histogram.
+    /// counts in the histogram. Like every checked apply, it polls the
+    /// armed fault plan ([`autophase_passes::fault::PLAN`]).
     ///
     /// # Errors
     ///
     /// The [`PassFault`] that was isolated.
     pub fn step(&mut self, action: usize, fuel: &FuelBudget) -> Result<bool, PassFault> {
         self.histogram[action] += 1.0;
-        let (changed, cs) = self.step.apply(self.module, action, fuel, None)?;
+        let injected = fault::poll(self.step.actions[action]);
+        let (changed, cs) = self.step.apply(self.module, action, fuel, injected)?;
         if changed {
             resync_features(&mut self.feats, self.module, &cs);
         }

@@ -5,9 +5,10 @@
 //! baseline comparisons a user needs to judge it.
 
 use crate::algorithms::{search, Algorithm};
-use crate::compile::{o0_cycles, o3_cycles, sequence_cycles};
+use crate::compile::Input;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
+use autophase_passes::o3::O3_SEQUENCE;
 use autophase_search::Objective;
 
 /// How much compile time to spend tuning.
@@ -66,10 +67,11 @@ impl TuneResult {
 pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
     let hls = HlsConfig::default();
     let (budget, seq_len) = effort.budget();
-    let o0 = o0_cycles(program, &hls);
-    let o3 = o3_cycles(program, &hls);
+    let input = Input::new(program, &hls);
+    let o0 = input.o0_cycles();
+    let o3 = input.cycles(O3_SEQUENCE);
 
-    let mut best_seq: Vec<usize> = autophase_passes::o3::O3_SEQUENCE.to_vec();
+    let mut best_seq: Vec<usize> = O3_SEQUENCE.to_vec();
     let mut best_cycles = o3;
     let mut samples = 1u64;
 
@@ -78,7 +80,7 @@ pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
         (Algorithm::OpenTuner, seed),
         (Algorithm::GeneticDeap, seed ^ 0x6A),
     ] {
-        let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(program, seq, &hls) as f64);
+        let mut obj = Objective::new(|seq: &[usize]| input.cycles(seq) as f64);
         let r = search(algorithm, &mut obj, seq_len, budget / 3, search_seed);
         samples += r.samples;
         if (r.best_cost as u64) < best_cycles {
@@ -99,6 +101,7 @@ pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::sequence_cycles;
     use autophase_benchmarks::suite;
 
     #[test]

@@ -1,7 +1,8 @@
 //! Resource (area) estimation.
 //!
 //! The paper notes the reward can target area instead of cycles; this
-//! module provides that objective. Functional units are shared per
+//! module provides the estimate (every report carries it, and the RTL
+//! example prints it). Functional units are shared per
 //! function per state in real LegUp binding; we approximate binding by
 //! charging, for each operation class, the *maximum number of instances
 //! needed in any one FSM state* (concurrent ops can't share a unit).
@@ -26,7 +27,7 @@ pub struct AreaReport {
 }
 
 impl AreaReport {
-    /// A single scalar "total area" used as an optimization objective.
+    /// A single scalar "total area".
     pub fn total(&self) -> u64 {
         self.logic_units + self.registers / 2 + self.memory_bits / 64 + self.fsm_states
     }

@@ -14,8 +14,8 @@
 //!    + call overhead`.
 //!
 //! [`rtl`] emits a Verilog FSM+datapath sketch of the scheduled design and
-//! [`area`] estimates resource usage (the paper's alternative optimization
-//! objective).
+//! [`area`] estimates resource usage (the quantity the paper names as an
+//! alternative reward).
 //!
 //! # Example
 //!

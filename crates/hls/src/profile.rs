@@ -110,15 +110,6 @@ fn report_from<E: Borrow<FuncEval>>(
     }
 }
 
-/// Convenience: just the cycle count.
-///
-/// # Errors
-///
-/// Same as [`profile_module`].
-pub fn cycle_count(m: &Module, cfg: &HlsConfig) -> Result<u64, HlsError> {
-    Ok(profile_module(m, cfg)?.cycles)
-}
-
 /// [`profile_module`] with a per-function schedule cache: clean functions
 /// (same content fingerprint) reuse their cached FSM schedule and area,
 /// so only dirty functions pay the list scheduler and binder. `fp_of`
@@ -186,8 +177,8 @@ mod tests {
     #[test]
     fn cycles_scale_with_trip_count() {
         let cfg = HlsConfig::default();
-        let c10 = cycle_count(&sum_loop_module(10), &cfg).unwrap();
-        let c100 = cycle_count(&sum_loop_module(100), &cfg).unwrap();
+        let c10 = profile_module(&sum_loop_module(10), &cfg).unwrap().cycles;
+        let c100 = profile_module(&sum_loop_module(100), &cfg).unwrap().cycles;
         assert!(c100 > c10 * 5, "c10={c10} c100={c100}");
         assert!(c100 < c10 * 20);
     }
@@ -197,11 +188,11 @@ mod tests {
         // mem2reg + rotate should cut the loop's per-iteration cost a lot.
         let cfg = HlsConfig::default();
         let m0 = sum_loop_module(50);
-        let before = cycle_count(&m0, &cfg).unwrap();
+        let before = profile_module(&m0, &cfg).unwrap().cycles;
         let mut m = m0.clone();
         autophase_passes::mem2reg::run(&mut m);
         autophase_passes::loop_rotate::run(&mut m);
-        let after = cycle_count(&m, &cfg).unwrap();
+        let after = profile_module(&m, &cfg).unwrap().cycles;
         assert!(
             after * 2 <= before,
             "expected ≥2x fewer cycles: before={before} after={after}"
@@ -228,13 +219,13 @@ mod tests {
         b.ret(Some(Value::i32(0)));
         m.add_function(b.finish());
         let cfg = HlsConfig::default();
-        let with_calls = cycle_count(&m, &cfg).unwrap();
+        let with_calls = profile_module(&m, &cfg).unwrap().cycles;
 
         // Same program after inlining is cheaper.
         let mut inlined = m.clone();
         autophase_passes::inline::run(&mut inlined);
         autophase_passes::simplifycfg::run(&mut inlined);
-        let without = cycle_count(&inlined, &cfg).unwrap();
+        let without = profile_module(&inlined, &cfg).unwrap().cycles;
         assert!(without < with_calls, "{without} vs {with_calls}");
     }
 
@@ -258,8 +249,10 @@ mod tests {
         b.ret(Some(r));
         let mut m = Module::new("t");
         m.add_function(b.finish());
-        let at200 = cycle_count(&m, &HlsConfig::default()).unwrap();
-        let at100 = cycle_count(&m, &HlsConfig::at_frequency_mhz(100.0)).unwrap();
+        let at200 = profile_module(&m, &HlsConfig::default()).unwrap().cycles;
+        let at100 = profile_module(&m, &HlsConfig::at_frequency_mhz(100.0))
+            .unwrap()
+            .cycles;
         assert!(at100 < at200, "at100={at100} at200={at200}");
     }
 

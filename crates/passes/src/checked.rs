@@ -21,6 +21,10 @@
 //! Every fault increments the `pass_fault_total{<pass>}` and
 //! `rollback_total{<pass>}` telemetry counters.
 //!
+//! A pass that miscompiles — the module verifies but computes another
+//! result — is not a fault here: only running the module can tell, and
+//! whoever profiles it does (`autophase_core::compile::score`).
+//!
 //! Fault *injection* (the chaos-testing harness) lives in [`crate::fault`];
 //! with no plan armed, polling it costs every apply one acquire load.
 
@@ -121,6 +125,10 @@ pub enum FaultKind {
     CorruptIr,
     /// Report the fuel budget as exhausted (exercises the fuel path).
     ExhaustFuel,
+    /// Make `main` return another result after the pass runs, in a module
+    /// the verifier still accepts (exercises the semantic check of
+    /// whoever scores the module: the checked layer cannot see it).
+    WrongResult,
 }
 
 /// Apply pass `id` transactionally (see the module docs). Returns
@@ -211,10 +219,11 @@ pub fn apply_checked_traced(
             std::panic::panic_any(telemetry::INJECTED_PANIC_MSG);
         }
         let mut changed = registry::apply(m, id);
-        if let Some(FaultKind::CorruptIr) = injected {
-            corrupt_module(m);
-            changed = true;
-        }
+        changed |= match injected {
+            Some(FaultKind::CorruptIr) => corrupt_module(m),
+            Some(FaultKind::WrongResult) => wrong_result(m),
+            _ => false,
+        };
         changed
     }));
     let mut changeset = ChangeSet::empty();
@@ -271,12 +280,13 @@ fn record_fault(fault: &PassFault) {
 }
 
 /// Make the module fail verification (dangling callee in the first
-/// function's entry block). Used only by the [`FaultKind::CorruptIr`]
+/// function's entry block). Always `true`: the module counts as changed,
+/// so the verifier looks at it. Used only by the [`FaultKind::CorruptIr`]
 /// injection path.
-fn corrupt_module(m: &mut Module) {
+fn corrupt_module(m: &mut Module) -> bool {
     use autophase_ir::{FuncId, Inst, Opcode, Type};
     let Some(fid) = m.func_ids().next() else {
-        return;
+        return true;
     };
     let f = m.func_mut(fid);
     let entry = f.entry;
@@ -292,6 +302,38 @@ fn corrupt_module(m: &mut Module) {
             },
         ),
     );
+    true
+}
+
+/// Make `main` return its result plus one: every `ret v` becomes
+/// `ret (v + 1)`, which still verifies. `false` when `main` returns
+/// nothing to change. Used only by the [`FaultKind::WrongResult`]
+/// injection path.
+fn wrong_result(m: &mut Module) -> bool {
+    use autophase_ir::{BinOp, Inst, Opcode, Value};
+    let Some(f) = m.main().map(|main| m.func_mut(main)) else {
+        return false;
+    };
+    let rets: Vec<_> = f
+        .block_ids()
+        .filter_map(|bb| Some((bb, f.terminator(bb)?)))
+        .collect();
+    let mut changed = false;
+    for (bb, ret) in rets {
+        if let Opcode::Ret { value: Some(v) } = f.inst(ret).op {
+            let plus_one = Opcode::Binary(BinOp::Add, v, Value::const_int(f.ret_ty, 1));
+            let wrong = f.insert_inst(
+                bb,
+                f.block(bb).insts.len() - 1,
+                Inst::new(f.ret_ty, plus_one),
+            );
+            f.inst_mut(ret).op = Opcode::Ret {
+                value: Some(Value::Inst(wrong)),
+            };
+            changed = true;
+        }
+    }
+    changed
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! The harness answers one question for the rest of the workspace:
 //! *does the evaluation stack survive a misbehaving pass?* A
 //! [`FaultPlan`] describes exactly which checked applications fault and
-//! how ([`FaultKind`]: panic, IR corruption, fuel exhaustion); [`PLAN`]
-//! arms it process-wide; [`crate::checked::apply_checked`] and the
-//! phase-ordering environment poll it on every application, which costs
-//! one acquire load while nothing is armed.
+//! how ([`FaultKind`]: panic, IR corruption, fuel exhaustion, or a wrong
+//! result the verifier accepts); [`PLAN`] arms it process-wide;
+//! [`crate::checked::apply_checked`], the phase-ordering environment and
+//! the serving walk poll it on every application, which costs one
+//! acquire load while nothing is armed.
 //!
 //! # Determinism
 //!
@@ -65,7 +66,8 @@ impl FaultPlan {
     }
 
     /// A reproducible plan derived from `seed`: one fault per entry of
-    /// `passes`, cycling through the three [`FaultKind`]s, targeting a
+    /// `passes`, cycling through panic, IR corruption and fuel exhaustion
+    /// (the three faults the checked layer itself catches), targeting a
     /// pseudo-random episode in `0..episodes` (or any context when
     /// `episodes` is 0) at a pseudo-random `nth` in `1..=3`.
     pub fn seeded(seed: u64, passes: &[PassId], episodes: u64) -> FaultPlan {

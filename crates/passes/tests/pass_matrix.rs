@@ -60,15 +60,15 @@ fn canonical_pipelines_safe_on_every_benchmark() {
 
 #[test]
 fn mem2reg_then_rotate_reduces_cycles_on_most_benchmarks() {
-    use autophase_hls::{profile::cycle_count, HlsConfig};
+    use autophase_hls::{profile::profile_module, HlsConfig};
     let hls = HlsConfig::default();
     let mut improved = 0;
     let mut total = 0;
     for b in suite() {
-        let before = cycle_count(&b.module, &hls).unwrap();
+        let before = profile_module(&b.module, &hls).unwrap().cycles;
         let mut m = b.module.clone();
         registry::apply_sequence(&mut m, &[38, 29, 23]);
-        let after = cycle_count(&m, &hls).unwrap();
+        let after = profile_module(&m, &hls).unwrap().cycles;
         total += 1;
         if after < before {
             improved += 1;

@@ -435,17 +435,17 @@ mod tests {
 
     #[test]
     fn optimization_improves_random_programs_on_average() {
-        use autophase_hls::{profile::cycle_count, HlsConfig};
+        use autophase_hls::{profile::profile_module, HlsConfig};
         let cfg = GenConfig::default();
         let hls = HlsConfig::default();
         let mut better = 0;
         let n = 15;
         for seed in 100..100 + n {
             let m0 = generate_valid(&cfg, seed);
-            let c0 = cycle_count(&m0, &hls).unwrap();
+            let c0 = profile_module(&m0, &hls).unwrap().cycles;
             let mut m = m0.clone();
             autophase_passes::o3::o3_checked(&mut m, &Default::default());
-            let c1 = cycle_count(&m, &hls).unwrap();
+            let c1 = profile_module(&m, &hls).unwrap().cycles;
             if c1 < c0 {
                 better += 1;
             }

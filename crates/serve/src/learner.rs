@@ -50,7 +50,7 @@ use crate::engine::{
 };
 use crate::protocol::{refuse, ErrKind, Reply};
 use crate::server::{ServerConfig, StartError};
-use autophase_core::compile::cycles_of;
+use autophase_core::compile::Input;
 use autophase_core::Quarantine;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
@@ -371,8 +371,9 @@ impl Replay {
     }
 
     /// Σ ln cycles of `policy`'s greedy answers over the set: the engine's
-    /// one rollout under a fresh quarantine, each answer profiled (an
-    /// unprofileable one costs what it costs the env).
+    /// one rollout under a fresh quarantine, each answer scored against
+    /// its program by the one rule (`autophase_core::compile::score`): a
+    /// wrong or unprofileable answer costs what it costs the env.
     fn cost(&self, engine: &InferenceEngine, policy: &PolicyEntry) -> Result<f64, PolicyFault> {
         let quarantine = Quarantine::default();
         self.programs
@@ -380,7 +381,7 @@ impl Replay {
             .map(|(fp, program)| {
                 let mut m = program.clone();
                 engine.rollout(policy, &mut m, *fp, &quarantine, &self.fuel)?;
-                let cycles = cycles_of(&m, &self.hls);
+                let cycles = Input::new(program, &self.hls).score(&m);
                 Ok((cycles.max(1) as f64).ln())
             })
             .sum()

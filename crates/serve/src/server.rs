@@ -30,11 +30,20 @@
 //!    fault-isolated -O3 ordering (`autophase_passes::o3::o3_checked`)
 //!    and still answer inside the deadline.
 //!
+//! Every cold answer is scored by the one rule
+//! (`autophase_core::compile::score`) against the input's own profile.
+//! An answer that does not return the input's result is never sent back,
+//! stored, kept as IR or learned from: a policy answer drops to -O3, and
+//! a wrong -O3 to the input itself with no passes (`source=baseline`
+//! either way, `serve.semcheck{mismatch}` counted, the trace faulted at
+//! `semcheck`).
+//!
 //! # Request tracing
 //!
 //! Every compile request carries a [`telemetry::TraceBuilder`] with a
 //! monotonic id. Stage marks (`queue_wait → parse → store → [replay |
-//! baseline_profile → rollout → profile → record] → reply_write`) close
+//! baseline_profile → rollout → profile → [semcheck] → record] →
+//! reply_write`) close
 //! consecutive segments of the request's timeline, so per-stage
 //! durations sum *exactly* to the end-to-end time. Completed traces are
 //! recorded into per-stage `serve.stage_ns{...}` histograms (plus
@@ -57,7 +66,7 @@ use crate::front::FrontMemo;
 use crate::learner::{LearnerConfig, Online};
 use crate::protocol::{self, refuse, ErrKind, Incoming, Reply, Request, RequestBuffers, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
-use autophase_core::compile::UNPROFILEABLE_CYCLES;
+use autophase_core::compile::{score, Input, UNPROFILEABLE_CYCLES};
 use autophase_core::eval_cache::fingerprint_module;
 use autophase_core::Quarantine;
 use autophase_hls::profile::profile_module;
@@ -900,16 +909,16 @@ fn compile(
         None => parse_text(ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?,
     };
 
-    // Cold: profile the input once (the baseline number and the store
-    // record need it), then walk policy → baseline.
+    // Cold: profile the input once (the baseline number, the store
+    // record and the semantic check need it), then walk policy → baseline.
     let profiled = profile_module(&module, &shared.hls);
     trace.mark("baseline_profile");
-    let baseline_cycles = profiled
-        .map_err(|e| refuse(ErrKind::Parse, None, format!("unprofileable input: {e}")))?
-        .cycles;
+    let baseline =
+        profiled.map_err(|e| refuse(ErrKind::Parse, None, format!("unprofileable input: {e}")))?;
+    let baseline_cycles = baseline.cycles;
 
     let mut optimized = module.clone();
-    let (source, passes, episode) = match shared.engine.choose_sequence_report(
+    let (mut source, mut passes, mut episode) = match shared.engine.choose_sequence_report(
         &mut optimized,
         fp,
         &shared.quarantine,
@@ -944,15 +953,23 @@ fn compile(
 
     let profiled = profile_module(&optimized, &shared.hls);
     trace.mark("profile");
-    let cycles = profiled
-        .map_err(|e| {
-            refuse(
-                ErrKind::Internal,
-                None,
-                format!("optimized unprofileable: {e}"),
-            )
-        })?
-        .cycles;
+
+    // The mismatch rung: an answer that does not return the input's
+    // result (another one, or none within the profiler's fuel) is never
+    // sent back, stored, kept as IR or learned from. A policy answer
+    // drops to -O3, and a wrong -O3 to the input itself.
+    let mut cycles = profiled.map_or(UNPROFILEABLE_CYCLES, |r| score(&r, &baseline));
+    if cycles == UNPROFILEABLE_CYCLES {
+        telemetry::incr("serve.semcheck", "mismatch", 1);
+        trace.fault("semcheck");
+        let o3 = (source == Source::Policy)
+            .then(|| Input::new(&module, &shared.hls).compile(O3_SEQUENCE, &shared.cfg.fuel))
+            .filter(|(_, _, o3)| *o3 != UNPROFILEABLE_CYCLES);
+        (optimized, passes, cycles) =
+            o3.unwrap_or_else(|| (module.clone(), Vec::new(), baseline_cycles));
+        (source, episode) = (Source::Baseline, None);
+        trace.mark("semcheck");
+    }
 
     // Persist if this beats the best known answer (first answer always
     // does — there was no entry). Record *before* the deadline check:

@@ -11,7 +11,7 @@
 //! This is the test `make online-smoke` runs.
 
 use autophase_benchmarks::suite;
-use autophase_core::compile::{cycles_of, o3_cycles};
+use autophase_core::compile::{o3_cycles, Input};
 use autophase_core::eval_cache::fingerprint_module;
 use autophase_core::{EvalCache, Quarantine};
 use autophase_corpus::{build_corpus, CorpusConfig};
@@ -608,7 +608,8 @@ fn reference_policy(train: &[Module]) -> Mlp {
 }
 
 /// Geomean speedup over -O3 (`o3`, cycles per program) of `policy`'s
-/// greedy answers on `programs`, profiled as the daemon profiles.
+/// greedy answers on `programs`, profiled as the daemon profiles and
+/// scored by the one rule.
 fn geomean_vs_o3(policy: &Mlp, programs: &[Module], o3: &[u64]) -> f64 {
     let engine = InferenceEngine::start(policy.clone(), EngineConfig::default()).unwrap();
     let cfg = ServerConfig::default();
@@ -622,7 +623,7 @@ fn geomean_vs_o3(policy: &Mlp, programs: &[Module], o3: &[u64]) -> f64 {
             engine
                 .choose_sequence_report(&mut m, fp, &Quarantine::default(), &cfg.fuel)
                 .expect("the policy answers");
-            (o3.max(1) as f64 / cycles_of(&m, &hls).max(1) as f64).ln()
+            (o3.max(1) as f64 / Input::new(program, &hls).score(&m).max(1) as f64).ln()
         })
         .sum();
     (ln_sum / programs.len() as f64).exp()

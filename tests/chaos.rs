@@ -17,11 +17,16 @@
 //! 4. **Quarantine** — a chronic offender crosses the shared quarantine
 //!    threshold mid-run and is masked out of the action space for that
 //!    program, after which it can no longer fault.
+//! 5. **Wrong results** — a pass whose module verifies but returns another
+//!    result (`FaultKind::WrongResult`) is caught by the one scoring rule
+//!    wherever a module is scored: the env step rolls back unpaid and
+//!    counts it, `compile` scores it `UNPROFILEABLE_CYCLES`, and the
+//!    daemon serves and stores the input's own answer instead.
 //!
 //! The fault plan is process-global, so every test here holds
 //! [`telemetry::test_guard`] for its full duration.
 
-use autophase::core::compile::o0_cycles;
+use autophase::core::compile::{compile, o0_cycles, sequence_cycles, UNPROFILEABLE_CYCLES};
 use autophase::core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use autophase::core::Quarantine;
 use autophase::features::extract;
@@ -32,7 +37,8 @@ use autophase::ir::verify::verify_module;
 use autophase::ir::Module;
 use autophase::passes::checked::FaultKind;
 use autophase::passes::fault::{self, FaultPlan, FaultSpec};
-use autophase::passes::registry;
+use autophase::passes::registry::{self, NUM_PASSES};
+use autophase::passes::FuelBudget;
 use autophase::progen::{program_batch, GenConfig};
 use autophase::rl::env::Environment;
 use autophase::rl::ppo::{PpoAgent, PpoConfig};
@@ -392,4 +398,185 @@ fn non_faulted_episodes_are_bit_identical_at_any_worker_count() {
             );
         }
     }
+}
+
+/// The total of counter `name` across labels in the process registry.
+fn counter_total(name: &str) -> u64 {
+    telemetry::snapshot()
+        .counters
+        .iter()
+        .filter(|c| c.name == name)
+        .map(|c| c.value)
+        .sum()
+}
+
+/// An env step whose module no longer returns the program's result is a
+/// fault: zero reward, the pre-step module and incremental state back,
+/// the offense in the quarantine ledger and in `core.semantic_mismatch`.
+#[test]
+fn a_wrong_result_step_is_rolled_back_unpaid_and_counted() {
+    let _g = telemetry::test_guard();
+    telemetry::enable();
+    telemetry::reset();
+    let program = programs().remove(0);
+    let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
+        pass: 38,
+        nth: 1,
+        episode: Some(9401),
+        kind: FaultKind::WrongResult,
+    }]));
+    let quarantine = Arc::new(Quarantine::new(2));
+    let mut env = PhaseOrderEnv::single(program.clone(), EnvConfig::default());
+    env.set_quarantine(Arc::clone(&quarantine));
+    env.reset_to(9401);
+    let before = print_module(env.module());
+    let r = env.step(38);
+    assert_eq!(plan.fired(), 1, "the planned wrong result was injected");
+    assert_eq!(r.reward, 0.0, "a wrong result is paid nothing");
+    assert_eq!(print_module(env.module()), before, "the step rolled back");
+    let inc = env.incremental_state().expect("always kept");
+    assert_eq!(inc.module_fp(), fingerprint_module(env.module()));
+    assert_eq!(inc.features(), extract(env.module()));
+    assert_eq!(env.cycles(), o0_cycles(&program, &HlsConfig::default()));
+    assert_eq!(quarantine.fault_count(fingerprint_module(&program), 38), 1);
+    assert_eq!(counter_total("core.semantic_mismatch"), 1);
+    // Past the planned fault the same pass applies and pays.
+    assert!(env.step(38).reward > 0.0);
+    fault::PLAN.clear();
+    telemetry::disable();
+    telemetry::reset();
+}
+
+/// A pass that faults inside an ordering is rolled back and skipped:
+/// the ordering scores what it scores without that pass, and the
+/// program it was compiled from is untouched.
+#[test]
+fn a_faulting_pass_is_skipped_not_scored() {
+    let _g = telemetry::test_guard();
+    telemetry::quiet_panic_hook();
+    let p = autophase::benchmarks::suite()
+        .into_iter()
+        .find(|b| b.name == "gsm")
+        .unwrap()
+        .module;
+    let hls = HlsConfig::default();
+    let pristine = print_module(&p);
+    let (seq, without) = ([38usize, 23, 31, 30], [23usize, 31, 30]);
+    let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
+        pass: 38,
+        nth: 1,
+        episode: Some(9301),
+        kind: FaultKind::Panic,
+    }]));
+    fault::set_episode(Some(9301));
+    let faulted = sequence_cycles(&p, &seq, &hls);
+    fault::set_episode(None);
+    fault::PLAN.clear();
+    assert_eq!(plan.fired(), 1, "the injection reached the evaluator");
+    assert_eq!(faulted, sequence_cycles(&p, &without, &hls));
+    assert_ne!(faulted, sequence_cycles(&p, &seq, &hls), "-mem2reg matters");
+    assert_eq!(print_module(&p), pristine);
+}
+
+/// `compile` never scores a module that returns another result.
+#[test]
+fn compile_scores_a_wrong_result_unprofileable() {
+    let _g = telemetry::test_guard();
+    let program = programs().remove(0);
+    let (fuel, hls) = (FuelBudget::default(), HlsConfig::default());
+    let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
+        pass: 38,
+        nth: 1,
+        episode: None,
+        kind: FaultKind::WrongResult,
+    }]));
+    fault::set_episode(None);
+    let (_, applied, cycles) = compile(&program, &[38, 23], &fuel, &hls);
+    assert_eq!(plan.fired(), 1);
+    assert!(
+        applied.contains(&38),
+        "the wrong module verified: {applied:?}"
+    );
+    assert_eq!(cycles, UNPROFILEABLE_CYCLES);
+    fault::PLAN.clear();
+    let (_, _, clean) = compile(&program, &[38, 23], &fuel, &hls);
+    assert!(clean < o0_cycles(&program, &hls));
+}
+
+/// A daemon whose every pass application returns a wrong result answers
+/// with the input itself: the policy's answer and -O3's both fail the
+/// check, neither is sent back or stored, and `STATS` and `TRACE` name
+/// the mismatch.
+#[test]
+fn a_daemon_never_serves_or_stores_a_wrong_result() {
+    use autophase::nn::mlp::{Activation, Mlp};
+    use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+    use autophase_serve::{Client, Server, ServerConfig, Source};
+    let _g = telemetry::test_guard();
+    telemetry::reset();
+    let specs = (0..NUM_PASSES)
+        .flat_map(|pass| {
+            (1..=64).map(move |nth| FaultSpec {
+                pass,
+                nth,
+                episode: None,
+                kind: FaultKind::WrongResult,
+            })
+        })
+        .collect();
+    let plan = fault::PLAN.install(FaultPlan::new(specs));
+    let store = std::env::temp_dir().join(format!(
+        "autophase_chaos_semcheck_{}.log",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
+    let policy = Mlp::new(
+        &[serve_obs_dim(), 32, serve_num_actions()],
+        Activation::Tanh,
+        7,
+    );
+    let cfg = ServerConfig {
+        store_path: store.clone(),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(policy, cfg).expect("server starts");
+    let text = print_module(&programs().remove(0));
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let cold = client.compile(&text, Some(120_000), false).expect("cold");
+    assert!(plan.fired() > 0, "the wrong results were injected");
+    assert_eq!(cold.source, Source::Baseline);
+    assert!(
+        cold.passes.is_empty(),
+        "the input itself: {:?}",
+        cold.passes
+    );
+    assert_eq!(cold.cycles, cold.baseline_cycles);
+    let hit = client.compile(&text, Some(120_000), false).expect("hit");
+    assert_eq!(hit.source, Source::Store);
+    assert_eq!(
+        (hit.cycles, &hit.passes),
+        (cold.baseline_cycles, &cold.passes)
+    );
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats.counter("serve.semcheck", "mismatch"),
+        1,
+        "one request"
+    );
+    assert_eq!(
+        stats.counter("core.semantic_mismatch", ""),
+        2,
+        "policy, -O3"
+    );
+    let traces = client.traces(8).expect("traces");
+    assert!(traces.contains("\"fault_stage\":\"semcheck\""), "{traces}");
+
+    drop(client);
+    server.shutdown();
+    fault::PLAN.clear();
+    telemetry::disable();
+    telemetry::reset();
+    let _ = std::fs::remove_file(&store);
 }

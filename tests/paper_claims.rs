@@ -120,10 +120,14 @@ fn inline_enables_licm_on_call_heavy_code() {
 /// frequencies yield equal-or-better cycle counts (more chaining).
 #[test]
 fn lower_frequency_never_increases_cycles() {
-    use autophase::hls::profile::cycle_count;
+    use autophase::hls::profile::profile_module;
     for b in autophase::benchmarks::suite() {
-        let at200 = cycle_count(&b.module, &HlsConfig::at_frequency_mhz(200.0)).unwrap();
-        let at100 = cycle_count(&b.module, &HlsConfig::at_frequency_mhz(100.0)).unwrap();
+        let at200 = profile_module(&b.module, &HlsConfig::at_frequency_mhz(200.0))
+            .unwrap()
+            .cycles;
+        let at100 = profile_module(&b.module, &HlsConfig::at_frequency_mhz(100.0))
+            .unwrap()
+            .cycles;
         assert!(
             at100 <= at200,
             "{}: 100 MHz ({at100}) worse than 200 MHz ({at200})",
