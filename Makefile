@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy doc fmt fmt-fix bench bench-smoke loc dead-pub telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke
+.PHONY: ci build test clippy doc fmt fmt-fix bench bench-smoke loc dead-pub telemetry chaos semcheck pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke
 
-ci: build test telemetry chaos pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke bench-smoke clippy doc dead-pub fmt
+ci: build test telemetry chaos semcheck pass-golden perf-smoke serve-smoke trace-smoke durability-smoke online-smoke bench-smoke clippy doc dead-pub fmt
 
 build:
 	$(CARGO) build --release
@@ -46,6 +46,13 @@ telemetry:
 # it too, in debug).
 chaos:
 	$(CARGO) test -q --release --test chaos
+
+# The semantic-check sweep (DESIGN.md §4c): CHStone plus 2 000 generated
+# programs compiled under one, two and four rounds of -O3. No finite score
+# may come from a module whose result differs from its input's; the raw
+# mismatch counts per round count are printed. Release, under a minute.
+semcheck:
+	$(CARGO) test -q --release -p autophase-core --test semcheck_sweep -- --nocapture
 
 # The one benchmark (BENCHMARK.json, benchmark/README.md): two
 # interleaved sets of runs per workload, medians and spreads against the
