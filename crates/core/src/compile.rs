@@ -30,10 +30,15 @@ use autophase_telemetry as telemetry;
 pub const UNPROFILEABLE_CYCLES: u64 = u64::MAX / 4;
 
 /// The one scoring rule: what a module profiled as `report` scores when
-/// it was compiled from an input profiled as `input`. Its cycles when it
-/// returns the input's result; otherwise [`UNPROFILEABLE_CYCLES`], counted
-/// in `core.semantic_mismatch`.
-pub fn score(report: &HlsReport, input: &HlsReport) -> u64 {
+/// it was compiled from an input profiled as `input` (`None`: the
+/// profiler could not run it). Its cycles when it returns the input's
+/// result; otherwise [`UNPROFILEABLE_CYCLES`], and a result that differs
+/// is counted in `core.semantic_mismatch`. An input scores its own
+/// cycles.
+pub fn score(report: Option<&HlsReport>, input: Option<&HlsReport>) -> u64 {
+    let (Some(report), Some(input)) = (report, input) else {
+        return UNPROFILEABLE_CYCLES;
+    };
     if report.return_value == input.return_value {
         return report.cycles;
     }
@@ -55,29 +60,26 @@ pub struct Input<'a> {
 impl<'a> Input<'a> {
     /// Profile `program` under `hls`.
     pub fn new(program: &'a Module, hls: &'a HlsConfig) -> Input<'a> {
-        let profile = profile_module(program, hls).ok();
         Input {
+            profile: profile_module(program, hls).ok(),
             program,
             hls,
-            profile,
         }
     }
 
     /// The cycles of the unoptimized (`-O0`) program: the input scores
     /// itself.
     pub fn o0_cycles(&self) -> u64 {
-        self.profile
-            .as_ref()
-            .map_or(UNPROFILEABLE_CYCLES, |r| r.cycles)
+        score(self.profile.as_ref(), self.profile.as_ref())
     }
 
     /// Profile `m`, compiled from this input, and [`score`] it: a module
     /// or an input the profiler cannot run reads [`UNPROFILEABLE_CYCLES`].
     pub fn score(&self, m: &Module) -> u64 {
-        match (&self.profile, profile_module(m, self.hls)) {
-            (Some(input), Ok(report)) => score(&report, input),
-            _ => UNPROFILEABLE_CYCLES,
-        }
+        score(
+            profile_module(m, self.hls).ok().as_ref(),
+            self.profile.as_ref(),
+        )
     }
 
     /// Apply `seq` to a copy of the program under `fuel` and score the
@@ -121,4 +123,46 @@ pub fn o0_cycles(program: &Module, hls: &HlsConfig) -> u64 {
 /// The cycles after the reference `-O3` pipeline.
 pub fn o3_cycles(program: &Module, hls: &HlsConfig) -> u64 {
     Input::new(program, hls).cycles(O3_SEQUENCE)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autophase_passes::checked::FaultKind;
+    use autophase_passes::fault::{self, FaultPlan, FaultSpec};
+
+    fn gsm() -> Module {
+        autophase_benchmarks::suite()
+            .into_iter()
+            .find(|b| b.name == "gsm")
+            .unwrap()
+            .module
+    }
+
+    /// A pass that faults inside an ordering is rolled back and skipped:
+    /// the ordering scores what it scores without that pass, and the
+    /// program it was compiled from is untouched.
+    #[test]
+    fn a_faulting_pass_is_skipped_not_scored() {
+        let _g = autophase_telemetry::test_guard();
+        autophase_telemetry::quiet_panic_hook();
+        let (p, hls) = (gsm(), HlsConfig::default());
+        let pristine = autophase_ir::printer::print_module(&p);
+        let (seq, without) = ([38usize, 23, 31, 30], [23usize, 31, 30]);
+        let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
+            pass: 38,
+            nth: 1,
+            // This thread's context only: concurrent tests never match it.
+            episode: Some(9301),
+            kind: FaultKind::Panic,
+        }]));
+        fault::set_episode(Some(9301));
+        let faulted = sequence_cycles(&p, &seq, &hls);
+        fault::set_episode(None);
+        fault::PLAN.clear();
+        assert_eq!(plan.fired(), 1, "the injection reached the evaluator");
+        assert_eq!(faulted, sequence_cycles(&p, &without, &hls));
+        assert_ne!(faulted, sequence_cycles(&p, &seq, &hls), "-mem2reg matters");
+        assert_eq!(autophase_ir::printer::print_module(&p), pristine);
+    }
 }

@@ -303,11 +303,10 @@ pub fn fig9(
     };
 
     let mut results = Vec::new();
-    let test: Vec<&Module> = test.iter().map(|(_, p)| p).collect();
     let mut evaluate = |label: &str, cycles: &dyn Fn(&Module, &Input) -> u64| {
         results.push(GeneralizationResult {
             label: label.to_string(),
-            mean_improvement: mean_improvement_over_o3(&test, &hls, cycles),
+            mean_improvement: mean_improvement_over_o3(test.iter().map(|(_, p)| p), &hls, cycles),
             samples_per_program: 1,
         });
     };
@@ -342,20 +341,20 @@ pub fn fig9(
 /// The mean over `programs` of `(o3 − c)/o3`, where `c` is what `cycles`
 /// scores a program at (given it and its [`Input`]) and `o3` what `-O3`
 /// does.
-fn mean_improvement_over_o3(
-    programs: &[&Module],
+fn mean_improvement_over_o3<'a>(
+    programs: impl ExactSizeIterator<Item = &'a Module>,
     hls: &HlsConfig,
     cycles: impl Fn(&Module, &Input) -> u64,
 ) -> f64 {
+    let n = programs.len() as f64;
     let sum: f64 = programs
-        .iter()
         .map(|p| {
             let input = Input::new(p, hls);
             let (o3, c) = (input.cycles(O3_SEQUENCE), cycles(p, &input));
             (o3 as f64 - c as f64) / o3 as f64
         })
         .sum();
-    sum / programs.len() as f64
+    sum / n
 }
 
 /// §6.2's closing experiment: the trained `filtered-norm2` generalist
@@ -371,8 +370,9 @@ pub fn generalize_random(
     let (agent, env_cfg) =
         train_generalist(train, FeatureNorm::InstCount, true, train_iterations, seed);
     let test = program_batch(&GenConfig::default(), seed ^ 0xBEEF, n_test);
-    let test: Vec<&Module> = test.iter().collect();
-    mean_improvement_over_o3(&test, &hls, |p, _| infer_sequence(&agent, &env_cfg, p).1)
+    mean_improvement_over_o3(test.iter(), &hls, |p, _| {
+        infer_sequence(&agent, &env_cfg, p).1
+    })
 }
 
 #[cfg(test)]

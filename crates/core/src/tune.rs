@@ -68,7 +68,6 @@ pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
     let hls = HlsConfig::default();
     let (budget, seq_len) = effort.budget();
     let input = Input::new(program, &hls);
-    let o0 = input.o0_cycles();
     let o3 = input.cycles(O3_SEQUENCE);
 
     let mut best_seq: Vec<usize> = O3_SEQUENCE.to_vec();
@@ -92,7 +91,7 @@ pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
     TuneResult {
         sequence: best_seq,
         cycles: best_cycles,
-        o0_cycles: o0,
+        o0_cycles: input.o0_cycles(),
         o3_cycles: o3,
         samples,
     }

@@ -915,7 +915,6 @@ fn compile(
     trace.mark("baseline_profile");
     let baseline =
         profiled.map_err(|e| refuse(ErrKind::Parse, None, format!("unprofileable input: {e}")))?;
-    let baseline_cycles = baseline.cycles;
 
     let mut optimized = module.clone();
     let (mut source, mut passes, mut episode) = match shared.engine.choose_sequence_report(
@@ -958,7 +957,7 @@ fn compile(
     // result (another one, or none within the profiler's fuel) is never
     // sent back, stored, kept as IR or learned from. A policy answer
     // drops to -O3, and a wrong -O3 to the input itself.
-    let mut cycles = profiled.map_or(UNPROFILEABLE_CYCLES, |r| score(&r, &baseline));
+    let mut cycles = score(profiled.ok().as_ref(), Some(&baseline));
     if cycles == UNPROFILEABLE_CYCLES {
         telemetry::incr("serve.semcheck", "mismatch", 1);
         trace.fault("semcheck");
@@ -966,7 +965,7 @@ fn compile(
             .then(|| Input::new(&module, &shared.hls).compile(O3_SEQUENCE, &shared.cfg.fuel))
             .filter(|(_, _, o3)| *o3 != UNPROFILEABLE_CYCLES);
         (optimized, passes, cycles) =
-            o3.unwrap_or_else(|| (module.clone(), Vec::new(), baseline_cycles));
+            o3.unwrap_or_else(|| (module.clone(), Vec::new(), baseline.cycles));
         (source, episode) = (Source::Baseline, None);
         trace.mark("semcheck");
     }
@@ -978,7 +977,7 @@ fn compile(
     // instead of a from-scratch recompute.
     let entry = BestEntry {
         cycles,
-        baseline_cycles,
+        baseline_cycles: baseline.cycles,
         seq: passes.iter().map(|&p| p as u16).collect(),
     };
     let inserted = record_best(shared, fp, entry.clone());
@@ -997,14 +996,13 @@ fn compile(
         let exp = Experience {
             steps,
             cycles,
-            baseline_cycles,
+            baseline_cycles: baseline.cycles,
         };
         shared
             .online
             .record(version, fp, &module, exp, inserted, || {
-                let fuel = &shared.cfg.fuel;
-                let (_, _, o3) =
-                    autophase_core::compile::compile(&module, O3_SEQUENCE, fuel, &shared.hls);
+                let input = Input::new(&module, &shared.hls);
+                let (_, _, o3) = input.compile(O3_SEQUENCE, &shared.cfg.fuel);
                 (o3 != UNPROFILEABLE_CYCLES).then_some(o3)
             });
     }
@@ -1013,7 +1011,7 @@ fn compile(
     Ok(Answer::Reply(Reply::Compiled {
         source,
         cycles,
-        baseline_cycles,
+        baseline_cycles: baseline.cycles,
         passes,
         ir: want_ir.then(|| ir_out.unwrap_or_else(|| print_module(&optimized))),
     }))

@@ -26,7 +26,7 @@
 //! The fault plan is process-global, so every test here holds
 //! [`telemetry::test_guard`] for its full duration.
 
-use autophase::core::compile::{compile, o0_cycles, sequence_cycles, UNPROFILEABLE_CYCLES};
+use autophase::core::compile::{compile, o0_cycles, UNPROFILEABLE_CYCLES};
 use autophase::core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use autophase::core::Quarantine;
 use autophase::features::extract;
@@ -445,37 +445,6 @@ fn a_wrong_result_step_is_rolled_back_unpaid_and_counted() {
     fault::PLAN.clear();
     telemetry::disable();
     telemetry::reset();
-}
-
-/// A pass that faults inside an ordering is rolled back and skipped:
-/// the ordering scores what it scores without that pass, and the
-/// program it was compiled from is untouched.
-#[test]
-fn a_faulting_pass_is_skipped_not_scored() {
-    let _g = telemetry::test_guard();
-    telemetry::quiet_panic_hook();
-    let p = autophase::benchmarks::suite()
-        .into_iter()
-        .find(|b| b.name == "gsm")
-        .unwrap()
-        .module;
-    let hls = HlsConfig::default();
-    let pristine = print_module(&p);
-    let (seq, without) = ([38usize, 23, 31, 30], [23usize, 31, 30]);
-    let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
-        pass: 38,
-        nth: 1,
-        episode: Some(9301),
-        kind: FaultKind::Panic,
-    }]));
-    fault::set_episode(Some(9301));
-    let faulted = sequence_cycles(&p, &seq, &hls);
-    fault::set_episode(None);
-    fault::PLAN.clear();
-    assert_eq!(plan.fired(), 1, "the injection reached the evaluator");
-    assert_eq!(faulted, sequence_cycles(&p, &without, &hls));
-    assert_ne!(faulted, sequence_cycles(&p, &seq, &hls), "-mem2reg matters");
-    assert_eq!(print_module(&p), pristine);
 }
 
 /// `compile` never scores a module that returns another result.
