@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn stops_when_no_improvement() {
-        // Constant objective: greedy should quit after one round.
+        // A constant objective, so greedy should quit after one round.
         let mut obj = Objective::new(|_s: &[usize]| 1.0);
         let r = search(&mut obj, 5, 10, 10_000, None);
         assert!(r.best_sequence.is_empty());

@@ -39,7 +39,7 @@ pub fn search(
 mod tests {
     use super::*;
 
-    /// Toy objective: cost = number of entries ≠ 3.
+    /// Toy objective, whose cost is the number of entries ≠ 3.
     fn toy(seq: &[usize]) -> f64 {
         seq.iter().filter(|&&p| p != 3).count() as f64
     }
