@@ -97,8 +97,7 @@ fn bench_env(c: &mut Criterion) {
     });
     // Ablation: filtered observation/action spaces vs. the full ones.
     let filtered = EnvConfig {
-        filtered_features: true,
-        filtered_passes: true,
+        filtered: true,
         ..EnvConfig::default()
     };
     c.bench_function("env/reset+3 steps on gsm (filtered spaces)", |b| {

@@ -175,7 +175,7 @@ pub fn run_algorithm(
             seed,
             RlKind::Ppo {
                 obs: ObservationKind::ProgramFeatures,
-                reward: RewardKind::Zero,
+                zero_rewards: true,
             },
         ),
         Algorithm::RlPpo2 => run_single_action_rl(
@@ -185,7 +185,7 @@ pub fn run_algorithm(
             seed,
             RlKind::Ppo {
                 obs: ObservationKind::ActionHistory,
-                reward: RewardKind::Raw,
+                zero_rewards: false,
             },
         ),
         Algorithm::RlA3c => run_single_action_rl(program, budget, hls, seed, RlKind::A2c),
@@ -240,7 +240,7 @@ pub fn search(
     seed: u64,
 ) -> SearchResult {
     match algorithm {
-        Algorithm::Greedy => greedy::search(obj, NUM_PASSES, seq_len, budget, None),
+        Algorithm::Greedy => greedy::search(obj, NUM_PASSES, seq_len, budget),
         Algorithm::OpenTuner => opentuner::search(obj, NUM_PASSES, seq_len, budget, seed),
         Algorithm::GeneticDeap => genetic::search(obj, NUM_PASSES, seq_len, budget, seed),
         Algorithm::Random => random::search(obj, NUM_PASSES, seq_len, budget, seed),
@@ -251,7 +251,8 @@ pub fn search(
 enum RlKind {
     Ppo {
         obs: ObservationKind,
-        reward: RewardKind,
+        /// The RL-PPO1 control: train on zeroed rewards.
+        zero_rewards: bool,
     },
     A2c,
     Es,
@@ -271,18 +272,12 @@ fn run_single_action_rl(
     // state is tracked with the paper's sample accounting; the RL-PPO1
     // control zeroes the reward in the wrapper instead, "to test if the
     // rewards are meaningful" (§6.1) without changing what gets compiled.
-    let zero_rewards = matches!(
-        kind,
-        RlKind::Ppo {
-            reward: RewardKind::Zero,
-            ..
-        }
-    );
+    let (observation, zero_rewards) = match kind {
+        RlKind::Ppo { obs, zero_rewards } => (obs, zero_rewards),
+        _ => (ObservationKind::ProgramFeatures, false),
+    };
     let env_cfg = EnvConfig {
-        observation: match &kind {
-            RlKind::Ppo { obs, .. } => *obs,
-            _ => ObservationKind::ProgramFeatures,
-        },
+        observation,
         reward: RewardKind::Raw,
         episode_len: budget.episode_len,
         hls: hls.clone(),

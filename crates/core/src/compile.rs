@@ -16,7 +16,7 @@
 //! that computes something else — a miscompile that deletes work would
 //! otherwise read as a speedup — scores [`UNPROFILEABLE_CYCLES`].
 
-use autophase_hls::{profile_module, HlsConfig, HlsReport};
+use autophase_hls::{profile_module, HlsConfig, HlsError, HlsReport};
 use autophase_ir::Module;
 use autophase_passes::checked::{apply_sequence_checked, FuelBudget};
 use autophase_passes::o3::O3_SEQUENCE;
@@ -52,25 +52,31 @@ pub fn score(report: Option<&HlsReport>, input: Option<&HlsReport>) -> u64 {
 pub struct Input<'a> {
     program: &'a Module,
     hls: &'a HlsConfig,
-    /// `None` when the profiler cannot run the input: then nothing
+    /// The profiler's error when it cannot run the input: then nothing
     /// compiled from it has an answer to keep, and nothing scores.
-    profile: Option<HlsReport>,
+    profile: Result<HlsReport, HlsError>,
 }
 
 impl<'a> Input<'a> {
     /// Profile `program` under `hls`.
     pub fn new(program: &'a Module, hls: &'a HlsConfig) -> Input<'a> {
         Input {
-            profile: profile_module(program, hls).ok(),
+            profile: profile_module(program, hls),
             program,
             hls,
         }
     }
 
+    /// The input's own profile, or why the profiler could not run it.
+    pub fn report(&self) -> Result<&HlsReport, &HlsError> {
+        self.profile.as_ref()
+    }
+
     /// The cycles of the unoptimized (`-O0`) program: the input scores
     /// itself.
     pub fn o0_cycles(&self) -> u64 {
-        score(self.profile.as_ref(), self.profile.as_ref())
+        let input = self.profile.as_ref().ok();
+        score(input, input)
     }
 
     /// Profile `m`, compiled from this input, and [`score`] it: a module
@@ -78,7 +84,7 @@ impl<'a> Input<'a> {
     pub fn score(&self, m: &Module) -> u64 {
         score(
             profile_module(m, self.hls).ok().as_ref(),
-            self.profile.as_ref(),
+            self.profile.as_ref().ok(),
         )
     }
 

@@ -18,7 +18,6 @@ use crate::incremental::{
 };
 use crate::quarantine::Quarantine;
 use crate::step::Step;
-use autophase_features::FeatureSet;
 use autophase_hls::{profile::profile_module_cached, HlsConfig, HlsReport, ScheduleCache};
 use autophase_ir::Module;
 use autophase_passes::checked::FaultKind;
@@ -66,8 +65,6 @@ pub enum RewardKind {
     /// `sign(Δ)·ln(1+|Δ|)` — "the logarithm of the improvement in cycle
     /// count" used for cross-program training (§6.2).
     Log,
-    /// Always zero (the paper's RL-PPO1 control).
-    Zero,
 }
 
 /// Environment configuration.
@@ -81,17 +78,10 @@ pub struct EnvConfig {
     pub reward: RewardKind,
     /// Episode length (the paper sets the pass length to 45 in §6.1).
     pub episode_len: usize,
-    /// Restrict features to the §4-filtered subset.
-    pub filtered_features: bool,
-    /// Which feature vector the observation carries. `Table2` is the
-    /// paper's 56 counts; `Structural` appends the CFG/loop/dominator
-    /// shape block (`autophase_features::structural`) so the corpus bench
-    /// can ablate whether graph-shape features shrink the unseen-program
-    /// gap. The §4 filter applies only to the Table-2 prefix; the
-    /// structural block is never filtered.
-    pub feature_set: FeatureSet,
-    /// Restrict actions to the §4-filtered impactful passes.
-    pub filtered_passes: bool,
+    /// Apply the §4 random-forest filter: the impactful passes as the
+    /// action table and the important features as the feature block
+    /// (Figures 8 and 9's "filtered" against "original").
+    pub filtered: bool,
     /// Expose Table 1's `-terminate` pseudo-action (index 45): choosing it
     /// ends the episode immediately. Off by default (the §6.1 runs use
     /// fixed-length episodes).
@@ -113,9 +103,7 @@ impl Default for EnvConfig {
             feature_norm: FeatureNorm::Raw,
             reward: RewardKind::Raw,
             episode_len: 45,
-            filtered_features: false,
-            feature_set: FeatureSet::Table2,
-            filtered_passes: false,
+            filtered: false,
             include_terminate: false,
             hls: HlsConfig::default(),
             fuel: FuelBudget::default(),
@@ -382,12 +370,11 @@ impl PhaseOrderEnv {
     /// at all times, so serving it replaces a full module walk with a copy.
     fn observe(&self) -> Vec<f64> {
         self.step
-            .observe(&self.current, self.inc.features(), &self.action_histogram)
+            .observe(self.inc.features(), &self.action_histogram)
     }
 
     fn reward(&self, prev: u64, cur: u64) -> f64 {
         match self.cfg.reward {
-            RewardKind::Zero => 0.0,
             RewardKind::Raw => prev as f64 - cur as f64,
             RewardKind::Log => {
                 let d = prev as f64 - cur as f64;
@@ -469,10 +456,9 @@ impl Environment for PhaseOrderEnv {
             autophase_passes::fault::poll(pass_id)
         };
 
-        // A step the reward profiles can still be undone: its module may
+        // A step that runs its pass can still be undone: its module may
         // turn out to compute another result than the program.
-        let profiled = !quarantined && self.cfg.reward != RewardKind::Zero;
-        let before = profiled.then(|| (self.current.clone(), self.inc.clone()));
+        let before = (!quarantined).then(|| (self.current.clone(), self.inc.clone()));
         let (mut changed, mut faulted) = if quarantined {
             // Masked: a known repeat offender on this program. Scored
             // like a faulted apply — no-op, zero reward — without even
@@ -494,18 +480,16 @@ impl Environment for PhaseOrderEnv {
 
         // A pass that reports "no change" cannot move the cycle count;
         // skip the (expensive) re-profiling, exactly like caching the
-        // simulator result. Zero-reward configurations (RL-PPO1, and
-        // one-shot inference) never need intermediate profiles at all —
-        // that is what makes Figure 9's "one sample per program" honest.
+        // simulator result. (A masked step never changes anything.)
         let mut cur = self.prev_cycles;
-        if changed && profiled {
+        if changed {
             cur = self.cycles();
             if cur == UNPROFILEABLE_CYCLES {
                 // The module no longer computes the program's answer: a
                 // fault like any other. Back to the pre-step state; a
                 // snapshot-memo hit on this transition lands here again,
                 // so every repeat counts.
-                (self.current, self.inc) = before.expect("a profiled step keeps its state");
+                (self.current, self.inc) = before.expect("a step that ran keeps its state");
                 (changed, faulted, cur) = (false, true, self.prev_cycles);
             }
         }
@@ -542,7 +526,7 @@ mod tests {
     use super::*;
     use crate::compile::sequence_cycles;
     use autophase_benchmarks::suite;
-    use autophase_features::{extract, NUM_STRUCTURAL_FEATURES};
+    use autophase_features::extract;
     use autophase_hls::profile::profile_module;
     use autophase_rl::env::Environment;
 
@@ -601,23 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_reward_env_never_profiles_mid_episode() {
-        let cfg = EnvConfig {
-            reward: RewardKind::Zero,
-            episode_len: 6,
-            ..EnvConfig::default()
-        };
-        let mut env = PhaseOrderEnv::single(small_program(), cfg);
-        env.reset();
-        let after_reset = env.samples();
-        for a in [38, 23, 31, 30, 7, 28] {
-            let r = env.step(a);
-            assert_eq!(r.reward, 0.0);
-        }
-        assert_eq!(env.samples(), after_reset, "inference must be profile-free");
-    }
-
-    #[test]
     fn episode_terminates_at_length() {
         let cfg = EnvConfig {
             episode_len: 3,
@@ -651,8 +618,7 @@ mod tests {
     fn combined_and_filtered_dimensions() {
         let cfg = EnvConfig {
             observation: ObservationKind::Combined,
-            filtered_features: true,
-            filtered_passes: true,
+            filtered: true,
             ..EnvConfig::default()
         };
         let mut env = PhaseOrderEnv::single(small_program(), cfg);
@@ -662,41 +628,6 @@ mod tests {
             o.len(),
             autophase_features::FILTERED_FEATURES.len() + FILTERED_PASSES.len()
         );
-    }
-
-    #[test]
-    fn structural_feature_set_widens_observation() {
-        let cfg = EnvConfig {
-            observation: ObservationKind::Combined,
-            feature_norm: FeatureNorm::InstCount,
-            filtered_features: true,
-            filtered_passes: true,
-            feature_set: FeatureSet::Structural,
-            ..EnvConfig::default()
-        };
-        let mut env = PhaseOrderEnv::single(small_program(), cfg.clone());
-        let expected = autophase_features::FILTERED_FEATURES.len()
-            + NUM_STRUCTURAL_FEATURES
-            + FILTERED_PASSES.len();
-        assert_eq!(env.observation_dim(), expected);
-        let o = env.reset();
-        assert_eq!(o.len(), expected);
-        // The Table-2 prefix must be unchanged relative to the plain set:
-        // the structural block strictly extends, never reshuffles.
-        let base_cfg = EnvConfig {
-            feature_set: FeatureSet::Table2,
-            ..cfg
-        };
-        let mut base = PhaseOrderEnv::single(small_program(), base_cfg);
-        let ob = base.reset();
-        let prefix = autophase_features::FILTERED_FEATURES.len();
-        assert_eq!(&o[..prefix], &ob[..prefix]);
-        // Observations stay consistent while stepping (the structural
-        // block is extracted from the materialized module each step).
-        let mem2reg = env.action_passes().iter().position(|&p| p == 38).unwrap();
-        let r = env.step(mem2reg);
-        assert_eq!(r.observation.len(), expected);
-        assert!(r.observation.iter().all(|x| x.is_finite()));
     }
 
     #[test]
@@ -885,14 +816,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_is_invisible_to_structural_combined_observations() {
-        // The structural block is read off the module itself and no cache
-        // stores it, so a cached env must keep `current` exact on hits.
+    fn shared_cache_is_invisible_to_combined_observations() {
+        // A shared cache changes only how often the profiler runs: a
+        // cached env observes, pays and reads cycles like a private one.
         let programs: Vec<Module> = suite().into_iter().take(2).map(|b| b.module).collect();
         let actions = [38usize, 23, 33, 30, 44, 31, 25, 7];
         let cfg = EnvConfig {
             observation: ObservationKind::Combined,
-            feature_set: FeatureSet::Structural,
             episode_len: actions.len(),
             ..EnvConfig::default()
         };

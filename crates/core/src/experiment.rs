@@ -131,8 +131,7 @@ fn fig8_configs() -> Vec<(&'static str, EnvConfig)> {
             "filtered-norm1",
             EnvConfig {
                 feature_norm: FeatureNorm::Log,
-                filtered_features: true,
-                filtered_passes: true,
+                filtered: true,
                 ..base.clone()
             },
         ),
@@ -140,8 +139,7 @@ fn fig8_configs() -> Vec<(&'static str, EnvConfig)> {
             "filtered-norm2",
             EnvConfig {
                 feature_norm: FeatureNorm::InstCount,
-                filtered_features: true,
-                filtered_passes: true,
+                filtered: true,
                 ..base.clone()
             },
         ),
@@ -149,8 +147,7 @@ fn fig8_configs() -> Vec<(&'static str, EnvConfig)> {
             "original-norm2",
             EnvConfig {
                 feature_norm: FeatureNorm::InstCount,
-                filtered_features: false,
-                filtered_passes: false,
+                filtered: false,
                 ..base
             },
         ),
@@ -228,8 +225,7 @@ pub fn train_generalist(
         feature_norm: norm,
         reward: RewardKind::Log,
         episode_len: GENERALIZATION_EPISODE_LEN,
-        filtered_features: filtered,
-        filtered_passes: filtered,
+        filtered,
         ..EnvConfig::default()
     };
     let ppo = PpoConfig {

@@ -5,8 +5,8 @@
 //! policy trained on one does not transfer to the other (§6.2, Fig. 9):
 //!
 //! * the **action table** — which Table-1 pass an action index means;
-//! * the **observation recipe** — program features (normalised, filtered,
-//!   optionally extended by the structural block) ⊕ the action histogram;
+//! * the **observation recipe** — program features (normalised and
+//!   optionally filtered) ⊕ the action histogram;
 //! * the **transition** — look the pass up, apply it transactionally
 //!   under a fuel budget, hand back what changed.
 //!
@@ -19,10 +19,7 @@
 
 use crate::env::{EnvConfig, FeatureNorm, ObservationKind};
 use crate::incremental::resync_features;
-use autophase_features::{
-    extract_structural, FeatureSet, FeatureVector, IncrementalFeatures, FILTERED_FEATURES,
-    NUM_FEATURES, NUM_STRUCTURAL_FEATURES,
-};
+use autophase_features::{FeatureVector, IncrementalFeatures, FILTERED_FEATURES, NUM_FEATURES};
 use autophase_ir::Module;
 use autophase_passes::changeset::ChangeSet;
 use autophase_passes::checked::{apply_checked_traced, FaultKind, FuelBudget, PassFault};
@@ -60,37 +57,31 @@ pub const FILTERED_PASSES: [usize; 18] = [
 pub struct Step {
     /// Table-1 pass id of each action index.
     actions: Vec<usize>,
-    /// Table-2 feature index of each slot of the feature block's Table-2
-    /// part: all 56, or the §4 subset.
+    /// Table-2 feature index of each slot of the feature block: all 56,
+    /// or the §4 subset.
     columns: Vec<usize>,
     observation: ObservationKind,
     feature_norm: FeatureNorm,
-    feature_set: FeatureSet,
     episode_len: usize,
 }
 
 impl Step {
-    /// The step `cfg` describes.
+    /// The step `cfg` describes. The §4 filter selects the action table
+    /// and the feature columns together.
     pub fn new(cfg: &EnvConfig) -> Step {
-        let mut actions = if cfg.filtered_passes {
-            FILTERED_PASSES.to_vec()
+        let (mut actions, columns): (Vec<usize>, Vec<usize>) = if cfg.filtered {
+            (FILTERED_PASSES.to_vec(), FILTERED_FEATURES.to_vec())
         } else {
-            (0..NUM_PASSES).collect()
+            ((0..NUM_PASSES).collect(), (0..NUM_FEATURES).collect())
         };
         if cfg.include_terminate {
             actions.push(registry::TERMINATE);
         }
-        let columns = if cfg.filtered_features {
-            FILTERED_FEATURES.to_vec()
-        } else {
-            (0..NUM_FEATURES).collect()
-        };
         Step {
             actions,
             columns,
             observation: cfg.observation,
             feature_norm: cfg.feature_norm,
-            feature_set: cfg.feature_set,
             episode_len: cfg.episode_len,
         }
     }
@@ -112,12 +103,9 @@ impl Step {
     }
 
     /// Width of the feature block: the (possibly filtered) Table-2
-    /// prefix, plus the structural block when the set has one.
+    /// features.
     pub fn feature_dim(&self) -> usize {
-        match self.feature_set {
-            FeatureSet::Table2 => self.columns.len(),
-            FeatureSet::Structural => self.columns.len() + NUM_STRUCTURAL_FEATURES,
-        }
+        self.columns.len()
     }
 
     /// Width of an observation.
@@ -129,15 +117,13 @@ impl Step {
         }
     }
 
-    /// The observation of `m` after `histogram`, in one allocation.
+    /// The observation of a module whose features are `synced` after
+    /// `histogram`, in one allocation.
     ///
-    /// `synced` is `extract(m)`, which both drivers maintain
-    /// incrementally. The structural block is not maintained by anyone
-    /// and always walks `m`. Both blocks take the same normalisation,
-    /// technique ② dividing by the Table-2 instruction count (feature
-    /// 51); the §4 filter applies to the Table-2 block only — the
-    /// structural one is already importance-selected.
-    pub fn observe(&self, m: &Module, synced: FeatureVector, histogram: &[f64]) -> Vec<f64> {
+    /// `synced` is `extract` of the module, which both drivers maintain
+    /// incrementally. Technique ② divides by the instruction count
+    /// (feature 51) before the §4 filter drops columns.
+    pub fn observe(&self, synced: FeatureVector, histogram: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.obs_dim());
         if self.observation != ObservationKind::ActionHistory {
             let total = synced[51].max(1) as f64;
@@ -147,9 +133,6 @@ impl Step {
                 FeatureNorm::InstCount => x as f64 / total,
             };
             out.extend(self.columns.iter().map(|&i| norm(synced[i])));
-            if self.feature_set == FeatureSet::Structural {
-                out.extend(extract_structural(m).iter().map(|&x| norm(x)));
-            }
         }
         if self.observation != ObservationKind::ProgramFeatures {
             out.extend_from_slice(histogram);
@@ -203,8 +186,7 @@ impl<'a> Walk<'a> {
 
     /// The observation of the current state.
     pub fn observe(&self) -> Vec<f64> {
-        self.step
-            .observe(self.module, self.feats.total(), &self.histogram)
+        self.step.observe(self.feats.total(), &self.histogram)
     }
 
     /// Take `action`: whether its pass changed the module. A faulted

@@ -111,8 +111,7 @@ fn configurations() -> Vec<(&'static str, EnvConfig)> {
                 feature_norm: FeatureNorm::InstCount,
                 reward: RewardKind::Log,
                 episode_len: 12,
-                filtered_features: true,
-                filtered_passes: true,
+                filtered: true,
                 ..EnvConfig::default()
             },
         ),

@@ -196,8 +196,7 @@ fn inference_configs() -> Vec<(&'static str, EnvConfig)> {
         feature_norm: norm,
         reward: RewardKind::Log,
         episode_len: GENERALIZATION_EPISODE_LEN,
-        filtered_features: filtered,
-        filtered_passes: filtered,
+        filtered,
         ..EnvConfig::default()
     };
     vec![

@@ -44,6 +44,4 @@ pub use incremental::IncrementalFeatures;
 pub use normalize::{
     filter_features, inst_count_filtered, log_normalize, normalize_to_inst_count, FILTERED_FEATURES,
 };
-pub use structural::{
-    extract_set, extract_structural, structural_feature_names, FeatureSet, NUM_STRUCTURAL_FEATURES,
-};
+pub use structural::{extract_structural, structural_feature_names, NUM_STRUCTURAL_FEATURES};

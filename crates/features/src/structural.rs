@@ -23,12 +23,10 @@
 //!   factor) — how deep and how wide control dependence runs.
 //!
 //! Aggregation over functions is documented per feature: counts sum,
-//! maxima take the module-wide max. [`FeatureSet`] selects between the
-//! plain Table-2 vector and Table 2 + this extension; the RL environment
-//! widens its observation accordingly (observation width is config-driven,
-//! not hard-coded to 56).
+//! maxima take the module-wide max. The block is an extractor, not an
+//! observation: the RL environment observes Table 2 only (EXPERIMENTS.md
+//! records the ablation that found no gain from appending it).
 
-use crate::extract::{extract, FeatureVector, NUM_FEATURES};
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
 use autophase_ir::loops::find_loops;
@@ -156,64 +154,6 @@ pub fn extract_structural(m: &Module) -> [i64; NUM_STRUCTURAL_FEATURES] {
     f
 }
 
-/// Which feature vector the observation carries.
-///
-/// `Table2` is the paper's exact 56-feature vector; `Structural` appends
-/// the [`NUM_STRUCTURAL_FEATURES`] graph-shape features of this module.
-/// The corpus benchmark ablates the two to measure whether structural
-/// features shrink the unseen-program generalization gap (DAPO-style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FeatureSet {
-    /// The 56 Table-2 counts only.
-    #[default]
-    Table2,
-    /// Table 2 plus the structural extension block.
-    Structural,
-}
-
-impl FeatureSet {
-    /// Total feature count of the set.
-    pub fn len(self) -> usize {
-        match self {
-            FeatureSet::Table2 => NUM_FEATURES,
-            FeatureSet::Structural => NUM_FEATURES + NUM_STRUCTURAL_FEATURES,
-        }
-    }
-
-    /// Never empty (mirrors the `len`/`is_empty` convention).
-    pub fn is_empty(self) -> bool {
-        false
-    }
-
-    /// Parse a command-line name (`table2` | `structural`).
-    pub fn parse(s: &str) -> Option<FeatureSet> {
-        match s {
-            "table2" => Some(FeatureSet::Table2),
-            "structural" => Some(FeatureSet::Structural),
-            _ => None,
-        }
-    }
-
-    /// The command-line name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FeatureSet::Table2 => "table2",
-            FeatureSet::Structural => "structural",
-        }
-    }
-}
-
-/// Extract the full vector of a feature set from a module: the Table-2
-/// block, optionally followed by the structural block.
-pub fn extract_set(m: &Module, set: FeatureSet) -> Vec<i64> {
-    let base: FeatureVector = extract(m);
-    let mut out = base.to_vec();
-    if set == FeatureSet::Structural {
-        out.extend_from_slice(&extract_structural(m));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,18 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_set_widths_and_prefix() {
-        let m = loop_module(2);
-        let t2 = extract_set(&m, FeatureSet::Table2);
-        let st = extract_set(&m, FeatureSet::Structural);
-        assert_eq!(t2.len(), FeatureSet::Table2.len());
-        assert_eq!(st.len(), FeatureSet::Structural.len());
-        assert_eq!(st.len(), NUM_FEATURES + NUM_STRUCTURAL_FEATURES);
-        assert_eq!(&st[..NUM_FEATURES], &t2[..], "structural extends Table 2");
-        assert_eq!(&st[NUM_FEATURES..], &extract_structural(&m)[..]);
-    }
-
-    #[test]
     fn names_cover_and_aggregation_table_is_consistent() {
         let names = structural_feature_names();
         assert_eq!(names.len(), NUM_STRUCTURAL_FEATURES);
@@ -327,15 +255,6 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), NUM_STRUCTURAL_FEATURES);
         assert_eq!(STRUCTURAL_SUMMED.len(), NUM_STRUCTURAL_FEATURES);
-    }
-
-    #[test]
-    fn feature_set_parse_round_trips() {
-        for set in [FeatureSet::Table2, FeatureSet::Structural] {
-            assert_eq!(FeatureSet::parse(set.name()), Some(set));
-        }
-        assert_eq!(FeatureSet::parse("bogus"), None);
-        assert_eq!(FeatureSet::default(), FeatureSet::Table2);
     }
 
     #[test]

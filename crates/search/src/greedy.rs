@@ -12,17 +12,13 @@ pub fn search(
     num_actions: usize,
     max_len: usize,
     budget: u64,
-    candidate_passes: Option<&[usize]>,
 ) -> SearchResult {
-    let default_candidates: Vec<usize> = (0..num_actions).collect();
-    let candidates = candidate_passes.unwrap_or(&default_candidates);
-
     let mut seq: Vec<usize> = Vec::new();
     let mut best_cost = obj.cost(&seq);
 
     while seq.len() < max_len && obj.samples() < budget {
         let mut best_insert: Option<(usize, usize, f64)> = None; // (pass, pos, cost)
-        'outer: for &pass in candidates {
+        'outer: for pass in 0..num_actions {
             for pos in 0..=seq.len() {
                 if obj.samples() >= budget {
                     break 'outer;
@@ -71,7 +67,7 @@ mod tests {
     #[test]
     fn finds_ordered_pair() {
         let mut obj = Objective::new(ordered);
-        let r = search(&mut obj, 4, 6, 10_000, None);
+        let r = search(&mut obj, 4, 6, 10_000);
         assert!(r.best_cost <= 5.0, "cost {}", r.best_cost);
         let pos1 = r.best_sequence.iter().position(|&p| p == 1).unwrap();
         let pos2 = r.best_sequence.iter().position(|&p| p == 2).unwrap();
@@ -82,7 +78,7 @@ mod tests {
     fn stops_when_no_improvement() {
         // A constant objective, so greedy should quit after one round.
         let mut obj = Objective::new(|_s: &[usize]| 1.0);
-        let r = search(&mut obj, 5, 10, 10_000, None);
+        let r = search(&mut obj, 5, 10, 10_000);
         assert!(r.best_sequence.is_empty());
         // 1 (empty) + 5 passes × 1 position.
         assert_eq!(r.samples, 6);
@@ -91,14 +87,7 @@ mod tests {
     #[test]
     fn respects_budget() {
         let mut obj = Objective::new(|s: &[usize]| -(s.len() as f64));
-        let r = search(&mut obj, 10, 50, 100, None);
+        let r = search(&mut obj, 10, 50, 100);
         assert!(r.samples <= 100 + 10);
-    }
-
-    #[test]
-    fn candidate_restriction_honored() {
-        let mut obj = Objective::new(ordered);
-        let r = search(&mut obj, 4, 6, 10_000, Some(&[0, 3]));
-        assert!(r.best_sequence.iter().all(|&p| p == 0 || p == 3));
     }
 }

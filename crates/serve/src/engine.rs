@@ -65,8 +65,7 @@ pub fn serve_env_config() -> EnvConfig {
         feature_norm: FeatureNorm::InstCount,
         reward: RewardKind::Log,
         episode_len: SERVE_EPISODE_LEN,
-        filtered_features: true,
-        filtered_passes: true,
+        filtered: true,
         ..EnvConfig::default()
     }
 }

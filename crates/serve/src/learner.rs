@@ -372,8 +372,9 @@ impl Replay {
 
     /// Σ ln cycles of `policy`'s greedy answers over the set: the engine's
     /// one rollout under a fresh quarantine, each answer scored against
-    /// its program by the one rule (`autophase_core::compile::score`): a
-    /// wrong or unprofileable answer costs what it costs the env.
+    /// its program by the one rule
+    /// (`autophase_core::compile::Input::score`): a wrong or unprofileable
+    /// answer costs what it costs the env.
     fn cost(&self, engine: &InferenceEngine, policy: &PolicyEntry) -> Result<f64, PolicyFault> {
         let quarantine = Quarantine::default();
         self.programs

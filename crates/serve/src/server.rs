@@ -31,7 +31,8 @@
 //!    and still answer inside the deadline.
 //!
 //! Every cold answer is scored by the one rule
-//! (`autophase_core::compile::score`) against the input's own profile.
+//! (`autophase_core::compile::Input::score`) against the input's own
+//! profile, taken once per request.
 //! An answer that does not return the input's result is never sent back,
 //! stored, kept as IR or learned from: a policy answer drops to -O3, and
 //! a wrong -O3 to the input itself with no passes (`source=baseline`
@@ -66,10 +67,9 @@ use crate::front::FrontMemo;
 use crate::learner::{LearnerConfig, Online};
 use crate::protocol::{self, refuse, ErrKind, Incoming, Reply, Request, RequestBuffers, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
-use autophase_core::compile::{score, Input, UNPROFILEABLE_CYCLES};
+use autophase_core::compile::{Input, UNPROFILEABLE_CYCLES};
 use autophase_core::eval_cache::fingerprint_module;
 use autophase_core::Quarantine;
-use autophase_hls::profile::profile_module;
 use autophase_hls::HlsConfig;
 use autophase_ir::parser::parse_module;
 use autophase_ir::printer::print_module;
@@ -910,11 +910,14 @@ fn compile(
     };
 
     // Cold: profile the input once (the baseline number, the store
-    // record and the semantic check need it), then walk policy → baseline.
-    let profiled = profile_module(&module, &shared.hls);
+    // record, the semantic check and every `-O3` reference need it), then
+    // walk policy → baseline.
+    let input = Input::new(&module, &shared.hls);
     trace.mark("baseline_profile");
-    let baseline =
-        profiled.map_err(|e| refuse(ErrKind::Parse, None, format!("unprofileable input: {e}")))?;
+    let baseline_cycles = input
+        .report()
+        .map_err(|e| refuse(ErrKind::Parse, None, format!("unprofileable input: {e}")))?
+        .cycles;
 
     let mut optimized = module.clone();
     let (mut source, mut passes, mut episode) = match shared.engine.choose_sequence_report(
@@ -950,22 +953,21 @@ fn compile(
     };
     trace.mark("rollout");
 
-    let profiled = profile_module(&optimized, &shared.hls);
+    let mut cycles = input.score(&optimized);
     trace.mark("profile");
 
     // The mismatch rung: an answer that does not return the input's
     // result (another one, or none within the profiler's fuel) is never
     // sent back, stored, kept as IR or learned from. A policy answer
     // drops to -O3, and a wrong -O3 to the input itself.
-    let mut cycles = score(profiled.ok().as_ref(), Some(&baseline));
     if cycles == UNPROFILEABLE_CYCLES {
         telemetry::incr("serve.semcheck", "mismatch", 1);
         trace.fault("semcheck");
         let o3 = (source == Source::Policy)
-            .then(|| Input::new(&module, &shared.hls).compile(O3_SEQUENCE, &shared.cfg.fuel))
+            .then(|| input.compile(O3_SEQUENCE, &shared.cfg.fuel))
             .filter(|(_, _, o3)| *o3 != UNPROFILEABLE_CYCLES);
         (optimized, passes, cycles) =
-            o3.unwrap_or_else(|| (module.clone(), Vec::new(), baseline.cycles));
+            o3.unwrap_or_else(|| (module.clone(), Vec::new(), baseline_cycles));
         (source, episode) = (Source::Baseline, None);
         trace.mark("semcheck");
     }
@@ -977,7 +979,7 @@ fn compile(
     // instead of a from-scratch recompute.
     let entry = BestEntry {
         cycles,
-        baseline_cycles: baseline.cycles,
+        baseline_cycles,
         seq: passes.iter().map(|&p| p as u16).collect(),
     };
     let inserted = record_best(shared, fp, entry.clone());
@@ -996,12 +998,11 @@ fn compile(
         let exp = Experience {
             steps,
             cycles,
-            baseline_cycles: baseline.cycles,
+            baseline_cycles,
         };
         shared
             .online
             .record(version, fp, &module, exp, inserted, || {
-                let input = Input::new(&module, &shared.hls);
                 let (_, _, o3) = input.compile(O3_SEQUENCE, &shared.cfg.fuel);
                 (o3 != UNPROFILEABLE_CYCLES).then_some(o3)
             });
@@ -1011,7 +1012,7 @@ fn compile(
     Ok(Answer::Reply(Reply::Compiled {
         source,
         cycles,
-        baseline_cycles: baseline.cycles,
+        baseline_cycles,
         passes,
         ir: want_ir.then(|| ir_out.unwrap_or_else(|| print_module(&optimized))),
     }))

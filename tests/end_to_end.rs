@@ -96,8 +96,13 @@ fn greedy_matches_exhaustive_on_restricted_space() {
         }
     }
 
-    let mut obj = Objective::new(|seq: &[usize]| sequence_cycles(&program, seq, &hls) as f64);
-    let r = greedy::search(&mut obj, 45, 2, 10_000, Some(&candidates));
+    // Greedy searches the candidates through its objective: action `i`
+    // is pass `candidates[i]`.
+    let mut obj = Objective::new(|seq: &[usize]| {
+        let passes: Vec<usize> = seq.iter().map(|&i| candidates[i]).collect();
+        sequence_cycles(&program, &passes, &hls) as f64
+    });
+    let r = greedy::search(&mut obj, candidates.len(), 2, 10_000);
     assert!(
         (r.best_cost as u64) <= best,
         "greedy ({}) worse than exhaustive ({best})",

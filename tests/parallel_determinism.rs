@@ -32,8 +32,7 @@ fn env_config() -> EnvConfig {
         feature_norm: FeatureNorm::InstCount,
         reward: RewardKind::Log,
         episode_len: EPISODE_LEN,
-        filtered_features: true,
-        filtered_passes: true,
+        filtered: true,
         ..EnvConfig::default()
     }
 }
