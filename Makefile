@@ -31,12 +31,11 @@ fmt-fix:
 
 # The telemetry layer's own gates: instrument property/concurrency
 # tests and the bounded memo map's suite (the crate is the map's home),
-# span-nesting across the worker pool, the observational-only
-# determinism suite, and the release-mode overhead guard (enabled
+# the observational-only determinism suite (which also checks what the
+# rollout engine records), and the release-mode overhead guard (enabled
 # apply_sequence must stay within a generous bound of disabled).
 telemetry:
 	$(CARGO) test -q -p autophase-telemetry
-	$(CARGO) test -q -p autophase-rl --test telemetry_spans
 	$(CARGO) test -q --test telemetry_determinism
 	$(CARGO) test -q --release -p autophase-passes --test telemetry_overhead
 

@@ -18,8 +18,8 @@
 //! approaches the paper's sample counts and takes correspondingly long.
 //!
 //! Every binary also takes `--telemetry off|summary|jsonl` (default
-//! `off`). Either enabled mode records spans/counters/histograms across
-//! the whole stack and writes a machine-readable event log to
+//! `off`). Either enabled mode records counters/gauges/histograms across
+//! the whole stack and writes them, one JSON object per line, to
 //! `results/<bin>_telemetry.jsonl` at exit; `summary` additionally
 //! prints the human table. An unknown value for either flag exits 2.
 //!

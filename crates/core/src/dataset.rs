@@ -6,14 +6,19 @@
 //! generate feature–action–reward tuples." For each pass, two forests are
 //! trained to predict *whether applying it improves the circuit*: one from
 //! Table-2 program features, one from the applied-pass histogram.
+//!
+//! The exploring policy here is an untrained (freshly initialized) PPO
+//! policy network: with exploration at 0.75 most actions are uniform
+//! draws anyway, and the collector never updates the network.
 
 use crate::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::NUM_FEATURES;
 use autophase_forest::{Dataset, ForestConfig, RandomForest};
 use autophase_ir::Module;
+use autophase_nn::{Activation, BatchWorkspace, Mlp};
 use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::env::Environment;
-use autophase_rl::ppo::{PpoAgent, PpoConfig};
+use autophase_rl::rollout::sample_action;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,51 +35,42 @@ pub struct Tuple {
     pub reward: f64,
 }
 
-/// Collection settings.
-#[derive(Debug, Clone)]
-pub struct CollectConfig {
-    /// Episode length while collecting.
-    pub episode_len: usize,
-    /// Episodes per program.
-    pub episodes_per_program: usize,
-    /// Probability of acting uniformly at random instead of by policy
-    /// (the "high exploration parameter").
-    pub exploration: f64,
-    /// PPO settings for the exploring agent.
-    pub ppo: PpoConfig,
-}
+/// Episode length while collecting.
+const EPISODE_LEN: usize = 16;
+/// Episodes per program.
+const EPISODES_PER_PROGRAM: usize = 4;
+/// Probability of acting uniformly at random instead of by policy (the
+/// "high exploration parameter").
+const EXPLORATION: f64 = 0.75;
+/// Width of the exploring policy's two tanh hidden layers.
+const HIDDEN: usize = 32;
 
-impl Default for CollectConfig {
-    fn default() -> CollectConfig {
-        CollectConfig {
-            episode_len: 16,
-            episodes_per_program: 4,
-            exploration: 0.75,
-            ppo: PpoConfig::small(),
-        }
-    }
-}
-
-/// Run a high-exploration PPO over `programs`, recording a tuple per step.
-pub fn collect_tuples(programs: &[Module], cfg: &CollectConfig, seed: u64) -> Vec<Tuple> {
+/// Run a high-exploration policy over `programs`, recording a tuple per
+/// step. The policy network is seeded `seed` and samples from a stream
+/// seeded `seed ^ 0x5EED` — the streams a fresh `PpoAgent` seeded `seed`
+/// would draw from.
+pub fn collect_tuples(programs: &[Module], seed: u64) -> Vec<Tuple> {
     let env_cfg = EnvConfig {
-        episode_len: cfg.episode_len,
+        episode_len: EPISODE_LEN,
         ..EnvConfig::default()
     };
     let mut env = PhaseOrderEnv::new(programs.to_vec(), env_cfg);
-    let mut agent = PpoAgent::new(env.observation_dim(), env.num_actions(), &cfg.ppo, seed);
+    let sizes = [env.observation_dim(), HIDDEN, HIDDEN, env.num_actions()];
+    let policy = Mlp::new(&sizes, Activation::Tanh, seed);
+    let mut ws = BatchWorkspace::new();
+    let mut policy_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
     let mut tuples = Vec::new();
 
-    let episodes = programs.len() * cfg.episodes_per_program;
+    let episodes = programs.len() * EPISODES_PER_PROGRAM;
     for _ in 0..episodes {
         let mut obs = env.reset();
         let mut histogram = vec![0.0; env.num_actions()];
-        for _ in 0..cfg.episode_len {
-            let action = if rng.gen_bool(cfg.exploration) {
+        for _ in 0..EPISODE_LEN {
+            let action = if rng.gen_bool(EXPLORATION) {
                 rng.gen_range(0..env.num_actions())
             } else {
-                agent.act_sample(&obs)
+                sample_action(policy.forward_one(&obs, &mut ws), &mut policy_rng).0
             };
             let step = env.step(action);
             tuples.push(Tuple {
@@ -184,13 +180,8 @@ mod tests {
     use autophase_progen::{program_batch, GenConfig};
 
     fn small_collect() -> Vec<Tuple> {
-        let programs = program_batch(&GenConfig::default(), 500, 4);
-        let cfg = CollectConfig {
-            episode_len: 12,
-            episodes_per_program: 10,
-            ..CollectConfig::default()
-        };
-        collect_tuples(&programs, &cfg, 1)
+        let programs = program_batch(&GenConfig::default(), 500, 10);
+        collect_tuples(&programs, 1)
     }
 
     #[test]

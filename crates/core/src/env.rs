@@ -358,11 +358,11 @@ impl PhaseOrderEnv {
     }
 
     /// The per-function incremental state (fingerprints + feature
-    /// decomposition) — always `Some`. Exposed so invariant suites (chaos,
-    /// differential) can assert it stays in lock-step with the module
-    /// through faults and rollbacks.
-    pub fn incremental_state(&self) -> Option<&IncrementalEval> {
-        Some(&self.inc)
+    /// decomposition). Exposed so invariant suites (chaos, differential)
+    /// can assert it stays in lock-step with the module through faults
+    /// and rollbacks.
+    pub fn incremental_state(&self) -> &IncrementalEval {
+        &self.inc
     }
 
     /// The observation of the current state, by the shared recipe. The

@@ -5,7 +5,7 @@
 
 use crate::algorithms::{run_algorithm, search, AlgoResult, Algorithm, Budget};
 use crate::compile::Input;
-use crate::dataset::{analyze, collect_tuples, CollectConfig, ImportanceAnalysis};
+use crate::dataset::{analyze, collect_tuples, ImportanceAnalysis};
 use crate::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use crate::eval_cache::EvalCache;
 use crate::step::{Step, Walk};
@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// (Figures 5 and 6).
 pub fn fig5_fig6(n_programs: usize, seed: u64) -> ImportanceAnalysis {
     let programs = program_batch(&GenConfig::default(), seed, n_programs);
-    let tuples = collect_tuples(&programs, &CollectConfig::default(), seed);
+    let tuples = collect_tuples(&programs, seed);
     analyze(&tuples, &ForestConfig::default(), seed)
 }
 

@@ -116,7 +116,6 @@ pub fn collect(
     max_episode_len: usize,
     rng: &mut StdRng,
 ) -> Batch {
-    let _span = telemetry::span("rollout.batch");
     let mut actor = Actor::new(policy, value);
     let mut batch = Batch::default();
     while batch.transitions.len() < horizon {
@@ -162,7 +161,9 @@ impl<'a> Actor<'a> {
 
     /// Run one episode from `obs` — what the caller's `reset` / `reset_to`
     /// returned — sampling from `rng`: its transitions and total reward.
-    /// The one episode loop; collectors differ only in how they start it.
+    /// The one episode loop; collectors differ only in how they start it,
+    /// and the one place an episode's wall time (`rollout.episode_ns`)
+    /// is recorded.
     fn run_episode(
         &mut self,
         env: &mut dyn Environment,
@@ -170,7 +171,7 @@ impl<'a> Actor<'a> {
         rng: &mut StdRng,
         max_episode_len: usize,
     ) -> EpisodeResult {
-        let _span = telemetry::span("rollout.episode");
+        let start = telemetry::maybe_now();
         let mut transitions = Vec::new();
         let mut ep_return = 0.0;
         for t in 0..max_episode_len {
@@ -196,6 +197,7 @@ impl<'a> Actor<'a> {
         }
         telemetry::incr("rollout.steps", "", transitions.len() as u64);
         telemetry::incr("rollout.episodes", "", 1);
+        telemetry::observe_since("rollout.episode_ns", "", start);
         (transitions, ep_return)
     }
 }
@@ -213,7 +215,6 @@ pub fn collect_episodes(
     max_episode_len: usize,
     seed: u64,
 ) -> Batch {
-    let _span = telemetry::span("rollout.batch");
     let mut actor = Actor::new(policy, value);
     let mut batch = Batch::default();
     for episode in base_episode..base_episode + n_episodes as u64 {
@@ -232,15 +233,15 @@ const MAX_EPISODE_RETRIES: u32 = 2;
 
 /// The outcome of a supervised collection: the batch plus fault metadata.
 #[derive(Debug, Clone, Default)]
-pub struct SupervisedBatch {
+struct SupervisedBatch {
     /// Every completed episode's transitions/returns, merged in
     /// episode-index order. Failed episodes are absent.
-    pub batch: Batch,
+    batch: Batch,
     /// Absolute indices of episodes that panicked on every attempt and
     /// were skipped.
-    pub failed_episodes: Vec<u64>,
+    failed_episodes: Vec<u64>,
     /// Worker threads respawned after a panic.
-    pub worker_respawns: u64,
+    worker_respawns: u64,
 }
 
 /// Collect episodes `base_episode .. base_episode + n_episodes` on a
@@ -258,12 +259,12 @@ pub struct SupervisedBatch {
 /// training run, and episodes it didn't touch are unaffected.
 ///
 /// Telemetry (observational only — timings are recorded, never consulted):
-/// the parent thread opens a `rollout.batch` span and each worker a
-/// `rollout.worker` span, so episode spans nest as
-/// `rollout.worker/rollout.episode` on worker threads. Per-worker busy
-/// time lands in `rollout.worker_busy_ns{w<i>}` counters, utilization
-/// (busy / batch wall) in `rollout.worker_util{w<i>}` gauges, and each
-/// respawn increments the `worker_respawn_total` counter.
+/// the batch's wall time lands in the `rollout.batch_ns` histogram, each
+/// episode's in `rollout.episode_ns`, per-worker busy time in
+/// `rollout.worker_busy_ns{w<i>}` counters and utilization (busy / batch
+/// wall) in `rollout.worker_util{w<i>}` gauges. The batch's respawns
+/// are added to the `worker_respawn_total` counter and its skipped
+/// episodes to `rollout.failed_episodes`.
 fn collect_episodes_supervised(
     envs: &mut [Box<dyn Environment + Send>],
     policy: &Mlp,
@@ -274,7 +275,6 @@ fn collect_episodes_supervised(
     seed: u64,
 ) -> SupervisedBatch {
     assert!(!envs.is_empty(), "need at least one worker environment");
-    let _span = telemetry::span("rollout.batch");
     let batch_start = telemetry::maybe_now();
     let workers = envs.len();
 
@@ -300,7 +300,6 @@ fn collect_episodes_supervised(
         // is re-initialized on reuse or episode-scoped, so the stale state
         // is harmless.
         let worker = |w: usize| {
-            let _wspan = telemetry::span("rollout.worker");
             let wstart = telemetry::maybe_now();
             let mut actor = Actor::new(policy, value);
             loop {
@@ -341,7 +340,6 @@ fn collect_episodes_supervised(
                     continue;
                 }
                 respawns += 1;
-                telemetry::incr("worker_respawn_total", "", 1);
                 let dying = in_flight[w].swap(0, Ordering::SeqCst);
                 if dying != 0 {
                     let e = (dying - 1) as usize;
@@ -381,6 +379,9 @@ fn collect_episodes_supervised(
         worker_respawns: respawns,
         ..SupervisedBatch::default()
     };
+    telemetry::incr("worker_respawn_total", "", out.worker_respawns);
+    let skipped = out.failed_episodes.len() as u64;
+    telemetry::incr("rollout.failed_episodes", "", skipped);
     for (e, slot) in results.iter().enumerate() {
         if out.failed_episodes.contains(&(base_episode + e as u64)) {
             continue;
@@ -675,7 +676,10 @@ mod tests {
 
     #[test]
     fn supervisor_skips_episodes_that_exhaust_retries() {
+        let _g = telemetry::test_guard();
         quiet_flaky_panics();
+        telemetry::enable();
+        telemetry::reset();
         let policy = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
         let value = Mlp::new(&[3, 8, 1], Activation::Tanh, 2);
         let mut env = ChainEnv::new(vec![0, 1], 2);
@@ -683,7 +687,10 @@ mod tests {
         // Episode 3 panics on every attempt (budget far above retry cap).
         let (mut envs, _) = FlakyEnv::pool(2, &[(3, u32::MAX)]);
         let sup = collect_episodes_supervised(&mut envs, &policy, &value, 6, 0, 50, 13);
+        let skipped = telemetry::counter("rollout.failed_episodes", "").value();
+        telemetry::disable();
         assert_eq!(sup.failed_episodes, vec![3]);
+        assert_eq!(skipped, 1, "each skipped episode is counted once");
         assert_eq!(sup.worker_respawns, 3); // initial attempt + 2 retries
                                             // The other five episodes match the reference exactly.
         assert_eq!(sup.batch.episode_returns.len(), 5);

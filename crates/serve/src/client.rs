@@ -524,11 +524,7 @@ impl RetryingClient {
             return Duration::ZERO;
         }
         // SplitMix64 jitter stream: uniform in [nanos/2, nanos].
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = autophase_telemetry::splitmix64(&mut self.rng);
         let span = nanos / 2;
         Duration::from_nanos(nanos - span + (z % (span + 1)))
     }

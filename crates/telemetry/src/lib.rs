@@ -1,4 +1,4 @@
-//! Workspace-wide telemetry: spans, counters, gauges, and histograms.
+//! Workspace-wide telemetry: counters, gauges, and histograms.
 //!
 //! Every layer of the reproduction — pass application, HLS profiling, the
 //! evaluation cache, RL training — reports into one global, thread-safe
@@ -13,9 +13,8 @@
 //!    atomic load ([`enabled`]) and an untaken branch. No clocks are read,
 //!    no locks taken, no allocation happens.
 //! 3. **Lock-free when enabled (hot instruments).** Counters, gauges, and
-//!    histogram recording are a handful of relaxed atomic RMWs. Only span
-//!    *events* (episode granularity and coarser) and first-time instrument
-//!    registration take a lock.
+//!    histogram recording are a handful of relaxed atomic RMWs. Only
+//!    first-time instrument registration takes a write lock.
 //! 4. **Self-contained.** The workspace builds offline against vendored
 //!    crates only, so this crate uses nothing beyond `std` atomics and
 //!    `std::time`.
@@ -49,11 +48,6 @@
 //! // Hot paths: fetch the instrument once, then it is a few atomics.
 //! let hits = telemetry::counter("demo.hits", "");
 //! hits.add(1);
-//! // Spans nest via a RAII guard and a thread-local stack.
-//! {
-//!     let _outer = telemetry::span("demo.batch");
-//!     let _inner = telemetry::span("demo.episode"); // path demo.batch/demo.episode
-//! }
 //! println!("{}", telemetry::render_summary());
 //! telemetry::reset();
 //! telemetry::disable();
@@ -65,7 +59,6 @@ pub mod faultfs;
 pub mod flight;
 pub mod metrics;
 pub mod sink;
-pub mod span;
 
 pub use bounded::{BoundedMap, CacheStats, MapCounters};
 pub use flight::{
@@ -76,7 +69,6 @@ pub use metrics::{
     Snapshot,
 };
 pub use sink::{render_jsonl, render_metrics_jsonl_from, render_summary, write_artifact};
-pub use span::{span, span_events, SpanEvent, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
@@ -196,9 +188,8 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn recording on (also pins the span-event epoch on first call).
+/// Turn recording on.
 pub fn enable() {
-    span::init_epoch();
     ENABLED.store(true, Ordering::Relaxed);
 }
 
@@ -280,12 +271,11 @@ pub fn observe_since(name: &'static str, label: &str, start: Option<Instant>) {
     }
 }
 
-/// Zero every instrument and drop all recorded span events. Registered
-/// instruments (and handles call sites cached) stay valid — their values
-/// restart from zero. Meant for test isolation and run boundaries.
+/// Zero every instrument. Registered instruments (and handles call
+/// sites cached) stay valid — their values restart from zero. Meant for
+/// test isolation and run boundaries.
 pub fn reset() {
     registry().reset();
-    span::clear_events();
 }
 
 /// Snapshot every instrument's current value, sorted by `(name, label)`.

@@ -1,13 +1,12 @@
-//! Text sinks: JSONL event log, human summary.
+//! Text sinks: JSONL instrument dump, human summary.
 //!
-//! Sinks are pure renderers over a registry [`crate::Snapshot`] plus the
-//! span-event log — they read instruments, never mutate them, and can be
-//! called any number of times. The JSON is emitted by hand (this crate is
-//! dependency-free); instrument names and labels are short identifier-like
-//! strings, but escaping is complete anyway.
+//! Sinks are pure renderers over a registry [`crate::Snapshot`] — they
+//! read instruments, never mutate them, and can be called any number of
+//! times. The JSON is emitted by hand (this crate is dependency-free);
+//! instrument names and labels are short identifier-like strings, but
+//! escaping is complete anyway.
 
 use crate::metrics::Snapshot;
-use crate::span;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -138,42 +137,15 @@ fn render_summary_from(snap: &Snapshot) -> String {
     out
 }
 
-/// Render the JSONL event log: one JSON object per line — every retained
-/// span event, then every counter, gauge, and histogram, then a trailer
-/// with the dropped-event count. Machine-readable without parsing stdout.
+/// Render the live registry as JSONL: [`render_metrics_jsonl_from`] over
+/// a fresh snapshot. Machine-readable without parsing stdout.
 pub fn render_jsonl() -> String {
-    render_jsonl_from(&crate::snapshot())
+    render_metrics_jsonl_from(&crate::snapshot())
 }
 
-/// JSONL from an explicit snapshot (span events still come from the
-/// global log).
-fn render_jsonl_from(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    for e in span::span_events() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"span\",\"path\":\"{}\",\"name\":\"{}\",\"depth\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-            json_escape(&e.path),
-            json_escape(e.name),
-            e.depth,
-            e.thread,
-            e.start_ns,
-            e.dur_ns
-        );
-    }
-    out.push_str(&render_metrics_jsonl_from(snap));
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"dropped_events\",\"count\":{}}}",
-        span::dropped_events()
-    );
-    out
-}
-
-/// JSONL of the registry instruments only — one `counter`/`gauge`/
-/// `histogram` object per line, no span events and no trailer. This is
-/// the wire body a live service answers stats queries with: pure
-/// snapshot, same line shapes as `render_jsonl_from`.
+/// JSONL of the registry instruments — one `counter`/`gauge`/`histogram`
+/// object per line. This is the wire body a live service answers stats
+/// queries with, and the figure binaries' `--telemetry jsonl` artifact.
 pub fn render_metrics_jsonl_from(snap: &Snapshot) -> String {
     let mut out = String::new();
     for c in &snap.counters {
@@ -307,18 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_parse_shapewise() {
-        let j = render_jsonl_from(&sample_snapshot());
-        for line in j.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"type\":\""), "{line}");
-        }
-        assert!(j.contains("\"type\":\"histogram\""));
-        assert!(j.contains("\"buckets\":[[1000,1],[2000,1]]"), "{j}");
-        assert!(j.contains("\"type\":\"dropped_events\""));
-    }
-
-    #[test]
     fn json_escaping_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
@@ -327,9 +287,17 @@ mod tests {
     #[test]
     fn metrics_jsonl_has_no_spans_or_trailer() {
         let j = render_metrics_jsonl_from(&sample_snapshot());
-        assert!(!j.contains("\"type\":\"span\""));
-        assert!(!j.contains("\"type\":\"dropped_events\""));
-        assert!(j.contains("\"type\":\"counter\""));
+        for line in j.lines() {
+            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+            assert!(
+                ["counter", "gauge", "histogram"]
+                    .iter()
+                    .any(|t| line.starts_with(&format!("{{\"type\":\"{t}\""))),
+                "{line}"
+            );
+        }
+        assert_eq!(j.lines().count(), 3, "one line per instrument: {j}");
+        assert!(j.contains("\"buckets\":[[1000,1],[2000,1]]"), "{j}");
         assert!(j.contains("\"p95\":"), "{j}");
     }
 }

@@ -227,9 +227,7 @@ fn rollback_restores_incremental_state_and_caches() {
     // incremental state must describe exactly the module the env holds.
     let assert_in_sync = |env: &mut PhaseOrderEnv, what: &str| {
         let m = env.module().clone();
-        let inc = env
-            .incremental_state()
-            .expect("incremental evaluation is on by default");
+        let inc = env.incremental_state();
         assert_eq!(inc.features(), extract(&m), "{what}: feature decomposition");
         assert_eq!(
             inc.module_fp(),
@@ -434,7 +432,7 @@ fn a_wrong_result_step_is_rolled_back_unpaid_and_counted() {
     assert_eq!(plan.fired(), 1, "the planned wrong result was injected");
     assert_eq!(r.reward, 0.0, "a wrong result is paid nothing");
     assert_eq!(print_module(env.module()), before, "the step rolled back");
-    let inc = env.incremental_state().expect("always kept");
+    let inc = env.incremental_state();
     assert_eq!(inc.module_fp(), fingerprint_module(env.module()));
     assert_eq!(inc.features(), extract(env.module()));
     assert_eq!(env.cycles(), o0_cycles(&program, &HlsConfig::default()));

@@ -7,7 +7,9 @@
 //! cache, the rollout engine), so this suite proves the instrumentation
 //! never feeds back into behaviour: batches collected with telemetry
 //! enabled are bit-identical to batches collected with it disabled, and
-//! the serial == parallel property holds in both states.
+//! the serial == parallel property holds in both states. It also pins
+//! what the rollout engine records: nothing under `rollout.*` when
+//! disabled, and one `rollout.episode_ns` sample per episode when enabled.
 //!
 //! The whole suite is one `#[test]`: the telemetry enable flag is global
 //! to the process, so the on/off phases must run in a fixed order.
@@ -84,6 +86,20 @@ fn collect_parallel(agent: &PpoAgent, programs: &[autophase::ir::Module], worker
     )
 }
 
+/// The serial collector for `workers == 0`, else the pool at `workers`.
+fn collect(
+    agent: &PpoAgent,
+    programs: &[autophase::ir::Module],
+    workers: usize,
+) -> (Batch, String) {
+    if workers == 0 {
+        (collect_serial(agent, programs), "serial".to_string())
+    } else {
+        let what = format!("parallel x{workers}");
+        (collect_parallel(agent, programs, workers), what)
+    }
+}
+
 #[test]
 fn batches_are_bit_identical_with_telemetry_on_and_off() {
     let programs = program_batch(&GenConfig::default(), 55, 2);
@@ -100,16 +116,28 @@ fn batches_are_bit_identical_with_telemetry_on_and_off() {
     let reference = collect_serial(&agent, &programs);
 
     // Telemetry on: serial and parallel (several worker counts) all match
-    // the disabled-path reference bit for bit.
+    // the disabled-path reference bit for bit, and each collection times
+    // every episode it ran, exactly once.
     telemetry::enable();
-    let serial_on = collect_serial(&agent, &programs);
-    assert_batches_identical(&reference, &serial_on, "serial, telemetry on vs off");
-    for workers in [1usize, 2, 3] {
-        let parallel_on = collect_parallel(&agent, &programs, workers);
-        assert_batches_identical(
-            &reference,
-            &parallel_on,
-            &format!("parallel x{workers}, telemetry on"),
+    for workers in [0usize, 1, 2, 3] {
+        telemetry::reset();
+        let (batch, what) = collect(&agent, &programs, workers);
+        assert_batches_identical(&reference, &batch, &format!("{what}, telemetry on"));
+        let snap = telemetry::snapshot();
+        let episodes = snap
+            .counters
+            .iter()
+            .find(|c| c.name == "rollout.episodes")
+            .map_or(0, |c| c.value);
+        let timed = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "rollout.episode_ns")
+            .map_or(0, |h| h.count);
+        assert_eq!(episodes, N_EPISODES as u64, "{what}: rollout.episodes");
+        assert_eq!(
+            timed, episodes,
+            "{what}: one rollout.episode_ns per episode"
         );
     }
     // And the instrumentation did actually record something meanwhile —
@@ -128,19 +156,36 @@ fn batches_are_bit_identical_with_telemetry_on_and_off() {
         "expected per-pass timing to have recorded"
     );
 
-    // Back off: still identical (toggling leaves no residue).
+    // Back off: still identical (toggling leaves no residue), and the
+    // rollout engine records nothing at all.
     telemetry::disable();
     telemetry::reset();
-    for workers in [1usize, 3] {
-        let parallel_off = collect_parallel(&agent, &programs, workers);
-        assert_batches_identical(
-            &reference,
-            &parallel_off,
-            &format!("parallel x{workers}, telemetry off"),
-        );
+    for workers in [0usize, 1, 2, 3] {
+        let (batch, what) = collect(&agent, &programs, workers);
+        assert_batches_identical(&reference, &batch, &format!("{what}, telemetry off"));
     }
+    let snap = telemetry::snapshot();
+    let rollout = |name: &str| name.starts_with("rollout.");
+    let recorded: Vec<String> = snap
+        .counters
+        .iter()
+        .filter(|c| rollout(c.name) && c.value != 0)
+        .map(|c| c.name.to_string())
+        .chain(
+            snap.histograms
+                .iter()
+                .filter(|h| rollout(h.name) && h.count != 0)
+                .map(|h| h.name.to_string()),
+        )
+        .chain(
+            snap.gauges
+                .iter()
+                .filter(|g| rollout(g.name) && g.value != 0.0)
+                .map(|g| g.name.to_string()),
+        )
+        .collect();
     assert!(
-        telemetry::span_events().is_empty(),
-        "disabled runs must record no span events"
+        recorded.is_empty(),
+        "disabled runs must record nothing under rollout.*: {recorded:?}"
     );
 }
