@@ -9,7 +9,7 @@
 //! | RL-ES        | ES              | Program features                   | Single-action |
 //! | Greedy / OpenTuner / Genetic-DEAP / random — black-box searches.    |
 
-use crate::compile::Input;
+use crate::compile::{o3_cycles, Input};
 use crate::env::{EnvConfig, ObservationKind, PhaseOrderEnv, RewardKind};
 use crate::multi::{MultiActionAgent, MultiConfig};
 use autophase_hls::HlsConfig;
@@ -96,13 +96,13 @@ pub struct Budget {
     pub episode_len: usize,
     /// ES generations.
     pub es_generations: usize,
-    /// Greedy sample cap.
+    /// Greedy's cap on objective evaluations.
     pub greedy_budget: u64,
-    /// OpenTuner sample budget.
+    /// OpenTuner's cap on objective evaluations.
     pub opentuner_budget: u64,
-    /// GA sample budget.
+    /// GA's cap on objective evaluations.
     pub genetic_budget: u64,
-    /// Random-search sample budget.
+    /// Random search's cap on objective evaluations.
     pub random_budget: u64,
     /// RL-PPO3 training iterations.
     pub multi_iterations: usize,
@@ -151,7 +151,7 @@ pub struct AlgoResult {
     /// Fractional improvement over `-O3` (`(o3 − c)/o3`; positive = faster
     /// circuit than `-O3`).
     pub improvement_over_o3: f64,
-    /// Objective evaluations / simulator calls used.
+    /// Profiler runs on distinct modules, the one rule of DESIGN.md §4b.
     pub samples: u64,
 }
 
@@ -163,11 +163,13 @@ pub fn run_algorithm(
     hls: &HlsConfig,
     seed: u64,
 ) -> AlgoResult {
+    // The reference is charged to no row; every other compilation is.
+    let o3 = o3_cycles(program, hls);
     let input = Input::new(program, hls);
-    let o3 = input.cycles(O3_SEQUENCE);
+    let counted = |cycles| (cycles, input.samples());
     let (cycles, samples) = match algorithm {
-        Algorithm::O0 => (input.o0_cycles(), 1),
-        Algorithm::O3 => (o3, 1),
+        Algorithm::O0 => counted(input.cycles(&[])),
+        Algorithm::O3 => counted(input.cycles(O3_SEQUENCE)),
         Algorithm::RlPpo1 => run_single_action_rl(
             program,
             budget,
@@ -201,19 +203,18 @@ pub fn run_algorithm(
                 ..MultiConfig::default()
             };
             let mut agent = MultiActionAgent::new(&cfg, seed);
-            let (_, best) = agent.train(program, hls, budget.multi_iterations);
-            (best, agent.samples())
+            counted(agent.train(&input, budget.multi_iterations).1)
         }
         Algorithm::Greedy | Algorithm::OpenTuner | Algorithm::GeneticDeap | Algorithm::Random => {
-            let samples = match algorithm {
+            let evaluations = match algorithm {
                 Algorithm::Greedy => budget.greedy_budget,
                 Algorithm::OpenTuner => budget.opentuner_budget,
                 Algorithm::GeneticDeap => budget.genetic_budget,
                 _ => budget.random_budget,
             };
             let mut obj = Objective::new(|seq: &[usize]| input.cycles(seq) as f64);
-            let r = search(algorithm, &mut obj, budget.episode_len, samples, seed);
-            (r.best_cost as u64, r.samples)
+            let r = search(algorithm, &mut obj, budget.episode_len, evaluations, seed);
+            counted(r.best_cost as u64)
         }
     };
     AlgoResult {
@@ -225,7 +226,7 @@ pub fn run_algorithm(
 }
 
 /// Run the black-box search `algorithm` names over `obj`: orderings of
-/// `seq_len` Table-1 passes, `budget` samples, seeded by `seed` (Greedy
+/// `seq_len` Table-1 passes, `budget` evaluations, seeded by `seed` (Greedy
 /// is deterministic and ignores it). Figure 7's runner, [`tune`](fn@crate::tune)
 /// and Figure 9 all choose their searches here.
 ///
@@ -389,7 +390,7 @@ mod tests {
         let o3 = run_algorithm(Algorithm::O3, &p, &Budget::tiny(), &hls, 1);
         assert!(o0.improvement_over_o3 < 0.0, "O0 must be worse than O3");
         assert_eq!(o3.improvement_over_o3, 0.0);
-        assert_eq!(o3.samples, 1);
+        assert_eq!((o0.samples, o3.samples), (1, 1));
     }
 
     #[test]

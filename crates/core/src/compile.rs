@@ -7,7 +7,10 @@
 //! is [`compile`] or [`Input::compile`]. The ordering goes through the
 //! checked layer pass by pass, so a pass that panics, breaks the verifier
 //! or blows the fuel budget is rolled back and skipped, exactly as the
-//! environment scores it a no-op; then the result is profiled once.
+//! environment scores it a no-op; then the result is profiled, unless
+//! [`Input`]'s memo — keyed by module content, like the environment's
+//! [`EvalCache`](crate::eval_cache::EvalCache) — has seen that module. A
+//! sample is one such profiler run (DESIGN.md §4b): [`Input::samples`].
 //!
 //! The profiler runs `main`, so every profile already carries the
 //! program's answer. [`score`] is the one scoring rule, shared by these
@@ -16,12 +19,14 @@
 //! that computes something else — a miscompile that deletes work would
 //! otherwise read as a speedup — scores [`UNPROFILEABLE_CYCLES`].
 
+use crate::eval_cache::{fingerprint_module, COUNTERS, DEFAULT_CAPACITY};
 use autophase_hls::{profile_module, HlsConfig, HlsError, HlsReport};
 use autophase_ir::Module;
 use autophase_passes::checked::{apply_sequence_checked, FuelBudget};
 use autophase_passes::o3::O3_SEQUENCE;
 use autophase_passes::PassId;
-use autophase_telemetry as telemetry;
+use autophase_telemetry::{self as telemetry, BoundedMap};
+use std::cell::RefCell;
 
 /// Objective value reported for a state the profiler could not execute,
 /// or that no longer computes its input's answer: above any real cycle
@@ -55,6 +60,8 @@ pub struct Input<'a> {
     /// The profiler's error when it cannot run the input: then nothing
     /// compiled from it has an answer to keep, and nothing scores.
     profile: Result<HlsReport, HlsError>,
+    /// Reports by module fingerprint; a failed profile is never cached.
+    memo: RefCell<BoundedMap<u64, HlsReport>>,
 }
 
 impl<'a> Input<'a> {
@@ -64,6 +71,7 @@ impl<'a> Input<'a> {
             profile: profile_module(program, hls),
             program,
             hls,
+            memo: RefCell::new(BoundedMap::new(DEFAULT_CAPACITY, COUNTERS)),
         }
     }
 
@@ -81,6 +89,7 @@ impl<'a> Input<'a> {
 
     /// Profile `m`, compiled from this input, and [`score`] it: a module
     /// or an input the profiler cannot run reads [`UNPROFILEABLE_CYCLES`].
+    /// One module, one profile: no fingerprint, no memo, no sample.
     pub fn score(&self, m: &Module) -> u64 {
         score(
             profile_module(m, self.hls).ok().as_ref(),
@@ -95,7 +104,14 @@ impl<'a> Input<'a> {
     pub fn compile(&self, seq: &[PassId], fuel: &FuelBudget) -> (Module, Vec<PassId>, u64) {
         let mut m = self.program.clone();
         let applied = apply_sequence_checked(&mut m, seq, fuel);
-        let cycles = self.score(&m);
+        let fp = fingerprint_module(&m);
+        let mut memo = self.memo.borrow_mut();
+        if memo.lookup(&fp).is_none() {
+            if let Ok(report) = profile_module(&m, self.hls) {
+                memo.insert(fp, report);
+            }
+        }
+        let cycles = score(memo.get(&fp), self.profile.as_ref().ok());
         (m, applied, cycles)
     }
 
@@ -103,6 +119,11 @@ impl<'a> Input<'a> {
     /// searchers optimize), at the default fuel budget.
     pub fn cycles(&self, seq: &[PassId]) -> u64 {
         self.compile(seq, &FuelBudget::default()).2
+    }
+
+    /// Profiler runs [`Input::compile`] has made: the samples spent.
+    pub fn samples(&self) -> u64 {
+        self.memo.borrow().stats().misses
     }
 }
 

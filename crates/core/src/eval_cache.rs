@@ -121,7 +121,7 @@ impl ModuleFingerprints {
     }
 }
 
-const COUNTERS: MapCounters = MapCounters {
+pub(crate) const COUNTERS: MapCounters = MapCounters {
     hit: ("evalcache.lookups", "hit"),
     miss: ("evalcache.lookups", "miss"),
     evict: ("evalcache.evictions", ""),

@@ -10,7 +10,8 @@
 //!   observation recipe, checked transition) the environment and the
 //!   compile daemon's rollout both run;
 //! * [`compile`](mod@compile) — one compilation: an ordering applied to a
-//!   program through the checked pass layer, then one profile; every
+//!   program through the checked pass layer, then one profile per
+//!   distinct module (a memo hit is free, a miss is a sample); every
 //!   search, figure and the daemon's `-O3` reference score orderings
 //!   through it, and its [`score`](compile::score) is the one rule — a
 //!   module scores its cycles only if it returns its input's result —

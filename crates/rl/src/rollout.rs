@@ -128,14 +128,13 @@ pub fn collect(
 }
 
 /// Derive the RNG seed of episode `episode` from a batch seed. Distinct
-/// episodes get well-separated streams (SplitMix64 finalizer over the
-/// pair), and the derivation is what makes episodes relocatable across
-/// workers.
+/// episodes get well-separated streams (the SplitMix64 finalizer of
+/// [`telemetry::splitmix64`] over `seed ^ episode·φ`), and the derivation
+/// is what makes episodes relocatable across workers.
 pub fn episode_seed(seed: u64, episode: u64) -> u64 {
-    let mut z = seed ^ episode.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    // The step adds φ before it mixes; start one φ back.
+    telemetry::splitmix64(&mut (seed ^ episode.wrapping_mul(PHI)).wrapping_sub(PHI))
 }
 
 /// The two networks as one collecting thread sees them. Weights are
@@ -263,7 +262,7 @@ struct SupervisedBatch {
 /// episode's in `rollout.episode_ns`, per-worker busy time in
 /// `rollout.worker_busy_ns{w<i>}` counters and utilization (busy / batch
 /// wall) in `rollout.worker_util{w<i>}` gauges. The batch's respawns
-/// are added to the `worker_respawn_total` counter and its skipped
+/// are added to the `rollout.worker_respawns` counter and its skipped
 /// episodes to `rollout.failed_episodes`.
 fn collect_episodes_supervised(
     envs: &mut [Box<dyn Environment + Send>],
@@ -379,7 +378,7 @@ fn collect_episodes_supervised(
         worker_respawns: respawns,
         ..SupervisedBatch::default()
     };
-    telemetry::incr("worker_respawn_total", "", out.worker_respawns);
+    telemetry::incr("rollout.worker_respawns", "", out.worker_respawns);
     let skipped = out.failed_episodes.len() as u64;
     telemetry::incr("rollout.failed_episodes", "", skipped);
     for (e, slot) in results.iter().enumerate() {
@@ -688,11 +687,13 @@ mod tests {
         let (mut envs, _) = FlakyEnv::pool(2, &[(3, u32::MAX)]);
         let sup = collect_episodes_supervised(&mut envs, &policy, &value, 6, 0, 50, 13);
         let skipped = telemetry::counter("rollout.failed_episodes", "").value();
+        let respawns = telemetry::counter("rollout.worker_respawns", "").value();
         telemetry::disable();
         assert_eq!(sup.failed_episodes, vec![3]);
         assert_eq!(skipped, 1, "each skipped episode is counted once");
         assert_eq!(sup.worker_respawns, 3); // initial attempt + 2 retries
-                                            // The other five episodes match the reference exactly.
+        assert_eq!(respawns, sup.worker_respawns, "the batch's respawns");
+        // The other five episodes match the reference exactly.
         assert_eq!(sup.batch.episode_returns.len(), 5);
         let expected: Vec<f64> = reference
             .episode_returns

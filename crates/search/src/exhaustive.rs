@@ -21,7 +21,6 @@ pub fn search(obj: &mut Objective<'_>, passes: &[usize], max_len: usize) -> Sear
     SearchResult {
         best_sequence,
         best_cost,
-        samples: obj.samples(),
     }
 }
 
@@ -75,7 +74,7 @@ mod tests {
         assert_eq!(r.best_sequence, vec![2, 0]);
         assert_eq!(r.best_cost, 0.0);
         // 1 empty + 3 + 9 sequences.
-        assert_eq!(r.samples, 13);
+        assert_eq!(obj.evaluations(), 13);
     }
 
     #[test]

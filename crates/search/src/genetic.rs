@@ -43,7 +43,7 @@ pub fn search(
         })
         .collect();
     for ind in &mut pop {
-        if obj.samples() >= budget {
+        if obj.evaluations() >= budget {
             break;
         }
         ind.1 = obj.cost(&ind.0);
@@ -54,13 +54,13 @@ pub fn search(
         .cloned()
         .expect("nonempty population");
 
-    while obj.samples() < budget {
+    while obj.evaluations() < budget {
         let n_elite = ((POPULATION as f64 * ELITISM).ceil() as usize).max(1);
         let mut sorted = pop.clone();
         sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
         let mut next: Vec<(Vec<usize>, f64)> = sorted[..n_elite].to_vec();
 
-        while next.len() < POPULATION && obj.samples() < budget {
+        while next.len() < POPULATION && obj.evaluations() < budget {
             let p1 = tournament(&pop, TOURNAMENT, &mut rng);
             let p2 = tournament(&pop, TOURNAMENT, &mut rng);
             let mut child = crossover(&pop[p1].0, &pop[p2].0, Crossover::TwoPoint, &mut rng);
@@ -81,7 +81,6 @@ pub fn search(
     SearchResult {
         best_sequence: best.0,
         best_cost: best.1,
-        samples: obj.samples(),
     }
 }
 
@@ -154,9 +153,10 @@ mod tests {
     #[test]
     fn budget_respected_and_deterministic() {
         let t = vec![2, 2, 2, 2];
-        let a = search(&mut Objective::new(target_obj(t.clone())), 3, 4, 200, 8);
+        let mut obj = Objective::new(target_obj(t.clone()));
+        let a = search(&mut obj, 3, 4, 200, 8);
         let b = search(&mut Objective::new(target_obj(t)), 3, 4, 200, 8);
-        assert!(a.samples <= 200 + POPULATION as u64);
+        assert!(obj.evaluations() <= 200 + POPULATION as u64);
         assert_eq!(a.best_sequence, b.best_sequence);
     }
 }

@@ -6,7 +6,7 @@
 use crate::{Objective, SearchResult};
 
 /// Run insertion greedy until the sequence reaches `max_len`, no insertion
-/// improves the objective, or `budget` samples are exhausted.
+/// improves the objective, or `budget` evaluations are spent.
 pub fn search(
     obj: &mut Objective<'_>,
     num_actions: usize,
@@ -16,11 +16,11 @@ pub fn search(
     let mut seq: Vec<usize> = Vec::new();
     let mut best_cost = obj.cost(&seq);
 
-    while seq.len() < max_len && obj.samples() < budget {
+    while seq.len() < max_len && obj.evaluations() < budget {
         let mut best_insert: Option<(usize, usize, f64)> = None; // (pass, pos, cost)
         'outer: for pass in 0..num_actions {
             for pos in 0..=seq.len() {
-                if obj.samples() >= budget {
+                if obj.evaluations() >= budget {
                     break 'outer;
                 }
                 let mut cand = seq.clone();
@@ -43,7 +43,6 @@ pub fn search(
     SearchResult {
         best_sequence: seq,
         best_cost,
-        samples: obj.samples(),
     }
 }
 
@@ -81,13 +80,13 @@ mod tests {
         let r = search(&mut obj, 5, 10, 10_000);
         assert!(r.best_sequence.is_empty());
         // 1 (empty) + 5 passes × 1 position.
-        assert_eq!(r.samples, 6);
+        assert_eq!(obj.evaluations(), 6);
     }
 
     #[test]
     fn respects_budget() {
         let mut obj = Objective::new(|s: &[usize]| -(s.len() as f64));
-        let r = search(&mut obj, 10, 50, 100);
-        assert!(r.samples <= 100 + 10);
+        search(&mut obj, 10, 50, 100);
+        assert!(obj.evaluations() <= 100 + 10);
     }
 }

@@ -15,8 +15,10 @@
 //! [`exhaustive`] enumerates tiny sub-spaces exactly and serves as the
 //! oracle the heuristics are validated against.
 //!
-//! Searchers report how many objective evaluations ("samples" in Figure 7)
-//! they spent.
+//! Budgets are objective evaluations, counted by [`Objective`]: an
+//! ordering asked for twice costs two. What an evaluation costs is the
+//! objective's business — Figure 7's samples are the profiler runs behind
+//! the calls, which `autophase_core::compile::Input` counts.
 #![warn(missing_docs)]
 
 pub mod exhaustive;
@@ -32,8 +34,6 @@ pub struct SearchResult {
     pub best_sequence: Vec<usize>,
     /// Its objective value.
     pub best_cost: f64,
-    /// Number of objective evaluations used.
-    pub samples: u64,
 }
 
 /// A boxed sequence-cost function.
@@ -42,7 +42,7 @@ type EvalFn<'a> = Box<dyn FnMut(&[usize]) -> f64 + 'a>;
 /// A counting wrapper around the objective, shared by all searchers.
 pub struct Objective<'a> {
     eval: EvalFn<'a>,
-    samples: u64,
+    evaluations: u64,
 }
 
 impl<'a> Objective<'a> {
@@ -50,18 +50,18 @@ impl<'a> Objective<'a> {
     pub fn new(eval: impl FnMut(&[usize]) -> f64 + 'a) -> Objective<'a> {
         Objective {
             eval: Box::new(eval),
-            samples: 0,
+            evaluations: 0,
         }
     }
 
-    /// Evaluate a sequence, counting the sample.
+    /// Evaluate a sequence, counting the evaluation.
     pub fn cost(&mut self, seq: &[usize]) -> f64 {
-        self.samples += 1;
+        self.evaluations += 1;
         (self.eval)(seq)
     }
 
-    /// Samples spent so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
+    /// Evaluations so far: the unit of a search's budget.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
     }
 }

@@ -96,7 +96,7 @@ pub fn search(
     let mut uses: Vec<u64> = vec![0; techniques.len()];
     let mut total_uses: u64 = 1;
 
-    while obj.samples() < budget {
+    while obj.evaluations() < budget {
         // Pick the technique with the best AUC + exploration bonus.
         let pick = (0..techniques.len())
             .max_by(|&a, &b| {
@@ -131,7 +131,6 @@ pub fn search(
     SearchResult {
         best_sequence: best.0,
         best_cost: best.1,
-        samples: obj.samples(),
     }
 }
 
@@ -254,7 +253,7 @@ mod tests {
         let mut obj = Objective::new(target_obj(target));
         let r = search(&mut obj, 4, 5, 4000, 3);
         assert!(r.best_cost <= 1.0, "cost {}", r.best_cost);
-        assert_eq!(r.samples, 4000);
+        assert_eq!(obj.evaluations(), 4000);
     }
 
     #[test]

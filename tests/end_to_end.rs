@@ -2,7 +2,7 @@
 //! trained agent to measured circuit, in miniature.
 
 use autophase::core::algorithms::{run_algorithm, Algorithm, Budget};
-use autophase::core::compile::{o0_cycles, o3_cycles};
+use autophase::core::compile::{o0_cycles, o3_cycles, Input};
 use autophase::core::env::{EnvConfig, ObservationKind, PhaseOrderEnv};
 use autophase::hls::{profile::profile_module, HlsConfig};
 use autophase::rl::env::Environment;
@@ -121,8 +121,8 @@ fn multi_action_agent_runs_on_benchmark() {
         episodes_per_iter: 1,
         ..MultiConfig::default()
     };
-    let mut agent = MultiActionAgent::new(&cfg, 2);
-    let (seq, cycles) = agent.train(&program, &hls, 2);
+    let input = Input::new(&program, &hls);
+    let (seq, cycles) = MultiActionAgent::new(&cfg, 2).train(&input, 2);
     assert_eq!(seq.len(), 8);
     assert!(cycles > 0);
 }

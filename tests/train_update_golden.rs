@@ -19,6 +19,7 @@
 //! Regenerate only for an intended trajectory change:
 //! `cargo test --release --test train_update_golden -- --ignored`.
 
+use autophase::core::compile::Input;
 use autophase::core::multi::{MultiActionAgent, MultiConfig};
 use autophase::hls::HlsConfig;
 use autophase::nn::Mlp;
@@ -166,12 +167,13 @@ fn render_train(out: &mut String) {
         episodes_per_iter: 2,
         ..MultiConfig::default()
     };
-    let mut agent = MultiActionAgent::new(&cfg, 9);
-    let (seq, cycles) = agent.train(&program, &HlsConfig::default(), 2);
+    let hls = HlsConfig::default();
+    let input = Input::new(&program, &hls);
+    let (seq, cycles) = MultiActionAgent::new(&cfg, 9).train(&input, 2);
     writeln!(
         out,
         "multi-matmul seq {seq:?} cycles {cycles} samples {}",
-        agent.samples()
+        input.samples()
     )
     .unwrap();
 }
