@@ -249,6 +249,32 @@ mod tests {
         assert!(!run(&mut m));
     }
 
+    /// A counted loop's dedicated exit carries a constant out of the loop
+    /// through an LCSSA φ: deleting the loop must keep that constant, not
+    /// replace it with `undef` (which the interpreter reads as 0).
+    #[test]
+    fn exit_phi_keeps_its_in_loop_value() {
+        let text = "; module t
+define i32 @main() {
+b0:
+  br b1
+b1:
+  %1 = i32 phi [i32 0, b0], [%2, b1]
+  %2 = i32 add %1, i32 1
+  %3 = i1 icmp slt %2, i32 10
+  br %3, b1, b2
+b2:
+  %4 = i32 phi [i32 5, b1]
+  ret %4
+}";
+        let mut m = autophase_ir::parser::parse_module(text).unwrap();
+        assert_verified(&m);
+        assert_eq!(run_main(&m, 100_000).unwrap().return_value, Some(5));
+        assert!(run(&mut m));
+        assert_verified(&m);
+        assert_eq!(run_main(&m, 100_000).unwrap().return_value, Some(5));
+    }
+
     #[test]
     fn nested_dead_inner_loop_deleted() {
         let mut m = Module::new("t");
