@@ -3,9 +3,10 @@
 //! compiled through `compile` under one, two and four rounds of `-O3`.
 //! Each compiled module runs on the interpreter and its result is
 //! compared with its input's. No finite score may come from a module whose
-//! result differs. The raw mismatch counts are printed per round count;
-//! they stay nonzero until the `-loop-deletion` miscompile (ROADMAP item 9)
-//! is fixed. Release only: a debug build skips it.
+//! result differs, and no module's result may differ: the mismatch counts
+//! are printed per round count and must all be 0 (before `-loop-deletion`
+//! kept its exit φs' values they were 0 / 7 / 10). Release only: a debug
+//! build skips it.
 
 use autophase_core::compile::{compile, UNPROFILEABLE_CYCLES};
 use autophase_hls::HlsConfig;
@@ -45,5 +46,6 @@ fn no_finite_score_comes_from_a_wrong_module() {
             changed.len(),
             programs.len()
         );
+        assert!(changed.is_empty(), "-O3 x{rounds} miscompiles {changed:?}");
     }
 }

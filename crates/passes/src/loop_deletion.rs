@@ -59,39 +59,35 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
         if !provably_terminates(f, &cfg, l) {
             continue;
         }
-        // φ-nodes in the exit have entries from in-loop preds; since the
-        // loop produced no escaping values those φs can only reference
-        // constants/outside values — retarget them to the preheader edge.
-        let exiting: Vec<_> = l.exiting_blocks(&cfg);
-        let f = m.func_mut(fid);
-        for ex in exiting {
-            f.remove_phi_edge(exit, ex);
+        // Every pred of the exit is in the loop, so every exit φ entry is
+        // an in-loop one; none names a loop value, so each is a constant
+        // or defined before the loop. A φ whose entries agree carries that
+        // one value on the preheader's new edge; one whose entries differ
+        // depends on how the loop ran, and the loop stays.
+        let mut carried = Vec::new();
+        for &iid in &f.block(exit).insts {
+            let Opcode::Phi { incoming } = &f.inst(iid).op else {
+                continue;
+            };
+            let Some(&(_, v)) = incoming.first() else {
+                continue 'next_loop;
+            };
+            if incoming.iter().any(|&(_, w)| w != v) {
+                continue 'next_loop;
+            }
+            carried.push((iid, v));
         }
-        // The preheader branches straight to the exit.
+        // The preheader branches straight to the exit, its one pred now.
+        let f = m.func_mut(fid);
         let pt = f.terminator(preheader).expect("preheader terminator");
         f.inst_mut(pt).for_each_successor_mut(|s| {
             if *s == l.header {
                 *s = exit;
             }
         });
-        // Add the preheader edge to exit φs? Exit φs lost all entries (all
-        // were in-loop) — but escaping-value check means no φ can have had
-        // a loop value... any remaining φ with zero incoming gets its
-        // single (preheader, undef)-style repair via simplifycfg; to stay
-        // verifiable now, give them an undef entry from the preheader.
-        let phi_ids: Vec<_> = f
-            .block(exit)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| f.inst(i).is_phi())
-            .collect();
-        for phi in phi_ids {
-            let ty = f.inst(phi).ty;
+        for (phi, v) in carried {
             if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-                if !incoming.iter().any(|(p, _)| *p == preheader) {
-                    incoming.push((preheader, Value::Undef(ty)));
-                }
+                *incoming = vec![(preheader, v)];
             }
         }
         // The loop blocks are now unreachable; sweep them.
