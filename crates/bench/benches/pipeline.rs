@@ -4,7 +4,7 @@
 //! in DESIGN.md (chaining on/off, filtered vs. full observations).
 
 use autophase_benchmarks::suite;
-use autophase_core::compile::sequence_cycles;
+use autophase_core::compile::Input;
 use autophase_core::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::extract;
 use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsConfig};
@@ -113,11 +113,9 @@ fn bench_env(c: &mut Criterion) {
     let hls = HlsConfig::default();
     c.bench_function("env/sequence_cycles 12-pass gsm", |b| {
         b.iter(|| {
-            black_box(sequence_cycles(
-                &gsm,
-                &[38, 29, 23, 36, 30, 31, 7, 28, 32, 33, 30, 31],
-                &hls,
-            ))
+            black_box(
+                Input::new(&gsm, &hls).cycles(&[38, 29, 23, 36, 30, 31, 7, 28, 32, 33, 30, 31]),
+            )
         })
     });
 }

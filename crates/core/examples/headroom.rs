@@ -8,18 +8,21 @@
 //! ```
 
 use autophase_core::algorithms::{search, Algorithm};
-use autophase_core::compile::{o3_cycles, Input};
+use autophase_core::compile::Input;
 use autophase_hls::HlsConfig;
+use autophase_passes::o3::O3_SEQUENCE;
 use autophase_search::Objective;
 
 fn main() {
     let hls = HlsConfig::default();
     for b in autophase_benchmarks::suite() {
-        let o3 = o3_cycles(&b.module, &hls) as f64;
+        let mut reference = Input::new(&b.module, &hls);
+        let o3 = reference.cycles(O3_SEQUENCE) as f64;
         let run = |algorithm, budget, seed| {
-            let input = Input::new(&b.module, &hls);
+            let mut input = reference.fork();
             let mut obj = Objective::new(|seq: &[usize]| input.cycles(seq) as f64);
             let best = search(algorithm, &mut obj, 45, budget, seed).best_cost;
+            drop(obj);
             format!(
                 "{:<6} ({:+.1}%, {} smp)",
                 best as u64,

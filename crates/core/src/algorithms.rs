@@ -9,11 +9,9 @@
 //! | RL-ES        | ES              | Program features                   | Single-action |
 //! | Greedy / OpenTuner / Genetic-DEAP / random — black-box searches.    |
 
-use crate::compile::{o3_cycles, Input};
+use crate::compile::{Input, UNPROFILEABLE_CYCLES};
 use crate::env::{EnvConfig, ObservationKind, PhaseOrderEnv, RewardKind};
 use crate::multi::{MultiActionAgent, MultiConfig};
-use autophase_hls::HlsConfig;
-use autophase_ir::Module;
 use autophase_passes::o3::O3_SEQUENCE;
 use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::a2c::{A2cAgent, A2cConfig};
@@ -153,45 +151,32 @@ pub struct AlgoResult {
     pub improvement_over_o3: f64,
     /// Profiler runs on distinct modules, the one rule of DESIGN.md §4b.
     pub samples: u64,
+    /// The anytime curve: `(samples, best cycles so far)` at each sample
+    /// that lowered the best ([`Input::curve`]). Its last point is
+    /// `cycles`.
+    pub curve: Vec<(u64, u64)>,
 }
 
-/// Run one algorithm on one program.
+/// Run one algorithm on `reference`'s program, whose `-O3` cycles are
+/// `o3`. The reference's own profile is charged to no row: -O0, -O3, the
+/// searches and RL-PPO3 score through a [`fork`](Input::fork) of it, and
+/// the environment rows through their environment's own input.
 pub fn run_algorithm(
     algorithm: Algorithm,
-    program: &Module,
+    reference: &Input,
+    o3: u64,
     budget: &Budget,
-    hls: &HlsConfig,
     seed: u64,
 ) -> AlgoResult {
-    // The reference is charged to no row; every other compilation is.
-    let o3 = o3_cycles(program, hls);
-    let input = Input::new(program, hls);
-    let counted = |cycles| (cycles, input.samples());
-    let (cycles, samples) = match algorithm {
-        Algorithm::O0 => counted(input.cycles(&[])),
-        Algorithm::O3 => counted(input.cycles(O3_SEQUENCE)),
-        Algorithm::RlPpo1 => run_single_action_rl(
-            program,
-            budget,
-            hls,
-            seed,
-            RlKind::Ppo {
-                obs: ObservationKind::ProgramFeatures,
-                zero_rewards: true,
-            },
-        ),
-        Algorithm::RlPpo2 => run_single_action_rl(
-            program,
-            budget,
-            hls,
-            seed,
-            RlKind::Ppo {
-                obs: ObservationKind::ActionHistory,
-                zero_rewards: false,
-            },
-        ),
-        Algorithm::RlA3c => run_single_action_rl(program, budget, hls, seed, RlKind::A2c),
-        Algorithm::RlEs => run_single_action_rl(program, budget, hls, seed, RlKind::Es),
+    let mut input = match algorithm {
+        Algorithm::RlPpo1 | Algorithm::RlPpo2 | Algorithm::RlA3c | Algorithm::RlEs => {
+            return run_single_action_rl(algorithm, reference, o3, budget, seed)
+        }
+        _ => reference.fork(),
+    };
+    let cycles = match algorithm {
+        Algorithm::O0 => input.cycles(&[]),
+        Algorithm::O3 => input.cycles(O3_SEQUENCE),
         Algorithm::RlPpo3 => {
             let cfg = MultiConfig {
                 seq_len: budget.episode_len.max(8),
@@ -203,9 +188,9 @@ pub fn run_algorithm(
                 ..MultiConfig::default()
             };
             let mut agent = MultiActionAgent::new(&cfg, seed);
-            counted(agent.train(&input, budget.multi_iterations).1)
+            agent.train(&mut input, budget.multi_iterations).1
         }
-        Algorithm::Greedy | Algorithm::OpenTuner | Algorithm::GeneticDeap | Algorithm::Random => {
+        _ => {
             let evaluations = match algorithm {
                 Algorithm::Greedy => budget.greedy_budget,
                 Algorithm::OpenTuner => budget.opentuner_budget,
@@ -214,14 +199,23 @@ pub fn run_algorithm(
             };
             let mut obj = Objective::new(|seq: &[usize]| input.cycles(seq) as f64);
             let r = search(algorithm, &mut obj, budget.episode_len, evaluations, seed);
-            counted(r.best_cost as u64)
+            r.best_cost as u64
         }
     };
-    AlgoResult {
-        algorithm,
-        cycles,
-        improvement_over_o3: (o3 as f64 - cycles as f64) / o3 as f64,
-        samples,
+    AlgoResult::new(algorithm, cycles, o3, &input)
+}
+
+impl AlgoResult {
+    /// `algorithm`'s result `cycles`, against `o3`, with the samples and
+    /// curve of the input that scored it.
+    fn new(algorithm: Algorithm, cycles: u64, o3: u64, input: &Input) -> AlgoResult {
+        AlgoResult {
+            algorithm,
+            cycles,
+            improvement_over_o3: (o3 as f64 - cycles as f64) / o3 as f64,
+            samples: input.samples(),
+            curve: input.curve().to_vec(),
+        }
     }
 }
 
@@ -249,49 +243,41 @@ pub fn search(
     }
 }
 
-enum RlKind {
-    Ppo {
-        obs: ObservationKind,
-        /// The RL-PPO1 control: train on zeroed rewards.
-        zero_rewards: bool,
-    },
-    A2c,
-    Es,
-}
-
-/// Train a single-action RL agent on one program, tracking the best state
-/// ever profiled (the search result, analogous to the paper evaluating
-/// the discovered ordering).
+/// Train a single-action RL agent (RL-PPO1/2, RL-A3C or RL-ES) on
+/// `reference`'s program. Its result is the best state the environment
+/// ever profiled (the search result, analogous to the paper evaluating the
+/// discovered ordering): the last point of its environment's input's
+/// curve.
 fn run_single_action_rl(
-    program: &Module,
+    algorithm: Algorithm,
+    reference: &Input,
+    o3: u64,
     budget: &Budget,
-    hls: &HlsConfig,
     seed: u64,
-    kind: RlKind,
-) -> (u64, u64) {
+) -> AlgoResult {
     // The environment always profiles (Raw reward) so the best-visited
     // state is tracked with the paper's sample accounting; the RL-PPO1
     // control zeroes the reward in the wrapper instead, "to test if the
     // rewards are meaningful" (§6.1) without changing what gets compiled.
-    let (observation, zero_rewards) = match kind {
-        RlKind::Ppo { obs, zero_rewards } => (obs, zero_rewards),
-        _ => (ObservationKind::ProgramFeatures, false),
+    let observation = match algorithm {
+        Algorithm::RlPpo2 => ObservationKind::ActionHistory,
+        _ => ObservationKind::ProgramFeatures,
     };
     let env_cfg = EnvConfig {
         observation,
         reward: RewardKind::Raw,
         episode_len: budget.episode_len,
-        hls: hls.clone(),
+        hls: reference.hls().clone(),
         ..EnvConfig::default()
     };
-    let mut env = BestTracking::new(
-        PhaseOrderEnv::single(program.clone(), env_cfg),
-        zero_rewards,
-    );
+    let mut env = Rewards {
+        inner: PhaseOrderEnv::single(reference.program().clone(), env_cfg),
+        zero: algorithm == Algorithm::RlPpo1,
+    };
     let obs_dim = env.observation_dim();
     let n_actions = env.num_actions();
-    match kind {
-        RlKind::Ppo { .. } => {
+    match algorithm {
+        Algorithm::RlPpo1 | Algorithm::RlPpo2 => {
             let cfg = PpoConfig {
                 hidden: vec![64, 64],
                 horizon: budget.rl_horizon,
@@ -304,7 +290,7 @@ fn run_single_action_rl(
             let mut agent = PpoAgent::new(obs_dim, n_actions, &cfg, seed);
             agent.train(&mut env, budget.rl_iterations);
         }
-        RlKind::A2c => {
+        Algorithm::RlA3c => {
             let cfg = A2cConfig {
                 hidden: vec![64, 64],
                 horizon: budget.rl_horizon,
@@ -314,7 +300,7 @@ fn run_single_action_rl(
             let mut agent = A2cAgent::new(obs_dim, n_actions, &cfg, seed);
             agent.train(&mut env, budget.rl_iterations);
         }
-        RlKind::Es => {
+        _ => {
             let cfg = EsConfig {
                 hidden: vec![32, 32],
                 population: 6,
@@ -325,28 +311,22 @@ fn run_single_action_rl(
             agent.train(&mut env, budget.es_generations);
         }
     }
-    (env.best_cycles, env.inner.samples())
+    let input = env.inner.input(0).expect("training reset the environment");
+    let best = input
+        .curve()
+        .last()
+        .map_or(UNPROFILEABLE_CYCLES, |&(_, c)| c);
+    AlgoResult::new(algorithm, best, o3, input)
 }
 
-/// Wraps the environment to remember the best cycle count ever reached,
-/// optionally zeroing rewards (the RL-PPO1 control).
-struct BestTracking {
+/// The environment, optionally with its rewards zeroed (the RL-PPO1
+/// control).
+struct Rewards {
     inner: PhaseOrderEnv,
-    best_cycles: u64,
-    zero_rewards: bool,
+    zero: bool,
 }
 
-impl BestTracking {
-    fn new(inner: PhaseOrderEnv, zero_rewards: bool) -> BestTracking {
-        BestTracking {
-            inner,
-            best_cycles: u64::MAX,
-            zero_rewards,
-        }
-    }
-}
-
-impl Environment for BestTracking {
+impl Environment for Rewards {
     fn observation_dim(&self) -> usize {
         self.inner.observation_dim()
     }
@@ -354,14 +334,11 @@ impl Environment for BestTracking {
         self.inner.num_actions()
     }
     fn reset(&mut self) -> Vec<f64> {
-        let o = self.inner.reset();
-        self.best_cycles = self.best_cycles.min(self.inner.last_cycles());
-        o
+        self.inner.reset()
     }
     fn step(&mut self, action: usize) -> autophase_rl::env::StepResult {
         let mut r = self.inner.step(action);
-        self.best_cycles = self.best_cycles.min(self.inner.last_cycles());
-        if self.zero_rewards {
+        if self.zero {
             r.reward = 0.0;
         }
         r
@@ -371,23 +348,26 @@ impl Environment for BestTracking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::o0_cycles;
     use autophase_benchmarks::suite;
+    use autophase_hls::HlsConfig;
 
-    fn program() -> Module {
-        suite()
+    /// gsm's reference input and its `-O3` cycles.
+    fn reference() -> (Input, u64) {
+        let p = suite()
             .into_iter()
             .find(|b| b.name == "gsm")
             .unwrap()
-            .module
+            .module;
+        let mut input = Input::new(&p, &HlsConfig::default());
+        let o3 = input.cycles(O3_SEQUENCE);
+        (input, o3)
     }
 
     #[test]
     fn o0_and_o3_reference_points() {
-        let hls = HlsConfig::default();
-        let p = program();
-        let o0 = run_algorithm(Algorithm::O0, &p, &Budget::tiny(), &hls, 1);
-        let o3 = run_algorithm(Algorithm::O3, &p, &Budget::tiny(), &hls, 1);
+        let (r, o3) = reference();
+        let o0 = run_algorithm(Algorithm::O0, &r, o3, &Budget::tiny(), 1);
+        let o3 = run_algorithm(Algorithm::O3, &r, o3, &Budget::tiny(), 1);
         assert!(o0.improvement_over_o3 < 0.0, "O0 must be worse than O3");
         assert_eq!(o3.improvement_over_o3, 0.0);
         assert_eq!((o0.samples, o3.samples), (1, 1));
@@ -395,11 +375,10 @@ mod tests {
 
     #[test]
     fn searches_beat_o0_with_tiny_budget() {
-        let hls = HlsConfig::default();
-        let p = program();
-        let o0 = o0_cycles(&p, &hls);
+        let (reference, o3) = reference();
+        let o0 = reference.o0_cycles();
         for alg in [Algorithm::Greedy, Algorithm::Random, Algorithm::GeneticDeap] {
-            let r = run_algorithm(alg, &p, &Budget::tiny(), &hls, 3);
+            let r = run_algorithm(alg, &reference, o3, &Budget::tiny(), 3);
             assert!(r.cycles < o0, "{} did not beat O0", alg.name());
             assert!(r.samples > 0);
         }
@@ -407,10 +386,9 @@ mod tests {
 
     #[test]
     fn rl_ppo2_improves_program() {
-        let hls = HlsConfig::default();
-        let p = program();
-        let o0 = o0_cycles(&p, &hls);
-        let r = run_algorithm(Algorithm::RlPpo2, &p, &Budget::tiny(), &hls, 5);
+        let (reference, o3) = reference();
+        let o0 = reference.o0_cycles();
+        let r = run_algorithm(Algorithm::RlPpo2, &reference, o3, &Budget::tiny(), 5);
         assert!(
             r.cycles < o0,
             "RL-PPO2 found nothing: {} vs {}",

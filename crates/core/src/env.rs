@@ -1,24 +1,24 @@
 //! The phase-ordering RL environment (§5.1).
 //!
-//! The reward is the profiler's cycle delta, so every step that changed
-//! the module asks one question — what did the profiler say about this
-//! module? — in one place, [`PhaseOrderEnv::cycles`]: one lookup in the
-//! environment's [`EvalCache`] by the module's content fingerprint, one
-//! profile on a miss, one sample charged. The answer is then scored by
-//! [`crate::compile::score`] against the reset's profile: a step whose
-//! module no longer returns the program's result — another result, or
-//! none within the profiler's fuel — is rolled back and paid nothing,
-//! like a faulted pass.
+//! The reward is the profiler's cycle delta. Each program is scored by its
+//! own [`Input`], built at the program's first episode on the
+//! environment's [`EvalCache`]: the reset reads the program's own profile,
+//! and every step that changed the module asks its input in
+//! [`PhaseOrderEnv::cycles`] — one memo lookup by the incrementally kept
+//! fingerprint, one profile and one sample on a miss, and the one scoring
+//! rule ([`crate::compile::score`]). A step whose module no longer returns
+//! the program's result — another result, or none within the profiler's
+//! fuel — is rolled back and paid nothing, like a faulted pass.
 
-use crate::compile::{score, UNPROFILEABLE_CYCLES};
-use crate::eval_cache::{EvalCache, DEFAULT_CAPACITY};
+use crate::compile::{private_cache, Input, UNPROFILEABLE_CYCLES};
+use crate::eval_cache::{EvalCache, ModuleFingerprints};
 use crate::incremental::{
     snapshot_memo, IncrementalEval, SnapEntry, SnapKey, SnapshotMemo,
     DEFAULT_SNAPSHOT_MEMO_CAPACITY,
 };
 use crate::quarantine::Quarantine;
 use crate::step::Step;
-use autophase_hls::{profile::profile_module_cached, HlsConfig, HlsReport, ScheduleCache};
+use autophase_hls::HlsConfig;
 use autophase_ir::Module;
 use autophase_passes::checked::FaultKind;
 use autophase_passes::registry;
@@ -127,15 +127,12 @@ pub struct PhaseOrderEnv {
     steps_taken: usize,
     action_histogram: Vec<f64>,
     prev_cycles: u64,
-    /// The episode's pristine program's profile (`None` when it cannot be
-    /// profiled): every later state must return its result to score.
-    input: Option<Arc<HlsReport>>,
-    /// Number of cycle-profiler invocations ("samples" in Figure 7).
-    samples: u64,
     episode_done: bool,
     /// The profile memo: private until [`PhaseOrderEnv::set_cache`] swaps
     /// in a shared one.
     cache: Arc<EvalCache>,
+    /// Each program's evaluator, built at the program's first episode.
+    inputs: Vec<Option<Input>>,
     /// Shared repeat-offender table; `None` disables masking.
     quarantine: Option<Arc<Quarantine>>,
     /// Fingerprint of the episode's pristine program (the quarantine's
@@ -151,9 +148,6 @@ pub struct PhaseOrderEnv {
     /// `inc` at reset so episode starts cost O(#functions) copies instead
     /// of a full re-extraction.
     inc_templates: Vec<Option<IncrementalEval>>,
-    /// Per-function schedule/area cache, keyed by content fingerprint.
-    /// Persistent across episodes and programs (one env = one HlsConfig).
-    sched: ScheduleCache,
     /// Step-transition snapshots keyed by `(program index, exact
     /// changing-pass sequence)`. A hit replaces pass execution with a
     /// copy-on-write restore of the recorded result.
@@ -179,6 +173,7 @@ impl PhaseOrderEnv {
         inc_templates[0] = Some(inc.clone());
         PhaseOrderEnv {
             inc_templates,
+            inputs: (0..programs.len()).map(|_| None).collect(),
             action_histogram: vec![0.0; step.num_actions()],
             programs,
             cfg,
@@ -187,16 +182,12 @@ impl PhaseOrderEnv {
             program_cursor: 0,
             steps_taken: 0,
             prev_cycles: 0,
-            input: None,
-            samples: 0,
             episode_done: false,
-            // One owner, so one shard: nothing contends for it.
-            cache: Arc::new(EvalCache::with_shards(DEFAULT_CAPACITY, 1)),
+            cache: private_cache(),
             quarantine: None,
             current_fp: inc.module_fp(),
             applied: Vec::new(),
             inc,
-            sched: ScheduleCache::default(),
             snap: snapshot_memo(DEFAULT_SNAPSHOT_MEMO_CAPACITY),
             episode_program: 0,
         }
@@ -226,6 +217,9 @@ impl PhaseOrderEnv {
     /// cache: it only changes how often the profiler runs. All sharers
     /// must profile under one `HlsConfig`.
     pub fn set_cache(&mut self, cache: Arc<EvalCache>) {
+        for input in self.inputs.iter_mut().flatten() {
+            input.cache = Arc::clone(&cache);
+        }
         self.cache = cache;
     }
 
@@ -255,38 +249,35 @@ impl PhaseOrderEnv {
         self.step.actions().to_vec()
     }
 
-    /// The profiler's report on the current module state. A module the
-    /// cache has seen answers without running the profiler (and without
-    /// charging a sample); a miss profiles, reusing the schedules of
-    /// untouched functions. A failed profile is `None` and never cached.
-    fn profile(&mut self) -> Option<Arc<HlsReport>> {
-        let fp = self.inc.module_fp();
-        if let Some(report) = self.cache.get(fp) {
-            return Some(report);
-        }
-        self.samples += 1;
-        let inc = &self.inc;
-        let report = profile_module_cached(&self.current, &self.cfg.hls, &mut self.sched, |f| {
-            inc.func_fp(f).expect("live function has a fingerprint")
-        })
-        .ok()?;
-        let report = Arc::new(report);
-        self.cache.insert(fp, Arc::clone(&report));
-        Some(report)
+    /// The episode program's evaluator — built at the program's first
+    /// episode, which profiles it through the environment's cache — with
+    /// the current state and its fingerprints.
+    fn evaluator(&mut self) -> (&mut Input, &Module, &ModuleFingerprints) {
+        let idx = self.episode_program;
+        let (program, hls, cache) = (&self.programs[idx], &self.cfg.hls, &self.cache);
+        let input = self.inputs[idx]
+            .get_or_insert_with(|| Input::with_cache(program, hls, Arc::clone(cache)));
+        (input, &self.current, self.inc.fingerprints())
     }
 
-    /// The cycle count of the current module state by the one scoring
-    /// rule ([`crate::compile::score`]): a state the profiler cannot run,
-    /// or that returns another result than the episode's program, reads
-    /// [`UNPROFILEABLE_CYCLES`]. The compare is made after the memo
-    /// lookup, so the cache holds raw reports only.
+    /// The cycle count of the current module state, as the episode
+    /// program's [`Input`] scores it: a state the profiler cannot run, or
+    /// that returns another result than the program, reads
+    /// [`UNPROFILEABLE_CYCLES`].
     pub fn cycles(&mut self) -> u64 {
-        score(self.profile().as_deref(), self.input.as_deref())
+        let (input, m, fps) = self.evaluator();
+        input.evaluate(m, fps).1
     }
 
-    /// Cycle-profiler invocations so far.
+    /// Profiler runs so far: the sum of the programs' [`Input::samples`].
     pub fn samples(&self) -> u64 {
-        self.samples
+        self.inputs.iter().flatten().map(Input::samples).sum()
+    }
+
+    /// The evaluator of `programs[program]`, once its first episode has
+    /// begun.
+    pub fn input(&self, program: usize) -> Option<&Input> {
+        self.inputs.get(program)?.as_ref()
     }
 
     /// Cycle count of the current state as of the last profile — free to
@@ -411,8 +402,7 @@ impl Environment for PhaseOrderEnv {
         self.steps_taken = 0;
         self.action_histogram = vec![0.0; self.num_actions()];
         self.episode_done = false;
-        self.input = self.profile();
-        self.prev_cycles = score(self.input.as_deref(), self.input.as_deref());
+        self.prev_cycles = self.evaluator().0.o0_cycles();
         self.observe()
     }
 
@@ -524,7 +514,6 @@ impl Environment for PhaseOrderEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::sequence_cycles;
     use autophase_benchmarks::suite;
     use autophase_features::extract;
     use autophase_hls::profile::profile_module;
@@ -936,7 +925,7 @@ mod tests {
         let p = small_program();
         let hls = HlsConfig::default();
         let seq = [38usize, 23, 31];
-        let by_fn = sequence_cycles(&p, &seq, &hls);
+        let by_fn = Input::new(&p, &hls).cycles(&seq);
         let mut env = PhaseOrderEnv::single(p, EnvConfig::default());
         env.reset();
         for &s in &seq {

@@ -73,9 +73,11 @@ pub fn fig7(benchmarks: &[(String, Module)], budget: &Budget, seed: u64) -> Fig7
     let hls = HlsConfig::default();
     let mut per_benchmark = Vec::new();
     for (name, program) in benchmarks {
+        let mut reference = Input::new(program, &hls);
+        let o3 = reference.cycles(O3_SEQUENCE);
         let results: Vec<AlgoResult> = Algorithm::ALL
             .iter()
-            .map(|&alg| run_algorithm(alg, program, budget, &hls, seed))
+            .map(|&alg| run_algorithm(alg, &reference, o3, budget, seed))
             .collect();
         per_benchmark.push((name.clone(), results));
     }
@@ -285,21 +287,21 @@ pub fn fig9(
 
     // Aggregate objective on the training set: total cycles normalized per
     // program (so no single program dominates).
-    let inputs: Vec<Input> = train.iter().map(|p| Input::new(p, &hls)).collect();
+    let mut inputs: Vec<Input> = train.iter().map(|p| Input::new(p, &hls)).collect();
     let baselines: Vec<f64> = inputs
-        .iter()
+        .iter_mut()
         .map(|input| input.cycles(O3_SEQUENCE).max(1) as f64)
         .collect();
-    let aggregate = |seq: &[usize]| -> f64 {
+    let mut aggregate = |seq: &[usize]| -> f64 {
         inputs
-            .iter()
+            .iter_mut()
             .zip(&baselines)
             .map(|(input, b)| input.cycles(seq) as f64 / b)
             .sum()
     };
 
     let mut results = Vec::new();
-    let mut evaluate = |label: &str, cycles: &dyn Fn(&Module, &Input) -> u64| {
+    let mut evaluate = |label: &str, cycles: &dyn Fn(&Module, &mut Input) -> u64| {
         results.push(GeneralizationResult {
             label: label.to_string(),
             mean_improvement: mean_improvement_over_o3(test.iter().map(|(_, p)| p), &hls, cycles),
@@ -315,7 +317,7 @@ pub fn fig9(
     ] {
         let r = search(
             algorithm,
-            &mut Objective::new(aggregate),
+            &mut Objective::new(&mut aggregate),
             seq_len,
             search_budget,
             seed,
@@ -340,13 +342,13 @@ pub fn fig9(
 fn mean_improvement_over_o3<'a>(
     programs: impl ExactSizeIterator<Item = &'a Module>,
     hls: &HlsConfig,
-    cycles: impl Fn(&Module, &Input) -> u64,
+    cycles: impl Fn(&Module, &mut Input) -> u64,
 ) -> f64 {
     let n = programs.len() as f64;
     let sum: f64 = programs
         .map(|p| {
-            let input = Input::new(p, hls);
-            let (o3, c) = (input.cycles(O3_SEQUENCE), cycles(p, &input));
+            let mut input = Input::new(p, hls);
+            let (o3, c) = (input.cycles(O3_SEQUENCE), cycles(p, &mut input));
             (o3 as f64 - c as f64) / o3 as f64
         })
         .sum();

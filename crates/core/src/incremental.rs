@@ -28,7 +28,7 @@
 
 use crate::eval_cache::ModuleFingerprints;
 use autophase_features::IncrementalFeatures;
-use autophase_ir::{FuncId, Module};
+use autophase_ir::Module;
 use autophase_passes::changeset::ChangeSet;
 use autophase_telemetry::{BoundedMap, MapCounters};
 use std::sync::Arc;
@@ -78,9 +78,9 @@ impl IncrementalEval {
         self.fps.value()
     }
 
-    /// One function's content fingerprint (`None` for empty slots).
-    pub fn func_fp(&self, fid: FuncId) -> Option<u64> {
-        self.fps.func_fp(fid)
+    /// The per-function fingerprints the module value combines.
+    pub fn fingerprints(&self) -> &ModuleFingerprints {
+        &self.fps
     }
 
     /// The module feature vector (equals `extract` of the synced module).

@@ -123,7 +123,7 @@ impl MultiActionAgent {
 
     /// Train on one program; returns `(best sequence, best cycles)`. Every
     /// sequence compiles through `input`, which counts the samples.
-    pub fn train(&mut self, input: &Input, iterations: usize) -> (Vec<usize>, u64) {
+    pub fn train(&mut self, input: &mut Input, iterations: usize) -> (Vec<usize>, u64) {
         let mut best_seq: Vec<usize> = vec![NUM_PASSES / 2; self.cfg.seq_len];
         let mut best_cycles = input.cycles(&best_seq);
         let fuel = FuelBudget::default();
@@ -237,14 +237,14 @@ mod tests {
             .unwrap()
             .module;
         let hls = HlsConfig::default();
-        let input = Input::new(&program, &hls);
+        let mut input = Input::new(&program, &hls);
         let cfg = MultiConfig {
             seq_len: 6,
             episode_len: 3,
             episodes_per_iter: 1,
             ..MultiConfig::default()
         };
-        MultiActionAgent::new(&cfg, 1).train(&input, 2);
+        MultiActionAgent::new(&cfg, 1).train(&mut input, 2);
         // 1 (global init) + per iteration 1 episode × (1 reset + 3 steps):
         // 9 compilations, every slot within 3 steps of K/2 = 22. On gsm,
         // -lowerswitch (21) and -constmerge (22) change nothing and
@@ -267,8 +267,8 @@ mod tests {
             episodes_per_iter: 1,
             ..MultiConfig::default()
         };
-        let a = MultiActionAgent::new(&cfg, 9).train(&Input::new(&program, &hls), 2);
-        let b = MultiActionAgent::new(&cfg, 9).train(&Input::new(&program, &hls), 2);
+        let a = MultiActionAgent::new(&cfg, 9).train(&mut Input::new(&program, &hls), 2);
+        let b = MultiActionAgent::new(&cfg, 9).train(&mut Input::new(&program, &hls), 2);
         assert_eq!(a, b);
     }
 
@@ -286,9 +286,9 @@ mod tests {
             episodes_per_iter: 2,
             ..MultiConfig::default()
         };
-        let input = Input::new(&program, &hls);
+        let mut input = Input::new(&program, &hls);
         let init_cycles = input.cycles(&[NUM_PASSES / 2; 12]);
-        let (best_seq, best_cycles) = MultiActionAgent::new(&cfg, 5).train(&input, 4);
+        let (best_seq, best_cycles) = MultiActionAgent::new(&cfg, 5).train(&mut input, 4);
         assert!(best_cycles <= init_cycles);
         assert_eq!(best_seq.len(), 12);
         // 1 + (1 + 4 × 2 × (1 + 6)) = 58 compilations, ten of them of the

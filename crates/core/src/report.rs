@@ -47,7 +47,13 @@ pub fn table3() -> String {
     out
 }
 
-/// Render Figure 7 as a text table (bars + sample line).
+/// Sample counts per program at which the anytime table reads each row:
+/// one compilation, a few, the paper's episode length (45) and RL
+/// sample count (88), and two search-sized budgets.
+const ANYTIME_SAMPLES: [u64; 6] = [1, 3, 45, 88, 300, 1000];
+
+/// Render Figure 7 as a text table (bars + sample line), then the anytime
+/// table: each row's best so far within a number of samples.
 pub fn fig7_table(r: &Fig7Result) -> String {
     let means = r.mean_improvement();
     let samples = r.mean_samples();
@@ -75,6 +81,34 @@ pub fn fig7_table(r: &Fig7Result) -> String {
         out.push_str(&format!("{name:<12}"));
         for res in results {
             out.push_str(&format!("{:>12.1}%", res.improvement_over_o3 * 100.0));
+        }
+        out.push('\n');
+    }
+    // The anytime table: a row's best within n samples is the last point
+    // of its curve at or before n, against its benchmark's -O3.
+    let best_within = |i: usize, n: u64| -> Option<f64> {
+        let sum: Option<f64> = (r.per_benchmark.iter())
+            .map(|(_, rs)| {
+                let o3 = rs.iter().find(|r| r.algorithm == Algorithm::O3)?.cycles as f64;
+                let (_, best) = rs[i].curve.iter().take_while(|p| p.0 <= n).last()?;
+                Some((o3 - *best as f64) / o3 * 100.0)
+            })
+            .sum();
+        sum.map(|s| s / r.per_benchmark.len() as f64)
+    };
+    out.push_str("\nBest so far within N samples per program, mean improvement over -O3 (%):\n");
+    out.push_str(&format!("{:<14}", "N"));
+    for n in ANYTIME_SAMPLES {
+        out.push_str(&format!("{n:>9}"));
+    }
+    out.push_str(&format!("{:>9}\n", "all"));
+    for (i, alg) in Algorithm::ALL.iter().enumerate() {
+        out.push_str(&format!("{:<14}", alg.name()));
+        for n in ANYTIME_SAMPLES.into_iter().chain([u64::MAX]) {
+            match best_within(i, n) {
+                Some(imp) => out.push_str(&format!("{imp:>9.1}")),
+                None => out.push_str(&format!("{:>9}", "-")),
+            }
         }
         out.push('\n');
     }
@@ -153,11 +187,18 @@ mod tests {
     use crate::algorithms::AlgoResult;
 
     fn fake_fig7() -> Fig7Result {
+        // Every row ends at -O3's 1000 cycles, from 2000 at its first
+        // sample (the last row's second).
         let mk = |alg: Algorithm, imp: f64, samples: u64| AlgoResult {
             algorithm: alg,
             cycles: 1000,
             improvement_over_o3: imp,
             samples,
+            curve: match alg {
+                Algorithm::O0 | Algorithm::O3 => vec![(1, 1000)],
+                Algorithm::Random => vec![(2, 2000), (samples, 1000)],
+                _ => vec![(1, 2000), (samples, 1000)],
+            },
         };
         let results: Vec<AlgoResult> = Algorithm::ALL
             .iter()
@@ -181,6 +222,22 @@ mod tests {
         assert!(text.contains("gsm"));
         assert!(text.contains("aes"));
         assert!(text.contains("samples/program"));
+        // The anytime table: RL-PPO1 (30 samples) has its final best by
+        // N = 45, Greedy (60) only by N = 88, and random none at N = 1.
+        let anytime = &text[text.find("Best so far").unwrap()..];
+        let (lost, even) = ("-100.0", "0.0");
+        for (name, cells) in [
+            ("-O3", [even; 7]),
+            ("RL-PPO1", [lost, lost, even, even, even, even, even]),
+            ("Greedy", [lost, lost, lost, even, even, even, even]),
+            ("random", ["-", lost, lost, lost, even, even, even]),
+        ] {
+            let row = (cells.iter()).fold(format!("{name:<14}"), |r, c| r + &format!("{c:>9}"));
+            assert!(
+                anytime.lines().any(|l| l == row),
+                "no {row:?} in\n{anytime}"
+            );
+        }
     }
 
     #[test]

@@ -44,8 +44,9 @@ pub struct TuneResult {
     pub o0_cycles: u64,
     /// Cycle estimate under the fixed `-O3` pipeline.
     pub o3_cycles: u64,
-    /// Profiler runs spent on distinct modules (the `-O3` reference's
-    /// included): a module two strategies both reach costs one.
+    /// Profiler runs spent on distinct modules (the program's own and the
+    /// `-O3` reference's included): a module two strategies both reach
+    /// costs one.
     pub samples: u64,
 }
 
@@ -63,12 +64,12 @@ impl TuneResult {
 /// genetic refinement; returns whichever ordering was best, with the
 /// `-O0`/`-O3` reference points. The `-O3` pipeline itself is always a
 /// candidate, so the result is never worse than `-O3`. Every candidate is
-/// one checked [`compile`](crate::compile::compile): a pass that faults
-/// on some ordering is rolled back and skipped, never fatal.
+/// one checked [`Input::compile`]: a pass that faults on some ordering is
+/// rolled back and skipped, never fatal.
 pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
     let hls = HlsConfig::default();
     let (budget, seq_len) = effort.budget();
-    let input = Input::new(program, &hls);
+    let mut input = Input::new(program, &hls);
     let o3 = input.cycles(O3_SEQUENCE);
 
     let mut best_seq: Vec<usize> = O3_SEQUENCE.to_vec();
@@ -99,7 +100,6 @@ pub fn tune(program: &Module, effort: Effort, seed: u64) -> TuneResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::sequence_cycles;
     use autophase_benchmarks::suite;
 
     #[test]
@@ -117,7 +117,7 @@ mod tests {
         // most one module each; the memo profiles a repeat module once.
         assert!((101..=400).contains(&r.samples), "{}", r.samples);
         // The sequence actually reproduces the reported cycles.
-        let again = sequence_cycles(&p, &r.sequence, &HlsConfig::default());
+        let again = Input::new(&p, &HlsConfig::default()).cycles(&r.sequence);
         assert_eq!(again, r.cycles);
     }
 

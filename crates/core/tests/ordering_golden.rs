@@ -27,7 +27,7 @@
 //!   `original-norm2`.
 
 use autophase_core::algorithms::{run_algorithm, Algorithm, Budget};
-use autophase_core::compile::{o0_cycles, o3_cycles, sequence_cycles};
+use autophase_core::compile::Input;
 use autophase_core::env::{EnvConfig, FeatureNorm, ObservationKind, RewardKind};
 use autophase_core::experiment::{fig9, infer_sequence, GENERALIZATION_EPISODE_LEN};
 use autophase_core::{tune, Effort};
@@ -115,6 +115,7 @@ fn orderings(out: &mut String) {
     let hls = HlsConfig::default();
     for (p, (name, module)) in programs().iter().enumerate() {
         assert_never_faults(name, module, O3_SEQUENCE);
+        let mut input = Input::new(module, &hls);
         let mut state = SEQUENCE_SEED ^ ((p as u64) << 32);
         let cycles: Vec<String> = (0..SEQUENCES_PER_PROGRAM)
             .map(|_| {
@@ -122,14 +123,14 @@ fn orderings(out: &mut String) {
                     .map(|_| (splitmix(&mut state) % NUM_PASSES as u64) as usize)
                     .collect();
                 assert_never_faults(name, module, &seq);
-                sequence_cycles(module, &seq, &hls).to_string()
+                input.cycles(&seq).to_string()
             })
             .collect();
         writeln!(
             out,
             "ordering {name} o0={} o3={} seqs={}",
-            o0_cycles(module, &hls),
-            o3_cycles(module, &hls),
+            input.o0_cycles(),
+            input.cycles(O3_SEQUENCE),
             cycles.join(",")
         )
         .unwrap();
@@ -140,9 +141,10 @@ fn orderings(out: &mut String) {
 fn algorithms(out: &mut String) {
     let hls = HlsConfig::default();
     for name in ["gsm", "matmul"] {
-        let program = chstone(name);
+        let mut reference = Input::new(&chstone(name), &hls);
+        let o3 = reference.cycles(O3_SEQUENCE);
         for alg in Algorithm::ALL {
-            let r = run_algorithm(alg, &program, &Budget::tiny(), &hls, 3);
+            let r = run_algorithm(alg, &reference, o3, &Budget::tiny(), 3);
             writeln!(
                 out,
                 "algorithm {name} {} cycles={} samples={} improvement={:016x}",

@@ -10,7 +10,7 @@
 //! `FaultKind::WrongResult` cases keep the refusal of a wrong module
 //! tested.
 
-use autophase_core::compile::{compile, UNPROFILEABLE_CYCLES};
+use autophase_core::compile::{Input, UNPROFILEABLE_CYCLES};
 use autophase_hls::profile::profile_module;
 use autophase_hls::HlsConfig;
 use autophase_passes::o3::O3_SEQUENCE;
@@ -41,7 +41,7 @@ fn two_rounds_of_o3_never_score_a_wrong_module() {
         let program = generate_valid(&GenConfig::default(), BATCH_SEED + index * BATCH_STRIDE);
         assert_eq!(program.name, name, "batch program {index}");
         let input = profile_module(&program, &hls).expect("the input runs");
-        let (module, _, cycles) = compile(&program, &twice, &fuel, &hls);
+        let (module, _, cycles) = Input::new(&program, &hls).compile(&twice, &fuel);
         let output = profile_module(&module, &hls).expect("the compiled module runs");
         assert_eq!(
             output.return_value, input.return_value,

@@ -1,6 +1,6 @@
 //! The semantic-check sweep (`make semcheck`): CHStone plus
 //! `program_batch(&GenConfig::default(), 31_337, 2000)`, 2 009 programs,
-//! compiled through `compile` under one, two and four rounds of `-O3`.
+//! compiled through `Input::compile` under one, two and four rounds of `-O3`.
 //! Each compiled module runs on the interpreter and its result is
 //! compared with its input's. No finite score may come from a module whose
 //! result differs, and no module's result may differ: the mismatch counts
@@ -8,7 +8,7 @@
 //! kept its exit φs' values they were 0 / 7 / 10). Release only: a debug
 //! build skips it.
 
-use autophase_core::compile::{compile, UNPROFILEABLE_CYCLES};
+use autophase_core::compile::{Input, UNPROFILEABLE_CYCLES};
 use autophase_hls::HlsConfig;
 use autophase_ir::interp::run_main;
 use autophase_ir::Module;
@@ -31,7 +31,7 @@ fn no_finite_score_comes_from_a_wrong_module() {
         let seq = O3_SEQUENCE.repeat(rounds);
         let mut changed = Vec::new();
         for program in &programs {
-            let (module, _, cycles) = compile(program, &seq, &fuel, &hls);
+            let (module, _, cycles) = Input::new(program, &hls).compile(&seq, &fuel);
             if result(&module) != result(program) {
                 assert_eq!(
                     cycles, UNPROFILEABLE_CYCLES,

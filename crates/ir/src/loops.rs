@@ -61,17 +61,6 @@ impl Loop {
             _ => None,
         }
     }
-
-    /// Loop blocks with an edge out of the loop.
-    pub fn exiting_blocks(&self, cfg: &Cfg) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        for &bb in &self.blocks {
-            if cfg.succs(bb).iter().any(|s| !self.contains(*s)) {
-                out.push(bb);
-            }
-        }
-        out
-    }
 }
 
 /// All natural loops of `f`, outermost-header-first by RPO.
@@ -168,7 +157,6 @@ mod tests {
         assert_eq!(l.exits, vec![exit]);
         assert_eq!(l.preheader(&cfg), Some(f.entry));
         assert!(l.single_latch().is_some());
-        assert_eq!(l.exiting_blocks(&cfg), vec![header]);
     }
 
     #[test]

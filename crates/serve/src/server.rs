@@ -912,7 +912,7 @@ fn compile(
     // Cold: profile the input once (the baseline number, the store
     // record, the semantic check and every `-O3` reference need it), then
     // walk policy → baseline.
-    let input = Input::new(&module, &shared.hls);
+    let mut input = Input::new(&module, &shared.hls);
     trace.mark("baseline_profile");
     let baseline_cycles = input
         .report()

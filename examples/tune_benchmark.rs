@@ -7,7 +7,9 @@
 //! ```
 
 use autophase::core::algorithms::{run_algorithm, Algorithm, Budget};
+use autophase::core::compile::Input;
 use autophase::hls::HlsConfig;
+use autophase::passes::o3::O3_SEQUENCE;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "gsm".to_string());
@@ -16,7 +18,8 @@ fn main() {
             "unknown benchmark {name}; try adpcm/aes/blowfish/dhrystone/gsm/matmul/mpeg2/qsort/sha"
         )
     });
-    let hls = HlsConfig::default();
+    let mut reference = Input::new(&program, &HlsConfig::default());
+    let o3 = reference.cycles(O3_SEQUENCE);
     let budget = Budget::default();
 
     println!("tuning `{name}` at 200 MHz\n");
@@ -31,7 +34,7 @@ fn main() {
         Algorithm::OpenTuner,
         Algorithm::RlPpo2,
     ] {
-        let r = run_algorithm(alg, &program, &budget, &hls, 1);
+        let r = run_algorithm(alg, &reference, o3, &budget, 1);
         println!(
             "{:<14} {:>10} {:>9.1}% {:>10}",
             alg.name(),

@@ -26,7 +26,7 @@
 //! The fault plan is process-global, so every test here holds
 //! [`telemetry::test_guard`] for its full duration.
 
-use autophase::core::compile::{compile, o0_cycles, UNPROFILEABLE_CYCLES};
+use autophase::core::compile::{Input, UNPROFILEABLE_CYCLES};
 use autophase::core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use autophase::core::Quarantine;
 use autophase::features::extract;
@@ -236,7 +236,7 @@ fn rollback_restores_incremental_state_and_caches() {
         );
         for fid in m.func_ids() {
             assert_eq!(
-                inc.func_fp(fid),
+                inc.fingerprints().func_fp(fid),
                 Some(fingerprint_function(m.func(fid))),
                 "{what}: fingerprint of function {fid:?}"
             );
@@ -275,7 +275,7 @@ fn rollback_restores_incremental_state_and_caches() {
         // cache-free profile of the very same module.
         assert_eq!(
             env.cycles(),
-            o0_cycles(&m, &hls),
+            Input::new(&m, &hls).o0_cycles(),
             "{kind:?}: cached cycles of the rolled-back state"
         );
 
@@ -435,7 +435,10 @@ fn a_wrong_result_step_is_rolled_back_unpaid_and_counted() {
     let inc = env.incremental_state();
     assert_eq!(inc.module_fp(), fingerprint_module(env.module()));
     assert_eq!(inc.features(), extract(env.module()));
-    assert_eq!(env.cycles(), o0_cycles(&program, &HlsConfig::default()));
+    assert_eq!(
+        env.cycles(),
+        Input::new(&program, &HlsConfig::default()).o0_cycles()
+    );
     assert_eq!(quarantine.fault_count(fingerprint_module(&program), 38), 1);
     assert_eq!(counter_total("core.semantic_mismatch"), 1);
     // Past the planned fault the same pass applies and pays.
@@ -445,12 +448,13 @@ fn a_wrong_result_step_is_rolled_back_unpaid_and_counted() {
     telemetry::reset();
 }
 
-/// `compile` never scores a module that returns another result.
+/// `Input::compile` never scores a module that returns another result.
 #[test]
 fn compile_scores_a_wrong_result_unprofileable() {
     let _g = telemetry::test_guard();
     let program = programs().remove(0);
     let (fuel, hls) = (FuelBudget::default(), HlsConfig::default());
+    let mut input = Input::new(&program, &hls);
     let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
         pass: 38,
         nth: 1,
@@ -458,7 +462,7 @@ fn compile_scores_a_wrong_result_unprofileable() {
         kind: FaultKind::WrongResult,
     }]));
     fault::set_episode(None);
-    let (_, applied, cycles) = compile(&program, &[38, 23], &fuel, &hls);
+    let (_, applied, cycles) = input.compile(&[38, 23], &fuel);
     assert_eq!(plan.fired(), 1);
     assert!(
         applied.contains(&38),
@@ -466,8 +470,8 @@ fn compile_scores_a_wrong_result_unprofileable() {
     );
     assert_eq!(cycles, UNPROFILEABLE_CYCLES);
     fault::PLAN.clear();
-    let (_, _, clean) = compile(&program, &[38, 23], &fuel, &hls);
-    assert!(clean < o0_cycles(&program, &hls));
+    let (_, _, clean) = input.compile(&[38, 23], &fuel);
+    assert!(clean < input.o0_cycles());
 }
 
 /// A daemon whose every pass application returns a wrong result answers

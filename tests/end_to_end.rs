@@ -2,9 +2,10 @@
 //! trained agent to measured circuit, in miniature.
 
 use autophase::core::algorithms::{run_algorithm, Algorithm, Budget};
-use autophase::core::compile::{o0_cycles, o3_cycles, Input};
+use autophase::core::compile::Input;
 use autophase::core::env::{EnvConfig, ObservationKind, PhaseOrderEnv};
 use autophase::hls::{profile::profile_module, HlsConfig};
+use autophase::passes::o3::O3_SEQUENCE;
 use autophase::rl::env::Environment;
 use autophase::rl::ppo::{PpoAgent, PpoConfig};
 
@@ -12,8 +13,8 @@ use autophase::rl::ppo::{PpoAgent, PpoConfig};
 fn o3_beats_o0_on_every_benchmark() {
     let hls = HlsConfig::default();
     for b in autophase::benchmarks::suite() {
-        let o0 = o0_cycles(&b.module, &hls);
-        let o3 = o3_cycles(&b.module, &hls);
+        let mut input = Input::new(&b.module, &hls);
+        let (o0, o3) = (input.o0_cycles(), input.cycles(O3_SEQUENCE));
         assert!(o3 < o0, "{}: -O3 ({o3}) must beat -O0 ({o0})", b.name);
     }
 }
@@ -64,9 +65,11 @@ fn trained_ppo_beats_random_policy_on_gsm() {
     // this miniature budget (the control also explores and keeps its best
     // find, so a seed where learning barely edges luck is a coin-flip;
     // seeds 3 and 5 are robust across 6–10 iterations).
-    let trained = run_algorithm(Algorithm::RlPpo2, &program, &budget, &hls, 5);
+    let mut reference = Input::new(&program, &hls);
+    let o3 = reference.cycles(O3_SEQUENCE);
+    let trained = run_algorithm(Algorithm::RlPpo2, &reference, o3, &budget, 5);
     // Zero-reward control with the same budget.
-    let control = run_algorithm(Algorithm::RlPpo1, &program, &budget, &hls, 5);
+    let control = run_algorithm(Algorithm::RlPpo1, &reference, o3, &budget, 5);
     // Both explore, so both find something; the trained agent should not
     // be worse (and usually is strictly better).
     assert!(
@@ -81,18 +84,17 @@ fn trained_ppo_beats_random_policy_on_gsm() {
 fn greedy_matches_exhaustive_on_restricted_space() {
     // On a 3-pass candidate set with length-2 sequences, compare greedy
     // against brute force.
-    use autophase::core::compile::sequence_cycles;
     use autophase::search::{greedy, Objective};
     let program = autophase::benchmarks::suite::by_name("gsm").unwrap();
-    let hls = HlsConfig::default();
+    let mut input = Input::new(&program, &HlsConfig::default());
     let candidates = [38usize, 23, 31]; // mem2reg, loop-rotate, simplifycfg
 
     // Brute force over all sequences of length ≤ 2 from the candidate set.
     let mut best = u64::MAX;
     for &a in &candidates {
-        best = best.min(sequence_cycles(&program, &[a], &hls));
+        best = best.min(input.cycles(&[a]));
         for &b in &candidates {
-            best = best.min(sequence_cycles(&program, &[a, b], &hls));
+            best = best.min(input.cycles(&[a, b]));
         }
     }
 
@@ -100,7 +102,7 @@ fn greedy_matches_exhaustive_on_restricted_space() {
     // is pass `candidates[i]`.
     let mut obj = Objective::new(|seq: &[usize]| {
         let passes: Vec<usize> = seq.iter().map(|&i| candidates[i]).collect();
-        sequence_cycles(&program, &passes, &hls) as f64
+        input.cycles(&passes) as f64
     });
     let r = greedy::search(&mut obj, candidates.len(), 2, 10_000);
     assert!(
@@ -121,8 +123,8 @@ fn multi_action_agent_runs_on_benchmark() {
         episodes_per_iter: 1,
         ..MultiConfig::default()
     };
-    let input = Input::new(&program, &hls);
-    let (seq, cycles) = MultiActionAgent::new(&cfg, 2).train(&input, 2);
+    let mut input = Input::new(&program, &hls);
+    let (seq, cycles) = MultiActionAgent::new(&cfg, 2).train(&mut input, 2);
     assert_eq!(seq.len(), 8);
     assert!(cycles > 0);
 }
@@ -141,7 +143,9 @@ fn search_beats_o3_given_budget_on_some_benchmark() {
     let mut wins = 0;
     for name in ["gsm", "matmul"] {
         let p = autophase::benchmarks::suite::by_name(name).unwrap();
-        let r = run_algorithm(Algorithm::OpenTuner, &p, &budget, &hls, 5);
+        let mut reference = Input::new(&p, &hls);
+        let o3 = reference.cycles(O3_SEQUENCE);
+        let r = run_algorithm(Algorithm::OpenTuner, &reference, o3, &budget, 5);
         if r.improvement_over_o3 > 0.0 {
             wins += 1;
         }

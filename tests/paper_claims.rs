@@ -1,12 +1,12 @@
 //! Shape-level checks of the paper's qualitative claims, on our simulated
 //! substrate (EXPERIMENTS.md records the quantitative side).
 
-use autophase::core::compile::sequence_cycles;
+use autophase::core::compile::Input;
 use autophase::hls::HlsConfig;
 use autophase::ir::Module;
 
 fn cycles(p: &Module, seq: &[usize]) -> u64 {
-    sequence_cycles(p, seq, &HlsConfig::default())
+    Input::new(p, &HlsConfig::default()).cycles(seq)
 }
 
 /// §4.2: "-loop-rotate is very helpful and should be included if not
@@ -100,12 +100,12 @@ fn inline_enables_licm_on_call_heavy_code() {
     b.ret(Some(r));
     m.add_function(b.finish());
 
-    let hls = HlsConfig::default();
-    let baseline = sequence_cycles(&m, &[], &hls);
+    let mut input = Input::new(&m, &HlsConfig::default());
+    let baseline = input.cycles(&[]);
     // functionattrs (19) marks mag readnone → licm (36) hoists the call
     // (after loop-simplify 29).
-    let licm_only = sequence_cycles(&m, &[29, 36], &hls);
-    let attrs_then_licm = sequence_cycles(&m, &[19, 29, 36], &hls);
+    let licm_only = input.cycles(&[29, 36]);
+    let attrs_then_licm = input.cycles(&[19, 29, 36]);
     assert!(
         attrs_then_licm < baseline,
         "attrs+licm must beat baseline: {attrs_then_licm} vs {baseline}"
@@ -156,14 +156,15 @@ fn action_and_feature_spaces_match_paper() {
 /// least be distinctly negative across the suite.
 #[test]
 fn o0_is_markedly_worse_than_o3() {
-    use autophase::core::compile::{o0_cycles, o3_cycles};
+    use autophase::passes::o3::O3_SEQUENCE;
     let hls = HlsConfig::default();
     let mut total = 0.0;
     let suite = autophase::benchmarks::suite();
     let n = suite.len() as f64;
     for b in suite {
-        let o0 = o0_cycles(&b.module, &hls) as f64;
-        let o3 = o3_cycles(&b.module, &hls) as f64;
+        let mut input = Input::new(&b.module, &hls);
+        let o0 = input.o0_cycles() as f64;
+        let o3 = input.cycles(O3_SEQUENCE) as f64;
         total += (o3 - o0) / o3;
     }
     let mean = total / n;

@@ -168,8 +168,8 @@ fn render_train(out: &mut String) {
         ..MultiConfig::default()
     };
     let hls = HlsConfig::default();
-    let input = Input::new(&program, &hls);
-    let (seq, cycles) = MultiActionAgent::new(&cfg, 9).train(&input, 2);
+    let mut input = Input::new(&program, &hls);
+    let (seq, cycles) = MultiActionAgent::new(&cfg, 9).train(&mut input, 2);
     writeln!(
         out,
         "multi-matmul seq {seq:?} cycles {cycles} samples {}",
