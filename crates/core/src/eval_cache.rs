@@ -1,12 +1,13 @@
 //! The profile memo: what the HLS profiler said about a module.
 //!
 //! Profiling a module (interpret + schedule + area) dominates the cost of
-//! every environment step, and RL training revisits the same module
-//! states constantly — every episode re-profiles the pristine program, a
+//! every environment step and search evaluation, and RL training revisits
+//! the same module states constantly — every episode re-profiles the pristine program, a
 //! sharpening policy replays near-identical pass sequences, two orders
 //! that commute meet in one module. [`EvalCache`] memoizes one
 //! [`HlsReport`] per reached module so each is profiled at most once per
-//! cache, however it was reached.
+//! cache, however it was reached. [`crate::compile::Input`]'s miss path
+//! is the one place that asks it and counts its misses as samples.
 //!
 //! # Key
 //!

@@ -9,18 +9,18 @@
 //! * [`step`](mod@step) — the one statement of that step (action table,
 //!   observation recipe, checked transition) the environment and the
 //!   compile daemon's rollout both run;
-//! * [`compile`](mod@compile) — one compilation: an ordering applied to a
-//!   program through the checked pass layer, then one profile per
-//!   distinct module (a memo hit is free, a miss is a sample); every
-//!   search, figure and the daemon's `-O3` reference score orderings
-//!   through it, and its [`score`](compile::score) is the one rule — a
-//!   module scores its cycles only if it returns its input's result —
-//!   that the environment's reward and the daemon apply too;
+//! * [`compile`](mod@compile) — the one evaluator, [`compile::Input`]: a
+//!   program's orderings applied through the checked pass layer, one
+//!   profile per distinct module (a memo hit is free, a miss is a sample
+//!   and may be a point of the anytime curve), scored by
+//!   [`score`](compile::score), the one rule — a module scores its cycles
+//!   only if it returns its input's result. The environment, every
+//!   search and figure, and the daemon score through it;
 //! * [`multi`] — the §5.2 multiple-passes-per-action formulation
 //!   (RL-PPO3) and its factored-PPO trainer;
-//! * [`eval_cache`] — the profile memo every environment asks: module
-//!   content fingerprint → profiler report, sharded and thread-safe so
-//!   workers can share one;
+//! * [`eval_cache`] — the profile memo every [`compile::Input`] asks:
+//!   module content fingerprint → profiler report, sharded and
+//!   thread-safe so environments and workers can share one;
 //! * [`incremental`](mod@incremental) — per-function fingerprint and
 //!   feature memos plus the step-transition snapshot memo, making each
 //!   step's evaluation cost proportional to what the pass changed;
