@@ -122,7 +122,7 @@ impl ModuleFingerprints {
     }
 }
 
-pub(crate) const COUNTERS: MapCounters = MapCounters {
+const COUNTERS: MapCounters = MapCounters {
     hit: ("evalcache.lookups", "hit"),
     miss: ("evalcache.lookups", "miss"),
     evict: ("evalcache.evictions", ""),

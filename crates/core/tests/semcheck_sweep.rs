@@ -4,8 +4,7 @@
 //! Each compiled module runs on the interpreter and its result is
 //! compared with its input's. No finite score may come from a module whose
 //! result differs, and no module's result may differ: the mismatch counts
-//! are printed per round count and must all be 0 (before `-loop-deletion`
-//! kept its exit φs' values they were 0 / 7 / 10). Release only: a debug
+//! are printed per round count and must all be 0. Release only: a debug
 //! build skips it.
 
 use autophase_core::compile::{Input, UNPROFILEABLE_CYCLES};
