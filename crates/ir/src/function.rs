@@ -1,6 +1,6 @@
 //! Functions, basic blocks, and the instruction arena.
 
-use crate::inst::{Inst, Opcode};
+use crate::inst::Inst;
 use crate::types::Type;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -456,37 +456,6 @@ impl Function {
             .find(|&bb| self.block(bb).insts.contains(&id))
     }
 
-    /// Update every φ-node in `bb` that has an incoming entry from
-    /// `old_pred` to come from `new_pred` instead.
-    pub fn retarget_phis(&mut self, bb: BlockId, old_pred: BlockId, new_pred: BlockId) {
-        self.for_each_phi_incoming(bb, |incoming| {
-            for (pred, _) in incoming.iter_mut() {
-                if *pred == old_pred {
-                    *pred = new_pred;
-                }
-            }
-        });
-    }
-
-    /// Remove φ-node incoming entries from `pred` in `bb`.
-    pub fn remove_phi_edge(&mut self, bb: BlockId, pred: BlockId) {
-        self.for_each_phi_incoming(bb, |incoming| incoming.retain(|(p, _)| *p != pred));
-    }
-
-    fn for_each_phi_incoming(
-        &mut self,
-        bb: BlockId,
-        mut edit: impl FnMut(&mut Vec<(BlockId, Value)>),
-    ) {
-        let block = self.blocks[bb.index()].as_ref().expect("removed block");
-        for id in &block.insts {
-            let inst = self.insts[id.index()].as_mut().expect("removed inst");
-            if let Opcode::Phi { incoming } = &mut inst.op {
-                edit(incoming);
-            }
-        }
-    }
-
     /// Upper bound (exclusive) of instruction arena indices, for dense maps.
     pub fn inst_capacity(&self) -> usize {
         self.insts.len()
@@ -501,7 +470,7 @@ impl Function {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::BinOp;
+    use crate::inst::{BinOp, Opcode};
 
     fn add_fn() -> Function {
         let mut f = Function::new("add2", vec![Type::I32, Type::I32], Type::I32);

@@ -7,6 +7,7 @@
 //!   scalar types ([`Type`]), arena-allocated instructions and explicit
 //!   control flow ([`Inst`], [`Block`], [`Function`], [`Module`]);
 //! * a convenient [`builder::FunctionBuilder`] for constructing programs;
+//! * one vocabulary for editing CFG edges and φ entries ([`edges`]);
 //! * CFG analyses: predecessors/successors and reverse post-order
 //!   ([`cfg`](mod@cfg)), dominator trees ([`dom`]), and natural-loop detection
 //!   ([`loops`]);
@@ -50,6 +51,7 @@ pub mod builder;
 pub mod cfg;
 pub mod csr;
 pub mod dom;
+pub mod edges;
 pub mod fingerprint;
 pub mod fold;
 pub mod function;

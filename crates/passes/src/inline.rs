@@ -5,7 +5,6 @@
 //! (an entry block that conditionally returns early), leaving the heavy
 //! path as a call — the shape LLVM's partial inliner targets.
 
-use crate::util;
 use autophase_ir::{BlockId, FuncId, Inst, InstId, Module, Opcode, Type, Value};
 use std::collections::HashMap;
 
@@ -157,7 +156,7 @@ pub(crate) fn inline_call(m: &mut Module, caller: FuncId, bb: BlockId, call: Ins
         .iter()
         .position(|&i| i == call)
         .expect("call placed in bb");
-    let cont = util::split_block(f, bb, pos);
+    let cont = f.split_block(bb, pos + 1);
     // bb now ends [call, br cont]; drop both — the branch gets replaced by
     // a jump into the inlined entry.
     let br = f.block_mut(bb).insts.pop().expect("br after split");
@@ -171,7 +170,7 @@ pub(crate) fn inline_call(m: &mut Module, caller: FuncId, bb: BlockId, call: Ins
         vmap.insert(Value::Arg(i as u32), *a);
     }
     let region: Vec<BlockId> = callee_fn.block_ids().collect();
-    let bmap = util::clone_region(&callee_fn, &region, f, &mut vmap);
+    let bmap = f.clone_region(&callee_fn, &region, &mut vmap);
 
     // Jump from bb into the cloned entry.
     let jump = f.add_inst(Inst::new(
@@ -251,7 +250,7 @@ fn partial_inline_site(m: &mut Module, caller: FuncId, call: InstId) -> bool {
         .iter()
         .position(|&i| i == call)
         .expect("call placed");
-    let cont = util::split_block(f, bb, pos);
+    let cont = f.split_block(bb, pos + 1);
     let br = f.block_mut(bb).insts.pop().expect("br");
     f.erase_inst(br);
     f.block_mut(bb).insts.pop();
@@ -261,7 +260,7 @@ fn partial_inline_site(m: &mut Module, caller: FuncId, call: InstId) -> bool {
     for (i, a) in args.iter().enumerate() {
         vmap.insert(Value::Arg(i as u32), *a);
     }
-    let bmap = util::clone_region(&callee_fn, &guard_blocks, f, &mut vmap);
+    let bmap = f.clone_region(&callee_fn, &guard_blocks, &mut vmap);
     let jump = f.add_inst(Inst::new(
         Type::Void,
         Opcode::Br {

@@ -98,30 +98,11 @@ fn thread_once(m: &mut Module, fid: FuncId) -> bool {
 
         // Rewire: pred's edge bb → target.
         let fm = m.func_mut(fid);
-        if let Some(pterm) = fm.terminator(pred) {
-            fm.inst_mut(pterm).for_each_successor_mut(|s| {
-                if *s == bb {
-                    *s = target;
-                }
-            });
-        }
+        fm.redirect_branch(pred, bb, target);
         // bb's φ loses the pred entry.
         fm.remove_phi_edge(bb, pred);
         // target's φs gain an entry from pred with the value they had from bb.
-        let phi_ids: Vec<_> = fm
-            .block(target)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| fm.inst(i).is_phi())
-            .collect();
-        for pid in phi_ids {
-            if let Opcode::Phi { incoming } = &mut fm.inst_mut(pid).op {
-                if let Some((_, v)) = incoming.iter().find(|(p, _)| *p == bb).copied() {
-                    incoming.push((pred, v));
-                }
-            }
-        }
+        fm.carry_phi_edges(target, |p| (p == bb).then_some(pred), |v| v);
         return true;
     }
     false

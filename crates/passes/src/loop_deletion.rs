@@ -64,7 +64,6 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
         // or defined before the loop. A φ whose entries agree carries that
         // one value on the preheader's new edge; one whose entries differ
         // depends on how the loop ran, and the loop stays.
-        let mut carried = Vec::new();
         for &iid in &f.block(exit).insts {
             let Opcode::Phi { incoming } = &f.inst(iid).op else {
                 continue;
@@ -75,21 +74,12 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
             if incoming.iter().any(|&(_, w)| w != v) {
                 continue 'next_loop;
             }
-            carried.push((iid, v));
         }
         // The preheader branches straight to the exit, its one pred now.
+        let exit_preds = cfg.unique_preds(exit);
         let f = m.func_mut(fid);
-        let pt = f.terminator(preheader).expect("preheader terminator");
-        f.inst_mut(pt).for_each_successor_mut(|s| {
-            if *s == l.header {
-                *s = exit;
-            }
-        });
-        for (phi, v) in carried {
-            if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-                *incoming = vec![(preheader, v)];
-            }
-        }
+        f.redirect_branch(preheader, l.header, exit);
+        f.move_phi_edges(exit, &exit_preds, &[preheader], |_, _, v| v);
         // The loop blocks are now unreachable; sweep them.
         crate::simplifycfg::remove_unreachable(m, fid);
         return true;

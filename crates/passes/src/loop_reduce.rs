@@ -10,7 +10,7 @@ use crate::util;
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
 use autophase_ir::loops::find_loops;
-use autophase_ir::{BinOp, FuncId, Inst, InstId, Module, Opcode, Value};
+use autophase_ir::{BinOp, FuncId, Inst, Module, Opcode, Value};
 
 /// Run the pass. Returns true if any multiply was reduced.
 pub fn run(m: &mut Module) -> bool {
@@ -39,14 +39,7 @@ fn reduce_once(m: &mut Module, fid: FuncId) -> bool {
             continue;
         };
         // Find induction φs in the header: i = φ(pre: init, latch: i + step).
-        let header_phis: Vec<InstId> = f
-            .block(l.header)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| f.inst(i).is_phi())
-            .collect();
-        for &iv in &header_phis {
+        for iv in f.phis(l.header) {
             let Opcode::Phi { incoming } = &f.inst(iv).op else {
                 continue;
             };

@@ -158,11 +158,7 @@ fn do_rotate(
 ) {
     let header = l.header;
     let header_insts: Vec<InstId> = f.block(header).insts.clone();
-    let phis: Vec<InstId> = header_insts
-        .iter()
-        .copied()
-        .filter(|&i| f.inst(i).is_phi())
-        .collect();
+    let phis = f.phis(header);
     let computed: Vec<InstId> = header_insts
         .iter()
         .copied()
@@ -259,30 +255,14 @@ fn do_rotate(
     };
 
     // Exit φs: entries from header now come from preheader and latch.
-    let exit_phis: Vec<InstId> = f
-        .block(exit)
-        .insts
-        .iter()
-        .copied()
-        .filter(|&i| f.inst(i).is_phi())
-        .collect();
-    for phi in exit_phis {
-        let header_entry = match &f.inst(phi).op {
-            Opcode::Phi { incoming } => incoming
-                .iter()
-                .position(|(p, _)| *p == header)
-                .map(|pos| (pos, incoming[pos].1)),
-            _ => None,
-        };
-        if let Some((pos, v)) = header_entry {
-            let (pre_v, latch_v) = edge_values(v);
-            if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-                incoming.remove(pos);
-                incoming.push((preheader, pre_v));
-                incoming.push((latch, latch_v));
-            }
+    f.move_phi_edges(exit, &[header], &[preheader, latch], |_, p, v| {
+        let (pre_v, latch_v) = edge_values(v);
+        if p == preheader {
+            pre_v
+        } else {
+            latch_v
         }
-    }
+    });
     // Non-φ uses in the exit of header-defined values are now wrong (the
     // header may not dominate the exit anymore — it does not, since both
     // preheader and latch jump there). Wrap them in φs.

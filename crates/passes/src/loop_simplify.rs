@@ -94,15 +94,10 @@ fn reroute_through_new_block(
 ) -> BlockId {
     let mid = f.add_block();
 
-    // Fix φ-nodes first (they reference pred block ids).
-    let phi_ids: Vec<InstId> = f
-        .block(target)
-        .insts
-        .iter()
-        .copied()
-        .filter(|&i| f.inst(i).is_phi())
-        .collect();
-    for phi in phi_ids {
+    // Fix φ-nodes first (they reference pred block ids): each φ's entries
+    // from `preds` merge into one value that flows in from `mid`.
+    let mut merged: Vec<(InstId, autophase_ir::Value)> = Vec::new();
+    for phi in f.phis(target) {
         let ty = f.inst(phi).ty;
         let Opcode::Phi { incoming } = &f.inst(phi).op else {
             unreachable!("filtered phi")
@@ -131,24 +126,22 @@ fn reroute_through_new_block(
             );
             autophase_ir::Value::Inst(new_phi)
         };
-        if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-            incoming.retain(|(p, _)| !preds.contains(p));
-            incoming.push((mid, merged_value));
-        }
+        merged.push((phi, merged_value));
     }
+    f.move_phi_edges(target, preds, &[mid], |phi, _, _| {
+        merged
+            .iter()
+            .find(|(p, _)| *p == phi)
+            .expect("merged above")
+            .1
+    });
 
     // Terminator of mid.
     f.append_inst(mid, Inst::new(Type::Void, Opcode::Br { target }));
 
     // Reroute the pred terminators.
     for &p in preds {
-        if let Some(t) = f.terminator(p) {
-            f.inst_mut(t).for_each_successor_mut(|s| {
-                if *s == target {
-                    *s = mid;
-                }
-            });
-        }
+        f.redirect_branch(p, target, mid);
     }
     mid
 }

@@ -289,34 +289,10 @@ fn do_full_unroll(f: &mut autophase_ir::Function, cl: &CountedLoop, preheader: B
 
     // Rewire: preheader jumps to flat; exit φs and external uses read the
     // final values.
-    if let Some(pt) = f.terminator(preheader) {
-        f.inst_mut(pt).for_each_successor_mut(|s| {
-            if *s == block {
-                *s = flat;
-            }
-        });
-    }
+    f.redirect_branch(preheader, block, flat);
     // Exit φs: entry from `block` becomes entry from `flat` with the final
     // value of whatever it referenced.
-    let exit_phis: Vec<InstId> = f
-        .block(exit)
-        .insts
-        .iter()
-        .copied()
-        .filter(|&i| f.inst(i).is_phi())
-        .collect();
-    for phi in exit_phis {
-        if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-            for (p, v) in incoming.iter_mut() {
-                if *p == block {
-                    *p = flat;
-                    if let Some(nv) = last_map.get(*v) {
-                        *v = nv;
-                    }
-                }
-            }
-        }
-    }
+    f.retarget_phis_with(exit, block, flat, |v| last_map.get(v).unwrap_or(v));
     // External (non-exit-φ) uses of loop values: substitute final values,
     // all in one sweep.
     let mut final_subst = Rewrites::new();

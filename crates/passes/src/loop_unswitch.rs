@@ -125,7 +125,7 @@ fn do_unswitch(
     let mut vmap: HashMap<Value, Value> = HashMap::new();
     let region: Vec<BlockId> = l.blocks.clone();
     let snapshot = f.clone();
-    let bmap = util::clone_region(&snapshot, &region, f, &mut vmap);
+    let bmap = f.clone_region(&snapshot, &region, &mut vmap);
 
     // Original copy: branch folds to the true arm. Clone: false arm.
     let (then_bb, else_bb) = match f.inst(branch_term).op {
@@ -160,30 +160,11 @@ fn do_unswitch(
     // already the preheader) — nothing to do. Exit φs gain entries from the
     // cloned exiting blocks with the cloned values.
     for &e in &l.exits {
-        let phis: Vec<InstId> = f
-            .block(e)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| f.inst(i).is_phi())
-            .collect();
-        for phi in phis {
-            let Opcode::Phi { incoming } = &f.inst(phi).op else {
-                unreachable!()
-            };
-            let additions: Vec<(BlockId, Value)> = incoming
-                .iter()
-                .filter(|(p, _)| bmap.contains_key(p))
-                .map(|(p, v)| (bmap[p], *vmap.get(v).unwrap_or(v)))
-                .collect();
-            if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-                for a in additions {
-                    if !incoming.contains(&a) {
-                        incoming.push(a);
-                    }
-                }
-            }
-        }
+        f.carry_phi_edges(
+            e,
+            |p| bmap.get(&p).copied(),
+            |v| *vmap.get(&v).unwrap_or(&v),
+        );
     }
 }
 

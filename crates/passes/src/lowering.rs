@@ -44,21 +44,10 @@ fn lower_one_switch(f: &mut autophase_ir::Function, bb: BlockId, term: InstId) {
     else {
         unreachable!("caller checked switch")
     };
-    // Remember the φ values each target received from `bb` before rewiring.
     let mut targets: Vec<BlockId> = cases.iter().map(|(_, t)| *t).collect();
     targets.push(default);
     targets.sort();
     targets.dedup();
-    let mut phi_vals: Vec<(BlockId, InstId, Value)> = Vec::new();
-    for &t in &targets {
-        for &iid in &f.block(t).insts {
-            if let Opcode::Phi { incoming } = &f.inst(iid).op {
-                if let Some((_, v)) = incoming.iter().find(|(p, _)| *p == bb) {
-                    phi_vals.push((t, iid, *v));
-                }
-            }
-        }
-    }
 
     // Build the chain: bb tests case 0; each subsequent test gets its own
     // block; the last test falls through to default.
@@ -100,25 +89,16 @@ fn lower_one_switch(f: &mut autophase_ir::Function, bb: BlockId, term: InstId) {
     }
     f.erase_inst(term);
 
-    // Rebuild φ incoming entries: drop the old `bb` edge, then add one per
-    // chain block that now branches to the target, all carrying the value
-    // the target used to receive from `bb`.
-    for &t in &targets {
-        f.remove_phi_edge(t, bb);
-    }
-    for (t, phi, v) in phi_vals {
+    // Rebuild φ incoming entries: the old `bb` edge becomes one per chain
+    // block that now branches to the target, all carrying the value the
+    // target used to receive from `bb`.
+    for t in targets {
         let preds: Vec<BlockId> = chain
             .iter()
             .copied()
             .filter(|&c| f.successors(c).contains(&t))
             .collect();
-        if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-            for p in preds {
-                if !incoming.iter().any(|(q, _)| *q == p) {
-                    incoming.push((p, v));
-                }
-            }
-        }
+        f.move_phi_edges(t, &[bb], &preds, |_, _, v| v);
     }
 }
 
@@ -133,27 +113,10 @@ pub fn run_break_crit_edges(m: &mut Module) -> bool {
             return false;
         }
         for (src, dst) in edges {
-            split_edge(f, src, dst);
+            f.split_edge(src, dst);
         }
         true
     })
-}
-
-/// Insert a block on the edge `src → dst`, updating φ-nodes in `dst`.
-/// Splits *all* parallel edges from src to dst at once (they carry the same
-/// φ values). Returns the new block.
-fn split_edge(f: &mut autophase_ir::Function, src: BlockId, dst: BlockId) -> BlockId {
-    let mid = f.add_block();
-    f.append_inst(mid, Inst::new(Type::Void, Opcode::Br { target: dst }));
-    if let Some(term) = f.terminator(src) {
-        f.inst_mut(term).for_each_successor_mut(|s| {
-            if *s == dst {
-                *s = mid;
-            }
-        });
-    }
-    f.retarget_phis(dst, src, mid);
-    mid
 }
 
 /// `-codegenprepare`: sink address computations (`gep`) next to their

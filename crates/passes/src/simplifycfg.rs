@@ -276,32 +276,10 @@ fn remove_forwarding_blocks(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
     let f = m.func_mut(fid);
     // Retarget each predecessor's terminator from bb to target.
     for &p in &preds {
-        if let Some(t) = f.terminator(p) {
-            f.inst_mut(t).for_each_successor_mut(|s| {
-                if *s == bb {
-                    *s = target;
-                }
-            });
-        }
+        f.redirect_branch(p, bb, target);
     }
-    // Update target φs: duplicate bb's entry for each pred.
-    let phi_ids: Vec<InstId> = f
-        .block(target)
-        .insts
-        .iter()
-        .copied()
-        .filter(|i| is_phi(f, i))
-        .collect();
-    for phi in phi_ids {
-        if let Opcode::Phi { incoming } = &mut f.inst_mut(phi).op {
-            if let Some(pos) = incoming.iter().position(|(p, _)| *p == bb) {
-                let (_, v) = incoming.remove(pos);
-                for &p in &preds {
-                    incoming.push((p, v));
-                }
-            }
-        }
-    }
+    // Update target φs: bb's entry becomes one per pred.
+    f.move_phi_edges(target, &[bb], &preds, |_, _, v| v);
     f.remove_block(bb);
     true
 }

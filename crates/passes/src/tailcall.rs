@@ -53,25 +53,12 @@ fn eliminate(m: &mut Module, fid: FuncId) -> bool {
     let n_params = f.params.len();
     let param_tys = f.params.clone();
 
-    // Split the entry block after position -1: everything in the old entry
-    // moves to a new "header" block that we can branch back to. The new
-    // entry only jumps to the header.
+    // Split the entry block before its first instruction: everything in it
+    // moves to a new "header" block that we can branch back to. `old_entry`
+    // stays the function entry and now only forwards to the header (φs
+    // cannot live in the entry block).
     let old_entry = f.entry;
-    let header = f.add_block();
-    let moved: Vec<InstId> = std::mem::take(&mut f.block_mut(old_entry).insts);
-    f.block_mut(header).insts = moved;
-    // Retarget successors' φs (they flowed from old_entry, now from header).
-    let succs: Vec<BlockId> = f
-        .terminator(header)
-        .map(|t| f.inst(t).successors())
-        .unwrap_or_default();
-    for s in succs {
-        f.retarget_phis(s, old_entry, header);
-    }
-    // `old_entry` stays the function entry and now only forwards to the
-    // header (φs cannot live in the entry block).
-    let br = f.add_inst(Inst::new(Type::Void, Opcode::Br { target: header }));
-    f.block_mut(old_entry).insts.push(br);
+    let header = f.split_block(old_entry, 0);
 
     // One φ per parameter, living in the header (preds: entry + each site).
     let mut param_phis: Vec<InstId> = Vec::new();

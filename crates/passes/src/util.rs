@@ -1,4 +1,6 @@
-//! Shared machinery: purity queries, value substitution, region cloning.
+//! Shared machinery: purity queries, dead-code cleanup, the user index,
+//! value substitution and alias roots. Edits to CFG edges and φ entries
+//! live in `autophase_ir::edges`, not here.
 
 use autophase_ir::csr::Csr;
 use autophase_ir::{BlockId, Function, Inst, InstId, Module, Opcode, Rewrites, Value};
@@ -130,91 +132,6 @@ pub fn remap_operands(inst: &mut Inst, map: &HashMap<Value, Value>) {
     });
 }
 
-/// Clone the blocks of `region` (from function `src_f` of `m`) into
-/// function `dst` with operand and block-target remapping.
-///
-/// `value_map` seeds value substitutions (e.g. params → arguments) and is
-/// extended with `old inst result → new inst result` entries. Returns the
-/// old-block → new-block mapping. Branch targets pointing outside the
-/// region are left unchanged (the caller rewires them).
-///
-/// φ-node incoming block ids are remapped when the incoming block is in
-/// the region, otherwise preserved.
-pub fn clone_region(
-    src_f: &Function,
-    region: &[BlockId],
-    dst: &mut Function,
-    value_map: &mut HashMap<Value, Value>,
-) -> HashMap<BlockId, BlockId> {
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    for &bb in region {
-        let nb = dst.add_block();
-        block_map.insert(bb, nb);
-    }
-    // First pass: create all instructions so forward references (φ cycles)
-    // can be remapped in a second pass.
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
-    for &bb in region {
-        let nb = block_map[&bb];
-        for &iid in &src_f.block(bb).insts {
-            let inst = src_f.inst(iid).clone();
-            let nid = dst.add_inst(inst);
-            dst.block_mut(nb).insts.push(nid);
-            inst_map.insert(iid, nid);
-        }
-    }
-    for (&old, &new) in &inst_map {
-        value_map.insert(Value::Inst(old), Value::Inst(new));
-    }
-    // Second pass: remap operands, successors, and φ incoming blocks.
-    let new_ids: Vec<InstId> = inst_map.values().copied().collect();
-    for nid in new_ids {
-        let inst = dst.inst_mut(nid);
-        inst.for_each_operand_mut(|v| {
-            if let Some(nv) = value_map.get(v) {
-                *v = *nv;
-            }
-        });
-        inst.for_each_successor_mut(|b| {
-            if let Some(nb) = block_map.get(b) {
-                *b = *nb;
-            }
-        });
-        if let Opcode::Phi { incoming } = &mut inst.op {
-            for (pred, _) in incoming.iter_mut() {
-                if let Some(np) = block_map.get(pred) {
-                    *pred = *np;
-                }
-            }
-        }
-    }
-    block_map
-}
-
-/// Split `bb` after position `pos` (0-based index of the last instruction
-/// kept). The tail (including the old terminator) moves to a fresh block,
-/// `bb` gets a `br` to it, and φ-nodes of old successors are retargeted.
-/// Returns the new tail block.
-pub fn split_block(f: &mut Function, bb: BlockId, pos: usize) -> BlockId {
-    let tail_insts: Vec<InstId> = f.block_mut(bb).insts.split_off(pos + 1);
-    let tail = f.add_block();
-    f.block_mut(tail).insts = tail_insts;
-    // Successor φs now flow from `tail`.
-    let succs: Vec<BlockId> = f
-        .terminator(tail)
-        .map(|t| f.inst(t).successors())
-        .unwrap_or_default();
-    for s in succs {
-        f.retarget_phis(s, bb, tail);
-    }
-    let br = f.add_inst(Inst::new(
-        autophase_ir::Type::Void,
-        Opcode::Br { target: tail },
-    ));
-    f.block_mut(bb).insts.push(br);
-    tail
-}
-
 /// Type of a value in the context of function `f` (mirrors the builder's
 /// inference, usable on finished functions).
 pub fn type_of(f: &Function, v: Value) -> autophase_ir::Type {
@@ -312,7 +229,7 @@ fn alias_same_root(_f: &Function, _a: Value, _b: Value, ra: Value, rb: Value) ->
 mod tests {
     use super::*;
     use autophase_ir::builder::FunctionBuilder;
-    use autophase_ir::{verify, BinOp, Type};
+    use autophase_ir::{BinOp, Type};
 
     #[test]
     fn purity_respects_function_attrs() {
@@ -354,52 +271,6 @@ mod tests {
         let removed = delete_dead(&mut m, fid);
         assert_eq!(removed, 2);
         assert_eq!(m.func(fid).num_insts(), 1);
-    }
-
-    #[test]
-    fn split_block_keeps_verifying() {
-        let mut m = Module::new("t");
-        let mut b = FunctionBuilder::new("main", vec![], Type::I32);
-        let x = b.binary(BinOp::Add, Value::i32(1), Value::i32(2));
-        let y = b.binary(BinOp::Mul, x, Value::i32(3));
-        b.ret(Some(y));
-        let fid = m.add_function(b.finish());
-        let f = m.func_mut(fid);
-        let entry = f.entry;
-        let tail = split_block(f, entry, 0);
-        assert_eq!(f.block(entry).insts.len(), 2); // add + br
-        assert_eq!(f.block(tail).insts.len(), 2); // mul + ret
-        verify::assert_verified(&m);
-        let t = autophase_ir::interp::run_main(&m, 1000).unwrap();
-        assert_eq!(t.return_value, Some(9));
-    }
-
-    #[test]
-    fn clone_region_remaps_internal_edges() {
-        let mut m = Module::new("t");
-        let mut b = FunctionBuilder::new("main", vec![], Type::I32);
-        let body = b.new_block();
-        let exit = b.new_block();
-        b.br(body);
-        b.switch_to(body);
-        let x = b.binary(BinOp::Add, Value::i32(5), Value::i32(6));
-        b.br(exit);
-        b.switch_to(exit);
-        b.ret(Some(x));
-        let fid = m.add_function(b.finish());
-
-        let f = m.func_mut(fid);
-        let mut vmap = HashMap::new();
-        let bmap = clone_region(&f.clone(), &[body], f, &mut vmap);
-        let nb = bmap[&body];
-        assert_ne!(nb, body);
-        // the cloned add is a new instruction
-        let cloned_add = f.block(nb).insts[0];
-        assert!(matches!(
-            f.inst(cloned_add).op,
-            Opcode::Binary(BinOp::Add, ..)
-        ));
-        assert_eq!(vmap.get(&x), Some(&Value::Inst(cloned_add)));
     }
 
     #[test]
