@@ -256,8 +256,15 @@ pub fn infer_sequence(
     env_cfg: &EnvConfig,
     program: &Module,
 ) -> (Vec<usize>, u64) {
+    infer_with(agent, env_cfg, &mut Input::new(program, &env_cfg.hls))
+}
+
+/// [`infer_sequence`] over `input`'s program, scored through `input`: a
+/// caller that already profiled the program pays only for the final
+/// compilation.
+fn infer_with(agent: &PpoAgent, env_cfg: &EnvConfig, input: &mut Input) -> (Vec<usize>, u64) {
     let step = Step::new(env_cfg);
-    let mut m = program.clone();
+    let mut m = input.program().clone();
     let mut walk = Walk::start(&step, &mut m);
     let mut seq = Vec::new();
     for _ in 0..step.episode_len() {
@@ -269,7 +276,7 @@ pub fn infer_sequence(
         // A faulted pass was rolled back: a no-op step, as in the env.
         let _ = walk.step(action, &env_cfg.fuel);
     }
-    (seq, Input::new(program, &env_cfg.hls).score(&m))
+    (seq, input.score(&m))
 }
 
 /// Figure 9: train deep-RL generalists on random programs; search fixed
@@ -301,7 +308,7 @@ pub fn fig9(
     };
 
     let mut results = Vec::new();
-    let mut evaluate = |label: &str, cycles: &dyn Fn(&Module, &mut Input) -> u64| {
+    let mut evaluate = |label: &str, cycles: &dyn Fn(&mut Input) -> u64| {
         results.push(GeneralizationResult {
             label: label.to_string(),
             mean_improvement: mean_improvement_over_o3(test.iter().map(|(_, p)| p), &hls, cycles),
@@ -322,7 +329,7 @@ pub fn fig9(
             search_budget,
             seed,
         );
-        evaluate(algorithm.name(), &|_, input| input.cycles(&r.best_sequence));
+        evaluate(algorithm.name(), &|input| input.cycles(&r.best_sequence));
     }
 
     // Deep RL: per-program adaptive inference.
@@ -331,24 +338,23 @@ pub fn fig9(
         ("RL-filtered-norm2", FeatureNorm::InstCount),
     ] {
         let (agent, env_cfg) = train_generalist(train, norm, true, train_iterations, seed);
-        evaluate(label, &|p, _| infer_sequence(&agent, &env_cfg, p).1);
+        evaluate(label, &|input| infer_with(&agent, &env_cfg, input).1);
     }
     results
 }
 
 /// The mean over `programs` of `(o3 − c)/o3`, where `c` is what `cycles`
-/// scores a program at (given it and its [`Input`]) and `o3` what `-O3`
-/// does.
+/// scores a program at (given its [`Input`]) and `o3` what `-O3` does.
 fn mean_improvement_over_o3<'a>(
     programs: impl ExactSizeIterator<Item = &'a Module>,
     hls: &HlsConfig,
-    cycles: impl Fn(&Module, &mut Input) -> u64,
+    cycles: impl Fn(&mut Input) -> u64,
 ) -> f64 {
     let n = programs.len() as f64;
     let sum: f64 = programs
         .map(|p| {
             let mut input = Input::new(p, hls);
-            let (o3, c) = (input.cycles(O3_SEQUENCE), cycles(p, &mut input));
+            let (o3, c) = (input.cycles(O3_SEQUENCE), cycles(&mut input));
             (o3 as f64 - c as f64) / o3 as f64
         })
         .sum();
@@ -368,8 +374,8 @@ pub fn generalize_random(
     let (agent, env_cfg) =
         train_generalist(train, FeatureNorm::InstCount, true, train_iterations, seed);
     let test = program_batch(&GenConfig::default(), seed ^ 0xBEEF, n_test);
-    mean_improvement_over_o3(test.iter(), &hls, |p, _| {
-        infer_sequence(&agent, &env_cfg, p).1
+    mean_improvement_over_o3(test.iter(), &hls, |input| {
+        infer_with(&agent, &env_cfg, input).1
     })
 }
 
