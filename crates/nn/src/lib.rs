@@ -35,6 +35,6 @@ pub mod soa;
 pub mod tanh;
 
 pub use matrix::Matrix;
-pub use mlp::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp, Workspace};
+pub use mlp::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp};
 pub use simd::KernelWidth;
 pub use soa::SoaMlp;

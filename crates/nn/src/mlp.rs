@@ -156,7 +156,7 @@ impl Mlp {
     /// Forward pass: the scalar reference the batched kernels are held
     /// to bit for bit.
     ///
-    /// Allocates the output (and two transient buffers); hot paths
+    /// Allocates every layer's activation; hot paths
     /// should hold a [`BatchWorkspace`] and call [`Mlp::forward_one`] or
     /// [`Mlp::forward_batch`].
     ///
@@ -164,37 +164,8 @@ impl Mlp {
     ///
     /// Panics if `x.len() != input_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut ws = Workspace::new();
-        self.forward_into(x, &mut ws).to_vec()
-    }
-
-    /// Forward pass into caller-owned scratch: zero heap allocation once
-    /// the workspace has warmed up. Returns the output slice, which
-    /// stays valid until the workspace is reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != input_dim()`.
-    pub fn forward_into<'w>(&self, x: &[f64], ws: &'w mut Workspace) -> &'w [f64] {
         assert_eq!(x.len(), self.input_dim(), "forward dimension mismatch");
-        ws.cur.clear();
-        ws.cur.extend_from_slice(x);
-        for (li, layer) in self.layers.iter().enumerate() {
-            ws.nxt.clear();
-            ws.nxt.resize(layer.outputs(), 0.0);
-            // `y = W x` is `(Wᵀ)ᵀ x`: an axpy of row `k` per input.
-            layer.wt.matvec_t_into(&ws.cur, &mut ws.nxt);
-            for (yi, bi) in ws.nxt.iter_mut().zip(&layer.b) {
-                *yi += bi;
-            }
-            if li + 1 < self.layers.len() {
-                for v in &mut ws.nxt {
-                    *v = self.activation.apply(*v);
-                }
-            }
-            std::mem::swap(&mut ws.cur, &mut ws.nxt);
-        }
-        &ws.cur
+        self.forward_cached(x).pop().expect("an MLP has a layer")
     }
 
     /// Forward pass returning every layer's activation (last = output).
@@ -576,21 +547,6 @@ impl Mlp {
             t,
             pending: 0,
         })
-    }
-}
-
-/// Caller-owned scratch for [`Mlp::forward_into`]: two ping-pong
-/// activation buffers, reused across calls (no steady-state allocation).
-#[derive(Debug, Default, Clone)]
-pub struct Workspace {
-    cur: Vec<f64>,
-    nxt: Vec<f64>,
-}
-
-impl Workspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Workspace {
-        Workspace::default()
     }
 }
 

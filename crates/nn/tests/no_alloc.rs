@@ -1,14 +1,14 @@
 //! Steady-state allocation check for the scratch-buffer APIs.
 //!
 //! A counting global allocator wraps `System`; after one warm-up round,
-//! `forward_into`, `forward_one` and a whole minibatch round trip on two
+//! `forward_one` and a whole minibatch round trip on two
 //! networks (the policy and value pair an update trains) —
 //! `forward_batch`, `backward_batch`, `step` — must not touch the heap
 //! at all, at every kernel width (`V8`'s hand-off stages through the
 //! `GradScratch`). This file holds exactly one `#[test]` so no sibling
 //! test thread can allocate inside the measurement window.
 
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp, Workspace};
+use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -59,7 +59,6 @@ fn steady_state_inference_and_training_do_not_allocate() {
             .collect();
         let grads = [vec![0.25f64; 8 * 46], vec![-0.5f64; 8]];
 
-        let mut ws = Workspace::new();
         let mut one = BatchWorkspace::with_width(width);
         let mut bws = [
             BatchWorkspace::with_width(width),
@@ -73,7 +72,6 @@ fn steady_state_inference_and_training_do_not_allocate() {
         let mut run = |backward_calls: usize| {
             let mut sum = 0.0;
             for x in &inputs {
-                sum += nets[0].forward_into(x, &mut ws)[0];
                 sum += nets[0].forward_one(x, &mut one)[0];
             }
             for (((net, bws), scratch), grads) in
