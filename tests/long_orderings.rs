@@ -7,12 +7,14 @@
 //! module no longer shows where it came from).
 //!
 //! Orderings: `-O3` repeated four times (its prefixes are `-O3`^k for
-//! every k ≤ 4) and seeded random orderings of 45–90 Table-1 passes.
+//! every k ≤ 4), seeded random orderings of 45–90 Table-1 passes, and
+//! `-O3` followed by a seeded random suffix of 45 Table-1 passes (the
+//! optimized module is what most passes of a long ordering see).
 //! Programs: the nine CHStone benchmarks and a few of the generated batch
 //! `program_batch(&GenConfig::default(), 31_337, ·)`. A failure prints one
-//! line per broken (program, ordering): the seed (`-` for `-O3`x4), the
-//! ordering and the pass after which the result changed, enough to replay
-//! it by hand.
+//! line per broken (program, ordering): the seed (`-` for `-O3`x4,
+//! `-O3+<seed>` for a suffix), the ordering and the pass after which the
+//! result changed, enough to replay it by hand.
 
 use autophase::hls::HlsConfig;
 use autophase::ir::interp::run_main;
@@ -34,8 +36,12 @@ const BATCH_STRIDE: u64 = 7919;
 /// of `-O3` once miscompiled through `-loop-deletion`.
 const BATCH_INDICES: [u64; 5] = [0, 1, 2, 87, 316];
 
-/// Random orderings per program.
+/// Random orderings per program, and `-O3`-plus-suffix orderings.
 const RANDOM_ORDERINGS: u64 = 8;
+const O3_SUFFIXES: u64 = 8;
+
+/// Passes in the random suffix after `-O3`.
+const SUFFIX_LEN: usize = 45;
 
 fn programs() -> Vec<Module> {
     let mut programs: Vec<Module> = autophase::benchmarks::suite()
@@ -55,6 +61,14 @@ fn random_ordering(seed: u64) -> Vec<PassId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let len = rng.gen_range(45..=90);
     (0..len).map(|_| rng.gen_range(0..NUM_PASSES)).collect()
+}
+
+/// `-O3`, then a seeded suffix of [`SUFFIX_LEN`] passes drawn uniformly
+/// from Table 1.
+fn o3_then_suffix(seed: u64) -> Vec<PassId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let suffix = (0..SUFFIX_LEN).map(|_| rng.gen_range(0..NUM_PASSES));
+    O3_SEQUENCE.iter().copied().chain(suffix).collect()
 }
 
 /// Apply `seq` to a copy of `program` pass by pass through the checked
@@ -91,6 +105,11 @@ fn long_orderings_keep_every_result_after_every_pass() {
             let seed = (p as u64) << 8 | k;
             let seq = random_ordering(seed);
             failures.extend(check(program, &seed.to_string(), &seq).err());
+        }
+        for k in 0..O3_SUFFIXES {
+            let seed = (p as u64) << 8 | 0x80 | k;
+            let seq = o3_then_suffix(seed);
+            failures.extend(check(program, &format!("-O3+{seed}"), &seq).err());
         }
     }
     assert!(
