@@ -3,7 +3,8 @@
 //! `replace_all_uses` + `remove_inst` calls it replaces, and the dense
 //! `Cfg` / `DomTree` / `find_loops` against textbook set-based versions on
 //! random control-flow graphs (unreachable blocks and duplicate edges
-//! included).
+//! included), and the edge edits of `autophase_ir::edges` against plain
+//! list edits on the same graphs with φs added.
 
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
@@ -11,7 +12,7 @@ use autophase_ir::loops::find_loops;
 use autophase_ir::{BlockId, Function, Inst, InstId, Opcode, Rewrites, Type, Value};
 use autophase_progen::{generate_valid, GenConfig};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// SplitMix64: every case is a pure function of its seed.
 struct Rng(u64);
@@ -326,5 +327,218 @@ proptest! {
         // Outer loops (earlier headers in RPO) first.
         let order: Vec<_> = loops.iter().map(|l| cfg.rpo_index(l.header)).collect();
         prop_assert!(order.windows(2).all(|w| w[0] <= w[1]));
+    }
+}
+
+// ------------------------------------------------------------ edge edits
+
+/// A random CFG (see [`random_cfg`]) whose non-entry blocks lead with up
+/// to two φs. Each φ has one entry per predecessor edge, so a double edge
+/// gives two entries from one block, and now and then a stray entry from a
+/// block that is no predecessor; values are constants or earlier φs.
+fn random_phi_cfg(rng: &mut Rng) -> Function {
+    let mut f = random_cfg(rng);
+    let n = f.num_blocks();
+    let cfg = Cfg::new(&f);
+    let mut made: Vec<InstId> = Vec::new();
+    for bb in (1..n).map(BlockId::from_index) {
+        for k in 0..rng.below(3) {
+            let value = |rng: &mut Rng| match rng.below(3) {
+                0 if !made.is_empty() => Value::Inst(made[rng.below(made.len())]),
+                _ => Value::const_int(Type::I32, rng.below(100) as i64),
+            };
+            let mut incoming: Vec<(BlockId, Value)> =
+                cfg.preds(bb).iter().map(|&p| (p, value(rng))).collect();
+            if rng.below(4) == 0 {
+                incoming.push((BlockId::from_index(rng.below(n)), value(rng)));
+            }
+            let phi = Inst::new(Type::I32, Opcode::Phi { incoming });
+            made.push(f.insert_inst(bb, k, phi));
+        }
+    }
+    f
+}
+
+/// What the edge edits touch, per live block: its successor list and its
+/// φs' incoming lists, both in order.
+type Shape = BTreeMap<BlockId, (Vec<BlockId>, Vec<(InstId, Vec<(BlockId, Value)>)>)>;
+
+fn shape(f: &Function) -> Shape {
+    f.block_ids()
+        .map(|bb| {
+            let phis = f
+                .insts_in(bb)
+                .filter_map(|(id, inst)| match &inst.op {
+                    Opcode::Phi { incoming } => Some((id, incoming.clone())),
+                    _ => None,
+                })
+                .collect();
+            (bb, (f.successors(bb), phis))
+        })
+        .collect()
+}
+
+/// The plain edits the helpers stand for, on a [`Shape`].
+fn succs(s: &mut Shape, bb: BlockId) -> &mut Vec<BlockId> {
+    &mut s.get_mut(&bb).expect("live block").0
+}
+
+fn phis(s: &mut Shape, bb: BlockId) -> &mut Vec<(InstId, Vec<(BlockId, Value)>)> {
+    &mut s.get_mut(&bb).expect("live block").1
+}
+
+fn redirect(s: &mut Shape, pred: BlockId, from: BlockId, to: BlockId) {
+    for t in succs(s, pred).iter_mut().filter(|t| **t == from) {
+        *t = to;
+    }
+}
+
+fn retarget(s: &mut Shape, bb: BlockId, old: BlockId, new: BlockId, value: impl Fn(Value) -> Value) {
+    for (_, incoming) in phis(s, bb) {
+        for (p, v) in incoming.iter_mut().filter(|(p, _)| *p == old) {
+            (*p, *v) = (new, value(*v));
+        }
+    }
+}
+
+/// A value map the helpers' closures apply, so a wrong value shows.
+fn bump(v: Value) -> Value {
+    match v {
+        Value::ConstInt(ty, c) => Value::const_int(ty, c + 1000),
+        v => v,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn edge_edits_agree_with_plain_list_edits(seed in 0u64..1_000_000) {
+        let mut rng = Rng(seed);
+        let f = random_phi_cfg(&mut rng);
+        let n = f.num_blocks();
+        let before = shape(&f);
+        let mut pick = || BlockId::from_index(rng.below(n));
+        let (a, b, c) = (pick(), pick(), pick());
+
+        let mut got = f.clone();
+        got.redirect_branch(a, b, c);
+        let mut want = before.clone();
+        redirect(&mut want, a, b, c);
+        prop_assert_eq!(shape(&got), want, "redirect_branch");
+
+        let mut got = f.clone();
+        got.retarget_phis_with(a, b, c, bump);
+        let mut want = before.clone();
+        retarget(&mut want, a, b, c, bump);
+        prop_assert_eq!(shape(&got), want, "retarget_phis_with");
+
+        let mut got = f.clone();
+        got.remove_phi_edge(a, b);
+        let mut want = before.clone();
+        for (_, incoming) in phis(&mut want, a) {
+            incoming.retain(|(p, _)| *p != b);
+        }
+        prop_assert_eq!(shape(&got), want, "remove_phi_edge");
+
+        // Carry: preds `b` and `c` gain the new preds `c` and `a`.
+        let new_pred = |p: BlockId| (p == b).then_some(c).or((p == c).then_some(a));
+        let mut got = f.clone();
+        got.carry_phi_edges(a, new_pred, bump);
+        let mut want = before.clone();
+        for (_, incoming) in phis(&mut want, a) {
+            let carried: Vec<(BlockId, Value)> = incoming
+                .iter()
+                .filter_map(|&(p, v)| new_pred(p).map(|q| (q, bump(v))))
+                .collect();
+            incoming.extend(carried);
+        }
+        prop_assert_eq!(shape(&got), want, "carry_phi_edges");
+
+        // Move: from {b, c} (or just b) onto up to three blocks, `from`
+        // included now and then.
+        let from: Vec<BlockId> = if seed % 2 == 0 { vec![b, c] } else { vec![b] };
+        let to: Vec<BlockId> = (0..seed % 4).map(|k| BlockId::from_index((seed as usize + k as usize) % n)).collect();
+        let value = |phi: InstId, p: BlockId, v: Value| match v {
+            Value::ConstInt(ty, x) => Value::const_int(ty, x + 10 * p.index() as i64 + phi.index() as i64),
+            v => v,
+        };
+        let mut got = f.clone();
+        got.move_phi_edges(a, &from, &to, value);
+        let mut want = before.clone();
+        for (phi, incoming) in phis(&mut want, a) {
+            if let Some(&(_, v)) = incoming.iter().find(|(p, _)| from.contains(p)) {
+                incoming.retain(|(p, _)| !from.contains(p));
+                incoming.extend(to.iter().map(|&p| (p, value(*phi, p, v))));
+            }
+        }
+        prop_assert_eq!(shape(&got), want, "move_phi_edges");
+
+        // split_edge: a new block on every `a → b` edge.
+        let mut got = f.clone();
+        let mid = got.split_edge(a, b);
+        prop_assert_eq!(mid, BlockId::from_index(f.block_capacity()));
+        let mut want = before.clone();
+        want.insert(mid, (vec![b], Vec::new()));
+        redirect(&mut want, a, b, mid);
+        retarget(&mut want, b, a, mid, |v| v);
+        prop_assert_eq!(shape(&got), want, "split_edge");
+
+        // split_block: anywhere up to and including the terminator.
+        let at = rng.below(f.block(a).insts.len());
+        let mut got = f.clone();
+        let tail = got.split_block(a, at);
+        prop_assert_eq!(tail, BlockId::from_index(f.block_capacity()));
+        let mut want = before.clone();
+        let kept = phis(&mut want, a);
+        let moved = kept.split_off(at.min(kept.len()));
+        let old_succs = std::mem::replace(succs(&mut want, a), vec![tail]);
+        want.insert(tail, (old_succs.clone(), moved));
+        for s in old_succs {
+            retarget(&mut want, s, a, tail, |v| v);
+        }
+        prop_assert_eq!(shape(&got), want, "split_block");
+
+        // clone_region: a random subset, in random order, into a copy.
+        let mut region: Vec<BlockId> = f.block_ids().filter(|_| rng.below(2) == 0).collect();
+        for i in (1..region.len()).rev() {
+            region.swap(i, rng.below(i + 1));
+        }
+        let mut got = f.clone();
+        let mut vmap = HashMap::new();
+        let bmap = got.clone_region(&f, &region, &mut vmap);
+        let mut want = before.clone();
+        let block_of: HashMap<BlockId, BlockId> = region
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| (r, BlockId::from_index(f.block_capacity() + k)))
+            .collect();
+        let mut next_inst = f.inst_capacity();
+        let mut inst_of: HashMap<Value, Value> = HashMap::new();
+        for &r in &region {
+            for &i in &f.block(r).insts {
+                inst_of.insert(Value::Inst(i), Value::Inst(InstId::from_index(next_inst)));
+                next_inst += 1;
+            }
+        }
+        for &r in &region {
+            let (old_succs, old_phis) = before[&r].clone();
+            let map_block = |x: BlockId| *block_of.get(&x).unwrap_or(&x);
+            let phis = old_phis
+                .into_iter()
+                .map(|(id, incoming)| {
+                    let Value::Inst(id) = inst_of[&Value::Inst(id)] else { unreachable!() };
+                    let incoming = incoming
+                        .into_iter()
+                        .map(|(p, v)| (map_block(p), *inst_of.get(&v).unwrap_or(&v)))
+                        .collect();
+                    (id, incoming)
+                })
+                .collect();
+            want.insert(block_of[&r], (old_succs.into_iter().map(map_block).collect(), phis));
+        }
+        prop_assert_eq!(bmap, block_of);
+        prop_assert_eq!(vmap, inst_of);
+        prop_assert_eq!(shape(&got), want, "clone_region");
     }
 }
