@@ -241,7 +241,6 @@ fn merge_straightline(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
 /// caller re-runs every rule anyway.
 fn remove_forwarding_blocks(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
     let f = m.func(fid);
-    let is_phi = |f: &Function, i: &InstId| f.inst(*i).is_phi();
     let found = f.block_ids().find_map(|bb| {
         if bb == f.entry {
             return None;
@@ -263,7 +262,7 @@ fn remove_forwarding_blocks(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
         // each pred (it does: the φ entry for bb applies to all). A
         // predecessor branching to bb on several edges is fine; φ entries
         // are per-block.
-        if f.block(target).insts.iter().any(|i| is_phi(f, i))
+        if f.block(target).insts.iter().any(|&i| f.inst(i).is_phi())
             && preds.iter().any(|p| cfg.preds(target).contains(p))
         {
             return None;
