@@ -393,7 +393,13 @@ fn redirect(s: &mut Shape, pred: BlockId, from: BlockId, to: BlockId) {
     }
 }
 
-fn retarget(s: &mut Shape, bb: BlockId, old: BlockId, new: BlockId, value: impl Fn(Value) -> Value) {
+fn retarget(
+    s: &mut Shape,
+    bb: BlockId,
+    old: BlockId,
+    new: BlockId,
+    value: impl Fn(Value) -> Value,
+) {
     for (_, incoming) in phis(s, bb) {
         for (p, v) in incoming.iter_mut().filter(|(p, _)| *p == old) {
             (*p, *v) = (new, value(*v));
@@ -458,9 +464,13 @@ proptest! {
         // Move: from {b, c} (or just b) onto up to three blocks, `from`
         // included now and then.
         let from: Vec<BlockId> = if seed % 2 == 0 { vec![b, c] } else { vec![b] };
-        let to: Vec<BlockId> = (0..seed % 4).map(|k| BlockId::from_index((seed as usize + k as usize) % n)).collect();
+        let to: Vec<BlockId> = (0..seed as usize % 4)
+            .map(|k| BlockId::from_index((seed as usize + k) % n))
+            .collect();
         let value = |phi: InstId, p: BlockId, v: Value| match v {
-            Value::ConstInt(ty, x) => Value::const_int(ty, x + 10 * p.index() as i64 + phi.index() as i64),
+            Value::ConstInt(ty, x) => {
+                Value::const_int(ty, x + 10 * p.index() as i64 + phi.index() as i64)
+            }
             v => v,
         };
         let mut got = f.clone();
