@@ -156,8 +156,8 @@ impl Mlp {
     /// Forward pass: the scalar reference the batched kernels are held
     /// to bit for bit.
     ///
-    /// Allocates every layer's activation; hot paths
-    /// should hold a [`BatchWorkspace`] and call [`Mlp::forward_one`] or
+    /// Allocates every layer's activation; hot paths should hold a
+    /// [`BatchWorkspace`] and call [`Mlp::forward_one`] or
     /// [`Mlp::forward_batch`].
     ///
     /// # Panics
