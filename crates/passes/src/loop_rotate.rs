@@ -403,6 +403,48 @@ mod tests {
         assert_eq!(before, after, "rotated={rotated}");
     }
 
+    /// A header that leaves the loop on `true` and enters the body on
+    /// `false` (what `-tailcallelim` makes of `sum`'s recursion) keeps that
+    /// polarity in the guard and the bottom test.
+    #[test]
+    fn a_header_that_exits_on_true_keeps_its_polarity() {
+        let text = "; module t
+
+; f0
+define i32 @sum(i32 %arg0, i32 %arg1) {
+b0:
+  br b3
+b1:
+  ret %9
+b2:
+  %1 = i32 sub %8, i32 1
+  %2 = i32 add %9, %8
+  br b3
+b3:
+  %8 = i32 phi [%arg0, b0], [%1, b2]
+  %9 = i32 phi [%arg1, b0], [%2, b2]
+  %0 = i1 icmp eq %8, i32 0
+  br %0, b1, b2
+}
+";
+        let mut m = autophase_ir::parser::parse_module(text).unwrap();
+        let fid = m.func_by_name("sum").unwrap();
+        let sums = |m: &Module| -> Vec<_> {
+            [0, 1, 5, 30]
+                .iter()
+                .map(|&n| run_function(m, fid, &[n, 7], 100_000).unwrap().return_value)
+                .collect()
+        };
+        assert_eq!(sums(&m), [Some(7), Some(8), Some(22), Some(472)]);
+        assert!(run(&mut m));
+        assert_verified(&m);
+        assert_eq!(sums(&m), [Some(7), Some(8), Some(22), Some(472)]);
+        let f = m.func(fid);
+        let (_, _, loops) = analyze_loops(f);
+        assert_eq!(loops.len(), 1);
+        assert!(is_rotated(&loops[0], f));
+    }
+
     #[test]
     fn already_rotated_loop_untouched() {
         let mut m = sum_loop();
