@@ -201,28 +201,30 @@ fn do_rotate(
     let pre_map = clone_into(f, preheader, &init_map);
     let latch_map = clone_into(f, latch, &next_map);
 
-    let cond = match &f.inst(header_term).op {
-        Opcode::CondBr { cond, .. } => *cond,
+    // Both new tests keep the header's polarity: the arm that entered the
+    // body now enters the loop, and the other one still leaves it.
+    let (cond, then_bb, else_bb) = match f.inst(header_term).op {
+        Opcode::CondBr { cond, then_bb, .. } if then_bb == body_entry => (cond, header, exit),
+        Opcode::CondBr { cond, .. } => (cond, exit, header),
         _ => unreachable!("checked condbr"),
     };
     let pre_cond = *pre_map.get(&cond).unwrap_or(&cond);
     let latch_cond = *latch_map.get(&cond).unwrap_or(&cond);
 
-    // Preheader: guard — if the condition holds enter the loop (header),
-    // else go to exit.
+    // Preheader: guard — enter the loop (header) or go to exit.
     let pre_term = f.terminator(preheader).expect("preheader has br");
     f.inst_mut(pre_term).op = Opcode::CondBr {
         cond: pre_cond,
-        then_bb: header,
-        else_bb: exit,
+        then_bb,
+        else_bb,
     };
 
     // Latch: bottom test — back to header or out to exit.
     let latch_term = f.terminator(latch).expect("latch has br");
     f.inst_mut(latch_term).op = Opcode::CondBr {
         cond: latch_cond,
-        then_bb: header,
-        else_bb: exit,
+        then_bb,
+        else_bb,
     };
 
     // Header: now falls through to the body unconditionally; its cloned
