@@ -85,8 +85,24 @@ impl Input {
     /// sharer has profiled costs this input no sample. All sharers must
     /// profile under one `HlsConfig`.
     pub fn with_cache(program: &Module, hls: &HlsConfig, cache: Arc<EvalCache>) -> Input {
+        Input::profiled(program, &ModuleFingerprints::new(program), hls, cache)
+    }
+
+    /// [`Input::new`] for a program whose fingerprints the caller has
+    /// already taken (`fps` of exactly `program`), so they are not taken
+    /// twice.
+    pub fn fingerprinted(program: &Module, fps: &ModuleFingerprints, hls: &HlsConfig) -> Input {
+        Input::profiled(program, fps, hls, private_cache())
+    }
+
+    fn profiled(
+        program: &Module,
+        fps: &ModuleFingerprints,
+        hls: &HlsConfig,
+        cache: Arc<EvalCache>,
+    ) -> Input {
         let mut input = Input::unprofiled(program, hls, cache, None);
-        let (profile, _) = input.evaluate(program, &ModuleFingerprints::new(program));
+        let (profile, _) = input.evaluate(program, fps);
         input.profile = Some(profile);
         input
     }

@@ -2,8 +2,10 @@
 //!
 //! `parse_module ∘ verify_module ∘ fingerprint_module` is a pure function
 //! of the request bytes, so its result never goes stale and there is
-//! nothing to invalidate. An entry is inserted only after all three steps
-//! succeeded on exactly those bytes.
+//! nothing to invalidate. An entry holds only what all three steps made
+//! of exactly its bytes, in this process or in the one that recorded it
+//! beside the store: a restarted daemon is seeded from its IR sidecar's
+//! request texts, whose frame checksums still held.
 //!
 //! The memo is the workspace's [`BoundedMap`] weighed in resident bytes,
 //! keyed by one 64-bit digest of the text: a probe hashes its kilobytes
@@ -82,6 +84,19 @@ impl FrontMemo {
     pub(crate) fn insert(&self, digest: u64, text: String, fp: u64) -> usize {
         let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
         entries.insert(digest, (text, fp));
+        entries.weight()
+    }
+
+    /// Insert every `(text, fingerprint)` pair of `records`, oldest first,
+    /// and return the memo's resident weight. Each pair must keep the
+    /// memo's rule and each text be exact-size, as for
+    /// [`FrontMemo::insert`]; past the budget the oldest go first, as
+    /// they did in the process that recorded them.
+    pub(crate) fn preload(&self, records: Vec<(String, u64)>) -> usize {
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        for (text, fp) in records {
+            entries.insert(self.digest(&text), (text, fp));
+        }
         entries.weight()
     }
 }
@@ -209,6 +224,23 @@ mod tests {
             memo.get(memo.digest(&last), &last),
             Some(inserts as u64 - 1)
         );
+        assert_eq!(memo.get(memo.digest(&first), &first), None);
+    }
+
+    /// A preload of twice the budget stays inside it like inserts do,
+    /// and keeps the newest texts, each under its own fingerprint.
+    #[test]
+    fn a_preload_over_budget_keeps_the_newest_inside_the_budget() {
+        let memo = FrontMemo::new();
+        let text_len = 64 << 10;
+        let count = 2 * FRONT_BUDGET_BYTES / (text_len + ENTRY_OVERHEAD);
+        let text = |i: usize| format!("{i:08}{}", "x".repeat(text_len - 8));
+        let resident = memo.preload((0..count).map(|i| (text(i), i as u64)).collect());
+        assert!(resident <= FRONT_BUDGET_BYTES, "{resident}");
+        assert_eq!(resident, weight(&memo));
+        assert!(resident > FRONT_BUDGET_BYTES / 2, "{resident}");
+        let (first, last) = (text(0), text(count - 1));
+        assert_eq!(memo.get(memo.digest(&last), &last), Some(count as u64 - 1));
         assert_eq!(memo.get(memo.digest(&first), &first), None);
     }
 

@@ -22,7 +22,8 @@
 //!    matches its reported numbers. A text this process has already
 //!    accepted byte for byte skips the front end too: the `front` memo
 //!    remembers its fingerprint, and it is parsed again only if a replay
-//!    or the cold path needs its module.
+//!    or the cold path needs its module. A restarted daemon's memo starts
+//!    with the request text of every answer the sidecar keeps.
 //! 2. **policy** — greedy rollout on this handler thread
 //!    ([`crate::engine::InferenceEngine::choose_sequence_report`]), every pass
 //!    applied transactionally with quarantine bookkeeping.
@@ -68,7 +69,7 @@ use crate::learner::{LearnerConfig, Online};
 use crate::protocol::{self, refuse, ErrKind, Incoming, Reply, Request, RequestBuffers, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
 use autophase_core::compile::{Input, UNPROFILEABLE_CYCLES};
-use autophase_core::eval_cache::fingerprint_module;
+use autophase_core::eval_cache::ModuleFingerprints;
 use autophase_core::Quarantine;
 use autophase_hls::HlsConfig;
 use autophase_ir::parser::parse_module;
@@ -346,18 +347,26 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|e| StartError(format!("local_addr: {e}")))?;
+        if cfg.telemetry {
+            telemetry::enable();
+        }
         let store = BestStore::open_with(&cfg.store_path, cfg.compaction)
             .map_err(|e| StartError(format!("store {}: {e}", cfg.store_path.display())))?;
         if store.dropped_on_open() {
             telemetry::incr("serve.store", "torn_tail_dropped", 1);
         }
+        // The sidecar, opened against the live store, seeds the front memo
+        // with the request text of every answer it keeps.
+        let opened = telemetry::maybe_now();
         let ir_path = sidecar_path(&cfg.store_path);
-        let artifacts = IrArtifacts::open(&ir_path)
+        let (artifacts, requests) = IrArtifacts::open(&ir_path, |fp| store.lookup(fp))
             .map_err(|e| StartError(format!("store {}: {e}", ir_path.display())))?;
+        let front = FrontMemo::new();
+        telemetry::incr("serve.front", "preloaded", requests.len() as u64);
+        let bytes = front.preload(requests);
+        telemetry::set_gauge("serve.front_bytes", "", bytes as f64);
+        telemetry::observe_since("serve.store_ns", "ir_open", opened);
         let hls = HlsConfig::default().with_profile_fuel(cfg.profile_fuel);
-        if cfg.telemetry {
-            telemetry::enable();
-        }
         let engine = Arc::new(engine);
         let online = Online::start(&cfg, &engine, &hls)?;
         let shared = Arc::new(Shared {
@@ -365,7 +374,7 @@ impl Server {
             flight: FlightRecorder::new(cfg.flight.clone()),
             cfg,
             engine,
-            front: FrontMemo::new(),
+            front,
             store: Mutex::new(store),
             artifacts,
             online,
@@ -733,12 +742,15 @@ fn record_best(shared: &Shared, fp: u64, entry: BestEntry) -> bool {
     }
 }
 
-/// Keep `text` beside the store as the IR of `entry`, the answer for `fp`.
-/// Unsynced and never part of an acknowledgment: a failed append is
-/// counted (`serve.store{ir_append_error}`) and costs a later hit one
-/// replay, never this request its record or its reply.
-fn keep_ir(shared: &Shared, fp: u64, entry: &BestEntry, text: &str) {
-    if shared.artifacts.put(fp, entry, text).is_err() {
+/// Keep `text` beside the store as the IR of `entry`, the answer for `fp`,
+/// and `request`, the text it was computed for (which parsed, verified
+/// and fingerprinted as `fp`). Unsynced and never part of an
+/// acknowledgment: a failed append is counted
+/// (`serve.store{ir_append_error}`) and costs a later hit one replay, or
+/// a restarted daemon one first sight, never this request its record or
+/// its reply.
+fn keep_ir(shared: &Shared, fp: u64, entry: &BestEntry, request: &str, text: &str) {
+    if shared.artifacts.put(fp, entry, request, text).is_err() {
         telemetry::incr("serve.store", "ir_append_error", 1);
     }
 }
@@ -777,7 +789,7 @@ fn stored_ir(
         apply_checked(&mut m, p as usize, &shared.cfg.fuel).ok()?;
     }
     let out = print_module(&m);
-    keep_ir(shared, fp, entry, &out);
+    keep_ir(shared, fp, entry, text, &out);
     Some(out)
 }
 
@@ -838,10 +850,11 @@ fn compile(
     // deadline gets the typed refusal before any pipeline work.
     within(shared, deadline, "before parse")?;
 
-    // Front memo: bytes this process has already parsed, verified and
-    // fingerprinted need their module again only to replay or to
-    // recompute cold. First sight runs the whole front end. The text is
-    // hashed once, for the probe and the insert.
+    // Front memo: bytes this process (or the one that recorded them beside
+    // the store) has already parsed, verified and fingerprinted need their
+    // module again only to replay or to recompute cold. First sight runs
+    // the whole front end. The text is hashed once, for the probe and the
+    // insert.
     let digest = shared.front.digest(ir);
     let known_fp = shared.front.get(digest, ir);
     trace.note("front", if known_fp.is_some() { "hit" } else { "miss" });
@@ -852,9 +865,14 @@ fn compile(
     trace.mark("parse");
     let module = parsed.map_err(|msg| refuse(ErrKind::Parse, None, msg))?;
 
-    // Store rung: a known program answers from the index.
+    // Store rung: a known program answers from the index. A first sight's
+    // fingerprints are taken once: the key here, and the cold path's input.
+    let fps = module.as_ref().map(ModuleFingerprints::new);
     let fp = known_fp.unwrap_or_else(|| {
-        let fp = fingerprint_module(module.as_ref().expect("a first sight is always parsed"));
+        let fp = fps
+            .as_ref()
+            .expect("a first sight is always parsed")
+            .value();
         // An exact-size copy: the memo charges an entry its capacity.
         let bytes = shared.front.insert(digest, ir.to_owned(), fp);
         telemetry::set_gauge("serve.front_bytes", "", bytes as f64);
@@ -904,15 +922,19 @@ fn compile(
     // A memoized text that found no store entry (never recorded, or
     // retired since) goes cold like any miss, so it is parsed after all —
     // on the `baseline_profile` segment.
-    let module = match module {
-        Some(m) => m,
-        None => parse_text(ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?,
+    let (module, fps) = match module.zip(fps) {
+        Some(parsed) => parsed,
+        None => {
+            let m = parse_text(ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?;
+            let fps = ModuleFingerprints::new(&m);
+            (m, fps)
+        }
     };
 
     // Cold: profile the input once (the baseline number, the store
     // record, the semantic check and every `-O3` reference need it), then
     // walk policy → baseline.
-    let mut input = Input::new(&module, &shared.hls);
+    let mut input = Input::fingerprinted(&module, &fps, &shared.hls);
     trace.mark("baseline_profile");
     let baseline_cycles = input
         .report()
@@ -987,7 +1009,7 @@ fn compile(
     // for every later hit that wants it, and this reply's IR if it asked.
     let ir_out = inserted.then(|| {
         let text = print_module(&optimized);
-        keep_ir(shared, fp, &entry, &text);
+        keep_ir(shared, fp, &entry, ir, &text);
         text
     });
     trace.mark("record");
@@ -1022,6 +1044,7 @@ fn compile(
 mod tests {
     use super::*;
     use crate::client::Client;
+    use autophase_core::eval_cache::fingerprint_module;
 
     /// Poison one of the daemon's mutexes (PR 8: every daemon lock
     /// recovers from poisoning), make one request, and wait for the

@@ -202,6 +202,151 @@ fn a_failed_ir_append_never_fails_the_record_or_the_reply() {
     wipe(&store);
 }
 
+/// Open rewrites the IR sidecar once half of it is dead, through one
+/// `atomic_write` under the `store.ir` tag. A rewrite whose write fails or
+/// tears, or whose rename fails, costs nothing: the daemon starts on the
+/// old sidecar, which still preloads its live text into the front memo
+/// and serves its IR, and neither it nor the store files change. The next
+/// clean start compacts.
+#[test]
+fn a_failed_sidecar_compaction_still_opens_preloads_and_serves() {
+    let _guard = test_guard();
+    PLAN.clear();
+    let store = tmp("ir_compact");
+    wipe(&store);
+    let sidecar = PathBuf::from(format!("{}.ir", store.display()));
+    let start = || {
+        Server::start(
+            Mlp::new(
+                &[serve_obs_dim(), 32, serve_num_actions()],
+                Activation::Tanh,
+                7,
+            ),
+            ServerConfig {
+                store_path: store.clone(),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts")
+    };
+    let last_front = |c: &mut Client| {
+        let body = c.traces(1).expect("traces");
+        ["hit", "miss"]
+            .into_iter()
+            .find(|v| body.contains(&format!("[\"front\",\"{v}\"]")))
+            .unwrap_or_else(|| panic!("no front note in {body}"))
+    };
+    // The daemons run in this process: read their counters directly.
+    let counter = |name, label| autophase_telemetry::counter(name, label).value();
+    // The smaller text stays live; the larger one's record goes dead, so
+    // at least half of the sidecar is.
+    let mut programs: Vec<String> = suite()[..2]
+        .iter()
+        .map(|b| autophase_ir::printer::print_module(&b.module))
+        .collect();
+    programs.sort_by_key(String::len);
+    let server = start();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let cold: Vec<_> = programs
+        .iter()
+        .map(|ir| client.compile(ir, Some(60_000), false).expect("cold"))
+        .collect();
+    let kept = client
+        .compile(&programs[0], Some(60_000), true)
+        .expect("IR hit");
+    drop(client);
+    server.shutdown();
+    let dead = autophase_core::eval_cache::fingerprint_module(
+        &autophase_ir::parser::parse_module(&programs[1]).unwrap(),
+    );
+    let better = BestEntry {
+        cycles: cold[1].cycles - 1,
+        baseline_cycles: cold[1].baseline_cycles,
+        seq: cold[1].passes.iter().map(|&p| p as u16).collect(),
+    };
+    let mut s = BestStore::open(&store).unwrap();
+    assert!(s.record(dead, better).unwrap());
+    s.compact().unwrap();
+    drop(s);
+    let files = || {
+        ["", ".snap", ".ir"]
+            .map(|suffix| std::fs::read(format!("{}{suffix}", store.display())).ok())
+    };
+    let before = files();
+
+    for (op, kind) in [
+        (DiskOp::Write, DiskFaultKind::TornWrite),
+        (DiskOp::Write, DiskFaultKind::Enospc),
+        (DiskOp::Rename, DiskFaultKind::SyncFail),
+    ] {
+        let plan = PLAN.install(DiskFaultPlan::new(vec![DiskFaultSpec {
+            op,
+            tag: Some("store.ir".to_string()),
+            nth: 1,
+            kind,
+            salt: 0x5EED,
+        }]));
+        let (errors, preloaded) = (
+            counter("serve.store", "ir_compaction_error"),
+            counter("serve.front", "preloaded"),
+        );
+        let server = start();
+        assert_eq!(plan.fired(), 1, "{kind:?}: the rewrite was attempted");
+        PLAN.clear();
+        assert_eq!(files(), before, "{kind:?}: nothing changed on disk");
+        assert!(!PathBuf::from(format!("{}.tmp", sidecar.display())).exists());
+        assert_eq!(counter("serve.store", "ir_compaction_error") - errors, 1);
+        assert_eq!(
+            counter("serve.front", "preloaded") - preloaded,
+            1,
+            "{kind:?}"
+        );
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let artifacts = counter("serve.store", "ir_artifact");
+        let hit = client
+            .compile(&programs[0], Some(60_000), true)
+            .expect("hit");
+        assert_eq!(last_front(&mut client), "hit", "{kind:?}: preloaded");
+        assert_eq!(
+            (hit.source, hit.ir.as_ref()),
+            (Source::Store, kept.ir.as_ref())
+        );
+        assert_eq!(
+            counter("serve.store", "ir_artifact") - artifacts,
+            1,
+            "{kind:?}"
+        );
+        drop(client);
+        server.shutdown();
+        assert_eq!(files()[2], before[2], "{kind:?}: the old sidecar is intact");
+    }
+
+    let errors = counter("serve.store", "ir_compaction_error");
+    let server = start();
+    assert_eq!(counter("serve.store", "ir_compaction_error"), errors);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let now = files();
+    assert_eq!(now[..2], before[..2], "the store files are untouched");
+    let (old, new) = (before[2].as_ref().unwrap(), now[2].as_ref().unwrap());
+    assert!(
+        new.len() < old.len(),
+        "compacted: {} → {}",
+        old.len(),
+        new.len()
+    );
+    let hit = client
+        .compile(&programs[0], Some(60_000), true)
+        .expect("hit");
+    assert_eq!(last_front(&mut client), "hit");
+    assert_eq!(
+        (hit.source, hit.ir.as_ref()),
+        (Source::Store, kept.ir.as_ref())
+    );
+    drop(client);
+    server.shutdown();
+    wipe(&store);
+}
+
 /// A torn append (crash mid-write) errors the offending `record()` call
 /// only: previously acknowledged records survive reopen, later appends
 /// overwrite the torn bytes, and the torn record never becomes visible.

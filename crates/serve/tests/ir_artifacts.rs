@@ -14,6 +14,7 @@ use autophase_serve::client::{Client, CompileReply};
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 use autophase_serve::protocol::Source;
 use autophase_serve::server::{Server, ServerConfig};
+use autophase_serve::stats::StatsSnapshot;
 use autophase_serve::store::{BestEntry, BestStore};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -85,14 +86,24 @@ fn ir_counts(client: &mut Client) -> (u64, u64) {
     )
 }
 
-/// The `ir` note of this connection's last compile (its trace is sealed
-/// before the handler reads the next request).
-fn last_ir(client: &mut Client) -> &'static str {
+/// The `key` note of this connection's last compile, one of `values`
+/// (its trace is sealed before the handler reads the next request).
+fn last_note(client: &mut Client, key: &str, values: [&'static str; 2]) -> &'static str {
     let body = client.traces(1).expect("traces");
-    ["artifact", "replay"]
+    values
         .into_iter()
-        .find(|how| body.contains(&format!("[\"ir\",\"{how}\"]")))
-        .unwrap_or_else(|| panic!("no ir note in {body}"))
+        .find(|value| body.contains(&format!("[\"{key}\",\"{value}\"]")))
+        .unwrap_or_else(|| panic!("no {key} note in {body}"))
+}
+
+/// How this connection's last compile found its IR.
+fn last_ir(client: &mut Client) -> &'static str {
+    last_note(client, "ir", ["artifact", "replay"])
+}
+
+/// Whether this connection's last compile was in the front memo.
+fn last_front(client: &mut Client) -> &'static str {
+    last_note(client, "front", ["hit", "miss"])
 }
 
 /// CHStone and 200 corpus programs compiled cold without IR, then asked
@@ -171,10 +182,14 @@ fn every_artifact_is_byte_identical_to_a_replay() {
 }
 
 /// A store seeded by numbers-only compiles serves IR from its sidecar
-/// after a restart, with no pass applied. Without the sidecar the next IR
-/// hit replays and rebuilds it, and the one after it is an artifact again.
-/// An entry superseded behind the daemon's back is replayed, never paired
-/// with the old entry's text.
+/// after a restart, with no pass applied, and the restarted daemon's front
+/// memo already holds every recorded request text: its first request for
+/// one is a memo hit, never parsed, while a text with no record misses.
+/// Without the sidecar, or with one of the first layout (no request
+/// texts), the first request misses the memo and the next IR hit replays;
+/// both rebuild the record, so the restart after that hits again. An entry
+/// superseded behind the daemon's back is replayed, never paired with the
+/// old entry's text, and its text is not preloaded.
 #[test]
 fn a_restarted_daemon_serves_ir_from_the_sidecar_and_rebuilds_a_lost_one() {
     use autophase_core::eval_cache::fingerprint_module;
@@ -192,16 +207,28 @@ fn a_restarted_daemon_serves_ir_from_the_sidecar_and_rebuilds_a_lost_one() {
         .iter()
         .map(|ir| compile(&mut client, ir, false))
         .collect();
+    assert_eq!(last_front(&mut client), "miss");
+    let stats = client.stats().expect("stats");
+    let preloaded = stats.counter("serve.front", "preloaded");
+    let ir_opens = |stats: &StatsSnapshot| stats.hist("serve.store_ns", "ir_open").map(|h| h.count);
+    let opened = ir_opens(&stats).expect("the sidecar's open is timed");
     drop(client);
     server.shutdown();
     let want = |i: usize| replay(&programs[i], &cold[i].passes);
 
-    // Restarted: the front memo is empty, the sidecar is not.
+    // Restarted: the front memo holds the three recorded texts.
     let server = start(&store);
     let mut client = connect(&server);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.counter("serve.front", "preloaded") - preloaded, 3);
+    assert_eq!(ir_opens(&stats), Some(opened + 1));
     let before = ir_counts(&mut client);
     let reply = compile(&mut client, &programs[0], true);
-    assert_eq!(last_ir(&mut client), "artifact");
+    assert_eq!(
+        (last_front(&mut client), last_ir(&mut client)),
+        ("hit", "artifact"),
+        "a recorded text is neither parsed nor replayed"
+    );
     assert_eq!(reply.source, Source::Store);
     assert_eq!(
         (&reply.passes, reply.cycles),
@@ -210,24 +237,62 @@ fn a_restarted_daemon_serves_ir_from_the_sidecar_and_rebuilds_a_lost_one() {
     assert!(reply.ir.as_deref() == Some(want(0).as_str()));
     let after = ir_counts(&mut client);
     assert_eq!((after.0 - before.0, after.1 - before.1), (1, 0));
+    let numbers = compile(&mut client, &programs[2], false);
+    assert_eq!(last_front(&mut client), "hit");
+    assert_eq!(
+        (numbers.source, numbers.cycles),
+        (Source::Store, cold[2].cycles)
+    );
+    // The same module in other bytes has no record of its own.
+    let crlf = compile(&mut client, &programs[2].replace('\n', "\r\n"), false);
+    assert_eq!(last_front(&mut client), "miss");
+    assert_eq!((crlf.source, crlf.cycles), (Source::Store, cold[2].cycles));
     drop(client);
     server.shutdown();
 
-    // The sidecar is lost: one replay rebuilds it.
-    std::fs::remove_file(sidecar(&store)).expect("the sidecar exists");
-    let server = start(&store);
-    let mut client = connect(&server);
-    let before = ir_counts(&mut client);
-    for how in ["replay", "artifact"] {
-        let reply = compile(&mut client, &programs[0], true);
-        assert_eq!(last_ir(&mut client), how);
-        assert_eq!(reply.source, Source::Store);
-        assert!(reply.ir.as_deref() == Some(want(0).as_str()), "{how}");
+    // The sidecar is lost, then replaced by one of the first layout: each
+    // time the first request misses the memo, the first IR hit replays
+    // and rebuilds the record, and the next restart hits it.
+    for damage in ["lost", "first layout"] {
+        let ir = sidecar(&store);
+        if damage == "lost" {
+            std::fs::remove_file(&ir).expect("the sidecar exists");
+        } else {
+            let mut bytes = std::fs::read(&ir).expect("the sidecar exists");
+            bytes[..8].copy_from_slice(b"APIRTXT1");
+            std::fs::write(&ir, bytes).unwrap();
+        }
+        let server = start(&store);
+        let mut client = connect(&server);
+        let before = ir_counts(&mut client);
+        for (front, how) in [("miss", "replay"), ("hit", "artifact")] {
+            let reply = compile(&mut client, &programs[0], true);
+            assert_eq!(
+                (last_front(&mut client), last_ir(&mut client)),
+                (front, how),
+                "{damage}"
+            );
+            assert_eq!(reply.source, Source::Store);
+            assert!(reply.ir.as_deref() == Some(want(0).as_str()), "{how}");
+        }
+        let after = ir_counts(&mut client);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1));
+        drop(client);
+        server.shutdown();
+
+        let server = start(&store);
+        let mut client = connect(&server);
+        compile(&mut client, &programs[0], true);
+        assert_eq!(
+            (last_front(&mut client), last_ir(&mut client)),
+            ("hit", "artifact"),
+            "{damage}, rebuilt"
+        );
+        compile(&mut client, &programs[1], false);
+        assert_eq!(last_front(&mut client), "miss", "{damage}: never asked");
+        drop(client);
+        server.shutdown();
     }
-    let after = ir_counts(&mut client);
-    assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1));
-    drop(client);
-    server.shutdown();
 
     // A strictly better entry recorded behind the daemon's back has no
     // artifact of its own: its first IR hit replays, the next is served.
@@ -240,9 +305,12 @@ fn a_restarted_daemon_serves_ir_from_the_sidecar_and_rebuilds_a_lost_one() {
     assert!(BestStore::open(&store).unwrap().record(fp, better).unwrap());
     let server = start(&store);
     let mut client = connect(&server);
-    for how in ["replay", "artifact"] {
+    for (front, how) in [("miss", "replay"), ("hit", "artifact")] {
         let reply = compile(&mut client, &programs[1], true);
-        assert_eq!(last_ir(&mut client), how);
+        assert_eq!(
+            (last_front(&mut client), last_ir(&mut client)),
+            (front, how)
+        );
         assert_eq!(reply.cycles, cold[1].cycles - 1, "{how}");
         assert!(reply.ir.as_deref() == Some(want(1).as_str()), "{how}");
     }

@@ -13,9 +13,14 @@
 //!   rejected (equal-or-worse) inserts leave the file byte-identical;
 //! * with the default compaction policy, the same 10k-insert run folds
 //!   into a snapshot + short tail whose *live* size is pinned by
-//!   formula — dead history does not accumulate on disk.
+//!   formula — dead history does not accumulate on disk;
+//! * the IR sidecar beside it (`<store>.ir`) follows: once every entry
+//!   has been superseded, a daemon's start rewrites it to exactly one
+//!   record per live entry, pinned by formula too.
 
+use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::store::{BestEntry, BestStore, CompactionPolicy};
+use autophase_telemetry::faultfs;
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
@@ -27,7 +32,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// Remove the tail log and every snapshot-generation sibling.
 fn wipe(path: &Path) {
-    for suffix in ["", ".snap", ".snap.tmp", ".snap.corrupt", ".tmp"] {
+    for suffix in ["", ".snap", ".snap.tmp", ".snap.corrupt", ".tmp", ".ir"] {
         let _ = std::fs::remove_file(PathBuf::from(format!("{}{suffix}", path.display())));
     }
 }
@@ -225,5 +230,65 @@ fn reopen_scales_with_log_bytes_not_rescans() {
         elapsed < std::time::Duration::from_secs(5),
         "reopen of 10k records took {elapsed:?} — replay is no longer linear"
     );
+    wipe(&path);
+}
+
+/// Append one IR sidecar record as the daemon writes it (DESIGN.md §4j):
+/// the IR frame (fingerprint, cycles, ordering, IR text), then the request
+/// frame (fingerprint, request text).
+fn push_sidecar_record(out: &mut Vec<u8>, fp: u64, e: &BestEntry, request: &str, ir: &str) {
+    let mut payload = [fp.to_le_bytes(), e.cycles.to_le_bytes()].concat();
+    payload.extend_from_slice(&(e.seq.len() as u16).to_le_bytes());
+    for p in &e.seq {
+        payload.extend_from_slice(&p.to_le_bytes());
+    }
+    payload.extend_from_slice(ir.as_bytes());
+    faultfs::push_frame(out, &payload);
+    faultfs::push_frame(out, &[&fp.to_le_bytes(), request.as_bytes()].concat());
+}
+
+/// 10k entries each superseded once, with a sidecar record for both
+/// answers: half of the sidecar is dead, so the next daemon start
+/// rewrites it to the live records alone, in their order, and a second
+/// start leaves it as it is.
+#[test]
+fn a_superseded_store_reopens_with_one_sidecar_record_per_live_entry() {
+    const N: u64 = 10_000;
+    let path = tmp("sidecar10k");
+    wipe(&path);
+    let request = |fp: u64| format!("; request {fp:05}\n");
+    let ir = |fp: u64, round: u64| format!("; ir {fp:05} round {round}\n");
+    let mut sidecar = b"APIRTXT2".to_vec();
+    let mut live = b"APIRTXT2".to_vec();
+    {
+        let mut s = BestStore::open(&path).unwrap();
+        for round in 0..2 {
+            for fp in 0..N {
+                let mut e = entry_for(fp);
+                e.cycles -= round;
+                assert!(s.record(fp, e.clone()).unwrap());
+                push_sidecar_record(&mut sidecar, fp, &e, &request(fp), &ir(fp, round));
+                if round == 1 {
+                    push_sidecar_record(&mut live, fp, &e, &request(fp), &ir(fp, round));
+                }
+            }
+        }
+    }
+    let sidecar_path = PathBuf::from(format!("{}.ir", path.display()));
+    std::fs::write(&sidecar_path, &sidecar).unwrap();
+
+    for start in ["first", "second"] {
+        let server = Server::start_baseline_only(ServerConfig {
+            store_path: path.clone(),
+            telemetry: false,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        assert_eq!(server.store_len(), N as usize);
+        server.shutdown();
+        let got = std::fs::read(&sidecar_path).unwrap();
+        assert_eq!(got.len(), live.len(), "{start} start");
+        assert!(got == live, "{start} start: one record per live entry");
+    }
     wipe(&path);
 }

@@ -237,7 +237,10 @@ fn long_orderings_keep_every_result_after_every_pass() {
         failures.join("\n")
     );
     for name in COVERED {
-        let pass = PASS_NAMES.iter().position(|&n| n == name).expect("a Table-1 pass");
+        let pass = PASS_NAMES
+            .iter()
+            .position(|&n| n == name)
+            .expect("a Table-1 pass");
         assert!(changed[pass] > 0, "{name} changed no program of the slice");
     }
 }
