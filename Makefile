@@ -101,8 +101,11 @@ dead-pub:
 # interleaves store hits with refused frames, whose replies must each be
 # the one its request earns alone. Then the IR sidecar: on
 # CHStone + 200 corpus programs every IR hit is served from it, byte for
-# byte a replay of its passes, and a restart, a lost sidecar and a
-# superseded entry each fall back to one replay that rebuilds it. Then
+# byte a replay of its passes; a restarted daemon answers a recorded
+# text's first request from its front memo, unparsed, seeded from the
+# sidecar's request texts; and a lost or first-layout sidecar and a
+# superseded entry each cost one memo miss or one replay that rebuilds
+# the record. Then
 # the wire golden (every message's bytes and every refusal's text) and
 # the allocation gate: after warm-up, a numbers-only store hit allocates
 # nothing anywhere in the process.
@@ -124,10 +127,11 @@ trace-smoke:
 # Durability smoke (DESIGN.md §4j): the APSTORE2 crash-recovery
 # property matrix plus live-daemon self-healing tests (a forward panic
 # degrading one request, checkpoint armor, client retry), the disk-fault
-# chaos suite (store, its IR sidecar, then a failed checkpoint save), the
-# kill -9 drill (12 real SIGKILLs of a writer process, no acked record
-# lost), and the store's reopen/compaction size pins at 10k entries.
-# Under a minute.
+# chaos suite (store, its IR sidecar's appends and a compaction rewrite
+# that fails or tears, then a failed checkpoint save), the kill -9 drill
+# (12 real SIGKILLs of a writer process, no acked record lost), and the
+# reopen/compaction size pins at 10k entries: the store's, and its
+# sidecar's after every entry was superseded once. Under a minute.
 durability-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test durability
 	$(CARGO) test -q --release -p autophase-serve --test faultfs_chaos

@@ -23,12 +23,12 @@
 //! truncates a torn or corrupt tail, as [`crate::store::BestStore`] does
 //! with its log, and keeps only the records of live store entries: when
 //! the others take half of the file's record bytes or more, it rewrites
-//! the file to the live ones with one [`faultfs::atomic_write`]. A file of the
-//! first layout (`APIRTXT1`, no request texts) is dropped and rebuilt as
-//! a lost one is. The index holds offsets, not texts; a read re-checks the
-//! frame and serves the text only when the record's `(cycles, seq)` is
-//! the live entry's, so an artifact of a superseded or retired entry is
-//! never served.
+//! the file to the live ones with one [`faultfs::atomic_write`]. A file
+//! of the first layout (`APIRTXT1`, no request texts) is dropped and
+//! rebuilt as a lost one is. The index holds offsets, not texts; a read
+//! re-checks the frame and serves the text only when the record's
+//! `(cycles, seq)` is the live entry's, so an artifact of a superseded or
+//! retired entry is never served.
 
 use crate::store::BestEntry;
 use autophase_telemetry::{self as telemetry, faultfs, lock_recover};
@@ -220,13 +220,12 @@ impl IrArtifacts {
                 };
                 let len = ir.len() + request.len();
                 if live(rec.fp).is_some_and(|entry| rec.answers(entry)) {
-                    let at = end;
                     let request = text.to_owned();
                     let ir_len = ir.len();
                     kept.insert(
                         rec.fp,
                         Live {
-                            at,
+                            at: end,
                             ir_len,
                             len,
                             request,
