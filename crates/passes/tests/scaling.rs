@@ -11,15 +11,26 @@
 //! cannot cross it (the times are best-of-5, and a pass gets three
 //! attempts, so a burst of host noise cannot either).
 //!
-//! A timing test: release builds only, run by `make perf-smoke`.
+//! The second shape is one function with k, then 4k, independent counted
+//! loops in a row, canonicalised by `-loop-simplify`. It guards the drivers
+//! that transform loops or blocks one at a time: `-loop-rotate`,
+//! `-loop-unroll` and `-simplifycfg`. A driver that re-analyses the whole
+//! function after every rewrite does k rewrites of O(k) analysis each and
+//! reads ~16x; one that transforms every candidate an analysis finds reads
+//! ~4x. The same bound of 8, best of 5 and three attempts apply.
+//!
+//! Timing tests: release builds only, run by `make perf-smoke`.
 
 use autophase_ir::builder::FunctionBuilder;
 use autophase_ir::verify::verify_module;
 use autophase_ir::{BinOp, Module, Type, Value};
 use autophase_passes::registry::{apply, pass_name};
+use autophase_passes::PassId;
 use std::time::{Duration, Instant};
 
 const N: usize = 250;
+/// Loops in the small input of the loop-count shape.
+const K: usize = 25;
 const GUARDED: [usize; 5] = [
     26, // -early-cse
     7,  // -gvn
@@ -98,6 +109,92 @@ fn guarded_passes_scale_linearly_with_block_size() {
         assert!(
             ratio.is_some(),
             "{} took 8x or longer on 4x the block, three times: not linear",
+            pass_name(pass)
+        );
+    }
+}
+
+/// `loops` counted loops in a row, each adding its induction variable
+/// into one slot four times, then `-loop-simplify`.
+fn loop_chain(loops: usize) -> Module {
+    let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
+    let slot = b.alloca(Type::I32, 1);
+    b.store(slot, b.arg(0));
+    for _ in 0..loops {
+        b.counted_loop(Value::i32(4), |b, i| {
+            let x = b.load(Type::I32, slot);
+            let y = b.binary(BinOp::Add, x, i);
+            b.store(slot, y);
+        });
+    }
+    let r = b.load(Type::I32, slot);
+    b.ret(Some(r));
+    let mut m = Module::new("loops");
+    m.add_function(b.finish());
+    apply(&mut m, 29); // -loop-simplify
+    m
+}
+
+/// [`best_of_5`] on unshared copies: a clone shares its functions with
+/// `module`, so an analysis of one copy's function would serve the next
+/// copy's too, and the first pass of a sample would not pay for it.
+fn best_of_5_unshared(module: &Module, pass: PassId, runs: u32) -> Duration {
+    (0..5)
+        .map(|_| {
+            let mut copies: Vec<Module> = (0..runs).map(|_| module.deep_clone()).collect();
+            let t = Instant::now();
+            for m in &mut copies {
+                assert!(apply(m, pass), "{} found nothing to do", pass_name(pass));
+            }
+            let elapsed = t.elapsed();
+            verify_module(&copies[0]).expect("guarded pass left valid IR");
+            elapsed / runs
+        })
+        .min()
+        .expect("five samples")
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing guard: run in release (make perf-smoke)"
+)]
+fn loop_drivers_scale_linearly_with_loop_count() {
+    // Each pass gets the chain in the form it has work on: rotation wants
+    // the canonical top-tested loops, unrolling the rotated single-block
+    // ones, and -simplifycfg removes the forwarding block -loop-simplify
+    // leaves between two loops.
+    let rotated = |m: &Module| {
+        let mut m = m.deep_clone();
+        assert!(apply(&mut m, 23), "-loop-rotate found nothing to do");
+        m
+    };
+    let inputs = |loops: usize| {
+        let canonical = loop_chain(loops);
+        [
+            (23, canonical.deep_clone()), // -loop-rotate
+            (33, rotated(&canonical)),    // -loop-unroll
+            (31, canonical),              // -simplifycfg
+        ]
+    };
+    for ((pass, small), (_, large)) in inputs(K).into_iter().zip(inputs(4 * K)) {
+        let ratio = (0..3)
+            .map(|_| {
+                let (t1, t4) = (
+                    best_of_5_unshared(&small, pass, 4),
+                    best_of_5_unshared(&large, pass, 1),
+                );
+                let ratio = t4.as_secs_f64() / t1.as_secs_f64();
+                println!(
+                    "{:14} k={K}: {t1:?}  4k: {t4:?}  ratio {ratio:.1}",
+                    pass_name(pass)
+                );
+                ratio
+            })
+            .find(|&ratio| ratio < 8.0);
+        assert!(
+            ratio.is_some(),
+            "{} took 8x or longer on 4x the loops, three times: not linear",
             pass_name(pass)
         );
     }
