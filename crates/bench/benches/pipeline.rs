@@ -39,6 +39,27 @@ fn bench_passes(c: &mut Criterion) {
             black_box(m.num_insts())
         })
     });
+    // The pass step of a cold request: the nine-step prefix the serving
+    // policy takes on every seed-1 corpus program, each step a checked
+    // apply (verification included). Each iteration starts from unshared
+    // copies (their deep clone is timed too, a few percent), so it analyses
+    // every function afresh, as a parsed request does.
+    const SERVED: [usize; 9] = [30, 23, 33, 30, 33, 26, 33, 30, 33];
+    let programs = autophase_progen::program_batch(&Default::default(), 1, 40);
+    let fuel = autophase_passes::FuelBudget::default();
+    c.bench_function("pass/served ordering on 40 programs", |b| {
+        b.iter(|| {
+            let mut total = 0;
+            for program in &programs {
+                let mut m = program.deep_clone();
+                for &pass in &SERVED {
+                    let _ = autophase_passes::apply_checked(&mut m, pass, &fuel);
+                }
+                total += m.num_insts();
+            }
+            black_box(total)
+        })
+    });
 }
 
 fn bench_hls(c: &mut Criterion) {

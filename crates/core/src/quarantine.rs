@@ -11,7 +11,15 @@
 //! The table is shared across worker environments (like the evaluation
 //! cache) and is deliberately *monotone*: pairs are only ever added, so
 //! sharing it between workers can change which actions are masked
-//! mid-batch but never un-mask one. Runs that must be bit-identical
+//! mid-batch but never un-mask one.
+//!
+//! The daemon's rollout reads a program's masked set once, when it
+//! starts, and again after each fault it records itself — one lock per
+//! rollout instead of one per action per step. So a pass this rollout
+//! quarantines stays masked at its later steps, while another worker's
+//! concurrent quarantine of the same program is seen at the next
+//! rollout, not the next step (monotone: a mask is only ever late, never
+//! lifted). Runs that must be bit-identical
 //! across worker counts (the determinism suite) simply run without a
 //! shared quarantine attached.
 

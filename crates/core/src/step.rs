@@ -25,6 +25,7 @@ use autophase_passes::changeset::ChangeSet;
 use autophase_passes::checked::{apply_checked_traced, FaultKind, FuelBudget, PassFault};
 use autophase_passes::fault;
 use autophase_passes::registry::{self, NUM_PASSES};
+use std::time::Instant;
 
 /// The pass subset §4.2 finds impactful ("-scalarrepl, -gvn,
 /// -scalarrepl-ssa, -loop-reduce, -loop-deletion, -reassociate,
@@ -171,6 +172,10 @@ pub struct Walk<'a> {
     /// `extract(module)`, resynced from each change set.
     feats: IncrementalFeatures,
     histogram: Vec<f64>,
+    /// Nanoseconds in checked pass applications (verification included).
+    pass_ns: u64,
+    /// Nanoseconds resyncing the features after them.
+    features_ns: u64,
 }
 
 impl<'a> Walk<'a> {
@@ -181,7 +186,20 @@ impl<'a> Walk<'a> {
             histogram: vec![0.0; step.num_actions()],
             step,
             module,
+            pass_ns: 0,
+            features_ns: 0,
         }
+    }
+
+    /// Nanoseconds this walk's steps spent applying passes, each checked
+    /// apply's verification included.
+    pub fn pass_ns(&self) -> u64 {
+        self.pass_ns
+    }
+
+    /// Nanoseconds this walk's steps spent resyncing the features.
+    pub fn features_ns(&self) -> u64 {
+        self.features_ns
     }
 
     /// The observation of the current state.
@@ -200,9 +218,14 @@ impl<'a> Walk<'a> {
     pub fn step(&mut self, action: usize, fuel: &FuelBudget) -> Result<bool, PassFault> {
         self.histogram[action] += 1.0;
         let injected = fault::poll(self.step.actions[action]);
-        let (changed, cs) = self.step.apply(self.module, action, fuel, injected)?;
+        let start = Instant::now();
+        let applied = self.step.apply(self.module, action, fuel, injected);
+        let applied_at = Instant::now();
+        self.pass_ns += (applied_at - start).as_nanos() as u64;
+        let (changed, cs) = applied?;
         if changed {
             resync_features(&mut self.feats, self.module, &cs);
+            self.features_ns += applied_at.elapsed().as_nanos() as u64;
         }
         Ok(changed)
     }

@@ -233,7 +233,8 @@ fn classify(m: &Module, op: &Opcode) -> OpClass {
 pub fn extract_function(m: &Module, fid: FuncId) -> FeatureVector {
     let mut f = [0i64; NUM_FEATURES];
     let func = m.func(fid);
-    let cfg = Cfg::new(func);
+    let facts = m.facts(fid);
+    let cfg = facts.cfg();
     f[53] += 1; // non-external functions (all our functions have bodies)
     f[17] += cfg.critical_edges().len() as i64;
     f[18] += cfg.num_edges() as i64;

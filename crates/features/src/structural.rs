@@ -27,9 +27,6 @@
 //! observation: the RL environment observes Table 2 only (EXPERIMENTS.md
 //! records the ablation that found no gain from appending it).
 
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::find_loops;
 use autophase_ir::Module;
 
 /// Number of structural features (indices 0–13 of the extension block).
@@ -72,9 +69,8 @@ pub fn extract_structural(m: &Module) -> [i64; NUM_STRUCTURAL_FEATURES] {
     let mut f = [0i64; NUM_STRUCTURAL_FEATURES];
     for fid in m.func_ids() {
         let func = m.func(fid);
-        let cfg = Cfg::new(func);
-        let dt = DomTree::new(func, &cfg);
-        let loops = find_loops(func, &cfg, &dt);
+        let facts = m.facts(fid);
+        let (cfg, dt, loops) = (facts.cfg(), facts.dom(), facts.loops());
 
         // ---- Loop-nest depth histogram. A loop's depth is the number of
         // loops (itself included) whose block set contains its header;
@@ -87,7 +83,7 @@ pub fn extract_structural(m: &Module) -> [i64; NUM_STRUCTURAL_FEATURES] {
         // `Loop::blocks` per query): depth(l) = contain[l.header], and a
         // block is inside a loop iff its count is nonzero.
         let mut contain = vec![0i64; func.block_capacity()];
-        for l in &loops {
+        for l in loops {
             for &bb in &l.blocks {
                 contain[bb.index()] += 1;
             }
@@ -99,7 +95,7 @@ pub fn extract_structural(m: &Module) -> [i64; NUM_STRUCTURAL_FEATURES] {
             }
         }
         f[0] += loops.len() as i64;
-        for l in &loops {
+        for l in loops {
             let depth = contain[l.header.index()];
             match depth {
                 1 => f[1] += 1,

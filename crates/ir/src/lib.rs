@@ -10,7 +10,8 @@
 //! * one vocabulary for editing CFG edges and φ entries ([`edges`]);
 //! * CFG analyses: predecessors/successors and reverse post-order
 //!   ([`cfg`](mod@cfg)), dominator trees ([`dom`]), and natural-loop detection
-//!   ([`loops`]);
+//!   ([`loops`]), each computed at most once per function version
+//!   ([`facts`]);
 //! * a structural [`verify`]-er used as the big invariant in property tests;
 //! * a deterministic, total-semantics tracing interpreter ([`interp`]) that
 //!   records basic-block execution counts — the "software trace" the HLS
@@ -52,6 +53,7 @@ pub mod cfg;
 pub mod csr;
 pub mod dom;
 pub mod edges;
+pub mod facts;
 pub mod fingerprint;
 pub mod fold;
 pub mod function;

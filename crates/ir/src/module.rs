@@ -1,8 +1,10 @@
 //! Modules and global variables.
 
+use crate::facts::{self, Facts};
 use crate::function::Function;
 use crate::types::Type;
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Identifies a function within a module.
@@ -136,6 +138,8 @@ impl Module {
     }
 
     /// Mutable access to a function (clones-on-write if the slot is shared).
+    /// The one way to write a function: it makes a new version, whose
+    /// [`Module::facts`] are computed afresh.
     ///
     /// # Panics
     ///
@@ -146,6 +150,17 @@ impl Module {
                 .as_mut()
                 .expect("removed function"),
         )
+    }
+
+    /// The CFG, dominator tree, loops, use index and dead-code state of the
+    /// function's current version, each computed at most once per version
+    /// (see [`facts`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function was removed.
+    pub fn facts(&self, id: FuncId) -> Rc<Facts> {
+        facts::of(self.func_arc(id).expect("removed function"))
     }
 
     /// True if the id refers to a live function.

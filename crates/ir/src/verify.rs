@@ -3,8 +3,7 @@
 //! The verifier is the primary invariant in the pass property tests: every
 //! optimization pass must leave a verifiable module behind.
 
-use crate::cfg::Cfg;
-use crate::dom::DomTree;
+use crate::facts::Facts;
 use crate::function::{BlockId, Function};
 use crate::inst::Opcode;
 use crate::module::{FuncId, Module};
@@ -62,7 +61,7 @@ pub fn verify_functions(
             continue;
         }
         let f = m.func(fid);
-        verify_function(f).map_err(|msg| VerifyError {
+        verify_function(f, &m.facts(fid)).map_err(|msg| VerifyError {
             func: f.name.clone(),
             message: msg,
         })?;
@@ -118,7 +117,8 @@ pub fn verify_functions(
     Ok(())
 }
 
-/// Verify a single function. Returns a description of the first violation.
+/// Verify a single function against its version's `facts`. Returns a
+/// description of the first violation.
 ///
 /// Checks: every block ends in exactly one terminator (and has no terminator
 /// mid-block); φ-nodes precede non-φ instructions and their incoming lists
@@ -130,7 +130,7 @@ pub fn verify_functions(
 /// # Errors
 ///
 /// Returns a human-readable message describing the first violation.
-fn verify_function(f: &Function) -> Result<(), String> {
+fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
     // Block-local structure.
     let mut placement: Vec<Option<BlockId>> = vec![None; f.inst_capacity()];
     for bb in f.block_ids() {
@@ -224,7 +224,10 @@ fn verify_function(f: &Function) -> Result<(), String> {
     // Unreachable predecessors need no incoming entry (passes only maintain
     // φ-nodes for live edges), but stray incoming from a non-predecessor is
     // always an error.
-    let cfg = Cfg::new(f);
+    let cfg = facts.cfg();
+    // `stamp[b]` is the number of the last φ that listed an entry from `b`.
+    let mut stamp = vec![0u32; f.block_capacity()];
+    let mut phi_no = 0u32;
     for &bb in cfg.rpo() {
         // φs lead their block (checked above), so a block that does not
         // start with one has none and needs no predecessor lists.
@@ -239,20 +242,25 @@ fn verify_function(f: &Function) -> Result<(), String> {
             .collect();
         for (iid, inst) in f.insts_in(bb) {
             if let Opcode::Phi { incoming } = &inst.op {
-                let mut in_blocks: Vec<BlockId> = incoming.iter().map(|(b, _)| *b).collect();
-                in_blocks.sort();
-                let mut dedup = in_blocks.clone();
-                dedup.dedup();
-                if dedup.len() != in_blocks.len() {
-                    return Err(format!(
-                        "phi %{} has duplicate incoming blocks",
-                        iid.index()
-                    ));
+                phi_no += 1;
+                for &(b, _) in incoming {
+                    // A block beyond the arena is no predecessor (reported
+                    // below), but it may still be listed twice.
+                    let listed_before = match stamp.get_mut(b.index()) {
+                        Some(s) => std::mem::replace(s, phi_no) == phi_no,
+                        None => incoming.iter().filter(|(o, _)| *o == b).count() > 1,
+                    };
+                    if listed_before {
+                        return Err(format!(
+                            "phi %{} has duplicate incoming blocks",
+                            iid.index()
+                        ));
+                    }
                 }
                 // Every reachable predecessor must have an incoming value,
                 // and every incoming block must be a predecessor.
                 for p in &preds {
-                    if !in_blocks.contains(p) {
+                    if stamp[p.index()] != phi_no {
                         return Err(format!(
                             "phi %{} in b{} missing incoming for pred b{}",
                             iid.index(),
@@ -261,22 +269,25 @@ fn verify_function(f: &Function) -> Result<(), String> {
                         ));
                     }
                 }
-                for ib in &in_blocks {
-                    if !all_preds.contains(ib) {
-                        return Err(format!(
-                            "phi %{} in b{} has incoming from non-pred b{}",
-                            iid.index(),
-                            bb.index(),
-                            ib.index()
-                        ));
-                    }
+                let stray = incoming
+                    .iter()
+                    .map(|&(b, _)| b)
+                    .filter(|b| !all_preds.contains(b))
+                    .min();
+                if let Some(ib) = stray {
+                    return Err(format!(
+                        "phi %{} in b{} has incoming from non-pred b{}",
+                        iid.index(),
+                        bb.index(),
+                        ib.index()
+                    ));
                 }
             }
         }
     }
 
     // SSA dominance: defs dominate uses (reachable code only).
-    let dt = DomTree::new(f, &cfg);
+    let dt = facts.dom();
     let mut order_in_block: Vec<usize> = vec![0; f.inst_capacity()];
     for bb in f.block_ids() {
         for (i, &iid) in f.block(bb).insts.iter().enumerate() {
@@ -382,6 +393,12 @@ mod tests {
         m
     }
 
+    fn verify_alone(f: Function) -> Result<(), String> {
+        let m = module_with(f);
+        let id = m.func_ids().next().expect("one function");
+        verify_function(m.func(id), &m.facts(id))
+    }
+
     #[test]
     fn valid_function_passes() {
         let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
@@ -412,13 +429,13 @@ mod tests {
                 Opcode::Binary(BinOp::Add, Value::i32(1), Value::i32(2)),
             ),
         );
-        assert!(verify_function(&f).unwrap_err().contains("terminator"));
+        assert!(verify_alone(f).unwrap_err().contains("terminator"));
     }
 
     #[test]
     fn empty_block_caught() {
         let f = Function::new("main", vec![], Type::Void);
-        assert!(verify_function(&f).unwrap_err().contains("empty"));
+        assert!(verify_alone(f).unwrap_err().contains("empty"));
     }
 
     #[test]
@@ -437,7 +454,7 @@ mod tests {
         // phi only lists one of the two predecessors
         let p = b.phi(Type::I32, vec![(t, Value::i32(1))]);
         b.ret(Some(p));
-        let err = verify_function(&b.finish()).unwrap_err();
+        let err = verify_alone(b.finish()).unwrap_err();
         assert!(err.contains("missing incoming"), "{err}");
     }
 
@@ -463,7 +480,7 @@ mod tests {
             ),
         );
         f.append_inst(e, Inst::new(Type::Void, Opcode::Ret { value: None }));
-        let err = verify_function(&f).unwrap_err();
+        let err = verify_alone(f).unwrap_err();
         assert!(err.contains("used before defined"), "{err}");
     }
 
@@ -509,7 +526,7 @@ mod tests {
         b.br(j);
         b.switch_to(j);
         b.ret(Some(x)); // use not dominated by def
-        let err = verify_function(&b.finish()).unwrap_err();
+        let err = verify_alone(b.finish()).unwrap_err();
         assert!(err.contains("not dominated"), "{err}");
     }
 
@@ -522,6 +539,6 @@ mod tests {
             Inst::new(Type::I32, Opcode::Phi { incoming: vec![] }),
         );
         f.append_inst(e, Inst::new(Type::Void, Opcode::Ret { value: None }));
-        assert!(verify_function(&f).unwrap_err().contains("entry"));
+        assert!(verify_alone(f).unwrap_err().contains("entry"));
     }
 }

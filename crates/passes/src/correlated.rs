@@ -6,8 +6,6 @@
 //! equality pins an operand are simplified the same way.
 
 use crate::util;
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
 use autophase_ir::{BlockId, CmpPred, FuncId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything changed.
@@ -22,9 +20,9 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 fn propagate_function(m: &mut Module, fid: FuncId) -> bool {
+    let known = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
+    let (cfg, dt) = (known.cfg(), known.dom());
 
     // Collect (region_head, x, C) facts from equality branches.
     let mut facts: Vec<(BlockId, Value, Value)> = Vec::new();

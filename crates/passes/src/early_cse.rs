@@ -6,11 +6,11 @@
 //! address are reused, and a load immediately dominated (in the block) by a
 //! store to the same address is replaced by the stored value.
 
-use crate::util;
+use crate::util::{self, WordMap};
 use autophase_ir::{
     BinOp, CastOp, CmpPred, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Type, Value,
 };
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -63,7 +63,7 @@ fn expr_key(inst: &Inst, rw: &Rewrites) -> Option<ExprKey> {
 /// [`util::pointer_root`]) computed once when the entry is made.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KnownMemory {
-    at: HashMap<Value, (Option<Value>, Value)>,
+    at: WordMap<Value, (Option<Value>, Value)>,
 }
 
 impl KnownMemory {
@@ -81,7 +81,7 @@ impl KnownMemory {
 }
 
 /// Available expressions: key → the instruction that first computed it.
-pub(crate) type Available = HashMap<ExprKey, InstId>;
+pub(crate) type Available = WordMap<ExprKey, InstId>;
 
 /// The CSE step shared with `-gvn`: look `iid` up in (and add it to) the
 /// available expressions and known memory, recording a replacement in `rw`
@@ -136,7 +136,7 @@ pub(crate) fn visit(
 fn cse_function(m: &mut Module, fid: FuncId) -> bool {
     let f = m.func(fid);
     let mut rw = Rewrites::new();
-    let mut avail = Available::new();
+    let mut avail = Available::default();
     let mut mem = KnownMemory::default();
     for bb in f.block_ids() {
         avail.clear();

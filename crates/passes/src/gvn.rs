@@ -9,8 +9,6 @@
 
 use crate::early_cse::{self, Available, ExprKey, KnownMemory};
 use crate::util;
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
 use autophase_ir::{BlockId, FuncId, Module, Rewrites};
 
 /// Run the pass. Returns true if anything changed.
@@ -36,15 +34,15 @@ struct Frame {
 }
 
 fn gvn_function(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
+    let (cfg, dt) = (facts.cfg(), facts.dom());
     let mut rw = Rewrites::new();
 
     // Depth-first over the dominator tree. Pure expressions are scoped: a
     // block sees what its dominators computed, and its own additions are
     // withdrawn when the walk leaves its subtree.
-    let mut avail = Available::new();
+    let mut avail = Available::default();
     let enter = |bb: BlockId, mut mem: KnownMemory, avail: &mut Available, rw: &mut Rewrites| {
         let mut added = Vec::new();
         for &iid in &f.block(bb).insts {

@@ -9,9 +9,6 @@
 //!   the loop by the constant.
 
 use crate::util;
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::find_loops;
 use autophase_ir::{BinOp, CmpPred, FuncId, InstId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything changed.
@@ -32,12 +29,11 @@ pub fn run(m: &mut Module) -> bool {
 /// loop then fold without unrolling anything.
 fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
     use autophase_ir::Value;
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
+    let (cfg, loops) = (facts.cfg(), facts.loops());
     let mut rewrites: Vec<(InstId, autophase_ir::BlockId, Value, Value)> = Vec::new();
-    for l in &loops {
+    for l in loops {
         // Single-block bottom-tested shape (what -loop-rotate produces).
         if l.blocks.len() != 1 || l.single_latch() != Some(l.header) {
             continue;
@@ -75,7 +71,7 @@ fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
         let autophase_ir::Opcode::Phi { incoming } = &f.inst(iv).op else {
             continue;
         };
-        let Some(preheader) = l.entering_block(&cfg) else {
+        let Some(preheader) = l.entering_block(cfg) else {
             continue;
         };
         let init = incoming
@@ -144,13 +140,12 @@ fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
 }
 
 fn canonicalize_exit_compares(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
+    let (cfg, loops) = (facts.cfg(), facts.loops());
     let mut rewrites: Vec<(InstId, CmpPred)> = Vec::new();
-    for l in &loops {
-        let Some(preheader) = l.entering_block(&cfg) else {
+    for l in loops {
+        let Some(preheader) = l.entering_block(cfg) else {
             continue;
         };
         for &bb in &l.blocks {

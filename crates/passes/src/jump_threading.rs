@@ -6,7 +6,6 @@
 //! it can jump straight to the resolved target, bypassing the block.
 
 use crate::util;
-use autophase_ir::cfg::Cfg;
 use autophase_ir::{BlockId, FuncId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything changed.
@@ -26,8 +25,9 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 fn thread_once(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
+    let cfg = facts.cfg();
     for &bb in cfg.rpo() {
         let Some(term) = f.terminator(bb) else {
             continue;

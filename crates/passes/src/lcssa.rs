@@ -5,10 +5,7 @@
 //! (unrolling, deletion) then only need to update exit φs rather than
 //! chase arbitrary external uses.
 
-use crate::util::UserIndex;
 use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::find_loops;
 use autophase_ir::{BlockId, FuncId, Inst, InstId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything changed.
@@ -19,15 +16,13 @@ pub fn run(m: &mut Module) -> bool {
 fn form_lcssa(m: &mut Module, fid: FuncId) -> bool {
     let mut changed = false;
     loop {
+        let facts = m.facts(fid);
         let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let loops = find_loops(f, &cfg, &dt);
-        let index = UserIndex::build(f);
+        let (cfg, dt, loops, index) = (facts.cfg(), facts.dom(), facts.loops(), facts.users());
         // (live-out inst, its block, outside users, exit block to close in)
         type Todo = (InstId, BlockId, Vec<(InstId, BlockId)>, BlockId);
         let mut todo: Option<Todo> = None;
-        'search: for l in &loops {
+        'search: for l in loops {
             for &bb in &l.blocks {
                 for &iid in &f.block(bb).insts {
                     if f.inst(iid).ty.is_void() {
@@ -117,12 +112,10 @@ mod tests {
     /// True if every loop-defined value used outside its loop flows through an
     /// exit φ.
     fn is_lcssa(m: &Module, fid: FuncId) -> bool {
+        let facts = m.facts(fid);
         let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let loops = find_loops(f, &cfg, &dt);
-        let index = UserIndex::build(f);
-        for l in &loops {
+        let (loops, index) = (facts.loops(), facts.users());
+        for l in loops {
             for &bb in &l.blocks {
                 for &iid in &f.block(bb).insts {
                     for &(user, ubb) in index.users(iid) {

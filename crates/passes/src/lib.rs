@@ -71,3 +71,6 @@ pub mod util;
 
 pub use checked::{apply_checked, FuelBudget, PassFault};
 pub use registry::{apply, pass_count, pass_name, PassId, PASS_NAMES};
+
+#[cfg(test)]
+mod batched_drivers;

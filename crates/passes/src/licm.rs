@@ -11,9 +11,7 @@
 //! learn.
 
 use crate::util;
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::{find_loops, Loop};
+use autophase_ir::loops::Loop;
 use autophase_ir::{BlockId, FuncId, InstId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything was hoisted.
@@ -33,13 +31,8 @@ pub fn run(m: &mut Module) -> bool {
 
 /// Hoist every currently-hoistable instruction; returns how many moved.
 fn hoist_round(m: &mut Module, fid: FuncId) -> usize {
-    let (cfg, dt, loops) = {
-        let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let loops = find_loops(f, &cfg, &dt);
-        (cfg, dt, loops)
-    };
+    let facts = m.facts(fid);
+    let (cfg, dt, loops) = (facts.cfg(), facts.dom(), facts.loops());
 
     // Innermost-first (more blocks processed in inner loops first keeps the
     // hoisting cascading outward on repeated calls).
@@ -54,7 +47,7 @@ fn hoist_round(m: &mut Module, fid: FuncId) -> usize {
         // round). They must NOT count for other loops: an inner preheader
         // is still inside the outer loop, and does not dominate it.
         let mut hoisted_set: std::collections::HashSet<InstId> = std::collections::HashSet::new();
-        let Some(preheader) = l.preheader(&cfg) else {
+        let Some(preheader) = l.preheader(cfg) else {
             continue; // needs -loop-simplify
         };
         let loop_writes = {

@@ -6,8 +6,7 @@
 
 use crate::util;
 use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::{find_loops, Loop};
+use autophase_ir::loops::Loop;
 use autophase_ir::{BinOp, CmpPred, FuncId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if any loop was deleted.
@@ -25,13 +24,11 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 fn delete_once(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    let index = crate::util::UserIndex::build(f);
-    'next_loop: for l in &loops {
-        let Some(preheader) = l.entering_block(&cfg) else {
+    let (cfg, loops, index) = (facts.cfg(), facts.loops(), facts.users());
+    'next_loop: for l in loops {
+        let Some(preheader) = l.entering_block(cfg) else {
             continue;
         };
         // Single dedicated exit.
@@ -56,7 +53,7 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
             }
         }
         // Termination: recognize a counted loop (conservative).
-        if !provably_terminates(f, &cfg, l) {
+        if !provably_terminates(f, cfg, l) {
             continue;
         }
         // Every pred of the exit is in the loop, so every exit φ entry is

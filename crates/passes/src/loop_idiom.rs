@@ -7,9 +7,6 @@
 //! of a burst fill). Structurally this reuses the unroller with an
 //! idiom-specific filter and a higher trip budget.
 
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::find_loops;
 use autophase_ir::{Module, Opcode};
 
 /// Maximum fill size expanded.
@@ -20,10 +17,9 @@ pub fn run(m: &mut Module) -> bool {
     crate::util::for_each_function(m, |m, fid| {
         // Identify candidate single-block store loops first; then let the
         // unroller (with idiom limits) expand exactly those.
+        let facts = m.facts(fid);
         let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let loops = find_loops(f, &cfg, &dt);
+        let loops = facts.loops();
         let has_candidate = loops.iter().any(|l| {
             if l.blocks.len() != 1 {
                 return false;

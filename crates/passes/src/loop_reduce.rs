@@ -7,9 +7,6 @@
 //! this directly shortens the critical path in loop bodies.
 
 use crate::util;
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::find_loops;
 use autophase_ir::{BinOp, FuncId, Inst, Module, Opcode, Value};
 
 /// Run the pass. Returns true if any multiply was reduced.
@@ -27,12 +24,11 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 fn reduce_once(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    for l in &loops {
-        let Some(preheader) = l.entering_block(&cfg) else {
+    let (cfg, loops) = (facts.cfg(), facts.loops());
+    for l in loops {
+        let Some(preheader) = l.entering_block(cfg) else {
             continue;
         };
         let Some(latch) = l.single_latch() else {

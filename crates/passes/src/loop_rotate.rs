@@ -11,9 +11,10 @@
 
 use crate::util;
 use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::{find_loops, Loop};
-use autophase_ir::{BlockId, FuncId, InstId, Module, Opcode, Value};
+use autophase_ir::csr::Csr;
+use autophase_ir::facts::Facts;
+use autophase_ir::loops::Loop;
+use autophase_ir::{BlockId, FuncId, Function, InstId, Module, Opcode, Value};
 use std::collections::HashMap;
 
 /// Upper bound on header instructions cloned into preheader and latch.
@@ -22,10 +23,7 @@ pub const ROTATE_HEADER_LIMIT: usize = 16;
 /// Run the pass. Returns true if any loop was rotated.
 pub fn run(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
-        let mut changed = false;
-        while rotate_once(m, fid) {
-            changed = true;
-        }
+        let changed = rotate_all(m, fid);
         if changed {
             // The old header's test is dead and the header now falls
             // through to the body; cleanup merges them so the rotated loop
@@ -39,110 +37,281 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 /// True if the loop is already bottom-tested (latch exits the loop).
-fn is_rotated(l: &Loop, f: &autophase_ir::Function) -> bool {
+fn is_rotated(l: &Loop, f: &Function) -> bool {
     l.single_latch()
         .map(|latch| f.successors(latch).iter().any(|s| !l.contains(*s)))
         .unwrap_or(false)
 }
 
-fn rotate_once(m: &mut Module, fid: FuncId) -> bool {
-    let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    // Only a loop that passes every cheaper test needs the reverse-use
-    // index; an already rotated function never builds it.
-    let mut index: Option<util::UserIndex> = None;
+/// A loop that rotates: its preheader and latch, the header's in-loop and
+/// exit targets, and the header's terminator.
+struct Candidate {
+    preheader: BlockId,
+    latch: BlockId,
+    body_entry: BlockId,
+    exit: BlockId,
+    term: InstId,
+}
 
-    for l in &loops {
-        let Some(preheader) = l.preheader(&cfg) else {
-            continue;
-        };
-        let Some(latch) = l.single_latch() else {
-            continue;
-        };
-        if is_rotated(l, f) {
-            continue;
+/// Rotate every loop of the function that can be, in the order and with
+/// the decisions of a driver that re-analyses the function after each
+/// rotation and takes the first candidate of the fresh loop list.
+///
+/// One analysis serves rotation after rotation as long as it provably
+/// reads the same as the fresh one would (see [`Reads`]); otherwise the
+/// driver analyses the function again, exactly where the one-at-a-time
+/// driver did.
+fn rotate_all(m: &mut Module, fid: FuncId) -> bool {
+    let mut changed = false;
+    'analyse: loop {
+        let facts = m.facts(fid);
+        let (cfg, loops) = (facts.cfg(), facts.loops());
+        // Built at the first rotation, before it writes the function.
+        let mut reads: Option<Reads> = None;
+        for (k, l) in loops.iter().enumerate() {
+            let f = m.func(fid);
+            let Some(c) = candidate(m, f, cfg, &facts, l) else {
+                continue;
+            };
+            let reads = reads.get_or_insert_with(|| Reads::new(f, cfg, loops));
+            let f = m.func_mut(fid);
+            do_rotate(
+                f,
+                l,
+                facts.users(),
+                c.preheader,
+                c.latch,
+                c.body_entry,
+                c.exit,
+                c.term,
+            );
+            changed = true;
+            // The fresh loop list orders the rest as this one does unless
+            // the rotated loop has another exit or holds another loop
+            // (the depth-first walk then meets the exit and the body in
+            // the other order).
+            let reorders =
+                l.exits.len() != 1 || loops[k + 1..].iter().any(|o| l.contains(o.header));
+            if reorders || reads.stale_after(f, k, l.header, &c) {
+                continue 'analyse;
+            }
         }
-        // Header must end in a condbr with exactly one in-loop and one
-        // out-of-loop target.
-        let Some(term) = f.terminator(l.header) else {
-            continue;
-        };
-        let Opcode::CondBr {
-            cond: _,
-            then_bb,
-            else_bb,
-        } = f.inst(term).op
-        else {
-            continue;
-        };
-        let (body_entry, exit) = match (l.contains(then_bb), l.contains(else_bb)) {
-            (true, false) => (then_bb, else_bb),
-            (false, true) => (else_bb, then_bb),
-            _ => continue,
-        };
-        if body_entry == l.header || l.header == latch {
-            continue; // self-loop or irregular shape
-        }
-        // The latch must branch unconditionally to the header.
-        let Some(latch_term) = f.terminator(latch) else {
-            continue;
-        };
-        if !matches!(f.inst(latch_term).op, Opcode::Br { .. }) {
-            continue;
-        }
-        // The exit must be dedicated (preds only from the loop) so its φs
-        // only see loop edges — guaranteed after -loop-simplify.
-        if cfg.unique_preds(exit).iter().any(|p| !l.contains(*p)) {
-            continue;
-        }
-        // Header non-φ instructions must be clonable: pure or loads, few.
-        let header_insts: Vec<InstId> = f.block(l.header).insts.clone();
-        let non_phi: Vec<InstId> = header_insts
-            .iter()
-            .copied()
-            .filter(|&i| !f.inst(i).is_phi() && i != term)
-            .collect();
-        if non_phi.len() > ROTATE_HEADER_LIMIT {
-            continue;
-        }
-        let clonable = non_phi.iter().all(|&i| {
-            let inst = f.inst(i);
-            util::is_pure(m, inst) && !matches!(inst.op, Opcode::Alloca { .. })
-        });
-        if !clonable {
-            continue;
-        }
-        // Values defined in the header (φs or computations) that are used
-        // outside the loop would need LCSSA-style repair; require that all
-        // external uses sit in the (dedicated) exit block as φs or plain
-        // uses we can rewire. For simplicity require no external non-exit
-        // uses.
-        let index = index.get_or_insert_with(|| util::UserIndex::build(f));
-        let external_ok = header_insts.iter().all(|&d| {
-            index
-                .users(d)
-                .iter()
-                .all(|&(_, ubb)| l.contains(ubb) || ubb == exit)
-        });
-        if !external_ok {
-            continue;
-        }
-
-        do_rotate(
-            m.func_mut(fid),
-            l,
-            index,
-            preheader,
-            latch,
-            body_entry,
-            exit,
-            term,
-        );
-        return true;
+        return changed;
     }
-    false
+}
+
+/// [`run`] by the driver it reproduces: analyse, rotate the first
+/// candidate, repeat. The differential reference of `rotate_all`.
+#[cfg(test)]
+pub(crate) fn run_one_at_a_time(m: &mut Module) -> bool {
+    util::for_each_function(m, |m, fid| {
+        let mut changed = false;
+        loop {
+            let facts = m.facts(fid);
+            let f = m.func(fid);
+            let found = facts.loops().iter().find_map(|l| {
+                let c = candidate(m, f, facts.cfg(), &facts, l)?;
+                Some((l, c))
+            });
+            let Some((l, c)) = found else {
+                break;
+            };
+            let f = m.func_mut(fid);
+            let (index, c) = (facts.users(), c);
+            do_rotate(
+                f,
+                l,
+                index,
+                c.preheader,
+                c.latch,
+                c.body_entry,
+                c.exit,
+                c.term,
+            );
+            changed = true;
+        }
+        if changed {
+            util::delete_dead(m, fid);
+            crate::simplifycfg::run_on_function_one_at_a_time(m, fid);
+        }
+        changed
+    })
+}
+
+/// `l` if it rotates, read from the live function `f` and the analysis of
+/// the version `cfg` and `facts` describe.
+fn candidate(m: &Module, f: &Function, cfg: &Cfg, facts: &Facts, l: &Loop) -> Option<Candidate> {
+    let preheader = l.preheader(cfg)?;
+    let latch = l.single_latch()?;
+    if is_rotated(l, f) {
+        return None;
+    }
+    // Header must end in a condbr with exactly one in-loop and one
+    // out-of-loop target.
+    let term = f.terminator(l.header)?;
+    let Opcode::CondBr {
+        cond: _,
+        then_bb,
+        else_bb,
+    } = f.inst(term).op
+    else {
+        return None;
+    };
+    let (body_entry, exit) = match (l.contains(then_bb), l.contains(else_bb)) {
+        (true, false) => (then_bb, else_bb),
+        (false, true) => (else_bb, then_bb),
+        _ => return None,
+    };
+    if body_entry == l.header || l.header == latch {
+        return None; // self-loop or irregular shape
+    }
+    // The latch must branch unconditionally to the header.
+    let latch_term = f.terminator(latch)?;
+    if !matches!(f.inst(latch_term).op, Opcode::Br { .. }) {
+        return None;
+    }
+    // The exit must be dedicated (preds only from the loop) so its φs
+    // only see loop edges — guaranteed after -loop-simplify.
+    if cfg.unique_preds(exit).iter().any(|p| !l.contains(*p)) {
+        return None;
+    }
+    // Header non-φ instructions must be clonable: pure or loads, few.
+    let header_insts = &f.block(l.header).insts;
+    let mut non_phi = header_insts
+        .iter()
+        .filter(|&&i| !f.inst(i).is_phi() && i != term);
+    if non_phi.clone().count() > ROTATE_HEADER_LIMIT {
+        return None;
+    }
+    let clonable = non_phi.all(|&i| {
+        let inst = f.inst(i);
+        util::is_pure(m, inst) && !matches!(inst.op, Opcode::Alloca { .. })
+    });
+    if !clonable {
+        return None;
+    }
+    // Values defined in the header (φs or computations) that are used
+    // outside the loop would need LCSSA-style repair; require that all
+    // external uses sit in the (dedicated) exit block as φs or plain
+    // uses we can rewire. Only a loop that passes every cheaper test
+    // needs the reverse-use index; an already rotated function never
+    // builds it.
+    let index = facts.users();
+    let external_ok = header_insts.iter().all(|&d| {
+        index
+            .users(d)
+            .iter()
+            .all(|&(_, ubb)| l.contains(ubb) || ubb == exit)
+    });
+    external_ok.then_some(Candidate {
+        preheader,
+        latch,
+        body_entry,
+        exit,
+        term,
+    })
+}
+
+/// What each loop's [`candidate`] test reads beyond the live function:
+/// for every block, the loops that read its successors (a preheader, a
+/// latch's or header's terminator), its predecessors (a header's, an
+/// exit's) or its instructions and their users (a header's, a latch's).
+///
+/// A rotation changes the successors of the preheader, header and latch,
+/// the predecessors of the exit, and the instructions of all four plus
+/// the users of the values its new instructions read. It leaves every
+/// loop's blocks, latches and dominance as they were (it only shortcuts
+/// paths through the rotated header), so a loop that reads none of what
+/// changed decides as it would on a fresh analysis.
+struct Reads {
+    /// `(loop, SUCCS | PREDS | INSTS)` per block.
+    by_block: Csr<(u32, u8)>,
+    /// Block of each instruction the analysis saw (`u32::MAX`: none).
+    def_block: Vec<u32>,
+}
+
+const SUCCS: u8 = 1;
+const PREDS: u8 = 2;
+const INSTS: u8 = 4;
+
+impl Reads {
+    fn new(f: &Function, cfg: &Cfg, loops: &[Loop]) -> Reads {
+        let mut pairs: Vec<(usize, (u32, u8))> = Vec::new();
+        for (j, l) in loops.iter().enumerate() {
+            let j = j as u32;
+            pairs.push((l.header.index(), (j, SUCCS | PREDS | INSTS)));
+            pairs.extend(l.latches.iter().map(|b| (b.index(), (j, SUCCS | INSTS))));
+            if let Some(p) = l.preheader(cfg) {
+                pairs.push((p.index(), (j, SUCCS)));
+            }
+            let exits = f
+                .terminator(l.header)
+                .map_or(vec![], |t| f.inst(t).successors());
+            pairs.extend(
+                exits
+                    .into_iter()
+                    .filter(|&e| !l.contains(e))
+                    .map(|e| (e.index(), (j, PREDS))),
+            );
+        }
+        let mut def_block = vec![u32::MAX; f.inst_capacity()];
+        for bb in f.block_ids() {
+            for &i in &f.block(bb).insts {
+                def_block[i.index()] = bb.index() as u32;
+            }
+        }
+        Reads {
+            by_block: Csr::build(f.block_capacity(), pairs.iter().copied()),
+            def_block,
+        }
+    }
+
+    /// True if the rotation `c` of loop `k` (headed by `header`), just
+    /// done on `f`, changed something another loop reads.
+    fn stale_after(&self, f: &Function, k: usize, header: BlockId, c: &Candidate) -> bool {
+        let touched = |b: BlockId, what: u8| {
+            self.by_block
+                .get(b.index())
+                .iter()
+                .any(|&(j, reads)| j as usize != k && reads & what != 0)
+        };
+        if [c.preheader, header, c.latch]
+            .into_iter()
+            .any(|b| touched(b, SUCCS | INSTS))
+            || touched(c.exit, PREDS | INSTS)
+        {
+            return true;
+        }
+        // Values the new instructions (the clones, the two new branches
+        // and the exit's φs) read gained users.
+        let seen = self.def_block.len();
+        let read_by_new = [c.preheader, c.latch]
+            .into_iter()
+            .flat_map(|b| {
+                let insts = &f.block(b).insts;
+                let term = insts.last().copied();
+                insts
+                    .iter()
+                    .filter(move |&&i| i.index() >= seen || Some(i) == term)
+            })
+            .chain(
+                f.block(c.exit)
+                    .insts
+                    .iter()
+                    .take_while(|&&i| f.inst(i).is_phi()),
+            );
+        let mut stale = false;
+        for &i in read_by_new {
+            f.inst(i).for_each_operand(|v| {
+                if let Value::Inst(d) = v {
+                    if let Some(&b) = self.def_block.get(d.index()) {
+                        stale |= b != u32::MAX && touched(BlockId::from_index(b as usize), INSTS);
+                    }
+                }
+            });
+        }
+        stale
+    }
 }
 
 #[allow(clippy::too_many_arguments)]

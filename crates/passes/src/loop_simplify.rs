@@ -7,8 +7,7 @@
 //! the form `-licm`, `-loop-rotate`, and `-loop-unroll` want.
 
 use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::{find_loops, Loop};
+use autophase_ir::loops::Loop;
 use autophase_ir::{BlockId, Inst, InstId, Module, Opcode, Type};
 
 /// Run the pass. Returns true if anything changed.
@@ -17,14 +16,13 @@ pub fn run(m: &mut Module) -> bool {
         let mut changed = false;
         // Each structural fix invalidates the analysis; iterate.
         loop {
+            let facts = m.facts(fid);
             let f = m.func(fid);
-            let cfg = Cfg::new(f);
-            let dt = DomTree::new(f, &cfg);
-            let loops = find_loops(f, &cfg, &dt);
+            let (cfg, loops) = (facts.cfg(), facts.loops());
             let mut fixed_something = false;
-            for l in &loops {
-                if l.preheader(&cfg).is_none() {
-                    insert_preheader(m.func_mut(fid), &cfg, l);
+            for l in loops {
+                if l.preheader(cfg).is_none() {
+                    insert_preheader(m.func_mut(fid), cfg, l);
                     fixed_something = true;
                     break;
                 }
@@ -33,8 +31,8 @@ pub fn run(m: &mut Module) -> bool {
                     fixed_something = true;
                     break;
                 }
-                if let Some(exit) = non_dedicated_exit(f, &cfg, l) {
-                    dedicate_exit(m.func_mut(fid), &cfg, l, exit);
+                if let Some(exit) = non_dedicated_exit(f, cfg, l) {
+                    dedicate_exit(m.func_mut(fid), cfg, l, exit);
                     fixed_something = true;
                     break;
                 }
@@ -158,14 +156,13 @@ mod tests {
 
     /// True if every loop in the function is in simplified form.
     fn is_simplified(m: &Module, fid: FuncId) -> bool {
+        let facts = m.facts(fid);
         let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let loops = find_loops(f, &cfg, &dt);
+        let (cfg, loops) = (facts.cfg(), facts.loops());
         loops.iter().all(|l| {
-            l.preheader(&cfg).is_some()
+            l.preheader(cfg).is_some()
                 && l.single_latch().is_some()
-                && non_dedicated_exit(f, &cfg, l).is_none()
+                && non_dedicated_exit(f, cfg, l).is_none()
         })
     }
 

@@ -9,10 +9,9 @@
 //! when its guard shape is still recognizable, while the rotated form
 //! always is.
 
-use crate::util;
+use crate::util::{self, UserIndex};
 use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::{find_loops, Loop};
+use autophase_ir::loops::Loop;
 use autophase_ir::{BinOp, BlockId, FuncId, Inst, InstId, Module, Opcode, Rewrites, Type, Value};
 
 /// Maximum trip count fully unrolled.
@@ -40,10 +39,7 @@ pub fn run_with_limits_filtered(
     size_limit: usize,
     filter: impl Fn(&autophase_ir::Function, BlockId) -> bool,
 ) -> bool {
-    let mut changed = false;
-    while unroll_once(m, fid, trip_limit, size_limit, &filter) {
-        changed = true;
-    }
+    let changed = unroll_all(m, fid, trip_limit, size_limit, &filter);
     if changed {
         util::delete_dead(m, fid);
         crate::simplifycfg::run_on_function(m, fid);
@@ -139,37 +135,95 @@ fn recognize(f: &autophase_ir::Function, cfg: &Cfg, l: &Loop) -> Option<CountedL
     Some(CountedLoop { block, trip })
 }
 
-fn unroll_once(
+/// Unroll every loop that qualifies, in the order and with the decisions
+/// of a driver that re-analyses the function after each unroll and takes
+/// the first qualifying loop of the fresh list.
+///
+/// An unroll replaces the loop's block by a straight-line one in the same
+/// place, so the other loops, their order and their dominators stay as
+/// the analysis has them; what it changes is read live. The one
+/// exception is the predecessor list of the exit, which a loop headed
+/// there reads (its entering block): the driver analyses again after
+/// such an unroll, where the one-at-a-time driver did.
+fn unroll_all(
     m: &mut Module,
     fid: FuncId,
     trip_limit: i64,
     size_limit: usize,
     filter: &impl Fn(&autophase_ir::Function, BlockId) -> bool,
 ) -> bool {
-    let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    for l in &loops {
-        let Some(cl) = recognize(f, &cfg, l) else {
-            continue;
-        };
-        if cl.trip > trip_limit || !filter(f, cl.block) {
-            continue;
+    let mut changed = false;
+    'analyse: loop {
+        let facts = m.facts(fid);
+        let (cfg, loops) = (facts.cfg(), facts.loops());
+        let mut is_header = vec![false; m.func(fid).block_capacity()];
+        for l in loops {
+            is_header[l.header.index()] = true;
         }
-        let body_size = f.block(cl.block).insts.len();
-        if body_size > size_limit || body_size * cl.trip as usize > 512 {
-            continue;
+        for l in loops {
+            let f = m.func(fid);
+            let Some(cl) = recognize(f, cfg, l) else {
+                continue;
+            };
+            if cl.trip > trip_limit || !filter(f, cl.block) {
+                continue;
+            }
+            let body_size = f.block(cl.block).insts.len();
+            if body_size > size_limit || body_size * cl.trip as usize > 512 {
+                continue;
+            }
+            // The loop may not contain calls that could recurse into this
+            // function (cloned call sites are fine; recursion changes
+            // nothing).
+            let preheader = l
+                .entering_block(cfg)
+                .expect("recognized loop has an entering block");
+            // The users of the loop's values, read before the first write.
+            let users = facts.users();
+            let exit = do_full_unroll(m.func_mut(fid), &cl, preheader, users);
+            changed = true;
+            if is_header.get(exit.index()).copied().unwrap_or(true) {
+                continue 'analyse;
+            }
         }
-        // The loop may not contain calls that could recurse into this
-        // function (cloned call sites are fine; recursion changes nothing).
-        let preheader = l
-            .entering_block(&cfg)
-            .expect("recognized loop has an entering block");
-        do_full_unroll(m.func_mut(fid), &cl, preheader);
-        return true;
+        return changed;
     }
-    false
+}
+
+/// [`run`] by the driver it reproduces: analyse, unroll the first loop
+/// that qualifies, repeat. The differential reference of `unroll_all`.
+#[cfg(test)]
+pub(crate) fn run_one_at_a_time(m: &mut Module) -> bool {
+    util::for_each_function(m, |m, fid| {
+        let mut changed = false;
+        'analyse: loop {
+            let facts = m.facts(fid);
+            let f = m.func(fid);
+            for l in facts.loops() {
+                let Some(cl) = recognize(f, facts.cfg(), l) else {
+                    continue;
+                };
+                let body_size = f.block(cl.block).insts.len();
+                if cl.trip > UNROLL_TRIP_LIMIT
+                    || body_size > UNROLL_SIZE_LIMIT
+                    || body_size * cl.trip as usize > 512
+                {
+                    continue;
+                }
+                let preheader = l.entering_block(facts.cfg()).expect("an entering block");
+                let users = facts.users();
+                do_full_unroll(m.func_mut(fid), &cl, preheader, users);
+                changed = true;
+                continue 'analyse;
+            }
+            break;
+        }
+        if changed {
+            util::delete_dead(m, fid);
+            crate::simplifycfg::run_on_function_one_at_a_time(m, fid);
+        }
+        changed
+    })
 }
 
 /// Substitution for the values one loop block defines (its φs and body
@@ -212,8 +266,14 @@ impl LoopValues<'_> {
 }
 
 /// Replace the single-block loop with `trip` copies of its body chained
-/// straight-line, then a jump to the exit.
-fn do_full_unroll(f: &mut autophase_ir::Function, cl: &CountedLoop, preheader: BlockId) {
+/// straight-line, then a jump to the exit, which it returns. `users` lists
+/// the users of the loop's values; no write since it was built added one.
+fn do_full_unroll(
+    f: &mut autophase_ir::Function,
+    cl: &CountedLoop,
+    preheader: BlockId,
+    users: &UserIndex,
+) -> BlockId {
     let block = cl.block;
     let term = f.terminator(block).expect("loop block has terminator");
     let exit = f
@@ -307,9 +367,18 @@ fn do_full_unroll(f: &mut autophase_ir::Function, cl: &CountedLoop, preheader: B
             }
         }
     }
-    // Remove the loop block first so in-loop uses don't get clobbered.
+    // Remove the loop block first so in-loop uses don't get clobbered;
+    // the rest of the users read the final values.
     f.remove_block(block);
-    f.apply_rewrites(&final_subst);
+    for &src in phis.iter().chain(&body) {
+        for &(user, _) in users.users(src) {
+            if f.inst_exists(user) {
+                f.inst_mut(user)
+                    .for_each_operand_mut(|v| *v = final_subst.resolve(*v));
+            }
+        }
+    }
+    exit
 }
 
 #[cfg(test)]

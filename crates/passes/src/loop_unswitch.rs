@@ -8,8 +8,7 @@
 
 use crate::util;
 use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::{find_loops, Loop};
+use autophase_ir::loops::Loop;
 use autophase_ir::{BlockId, FuncId, InstId, Module, Opcode, Value};
 use std::collections::HashMap;
 
@@ -27,21 +26,20 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 fn unswitch_once(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    let index = crate::util::UserIndex::build(f);
-    for l in &loops {
+    let (cfg, loops) = (facts.cfg(), facts.loops());
+    let index = facts.users();
+    for l in loops {
         if l.blocks.len() > UNSWITCH_BLOCK_LIMIT {
             continue;
         }
-        let Some(preheader) = l.preheader(&cfg) else {
+        let Some(preheader) = l.preheader(cfg) else {
             continue;
         };
         // Loop values must not be used outside the loop except through
         // dedicated-exit φs (so the clone can feed the same φs).
-        if !exits_dedicated(f, &cfg, &index, l) {
+        if !exits_dedicated(f, cfg, index, l) {
             continue;
         }
         // Find an invariant condbr inside the loop (not the exit test).

@@ -124,8 +124,9 @@ pub fn run_break_crit_edges(m: &mut Module) -> bool {
 /// state. Returns true on change.
 pub fn run_codegenprepare(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
+        let facts = m.facts(fid);
         let f = m.func(fid);
-        let index = util::UserIndex::build(f);
+        let index = facts.users();
         let mut moves: Vec<(InstId, BlockId, InstId, BlockId)> = Vec::new();
         for bb in f.block_ids() {
             for &iid in &f.block(bb).insts {

@@ -25,12 +25,15 @@ fn promote_function(m: &mut Module, fid: FuncId) -> bool {
     if !has_alloca {
         return false;
     }
-    let index = UserIndex::build(f);
-    let candidates = promotable_with(f, &index);
+    let facts = m.facts(fid);
+    let index = facts.users();
+    let candidates = promotable_with(f, index);
     if candidates.is_empty() {
         return false;
     }
-    promote_all(m.func_mut(fid), &candidates, &index);
+    // The CFG is not touched, so one `Cfg`/`DomTree` serves all allocas.
+    let (cfg, dt) = (facts.cfg(), facts.dom());
+    promote_all(m.func_mut(fid), &candidates, index, cfg, dt);
     util::delete_dead(m, fid);
     true
 }
@@ -64,12 +67,10 @@ fn promotable_with(f: &Function, index: &UserIndex) -> Vec<InstId> {
 /// Promote every alloca of `allocas` to SSA in one walk: φ-nodes on the
 /// iterated dominance frontier of each alloca's stores, one renaming pass
 /// over the dominator tree carrying the current value of all of them, and
-/// one batched rewrite. The CFG is not touched, so one `Cfg`/`DomTree`
-/// serves all allocas.
-fn promote_all(f: &mut Function, allocas: &[InstId], index: &UserIndex) {
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let df = dt.dominance_frontiers(&cfg);
+/// one batched rewrite, over the `cfg` and `dt` of the function as it was
+/// before.
+fn promote_all(f: &mut Function, allocas: &[InstId], index: &UserIndex, cfg: &Cfg, dt: &DomTree) {
+    let df = dt.dominance_frontiers(cfg);
     let blocks = f.block_capacity();
     let elem_ty = |f: &Function, alloca: InstId| match f.inst(alloca).op {
         Opcode::Alloca { elem_ty, .. } => elem_ty,

@@ -23,7 +23,7 @@ pub fn run(m: &mut Module) -> bool {
 fn reassociate_function(m: &mut Module, fid: FuncId) -> bool {
     let mut changed = false;
     let blocks: Vec<_> = m.func(fid).block_ids().collect();
-    let mut index = crate::util::UserIndex::build(m.func(fid));
+    let mut facts = m.facts(fid);
     for bb in blocks {
         // Roots: chain heads not themselves feeding the same-op chain.
         let insts: Vec<InstId> = m.func(fid).block(bb).insts.clone();
@@ -40,7 +40,7 @@ fn reassociate_function(m: &mut Module, fid: FuncId) -> bool {
             }
             // Skip if this inst feeds a same-op parent in the same block
             // with single use (the parent is the root).
-            let uses = index.users(iid);
+            let uses = facts.users().users(iid);
             if let [(parent, pbb)] = uses {
                 if *pbb == bb && f.inst_exists(*parent) {
                     if let Opcode::Binary(pop, ..) = f.inst(*parent).op {
@@ -50,10 +50,10 @@ fn reassociate_function(m: &mut Module, fid: FuncId) -> bool {
                     }
                 }
             }
-            if rebuild_chain(m, fid, bb, iid, op, &index) {
+            if rebuild_chain(m, fid, bb, iid, op, facts.users()) {
                 changed = true;
                 // The chain rewrite invalidated the snapshot.
-                index = crate::util::UserIndex::build(m.func(fid));
+                facts = m.facts(fid);
             }
         }
     }

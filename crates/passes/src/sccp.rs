@@ -7,7 +7,7 @@
 //! proven-constant results are substituted and branches on proven constants
 //! are folded.
 
-use crate::util::{self, UserIndex};
+use crate::util;
 use autophase_ir::fold;
 use autophase_ir::{BlockId, FuncId, Function, InstId, Module, Opcode, Rewrites, Type, Value};
 use std::collections::{HashMap, VecDeque};
@@ -64,11 +64,12 @@ impl Solution {
 /// Solve the SCCP dataflow for one function. `arg_consts` optionally pins
 /// argument lattice values (used by `-ipsccp`).
 pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> Solution {
+    let facts = m.facts(fid);
     let f = m.func(fid);
     // Dense state, indexed by instruction / block index. Work items carry
     // their block, and the reverse-use index hands out users with theirs,
     // so every worklist step is O(1).
-    let index = UserIndex::build(f);
+    let index = facts.users();
     let mut lat: Vec<Lat> = vec![Lat::Unknown; f.inst_capacity()];
     let mut exec_blocks = vec![false; f.block_capacity()];
     // Executable in-edges of each block, as predecessor lists.

@@ -20,25 +20,40 @@ pub fn run(m: &mut Module) -> bool {
 /// Run the simplifications on one function (shared with `-sccp`, which
 /// folds branches through this after substituting constants).
 pub fn run_on_function(m: &mut Module, fid: FuncId) -> bool {
+    simplify(m, fid, true)
+}
+
+/// [`run_on_function`] with forwarding blocks removed one per round: the
+/// driver the batched one reproduces, kept as its differential reference.
+#[cfg(test)]
+pub(crate) fn run_on_function_one_at_a_time(m: &mut Module, fid: FuncId) -> bool {
+    simplify(m, fid, false)
+}
+
+fn simplify(m: &mut Module, fid: FuncId, batch: bool) -> bool {
     let mut changed = false;
     // Iterate until no local rule fires. Every rule first looks for work on
     // the shared function and takes the copy-on-write handle only to carry
     // it out. The rules that look at the graph share one CFG snapshot per
-    // round, rebuilt only after a rule edited it — a round in which nothing
-    // fires builds exactly one and copies nothing.
+    // round, the version's own ([`Module::facts`]), taken again only after
+    // a rule edited the graph — a round in which nothing fires builds at
+    // most one, and none if the version was analysed before.
     loop {
         let mut local = fold_constant_branches(m, fid);
-        let mut cfg = Cfg::new(m.func(fid));
-        if remove_unreachable_in(m, fid, &cfg) {
+        let mut facts = m.facts(fid);
+        if remove_unreachable_in(m, fid, facts.cfg()) {
             local = true;
-            cfg = Cfg::new(m.func(fid));
+            facts = m.facts(fid);
         }
+        // φ simplification leaves the graph as it is: the snapshot stays
+        // good (and is computed before it runs).
+        let cfg = facts.cfg();
         local |= simplify_single_incoming_phis(m, fid);
-        if merge_straightline(m, fid, &cfg) {
+        if merge_straightline(m, fid, cfg) {
             local = true;
-            cfg = Cfg::new(m.func(fid));
+            facts = m.facts(fid);
         }
-        local |= remove_forwarding_blocks(m, fid, &cfg);
+        local |= remove_forwarding_blocks(m, fid, facts.cfg(), batch);
         if !local {
             break;
         }
@@ -117,8 +132,8 @@ fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
 
 /// Delete blocks unreachable from the entry, fixing φ-nodes.
 pub(crate) fn remove_unreachable(m: &mut Module, fid: FuncId) -> bool {
-    let cfg = Cfg::new(m.func(fid));
-    remove_unreachable_in(m, fid, &cfg)
+    let facts = m.facts(fid);
+    remove_unreachable_in(m, fid, facts.cfg())
 }
 
 fn remove_unreachable_in(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
@@ -237,21 +252,34 @@ fn merge_straightline(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
 
 /// Remove blocks containing only `br target`, making predecessors jump
 /// straight to the target, when the target's φ-nodes stay consistent.
-/// Removes at most one: the snapshot is stale after an edit, and the
-/// caller re-runs every rule anyway.
-fn remove_forwarding_blocks(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
-    let f = m.func(fid);
-    let found = f.block_ids().find_map(|bb| {
+///
+/// Takes them in block order, as the one-at-a-time driver did (one
+/// removal, then a whole round of every rule on a fresh CFG), and with its
+/// decisions. A removal changes only the predecessor list of its target
+/// `t` and the successors of the removed block's predecessors, so the
+/// snapshot `cfg` stays exact for every block that reads neither; and no
+/// earlier block becomes removable (a pred that made one unsafe is still
+/// there). Two things would let another rule fire first in the next
+/// round: a predecessor whose two arms now meet (`-simplifycfg`'s
+/// constant-branch fold) and a target left with one incoming edge (a
+/// merge). The scan stops after a removal that causes either, and before
+/// a candidate that reads a changed predecessor list; the caller's next
+/// round re-analyses. Without `batch` it stops after the first removal.
+fn remove_forwarding_blocks(m: &mut Module, fid: FuncId, cfg: &Cfg, batch: bool) -> bool {
+    /// `bb`'s target if it is a lone `br` somewhere else (not the entry).
+    fn forwards_to(f: &Function, bb: BlockId) -> Option<BlockId> {
         if bb == f.entry {
             return None;
         }
         let &[only] = f.block(bb).insts.as_slice() else {
             return None;
         };
-        let target = match f.inst(only).op {
-            Opcode::Br { target } if target != bb => target,
-            _ => return None,
-        };
+        match f.inst(only).op {
+            Opcode::Br { target } if target != bb => Some(target),
+            _ => None,
+        }
+    }
+    let removable = |f: &Function, bb: BlockId, target: BlockId| {
         let preds = cfg.unique_preds(bb);
         if preds.is_empty() {
             return None;
@@ -267,19 +295,52 @@ fn remove_forwarding_blocks(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
         {
             return None;
         }
-        Some((bb, target, preds))
-    });
-    let Some((bb, target, preds)) = found else {
+        Some(preds)
+    };
+    let f = m.func(fid);
+    let Some((first, target, preds)) = f.block_ids().find_map(|bb| {
+        let target = forwards_to(f, bb)?;
+        Some((bb, target, removable(f, bb, target)?))
+    }) else {
         return false;
     };
+    let blocks: Vec<BlockId> = f.block_ids().skip_while(|&bb| bb != first).collect();
     let f = m.func_mut(fid);
-    // Retarget each predecessor's terminator from bb to target.
-    for &p in &preds {
-        f.redirect_branch(p, bb, target);
+    // Targets whose predecessor lists the snapshot no longer describes.
+    let mut retargeted: Vec<BlockId> = Vec::new();
+    let mut next = Some((first, target, preds));
+    let mut rest = blocks.into_iter().skip(1);
+    while let Some((bb, target, preds)) = next.take() {
+        // Retarget each predecessor's terminator from bb to target.
+        for &p in &preds {
+            f.redirect_branch(p, bb, target);
+        }
+        // Update target φs: bb's entry becomes one per pred.
+        f.move_phi_edges(target, &[bb], &preds, |_, _, v| v);
+        f.remove_block(bb);
+        retargeted.push(target);
+        let arms_meet = preds.iter().any(|&p| {
+            f.terminator(p).is_some_and(|t| {
+                matches!(f.inst(t).op, Opcode::CondBr { then_bb, else_bb, .. } if then_bb == else_bb)
+            })
+        });
+        let target_edges = cfg.preds(target).len() - 1 + cfg.preds(bb).len();
+        if !batch || arms_meet || target_edges == 1 {
+            break;
+        }
+        for d in rest.by_ref() {
+            let Some(t) = forwards_to(f, d) else {
+                continue;
+            };
+            if retargeted.contains(&d) || retargeted.contains(&t) {
+                return true;
+            }
+            if let Some(preds) = removable(f, d, t) {
+                next = Some((d, t, preds));
+                break;
+            }
+        }
     }
-    // Update target φs: bb's entry becomes one per pred.
-    f.move_phi_edges(target, &[bb], &preds, |_, _, v| v);
-    f.remove_block(bb);
     true
 }
 

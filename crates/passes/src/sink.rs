@@ -6,10 +6,6 @@
 //! the instruction *into* a loop it was not already in.
 
 use crate::util;
-use crate::util::UserIndex;
-use autophase_ir::cfg::Cfg;
-use autophase_ir::dom::DomTree;
-use autophase_ir::loops::find_loops;
 use autophase_ir::{BlockId, FuncId, InstId, Module};
 
 /// Run the pass. Returns true if anything moved.
@@ -24,11 +20,10 @@ pub fn run(m: &mut Module) -> bool {
 }
 
 fn sink_once(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loops = find_loops(f, &cfg, &dt);
-    let index = UserIndex::build(f);
+    let (cfg, dt, loops) = (facts.cfg(), facts.dom(), facts.loops());
+    let index = facts.users();
     let loop_depth = |bb: BlockId| loops.iter().filter(|l| l.contains(bb)).count();
 
     for &bb in cfg.rpo() {

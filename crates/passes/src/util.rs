@@ -2,9 +2,9 @@
 //! value substitution and alias roots. Edits to CFG edges and φ entries
 //! live in `autophase_ir::edges`, not here.
 
-use autophase_ir::csr::Csr;
-use autophase_ir::{BlockId, Function, Inst, InstId, Module, Opcode, Rewrites, Value};
+use autophase_ir::{FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Value};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// True if executing `inst` has no observable effect beyond producing its
 /// result: no stores, and calls only to functions inferred `readnone`
@@ -28,8 +28,14 @@ pub fn is_pure_no_read(m: &Module, inst: &Inst) -> bool {
 ///
 /// Implemented as a use-count worklist (one scan to build counts, O(1) per
 /// death) whose removals are committed as one batch, so cleanup stays
-/// linear however many instructions die.
+/// linear however many instructions die. The sweep's outcome is a fact of
+/// the function version ([`Module::facts`]): a version a sweep left
+/// clean is not swept again.
 pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
+    let facts = m.facts(fid);
+    if facts.is_dead_code_free(m) {
+        return 0;
+    }
     let f = m.func(fid);
     let cap = f.inst_capacity();
     let mut use_count = vec![0u32; cap];
@@ -73,54 +79,80 @@ pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
             }
         });
     }
+    // What survives is the fixpoint: every unused instruction left is
+    // impure, and only a call can become pure (its callee `readnone`).
+    let mut kept_calls: Vec<FuncId> = (0..cap)
+        .filter(|&i| placed[i] && use_count[i] == 0 && !dead.is_removed(InstId::from_index(i)))
+        .filter_map(|i| match f.inst(InstId::from_index(i)).op {
+            Opcode::Call { callee, .. } => Some(callee),
+            _ => None,
+        })
+        .collect();
+    kept_calls.sort_unstable();
+    kept_calls.dedup();
     if removed > 0 {
         m.func_mut(fid).apply_rewrites(&dead);
+        m.facts(fid).set_dead_code_free(kept_calls);
+    } else {
+        facts.set_dead_code_free(kept_calls);
     }
     removed
 }
 
-/// A one-scan reverse-use index: for every instruction result, the list of
-/// `(user instruction, user's block)` pairs, plus per-value use counts.
-///
-/// Build it once per analysis phase; it is a snapshot — rebuild after
-/// mutating the function. Turns the per-candidate `Function::users` scans
-/// (O(n) each, O(n²) per pass) into O(1) lookups.
-pub struct UserIndex {
-    users: Csr<(InstId, BlockId)>,
+pub use autophase_ir::facts::UserIndex;
+
+/// A deterministic multiply-rotate hasher for the CSE tables' small `Copy`
+/// keys (`early_cse::ExprKey`, `Value`). std's SipHash guards a map
+/// against keys chosen to collide, which a pass's own value ids are not;
+/// it cost `-early-cse` a third of its time. Nothing iterates these maps
+/// into output, so the hash order is never seen.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
 }
 
-impl UserIndex {
-    /// Scan `f` once and build the index.
-    pub fn build(f: &Function) -> UserIndex {
-        let cap = f.inst_capacity();
-        let mut uses: Vec<(usize, (InstId, BlockId))> = Vec::with_capacity(2 * cap);
-        for bb in f.block_ids() {
-            for &iid in &f.block(bb).insts {
-                f.inst(iid).for_each_operand(|v| {
-                    if let Value::Inst(dep) = v {
-                        if dep.index() < cap {
-                            uses.push((dep.index(), (iid, bb)));
-                        }
-                    }
-                });
-            }
-        }
-        UserIndex {
-            users: Csr::build(cap, uses.iter().copied()),
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
         }
     }
 
-    /// Users of instruction `id`'s result (an instruction using it twice
-    /// appears twice).
-    pub fn users(&self, id: InstId) -> &[(InstId, BlockId)] {
-        self.users.get(id.index())
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
     }
 
-    /// Number of uses of instruction `id`'s result.
-    pub fn use_count(&self, id: InstId) -> usize {
-        self.users(id).len()
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits, which pick the bucket, the
+        // weakest: bring the strong high bits down.
+        self.0.rotate_left(26)
     }
 }
+
+/// A map hashed by [`WordHasher`].
+pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Remap every operand of `inst` through `map` (values absent from the map
 /// are left alone).

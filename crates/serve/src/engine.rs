@@ -134,6 +134,11 @@ pub struct RolloutReport {
     pub infer_calls: u32,
     /// Total nanoseconds this request spent inside those forwards.
     pub infer_wait_ns: u64,
+    /// Nanoseconds in the checked pass applications (verification
+    /// included).
+    pub pass_ns: u64,
+    /// Nanoseconds resyncing the features after them.
+    pub features_ns: u64,
     /// Always 1: every forward runs alone on its request's thread. Kept
     /// because the frozen `benchmark/` package reads it.
     pub infer_batch_max: u32,
@@ -355,7 +360,10 @@ impl InferenceEngine {
     /// Greedy policy rollout on `m` in place: [`SERVE_EPISODE_LEN`] steps
     /// of argmax actions, each chosen pass applied transactionally.
     /// Faulted applies are recorded in `quarantine` and skipped;
-    /// quarantined passes are masked out of the argmax. Reports the
+    /// quarantined passes are masked out of the argmax (the program's
+    /// masked set is read once per rollout and after each fault it
+    /// records: another worker's quarantine shows at the next rollout).
+    /// Reports the
     /// effective ordering (the changing passes) and the per-request
     /// aggregates a trace records ([`RolloutReport`]). The whole episode
     /// is served by one policy: it is snapshotted once, before the first
@@ -396,13 +404,14 @@ impl InferenceEngine {
             policy_version: policy.version,
             ..RolloutReport::default()
         };
+        let mut masked = quarantine.masked_passes(fp);
         for _ in 0..step.episode_len() {
             let obs = walk.observe();
             let infer_start = std::time::Instant::now();
             report.infer_calls += 1;
             let logits = self.forward(policy, &obs, &mut ws)?;
             report.infer_wait_ns += infer_start.elapsed().as_nanos() as u64;
-            let open = |a| !quarantine.is_quarantined(fp, step.actions()[a]);
+            let open = |a| masked.binary_search(&step.actions()[a]).is_err();
             // Everything quarantined for this program: nothing left to try.
             let Some(action) = argmax_masked(logits, open) else {
                 break;
@@ -424,11 +433,14 @@ impl InferenceEngine {
                     // Rolled back by the step; remember the offender so
                     // repeat faults stop costing attempts.
                     quarantine.record_fault(fp, pass);
+                    masked = quarantine.masked_passes(fp);
                     report.pass_faults += 1;
                     telemetry::incr("serve.rollout", "pass_fault", 1);
                 }
             }
         }
+        report.pass_ns = walk.pass_ns();
+        report.features_ns = walk.features_ns();
         Ok(report)
     }
 
@@ -596,6 +608,31 @@ mod tests {
             assert_eq!(step.obs.len(), serve_obs_dim());
             assert!(step.action < serve_num_actions());
             assert!(step.logp <= 0.0 && step.logp.is_finite());
+        }
+    }
+
+    #[test]
+    fn a_pass_the_rollout_quarantines_stays_masked() {
+        let mut m = autophase_benchmarks::suite()
+            .into_iter()
+            .find(|b| b.name == "gsm")
+            .expect("gsm present")
+            .module;
+        let engine = InferenceEngine::start(test_policy(51), EngineConfig::default()).unwrap();
+        let fp = autophase_core::eval_cache::fingerprint_module(&m);
+        // Every pass that changes the module outgrows one instruction and
+        // faults; one fault quarantines it.
+        let quarantine = Quarantine::new(1);
+        let report = engine
+            .choose_sequence_report(&mut m, fp, &quarantine, &FuelBudget { max_insts: 1 })
+            .unwrap();
+        assert!(report.pass_faults > 1, "{report:?}");
+        assert!(report.applied.is_empty());
+        // Each faulting pass faulted once: none was chosen again.
+        let masked = quarantine.masked_passes(fp);
+        assert_eq!(masked.len(), report.pass_faults as usize);
+        for pass in masked {
+            assert_eq!(quarantine.fault_count(fp, pass), 1);
         }
     }
 

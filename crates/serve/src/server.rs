@@ -951,6 +951,8 @@ fn compile(
         Ok(report) => {
             trace.note("infer_calls", report.infer_calls);
             trace.note("infer_wait_ns", report.infer_wait_ns);
+            trace.note("pass_ns", report.pass_ns);
+            trace.note("features_ns", report.features_ns);
             trace.note("policy_version", report.policy_version);
             if report.pass_faults > 0 {
                 // Quarantined and skipped inside the rollout: the answer

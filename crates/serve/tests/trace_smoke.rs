@@ -149,6 +149,28 @@ fn stats_traces_and_chaos_dump_on_a_live_daemon() {
         "no chaos trace in:\n{body}"
     );
 
+    // Every cold rollout names its layers: forward, pass step (checked
+    // applies, verification included) and feature resync, which happen
+    // inside the rollout segment and so cannot add up to more than it.
+    let all = client.traces(64).expect("traces");
+    let cold: Vec<&str> = all
+        .lines()
+        .filter(|l| l.contains("\"outcome\":\"ok:policy\""))
+        .collect();
+    assert_eq!(cold.len(), programs.len(), "cold traces in:\n{all}");
+    for line in cold {
+        let layers: Vec<u64> = ["infer_wait_ns", "pass_ns", "features_ns"]
+            .iter()
+            .map(|note| number_after(line, note).unwrap_or_else(|| panic!("no {note}: {line}")))
+            .collect();
+        let rollout = number_after(line, "rollout").expect("a rollout stage");
+        assert!(layers[1] > 0, "no pass time: {line}");
+        assert!(
+            layers.iter().sum::<u64>() <= rollout,
+            "rollout notes exceed the segment: {line}"
+        );
+    }
+
     // The chaos faults also tripped the flight recorder's fault trigger:
     // a JSONL dump artifact exists, names the faulting stage in its
     // header, and every line parses as one JSON object.
@@ -174,4 +196,16 @@ fn stats_traces_and_chaos_dump_on_a_live_daemon() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// The number a trace line gives `key`: a stage `["key",n]` or a note
+/// `["key","n"]`.
+fn number_after(line: &str, key: &str) -> Option<u64> {
+    let start = line.find(&format!("[\"{key}\","))? + key.len() + 4;
+    let digits: String = line[start..]
+        .trim_start_matches('"')
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
 }

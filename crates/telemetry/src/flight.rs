@@ -217,7 +217,7 @@ impl<T: std::fmt::Debug, const N: usize> std::fmt::Debug for Inline<T, N> {
 /// most nine stages.
 pub type Stages = Inline<(&'static str, u64), 10>;
 
-/// A trace's `(key, value)` notes. A compile request writes at most six.
+/// A trace's `(key, value)` notes. A compile request writes at most seven.
 pub type Notes = Inline<(&'static str, NoteValue), 8>;
 
 /// A request trace under construction. Created by
