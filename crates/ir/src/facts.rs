@@ -121,6 +121,15 @@ impl Facts {
         })
     }
 
+    /// Hand this version's dead-code state on to `next`, made from it by
+    /// an edit that took no use away from any value (a block merge, a
+    /// forwarding block's removal): what a sweep would find is the same.
+    pub fn carry_dead_code_free(&self, next: &Facts) {
+        if let Some(kept) = self.kept_calls.get() {
+            next.set_dead_code_free(kept.clone());
+        }
+    }
+
     /// Record that a dead-code sweep of this version finds nothing to
     /// delete; `kept_calls` are the callees of the unused calls it kept.
     pub fn set_dead_code_free(&self, kept_calls: Vec<FuncId>) {

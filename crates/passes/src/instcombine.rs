@@ -8,21 +8,26 @@
 use crate::util;
 use autophase_ir::fold;
 use autophase_ir::{
-    BinOp, CastOp, CmpPred, Function, InstId, Module, Opcode, Rewrites, Type, Value,
+    BinOp, BlockId, CastOp, CmpPred, Function, InstId, Module, Opcode, Rewrites, Type, Value,
 };
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
         // Look before writing: a function no rule fires on is not touched
-        // (nor copied, if a snapshot shares it).
+        // (nor copied, if a snapshot shares it). Where the first rule
+        // fires is where the fixpoint's first round has work.
         let f = m.func(fid);
         let untouched = Rewrites::new();
-        let fires = f
-            .block_ids()
-            .flat_map(|bb| f.block(bb).insts.iter())
-            .any(|&iid| simplify(f, &untouched, iid).is_some());
-        let mut changed = fires && combine(m.func_mut(fid));
+        let blocks: Vec<BlockId> = f.block_ids().collect();
+        let first = blocks.iter().enumerate().find_map(|(b, &bb)| {
+            let insts = &f.block(bb).insts;
+            let pos = insts
+                .iter()
+                .position(|&iid| simplify(f, &untouched, iid).is_some())?;
+            Some((b, pos))
+        });
+        let mut changed = first.is_some_and(|first| combine(m.func_mut(fid), &blocks, first));
         changed |= util::delete_dead(m, fid) > 0;
         changed
     })
@@ -31,15 +36,19 @@ pub fn run(m: &mut Module) -> bool {
 /// Fixpoint over the local rules. In-place rewrites are applied
 /// immediately; replacements go to a forwarding table, through which every
 /// operand is read, so later simplifications always see the current IR.
-/// The table is committed once, after the fixpoint.
-fn combine(f: &mut Function) -> bool {
+/// The table is committed once, after the fixpoint. The first round starts
+/// at `first` (`(index into blocks, position)`), the first instruction a
+/// rule fires on: everything before it reads as it did when that was
+/// found, so no rule fires there.
+fn combine(f: &mut Function, blocks: &[BlockId], first: (usize, usize)) -> bool {
     let mut changed = false;
     let mut rw = Rewrites::new();
-    let blocks: Vec<_> = f.block_ids().collect();
+    let mut start = first;
     loop {
         let mut local = false;
-        for &bb in &blocks {
-            for pos in 0..f.block(bb).insts.len() {
+        for (b, &bb) in blocks.iter().enumerate().skip(start.0) {
+            let from = if b == start.0 { start.1 } else { 0 };
+            for pos in from..f.block(bb).insts.len() {
                 let iid = f.block(bb).insts[pos];
                 if rw.is_removed(iid) {
                     continue;
@@ -62,6 +71,7 @@ fn combine(f: &mut Function) -> bool {
         if !local {
             break;
         }
+        start = (0, 0);
     }
     f.apply_rewrites(&rw);
     changed
