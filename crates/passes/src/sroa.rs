@@ -6,7 +6,8 @@
 //! pieces then become `-mem2reg` candidates; `-scalarrepl-ssa` runs the
 //! promotion immediately, matching LLVM's SSAUpdater-based variant.
 
-use crate::util::{self, UserIndex};
+use crate::util;
+use autophase_ir::facts::Facts;
 use autophase_ir::{
     BlockId, FuncId, Function, Inst, InstId, Module, Opcode, Rewrites, Type, Value,
 };
@@ -38,7 +39,7 @@ fn split_function(m: &mut Module, fid: FuncId) -> bool {
 fn split_function_limit(m: &mut Module, fid: FuncId, limit: u32) -> bool {
     // Splitting one aggregate touches only its own geps and accesses, so
     // one scan finds every splittable alloca and one batch rewrites them.
-    let splits = find_splittable(m.func(fid), limit);
+    let splits = find_splittable(m.func(fid), &m.facts(fid), limit);
     if splits.is_empty() {
         return false;
     }
@@ -97,11 +98,8 @@ struct Splittable {
 /// Find every alloca where each use is either a `load`/`store` of matching
 /// type directly on it (index 0) or a constant-index `gep` whose own uses
 /// are all matching loads/stores.
-fn find_splittable(f: &Function, limit: u32) -> Vec<Splittable> {
+fn find_splittable(f: &Function, facts: &Facts, limit: u32) -> Vec<Splittable> {
     let mut out = Vec::new();
-    // Built at the first aggregate of a splittable shape; most functions
-    // have none.
-    let mut index: Option<UserIndex> = None;
     for bb in f.block_ids() {
         'cand: for &iid in &f.block(bb).insts {
             let Opcode::Alloca { elem_ty, count } = f.inst(iid).op else {
@@ -110,7 +108,9 @@ fn find_splittable(f: &Function, limit: u32) -> Vec<Splittable> {
             if count < 2 || count > limit || !elem_ty.is_int() {
                 continue;
             }
-            let index = index.get_or_insert_with(|| UserIndex::build(f));
+            // Read at the first aggregate of a splittable shape; most
+            // functions have none.
+            let index = facts.users();
             let addr = Value::Inst(iid);
             let mut accesses: Vec<(InstId, i64)> = Vec::new();
             let mut direct_mem = false;
