@@ -5,6 +5,7 @@
 
 use crate::facts::Facts;
 use crate::function::{BlockId, Function};
+use crate::inst::Inst;
 use crate::inst::Opcode;
 use crate::module::{FuncId, Module};
 use crate::value::Value;
@@ -61,64 +62,44 @@ pub fn verify_functions(
             continue;
         }
         let f = m.func(fid);
-        verify_function(f, &m.facts(fid)).map_err(|msg| VerifyError {
+        verify_function(m, f, &m.facts(fid)).map_err(|msg| VerifyError {
             func: f.name.clone(),
             message: msg,
         })?;
-        // Cross-function checks.
-        for bb in f.block_ids() {
-            for (_, inst) in f.insts_in(bb) {
-                if let Opcode::Call { callee, args } = &inst.op {
-                    if !m.func_exists(*callee) {
-                        return Err(VerifyError {
-                            func: f.name.clone(),
-                            message: format!("call to removed function f{}", callee.index()),
-                        });
-                    }
-                    let target = m.func(*callee);
-                    if args.len() != target.params.len() {
-                        return Err(VerifyError {
-                            func: f.name.clone(),
-                            message: format!(
-                                "call to @{} passes {} args, expected {}",
-                                target.name,
-                                args.len(),
-                                target.params.len()
-                            ),
-                        });
-                    }
-                    if inst.ty != target.ret_ty {
-                        return Err(VerifyError {
-                            func: f.name.clone(),
-                            message: format!(
-                                "call to @{} has result type {}, callee returns {}",
-                                target.name, inst.ty, target.ret_ty
-                            ),
-                        });
-                    }
-                }
-                let mut bad_global = None;
-                inst.for_each_operand(|v| {
-                    if let Value::Global(g) = v {
-                        if !m.global_exists(g) {
-                            bad_global = Some(g);
-                        }
-                    }
-                });
-                if let Some(g) = bad_global {
-                    return Err(VerifyError {
-                        func: f.name.clone(),
-                        message: format!("use of removed global g{}", g.index()),
-                    });
-                }
-            }
-        }
     }
     Ok(())
 }
 
-/// Verify a single function against its version's `facts`. Returns a
-/// description of the first violation.
+/// What is wrong with `inst` if it is a call to a removed function, or
+/// with the wrong arity or result type.
+fn call_error(m: &Module, inst: &Inst) -> Option<String> {
+    if let Opcode::Call { callee, args } = &inst.op {
+        if !m.func_exists(*callee) {
+            return Some(format!("call to removed function f{}", callee.index()));
+        }
+        let target = m.func(*callee);
+        if args.len() != target.params.len() {
+            return Some(format!(
+                "call to @{} passes {} args, expected {}",
+                target.name,
+                args.len(),
+                target.params.len()
+            ));
+        }
+        if inst.ty != target.ret_ty {
+            return Some(format!(
+                "call to @{} has result type {}, callee returns {}",
+                target.name, inst.ty, target.ret_ty
+            ));
+        }
+    }
+    None
+}
+
+/// Verify a single function of `m` against its version's `facts`: first
+/// the function-local checks, then its outgoing call and global
+/// references (found in the same walk, reported only if the function
+/// itself is sound). Returns a description of the first violation.
 ///
 /// Checks: every block ends in exactly one terminator (and has no terminator
 /// mid-block); φ-nodes precede non-φ instructions and their incoming lists
@@ -130,9 +111,11 @@ pub fn verify_functions(
 /// # Errors
 ///
 /// Returns a human-readable message describing the first violation.
-fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
+fn verify_function(m: &Module, f: &Function, facts: &Facts) -> Result<(), String> {
     // Block-local structure.
     let mut placement: Vec<Option<BlockId>> = vec![None; f.inst_capacity()];
+    let mut order_in_block: Vec<u32> = vec![0; f.inst_capacity()];
+    let mut cross_error: Option<String> = None;
     for bb in f.block_ids() {
         let insts = &f.block(bb).insts;
         if insts.is_empty() {
@@ -156,6 +139,7 @@ fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
                 ));
             }
             placement[iid.index()] = Some(bb);
+            order_in_block[iid.index()] = i as u32;
             let inst = f.inst(iid);
             let is_last = i == insts.len() - 1;
             if inst.is_terminator() && !is_last {
@@ -199,8 +183,10 @@ fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
             if let Some(e) = err {
                 return Err(e);
             }
-            // Operand references must be live.
+            // Operand references must be live; the globals they name are
+            // the cross-function check's.
             let mut err: Option<String> = None;
+            let mut bad_global = None;
             inst.for_each_operand(|v| match v {
                 Value::Inst(id) if !f.inst_exists(id) => {
                     err = Some(format!(
@@ -212,10 +198,16 @@ fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
                 Value::Arg(a) if a as usize >= f.params.len() => {
                     err = Some(format!("%{} uses out-of-range %arg{}", iid.index(), a));
                 }
+                Value::Global(g) if !m.global_exists(g) => bad_global = Some(g),
                 _ => {}
             });
             if let Some(e) = err {
                 return Err(e);
+            }
+            if cross_error.is_none() {
+                cross_error = call_error(m, inst).or_else(|| {
+                    bad_global.map(|g| format!("use of removed global g{}", g.index()))
+                });
             }
         }
     }
@@ -228,18 +220,19 @@ fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
     // `stamp[b]` is the number of the last φ that listed an entry from `b`.
     let mut stamp = vec![0u32; f.block_capacity()];
     let mut phi_no = 0u32;
+    // `pred_of[b]` is the index of the last φ block `b` was found a
+    // predecessor of.
+    let mut pred_of = vec![u32::MAX; f.block_capacity()];
     for &bb in cfg.rpo() {
         // φs lead their block (checked above), so a block that does not
         // start with one has none and needs no predecessor lists.
         if !f.insts_in(bb).next().is_some_and(|(_, i)| i.is_phi()) {
             continue;
         }
-        let all_preds = cfg.unique_preds(bb);
-        let preds: Vec<BlockId> = all_preds
-            .iter()
-            .copied()
-            .filter(|p| cfg.is_reachable(*p))
-            .collect();
+        let mark = bb.index() as u32;
+        for &p in cfg.preds(bb) {
+            pred_of[p.index()] = mark;
+        }
         for (iid, inst) in f.insts_in(bb) {
             if let Opcode::Phi { incoming } = &inst.op {
                 phi_no += 1;
@@ -259,20 +252,23 @@ fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
                 }
                 // Every reachable predecessor must have an incoming value,
                 // and every incoming block must be a predecessor.
-                for p in &preds {
-                    if stamp[p.index()] != phi_no {
-                        return Err(format!(
-                            "phi %{} in b{} missing incoming for pred b{}",
-                            iid.index(),
-                            bb.index(),
-                            p.index()
-                        ));
-                    }
+                let missing = cfg
+                    .preds(bb)
+                    .iter()
+                    .filter(|p| cfg.is_reachable(**p) && stamp[p.index()] != phi_no)
+                    .min();
+                if let Some(p) = missing {
+                    return Err(format!(
+                        "phi %{} in b{} missing incoming for pred b{}",
+                        iid.index(),
+                        bb.index(),
+                        p.index()
+                    ));
                 }
                 let stray = incoming
                     .iter()
                     .map(|&(b, _)| b)
-                    .filter(|b| !all_preds.contains(b))
+                    .filter(|b| pred_of.get(b.index()) != Some(&mark))
                     .min();
                 if let Some(ib) = stray {
                     return Err(format!(
@@ -288,12 +284,6 @@ fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
 
     // SSA dominance: defs dominate uses (reachable code only).
     let dt = facts.dom();
-    let mut order_in_block: Vec<usize> = vec![0; f.inst_capacity()];
-    for bb in f.block_ids() {
-        for (i, &iid) in f.block(bb).insts.iter().enumerate() {
-            order_in_block[iid.index()] = i;
-        }
-    }
     for &bb in cfg.rpo() {
         for (iid, inst) in f.insts_in(bb) {
             let mut err: Option<String> = None;
@@ -365,7 +355,7 @@ fn verify_function(f: &Function, facts: &Facts) -> Result<(), String> {
         }
     }
 
-    Ok(())
+    cross_error.map_or(Ok(()), Err)
 }
 
 /// Verify and panic with a pretty message on failure (test helper).
@@ -396,7 +386,7 @@ mod tests {
     fn verify_alone(f: Function) -> Result<(), String> {
         let m = module_with(f);
         let id = m.func_ids().next().expect("one function");
-        verify_function(m.func(id), &m.facts(id))
+        verify_function(&m, m.func(id), &m.facts(id))
     }
 
     #[test]
