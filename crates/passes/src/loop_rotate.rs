@@ -117,11 +117,10 @@ pub(crate) fn run_one_at_a_time(m: &mut Module) -> bool {
                 break;
             };
             let f = m.func_mut(fid);
-            let (index, c) = (facts.users(), c);
             do_rotate(
                 f,
                 l,
-                index,
+                facts.users(),
                 c.preheader,
                 c.latch,
                 c.body_entry,

@@ -66,11 +66,14 @@ fn redundant_block(reps: usize) -> Module {
 /// Best of five samples; a sample applies `pass` to `runs` fresh copies of
 /// `module` and reports the time per copy. (The small input is sampled
 /// four copies at a time, so both sizes' samples last about as long and
-/// are equally exposed to scheduler noise.)
-fn best_of_5(module: &Module, pass: usize, runs: u32) -> Duration {
+/// are equally exposed to scheduler noise.) The copies share nothing: a
+/// clone shares its functions with `module`, so an analysis of one copy's
+/// function would serve the next copy's too, and the first pass of a
+/// sample would not pay for it.
+fn best_of_5(module: &Module, pass: PassId, runs: u32) -> Duration {
     (0..5)
         .map(|_| {
-            let mut copies = vec![module.clone(); runs as usize];
+            let mut copies: Vec<Module> = (0..runs).map(|_| module.deep_clone()).collect();
             let t = Instant::now();
             for m in &mut copies {
                 assert!(apply(m, pass), "{} found nothing to do", pass_name(pass));
@@ -135,25 +138,6 @@ fn loop_chain(loops: usize) -> Module {
     m
 }
 
-/// [`best_of_5`] on unshared copies: a clone shares its functions with
-/// `module`, so an analysis of one copy's function would serve the next
-/// copy's too, and the first pass of a sample would not pay for it.
-fn best_of_5_unshared(module: &Module, pass: PassId, runs: u32) -> Duration {
-    (0..5)
-        .map(|_| {
-            let mut copies: Vec<Module> = (0..runs).map(|_| module.deep_clone()).collect();
-            let t = Instant::now();
-            for m in &mut copies {
-                assert!(apply(m, pass), "{} found nothing to do", pass_name(pass));
-            }
-            let elapsed = t.elapsed();
-            verify_module(&copies[0]).expect("guarded pass left valid IR");
-            elapsed / runs
-        })
-        .min()
-        .expect("five samples")
-}
-
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -180,10 +164,7 @@ fn loop_drivers_scale_linearly_with_loop_count() {
     for ((pass, small), (_, large)) in inputs(K).into_iter().zip(inputs(4 * K)) {
         let ratio = (0..3)
             .map(|_| {
-                let (t1, t4) = (
-                    best_of_5_unshared(&small, pass, 4),
-                    best_of_5_unshared(&large, pass, 1),
-                );
+                let (t1, t4) = (best_of_5(&small, pass, 4), best_of_5(&large, pass, 1));
                 let ratio = t4.as_secs_f64() / t1.as_secs_f64();
                 println!(
                     "{:14} k={K}: {t1:?}  4k: {t4:?}  ratio {ratio:.1}",
