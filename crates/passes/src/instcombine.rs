@@ -39,16 +39,24 @@ pub fn run(m: &mut Module) -> bool {
 /// The table is committed once, after the fixpoint. The first round starts
 /// at `first` (`(index into blocks, position)`), the first instruction a
 /// rule fires on: everything before it reads as it did when that was
-/// found, so no rule fires there.
+/// found, so no rule fires there. A later round that has changed nothing
+/// by the time it passes the previous round's last change stops there:
+/// every instruction after it was visited, last round, when the function
+/// already was as it is now, and fired nothing then.
 fn combine(f: &mut Function, blocks: &[BlockId], first: (usize, usize)) -> bool {
     let mut changed = false;
     let mut rw = Rewrites::new();
     let mut start = first;
+    let mut settled_after: Option<(usize, usize)> = None;
     loop {
         let mut local = false;
-        for (b, &bb) in blocks.iter().enumerate().skip(start.0) {
+        let mut last_change = None;
+        'round: for (b, &bb) in blocks.iter().enumerate().skip(start.0) {
             let from = if b == start.0 { start.1 } else { 0 };
             for pos in from..f.block(bb).insts.len() {
+                if !local && settled_after.is_some_and(|at| (b, pos) > at) {
+                    break 'round;
+                }
                 let iid = f.block(bb).insts[pos];
                 if rw.is_removed(iid) {
                     continue;
@@ -65,6 +73,7 @@ fn combine(f: &mut Function, blocks: &[BlockId], first: (usize, usize)) -> bool 
                     None => continue,
                 }
                 local = true;
+                last_change = Some((b, pos));
             }
         }
         changed |= local;
@@ -72,6 +81,7 @@ fn combine(f: &mut Function, blocks: &[BlockId], first: (usize, usize)) -> bool 
             break;
         }
         start = (0, 0);
+        settled_after = last_change;
     }
     f.apply_rewrites(&rw);
     changed
