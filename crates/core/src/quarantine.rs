@@ -99,6 +99,19 @@ impl Quarantine {
         self.len() == 0
     }
 
+    /// For each of `passes`, whether it is masked from `program`'s action
+    /// space: one lock and one lookup per pass, whatever the table holds.
+    pub fn masked_among(&self, program: u64, passes: &[usize]) -> Vec<bool> {
+        let map = lock_recover(&self.faults);
+        passes
+            .iter()
+            .map(|&pass| {
+                map.get(&(program, pass))
+                    .is_some_and(|&c| c >= self.threshold)
+            })
+            .collect()
+    }
+
     /// The masked pass ids for `program`, sorted.
     pub fn masked_passes(&self, program: u64) -> Vec<usize> {
         let mut out: Vec<usize> = lock_recover(&self.faults)
@@ -130,6 +143,8 @@ mod tests {
         assert!(!q.is_quarantined(10, 6));
         assert_eq!(q.masked_passes(10), vec![5]);
         assert!(q.masked_passes(11).is_empty());
+        assert_eq!(q.masked_among(10, &[4, 5, 6]), vec![false, true, false]);
+        assert_eq!(q.masked_among(11, &[5]), vec![false]);
     }
 
     #[test]

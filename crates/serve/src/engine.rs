@@ -404,14 +404,14 @@ impl InferenceEngine {
             policy_version: policy.version,
             ..RolloutReport::default()
         };
-        let mut masked = quarantine.masked_passes(fp);
+        let mut masked = quarantine.masked_among(fp, step.actions());
         for _ in 0..step.episode_len() {
             let obs = walk.observe();
             let infer_start = std::time::Instant::now();
             report.infer_calls += 1;
             let logits = self.forward(policy, &obs, &mut ws)?;
             report.infer_wait_ns += infer_start.elapsed().as_nanos() as u64;
-            let open = |a| masked.binary_search(&step.actions()[a]).is_err();
+            let open = |a: usize| !masked[a];
             // Everything quarantined for this program: nothing left to try.
             let Some(action) = argmax_masked(logits, open) else {
                 break;
@@ -433,7 +433,7 @@ impl InferenceEngine {
                     // Rolled back by the step; remember the offender so
                     // repeat faults stop costing attempts.
                     quarantine.record_fault(fp, pass);
-                    masked = quarantine.masked_passes(fp);
+                    masked = quarantine.masked_among(fp, step.actions());
                     report.pass_faults += 1;
                     telemetry::incr("serve.rollout", "pass_fault", 1);
                 }
