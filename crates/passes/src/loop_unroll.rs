@@ -160,15 +160,6 @@ fn unroll_all(
         for l in loops {
             is_header[l.header.index()] = true;
         }
-        // With one loop to unroll, its final substitution sweeps the arena
-        // once; with more, the use index (read before the first write)
-        // keeps each to the loop's own users.
-        let several = loops
-            .iter()
-            .filter(|l| recognize(m.func(fid), cfg, l).is_some())
-            .nth(1)
-            .is_some();
-        let users = several.then(|| facts.users());
         for l in loops {
             let f = m.func(fid);
             let Some(cl) = recognize(f, cfg, l) else {
@@ -187,6 +178,9 @@ fn unroll_all(
             let preheader = l
                 .entering_block(cfg)
                 .expect("recognized loop has an entering block");
+            // The use index is built, if the store lacks it, at the first
+            // unroll, before anything is written.
+            let users = facts.users();
             let exit = do_full_unroll(m.func_mut(fid), &cl, preheader, users);
             changed = true;
             if is_header.get(exit.index()).copied().unwrap_or(true) {
@@ -218,7 +212,8 @@ pub(crate) fn run_one_at_a_time(m: &mut Module) -> bool {
                     continue;
                 }
                 let preheader = l.entering_block(facts.cfg()).expect("an entering block");
-                do_full_unroll(m.func_mut(fid), &cl, preheader, None);
+                let users = facts.users();
+                do_full_unroll(m.func_mut(fid), &cl, preheader, users);
                 changed = true;
                 continue 'analyse;
             }
@@ -272,14 +267,14 @@ impl LoopValues<'_> {
 }
 
 /// Replace the single-block loop with `trip` copies of its body chained
-/// straight-line, then a jump to the exit, which it returns. `users`, if
-/// given, lists the users of the loop's values (no write since it was
-/// built added one); without it the final substitution sweeps the arena.
+/// straight-line, then a jump to the exit, which it returns. `users`
+/// lists the users of the loop's values (no write since it was built
+/// added one).
 fn do_full_unroll(
     f: &mut autophase_ir::Function,
     cl: &CountedLoop,
     preheader: BlockId,
-    users: Option<&UserIndex>,
+    users: &UserIndex,
 ) -> BlockId {
     let block = cl.block;
     let term = f.terminator(block).expect("loop block has terminator");
@@ -377,10 +372,6 @@ fn do_full_unroll(
     // Remove the loop block first so in-loop uses don't get clobbered;
     // the rest of the users read the final values.
     f.remove_block(block);
-    let Some(users) = users else {
-        f.apply_rewrites(&final_subst);
-        return exit;
-    };
     for &src in phis.iter().chain(&body) {
         for &(user, _) in users.users(src) {
             if f.inst_exists(user) {
