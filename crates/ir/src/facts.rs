@@ -2,10 +2,15 @@
 //!
 //! A pass, the verifier after it and the feature resync after that all
 //! ask the same questions of the same function: its [`Cfg`], its
-//! [`DomTree`], its loop forest, its reverse-use index ([`UserIndex`]) and
-//! whether a dead-code sweep would find anything. [`Module::facts`] answers
-//! them from one [`Facts`] per *version* of the function, each fact built
-//! on first request.
+//! [`DomTree`], its loop forest and its reverse-use index ([`UserIndex`]).
+//! [`Module::facts`] answers them from one [`Facts`] per *version* of the
+//! function, each fact built on first request. One more slot holds what a
+//! dead-code sweep of the version kept; the sweep alone reads it
+//! ([`Facts::sweep_survivors`]).
+//!
+//! [`Module::facts`]: crate::module::Module::facts
+//! [`Module::func_mut`]: crate::module::Module::func_mut
+//! [`Module::add_function`]: crate::module::Module::add_function
 //!
 //! # Versions
 //!
@@ -37,7 +42,6 @@ use crate::csr::Csr;
 use crate::dom::DomTree;
 use crate::function::{BlockId, Function, InstId};
 use crate::loops::{find_loops, Loop};
-use crate::module::{FuncId, Module};
 use crate::value::Value;
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
@@ -59,10 +63,7 @@ pub struct Facts {
     dom: OnceCell<DomTree>,
     loops: OnceCell<Vec<Loop>>,
     users: OnceCell<UserIndex>,
-    /// Set when a dead-code sweep of this version found nothing to delete:
-    /// the callees of the unused calls it kept because they were not
-    /// `readnone`.
-    kept_calls: OnceCell<Vec<FuncId>>,
+    survivors: OnceCell<Vec<InstId>>,
 }
 
 impl Facts {
@@ -73,7 +74,7 @@ impl Facts {
             dom: OnceCell::new(),
             loops: OnceCell::new(),
             users: OnceCell::new(),
-            kept_calls: OnceCell::new(),
+            survivors: OnceCell::new(),
         }
     }
 
@@ -111,30 +112,18 @@ impl Facts {
         self.users.get_or_init(|| self.compute(UserIndex::build))
     }
 
-    /// True if a dead-code sweep of this version is known to find nothing
-    /// in `m`: one found nothing, and no call it kept has become
-    /// removable since (its callee was since inferred `readnone`).
-    pub fn is_dead_code_free(&self, m: &Module) -> bool {
-        self.kept_calls.get().is_some_and(|kept| {
-            kept.iter()
-                .all(|&c| !(m.func_exists(c) && m.func(c).attrs.readnone))
-        })
+    /// The unused instructions the dead-code sweep of this version kept,
+    /// if one ran on it. The slot belongs to the sweep (`delete_dead` in
+    /// the passes crate), which alone decides what the list still means.
+    pub fn sweep_survivors(&self) -> Option<&[InstId]> {
+        self.survivors.get().map(Vec::as_slice)
     }
 
-    /// Hand this version's dead-code state on to `next`, made from it by
-    /// an edit that took no use away from any value (a block merge, a
-    /// forwarding block's removal): what a sweep would find is the same.
-    pub fn carry_dead_code_free(&self, next: &Facts) {
-        if let Some(kept) = self.kept_calls.get() {
-            next.set_dead_code_free(kept.clone());
-        }
-    }
-
-    /// Record that a dead-code sweep of this version finds nothing to
-    /// delete; `kept_calls` are the callees of the unused calls it kept.
-    pub fn set_dead_code_free(&self, kept_calls: Vec<FuncId>) {
-        // A second sweep of the same version finds the same thing.
-        let _ = self.kept_calls.set(kept_calls);
+    /// Record what a dead-code sweep of this version kept (see
+    /// [`Facts::sweep_survivors`]).
+    pub fn set_sweep_survivors(&self, kept: Vec<InstId>) {
+        // A second sweep of the same version keeps the same.
+        let _ = self.survivors.set(kept);
     }
 }
 
@@ -193,7 +182,8 @@ thread_local! {
     static STORE: RefCell<Store> = RefCell::new(Store::default());
 }
 
-/// The facts of the version `func` holds (see [`Module::facts`]).
+/// The facts of the version `func` holds (see
+/// [`Module::facts`](crate::module::Module::facts)).
 pub(crate) fn of(func: &Arc<Function>) -> Rc<Facts> {
     let at = Arc::as_ptr(func);
     STORE.with(|store| {
@@ -221,6 +211,7 @@ pub(crate) fn of(func: &Arc<Function>) -> Rc<Facts> {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::module::{FuncId, Module};
     use crate::types::Type;
 
     fn looped() -> Module {
@@ -288,13 +279,14 @@ mod tests {
     }
 
     #[test]
-    fn dead_code_freedom_lapses_when_a_kept_call_becomes_removable() {
+    fn sweep_survivors_belong_to_their_version() {
         let mut m = looped();
-        let callee = m.add_function(Function::new("g", vec![], Type::Void));
         let id = m.main().unwrap();
-        m.facts(id).set_dead_code_free(vec![callee]);
-        assert!(m.facts(id).is_dead_code_free(&m));
-        m.func_mut(callee).attrs.readnone = true;
-        assert!(!m.facts(id).is_dead_code_free(&m));
+        assert_eq!(m.facts(id).sweep_survivors(), None);
+        let kept = vec![InstId::from_index(0)];
+        m.facts(id).set_sweep_survivors(kept.clone());
+        assert_eq!(m.facts(id).sweep_survivors(), Some(kept.as_slice()));
+        m.func_mut(id).name = "renamed".into();
+        assert_eq!(m.facts(id).sweep_survivors(), None);
     }
 }

@@ -49,19 +49,11 @@ fn simplify(m: &mut Module, fid: FuncId, batch: bool) -> bool {
         // good (and is computed before it runs).
         let cfg = facts.cfg();
         local |= simplify_single_incoming_phis(m, fid);
-        // Merges and forwarding-block removals take no use away from any
-        // value, so a version free of dead code stays free of it.
-        let before = m.facts(fid);
         if merge_straightline(m, fid, cfg) {
             local = true;
             facts = m.facts(fid);
-            before.carry_dead_code_free(&facts);
         }
-        let before = m.facts(fid);
-        if remove_forwarding_blocks(m, fid, facts.cfg(), batch) {
-            local = true;
-            before.carry_dead_code_free(&m.facts(fid));
-        }
+        local |= remove_forwarding_blocks(m, fid, facts.cfg(), batch);
         if !local {
             break;
         }

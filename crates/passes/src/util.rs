@@ -28,13 +28,17 @@ pub fn is_pure_no_read(m: &Module, inst: &Inst) -> bool {
 ///
 /// Implemented as a use-count worklist (one scan to build counts, O(1) per
 /// death) whose removals are committed as one batch, so cleanup stays
-/// linear however many instructions die. The sweep's outcome is a fact of
-/// the function version ([`Module::facts`]): a version a sweep left
-/// clean is not swept again.
-pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
+/// linear however many instructions die. A sweep records the unused
+/// instructions it kept with the version's facts ([`Module::facts`]);
+/// while every one of them is still impure, a sweep of that version would
+/// find nothing, and none is made.
+pub fn delete_dead(m: &mut Module, fid: FuncId) -> usize {
     let facts = m.facts(fid);
-    if facts.is_dead_code_free(m) {
-        return 0;
+    if let Some(kept) = facts.sweep_survivors() {
+        let f = m.func(fid);
+        if kept.iter().all(|&iid| !is_pure(m, f.inst(iid))) {
+            return 0;
+        }
     }
     let f = m.func(fid);
     let cap = f.inst_capacity();
@@ -79,22 +83,16 @@ pub fn delete_dead(m: &mut Module, fid: autophase_ir::FuncId) -> usize {
             }
         });
     }
-    // What survives is the fixpoint: every unused instruction left is
-    // impure, and only a call can become pure (its callee `readnone`).
-    let mut kept_calls: Vec<FuncId> = (0..cap)
-        .filter(|&i| placed[i] && use_count[i] == 0 && !dead.is_removed(InstId::from_index(i)))
-        .filter_map(|i| match f.inst(InstId::from_index(i)).op {
-            Opcode::Call { callee, .. } => Some(callee),
-            _ => None,
-        })
+    // The unused instructions left are the fixpoint's: each is impure.
+    let kept: Vec<InstId> = (0..cap)
+        .map(InstId::from_index)
+        .filter(|&iid| placed[iid.index()] && use_count[iid.index()] == 0 && !dead.is_removed(iid))
         .collect();
-    kept_calls.sort_unstable();
-    kept_calls.dedup();
     if removed > 0 {
         m.func_mut(fid).apply_rewrites(&dead);
-        m.facts(fid).set_dead_code_free(kept_calls);
+        m.facts(fid).set_sweep_survivors(kept);
     } else {
-        facts.set_dead_code_free(kept_calls);
+        facts.set_sweep_survivors(kept);
     }
     removed
 }
@@ -302,6 +300,25 @@ mod tests {
         let fid = m.add_function(b.finish());
         let removed = delete_dead(&mut m, fid);
         assert_eq!(removed, 2);
+        assert_eq!(m.func(fid).num_insts(), 1);
+    }
+
+    #[test]
+    fn a_clean_version_is_swept_again_once_a_kept_call_turns_pure() {
+        let mut m = Module::new("t");
+        let callee = m.add_function(Function::new("g", vec![], Type::I32));
+        let mut b = FunctionBuilder::new("main", vec![], Type::I32);
+        let x = b.binary(BinOp::Add, Value::i32(1), Value::i32(2));
+        let _unused = b.call(callee, Type::I32, vec![x]);
+        b.ret(Some(Value::i32(0)));
+        let fid = m.add_function(b.finish());
+        assert_eq!(delete_dead(&mut m, fid), 0);
+        assert!(m.facts(fid).sweep_survivors().is_some());
+        assert_eq!(delete_dead(&mut m, fid), 0);
+        // Only the callee is written: `main`'s version, and what its
+        // sweep kept, stay; the call it kept is now removable.
+        m.func_mut(callee).attrs.readnone = true;
+        assert_eq!(delete_dead(&mut m, fid), 2);
         assert_eq!(m.func(fid).num_insts(), 1);
     }
 
