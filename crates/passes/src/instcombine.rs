@@ -8,26 +8,21 @@
 use crate::util;
 use autophase_ir::fold;
 use autophase_ir::{
-    BinOp, BlockId, CastOp, CmpPred, Function, InstId, Module, Opcode, Rewrites, Type, Value,
+    BinOp, CastOp, CmpPred, Function, InstId, Module, Opcode, Rewrites, Type, Value,
 };
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
         // Look before writing: a function no rule fires on is not touched
-        // (nor copied, if a snapshot shares it). Where the first rule
-        // fires is where the fixpoint's first round has work.
+        // (nor copied, if a snapshot shares it).
         let f = m.func(fid);
         let untouched = Rewrites::new();
-        let blocks: Vec<BlockId> = f.block_ids().collect();
-        let first = blocks.iter().enumerate().find_map(|(b, &bb)| {
-            let insts = &f.block(bb).insts;
-            let pos = insts
-                .iter()
-                .position(|&iid| simplify(f, &untouched, iid).is_some())?;
-            Some((b, pos))
-        });
-        let mut changed = first.is_some_and(|first| combine(m.func_mut(fid), &blocks, first));
+        let fires = f
+            .block_ids()
+            .flat_map(|bb| f.block(bb).insts.iter())
+            .any(|&iid| simplify(f, &untouched, iid).is_some());
+        let mut changed = fires && combine(m.func_mut(fid));
         changed |= util::delete_dead(m, fid) > 0;
         changed
     })
@@ -36,27 +31,15 @@ pub fn run(m: &mut Module) -> bool {
 /// Fixpoint over the local rules. In-place rewrites are applied
 /// immediately; replacements go to a forwarding table, through which every
 /// operand is read, so later simplifications always see the current IR.
-/// The table is committed once, after the fixpoint. The first round starts
-/// at `first` (`(index into blocks, position)`), the first instruction a
-/// rule fires on: everything before it reads as it did when that was
-/// found, so no rule fires there. A later round that has changed nothing
-/// by the time it passes the previous round's last change stops there:
-/// every instruction after it was visited, last round, when the function
-/// already was as it is now, and fired nothing then.
-fn combine(f: &mut Function, blocks: &[BlockId], first: (usize, usize)) -> bool {
+/// The table is committed once, after the fixpoint.
+fn combine(f: &mut Function) -> bool {
     let mut changed = false;
     let mut rw = Rewrites::new();
-    let mut start = first;
-    let mut settled_after: Option<(usize, usize)> = None;
+    let blocks: Vec<_> = f.block_ids().collect();
     loop {
         let mut local = false;
-        let mut last_change = None;
-        'round: for (b, &bb) in blocks.iter().enumerate().skip(start.0) {
-            let from = if b == start.0 { start.1 } else { 0 };
-            for pos in from..f.block(bb).insts.len() {
-                if !local && settled_after.is_some_and(|at| (b, pos) > at) {
-                    break 'round;
-                }
+        for &bb in &blocks {
+            for pos in 0..f.block(bb).insts.len() {
                 let iid = f.block(bb).insts[pos];
                 if rw.is_removed(iid) {
                     continue;
@@ -73,15 +56,12 @@ fn combine(f: &mut Function, blocks: &[BlockId], first: (usize, usize)) -> bool 
                     None => continue,
                 }
                 local = true;
-                last_change = Some((b, pos));
             }
         }
         changed |= local;
         if !local {
             break;
         }
-        start = (0, 0);
-        settled_after = last_change;
     }
     f.apply_rewrites(&rw);
     changed
