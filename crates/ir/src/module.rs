@@ -152,7 +152,7 @@ impl Module {
         )
     }
 
-    /// The CFG, dominator tree, loops, use index and dead-code state of the
+    /// The CFG, dominator tree, loops, use index and dead-code sweep slot of the
     /// function's current version, each computed at most once per version
     /// (see [`facts`]).
     ///
