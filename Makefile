@@ -163,16 +163,19 @@ online-smoke:
 # references on random inputs. The front-end golden (DESIGN.md §4o) holds
 # the printer, parser, fingerprint and profiler to the file the
 # string-building printer and line-split parser wrote, accepted and
-# refused texts alike. Last, no pass edits a CFG edge or a φ entry by
-# hand: a branch target rewritten without its φ entries (or the reverse)
-# was the bug behind two miscompiles, so those edits live only in
+# refused texts alike. Last, no pass edits a CFG edge, a terminator or a
+# φ entry by hand: a branch target rewritten without its φ entries (or
+# the reverse) was the bug behind three miscompiles, one of them in a
+# whole-terminator rewrite, so those edits live only in
 # `autophase_ir::edges`, whose helpers `kernels` checks, and the grep
-# fails on any hand-written copy under crates/passes/src.
+# fails on any hand-written copy under crates/passes/src: an edge or φ
+# list edited in place, a terminator popped off its block, or a branch
+# written over an instruction's opcode.
 pass-golden:
 	$(CARGO) test -q --release -p autophase-passes --test golden_outputs
 	$(CARGO) test -q --release -p autophase-passes --test front_end_golden
 	$(CARGO) test -q --release -p autophase-ir --test kernels
-	@! grep -rnE 'for_each_successor_mut|incoming\.(retain|remove)\(|\*incoming =' crates/passes/src
+	@! grep -rnE 'for_each_successor_mut|incoming\.(retain|remove)\(|\*incoming =|insts\.pop\(\)|\.op = Opcode::(Br|CondBr|Switch)\b' crates/passes/src
 
 # What keeps the fast paths honest (DESIGN.md §4f, §4k, §4m): the
 # differential suite proves the per-function caches are bit-invisible

@@ -235,12 +235,19 @@ impl PhaseOrderEnv {
         self.quarantine = Some(quarantine);
     }
 
-    /// Pass ids currently masked (quarantined) for the episode's program.
+    /// Pass ids of this environment's actions currently masked
+    /// (quarantined) for the episode's program, in action order.
     pub fn masked_passes(&self) -> Vec<usize> {
-        match &self.quarantine {
-            Some(q) => q.masked_passes(self.current_fp),
-            None => Vec::new(),
-        }
+        let Some(q) = &self.quarantine else {
+            return Vec::new();
+        };
+        let actions = self.step.actions();
+        let masked = q.masked_among(self.current_fp, actions);
+        actions
+            .iter()
+            .zip(masked)
+            .filter_map(|(&pass, masked)| masked.then_some(pass))
+            .collect()
     }
 
     /// The action index list (Table-1 ids) this environment exposes.

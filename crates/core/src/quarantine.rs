@@ -13,9 +13,11 @@
 //! sharing it between workers can change which actions are masked
 //! mid-batch but never un-mask one.
 //!
-//! The daemon's rollout reads a program's masked set once, when it
-//! starts, and again after each fault it records itself — one lock per
-//! rollout instead of one per action per step. So a pass this rollout
+//! A reader asks only about its own actions ([`Quarantine::masked_among`]:
+//! one lock and one lookup per action, whatever the shared table holds);
+//! the table is never scanned. The daemon's rollout reads a program's
+//! masked set once, when it starts, and again after each fault it records
+//! itself — one lock per rollout instead of one per action per step. So a pass this rollout
 //! quarantines stays masked at its later steps, while another worker's
 //! concurrent quarantine of the same program is seen at the next
 //! rollout, not the next step (monotone: a mask is only ever late, never
@@ -111,17 +113,6 @@ impl Quarantine {
             })
             .collect()
     }
-
-    /// The masked pass ids for `program`, sorted.
-    pub fn masked_passes(&self, program: u64) -> Vec<usize> {
-        let mut out: Vec<usize> = lock_recover(&self.faults)
-            .iter()
-            .filter(|(&(p, _), &c)| p == program && c >= self.threshold)
-            .map(|(&(_, pass), _)| pass)
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +132,6 @@ mod tests {
         // Other programs and passes are unaffected.
         assert!(!q.is_quarantined(11, 5));
         assert!(!q.is_quarantined(10, 6));
-        assert_eq!(q.masked_passes(10), vec![5]);
-        assert!(q.masked_passes(11).is_empty());
         assert_eq!(q.masked_among(10, &[4, 5, 6]), vec![false, true, false]);
         assert_eq!(q.masked_among(11, &[5]), vec![false]);
     }

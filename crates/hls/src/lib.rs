@@ -110,7 +110,7 @@ impl HlsConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HlsError {
     /// The design could not be profiled because execution failed.
-    Exec(autophase_ir::interp::ExecError),
+    Exec(autophase_ir::interp::Trap),
     /// The module has no `main` function to profile.
     NoMain,
 }
@@ -126,8 +126,8 @@ impl fmt::Display for HlsError {
 
 impl std::error::Error for HlsError {}
 
-impl From<autophase_ir::interp::ExecError> for HlsError {
-    fn from(e: autophase_ir::interp::ExecError) -> HlsError {
+impl From<autophase_ir::interp::Trap> for HlsError {
+    fn from(e: autophase_ir::interp::Trap) -> HlsError {
         HlsError::Exec(e)
     }
 }

@@ -110,7 +110,7 @@ impl FunctionBuilder {
     /// Two-operand arithmetic/logic. Result type follows `lhs`'s type when
     /// it is an instruction/constant; otherwise `i32`.
     pub fn binary(&mut self, op: BinOp, lhs: Value, rhs: Value) -> Value {
-        let ty = self.type_of(lhs);
+        let ty = self.func.type_of(lhs);
         self.emit(ty, Opcode::Binary(op, lhs, rhs))
     }
 
@@ -126,7 +126,7 @@ impl FunctionBuilder {
 
     /// `cond ? tval : fval`.
     pub fn select(&mut self, cond: Value, tval: Value, fval: Value) -> Value {
-        let ty = self.type_of(tval);
+        let ty = self.func.type_of(tval);
         self.emit(ty, Opcode::Select { cond, tval, fval })
     }
 
@@ -254,21 +254,6 @@ impl FunctionBuilder {
         self.switch_to(exit);
         (header, exit)
     }
-
-    /// Best-effort type of a value (for result-type inference in `binary`).
-    pub fn type_of(&self, v: Value) -> Type {
-        match v {
-            Value::Inst(id) => self.func.inst(id).ty,
-            Value::ConstInt(ty, _) | Value::Undef(ty) => ty,
-            Value::Arg(i) => self
-                .func
-                .params
-                .get(i as usize)
-                .copied()
-                .unwrap_or(Type::I32),
-            Value::Global(_) => Type::Ptr,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,9 +321,9 @@ mod tests {
         let mut b = FunctionBuilder::new("t", vec![Type::I64], Type::I64);
         let x = b.arg(0);
         let y = b.binary(BinOp::Mul, x, b.const_i64(3));
-        assert_eq!(b.type_of(y), Type::I64);
+        assert_eq!(b.func().type_of(y), Type::I64);
         let c = b.icmp(CmpPred::Eq, y, x);
-        assert_eq!(b.type_of(c), Type::I1);
+        assert_eq!(b.func().type_of(c), Type::I1);
         b.ret(Some(y));
     }
 

@@ -1,11 +1,11 @@
-//! Edge edits: the one place a CFG edge or a φ entry moves.
+//! Edge edits: the one place a CFG edge, a terminator or a φ entry moves.
 //!
 //! A φ-node lists one `(predecessor, value)` entry per incoming edge, so
 //! every change to a branch target is also a change to the φs of the
 //! blocks on both ends. Passes make both through the [`Function`] methods
-//! of this module and never rewrite a terminator's targets or a φ's
-//! entry list by hand; what keeps φs consistent with their block's
-//! predecessors is read here and nowhere else.
+//! of this module and never rewrite a terminator or a φ's entry list by
+//! hand; what keeps φs consistent with their block's predecessors is read
+//! here and nowhere else.
 //!
 //! The order of φ entries is part of the printed IR, so each edit has a
 //! fixed rule for where entries go:
@@ -18,11 +18,25 @@
 //!   new ones, in the order of the new predecessors;
 //! * [`Function::remove_phi_edge`] drops entries and moves nothing.
 //!
-//! Branch edits ([`Function::redirect_branch`]) leave every φ alone: a
-//! caller that moves an edge moves its φ entries with one of the above.
+//! Branch edits come in two kinds. [`Function::redirect_branch`] moves
+//! edges and leaves every φ alone: a caller that moves an edge moves its
+//! φ entries with one of the above. [`Function::set_branch`] replaces a
+//! whole terminator and drops the block's entries from every successor it
+//! no longer reaches; entries for a successor it adds are the caller's.
+//! [`Function::end_with_branch`] does the same for a block cut short
+//! with a new `br`. The compound edits ([`Function::split_edge`],
+//! [`Function::split_block`], [`Function::merge_block`],
+//! [`Function::clone_region`], [`Function::lower_switch`]) keep both
+//! halves in step themselves.
+//!
+//! The printer shows instruction ids, which are arena slots, so each edit
+//! also has a fixed rule for what it allocates: `set_branch` rewrites the
+//! terminator in its slot, `end_with_branch` allocates its `br` when it
+//! is called, and the compound edits allocate in the order their docs
+//! give.
 
 use crate::function::{BlockId, Function, InstId};
-use crate::inst::{Inst, Opcode};
+use crate::inst::{CmpPred, Inst, Opcode};
 use crate::types::Type;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -48,6 +62,58 @@ impl Function {
                     *s = to;
                 }
             });
+        }
+    }
+
+    /// Replace the terminator of `bb` with `op` (a `br`, conditional `br`
+    /// or `switch`), in the old terminator's slot, and remove `bb`'s φ
+    /// entries, once, from each block it no longer branches to. A
+    /// successor `op` keeps all its entries from `bb`, however many
+    /// edges led there; entries for a successor `op` adds are the
+    /// caller's (see [`Function::carry_phi_edges`],
+    /// [`Function::move_phi_edges`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bb` has no terminator.
+    pub fn set_branch(&mut self, bb: BlockId, op: Opcode) {
+        debug_assert!(matches!(
+            op,
+            Opcode::Br { .. } | Opcode::CondBr { .. } | Opcode::Switch { .. }
+        ));
+        let term = self
+            .terminator(bb)
+            .expect("set_branch on a block without terminator");
+        let old = self.inst(term).successors();
+        self.inst_mut(term).op = op;
+        self.drop_phi_edges(bb, old);
+    }
+
+    /// End `bb` at position `at` with a new `br target`: the instructions
+    /// from `at` on (the terminator among them) leave the function, the
+    /// branch is allocated and appended, and `bb`'s φ entries leave each
+    /// block the old terminator reached and `target` is not. For a rewrite
+    /// that removes instructions with the terminator (a tail call and its
+    /// `ret`), or whose branch must be allocated after other new
+    /// instructions (a jump into a region copied after the split).
+    pub fn end_with_branch(&mut self, bb: BlockId, at: usize, target: BlockId) {
+        let old = self.successors(bb);
+        for id in self.block_mut(bb).insts.split_off(at) {
+            self.erase_inst(id);
+        }
+        self.append_inst(bb, Inst::new(Type::Void, Opcode::Br { target }));
+        self.drop_phi_edges(bb, old);
+    }
+
+    /// Remove `bb`'s φ entries, once, from each block of `old` (its
+    /// successors before a terminator edit) that it no longer branches to.
+    fn drop_phi_edges(&mut self, bb: BlockId, mut old: Vec<BlockId>) {
+        let new = self.successors(bb);
+        old.retain(|s| !new.contains(s));
+        old.sort_unstable();
+        old.dedup();
+        for s in old {
+            self.remove_phi_edge(s, bb);
         }
     }
 
@@ -161,6 +227,22 @@ impl Function {
         tail
     }
 
+    /// Merge `b` into `a`: `a`'s terminator leaves the function, `b`'s
+    /// instructions move to the end of `a`, the φs of `b`'s successors name
+    /// `a` where they named `b`, and `b` is removed. The caller checks
+    /// that the pair is straight-line: `a`'s only successor is `b`, `b`'s
+    /// only predecessor is `a`, and `b` holds no φ.
+    pub fn merge_block(&mut self, a: BlockId, b: BlockId) {
+        let term = self.block_mut(a).insts.pop().expect("a has a terminator");
+        self.erase_inst(term);
+        let b_insts = std::mem::take(&mut self.block_mut(b).insts);
+        self.block_mut(a).insts.extend(b_insts);
+        for s in self.successors(a) {
+            self.retarget_phis(s, b, a);
+        }
+        self.remove_block(b);
+    }
+
     /// Clone the blocks of `region` (from function `src`) into this
     /// function with operand and block-target remapping.
     ///
@@ -218,6 +300,76 @@ impl Function {
             }
         }
         block_map
+    }
+
+    /// Replace the `switch` ending `bb` by a chain of `icmp eq` and
+    /// conditional branches: `bb` tests the first case, each later case
+    /// is tested in a fresh block, and the last test's other arm is the
+    /// default (with no case, `bb` branches to the default). Each test is
+    /// allocated before its branch, in case order. Every target's φs trade
+    /// their entries from `bb` for one per chain block that branches
+    /// there, with the value `bb`'s first entry carried.
+    pub fn lower_switch(&mut self, bb: BlockId) {
+        let term = self.terminator(bb).expect("switch block has a terminator");
+        let Opcode::Switch {
+            value,
+            default,
+            cases,
+        } = self.inst(term).op.clone()
+        else {
+            panic!("lower_switch on a block not ending in switch");
+        };
+        let mut targets: Vec<BlockId> = cases.iter().map(|(_, t)| *t).collect();
+        targets.push(default);
+        targets.sort();
+        targets.dedup();
+
+        self.block_mut(bb).insts.pop();
+        let value_ty = self.type_of(value);
+        let mut chain: Vec<BlockId> = vec![bb];
+        let mut cur_bb = bb;
+        for (i, (k, target)) in cases.iter().enumerate() {
+            let is_last = i == cases.len() - 1;
+            let cmp = self.append_inst(
+                cur_bb,
+                Inst::new(
+                    Type::I1,
+                    Opcode::ICmp(CmpPred::Eq, value, Value::const_int(value_ty, *k)),
+                ),
+            );
+            let next_bb = if is_last { default } else { self.add_block() };
+            self.append_inst(
+                cur_bb,
+                Inst::new(
+                    Type::Void,
+                    Opcode::CondBr {
+                        cond: Value::Inst(cmp),
+                        then_bb: *target,
+                        else_bb: next_bb,
+                    },
+                ),
+            );
+            if !is_last {
+                chain.push(next_bb);
+            }
+            cur_bb = next_bb;
+        }
+        if cases.is_empty() {
+            self.append_inst(
+                cur_bb,
+                Inst::new(Type::Void, Opcode::Br { target: default }),
+            );
+        }
+        self.erase_inst(term);
+
+        for t in targets {
+            let preds: Vec<BlockId> = chain
+                .iter()
+                .copied()
+                .filter(|&c| self.successors(c).contains(&t))
+                .collect();
+            self.move_phi_edges(t, &[bb], &preds, |_, _, v| v);
+        }
     }
 }
 

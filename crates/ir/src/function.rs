@@ -450,6 +450,18 @@ impl Function {
         out
     }
 
+    /// The type of `v` here: an instruction's result type, a constant's or
+    /// `undef`'s own, a parameter's (`i32` past the last one), `ptr` for a
+    /// global.
+    pub fn type_of(&self, v: Value) -> Type {
+        match v {
+            Value::Inst(id) => self.inst(id).ty,
+            Value::ConstInt(ty, _) | Value::Undef(ty) => ty,
+            Value::Arg(i) => self.params.get(i as usize).copied().unwrap_or(Type::I32),
+            Value::Global(_) => Type::Ptr,
+        }
+    }
+
     /// Find the block containing instruction `id`, if it is placed.
     pub fn block_of(&self, id: InstId) -> Option<BlockId> {
         self.block_ids()

@@ -41,9 +41,6 @@ pub enum Trap {
     ReachedUnreachable,
 }
 
-/// Former name of [`Trap`], kept for existing callers.
-pub type ExecError = Trap;
-
 impl fmt::Display for Trap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -206,9 +203,9 @@ impl<'m> Machine<'m> {
         }
     }
 
-    fn call(&mut self, fid: FuncId, args: Vec<i64>, depth: usize) -> Result<i64, ExecError> {
+    fn call(&mut self, fid: FuncId, args: Vec<i64>, depth: usize) -> Result<i64, Trap> {
         if depth > MAX_DEPTH {
-            return Err(ExecError::StackOverflow);
+            return Err(Trap::StackOverflow);
         }
         self.trace.call_counts[fid.index()] += 1;
         let f: &Function = self.module.func(fid);
@@ -353,10 +350,10 @@ impl<'m> Machine<'m> {
                             .truncate(frame.frame_base.max(self.frame_floor()));
                         return Ok(r);
                     }
-                    Opcode::Unreachable => return Err(ExecError::ReachedUnreachable),
+                    Opcode::Unreachable => return Err(Trap::ReachedUnreachable),
                 }
             }
-            return Err(ExecError::MissingTerminator(bb));
+            return Err(Trap::MissingTerminator(bb));
         }
     }
 
@@ -398,10 +395,10 @@ fn operand_type(f: &Function, v: Value) -> Type {
 ///
 /// # Errors
 ///
-/// Returns an [`ExecError`] if there is no `main`, the budget runs out,
+/// Returns a [`Trap`] if there is no `main`, the budget runs out,
 /// recursion exceeds the depth limit, or malformed IR is executed.
-pub fn run_main(module: &Module, fuel: u64) -> Result<ExecTrace, ExecError> {
-    let main = module.main().ok_or(ExecError::NoMain)?;
+pub fn run_main(module: &Module, fuel: u64) -> Result<ExecTrace, Trap> {
+    let main = module.main().ok_or(Trap::NoMain)?;
     run_function(module, main, &[], fuel)
 }
 
@@ -415,7 +412,7 @@ pub fn run_function(
     func: FuncId,
     args: &[i64],
     fuel: u64,
-) -> Result<ExecTrace, ExecError> {
+) -> Result<ExecTrace, Trap> {
     let mut m = Machine::new(module, fuel);
     let r = m.call(func, args.to_vec(), 0)?;
     let ret_ty = module.func(func).ret_ty;
@@ -529,7 +526,7 @@ mod tests {
         f.name = "main".to_string();
         m.add_function(f);
         let r = run_main(&m, u64::MAX);
-        assert_eq!(r, Err(ExecError::StackOverflow));
+        assert_eq!(r, Err(Trap::StackOverflow));
     }
 
     #[test]
@@ -586,7 +583,7 @@ mod tests {
         let mut b = FunctionBuilder::new("main", vec![], Type::Void);
         b.unreachable();
         let r = run_main(&module_with(b.finish()), 1000);
-        assert_eq!(r, Err(ExecError::ReachedUnreachable));
+        assert_eq!(r, Err(Trap::ReachedUnreachable));
     }
 
     #[test]

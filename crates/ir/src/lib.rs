@@ -44,7 +44,7 @@
 //!
 //! let trace = autophase_ir::interp::run_main(&module, 1_000_000)?;
 //! assert_eq!(trace.return_value, Some(5));
-//! # Ok::<(), autophase_ir::interp::ExecError>(())
+//! # Ok::<(), autophase_ir::interp::Trap>(())
 //! ```
 #![warn(missing_docs)]
 

@@ -3,8 +3,9 @@
 //! `replace_all_uses` + `remove_inst` calls it replaces, and the dense
 //! `Cfg` / `DomTree` / `find_loops` against textbook set-based versions on
 //! random control-flow graphs (unreachable blocks and duplicate edges
-//! included), and the edge edits of `autophase_ir::edges` against plain
-//! list edits on the same graphs with φs added.
+//! included), and the edge edits of `autophase_ir::edges` (the terminator
+//! edits `set_branch`, `end_with_branch` and `merge_block` among them)
+//! against plain list edits on the same graphs with φs added.
 
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
@@ -337,7 +338,12 @@ proptest! {
 /// gives two entries from one block, and now and then a stray entry from a
 /// block that is no predecessor; values are constants or earlier φs.
 fn random_phi_cfg(rng: &mut Rng) -> Function {
-    let mut f = random_cfg(rng);
+    let f = random_cfg(rng);
+    add_phis(f, rng)
+}
+
+/// `f` with the φs [`random_phi_cfg`] adds to a [`random_cfg`].
+fn add_phis(mut f: Function, rng: &mut Rng) -> Function {
     let n = f.num_blocks();
     let cfg = Cfg::new(&f);
     let mut made: Vec<InstId> = Vec::new();
@@ -550,5 +556,144 @@ proptest! {
         prop_assert_eq!(bmap, block_of);
         prop_assert_eq!(vmap, inst_of);
         prop_assert_eq!(shape(&got), want, "clone_region");
+    }
+}
+
+/// A successor list naming blocks of `0..n`, `n` > 1, with repeats likely:
+/// its entries come from a pool of at most three blocks.
+fn repeating_targets(rng: &mut Rng, n: usize, len: usize) -> Vec<BlockId> {
+    let pool: Vec<BlockId> = (0..1 + rng.below(3))
+        .map(|_| BlockId::from_index(1 + rng.below(n - 1)))
+        .collect();
+    (0..len).map(|_| pool[rng.below(pool.len())]).collect()
+}
+
+/// The plain edit `set_branch` stands for: `bb`'s successors become
+/// `new`, and every old successor `new` does not name loses all of `bb`'s
+/// entries.
+fn set_succs(s: &mut Shape, bb: BlockId, new: Vec<BlockId>) {
+    let old = std::mem::replace(succs(s, bb), new.clone());
+    for gone in old.into_iter().filter(|o| !new.contains(o)) {
+        for (_, incoming) in phis(s, gone) {
+            incoming.retain(|(p, _)| *p != bb);
+        }
+    }
+}
+
+/// Entries from `pred` in the φs of `bb`.
+fn entries_from(s: &Shape, bb: BlockId, pred: BlockId) -> usize {
+    s[&bb]
+        .1
+        .iter()
+        .map(|(_, incoming)| incoming.iter().filter(|(p, _)| *p == pred).count())
+        .sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn terminator_edits_agree_with_plain_list_edits(seed in 0u64..1_000_000) {
+        let mut rng = Rng(seed);
+        let f = random_phi_cfg(&mut rng);
+        let n = f.num_blocks();
+        prop_assume!(n > 1);
+        let before = shape(&f);
+        let bb = BlockId::from_index(rng.below(n));
+
+        // set_branch: any terminator over any terminator, repeats included.
+        let len = 1 + rng.below(5);
+        let targets = repeating_targets(&mut rng, n, len);
+        let op = match rng.below(3) {
+            0 => Opcode::Br { target: targets[0] },
+            1 => Opcode::CondBr {
+                cond: Value::Arg(0),
+                then_bb: targets[0],
+                else_bb: *targets.last().unwrap(),
+            },
+            _ => Opcode::Switch {
+                value: Value::Arg(0),
+                default: targets[0],
+                cases: targets[1..].iter().enumerate().map(|(k, &t)| (k as i64, t)).collect(),
+            },
+        };
+        let mut got = f.clone();
+        let term = got.terminator(bb);
+        got.set_branch(bb, op.clone());
+        prop_assert_eq!(got.terminator(bb), term, "the terminator keeps its slot");
+        prop_assert_eq!(got.inst_capacity(), f.inst_capacity());
+        let mut want = before.clone();
+        set_succs(&mut want, bb, Inst::new(Type::Void, op).successors());
+        prop_assert_eq!(shape(&got), want, "set_branch");
+
+        // end_with_branch: cut anywhere up to and including the
+        // terminator, then a new `br` in the next free slot.
+        let at = rng.below(f.block(bb).insts.len());
+        let target = targets[0];
+        let mut got = f.clone();
+        got.end_with_branch(bb, at, target);
+        prop_assert_eq!(
+            got.terminator(bb),
+            Some(InstId::from_index(f.inst_capacity()))
+        );
+        let mut want = before.clone();
+        set_succs(&mut want, bb, vec![target]);
+        let kept = phis(&mut want, bb);
+        kept.truncate(at.min(kept.len()));
+        prop_assert_eq!(shape(&got), want, "end_with_branch");
+
+        // A constant switch whose cases repeat a target, folded to the arm
+        // it takes: each dropped successor loses every entry from `bb`, the
+        // kept one keeps all of them.
+        let mut g = random_cfg(&mut Rng(seed));
+        let len = 2 + rng.below(5);
+        let targets = repeating_targets(&mut rng, n, len);
+        let cases: Vec<(i64, BlockId)> =
+            targets[1..].iter().enumerate().map(|(k, &t)| (k as i64, t)).collect();
+        let k = rng.below(cases.len() + 1) as i64;
+        let taken = cases.iter().find(|(c, _)| *c == k).map_or(targets[0], |&(_, t)| t);
+        let term = g.terminator(bb).expect("every block ends in a terminator");
+        g.inst_mut(term).op = Opcode::Switch {
+            value: Value::const_int(Type::I32, k),
+            default: targets[0],
+            cases,
+        };
+        let g = add_phis(g, &mut rng);
+        let before = shape(&g);
+        let mut got = g.clone();
+        got.set_branch(bb, Opcode::Br { target: taken });
+        let mut want = before.clone();
+        set_succs(&mut want, bb, vec![taken]);
+        prop_assert_eq!(shape(&got), want.clone(), "constant switch fold");
+        prop_assert_eq!(entries_from(&want, taken, bb), entries_from(&before, taken, bb));
+        for &t in targets.iter().filter(|&&t| t != taken) {
+            prop_assert_eq!(entries_from(&want, t, bb), 0);
+        }
+
+        // merge_block: `a` ends in `br b`, `b` holds no φ; `b`'s
+        // instructions move to `a`, its successors' φs name `a`, and `b`
+        // goes.
+        let a = BlockId::from_index(rng.below(n));
+        let b = BlockId::from_index(1 + rng.below(n - 1));
+        prop_assume!(a != b);
+        let mut g = f.clone();
+        let term = g.terminator(a).expect("every block ends in a terminator");
+        g.inst_mut(term).op = Opcode::Br { target: b };
+        g.block_mut(b).insts.retain(|&i| !f.inst(i).is_phi());
+        let before = shape(&g);
+        let a_insts = g.block(a).insts.len();
+        let b_insts = g.block(b).insts.clone();
+        let mut got = g.clone();
+        got.merge_block(a, b);
+        prop_assert!(!got.block_exists(b));
+        prop_assert_eq!(&got.block(a).insts[a_insts - 1..], b_insts.as_slice());
+        let mut want = before.clone();
+        let b_succs = before[&b].0.clone();
+        *succs(&mut want, a) = b_succs.clone();
+        for s in b_succs {
+            retarget(&mut want, s, b, a, |v| v);
+        }
+        want.remove(&b);
+        prop_assert_eq!(shape(&got), want, "merge_block");
     }
 }

@@ -5,7 +5,7 @@
 //! (an entry block that conditionally returns early), leaving the heavy
 //! path as a call — the shape LLVM's partial inliner targets.
 
-use autophase_ir::{BlockId, FuncId, Inst, InstId, Module, Opcode, Type, Value};
+use autophase_ir::{BlockId, FuncId, Function, Inst, InstId, Module, Opcode, Type, Value};
 use std::collections::HashMap;
 
 /// Instruction-count threshold under which `-inline` integrates a callee
@@ -140,16 +140,38 @@ fn find_inlinable_site(
     None
 }
 
-/// Splice `callee`'s body into `caller` at the call site.
-pub(crate) fn inline_call(m: &mut Module, caller: FuncId, bb: BlockId, call: InstId) {
-    let (callee, args) = match &m.func(caller).inst(call).op {
-        Opcode::Call { callee, args } => (*callee, args.clone()),
-        _ => unreachable!("inline_call on non-call"),
-    };
-    let callee_fn = m.func(callee).clone();
-    let f = m.func_mut(caller);
+/// What [`splice`] made.
+struct Splice {
+    /// The block the instructions after the call moved to.
+    cont: BlockId,
+    /// The copy of each region block.
+    blocks: HashMap<BlockId, BlockId>,
+    /// Each copied block that ended in `ret` (now `br cont`) and the value
+    /// it returned, in region order.
+    rets: Vec<(BlockId, Option<Value>)>,
+}
 
-    // Split the call block: everything after the call moves to `cont`.
+/// Replace the call `call` in `bb` by a copy of the blocks `region` of
+/// `callee` (its entry among them), the call's arguments substituted for
+/// the parameters: split `bb` after the call, copy the region, end `bb`
+/// (the call dropped) in a jump to the copied entry, and turn each copied
+/// `ret` into `br` to the split-off tail. A branch out of the region keeps
+/// its target; uses of the call's result are the caller's to forward.
+fn splice(
+    f: &mut Function,
+    bb: BlockId,
+    call: InstId,
+    callee: &Function,
+    region: &[BlockId],
+) -> Splice {
+    let Opcode::Call { args, .. } = &f.inst(call).op else {
+        unreachable!("splice at a non-call")
+    };
+    let mut vmap: HashMap<Value, Value> = args
+        .iter()
+        .enumerate()
+        .map(|(i, &a)| (Value::Arg(i as u32), a))
+        .collect();
     let pos = f
         .block(bb)
         .insts
@@ -157,50 +179,38 @@ pub(crate) fn inline_call(m: &mut Module, caller: FuncId, bb: BlockId, call: Ins
         .position(|&i| i == call)
         .expect("call placed in bb");
     let cont = f.split_block(bb, pos + 1);
-    // bb now ends [call, br cont]; drop both — the branch gets replaced by
-    // a jump into the inlined entry.
-    let br = f.block_mut(bb).insts.pop().expect("br after split");
-    f.erase_inst(br);
-    let call_popped = f.block_mut(bb).insts.pop().expect("call present");
-    debug_assert_eq!(call_popped, call);
-
-    // Clone the callee region with args substituted for parameters.
-    let mut vmap: HashMap<Value, Value> = HashMap::new();
-    for (i, a) in args.iter().enumerate() {
-        vmap.insert(Value::Arg(i as u32), *a);
-    }
-    let region: Vec<BlockId> = callee_fn.block_ids().collect();
-    let bmap = f.clone_region(&callee_fn, &region, &mut vmap);
-
-    // Jump from bb into the cloned entry.
-    let jump = f.add_inst(Inst::new(
-        Type::Void,
-        Opcode::Br {
-            target: bmap[&callee_fn.entry],
-        },
-    ));
-    f.block_mut(bb).insts.push(jump);
-
-    // Replace cloned `ret`s with branches to `cont`, collecting return
-    // values for a φ.
-    // Walk the region in callee block order, not bmap (HashMap) order: the
-    // φ's incoming list below must come out the same on every run.
-    let mut rets: Vec<(BlockId, Option<Value>)> = Vec::new();
-    for old_bb in &region {
-        let new_bb = bmap[old_bb];
-        let Some(term) = f.terminator(new_bb) else {
+    let blocks = f.clone_region(callee, region, &mut vmap);
+    f.end_with_branch(bb, pos, blocks[&callee.entry]);
+    // In region order, not the map's: `rets` orders the entries of the
+    // φ the caller builds from it.
+    let mut rets = Vec::new();
+    for old in region {
+        let new = blocks[old];
+        let Some(term) = f.terminator(new) else {
             continue;
         };
         if let Opcode::Ret { value } = f.inst(term).op {
-            rets.push((new_bb, value));
-            f.inst_mut(term).op = Opcode::Br { target: cont };
+            rets.push((new, value));
+            f.set_branch(new, Opcode::Br { target: cont });
         }
     }
+    Splice { cont, blocks, rets }
+}
+
+/// Splice `callee`'s body into `caller` at the call site.
+pub(crate) fn inline_call(m: &mut Module, caller: FuncId, bb: BlockId, call: InstId) {
+    let Opcode::Call { callee, .. } = m.func(caller).inst(call).op else {
+        unreachable!("inline_call on non-call")
+    };
+    let callee_fn = m.func(callee).clone();
+    let f = m.func_mut(caller);
+    let region: Vec<BlockId> = callee_fn.block_ids().collect();
+    let splice = splice(f, bb, call, &callee_fn, &region);
 
     // The call's result becomes a φ over return values (or the single one).
     let ret_ty = callee_fn.ret_ty;
     if !ret_ty.is_void() {
-        let result: Value = match rets.as_slice() {
+        let result: Value = match splice.rets.as_slice() {
             [] => Value::Undef(ret_ty),
             [(_, v)] => v.unwrap_or(Value::Undef(ret_ty)),
             many => {
@@ -208,13 +218,13 @@ pub(crate) fn inline_call(m: &mut Module, caller: FuncId, bb: BlockId, call: Ins
                     .iter()
                     .map(|(b, v)| (*b, v.unwrap_or(Value::Undef(ret_ty))))
                     .collect();
-                let phi = f.insert_inst(cont, 0, Inst::new(ret_ty, Opcode::Phi { incoming }));
+                let phi =
+                    f.insert_inst(splice.cont, 0, Inst::new(ret_ty, Opcode::Phi { incoming }));
                 Value::Inst(phi)
             }
         };
         f.replace_all_uses(Value::Inst(call), result);
     }
-    f.erase_inst(call);
 }
 
 /// Peel a callee's entry guard into one call site:
@@ -229,104 +239,40 @@ fn partial_inline_site(m: &mut Module, caller: FuncId, call: InstId) -> bool {
     let Some(bb) = f.block_of(call) else {
         return false;
     };
-    let Opcode::Call { callee, .. } = f.inst(call).op else {
+    let Opcode::Call { callee, ref args } = f.inst(call).op else {
         return false;
     };
+    let args = args.clone();
     let callee_fn = m.func(callee).clone();
-    let Some((guard_blocks, early_orig, _rest)) = guard_shape(&callee_fn) else {
+    let Some((guard_blocks, rest)) = guard_shape(&callee_fn) else {
         return false;
-    };
-
-    let args = match &m.func(caller).inst(call).op {
-        Opcode::Call { args, .. } => args.clone(),
-        _ => unreachable!(),
     };
     let f = m.func_mut(caller);
 
-    // Split at the call; drop [call, br] like full inlining.
-    let pos = f
-        .block(bb)
-        .insts
-        .iter()
-        .position(|&i| i == call)
-        .expect("call placed");
-    let cont = f.split_block(bb, pos + 1);
-    let br = f.block_mut(bb).insts.pop().expect("br");
-    f.erase_inst(br);
-    f.block_mut(bb).insts.pop();
+    // Inline only the entry and the early-return block; the early return
+    // now branches to `cont`.
+    let splice = splice(f, bb, call, &callee_fn, &guard_blocks);
+    let cont = splice.cont;
 
-    // Clone only entry + early-return block.
-    let mut vmap: HashMap<Value, Value> = HashMap::new();
-    for (i, a) in args.iter().enumerate() {
-        vmap.insert(Value::Arg(i as u32), *a);
-    }
-    let bmap = f.clone_region(&callee_fn, &guard_blocks, &mut vmap);
-    let jump = f.add_inst(Inst::new(
-        Type::Void,
-        Opcode::Br {
-            target: bmap[&callee_fn.entry],
-        },
-    ));
-    f.block_mut(bb).insts.push(jump);
-
-    // In the cloned guard: the edge to `rest` becomes an edge to a new
-    // "slow" block that performs the real call; the early ret becomes a
-    // branch to cont.
+    // The copied entry's edge to `rest` becomes an edge to a new "slow"
+    // block that performs the real call. `rest` is the callee's block
+    // (its copy, when a parsed module branches back to the entry), so a
+    // caller block with the same number makes both arms slow: still the
+    // callee's result.
     let slow = f.add_block();
     let slow_call = f.append_inst(
         slow,
-        Inst::new(
-            callee_fn.ret_ty,
-            Opcode::Call {
-                callee,
-                args: args.clone(),
-            },
-        ),
+        Inst::new(callee_fn.ret_ty, Opcode::Call { callee, args }),
     );
     f.append_inst(slow, Inst::new(Type::Void, Opcode::Br { target: cont }));
-
-    let mut early_val: Option<Value> = None;
-    let mut early_bb: Option<BlockId> = None;
-    for &gb in &guard_blocks {
-        let nb = bmap[&gb];
-        let Some(term) = f.terminator(nb) else {
-            continue;
-        };
-        let mut new_op: Option<Opcode> = None;
-        match &f.inst(term).op {
-            Opcode::Ret { value } => {
-                early_val = Some(value.unwrap_or(Value::Undef(callee_fn.ret_ty)));
-                early_bb = Some(nb);
-                new_op = Some(Opcode::Br { target: cont });
-            }
-            Opcode::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                // The cloned entry's condbr targets the cloned early block
-                // and the callee's (uncloned) rest block: the latter becomes
-                // the slow path.
-                let early_clone = bmap[&early_orig];
-                let fix = |b: BlockId| if b == early_clone { b } else { slow };
-                new_op = Some(Opcode::CondBr {
-                    cond: *cond,
-                    then_bb: fix(*then_bb),
-                    else_bb: fix(*else_bb),
-                });
-            }
-            _ => {}
-        }
-        if let Some(op) = new_op {
-            f.inst_mut(term).op = op;
-        }
-    }
+    let rest = splice.blocks.get(&rest).copied().unwrap_or(rest);
+    f.redirect_branch(splice.blocks[&callee_fn.entry], rest, slow);
 
     // Join the two results at cont.
     if !callee_fn.ret_ty.is_void() {
         let mut incoming = vec![(slow, Value::Inst(slow_call))];
-        if let (Some(v), Some(ebb)) = (early_val, early_bb) {
-            incoming.push((ebb, v));
+        if let [(early, v)] = splice.rets[..] {
+            incoming.push((early, v.unwrap_or(Value::Undef(callee_fn.ret_ty))));
         }
         let phi = f.insert_inst(
             cont,
@@ -335,15 +281,15 @@ fn partial_inline_site(m: &mut Module, caller: FuncId, call: InstId) -> bool {
         );
         f.replace_all_uses(Value::Inst(call), Value::Inst(phi));
     }
-    f.erase_inst(call);
     m.func_mut(callee).attrs.outlined = true;
     true
 }
 
 /// Recognize the guard shape: entry = pure insts + `condbr` where one arm
 /// is a block that only computes pure values and returns, the other arm is
-/// the "rest". Returns (guard region blocks, early block, rest block).
-fn guard_shape(f: &autophase_ir::Function) -> Option<(Vec<BlockId>, BlockId, BlockId)> {
+/// the "rest". Returns the guard region (entry, early block) and the rest
+/// block.
+fn guard_shape(f: &Function) -> Option<(Vec<BlockId>, BlockId)> {
     let entry = f.entry;
     let term = f.terminator(entry)?;
     let Opcode::CondBr {
@@ -380,7 +326,7 @@ fn guard_shape(f: &autophase_ir::Function) -> Option<(Vec<BlockId>, BlockId, Blo
             let rest_has_phi = f.block(rest).insts.iter().any(|&i| f.inst(i).is_phi());
             // Early block must not be reachable from rest (single purpose).
             if !rest_has_phi {
-                return Some((vec![entry, early], early, rest));
+                return Some((vec![entry, early], rest));
             }
         }
     }
@@ -564,5 +510,40 @@ mod tests {
     fn partial_inliner_noop_without_guard() {
         let mut m = square_module();
         assert!(!run_partial(&mut m));
+    }
+
+    #[test]
+    fn partial_inliner_keeps_the_slow_path_when_rest_shares_a_copys_number() {
+        // f(x) = x <= 0 ? 0 : x + 100, with the rest at block 3: the
+        // number the copy of the early block gets in a one-block caller
+        // (the split takes 1, the copied entry 2).
+        let mut m = Module::new("t");
+        let f = {
+            let mut b = FunctionBuilder::new("f", vec![Type::I32], Type::I32);
+            let early = b.new_block();
+            let unused = b.new_block();
+            let rest = b.new_block();
+            let c = b.icmp(CmpPred::Sle, b.arg(0), Value::i32(0));
+            b.cond_br(c, early, rest);
+            b.switch_to(early);
+            b.ret(Some(Value::i32(0)));
+            b.switch_to(unused);
+            b.ret(Some(Value::i32(9)));
+            b.switch_to(rest);
+            let r = b.binary(BinOp::Add, b.arg(0), Value::i32(100));
+            b.ret(Some(r));
+            m.add_function(b.finish())
+        };
+        let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
+        let r = b.call(f, Type::I32, vec![b.arg(0)]);
+        b.ret(Some(r));
+        m.add_function(b.finish());
+        let main = m.main().unwrap();
+        assert!(run_partial(&mut m));
+        assert_verified(&m);
+        for (x, want) in [(-3, 0), (5, 105)] {
+            let got = run_function(&m, main, &[x], 100_000).unwrap().return_value;
+            assert_eq!(got, Some(want), "main({x})");
+        }
     }
 }

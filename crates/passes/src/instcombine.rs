@@ -124,7 +124,7 @@ fn simplify_inst(f: &Function, rw: &Rewrites, iid: InstId) -> Option<Rewrite> {
                 return Some(Rewrite::ReplaceWith(c));
             }
             // Identity casts.
-            let from = util::type_of(f, *v);
+            let from = f.type_of(*v);
             if from == ty && matches!(op, CastOp::BitCast) {
                 return Some(Rewrite::ReplaceWith(*v));
             }
@@ -134,7 +134,7 @@ fn simplify_inst(f: &Function, rw: &Rewrites, iid: InstId) -> Option<Rewrite> {
             // sext(sext(x)) → sext(x); zext(zext(x)) → zext(x);
             // trunc(zext/sext(x)) with matching widths → x.
             if let Some(Opcode::Cast(iop, iv)) = def_op(f, rw, *v) {
-                let orig_ty = util::type_of(f, iv);
+                let orig_ty = f.type_of(iv);
                 match (iop, op) {
                     (CastOp::SExt, CastOp::SExt) => {
                         return Some(Rewrite::NewOp(Opcode::Cast(CastOp::SExt, iv)))

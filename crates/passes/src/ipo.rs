@@ -262,7 +262,7 @@ pub fn run_ipsccp(m: &mut Module) -> bool {
 pub fn run_prune_eh(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
         let f = m.func(fid);
-        let mut edits: Vec<(InstId, autophase_ir::BlockId)> = Vec::new();
+        let mut edits: Vec<(autophase_ir::BlockId, autophase_ir::BlockId)> = Vec::new();
         for bb in f.block_ids() {
             let Some(term) = f.terminator(bb) else {
                 continue;
@@ -281,17 +281,17 @@ pub fn run_prune_eh(m: &mut Module) -> bool {
                     )
             };
             if is_trap(then_bb) && !is_trap(else_bb) {
-                edits.push((term, else_bb));
+                edits.push((bb, else_bb));
             } else if is_trap(else_bb) && !is_trap(then_bb) {
-                edits.push((term, then_bb));
+                edits.push((bb, then_bb));
             }
         }
         if edits.is_empty() {
             return false;
         }
         let f = m.func_mut(fid);
-        for (term, target) in edits {
-            f.inst_mut(term).op = Opcode::Br { target };
+        for (bb, target) in edits {
+            f.set_branch(bb, Opcode::Br { target });
         }
         crate::simplifycfg::run_on_function(m, fid);
         true

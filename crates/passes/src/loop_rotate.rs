@@ -380,24 +380,24 @@ fn do_rotate(
     let latch_cond = *latch_map.get(&cond).unwrap_or(&cond);
 
     // Preheader: guard — enter the loop (header) or go to exit.
-    let pre_term = f.terminator(preheader).expect("preheader has br");
-    f.inst_mut(pre_term).op = Opcode::CondBr {
-        cond: pre_cond,
-        then_bb,
-        else_bb,
-    };
+    f.set_branch(
+        preheader,
+        Opcode::CondBr {
+            cond: pre_cond,
+            then_bb,
+            else_bb,
+        },
+    );
 
     // Latch: bottom test — back to header or out to exit.
-    let latch_term = f.terminator(latch).expect("latch has br");
-    f.inst_mut(latch_term).op = Opcode::CondBr {
-        cond: latch_cond,
-        then_bb,
-        else_bb,
-    };
-
-    // Header: now falls through to the body unconditionally; its cloned
-    // computations stay (the φs feed body uses), its terminator simplifies.
-    f.inst_mut(header_term).op = Opcode::Br { target: body_entry };
+    f.set_branch(
+        latch,
+        Opcode::CondBr {
+            cond: latch_cond,
+            then_bb,
+            else_bb,
+        },
+    );
 
     // The value `v` an exit φ received from the header edge becomes, after
     // rotation:
@@ -433,6 +433,10 @@ fn do_rotate(
             latch_v
         }
     });
+    // Header: now falls through to the body unconditionally; its cloned
+    // computations stay (the φs feed body uses), its terminator simplifies.
+    // Its exit entries moved above, so the fold drops none.
+    f.set_branch(header, Opcode::Br { target: body_entry });
     // Non-φ uses in the exit of header-defined values are now wrong (the
     // header may not dominate the exit anymore — it does not, since both
     // preheader and latch jump there). Wrap them in φs.

@@ -125,33 +125,32 @@ fn do_unswitch(
     let snapshot = f.clone();
     let bmap = f.clone_region(&snapshot, &region, &mut vmap);
 
-    // Original copy: branch folds to the true arm. Clone: false arm.
+    // Original copy: branch folds to the true arm. Clone: false arm. Each
+    // fold drops one edge, and the φs at its target forget it.
     let (then_bb, else_bb) = match f.inst(branch_term).op {
         Opcode::CondBr {
             then_bb, else_bb, ..
         } => (then_bb, else_bb),
         _ => unreachable!("checked condbr"),
     };
-    f.inst_mut(branch_term).op = Opcode::Br { target: then_bb };
-    let clone_branch_bb = bmap[&branch_bb];
-    let clone_term = f
-        .terminator(clone_branch_bb)
-        .expect("cloned block keeps terminator");
-    f.inst_mut(clone_term).op = Opcode::Br {
-        target: bmap[&else_bb],
-    };
-    // Each fold removed one edge: the φs at its target forget it.
-    f.remove_phi_edge(else_bb, branch_bb);
-    f.remove_phi_edge(bmap[&then_bb], clone_branch_bb);
+    f.set_branch(branch_bb, Opcode::Br { target: then_bb });
+    f.set_branch(
+        bmap[&branch_bb],
+        Opcode::Br {
+            target: bmap[&else_bb],
+        },
+    );
 
     // Preheader: test once, pick a copy. The preheader previously ended in
     // `br header`.
-    let pre_term = f.terminator(preheader).expect("preheader has terminator");
-    f.inst_mut(pre_term).op = Opcode::CondBr {
-        cond,
-        then_bb: l.header,
-        else_bb: bmap[&l.header],
-    };
+    f.set_branch(
+        preheader,
+        Opcode::CondBr {
+            cond,
+            then_bb: l.header,
+            else_bb: bmap[&l.header],
+        },
+    );
 
     // Cloned header φs: their preheader entry must now come from the
     // preheader (clone_region kept the out-of-region pred id, which is

@@ -10,96 +10,30 @@
 
 use crate::util;
 use autophase_ir::cfg::Cfg;
-use autophase_ir::{BlockId, CmpPred, Inst, InstId, Module, Opcode, Type, Value};
+use autophase_ir::{BlockId, InstId, Module, Opcode};
 
 /// `-lowerswitch`: rewrite every `switch` into a chain of `icmp eq` +
-/// conditional branches. Returns true on change.
+/// conditional branches ([`autophase_ir::Function::lower_switch`]).
+/// Returns true on change.
 pub fn run_lowerswitch(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
         let f = m.func(fid);
-        let mut targets: Vec<(BlockId, InstId)> = Vec::new();
-        for bb in f.block_ids() {
-            if let Some(t) = f.terminator(bb) {
-                if matches!(f.inst(t).op, Opcode::Switch { .. }) {
-                    targets.push((bb, t));
-                }
-            }
-        }
-        if targets.is_empty() {
+        let switches: Vec<BlockId> = f
+            .block_ids()
+            .filter(|&bb| {
+                f.terminator(bb)
+                    .is_some_and(|t| matches!(f.inst(t).op, Opcode::Switch { .. }))
+            })
+            .collect();
+        if switches.is_empty() {
             return false;
         }
-        for (bb, term) in targets {
-            lower_one_switch(m.func_mut(fid), bb, term);
+        let f = m.func_mut(fid);
+        for bb in switches {
+            f.lower_switch(bb);
         }
         true
     })
-}
-
-fn lower_one_switch(f: &mut autophase_ir::Function, bb: BlockId, term: InstId) {
-    let Opcode::Switch {
-        value,
-        default,
-        cases,
-    } = f.inst(term).op.clone()
-    else {
-        unreachable!("caller checked switch")
-    };
-    let mut targets: Vec<BlockId> = cases.iter().map(|(_, t)| *t).collect();
-    targets.push(default);
-    targets.sort();
-    targets.dedup();
-
-    // Build the chain: bb tests case 0; each subsequent test gets its own
-    // block; the last test falls through to default.
-    f.block_mut(bb).insts.pop(); // unlink the switch (erased below)
-    let value_ty = util::type_of(f, value);
-    let mut chain: Vec<BlockId> = vec![bb];
-    let mut cur_bb = bb;
-    for (i, (k, target)) in cases.iter().enumerate() {
-        let is_last = i == cases.len() - 1;
-        let cmp = f.append_inst(
-            cur_bb,
-            Inst::new(
-                Type::I1,
-                Opcode::ICmp(CmpPred::Eq, value, Value::const_int(value_ty, *k)),
-            ),
-        );
-        let next_bb = if is_last { default } else { f.add_block() };
-        f.append_inst(
-            cur_bb,
-            Inst::new(
-                Type::Void,
-                Opcode::CondBr {
-                    cond: Value::Inst(cmp),
-                    then_bb: *target,
-                    else_bb: next_bb,
-                },
-            ),
-        );
-        if !is_last {
-            chain.push(next_bb);
-        }
-        cur_bb = next_bb;
-    }
-    if cases.is_empty() {
-        f.append_inst(
-            cur_bb,
-            Inst::new(Type::Void, Opcode::Br { target: default }),
-        );
-    }
-    f.erase_inst(term);
-
-    // Rebuild φ incoming entries: the old `bb` edge becomes one per chain
-    // block that now branches to the target, all carrying the value the
-    // target used to receive from `bb`.
-    for t in targets {
-        let preds: Vec<BlockId> = chain
-            .iter()
-            .copied()
-            .filter(|&c| f.successors(c).contains(&t))
-            .collect();
-        f.move_phi_edges(t, &[bb], &preds, |_, _, v| v);
-    }
 }
 
 /// `-break-crit-edges`: split every critical edge by inserting a forwarding
@@ -196,6 +130,7 @@ mod tests {
     use autophase_ir::builder::FunctionBuilder;
     use autophase_ir::interp::run_function;
     use autophase_ir::verify::assert_verified;
+    use autophase_ir::{CmpPred, Type, Value};
 
     fn switch_module() -> Module {
         let mut m = Module::new("t");

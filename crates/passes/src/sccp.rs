@@ -104,7 +104,7 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
                 _ => Lat::Unknown,
             },
             Opcode::ICmp(p, a, b) => {
-                let ty = util::type_of(f, *a);
+                let ty = f.type_of(*a);
                 match (value_lat(lat, *a), value_lat(lat, *b)) {
                     (Lat::Const(_, x), Lat::Const(_, y)) => {
                         Lat::Const(Type::I1, fold::eval_icmp(*p, ty, x, y))
@@ -114,7 +114,7 @@ pub(crate) fn solve(m: &Module, fid: FuncId, arg_consts: &HashMap<u32, i64>) -> 
                 }
             }
             Opcode::Cast(op, v) => {
-                let from = util::type_of(f, *v);
+                let from = f.type_of(*v);
                 match value_lat(lat, *v) {
                     Lat::Const(_, x) if inst.ty.is_int() && from.is_int() => {
                         Lat::Const(inst.ty, fold::eval_cast(*op, from, inst.ty, x))

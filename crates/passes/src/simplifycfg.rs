@@ -10,7 +10,7 @@
 
 use crate::util;
 use autophase_ir::cfg::Cfg;
-use autophase_ir::{BlockId, FuncId, Function, InstId, Module, Opcode, Rewrites, Value};
+use autophase_ir::{BlockId, FuncId, Function, Module, Opcode, Rewrites, Value};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -66,66 +66,45 @@ fn simplify(m: &mut Module, fid: FuncId, batch: bool) -> bool {
 /// `br true, a, b` → `br a`; `br c, a, a` → `br a`; constant switches.
 fn fold_constant_branches(m: &mut Module, fid: FuncId) -> bool {
     let f = m.func(fid);
-    /// A terminator that becomes `br target`, and the φ edges
-    /// `(dst, pred)` that disappear with its other arms.
-    struct Fold(InstId, BlockId, Vec<(BlockId, BlockId)>);
-    let mut folds: Vec<Fold> = Vec::new();
+    let mut folds: Vec<(BlockId, BlockId)> = Vec::new();
     for bb in f.block_ids() {
         let Some(term) = f.terminator(bb) else {
             continue;
         };
-        match &f.inst(term).op {
+        let target = match &f.inst(term).op {
             Opcode::CondBr {
-                cond,
+                cond: Value::ConstInt(_, c),
                 then_bb,
                 else_bb,
             } => {
-                if let Value::ConstInt(_, c) = cond {
-                    let (keep, drop) = if *c != 0 {
-                        (*then_bb, *else_bb)
-                    } else {
-                        (*else_bb, *then_bb)
-                    };
-                    folds.push(Fold(term, keep, vec![(drop, bb)]));
-                } else if then_bb == else_bb {
-                    folds.push(Fold(term, *then_bb, vec![]));
+                if *c != 0 {
+                    *then_bb
+                } else {
+                    *else_bb
                 }
             }
+            Opcode::CondBr {
+                then_bb, else_bb, ..
+            } if then_bb == else_bb => *then_bb,
             Opcode::Switch {
                 value: Value::ConstInt(_, c),
                 default,
                 cases,
-            } => {
-                let target = cases
-                    .iter()
-                    .find(|(k, _)| k == c)
-                    .map(|(_, b)| *b)
-                    .unwrap_or(*default);
-                let mut dropped: Vec<(BlockId, BlockId)> = cases
-                    .iter()
-                    .map(|(_, b)| *b)
-                    .chain(std::iter::once(*default))
-                    .filter(|b| *b != target)
-                    .map(|b| (b, bb))
-                    .collect();
-                dropped.sort();
-                dropped.dedup();
-                folds.push(Fold(term, target, dropped));
-            }
-            _ => {}
-        }
+            } => cases
+                .iter()
+                .find(|(k, _)| k == c)
+                .map(|(_, b)| *b)
+                .unwrap_or(*default),
+            _ => continue,
+        };
+        folds.push((bb, target));
     }
     if folds.is_empty() {
         return false;
     }
     let f = m.func_mut(fid);
-    for Fold(term, target, dropped) in folds {
-        f.inst_mut(term).op = Opcode::Br { target };
-        for (dst, pred) in dropped {
-            if dst != target {
-                f.remove_phi_edge(dst, pred);
-            }
-        }
+    for (bb, target) in folds {
+        f.set_branch(bb, Opcode::Br { target });
     }
     true
 }
@@ -212,8 +191,9 @@ fn mergeable_successor(f: &Function, cfg: &Cfg, a: BlockId) -> Option<BlockId> {
     absorbable.then_some(b)
 }
 
-/// Merge `b` into `a` when `a`'s only successor is `b` and `b`'s only
-/// predecessor is `a` (and `b` has no φ-nodes left).
+/// Merge `b` into `a` ([`Function::merge_block`]) when `a`'s only
+/// successor is `b` and `b`'s only predecessor is `a` (and `b` has no
+/// φ-nodes left).
 ///
 /// A merge changes nobody else's eligibility — `b`'s out-edges become
 /// `a`'s, so every other block keeps its successors and its in-edge count
@@ -235,16 +215,7 @@ fn merge_straightline(m: &mut Module, fid: FuncId, cfg: &Cfg) -> bool {
             continue; // absorbed by an earlier block
         }
         while let Some(b) = mergeable_successor(f, cfg, a) {
-            // Drop a's terminator, splice b's instructions, fix φs of b's
-            // successors, delete b.
-            let term = f.block_mut(a).insts.pop().expect("a has a terminator");
-            f.erase_inst(term);
-            let b_insts = std::mem::take(&mut f.block_mut(b).insts);
-            f.block_mut(a).insts.extend(b_insts);
-            for s in f.successors(a) {
-                f.retarget_phis(s, b, a);
-            }
-            f.remove_block(b);
+            f.merge_block(a, b);
         }
     }
     true

@@ -116,14 +116,8 @@ fn eliminate(m: &mut Module, fid: FuncId) -> bool {
             Opcode::Call { args, .. } => args.clone(),
             _ => unreachable!("site is a call"),
         };
-        let insts = &mut f.block_mut(*bb).insts;
-        let term = insts.pop().expect("site has ret");
-        let call_id = insts.pop().expect("site has call");
-        debug_assert_eq!(call_id, *call);
-        f.erase_inst(term);
-        f.erase_inst(call_id);
-        let br = f.add_inst(Inst::new(Type::Void, Opcode::Br { target: header }));
-        f.block_mut(*bb).insts.push(br);
+        let at = f.block(*bb).insts.len() - 2;
+        f.end_with_branch(*bb, at, header);
         for (i, phi) in param_phis.iter().enumerate() {
             if let Opcode::Phi { incoming } = &mut f.inst_mut(*phi).op {
                 incoming.push((*bb, args.get(i).copied().unwrap_or(Value::Undef(Type::I32))));

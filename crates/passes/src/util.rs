@@ -162,18 +162,6 @@ pub fn remap_operands(inst: &mut Inst, map: &HashMap<Value, Value>) {
     });
 }
 
-/// Type of a value in the context of function `f` (mirrors the builder's
-/// inference, usable on finished functions).
-pub fn type_of(f: &Function, v: Value) -> autophase_ir::Type {
-    use autophase_ir::Type;
-    match v {
-        Value::Inst(id) => f.inst(id).ty,
-        Value::ConstInt(ty, _) | Value::Undef(ty) => ty,
-        Value::Arg(i) => f.params.get(i as usize).copied().unwrap_or(Type::I32),
-        Value::Global(_) => Type::Ptr,
-    }
-}
-
 /// True if `user` is a load or store of an `elem_ty` value that uses
 /// `addr` as its address and nothing else — the only kind of access
 /// `-mem2reg` and `-sroa` can rewrite.
@@ -186,7 +174,7 @@ pub fn is_typed_access(
     match &f.inst(user).op {
         Opcode::Load { ptr } => *ptr == addr && f.inst(user).ty == elem_ty,
         Opcode::Store { ptr, value } => {
-            *ptr == addr && *value != addr && type_of(f, *value) == elem_ty
+            *ptr == addr && *value != addr && f.type_of(*value) == elem_ty
         }
         _ => false,
     }

@@ -21,7 +21,7 @@
 //! let program = generate_valid(&GenConfig::default(), 42);
 //! let trace = autophase_ir::interp::run_main(&program, 10_000_000)?;
 //! assert!(trace.insts_executed > 0);
-//! # Ok::<(), autophase_ir::interp::ExecError>(())
+//! # Ok::<(), autophase_ir::interp::Trap>(())
 //! ```
 #![warn(missing_docs)]
 
