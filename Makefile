@@ -158,7 +158,10 @@ online-smoke:
 # Pass-kernel output gate (DESIGN.md §4m): the printed IR of every pass,
 # of -O3 and of 32 seeded orderings on CHStone + 64 corpus programs must
 # hash to the committed golden file (generated before the kernels were
-# rewritten), and the batched rewrite primitive and the dense
+# rewritten); the pass matrix holds every pass safe on every benchmark
+# and writing only the functions it changes (a write of an unchanged
+# function costs a deep copy and that version's facts); and the batched
+# rewrite primitive and the dense
 # CFG/dominator/loop analyses must agree with their straightforward
 # references on random inputs. The front-end golden (DESIGN.md §4o) holds
 # the printer, parser, fingerprint and profiler to the file the
@@ -173,6 +176,7 @@ online-smoke:
 # written over an instruction's opcode.
 pass-golden:
 	$(CARGO) test -q --release -p autophase-passes --test golden_outputs
+	$(CARGO) test -q --release -p autophase-passes --test pass_matrix
 	$(CARGO) test -q --release -p autophase-passes --test front_end_golden
 	$(CARGO) test -q --release -p autophase-ir --test kernels
 	@! grep -rnE 'for_each_successor_mut|incoming\.(retain|remove)\(|\*incoming =|insts\.pop\(\)|\.op = Opcode::(Br|CondBr|Switch)\b' crates/passes/src
@@ -184,9 +188,10 @@ pass-golden:
 # input, the trajectory golden holds the batched
 # training kernels to the weights the per-sample backward and scalar
 # Adam produced, private ≡ shared ≡ parallel rollouts keep the env's
-# memos and the EvalCache invisible in optimized code too, the env's
+# profile memo, shared or not, invisible in optimized code too, the env's
 # trajectory golden holds every observation, reward, cycle count and
-# sample count to the file the two-memo env wrote, the ordering golden
+# sample count to the file the env wrote when it still kept a transition
+# memo beside the profile memo, the ordering golden
 # holds every checked (program, ordering) compilation, search and
 # one-compilation inference to the numbers the unchecked evaluators and
 # the env-driven inference printed (DESIGN.md §4e "One compilation"),

@@ -12,15 +12,11 @@
 
 use crate::compile::{private_cache, Input, UNPROFILEABLE_CYCLES};
 use crate::eval_cache::{EvalCache, ModuleFingerprints};
-use crate::incremental::{
-    snapshot_memo, IncrementalEval, SnapEntry, SnapKey, SnapshotMemo,
-    DEFAULT_SNAPSHOT_MEMO_CAPACITY,
-};
+use crate::incremental::IncrementalEval;
 use crate::quarantine::Quarantine;
 use crate::step::Step;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
-use autophase_passes::checked::FaultKind;
 use autophase_passes::registry;
 use autophase_passes::FuelBudget;
 use autophase_rl::env::{Environment, StepResult};
@@ -138,9 +134,6 @@ pub struct PhaseOrderEnv {
     /// Fingerprint of the episode's pristine program (the quarantine's
     /// key).
     current_fp: u64,
-    /// Changing passes applied this episode, all reflected in `current`:
-    /// the snapshot memo's key prefix.
-    applied: Vec<u16>,
     /// Incremental fingerprint/feature state, always synced with
     /// `current`.
     inc: IncrementalEval,
@@ -148,10 +141,6 @@ pub struct PhaseOrderEnv {
     /// `inc` at reset so episode starts cost O(#functions) copies instead
     /// of a full re-extraction.
     inc_templates: Vec<Option<IncrementalEval>>,
-    /// Step-transition snapshots keyed by `(program index, exact
-    /// changing-pass sequence)`. A hit replaces pass execution with a
-    /// copy-on-write restore of the recorded result.
-    snap: SnapshotMemo,
     /// Index in `programs` of the episode's program (unlike
     /// `program_cursor`, which already points at the *next* episode's).
     episode_program: usize,
@@ -186,9 +175,7 @@ impl PhaseOrderEnv {
             cache: private_cache(),
             quarantine: None,
             current_fp: inc.module_fp(),
-            applied: Vec::new(),
             inc,
-            snap: snapshot_memo(DEFAULT_SNAPSHOT_MEMO_CAPACITY),
             episode_program: 0,
         }
     }
@@ -298,63 +285,6 @@ impl PhaseOrderEnv {
         &self.current
     }
 
-    /// The snapshot-memo key for applying `pass_id` to the current state:
-    /// the episode's changing-pass sequence so far, plus the new pass.
-    fn snap_key(&self, pass_id: usize) -> SnapKey {
-        let mut seq = self.applied.clone();
-        seq.push(pass_id as u16);
-        (self.episode_program, seq)
-    }
-
-    /// Serve a step's apply from the snapshot memo if this exact
-    /// `(program, sequence, pass)` transition was walked before: restore
-    /// the recorded post-pass module and incremental state (COW clones)
-    /// and report its change flag, skipping pass execution entirely.
-    fn snapshot_lookup(&mut self, key: &SnapKey) -> Option<bool> {
-        let entry = Arc::clone(self.snap.lookup(key)?);
-        if let Some((module, eval)) = entry.state_clone() {
-            self.current = module;
-            self.inc = eval;
-        }
-        Some(entry.changed())
-    }
-
-    /// Apply `action` to the current state through the shared step and
-    /// record the transition under `key`. Returns `(changed, faulted)`;
-    /// faulted applies are rolled back by the checked layer and never
-    /// recorded — quarantine counts *repeat* offenses, and a memo hit would
-    /// silently absorb every later one.
-    fn apply_and_record(
-        &mut self,
-        action: usize,
-        injected: Option<FaultKind>,
-        key: Option<SnapKey>,
-    ) -> (bool, bool) {
-        match self
-            .step
-            .apply(&mut self.current, action, &self.cfg.fuel, injected)
-        {
-            Ok((changed, cs)) => {
-                // Fold a changing apply into the incremental state. Never
-                // reached for a faulted one: the rollback restores the
-                // exact pre-pass module, which `inc` already describes.
-                if changed {
-                    self.inc.apply(&self.current, &cs);
-                }
-                if let Some(key) = key {
-                    let entry = if changed {
-                        SnapEntry::change(self.current.clone(), self.inc.clone())
-                    } else {
-                        SnapEntry::noop()
-                    };
-                    self.snap.insert(key, Arc::new(entry));
-                }
-                (changed, false)
-            }
-            Err(_) => (false, true),
-        }
-    }
-
     /// The per-function incremental state (fingerprints + feature
     /// decomposition). Exposed so invariant suites (chaos, differential)
     /// can assert it stays in lock-step with the module through faults
@@ -404,7 +334,6 @@ impl Environment for PhaseOrderEnv {
             .get_or_insert_with(|| IncrementalEval::new(&self.programs[idx]))
             .clone();
         self.current_fp = self.inc.module_fp();
-        self.applied.clear();
         self.program_cursor = (self.program_cursor + 1) % self.programs.len();
         self.steps_taken = 0;
         self.action_histogram = vec![0.0; self.num_actions()];
@@ -443,10 +372,8 @@ impl Environment for PhaseOrderEnv {
             .is_some_and(|q| q.is_quarantined(self.current_fp, pass_id));
 
         // Poll the injection plan at the step level (not inside the
-        // apply): whether a planned fault fires must not depend on cache
-        // warmth, or chaos runs would diverge between cold and warm runs.
-        // Masked actions never attempt an apply, so they don't poll (and
-        // don't advance the per-episode apply counters).
+        // apply): masked actions never attempt an apply, so they don't
+        // poll (and don't advance the per-episode apply counters).
         let injected = if quarantined {
             None
         } else {
@@ -456,22 +383,26 @@ impl Environment for PhaseOrderEnv {
         // A step that runs its pass can still be undone: its module may
         // turn out to compute another result than the program.
         let before = (!quarantined).then(|| (self.current.clone(), self.inc.clone()));
-        let (mut changed, mut faulted) = if quarantined {
+        let (changed, mut faulted) = if quarantined {
             // Masked: a known repeat offender on this program. Scored
             // like a faulted apply — no-op, zero reward — without even
             // attempting the pass.
             (false, false)
         } else {
-            // Injected faults are keyed to per-episode apply counters, not
-            // to module state, so the snapshot memo is bypassed in both
-            // directions (no key): a hit would skip the planned fault, a
-            // write would poison fault-free runs.
-            let key = injected.is_none().then(|| self.snap_key(pass_id));
-            match key.as_ref().and_then(|k| self.snapshot_lookup(k)) {
-                // Previously walked transition: the pass did not run — the
-                // recorded result was restored instead.
-                Some(c) => (c, false),
-                None => self.apply_and_record(action, injected, key),
+            match self
+                .step
+                .apply(&mut self.current, action, &self.cfg.fuel, injected)
+            {
+                // Fold a changing apply into the incremental state. A
+                // faulted one is rolled back by the checked layer to the
+                // exact pre-pass module, which `inc` already describes.
+                Ok((changed, cs)) => {
+                    if changed {
+                        self.inc.apply(&self.current, &cs);
+                    }
+                    (changed, false)
+                }
+                Err(_) => (false, true),
             }
         };
 
@@ -483,11 +414,11 @@ impl Environment for PhaseOrderEnv {
             cur = self.cycles();
             if cur == UNPROFILEABLE_CYCLES {
                 // The module no longer computes the program's answer: a
-                // fault like any other. Back to the pre-step state; a
-                // snapshot-memo hit on this transition lands here again,
-                // so every repeat counts.
+                // fault like any other. Back to the pre-step state; every
+                // repeat of this transition lands here again, so every
+                // repeat counts.
                 (self.current, self.inc) = before.expect("a step that ran keeps its state");
-                (changed, faulted, cur) = (false, true, self.prev_cycles);
+                (faulted, cur) = (true, self.prev_cycles);
             }
         }
         if faulted {
@@ -498,11 +429,6 @@ impl Environment for PhaseOrderEnv {
             if let Some(q) = &self.quarantine {
                 q.record_fault(self.current_fp, pass_id);
             }
-        }
-        if changed {
-            // Only changing passes enter the key: every no-op-padded
-            // variant of one effective sequence shares a snapshot.
-            self.applied.push(pass_id as u16);
         }
         self.action_histogram[action] += 1.0;
         self.steps_taken += 1;
@@ -683,11 +609,11 @@ mod tests {
             EnvConfig::default(),
             Arc::clone(&cache),
         );
-        // Warm the memo with a fault-free episode.
+        // Warm the profile memo with a fault-free episode.
         env.reset_to(9010);
         let clean = env.step(38);
         assert!(clean.reward > 0.0);
-        // Same state, warm memo — the planned fault must still fire.
+        // Same state, warm profile memo — the planned fault must still fire.
         let plan = fault::PLAN.install(FaultPlan::new(vec![FaultSpec {
             pass: 38,
             nth: 1,
@@ -699,7 +625,7 @@ mod tests {
         assert_eq!(r.reward, 0.0, "memo hit must not absorb a planned fault");
         assert_eq!(plan.fired(), 1);
         fault::PLAN.clear();
-        // The fault wrote nothing into the memo: a fresh episode replays
+        // The fault left nothing behind: a fresh episode replays
         // the clean transition bit-identically.
         env.reset_to(9012);
         let again = env.step(38);
@@ -766,8 +692,8 @@ mod tests {
         env.set_quarantine(Arc::clone(&q));
         let fp = crate::eval_cache::fingerprint_module(&small_program());
 
-        // Faulted transitions must not be memoized, or the second episode
-        // would hit the memo and the repeat offense would go uncounted.
+        // Every faulted apply is counted: the second episode's repeat
+        // offense runs the pass again and crosses the threshold.
         env.reset();
         assert_eq!(env.step(38).reward, 0.0);
         assert_eq!(q.fault_count(fp, 38), 1);
@@ -782,7 +708,7 @@ mod tests {
         // The reference is no env code at all: a plain `Module` walked
         // with `registry::apply`, every observation a fresh `extract`,
         // every cycle count a fresh `profile_module` — across two
-        // episodes, the second served from the template and the memos.
+        // episodes, the second served from the template and the profile memo.
         let cfg = EnvConfig {
             episode_len: 8,
             ..EnvConfig::default()
@@ -885,10 +811,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_memo_serves_repeat_sequences() {
-        // Walking the same action sequence twice: episode two's applies
-        // are all snapshot hits (the passes never run), and the episode
-        // is bit-identical to the first.
+    fn repeat_sequences_replay_without_profiling() {
+        // Walking the same action sequence twice: episode two runs every
+        // pass again, is bit-identical to the first, and profiles nothing
+        // (each state it reaches is a profile-memo hit).
         let cfg = EnvConfig {
             episode_len: 6,
             ..EnvConfig::default()
@@ -903,28 +829,11 @@ mod tests {
             }
             log
         };
-        let stats = |env: &PhaseOrderEnv| {
-            let s = env.snap.stats();
-            (s.hits, s.misses)
-        };
         let first = run(&mut env);
-        let (h0, m0) = stats(&env);
-        assert_eq!(h0, 0, "first walk has nothing to hit");
-        assert_eq!(m0, actions.len() as u64);
+        let samples = env.samples();
         let second = run(&mut env);
-        let (h1, m1) = stats(&env);
-        assert_eq!(h1, actions.len() as u64, "second walk is all hits");
-        assert_eq!(m1, m0, "second walk misses nothing");
         assert_eq!(first, second);
-        // Diverging at the last step records exactly one new transition.
-        env.reset();
-        for &a in &actions[..actions.len() - 1] {
-            env.step(a);
-        }
-        env.step(7);
-        let (h2, m2) = stats(&env);
-        assert_eq!(h2, h1 + (actions.len() - 1) as u64);
-        assert_eq!(m2, m1 + 1);
+        assert_eq!(env.samples(), samples, "second walk profiles nothing");
     }
 
     #[test]

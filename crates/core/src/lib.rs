@@ -22,7 +22,7 @@
 //!   module content fingerprint → profiler report, sharded and
 //!   thread-safe so environments and workers can share one;
 //! * [`incremental`](mod@incremental) — per-function fingerprint and
-//!   feature memos plus the step-transition snapshot memo, making each
+//!   feature memos, fed each checked apply's change set, making each
 //!   step's evaluation cost proportional to what the pass changed;
 //! * [`quarantine`] — the shared repeat-offender table that masks
 //!   `(program, pass)` pairs which keep faulting;
@@ -51,6 +51,6 @@ pub mod tune;
 
 pub use env::{ObservationKind, PhaseOrderEnv, RewardKind};
 pub use eval_cache::{CacheStats, EvalCache, ModuleFingerprints};
-pub use incremental::{IncrementalEval, SnapEntry, SnapshotMemo};
+pub use incremental::IncrementalEval;
 pub use quarantine::Quarantine;
 pub use tune::{tune, Effort, TuneResult};

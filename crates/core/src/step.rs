@@ -164,8 +164,8 @@ impl Step {
 /// One rollout over a module by a driver that keeps no fingerprints,
 /// memos or reward: only what an observation reads. The daemon serves
 /// through this; driving a whole `PhaseOrderEnv` per request would pay
-/// for a reset profile, fingerprints and snapshot clones it never reads
-/// (measured at 2× the rollout, DESIGN.md §4g).
+/// for a reset profile and fingerprints it never reads (measured at 2×
+/// the rollout, DESIGN.md §4g).
 pub struct Walk<'a> {
     step: &'a Step,
     module: &'a mut Module,

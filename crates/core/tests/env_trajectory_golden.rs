@@ -6,13 +6,14 @@
 //! memos (a sequence-keyed shared cache in front of an env-local
 //! content-keyed one) became one content-keyed `EvalCache`; the one-memo
 //! environment must reproduce it byte for byte. That is what allowed the
-//! full-recompute mode to be deleted instead of kept as a reference.
+//! full-recompute mode, and later the step-transition memo, to be deleted
+//! instead of kept as a reference.
 //! Regenerate only for an intended trajectory change:
 //! `cargo test --release -p autophase-core --test env_trajectory_golden -- --ignored`.
 //!
 //! Seeded action streams walk the 9 CHStone programs and 16 generated
 //! ones, three episodes per program — a shared six-action prefix (so the
-//! snapshot memo and the profile memo serve repeats), then a suffix of
+//! profile memo serves repeats), then a suffix of
 //! the episode's own — under three configurations:
 //!
 //! * `default` — `EnvConfig::default()`;

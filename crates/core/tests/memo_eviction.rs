@@ -1,22 +1,19 @@
-//! Eviction behaviour of the environment's two memos — the profile memo
-//! (`EvalCache`, here one shard of two entries) and the snapshot memo —
-//! under capacity pressure. Both sit on the workspace's two-generation
-//! `BoundedMap`: a full memo drops the older half of its inserts, and a
-//! hit does not promote (the test names below predate the map and the
-//! one cache, and are kept so their ids stay stable).
+//! Eviction behaviour of the environment's profile memo (`EvalCache`,
+//! here one shard of two entries) under capacity pressure. It sits on the
+//! workspace's two-generation `BoundedMap`: a full memo drops the older
+//! half of its inserts, and a hit does not promote (the test names below
+//! predate the map and the one cache, and are kept so their ids stay
+//! stable).
 //!
 //! Eviction must be invisible to correctness: an evicted entry costs a
 //! recompute, and the recomputed result must be bit-identical to what the
 //! memo would have returned. The telemetry eviction counters must advance
 //! so capacity pressure is observable in production.
 
-use autophase_core::incremental::{snapshot_memo, IncrementalEval, SnapEntry};
 use autophase_core::EvalCache;
 use autophase_hls::profile::profile_module;
 use autophase_hls::HlsConfig;
-use autophase_ir::printer::print_module;
 use autophase_ir::Module;
-use autophase_passes::changeset::apply_traced;
 use autophase_telemetry as telemetry;
 use std::sync::Arc;
 
@@ -99,53 +96,6 @@ fn profile_memo_churn_under_sustained_pressure() {
 }
 
 #[test]
-fn snapshot_memo_evicts_lru_and_recompute_is_bit_identical() {
-    let program = programs().remove(0);
-    // Record transitions for several single-pass sequences.
-    let passes: [u16; 3] = [38, 23, 33];
-    let mut results: Vec<(u16, String)> = Vec::new();
-    let mut memo = snapshot_memo(2);
-    for &pass in &passes {
-        let mut m = program.clone();
-        let (changed, cs) = apply_traced(&mut m, pass as usize);
-        let entry = if changed {
-            let mut eval = IncrementalEval::new(&program);
-            eval.apply(&m, &cs);
-            SnapEntry::change(m.clone(), eval)
-        } else {
-            SnapEntry::noop()
-        };
-        results.push((pass, print_module(&m)));
-        memo.insert((0, vec![pass]), Arc::new(entry));
-    }
-    // Capacity 2, three inserts: the first key is gone.
-    let stats = memo.stats();
-    assert_eq!((stats.evictions, stats.len), (1, 2));
-    assert!(memo.lookup(&(0, vec![passes[0]])).is_none());
-
-    // Recompute the evicted transition: bit-identical to the recording.
-    let mut m = program.clone();
-    let (changed, cs) = apply_traced(&mut m, passes[0] as usize);
-    assert_eq!(print_module(&m), results[0].1, "recompute diverged");
-    let entry = if changed {
-        let mut eval = IncrementalEval::new(&program);
-        eval.apply(&m, &cs);
-        SnapEntry::change(m.clone(), eval)
-    } else {
-        SnapEntry::noop()
-    };
-    memo.insert((0, vec![passes[0]]), Arc::new(entry));
-    let restored = memo.lookup(&(0, vec![passes[0]])).expect("reinserted");
-    if let Some((rm, re)) = restored.state_clone() {
-        assert_eq!(print_module(&rm), results[0].1);
-        assert_eq!(
-            re.module_fp(),
-            autophase_core::eval_cache::fingerprint_module(&rm)
-        );
-    }
-}
-
-#[test]
 fn eviction_telemetry_counters_advance() {
     telemetry::reset();
     telemetry::enable();
@@ -163,11 +113,6 @@ fn eviction_telemetry_counters_advance() {
     pm.insert(3, Arc::clone(&report)); // evicts fp 2
     assert_eq!(pm.stats().evictions, 2);
 
-    let mut sm = snapshot_memo(1);
-    sm.insert((0, vec![1]), Arc::new(SnapEntry::noop()));
-    sm.insert((0, vec![2]), Arc::new(SnapEntry::noop())); // evicts seq [1]
-    assert_eq!(sm.stats().evictions, 1);
-
     telemetry::disable();
     let snap = telemetry::snapshot();
     let counter = |name: &str, label: &str| {
@@ -180,10 +125,6 @@ fn eviction_telemetry_counters_advance() {
     assert!(
         counter("evalcache.evictions", "") >= 2,
         "profile memo eviction counter must advance"
-    );
-    assert!(
-        counter("core.snap_memo", "evict") >= 1,
-        "snapshot memo eviction counter must advance"
     );
     telemetry::reset();
 }

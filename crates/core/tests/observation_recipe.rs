@@ -12,8 +12,9 @@
 //! index `action_passes()` gives them, and skips the rest.
 //!
 //! Each configuration runs on a two-program environment, twice per
-//! program (the second pass over a program is served from the snapshot
-//! memo, so restored states are checked too). Nothing here reads how
+//! program (the second pass over a program starts from the cloned reset
+//! template and a warm profile memo, so reused state is checked too).
+//! Nothing here reads how
 //! the environment builds its observation; it only reads what §5.1 and
 //! §5.3 say it is.
 

@@ -130,9 +130,9 @@ impl Facts {
 /// A one-scan reverse-use index: for every instruction result, the list of
 /// `(user instruction, user's block)` pairs, plus per-value use counts.
 ///
-/// Turns the per-candidate `Function::users` scans (O(n) each, O(n²) per
-/// pass) into O(1) lookups. Read it through [`Facts::users`]; it describes
-/// the version it was built from.
+/// One O(n) scan answers every user query of a pass in O(1), where a scan
+/// per candidate would cost O(n²). Read it through [`Facts::users`]; it
+/// describes the version it was built from.
 #[derive(Debug)]
 pub struct UserIndex {
     users: Csr<(InstId, BlockId)>,

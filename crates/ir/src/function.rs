@@ -435,21 +435,6 @@ impl Function {
         n
     }
 
-    /// Collect `(user_inst, block)` pairs that use `value`.
-    pub fn users(&self, value: Value) -> Vec<(InstId, BlockId)> {
-        let mut out = Vec::new();
-        for bb in self.block_ids().collect::<Vec<_>>() {
-            for &iid in &self.block(bb).insts {
-                let mut used = false;
-                self.inst(iid).for_each_operand(|v| used |= v == value);
-                if used {
-                    out.push((iid, bb));
-                }
-            }
-        }
-        out
-    }
-
     /// The type of `v` here: an instruction's result type, a constant's or
     /// `undef`'s own, a parameter's (`i32` past the last one), `ptr` for a
     /// global.
@@ -625,8 +610,8 @@ mod tests {
         let f = add_fn();
         let entry = f.entry;
         let first = f.block(entry).insts[0];
-        let users = f.users(Value::Inst(first));
-        assert_eq!(users.len(), 1);
+        let users = crate::facts::UserIndex::build(&f);
+        assert_eq!(users.users(first).len(), 1);
         assert_eq!(f.block_of(first), Some(entry));
     }
 

@@ -94,7 +94,8 @@ impl Global {
 /// shared with another module (e.g. a transaction snapshot). Holding a
 /// clone of the module while mutating the original therefore guarantees
 /// every mutated slot gets a fresh allocation, which is what pointer-diff
-/// change tracking (`functions_snapshot` + `Arc::ptr_eq`) relies on.
+/// change tracking (a pre-pass clone, [`Module::func_arc`] and
+/// `Arc::ptr_eq`) relies on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Module {
     /// Module name (for diagnostics).
@@ -254,8 +255,8 @@ impl Module {
     }
 
     /// The shared handle backing a live function slot, or `None` if the slot
-    /// is empty. Used with [`Module::functions_snapshot`] and `Arc::ptr_eq`
-    /// for pointer-diff change tracking.
+    /// is empty. Compared with `Arc::ptr_eq` against a clone taken before a
+    /// pass, it tells which slots the pass wrote.
     pub fn func_arc(&self, id: FuncId) -> Option<&Arc<Function>> {
         self.functions.get(id.index()).and_then(|f| f.as_ref())
     }
@@ -263,19 +264,6 @@ impl Module {
     /// The shared handle backing a live global slot, or `None`.
     pub fn global_arc(&self, id: GlobalId) -> Option<&Arc<Global>> {
         self.globals.get(id.index()).and_then(|g| g.as_ref())
-    }
-
-    /// Snapshot the function arena as shared handles (O(#slots) refcount
-    /// bumps). While the snapshot is alive, every `func_mut` on `self`
-    /// re-allocates the touched slot, so `Arc::ptr_eq` against the snapshot
-    /// detects exactly the slots a pass wrote to.
-    pub fn functions_snapshot(&self) -> Vec<Option<Arc<Function>>> {
-        self.functions.clone()
-    }
-
-    /// Snapshot the global arena as shared handles (O(#slots)).
-    pub fn globals_snapshot(&self) -> Vec<Option<Arc<Global>>> {
-        self.globals.clone()
     }
 
     /// A clone with every function and global deep-copied into unique
@@ -329,7 +317,6 @@ mod tests {
         let mut m = Module::new("m");
         let a = m.add_function(Function::new("a", vec![], Type::Void));
         let b = m.add_function(Function::new("b", vec![], Type::Void));
-        let snap = m.functions_snapshot();
         let clone = m.clone();
         assert!(Arc::ptr_eq(
             m.func_arc(a).unwrap(),
@@ -339,11 +326,11 @@ mod tests {
         m.func_mut(a).name = "a2".to_string();
         assert!(!Arc::ptr_eq(
             m.func_arc(a).unwrap(),
-            snap[a.index()].as_ref().unwrap()
+            clone.func_arc(a).unwrap()
         ));
         assert!(Arc::ptr_eq(
             m.func_arc(b).unwrap(),
-            snap[b.index()].as_ref().unwrap()
+            clone.func_arc(b).unwrap()
         ));
         // The clone kept the original contents.
         assert_eq!(clone.func(a).name, "a");

@@ -6,11 +6,11 @@
 //! feature caches, schedule caches, fingerprint memos, the dirty-only
 //! verifier) use this to touch only what changed.
 //!
-//! Correctness never depends on pass honesty: the tracker derives the
-//! change set from the module itself. [`ChangeTracker::before`] snapshots
-//! the COW arenas as shared `Arc` handles — which forces every subsequent
-//! `func_mut`/`global_mut` on the module to clone-on-write into a fresh
-//! allocation — and [`ChangeTracker::diff`] then finds touched slots with
+//! Correctness never depends on pass honesty: [`ChangeSet::between`]
+//! derives the change set from the modules themselves. A clone taken
+//! before the pass — the checked transaction's rollback snapshot — shares
+//! every COW arena slot, so each `func_mut`/`global_mut` the pass makes
+//! lands in a fresh allocation. The diff finds touched slots with
 //! `Arc::ptr_eq` and refines pointer-moved-but-content-identical slots
 //! (a pass that wrote and then reverted) by structural comparison, which
 //! is equivalent to comparing per-function content fingerprints but skips
@@ -18,7 +18,7 @@
 //! compares plus O(|touched|) content compares.
 
 use crate::registry::{self, PassId};
-use autophase_ir::module::{FuncId, Global, GlobalId};
+use autophase_ir::module::{FuncId, GlobalId};
 use autophase_ir::{Function, Module};
 use std::sync::Arc;
 
@@ -48,7 +48,8 @@ impl ChangeSet {
     }
 
     /// Conservative "everything changed" set for `m` — the correct answer
-    /// when no tracker was active (e.g. replaying an untracked mutation).
+    /// when no pre-pass snapshot was held (e.g. replaying an untracked
+    /// mutation).
     pub fn full(m: &Module) -> ChangeSet {
         ChangeSet {
             dirty_funcs: m.func_ids().collect(),
@@ -82,39 +83,22 @@ impl ChangeSet {
     pub fn globals_changed(&self) -> bool {
         self.structural_globals || !self.dirty_globals.is_empty()
     }
-}
 
-/// Pre-pass arena snapshot used to derive a [`ChangeSet`] by pointer diff.
-///
-/// Holding this alive across the pass run is what guarantees the diff is
-/// sound: while the snapshot shares every `Arc`, any mutation through the
-/// module's COW accessors must re-allocate the touched slot.
-pub struct ChangeTracker {
-    funcs: Vec<Option<Arc<Function>>>,
-    globals: Vec<Option<Arc<Global>>>,
-}
-
-impl ChangeTracker {
-    /// Snapshot `m`'s arenas (O(#slots) refcount bumps).
-    pub fn before(m: &Module) -> ChangeTracker {
-        ChangeTracker {
-            funcs: m.functions_snapshot(),
-            globals: m.globals_snapshot(),
-        }
-    }
-
-    /// Diff the snapshot against the module's current state.
-    pub fn diff(&self, m: &Module) -> ChangeSet {
+    /// What changed from `before` to `after`, where `after` is `before`
+    /// with a pass applied while `before` was held (the checked
+    /// transaction's snapshot): every slot the pass wrote has moved off
+    /// `before`'s allocation, and of those only a slot whose content
+    /// differs is dirty. Arenas of different lengths are a structural
+    /// change.
+    pub fn between(before: &Module, after: &Module) -> ChangeSet {
         let mut cs = ChangeSet::empty();
-        let cap = m.func_capacity();
-        if cap != self.funcs.len() {
+        let cap = after.func_capacity();
+        if cap != before.func_capacity() {
             cs.structural_funcs = true;
         }
         for i in 0..cap {
             let id = FuncId::from_index(i);
-            let now = m.func_arc(id);
-            let was = self.funcs.get(i).and_then(|f| f.as_ref());
-            match (was, now) {
+            match (before.func_arc(id), after.func_arc(id)) {
                 (None, None) => {}
                 (Some(_), None) => cs.structural_funcs = true,
                 (None, Some(_)) => {
@@ -136,15 +120,13 @@ impl ChangeTracker {
                 }
             }
         }
-        let gcap = m.global_capacity();
-        if gcap != self.globals.len() {
+        let gcap = after.global_capacity();
+        if gcap != before.global_capacity() {
             cs.structural_globals = true;
         }
         for i in 0..gcap {
             let id = GlobalId::from_index(i);
-            let now = m.global_arc(id);
-            let was = self.globals.get(i).and_then(|g| g.as_ref());
-            match (was, now) {
+            match (before.global_arc(id), after.global_arc(id)) {
                 (None, None) => {}
                 (Some(_), None) => cs.structural_globals = true,
                 (None, Some(_)) => {
@@ -160,23 +142,6 @@ impl ChangeTracker {
         }
         cs
     }
-
-    /// Estimated bytes the COW snapshot did *not* deep-copy: the size of
-    /// every live function whose allocation survived the pass untouched.
-    /// This is what a pre-COW `Module::clone` would have copied for free
-    /// slots — reported to the `snapshot_bytes_saved` telemetry counter.
-    pub fn bytes_shared(&self, m: &Module) -> u64 {
-        let mut saved = 0u64;
-        for (i, was) in self.funcs.iter().enumerate() {
-            let (Some(was), Some(now)) = (was.as_ref(), m.func_arc(FuncId::from_index(i))) else {
-                continue;
-            };
-            if Arc::ptr_eq(was, now) {
-                saved += approx_function_bytes(was);
-            }
-        }
-        saved
-    }
 }
 
 /// Externally visible signature of a function: what *callers* and the
@@ -185,25 +150,17 @@ fn sig_of(f: &Function) -> (&str, &[autophase_ir::Type], autophase_ir::Type) {
     (&f.name, &f.params, f.ret_ty)
 }
 
-/// Rough per-function heap footprint (arena capacities × element sizes).
-/// An estimate is fine: the counter quantifies savings, it is not a ledger.
-fn approx_function_bytes(f: &Function) -> u64 {
-    (f.inst_capacity() * std::mem::size_of::<autophase_ir::Inst>()
-        + f.block_capacity() * 64
-        + std::mem::size_of::<Function>()) as u64
-}
-
 /// Apply pass `id` like [`registry::apply`], additionally deriving the
 /// exact [`ChangeSet`]. When the pass reports no change the set is empty
 /// by the change-flag honesty contract (enforced by the PR 1 differential
 /// suite: `changed == false` ⇒ printed IR is byte-identical).
 pub fn apply_traced(m: &mut Module, id: PassId) -> (bool, ChangeSet) {
-    let tracker = ChangeTracker::before(m);
+    let before = m.clone();
     let changed = registry::apply(m, id);
     if !changed {
         return (false, ChangeSet::empty());
     }
-    (true, tracker.diff(m))
+    (true, ChangeSet::between(&before, m))
 }
 
 #[cfg(test)]
@@ -236,9 +193,7 @@ mod tests {
     #[test]
     fn untouched_module_diffs_empty() {
         let m = two_function_module();
-        let t = ChangeTracker::before(&m);
-        assert!(t.diff(&m).is_empty());
-        assert!(t.bytes_shared(&m) > 0);
+        assert!(ChangeSet::between(&m, &m).is_empty());
     }
 
     #[test]
@@ -265,11 +220,11 @@ mod tests {
     fn write_then_revert_is_clean() {
         let mut m = two_function_module();
         let main = m.main().unwrap();
-        let t = ChangeTracker::before(&m);
+        let t = m.clone();
         let old = m.func(main).name.clone();
         m.func_mut(main).name = "other".to_string();
         m.func_mut(main).name = old;
-        let cs = t.diff(&m);
+        let cs = ChangeSet::between(&t, &m);
         assert!(cs.is_empty(), "content-identical slot must not be dirty");
     }
 
@@ -277,9 +232,9 @@ mod tests {
     fn signature_change_is_flagged() {
         let mut m = two_function_module();
         let helper = m.func_by_name("helper").unwrap();
-        let t = ChangeTracker::before(&m);
+        let t = m.clone();
         m.func_mut(helper).name = "renamed".to_string();
-        let cs = t.diff(&m);
+        let cs = ChangeSet::between(&t, &m);
         assert!(cs.sig_changed);
         assert_eq!(cs.dirty_funcs, vec![helper]);
         assert!(cs.needs_full_rebuild());
@@ -289,14 +244,14 @@ mod tests {
     fn structural_changes_are_flagged() {
         let mut m = two_function_module();
         let helper = m.func_by_name("helper").unwrap();
-        let t = ChangeTracker::before(&m);
+        let t = m.clone();
         m.remove_function(helper);
-        assert!(t.diff(&m).structural_funcs);
+        assert!(ChangeSet::between(&t, &m).structural_funcs);
 
         let mut m = two_function_module();
-        let t = ChangeTracker::before(&m);
+        let t = m.clone();
         m.add_global(autophase_ir::module::Global::zeroed("g", Type::I8, 8));
-        let cs = t.diff(&m);
+        let cs = ChangeSet::between(&t, &m);
         assert!(cs.structural_globals);
         assert!(cs.globals_changed());
     }

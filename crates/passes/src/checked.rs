@@ -28,7 +28,7 @@
 //! Fault *injection* (the chaos-testing harness) lives in [`crate::fault`];
 //! with no plan armed, polling it costs every apply one acquire load.
 
-use crate::changeset::{ChangeSet, ChangeTracker};
+use crate::changeset::ChangeSet;
 use crate::registry::{self, PassId};
 use autophase_ir::verify::{verify_functions, verify_module, VerifyError};
 use autophase_ir::Module;
@@ -177,13 +177,12 @@ pub fn apply_sequence_checked(m: &mut Module, seq: &[PassId], budget: &FuelBudge
 /// plain checked path), additionally deriving the exact [`ChangeSet`] of
 /// the successful apply (empty on `Ok(false)`). Callers that poll the
 /// injection plan themselves — the phase-ordering environment does, so
-/// injection stays deterministic even when a memoized transition skips
-/// the apply — feed the polled fault through here.
+/// that a masked action never polls — feed the polled fault through here.
 ///
-/// The transaction snapshot doubles as the change tracker's baseline:
-/// because the snapshot shares every function `Arc`, the pass's
-/// copy-on-write mutations land in fresh allocations, and the post-pass
-/// pointer diff yields the dirty set with no extra bookkeeping. The same
+/// The rollback snapshot is also the change set's baseline: because it
+/// shares every function `Arc`, the pass's copy-on-write mutations land
+/// in fresh allocations, and [`ChangeSet::between`] the snapshot and the
+/// module yields the dirty set with no extra bookkeeping. The same
 /// diff drives *dirty-only verification* — only touched functions are
 /// re-verified unless the change was structural (functions/globals
 /// added or removed, signatures changed), where a clean caller could be
@@ -213,7 +212,6 @@ pub fn apply_checked_traced(
         return Err(fault);
     }
     let snapshot = m.clone();
-    let tracker = ChangeTracker::before(&snapshot);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Some(FaultKind::Panic) = injected {
             std::panic::panic_any(telemetry::INJECTED_PANIC_MSG);
@@ -240,7 +238,7 @@ pub fn apply_checked_traced(
             } else if changed {
                 // An unchanged module is bit-identical to the verified
                 // pre-pass snapshot; only changed modules need re-checking.
-                changeset = tracker.diff(m);
+                changeset = ChangeSet::between(&snapshot, m);
                 let verified = if changeset.needs_full_rebuild() {
                     verify_module(m)
                 } else {
@@ -260,12 +258,7 @@ pub fn apply_checked_traced(
             record_fault(&fault);
             Err(fault)
         }
-        None => {
-            if telemetry::enabled() {
-                telemetry::incr("snapshot_bytes_saved", "", tracker.bytes_shared(m));
-            }
-            Ok((outcome.unwrap_or(false), changeset))
-        }
+        None => Ok((outcome.unwrap_or(false), changeset)),
     }
 }
 

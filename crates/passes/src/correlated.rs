@@ -6,7 +6,7 @@
 //! equality pins an operand are simplified the same way.
 
 use crate::util;
-use autophase_ir::{BlockId, CmpPred, FuncId, Module, Opcode, Value};
+use autophase_ir::{BlockId, CmpPred, FuncId, InstId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -71,45 +71,59 @@ fn propagate_function(m: &mut Module, fid: FuncId) -> bool {
         return false;
     }
 
-    let mut changed = false;
-    let fm = m.func_mut(fid);
-    for (head, x, c) in facts {
-        // Replace uses of x in all blocks dominated by head. φ incoming
-        // values are attributed to the *predecessor* edge, so only rewrite
-        // φ entries whose incoming block is dominated by head.
-        for bb in fm.block_ids().collect::<Vec<_>>() {
+    // Each fact replaces the uses of x in the blocks head dominates; φ
+    // incoming values are attributed to the *predecessor* edge, so a φ
+    // entry counts only if its incoming block is dominated by head. Find
+    // those instructions before writing, so a function with none is left
+    // as it was.
+    let mut edits: Vec<(usize, InstId)> = Vec::new();
+    for (k, &(head, x, _)) in facts.iter().enumerate() {
+        for bb in f.block_ids() {
             if !dt.dominates(head, bb) {
                 continue;
             }
-            let ids: Vec<_> = fm.block(bb).insts.clone();
-            for iid in ids {
-                let inst = fm.inst_mut(iid);
-                match &mut inst.op {
-                    Opcode::Phi { incoming } => {
-                        for (pred, v) in incoming.iter_mut() {
-                            if *v == x && dt.dominates(head, *pred) {
-                                *v = c;
-                                changed = true;
-                            }
-                        }
-                    }
+            for &iid in &f.block(bb).insts {
+                let uses_x = match &f.inst(iid).op {
+                    Opcode::Phi { incoming } => incoming
+                        .iter()
+                        .any(|&(pred, v)| v == x && dt.dominates(head, pred)),
                     _ => {
-                        let mut local = false;
-                        inst.for_each_operand_mut(|v| {
-                            if *v == x {
-                                *v = c;
-                                local = true;
-                            }
-                        });
-                        changed |= local;
+                        let mut used = false;
+                        f.inst(iid).for_each_operand(|v| used |= v == x);
+                        used
                     }
+                };
+                if uses_x {
+                    edits.push((k, iid));
                 }
             }
         }
-        // φ entries in head's successors-from-outside... handled above.
-        let _ = head;
     }
-    changed
+    if edits.is_empty() {
+        return false;
+    }
+    // In fact order, as found: a use an earlier fact already rewrote holds
+    // a constant, which no later fact's x can be.
+    let fm = m.func_mut(fid);
+    for (k, iid) in edits {
+        let (head, x, c) = facts[k];
+        let inst = fm.inst_mut(iid);
+        match &mut inst.op {
+            Opcode::Phi { incoming } => {
+                for (pred, v) in incoming.iter_mut() {
+                    if *v == x && dt.dominates(head, *pred) {
+                        *v = c;
+                    }
+                }
+            }
+            _ => inst.for_each_operand_mut(|v| {
+                if *v == x {
+                    *v = c;
+                }
+            }),
+        }
+    }
+    true
 }
 
 #[cfg(test)]

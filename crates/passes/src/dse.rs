@@ -62,28 +62,31 @@ fn intra_block(m: &mut Module, fid: FuncId) -> bool {
 }
 
 fn unread_allocas(m: &mut Module, fid: FuncId) -> bool {
+    let facts = m.facts(fid);
     let f = m.func(fid);
+    let index = facts.users();
     let mut dead_stores: Vec<(BlockId, InstId)> = Vec::new();
     for bb in f.block_ids() {
         for &iid in &f.block(bb).insts {
             if !matches!(f.inst(iid).op, Opcode::Alloca { .. }) {
                 continue;
             }
-            let addr = Value::Inst(iid);
             // All users must be stores *to* this alloca (directly or via
             // constant geps we can root), with the alloca never loaded,
-            // geped-into-and-loaded, or escaping.
+            // geped-into-and-loaded, or escaping. A user that reads the
+            // pointer twice is listed twice, and judged the same way twice.
             let mut ok = true;
             let mut stores: Vec<(InstId, BlockId)> = Vec::new();
-            let mut frontier = vec![addr];
-            while let Some(p) = frontier.pop() {
-                for (user, ubb) in f.users(p) {
+            let mut frontier = vec![iid];
+            while let Some(at) = frontier.pop() {
+                let p = Value::Inst(at);
+                for &(user, ubb) in index.users(at) {
                     match &f.inst(user).op {
                         Opcode::Store { ptr, value } if *ptr == p && *value != p => {
                             stores.push((user, ubb));
                         }
                         Opcode::Gep { ptr, .. } if *ptr == p => {
-                            frontier.push(Value::Inst(user));
+                            frontier.push(user);
                         }
                         _ => {
                             ok = false;

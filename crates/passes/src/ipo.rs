@@ -158,23 +158,30 @@ pub fn run_deadargelim(m: &mut Module) -> bool {
                 });
             }
         }
-        // Rewrite every call site in the module.
+        // Rewrite every call site in the module, writing only the
+        // functions that have one.
         for caller in m.func_ids().collect::<Vec<_>>() {
+            let cf = m.func(caller);
+            let calls: Vec<InstId> = cf
+                .block_ids()
+                .flat_map(|bb| cf.block(bb).insts.iter().copied())
+                .filter(
+                    |&iid| matches!(cf.inst(iid).op, Opcode::Call { callee, .. } if callee == fid),
+                )
+                .collect();
+            if calls.is_empty() {
+                continue;
+            }
             let cf = m.func_mut(caller);
-            for bb in cf.block_ids().collect::<Vec<_>>() {
-                let ids: Vec<InstId> = cf.block(bb).insts.clone();
-                for iid in ids {
-                    if let Opcode::Call { callee, args } = &mut cf.inst_mut(iid).op {
-                        if *callee == fid {
-                            let mut new_args = Vec::new();
-                            for (a, &u) in args.iter().zip(&used) {
-                                if u {
-                                    new_args.push(*a);
-                                }
-                            }
-                            *args = new_args;
+            for iid in calls {
+                if let Opcode::Call { args, .. } = &mut cf.inst_mut(iid).op {
+                    let mut new_args = Vec::new();
+                    for (a, &u) in args.iter().zip(&used) {
+                        if u {
+                            new_args.push(*a);
                         }
                     }
+                    *args = new_args;
                 }
             }
         }
@@ -232,21 +239,27 @@ pub fn run_ipsccp(m: &mut Module) -> bool {
         let pins = const_args.remove(&fid).unwrap_or_default();
         // A pinned parameter is the same constant at every call site:
         // substitute it into the body outright, then let SCCP cascade.
-        if !pins.is_empty() {
-            let f = m.func_mut(fid);
-            for (&i, &c) in &pins {
+        // Only an integer parameter the body reads is substituted.
+        let f = m.func(fid);
+        let subs: Vec<(Value, Value)> = pins
+            .iter()
+            .filter_map(|(&i, &c)| {
                 let ty = f
                     .params
                     .get(i as usize)
                     .copied()
                     .unwrap_or(autophase_ir::Type::I64);
-                if !ty.is_int() {
-                    continue;
-                }
-                if f.replace_all_uses(Value::Arg(i), Value::ConstInt(ty, ty.wrap(c))) > 0 {
-                    changed = true;
-                }
+                let arg = Value::Arg(i);
+                (ty.is_int() && f.count_uses(arg) > 0)
+                    .then(|| (arg, Value::ConstInt(ty, ty.wrap(c))))
+            })
+            .collect();
+        if !subs.is_empty() {
+            let f = m.func_mut(fid);
+            for (arg, c) in subs {
+                f.replace_all_uses(arg, c);
             }
+            changed = true;
         }
         let sol = sccp::solve(m, fid, &pins);
         changed |= sccp::apply_solution(m, fid, &sol);

@@ -9,7 +9,6 @@
 //! useless-action landscape the paper describes.
 
 use crate::util;
-use autophase_ir::cfg::Cfg;
 use autophase_ir::{BlockId, InstId, Module, Opcode};
 
 /// `-lowerswitch`: rewrite every `switch` into a chain of `icmp eq` +
@@ -40,12 +39,11 @@ pub fn run_lowerswitch(m: &mut Module) -> bool {
 /// block. Returns true on change.
 pub fn run_break_crit_edges(m: &mut Module) -> bool {
     util::for_each_function(m, |m, fid| {
-        let f = m.func_mut(fid);
-        let cfg = Cfg::new(f);
-        let edges = cfg.critical_edges();
+        let edges = m.facts(fid).cfg().critical_edges();
         if edges.is_empty() {
             return false;
         }
+        let f = m.func_mut(fid);
         for (src, dst) in edges {
             f.split_edge(src, dst);
         }
@@ -128,6 +126,7 @@ pub fn run_strip_nondebug(_m: &mut Module) -> bool {
 mod tests {
     use super::*;
     use autophase_ir::builder::FunctionBuilder;
+    use autophase_ir::cfg::Cfg;
     use autophase_ir::interp::run_function;
     use autophase_ir::verify::assert_verified;
     use autophase_ir::{CmpPred, Type, Value};

@@ -4,7 +4,10 @@
 use autophase_benchmarks::suite;
 use autophase_ir::interp::run_main;
 use autophase_ir::verify::verify_module;
+use autophase_ir::Module;
 use autophase_passes::registry;
+use autophase_progen::{program_batch, GenConfig};
+use std::sync::Arc;
 
 const FUEL: u64 = 30_000_000;
 
@@ -79,4 +82,62 @@ fn mem2reg_then_rotate_reduces_cycles_on_most_benchmarks() {
         improved * 10 >= total * 8,
         "only {improved}/{total} improved"
     );
+}
+
+/// Every slot of `after` that moved off `before`'s allocation, as
+/// `(name, content differs)`. A slot added or removed is not listed.
+fn moved_slots(before: &Module, after: &Module) -> Vec<(String, bool)> {
+    let mut moved = Vec::new();
+    for id in before.func_ids() {
+        if let (Some(was), Some(now)) = (before.func_arc(id), after.func_arc(id)) {
+            if !Arc::ptr_eq(was, now) {
+                moved.push((format!("function {}", was.name), **was != **now));
+            }
+        }
+    }
+    for id in before.global_ids() {
+        if let (Some(was), Some(now)) = (before.global_arc(id), after.global_arc(id)) {
+            if !Arc::ptr_eq(was, now) {
+                moved.push((format!("global {}", was.name), **was != **now));
+            }
+        }
+    }
+    moved
+}
+
+/// A pass writes only the functions it changes. Writing a function moves
+/// it to a fresh allocation when a snapshot shares it, and drops the facts
+/// of its version, so a pass that writes an unchanged function pays a deep
+/// copy and a re-analysis for nothing. `ChangeSet::between` still reports
+/// such a slot clean: its content compare is the safety net, this is the
+/// contract.
+#[test]
+fn a_pass_writes_only_what_it_changes() {
+    let mut programs: Vec<Module> = suite().into_iter().map(|b| b.module).collect();
+    programs.extend(program_batch(&GenConfig::default(), 1, 20));
+    // Pristine, then after each of -mem2reg, -instcombine, -simplifycfg,
+    // -loop-rotate, -loop-simplify and -loop-unroll in turn.
+    let prefix = [38, 30, 31, 23, 29, 33];
+    for program in programs {
+        let mut state = program;
+        for step in 0..=prefix.len() {
+            if step > 0 {
+                registry::apply(&mut state, prefix[step - 1]);
+            }
+            for pass in 0..registry::NUM_PASSES {
+                let mut m = state.clone();
+                let changed = registry::apply(&mut m, pass);
+                for (slot, differs) in moved_slots(&state, &m) {
+                    assert!(
+                        changed && differs,
+                        "{} after {} prefix passes of {}: {slot} was written, \
+                         changed {changed}, content differs {differs}",
+                        registry::pass_name(pass),
+                        step,
+                        state.name,
+                    );
+                }
+            }
+        }
+    }
 }
