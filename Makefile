@@ -41,10 +41,13 @@ telemetry:
 
 # Chaos suite (DESIGN.md §4e): full PPO runs driven through seeded
 # fault-injection plans — rollback, survival, episode containment, and
-# quarantine. Release mode: the suite trains real agents (tier 1 runs
-# it too, in debug).
+# quarantine — then the rollout pool's own panic tests (an episode that
+# panics in its reset or mid-episode is retried in place, one that
+# always panics is skipped). Release mode: the suite trains real agents
+# (tier 1 runs it too, in debug).
 chaos:
 	$(CARGO) test -q --release --test chaos
+	$(CARGO) test -q --release -p autophase-rl --lib rollout::
 
 # The semantic-check sweep (DESIGN.md §4c): CHStone plus 2 000 generated
 # programs compiled under one, two and four rounds of -O3. No finite score

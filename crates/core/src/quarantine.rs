@@ -37,8 +37,9 @@ pub const DEFAULT_QUARANTINE_THRESHOLD: u32 = 2;
 pub struct Quarantine {
     threshold: u32,
     /// `(program fingerprint, pass id)` → fault count. Taken with
-    /// `lock_recover`: recording threads may die mid-episode, and every
-    /// update is a single map operation.
+    /// `lock_recover`: a recording episode may panic mid-step (the
+    /// rollout pool contains it and retries the episode on the same
+    /// thread), and every update is a single map operation.
     faults: Mutex<HashMap<(u64, usize), u32>>,
 }
 

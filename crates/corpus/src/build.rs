@@ -3,10 +3,10 @@
 use autophase_ir::fingerprint::fingerprint_module;
 use autophase_ir::Module;
 use autophase_progen::{generate_valid, GenConfig};
-use autophase_telemetry::lock_recover;
 use std::collections::HashSet;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::thread::ScopedJoinHandle;
 
 /// Seed stride between candidate indices — the same stride
 /// [`autophase_progen::program_batch`] uses, so candidate `i` of a corpus
@@ -81,28 +81,29 @@ pub fn build_corpus(cfg: &CorpusConfig) -> Corpus {
     loop {
         let round_end = next_index + chunk;
         let counter = AtomicU64::new(next_index);
-        let sink: Mutex<Vec<CorpusProgram>> = Mutex::new(Vec::new());
-        let workers = cfg.workers.max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let idx = counter.fetch_add(1, Ordering::Relaxed);
-                    if idx >= round_end {
-                        return;
-                    }
+        // One worker's share of the round, handed back when it finishes.
+        let worker = || {
+            std::iter::repeat_with(|| counter.fetch_add(1, Ordering::Relaxed))
+                .take_while(|&idx| idx < round_end)
+                .map(|idx| {
                     let seed = cfg.base_seed.wrapping_add(idx.wrapping_mul(SEED_STRIDE));
                     let module = generate_valid(&cfg.gen, seed);
-                    let program = CorpusProgram {
+                    CorpusProgram {
                         index: idx,
                         seed,
                         fingerprint: fingerprint_module(&module),
                         module,
-                    };
-                    lock_recover(&sink).push(program);
-                });
-            }
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut round: Vec<CorpusProgram> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..cfg.workers.max(1))
+                .map(|_| scope.spawn(worker))
+                .collect();
+            let join = |h: ScopedJoinHandle<_>| h.join().unwrap_or_else(|p| resume_unwind(p));
+            handles.into_iter().flat_map(join).collect()
         });
-        let mut round = sink.into_inner().unwrap();
         autophase_telemetry::incr("corpus.gen.generated", "", round.len() as u64);
         candidates.append(&mut round);
         next_index = round_end;

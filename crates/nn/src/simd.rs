@@ -67,22 +67,12 @@ impl KernelWidth {
         }
     }
 
-    /// Stable name, accepted by [`KernelWidth::parse`].
+    /// Stable name, `v<lanes>`.
     pub fn name(self) -> &'static str {
         match self {
             KernelWidth::V8 => "v8",
             KernelWidth::V4 => "v4",
             KernelWidth::V2 => "v2",
-        }
-    }
-
-    /// Parse a width name (`v8`/`v4`/`v2`), e.g. from a bench flag.
-    pub fn parse(s: &str) -> Option<KernelWidth> {
-        match s {
-            "v8" => Some(KernelWidth::V8),
-            "v4" => Some(KernelWidth::V4),
-            "v2" => Some(KernelWidth::V2),
-            _ => None,
         }
     }
 
@@ -1046,10 +1036,9 @@ mod tests {
     #[test]
     fn width_metadata() {
         for w in KernelWidth::all() {
-            assert_eq!(KernelWidth::parse(w.name()), Some(w));
+            assert_eq!(w.name(), format!("v{}", w.lanes()));
             assert!(w.lanes().is_power_of_two());
         }
-        assert_eq!(KernelWidth::parse("v16"), None);
         assert_eq!(picked(), KernelWidth::pick());
     }
 

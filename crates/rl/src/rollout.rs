@@ -8,22 +8,33 @@
 //! * [`collect`] — what `train` calls: one environment, the agent's own
 //!   RNG stream, "at least `horizon` transitions".
 //! * [`collect_episodes_parallel`] — what `PpoAgent::train_parallel` and
-//!   the benchmark's lanes call: exactly `n_episodes` episodes on a
-//!   supervised worker pool, where episode `i` always starts from
+//!   the benchmark's lanes call: exactly `n_episodes` episodes on a pool
+//!   of scoped threads, where episode `i` always starts from
 //!   [`Environment::reset_to`]`(i)` and samples from an RNG derived from
 //!   `(seed, i)`. Nothing about an episode depends on which worker runs
 //!   it or in what order, so the batch is bit-identical for any worker
 //!   count. [`collect_episodes`] is the same scheme on one thread — the
 //!   reference the determinism and chaos suites hold the pool to.
+//!
+//! A panic in an episode is contained where it runs: the pool runs each
+//! attempt under `catch_unwind` on its own thread and retries a panicked
+//! one in place, a bounded number of times, before it skips the episode
+//! (`rollout.episode_panics`, `rollout.failed_episodes`). Nothing an
+//! episode leaves on its thread outlives the retry: `reset_to` rebuilds
+//! the environment and the pass layer's per-episode fault context, the
+//! RNG is re-derived from the index, the networks' workspaces are
+//! restaged by every forward, and the IR facts store holds only what an
+//! immutable function version determines (a fact whose computation
+//! panicked is left unset).
 
 use crate::env::Environment;
 use autophase_nn::{softmax, BatchWorkspace, Mlp};
-use autophase_telemetry::{self as telemetry, lock_recover};
+use autophase_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::ScopedJoinHandle;
 
 /// One collected episode: its transitions and total reward.
 type EpisodeResult = (Vec<Transition>, f64);
@@ -226,181 +237,30 @@ pub fn collect_episodes(
     batch
 }
 
-/// How many times a panicked episode is re-queued before being marked
-/// failed-and-skipped (total attempts = retries + 1).
+/// How many times a panicked episode attempt is retried before the
+/// episode is skipped (total attempts = retries + 1).
 const MAX_EPISODE_RETRIES: u32 = 2;
 
-/// The outcome of a supervised collection: the batch plus fault metadata.
-#[derive(Debug, Clone, Default)]
-struct SupervisedBatch {
-    /// Every completed episode's transitions/returns, merged in
-    /// episode-index order. Failed episodes are absent.
-    batch: Batch,
-    /// Absolute indices of episodes that panicked on every attempt and
-    /// were skipped.
-    failed_episodes: Vec<u64>,
-    /// Worker threads respawned after a panic.
-    worker_respawns: u64,
-}
-
-/// Collect episodes `base_episode .. base_episode + n_episodes` on a
-/// supervised pool of worker threads — one slot per environment in `envs`.
+/// Collect episodes `base_episode .. base_episode + n_episodes` on a pool
+/// of scoped threads — one per environment in `envs`.
 ///
-/// Workers pull episodes from a shared queue; each episode is seeded by
-/// [`episode_seed`], started with [`Environment::reset_to`], and merged in
-/// episode-index order, so the batch is bit-identical to
-/// [`collect_episodes`] for *any* worker count (episodes are relocatable
-/// across workers by construction). A worker that panics is **respawned**
-/// on the same environment slot (recovering the slot's poisoned lock) and
-/// its in-flight episode is retried up to `MAX_EPISODE_RETRIES` (2)
-/// times, then marked
-/// failed-and-skipped — one pathological episode can no longer abort a
-/// training run, and episodes it didn't touch are unaffected.
+/// Threads claim episode indices from one counter; each episode is seeded
+/// by [`episode_seed`], started with [`Environment::reset_to`], and merged
+/// in episode-index order, so the batch is bit-identical to
+/// [`collect_episodes`] for *any* worker count. A panic is contained in
+/// the attempt that raised it (see the module docs): a panicked attempt
+/// is retried in place up to `MAX_EPISODE_RETRIES` (2) times, after which
+/// the episode is skipped, so one pathological episode cannot abort a
+/// training run and episodes it didn't touch are unaffected. A panic
+/// outside any attempt propagates, as it would from [`collect_episodes`].
 ///
 /// Telemetry (observational only — timings are recorded, never consulted):
 /// the batch's wall time lands in the `rollout.batch_ns` histogram, each
 /// episode's in `rollout.episode_ns`, per-worker busy time in
 /// `rollout.worker_busy_ns{w<i>}` counters and utilization (busy / batch
-/// wall) in `rollout.worker_util{w<i>}` gauges. The batch's respawns
-/// are added to the `rollout.worker_respawns` counter and its skipped
-/// episodes to `rollout.failed_episodes`.
-fn collect_episodes_supervised(
-    envs: &mut [Box<dyn Environment + Send>],
-    policy: &Mlp,
-    value: &Mlp,
-    n_episodes: usize,
-    base_episode: u64,
-    max_episode_len: usize,
-    seed: u64,
-) -> SupervisedBatch {
-    assert!(!envs.is_empty(), "need at least one worker environment");
-    let batch_start = telemetry::maybe_now();
-    let workers = envs.len();
-
-    let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n_episodes).collect());
-    let results: Vec<Mutex<Option<EpisodeResult>>> =
-        (0..n_episodes).map(|_| Mutex::new(None)).collect();
-    let attempts: Vec<AtomicU32> = (0..n_episodes).map(|_| AtomicU32::new(0)).collect();
-    let in_flight: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let busy_ns: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let env_slots: Vec<Mutex<&mut Box<dyn Environment + Send>>> =
-        envs.iter_mut().map(Mutex::new).collect();
-
-    let mut respawns = 0u64;
-    let mut failed: Vec<u64> = Vec::new();
-
-    std::thread::scope(|scope| {
-        // One supervised worker: drain the shared episode queue on slot
-        // `w`'s environment, publishing each result as soon as it
-        // completes. A panic anywhere in here kills only this thread; the
-        // supervisor reads `in_flight[w]` to learn which episode died. The
-        // locks it leaves poisoned are taken with `lock_recover`: every
-        // value they guard (the queue, result slots, worker environments)
-        // is re-initialized on reuse or episode-scoped, so the stale state
-        // is harmless.
-        let worker = |w: usize| {
-            let wstart = telemetry::maybe_now();
-            let mut actor = Actor::new(policy, value);
-            loop {
-                // Claim an episode and mark it in-flight under the queue
-                // lock, so a panic can never lose an episode between the
-                // two updates (in_flight stores index+1; 0 means idle).
-                let e = {
-                    let mut q = lock_recover(&queue);
-                    match q.pop_front() {
-                        Some(e) => {
-                            in_flight[w].store(e as u64 + 1, Ordering::SeqCst);
-                            e
-                        }
-                        None => break,
-                    }
-                };
-                let mut env = lock_recover(&env_slots[w]);
-                let episode = base_episode + e as u64;
-                let mut rng = StdRng::seed_from_u64(episode_seed(seed, episode));
-                let obs = env.reset_to(episode);
-                let out = actor.run_episode(env.as_mut(), obs, &mut rng, max_episode_len);
-                drop(env);
-                *lock_recover(&results[e]) = Some(out);
-                in_flight[w].store(0, Ordering::SeqCst);
-            }
-            if let Some(t) = wstart {
-                busy_ns[w].fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        };
-        let spawn = |w: usize| scope.spawn(move || worker(w));
-        let mut handles: Vec<_> = (0..workers).map(|w| (w, spawn(w))).collect();
-        // Round-based supervision: join everything, respawn what panicked,
-        // repeat until a round ends with no casualties.
-        while !handles.is_empty() {
-            let mut next = Vec::new();
-            for (w, h) in handles {
-                if h.join().is_ok() {
-                    continue;
-                }
-                respawns += 1;
-                let dying = in_flight[w].swap(0, Ordering::SeqCst);
-                if dying != 0 {
-                    let e = (dying - 1) as usize;
-                    let tries = attempts[e].fetch_add(1, Ordering::SeqCst) + 1;
-                    if tries > MAX_EPISODE_RETRIES {
-                        failed.push(base_episode + e as u64);
-                    } else {
-                        lock_recover(&queue).push_front(e);
-                    }
-                }
-                next.push((w, spawn(w)));
-            }
-            handles = next;
-        }
-    });
-
-    if let Some(t) = batch_start {
-        let wall = t.elapsed().as_nanos() as u64;
-        telemetry::observe("rollout.batch_ns", "", wall);
-        for (w, busy) in busy_ns.iter().enumerate() {
-            let busy = busy.load(Ordering::Relaxed);
-            let label = format!("w{w}");
-            telemetry::counter("rollout.worker_busy_ns", &label).add(busy);
-            let util = if wall > 0 {
-                busy as f64 / wall as f64
-            } else {
-                0.0
-            };
-            telemetry::gauge("rollout.worker_util", &label).set(util);
-        }
-    }
-
-    failed.sort_unstable();
-    failed.dedup();
-    let mut out = SupervisedBatch {
-        failed_episodes: failed,
-        worker_respawns: respawns,
-        ..SupervisedBatch::default()
-    };
-    telemetry::incr("rollout.worker_respawns", "", out.worker_respawns);
-    let skipped = out.failed_episodes.len() as u64;
-    telemetry::incr("rollout.failed_episodes", "", skipped);
-    for (e, slot) in results.iter().enumerate() {
-        if out.failed_episodes.contains(&(base_episode + e as u64)) {
-            continue;
-        }
-        if let Some((transitions, ep_return)) = lock_recover(slot).take() {
-            out.batch.transitions.extend(transitions);
-            out.batch.episode_returns.push(ep_return);
-        }
-    }
-    out
-}
-
-/// Collect episodes `base_episode .. base_episode + n_episodes` on a pool
-/// of worker threads — one per environment in `envs`.
-///
-/// The supervised pool (`collect_episodes_supervised`), keeping only the
-/// batch: with no faults it is
-/// bit-identical to [`collect_episodes`] for any worker count, and under
-/// faults it degrades gracefully (panicking episodes are retried, then
-/// skipped) instead of aborting the run.
+/// wall) in `rollout.worker_util{w<i>}` gauges. Panicked attempts are
+/// counted in `rollout.episode_panics` and skipped episodes in
+/// `rollout.failed_episodes`.
 pub fn collect_episodes_parallel(
     envs: &mut [Box<dyn Environment + Send>],
     policy: &Mlp,
@@ -410,16 +270,62 @@ pub fn collect_episodes_parallel(
     max_episode_len: usize,
     seed: u64,
 ) -> Batch {
-    collect_episodes_supervised(
-        envs,
-        policy,
-        value,
-        n_episodes,
-        base_episode,
-        max_episode_len,
-        seed,
-    )
-    .batch
+    assert!(!envs.is_empty(), "need at least one worker environment");
+    let batch_start = telemetry::maybe_now();
+    let next = AtomicUsize::new(0);
+    // One thread's share: claim episodes until none is left, then hand
+    // back its busy time and every episode it claimed — `None` for one
+    // that panicked on every attempt.
+    let worker = |env: &mut Box<dyn Environment + Send>| {
+        let start = telemetry::maybe_now();
+        let mut actor = Actor::new(policy, value);
+        // One attempt at episode `e`, `None` if it panicked.
+        let mut attempt = |e: usize| {
+            let episode = base_episode + e as u64;
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut rng = StdRng::seed_from_u64(episode_seed(seed, episode));
+                let obs = env.reset_to(episode);
+                actor.run_episode(env.as_mut(), obs, &mut rng, max_episode_len)
+            }))
+            .map_err(|_| telemetry::incr("rollout.episode_panics", "", 1))
+            .ok()
+        };
+        let done: Vec<_> = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+            .take_while(|&e| e < n_episodes)
+            .map(|e| (e, (0..=MAX_EPISODE_RETRIES).find_map(|_| attempt(e))))
+            .collect();
+        (start.map_or(0, |t| t.elapsed().as_nanos() as u64), done)
+    };
+    let workers: Vec<_> = std::thread::scope(|scope| {
+        let spawn = |env| scope.spawn(move || worker(env));
+        let handles: Vec<_> = envs.iter_mut().map(spawn).collect();
+        // A panic outside every attempt ends the call with its payload.
+        let join = |h: ScopedJoinHandle<_>| h.join().unwrap_or_else(|p| resume_unwind(p));
+        handles.into_iter().map(join).collect()
+    });
+
+    if let Some(t) = batch_start {
+        let wall = t.elapsed().as_nanos() as u64;
+        telemetry::observe("rollout.batch_ns", "", wall);
+        for (w, &(busy, _)) in workers.iter().enumerate() {
+            let label = format!("w{w}");
+            telemetry::counter("rollout.worker_busy_ns", &label).add(busy);
+            // A zero-length batch has no busy time either: 0 / 1.
+            let util = busy as f64 / wall.max(1) as f64;
+            telemetry::gauge("rollout.worker_util", &label).set(util);
+        }
+    }
+
+    let mut episodes: Vec<_> = workers.into_iter().flat_map(|(_, done)| done).collect();
+    episodes.sort_unstable_by_key(|&(e, _)| e);
+    let mut batch = Batch::default();
+    for (transitions, ep_return) in episodes.into_iter().filter_map(|(_, result)| result) {
+        batch.transitions.extend(transitions);
+        batch.episode_returns.push(ep_return);
+    }
+    let failed = n_episodes - batch.episode_returns.len();
+    telemetry::incr("rollout.failed_episodes", "", failed as u64);
+    batch
 }
 
 /// Compute GAE(λ) advantages and discounted returns for a batch.
@@ -466,7 +372,10 @@ mod tests {
     use super::*;
     use crate::env::ChainEnv;
     use autophase_nn::Activation;
+    use autophase_telemetry::lock_recover;
     use rand::SeedableRng;
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn collect_fills_horizon() {
@@ -563,37 +472,54 @@ mod tests {
         }
     }
 
-    /// A deterministic-but-flaky env: panics when asked to reset to an
-    /// episode in `panic_episodes` whose per-episode attempt budget is not
-    /// yet exhausted. Attempt counts live in shared state so retries (on a
-    /// respawned worker) observe earlier attempts.
-    type PanicPlan = std::sync::Arc<Mutex<std::collections::HashMap<u64, u32>>>;
+    /// Where an injected panic strikes in an episode: in `reset_to`, or
+    /// right after the environment took the episode's `k`-th step
+    /// (0-based), before the transition is recorded.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum At {
+        Reset,
+        Step(usize),
+    }
 
+    /// Per episode: where it panics and how many attempts panic before
+    /// one succeeds. Shared by a pool's environments, so an attempt sees
+    /// what earlier attempts of its episode used up wherever they ran.
+    type PanicPlan = Arc<Mutex<HashMap<u64, (At, u32)>>>;
+
+    /// A deterministic-but-flaky env: panics where its plan says, until
+    /// the episode's panic budget is spent.
     struct FlakyEnv {
         inner: ChainEnv,
-        /// (episode, attempts that panic before one succeeds)
-        panic_episodes: PanicPlan,
+        plan: PanicPlan,
+        episode: u64,
+        steps: usize,
     }
 
     impl FlakyEnv {
-        fn pool(
-            workers: usize,
-            plan: &[(u64, u32)],
-        ) -> (Vec<Box<dyn Environment + Send>>, PanicPlan) {
-            let shared = std::sync::Arc::new(Mutex::new(
-                plan.iter()
-                    .copied()
-                    .collect::<std::collections::HashMap<_, _>>(),
+        fn pool(workers: usize, plan: &[(u64, At, u32)]) -> Vec<Box<dyn Environment + Send>> {
+            let plan: PanicPlan = Arc::new(Mutex::new(
+                plan.iter().map(|&(e, at, n)| (e, (at, n))).collect(),
             ));
-            let envs = (0..workers)
+            (0..workers)
                 .map(|_| {
                     Box::new(FlakyEnv {
                         inner: ChainEnv::new(vec![0, 1], 2),
-                        panic_episodes: std::sync::Arc::clone(&shared),
+                        plan: Arc::clone(&plan),
+                        episode: 0,
+                        steps: 0,
                     }) as Box<dyn Environment + Send>
                 })
-                .collect();
-            (envs, shared)
+                .collect()
+        }
+
+        fn strike(&self, at: At) {
+            let mut plan = lock_recover(&self.plan);
+            if let Some((planned, left)) = plan.get_mut(&self.episode) {
+                if *planned == at && *left > 0 {
+                    *left -= 1;
+                    std::panic::panic_any("flaky env: injected episode panic");
+                }
+            }
         }
     }
 
@@ -608,19 +534,15 @@ mod tests {
             self.inner.reset()
         }
         fn reset_to(&mut self, episode: u64) -> Vec<f64> {
-            {
-                let mut plan = lock_recover(&self.panic_episodes);
-                if let Some(left) = plan.get_mut(&episode) {
-                    if *left > 0 {
-                        *left -= 1;
-                        std::panic::panic_any("flaky env: injected worker panic");
-                    }
-                }
-            }
+            (self.episode, self.steps) = (episode, 0);
+            self.strike(At::Reset);
             self.inner.reset_to(episode)
         }
         fn step(&mut self, action: usize) -> crate::env::StepResult {
-            self.inner.step(action)
+            let out = self.inner.step(action);
+            self.strike(At::Step(self.steps));
+            self.steps += 1;
+            out
         }
     }
 
@@ -644,37 +566,37 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_respawns_workers_and_retries_episodes() {
+    fn panicked_attempts_are_retried_in_place() {
+        let _g = telemetry::test_guard();
         quiet_flaky_panics();
         let policy = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
         let value = Mlp::new(&[3, 8, 1], Activation::Tanh, 2);
         let mut env = ChainEnv::new(vec![0, 1], 2);
         let reference = collect_episodes(&mut env, &policy, &value, 9, 0, 50, 41);
         for workers in [1usize, 2, 3] {
-            // Episodes 2 and 6 each panic once, then succeed on retry.
-            let (mut envs, _) = FlakyEnv::pool(workers, &[(2, 1), (6, 1)]);
-            let sup = collect_episodes_supervised(&mut envs, &policy, &value, 9, 0, 50, 41);
-            assert!(
-                sup.worker_respawns >= 2,
-                "expected ≥2 respawns with {workers} workers, got {}",
-                sup.worker_respawns
-            );
-            assert!(sup.failed_episodes.is_empty());
+            // Episodes 2 and 6 panic once in `reset_to`; episode 4 panics
+            // twice after its second step, with one transition already
+            // collected and the environment stepped past it. Every one
+            // succeeds on a retry.
+            let plan = [(2, At::Reset, 1), (6, At::Reset, 1), (4, At::Step(1), 2)];
+            let mut envs = FlakyEnv::pool(workers, &plan);
+            telemetry::enable();
+            telemetry::reset();
+            let batch = collect_episodes_parallel(&mut envs, &policy, &value, 9, 0, 50, 41);
+            let panics = telemetry::counter("rollout.episode_panics", "").value();
+            let skipped = telemetry::counter("rollout.failed_episodes", "").value();
+            telemetry::disable();
+            assert_eq!(panics, 4, "every planned panic, at {workers} workers");
+            assert_eq!(skipped, 0);
             // Retried episodes are deterministic, so the recovered batch is
             // bit-identical to the fault-free serial reference.
-            assert_eq!(reference.episode_returns, sup.batch.episode_returns);
-            assert_eq!(reference.transitions.len(), sup.batch.transitions.len());
-            for (s, p) in reference.transitions.iter().zip(&sup.batch.transitions) {
-                assert_eq!(
-                    (s.action, s.reward, s.logp, s.value, s.done, &s.obs),
-                    (p.action, p.reward, p.logp, p.value, p.done, &p.obs)
-                );
-            }
+            assert_eq!(reference.episode_returns, batch.episode_returns);
+            assert_eq!(reference.transitions, batch.transitions);
         }
     }
 
     #[test]
-    fn supervisor_skips_episodes_that_exhaust_retries() {
+    fn episodes_that_exhaust_retries_are_skipped() {
         let _g = telemetry::test_guard();
         quiet_flaky_panics();
         telemetry::enable();
@@ -684,17 +606,15 @@ mod tests {
         let mut env = ChainEnv::new(vec![0, 1], 2);
         let reference = collect_episodes(&mut env, &policy, &value, 6, 0, 50, 13);
         // Episode 3 panics on every attempt (budget far above retry cap).
-        let (mut envs, _) = FlakyEnv::pool(2, &[(3, u32::MAX)]);
-        let sup = collect_episodes_supervised(&mut envs, &policy, &value, 6, 0, 50, 13);
+        let mut envs = FlakyEnv::pool(2, &[(3, At::Reset, u32::MAX)]);
+        let batch = collect_episodes_parallel(&mut envs, &policy, &value, 6, 0, 50, 13);
         let skipped = telemetry::counter("rollout.failed_episodes", "").value();
-        let respawns = telemetry::counter("rollout.worker_respawns", "").value();
+        let panics = telemetry::counter("rollout.episode_panics", "").value();
         telemetry::disable();
-        assert_eq!(sup.failed_episodes, vec![3]);
         assert_eq!(skipped, 1, "each skipped episode is counted once");
-        assert_eq!(sup.worker_respawns, 3); // initial attempt + 2 retries
-        assert_eq!(respawns, sup.worker_respawns, "the batch's respawns");
+        assert_eq!(panics, 3, "the first attempt and both retries");
         // The other five episodes match the reference exactly.
-        assert_eq!(sup.batch.episode_returns.len(), 5);
+        assert_eq!(batch.episode_returns.len(), 5);
         let expected: Vec<f64> = reference
             .episode_returns
             .iter()
@@ -702,22 +622,7 @@ mod tests {
             .filter(|(e, _)| *e != 3)
             .map(|(_, r)| *r)
             .collect();
-        assert_eq!(sup.batch.episode_returns, expected);
-    }
-
-    #[test]
-    fn supervisor_matches_parallel_wrapper_without_faults() {
-        let policy = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
-        let value = Mlp::new(&[3, 8, 1], Activation::Tanh, 2);
-        let mut envs: Vec<Box<dyn Environment + Send>> = (0..3)
-            .map(|_| Box::new(ChainEnv::new(vec![0, 1], 2)) as Box<dyn Environment + Send>)
-            .collect();
-        let sup = collect_episodes_supervised(&mut envs, &policy, &value, 7, 2, 50, 99);
-        assert_eq!(sup.worker_respawns, 0);
-        assert!(sup.failed_episodes.is_empty());
-        let wrapped = collect_episodes_parallel(&mut envs, &policy, &value, 7, 2, 50, 99);
-        assert_eq!(sup.batch.episode_returns, wrapped.episode_returns);
-        assert_eq!(sup.batch.transitions.len(), wrapped.transitions.len());
+        assert_eq!(batch.episode_returns, expected);
     }
 
     #[test]
