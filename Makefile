@@ -186,7 +186,9 @@ pass-golden:
 
 # What keeps the fast paths honest (DESIGN.md §4f, §4k, §4m): the
 # differential suite proves the per-function caches are bit-invisible
-# across every Table-1 pass, the scaling guards keep the pass kernels,
+# across every Table-1 pass and holds the fact-backed module fingerprint
+# to the from-scratch fold of every function's and global's hash, the
+# scaling guards keep the pass kernels,
 # the block scheduler and parse + print linear in the size of their
 # input, the trajectory golden holds the batched
 # training kernels to the weights the per-sample backward and scalar

@@ -23,7 +23,7 @@
 //! else — a miscompile that deletes work would otherwise read as a
 //! speedup — scores [`UNPROFILEABLE_CYCLES`].
 
-use crate::eval_cache::{EvalCache, ModuleFingerprints, DEFAULT_CAPACITY};
+use crate::eval_cache::{fingerprint_module, EvalCache, DEFAULT_CAPACITY};
 use autophase_hls::{HlsConfig, HlsError, HlsReport, ScheduleCache};
 use autophase_ir::Module;
 use autophase_passes::checked::{apply_sequence_checked, FuelBudget};
@@ -85,24 +85,8 @@ impl Input {
     /// sharer has profiled costs this input no sample. All sharers must
     /// profile under one `HlsConfig`.
     pub fn with_cache(program: &Module, hls: &HlsConfig, cache: Arc<EvalCache>) -> Input {
-        Input::profiled(program, &ModuleFingerprints::new(program), hls, cache)
-    }
-
-    /// [`Input::new`] for a program whose fingerprints the caller has
-    /// already taken (`fps` of exactly `program`), so they are not taken
-    /// twice.
-    pub fn fingerprinted(program: &Module, fps: &ModuleFingerprints, hls: &HlsConfig) -> Input {
-        Input::profiled(program, fps, hls, private_cache())
-    }
-
-    fn profiled(
-        program: &Module,
-        fps: &ModuleFingerprints,
-        hls: &HlsConfig,
-        cache: Arc<EvalCache>,
-    ) -> Input {
         let mut input = Input::unprofiled(program, hls, cache, None);
-        let (profile, _) = input.evaluate(program, fps);
+        let (profile, _) = input.evaluate(program);
         input.profile = Some(profile);
         input
     }
@@ -133,25 +117,17 @@ impl Input {
         }
     }
 
-    /// The one miss path: the profiler's report on `m` (fingerprinted as
-    /// `fps`) and its [`score`]. A module in the memo costs nothing; any
-    /// other is profiled, which is one sample, and its report memoized
-    /// unless the profile failed. A sample that lowers the best score so
-    /// far is a point of the curve.
-    pub(crate) fn evaluate(
-        &mut self,
-        m: &Module,
-        fps: &ModuleFingerprints,
-    ) -> (Result<Arc<HlsReport>, HlsError>, u64) {
-        let fp = fps.value();
+    /// The one miss path: the profiler's report on `m` and its [`score`].
+    /// A module in the memo costs nothing; any other is profiled, which is
+    /// one sample, and its report memoized unless the profile failed. A
+    /// sample that lowers the best score so far is a point of the curve.
+    pub(crate) fn evaluate(&mut self, m: &Module) -> (Result<Arc<HlsReport>, HlsError>, u64) {
+        let fp = fingerprint_module(m);
         let (report, miss) = match self.cache.get(fp) {
             Some(report) => (Ok(report), false),
             None => {
                 self.samples += 1;
-                let report =
-                    autophase_hls::profile_module_cached(m, &self.hls, &mut self.sched, |f| {
-                        fps.func_fp(f).expect("live function has a fingerprint")
-                    })
+                let report = autophase_hls::profile_module_cached(m, &self.hls, &mut self.sched)
                     .map(Arc::new);
                 if let Ok(report) = &report {
                     self.cache.insert(fp, Arc::clone(report));
@@ -197,7 +173,7 @@ impl Input {
     /// [`score`] `m`, compiled from this input: a module or an input the
     /// profiler cannot run reads [`UNPROFILEABLE_CYCLES`].
     pub fn score(&mut self, m: &Module) -> u64 {
-        self.evaluate(m, &ModuleFingerprints::new(m)).1
+        self.evaluate(m).1
     }
 
     /// Apply `seq` to a copy of the program under `fuel` and score the

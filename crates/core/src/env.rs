@@ -4,17 +4,17 @@
 //! own [`Input`], built at the program's first episode on the
 //! environment's [`EvalCache`]: the reset reads the program's own profile,
 //! and every step that changed the module asks its input in
-//! [`PhaseOrderEnv::cycles`] — one memo lookup by the incrementally kept
+//! [`PhaseOrderEnv::cycles`] — one memo lookup by the module's content
 //! fingerprint, one profile and one sample on a miss, and the one scoring
 //! rule ([`crate::compile::score`]). A step whose module no longer returns
 //! the program's result — another result, or none within the profiler's
 //! fuel — is rolled back and paid nothing, like a faulted pass.
 
 use crate::compile::{private_cache, Input, UNPROFILEABLE_CYCLES};
-use crate::eval_cache::{EvalCache, ModuleFingerprints};
-use crate::incremental::IncrementalEval;
+use crate::eval_cache::{fingerprint_module, EvalCache};
 use crate::quarantine::Quarantine;
-use crate::step::Step;
+use crate::step::{resync_features, Step};
+use autophase_features::IncrementalFeatures;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
 use autophase_passes::registry;
@@ -131,16 +131,12 @@ pub struct PhaseOrderEnv {
     inputs: Vec<Option<Input>>,
     /// Shared repeat-offender table; `None` disables masking.
     quarantine: Option<Arc<Quarantine>>,
-    /// Fingerprint of the episode's pristine program (the quarantine's
-    /// key).
-    current_fp: u64,
-    /// Incremental fingerprint/feature state, always synced with
-    /// `current`.
-    inc: IncrementalEval,
-    /// Lazily built pristine [`IncrementalEval`] per program, cloned into
-    /// `inc` at reset so episode starts cost O(#functions) copies instead
-    /// of a full re-extraction.
-    inc_templates: Vec<Option<IncrementalEval>>,
+    /// The feature decomposition, always synced with `current`.
+    inc: IncrementalFeatures,
+    /// Lazily built pristine [`IncrementalFeatures`] per program, cloned
+    /// into `inc` at reset so episode starts cost O(#functions) copies
+    /// instead of a full re-extraction.
+    inc_templates: Vec<Option<IncrementalFeatures>>,
     /// Index in `programs` of the episode's program (unlike
     /// `program_cursor`, which already points at the *next* episode's).
     episode_program: usize,
@@ -157,7 +153,7 @@ impl PhaseOrderEnv {
         assert!(!programs.is_empty(), "need at least one program");
         let current = programs[0].clone();
         let step = Step::new(&cfg);
-        let inc = IncrementalEval::new(&current);
+        let inc = IncrementalFeatures::new(&current);
         let mut inc_templates = vec![None; programs.len()];
         inc_templates[0] = Some(inc.clone());
         PhaseOrderEnv {
@@ -174,7 +170,6 @@ impl PhaseOrderEnv {
             episode_done: false,
             cache: private_cache(),
             quarantine: None,
-            current_fp: inc.module_fp(),
             inc,
             episode_program: 0,
         }
@@ -229,12 +224,18 @@ impl PhaseOrderEnv {
             return Vec::new();
         };
         let actions = self.step.actions();
-        let masked = q.masked_among(self.current_fp, actions);
+        let masked = q.masked_among(self.program_fp(), actions);
         actions
             .iter()
             .zip(masked)
             .filter_map(|(&pass, masked)| masked.then_some(pass))
             .collect()
+    }
+
+    /// Fingerprint of the episode's pristine program: the quarantine's
+    /// key.
+    fn program_fp(&self) -> u64 {
+        fingerprint_module(&self.programs[self.episode_program])
     }
 
     /// The action index list (Table-1 ids) this environment exposes.
@@ -245,13 +246,13 @@ impl PhaseOrderEnv {
 
     /// The episode program's evaluator — built at the program's first
     /// episode, which profiles it through the environment's cache — with
-    /// the current state and its fingerprints.
-    fn evaluator(&mut self) -> (&mut Input, &Module, &ModuleFingerprints) {
+    /// the current state.
+    fn evaluator(&mut self) -> (&mut Input, &Module) {
         let idx = self.episode_program;
         let (program, hls, cache) = (&self.programs[idx], &self.cfg.hls, &self.cache);
         let input = self.inputs[idx]
             .get_or_insert_with(|| Input::with_cache(program, hls, Arc::clone(cache)));
-        (input, &self.current, self.inc.fingerprints())
+        (input, &self.current)
     }
 
     /// The cycle count of the current module state, as the episode
@@ -259,8 +260,8 @@ impl PhaseOrderEnv {
     /// that returns another result than the program, reads
     /// [`UNPROFILEABLE_CYCLES`].
     pub fn cycles(&mut self) -> u64 {
-        let (input, m, fps) = self.evaluator();
-        input.evaluate(m, fps).1
+        let (input, m) = self.evaluator();
+        input.evaluate(m).1
     }
 
     /// Profiler runs so far: the sum of the programs' [`Input::samples`].
@@ -285,11 +286,10 @@ impl PhaseOrderEnv {
         &self.current
     }
 
-    /// The per-function incremental state (fingerprints + feature
-    /// decomposition). Exposed so invariant suites (chaos, differential)
-    /// can assert it stays in lock-step with the module through faults
-    /// and rollbacks.
-    pub fn incremental_state(&self) -> &IncrementalEval {
+    /// The per-function feature decomposition. Exposed so invariant
+    /// suites (chaos, differential) can assert it stays in lock-step with
+    /// the module through faults and rollbacks.
+    pub fn incremental_state(&self) -> &IncrementalFeatures {
         &self.inc
     }
 
@@ -297,8 +297,7 @@ impl PhaseOrderEnv {
     /// incremental total is maintained to equal `extract(&self.current)`
     /// at all times, so serving it replaces a full module walk with a copy.
     fn observe(&self) -> Vec<f64> {
-        self.step
-            .observe(self.inc.features(), &self.action_histogram)
+        self.step.observe(self.inc.total(), &self.action_histogram)
     }
 
     fn reward(&self, prev: u64, cur: u64) -> f64 {
@@ -331,9 +330,8 @@ impl Environment for PhaseOrderEnv {
         // First episode on this program: pay one full extraction, then
         // every later reset clones the finished decomposition.
         self.inc = self.inc_templates[idx]
-            .get_or_insert_with(|| IncrementalEval::new(&self.programs[idx]))
+            .get_or_insert_with(|| IncrementalFeatures::new(&self.programs[idx]))
             .clone();
-        self.current_fp = self.inc.module_fp();
         self.program_cursor = (self.program_cursor + 1) % self.programs.len();
         self.steps_taken = 0;
         self.action_histogram = vec![0.0; self.num_actions()];
@@ -369,7 +367,7 @@ impl Environment for PhaseOrderEnv {
         let quarantined = self
             .quarantine
             .as_ref()
-            .is_some_and(|q| q.is_quarantined(self.current_fp, pass_id));
+            .is_some_and(|q| q.is_quarantined(self.program_fp(), pass_id));
 
         // Poll the injection plan at the step level (not inside the
         // apply): masked actions never attempt an apply, so they don't
@@ -398,7 +396,7 @@ impl Environment for PhaseOrderEnv {
                 // exact pre-pass module, which `inc` already describes.
                 Ok((changed, cs)) => {
                     if changed {
-                        self.inc.apply(&self.current, &cs);
+                        resync_features(&mut self.inc, &self.current, &cs);
                     }
                     (changed, false)
                 }
@@ -427,7 +425,7 @@ impl Environment for PhaseOrderEnv {
             // result's by the scoring rule); here only the offender
             // ledger is updated.
             if let Some(q) = &self.quarantine {
-                q.record_fault(self.current_fp, pass_id);
+                q.record_fault(self.program_fp(), pass_id);
             }
         }
         self.action_histogram[action] += 1.0;

@@ -12,8 +12,9 @@
 //! # Key
 //!
 //! The key is the module's **content fingerprint**
-//! ([`fingerprint_module`], which the environment maintains incrementally
-//! as [`ModuleFingerprints`]). Content addressing makes the memo blind to
+//! ([`fingerprint_module`], whose per-function hashes are facts of each
+//! function version, so a step that rewrote one function hashes one).
+//! Content addressing makes the memo blind to
 //! everything but the module: which pass sequence produced it, which
 //! worker, which action table, and whether a faulted pass was rolled back
 //! on the way (a rolled-back module is bit-identical to its pre-pass
@@ -35,92 +36,13 @@
 
 use autophase_hls::profile::HlsReport;
 use autophase_ir::fingerprint::mix64 as mix;
-use autophase_ir::Module;
 pub use autophase_telemetry::CacheStats;
 use autophase_telemetry::{lock_recover, BoundedMap, MapCounters};
 use std::sync::{Arc, Mutex};
 
-/// Fingerprint of a module's current state: an order-sensitive combine of
-/// its name, per-slot global fingerprints, and per-slot function
-/// fingerprints (see [`autophase_ir::fingerprint`]). Because the value is
-/// composed from per-slot hashes, an incremental maintainer
-/// ([`ModuleFingerprints`]) can re-hash only dirty slots and arrive at
-/// exactly this value.
-pub fn fingerprint_module(m: &Module) -> u64 {
-    autophase_ir::fingerprint::fingerprint_module(m)
-}
-
-/// Incrementally maintained per-slot function fingerprints plus the
-/// combined module value.
-///
-/// [`ModuleFingerprints::update`] re-hashes only the functions a pass
-/// dirtied (per the pass layer's `ChangeSet`); structural or global
-/// changes route through [`ModuleFingerprints::rebuild`]. The combined
-/// value always equals [`fingerprint_module`] of the synced module, so
-/// content-addressed caches keyed either way agree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModuleFingerprints {
-    name_fp: u64,
-    globals_fp: u64,
-    per_func: Vec<Option<u64>>,
-}
-
-impl ModuleFingerprints {
-    /// Hash everything from scratch.
-    pub fn new(m: &Module) -> ModuleFingerprints {
-        let mut fps = ModuleFingerprints {
-            name_fp: 0,
-            globals_fp: 0,
-            per_func: Vec::new(),
-        };
-        fps.rebuild(m);
-        fps
-    }
-
-    /// Re-hash the whole module (structural changes, global mutations,
-    /// or first sync).
-    pub fn rebuild(&mut self, m: &Module) {
-        use autophase_ir::fingerprint::{
-            combine_slots, fingerprint_function, fingerprint_global, fnv1a,
-        };
-        self.name_fp = fnv1a(m.name.as_bytes());
-        self.globals_fp = combine_slots(
-            0x610B_A150_610B_A150,
-            (0..m.global_capacity()).map(|i| {
-                m.global_arc(autophase_ir::GlobalId::from_index(i))
-                    .map(|g| fingerprint_global(g))
-            }),
-        );
-        self.per_func.clear();
-        self.per_func.resize(m.func_capacity(), None);
-        for fid in m.func_ids() {
-            self.per_func[fid.index()] = Some(fingerprint_function(m.func(fid)));
-        }
-    }
-
-    /// Re-hash only `dirty` functions. Sound only for non-structural
-    /// changes that left globals untouched (the caller falls back to
-    /// [`ModuleFingerprints::rebuild`] otherwise).
-    pub fn update(&mut self, m: &Module, dirty: &[autophase_ir::FuncId]) {
-        use autophase_ir::fingerprint::fingerprint_function;
-        for &fid in dirty {
-            self.per_func[fid.index()] = Some(fingerprint_function(m.func(fid)));
-        }
-    }
-
-    /// The fingerprint of one function slot (`None` for empty slots).
-    pub fn func_fp(&self, fid: autophase_ir::FuncId) -> Option<u64> {
-        self.per_func.get(fid.index()).copied().flatten()
-    }
-
-    /// The combined module fingerprint — equal to [`fingerprint_module`]
-    /// of the module this state is synced with.
-    pub fn value(&self) -> u64 {
-        use autophase_ir::fingerprint::combine_slots;
-        let funcs_fp = combine_slots(0xF07C_F07C_F07C_F07C, self.per_func.iter().copied());
-        mix(self.name_fp ^ mix(self.globals_fp ^ mix(funcs_fp)))
-    }
-}
+/// The memo's key, at the path it has always had; its home is
+/// [`autophase_ir::fingerprint`].
+pub use autophase_ir::fingerprint::fingerprint_module;
 
 const COUNTERS: MapCounters = MapCounters {
     hit: ("evalcache.lookups", "hit"),
@@ -235,34 +157,6 @@ mod tests {
             insts_executed: 0,
             return_value: None,
         })
-    }
-
-    #[test]
-    fn incremental_fingerprints_match_full() {
-        use autophase_passes::changeset::apply_traced;
-        let mut m = autophase_benchmarks::suite()
-            .into_iter()
-            .find(|b| b.name == "gsm")
-            .unwrap()
-            .module;
-        let mut fps = ModuleFingerprints::new(&m);
-        assert_eq!(fps.value(), fingerprint_module(&m));
-        for pass in [38usize, 23, 33, 30, 31, 25, 9, 28] {
-            let (changed, cs) = apply_traced(&mut m, pass);
-            if !changed {
-                continue;
-            }
-            if cs.needs_full_rebuild() || cs.globals_changed() {
-                fps.rebuild(&m);
-            } else {
-                fps.update(&m, &cs.dirty_funcs);
-            }
-            assert_eq!(
-                fps.value(),
-                fingerprint_module(&m),
-                "divergence after pass {pass}"
-            );
-        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   the reward is the drop in LegUp-estimated cycle count (§5.1);
 //! * [`step`](mod@step) — the one statement of that step (action table,
 //!   observation recipe, checked transition) the environment and the
-//!   compile daemon's rollout both run;
+//!   compile daemon's rollout both run, and the one rule resyncing the
+//!   per-function feature decomposition from each checked apply's change
+//!   set, so each step's features cost what the pass changed;
 //! * [`compile`](mod@compile) — the one evaluator, [`compile::Input`]: a
 //!   program's orderings applied through the checked pass layer, one
 //!   profile per distinct module (a memo hit is free, a miss is a sample
@@ -21,9 +23,6 @@
 //! * [`eval_cache`] — the profile memo every [`compile::Input`] asks:
 //!   module content fingerprint → profiler report, sharded and
 //!   thread-safe so environments and workers can share one;
-//! * [`incremental`](mod@incremental) — per-function fingerprint and
-//!   feature memos, fed each checked apply's change set, making each
-//!   step's evaluation cost proportional to what the pass changed;
 //! * [`quarantine`] — the shared repeat-offender table that masks
 //!   `(program, pass)` pairs which keep faulting;
 //! * [`dataset`] — feature–action–reward tuple collection for the §4
@@ -42,7 +41,6 @@ pub mod dataset;
 pub mod env;
 pub mod eval_cache;
 pub mod experiment;
-pub mod incremental;
 pub mod multi;
 pub mod quarantine;
 pub mod report;
@@ -50,7 +48,6 @@ pub mod step;
 pub mod tune;
 
 pub use env::{ObservationKind, PhaseOrderEnv, RewardKind};
-pub use eval_cache::{CacheStats, EvalCache, ModuleFingerprints};
-pub use incremental::IncrementalEval;
+pub use eval_cache::{CacheStats, EvalCache};
 pub use quarantine::Quarantine;
 pub use tune::{tune, Effort, TuneResult};

@@ -12,13 +12,13 @@
 //!
 //! [`Step`] is the only statement of all three, built from an
 //! [`EnvConfig`]. The environment wraps it in what a trainer needs
-//! (program rotation, memos, fingerprints, reward); [`Walk`] is the thin
+//! (program rotation, the profile memo, reward); [`Walk`] is the thin
 //! driver for callers that need none of that — it keeps the feature total
 //! in sync through each change set and counts the histogram, nothing
-//! else. An action-space change is an edit to [`Step::new`]'s table.
+//! else. Both resync their features by one rule (`resync_features`). An
+//! action-space change is an edit to [`Step::new`]'s table.
 
 use crate::env::{EnvConfig, FeatureNorm, ObservationKind};
-use crate::incremental::resync_features;
 use autophase_features::{FeatureVector, IncrementalFeatures, FILTERED_FEATURES, NUM_FEATURES};
 use autophase_ir::Module;
 use autophase_passes::changeset::ChangeSet;
@@ -161,11 +161,25 @@ impl Step {
     }
 }
 
-/// One rollout over a module by a driver that keeps no fingerprints,
-/// memos or reward: only what an observation reads. The daemon serves
-/// through this; driving a whole `PhaseOrderEnv` per request would pay
-/// for a reset profile and fingerprints it never reads (measured at 2×
-/// the rollout, DESIGN.md §4g).
+/// The resync rule for a feature decomposition after a changing pass:
+/// re-extract the dirty functions, or everything when function slots or
+/// signatures moved (feature 16 reads callee return types, so even clean
+/// callers may shift). `m` must be the post-pass module and `feats` synced
+/// with the pre-pass one. The environment's step and [`Walk::step`] both
+/// resync through here.
+pub(crate) fn resync_features(feats: &mut IncrementalFeatures, m: &Module, cs: &ChangeSet) {
+    if cs.needs_full_rebuild() {
+        feats.rebuild(m);
+    } else {
+        feats.update(m, &cs.dirty_funcs);
+    }
+}
+
+/// One rollout over a module by a driver that keeps no memos or reward:
+/// only what an observation reads. The daemon serves through this;
+/// driving a whole `PhaseOrderEnv` per request would pay for a reset
+/// profile and cycle lookups it never reads (measured at 2× the rollout,
+/// DESIGN.md §4g).
 pub struct Walk<'a> {
     step: &'a Step,
     module: &'a mut Module,

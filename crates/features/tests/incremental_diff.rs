@@ -11,7 +11,10 @@
 //!   module, bit for bit;
 //! * profiling through the content-addressed per-function schedule cache
 //!   ([`ScheduleCache`]) must reproduce the uncached profile exactly —
-//!   cycles, FSM states, area, executed instructions, and return value.
+//!   cycles, FSM states, area, executed instructions, and return value;
+//! * the module fingerprint, whose per-function hashes are facts of each
+//!   function version, must equal the from-scratch fold of every
+//!   function's and global's hash.
 //!
 //! The corpus is the full benchmark suite plus generated programs (the
 //! same seeds as the pass-semantics suite), each in a pristine and a
@@ -21,10 +24,13 @@
 use autophase_features::{extract, IncrementalFeatures};
 use autophase_hls::profile::{profile_with_trace, profile_with_trace_cached};
 use autophase_hls::{HlsConfig, ScheduleCache};
-use autophase_ir::fingerprint::fingerprint_function;
+use autophase_ir::fingerprint::{
+    combine_slots, fingerprint_function, fingerprint_global, fingerprint_module, fnv1a, mix64,
+};
 use autophase_ir::interp::run_main;
-use autophase_ir::Module;
+use autophase_ir::{FuncId, GlobalId, Module};
 use autophase_passes::changeset::{apply_traced, ChangeSet};
+use autophase_passes::o3::O3_SEQUENCE;
 use autophase_passes::registry::{self, NUM_PASSES};
 use autophase_progen::{generate_valid, GenConfig};
 
@@ -81,8 +87,9 @@ fn incremental_features_match_full_extract_for_every_pass() {
             if changed {
                 sync_features(&mut inc, &m, &cs);
             } else {
-                assert!(
-                    cs.is_empty(),
+                assert_eq!(
+                    cs,
+                    ChangeSet::empty(),
                     "{label}: {} reported no change but a non-empty change set",
                     registry::pass_name(pass)
                 );
@@ -111,9 +118,7 @@ fn cached_cycles_match_full_profile_for_every_pass() {
             let trace = run_main(&m, FUEL)
                 .unwrap_or_else(|e| panic!("{label}: execution failed after pass {pass}: {e}"));
             let full = profile_with_trace(&m, &cfg, &trace);
-            let cached = profile_with_trace_cached(&m, &cfg, &trace, &mut cache, |fid| {
-                fingerprint_function(m.func(fid))
-            });
+            let cached = profile_with_trace_cached(&m, &cfg, &trace, &mut cache);
             assert_eq!(
                 full.cycles,
                 cached.cycles,
@@ -168,4 +173,84 @@ fn incremental_features_track_whole_episodes() {
             );
         }
     }
+}
+
+/// The module fingerprint hashed from scratch: the fold of every slot's
+/// function and global hash, with no fact store in between.
+fn fingerprint_from_scratch(m: &Module) -> u64 {
+    let globals = combine_slots(
+        0x610B_A150_610B_A150,
+        (0..m.global_capacity()).map(|i| {
+            m.global_arc(GlobalId::from_index(i))
+                .map(|g| fingerprint_global(g))
+        }),
+    );
+    let funcs = combine_slots(
+        0xF07C_F07C_F07C_F07C,
+        (0..m.func_capacity()).map(|i| {
+            m.func_arc(FuncId::from_index(i))
+                .map(|f| fingerprint_function(f))
+        }),
+    );
+    mix64(fnv1a(m.name.as_bytes()) ^ mix64(globals ^ mix64(funcs)))
+}
+
+#[test]
+fn fact_backed_fingerprint_matches_the_fold_for_every_pass() {
+    // The corpus again after -O3 too: no pass rewrites a global's
+    // initializer, -globalopt's constant marking always folds a load as
+    // well, and so the one change on this corpus that leaves every
+    // function as it was is -globaldce dropping a table -O3 left
+    // unreferenced (CHStone's blowfish, among others). The fingerprint
+    // must move for it all the same.
+    let mut states = corpus();
+    let optimized: Vec<(String, Module)> = states
+        .iter()
+        .map(|(name, m)| {
+            let mut o = m.clone();
+            for &p in O3_SEQUENCE {
+                registry::apply(&mut o, p);
+            }
+            (format!("{name}+O3"), o)
+        })
+        .collect();
+    states.extend(optimized);
+    let mut globals_only = 0;
+    for (label, m0) in states {
+        let fp0 = fingerprint_module(&m0);
+        assert_eq!(
+            fp0,
+            fingerprint_from_scratch(&m0),
+            "{label}: before any pass"
+        );
+        for pass in 0..NUM_PASSES {
+            let mut m = m0.clone();
+            let changed = registry::apply(&mut m, pass);
+            let fp = fingerprint_module(&m);
+            assert_eq!(
+                fp,
+                fingerprint_from_scratch(&m),
+                "{label}: fingerprint diverged after {}",
+                registry::pass_name(pass)
+            );
+            let funcs_clean = m.func_capacity() == m0.func_capacity()
+                && m0.func_ids().all(|id| {
+                    m.func_exists(id)
+                        && fingerprint_function(m.func(id)) == fingerprint_function(m0.func(id))
+                });
+            if changed && funcs_clean {
+                assert_ne!(
+                    fp,
+                    fp0,
+                    "{label}: {} changed only globals",
+                    registry::pass_name(pass)
+                );
+                globals_only += 1;
+            }
+        }
+    }
+    assert!(
+        globals_only > 0,
+        "no pass changed globals alone: the case above went uncovered"
+    );
 }

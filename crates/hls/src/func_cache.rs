@@ -12,7 +12,8 @@
 //!
 //! One cache instance is valid for exactly one [`HlsConfig`]; callers
 //! that profile under several configs must keep one cache per config
-//! (the phase-ordering environment owns one, matching its single config).
+//! (each `compile::Input` of the core crate owns one, matching the one
+//! config it profiles under).
 
 use crate::area::{estimate_function_area, AreaReport};
 use crate::schedule::{schedule_function, FunctionSchedule};

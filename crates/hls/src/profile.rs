@@ -112,11 +112,11 @@ fn report_from<E: Borrow<FuncEval>>(
 
 /// [`profile_module`] with a per-function schedule cache: clean functions
 /// (same content fingerprint) reuse their cached FSM schedule and area,
-/// so only dirty functions pay the list scheduler and binder. `fp_of`
-/// supplies the content fingerprint per function — callers that maintain
-/// incremental fingerprints (the phase-ordering environment) pass a memo
-/// lookup; others can pass
-/// `|fid| fingerprint_function(m.func(fid))`.
+/// so only dirty functions pay the list scheduler and binder. The key is
+/// the fingerprint fact of each function's version
+/// ([`Facts::fingerprint`](autophase_ir::facts::Facts::fingerprint)), so
+/// a function the caller already fingerprinted on this thread is not
+/// hashed again.
 ///
 /// Bit-identical to [`profile_module`] by construction: the cached values
 /// are exactly what `schedule_function` / `estimate_function_area`
@@ -130,12 +130,11 @@ pub fn profile_module_cached(
     m: &Module,
     cfg: &HlsConfig,
     cache: &mut ScheduleCache,
-    fp_of: impl FnMut(FuncId) -> u64,
 ) -> Result<HlsReport, HlsError> {
     let start = telemetry::maybe_now();
     let trace = run_main(m, cfg.profile_fuel)?;
     telemetry::observe_since("hls.trace_ns", "", start);
-    Ok(profile_with_trace_cached(m, cfg, &trace, cache, fp_of))
+    Ok(profile_with_trace_cached(m, cfg, &trace, cache))
 }
 
 /// [`profile_with_trace`] through the per-function schedule cache (see
@@ -145,10 +144,9 @@ pub fn profile_with_trace_cached(
     cfg: &HlsConfig,
     trace: &ExecTrace,
     cache: &mut ScheduleCache,
-    mut fp_of: impl FnMut(FuncId) -> u64,
 ) -> HlsReport {
     report_from(m, cfg, trace, |fid, f| {
-        cache.get_or_eval(fp_of(fid), f, cfg)
+        cache.get_or_eval(m.facts(fid).fingerprint(), f, cfg)
     })
 }
 
@@ -280,7 +278,6 @@ mod tests {
 
     #[test]
     fn cached_profile_bit_identical_to_full() {
-        use autophase_ir::fingerprint::fingerprint_function;
         let cfg = HlsConfig::default();
         let mut cache = ScheduleCache::default();
         for n in [5, 10, 50] {
@@ -288,15 +285,9 @@ mod tests {
             for pass in [38usize, 23, 30] {
                 autophase_passes::registry::apply(&mut m, pass);
                 let full = profile_module(&m, &cfg).unwrap();
-                let cached = profile_module_cached(&m, &cfg, &mut cache, |fid| {
-                    fingerprint_function(m.func(fid))
-                })
-                .unwrap();
+                let cached = profile_module_cached(&m, &cfg, &mut cache).unwrap();
                 // Same state again: must come entirely from the cache.
-                let again = profile_module_cached(&m, &cfg, &mut cache, |fid| {
-                    fingerprint_function(m.func(fid))
-                })
-                .unwrap();
+                let again = profile_module_cached(&m, &cfg, &mut cache).unwrap();
                 assert_eq!(full.cycles, again.cycles);
                 assert_eq!(full.cycles, cached.cycles);
                 assert_eq!(full.total_states, cached.total_states);

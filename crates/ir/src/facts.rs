@@ -3,10 +3,14 @@
 //! A pass, the verifier after it and the feature resync after that all
 //! ask the same questions of the same function: its [`Cfg`], its
 //! [`DomTree`], its loop forest and its reverse-use index ([`UserIndex`]).
-//! [`Module::facts`] answers them from one [`Facts`] per *version* of the
-//! function, each fact built on first request. One more slot holds what a
-//! dead-code sweep of the version kept; the sweep alone reads it
-//! ([`Facts::sweep_survivors`]).
+//! Every content-addressed cache asks one more: the function's content
+//! fingerprint ([`Facts::fingerprint`]), which
+//! [`fingerprint_module`](crate::fingerprint::fingerprint_module) folds
+//! into the module's key. [`Module::facts`] answers them all from one
+//! [`Facts`] per *version* of the function, each fact built on first
+//! request, so a function a pass left alone is never hashed again. One
+//! more slot holds what a dead-code sweep of the version kept; the sweep
+//! alone reads it ([`Facts::sweep_survivors`]).
 //!
 //! [`Module::facts`]: crate::module::Module::facts
 //! [`Module::func_mut`]: crate::module::Module::func_mut
@@ -34,12 +38,15 @@
 //!
 //! The store is per thread (a rollout runs on one thread) and holds at most
 //! [`CAPACITY`] entries; a new entry takes the place of one whose version
-//! is gone, else of the oldest. It has no option and changes no answer:
-//! like `hls::ScheduleCache`, it is invisible except in time.
+//! is gone, else of the oldest. A version asked about on a second thread
+//! is computed again there, its fingerprint included. It has no option
+//! and changes no answer: like `hls::ScheduleCache`, it is invisible
+//! except in time.
 
 use crate::cfg::Cfg;
 use crate::csr::Csr;
 use crate::dom::DomTree;
+use crate::fingerprint::fingerprint_function;
 use crate::function::{BlockId, Function, InstId};
 use crate::loops::{find_loops, Loop};
 use crate::value::Value;
@@ -63,6 +70,7 @@ pub struct Facts {
     dom: OnceCell<DomTree>,
     loops: OnceCell<Vec<Loop>>,
     users: OnceCell<UserIndex>,
+    fingerprint: OnceCell<u64>,
     survivors: OnceCell<Vec<InstId>>,
 }
 
@@ -74,6 +82,7 @@ impl Facts {
             dom: OnceCell::new(),
             loops: OnceCell::new(),
             users: OnceCell::new(),
+            fingerprint: OnceCell::new(),
             survivors: OnceCell::new(),
         }
     }
@@ -110,6 +119,13 @@ impl Facts {
     /// The reverse-use index.
     pub fn users(&self) -> &UserIndex {
         self.users.get_or_init(|| self.compute(UserIndex::build))
+    }
+
+    /// The content fingerprint ([`fingerprint_function`]).
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| self.compute(fingerprint_function))
     }
 
     /// The unused instructions the dead-code sweep of this version kept,
@@ -254,6 +270,27 @@ mod tests {
         assert!(!after.cfg().is_reachable(extra));
         // The old handle still reads what it computed.
         assert_eq!(before.loops().len(), 1);
+    }
+
+    #[test]
+    fn a_version_is_hashed_once() {
+        let mut m = looped();
+        let id = m.main().unwrap();
+        let before = m.facts(id);
+        let fp = before.fingerprint();
+        assert_eq!(fp, fingerprint_function(m.func(id)));
+        assert_eq!(before.fingerprint.get(), Some(&fp));
+        // A clone shares the version, and so the hash.
+        let copy = m.clone();
+        assert_eq!(copy.facts(id).fingerprint.get(), Some(&fp));
+        // A write yields a fresh version, hashed anew on request.
+        m.func_mut(id).name = "renamed".into();
+        let after = m.facts(id);
+        assert_eq!(after.fingerprint.get(), None);
+        assert_eq!(after.fingerprint(), fingerprint_function(m.func(id)));
+        assert_ne!(after.fingerprint(), fp);
+        // The clone still holds the old version and its hash.
+        assert_eq!(copy.facts(id).fingerprint(), fp);
     }
 
     #[test]

@@ -1,21 +1,26 @@
 //! Content fingerprints for functions, globals, and modules.
 //!
 //! These are the shared primitives behind every content-addressed cache
-//! in the workspace: the evaluation cache's module fingerprints, the HLS
-//! per-function schedule cache, and the incremental fingerprint memo all
-//! key off the values defined here, so they agree by construction.
+//! in the workspace: the evaluation cache and the daemon's store key off
+//! [`fingerprint_module`], the HLS per-function schedule cache off a
+//! function's fingerprint, so they agree by construction.
 //!
 //! A function's fingerprint hashes its printed form — the printer
-//! includes attributes precisely because they are semantic state. A
-//! global's fingerprint hashes its structural content directly (the
-//! printed form elides initializer values). A module's fingerprint is an
-//! order-sensitive combination of its name, global fingerprints, and
-//! per-slot function fingerprints, which is what lets an incremental
-//! maintainer re-hash only dirty slots and still produce the same value
-//! as hashing from scratch.
+//! includes attributes precisely because they are semantic state. It is a
+//! fact of the function's version ([`Facts::fingerprint`]): computed at
+//! most once per version and thread, and shared by every clone of the
+//! module that holds that version. A global's fingerprint hashes its
+//! structural content directly (the printed form elides initializer
+//! values); globals are few and small, so they are hashed on every call.
+//! A module's fingerprint is an order-sensitive combination of its name,
+//! per-slot global fingerprints, and per-slot function fingerprints, so a
+//! module a pass rewrote in one function costs one function hash.
+//!
+//! [`Facts::fingerprint`]: crate::facts::Facts::fingerprint
 
+use crate::facts;
 use crate::function::Function;
-use crate::module::{Global, Module};
+use crate::module::{FuncId, Global, GlobalId, Module};
 use crate::printer::write_function;
 use std::fmt;
 
@@ -92,21 +97,22 @@ pub fn combine_slots(seed: u64, slots: impl Iterator<Item = Option<u64>>) -> u64
 }
 
 /// Fingerprint of a module's current state, defined as the combination
-/// of its name, global fingerprints, and per-slot function fingerprints.
+/// of its name, per-slot global fingerprints, and per-slot function
+/// fingerprints, each function's read from its version's facts.
 pub fn fingerprint_module(m: &Module) -> u64 {
     let name_fp = fnv1a(m.name.as_bytes());
     let globals_fp = combine_slots(
         0x610B_A150_610B_A150,
         (0..m.global_capacity()).map(|i| {
-            m.global_arc(crate::module::GlobalId::from_index(i))
+            m.global_arc(GlobalId::from_index(i))
                 .map(|g| fingerprint_global(g))
         }),
     );
     let funcs_fp = combine_slots(
         0xF07C_F07C_F07C_F07C,
         (0..m.func_capacity()).map(|i| {
-            m.func_arc(crate::module::FuncId::from_index(i))
-                .map(|f| fingerprint_function(f))
+            m.func_arc(FuncId::from_index(i))
+                .map(|f| facts::of(f).fingerprint())
         }),
     );
     mix64(name_fp ^ mix64(globals_fp ^ mix64(funcs_fp)))

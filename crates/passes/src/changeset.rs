@@ -2,9 +2,11 @@
 //!
 //! Every pass application can report a [`ChangeSet`]: which function slots
 //! it actually rewrote, whether it added/removed functions or globals, and
-//! whether any signature changed. Downstream consumers (per-function
-//! feature caches, schedule caches, fingerprint memos, the dirty-only
-//! verifier) use this to touch only what changed.
+//! whether any signature changed. Its readers — the dirty-only verifier
+//! of the checked layer and the per-function feature resync — use this to
+//! touch only what changed. Content-addressed caches need no change set:
+//! a function's fingerprint is a fact of its version
+//! (`autophase_ir::facts`), and a version a pass left alone keeps it.
 //!
 //! Correctness never depends on pass honesty: [`ChangeSet::between`]
 //! derives the change set from the modules themselves. A clone taken
@@ -22,7 +24,8 @@ use autophase_ir::module::{FuncId, GlobalId};
 use autophase_ir::{Function, Module};
 use std::sync::Arc;
 
-/// What one pass application changed, at function/global granularity.
+/// What one pass application changed, at function granularity, and
+/// whether global slots moved.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChangeSet {
     /// Live functions whose bodies (or signatures) differ from the
@@ -31,8 +34,6 @@ pub struct ChangeSet {
     /// A function slot was added or removed (`-inline` dropping a callee,
     /// `-partial-inliner` outlining a new function, `-globaldce`).
     pub structural_funcs: bool,
-    /// Live globals whose contents differ from the pre-pass module.
-    pub dirty_globals: Vec<GlobalId>,
     /// A global slot was added or removed.
     pub structural_globals: bool,
     /// Some dirty function's externally visible signature (name, params,
@@ -47,28 +48,6 @@ impl ChangeSet {
         ChangeSet::default()
     }
 
-    /// Conservative "everything changed" set for `m` — the correct answer
-    /// when no pre-pass snapshot was held (e.g. replaying an untracked
-    /// mutation).
-    pub fn full(m: &Module) -> ChangeSet {
-        ChangeSet {
-            dirty_funcs: m.func_ids().collect(),
-            structural_funcs: true,
-            dirty_globals: m.global_ids().collect(),
-            structural_globals: true,
-            sig_changed: true,
-        }
-    }
-
-    /// True if nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.dirty_funcs.is_empty()
-            && !self.structural_funcs
-            && self.dirty_globals.is_empty()
-            && !self.structural_globals
-            && !self.sig_changed
-    }
-
     /// True if per-function incrementality is unsound and consumers must
     /// fall back to whole-module work: slots appeared/disappeared or a
     /// signature changed, so *clean* functions may reference stale ids or
@@ -77,19 +56,13 @@ impl ChangeSet {
         self.structural_funcs || self.structural_globals || self.sig_changed
     }
 
-    /// True if any global changed (contents or structure). Globals feed
-    /// the interpreter's initial heap, so this invalidates whole-module
-    /// cycle counts even when every function is clean.
-    pub fn globals_changed(&self) -> bool {
-        self.structural_globals || !self.dirty_globals.is_empty()
-    }
-
     /// What changed from `before` to `after`, where `after` is `before`
     /// with a pass applied while `before` was held (the checked
     /// transaction's snapshot): every slot the pass wrote has moved off
     /// `before`'s allocation, and of those only a slot whose content
-    /// differs is dirty. Arenas of different lengths are a structural
-    /// change.
+    /// differs is dirty. Arenas of different lengths, or a global slot
+    /// added or removed, are a structural change; a global whose contents
+    /// changed is not tracked (no reader needs it).
     pub fn between(before: &Module, after: &Module) -> ChangeSet {
         let mut cs = ChangeSet::empty();
         let cap = after.func_capacity();
@@ -121,25 +94,11 @@ impl ChangeSet {
             }
         }
         let gcap = after.global_capacity();
-        if gcap != before.global_capacity() {
-            cs.structural_globals = true;
-        }
-        for i in 0..gcap {
-            let id = GlobalId::from_index(i);
-            match (before.global_arc(id), after.global_arc(id)) {
-                (None, None) => {}
-                (Some(_), None) => cs.structural_globals = true,
-                (None, Some(_)) => {
-                    cs.structural_globals = true;
-                    cs.dirty_globals.push(id);
-                }
-                (Some(was), Some(now)) => {
-                    if !Arc::ptr_eq(was, now) && **was != **now {
-                        cs.dirty_globals.push(id);
-                    }
-                }
-            }
-        }
+        cs.structural_globals = gcap != before.global_capacity()
+            || (0..gcap).any(|i| {
+                let id = GlobalId::from_index(i);
+                before.global_arc(id).is_some() != after.global_arc(id).is_some()
+            });
         cs
     }
 }
@@ -193,7 +152,7 @@ mod tests {
     #[test]
     fn untouched_module_diffs_empty() {
         let m = two_function_module();
-        assert!(ChangeSet::between(&m, &m).is_empty());
+        assert_eq!(ChangeSet::between(&m, &m), ChangeSet::empty());
     }
 
     #[test]
@@ -204,7 +163,6 @@ mod tests {
         assert!(changed);
         assert_eq!(cs.dirty_funcs, vec![main], "helper has no allocas");
         assert!(!cs.needs_full_rebuild());
-        assert!(!cs.globals_changed());
     }
 
     #[test]
@@ -213,7 +171,7 @@ mod tests {
         // -loweratomic is a faithful no-op on atomic-free IR.
         let (changed, cs) = apply_traced(&mut m, 44);
         assert!(!changed);
-        assert!(cs.is_empty());
+        assert_eq!(cs, ChangeSet::empty());
     }
 
     #[test]
@@ -225,7 +183,11 @@ mod tests {
         m.func_mut(main).name = "other".to_string();
         m.func_mut(main).name = old;
         let cs = ChangeSet::between(&t, &m);
-        assert!(cs.is_empty(), "content-identical slot must not be dirty");
+        assert_eq!(
+            cs,
+            ChangeSet::empty(),
+            "content-identical slot must not be dirty"
+        );
     }
 
     #[test]
@@ -253,14 +215,5 @@ mod tests {
         m.add_global(autophase_ir::module::Global::zeroed("g", Type::I8, 8));
         let cs = ChangeSet::between(&t, &m);
         assert!(cs.structural_globals);
-        assert!(cs.globals_changed());
-    }
-
-    #[test]
-    fn full_changeset_covers_module() {
-        let m = two_function_module();
-        let cs = ChangeSet::full(&m);
-        assert_eq!(cs.dirty_funcs.len(), 2);
-        assert!(cs.needs_full_rebuild());
     }
 }

@@ -69,7 +69,7 @@ use crate::learner::{LearnerConfig, Online};
 use crate::protocol::{self, refuse, ErrKind, Incoming, Reply, Request, RequestBuffers, Source};
 use crate::store::{BestEntry, BestStore, CompactionPolicy};
 use autophase_core::compile::{Input, UNPROFILEABLE_CYCLES};
-use autophase_core::eval_cache::ModuleFingerprints;
+use autophase_core::eval_cache::fingerprint_module;
 use autophase_core::Quarantine;
 use autophase_hls::HlsConfig;
 use autophase_ir::parser::parse_module;
@@ -866,13 +866,10 @@ fn compile(
     let module = parsed.map_err(|msg| refuse(ErrKind::Parse, None, msg))?;
 
     // Store rung: a known program answers from the index. A first sight's
-    // fingerprints are taken once: the key here, and the cold path's input.
-    let fps = module.as_ref().map(ModuleFingerprints::new);
+    // functions are hashed once, for the key here and the cold path's
+    // profile memo alike: each hash is a fact of its function's version.
     let fp = known_fp.unwrap_or_else(|| {
-        let fp = fps
-            .as_ref()
-            .expect("a first sight is always parsed")
-            .value();
+        let fp = fingerprint_module(module.as_ref().expect("a first sight is always parsed"));
         // An exact-size copy: the memo charges an entry its capacity.
         let bytes = shared.front.insert(digest, ir.to_owned(), fp);
         telemetry::set_gauge("serve.front_bytes", "", bytes as f64);
@@ -922,19 +919,15 @@ fn compile(
     // A memoized text that found no store entry (never recorded, or
     // retired since) goes cold like any miss, so it is parsed after all —
     // on the `baseline_profile` segment.
-    let (module, fps) = match module.zip(fps) {
+    let module = match module {
         Some(parsed) => parsed,
-        None => {
-            let m = parse_text(ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?;
-            let fps = ModuleFingerprints::new(&m);
-            (m, fps)
-        }
+        None => parse_text(ir, false).map_err(|msg| refuse(ErrKind::Parse, None, msg))?,
     };
 
     // Cold: profile the input once (the baseline number, the store
     // record, the semantic check and every `-O3` reference need it), then
     // walk policy → baseline.
-    let mut input = Input::fingerprinted(&module, &fps, &shared.hls);
+    let mut input = Input::new(&module, &shared.hls);
     trace.mark("baseline_profile");
     let baseline_cycles = input
         .report()
@@ -1046,7 +1039,6 @@ fn compile(
 mod tests {
     use super::*;
     use crate::client::Client;
-    use autophase_core::eval_cache::fingerprint_module;
 
     /// Poison one of the daemon's mutexes (PR 8: every daemon lock
     /// recovers from poisoning), make one request, and wait for the

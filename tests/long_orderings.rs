@@ -11,11 +11,13 @@
 //! `-O3` followed by a seeded random suffix of 45 Table-1 passes (the
 //! optimized module is what most passes of a long ordering see).
 //! Programs: the nine CHStone benchmarks, a few of the generated batch
-//! `program_batch(&GenConfig::default(), 31_337, ·)`, and three hand-written
-//! texts with the shapes neither has: a `switch`, a tail-recursive call and
-//! a constant φ feeding a conditional branch. Each of `-lowerswitch`,
-//! `-tailcallelim` and `-jump-threading` must change at least one program
-//! of the slice, so the check after every pass covers their rewrites too.
+//! `program_batch(&GenConfig::default(), 31_337, ·)`, and four hand-written
+//! texts with the shapes neither has: a `switch`, a tail-recursive call, a
+//! constant φ feeding a conditional branch, and a branch on `x == C` whose
+//! arm still uses `x`. Each of `-lowerswitch`, `-tailcallelim`,
+//! `-jump-threading` and `-correlated-propagation` must change at least
+//! one program of the slice, so the check after every pass covers their
+//! rewrites too.
 //! A failure prints one line per broken (program, ordering): the seed (`-`
 //! for `-O3`x4, `-O3+<seed>` for a suffix), the ordering and the pass after
 //! which the result changed, enough to replay it by hand.
@@ -146,8 +148,46 @@ b8:
 }
 ";
 
+/// A loop branching on `x == 3` for a loop-variant `x`, whose taken arm
+/// uses `x` in an instruction and on its edge into a φ: both uses read 3.
+const CORRELATED_BRANCH: &str = "; module correlated_branch
+
+; f0
+define i32 @main() {
+b0:
+  br b1
+b1:
+  %1 = i32 phi [i32 0, b0], [%9, b4]
+  %2 = i32 phi [i32 1, b0], [%8, b4]
+  %3 = i32 srem %1, i32 5
+  %4 = i1 icmp eq %3, i32 3
+  br %4, b2, b3
+b2:
+  %5 = i32 mul %3, i32 7
+  %6 = i32 add %2, %5
+  br b4
+b3:
+  %7 = i32 add %2, %3
+  br b4
+b4:
+  %8 = i32 phi [%6, b2], [%7, b3]
+  %11 = i32 phi [%3, b2], [%1, b3]
+  %12 = i32 xor %8, %11
+  %9 = i32 add %1, i32 1
+  %10 = i1 icmp slt %9, i32 23
+  br %10, b1, b5
+b5:
+  ret %12
+}
+";
+
 /// The passes whose rewrites only the hand-written texts reach.
-const COVERED: [&str; 3] = ["-lowerswitch", "-tailcallelim", "-jump-threading"];
+const COVERED: [&str; 4] = [
+    "-lowerswitch",
+    "-tailcallelim",
+    "-jump-threading",
+    "-correlated-propagation",
+];
 
 fn programs() -> Vec<Module> {
     let mut programs: Vec<Module> = autophase::benchmarks::suite()
@@ -160,8 +200,13 @@ fn programs() -> Vec<Module> {
             .map(|i| generate_valid(&GenConfig::default(), BATCH_SEED + i * BATCH_STRIDE)),
     );
     programs.extend(
-        [SWITCH_LOOP, TAIL_SUM, CONSTANT_PHI_BRANCH]
-            .map(|text| parse_module(text).expect("a hand-written program parses")),
+        [
+            SWITCH_LOOP,
+            TAIL_SUM,
+            CONSTANT_PHI_BRANCH,
+            CORRELATED_BRANCH,
+        ]
+        .map(|text| parse_module(text).expect("a hand-written program parses")),
     );
     programs
 }
