@@ -176,13 +176,22 @@ online-smoke:
 # `autophase_ir::edges`, whose helpers `kernels` checks, and the grep
 # fails on any hand-written copy under crates/passes/src: an edge or φ
 # list edited in place, a terminator popped off its block, or a branch
-# written over an instruction's opcode.
+# written over an instruction's opcode. Nor does a pass restate a loop's
+# shape: five private copies of what an induction variable is, when a
+# loop exits and how often it runs had drifted apart (first versus last
+# step, two simulation caps, a `ne` exit whose bound was never read), so
+# `autophase_ir::loops` states them once, and the second grep fails on a
+# hand-written trip simulation (`eval_icmp(pred`) or dedicated-exit test
+# (`unique_preds(exit).iter().any(|p| !l.contains`) under crates/passes/src;
+# `loop_shape` checks the trip simulation against the interpreter.
 pass-golden:
 	$(CARGO) test -q --release -p autophase-passes --test golden_outputs
 	$(CARGO) test -q --release -p autophase-passes --test pass_matrix
 	$(CARGO) test -q --release -p autophase-passes --test front_end_golden
 	$(CARGO) test -q --release -p autophase-ir --test kernels
+	$(CARGO) test -q --release -p autophase-ir --test loop_shape
 	@! grep -rnE 'for_each_successor_mut|incoming\.(retain|remove)\(|\*incoming =|insts\.pop\(\)|\.op = Opcode::(Br|CondBr|Switch)\b' crates/passes/src
+	@! grep -rnE 'eval_icmp\(pred|unique_preds\((exit|e)\)\.iter\(\)\.(any|all)\(\|p\| !?l\.contains' crates/passes/src
 
 # What keeps the fast paths honest (DESIGN.md §4f, §4k, §4m): the
 # differential suite proves the per-function caches are bit-invisible

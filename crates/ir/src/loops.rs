@@ -1,8 +1,17 @@
-//! Natural-loop detection.
+//! Natural-loop detection, and the one statement of a loop's shape every
+//! loop pass reads: its induction variables ([`Loop::induction`]), its
+//! exit tests on them ([`Loop::exit_tests`]), the counted exit of a
+//! single-block loop ([`Loop::counted_exit`]) with its bounded trip
+//! simulation ([`CountedExit::trip`]), and whether an exit is dedicated
+//! ([`Loop::is_dedicated_exit`]).
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::function::{BlockId, Function};
+use crate::fold::{eval_binop, eval_icmp};
+use crate::function::{BlockId, Function, InstId};
+use crate::inst::{BinOp, CmpPred, Opcode};
+use crate::types::Type;
+use crate::value::Value;
 
 /// A natural loop: a back edge `latch -> header` where `header` dominates
 /// `latch`, plus every block that can reach the latch without going through
@@ -60,6 +69,228 @@ impl Loop {
             [l] => Some(*l),
             _ => None,
         }
+    }
+
+    /// True if every predecessor of `exit` is in the loop, so its φs see
+    /// only loop edges.
+    pub fn is_dedicated_exit(&self, cfg: &Cfg, exit: BlockId) -> bool {
+        cfg.preds(exit).iter().all(|p| self.contains(*p))
+    }
+
+    /// `phi` as an induction variable `φ(entering: init, in-loop: φ + C)`:
+    /// its entry from the [entering block](Loop::entering_block) and every
+    /// other entry of the form `φ + C`. `None` if `phi` is no φ, or the
+    /// loop has no entering block or `phi` no entry from it.
+    ///
+    /// Other entries of another form are left out, not refused: a pass
+    /// that needs every in-loop entry to step checks [`Induction::steps`]
+    /// against the loop's latches.
+    pub fn induction(&self, f: &Function, cfg: &Cfg, phi: InstId) -> Option<Induction> {
+        induction(f, self.entering_block(cfg)?, phi)
+    }
+
+    /// Every test on an induction variable that can leave the loop, in
+    /// block order: a loop block's `condbr` with a target outside the
+    /// loop, on `icmp pred v, bound` with `v` an [induction](Loop::induction)
+    /// φ or `φ + C` and `bound` a constant.
+    pub fn exit_tests(&self, f: &Function, cfg: &Cfg) -> Vec<ExitTest> {
+        let Some(entering) = self.entering_block(cfg) else {
+            return Vec::new();
+        };
+        let mut tests = Vec::new();
+        for &bb in &self.blocks {
+            let Some(term) = f.terminator(bb) else {
+                continue;
+            };
+            let Opcode::CondBr {
+                cond: Value::Inst(cmp),
+                then_bb,
+                ..
+            } = f.inst(term).op
+            else {
+                continue;
+            };
+            if f.successors(bb).iter().all(|s| self.contains(*s)) {
+                continue;
+            }
+            let Opcode::ICmp(pred, Value::Inst(compared), Value::ConstInt(_, bound)) =
+                f.inst(cmp).op
+            else {
+                continue;
+            };
+            let (phi, offset) = match f.inst(compared).op {
+                Opcode::Phi { .. } => (compared, 0),
+                Opcode::Binary(BinOp::Add, Value::Inst(p), Value::ConstInt(_, c)) => (p, c),
+                _ => continue,
+            };
+            let Some(iv) = induction(f, entering, phi) else {
+                continue;
+            };
+            tests.push(ExitTest {
+                cmp,
+                pred,
+                bound,
+                compared,
+                offset,
+                true_stays: self.contains(then_bb),
+                iv,
+            });
+        }
+        tests
+    }
+
+    /// The bottom-tested counted exit of a single-block loop (header ==
+    /// latch, the shape `-loop-rotate` produces): the block ends in
+    /// `condbr (icmp pred (i + step), bound)` between itself and an exit,
+    /// where `i` is an induction φ with a constant `init` whose in-loop
+    /// entry is that increment, `step` is nonzero and `bound` constant.
+    /// The block's predecessors are the entering block and itself, so
+    /// under the verifier's one-entry-per-predecessor rule `i` has exactly
+    /// those two entries.
+    pub fn counted_exit(&self, f: &Function, cfg: &Cfg) -> Option<CountedExit> {
+        if self.blocks.len() != 1 || self.single_latch() != Some(self.header) {
+            return None;
+        }
+        let [test] = <[ExitTest; 1]>::try_from(self.exit_tests(f, cfg)).ok()?;
+        let step = test.iv.steps.iter().find(|s| s.add == test.compared)?.by;
+        let init = test.iv.init.as_const_int()?;
+        if step == 0 {
+            return None;
+        }
+        let exit = *f
+            .successors(self.header)
+            .iter()
+            .find(|&&s| s != self.header)?;
+        Some(CountedExit {
+            block: self.header,
+            exit,
+            test,
+            init,
+            step,
+        })
+    }
+}
+
+/// An induction variable: a φ whose entry from its loop's entering block
+/// is `init` and whose other entries of the form `φ + C` step it by `C`
+/// (see [`Loop::induction`]).
+#[derive(Debug, Clone)]
+pub struct Induction {
+    /// The φ.
+    pub phi: InstId,
+    /// The φ's type: the width its arithmetic wraps at.
+    pub ty: Type,
+    /// The φ's entry from the loop's entering block.
+    pub init: Value,
+    /// Every other entry of the form `φ + C`, in entry order.
+    pub steps: Vec<Step>,
+}
+
+/// One entry `add = φ + C` of an [`Induction`].
+#[derive(Debug, Clone, Copy)]
+pub struct Step {
+    /// The add.
+    pub add: InstId,
+    /// The type `C` is written at.
+    pub ty: Type,
+    /// `C`.
+    pub by: i64,
+}
+
+/// `phi` as an induction variable of the loop `entering` enters.
+fn induction(f: &Function, entering: BlockId, phi: InstId) -> Option<Induction> {
+    let Opcode::Phi { incoming } = &f.inst(phi).op else {
+        return None;
+    };
+    let init = incoming.iter().find(|(p, _)| *p == entering)?.1;
+    let steps = incoming
+        .iter()
+        .filter(|(p, _)| *p != entering)
+        .filter_map(|&(_, v)| {
+            let Value::Inst(add) = v else { return None };
+            match f.inst(add).op {
+                Opcode::Binary(BinOp::Add, base, Value::ConstInt(ty, by))
+                    if base == Value::Inst(phi) =>
+                {
+                    Some(Step { add, ty, by })
+                }
+                _ => None,
+            }
+        })
+        .collect();
+    Some(Induction {
+        phi,
+        ty: f.inst(phi).ty,
+        init,
+        steps,
+    })
+}
+
+/// A test on an induction variable that can leave its loop (see
+/// [`Loop::exit_tests`]).
+#[derive(Debug, Clone)]
+pub struct ExitTest {
+    /// The `icmp`.
+    pub cmp: InstId,
+    /// Its predicate.
+    pub pred: CmpPred,
+    /// Its constant right operand.
+    pub bound: i64,
+    /// Its left operand: the φ itself or an add `φ + offset`.
+    pub compared: InstId,
+    /// What the compared value adds to the φ (0 for the φ itself).
+    pub offset: i64,
+    /// True if the branch's `true` target is in the loop.
+    pub true_stays: bool,
+    /// The φ.
+    pub iv: Induction,
+}
+
+/// The counted exit of a single-block loop (see [`Loop::counted_exit`]).
+#[derive(Debug, Clone)]
+pub struct CountedExit {
+    /// The loop's one block.
+    pub block: BlockId,
+    /// The block's target outside the loop.
+    pub exit: BlockId,
+    /// The block's exit test, on the increment `i + step`.
+    pub test: ExitTest,
+    /// `i`'s value on entry.
+    pub init: i64,
+    /// What each iteration adds to `i`.
+    pub step: i64,
+}
+
+/// What a counted loop does, from its [trip simulation](CountedExit::trip).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trip {
+    /// How many times the body runs.
+    pub count: i64,
+    /// `i` in the last iteration.
+    pub last: i64,
+    /// `i + step` in the last iteration: the value the loop leaves on.
+    pub last_next: i64,
+}
+
+impl CountedExit {
+    /// Run the loop's induction arithmetic at the φ's width, through
+    /// [`eval_binop`] and [`eval_icmp`], for at most `cap` iterations.
+    /// `None` if the loop is still going round after `cap`.
+    pub fn trip(&self, cap: i64) -> Option<Trip> {
+        let (t, ty) = (&self.test, self.test.iv.ty);
+        let mut i = self.init;
+        for count in 1..=cap {
+            let next = eval_binop(BinOp::Add, ty, i, self.step);
+            if (eval_icmp(t.pred, ty, next, t.bound) != 0) != t.true_stays {
+                return Some(Trip {
+                    count,
+                    last: i,
+                    last_next: next,
+                });
+            }
+            i = next;
+        }
+        None
     }
 }
 

@@ -3,13 +3,14 @@
 //! Two rewrites:
 //! * exit comparisons `icmp ne i, bound` / `icmp ne i+step, bound` on a
 //!   unit-step induction variable counting up toward the bound become
-//!   `icmp slt` — the canonical form the unroller recognizes;
+//!   `icmp slt`, LLVM's canonical counted exit (no pass here needs it:
+//!   `-loop-unroll` simulates any predicate);
 //! * an induction φ whose final value is computable (constant trip count)
 //!   and whose only external use is that final value is replaced outside
 //!   the loop by the constant.
 
 use crate::util;
-use autophase_ir::{BinOp, CmpPred, FuncId, InstId, Module, Opcode, Value};
+use autophase_ir::{BlockId, CmpPred, FuncId, InstId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if anything changed.
 pub fn run(m: &mut Module) -> bool {
@@ -23,102 +24,38 @@ pub fn run(m: &mut Module) -> bool {
     })
 }
 
-/// Final-value substitution: for a bottom-tested counted loop with constant
-/// init/step/bound, an exit φ receiving the induction variable (or its
-/// increment) gets the *computed* final constant instead — uses after the
-/// loop then fold without unrolling anything.
+/// Final-value substitution: for a bottom-tested counted loop
+/// ([`autophase_ir::loops::Loop::counted_exit`]) whose trip count
+/// simulates within 4096 iterations, an exit φ receiving the induction
+/// variable (or its increment) gets the *computed* final constant instead
+/// — uses after the loop then fold without unrolling anything.
 fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
-    use autophase_ir::Value;
     let facts = m.facts(fid);
     let f = m.func(fid);
     let (cfg, loops) = (facts.cfg(), facts.loops());
-    let mut rewrites: Vec<(InstId, autophase_ir::BlockId, Value, Value)> = Vec::new();
+    let mut rewrites: Vec<(InstId, BlockId, Value, Value)> = Vec::new();
     for l in loops {
-        // Single-block bottom-tested shape (what -loop-rotate produces).
-        if l.blocks.len() != 1 || l.single_latch() != Some(l.header) {
-            continue;
-        }
-        let block = l.header;
-        let Some(term) = f.terminator(block) else {
+        let Some(cl) = l.counted_exit(f, cfg) else {
             continue;
         };
-        let autophase_ir::Opcode::CondBr {
-            cond: Value::Inst(cmp),
-            then_bb,
-            else_bb,
-        } = f.inst(term).op
-        else {
+        let Some(trip) = cl.trip(4096) else {
             continue;
         };
-        let back_is_then = then_bb == block;
-        let exit = if back_is_then { else_bb } else { then_bb };
-        if exit == block {
-            continue;
-        }
-        let autophase_ir::Opcode::ICmp(pred, Value::Inst(next_id), Value::ConstInt(_, bound)) =
-            f.inst(cmp).op
-        else {
-            continue;
-        };
-        let autophase_ir::Opcode::Binary(BinOp::Add, Value::Inst(iv), Value::ConstInt(_, step)) =
-            f.inst(next_id).op
-        else {
-            continue;
-        };
-        if step == 0 {
-            continue;
-        }
-        let autophase_ir::Opcode::Phi { incoming } = &f.inst(iv).op else {
-            continue;
-        };
-        let Some(preheader) = l.entering_block(cfg) else {
-            continue;
-        };
-        let init = incoming
-            .iter()
-            .find(|(p, _)| *p == preheader)
-            .and_then(|(_, v)| v.as_const_int());
-        let from_latch = incoming
-            .iter()
-            .any(|(p, v)| *p == block && *v == Value::Inst(next_id));
-        let (Some(init), true) = (init, from_latch) else {
-            continue;
-        };
-
-        // Simulate to the exit (bounded, mirrors the unroller).
-        let ty = f.inst(iv).ty;
-        let mut i = init;
-        let mut iters = 0u32;
-        let (final_iv, final_next) = loop {
-            iters += 1;
-            if iters > 4096 {
-                break (None, None);
-            }
-            let next = autophase_ir::fold::eval_binop(BinOp::Add, ty, i, step);
-            let c = autophase_ir::fold::eval_icmp(pred, ty, next, bound);
-            let continues = if back_is_then { c != 0 } else { c == 0 };
-            if !continues {
-                break (Some(i), Some(next));
-            }
-            i = next;
-        };
-        let (Some(final_iv), Some(final_next)) = (final_iv, final_next) else {
-            continue;
-        };
-
         // Exit φ entries coming from the loop that carry the IV or its
         // increment become the computed constants.
-        for &pid in &f.block(exit).insts {
-            if let autophase_ir::Opcode::Phi { incoming } = &f.inst(pid).op {
-                for (p, v) in incoming {
-                    if *p != block {
-                        continue;
-                    }
-                    if *v == Value::Inst(iv) {
-                        rewrites.push((pid, block, *v, Value::const_int(ty, final_iv)));
-                    } else if *v == Value::Inst(next_id) {
-                        rewrites.push((pid, block, *v, Value::const_int(ty, final_next)));
-                    }
+        let (iv, next, ty) = (cl.test.iv.phi, cl.test.compared, cl.test.iv.ty);
+        for pid in f.phis(cl.exit) {
+            let Opcode::Phi { incoming } = &f.inst(pid).op else {
+                continue;
+            };
+            for &(p, v) in incoming {
+                if p != cl.block {
+                    continue;
+                }
+                if v == Value::Inst(iv) {
+                    rewrites.push((pid, p, v, Value::const_int(ty, trip.last)));
+                } else if v == Value::Inst(next) {
+                    rewrites.push((pid, p, v, Value::const_int(ty, trip.last_next)));
                 }
             }
         }
@@ -128,7 +65,7 @@ fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
     }
     let f = m.func_mut(fid);
     for (pid, from_block, old, new) in rewrites {
-        if let autophase_ir::Opcode::Phi { incoming } = &mut f.inst_mut(pid).op {
+        if let Opcode::Phi { incoming } = &mut f.inst_mut(pid).op {
             for (p, v) in incoming.iter_mut() {
                 if *p == from_block && *v == old {
                     *v = new;
@@ -139,73 +76,26 @@ fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
     true
 }
 
+/// `icmp ne` exit tests ([`autophase_ir::loops::Loop::exit_tests`]) on a unit-step induction
+/// variable `i` or `i + 1` counting up from a constant at or below the
+/// bound become `icmp slt`: a unit step reaches the bound exactly, so the
+/// two tests agree on every value the loop sees.
 fn canonicalize_exit_compares(m: &mut Module, fid: FuncId) -> bool {
     let facts = m.facts(fid);
     let f = m.func(fid);
     let (cfg, loops) = (facts.cfg(), facts.loops());
-    let mut rewrites: Vec<(InstId, CmpPred)> = Vec::new();
+    let mut rewrites: Vec<InstId> = Vec::new();
     for l in loops {
-        let Some(preheader) = l.entering_block(cfg) else {
-            continue;
-        };
-        for &bb in &l.blocks {
-            let Some(term) = f.terminator(bb) else {
+        for t in l.exit_tests(f, cfg) {
+            // The step is the first in-loop entry's.
+            let (Some(init), Some(step)) = (t.iv.init.as_const_int(), t.iv.steps.first()) else {
                 continue;
             };
-            let Opcode::CondBr {
-                cond: Value::Inst(cmp),
-                ..
-            } = f.inst(term).op
-            else {
-                continue;
-            };
-            if !f.successors(bb).iter().any(|s| !l.contains(*s)) {
-                continue; // not an exiting branch
-            }
-            let Opcode::ICmp(CmpPred::Ne, a, Value::ConstInt(_, bound)) = f.inst(cmp).op else {
-                continue;
-            };
-            // a = iv or iv+step with unit positive step and init <= bound
-            // reached exactly (unit step guarantees no overshoot).
-            let (phi_id, offset) = match a {
-                Value::Inst(x) => match f.inst(x).op {
-                    Opcode::Phi { .. } => (x, 0i64),
-                    Opcode::Binary(BinOp::Add, Value::Inst(p), Value::ConstInt(_, s)) => (p, s),
-                    _ => continue,
-                },
-                _ => continue,
-            };
-            let Opcode::Phi { incoming } = &f.inst(phi_id).op else {
-                continue;
-            };
-            let init = incoming
-                .iter()
-                .find(|(p, _)| *p == preheader)
-                .and_then(|(_, v)| v.as_const_int());
-            let step = incoming.iter().find_map(|(p, v)| {
-                if *p == preheader {
-                    return None;
-                }
-                if let Value::Inst(nid) = v {
-                    if let Opcode::Binary(BinOp::Add, base, Value::ConstInt(_, s)) = f.inst(*nid).op
-                    {
-                        if base == Value::Inst(phi_id) {
-                            return Some(s);
-                        }
-                    }
-                }
-                None
-            });
-            let (Some(init), Some(step)) = (init, step) else {
-                continue;
-            };
-            if step != 1 || offset != 0 && offset != step {
+            if t.pred != CmpPred::Ne || step.by != 1 || t.offset != 0 && t.offset != step.by {
                 continue;
             }
-            // Counting up by 1 from init; `ne bound` exits exactly when the
-            // value reaches bound, provided init+offset <= bound.
-            if init + offset <= bound {
-                rewrites.push((cmp, CmpPred::Slt));
+            if init + t.offset <= t.bound {
+                rewrites.push(t.cmp);
             }
         }
     }
@@ -213,9 +103,9 @@ fn canonicalize_exit_compares(m: &mut Module, fid: FuncId) -> bool {
         return false;
     }
     let f = m.func_mut(fid);
-    for (cmp, pred) in rewrites {
+    for cmp in rewrites {
         if let Opcode::ICmp(p, ..) = &mut f.inst_mut(cmp).op {
-            *p = pred;
+            *p = CmpPred::Slt;
         }
     }
     true
@@ -227,7 +117,7 @@ mod tests {
     use autophase_ir::builder::FunctionBuilder;
     use autophase_ir::interp::run_main;
     use autophase_ir::verify::assert_verified;
-    use autophase_ir::Type;
+    use autophase_ir::{BinOp, Type};
 
     /// A loop exiting on `i != n` (the shape C's `for (i=0;i!=n;i++)`
     /// produces).

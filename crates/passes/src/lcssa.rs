@@ -57,7 +57,7 @@ fn form_lcssa(m: &mut Module, fid: FuncId) -> bool {
                     // dominating all uses, else skip (rare, needs
                     // loop-simplify first).
                     let exit = l.exits.iter().copied().find(|&e| {
-                        cfg.unique_preds(e).iter().all(|p| l.contains(*p))
+                        l.is_dedicated_exit(cfg, e)
                             && outside.iter().all(|(_, ubb)| dt.dominates(e, *ubb))
                             && dt.is_reachable(e)
                             && f.block_of(iid)

@@ -5,9 +5,7 @@
 //! counted loops). The preheader then branches straight to the exit.
 
 use crate::util;
-use autophase_ir::cfg::Cfg;
-use autophase_ir::loops::Loop;
-use autophase_ir::{BinOp, CmpPred, FuncId, Module, Opcode, Value};
+use autophase_ir::{CmpPred, FuncId, Module, Opcode, Value};
 
 /// Run the pass. Returns true if any loop was deleted.
 pub fn run(m: &mut Module) -> bool {
@@ -34,7 +32,7 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
         // Single dedicated exit.
         let [exit] = l.exits.as_slice() else { continue };
         let exit = *exit;
-        if cfg.unique_preds(exit).iter().any(|p| !l.contains(*p)) {
+        if !l.is_dedicated_exit(cfg, exit) {
             continue;
         }
         // No side effects, no values escaping.
@@ -52,8 +50,25 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
                 }
             }
         }
-        // Termination: recognize a counted loop (conservative).
-        if !provably_terminates(f, cfg, l) {
+        // Termination (conservative): an exit test on an induction
+        // variable with a constant init and a nonzero step (its last
+        // in-loop entry's) that moves toward the bound.
+        let counted = l.exit_tests(f, cfg).iter().any(|t| {
+            let Some(step) = t.iv.steps.last() else {
+                return false;
+            };
+            matches!(t.iv.init, Value::ConstInt(..))
+                && step.by != 0
+                && matches!(
+                    (t.pred, step.by > 0),
+                    (
+                        CmpPred::Slt | CmpPred::Sle | CmpPred::Ult | CmpPred::Ule,
+                        true
+                    ) | (CmpPred::Sgt | CmpPred::Sge, false)
+                        | (CmpPred::Ne, _)
+                )
+        });
+        if !counted {
             continue;
         }
         // Every pred of the exit is in the loop, so every exit φ entry is
@@ -84,81 +99,6 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
     false
 }
 
-/// Conservative termination proof: the loop has a counted exit condition
-/// `icmp` on an induction variable `φ(init, φ+step)` with constant init,
-/// step, and bound, stepping toward the bound.
-fn provably_terminates(f: &autophase_ir::Function, cfg: &Cfg, l: &Loop) -> bool {
-    // Find an exiting condbr whose condition is an icmp involving an
-    // induction φ with constant step, constant bound, constant init.
-    for &bb in &l.blocks {
-        let Some(term) = f.terminator(bb) else {
-            continue;
-        };
-        let Opcode::CondBr {
-            cond: Value::Inst(cmp),
-            ..
-        } = f.inst(term).op
-        else {
-            continue;
-        };
-        if !f.successors(bb).iter().any(|s| !l.contains(*s)) {
-            continue;
-        }
-        let Opcode::ICmp(pred, a, Value::ConstInt(_, _bound)) = f.inst(cmp).op else {
-            continue;
-        };
-        // a is the φ or φ+step.
-        let phi_id = match a {
-            Value::Inst(x) => match f.inst(x).op {
-                Opcode::Phi { .. } => Some(x),
-                Opcode::Binary(BinOp::Add, Value::Inst(p), Value::ConstInt(..)) => Some(p),
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some(phi_id) = phi_id else { continue };
-        let Opcode::Phi { incoming } = &f.inst(phi_id).op else {
-            continue;
-        };
-        let Some(preheader) = l.entering_block(cfg) else {
-            continue;
-        };
-        let mut init_const = false;
-        let mut step: Option<i64> = None;
-        for (p, v) in incoming {
-            if *p == preheader {
-                init_const = matches!(v, Value::ConstInt(..));
-            } else if let Value::Inst(nid) = v {
-                if let Opcode::Binary(BinOp::Add, base, Value::ConstInt(_, s)) = f.inst(*nid).op {
-                    if base == Value::Inst(phi_id) {
-                        step = Some(s);
-                    }
-                }
-            }
-        }
-        let Some(step) = step else { continue };
-        if !init_const || step == 0 {
-            continue;
-        }
-        // Monotone toward the bound for the common predicates.
-        let ok = matches!(
-            (pred, step > 0),
-            (CmpPred::Slt, true)
-                | (CmpPred::Sle, true)
-                | (CmpPred::Ult, true)
-                | (CmpPred::Ule, true)
-                | (CmpPred::Sgt, false)
-                | (CmpPred::Sge, false)
-                | (CmpPred::Ne, true)
-                | (CmpPred::Ne, false)
-        );
-        if ok {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +106,7 @@ mod tests {
     use autophase_ir::interp::run_main;
     use autophase_ir::loops::analyze_loops;
     use autophase_ir::verify::assert_verified;
-    use autophase_ir::Type;
+    use autophase_ir::{BinOp, Type};
 
     #[test]
     fn effect_free_loop_deleted() {

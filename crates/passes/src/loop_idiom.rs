@@ -7,7 +7,7 @@
 //! of a burst fill). Structurally this reuses the unroller with an
 //! idiom-specific filter and a higher trip budget.
 
-use autophase_ir::{Module, Opcode};
+use autophase_ir::{BlockId, Function, Module, Opcode};
 
 /// Maximum fill size expanded.
 pub const IDIOM_TRIP_LIMIT: i64 = 64;
@@ -19,41 +19,32 @@ pub fn run(m: &mut Module) -> bool {
         // unroller (with idiom limits) expand exactly those.
         let facts = m.facts(fid);
         let f = m.func(fid);
-        let loops = facts.loops();
-        let has_candidate = loops.iter().any(|l| {
-            if l.blocks.len() != 1 {
-                return false;
-            }
-            let bb = l.header;
-            let mut stores = 0usize;
-            let mut other_mem = 0usize;
-            for (_, inst) in f.insts_in(bb) {
-                match inst.op {
-                    Opcode::Store { .. } => stores += 1,
-                    Opcode::Load { .. } | Opcode::Call { .. } => other_mem += 1,
-                    _ => {}
-                }
-            }
-            stores == 1 && other_mem == 0
-        });
+        let has_candidate = facts
+            .loops()
+            .iter()
+            .any(|l| l.blocks.len() == 1 && is_fill(f, l.header));
         if !has_candidate {
             return false;
         }
         // Expand store-only loops; the generic unroll guard rails
         // (recognized counted loop, size) still apply.
-        crate::loop_unroll::run_with_limits_filtered(m, fid, IDIOM_TRIP_LIMIT, 16, |f, bb| {
-            let mut stores = 0usize;
-            let mut other_mem = 0usize;
-            for (_, inst) in f.insts_in(bb) {
-                match inst.op {
-                    Opcode::Store { .. } => stores += 1,
-                    Opcode::Load { .. } | Opcode::Call { .. } => other_mem += 1,
-                    _ => {}
-                }
-            }
-            stores == 1 && other_mem == 0
-        })
+        crate::loop_unroll::run_with_limits_filtered(m, fid, IDIOM_TRIP_LIMIT, 16, is_fill)
     })
+}
+
+/// True if `bb` stores exactly once and neither loads nor calls: the fill
+/// idiom's body.
+fn is_fill(f: &Function, bb: BlockId) -> bool {
+    let mut stores = 0usize;
+    let mut other_mem = 0usize;
+    for (_, inst) in f.insts_in(bb) {
+        match inst.op {
+            Opcode::Store { .. } => stores += 1,
+            Opcode::Load { .. } | Opcode::Call { .. } => other_mem += 1,
+            _ => {}
+        }
+    }
+    stores == 1 && other_mem == 0
 }
 
 #[cfg(test)]

@@ -34,29 +34,16 @@ fn reduce_once(m: &mut Module, fid: FuncId) -> bool {
         let Some(latch) = l.single_latch() else {
             continue;
         };
-        // Find induction φs in the header: i = φ(pre: init, latch: i + step).
+        // Induction φs in the header: i = φ(pre: init, latch: i + step).
+        // With one latch, the latch's is the only in-loop entry.
         for iv in f.phis(l.header) {
-            let Opcode::Phi { incoming } = &f.inst(iv).op else {
+            let Some(ind) = l.induction(f, cfg, iv) else {
                 continue;
             };
-            if incoming.len() != 2 {
-                continue;
-            }
-            let init = incoming
-                .iter()
-                .find(|(p, _)| *p == preheader)
-                .map(|(_, v)| *v);
-            let next = incoming.iter().find(|(p, _)| *p == latch).map(|(_, v)| *v);
-            let (Some(init), Some(Value::Inst(next_id))) = (init, next) else {
+            let [step] = ind.steps[..] else {
                 continue;
             };
-            let Opcode::Binary(BinOp::Add, base, Value::ConstInt(sty, step)) = f.inst(next_id).op
-            else {
-                continue;
-            };
-            if base != Value::Inst(iv) {
-                continue;
-            }
+            let (init, sty, step) = (ind.init, step.ty, step.by);
             // Find `k = iv * c` inside the loop with constant c (≠ 0, ±1 and
             // not a power of two — instcombine handles those better).
             for &bb in &l.blocks {

@@ -171,7 +171,7 @@ fn candidate(m: &Module, f: &Function, cfg: &Cfg, facts: &Facts, l: &Loop) -> Op
     }
     // The exit must be dedicated (preds only from the loop) so its φs
     // only see loop edges — guaranteed after -loop-simplify.
-    if cfg.unique_preds(exit).iter().any(|p| !l.contains(*p)) {
+    if !l.is_dedicated_exit(cfg, exit) {
         return None;
     }
     // Header non-φ instructions must be clonable: pure or loads, few.

@@ -17,7 +17,6 @@ pub fn run(m: &mut Module) -> bool {
         // Each structural fix invalidates the analysis; iterate.
         loop {
             let facts = m.facts(fid);
-            let f = m.func(fid);
             let (cfg, loops) = (facts.cfg(), facts.loops());
             let mut fixed_something = false;
             for l in loops {
@@ -31,7 +30,7 @@ pub fn run(m: &mut Module) -> bool {
                     fixed_something = true;
                     break;
                 }
-                if let Some(exit) = non_dedicated_exit(f, cfg, l) {
+                if let Some(&exit) = l.exits.iter().find(|&&e| !l.is_dedicated_exit(cfg, e)) {
                     dedicate_exit(m.func_mut(fid), cfg, l, exit);
                     fixed_something = true;
                     break;
@@ -44,15 +43,6 @@ pub fn run(m: &mut Module) -> bool {
         }
         changed
     })
-}
-
-/// An exit block with predecessors outside the loop, if any.
-fn non_dedicated_exit(f: &autophase_ir::Function, cfg: &Cfg, l: &Loop) -> Option<BlockId> {
-    let _ = f;
-    l.exits
-        .iter()
-        .copied()
-        .find(|&e| cfg.unique_preds(e).iter().any(|p| !l.contains(*p)))
 }
 
 /// Insert a preheader: outside predecessors of the header are rerouted
@@ -157,12 +147,11 @@ mod tests {
     /// True if every loop in the function is in simplified form.
     fn is_simplified(m: &Module, fid: FuncId) -> bool {
         let facts = m.facts(fid);
-        let f = m.func(fid);
         let (cfg, loops) = (facts.cfg(), facts.loops());
         loops.iter().all(|l| {
             l.preheader(cfg).is_some()
                 && l.single_latch().is_some()
-                && non_dedicated_exit(f, cfg, l).is_none()
+                && l.exits.iter().all(|&e| l.is_dedicated_exit(cfg, e))
         })
     }
 

@@ -1,18 +1,17 @@
 //! `-loop-unroll`: replicate loop bodies.
 //!
-//! Fully unrolls counted loops with a small constant trip count. The trip
-//! count is recognized for canonical induction `i = φ(init, i + step)`
-//! compared against a constant bound — the shape `-loop-rotate` (bottom
-//! test) and `-indvars` (slt canonicalization) produce, which is why the
-//! paper finds "-loop-unroll after -loop-rotate was much more useful than
-//! the opposite order" (§4.2): a top-tested loop here is only unrolled
-//! when its guard shape is still recognizable, while the rotated form
-//! always is.
+//! Fully unrolls counted loops with a small constant trip count: the
+//! single-block, bottom-tested loops whose block tests `i + step` against
+//! a constant bound, with `i = φ(init, i + step)` and a constant `init`
+//! ([`autophase_ir::loops::Loop::counted_exit`]). The trip count is
+//! simulated, so any predicate counts. That is the shape `-loop-rotate`
+//! produces, which is why the paper finds "-loop-unroll after
+//! -loop-rotate was much more useful than the opposite order" (§4.2): a
+//! top-tested loop is never unrolled.
 
 use crate::util::{self, UserIndex};
-use autophase_ir::cfg::Cfg;
-use autophase_ir::loops::Loop;
-use autophase_ir::{BinOp, BlockId, FuncId, Inst, InstId, Module, Opcode, Rewrites, Type, Value};
+use autophase_ir::loops::CountedExit;
+use autophase_ir::{BlockId, FuncId, Inst, InstId, Module, Opcode, Rewrites, Type, Value};
 
 /// Maximum trip count fully unrolled.
 pub const UNROLL_TRIP_LIMIT: i64 = 32;
@@ -47,94 +46,6 @@ pub fn run_with_limits_filtered(
     changed
 }
 
-/// A recognized counted loop, bottom-tested (rotated form):
-/// single block `L`: φs, body, `i_next = i + step`, `c = icmp pred i_next
-/// bound`, `condbr c, L, exit` — or top-tested via the preheader guard.
-struct CountedLoop {
-    /// The loop's single block (header == latch).
-    block: BlockId,
-    /// Number of iterations the body executes.
-    trip: i64,
-}
-
-fn recognize(f: &autophase_ir::Function, cfg: &Cfg, l: &Loop) -> Option<CountedLoop> {
-    // Single-block, bottom-tested loops only: header == latch.
-    if l.blocks.len() != 1 {
-        return None;
-    }
-    let block = l.header;
-    if l.single_latch()? != block {
-        return None;
-    }
-    let term = f.terminator(block)?;
-    let Opcode::CondBr {
-        cond: Value::Inst(cmp),
-        then_bb,
-        else_bb,
-    } = f.inst(term).op
-    else {
-        return None;
-    };
-    let (back_is_then, _exit) = if then_bb == block {
-        (true, else_bb)
-    } else if else_bb == block {
-        (false, then_bb)
-    } else {
-        return None;
-    };
-    let Opcode::ICmp(pred, Value::Inst(next_id), Value::ConstInt(_, bound)) = f.inst(cmp).op else {
-        return None;
-    };
-    // next = iv + step
-    let Opcode::Binary(BinOp::Add, Value::Inst(iv), Value::ConstInt(_, step)) = f.inst(next_id).op
-    else {
-        return None;
-    };
-    if step == 0 {
-        return None;
-    }
-    let Opcode::Phi { incoming } = &f.inst(iv).op else {
-        return None;
-    };
-    if incoming.len() != 2 {
-        return None;
-    }
-    let preheader = l.entering_block(cfg)?;
-    let init = incoming
-        .iter()
-        .find(|(p, _)| *p == preheader)
-        .map(|(_, v)| *v)?;
-    let from_latch = incoming
-        .iter()
-        .find(|(p, _)| *p == block)
-        .map(|(_, v)| *v)?;
-    if from_latch != Value::Inst(next_id) {
-        return None;
-    }
-    let Value::ConstInt(_, init) = init else {
-        return None;
-    };
-
-    // Simulate the trip count (bounded) — robust against any predicate.
-    let ty = f.inst(iv).ty;
-    let mut i = init;
-    let mut trip = 0i64;
-    loop {
-        trip += 1;
-        if trip > UNROLL_TRIP_LIMIT.max(1024) {
-            return None;
-        }
-        let next = autophase_ir::fold::eval_binop(BinOp::Add, ty, i, step);
-        let c = autophase_ir::fold::eval_icmp(pred, ty, next, bound);
-        let continues = if back_is_then { c != 0 } else { c == 0 };
-        if !continues {
-            break;
-        }
-        i = next;
-    }
-    Some(CountedLoop { block, trip })
-}
-
 /// Unroll every loop that qualifies, in the order and with the decisions
 /// of a driver that re-analyses the function after each unroll and takes
 /// the first qualifying loop of the fresh list.
@@ -162,14 +73,17 @@ fn unroll_all(
         }
         for l in loops {
             let f = m.func(fid);
-            let Some(cl) = recognize(f, cfg, l) else {
+            let Some(cl) = l.counted_exit(f, cfg) else {
                 continue;
             };
-            if cl.trip > trip_limit || !filter(f, cl.block) {
+            let Some(trip) = cl.trip(trip_limit) else {
+                continue;
+            };
+            if !filter(f, cl.block) {
                 continue;
             }
             let body_size = f.block(cl.block).insts.len();
-            if body_size > size_limit || body_size * cl.trip as usize > 512 {
+            if body_size > size_limit || body_size * trip.count as usize > 512 {
                 continue;
             }
             // The loop may not contain calls that could recurse into this
@@ -181,9 +95,9 @@ fn unroll_all(
             // The use index is built, if the store lacks it, at the first
             // unroll, before anything is written.
             let users = facts.users();
-            let exit = do_full_unroll(m.func_mut(fid), &cl, preheader, users);
+            do_full_unroll(m.func_mut(fid), &cl, trip.count, preheader, users);
             changed = true;
-            if is_header.get(exit.index()).copied().unwrap_or(true) {
+            if is_header.get(cl.exit.index()).copied().unwrap_or(true) {
                 continue 'analyse;
             }
         }
@@ -201,19 +115,19 @@ pub(crate) fn run_one_at_a_time(m: &mut Module) -> bool {
             let facts = m.facts(fid);
             let f = m.func(fid);
             for l in facts.loops() {
-                let Some(cl) = recognize(f, facts.cfg(), l) else {
+                let Some(cl) = l.counted_exit(f, facts.cfg()) else {
+                    continue;
+                };
+                let Some(trip) = cl.trip(UNROLL_TRIP_LIMIT) else {
                     continue;
                 };
                 let body_size = f.block(cl.block).insts.len();
-                if cl.trip > UNROLL_TRIP_LIMIT
-                    || body_size > UNROLL_SIZE_LIMIT
-                    || body_size * cl.trip as usize > 512
-                {
+                if body_size > UNROLL_SIZE_LIMIT || body_size * trip.count as usize > 512 {
                     continue;
                 }
                 let preheader = l.entering_block(facts.cfg()).expect("an entering block");
                 let users = facts.users();
-                do_full_unroll(m.func_mut(fid), &cl, preheader, users);
+                do_full_unroll(m.func_mut(fid), &cl, trip.count, preheader, users);
                 changed = true;
                 continue 'analyse;
             }
@@ -267,23 +181,17 @@ impl LoopValues<'_> {
 }
 
 /// Replace the single-block loop with `trip` copies of its body chained
-/// straight-line, then a jump to the exit, which it returns. `users`
-/// lists the users of the loop's values (no write since it was built
-/// added one).
+/// straight-line, then a jump to the exit. `users` lists the users of the
+/// loop's values (no write since it was built added one).
 fn do_full_unroll(
     f: &mut autophase_ir::Function,
-    cl: &CountedLoop,
+    cl: &CountedExit,
+    trip: i64,
     preheader: BlockId,
     users: &UserIndex,
-) -> BlockId {
-    let block = cl.block;
+) {
+    let (block, exit) = (cl.block, cl.exit);
     let term = f.terminator(block).expect("loop block has terminator");
-    let exit = f
-        .inst(term)
-        .successors()
-        .into_iter()
-        .find(|&s| s != block)
-        .expect("bottom-tested loop exits somewhere");
 
     let (phis, body): (Vec<InstId>, Vec<InstId>) = f
         .block(block)
@@ -323,7 +231,7 @@ fn do_full_unroll(
     let flat = f.add_block();
     let mut carry_map = cur.clone();
     let mut at_latch_map = cur;
-    for _iter in 0..cl.trip {
+    for _iter in 0..trip {
         let mut iter_map = carry_map;
         for &src in &body {
             let mut inst = f.inst(src).clone();
@@ -380,7 +288,6 @@ fn do_full_unroll(
             }
         }
     }
-    exit
 }
 
 #[cfg(test)]
@@ -390,6 +297,7 @@ mod tests {
     use autophase_ir::interp::{run_function, run_main};
     use autophase_ir::loops::analyze_loops;
     use autophase_ir::verify::assert_verified;
+    use autophase_ir::BinOp;
 
     /// Build a rotated (single-block, bottom-tested) loop summing i.
     fn rotated_sum(n: i32) -> Module {

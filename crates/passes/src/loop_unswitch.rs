@@ -78,10 +78,8 @@ fn exits_dedicated(
 ) -> bool {
     // every exit's preds are all in-loop, and every outside use of a loop
     // value is a φ in an exit block
-    for &e in &l.exits {
-        if cfg.unique_preds(e).iter().any(|p| !l.contains(*p)) {
-            return false;
-        }
+    if !l.exits.iter().all(|&e| l.is_dedicated_exit(cfg, e)) {
+        return false;
     }
     for &bb in &l.blocks {
         for &iid in &f.block(bb).insts {
