@@ -52,13 +52,19 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
         }
         // Termination (conservative): an exit test on an induction
         // variable with a constant init and a nonzero step (its last
-        // in-loop entry's) that moves toward the bound.
+        // in-loop entry's) that moves toward the bound. Going round while
+        // `φ + C != bound`, it leaves only if `init + C + k·step` meets the
+        // bound at the IV's width: if 2^tz(step) divides `bound − init − C`.
         let counted = l.exit_tests(f, cfg).iter().any(|t| {
-            let Some(step) = t.iv.steps.last() else {
+            let (Value::ConstInt(_, init), Some(step)) = (t.iv.init, t.iv.steps.last()) else {
                 return false;
             };
-            matches!(t.iv.init, Value::ConstInt(..))
-                && step.by != 0
+            let ty = t.iv.ty;
+            let meets = ty
+                .zext(t.bound.wrapping_sub(init).wrapping_sub(t.offset))
+                .trailing_zeros()
+                >= ty.zext(step.by).trailing_zeros();
+            step.by != 0
                 && matches!(
                     (t.pred, step.by > 0),
                     (
@@ -67,6 +73,7 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
                     ) | (CmpPred::Sgt | CmpPred::Sge, false)
                         | (CmpPred::Ne, _)
                 )
+                && (t.pred != CmpPred::Ne || !t.true_stays || meets)
         });
         if !counted {
             continue;
@@ -196,6 +203,34 @@ b2:
         assert!(run(&mut m));
         assert_verified(&m);
         assert_eq!(run_main(&m, 100_000).unwrap().return_value, Some(5));
+    }
+
+    /// `i = 0; while (i != 11) i += 2;` never exits: an even `i` never
+    /// equals 11, at any width. Deleting it would turn a program that
+    /// never returns into one that does.
+    #[test]
+    fn ne_loop_that_misses_its_bound_kept() {
+        let text = "; module t
+define i32 @main() {
+b0:
+  br b1
+b1:
+  %1 = i32 phi [i32 0, b0], [%2, b1]
+  %2 = i32 add %1, i32 2
+  %3 = i1 icmp ne %2, i32 11
+  br %3, b1, b2
+b2:
+  ret i32 7
+}";
+        let mut m = autophase_ir::parser::parse_module(text).unwrap();
+        assert!(run_main(&m, 100_000).is_err());
+        assert!(!run(&mut m));
+        // Stepping by 2 from 1 does reach 11: that loop goes.
+        let mut m =
+            autophase_ir::parser::parse_module(&text.replace("i32 0, b0", "i32 1, b0")).unwrap();
+        assert!(run(&mut m));
+        assert_verified(&m);
+        assert_eq!(run_main(&m, 100_000).unwrap().return_value, Some(7));
     }
 
     #[test]
