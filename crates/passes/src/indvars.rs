@@ -76,10 +76,9 @@ fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
     true
 }
 
-/// `icmp ne` exit tests ([`autophase_ir::loops::Loop::exit_tests`]) on a unit-step induction
-/// variable `i` or `i + 1` counting up from a constant at or below the
-/// bound become `icmp slt`: a unit step reaches the bound exactly, so the
-/// two tests agree on every value the loop sees.
+/// `icmp ne` exit tests ([`autophase_ir::loops::Loop::exit_tests`]) on
+/// an induction variable `i` or `i + 1` whose first in-loop step is 1,
+/// counting up from a constant at or below the bound, become `icmp slt`.
 fn canonicalize_exit_compares(m: &mut Module, fid: FuncId) -> bool {
     let facts = m.facts(fid);
     let f = m.func(fid);
@@ -87,7 +86,6 @@ fn canonicalize_exit_compares(m: &mut Module, fid: FuncId) -> bool {
     let mut rewrites: Vec<InstId> = Vec::new();
     for l in loops {
         for t in l.exit_tests(f, cfg) {
-            // The step is the first in-loop entry's.
             let (Some(init), Some(step)) = (t.iv.init.as_const_int(), t.iv.steps.first()) else {
                 continue;
             };
