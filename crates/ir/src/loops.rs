@@ -37,15 +37,8 @@ impl Loop {
     /// The unique preheader: the single predecessor of the header outside
     /// the loop, if it exists and the header is its only successor.
     pub fn preheader(&self, cfg: &Cfg) -> Option<BlockId> {
-        let outside: Vec<BlockId> = cfg
-            .unique_preds(self.header)
-            .into_iter()
-            .filter(|p| !self.contains(*p))
-            .collect();
-        match outside.as_slice() {
-            [p] if cfg.unique_succs(*p) == vec![self.header] => Some(*p),
-            _ => None,
-        }
+        self.entering_block(cfg)
+            .filter(|&p| cfg.unique_succs(p) == [self.header])
     }
 
     /// The unique block outside the loop that branches to the header, if
@@ -163,6 +156,7 @@ impl Loop {
             .find(|&&s| s != self.header)?;
         Some(CountedExit {
             block: self.header,
+            entering: self.entering_block(cfg)?,
             exit,
             test,
             init,
@@ -251,6 +245,8 @@ pub struct ExitTest {
 pub struct CountedExit {
     /// The loop's one block.
     pub block: BlockId,
+    /// The loop's entering block, where `init` comes from.
+    pub entering: BlockId,
     /// The block's target outside the loop.
     pub exit: BlockId,
     /// The block's exit test, on the increment `i + step`.

@@ -86,16 +86,10 @@ fn unroll_all(
             if body_size > size_limit || body_size * trip.count as usize > 512 {
                 continue;
             }
-            // The loop may not contain calls that could recurse into this
-            // function (cloned call sites are fine; recursion changes
-            // nothing).
-            let preheader = l
-                .entering_block(cfg)
-                .expect("recognized loop has an entering block");
             // The use index is built, if the store lacks it, at the first
             // unroll, before anything is written.
             let users = facts.users();
-            do_full_unroll(m.func_mut(fid), &cl, trip.count, preheader, users);
+            do_full_unroll(m.func_mut(fid), &cl, trip.count, users);
             changed = true;
             if is_header.get(cl.exit.index()).copied().unwrap_or(true) {
                 continue 'analyse;
@@ -125,9 +119,8 @@ pub(crate) fn run_one_at_a_time(m: &mut Module) -> bool {
                 if body_size > UNROLL_SIZE_LIMIT || body_size * trip.count as usize > 512 {
                     continue;
                 }
-                let preheader = l.entering_block(facts.cfg()).expect("an entering block");
                 let users = facts.users();
-                do_full_unroll(m.func_mut(fid), &cl, trip.count, preheader, users);
+                do_full_unroll(m.func_mut(fid), &cl, trip.count, users);
                 changed = true;
                 continue 'analyse;
             }
@@ -183,14 +176,8 @@ impl LoopValues<'_> {
 /// Replace the single-block loop with `trip` copies of its body chained
 /// straight-line, then a jump to the exit. `users` lists the users of the
 /// loop's values (no write since it was built added one).
-fn do_full_unroll(
-    f: &mut autophase_ir::Function,
-    cl: &CountedExit,
-    trip: i64,
-    preheader: BlockId,
-    users: &UserIndex,
-) {
-    let (block, exit) = (cl.block, cl.exit);
+fn do_full_unroll(f: &mut autophase_ir::Function, cl: &CountedExit, trip: i64, users: &UserIndex) {
+    let (block, preheader, exit) = (cl.block, cl.entering, cl.exit);
     let term = f.terminator(block).expect("loop block has terminator");
 
     let (phis, body): (Vec<InstId>, Vec<InstId>) = f

@@ -11,10 +11,12 @@
 //! `-O3` followed by a seeded random suffix of 45 Table-1 passes (the
 //! optimized module is what most passes of a long ordering see).
 //! Programs: the nine CHStone benchmarks, a few of the generated batch
-//! `program_batch(&GenConfig::default(), 31_337, ·)`, and four hand-written
+//! `program_batch(&GenConfig::default(), 31_337, ·)`, and five hand-written
 //! texts with the shapes neither has: a `switch`, a tail-recursive call, a
-//! constant φ feeding a conditional branch, and a branch on `x == C` whose
-//! arm still uses `x`. Each of `-lowerswitch`, `-tailcallelim`,
+//! constant φ feeding a conditional branch, a branch on `x == C` whose
+//! arm still uses `x`, and loops exiting on `icmp ne` (the only shape on
+//! which `-indvars` rewrites a compare and `-loop-deletion` reads an `ne`
+//! bound). Each of `-lowerswitch`, `-tailcallelim`,
 //! `-jump-threading` and `-correlated-propagation` must change at least
 //! one program of the slice, so the check after every pass covers their
 //! rewrites too.
@@ -181,6 +183,38 @@ b5:
 }
 ";
 
+/// Two loops that exit on `icmp ne`, a shape the generator never emits: a
+/// unit-step one whose `ne` `-indvars` turns into `slt`, then an
+/// effect-free one stepping by 2 onto its bound, which `-loop-deletion`
+/// removes only because the bound is reachable.
+const NE_LOOPS: &str = "; module ne_loops
+
+; f0
+define i32 @main() {
+b0:
+  br b1
+b1:
+  %1 = i32 phi [i32 0, b0], [%4, b2]
+  %2 = i32 phi [i32 1, b0], [%3, b2]
+  %5 = i1 icmp ne %1, i32 12
+  br %5, b2, b3
+b2:
+  %6 = i32 mul %2, i32 3
+  %3 = i32 xor %6, %1
+  %4 = i32 add %1, i32 1
+  br b1
+b3:
+  br b4
+b4:
+  %7 = i32 phi [i32 0, b3], [%8, b4]
+  %8 = i32 add %7, i32 2
+  %9 = i1 icmp ne %8, i32 10
+  br %9, b4, b5
+b5:
+  ret %2
+}
+";
+
 /// The passes whose rewrites only the hand-written texts reach.
 const COVERED: [&str; 4] = [
     "-lowerswitch",
@@ -205,6 +239,7 @@ fn programs() -> Vec<Module> {
             TAIL_SUM,
             CONSTANT_PHI_BRANCH,
             CORRELATED_BRANCH,
+            NE_LOOPS,
         ]
         .map(|text| parse_module(text).expect("a hand-written program parses")),
     );
