@@ -79,7 +79,32 @@ impl Loop {
     /// that needs every in-loop entry to step checks [`Induction::steps`]
     /// against the loop's latches.
     pub fn induction(&self, f: &Function, cfg: &Cfg, phi: InstId) -> Option<Induction> {
-        induction(f, self.entering_block(cfg)?, phi)
+        let entering = self.entering_block(cfg)?;
+        let Opcode::Phi { incoming } = &f.inst(phi).op else {
+            return None;
+        };
+        let init = incoming.iter().find(|(p, _)| *p == entering)?.1;
+        let steps = incoming
+            .iter()
+            .filter(|(p, _)| *p != entering)
+            .filter_map(|&(_, v)| {
+                let Value::Inst(add) = v else { return None };
+                match f.inst(add).op {
+                    Opcode::Binary(BinOp::Add, base, Value::ConstInt(ty, by))
+                        if base == Value::Inst(phi) =>
+                    {
+                        Some(Step { add, ty, by })
+                    }
+                    _ => None,
+                }
+            })
+            .collect();
+        Some(Induction {
+            phi,
+            ty: f.inst(phi).ty,
+            init,
+            steps,
+        })
     }
 
     /// Every test on an induction variable that can leave the loop, in
@@ -87,9 +112,6 @@ impl Loop {
     /// loop, on `icmp pred v, bound` with `v` an [induction](Loop::induction)
     /// φ or `φ + C` and `bound` a constant.
     pub fn exit_tests(&self, f: &Function, cfg: &Cfg) -> Vec<ExitTest> {
-        let Some(entering) = self.entering_block(cfg) else {
-            return Vec::new();
-        };
         let mut tests = Vec::new();
         for &bb in &self.blocks {
             let Some(term) = f.terminator(bb) else {
@@ -116,7 +138,7 @@ impl Loop {
                 Opcode::Binary(BinOp::Add, Value::Inst(p), Value::ConstInt(_, c)) => (p, c),
                 _ => continue,
             };
-            let Some(iv) = induction(f, entering, phi) else {
+            let Some(iv) = self.induction(f, cfg, phi) else {
                 continue;
             };
             tests.push(ExitTest {
@@ -189,35 +211,6 @@ pub struct Step {
     pub ty: Type,
     /// `C`.
     pub by: i64,
-}
-
-/// `phi` as an induction variable of the loop `entering` enters.
-fn induction(f: &Function, entering: BlockId, phi: InstId) -> Option<Induction> {
-    let Opcode::Phi { incoming } = &f.inst(phi).op else {
-        return None;
-    };
-    let init = incoming.iter().find(|(p, _)| *p == entering)?.1;
-    let steps = incoming
-        .iter()
-        .filter(|(p, _)| *p != entering)
-        .filter_map(|&(_, v)| {
-            let Value::Inst(add) = v else { return None };
-            match f.inst(add).op {
-                Opcode::Binary(BinOp::Add, base, Value::ConstInt(ty, by))
-                    if base == Value::Inst(phi) =>
-                {
-                    Some(Step { add, ty, by })
-                }
-                _ => None,
-            }
-        })
-        .collect();
-    Some(Induction {
-        phi,
-        ty: f.inst(phi).ty,
-        init,
-        steps,
-    })
 }
 
 /// A test on an induction variable that can leave its loop (see
