@@ -101,15 +101,12 @@ pub fn serve_env(programs: Vec<Module>) -> PhaseOrderEnv {
 pub enum PolicyFault {
     /// A forward pass panicked (or a chaos fault was injected).
     Inference,
-    /// The engine is shutting down.
-    Shutdown,
 }
 
 impl std::fmt::Display for PolicyFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PolicyFault::Inference => write!(f, "policy inference faulted"),
-            PolicyFault::Shutdown => write!(f, "inference engine shut down"),
         }
     }
 }
@@ -174,9 +171,6 @@ pub struct InferenceEngine {
     crash: AtomicU32,
     /// Policy swaps installed over this engine's lifetime.
     swaps: AtomicU64,
-    /// Set by [`InferenceEngine::shutdown`]: every later inference
-    /// answers [`PolicyFault::Shutdown`].
-    shutdown: bool,
 }
 
 /// A policy the serving layout refuses: wrong shape or non-finite weights.
@@ -238,7 +232,6 @@ impl InferenceEngine {
             chaos: AtomicU32::new(0),
             crash: AtomicU32::new(0),
             swaps: AtomicU64::new(0),
-            shutdown: false,
         }
     }
 
@@ -312,9 +305,6 @@ impl InferenceEngine {
         obs: &[f64],
         ws: &'w mut BatchWorkspace,
     ) -> Result<&'w [f64], PolicyFault> {
-        if self.shutdown {
-            return Err(PolicyFault::Shutdown);
-        }
         let t = telemetry::maybe_now();
         let fault = if take_armed(&self.chaos) {
             Some("injected")
@@ -349,8 +339,7 @@ impl InferenceEngine {
     ///
     /// # Errors
     ///
-    /// [`PolicyFault`] when the forward pass faulted (or was injected to)
-    /// or the engine was shut down.
+    /// [`PolicyFault`] when the forward pass faulted (or was injected to).
     pub fn infer(&self, obs: Vec<f64>) -> Result<Vec<f64>, PolicyFault> {
         let policy = self.serving()?;
         let mut ws = BatchWorkspace::new();
@@ -442,12 +431,6 @@ impl InferenceEngine {
         report.pass_ns = walk.pass_ns();
         report.features_ns = walk.features_ns();
         Ok(report)
-    }
-
-    /// Stop serving: every later inference answers
-    /// [`PolicyFault::Shutdown`]. Idempotent.
-    pub fn shutdown(&mut self) {
-        self.shutdown = true;
     }
 }
 
@@ -753,16 +736,6 @@ mod tests {
             &FuelBudget::default(),
         );
         assert_eq!(got, Err(PolicyFault::Inference));
-    }
-
-    #[test]
-    fn shutdown_answers_instead_of_hanging() {
-        let mut engine = InferenceEngine::start(test_policy(9), EngineConfig::default()).unwrap();
-        engine.shutdown();
-        assert_eq!(
-            engine.infer(vec![0.0; serve_obs_dim()]),
-            Err(PolicyFault::Shutdown)
-        );
     }
 
     #[test]
