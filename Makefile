@@ -216,7 +216,12 @@ pass-golden:
 # with its `gemm_rt` hand-off, Adam), in optimized code too, and the
 # `tanh` port, its eight-lane body and libm on 10^8 seeded inputs.
 # No wall-clock gates beyond the scaling ratios: what the fast paths
-# cost is read from the benchmark's layer metrics (`make bench`).
+# cost is read from the benchmark's layer metrics (`make bench`). Last,
+# the step has one driver: the env, Figure 9's inference and the
+# daemon's rollout each keep their episode in a `step::Walk`, so none of
+# them applies a pass, polls the fault plan or resyncs features itself.
+# A second copy of that sequence is how training and serving could take
+# different steps (DESIGN.md §4g), and the grep fails on one.
 perf-smoke:
 	$(CARGO) test -q --release -p autophase-features --test incremental_diff
 	$(CARGO) test -q --release -p autophase-passes --test scaling
@@ -228,3 +233,4 @@ perf-smoke:
 	$(CARGO) test -q --release -p autophase-core --test ordering_golden
 	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
 	$(CARGO) test -q --release -p autophase-nn --test simd_diff
+	@! grep -nE 'apply_checked_traced|fault::poll|IncrementalFeatures::(new|update|rebuild)' crates/core/src/env.rs crates/core/src/experiment.rs crates/serve/src/engine.rs

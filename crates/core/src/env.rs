@@ -1,5 +1,12 @@
 //! The phase-ordering RL environment (§5.1).
 //!
+//! An episode is one [`Walk`] of the environment's [`Step`] — the walk the
+//! daemon's rollout and Figure 9's inference take — cloned at each reset
+//! from the program's pristine walk. The environment adds only what a
+//! trainer needs on top: program rotation, the masked no-op of a
+//! quarantined pass, the profile and the reward, and the rollback of a
+//! step whose result is wrong.
+//!
 //! The reward is the profiler's cycle delta. Each program is scored by its
 //! own [`Input`], built at the program's first episode on the
 //! environment's [`EvalCache`]: the reset reads the program's own profile,
@@ -13,7 +20,7 @@
 use crate::compile::{private_cache, Input, UNPROFILEABLE_CYCLES};
 use crate::eval_cache::{fingerprint_module, EvalCache};
 use crate::quarantine::Quarantine;
-use crate::step::{resync_features, Step};
+use crate::step::{Step, Walk};
 use autophase_features::IncrementalFeatures;
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
@@ -115,13 +122,13 @@ impl Default for EnvConfig {
 pub struct PhaseOrderEnv {
     programs: Vec<Module>,
     cfg: EnvConfig,
-    /// The action table, observation recipe and transition `cfg` selects
-    /// — shared with the daemon's rollout.
+    /// The action table and observation recipe `cfg` selects — shared
+    /// with the daemon's rollout.
     step: Step,
-    current: Module,
+    /// The episode: module, features and histogram.
+    walk: Walk,
     program_cursor: usize,
     steps_taken: usize,
-    action_histogram: Vec<f64>,
     prev_cycles: u64,
     episode_done: bool,
     /// The profile memo: private until [`PhaseOrderEnv::set_cache`] swaps
@@ -131,12 +138,10 @@ pub struct PhaseOrderEnv {
     inputs: Vec<Option<Input>>,
     /// Shared repeat-offender table; `None` disables masking.
     quarantine: Option<Arc<Quarantine>>,
-    /// The feature decomposition, always synced with `current`.
-    inc: IncrementalFeatures,
-    /// Lazily built pristine [`IncrementalFeatures`] per program, cloned
-    /// into `inc` at reset so episode starts cost O(#functions) copies
-    /// instead of a full re-extraction.
-    inc_templates: Vec<Option<IncrementalFeatures>>,
+    /// Each program's pristine walk, built at its first episode and
+    /// cloned into `walk` at every reset: an episode start costs
+    /// O(#functions) copies instead of a full extraction.
+    pristine: Vec<Option<Walk>>,
     /// Index in `programs` of the episode's program (unlike
     /// `program_cursor`, which already points at the *next* episode's).
     episode_program: usize,
@@ -151,26 +156,23 @@ impl PhaseOrderEnv {
     /// Panics if `programs` is empty.
     pub fn new(programs: Vec<Module>, cfg: EnvConfig) -> PhaseOrderEnv {
         assert!(!programs.is_empty(), "need at least one program");
-        let current = programs[0].clone();
         let step = Step::new(&cfg);
-        let inc = IncrementalFeatures::new(&current);
-        let mut inc_templates = vec![None; programs.len()];
-        inc_templates[0] = Some(inc.clone());
+        let walk = Walk::start(&step, programs[0].clone());
+        let mut pristine = vec![None; programs.len()];
+        pristine[0] = Some(walk.clone());
         PhaseOrderEnv {
-            inc_templates,
+            pristine,
             inputs: (0..programs.len()).map(|_| None).collect(),
-            action_histogram: vec![0.0; step.num_actions()],
             programs,
             cfg,
             step,
-            current,
+            walk,
             program_cursor: 0,
             steps_taken: 0,
             prev_cycles: 0,
             episode_done: false,
             cache: private_cache(),
             quarantine: None,
-            inc,
             episode_program: 0,
         }
     }
@@ -252,7 +254,7 @@ impl PhaseOrderEnv {
         let (program, hls, cache) = (&self.programs[idx], &self.cfg.hls, &self.cache);
         let input = self.inputs[idx]
             .get_or_insert_with(|| Input::with_cache(program, hls, Arc::clone(cache)));
-        (input, &self.current)
+        (input, self.walk.module())
     }
 
     /// The cycle count of the current module state, as the episode
@@ -283,21 +285,14 @@ impl PhaseOrderEnv {
 
     /// The module in its current (partially optimized) state.
     pub fn module(&self) -> &Module {
-        &self.current
+        self.walk.module()
     }
 
     /// The per-function feature decomposition. Exposed so invariant
     /// suites (chaos, differential) can assert it stays in lock-step with
     /// the module through faults and rollbacks.
     pub fn incremental_state(&self) -> &IncrementalFeatures {
-        &self.inc
-    }
-
-    /// The observation of the current state, by the shared recipe. The
-    /// incremental total is maintained to equal `extract(&self.current)`
-    /// at all times, so serving it replaces a full module walk with a copy.
-    fn observe(&self) -> Vec<f64> {
-        self.step.observe(self.inc.total(), &self.action_histogram)
+        self.walk.features()
     }
 
     fn reward(&self, prev: u64, cur: u64) -> f64 {
@@ -324,20 +319,19 @@ impl Environment for PhaseOrderEnv {
         // Leave any per-episode fault-injection context behind.
         autophase_passes::fault::set_episode(None);
         let idx = self.program_cursor;
-        // A COW clone: O(#functions) refcount bumps, not a deep copy.
-        self.current = self.programs[idx].clone();
         self.episode_program = idx;
         // First episode on this program: pay one full extraction, then
-        // every later reset clones the finished decomposition.
-        self.inc = self.inc_templates[idx]
-            .get_or_insert_with(|| IncrementalFeatures::new(&self.programs[idx]))
+        // every later reset clones the pristine walk (the module's clone
+        // is COW: O(#functions) refcount bumps, not a deep copy).
+        let (step, program) = (&self.step, &self.programs[idx]);
+        self.walk = self.pristine[idx]
+            .get_or_insert_with(|| Walk::start(step, program.clone()))
             .clone();
         self.program_cursor = (self.program_cursor + 1) % self.programs.len();
         self.steps_taken = 0;
-        self.action_histogram = vec![0.0; self.num_actions()];
         self.episode_done = false;
         self.prev_cycles = self.evaluator().0.o0_cycles();
-        self.observe()
+        self.walk.observe(&self.step)
     }
 
     fn reset_to(&mut self, episode: u64) -> Vec<f64> {
@@ -359,7 +353,7 @@ impl Environment for PhaseOrderEnv {
         if pass_id == registry::TERMINATE {
             self.episode_done = true;
             return StepResult {
-                observation: self.observe(),
+                observation: self.walk.observe(&self.step),
                 reward: 0.0,
                 done: true,
             };
@@ -369,54 +363,35 @@ impl Environment for PhaseOrderEnv {
             .as_ref()
             .is_some_and(|q| q.is_quarantined(self.program_fp(), pass_id));
 
-        // Poll the injection plan at the step level (not inside the
-        // apply): masked actions never attempt an apply, so they don't
-        // poll (and don't advance the per-episode apply counters).
-        let injected = if quarantined {
-            None
+        let (mut cur, mut faulted) = (self.prev_cycles, false);
+        if quarantined {
+            // Masked: a known repeat offender on this program. Scored like
+            // a faulted apply — no-op, zero reward — without attempting
+            // the pass or polling the injection plan, so the per-episode
+            // apply counters do not advance.
+            self.walk.skip(action);
         } else {
-            autophase_passes::fault::poll(pass_id)
-        };
-
-        // A step that runs its pass can still be undone: its module may
-        // turn out to compute another result than the program.
-        let before = (!quarantined).then(|| (self.current.clone(), self.inc.clone()));
-        let (changed, mut faulted) = if quarantined {
-            // Masked: a known repeat offender on this program. Scored
-            // like a faulted apply — no-op, zero reward — without even
-            // attempting the pass.
-            (false, false)
-        } else {
-            match self
-                .step
-                .apply(&mut self.current, action, &self.cfg.fuel, injected)
-            {
-                // Fold a changing apply into the incremental state. A
-                // faulted one is rolled back by the checked layer to the
-                // exact pre-pass module, which `inc` already describes.
-                Ok((changed, cs)) => {
-                    if changed {
-                        resync_features(&mut self.inc, &self.current, &cs);
+            // A step that runs its pass can still be undone: its module
+            // may turn out to compute another result than the program.
+            let before = self.walk.clone();
+            match self.walk.step(&self.step, action, &self.cfg.fuel) {
+                // A pass that reports "no change" cannot move the cycle
+                // count: no re-profiling.
+                Ok(false) => {}
+                Ok(true) => {
+                    cur = self.cycles();
+                    if cur == UNPROFILEABLE_CYCLES {
+                        // The module no longer computes the program's
+                        // answer: a fault like any other. Back to the
+                        // pre-step state; every repeat of this transition
+                        // lands here again, so every repeat counts.
+                        self.walk.undo(before);
+                        (faulted, cur) = (true, self.prev_cycles);
                     }
-                    (changed, false)
                 }
-                Err(_) => (false, true),
-            }
-        };
-
-        // A pass that reports "no change" cannot move the cycle count;
-        // skip the (expensive) re-profiling, exactly like caching the
-        // simulator result. (A masked step never changes anything.)
-        let mut cur = self.prev_cycles;
-        if changed {
-            cur = self.cycles();
-            if cur == UNPROFILEABLE_CYCLES {
-                // The module no longer computes the program's answer: a
-                // fault like any other. Back to the pre-step state; every
-                // repeat of this transition lands here again, so every
-                // repeat counts.
-                (self.current, self.inc) = before.expect("a step that ran keeps its state");
-                (faulted, cur) = (true, self.prev_cycles);
+                // Rolled back by the checked layer to the exact pre-pass
+                // module, which the walk's features already describe.
+                Err(_) => faulted = true,
             }
         }
         if faulted {
@@ -428,14 +403,13 @@ impl Environment for PhaseOrderEnv {
                 q.record_fault(self.program_fp(), pass_id);
             }
         }
-        self.action_histogram[action] += 1.0;
         self.steps_taken += 1;
         let reward = self.reward(self.prev_cycles, cur);
         self.prev_cycles = cur;
         let done = self.steps_taken >= self.cfg.episode_len;
         self.episode_done = done;
         StepResult {
-            observation: self.observe(),
+            observation: self.walk.observe(&self.step),
             reward,
             done,
         }

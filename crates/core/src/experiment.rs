@@ -264,19 +264,18 @@ pub fn infer_sequence(
 /// compilation.
 fn infer_with(agent: &PpoAgent, env_cfg: &EnvConfig, input: &mut Input) -> (Vec<usize>, u64) {
     let step = Step::new(env_cfg);
-    let mut m = input.program().clone();
-    let mut walk = Walk::start(&step, &mut m);
+    let mut walk = Walk::start(&step, input.program().clone());
     let mut seq = Vec::new();
     for _ in 0..step.episode_len() {
-        let action = agent.act_greedy(&walk.observe());
+        let action = agent.act_greedy(&walk.observe(&step));
         seq.push(step.actions()[action]);
         if step.actions()[action] == TERMINATE {
             break;
         }
         // A faulted pass was rolled back: a no-op step, as in the env.
-        let _ = walk.step(action, &env_cfg.fuel);
+        let _ = walk.step(&step, action, &env_cfg.fuel);
     }
-    (seq, input.score(&m))
+    (seq, input.score(walk.module()))
 }
 
 /// Figure 9: train deep-RL generalists on random programs; search fixed

@@ -8,21 +8,21 @@
 //! * the **observation recipe** — program features (normalised and
 //!   optionally filtered) ⊕ the action histogram;
 //! * the **transition** — look the pass up, apply it transactionally
-//!   under a fuel budget, hand back what changed.
+//!   under a fuel budget, resync the features from what changed.
 //!
-//! [`Step`] is the only statement of all three, built from an
-//! [`EnvConfig`]. The environment wraps it in what a trainer needs
-//! (program rotation, the profile memo, reward); [`Walk`] is the thin
-//! driver for callers that need none of that — it keeps the feature total
-//! in sync through each change set and counts the histogram, nothing
-//! else. Both resync their features by one rule (`resync_features`). An
-//! action-space change is an edit to [`Step::new`]'s table.
+//! [`Step`] states the table and the recipe, built from an [`EnvConfig`];
+//! [`Walk`] is one episode of it — the module, its features and the
+//! histogram — and [`Walk::step`] is the transition. There is one driver:
+//! the environment keeps its episode in a `Walk` and adds what a trainer
+//! needs on top (program rotation, the masked no-op, the profile memo,
+//! reward, the rollback of a wrong result); the daemon's rollout and
+//! Figure 9's inference walk one directly. An action-space change is an
+//! edit to [`Step::new`]'s table.
 
 use crate::env::{EnvConfig, FeatureNorm, ObservationKind};
-use autophase_features::{FeatureVector, IncrementalFeatures, FILTERED_FEATURES, NUM_FEATURES};
+use autophase_features::{IncrementalFeatures, FILTERED_FEATURES, NUM_FEATURES};
 use autophase_ir::Module;
-use autophase_passes::changeset::ChangeSet;
-use autophase_passes::checked::{apply_checked_traced, FaultKind, FuelBudget, PassFault};
+use autophase_passes::checked::{apply_checked_traced, FuelBudget, PassFault};
 use autophase_passes::fault;
 use autophase_passes::registry::{self, NUM_PASSES};
 use std::time::Instant;
@@ -53,7 +53,8 @@ pub const FILTERED_PASSES: [usize; 18] = [
     43, // -sroa
 ];
 
-/// Action table, observation recipe and transition of one configuration.
+/// Action table and observation recipe of one configuration; [`Walk`]
+/// takes its steps.
 #[derive(Debug, Clone)]
 pub struct Step {
     /// Table-1 pass id of each action index.
@@ -117,72 +118,17 @@ impl Step {
             ObservationKind::Combined => self.feature_dim() + self.num_actions(),
         }
     }
-
-    /// The observation of a module whose features are `synced` after
-    /// `histogram`, in one allocation.
-    ///
-    /// `synced` is `extract` of the module, which both drivers maintain
-    /// incrementally. Technique ② divides by the instruction count
-    /// (feature 51) before the §4 filter drops columns.
-    pub fn observe(&self, synced: FeatureVector, histogram: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.obs_dim());
-        if self.observation != ObservationKind::ActionHistory {
-            let total = synced[51].max(1) as f64;
-            let norm = |x: i64| match self.feature_norm {
-                FeatureNorm::Raw => x as f64,
-                FeatureNorm::Log => (1.0 + x.max(0) as f64).ln(),
-                FeatureNorm::InstCount => x as f64 / total,
-            };
-            out.extend(self.columns.iter().map(|&i| norm(synced[i])));
-        }
-        if self.observation != ObservationKind::ProgramFeatures {
-            out.extend_from_slice(histogram);
-        }
-        out
-    }
-
-    /// Apply `action`'s pass to `m` transactionally: `(changed, what
-    /// changed)`, or the fault with `m` rolled back to its verified
-    /// pre-pass state (telemetry counted by the checked layer).
-    /// `injected` forces a fault the caller polled from an injection
-    /// plan; `None` is the plain checked path. `-terminate` is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// The [`PassFault`] that was isolated.
-    pub fn apply(
-        &self,
-        m: &mut Module,
-        action: usize,
-        fuel: &FuelBudget,
-        injected: Option<FaultKind>,
-    ) -> Result<(bool, ChangeSet), PassFault> {
-        apply_checked_traced(m, self.actions[action], fuel, injected)
-    }
 }
 
-/// The resync rule for a feature decomposition after a changing pass:
-/// re-extract the dirty functions, or everything when function slots or
-/// signatures moved (feature 16 reads callee return types, so even clean
-/// callers may shift). `m` must be the post-pass module and `feats` synced
-/// with the pre-pass one. The environment's step and [`Walk::step`] both
-/// resync through here.
-pub(crate) fn resync_features(feats: &mut IncrementalFeatures, m: &Module, cs: &ChangeSet) {
-    if cs.needs_full_rebuild() {
-        feats.rebuild(m);
-    } else {
-        feats.update(m, &cs.dirty_funcs);
-    }
-}
-
-/// One rollout over a module by a driver that keeps no memos or reward:
-/// only what an observation reads. The daemon serves through this;
-/// driving a whole `PhaseOrderEnv` per request would pay for a reset
-/// profile and cycle lookups it never reads (measured at 2× the rollout,
-/// DESIGN.md §4g).
-pub struct Walk<'a> {
-    step: &'a Step,
-    module: &'a mut Module,
+/// One episode of the step: the module, its features kept in sync through
+/// each change set, the action histogram, and the time spent in passes and
+/// resyncs. The environment keeps its episode in one (cloned from each
+/// program's pristine walk at reset); the daemon's rollout and Figure 9's
+/// inference start one per program. [`Walk::step`] is the only statement
+/// of a step's transition.
+#[derive(Debug, Clone)]
+pub struct Walk {
+    module: Module,
     /// `extract(module)`, resynced from each change set.
     feats: IncrementalFeatures,
     histogram: Vec<f64>,
@@ -192,17 +138,31 @@ pub struct Walk<'a> {
     features_ns: u64,
 }
 
-impl<'a> Walk<'a> {
+impl Walk {
     /// Start at `module` as it is (one full extraction).
-    pub fn start(step: &'a Step, module: &'a mut Module) -> Walk<'a> {
+    pub fn start(step: &Step, module: Module) -> Walk {
         Walk {
-            feats: IncrementalFeatures::new(module),
+            feats: IncrementalFeatures::new(&module),
             histogram: vec![0.0; step.num_actions()],
-            step,
             module,
             pass_ns: 0,
             features_ns: 0,
         }
+    }
+
+    /// The module in its current state.
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// The module in its current state, ending the walk.
+    pub fn into_module(self) -> Module {
+        self.module
+    }
+
+    /// The per-function feature decomposition of [`Walk::module`].
+    pub fn features(&self) -> &IncrementalFeatures {
+        &self.feats
     }
 
     /// Nanoseconds this walk's steps spent applying passes, each checked
@@ -216,31 +176,73 @@ impl<'a> Walk<'a> {
         self.features_ns
     }
 
-    /// The observation of the current state.
-    pub fn observe(&self) -> Vec<f64> {
-        self.step.observe(self.feats.total(), &self.histogram)
+    /// The observation of the current state by `step`'s recipe, in one
+    /// allocation. Technique ② divides by the instruction count (feature
+    /// 51) before the §4 filter drops columns.
+    pub fn observe(&self, step: &Step) -> Vec<f64> {
+        let mut out = Vec::with_capacity(step.obs_dim());
+        if step.observation != ObservationKind::ActionHistory {
+            let synced = self.feats.total();
+            let total = synced[51].max(1) as f64;
+            let norm = |x: i64| match step.feature_norm {
+                FeatureNorm::Raw => x as f64,
+                FeatureNorm::Log => (1.0 + x.max(0) as f64).ln(),
+                FeatureNorm::InstCount => x as f64 / total,
+            };
+            out.extend(step.columns.iter().map(|&i| norm(synced[i])));
+        }
+        if step.observation != ObservationKind::ProgramFeatures {
+            out.extend_from_slice(&self.histogram);
+        }
+        out
     }
 
-    /// Take `action`: whether its pass changed the module. A faulted
-    /// apply leaves the module where it was; either way the action
+    /// Take `action` of `step`'s table: whether its pass changed the
+    /// module. The pass is applied transactionally under `fuel`; a faulted
+    /// apply leaves the module where it was. A changing one resyncs the
+    /// features: the dirty functions are re-extracted, or everything when
+    /// function slots or signatures moved (feature 16 reads callee return
+    /// types, so even clean callers may shift). Either way the action
     /// counts in the histogram. Like every checked apply, it polls the
     /// armed fault plan ([`autophase_passes::fault::PLAN`]).
     ///
     /// # Errors
     ///
     /// The [`PassFault`] that was isolated.
-    pub fn step(&mut self, action: usize, fuel: &FuelBudget) -> Result<bool, PassFault> {
+    pub fn step(
+        &mut self,
+        step: &Step,
+        action: usize,
+        fuel: &FuelBudget,
+    ) -> Result<bool, PassFault> {
         self.histogram[action] += 1.0;
-        let injected = fault::poll(self.step.actions[action]);
+        let pass = step.actions[action];
+        let injected = fault::poll(pass);
         let start = Instant::now();
-        let applied = self.step.apply(self.module, action, fuel, injected);
+        let applied = apply_checked_traced(&mut self.module, pass, fuel, injected);
         let applied_at = Instant::now();
         self.pass_ns += (applied_at - start).as_nanos() as u64;
         let (changed, cs) = applied?;
         if changed {
-            resync_features(&mut self.feats, self.module, &cs);
+            if cs.needs_full_rebuild() {
+                self.feats.rebuild(&self.module);
+            } else {
+                self.feats.update(&self.module, &cs.dirty_funcs);
+            }
             self.features_ns += applied_at.elapsed().as_nanos() as u64;
         }
         Ok(changed)
+    }
+
+    /// Count `action` without applying it: the no-op a masked action is.
+    pub(crate) fn skip(&mut self, action: usize) {
+        self.histogram[action] += 1.0;
+    }
+
+    /// Return the module and features to `before`, a clone of this walk
+    /// from just before a step whose result the caller refuses. The step
+    /// stays counted.
+    pub(crate) fn undo(&mut self, before: Walk) {
+        (self.module, self.feats) = (before.module, before.feats);
     }
 }

@@ -346,22 +346,23 @@ impl InferenceEngine {
         Ok(self.forward(&policy, &obs, &mut ws)?.to_vec())
     }
 
-    /// Greedy policy rollout on `m` in place: [`SERVE_EPISODE_LEN`] steps
-    /// of argmax actions, each chosen pass applied transactionally.
-    /// Faulted applies are recorded in `quarantine` and skipped;
-    /// quarantined passes are masked out of the argmax (the program's
-    /// masked set is read once per rollout and after each fault it
-    /// records: another worker's quarantine shows at the next rollout).
-    /// Reports the
-    /// effective ordering (the changing passes) and the per-request
+    /// Greedy policy rollout from `m`, which ends holding the result:
+    /// [`SERVE_EPISODE_LEN`] steps of argmax actions, each chosen pass
+    /// applied transactionally. Faulted applies are recorded in
+    /// `quarantine` and skipped; quarantined passes are masked out of the
+    /// argmax (the program's masked set is read once per rollout and after
+    /// each fault it records: another worker's quarantine shows at the
+    /// next rollout). Reports the effective ordering (the changing passes) and the per-request
     /// aggregates a trace records ([`RolloutReport`]). The whole episode
     /// is served by one policy: it is snapshotted once, before the first
     /// step.
     ///
     /// # Errors
     ///
-    /// [`PolicyFault`] if any forward pass faults — `m` is left at the
-    /// last good state and the caller degrades to the baseline ordering.
+    /// [`PolicyFault`] if any forward pass faults. `m` is then left as it
+    /// was passed in, and every caller throws it away: the server
+    /// compiles the baseline ordering from the request's module instead,
+    /// and the replay gate returns the fault.
     pub fn choose_sequence_report(
         &self,
         m: &mut Module,
@@ -387,7 +388,7 @@ impl InferenceEngine {
     ) -> Result<RolloutReport, PolicyFault> {
         let step = &Step::new(&serve_env_config());
         let mut ws = BatchWorkspace::new();
-        let mut walk = Walk::start(step, m);
+        let mut walk = Walk::start(step, m.clone());
         let mut report = RolloutReport {
             infer_batch_max: 1,
             policy_version: policy.version,
@@ -395,7 +396,7 @@ impl InferenceEngine {
         };
         let mut masked = quarantine.masked_among(fp, step.actions());
         for _ in 0..step.episode_len() {
-            let obs = walk.observe();
+            let obs = walk.observe(step);
             let infer_start = std::time::Instant::now();
             report.infer_calls += 1;
             let logits = self.forward(policy, &obs, &mut ws)?;
@@ -415,7 +416,7 @@ impl InferenceEngine {
                 logp: probs[action].max(1e-12).ln(),
             });
             let pass = step.actions()[action];
-            match walk.step(action, fuel) {
+            match walk.step(step, action, fuel) {
                 Ok(true) => report.applied.push(pass),
                 Ok(false) => {}
                 Err(_fault) => {
@@ -430,6 +431,7 @@ impl InferenceEngine {
         }
         report.pass_ns = walk.pass_ns();
         report.features_ns = walk.features_ns();
+        *m = walk.into_module();
         Ok(report)
     }
 }
