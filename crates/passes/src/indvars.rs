@@ -77,8 +77,9 @@ fn substitute_final_values(m: &mut Module, fid: FuncId) -> bool {
 }
 
 /// `icmp ne` exit tests ([`autophase_ir::loops::Loop::exit_tests`]) on
-/// an induction variable `i` or `i + 1` whose first in-loop step is 1,
-/// counting up from a constant at or below the bound, become `icmp slt`.
+/// an induction variable `i` or `i + 1` whose every in-loop entry steps it
+/// by 1, counting up from a constant at or below the bound, become
+/// `icmp slt`.
 fn canonicalize_exit_compares(m: &mut Module, fid: FuncId) -> bool {
     let facts = m.facts(fid);
     let f = m.func(fid);
@@ -86,10 +87,11 @@ fn canonicalize_exit_compares(m: &mut Module, fid: FuncId) -> bool {
     let mut rewrites: Vec<InstId> = Vec::new();
     for l in loops {
         for t in l.exit_tests(f, cfg) {
-            let (Some(init), Some(step)) = (t.iv.init.as_const_int(), t.iv.steps.first()) else {
+            let Some(init) = t.iv.init.as_const_int() else {
                 continue;
             };
-            if t.pred != CmpPred::Ne || step.by != 1 || t.offset != 0 && t.offset != step.by {
+            let unit = t.iv.steps.len() == l.latches.len() && t.iv.steps.iter().all(|s| s.by == 1);
+            if t.pred != CmpPred::Ne || !unit || t.offset != 0 && t.offset != 1 {
                 continue;
             }
             if init + t.offset <= t.bound {
