@@ -233,6 +233,39 @@ pub struct ExitTest {
     pub iv: Induction,
 }
 
+impl ExitTest {
+    /// Whether an ordered test reaches its exit side before the compared
+    /// value wraps: starting at `init + offset` and adding `step` between
+    /// tests, the value moves monotonically in the predicate's order
+    /// (signed or unsigned, at the φ's width) until the add would wrap,
+    /// and the exit side is a half-line of that order, so the test leaves
+    /// in time iff it leaves at the first value or at the last. `false`
+    /// for `eq` and `ne`, whose exit sides are no half-lines.
+    pub fn exits_before_wrap(&self, init: i64, step: i64) -> bool {
+        let ty = self.iv.ty;
+        let half = 1i128 << (ty.bits() - 1);
+        let (lo, order): (i128, fn(Type, i64) -> i128) = match self.pred {
+            CmpPred::Eq | CmpPred::Ne => return false,
+            CmpPred::Ult | CmpPred::Ule | CmpPred::Ugt | CmpPred::Uge => {
+                (0, |ty, v| i128::from(ty.zext(v) as u64))
+            }
+            _ => (-half, |ty, v| i128::from(ty.wrap(v))),
+        };
+        let first = order(ty, init.wrapping_add(self.offset));
+        let by = i128::from(ty.wrap(step));
+        let room = if by > 0 {
+            lo + 2 * half - 1 - first
+        } else {
+            lo - first
+        };
+        let last = first + room.checked_div(by).unwrap_or(0) * by;
+        let exits = |v: i128| {
+            (eval_icmp(self.pred, ty, ty.wrap(v as i64), self.bound) != 0) != self.true_stays
+        };
+        exits(first) || exits(last)
+    }
+}
+
 /// The counted exit of a single-block loop (see [`Loop::counted_exit`]).
 #[derive(Debug, Clone)]
 pub struct CountedExit {

@@ -94,6 +94,62 @@ fn trip_matches_the_interpreter() {
     assert!(counted_some > 40, "{counted_some}");
 }
 
+/// An ordered test reaches its exit side before the compared value wraps
+/// exactly when walking the values at i8, without wrapping, meets the exit
+/// side; and a loop that does so returns.
+#[test]
+fn exits_before_wrap_matches_a_walk_that_never_wraps() {
+    let mut leaves = 0;
+    for pred in &PREDS[2..] {
+        let pred = *pred;
+        let unsigned = matches!(
+            pred,
+            CmpPred::Ult | CmpPred::Ule | CmpPred::Ugt | CmpPred::Uge
+        );
+        let order = |v: i64| {
+            if unsigned {
+                v as u8 as i64
+            } else {
+                v as i8 as i64
+            }
+        };
+        for init in [0, 100, -100, 127] {
+            for step in [1, 2, 3, 127, -1, -2, -128] {
+                for bound in [-128, -10, 0, 10, 126, 127] {
+                    for true_stays in [true, false] {
+                        let m = counted("i8", init, step, pred, bound, true_stays);
+                        let (f, cfg, l) = only_loop(&m);
+                        let cl = l.counted_exit(f, &cfg).expect("a counted exit");
+                        let mut v = order(init + step);
+                        let walked = loop {
+                            if order(v) != v {
+                                break false;
+                            }
+                            let holds = match pred {
+                                CmpPred::Slt | CmpPred::Ult => v < order(bound),
+                                CmpPred::Sle | CmpPred::Ule => v <= order(bound),
+                                CmpPred::Sgt | CmpPred::Ugt => v > order(bound),
+                                _ => v >= order(bound),
+                            };
+                            if holds != true_stays {
+                                break true;
+                            }
+                            v += step;
+                        };
+                        let got = cl.test.exits_before_wrap(init, step);
+                        assert_eq!(got, walked, "{pred:?} {init} {step} {bound} {true_stays}");
+                        if got {
+                            leaves += 1;
+                            assert!(run_main(&m, 100_000).is_ok());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(leaves > 100, "{leaves}");
+}
+
 #[test]
 fn trip_wraps_at_the_iv_width() {
     // i8: 100 -> 120 -> -116 (140 wraps), so `sgt 0` fails after two trips.

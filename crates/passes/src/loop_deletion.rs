@@ -51,14 +51,19 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
             }
         }
         // Termination (conservative): an exit test on an induction
-        // variable with a constant init and a nonzero step (its last
-        // in-loop entry's) that moves toward the bound. Going round while
-        // `φ + C != bound`, it leaves only if `init + C + k·step` meets the
-        // bound at the IV's width: if 2^tz(step) divides `bound − init − C`.
+        // variable with a constant init whose every in-loop entry adds the
+        // same nonzero step, moving toward the bound. An ordered test must
+        // reach its exit side before the compared value wraps. Going round
+        // while `φ + C != bound`, it leaves only if `init + C + k·step`
+        // meets the bound at the IV's width: if 2^tz(step) divides
+        // `bound − init − C`.
         let counted = l.exit_tests(f, cfg).iter().any(|t| {
-            let (Value::ConstInt(_, init), Some(step)) = (t.iv.init, t.iv.steps.last()) else {
+            let (Value::ConstInt(_, init), [step, ..]) = (t.iv.init, t.iv.steps.as_slice()) else {
                 return false;
             };
+            if t.iv.steps.len() != l.latches.len() || t.iv.steps.iter().any(|s| s.by != step.by) {
+                return false;
+            }
             let ty = t.iv.ty;
             let meets = ty
                 .zext(t.bound.wrapping_sub(init).wrapping_sub(t.offset))
@@ -73,7 +78,10 @@ fn delete_once(m: &mut Module, fid: FuncId) -> bool {
                     ) | (CmpPred::Sgt | CmpPred::Sge, false)
                         | (CmpPred::Ne, _)
                 )
-                && (t.pred != CmpPred::Ne || !t.true_stays || meets)
+                && match t.pred {
+                    CmpPred::Ne => !t.true_stays || meets,
+                    _ => t.exits_before_wrap(init, step.by),
+                }
         });
         if !counted {
             continue;
