@@ -352,10 +352,10 @@ impl InferenceEngine {
     /// `quarantine` and skipped; quarantined passes are masked out of the
     /// argmax (the program's masked set is read once per rollout and after
     /// each fault it records: another worker's quarantine shows at the
-    /// next rollout). Reports the effective ordering (the changing passes) and the per-request
-    /// aggregates a trace records ([`RolloutReport`]). The whole episode
-    /// is served by one policy: it is snapshotted once, before the first
-    /// step.
+    /// next rollout). Reports the effective ordering (the changing passes)
+    /// and the per-request aggregates a trace records ([`RolloutReport`]).
+    /// The whole episode is served by one policy: it is snapshotted once,
+    /// before the first step.
     ///
     /// # Errors
     ///
