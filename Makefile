@@ -129,9 +129,10 @@ trace-smoke:
 
 # Durability smoke (DESIGN.md §4j): the APSTORE2 crash-recovery
 # property matrix plus live-daemon self-healing tests (a forward panic
-# degrading one request, checkpoint armor, client retry), the disk-fault
-# chaos suite (store, its IR sidecar's appends and a compaction rewrite
-# that fails or tears, then a failed checkpoint save), the kill -9 drill
+# degrading one request, checkpoint armor, a refusal's retry_ms hint
+# reaching the client), the disk-fault chaos suite (store, its IR
+# sidecar's appends and a compaction rewrite that fails or tears, then a
+# failed checkpoint save), the kill -9 drill
 # (12 real SIGKILLs of a writer process, no acked record lost), and the
 # reopen/compaction size pins at 10k entries: the store's, and its
 # sidecar's after every entry was superseded once. Under a minute.

@@ -70,7 +70,7 @@ pub mod server;
 pub mod stats;
 pub mod store;
 
-pub use client::{Client, ClientConfig, CompileReply, RetryPolicy, RetryingClient};
+pub use client::{Client, ClientConfig, CompileReply};
 pub use engine::{
     serve_env_config, serve_layout, InferenceEngine, RolloutReport, SERVE_EPISODE_LEN,
 };

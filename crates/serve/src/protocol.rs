@@ -203,8 +203,8 @@ pub enum Reply {
         kind: ErrKind,
         /// Server-chosen backoff hint: retrying sooner than this many
         /// milliseconds is unlikely to succeed. Sent with `overloaded`
-        /// and `deadline` refusals; clients honor it in their retry
-        /// policy.
+        /// and `deadline` refusals; `Client` hands it to its caller in
+        /// `ClientError::Server`.
         retry_ms: Option<u64>,
         /// Human-readable detail.
         msg: String,

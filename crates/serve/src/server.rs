@@ -67,7 +67,7 @@ use crate::engine::{EngineConfig, InferenceEngine};
 use crate::front::FrontMemo;
 use crate::learner::{LearnerConfig, Online};
 use crate::protocol::{self, refuse, ErrKind, Incoming, Reply, Request, RequestBuffers, Source};
-use crate::store::{BestEntry, BestStore, CompactionPolicy};
+use crate::store::{BestEntry, BestStore};
 use autophase_core::compile::{Input, UNPROFILEABLE_CYCLES};
 use autophase_core::eval_cache::fingerprint_module;
 use autophase_core::Quarantine;
@@ -114,8 +114,6 @@ pub struct ServerConfig {
     pub profile_fuel: u64,
     /// Path of the persistent best-ordering log.
     pub store_path: PathBuf,
-    /// When the store folds its tail log into a snapshot.
-    pub compaction: CompactionPolicy,
     /// How long recording stays disabled after the disk fills. While
     /// down, compiles still answer (store reads, policy, baseline) —
     /// only persistence is skipped; after the backoff the next record
@@ -155,7 +153,6 @@ impl Default for ServerConfig {
             fuel: FuelBudget::default(),
             profile_fuel: 4_000_000,
             store_path: PathBuf::from("serve_store.log"),
-            compaction: CompactionPolicy::default(),
             store_retry: Duration::from_secs(2),
             retry_hint_ms: 50,
             chaos: false,
@@ -350,7 +347,7 @@ impl Server {
         if cfg.telemetry {
             telemetry::enable();
         }
-        let store = BestStore::open_with(&cfg.store_path, cfg.compaction)
+        let store = BestStore::open(&cfg.store_path)
             .map_err(|e| StartError(format!("store {}: {e}", cfg.store_path.display())))?;
         if store.dropped_on_open() {
             telemetry::incr("serve.store", "torn_tail_dropped", 1);

@@ -13,16 +13,15 @@
 use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_rl::checkpoint::{Algo, ArmoredLoad, PolicyCheckpoint};
-use autophase_serve::client::Client;
+use autophase_serve::client::{Client, ClientError};
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
-use autophase_serve::protocol::Source;
+use autophase_serve::protocol::{ErrKind, Source};
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::store::{BestEntry, BestStore, CompactionPolicy};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 const MAGIC_LEN: u64 = 8;
 
@@ -192,7 +191,7 @@ fn engine_crash_degrades_then_respawns_on_a_live_daemon() {
     assert!(programs.len() == 2, "need two distinct programs");
 
     let mut client = Client::connect(server.addr()).expect("connect");
-    client.chaos_crash(1).expect("arm crash");
+    client.chaos(0, 1, 0).expect("arm crash");
 
     // The crashed batch answers via the baseline rung.
     let r1 = client
@@ -284,13 +283,13 @@ fn corrupt_checkpoint_never_kills_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The client retry loop against a real daemon: a request that first
-/// lands `overloaded` (zero workers' worth of queue is impossible, so
-/// emulate with deadline 0 → `deadline` refusal) carries a `retry_ms`
-/// hint, and `RetryingClient` eventually reports the typed refusal
-/// rather than hanging or panicking.
+/// The `retry_ms=` hint reaches the client: a `deadline_ms=0` compile
+/// is refused `deadline` with the daemon's configured hint in
+/// `ClientError::Server`, and the same keep-alive connection then serves
+/// a feasible compile. No client retries; a caller that wants to wait
+/// reads the hint there.
 #[test]
-fn retrying_client_honors_hints_against_a_live_daemon() {
+fn a_refusal_carries_the_retry_hint_on_a_live_daemon() {
     let store = tmp("retry_daemon");
     wipe(&store);
     let server = Server::start(
@@ -305,28 +304,16 @@ fn retrying_client_honors_hints_against_a_live_daemon() {
     .expect("server starts");
 
     let ir = autophase_ir::printer::print_module(&suite()[0].module);
-    let mut rc = autophase_serve::client::RetryingClient::with(
-        server.addr().to_string(),
-        autophase_serve::client::ClientConfig::default(),
-        autophase_serve::client::RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            ..autophase_serve::client::RetryPolicy::default()
-        },
-    );
-
-    // Deadline 0 refuses every attempt: the retrier must exhaust its
-    // attempts and surface the typed refusal with the server's hint.
-    match rc.compile(&ir, Some(0), false) {
-        Err(autophase_serve::client::ClientError::Server { kind, retry_ms, .. }) => {
-            assert_eq!(kind, autophase_serve::protocol::ErrKind::Deadline);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    match client.compile(&ir, Some(0), false) {
+        Err(ClientError::Server { kind, retry_ms, .. }) => {
+            assert_eq!(kind, ErrKind::Deadline);
             assert_eq!(retry_ms, Some(5), "refusal must carry the hint");
         }
         other => panic!("expected a deadline refusal, got {other:?}"),
     }
 
-    // And a feasible request goes through the same retrying client.
-    let ok = rc.compile(&ir, Some(60_000), false).expect("compile");
+    let ok = client.compile(&ir, Some(60_000), false).expect("compile");
     assert!(ok.baseline_cycles > 0);
 
     server.shutdown();

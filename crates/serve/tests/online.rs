@@ -408,7 +408,7 @@ fn corrupt_and_nan_candidates_never_degrade_serving() {
     };
 
     // Leg 1: real on-disk corruption injected mid-promotion.
-    client.chaos_swap(1).expect("arm swap corruption");
+    client.chaos(0, 0, 1).expect("arm swap corruption");
     match client.promote(1) {
         Err(ClientError::Server { kind, msg, .. }) => {
             assert_eq!(kind, ErrKind::Internal, "corrupt candidate: {msg}");
@@ -519,7 +519,7 @@ fn twenty_promotions_under_load_drop_nothing_and_a_corrupt_candidate_is_refused(
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    admin.chaos_swap(1).expect("arm swap corruption");
+    admin.chaos(0, 0, 1).expect("arm swap corruption");
     assert!(
         admin.promote(3).is_err(),
         "corrupt candidate must refuse promotion"

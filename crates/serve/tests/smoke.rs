@@ -107,7 +107,7 @@ fn mixed_load_chaos_and_restart() {
         client
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
-        client.chaos(1_000).expect("chaos accepted");
+        client.chaos(1_000, 0, 0).expect("chaos accepted");
         let mut saw_baseline = false;
         for (i, ir) in programs.iter().enumerate() {
             // Rename the module so its fingerprint is new to the store.
@@ -256,7 +256,7 @@ fn chaos_requires_opt_in() {
     let store = tmp_store("nochaos");
     let server = start_server(&store, false);
     let mut client = Client::connect(server.addr()).expect("connect");
-    match client.chaos(1) {
+    match client.chaos(1, 0, 0) {
         Err(autophase_serve::client::ClientError::Server { kind, .. }) => {
             assert_eq!(kind, ErrKind::BadRequest);
         }

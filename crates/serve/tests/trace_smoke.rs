@@ -65,7 +65,7 @@ fn stats_traces_and_chaos_dump_on_a_live_daemon() {
     }
     // Chaos: inject policy faults, then send unseen programs — they
     // degrade to baseline and their traces must blame inference.
-    client.chaos(1_000).expect("chaos accepted");
+    client.chaos(1_000, 0, 0).expect("chaos accepted");
     let mut degraded = 0;
     for (i, ir) in programs.iter().enumerate() {
         let mut m = autophase_ir::parser::parse_module(ir).unwrap();
