@@ -272,6 +272,37 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The weights `train_update_golden`'s `multi-matmul` configuration
+    /// leaves behind, as FNV-1a hashes of their bits (that golden line
+    /// pins only the best sequence, its cycles and the samples).
+    #[test]
+    fn matmul_weights_are_pinned() {
+        let program = suite()
+            .into_iter()
+            .find(|b| b.name == "matmul")
+            .unwrap()
+            .module;
+        let hls = HlsConfig::default();
+        let cfg = MultiConfig {
+            seq_len: 6,
+            episode_len: 3,
+            episodes_per_iter: 2,
+            ..MultiConfig::default()
+        };
+        let mut agent = MultiActionAgent::new(&cfg, 9);
+        agent.train(&mut Input::new(&program, &hls), 2);
+        let hash = |net: &Mlp| {
+            let bytes: Vec<u8> = net
+                .parameters()
+                .iter()
+                .flat_map(|p| p.to_bits().to_le_bytes())
+                .collect();
+            autophase_telemetry::faultfs::fnv1a(&bytes)
+        };
+        assert_eq!(hash(&agent.policy), 0xaba2_0834_babb_a79a);
+        assert_eq!(hash(&agent.value), 0xeb86_62cb_a4a7_d360);
+    }
+
     #[test]
     fn improves_over_initial_sequence() {
         let program = suite()
