@@ -222,7 +222,11 @@ pass-golden:
 # daemon's rollout each keep their episode in a `step::Walk`, so none of
 # them applies a pass, polls the fault plan or resyncs features itself.
 # A second copy of that sequence is how training and serving could take
-# different steps (DESIGN.md §4g), and the grep fails on one.
+# different steps (DESIGN.md §4g), and the grep fails on one. Nor does a
+# trainer call the per-sample `Mlp::backward`: it is the plain-scalar
+# reference the batched kernels are tested against, and a trainer that
+# used it would be a second training path, so the last grep fails on a
+# call under any crate's `src` outside `crates/nn`.
 perf-smoke:
 	$(CARGO) test -q --release -p autophase-features --test incremental_diff
 	$(CARGO) test -q --release -p autophase-passes --test scaling
@@ -235,3 +239,4 @@ perf-smoke:
 	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
 	$(CARGO) test -q --release -p autophase-nn --test simd_diff
 	@! grep -nE 'apply_checked_traced|fault::poll|IncrementalFeatures::(new|update|rebuild)' crates/core/src/env.rs crates/core/src/experiment.rs crates/serve/src/engine.rs
+	@! grep -rn '\.backward(' crates/*/src | grep -v '^crates/nn/'

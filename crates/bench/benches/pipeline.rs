@@ -9,7 +9,7 @@ use autophase_core::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::extract;
 use autophase_hls::{profile::profile_module, schedule::schedule_function, HlsConfig};
 use autophase_nn::simd::{gemm_kt, gemm_kt_acc, gemm_rt, tanh_in_place};
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
+use autophase_nn::{BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use autophase_rl::env::Environment;
 use autophase_serve::front::keyed_digest;
 use autophase_serve::protocol::{
@@ -170,7 +170,7 @@ fn bench_nn_update(c: &mut Criterion) {
         ("value", [42, 256, 256, 1]),
     ] {
         for batch in [12usize, 48] {
-            let mut mlp = Mlp::new(&sizes, Activation::Tanh, 12);
+            let mut mlp = Mlp::new(&sizes, 12);
             let mut ws = BatchWorkspace::new();
             let mut scratch = GradScratch::new();
             let obs: Vec<Vec<f64>> = (0..batch)

@@ -15,7 +15,7 @@ use crate::env::{EnvConfig, PhaseOrderEnv};
 use autophase_features::NUM_FEATURES;
 use autophase_forest::{Dataset, ForestConfig, RandomForest};
 use autophase_ir::Module;
-use autophase_nn::{Activation, BatchWorkspace, Mlp};
+use autophase_nn::{BatchWorkspace, Mlp};
 use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::env::Environment;
 use autophase_rl::rollout::sample_action;
@@ -56,7 +56,7 @@ pub fn collect_tuples(programs: &[Module], seed: u64) -> Vec<Tuple> {
     };
     let mut env = PhaseOrderEnv::new(programs.to_vec(), env_cfg);
     let sizes = [env.observation_dim(), HIDDEN, HIDDEN, env.num_actions()];
-    let policy = Mlp::new(&sizes, Activation::Tanh, seed);
+    let policy = Mlp::new(&sizes, seed);
     let mut ws = BatchWorkspace::new();
     let mut policy_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);

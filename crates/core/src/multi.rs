@@ -11,7 +11,7 @@
 use crate::compile::Input;
 use autophase_features::{extract, normalize_to_inst_count, NUM_FEATURES};
 use autophase_ir::Module;
-use autophase_nn::{softmax, Activation, BatchWorkspace, Mlp};
+use autophase_nn::{softmax, BatchWorkspace, GradScratch, Mlp};
 use autophase_passes::checked::FuelBudget;
 use autophase_passes::registry::NUM_PASSES;
 use autophase_rl::rollout::sample_action;
@@ -82,8 +82,8 @@ impl MultiActionAgent {
         vsizes.extend(&cfg.hidden);
         vsizes.push(1);
         MultiActionAgent {
-            policy: Mlp::new(&psizes, Activation::Tanh, seed),
-            value: Mlp::new(&vsizes, Activation::Tanh, seed ^ 0xFACE),
+            policy: Mlp::new(&psizes, seed),
+            value: Mlp::new(&vsizes, seed ^ 0xFACE),
             cfg: cfg.clone(),
             rng: StdRng::seed_from_u64(seed ^ 0x3333),
         }
@@ -163,40 +163,51 @@ impl MultiActionAgent {
         (best_seq, best_cycles)
     }
 
+    /// One PPO update: per epoch, one batched forward and one batched
+    /// backward per network over the whole batch, then one step each.
     fn update(&mut self, batch: &[MultiTransition]) {
         // Monte-Carlo advantage per step (episodes are short).
         let mut adv: Vec<f64> = batch.iter().map(|t| t.reward - t.value).collect();
         autophase_rl::rollout::normalize(&mut adv);
-        let mut ws = BatchWorkspace::new();
+        let (mut pws, mut vws) = (BatchWorkspace::new(), BatchWorkspace::new());
+        let mut scratch = GradScratch::new();
+        let heads = self.cfg.seq_len * 3;
+        let mut pgrad = vec![0.0; batch.len() * heads];
+        let mut vgrad = vec![0.0; batch.len()];
         for _ in 0..self.cfg.epochs {
+            pws.begin(&self.policy);
+            vws.begin(&self.value);
+            for t in batch {
+                pws.push_input(&t.obs);
+                vws.push_input(&t.obs);
+            }
+            self.policy.forward_batch(&mut pws);
+            self.value.forward_batch(&mut vws);
             for (i, t) in batch.iter().enumerate() {
-                let logits = self.policy.forward_one(&t.obs, &mut ws);
                 // Joint new log-prob.
-                let mut logp_new = 0.0;
-                let mut per_slot_probs: Vec<Vec<f64>> = Vec::with_capacity(self.cfg.seq_len);
-                for slot in 0..self.cfg.seq_len {
-                    let probs = softmax(&logits[slot * 3..slot * 3 + 3]);
-                    logp_new += probs[t.subactions[slot]].max(1e-12).ln();
-                    per_slot_probs.push(probs);
-                }
+                let probs: Vec<Vec<f64>> = pws.logits(i).chunks(3).map(softmax).collect();
+                let logp_new: f64 = probs
+                    .iter()
+                    .zip(&t.subactions)
+                    .fold(0.0, |acc, (p, &s)| acc + p[s].max(1e-12).ln());
                 let ratio = (logp_new - t.logp).exp();
                 let a = adv[i];
                 let unclipped = ratio * a;
                 let clipped = ratio.clamp(1.0 - self.cfg.clip, 1.0 + self.cfg.clip) * a;
-                let mut grad = vec![0.0; self.cfg.seq_len * 3];
+                let grad = &mut pgrad[i * heads..(i + 1) * heads];
+                grad.fill(0.0);
                 if unclipped <= clipped + 1e-12 {
-                    for slot in 0..self.cfg.seq_len {
-                        let probs = &per_slot_probs[slot];
-                        for j in 0..3 {
-                            let ind = if j == t.subactions[slot] { 1.0 } else { 0.0 };
-                            grad[slot * 3 + j] = -a * ratio * (ind - probs[j]);
+                    for ((g, p), &s) in grad.chunks_mut(3).zip(&probs).zip(&t.subactions) {
+                        for (j, (gj, pj)) in g.iter_mut().zip(p).enumerate() {
+                            let ind = if j == s { 1.0 } else { 0.0 };
+                            *gj = -a * ratio * (ind - pj);
                         }
                     }
                 }
-                self.policy.backward(&t.obs, &grad);
-                let v = self.value.forward_one(&t.obs, &mut ws)[0];
-                self.value.backward(&t.obs, &[v - t.reward]);
+                vgrad[i] = vws.logits(i)[0] - t.reward;
             }
+            self.policy.backward_batch(&pws, &pgrad, &mut scratch);
+            self.value.backward_batch(&vws, &vgrad, &mut scratch);
             self.policy.step(self.cfg.lr);
             self.value.step(self.cfg.lr);
         }

@@ -1,13 +1,14 @@
-//! Row-major matrices sized for 256-unit MLPs.
+//! Row-major matrices sized for 256-unit MLPs, with the plain scalar
+//! products the per-sample reference [`crate::Mlp::forward`] /
+//! [`crate::Mlp::backward`] run.
 
-use crate::simd;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major `rows × cols` matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -15,7 +16,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// All-zeros matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix {
             rows,
             cols,
@@ -24,7 +25,7 @@ impl Matrix {
     }
 
     /// Xavier/Glorot-uniform initialization.
-    pub fn xavier(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+    pub(crate) fn xavier(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
         let bound = (6.0 / (rows + cols) as f64).sqrt();
         let data = (0..rows * cols)
             .map(|_| rng.gen_range(-bound..bound))
@@ -33,38 +34,24 @@ impl Matrix {
     }
 
     /// Rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
-    /// Element accessor.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols + c]
-    }
-
-    /// Mutable element accessor.
-    #[inline]
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        &mut self.data[r * self.cols + c]
-    }
-
-    /// `y = W x` for a column vector `x` (length = cols).
-    ///
-    /// The deliberately scalar row-major reference kernel (a strict-order
-    /// dot product per row). A layer stores `Wᵀ`, so on a layer's weights
+    /// `y = W x` for a column vector `x` (length = cols): a strict-order
+    /// dot product per row. A layer stores `Wᵀ`, so on a layer's weights
     /// this is the per-sample backward's hand-off `δ·W`; the batched
     /// hand-off [`crate::simd::gemm_rt`] is bit-identical to it.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         self.data
             .chunks_exact(self.cols)
@@ -78,48 +65,37 @@ impl Matrix {
             .collect()
     }
 
-    /// `y = Wᵀ x` for a column vector `x` (length = rows).
+    /// `y = Wᵀ x` for a column vector `x` (length = rows): each output
+    /// accumulates over rows in ascending order, as the batched forward
+    /// [`crate::simd::gemm_kt`] does.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         let mut y = vec![0.0; self.cols];
-        self.matvec_t_into(x, &mut y);
+        for (row, &xr) in self.data.chunks_exact(self.cols).zip(x) {
+            for (yi, w) in y.iter_mut().zip(row) {
+                *yi += xr * w;
+            }
+        }
         y
     }
 
-    /// [`Matrix::matvec_t`] accumulated into a zeroed caller buffer.
-    ///
-    /// Vectorized across columns; each output element still accumulates
-    /// over rows in ascending order, so the result is bit-identical to
-    /// the scalar loop at any kernel width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows` or `y.len() != cols`.
-    pub(crate) fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.cols, "matvec_t output mismatch");
-        let width = simd::picked();
-        for (row, &xr) in self.data.chunks_exact(self.cols).zip(x) {
-            simd::axpy(y, xr, row, width);
-        }
-    }
-
     /// Rank-1 accumulate: `self += a · bᵀ` (outer product), used for
-    /// weight gradients. Vectorized across columns (independent
-    /// elements, so bit-identical at any kernel width).
+    /// weight gradients.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn add_outer(&mut self, a: &[f64], b: &[f64]) {
+    pub(crate) fn add_outer(&mut self, a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), self.rows);
         assert_eq!(b.len(), self.cols);
-        let width = simd::picked();
         for (row, &ar) in self.data.chunks_exact_mut(self.cols).zip(a) {
-            simd::axpy(row, ar, b, width);
+            for (r, bi) in row.iter_mut().zip(b) {
+                *r += ar * bi;
+            }
         }
     }
 
@@ -135,23 +111,13 @@ impl Matrix {
     }
 
     /// Raw data slice.
-    pub fn data(&self) -> &[f64] {
+    pub(crate) fn data(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable raw data slice.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Fill with zeros.
-    pub fn clear(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -197,10 +163,9 @@ mod tests {
     fn outer_product_accumulates() {
         let mut m = Matrix::zeros(2, 2);
         m.add_outer(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(m.get(0, 0), 3.0);
-        assert_eq!(m.get(1, 1), 8.0);
+        assert_eq!(m.data(), &[3.0, 4.0, 6.0, 8.0]);
         m.add_outer(&[1.0, 0.0], &[1.0, 0.0]);
-        assert_eq!(m.get(0, 0), 4.0);
+        assert_eq!(m.data(), &[4.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]
@@ -212,7 +177,7 @@ mod tests {
         assert_eq!(a, b);
         let bound = (6.0 / 16.0f64).sqrt();
         assert!(a.data().iter().all(|&v| v.abs() <= bound));
-        assert!(a.norm() > 0.0);
+        assert!(a.data().iter().any(|&v| v != 0.0));
     }
 
     #[test]
@@ -220,14 +185,5 @@ mod tests {
     fn matvec_dimension_checked() {
         let m = Matrix::zeros(2, 3);
         let _ = m.matvec(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn map_and_clear() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_outer(&[1.0, 1.0], &[1.5, 1.5]);
-        assert_eq!(m.data(), &[1.5; 4]);
-        m.clear();
-        assert_eq!(m.norm(), 0.0);
     }
 }

@@ -7,46 +7,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Hidden-layer activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Activation {
-    /// `tanh(x)` (the paper's RLlib default for PPO).
-    Tanh,
-    /// `max(0, x)`.
-    Relu,
-}
-
-impl Activation {
-    pub(crate) fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Tanh => crate::tanh::tanh(x),
-            Activation::Relu => x.max(0.0),
-        }
-    }
-
-    /// [`Activation::apply`] on every element of `y`, at `width`.
-    fn apply_in_place(self, y: &mut [f64], width: KernelWidth) {
-        match self {
-            Activation::Tanh => simd::tanh_in_place(y, width),
-            Activation::Relu => y.iter_mut().for_each(|v| *v = v.max(0.0)),
-        }
-    }
-
-    /// Derivative expressed in terms of the activation *output*.
-    pub(crate) fn derivative_from_output(self, y: f64) -> f64 {
-        match self {
-            Activation::Tanh => 1.0 - y * y,
-            Activation::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-}
-
 /// One dense layer. `W` and everything shaped like it — its gradient
 /// and both Adam moments — are stored **k-major**, `Wᵀ[in×out]`: row `k`
 /// holds every output's weight for input `k`, contiguously. That is the
@@ -100,12 +60,11 @@ impl Dense {
     }
 }
 
-/// A feed-forward network with dense layers, nonlinear hidden activations,
-/// and a linear output layer.
+/// A feed-forward network with dense layers, `tanh` hidden activations
+/// (the ported glibc [`crate::tanh::tanh`]), and a linear output layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    activation: Activation,
     /// Adam step counter.
     t: u64,
     /// Samples accumulated since the last [`Mlp::step`].
@@ -118,7 +77,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given.
-    pub fn new(sizes: &[usize], activation: Activation, seed: u64) -> Mlp {
+    pub fn new(sizes: &[usize], seed: u64) -> Mlp {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
         let mut rng = StdRng::seed_from_u64(seed);
         let layers = sizes
@@ -127,7 +86,6 @@ impl Mlp {
             .collect();
         Mlp {
             layers,
-            activation,
             t: 0,
             pending: 0,
         }
@@ -143,22 +101,15 @@ impl Mlp {
         self.layers.last().expect("nonempty").outputs()
     }
 
-    /// Hidden activation function.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
     /// `[input_dim, hidden..., output_dim]`.
     fn dims(&self) -> impl Iterator<Item = usize> + '_ {
         std::iter::once(self.input_dim()).chain(self.layers.iter().map(Dense::outputs))
     }
 
-    /// Forward pass: the scalar reference the batched kernels are held
-    /// to bit for bit.
-    ///
-    /// Allocates every layer's activation; hot paths should hold a
-    /// [`BatchWorkspace`] and call [`Mlp::forward_one`] or
-    /// [`Mlp::forward_batch`].
+    /// Forward pass in plain scalar loops: the reference the batched
+    /// kernels are held to bit for bit. Only tests call it; every
+    /// trainer and the daemon hold a [`BatchWorkspace`] and call
+    /// [`Mlp::forward_one`] or [`Mlp::forward_batch`].
     ///
     /// # Panics
     ///
@@ -183,7 +134,7 @@ impl Mlp {
             }
             if li + 1 < self.layers.len() {
                 for v in &mut y {
-                    *v = self.activation.apply(*v);
+                    *v = crate::tanh::tanh(*v);
                 }
             }
             acts.push(y);
@@ -191,7 +142,10 @@ impl Mlp {
         acts
     }
 
-    /// Accumulate gradients for one sample given `dLoss/dOutput`.
+    /// Accumulate gradients for one sample given `dLoss/dOutput`, in
+    /// plain scalar loops: the reference [`Mlp::backward_batch`] is held
+    /// to bit for bit. Only tests call it; a trainer stages its batch
+    /// and calls [`Mlp::backward_batch`].
     ///
     /// # Panics
     ///
@@ -203,11 +157,11 @@ impl Mlp {
         for li in (0..self.layers.len()).rev() {
             // Input to this layer:
             let input: &[f64] = if li == 0 { x } else { &acts[li - 1] };
-            // Nonlinear layers: modulate by activation derivative.
+            // Hidden layers: `tanh' = 1 − y²`, from the layer's output.
             if li + 1 < self.layers.len() {
                 let out = &acts[li];
                 for (d, &o) in delta.iter_mut().zip(out) {
-                    *d *= self.activation.derivative_from_output(o);
+                    *d *= 1.0 - o * o;
                 }
             }
             // gwᵀ += x·δᵀ, and the hand-off δ·W is `Wᵀ δ`: the row-major
@@ -256,7 +210,7 @@ impl Mlp {
                 simd::add_assign(&mut ys[b * out..(b + 1) * out], &layer.b, width);
             }
             if hidden {
-                self.activation.apply_in_place(ys, width);
+                simd::tanh_in_place(ys, width);
             }
         }
     }
@@ -335,7 +289,7 @@ impl Mlp {
             let (inputs, outputs) = (layer.inputs(), layer.outputs());
             if li < last {
                 for (d, &o) in delta.iter_mut().zip(&ws.acts[li + 1]) {
-                    *d *= self.activation.derivative_from_output(o);
+                    *d *= 1.0 - o * o;
                 }
             }
             for row in delta.chunks_exact(outputs) {
@@ -440,7 +394,7 @@ impl Mlp {
     // The vendored serde is a marker-trait stub (derives expand to nothing),
     // so persistence is a hand-rolled, versioned little-endian format:
     //
-    //   "APNN" | version u32 | activation u8 | adam_t u64 | n_sizes u32 |
+    //   "APNN" | version u32 | activation u8 (0: tanh) | adam_t u64 | n_sizes u32 |
     //   sizes (u32 each) | per layer: w, b, mw, vw, mb, vb (f64 LE each) |
     //   fnv1a-64 checksum of everything before it
     //
@@ -454,10 +408,7 @@ impl Mlp {
         let mut out = Vec::new();
         out.extend_from_slice(CODEC_MAGIC);
         out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
-        out.push(match self.activation {
-            Activation::Tanh => 0,
-            Activation::Relu => 1,
-        });
+        out.push(ACTIVATION_TANH);
         out.extend_from_slice(&self.t.to_le_bytes());
         let mut sizes = vec![self.input_dim() as u32];
         sizes.extend(self.layers.iter().map(|l| l.outputs() as u32));
@@ -508,11 +459,10 @@ impl Mlp {
         if version != CODEC_VERSION {
             return Err(DecodeError(format!("unsupported version {version}")));
         }
-        let activation = match r.u8()? {
-            0 => Activation::Tanh,
-            1 => Activation::Relu,
-            a => return Err(DecodeError(format!("unknown activation tag {a}"))),
-        };
+        let activation = r.u8()?;
+        if activation != ACTIVATION_TANH {
+            return Err(DecodeError(format!("unknown activation tag {activation}")));
+        }
         let t = r.u64()?;
         let n_sizes = r.u32()? as usize;
         if !(2..=64).contains(&n_sizes) {
@@ -525,6 +475,17 @@ impl Mlp {
                 return Err(DecodeError(format!("implausible layer size {s}")));
             }
             sizes.push(s);
+        }
+        // Every layer holds `w`, `mw`, `vw` (in·out each) and `b`, `mb`,
+        // `vb` (out each): check the body holds exactly that before
+        // sizing anything from the header.
+        let declared = sizes.windows(2).try_fold(0usize, |acc, w| {
+            let (inputs, outputs) = (w[0], w[1]);
+            let layer = inputs.checked_mul(outputs)?.checked_add(outputs)?;
+            acc.checked_add(layer.checked_mul(3)?)
+        });
+        if declared.and_then(|n| n.checked_mul(8)) != Some(body.len() - r.pos) {
+            return Err(DecodeError("body does not hold the declared layers".into()));
         }
         let mut layers = Vec::with_capacity(n_sizes - 1);
         for w in sizes.windows(2) {
@@ -543,7 +504,6 @@ impl Mlp {
         }
         Ok(Mlp {
             layers,
-            activation,
             t,
             pending: 0,
         })
@@ -673,6 +633,8 @@ impl Default for GradScratch {
 
 const CODEC_MAGIC: &[u8] = b"APNN";
 const CODEC_VERSION: u32 = 1;
+/// The codec's activation byte: every network is `tanh`, tag 0.
+const ACTIVATION_TANH: u8 = 0;
 
 /// Failure decoding a serialized [`Mlp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -760,21 +722,22 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let mut net = Mlp::new(&[3, 5, 2], Activation::Tanh, 7);
+        let mut net = Mlp::new(&[3, 5, 2], 7);
         let x = [0.3, -0.7, 1.1];
         // Loss = sum of outputs (dL/dy = 1).
         let loss = |n: &Mlp| -> f64 { n.forward(&x).iter().sum() };
 
         net.backward(&x, &[1.0, 1.0]);
         // Analytic gradient of first-layer weight W[1][2] (stored at
-        // Wᵀ[2][1]), checked by probing that same weight.
-        let analytic = net.layers[0].gwt.get(2, 1);
+        // Wᵀ[2][1], element 2·5 + 1 of the 3 × 5 `Wᵀ`), checked by
+        // probing that same weight.
+        let analytic = net.layers[0].gwt.data()[2 * 5 + 1];
 
         let eps = 1e-6;
         let mut plus = net.clone();
-        *plus.layers[0].wt.get_mut(2, 1) += eps;
+        plus.layers[0].wt.data_mut()[2 * 5 + 1] += eps;
         let mut minus = net.clone();
-        *minus.layers[0].wt.get_mut(2, 1) -= eps;
+        minus.layers[0].wt.data_mut()[2 * 5 + 1] -= eps;
         let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
         assert!(
             (analytic - numeric).abs() < 1e-6,
@@ -784,7 +747,7 @@ mod tests {
 
     #[test]
     fn bias_gradient_matches_finite_differences() {
-        let mut net = Mlp::new(&[2, 4, 3], Activation::Relu, 9);
+        let mut net = Mlp::new(&[2, 4, 3], 9);
         let x = [0.9, 0.4];
         let loss = |n: &Mlp| -> f64 {
             let y = n.forward(&x);
@@ -804,7 +767,7 @@ mod tests {
 
     #[test]
     fn learns_linear_function() {
-        let mut net = Mlp::new(&[2, 16, 1], Activation::Tanh, 3);
+        let mut net = Mlp::new(&[2, 16, 1], 3);
         for _ in 0..600 {
             for (a, b) in [(0.1, 0.9), (0.5, -0.5), (-0.3, 0.2), (0.8, 0.4)] {
                 let target = a - b;
@@ -819,10 +782,10 @@ mod tests {
 
     #[test]
     fn parameter_roundtrip() {
-        let net = Mlp::new(&[4, 8, 3], Activation::Relu, 5);
+        let net = Mlp::new(&[4, 8, 3], 5);
         let p = net.parameters();
         assert_eq!(p.len(), net.num_parameters());
-        let mut other = Mlp::new(&[4, 8, 3], Activation::Relu, 99);
+        let mut other = Mlp::new(&[4, 8, 3], 99);
         other.set_parameters(&p);
         let x = [1.0, -1.0, 0.5, 0.0];
         assert_eq!(net.forward(&x), other.forward(&x));
@@ -841,7 +804,7 @@ mod tests {
 
     #[test]
     fn step_without_backward_is_noop() {
-        let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, 11);
+        let mut net = Mlp::new(&[2, 4, 1], 11);
         let before = net.parameters();
         net.step(1e-2);
         assert_eq!(before, net.parameters());
@@ -849,15 +812,15 @@ mod tests {
 
     #[test]
     fn deterministic_construction() {
-        let a = Mlp::new(&[3, 8, 2], Activation::Tanh, 42);
-        let b = Mlp::new(&[3, 8, 2], Activation::Tanh, 42);
+        let a = Mlp::new(&[3, 8, 2], 42);
+        let b = Mlp::new(&[3, 8, 2], 42);
         assert_eq!(a.parameters(), b.parameters());
     }
 
     #[test]
     fn codec_roundtrip_is_bit_identical() {
         // Train a few steps so Adam moments and t are nonzero.
-        let mut net = Mlp::new(&[3, 8, 2], Activation::Tanh, 21);
+        let mut net = Mlp::new(&[3, 8, 2], 21);
         for _ in 0..5 {
             net.backward(&[0.1, -0.2, 0.3], &[1.0, -1.0]);
             net.step(1e-3);
@@ -889,7 +852,7 @@ mod tests {
 
     #[test]
     fn codec_rejects_corruption() {
-        let net = Mlp::new(&[2, 4, 1], Activation::Relu, 1);
+        let net = Mlp::new(&[2, 4, 1], 1);
         let bytes = net.to_bytes();
         assert!(Mlp::from_bytes(&[]).is_err());
         assert!(Mlp::from_bytes(&bytes[..bytes.len() - 1]).is_err());
@@ -899,5 +862,33 @@ mod tests {
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         assert!(Mlp::from_bytes(&bad_magic).is_err());
+        // The activation byte (after magic and version) is always 0; a
+        // checksummed blob with any other tag is refused.
+        assert_eq!(bytes[8], ACTIVATION_TANH);
+        let mut relabeled = bytes[..bytes.len() - 8].to_vec();
+        relabeled[8] = 1;
+        let sum = fnv1a(&relabeled);
+        relabeled.extend_from_slice(&sum.to_le_bytes());
+        assert!(Mlp::from_bytes(&relabeled).is_err());
+    }
+
+    /// A checksummed 37-byte header declaring one `2²⁰ × 2²⁰` layer and
+    /// no body is refused before anything is sized from it (the layer
+    /// alone would be 8 TiB).
+    #[test]
+    fn codec_refuses_sizes_the_body_does_not_hold() {
+        let mut blob = Vec::new();
+        blob.extend_from_slice(CODEC_MAGIC);
+        blob.extend_from_slice(&CODEC_VERSION.to_le_bytes());
+        blob.push(0);
+        blob.extend_from_slice(&0u64.to_le_bytes());
+        blob.extend_from_slice(&2u32.to_le_bytes());
+        for _ in 0..2 {
+            blob.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        }
+        let sum = fnv1a(&blob);
+        blob.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(blob.len(), 37);
+        assert!(Mlp::from_bytes(&blob).is_err());
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The kernels here power the batched forward, backward and Adam step in
 //! [`crate::mlp`] — every layer stores its weights k-major, `Wᵀ[in×out]`,
-//! so the forward reads them as they lie — and the per-sample gradient
-//! accumulation in [`crate::Matrix`].
+//! so the forward reads them as they lie.
 //! They follow one **order-of-operations contract** that makes every
 //! width produce bit-identical results to the scalar reference:
 //!
@@ -33,8 +32,9 @@
 //! `tanh`, the AVX bodies for the other elementwise kernels), `V4` (AVX
 //! `f64x4`) and `V2` (the SSE2 baseline, and the portable fallback on
 //! any other architecture); `V8` and `V4` fall back to their generic
-//! lane bodies on a CPU without their instructions. The reference every
-//! width is held to is the scalar [`crate::Mlp::forward`].
+//! lane bodies on a CPU without their instructions. The references every
+//! width is held to are the plain scalar [`crate::Mlp::forward`] and
+//! [`crate::Mlp::backward`].
 
 use std::sync::OnceLock;
 
@@ -106,26 +106,6 @@ pub fn picked() -> KernelWidth {
 // temporaries compile to vector registers; the remainder tail is scalar.
 // Per *element* the arithmetic is identical across `L`, which is what
 // the bit-identity contract rests on.
-
-#[inline(always)]
-fn axpy_lanes<const L: usize>(y: &mut [f64], a: f64, x: &[f64]) {
-    let n = y.len();
-    let main = n - n % L;
-    let (yv, yt) = y.split_at_mut(main);
-    let (xv, xt) = x.split_at(main);
-    for (yc, xc) in yv.chunks_exact_mut(L).zip(xv.chunks_exact(L)) {
-        let mut prod = [0.0f64; L];
-        for i in 0..L {
-            prod[i] = a * xc[i];
-        }
-        for i in 0..L {
-            yc[i] += prod[i];
-        }
-    }
-    for (yi, xi) in yt.iter_mut().zip(xt) {
-        *yi += a * *xi;
-    }
-}
 
 #[inline(always)]
 fn add_lanes<const L: usize>(y: &mut [f64], x: &[f64]) {
@@ -232,8 +212,8 @@ fn adam_lanes<const L: usize>(
 /// `y[n] = Σ_k x[k] · wt[k·out + n]` for a k-major (transposed) weight
 /// slab, register-blocked: outputs advance in blocks of `4·L` whose four
 /// accumulator vectors stay in registers while `k` streams, so the
-/// weight slab is read once and `y` written once (an axpy formulation
-/// would re-read and re-write `y` for every `k`), and the four
+/// weight slab is read once and `y` written once (a row-at-a-time
+/// update would re-read and re-write `y` for every `k`), and the four
 /// independent accumulation chains hide FP-add latency. Each output
 /// element still accumulates in ascending-`k` order with separate
 /// mul-then-add — bit-identical to the scalar matvec.
@@ -420,11 +400,6 @@ fn gemm_rt_lanes<const L: usize>(
 #[cfg(target_arch = "x86_64")]
 mod v4 {
     #[target_feature(enable = "avx")]
-    pub unsafe fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-        super::axpy_lanes::<4>(y, a, x);
-    }
-
-    #[target_feature(enable = "avx")]
     pub unsafe fn add(y: &mut [f64], x: &[f64]) {
         super::add_lanes::<4>(y, x);
     }
@@ -558,16 +533,6 @@ mod v4 {
         static AVX: OnceLock<bool> = OnceLock::new();
         *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
     }
-}
-
-fn axpy_v4(y: &mut [f64], a: f64, x: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if v4::avx_available() {
-        // SAFETY: guarded by runtime AVX detection.
-        unsafe { v4::axpy(y, a, x) };
-        return;
-    }
-    axpy_lanes::<4>(y, a, x)
 }
 
 fn add_v4(y: &mut [f64], x: &[f64]) {
@@ -869,19 +834,6 @@ fn tanh_v8(y: &mut [f64]) {
 
 // ---- public dispatch ----
 
-/// `y[i] += a · x[i]`, vectorized over `i`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn axpy(y: &mut [f64], a: f64, x: &[f64], width: KernelWidth) {
-    assert_eq!(y.len(), x.len(), "axpy length mismatch");
-    match width {
-        KernelWidth::V8 | KernelWidth::V4 => axpy_v4(y, a, x),
-        KernelWidth::V2 => axpy_lanes::<2>(y, a, x),
-    }
-}
-
 /// `y[i] += x[i]`, vectorized over `i` (bias application).
 ///
 /// # Panics
@@ -901,9 +853,9 @@ pub fn add_assign(y: &mut [f64], x: &[f64], width: KernelWidth) {
 /// `ys[b][n] = Σ_k xs[b][k] · wt[k·out + n]`.
 ///
 /// Every output element accumulates over `k` in ascending order, making
-/// each row bit-identical to the row-major scalar
-/// [`crate::Matrix::matvec`] for the same weights. Row-blocked so each
-/// weight load is shared across batch rows; batching changes no
+/// each row bit-identical to the same layer's product in the plain
+/// scalar [`crate::Mlp::forward`]. Row-blocked so each weight load is
+/// shared across batch rows; batching changes no
 /// element's reduction order, so the results are bit-identical to
 /// `batch` independent single-row calls.
 ///
@@ -924,10 +876,11 @@ pub fn gemm_kt(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: Kern
 
 /// [`gemm_kt`] accumulating into `ys`: every output element continues
 /// from its current value, `((ys + x₀·w₀) + x₁·w₁) + …` in ascending `k`
-/// — the sequence `k` successive [`axpy`] calls would produce. This is
-/// the weight-gradient product `gwᵀ += Xᵀ·Δ`: the deltas `Δ[B×out]` are
-/// the k-major slab (reduction over the batch), the transposed layer
-/// inputs `Xᵀ[in×B]` are the rows, `gwᵀ[in×out]` is `ys`.
+/// — the sequence of `k` successive rank-1 updates in the per-sample
+/// [`crate::Mlp::backward`]. This is the weight-gradient product
+/// `gwᵀ += Xᵀ·Δ`: the deltas `Δ[B×out]` are the k-major slab (reduction
+/// over the batch), the transposed layer inputs `Xᵀ[in×B]` are the rows,
+/// `gwᵀ[in×out]` is `ys`.
 ///
 /// # Panics
 ///
@@ -950,9 +903,10 @@ pub fn gemm_kt_acc(wt: &[f64], xs: &[f64], ys: &mut [f64], batch: usize, width: 
 ///
 /// Lanes still span outputs and every output element accumulates over
 /// `j` in ascending order with separate mul-then-add, so each row is
-/// bit-identical to the scalar row-major [`crate::Matrix::matvec`], and
-/// batching is bit-invisible. The V4 body transposes 4×4 weight tiles in
-/// registers, sharing each across 4 batch rows. The V8 body runs its
+/// bit-identical to the hand-off in the plain scalar
+/// [`crate::Mlp::backward`], and batching is bit-invisible. The V4 body
+/// transposes 4×4 weight tiles in registers, sharing each across 4 batch
+/// rows. The V8 body runs its
 /// lanes across batch rows instead, through a transposed copy of `xs`
 /// and of the result kept in `stage`, which grows to
 /// `(kdim + out) · batch` once and is left as it is by the other widths.
@@ -1059,25 +1013,6 @@ mod tests {
             (false, false) => KernelWidth::V2,
         };
         assert_eq!(KernelWidth::pick(), want);
-    }
-
-    #[test]
-    fn axpy_bitwise_identical_across_widths() {
-        // Lengths straddling every remainder case for 2, 4 and 8 lanes.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 17, 56, 70, 257] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
-            let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-            let want: Vec<f64> = base.iter().zip(&x).map(|(b, x)| b + 1.7 * x).collect();
-            for w in KernelWidth::all() {
-                let mut got = base.clone();
-                axpy(&mut got, 1.7, &x, w);
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "axpy width {w:?} n {n}"
-                );
-            }
-        }
     }
 
     #[test]

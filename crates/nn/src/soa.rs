@@ -32,39 +32,37 @@ impl std::ops::Deref for SoaMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::{Activation, BatchWorkspace};
+    use crate::mlp::BatchWorkspace;
 
     #[test]
     fn batched_forward_matches_scalar_forward_bitwise() {
-        for act in [Activation::Tanh, Activation::Relu] {
-            let mlp = Mlp::new(&[7, 11, 5], act, 42);
-            let soa = SoaMlp::from_mlp(&mlp);
-            let mut ws = BatchWorkspace::new();
-            ws.begin(&soa);
-            let obs: Vec<Vec<f64>> = (0..5)
-                .map(|b| (0..7).map(|i| ((b * 7 + i) as f64 * 0.3).sin()).collect())
-                .collect();
-            for o in &obs {
-                ws.push_input(o);
-            }
-            soa.forward_batch(&mut ws);
-            for (b, o) in obs.iter().enumerate() {
-                let want = mlp.forward(o);
-                assert_eq!(
-                    ws.logits(b).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-            }
-            for o in &obs {
-                assert_eq!(soa.forward_one(o, &mut ws), &mlp.forward(o)[..]);
-            }
+        let mlp = Mlp::new(&[7, 11, 5], 42);
+        let soa = SoaMlp::from_mlp(&mlp);
+        let mut ws = BatchWorkspace::new();
+        ws.begin(&soa);
+        let obs: Vec<Vec<f64>> = (0..5)
+            .map(|b| (0..7).map(|i| ((b * 7 + i) as f64 * 0.3).sin()).collect())
+            .collect();
+        for o in &obs {
+            ws.push_input(o);
+        }
+        soa.forward_batch(&mut ws);
+        for (b, o) in obs.iter().enumerate() {
+            let want = mlp.forward(o);
+            assert_eq!(
+                ws.logits(b).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+        for o in &obs {
+            assert_eq!(soa.forward_one(o, &mut ws), &mlp.forward(o)[..]);
         }
     }
 
     #[test]
     #[should_panic(expected = "observation length mismatch")]
     fn workspace_rejects_bad_observation() {
-        let soa = SoaMlp::from_mlp(&Mlp::new(&[4, 3], Activation::Tanh, 1));
+        let soa = SoaMlp::from_mlp(&Mlp::new(&[4, 3], 1));
         let mut ws = BatchWorkspace::new();
         ws.begin(&soa);
         ws.push_input(&[1.0, 2.0]);

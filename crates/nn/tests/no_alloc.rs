@@ -8,7 +8,7 @@
 //! `GradScratch`). This file holds exactly one `#[test]` so no sibling
 //! test thread can allocate inside the measurement window.
 
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
+use autophase_nn::{BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -46,10 +46,7 @@ fn steady_state_inference_and_training_do_not_allocate() {
         .flat_map(|width| [&[64usize][..], &[64, 64], &[256, 256]].map(|hidden| (width, hidden)));
     for (width, hidden) in cases {
         let shape = |out: usize| [&[56][..], hidden, &[out]].concat();
-        let mut nets = [
-            Mlp::new(&shape(46), Activation::Tanh, 5),
-            Mlp::new(&shape(1), Activation::Tanh, 6),
-        ];
+        let mut nets = [Mlp::new(&shape(46), 5), Mlp::new(&shape(1), 6)];
         let inputs: Vec<Vec<f64>> = (0..8)
             .map(|b| {
                 (0..56)

@@ -8,7 +8,7 @@
 
 use autophase_nn::simd::{adam_step, gemm_kt, gemm_kt_acc, gemm_rt, tanh_in_place, AdamStep};
 use autophase_nn::tanh::tanh;
-use autophase_nn::{Activation, BatchWorkspace, GradScratch, KernelWidth, Mlp};
+use autophase_nn::{BatchWorkspace, GradScratch, KernelWidth, Mlp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +18,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 fn obs(dim: usize, salt: u64) -> Vec<f64> {
-    // Deterministic, sign-mixed, includes exact zeros (ReLU edge).
+    // Deterministic, sign-mixed, includes exact zeros.
     (0..dim)
         .map(|i| {
             let t = (i as u64)
@@ -51,34 +51,32 @@ const SHAPES: &[&[usize]] = &[
 #[test]
 fn batched_forward_bit_identical_across_widths_shapes_and_remainders() {
     for &shape in SHAPES {
-        for act in [Activation::Tanh, Activation::Relu] {
-            let mlp = Mlp::new(shape, act, 0xC0FFEE ^ shape.len() as u64);
-            // Sign-mixed observations, then three that drive the first
-            // hidden layer's pre-activations past ±22, below 2⁻⁵⁵ (both
-            // run the V8 `tanh`'s scalar-fallback blocks) and to 0. A
-            // layer sum starts from +0, so it never reaches −0.
-            let mut inputs: Vec<Vec<f64>> = (0..13).map(|b| obs(shape[0], b as u64)).collect();
-            for scale in [100.0, 1e-18, 0.0] {
-                inputs.push(obs(shape[0], 5).iter().map(|v| v * scale).collect());
-            }
-            let want: Vec<Vec<u64>> = inputs.iter().map(|x| bits(&mlp.forward(x))).collect();
-            for width in KernelWidth::all() {
-                let mut ws = BatchWorkspace::with_width(width);
-                // Batch sizes 1..=16 cover batch % lanes != 0 for 2-, 4-
-                // and 8-wide kernels and every tail after 4-row blocks.
-                for batch in 1..=inputs.len() {
-                    ws.begin(&mlp);
-                    for x in &inputs[..batch] {
-                        ws.push_input(x);
-                    }
-                    mlp.forward_batch(&mut ws);
-                    for (b, w) in want[..batch].iter().enumerate() {
-                        assert_eq!(
-                            bits(ws.logits(b)),
-                            *w,
-                            "shape {shape:?} act {act:?} width {width:?} batch {batch} row {b}"
-                        );
-                    }
+        let mlp = Mlp::new(shape, 0xC0FFEE ^ shape.len() as u64);
+        // Sign-mixed observations, then three that drive the first
+        // hidden layer's pre-activations past ±22, below 2⁻⁵⁵ (both
+        // run the V8 `tanh`'s scalar-fallback blocks) and to 0. A
+        // layer sum starts from +0, so it never reaches −0.
+        let mut inputs: Vec<Vec<f64>> = (0..13).map(|b| obs(shape[0], b as u64)).collect();
+        for scale in [100.0, 1e-18, 0.0] {
+            inputs.push(obs(shape[0], 5).iter().map(|v| v * scale).collect());
+        }
+        let want: Vec<Vec<u64>> = inputs.iter().map(|x| bits(&mlp.forward(x))).collect();
+        for width in KernelWidth::all() {
+            let mut ws = BatchWorkspace::with_width(width);
+            // Batch sizes 1..=16 cover batch % lanes != 0 for 2-, 4-
+            // and 8-wide kernels and every tail after 4-row blocks.
+            for batch in 1..=inputs.len() {
+                ws.begin(&mlp);
+                for x in &inputs[..batch] {
+                    ws.push_input(x);
+                }
+                mlp.forward_batch(&mut ws);
+                for (b, w) in want[..batch].iter().enumerate() {
+                    assert_eq!(
+                        bits(ws.logits(b)),
+                        *w,
+                        "shape {shape:?} width {width:?} batch {batch} row {b}"
+                    );
                 }
             }
         }
@@ -150,24 +148,22 @@ fn backward_batch_bit_identical_to_sequential_backward() {
     for &shape in SHAPES {
         let (inp, out) = (shape[0], *shape.last().unwrap());
         let wide = shape.contains(&256);
-        for act in [Activation::Tanh, Activation::Relu] {
-            let net = Mlp::new(shape, act, 99);
-            for &batch in BATCHES {
-                // The 256-wide reference is slow in debug builds: keep
-                // its sweep to the sizes the benchmark trains at.
-                if wide && !(act == Activation::Tanh && [0, 12, 48].contains(&batch)) {
-                    continue;
-                }
-                let (x1, g1) = (samples(inp, batch, 40), samples(out, batch, 80));
-                let (x2, g2) = (samples(inp, 5, 140), samples(out, 5, 180));
-                let chunks = [(&x1[..], &g1[..]), (&x2[..], &g2[..])];
-                let want = sequential_update(&net, chunks);
-                for width in KernelWidth::all() {
-                    assert!(
-                        batched_update(&net, chunks, width) == want,
-                        "shape {shape:?} act {act:?} width {width:?} batch {batch}"
-                    );
-                }
+        let net = Mlp::new(shape, 99);
+        for &batch in BATCHES {
+            // The 256-wide reference is slow in debug builds: keep its
+            // sweep to the sizes the benchmark trains at.
+            if wide && ![0, 12, 48].contains(&batch) {
+                continue;
+            }
+            let (x1, g1) = (samples(inp, batch, 40), samples(out, batch, 80));
+            let (x2, g2) = (samples(inp, 5, 140), samples(out, 5, 180));
+            let chunks = [(&x1[..], &g1[..]), (&x2[..], &g2[..])];
+            let want = sequential_update(&net, chunks);
+            for width in KernelWidth::all() {
+                assert!(
+                    batched_update(&net, chunks, width) == want,
+                    "shape {shape:?} width {width:?} batch {batch}"
+                );
             }
         }
     }
@@ -392,7 +388,7 @@ fn mlp_step_bit_identical_to_scalar_reference() {
         (257, 1),
         (1, 257),
     ] {
-        let mut net = Mlp::new(&[inp, out], Activation::Tanh, 31);
+        let mut net = Mlp::new(&[inp, out], 31);
         let mut wref = net.parameters();
         let mut bref = wref.split_off(inp * out);
         let (mut gw, mut mw, mut vw) = (
@@ -566,7 +562,7 @@ proptest! {
         batch in 1usize..12,
         seed in 0u64..1000,
     ) {
-        let mlp = Mlp::new(&[inp, hidden, out], Activation::Tanh, seed);
+        let mlp = Mlp::new(&[inp, hidden, out], seed);
         let inputs: Vec<Vec<f64>> = (0..batch).map(|b| obs(inp, seed ^ b as u64)).collect();
         for width in KernelWidth::all() {
             let mut ws = BatchWorkspace::with_width(width);
@@ -586,14 +582,12 @@ proptest! {
         hidden in proptest::collection::vec(1usize..24, 1..3),
         out in 1usize..20,
         batch in 0usize..70,
-        relu in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let mut shape = vec![inp];
         shape.extend(&hidden);
         shape.push(out);
-        let act = if relu { Activation::Relu } else { Activation::Tanh };
-        let net = Mlp::new(&shape, act, seed);
+        let net = Mlp::new(&shape, seed);
         let (x1, g1) = (samples(inp, 3, seed), samples(out, 3, seed + 50));
         let (x2, g2) = (samples(inp, batch, seed + 100), samples(out, batch, seed + 150));
         let chunks = [(&x1[..], &g1[..]), (&x2[..], &g2[..])];

@@ -21,7 +21,7 @@
 //! Regenerate only for an intended change of answer:
 //! `cargo test -p autophase-nn --test tanh_golden -- --ignored`.
 
-use autophase_nn::{Activation, BatchWorkspace, KernelWidth, Mlp};
+use autophase_nn::{BatchWorkspace, KernelWidth, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
@@ -133,7 +133,7 @@ fn hidden_units_match_the_golden_at_every_width() {
     assert!(n > 4000, "golden file too short: {n} cases");
     // Zero weights and the inputs as biases: each pre-activation is
     // `(0 + 0·0) + b`, exactly `b`.
-    let mut net = Mlp::new(&[1, n, 1], Activation::Tanh, 1);
+    let mut net = Mlp::new(&[1, n, 1], 1);
     let mut params = vec![0.0; n];
     params.extend(cases.iter().map(|c| c.0));
     params.extend(std::iter::repeat_n(0.0, n + 1));
@@ -157,7 +157,7 @@ fn hidden_units_match_the_golden_at_every_width() {
 #[test]
 fn the_scalar_forward_matches_the_golden() {
     // Unit weights, zero biases: `0 + x·1 + 0` in, `0 + h·1 + 0` out.
-    let mut net = Mlp::new(&[1, 1, 1], Activation::Tanh, 1);
+    let mut net = Mlp::new(&[1, 1, 1], 1);
     net.set_parameters(&[1.0, 0.0, 1.0, 0.0]);
     for (x, y, kind) in golden() {
         if x.to_bits() == (-0.0f64).to_bits() {

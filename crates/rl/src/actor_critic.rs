@@ -4,7 +4,7 @@
 //! how they collect, and the weight their loss gives a transition.
 
 use crate::rollout::{self, Batch, Transition};
-use autophase_nn::{softmax, softmax_into, Activation, BatchWorkspace, GradScratch, Mlp};
+use autophase_nn::{softmax, softmax_into, BatchWorkspace, GradScratch, Mlp};
 use autophase_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,8 +46,8 @@ impl<C> ActorCritic<C> {
     ) -> ActorCritic<C> {
         let sizes = |out: usize| [&[obs_dim][..], hidden, &[out]].concat();
         ActorCritic {
-            policy: Mlp::new(&sizes(n_actions), Activation::Tanh, policy_seed),
-            value: Mlp::new(&sizes(1), Activation::Tanh, value_seed),
+            policy: Mlp::new(&sizes(n_actions), policy_seed),
+            value: Mlp::new(&sizes(1), value_seed),
             cfg,
             rng: StdRng::seed_from_u64(rng_seed),
         }

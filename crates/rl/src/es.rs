@@ -3,7 +3,7 @@
 //! network using the evolution strategy instead of backpropagation").
 
 use crate::env::Environment;
-use autophase_nn::{Activation, Mlp};
+use autophase_nn::{BatchWorkspace, Mlp};
 use autophase_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -67,7 +67,7 @@ impl EsAgent {
         sizes.extend(&cfg.hidden);
         sizes.push(n_actions);
         EsAgent {
-            policy: Mlp::new(&sizes, Activation::Tanh, seed),
+            policy: Mlp::new(&sizes, seed),
             cfg: cfg.clone(),
             rng: StdRng::seed_from_u64(seed ^ 0xE5),
         }
@@ -78,6 +78,7 @@ impl EsAgent {
         env: &mut dyn Environment,
         params: &[f64],
         probe: &mut Mlp,
+        ws: &mut BatchWorkspace,
         rng: &mut StdRng,
     ) -> f64 {
         probe.set_parameters(params);
@@ -90,7 +91,7 @@ impl EsAgent {
                 // and the fitness landscape goes flat; sampling keeps the
                 // gradient estimate informative (and is what the softmax
                 // policy "means").
-                let (a, _) = crate::rollout::sample_action(&probe.forward(&obs), rng);
+                let (a, _) = crate::rollout::sample_action(probe.forward_one(&obs, ws), rng);
                 let r = env.step(a);
                 total += r.reward;
                 obs = r.observation;
@@ -107,6 +108,7 @@ impl EsAgent {
     pub fn train(&mut self, env: &mut dyn Environment, iterations: usize) -> Vec<f64> {
         let dim = self.policy.num_parameters();
         let mut probe = self.policy.clone();
+        let mut ws = BatchWorkspace::new();
         let mut curve = Vec::with_capacity(iterations);
         for _ in 0..iterations {
             let gen_start = telemetry::maybe_now();
@@ -134,8 +136,8 @@ impl EsAgent {
                     .map(|(t, e)| t - self.cfg.sigma * e)
                     .collect();
                 let mut eval_rng = StdRng::seed_from_u64(self.rng.gen());
-                let fp = self.fitness(env, &plus, &mut probe, &mut eval_rng);
-                let fm = self.fitness(env, &minus, &mut probe, &mut eval_rng);
+                let fp = self.fitness(env, &plus, &mut probe, &mut ws, &mut eval_rng);
+                let fm = self.fitness(env, &minus, &mut probe, &mut ws, &mut eval_rng);
                 fitness_sum += fp + fm;
                 let w = (fp - fm) / 2.0;
                 for (g, e) in grad.iter_mut().zip(&eps) {

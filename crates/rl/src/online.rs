@@ -247,7 +247,6 @@ impl OnlineTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autophase_nn::mlp::Activation;
 
     fn layout() -> ObsLayout {
         ObsLayout::new(3, 2, 4)
@@ -255,7 +254,7 @@ mod tests {
 
     fn policy(layout: &ObsLayout, seed: u64) -> Mlp {
         let shape = [layout.obs_dim(), 4, layout.num_actions()];
-        Mlp::new(&shape, Activation::Tanh, seed)
+        Mlp::new(&shape, seed)
     }
 
     fn trainer(min_batch: usize) -> OnlineTrainer {
@@ -366,7 +365,7 @@ mod tests {
         let t = OnlineTrainer::new(l, good.clone(), &cfg, 1).expect("a valid policy");
         assert_eq!(t.checkpoint().policy.parameters(), good.parameters());
 
-        let wide = Mlp::new(&[l.obs_dim() + 1, 4, l.num_actions()], Activation::Tanh, 3);
+        let wide = Mlp::new(&[l.obs_dim() + 1, 4, l.num_actions()], 3);
         assert!(OnlineTrainer::new(l, wide, &cfg, 1).is_err(), "wrong shape");
         let mut poisoned = good;
         let mut p = poisoned.parameters();

@@ -371,7 +371,6 @@ pub fn normalize(adv: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::env::ChainEnv;
-    use autophase_nn::Activation;
     use autophase_telemetry::lock_recover;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -380,8 +379,8 @@ mod tests {
     #[test]
     fn collect_fills_horizon() {
         let mut env = ChainEnv::new(vec![0, 1], 2);
-        let policy = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
-        let value = Mlp::new(&[3, 8, 1], Activation::Tanh, 2);
+        let policy = Mlp::new(&[3, 8, 2], 1);
+        let value = Mlp::new(&[3, 8, 1], 2);
         let mut rng = StdRng::seed_from_u64(3);
         let b = collect(&mut env, &policy, &value, 10, 50, &mut rng);
         assert!(b.transitions.len() >= 10);
@@ -450,8 +449,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_collection_agree() {
-        let policy = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
-        let value = Mlp::new(&[3, 8, 1], Activation::Tanh, 2);
+        let policy = Mlp::new(&[3, 8, 2], 1);
+        let value = Mlp::new(&[3, 8, 1], 2);
         let mut env = ChainEnv::new(vec![0, 1], 2);
         let serial = collect_episodes(&mut env, &policy, &value, 9, 4, 50, 77);
         for workers in [1usize, 2, 3, 5] {
@@ -569,8 +568,8 @@ mod tests {
     fn panicked_attempts_are_retried_in_place() {
         let _g = telemetry::test_guard();
         quiet_flaky_panics();
-        let policy = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
-        let value = Mlp::new(&[3, 8, 1], Activation::Tanh, 2);
+        let policy = Mlp::new(&[3, 8, 2], 1);
+        let value = Mlp::new(&[3, 8, 1], 2);
         let mut env = ChainEnv::new(vec![0, 1], 2);
         let reference = collect_episodes(&mut env, &policy, &value, 9, 0, 50, 41);
         for workers in [1usize, 2, 3] {
@@ -601,8 +600,8 @@ mod tests {
         quiet_flaky_panics();
         telemetry::enable();
         telemetry::reset();
-        let policy = Mlp::new(&[3, 8, 2], Activation::Tanh, 1);
-        let value = Mlp::new(&[3, 8, 1], Activation::Tanh, 2);
+        let policy = Mlp::new(&[3, 8, 2], 1);
+        let value = Mlp::new(&[3, 8, 1], 2);
         let mut env = ChainEnv::new(vec![0, 1], 2);
         let reference = collect_episodes(&mut env, &policy, &value, 6, 0, 50, 13);
         // Episode 3 panics on every attempt (budget far above retry cap).

@@ -148,7 +148,6 @@ impl ObsLayout {
 mod tests {
     use super::*;
     use crate::ppo::{PpoAgent, PpoConfig};
-    use autophase_nn::mlp::Activation;
 
     fn layout() -> ObsLayout {
         ObsLayout::new(5, 3, 4)
@@ -171,8 +170,8 @@ mod tests {
     #[test]
     fn shape_checks_accept_matching_networks() {
         let l = layout();
-        let policy = Mlp::new(&[8, 4, 3], Activation::Tanh, 1);
-        let value = Mlp::new(&[8, 4, 1], Activation::Tanh, 2);
+        let policy = Mlp::new(&[8, 4, 3], 1);
+        let value = Mlp::new(&[8, 4, 1], 2);
         assert!(l.check_policy(&policy).is_ok());
         assert!(l.check_net("value net", &value, 1).is_ok());
         assert!(l.check_policy(&value).is_err());

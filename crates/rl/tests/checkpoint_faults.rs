@@ -7,10 +7,12 @@
 //! `make durability-smoke` runs it in release.
 
 use autophase_nn::Mlp;
-use autophase_rl::checkpoint::PolicyCheckpoint;
+use autophase_rl::checkpoint::{ArmoredLoad, PolicyCheckpoint};
 use autophase_rl::ppo::{PpoAgent, PpoConfig};
 use autophase_rl::registry::ModelRegistry;
-use autophase_telemetry::faultfs::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, DiskOp, PLAN};
+use autophase_telemetry::faultfs::{
+    fnv1a, DiskFaultKind, DiskFaultPlan, DiskFaultSpec, DiskOp, PLAN,
+};
 use autophase_telemetry::test_guard;
 use std::path::PathBuf;
 
@@ -141,4 +143,43 @@ fn failed_manifest_write_rolls_the_mutation_back() {
     assert_eq!((disk.versions().to_vec(), disk.active()), before);
     assert_eq!(reg.publish(&ckpt, 400, 4).unwrap(), 4);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint whose policy blob is checksummed but declares one
+/// `2²⁰ × 2²⁰` layer and no weights is quarantined, not sized: decoding
+/// it must not try to allocate the 8 TiB the header claims.
+#[test]
+fn a_blob_declaring_a_huge_layer_is_quarantined() {
+    let _guard = test_guard();
+    PLAN.clear();
+    let agent = PpoAgent::new(2, 3, &PpoConfig::default(), 11);
+    let valid = PolicyCheckpoint::from_ppo(&agent).to_bytes();
+    let mut blob = b"APNN".to_vec();
+    blob.extend_from_slice(&1u32.to_le_bytes());
+    blob.push(0);
+    blob.extend_from_slice(&0u64.to_le_bytes());
+    blob.extend_from_slice(&2u32.to_le_bytes());
+    for _ in 0..2 {
+        blob.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    }
+    let sum = fnv1a(&blob);
+    blob.extend_from_slice(&sum.to_le_bytes());
+    let value = agent.value.to_bytes();
+    // Magic, version and algorithm tag, then the two length-prefixed blobs.
+    let mut bytes = valid[..9].to_vec();
+    for b in [&blob, &value] {
+        bytes.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(b);
+    }
+    let path =
+        std::env::temp_dir().join(format!("autophase_ckpt_huge_{}.ckpt", std::process::id()));
+    let quarantined = PathBuf::from(format!("{}.quarantined", path.display()));
+    std::fs::write(&path, &bytes).unwrap();
+    match PolicyCheckpoint::load_armored(&path) {
+        ArmoredLoad::Quarantined { moved_to, .. } => {
+            assert_eq!(moved_to.as_deref(), Some(quarantined.as_path()));
+        }
+        other => panic!("expected quarantine, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&quarantined);
 }

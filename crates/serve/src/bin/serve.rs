@@ -36,7 +36,7 @@
 //! `promote` hot-swaps a registry version into the live engine, past the
 //! replay gate: the operator's override.
 
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_rl::checkpoint::{ArmoredLoad, PolicyCheckpoint};
 use autophase_serve::client::Client;
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
@@ -180,11 +180,7 @@ fn run_daemon(args: &[String]) {
         }
         None => {
             eprintln!("serve: no --checkpoint, using an UNTRAINED policy");
-            Some(Mlp::new(
-                &[serve_obs_dim(), 32, serve_num_actions()],
-                Activation::Tanh,
-                7,
-            ))
+            Some(Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7))
         }
     };
 

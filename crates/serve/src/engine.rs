@@ -443,11 +443,7 @@ mod tests {
     use std::time::Duration;
 
     fn test_policy(seed: u64) -> Mlp {
-        Mlp::new(
-            &[serve_obs_dim(), 16, serve_num_actions()],
-            autophase_nn::mlp::Activation::Tanh,
-            seed,
-        )
+        Mlp::new(&[serve_obs_dim(), 16, serve_num_actions()], seed)
     }
 
     #[test]
@@ -462,7 +458,7 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_checkpoint_shape() {
-        let bad = Mlp::new(&[3, 4, 2], autophase_nn::mlp::Activation::Tanh, 1);
+        let bad = Mlp::new(&[3, 4, 2], 1);
         assert!(InferenceEngine::start(bad, EngineConfig::default()).is_err());
     }
 
@@ -550,7 +546,7 @@ mod tests {
     #[test]
     fn swap_rejects_wrong_shape_and_baseline_only() {
         let engine = InferenceEngine::start(test_policy(33), EngineConfig::default()).unwrap();
-        let bad = Mlp::new(&[3, 4, 2], autophase_nn::mlp::Activation::Tanh, 1);
+        let bad = Mlp::new(&[3, 4, 2], 1);
         assert!(engine.swap_policy(bad, 1).is_err());
         assert_eq!(engine.active_version(), Some(0), "rejected swap is a no-op");
 

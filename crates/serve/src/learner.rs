@@ -579,7 +579,6 @@ mod tests {
     use crate::engine::{serve_num_actions, serve_obs_dim, EngineConfig};
     use crate::stats::ModelsSnapshot;
     use autophase_core::eval_cache::fingerprint_module;
-    use autophase_nn::mlp::Activation;
     use autophase_rl::checkpoint::{Algo, PolicyCheckpoint};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -594,11 +593,11 @@ mod tests {
     /// The serving shape `tests/online.rs` boots: one hidden layer of 32.
     fn policy(seed: u64) -> Mlp {
         let shape = [serve_obs_dim(), 32, serve_num_actions()];
-        Mlp::new(&shape, Activation::Tanh, seed)
+        Mlp::new(&shape, seed)
     }
 
     fn ckpt(policy: Mlp) -> PolicyCheckpoint {
-        let value = Mlp::new(&[serve_obs_dim(), 8, 1], Activation::Tanh, 1);
+        let value = Mlp::new(&[serve_obs_dim(), 8, 1], 1);
         PolicyCheckpoint {
             algo: Algo::Ppo,
             policy,

@@ -49,9 +49,9 @@
 //! use autophase_serve::client::Client;
 //! use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 //! use autophase_serve::server::{Server, ServerConfig};
-//! use autophase_nn::mlp::{Activation, Mlp};
+//! use autophase_nn::mlp::Mlp;
 //!
-//! let policy = Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], Activation::Tanh, 7);
+//! let policy = Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7);
 //! let server = Server::start(policy, ServerConfig::default()).unwrap();
 //! let mut client = Client::connect(server.addr()).unwrap();
 //! let reply = client.compile("; module m\ndefine i32 @main() {\nb0:\n  ret i32 0\n}\n", None, false).unwrap();

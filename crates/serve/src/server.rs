@@ -1119,12 +1119,7 @@ mod tests {
     #[test]
     fn start_refuses_a_non_finite_policy() {
         use crate::engine::{serve_num_actions, serve_obs_dim};
-        use autophase_nn::mlp::Activation;
-        let mut policy = Mlp::new(
-            &[serve_obs_dim(), 8, serve_num_actions()],
-            Activation::Tanh,
-            7,
-        );
+        let mut policy = Mlp::new(&[serve_obs_dim(), 8, serve_num_actions()], 7);
         let mut params = policy.parameters();
         params[0] = f64::NAN;
         policy.set_parameters(&params);

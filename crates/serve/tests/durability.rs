@@ -11,7 +11,7 @@
 //! kill -9 drill in `kill_drill.rs`).
 
 use autophase_benchmarks::suite;
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_rl::checkpoint::{Algo, ArmoredLoad, PolicyCheckpoint};
 use autophase_serve::client::{Client, ClientError};
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
@@ -156,11 +156,7 @@ proptest! {
 }
 
 fn test_policy() -> Mlp {
-    Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        Activation::Tanh,
-        7,
-    )
+    Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7)
 }
 
 /// An injected engine crash on a live daemon: the in-flight request
@@ -222,7 +218,7 @@ fn corrupt_checkpoint_never_kills_serving() {
     let ckpt = PolicyCheckpoint {
         algo: Algo::Ppo,
         policy: test_policy(),
-        value: Mlp::new(&[serve_obs_dim(), 16, 1], Activation::Tanh, 11),
+        value: Mlp::new(&[serve_obs_dim(), 16, 1], 11),
     };
     let clean = dir.join("clean.ckpt");
     ckpt.save(&clean).unwrap();

@@ -6,7 +6,7 @@
 //! `make durability-smoke` runs it in release.
 
 use autophase_benchmarks::suite;
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_serve::client::Client;
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 use autophase_serve::protocol::Source;
@@ -50,11 +50,7 @@ fn enospc_degrades_to_serving_without_recording_then_recovers() {
     let store = tmp("enospc_daemon");
     wipe(&store);
     let server = Server::start(
-        Mlp::new(
-            &[serve_obs_dim(), 32, serve_num_actions()],
-            Activation::Tanh,
-            7,
-        ),
+        Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7),
         ServerConfig {
             store_path: store.clone(),
             store_retry: Duration::from_millis(400),
@@ -122,11 +118,7 @@ fn a_failed_ir_append_never_fails_the_record_or_the_reply() {
     wipe(&store);
     let start = || {
         Server::start(
-            Mlp::new(
-                &[serve_obs_dim(), 32, serve_num_actions()],
-                Activation::Tanh,
-                7,
-            ),
+            Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7),
             ServerConfig {
                 store_path: store.clone(),
                 ..ServerConfig::default()
@@ -217,11 +209,7 @@ fn a_failed_sidecar_compaction_still_opens_preloads_and_serves() {
     let sidecar = PathBuf::from(format!("{}.ir", store.display()));
     let start = || {
         Server::start(
-            Mlp::new(
-                &[serve_obs_dim(), 32, serve_num_actions()],
-                Activation::Tanh,
-                7,
-            ),
+            Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7),
             ServerConfig {
                 store_path: store.clone(),
                 ..ServerConfig::default()

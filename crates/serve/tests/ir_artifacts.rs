@@ -8,7 +8,7 @@
 //! `serve.store` counters, so they take turns on one lock.
 
 use autophase_benchmarks::suite;
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_passes::checked::{apply_checked, FuelBudget};
 use autophase_serve::client::{Client, CompileReply};
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
@@ -42,11 +42,7 @@ fn wipe(store: &Path) {
 }
 
 fn start(store: &Path) -> Server {
-    let policy = Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        Activation::Tanh,
-        7,
-    );
+    let policy = Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7);
     let cfg = ServerConfig {
         store_path: store.to_path_buf(),
         ..ServerConfig::default()

@@ -18,7 +18,7 @@ use autophase_corpus::{build_corpus, CorpusConfig};
 use autophase_hls::HlsConfig;
 use autophase_ir::printer::print_module;
 use autophase_ir::Module;
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_rl::checkpoint::{Algo, ArmoredLoad, PolicyCheckpoint};
 use autophase_rl::env::Environment;
 use autophase_rl::ppo::{PpoAgent, PpoConfig};
@@ -45,11 +45,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn test_policy(seed: u64) -> Mlp {
-    Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        Activation::Tanh,
-        seed,
-    )
+    Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], seed)
 }
 
 /// Cold-compile one fresh copy of every CHStone program, tagged `tag`:
@@ -68,7 +64,7 @@ fn test_ckpt(seed: u64) -> PolicyCheckpoint {
     PolicyCheckpoint {
         algo: Algo::Ppo,
         policy: test_policy(seed),
-        value: Mlp::new(&[serve_obs_dim(), 8, 1], Activation::Tanh, seed ^ 0xF00),
+        value: Mlp::new(&[serve_obs_dim(), 8, 1], seed ^ 0xF00),
     }
 }
 
@@ -268,7 +264,7 @@ fn a_promote_moves_the_learners_base() {
     let registry_dir = tmp("rebase_registry");
     let net = |hidden: usize| {
         let shape = [serve_obs_dim(), hidden, serve_num_actions()];
-        Mlp::new(&shape, Activation::Tanh, 17)
+        Mlp::new(&shape, 17)
     };
     {
         let mut reg = ModelRegistry::open(&registry_dir).unwrap();

@@ -37,7 +37,7 @@ use autophase_core::Quarantine;
 use autophase_features::{extract, inst_count_filtered};
 use autophase_ir::printer::print_module;
 use autophase_ir::Module;
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_passes::checked::{apply_checked, FuelBudget};
 use autophase_rl::env::Environment;
 use autophase_rl::rollout::argmax;
@@ -47,11 +47,7 @@ use autophase_serve::engine::{
 use proptest::prelude::*;
 
 fn test_policy(seed: u64) -> Mlp {
-    Mlp::new(
-        &[serve_obs_dim(), 24, serve_num_actions()],
-        Activation::Tanh,
-        seed,
-    )
+    Mlp::new(&[serve_obs_dim(), 24, serve_num_actions()], seed)
 }
 
 /// The pre-SIMD serving rollout, reproduced verbatim: full extraction

@@ -5,7 +5,7 @@
 //! This is the test `make serve-smoke` runs.
 
 use autophase_benchmarks::suite;
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_serve::client::Client;
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 use autophase_serve::protocol::{ErrKind, Source};
@@ -23,11 +23,7 @@ fn tmp_store(name: &str) -> PathBuf {
 }
 
 fn test_policy() -> Mlp {
-    Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        Activation::Tanh,
-        7,
-    )
+    Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7)
 }
 
 fn start_server(store: &Path, chaos: bool) -> Server {

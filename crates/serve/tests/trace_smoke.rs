@@ -11,7 +11,7 @@
 //! snapshot it asserts on.
 
 use autophase_benchmarks::suite;
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_serve::client::Client;
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 use autophase_serve::server::{Server, ServerConfig};
@@ -34,11 +34,7 @@ fn stats_traces_and_chaos_dump_on_a_live_daemon() {
         ..ServerConfig::default()
     };
     cfg.flight.dump_dir = Some(dumps.clone());
-    let policy = Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        Activation::Tanh,
-        7,
-    );
+    let policy = Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7);
     let server = Server::start(policy, cfg).expect("server starts");
     let addr = server.addr();
 

@@ -18,7 +18,7 @@
 //! each reply there is byte for byte the reply its request earns on a
 //! connection of its own.
 
-use autophase_nn::mlp::{Activation, Mlp};
+use autophase_nn::mlp::Mlp;
 use autophase_serve::client::Client;
 use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
 use autophase_serve::protocol::{
@@ -263,11 +263,7 @@ fn a_live_daemon_ends_every_hostile_connection_and_keeps_serving() {
         store_path: store.clone(),
         ..ServerConfig::default()
     };
-    let policy = Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        Activation::Tanh,
-        7,
-    );
+    let policy = Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7);
     let server = Server::start(policy, cfg).expect("server starts");
     let refused = (0..LIVE_CASES)
         .filter(|&case| {

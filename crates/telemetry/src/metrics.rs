@@ -123,9 +123,8 @@ pub const DEFAULT_BOUNDS: [u64; 31] = [
 ///
 /// Recording is a bucket lookup (binary search over 31 static bounds)
 /// plus five relaxed atomic RMWs — no locks, no allocation. Quantiles are
-/// answered from the bucket counts: `quantile(q)` returns the smallest
-/// bucket upper bound `b` such that at least `ceil(q · count)` recorded
-/// values are ≤ `b` (for the overflow bucket, the observed maximum).
+/// estimated from the bucket counts by interpolating inside the covering
+/// bucket (`quantile_interp`, what every [`HistogramSnapshot`] holds).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>, // one per bound + overflow
@@ -201,36 +200,11 @@ impl Histogram {
         }
     }
 
-    /// Upper bound covering quantile `q ∈ [0, 1]`: the smallest bucket
-    /// bound `b` with `#(values ≤ b) ≥ ceil(q · count)`. Returns 0 on an
-    /// empty histogram; the overflow bucket answers with the recorded
-    /// maximum, so the result is always a value that was actually
-    /// reachable.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cum += b.load(Ordering::Relaxed);
-            if cum >= target {
-                return if i < DEFAULT_BOUNDS.len() {
-                    DEFAULT_BOUNDS[i].min(self.max())
-                } else {
-                    self.max()
-                };
-            }
-        }
-        self.max()
-    }
-
     /// Quantile estimate with linear interpolation inside the covering
-    /// bucket: where [`Histogram::quantile`] answers with a bucket upper
-    /// bound (exact coverage semantics, coarse on a 1-2-5 ladder),
-    /// `quantile_interp` assumes values are uniformly distributed within
-    /// their bucket and interpolates between the bucket's bounds — the
+    /// bucket: rather than answer with a bucket upper bound (coarse on a
+    /// 1-2-5 ladder), `quantile_interp` assumes values are uniformly
+    /// distributed within their bucket and interpolates between the
+    /// bucket's bounds — the
     /// standard Prometheus-style estimator, and what latency dashboards
     /// want (a p50 of "somewhere around 7.3 ms", not "≤ 10 ms").
     ///
@@ -496,9 +470,6 @@ mod tests {
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 1000);
         assert_eq!(h.mean(), 1111.0 / 4.0);
-        // Two of four values ≤ 10 → the median bucket bound is 10.
-        assert_eq!(h.quantile(0.5), 10);
-        assert_eq!(h.quantile(1.0), 1000);
     }
 
     #[test]
@@ -508,7 +479,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.quantile(0.5), 0);
     }
 
     #[test]
@@ -516,7 +486,7 @@ mod tests {
         let h = Histogram::default();
         let big = *DEFAULT_BOUNDS.last().unwrap() + 123;
         h.record(big);
-        assert_eq!(h.quantile(0.5), big);
+        assert_eq!(h.quantile_interp(0.5), big as f64);
         assert_eq!(h.max(), big);
     }
 

@@ -1,9 +1,10 @@
-//! Property tests of the telemetry instruments: histogram buckets and
-//! quantiles against a brute-force reference, and exact concurrent
+//! Property tests of the telemetry instruments: histogram buckets
+//! against a brute-force reference, the snapshot's percentile ordering,
+//! and exact concurrent
 //! counter sums (the "N threads × M increments loses nothing" contract).
 
 use autophase_telemetry::metrics::{bucket_index, DEFAULT_BOUNDS};
-use autophase_telemetry::{Counter, Histogram};
+use autophase_telemetry::{Counter, Histogram, Registry};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -49,51 +50,29 @@ proptest! {
         prop_assert_eq!(h.max(), *vs.iter().max().unwrap());
     }
 
-    /// `quantile(q)` covers at least `ceil(q·n)` of the recorded values,
-    /// never exceeds the recorded maximum, and is monotone in `q`.
+    /// A snapshot's interpolated percentiles are ordered and reachable:
+    /// `p50 ≤ p90 ≤ p95 ≤ p99`, each within the recorded `[min, max]`.
     #[test]
-    fn quantile_covers_and_is_monotone(vs in values(), qi in 0usize..=20) {
-        let q = qi as f64 / 20.0;
-        let h = Histogram::default();
+    fn snapshot_percentiles_are_ordered_and_within_min_max(vs in values()) {
+        let r = Registry::default();
+        let h = r.histogram("prop.values", "");
         for &v in &vs {
             h.record(v);
         }
-        let b = h.quantile(q);
-        let covered = vs.iter().filter(|&&v| v <= b).count() as u64;
-        let target = ((q * vs.len() as f64).ceil() as u64).max(1);
-        prop_assert!(
-            covered >= target,
-            "quantile({q}) = {b} covers {covered} of {} values, needs {target}",
-            vs.len()
-        );
-        prop_assert!(b <= h.max());
-        let mut prev = 0u64;
-        for i in 0..=10 {
-            let cur = h.quantile(i as f64 / 10.0);
-            prop_assert!(cur >= prev, "quantile not monotone at {i}/10");
-            prev = cur;
-        }
-    }
-
-    /// The quantile answer is tight at bucket granularity: no smaller
-    /// bucket bound (that is ≥ some value) also covers the target mass.
-    #[test]
-    fn quantile_is_bucket_tight(vs in values(), qi in 1usize..=20) {
-        let q = qi as f64 / 20.0;
-        let h = Histogram::default();
-        for &v in &vs {
-            h.record(v);
-        }
-        let b = h.quantile(q);
-        let target = ((q * vs.len() as f64).ceil() as u64).max(1);
-        // Any strictly smaller bucket bound must cover less than target.
-        for &bound in DEFAULT_BOUNDS.iter().filter(|&&x| x < b) {
-            let covered = vs.iter().filter(|&&v| v <= bound).count() as u64;
+        let snap = r.snapshot();
+        let s = &snap.histograms[0];
+        prop_assert_eq!(s.min, *vs.iter().min().unwrap());
+        prop_assert_eq!(s.max, *vs.iter().max().unwrap());
+        let ps = [s.p50, s.p90, s.p95, s.p99];
+        for (i, &p) in ps.iter().enumerate() {
             prop_assert!(
-                covered < target,
-                "bound {bound} < quantile({q}) = {b} already covers {covered} >= {target}"
+                s.min <= p && p <= s.max,
+                "p[{i}] = {p} outside [{}, {}]",
+                s.min,
+                s.max
             );
         }
+        prop_assert!(ps.windows(2).all(|w| w[0] <= w[1]), "out of order: {:?}", ps);
     }
 }
 

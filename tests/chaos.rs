@@ -476,7 +476,7 @@ fn compile_scores_a_wrong_result_unprofileable() {
 /// the mismatch.
 #[test]
 fn a_daemon_never_serves_or_stores_a_wrong_result() {
-    use autophase::nn::mlp::{Activation, Mlp};
+    use autophase::nn::mlp::Mlp;
     use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
     use autophase_serve::{Client, Server, ServerConfig, Source};
     let _g = telemetry::test_guard();
@@ -497,11 +497,7 @@ fn a_daemon_never_serves_or_stores_a_wrong_result() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&store);
-    let policy = Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        Activation::Tanh,
-        7,
-    );
+    let policy = Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7);
     let cfg = ServerConfig {
         store_path: store.clone(),
         ..ServerConfig::default()

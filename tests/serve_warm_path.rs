@@ -19,11 +19,7 @@ fn a_repeated_text_is_served_from_the_memo_and_the_store() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&store);
-    let policy = nn::mlp::Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
-        nn::mlp::Activation::Tanh,
-        7,
-    );
+    let policy = nn::mlp::Mlp::new(&[serve_obs_dim(), 32, serve_num_actions()], 7);
     let server = Server::start(
         policy,
         ServerConfig {

@@ -15,7 +15,10 @@
 //! scalar Adam loop to be deleted instead of kept as a second path. The
 //! `*-train` lines were written by the four hand-rolled training loops
 //! and two update bodies; the one loop and one update kernel that
-//! replaced them must reproduce those too.
+//! replaced them must reproduce those too, as must RL-PPO3's update and
+//! ES's fitness rollouts, which ran the per-sample `Mlp::backward` /
+//! `Mlp::forward` when the lines were written and now run
+//! `backward_batch` / `forward_one`.
 //! Regenerate only for an intended trajectory change:
 //! `cargo test --release --test train_update_golden -- --ignored`.
 
@@ -159,7 +162,9 @@ fn render_train(out: &mut String) {
     let one = ppo_parallel(1);
     assert_eq!(one, ppo_parallel(3), "worker count changed the run");
     writeln!(out, "ppo-train-parallel {one}").unwrap();
-    // RL-PPO3: its own factored update, the shared categorical sampler.
+    // RL-PPO3: its factored clipped surrogate on the same batched
+    // kernels, the shared categorical sampler. The line pins the outcome;
+    // `core::multi`'s `matmul_weights_are_pinned` pins the weights.
     let program = autophase::benchmarks::suite::by_name("matmul").expect("known benchmark");
     let cfg = MultiConfig {
         seq_len: 6,
